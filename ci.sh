@@ -55,52 +55,50 @@ echo "==> obs report"
 cargo run --release -q -p hesgx-bench --offline --bin repro -- obs_report --quick
 test -s target/obs/obs_report.json
 
+# Replay gate shared by the experiments below: run `repro <experiment>
+# --quick` twice and require every listed artifact to exist, be non-empty,
+# and be byte-identical across the two runs.
+# Usage: run_twice_diff <experiment> <artifact>...
+run_twice_diff() {
+    local experiment=$1
+    shift
+    cargo run --release -q -p hesgx-bench --offline --bin repro -- "$experiment" --quick
+    local artifact
+    for artifact in "$@"; do
+        test -s "$artifact"
+        cp "$artifact" "$artifact.first"
+    done
+    cargo run --release -q -p hesgx-bench --offline --bin repro -- "$experiment" --quick
+    for artifact in "$@"; do
+        diff "$artifact.first" "$artifact"
+        rm -f "$artifact.first"
+    done
+}
+
 # Trace determinism gate: run the timeline experiment twice and require the
 # Perfetto trace and the Prometheus exposition to be byte-identical — the
 # virtual-clock contract (DESIGN.md §13) as an executable check.
 echo "==> trace determinism (two runs, diffed)"
-cargo run --release -q -p hesgx-bench --offline --bin repro -- trace --quick
-test -s target/obs/trace-7.json
-test -s target/obs/trace-7.prom
-cp target/obs/trace-7.json target/obs/trace-7.first.json
-cp target/obs/trace-7.prom target/obs/trace-7.first.prom
-cargo run --release -q -p hesgx-bench --offline --bin repro -- trace --quick
-diff target/obs/trace-7.first.json target/obs/trace-7.json
-diff target/obs/trace-7.first.prom target/obs/trace-7.prom
-rm -f target/obs/trace-7.first.json target/obs/trace-7.first.prom
+run_twice_diff trace target/obs/trace-7.json target/obs/trace-7.prom
 
 # Serving-layer determinism gate: the serve_load sweep runs twice and the
 # latency report, obs snapshot, and Prometheus export must be byte-identical
 # (each run already asserts identity across HE pool sizes 1/2/4 and that
 # SIMD batching cuts the modeled per-request HE cost at high arrival rate).
 echo "==> serve load (two runs, diffed)"
-cargo run --release -q -p hesgx-bench --offline --bin repro -- serve_load --quick
-test -s target/bench/BENCH_serve.json
-test -s target/obs/serve-load.json
-test -s target/obs/serve-load.prom
-cp target/bench/BENCH_serve.json target/bench/BENCH_serve.first.json
-cp target/obs/serve-load.json target/obs/serve-load.first.json
-cp target/obs/serve-load.prom target/obs/serve-load.first.prom
-cargo run --release -q -p hesgx-bench --offline --bin repro -- serve_load --quick
-diff target/bench/BENCH_serve.first.json target/bench/BENCH_serve.json
-diff target/obs/serve-load.first.json target/obs/serve-load.json
-diff target/obs/serve-load.first.prom target/obs/serve-load.prom
-rm -f target/bench/BENCH_serve.first.json target/obs/serve-load.first.json target/obs/serve-load.first.prom
+run_twice_diff serve_load \
+    target/bench/BENCH_serve.json target/obs/serve-load.json target/obs/serve-load.prom
 
 # NTT bench determinism gate: wall times live in BENCH_ntt.json (informative,
-# never diffed); the replay-stable face — tier checksums, logits-identity
+# never diffed); the replay-stable face — tier checksums, ciphertext-identity
 # flags, HE op counts — is BENCH_ntt.deterministic.json, which must be
 # byte-identical across two runs. Each run also asserts in-process that the
 # lazy/cached kernels are bit-identical to the eager reference and that the
-# cached pipeline performs zero per-request weight preparations.
+# weight-bank conv kernel matches its raw-weight oracle bit for bit with zero
+# per-call weight preparations.
 echo "==> ntt bench (two runs, deterministic sections diffed)"
-cargo run --release -q -p hesgx-bench --offline --bin repro -- ntt_bench --quick
+run_twice_diff ntt_bench target/bench/BENCH_ntt.deterministic.json
 test -s target/bench/BENCH_ntt.json
-test -s target/bench/BENCH_ntt.deterministic.json
-cp target/bench/BENCH_ntt.deterministic.json target/bench/BENCH_ntt.deterministic.first.json
-cargo run --release -q -p hesgx-bench --offline --bin repro -- ntt_bench --quick
-diff target/bench/BENCH_ntt.deterministic.first.json target/bench/BENCH_ntt.deterministic.json
-rm -f target/bench/BENCH_ntt.deterministic.first.json
 
 # Transciphered-ingress gate: wall times live in BENCH_transcipher.json
 # (informative, never diffed); the replay-stable face — upload bytes both
@@ -109,13 +107,8 @@ rm -f target/bench/BENCH_ntt.deterministic.first.json
 # must be byte-identical across two runs. Each run serves the same batch
 # through both ingress modes at HE pool sizes 1/2/4.
 echo "==> transcipher bench (two runs, deterministic sections diffed)"
-cargo run --release -q -p hesgx-bench --offline --bin repro -- transcipher --quick
+run_twice_diff transcipher target/bench/BENCH_transcipher.deterministic.json
 test -s target/bench/BENCH_transcipher.json
-test -s target/bench/BENCH_transcipher.deterministic.json
-cp target/bench/BENCH_transcipher.deterministic.json target/bench/BENCH_transcipher.deterministic.first.json
-cargo run --release -q -p hesgx-bench --offline --bin repro -- transcipher --quick
-diff target/bench/BENCH_transcipher.deterministic.first.json target/bench/BENCH_transcipher.deterministic.json
-rm -f target/bench/BENCH_transcipher.deterministic.first.json
 
 # Profile gate: the run itself asserts the deterministic face (tree shape,
 # call counts, bytes — no nanoseconds) is byte-identical across HE pool
@@ -125,14 +118,9 @@ rm -f target/bench/BENCH_transcipher.deterministic.first.json
 # contract; the flamegraph and hotspot table are wall-face artifacts for
 # humans, never diffed.
 echo "==> profile (two runs, deterministic sections diffed)"
-cargo run --release -q -p hesgx-bench --offline --bin repro -- profile --quick
+run_twice_diff profile target/bench/BENCH_profile.deterministic.json
 test -s target/bench/BENCH_profile.json
-test -s target/bench/BENCH_profile.deterministic.json
 test -s target/bench/profile.collapsed.txt
 test -s target/bench/profile_hotspots.txt
-cp target/bench/BENCH_profile.deterministic.json target/bench/BENCH_profile.deterministic.first.json
-cargo run --release -q -p hesgx-bench --offline --bin repro -- profile --quick
-diff target/bench/BENCH_profile.deterministic.first.json target/bench/BENCH_profile.deterministic.json
-rm -f target/bench/BENCH_profile.deterministic.first.json
 
 echo "ci: all checks passed"

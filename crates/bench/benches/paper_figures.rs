@@ -7,6 +7,7 @@ use hesgx_bench::PaperEnv;
 use hesgx_bfv::prelude::PolyArena;
 use hesgx_henn::image::EncryptedMap;
 use hesgx_henn::ops::{self, OpCounter};
+use hesgx_henn::par::ParExec;
 use hesgx_henn::weights::{conv_weight_count, encode_weights};
 use hesgx_nn::layers::ActivationKind;
 use std::hint::black_box;
@@ -40,8 +41,17 @@ fn bench_conv_kernel(c: &mut Criterion) {
             b.iter(|| {
                 let mut counter = OpCounter::default();
                 black_box(
-                    ops::he_conv2d(&env.sys, &input, &weights, &[0], 1, k, 1, &mut counter)
-                        .unwrap(),
+                    ops::he_conv2d_reference(
+                        &env.sys,
+                        &input,
+                        &weights,
+                        &[0],
+                        1,
+                        k,
+                        1,
+                        &mut counter,
+                    )
+                    .unwrap(),
                 )
             })
         });
@@ -61,21 +71,28 @@ fn bench_sigmoid_variants(c: &mut Criterion) {
     let model = scale_stub(2);
     let real = env.inference_enclave(false);
     let fake = env.inference_enclave(true);
+    let serial = ParExec::serial();
     let mut group = c.benchmark_group("fig5/sigmoid_12x12");
     group.sample_size(10);
     group.bench_function("encrypt_sigmoid_square_relin", |b| {
         b.iter(|| {
             let mut counter = OpCounter::default();
             black_box(
-                ops::he_square_activation(&env.sys, &input, &env.keys.evaluation, &mut counter)
-                    .unwrap(),
+                ops::he_square_activation(
+                    &env.sys,
+                    &input,
+                    &env.keys.evaluation,
+                    &mut counter,
+                    &serial,
+                )
+                .unwrap(),
             )
         })
     });
     group.bench_function("sgx_sigmoid", |b| {
         b.iter(|| {
             black_box(
-                real.activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid)
+                real.activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid, &serial)
                     .unwrap(),
             )
         })
@@ -83,7 +100,7 @@ fn bench_sigmoid_variants(c: &mut Criterion) {
     group.bench_function("fake_sgx_sigmoid", |b| {
         b.iter(|| {
             black_box(
-                fake.activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid)
+                fake.activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid, &serial)
                     .unwrap(),
             )
         })
@@ -99,6 +116,7 @@ fn bench_pooling_variants(c: &mut Criterion) {
     let input =
         EncryptedMap::encrypt_images(&env.sys, &images, 24, &env.keys.public, &mut rng).unwrap();
     let real = env.inference_enclave(false);
+    let serial = ParExec::serial();
     let mut group = c.benchmark_group("fig6/pooling_24x24");
     group.sample_size(10);
     for window in [2usize, 4, 8] {
@@ -109,15 +127,26 @@ fn bench_pooling_variants(c: &mut Criterion) {
             |b, &window| {
                 b.iter(|| {
                     let mut counter = OpCounter::default();
-                    let summed =
-                        ops::he_scaled_mean_pool(&env.sys, &input, window, &mut counter, &arena)
-                            .unwrap();
-                    black_box(real.divide_map(&env.sys, &summed, &model).unwrap())
+                    let summed = ops::he_scaled_mean_pool(
+                        &env.sys,
+                        &input,
+                        window,
+                        &mut counter,
+                        &serial,
+                        &arena,
+                    )
+                    .unwrap();
+                    black_box(real.divide_map(&env.sys, &summed, &model, &serial).unwrap())
                 })
             },
         );
         group.bench_with_input(BenchmarkId::new("sgx_pool", window), &window, |b, _| {
-            b.iter(|| black_box(real.pool_full_map(&env.sys, &input, &model, false).unwrap()))
+            b.iter(|| {
+                black_box(
+                    real.pool_full_map(&env.sys, &input, &model, false, &serial)
+                        .unwrap(),
+                )
+            })
         });
     }
     group.finish();

@@ -4,6 +4,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hesgx_bench::{PaperEnv, PAPER_BATCH_SIZE};
 use hesgx_bfv::prelude::KeyGenerator;
 use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::par::ParExec;
 use std::hint::black_box;
 
 fn bench_keygen(c: &mut Criterion) {
@@ -71,12 +72,13 @@ fn bench_relinearization(c: &mut Criterion) {
         b.iter(|| black_box(ie.refresh_one(&env.sys, &size3).unwrap()))
     });
     let batch: Vec<_> = (0..PAPER_BATCH_SIZE).map(|_| size3.clone()).collect();
+    let serial = ParExec::serial();
     let mut group = c.benchmark_group("table5");
     group.sample_size(10);
     group.bench_function("sgx_noise_reduction_batched_10", |b| {
         b.iter_batched(
             || batch.clone(),
-            |batch| black_box(ie.refresh_batch(&env.sys, &batch).unwrap()),
+            |batch| black_box(ie.refresh_batch(&env.sys, &batch, &serial).unwrap()),
             BatchSize::SmallInput,
         )
     });

@@ -16,6 +16,7 @@ use crate::PaperEnv;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::CrtPlainSystem;
 use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::par::ParExec;
 use hesgx_nn::dataset;
 use hesgx_nn::layers::{ActivationKind, PoolKind};
 use hesgx_nn::model_zoo::paper_cnn;
@@ -32,7 +33,13 @@ pub fn ablate_ecall_batching(env: &mut PaperEnv) {
     let input =
         EncryptedMap::encrypt_images(&env.sys, &images, 16, &env.keys.public, &mut rng).unwrap();
     let (_, batched) = ie
-        .activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid)
+        .activation_map(
+            &env.sys,
+            &input,
+            &model,
+            ActivationKind::Sigmoid,
+            &ParExec::serial(),
+        )
         .unwrap();
     let (_, single) = ie
         .activation_map_single_ecalls(&env.sys, &input, &model, ActivationKind::Sigmoid)

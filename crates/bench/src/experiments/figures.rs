@@ -7,6 +7,7 @@ use crate::PaperEnv;
 use hesgx_bfv::prelude::PolyArena;
 use hesgx_henn::image::EncryptedMap;
 use hesgx_henn::ops::{self, OpCounter};
+use hesgx_henn::par::ParExec;
 use hesgx_henn::weights::{conv_weight_count, encode_weights};
 use hesgx_nn::layers::ActivationKind;
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
@@ -133,7 +134,8 @@ pub struct Fig4Point {
 }
 
 /// Fig. 4 — homomorphic convolution time and operation count vs kernel size
-/// on a 28×28 feature map.
+/// on a 28×28 feature map. Times the raw-weight reference oracle: the paper's
+/// textbook loop, weight preparation included.
 pub fn fig4_conv_kernel(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig4Point> {
     header("FIG 4: homomorphic convolution time vs kernel size (28x28 map, stride 1)");
     let kernels: Vec<usize> = if cfg.quick {
@@ -151,7 +153,8 @@ pub fn fig4_conv_kernel(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig4Point> {
         let weights: Vec<i64> = (0..k * k).map(|i| (i as i64 % 5) - 2).collect();
         let mut counter = OpCounter::default();
         let start = Instant::now();
-        let _ = ops::he_conv2d(&env.sys, &input, &weights, &[0], 1, k, 1, &mut counter).unwrap();
+        let _ = ops::he_conv2d_reference(&env.sys, &input, &weights, &[0], 1, k, 1, &mut counter)
+            .unwrap();
         let ms = start.elapsed().as_secs_f64() * 1e3;
         let theoretical = OpCounter::conv_theoretical(28, k);
         assert_eq!(counter.ct_pt_mul, theoretical, "op count mismatch");
@@ -198,6 +201,7 @@ pub fn fig5_sigmoid(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig5Point> {
     let model = scale_stub(2);
     let real = env.inference_enclave(false);
     let fake = env.inference_enclave(true);
+    let serial = ParExec::serial();
     let mut rng = env.rng.fork("fig5");
     let mut points = Vec::new();
     println!("map side   cells   EncryptSigmoid(ms)   SGXSigmoid(ms)   FakeSGXSigmoid(ms)");
@@ -212,19 +216,25 @@ pub fn fig5_sigmoid(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig5Point> {
         // EncryptSigmoid: the HE pipeline's square + relinearization.
         let start = Instant::now();
         let mut counter = OpCounter::default();
-        let _ = ops::he_square_activation(&env.sys, &input, &env.keys.evaluation, &mut counter)
-            .unwrap();
+        let _ = ops::he_square_activation(
+            &env.sys,
+            &input,
+            &env.keys.evaluation,
+            &mut counter,
+            &serial,
+        )
+        .unwrap();
         let encrypt_ms = start.elapsed().as_secs_f64() * 1e3;
 
         // SGXSigmoid: exact sigmoid, batched ECALL, virtual time.
         let (_, cost) = real
-            .activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid)
+            .activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid, &serial)
             .unwrap();
         let sgx_ms = cost.total_ns() as f64 / 1e6;
 
         // FakeSGXSigmoid: same code, zero-overhead model.
         let (_, cost) = fake
-            .activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid)
+            .activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid, &serial)
             .unwrap();
         let fake_ms = cost.total_ns() as f64 / 1e6;
 
@@ -279,6 +289,7 @@ pub fn fig6_pooling(env: &mut PaperEnv, _cfg: RunConfig) -> Vec<Fig6Point> {
     let real = env.inference_enclave(false);
     let fake = env.inference_enclave(true);
     let arena = PolyArena::new();
+    let serial = ParExec::serial();
     let mut rng = env.rng.fork("fig6");
     let images = vec![(0..576).map(|p| (p % 17) as i64).collect::<Vec<i64>>()];
     let input =
@@ -290,17 +301,22 @@ pub fn fig6_pooling(env: &mut PaperEnv, _cfg: RunConfig) -> Vec<Fig6Point> {
 
         let start = Instant::now();
         let mut counter = OpCounter::default();
-        let summed = ops::he_scaled_mean_pool(&env.sys, &input, w, &mut counter, &arena).unwrap();
+        let summed =
+            ops::he_scaled_mean_pool(&env.sys, &input, w, &mut counter, &serial, &arena).unwrap();
         let encrypted_sum_ms = start.elapsed().as_secs_f64() * 1e3;
 
-        let (_, cost) = real.divide_map(&env.sys, &summed, &model).unwrap();
+        let (_, cost) = real.divide_map(&env.sys, &summed, &model, &serial).unwrap();
         let sgx_divide_ms = cost.total_ns() as f64 / 1e6;
-        let (_, cost) = fake.divide_map(&env.sys, &summed, &model).unwrap();
+        let (_, cost) = fake.divide_map(&env.sys, &summed, &model, &serial).unwrap();
         let fake_divide_ms = cost.total_ns() as f64 / 1e6;
 
-        let (_, cost) = real.pool_full_map(&env.sys, &input, &model, false).unwrap();
+        let (_, cost) = real
+            .pool_full_map(&env.sys, &input, &model, false, &serial)
+            .unwrap();
         let sgx_pool_ms = cost.total_ns() as f64 / 1e6;
-        let (_, cost) = fake.pool_full_map(&env.sys, &input, &model, false).unwrap();
+        let (_, cost) = fake
+            .pool_full_map(&env.sys, &input, &model, false, &serial)
+            .unwrap();
         let fake_pool_ms = cost.total_ns() as f64 / 1e6;
 
         let p = Fig6Point {

@@ -1,6 +1,6 @@
 //! `ntt_bench` — wall-time microbenchmarks of the lazy-reduction NTT hot
-//! path, plus the fig8-scale end-to-end payoff of the cached weight bank
-//! (not in the paper; the speed pass behind every HE number in it).
+//! path, plus the fig8-scale conv-layer payoff of the provisioned weight
+//! bank (not in the paper; the speed pass behind every HE number in it).
 //!
 //! Three kernels per `(n, p)` tier, optimized versus the retained eager
 //! reference: the Harvey/Shoup forward transform, the lazy inverse, and the
@@ -14,11 +14,12 @@
 //! All wall times are median-of-k via the audited [`WallTimer`] shim; the
 //! speedup headline is the reference/cached ratio at `n = 4096`.
 //!
-//! The end-to-end section provisions the hybrid pipeline twice — cached
-//! weight banks on and off (`ProvisionConfig::cached_weights`) — on a
-//! fig8-scale model and times `infer` over the paper's image batch. The two
-//! variants must produce byte-identical logits; the wall-time gap is the
-//! measured inference payoff of provision-time weight preparation.
+//! The conv-layer section runs the fig8-scale convolution over the paper's
+//! image batch twice on one thread — the [`WeightBank`] kernel
+//! ([`ops::he_conv2d`]) and the raw-weight oracle
+//! ([`ops::he_conv2d_reference`]). The two must produce byte-identical
+//! ciphertexts; the wall-time gap is the measured payoff of provision-time
+//! weight preparation and fused accumulation.
 //!
 //! Artifacts: `target/bench/BENCH_ntt.json` (full tables including wall
 //! times — informative, machine-readable, *not* replay-stable) and
@@ -28,12 +29,14 @@
 
 use super::{header, RunConfig};
 use hesgx_bfv::ntt::NttTable;
-use hesgx_core::pipeline::{EcallBatching, HybridInference, ProvisionConfig};
+use hesgx_bfv::prelude::PolyArena;
 use hesgx_crypto::rng::ChaChaRng;
+use hesgx_henn::crt::CrtPlainSystem;
 use hesgx_henn::image::EncryptedMap;
-use hesgx_henn::ops::OpCounter;
+use hesgx_henn::ops::{self, OpCounter};
+use hesgx_henn::par::ParExec;
+use hesgx_henn::weights::WeightBank;
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
-use hesgx_tee::enclave::Platform;
 use hesgx_tee::wall::WallTimer;
 use std::fmt::Write as _;
 
@@ -99,13 +102,14 @@ pub struct NttBench {
     /// Worst (smallest) negacyclic speedup across the `n = 4096` tiers —
     /// the acceptance headline.
     pub negacyclic_speedup_4096: f64,
-    /// End-to-end inference medians, cached weight banks on/off.
-    pub e2e: KernelTimes,
-    /// Cached and uncached pipelines produced byte-identical logits.
-    pub e2e_logits_match: bool,
-    /// Per-request weight preparations of the uncached pipeline (cached is
-    /// pinned to zero).
-    pub e2e_uncached_weight_prep: u64,
+    /// Fig8-scale conv-layer medians: weight-bank kernel (optimized) versus
+    /// the raw-weight oracle (reference).
+    pub conv: KernelTimes,
+    /// Kernel and oracle produced byte-identical ciphertexts.
+    pub conv_cells_match: bool,
+    /// Per-call weight preparations of the oracle (the kernel is pinned to
+    /// zero).
+    pub conv_oracle_weight_prep: u64,
 }
 
 fn median(mut samples: Vec<u64>) -> u64 {
@@ -202,11 +206,11 @@ fn bench_tier(n: usize, p: u64, reps: usize) -> TierResult {
     }
 }
 
-/// The end-to-end model: fig8 dimensions in full mode (the paper CNN's
+/// The conv-layer model: fig8 dimensions in full mode (the paper CNN's
 /// 28×28 input, 5 feature maps, 5×5 kernel, 10 classes), a scaled-down
 /// stand-in in quick mode. Weights follow deterministic formulas — the
-/// A/B comparison needs identical models, not trained ones.
-fn e2e_model(quick: bool) -> QuantizedCnn {
+/// A/B comparison needs identical weights, not trained ones.
+fn conv_model(quick: bool) -> QuantizedCnn {
     let (in_side, conv_out, kernel, window, classes) = if quick {
         (12, 2, 3, 2, 3)
     } else {
@@ -233,25 +237,23 @@ fn e2e_model(quick: bool) -> QuantizedCnn {
     }
 }
 
-struct E2eRun {
-    median_ns: u64,
-    logits: Vec<hesgx_henn::crt::CrtCiphertext>,
-    ops: OpCounter,
+/// The conv-layer A/B: medians, whether kernel and oracle ciphertexts
+/// matched byte for byte, and each side's op counts.
+struct ConvLayer {
+    times: KernelTimes,
+    cells_match: bool,
+    kernel_ops: OpCounter,
+    oracle_ops: OpCounter,
 }
 
-fn run_e2e(model: &QuantizedCnn, poly_degree: usize, cached: bool, reps: usize) -> E2eRun {
-    let (service, ceremony) = HybridInference::provision_with(
-        Platform::new(4096),
-        model.clone(),
-        ProvisionConfig {
-            poly_degree,
-            seed: 17,
-            cached_weights: cached,
-            ..ProvisionConfig::default()
-        },
-    )
-    .expect("ntt_bench e2e service provisions");
-    let mut rng = ChaChaRng::from_seed(SEED).fork("e2e-images");
+/// Times the conv layer of `model` over the paper's image batch: the
+/// weight-bank kernel on an inline pool, then the raw-weight oracle, on
+/// the same encrypted input.
+fn run_conv(model: &QuantizedCnn, poly_degree: usize, reps: usize) -> ConvLayer {
+    let sys = CrtPlainSystem::for_range(poly_degree, model.range_report().required_plain_bits)
+        .expect("ntt_bench conv system builds");
+    let mut rng = ChaChaRng::from_seed(SEED).fork("conv-layer");
+    let keys = sys.generate_keys(&mut rng);
     let images: Vec<Vec<i64>> = (0..crate::PAPER_BATCH_SIZE)
         .map(|b| {
             (0..model.in_side * model.in_side)
@@ -259,34 +261,66 @@ fn run_e2e(model: &QuantizedCnn, poly_degree: usize, cached: bool, reps: usize) 
                 .collect()
         })
         .collect();
-    let enc = EncryptedMap::encrypt_images(
-        service.system(),
-        &images,
-        model.in_side,
-        &ceremony.public,
-        &mut rng,
-    )
-    .expect("ntt_bench e2e batch encrypts");
-    // Warm-up run: fills the arena free lists so the cached variant is
-    // measured in its steady state, and yields the logits + op counts.
-    let (logits, metrics) = service
-        .infer(&enc, EcallBatching::Batched)
-        .expect("ntt_bench e2e inference runs");
-    let median_ns = median_of(reps, || {
-        std::hint::black_box(service.infer(&enc, EcallBatching::Batched).unwrap());
-    });
-    E2eRun {
-        median_ns,
-        logits,
-        ops: metrics.ops,
+    let enc = EncryptedMap::encrypt_images(&sys, &images, model.in_side, &keys.public, &mut rng)
+        .expect("ntt_bench conv batch encrypts");
+    let bank = WeightBank::prepare(&sys, &model.conv_weights, &model.conv_bias)
+        .expect("ntt_bench conv weights prepare");
+    let (pool, arena) = (ParExec::serial(), PolyArena::new());
+    let kernel = |counter: &mut OpCounter| {
+        ops::he_conv2d(
+            &sys,
+            &enc,
+            &bank,
+            model.conv_out,
+            model.kernel,
+            1,
+            counter,
+            &pool,
+            &arena,
+        )
+        .expect("ntt_bench conv kernel runs")
+    };
+    let oracle = |counter: &mut OpCounter| {
+        ops::he_conv2d_reference(
+            &sys,
+            &enc,
+            &model.conv_weights,
+            &model.conv_bias,
+            model.conv_out,
+            model.kernel,
+            1,
+            counter,
+        )
+        .expect("ntt_bench conv oracle runs")
+    };
+    // The untimed first runs yield the identity flag and the op counts;
+    // recycling the kernel's output parks its buffers in the arena, so the
+    // timed runs measure the steady state.
+    let (mut kernel_ops, mut oracle_ops) = (OpCounter::default(), OpCounter::default());
+    let kernel_map = kernel(&mut kernel_ops);
+    let cells_match = kernel_map.cells() == oracle(&mut oracle_ops).cells();
+    kernel_map.recycle(&arena);
+    let times = KernelTimes {
+        optimized_ns: median_of(reps, || {
+            std::hint::black_box(kernel(&mut OpCounter::default())).recycle(&arena);
+        }),
+        reference_ns: median_of(reps, || {
+            std::hint::black_box(oracle(&mut OpCounter::default()));
+        }),
+    };
+    ConvLayer {
+        times,
+        cells_match,
+        kernel_ops,
+        oracle_ops,
     }
 }
 
-/// Runs the NTT + end-to-end benchmark and writes both artifacts.
+/// Runs the NTT + conv-layer benchmark and writes both artifacts.
 pub fn ntt_bench(cfg: RunConfig) -> NttBench {
     header("NTT BENCH: lazy-reduction hot path vs eager reference (not in the paper)");
     let reps = cfg.reps(30);
-    let e2e_reps = if cfg.quick { 3 } else { 5 };
+    let conv_reps = if cfg.quick { 3 } else { 5 };
     println!("median of {reps} runs per kernel; exactness asserted per tier");
     println!(
         "mul opt = cached-operand hot path (weights provisioned in evaluation \
@@ -340,38 +374,41 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
          reference (worst tier): {negacyclic_speedup_4096:.2}x (acceptance floor: 2.00x)"
     );
 
-    let model = e2e_model(cfg.quick);
+    let model = conv_model(cfg.quick);
     let poly_degree = if cfg.quick {
         256
     } else {
         crate::PAPER_POLY_DEGREE
     };
     println!(
-        "\nend-to-end: hybrid inference at fig8 scale (poly n={poly_degree}, \
-         {}x{} input, batch {}), cached weight banks vs per-request preparation",
+        "\nconv layer at fig8 scale (poly n={poly_degree}, {}x{} input, batch {}, one \
+         thread): weight-bank kernel vs raw-weight oracle",
         model.in_side,
         model.in_side,
         crate::PAPER_BATCH_SIZE
     );
-    let cached = run_e2e(&model, poly_degree, true, e2e_reps);
-    let uncached = run_e2e(&model, poly_degree, false, e2e_reps);
-    let e2e = KernelTimes {
-        optimized_ns: cached.median_ns,
-        reference_ns: uncached.median_ns,
-    };
-    let e2e_logits_match = cached.logits == uncached.logits;
+    let ConvLayer {
+        times: conv,
+        cells_match: conv_cells_match,
+        kernel_ops,
+        oracle_ops,
+    } = run_conv(&model, poly_degree, conv_reps);
+    assert!(
+        conv_cells_match,
+        "weight-bank kernel diverged from the oracle"
+    );
     assert_eq!(
-        cached.ops.weight_prep, 0,
-        "cached pipeline must prepare no weights per request"
+        kernel_ops.weight_prep, 0,
+        "the weight-bank kernel must prepare no weights per call"
     );
     println!(
-        "cached {} ns vs uncached {} ns — {:.2}x; logits byte-identical: {}; \
-         uncached weight preps/request: {}",
-        e2e.optimized_ns,
-        e2e.reference_ns,
-        e2e.speedup(),
-        e2e_logits_match,
-        uncached.ops.weight_prep
+        "kernel {} ns vs oracle {} ns — {:.2}x; ciphertexts byte-identical: {}; \
+         oracle weight preps/call: {}",
+        conv.optimized_ns,
+        conv.reference_ns,
+        conv.speedup(),
+        conv_cells_match,
+        oracle_ops.weight_prep
     );
 
     // Full artifact: wall times included (informative, not replay-stable).
@@ -402,13 +439,13 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
     }
     let _ = write!(
         json,
-        "],\"e2e\":{{\"poly_degree\":{poly_degree},\"batch\":{},\"cached_ns\":{},\
-         \"uncached_ns\":{},\"logits_match\":{e2e_logits_match},\
+        "],\"conv_layer\":{{\"poly_degree\":{poly_degree},\"batch\":{},\"cached_ns\":{},\
+         \"uncached_ns\":{},\"cells_match\":{conv_cells_match},\
          \"uncached_weight_prep\":{}}}}}",
         crate::PAPER_BATCH_SIZE,
-        e2e.optimized_ns,
-        e2e.reference_ns,
-        uncached.ops.weight_prep
+        conv.optimized_ns,
+        conv.reference_ns,
+        oracle_ops.weight_prep
     );
     if let Some(path) = crate::write_bench_file("BENCH_ntt.json", &json) {
         println!("bench table written to {}", path.display());
@@ -427,15 +464,15 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
             t.n, t.p, t.product_checksum
         );
     }
-    let ops = &uncached.ops;
+    let ops = &oracle_ops;
     let _ = write!(
         det,
-        "],\"lazy_matches_reference\":true,\"e2e\":{{\"poly_degree\":{poly_degree},\
-         \"batch\":{},\"logits_match\":{e2e_logits_match},\
+        "],\"lazy_matches_reference\":true,\"conv_layer\":{{\"poly_degree\":{poly_degree},\
+         \"batch\":{},\"cells_match\":{conv_cells_match},\
          \"cached_weight_prep\":{},\"uncached_weight_prep\":{},\
          \"ct_pt_mul\":{},\"ct_pt_add\":{},\"ct_ct_add\":{}}}}}",
         crate::PAPER_BATCH_SIZE,
-        cached.ops.weight_prep,
+        kernel_ops.weight_prep,
         ops.weight_prep,
         ops.ct_pt_mul,
         ops.ct_pt_add,
@@ -449,8 +486,8 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         tiers,
         lazy_matches_reference: true,
         negacyclic_speedup_4096,
-        e2e,
-        e2e_logits_match,
-        e2e_uncached_weight_prep: uncached.ops.weight_prep,
+        conv,
+        conv_cells_match,
+        conv_oracle_weight_prep: oracle_ops.weight_prep,
     }
 }

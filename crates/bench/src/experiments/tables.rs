@@ -5,6 +5,7 @@ use crate::stats::{time_reps_ms, Stats};
 use crate::{PaperEnv, PAPER_BATCH_SIZE};
 use hesgx_bfv::prelude::KeyGenerator;
 use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::par::ParExec;
 
 /// Table I result: key-generation time inside vs outside SGX (ms).
 #[derive(Debug, Clone)]
@@ -248,7 +249,8 @@ pub fn table5_relinearization(env: &mut PaperEnv, cfg: RunConfig) -> Table5 {
     // refreshed either with one ECALL each or all in one ECALL; measurements
     // interleave so host drift hits both groups equally.
     let batch: Vec<_> = (0..PAPER_BATCH_SIZE).map(|_| size3.clone()).collect();
-    let _ = ie.refresh_batch(sys, &batch).unwrap();
+    let serial = ParExec::serial();
+    let _ = ie.refresh_batch(sys, &batch, &serial).unwrap();
     let mut single = Vec::with_capacity(reps);
     let mut per_ct = Vec::with_capacity(reps);
     for _ in 0..reps {
@@ -258,7 +260,7 @@ pub fn table5_relinearization(env: &mut PaperEnv, cfg: RunConfig) -> Table5 {
             total += cost.total_ns();
         }
         single.push(total as f64 / 1e6 / PAPER_BATCH_SIZE as f64);
-        let (_, cost) = ie.refresh_batch(sys, &batch).unwrap();
+        let (_, cost) = ie.refresh_batch(sys, &batch, &serial).unwrap();
         per_ct.push(cost.total_ns() as f64 / 1e6 / PAPER_BATCH_SIZE as f64);
     }
     let sgx_single = Stats::from_samples_trimmed(&single);

@@ -35,6 +35,9 @@ pub enum BfvError {
     },
     /// Invalid parameters (propagated from construction).
     Params(ParameterError),
+    /// A layer or model shape handed to a homomorphic engine is
+    /// inconsistent (kernel larger than the map, wrong weight count, …).
+    InvalidShape(String),
 }
 
 impl std::fmt::Display for BfvError {
@@ -66,6 +69,7 @@ impl std::fmt::Display for BfvError {
                 write!(f, "{len} values exceed {slots} available slots")
             }
             BfvError::Params(e) => write!(f, "invalid parameters: {e}"),
+            BfvError::InvalidShape(msg) => write!(f, "invalid shape: {msg}"),
         }
     }
 }

@@ -6,23 +6,21 @@
 //! from the key-ceremony transcript (see [`crate::keydist::derive_ingress_key`]).
 //! The service side is [`HybridInference::transcipher_ingress`], which sends
 //! the payload through the enclave wrapper and shapes the re-encrypted cells
-//! into the [`EncryptedMap`] the conv layer expects, recording an
-//! `infer.ingress.ecall` stage span so the obs fold still reconciles
-//! ns-for-ns with [`crate::pipeline::total_enclave_cost`].
+//! into the [`EncryptedMap`] the conv layer expects, as an
+//! `infer.ingress.ecall` stage of the pipeline's stage runner so the obs fold
+//! still reconciles ns-for-ns with [`crate::pipeline::total_enclave_cost`].
 //!
 //! This file sits on the audited ECALL surface (`hesgx-lint`'s `ecall-cost`
 //! scope): every `pub fn` here either threads the enclave
-//! [`CostBreakdown`] through its return value or carries a justified allow.
+//! [`hesgx_tee::cost::CostBreakdown`] through its return value or carries a
+//! justified allow.
 
 use crate::error::{Error, Result};
-use crate::pipeline::HybridInference;
+use crate::pipeline::{HybridInference, HybridMetrics, StageMetrics, Staged};
 use hesgx_crypto::chacha20::NONCE_LEN;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::transcipher::{self, IngressKey};
 use hesgx_henn::image::EncryptedMap;
-use hesgx_tee::cost::CostBreakdown;
-use hesgx_tee::wall::WallTimer;
-use std::time::Duration;
 
 /// Seals a quantized image batch under the session ingress key — the client
 /// side of transciphered ingress. The nonce is drawn from `rng` (12 bytes),
@@ -53,39 +51,43 @@ impl HybridInference {
     /// slots, exactly what `EncryptedMap::encrypt_images_par` produces on
     /// the FV-ciphertext path, so the rest of the pipeline is identical.
     ///
-    /// Returns the map, the wall time of the dispatch, and the enclave cost
-    /// (also recorded as the `infer.ingress.ecall` stage span).
+    /// Returns the map and the ingress stage's metrics (wall time and
+    /// enclave cost, also recorded as the `infer.ingress.ecall` stage span).
     ///
     /// # Errors
     ///
     /// Fails when the payload does not authenticate, is malformed, or its
     /// per-image pixel count does not match the model's input side;
     /// propagates HE/TEE failures.
+    // hesgx-lint: allow(ecall-cost, reason = "the enclave CostBreakdown travels inside the returned StageMetrics")
     pub fn transcipher_ingress(
         &self,
         key: &IngressKey,
         payload: &[u8],
-    ) -> Result<(EncryptedMap, Duration, CostBreakdown)> {
-        let start = WallTimer::start();
-        self.trace_stage_begin("infer.ingress.ecall");
-        // Same name as the recorder stage span so the profiler's drift
-        // report joins the measured wall time against the modeled cost.
-        let prof_stage = hesgx_obs::prof::span("infer.ingress.ecall");
-        let (cells, _batch, cost) =
-            self.enclave()
-                .transcipher_ingress(self.system(), key, payload, self.pool())?;
-        drop(prof_stage);
-        self.trace_stage_end("infer.ingress.ecall");
-        let side = self.model().in_side;
-        if cells.len() != side * side {
-            return Err(Error::Config(format!(
-                "transcipher payload carries {} pixels per image, the model expects {}×{side}",
-                cells.len(),
-                side
-            )));
-        }
-        let wall = start.elapsed();
-        self.record_stage("infer.ingress.ecall", wall, Some(&cost));
-        Ok((EncryptedMap::new(1, side, side, cells), wall, cost))
+    ) -> Result<(EncryptedMap, StageMetrics)> {
+        let mut metrics = HybridMetrics::default();
+        let map = self.run_stage(&mut metrics, "infer.ingress.ecall", |_| {
+            let (cells, _batch, cost) =
+                self.enclave()
+                    .transcipher_ingress(self.system(), key, payload, self.pool())?;
+            let side = self.model().in_side;
+            if cells.len() != side * side {
+                return Err(Error::Config(format!(
+                    "transcipher payload carries {} pixels per image, the model expects {}×{side}",
+                    cells.len(),
+                    side
+                )));
+            }
+            Ok(Staged::ecall(
+                EncryptedMap::new(1, side, side, cells),
+                "Transciphered Ingress (SGX inside)",
+                cost,
+            ))
+        })?;
+        let stage = metrics
+            .stages
+            .pop()
+            .ok_or(Error::Internal("ingress stage was not recorded"))?;
+        Ok((map, stage))
     }
 }

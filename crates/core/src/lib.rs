@@ -87,8 +87,6 @@ pub use request::{
     VirtualNs,
 };
 pub use session::{ParamsPreset, Served, Session, SessionBuilder};
-#[allow(deprecated)]
-pub use sgx_ops::HybridError;
 pub use sgx_ops::InferenceEnclave;
 
 /// The convenient single import: `use hesgx_core::prelude::*;`.

@@ -115,6 +115,38 @@ pub enum EcallBatching {
     PerPixel,
 }
 
+/// What a stage body hands back to [`HybridInference::run_stage`].
+pub(crate) struct Staged<T> {
+    /// The stage output, passed through to the caller.
+    out: T,
+    /// Display name for [`StageMetrics::name`]. Chosen by the body because
+    /// it can depend on the outcome (Auto refresh: "Refresh" vs "Check").
+    label: String,
+    /// `Some` marks an ECALL stage and carries what crossing the boundary
+    /// cost; `None` is an HE stage that never left the untrusted side.
+    enclave: Option<CostBreakdown>,
+}
+
+impl<T> Staged<T> {
+    /// An HE stage: wall time only.
+    pub(crate) fn he(out: T, label: impl Into<String>) -> Self {
+        Staged {
+            out,
+            label: label.into(),
+            enclave: None,
+        }
+    }
+
+    /// An ECALL stage with its enclave cost.
+    pub(crate) fn ecall(out: T, label: impl Into<String>, cost: CostBreakdown) -> Self {
+        Staged {
+            out,
+            label: label.into(),
+            enclave: Some(cost),
+        }
+    }
+}
+
 /// Everything [`HybridInference::provision_with`] needs beyond the platform
 /// and the model. [`ProvisionConfig::default`] matches the paper's setup:
 /// `poly_degree = 1024`, real-SGX cost model, one worker per available core.
@@ -155,12 +187,6 @@ pub struct ProvisionConfig {
     /// and the pipeline stages. The default is the disabled no-op recorder:
     /// recording costs nothing unless a caller installs an enabled one.
     pub recorder: Recorder,
-    /// Prepares every conv/FC weight form (Shoup constants, `Δ·c` bias
-    /// residues) once at provisioning and runs the cached layer kernels —
-    /// bit-identical logits and ciphertext bytes, zero per-request weight
-    /// preparation. `false` keeps the uncached kernels (the honest A/B
-    /// baseline the `ntt_bench` experiment measures against).
-    pub cached_weights: bool,
 }
 
 impl Default for ProvisionConfig {
@@ -177,7 +203,6 @@ impl Default for ProvisionConfig {
             refresh_auto: false,
             refresh_threshold_bits: None,
             recorder: Recorder::disabled(),
-            cached_weights: true,
         }
     }
 }
@@ -202,10 +227,11 @@ pub struct HybridInference {
     refresh_auto: bool,
     /// Observability recorder shared with the enclave and the worker pool.
     recorder: Recorder,
-    /// Conv and FC weight forms prepared once at provisioning
-    /// (`ProvisionConfig::cached_weights`); `None` runs the uncached
-    /// kernels — the A/B baseline for the bench experiments.
-    banks: Option<(WeightBank, WeightBank)>,
+    /// Conv weight forms (Shoup constants, `Δ·c` bias residues) prepared
+    /// once at provisioning — no request re-derives them.
+    conv_bank: WeightBank,
+    /// FC weight forms prepared once at provisioning.
+    fc_bank: WeightBank,
     /// Session buffer pool: consumed feature maps recycle their limb
     /// buffers here and the next stage's accumulator copies draw from it.
     arena: PolyArena,
@@ -218,8 +244,10 @@ impl HybridInference {
     ///
     /// # Errors
     ///
-    /// Fails when the model is not quantized for the hybrid pipeline or the
-    /// HE parameters cannot cover its value range.
+    /// Returns [`Error::Config`] when the model is not quantized for the
+    /// hybrid pipeline or its geometry is inconsistent
+    /// ([`QuantizedCnn::check_geometry`]); fails when the HE parameters
+    /// cannot cover its value range.
     pub fn provision_with(
         platform: Arc<Platform>,
         model: QuantizedCnn,
@@ -231,18 +259,14 @@ impl HybridInference {
                 model.pipeline
             )));
         }
+        model.check_geometry().map_err(Error::Config)?;
         let report = model.range_report();
         let sys = CrtPlainSystem::for_range(config.poly_degree, report.required_plain_bits)
             .map_err(Error::He)?;
-        let banks = if config.cached_weights {
-            let conv = WeightBank::prepare(&sys, &model.conv_weights, &model.conv_bias)
-                .map_err(Error::He)?;
-            let fc =
-                WeightBank::prepare(&sys, &model.fc_weights, &model.fc_bias).map_err(Error::He)?;
-            Some((conv, fc))
-        } else {
-            None
-        };
+        let conv_bank =
+            WeightBank::prepare(&sys, &model.conv_weights, &model.conv_bias).map_err(Error::He)?;
+        let fc_bank =
+            WeightBank::prepare(&sys, &model.fc_weights, &model.fc_bias).map_err(Error::He)?;
         // The enclave heap must hold a full encrypted feature map; the EPC
         // stays at its hardware size, so oversized working sets page (and are
         // charged) exactly as the paper's §III-B describes.
@@ -295,64 +319,11 @@ impl HybridInference {
             refresh_between_stages: config.refresh_between_stages,
             refresh_auto: config.refresh_auto,
             recorder: config.recorder,
-            banks,
+            conv_bank,
+            fc_bank,
             arena: PolyArena::new(),
         };
         Ok((service, ceremony))
-    }
-
-    /// Former constructor; thin wrapper over [`HybridInference::provision_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter-validation failures.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `provision_with(platform, model, ProvisionConfig { .. })` or `SessionBuilder`"
-    )]
-    pub fn provision(
-        platform: Arc<Platform>,
-        model: QuantizedCnn,
-        poly_degree: usize,
-        seed: u64,
-    ) -> Result<(Self, KeyCeremonyPublic)> {
-        Self::provision_with(
-            platform,
-            model,
-            ProvisionConfig {
-                poly_degree,
-                seed,
-                ..ProvisionConfig::default()
-            },
-        )
-    }
-
-    /// Former constructor; thin wrapper over [`HybridInference::provision_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter-validation failures.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `provision_with(platform, model, ProvisionConfig { cost_model, .. })`"
-    )]
-    pub fn provision_with_cost_model(
-        platform: Arc<Platform>,
-        model: QuantizedCnn,
-        poly_degree: usize,
-        seed: u64,
-        cost_model: Option<CostModel>,
-    ) -> Result<(Self, KeyCeremonyPublic)> {
-        Self::provision_with(
-            platform,
-            model,
-            ProvisionConfig {
-                poly_degree,
-                seed,
-                cost_model,
-                ..ProvisionConfig::default()
-            },
-        )
     }
 
     /// The CRT system (for user-side encryption/decryption).
@@ -402,7 +373,7 @@ impl HybridInference {
     /// (no boundary crossing, so no modeled terms), `.ecall` stages carry the
     /// stage's full [`CostBreakdown`] — which is what makes the obs totals
     /// reconcile ns-for-ns with [`total_enclave_cost`].
-    pub(crate) fn record_stage(&self, name: &str, wall: Duration, enclave: Option<&CostBreakdown>) {
+    fn record_stage(&self, name: &str, wall: Duration, enclave: Option<&CostBreakdown>) {
         if !self.recorder.is_enabled() {
             return;
         }
@@ -424,18 +395,42 @@ impl HybridInference {
         &self.pool
     }
 
-    /// Opens a stage slice on the trace timeline (no-op without one).
-    pub(crate) fn trace_stage_begin(&self, name: &str) {
-        if self.recorder.trace_enabled() {
-            self.recorder.trace_begin(name, &[]);
+    /// Runs one pipeline stage — the single instrumentation point of the
+    /// pipeline. `span` names the stage on every observability face: the
+    /// trace-timeline slice, the profiler frame (same name, so the drift
+    /// report joins measured wall time against modeled cost), and the
+    /// recorder span. In one fixed order the runner starts the wall timer,
+    /// opens the slice and the frame, runs `body`, closes both (also when
+    /// the body fails, so the timeline stays balanced), then books the
+    /// stage with [`HybridInference::record_stage`] and appends its
+    /// [`StageMetrics`]. The body gets the metrics record for its op counts
+    /// and noise decisions and hands back a [`Staged`] result.
+    pub(crate) fn run_stage<T>(
+        &self,
+        metrics: &mut HybridMetrics,
+        span: &str,
+        body: impl FnOnce(&mut HybridMetrics) -> Result<Staged<T>>,
+    ) -> Result<T> {
+        let start = WallTimer::start();
+        let traced = self.recorder.trace_enabled();
+        if traced {
+            self.recorder.trace_begin(span, &[]);
         }
-    }
-
-    /// Closes a stage slice on the trace timeline (no-op without one).
-    pub(crate) fn trace_stage_end(&self, name: &str) {
-        if self.recorder.trace_enabled() {
-            self.recorder.trace_end(name);
+        let frame = prof::span(span);
+        let result = body(metrics);
+        drop(frame);
+        if traced {
+            self.recorder.trace_end(span);
         }
+        let staged = result?;
+        let wall = start.elapsed();
+        self.record_stage(span, wall, staged.enclave.as_ref());
+        metrics.stages.push(StageMetrics {
+            name: staged.label,
+            wall,
+            enclave: staged.enclave,
+        });
+        Ok(staged.out)
     }
 
     /// Recorder-gated noise-budget telemetry: measures the minimum
@@ -474,6 +469,66 @@ impl HybridInference {
         }
     }
 
+    /// The noise-refresh point (§IV-E) between pooling and the FC layer, as
+    /// one ECALL stage. `Always` mode runs the decrypt–re-encrypt
+    /// unconditionally; `Auto` mode probes the live invariant-noise budget
+    /// inside the enclave and refreshes only when it falls below the plan's
+    /// threshold — the decision the trace timeline and the `repro trace`
+    /// noise table audit.
+    fn refresh_stage(
+        &self,
+        metrics: &mut HybridMetrics,
+        layer: usize,
+        pooled: EncryptedMap,
+    ) -> Result<EncryptedMap> {
+        let threshold = self.plan.refresh_threshold_bits;
+        let pre = format!("noise.budget.layer[{layer}].pre");
+        let post = format!("noise.budget.layer[{layer}].post");
+        self.run_stage(metrics, &format!("infer.layer[{layer}].ecall"), |metrics| {
+            let (before, probe_cost) = if self.refresh_auto {
+                // Functional probe: it decides the refresh, so its cost
+                // belongs to the stage — folded into the stage metrics *and*
+                // the stage span, keeping the reconciliation invariant exact.
+                let refs: Vec<&CrtCiphertext> = pooled.cells().iter().collect();
+                let (bits, cost) = self.enclave.noise_probe(&self.sys, &refs)?;
+                self.recorder.incr(counters::NOISE_PROBES, 1);
+                self.recorder.gauge(&pre, u64::from(bits));
+                (Some(bits), cost)
+            } else {
+                // Always mode: budget telemetry around the refresh is
+                // recorder-gated and cost-invisible to the stage books.
+                let bits = self.probe_gauge(&pre, pooled.cells())?;
+                (bits, CostBreakdown::default())
+            };
+            let refreshed = !self.refresh_auto || before.is_some_and(|bits| bits < threshold);
+            let (out, cost, label, after) = if refreshed {
+                let (fresh, cost) =
+                    self.enclave
+                        .refresh_batch(&self.sys, pooled.cells(), &self.pool)?;
+                self.recorder.incr(counters::NOISE_REFRESHES, 1);
+                let (c, h, w) = pooled.shape();
+                let fresh = EncryptedMap::new(c, h, w, fresh);
+                let after = self.probe_gauge(&post, fresh.cells())?;
+                let cost = sum_costs(probe_cost, cost);
+                (fresh, cost, "Noise Refresh (SGX inside)", after)
+            } else {
+                self.recorder.incr(counters::NOISE_REFRESH_SKIPS, 1);
+                (pooled, probe_cost, "Noise Check (SGX inside)", None)
+            };
+            if let Some(bits) = before {
+                self.trace_refresh_decision(layer, bits, threshold, refreshed);
+                metrics.noise.push(NoiseDecision {
+                    layer,
+                    before_bits: bits,
+                    after_bits: after,
+                    threshold_bits: threshold,
+                    refreshed,
+                });
+            }
+            Ok(Staged::ecall(out, label, cost))
+        })
+    }
+
     /// Runs the hybrid inference. Returns encrypted logits plus metrics.
     ///
     /// # Errors
@@ -492,252 +547,108 @@ impl HybridInference {
 
         // 1. Convolutional layer — HE outside SGX, parallel over output
         // cells × CRT limbs (bit-identical for every pool size).
-        let start = WallTimer::start();
-        self.trace_stage_begin("infer.layer[0].he");
-        let prof_stage = prof::span("infer.layer[0].he");
-        let conv = match &self.banks {
-            Some((conv_bank, _)) => ops::he_conv2d_cached_par(
+        let conv = self.run_stage(&mut metrics, "infer.layer[0].he", |metrics| {
+            let conv = ops::he_conv2d(
                 &self.sys,
                 input,
-                conv_bank,
+                &self.conv_bank,
                 m.conv_out,
                 m.kernel,
                 1,
                 &mut metrics.ops,
                 &self.pool,
                 &self.arena,
-            )?,
-            None => ops::he_conv2d_par(
-                &self.sys,
-                input,
-                &m.conv_weights,
-                &m.conv_bias,
-                m.conv_out,
-                m.kernel,
-                1,
-                &mut metrics.ops,
-                &self.pool,
-            )?,
-        };
-        drop(prof_stage);
-        self.trace_stage_end("infer.layer[0].he");
-        let conv_wall = start.elapsed();
-        self.record_stage("infer.layer[0].he", conv_wall, None);
-        metrics.stages.push(StageMetrics {
-            name: "Convolutional Layer (HE outside)".into(),
-            wall: conv_wall,
-            enclave: None,
-        });
+            )?;
+            Ok(Staged::he(conv, "Convolutional Layer (HE outside)"))
+        })?;
 
         // 2. Activation — plaintext inside SGX; the whole map crosses the
         // ECALL boundary once, the per-cell work parallelizes inside.
-        let start = WallTimer::start();
-        self.trace_stage_begin("infer.layer[1].ecall");
-        let prof_stage = prof::span("infer.layer[1].ecall");
-        self.probe_gauge("noise.budget.layer[1].pre", conv.cells())?;
-        let (activated, act_cost) = match batching {
-            EcallBatching::Batched => {
-                self.enclave
-                    .activation_map_par(&self.sys, &conv, m, self.activation, &self.pool)?
-            }
-            EcallBatching::PerPixel => {
-                self.enclave
-                    .activation_map_single_ecalls(&self.sys, &conv, m, self.activation)?
-            }
-        };
-        self.probe_gauge("noise.budget.layer[1].post", activated.cells())?;
-        drop(prof_stage);
-        self.trace_stage_end("infer.layer[1].ecall");
-        // The conv map is consumed; its limb buffers seed the pool stage's
-        // accumulator copies.
-        conv.recycle(&self.arena);
-        let act_wall = start.elapsed();
-        self.record_stage("infer.layer[1].ecall", act_wall, Some(&act_cost));
-        metrics.stages.push(StageMetrics {
-            name: "Activation (SGX inside)".into(),
-            wall: act_wall,
-            enclave: Some(act_cost),
-        });
+        let activated = self.run_stage(&mut metrics, "infer.layer[1].ecall", |_| {
+            self.probe_gauge("noise.budget.layer[1].pre", conv.cells())?;
+            let (activated, cost) = match batching {
+                EcallBatching::Batched => {
+                    self.enclave
+                        .activation_map(&self.sys, &conv, m, self.activation, &self.pool)?
+                }
+                EcallBatching::PerPixel => self.enclave.activation_map_single_ecalls(
+                    &self.sys,
+                    &conv,
+                    m,
+                    self.activation,
+                )?,
+            };
+            self.probe_gauge("noise.budget.layer[1].post", activated.cells())?;
+            // The conv map is consumed; its limb buffers seed the pool
+            // stage's accumulator copies.
+            conv.recycle(&self.arena);
+            Ok(Staged::ecall(activated, "Activation (SGX inside)", cost))
+        })?;
 
         // 3. Pooling — split per the §VI-D rule; either way one ECALL. The
         // pre-probe measures what actually crosses the boundary: the
         // activated map for SgxPool, the homomorphically summed windows
         // (noisier) for SgxDiv.
-        let start = WallTimer::start();
-        self.trace_stage_begin("infer.layer[2].ecall");
-        let prof_stage = prof::span("infer.layer[2].ecall");
-        let (pooled, pool_cost) = match self.plan.pool_strategy {
-            PoolStrategy::SgxPool => {
-                self.probe_gauge("noise.budget.layer[2].pre", activated.cells())?;
-                self.enclave
-                    .pool_full_map_par(&self.sys, &activated, m, false, &self.pool)?
-            }
-            PoolStrategy::SgxDiv => {
-                let summed = ops::he_scaled_mean_pool_par(
-                    &self.sys,
-                    &activated,
-                    m.window,
-                    &mut metrics.ops,
-                    &self.pool,
-                    &self.arena,
-                )?;
-                self.probe_gauge("noise.budget.layer[2].pre", summed.cells())?;
-                let out = self
-                    .enclave
-                    .divide_map_par(&self.sys, &summed, m, &self.pool)?;
-                summed.recycle(&self.arena);
-                out
-            }
-        };
-        self.probe_gauge("noise.budget.layer[2].post", pooled.cells())?;
-        drop(prof_stage);
-        self.trace_stage_end("infer.layer[2].ecall");
-        activated.recycle(&self.arena);
-        let pool_wall = start.elapsed();
-        self.record_stage("infer.layer[2].ecall", pool_wall, Some(&pool_cost));
-        metrics.stages.push(StageMetrics {
-            name: format!("Pooling Layer ({:?})", self.plan.pool_strategy),
-            wall: pool_wall,
-            enclave: Some(pool_cost),
-        });
-        let mut layer = 3usize;
-
-        // Noise-refresh point (§IV-E) between pooling and the FC layer.
-        // `Always` mode inserts the decrypt–re-encrypt stage unconditionally
-        // (the original semantics); `Auto` mode probes the live invariant-
-        // noise budget inside the enclave and refreshes only when it falls
-        // below the plan's threshold — the decision the trace timeline and
-        // the `repro trace` noise table audit.
-        let threshold = self.plan.refresh_threshold_bits;
-        let pooled = if self.refresh_auto {
-            let stage = format!("infer.layer[{layer}].ecall");
-            let start = WallTimer::start();
-            self.trace_stage_begin(&stage);
-            let prof_stage = prof::span(&stage);
-            // Functional probe: it decides the refresh, so its cost belongs
-            // to the stage — folded into the stage metrics *and* the stage
-            // span, keeping the reconciliation invariant exact.
-            let refs: Vec<&CrtCiphertext> = pooled.cells().iter().collect();
-            let (bits, probe_cost) = self.enclave.noise_probe(&self.sys, &refs)?;
-            let refreshed = bits < threshold;
-            self.recorder.incr(counters::NOISE_PROBES, 1);
-            self.recorder
-                .gauge(&format!("noise.budget.layer[{layer}].pre"), u64::from(bits));
-            let (out, stage_cost, stage_name, after_bits) = if refreshed {
-                self.recorder.incr(counters::NOISE_REFRESHES, 1);
-                let (fresh, cost) =
+        let strategy = self.plan.pool_strategy;
+        let pooled = self.run_stage(&mut metrics, "infer.layer[2].ecall", |metrics| {
+            let (pooled, cost) = match strategy {
+                PoolStrategy::SgxPool => {
+                    self.probe_gauge("noise.budget.layer[2].pre", activated.cells())?;
                     self.enclave
-                        .refresh_batch_par(&self.sys, pooled.cells(), &self.pool)?;
-                let (c, h, w) = pooled.shape();
-                let fresh = EncryptedMap::new(c, h, w, fresh);
-                let after =
-                    self.probe_gauge(&format!("noise.budget.layer[{layer}].post"), fresh.cells())?;
-                (
-                    fresh,
-                    sum_costs(probe_cost, cost),
-                    "Noise Refresh (SGX inside)",
-                    after,
-                )
-            } else {
-                self.recorder.incr(counters::NOISE_REFRESH_SKIPS, 1);
-                (pooled, probe_cost, "Noise Check (SGX inside)", None)
+                        .pool_full_map(&self.sys, &activated, m, false, &self.pool)?
+                }
+                PoolStrategy::SgxDiv => {
+                    let summed = ops::he_scaled_mean_pool(
+                        &self.sys,
+                        &activated,
+                        m.window,
+                        &mut metrics.ops,
+                        &self.pool,
+                        &self.arena,
+                    )?;
+                    self.probe_gauge("noise.budget.layer[2].pre", summed.cells())?;
+                    let out = self.enclave.divide_map(&self.sys, &summed, m, &self.pool)?;
+                    summed.recycle(&self.arena);
+                    out
+                }
             };
-            self.trace_refresh_decision(layer, bits, threshold, refreshed);
-            let refresh_wall = start.elapsed();
-            self.record_stage(&stage, refresh_wall, Some(&stage_cost));
-            metrics.stages.push(StageMetrics {
-                name: stage_name.into(),
-                wall: refresh_wall,
-                enclave: Some(stage_cost),
-            });
-            metrics.noise.push(NoiseDecision {
-                layer,
-                before_bits: bits,
-                after_bits,
-                threshold_bits: threshold,
-                refreshed,
-            });
-            drop(prof_stage);
-            self.trace_stage_end(&stage);
+            self.probe_gauge("noise.budget.layer[2].post", pooled.cells())?;
+            activated.recycle(&self.arena);
+            Ok(Staged::ecall(
+                pooled,
+                format!("Pooling Layer ({strategy:?})"),
+                cost,
+            ))
+        })?;
+
+        let mut layer = 3usize;
+        let pooled = if self.refresh_auto || self.refresh_between_stages {
+            let refreshed = self.refresh_stage(&mut metrics, layer, pooled)?;
             layer += 1;
-            out
-        } else if self.refresh_between_stages {
-            let stage = format!("infer.layer[{layer}].ecall");
-            let start = WallTimer::start();
-            self.trace_stage_begin(&stage);
-            let prof_stage = prof::span(&stage);
-            // Always mode refreshes unconditionally; budget telemetry around
-            // it is recorder-gated and cost-invisible to the stage books.
-            let before =
-                self.probe_gauge(&format!("noise.budget.layer[{layer}].pre"), pooled.cells())?;
-            let (fresh, cost) =
-                self.enclave
-                    .refresh_batch_par(&self.sys, pooled.cells(), &self.pool)?;
-            let (c, h, w) = pooled.shape();
-            let fresh = EncryptedMap::new(c, h, w, fresh);
-            let after =
-                self.probe_gauge(&format!("noise.budget.layer[{layer}].post"), fresh.cells())?;
-            self.recorder.incr(counters::NOISE_REFRESHES, 1);
-            if let Some(before) = before {
-                self.trace_refresh_decision(layer, before, threshold, true);
-                metrics.noise.push(NoiseDecision {
-                    layer,
-                    before_bits: before,
-                    after_bits: after,
-                    threshold_bits: threshold,
-                    refreshed: true,
-                });
-            }
-            let refresh_wall = start.elapsed();
-            self.record_stage(&stage, refresh_wall, Some(&cost));
-            metrics.stages.push(StageMetrics {
-                name: "Noise Refresh (SGX inside)".into(),
-                wall: refresh_wall,
-                enclave: Some(cost),
-            });
-            drop(prof_stage);
-            self.trace_stage_end(&stage);
-            layer += 1;
-            fresh
+            refreshed
         } else {
             pooled
         };
 
         // 4. Fully connected layer — HE outside SGX, parallel over
         // classes × CRT limbs.
-        let start = WallTimer::start();
-        self.trace_stage_begin(&format!("infer.layer[{layer}].he"));
-        let prof_stage = prof::span(&format!("infer.layer[{layer}].he"));
-        let logits = match &self.banks {
-            Some((_, fc_bank)) => ops::he_fully_connected_cached_par(
-                &self.sys,
-                &pooled,
-                fc_bank,
-                m.classes,
-                &mut metrics.ops,
-                &self.pool,
-                &self.arena,
-            )?,
-            None => ops::he_fully_connected_par(
-                &self.sys,
-                &pooled,
-                &m.fc_weights,
-                &m.fc_bias,
-                m.classes,
-                &mut metrics.ops,
-                &self.pool,
-            )?,
-        };
-        drop(prof_stage);
-        self.trace_stage_end(&format!("infer.layer[{layer}].he"));
-        pooled.recycle(&self.arena);
-        let fc_wall = start.elapsed();
-        self.record_stage(&format!("infer.layer[{layer}].he"), fc_wall, None);
-        metrics.stages.push(StageMetrics {
-            name: "Fully Connected Layer (HE outside)".into(),
-            wall: fc_wall,
-            enclave: None,
-        });
+        let logits = self.run_stage(
+            &mut metrics,
+            &format!("infer.layer[{layer}].he"),
+            |metrics| {
+                let logits = ops::he_fully_connected(
+                    &self.sys,
+                    &pooled,
+                    &self.fc_bank,
+                    m.classes,
+                    &mut metrics.ops,
+                    &self.pool,
+                    &self.arena,
+                )?;
+                pooled.recycle(&self.arena);
+                Ok(Staged::he(logits, "Fully Connected Layer (HE outside)"))
+            },
+        )?;
 
         Ok((logits, metrics))
     }
@@ -790,111 +701,59 @@ impl HybridInference {
         };
         let m = &self.model;
 
-        let start = WallTimer::start();
-        self.trace_stage_begin("infer.degraded.layer[0].he");
-        let conv = match &self.banks {
-            Some((conv_bank, _)) => ops::he_conv2d_cached_par(
+        let conv = self.run_stage(&mut metrics, "infer.degraded.layer[0].he", |metrics| {
+            let conv = ops::he_conv2d(
                 &self.sys,
                 input,
-                conv_bank,
+                &self.conv_bank,
                 m.conv_out,
                 m.kernel,
                 1,
                 &mut metrics.ops,
                 &self.pool,
                 &self.arena,
-            )?,
-            None => ops::he_conv2d_par(
+            )?;
+            Ok(Staged::he(conv, "Convolutional Layer (HE outside)"))
+        })?;
+
+        let activated = self.run_stage(&mut metrics, "infer.degraded.layer[1].he", |metrics| {
+            let activated = ops::he_square_activation(
                 &self.sys,
-                input,
-                &m.conv_weights,
-                &m.conv_bias,
-                m.conv_out,
-                m.kernel,
-                1,
+                &conv,
+                &self.evaluation,
                 &mut metrics.ops,
                 &self.pool,
-            )?,
-        };
-        self.trace_stage_end("infer.degraded.layer[0].he");
-        let wall = start.elapsed();
-        self.record_stage("infer.degraded.layer[0].he", wall, None);
-        metrics.stages.push(StageMetrics {
-            name: "Convolutional Layer (HE outside)".into(),
-            wall,
-            enclave: None,
-        });
+            )?;
+            conv.recycle(&self.arena);
+            Ok(Staged::he(activated, "Square Activation (HE fallback)"))
+        })?;
 
-        let start = WallTimer::start();
-        self.trace_stage_begin("infer.degraded.layer[1].he");
-        let activated = ops::he_square_activation_par(
-            &self.sys,
-            &conv,
-            &self.evaluation,
-            &mut metrics.ops,
-            &self.pool,
-        )?;
-        self.trace_stage_end("infer.degraded.layer[1].he");
-        conv.recycle(&self.arena);
-        let wall = start.elapsed();
-        self.record_stage("infer.degraded.layer[1].he", wall, None);
-        metrics.stages.push(StageMetrics {
-            name: "Square Activation (HE fallback)".into(),
-            wall,
-            enclave: None,
-        });
+        let pooled = self.run_stage(&mut metrics, "infer.degraded.layer[2].he", |metrics| {
+            let pooled = ops::he_scaled_mean_pool(
+                &self.sys,
+                &activated,
+                m.window,
+                &mut metrics.ops,
+                &self.pool,
+                &self.arena,
+            )?;
+            activated.recycle(&self.arena);
+            Ok(Staged::he(pooled, "Scaled Mean Pool (HE fallback)"))
+        })?;
 
-        let start = WallTimer::start();
-        self.trace_stage_begin("infer.degraded.layer[2].he");
-        let pooled = ops::he_scaled_mean_pool_par(
-            &self.sys,
-            &activated,
-            m.window,
-            &mut metrics.ops,
-            &self.pool,
-            &self.arena,
-        )?;
-        self.trace_stage_end("infer.degraded.layer[2].he");
-        activated.recycle(&self.arena);
-        let wall = start.elapsed();
-        self.record_stage("infer.degraded.layer[2].he", wall, None);
-        metrics.stages.push(StageMetrics {
-            name: "Scaled Mean Pool (HE fallback)".into(),
-            wall,
-            enclave: None,
-        });
-
-        let start = WallTimer::start();
-        self.trace_stage_begin("infer.degraded.layer[3].he");
-        let logits = match &self.banks {
-            Some((_, fc_bank)) => ops::he_fully_connected_cached_par(
+        let logits = self.run_stage(&mut metrics, "infer.degraded.layer[3].he", |metrics| {
+            let logits = ops::he_fully_connected(
                 &self.sys,
                 &pooled,
-                fc_bank,
+                &self.fc_bank,
                 m.classes,
                 &mut metrics.ops,
                 &self.pool,
                 &self.arena,
-            )?,
-            None => ops::he_fully_connected_par(
-                &self.sys,
-                &pooled,
-                &m.fc_weights,
-                &m.fc_bias,
-                m.classes,
-                &mut metrics.ops,
-                &self.pool,
-            )?,
-        };
-        self.trace_stage_end("infer.degraded.layer[3].he");
-        pooled.recycle(&self.arena);
-        let wall = start.elapsed();
-        self.record_stage("infer.degraded.layer[3].he", wall, None);
-        metrics.stages.push(StageMetrics {
-            name: "Fully Connected Layer (HE outside)".into(),
-            wall,
-            enclave: None,
-        });
+            )?;
+            pooled.recycle(&self.arena);
+            Ok(Staged::he(logits, "Fully Connected Layer (HE outside)"))
+        })?;
 
         Ok((logits, metrics))
     }
@@ -1080,88 +939,316 @@ mod tests {
         }
     }
 
-    /// The cached weight bank must be a pure speed change: logits (ciphertext
-    /// bytes, not just decrypted values) identical to the uncached kernels,
-    /// and zero per-request weight preparations versus the uncached path's
-    /// one-per-tap count.
+    /// Provisions the small model at degree 256 and encrypts `images` under
+    /// the ceremony keys with a fixed client seed.
+    fn service_and_input(
+        platform: u64,
+        seed: u64,
+        images: &[Vec<i64>],
+    ) -> (HybridInference, EncryptedMap) {
+        let model = small_hybrid_model();
+        let (service, _) = HybridInference::provision_with(
+            Platform::new(platform),
+            model.clone(),
+            ProvisionConfig {
+                poly_degree: 256,
+                seed,
+                ..ProvisionConfig::default()
+            },
+        )
+        .unwrap();
+        let mut rng = ChaChaRng::from_seed(104);
+        let enc = EncryptedMap::encrypt_images(
+            &service.sys,
+            images,
+            model.in_side,
+            service.enclave.public_keys(),
+            &mut rng,
+        )
+        .unwrap();
+        (service, enc)
+    }
+
+    /// The weight banks must be a pure speed change: the pipeline's logits
+    /// (ciphertext bytes, not just decrypted values) equal those of the same
+    /// stages assembled by hand around the raw-weight oracles, with zero
+    /// per-request weight preparations versus the oracles' one-per-tap count.
     #[test]
     fn cached_weights_are_bit_identical_with_zero_weight_prep() {
         let model = small_hybrid_model();
         let images: Vec<Vec<i64>> = (0..2)
             .map(|b| (0..64).map(|p| ((p * 5 + b * 3) % 16) as i64).collect())
             .collect();
-        let mut runs = Vec::new();
-        for cached_weights in [true, false] {
-            let (service, _) = HybridInference::provision_with(
-                Platform::new(36),
-                model.clone(),
-                ProvisionConfig {
-                    poly_degree: 256,
-                    seed: 12,
-                    cached_weights,
-                    ..ProvisionConfig::default()
-                },
-            )
+        let (service, enc) = service_and_input(36, 12, &images);
+        let (logits, metrics) = service.infer(&enc, EcallBatching::Batched).unwrap();
+
+        // Same seeds → same keys and the same enclave re-encryption streams.
+        let (oracle, enc) = service_and_input(36, 12, &images);
+        let mut oracle_ops = OpCounter::default();
+        let conv = ops::he_conv2d_reference(
+            &oracle.sys,
+            &enc,
+            &model.conv_weights,
+            &model.conv_bias,
+            model.conv_out,
+            model.kernel,
+            1,
+            &mut oracle_ops,
+        )
+        .unwrap();
+        let (activated, _) = oracle
+            .enclave
+            .activation_map(&oracle.sys, &conv, &model, oracle.activation, &oracle.pool)
             .unwrap();
-            let mut rng = ChaChaRng::from_seed(104);
-            let enc = EncryptedMap::encrypt_images(
-                &service.sys,
-                &images,
-                model.in_side,
-                service.enclave.public_keys(),
-                &mut rng,
-            )
+        let (pooled, _) = oracle
+            .enclave
+            .pool_full_map(&oracle.sys, &activated, &model, false, &oracle.pool)
             .unwrap();
-            let (logits, metrics) = service.infer(&enc, EcallBatching::Batched).unwrap();
-            runs.push((logits, metrics.ops));
-        }
-        let (cached, uncached) = (&runs[0], &runs[1]);
-        assert_eq!(cached.0, uncached.0, "cached logits must match uncached");
-        assert_eq!(cached.1.ct_pt_mul, uncached.1.ct_pt_mul);
-        assert_eq!(cached.1.ct_pt_add, uncached.1.ct_pt_add);
-        assert_eq!(cached.1.weight_prep, 0, "no per-request weight prep");
+        let oracle_logits = ops::he_fully_connected_reference(
+            &oracle.sys,
+            &pooled,
+            &model.fc_weights,
+            &model.fc_bias,
+            model.classes,
+            &mut oracle_ops,
+        )
+        .unwrap();
+
+        assert_eq!(logits, oracle_logits, "bank kernels must match the oracles");
+        assert_eq!(metrics.ops.weight_prep, 0, "no per-request weight prep");
         // Conv: 2 channels × 6×6 cells × 3×3 taps + bias per cell;
         // FC: 3 classes × 18 inputs + bias per class.
         assert_eq!(
-            uncached.1.weight_prep as usize,
+            oracle_ops.weight_prep as usize,
             2 * 36 * 9 + 2 * 36 + 3 * 18 + 3
+        );
+        assert_eq!(
+            metrics.ops,
+            OpCounter {
+                weight_prep: 0,
+                ..oracle_ops
+            }
         );
     }
 
-    /// Degraded (pure-HE) inference takes the same cached conv/FC paths; the
-    /// fallback must stay bit-identical to its uncached form too.
+    /// Degraded (pure-HE) inference runs the same conv/FC kernels; the
+    /// fallback must stay bit-identical to its raw-weight oracle form too.
     #[test]
     fn degraded_cached_weights_are_bit_identical() {
         let model = small_hybrid_model();
         let images = vec![(0..64).map(|p| ((p * 7) % 16) as i64).collect::<Vec<i64>>()];
-        let mut logits_runs = Vec::new();
-        for cached_weights in [true, false] {
-            let (service, _) = HybridInference::provision_with(
-                Platform::new(37),
-                model.clone(),
+        let (service, enc) = service_and_input(37, 13, &images);
+        let (logits, metrics) = service.infer_degraded(&enc).unwrap();
+        assert_eq!(metrics.ops.weight_prep, 0);
+
+        let mut oracle_ops = OpCounter::default();
+        let conv = ops::he_conv2d_reference(
+            &service.sys,
+            &enc,
+            &model.conv_weights,
+            &model.conv_bias,
+            model.conv_out,
+            model.kernel,
+            1,
+            &mut oracle_ops,
+        )
+        .unwrap();
+        let squared = ops::he_square_activation(
+            &service.sys,
+            &conv,
+            &service.evaluation,
+            &mut oracle_ops,
+            &service.pool,
+        )
+        .unwrap();
+        let pooled = ops::he_scaled_mean_pool(
+            &service.sys,
+            &squared,
+            model.window,
+            &mut oracle_ops,
+            &service.pool,
+            &service.arena,
+        )
+        .unwrap();
+        let oracle_logits = ops::he_fully_connected_reference(
+            &service.sys,
+            &pooled,
+            &model.fc_weights,
+            &model.fc_bias,
+            model.classes,
+            &mut oracle_ops,
+        )
+        .unwrap();
+        assert_eq!(logits, oracle_logits);
+    }
+
+    /// The stage runner is the one instrumentation point: on every pipeline
+    /// path, each stage in the metrics has exactly one recorder span entry,
+    /// one balanced timeline slice, and one profiler frame of the same name.
+    #[test]
+    fn every_stage_lands_once_on_every_observability_face() {
+        use crate::ingress::seal_ingress_payload;
+        use crate::keydist::derive_ingress_key;
+        use hesgx_obs::{Profiler, TracePhase};
+
+        #[derive(Clone, Copy, Debug)]
+        enum Path {
+            Plain,
+            RefreshAlways,
+            /// Auto with a threshold no budget is below: probe, skip.
+            AutoSkip,
+            /// Auto with a threshold every budget is below: probe, refresh.
+            AutoRefresh,
+            Transciphered,
+            Degraded,
+        }
+        let images = vec![(0..64).map(|p| ((p * 3) % 16) as i64).collect::<Vec<i64>>()];
+        for (path, want_stages) in [
+            (Path::Plain, 4),
+            (Path::RefreshAlways, 5),
+            (Path::AutoSkip, 5),
+            (Path::AutoRefresh, 5),
+            (Path::Transciphered, 5),
+            (Path::Degraded, 4),
+        ] {
+            let rec = Recorder::with_timeline();
+            let profiler = Profiler::enabled();
+            let (service, ceremony) = HybridInference::provision_with(
+                Platform::new(39),
+                small_hybrid_model(),
                 ProvisionConfig {
                     poly_degree: 256,
-                    seed: 13,
-                    cached_weights,
+                    seed: 15,
+                    refresh_between_stages: matches!(path, Path::RefreshAlways),
+                    refresh_auto: matches!(path, Path::AutoSkip | Path::AutoRefresh),
+                    refresh_threshold_bits: match path {
+                        Path::AutoSkip => Some(0),
+                        Path::AutoRefresh => Some(u32::MAX),
+                        _ => None,
+                    },
+                    recorder: rec.clone(),
                     ..ProvisionConfig::default()
                 },
             )
             .unwrap();
-            let mut rng = ChaChaRng::from_seed(105);
+            let mut rng = ChaChaRng::from_seed(106);
             let enc = EncryptedMap::encrypt_images(
                 &service.sys,
                 &images,
-                model.in_side,
+                8,
                 service.enclave.public_keys(),
                 &mut rng,
             )
             .unwrap();
-            let (logits, metrics) = service.infer_degraded(&enc).unwrap();
-            if cached_weights {
-                assert_eq!(metrics.ops.weight_prep, 0);
+
+            let installed = profiler.install();
+            let stages = match path {
+                Path::Degraded => service.infer_degraded(&enc).unwrap().1.stages,
+                Path::Transciphered => {
+                    let key = derive_ingress_key(&ceremony.public, &ceremony.user_secret);
+                    let payload = seal_ingress_payload(&key, &mut rng, &images).unwrap();
+                    let (enc, ingress) = service.transcipher_ingress(&key, &payload).unwrap();
+                    let (_, metrics) = service.infer(&enc, EcallBatching::Batched).unwrap();
+                    let mut stages = vec![ingress];
+                    stages.extend(metrics.stages);
+                    stages
+                }
+                _ => {
+                    service
+                        .infer(&enc, EcallBatching::Batched)
+                        .unwrap()
+                        .1
+                        .stages
+                }
+            };
+            drop(installed);
+            assert_eq!(stages.len(), want_stages, "{path:?}");
+            if let Path::AutoSkip | Path::AutoRefresh = path {
+                let want = if matches!(path, Path::AutoSkip) {
+                    "Noise Check (SGX inside)"
+                } else {
+                    "Noise Refresh (SGX inside)"
+                };
+                assert_eq!(stages[3].name, want, "{path:?}");
             }
-            logits_runs.push(logits);
+
+            let span_entries: u64 = rec
+                .spans_with_prefix("infer.")
+                .iter()
+                .map(|(_, stats)| stats.entries)
+                .sum();
+            assert_eq!(span_entries as usize, stages.len(), "{path:?}: recorder");
+
+            let slices = |phase: TracePhase| {
+                rec.trace_events()
+                    .iter()
+                    .filter(|e| e.phase == phase && e.name.starts_with("infer."))
+                    .count()
+            };
+            assert_eq!(
+                slices(TracePhase::Begin),
+                stages.len(),
+                "{path:?}: timeline"
+            );
+            assert_eq!(slices(TracePhase::End), stages.len(), "{path:?}: timeline");
+
+            // Deterministic face rows: {"path":"a;b;c","calls":N,"bytes":M}.
+            let face = profiler.deterministic_json();
+            let frames: u64 = face
+                .split("{\"path\":\"")
+                .skip(1)
+                .filter_map(|row| {
+                    let (frame_path, rest) = row.split_once('"')?;
+                    let leaf = frame_path.rsplit(';').next()?;
+                    let calls = rest.strip_prefix(",\"calls\":")?.split(',').next()?;
+                    leaf.starts_with("infer.")
+                        .then(|| calls.parse::<u64>().ok())?
+                })
+                .sum();
+            assert_eq!(frames as usize, stages.len(), "{path:?}: profiler {face}");
         }
-        assert_eq!(logits_runs[0], logits_runs[1]);
+    }
+
+    /// A hand-built model (every field is public) with inconsistent
+    /// geometry must be refused by both engine constructors with an error,
+    /// not reach `usize` underflow or a kernel shape assert.
+    #[test]
+    fn inconsistent_model_geometry_is_an_error_not_a_panic() {
+        use hesgx_bfv::error::BfvError;
+        use hesgx_henn::cryptonets::CryptoNets;
+        type Break = fn(&mut QuantizedCnn);
+        let cases: [(&str, Break); 8] = [
+            ("kernel larger than the input", |m| m.kernel = m.in_side + 1),
+            ("zero kernel", |m| m.kernel = 0),
+            ("zero window", |m| m.window = 0),
+            ("window not tiling the conv output", |m| m.window = 4),
+            ("short conv weights", |m| {
+                m.conv_weights.pop();
+            }),
+            ("extra conv bias", |m| m.conv_bias.push(1)),
+            ("short fc weights", |m| {
+                m.fc_weights.pop();
+            }),
+            ("missing fc bias", |m| m.fc_bias.clear()),
+        ];
+        for (what, break_it) in cases {
+            let mut model = small_hybrid_model();
+            break_it(&mut model);
+            let err = HybridInference::provision_with(
+                Platform::new(38),
+                model.clone(),
+                ProvisionConfig {
+                    poly_degree: 256,
+                    seed: 14,
+                    ..ProvisionConfig::default()
+                },
+            )
+            .unwrap_err();
+            assert!(matches!(err, Error::Config(_)), "{what}: {err}");
+            model.pipeline = QuantPipeline::CryptoNets;
+            let err = CryptoNets::new(model, 256).unwrap_err();
+            assert!(matches!(err, BfvError::InvalidShape(_)), "{what}: {err}");
+        }
+        assert!(small_hybrid_model().check_geometry().is_ok());
     }
 }

@@ -1,11 +1,8 @@
 //! The request/response surface of the Session API (DESIGN.md §14).
 //!
-//! Earlier revisions grew three parallel entry points
-//! (`Session::infer`, `infer_batch`, `infer_batch_resilient`) whose
-//! differences — batch shape, failure posture — were encoded in the method
-//! name. A serving front-end needs those choices to travel *with the
-//! request*, so a broker can queue, batch, and retry heterogeneous traffic
-//! through one code path. [`InferRequest`] carries the images plus the
+//! Batch shape and failure posture travel *with the request* rather than
+//! in the name of the method that takes it, so a broker can queue, batch,
+//! and retry heterogeneous traffic through one code path. [`InferRequest`] carries the images plus the
 //! per-request policy (tenant, [`Resilience`], optional deadline on the
 //! virtual clock) and [`crate::Session::serve`] answers with an
 //! [`InferResponse`] that bundles the logits with how they were served,
@@ -52,12 +49,11 @@ pub enum Ingress {
 /// are exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Resilience {
-    /// Propagate the error to the caller (the old `infer_batch` contract).
+    /// Propagate the error to the caller.
     #[default]
     FailFast,
     /// Answer from the pure-HE square-activation fallback and mark the
-    /// response [`Served::Degraded`] (the old `infer_batch_resilient`
-    /// contract).
+    /// response [`Served::Degraded`].
     Degrade,
 }
 

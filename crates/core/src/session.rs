@@ -12,8 +12,7 @@
 //! the image batch plus the per-request policy (tenant, [`Resilience`],
 //! optional virtual-clock deadline), and the [`InferResponse`] bundles the
 //! logits with how they were served, the stage metrics, and the
-//! deterministic trace ID. The historical `infer` / `infer_batch` /
-//! `infer_batch_resilient` methods survive as deprecated shims over `serve`.
+//! deterministic trace ID.
 //!
 //! The session is also where the recovery ladder (DESIGN.md §11) lives:
 //! transient enclave faults retry inside the pipeline under the
@@ -346,7 +345,6 @@ impl SessionBuilder {
             refresh_auto: self.policy.noise_refresh == NoiseRefresh::Auto,
             refresh_threshold_bits: self.policy.refresh_threshold_bits,
             recorder: self.recorder.clone(),
-            cached_weights: true,
         };
         let _prof_install = self.profiler.install();
         let provision_span = prof::span("session.provision");
@@ -477,52 +475,6 @@ impl Session {
         })
     }
 
-    /// Runs one quantized image (`in_side × in_side` pixels, row-major)
-    /// through the encrypted pipeline and returns the plaintext logits —
-    /// bit-identical to [`QuantizedCnn::forward_ints`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates HE/TEE failures.
-    #[deprecated(since = "0.4.0", note = "use Session::serve(InferRequest::single(..))")]
-    pub fn infer(&self, image: &[i64]) -> Result<Vec<i64>> {
-        let mut response = self.serve(InferRequest::single(image.to_vec()))?;
-        Ok(response
-            .logits
-            .pop()
-            .expect("one image in, one logit row out"))
-    }
-
-    /// Runs a batch of quantized images through the encrypted pipeline and
-    /// returns one logit row per image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Config`] for an empty or oversized batch and
-    /// propagates HE/TEE failures.
-    #[deprecated(since = "0.4.0", note = "use Session::serve(InferRequest::batch(..))")]
-    pub fn infer_batch(&self, images: &[Vec<i64>]) -> Result<Vec<Vec<i64>>> {
-        Ok(self.serve(InferRequest::batch(images.to_vec()))?.logits)
-    }
-
-    /// Like `infer_batch`, but degrades instead of failing when the enclave
-    /// stays unavailable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Config`] for an empty or oversized batch, and
-    /// propagates fatal failures (including failures of the fallback
-    /// itself).
-    #[deprecated(
-        since = "0.4.0",
-        note = "use Session::serve with Resilience::Degrade on the request"
-    )]
-    pub fn infer_batch_resilient(&self, images: &[Vec<i64>]) -> Result<(Vec<Vec<i64>>, Served)> {
-        let response =
-            self.serve(InferRequest::batch(images.to_vec()).resilience(Resilience::Degrade))?;
-        Ok((response.logits, response.served))
-    }
-
     /// The recovery ladder around one encrypted batch: exact attempts with
     /// bounded re-provisions, then the resilience-gated degraded fallback.
     fn serve_inner(&self, request: &InferRequest) -> Result<(Vec<Vec<i64>>, Served, u64)> {
@@ -585,17 +537,8 @@ impl Session {
             rng.next_u64();
             seal_ingress_payload(&self.ingress_key, &mut nonce_rng, images)?
         };
-        let payload_len = payload.len();
-        let (enc, wall, cost) = service.transcipher_ingress(&self.ingress_key, &payload)?;
-        Ok((
-            enc,
-            StageMetrics {
-                name: "Transciphered Ingress (SGX inside)".into(),
-                wall,
-                enclave: Some(cost),
-            },
-            payload_len,
-        ))
+        let (enc, stage) = service.transcipher_ingress(&self.ingress_key, &payload)?;
+        Ok((enc, stage, payload.len()))
     }
 
     /// The exact-with-reprovision / degrade ladder over an ingested batch.
@@ -1065,35 +1008,6 @@ mod tests {
             .unwrap();
         let err = session2.serve(InferRequest::single(image)).unwrap_err();
         assert!(err.is_transient(), "{err}");
-    }
-
-    /// The deprecated shims must stay bit-identical to the `serve` path:
-    /// same logits from the same seed, whichever surface the caller uses.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_forward_to_serve_bit_identically() {
-        let images: Vec<Vec<i64>> = (0..2)
-            .map(|b| (0..64).map(|p| ((p * 3 + b * 7) % 16) as i64).collect())
-            .collect();
-
-        let via_serve = build(1, 13)
-            .serve(InferRequest::batch(images.clone()))
-            .unwrap();
-        let via_shim = build(1, 13).infer_batch(&images).unwrap();
-        assert_eq!(via_serve.logits, via_shim);
-
-        let single_serve = build(1, 14)
-            .serve(InferRequest::single(images[0].clone()))
-            .unwrap();
-        let single_shim = build(1, 14).infer(&images[0]).unwrap();
-        assert_eq!(single_serve.logits[0], single_shim);
-
-        let resilient_serve = build(1, 15)
-            .serve(InferRequest::batch(images.clone()).resilience(Resilience::Degrade))
-            .unwrap();
-        let (rows, served) = build(1, 15).infer_batch_resilient(&images).unwrap();
-        assert_eq!(resilient_serve.logits, rows);
-        assert_eq!(resilient_serve.served, served);
     }
 
     /// The granular noise-refresh setters edit the consolidated

@@ -11,6 +11,10 @@
 //! batch of ciphertexts) enters in a *single* ECALL so the boundary-crossing
 //! and key-load costs amortize; the `*_single_ecalls` variants reproduce the
 //! pathological per-pixel design Fig. 8 calls `EncryptSGX (single)`.
+//!
+//! All of them run on one core, [`InferenceEnclave::transform_cells`]: one
+//! fallible ECALL per logical call, per-cell work scheduled on the caller's
+//! [`ParExec`] inside the enclave body (a pool of one runs it inline).
 
 use crate::error::{Error, Result};
 use crate::recovery::{retry_with_cost, RecoveryPolicy};
@@ -30,10 +34,6 @@ use hesgx_tee::wall::WallTimer;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Former name of [`crate::Error`], kept for source compatibility.
-#[deprecated(since = "0.2.0", note = "use `hesgx_core::Error` instead")]
-pub type HybridError = Error;
-
 /// The inference enclave: a TEE instance holding the FV secret keys, able to
 /// decrypt → compute → re-encrypt.
 #[derive(Debug)]
@@ -43,8 +43,8 @@ pub struct InferenceEnclave {
     public: Vec<PublicKey>,
     rng: Mutex<ChaChaRng>,
     /// Monotone per-call counter: domain-separates the RNG forks of the
-    /// parallel transforms (the fork itself never advances the parent
-    /// stream, so without this two calls would reuse one stream).
+    /// transforms (the fork itself never advances the parent stream, so
+    /// without this two calls would reuse one stream).
     calls: AtomicU64,
     /// Bounded-retry policy for transient boundary faults.
     recovery: RecoveryPolicy,
@@ -123,112 +123,32 @@ impl InferenceEnclave {
         &self.secret
     }
 
-    /// Decrypt a batch of ciphertexts, map each slot value, re-encrypt —
-    /// the common core of all in-enclave operators. Runs as ONE ecall.
-    fn transform_cells(
-        &self,
-        name: &str,
-        sys: &CrtPlainSystem,
-        cells: &[&CrtCiphertext],
-        f: impl Fn(usize, i128) -> i64,
-    ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
-        self.transform_cells_retrying(name, sys, cells, f, None)
-    }
-
-    /// [`InferenceEnclave::transform_cells`] with an optional extra fault
-    /// site consulted before each attempt (the noise-refresh request path).
+    /// Decrypt a batch of ciphertexts, map each slot value, re-encrypt — the
+    /// common core of all in-enclave operators. Runs as ONE fallible ECALL
+    /// for the whole batch, with the per-cell decrypt→map→re-encrypt work
+    /// scheduled on `pool` inside the enclave body.
     ///
-    /// Each attempt is a fallible ECALL; transient boundary faults are
-    /// retried under the enclave's [`RecoveryPolicy`] with every attempt's
-    /// boundary cost summed into the returned breakdown (an aborted `EENTER`
-    /// still crossed the boundary). The decrypted values are exact on any
-    /// successful attempt, so retries never change inference output.
-    ///
-    /// As on the parallel path, the base RNG stream is forked *once* per
-    /// logical call, outside the retry loop, and each attempt restarts from
-    /// that fork — so a retried attempt re-encrypts with exactly the same
-    /// randomness and retries are bit-invisible in the output ciphertexts.
-    /// (An earlier version locked the shared stream inside the attempt, so a
-    /// failed attempt advanced it and the retry produced different bits.)
-    fn transform_cells_retrying(
-        &self,
-        name: &str,
-        sys: &CrtPlainSystem,
-        cells: &[&CrtCiphertext],
-        f: impl Fn(usize, i128) -> i64,
-        pre_site: Option<FaultSite>,
-    ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
-        let in_bytes: usize = cells.iter().map(|c| c.byte_len()).sum();
-        let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        let base = self.rng.lock().fork(&format!("seq-call-{call}"));
-        let (result, cost) = retry_with_cost(&self.recovery, self.hook(), self.obs(), || {
-            if let Err(e) = self.consult_pre_site(pre_site) {
-                return (Err(e), CostBreakdown::default());
-            }
-            let (res, cost) = self
-                .enclave
-                .ecall_fallible(name, in_bytes, in_bytes, |ctx| {
-                    let region = ctx.alloc(in_bytes.max(4096)).map_err(Error::Tee)?;
-                    // First pass marshals the input in (cold faults); the
-                    // compute pass then re-reads the header page, now
-                    // resident — the spot where injected EPC load pressure
-                    // strikes.
-                    ctx.touch(region).map_err(Error::Tee)?;
-                    ctx.touch_bytes(region, 1).map_err(Error::Tee)?;
-                    // Every attempt restarts the sequential stream from the
-                    // per-call fork: retries are bit-invisible.
-                    let mut rng = base.clone();
-                    let mut out = Vec::with_capacity(cells.len());
-                    for (idx, cell) in cells.iter().enumerate() {
-                        let slots = sys.decrypt_slots(cell, &self.secret)?;
-                        let mapped: Vec<i64> = slots.iter().map(|&v| f(idx, v)).collect();
-                        out.push(sys.encrypt_slots(&mapped, &self.public, &mut rng)?);
-                    }
-                    ctx.free(region).map_err(Error::Tee)?;
-                    Ok::<_, Error>(out)
-                });
-            match res {
-                Ok(inner) => (inner, cost),
-                Err(tee) => (Err(Error::Tee(tee)), cost),
-            }
-        });
-        Ok((result?, cost))
-    }
-
-    /// Parallel [`InferenceEnclave::transform_cells`]: still ONE ecall for the
-    /// whole batch, but the per-cell decrypt→map→re-encrypt work is scheduled
-    /// on `pool` inside the enclave body.
-    ///
-    /// Each cell re-encrypts with its own fork of the enclave RNG, keyed by
-    /// `(call number, cell index)`, so the output is bit-identical for every
-    /// pool size — including `pool.threads() == 1` — though the ciphertext
-    /// bits differ from the sequential-stream [`InferenceEnclave::transform_cells`]
-    /// (the decrypted values are always identical). The summed per-task CPU
-    /// time is reported to the cost model via
-    /// [`hesgx_tee::enclave::EnclaveCtx::record_cpu_ns`], so the virtual
-    /// clock charges the enclave for the *full* CPU work of the batch, not
-    /// just the shortened wall time.
-    fn transform_cells_par(
-        &self,
-        name: &str,
-        sys: &CrtPlainSystem,
-        cells: &[&CrtCiphertext],
-        f: impl Fn(usize, i128) -> i64 + Sync,
-        pool: &ParExec,
-    ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
-        self.transform_cells_par_retrying(name, sys, cells, f, pool, None)
-    }
-
-    /// [`InferenceEnclave::transform_cells_par`] with retry and an optional
-    /// pre-attempt fault site, mirroring
-    /// [`InferenceEnclave::transform_cells_retrying`].
+    /// Transient boundary faults are retried under the enclave's
+    /// [`RecoveryPolicy`] with every attempt's boundary cost summed into the
+    /// returned breakdown (an aborted `EENTER` still crossed the boundary);
+    /// `pre_site` is an optional extra fault site consulted before each
+    /// attempt (the noise-refresh request path). The decrypted values are
+    /// exact on any successful attempt, so retries never change inference
+    /// output.
     ///
     /// The call counter advances and the base RNG stream is forked *once* per
     /// logical call, outside the retry loop (forking never advances the
-    /// parent stream), so a retried attempt re-encrypts with exactly the same
-    /// randomness as the attempt it replaces: retries are bit-invisible in
-    /// the output ciphertexts.
-    fn transform_cells_par_retrying(
+    /// parent stream), and each cell re-encrypts with its own fork keyed by
+    /// `(call number, cell index)`. A retried attempt therefore re-encrypts
+    /// with exactly the same randomness as the attempt it replaces — retries
+    /// are bit-invisible in the output ciphertexts — and the output is
+    /// bit-identical for every pool size. (The fork labels `par-call-{n}` /
+    /// `cell-{i}` are pinned by the golden ciphertext hashes.) The summed
+    /// per-task CPU time is reported to the cost model via
+    /// [`hesgx_tee::enclave::EnclaveCtx::record_cpu_ns`], so the virtual
+    /// clock charges the enclave for the *full* CPU work of the batch, not
+    /// just the shortened wall time.
+    fn transform_cells(
         &self,
         name: &str,
         sys: &CrtPlainSystem,
@@ -281,7 +201,8 @@ impl InferenceEnclave {
     }
 
     /// Exact activation over a whole feature map in a single batched ECALL
-    /// (`SGXSigmoid` in Fig. 5; also serves ReLU/Tanh/LeakyReLU, §VI-C).
+    /// (`SGXSigmoid` in Fig. 5; also serves ReLU/Tanh/LeakyReLU, §VI-C),
+    /// per-cell work scheduled on `pool` inside the enclave.
     ///
     /// # Errors
     ///
@@ -292,37 +213,17 @@ impl InferenceEnclave {
         input: &EncryptedMap,
         model: &QuantizedCnn,
         kind: ActivationKind,
-    ) -> Result<(EncryptedMap, CostBreakdown)> {
-        let (c, h, w) = input.shape();
-        let cells: Vec<&CrtCiphertext> = input.cells().iter().collect();
-        let (out, cost) = self.transform_cells("ecall_activation", sys, &cells, |_, v| {
-            model.enclave_activation(v as i64, kind)
-        })?;
-        Ok((EncryptedMap::new(c, h, w, out), cost))
-    }
-
-    /// Parallel [`InferenceEnclave::activation_map`]: one ECALL for the whole
-    /// feature map, per-cell work scheduled on `pool` inside the enclave.
-    ///
-    /// # Errors
-    ///
-    /// Propagates HE/TEE failures.
-    pub fn activation_map_par(
-        &self,
-        sys: &CrtPlainSystem,
-        input: &EncryptedMap,
-        model: &QuantizedCnn,
-        kind: ActivationKind,
         pool: &ParExec,
     ) -> Result<(EncryptedMap, CostBreakdown)> {
         let (c, h, w) = input.shape();
         let cells: Vec<&CrtCiphertext> = input.cells().iter().collect();
-        let (out, cost) = self.transform_cells_par(
+        let (out, cost) = self.transform_cells(
             "ecall_activation",
             sys,
             &cells,
             |_, v| model.enclave_activation(v as i64, kind),
             pool,
+            None,
         )?;
         Ok((EncryptedMap::new(c, h, w, out), cost))
     }
@@ -343,11 +244,16 @@ impl InferenceEnclave {
         let (c, h, w) = input.shape();
         let mut out = Vec::with_capacity(input.cells().len());
         let mut total = CostBreakdown::default();
+        let inline = ParExec::serial();
         for cell in input.cells() {
-            let (mut mapped, cost) =
-                self.transform_cells("ecall_activation_single", sys, &[cell], |_, v| {
-                    model.enclave_activation(v as i64, kind)
-                })?;
+            let (mut mapped, cost) = self.transform_cells(
+                "ecall_activation_single",
+                sys,
+                &[cell],
+                |_, v| model.enclave_activation(v as i64, kind),
+                &inline,
+                None,
+            )?;
             out.push(
                 mapped
                     .pop()
@@ -359,7 +265,8 @@ impl InferenceEnclave {
     }
 
     /// `SGXDiv` (paper §VI-D): the window sums were computed homomorphically
-    /// outside; the enclave only performs the non-linear division by `k²`.
+    /// outside; the enclave only performs the non-linear division by `k²` —
+    /// one ECALL, per-cell work on `pool`.
     ///
     /// # Errors
     ///
@@ -369,36 +276,17 @@ impl InferenceEnclave {
         sys: &CrtPlainSystem,
         summed: &EncryptedMap,
         model: &QuantizedCnn,
-    ) -> Result<(EncryptedMap, CostBreakdown)> {
-        let (c, h, w) = summed.shape();
-        let cells: Vec<&CrtCiphertext> = summed.cells().iter().collect();
-        let (out, cost) = self.transform_cells("ecall_divide", sys, &cells, |_, v| {
-            model.enclave_mean(v as i64)
-        })?;
-        Ok((EncryptedMap::new(c, h, w, out), cost))
-    }
-
-    /// Parallel [`InferenceEnclave::divide_map`]: one ECALL, per-cell work on
-    /// `pool`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates HE/TEE failures.
-    pub fn divide_map_par(
-        &self,
-        sys: &CrtPlainSystem,
-        summed: &EncryptedMap,
-        model: &QuantizedCnn,
         pool: &ParExec,
     ) -> Result<(EncryptedMap, CostBreakdown)> {
         let (c, h, w) = summed.shape();
         let cells: Vec<&CrtCiphertext> = summed.cells().iter().collect();
-        let (out, cost) = self.transform_cells_par(
+        let (out, cost) = self.transform_cells(
             "ecall_divide",
             sys,
             &cells,
             |_, v| model.enclave_mean(v as i64),
             pool,
+            None,
         )?;
         Ok((EncryptedMap::new(c, h, w, out), cost))
     }
@@ -518,101 +406,16 @@ impl InferenceEnclave {
 
     /// `SGXPool` (paper §VI-D): the whole feature map enters the enclave and
     /// both the addition and the division happen inside. Fixed input size
-    /// regardless of window (the paper's green line in Fig. 6).
+    /// regardless of window (the paper's green line in Fig. 6). Still one
+    /// ECALL for the whole map; the decryption of every input cell and the
+    /// pool+re-encrypt of every output cell are scheduled on `pool` inside
+    /// the enclave body, with the summed per-task CPU time reported to the
+    /// cost model.
     ///
     /// # Errors
     ///
     /// Propagates HE/TEE failures.
     pub fn pool_full_map(
-        &self,
-        sys: &CrtPlainSystem,
-        input: &EncryptedMap,
-        model: &QuantizedCnn,
-        max_pool: bool,
-    ) -> Result<(EncryptedMap, CostBreakdown)> {
-        let (c, h, w) = input.shape();
-        let window = model.window;
-        let (oh, ow) = (h / window, w / window);
-        let in_bytes = input.byte_len();
-        let out_count = c * oh * ow;
-        let slot_count = sys.slot_count();
-        // One fork per logical call, outside the retry loop; every attempt
-        // restarts from the fork, so retries are bit-invisible (the same fix
-        // the par variant always had).
-        let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        let base = self.rng.lock().fork(&format!("seq-call-{call}"));
-        let (result, cost) = retry_with_cost(&self.recovery, self.hook(), self.obs(), || {
-            let (res, cost) = self.enclave.ecall_fallible(
-                "ecall_pool",
-                in_bytes,
-                in_bytes / (window * window).max(1),
-                |ctx| {
-                    let region = ctx.alloc(in_bytes.max(4096)).map_err(Error::Tee)?;
-                    ctx.touch(region).map_err(Error::Tee)?;
-                    // Decrypt the full map.
-                    let mut plain: Vec<Vec<i128>> = Vec::with_capacity(input.cells().len());
-                    for cell in input.cells() {
-                        plain.push(sys.decrypt_slots(cell, &self.secret)?);
-                    }
-                    // Pool per slot.
-                    let mut rng = base.clone();
-                    let mut out_cells = Vec::with_capacity(out_count);
-                    for ch in 0..c {
-                        for oy in 0..oh {
-                            for ox in 0..ow {
-                                let mut slots_out = vec![0i64; slot_count];
-                                for (s, slot_out) in slots_out.iter_mut().enumerate() {
-                                    let mut acc: Option<i64> = None;
-                                    for dy in 0..window {
-                                        for dx in 0..window {
-                                            let v = plain
-                                                [(ch * h + oy * window + dy) * w + ox * window + dx]
-                                                [s]
-                                                as i64;
-                                            acc = Some(match acc {
-                                                None => v,
-                                                Some(a) if max_pool => a.max(v),
-                                                Some(a) => a + v,
-                                            });
-                                        }
-                                    }
-                                    let acc =
-                                        acc.ok_or(Error::Internal("pooling window is empty"))?;
-                                    *slot_out = if max_pool {
-                                        acc
-                                    } else {
-                                        model.enclave_mean(acc)
-                                    };
-                                }
-                                out_cells.push(sys.encrypt_slots(
-                                    &slots_out,
-                                    &self.public,
-                                    &mut rng,
-                                )?);
-                            }
-                        }
-                    }
-                    ctx.free(region).map_err(Error::Tee)?;
-                    Ok::<_, Error>(out_cells)
-                },
-            );
-            match res {
-                Ok(inner) => (inner, cost),
-                Err(tee) => (Err(Error::Tee(tee)), cost),
-            }
-        });
-        Ok((EncryptedMap::new(c, oh, ow, result?), cost))
-    }
-
-    /// Parallel [`InferenceEnclave::pool_full_map`]: still one ECALL for the
-    /// whole map; the decryption of every input cell and the pool+re-encrypt
-    /// of every output cell are scheduled on `pool` inside the enclave body,
-    /// with the summed per-task CPU time reported to the cost model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates HE/TEE failures.
-    pub fn pool_full_map_par(
         &self,
         sys: &CrtPlainSystem,
         input: &EncryptedMap,
@@ -703,9 +506,10 @@ impl InferenceEnclave {
     }
 
     /// Noise refresh (`ecall_DcreaseNoise`, paper §VI-E / Table V): decrypt
-    /// and re-encrypt a batch of ciphertexts in one ECALL, removing all
-    /// accumulated noise and shrinking size-3 ciphertexts back to size 2 —
-    /// the enclave alternative to relinearization.
+    /// and re-encrypt a batch of ciphertexts in one ECALL (per-ciphertext
+    /// work on `pool`), removing all accumulated noise and shrinking size-3
+    /// ciphertexts back to size 2 — the enclave alternative to
+    /// relinearization.
     ///
     /// # Errors
     ///
@@ -714,31 +518,10 @@ impl InferenceEnclave {
         &self,
         sys: &CrtPlainSystem,
         cts: &[CrtCiphertext],
-    ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
-        let refs: Vec<&CrtCiphertext> = cts.iter().collect();
-        self.transform_cells_retrying(
-            "ecall_DecreaseNoise",
-            sys,
-            &refs,
-            |_, v| v as i64,
-            Some(FaultSite::NoiseRefresh),
-        )
-    }
-
-    /// Parallel [`InferenceEnclave::refresh_batch`]: one ECALL, per-ciphertext
-    /// work on `pool`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates HE/TEE failures.
-    pub fn refresh_batch_par(
-        &self,
-        sys: &CrtPlainSystem,
-        cts: &[CrtCiphertext],
         pool: &ParExec,
     ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
         let refs: Vec<&CrtCiphertext> = cts.iter().collect();
-        self.transform_cells_par_retrying(
+        self.transform_cells(
             "ecall_DecreaseNoise",
             sys,
             &refs,
@@ -759,11 +542,12 @@ impl InferenceEnclave {
         sys: &CrtPlainSystem,
         ct: &CrtCiphertext,
     ) -> Result<(CrtCiphertext, CostBreakdown)> {
-        let (mut out, cost) = self.transform_cells_retrying(
+        let (mut out, cost) = self.transform_cells(
             "ecall_DecreaseNoise",
             sys,
             &[ct],
             |_, v| v as i64,
+            &ParExec::serial(),
             Some(FaultSite::NoiseRefresh),
         )?;
         let fresh = out
@@ -853,6 +637,9 @@ mod tests {
         (ie, sys, rng)
     }
 
+    /// Every pooled operator is swept over these pool sizes; 1 runs inline.
+    const POOLS: [usize; 3] = [1, 2, 4];
+
     #[test]
     fn activation_matches_reference() {
         let (ie, sys, mut rng) = setup();
@@ -861,7 +648,13 @@ mod tests {
         let values: Vec<Vec<i64>> = vec![vec![-500, -10, 0, 10, 500, 123, -77, 999, 4]];
         let enc = EncryptedMap::encrypt_images(&sys, &values, 3, &ie.public, &mut rng).unwrap();
         let (out, cost) = ie
-            .activation_map(&sys, &enc, &model, ActivationKind::Sigmoid)
+            .activation_map(
+                &sys,
+                &enc,
+                &model,
+                ActivationKind::Sigmoid,
+                &ParExec::serial(),
+            )
             .unwrap();
         let dec = out.decrypt_all(&sys, &ie.secret, 1).unwrap();
         let expect: Vec<i128> = values[0]
@@ -878,10 +671,16 @@ mod tests {
         let model = small_model();
         let values = vec![(0..16).map(|v| v * 10 - 80).collect::<Vec<i64>>()];
         let enc = EncryptedMap::encrypt_images(&sys, &values, 4, &ie.public, &mut rng).unwrap();
-        let (_, batched) = ie
-            .activation_map(&sys, &enc, &model, ActivationKind::Sigmoid)
+        let (batched_out, batched) = ie
+            .activation_map(
+                &sys,
+                &enc,
+                &model,
+                ActivationKind::Sigmoid,
+                &ParExec::serial(),
+            )
             .unwrap();
-        let (_, single) = ie
+        let (single_out, single) = ie
             .activation_map_single_ecalls(&sys, &enc, &model, ActivationKind::Sigmoid)
             .unwrap();
         assert!(
@@ -889,6 +688,11 @@ mod tests {
             "per-cell ECALLs must pay more transitions: {} vs {}",
             single.transition_ns,
             batched.transition_ns
+        );
+        // Both run the same core, so they compute the same values.
+        assert_eq!(
+            single_out.decrypt_all(&sys, &ie.secret, 1).unwrap(),
+            batched_out.decrypt_all(&sys, &ie.secret, 1).unwrap()
         );
     }
 
@@ -921,7 +725,7 @@ mod tests {
         let cts: Vec<_> = (0..8)
             .map(|i| sys.encrypt_slots(&[i], &ie.public, &mut rng).unwrap())
             .collect();
-        let (_, batched) = ie.refresh_batch(&sys, &cts).unwrap();
+        let (_, batched) = ie.refresh_batch(&sys, &cts, &ParExec::serial()).unwrap();
         let mut single_total = CostBreakdown::default();
         for ct in &cts {
             let (_, c) = ie.refresh_one(&sys, ct).unwrap();
@@ -942,10 +746,9 @@ mod tests {
             let enc = EncryptedMap::encrypt_images(&sys, &values, 4, &ie.public, &mut rng).unwrap();
             let pool = ParExec::new(threads);
             let (out, cost) = ie
-                .activation_map_par(&sys, &enc, &model, ActivationKind::Sigmoid, &pool)
+                .activation_map(&sys, &enc, &model, ActivationKind::Sigmoid, &pool)
                 .unwrap();
             assert!(cost.total_ns() > 0);
-            // Decrypted values always match the serial operator.
             let dec = out.decrypt_all(&sys, &ie.secret, 1).unwrap();
             let expect: Vec<i128> = values[0]
                 .iter()
@@ -961,38 +764,52 @@ mod tests {
 
     #[test]
     fn parallel_pool_full_map_matches_serial_values() {
-        let (ie, sys, mut rng) = setup();
         let model = small_model();
         let img = vec![(1..=16i64).collect::<Vec<i64>>()];
-        let enc = EncryptedMap::encrypt_images(&sys, &img, 4, &ie.public, &mut rng).unwrap();
-        let pool = ParExec::new(4);
-        let (mean, _) = ie
-            .pool_full_map_par(&sys, &enc, &model, false, &pool)
-            .unwrap();
-        assert_eq!(mean.shape(), (1, 2, 2));
-        let dec = mean.decrypt_all(&sys, &ie.secret, 1).unwrap();
-        assert_eq!(dec[0], vec![4, 6, 12, 14]);
-        let (maxp, _) = ie
-            .pool_full_map_par(&sys, &enc, &model, true, &pool)
-            .unwrap();
-        let dec = maxp.decrypt_all(&sys, &ie.secret, 1).unwrap();
-        assert_eq!(dec[0], vec![6, 8, 14, 16]);
+        let mut reference = None;
+        for threads in POOLS {
+            let (ie, sys, mut rng) = setup();
+            let enc = EncryptedMap::encrypt_images(&sys, &img, 4, &ie.public, &mut rng).unwrap();
+            let pool = ParExec::new(threads);
+            let (mean, _) = ie.pool_full_map(&sys, &enc, &model, false, &pool).unwrap();
+            assert_eq!(mean.shape(), (1, 2, 2));
+            let dec = mean.decrypt_all(&sys, &ie.secret, 1).unwrap();
+            assert_eq!(dec[0], vec![4, 6, 12, 14]);
+            let (maxp, _) = ie.pool_full_map(&sys, &enc, &model, true, &pool).unwrap();
+            let dec = maxp.decrypt_all(&sys, &ie.secret, 1).unwrap();
+            assert_eq!(dec[0], vec![6, 8, 14, 16]);
+            // Ciphertext bits, not just values, are pool-size independent.
+            let cells = (mean.cells().to_vec(), maxp.cells().to_vec());
+            assert_eq!(
+                *reference.get_or_insert(cells.clone()),
+                cells,
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
     fn parallel_refresh_preserves_values() {
-        let (ie, sys, mut rng) = setup();
-        let cts: Vec<_> = (0..6)
-            .map(|i| {
-                sys.encrypt_slots(&[i * 11 - 20], &ie.public, &mut rng)
-                    .unwrap()
-            })
-            .collect();
-        let pool = ParExec::new(3);
-        let (fresh, _) = ie.refresh_batch_par(&sys, &cts, &pool).unwrap();
-        for (i, ct) in fresh.iter().enumerate() {
-            let dec = sys.decrypt_slots(ct, &ie.secret).unwrap();
-            assert_eq!(dec[0], (i as i128) * 11 - 20);
+        let mut reference = None;
+        for threads in POOLS {
+            let (ie, sys, mut rng) = setup();
+            let cts: Vec<_> = (0..6)
+                .map(|i| {
+                    sys.encrypt_slots(&[i * 11 - 20], &ie.public, &mut rng)
+                        .unwrap()
+                })
+                .collect();
+            let pool = ParExec::new(threads);
+            let (fresh, _) = ie.refresh_batch(&sys, &cts, &pool).unwrap();
+            for (i, ct) in fresh.iter().enumerate() {
+                let dec = sys.decrypt_slots(ct, &ie.secret).unwrap();
+                assert_eq!(dec[0], (i as i128) * 11 - 20);
+            }
+            assert_eq!(
+                *reference.get_or_insert(fresh.clone()),
+                fresh,
+                "{threads} threads"
+            );
         }
     }
 
@@ -1003,7 +820,9 @@ mod tests {
         // Window sums (window=2 → divide by 4 with rounding).
         let sums = vec![vec![4i64, 6, 7, 0]];
         let enc = EncryptedMap::encrypt_images(&sys, &sums, 2, &ie.public, &mut rng).unwrap();
-        let (out, _) = ie.divide_map(&sys, &enc, &model).unwrap();
+        let (out, _) = ie
+            .divide_map(&sys, &enc, &model, &ParExec::serial())
+            .unwrap();
         let dec = out.decrypt_all(&sys, &ie.secret, 1).unwrap();
         assert_eq!(dec[0], vec![1, 2, 2, 0]);
     }
@@ -1014,23 +833,27 @@ mod tests {
         let model = small_model();
         let img = vec![(1..=16i64).collect::<Vec<i64>>()];
         let enc = EncryptedMap::encrypt_images(&sys, &img, 4, &ie.public, &mut rng).unwrap();
-        let (mean, _) = ie.pool_full_map(&sys, &enc, &model, false).unwrap();
+        let inline = ParExec::serial();
+        let (mean, _) = ie
+            .pool_full_map(&sys, &enc, &model, false, &inline)
+            .unwrap();
         assert_eq!(mean.shape(), (1, 2, 2));
         let dec = mean.decrypt_all(&sys, &ie.secret, 1).unwrap();
         // windows sums 14,22,46,54 → means 4,6,12,14 (round half up).
         assert_eq!(dec[0], vec![4, 6, 12, 14]);
-        let (maxp, _) = ie.pool_full_map(&sys, &enc, &model, true).unwrap();
+        let (maxp, _) = ie.pool_full_map(&sys, &enc, &model, true, &inline).unwrap();
         let dec = maxp.decrypt_all(&sys, &ie.secret, 1).unwrap();
         assert_eq!(dec[0], vec![6, 8, 14, 16]);
     }
 
     #[test]
     fn sequential_retry_is_bit_invisible_in_the_ciphertexts() {
-        // Regression: the sequential transforms used to lock (and advance)
-        // the shared RNG stream *inside* the retry closure, so a retried
-        // attempt re-encrypted with different randomness than a fault-free
-        // run. The stream is now forked once per logical call, outside the
-        // retry loop, exactly like the parallel variants.
+        // Regression: a transform once locked (and advanced) the shared RNG
+        // stream *inside* the retry closure, so a retried attempt
+        // re-encrypted with different randomness than a fault-free run. The
+        // core forks the stream once per logical call, outside the retry
+        // loop; checked here on the inline (pool of one) path for a batched
+        // transform, the full-map pool, and a one-cell call.
         use hesgx_chaos::{FaultInjector, FaultKind, FaultPlan};
         use std::sync::Arc;
         let model = small_model();
@@ -1047,29 +870,36 @@ mod tests {
             let (keys, _) = enclave_generate_keys(&enclave, &sys, &mut rng).expect("key ceremony");
             let ie = InferenceEnclave::new(enclave, keys.secret, keys.public, 92);
             let enc = EncryptedMap::encrypt_images(&sys, &values, 4, &ie.public, &mut rng).unwrap();
+            let inline = ParExec::serial();
             let (act, _) = ie
-                .activation_map(&sys, &enc, &model, ActivationKind::Sigmoid)
+                .activation_map(&sys, &enc, &model, ActivationKind::Sigmoid, &inline)
                 .unwrap();
-            let (pooled, _) = ie.pool_full_map(&sys, &enc, &model, false).unwrap();
-            (act.cells().to_vec(), pooled.cells().to_vec())
+            let (pooled, _) = ie
+                .pool_full_map(&sys, &enc, &model, false, &inline)
+                .unwrap();
+            let (one, _) = ie.refresh_one(&sys, &enc.cells()[0]).unwrap();
+            (act.cells().to_vec(), pooled.cells().to_vec(), one)
         };
         let clean = run(None);
         // EcallExit consultation order in `run`: occurrence 0 is the
         // activation ECALL (faulted, retried as occurrence 1), occurrence 2
-        // is the pool ECALL (faulted, retried as occurrence 3).
+        // is the pool ECALL (faulted, retried as occurrence 3), occurrence 4
+        // is the one-cell refresh (faulted, retried as occurrence 5).
         let injector = Arc::new(
             FaultPlan::new(5)
                 .script(FaultSite::EcallExit, 0, FaultKind::Transient)
                 .script(FaultSite::EcallExit, 2, FaultKind::Transient)
+                .script(FaultSite::EcallExit, 4, FaultKind::Transient)
                 .build(),
         );
         let faulted = run(Some(injector.clone()));
-        assert_eq!(injector.report().retries(), 2, "both faults delivered");
+        assert_eq!(injector.report().retries(), 3, "all three faults delivered");
         assert_eq!(
             clean.0, faulted.0,
             "activation ciphertexts changed by retry"
         );
         assert_eq!(clean.1, faulted.1, "pool ciphertexts changed by retry");
+        assert_eq!(clean.2, faulted.2, "one-cell ciphertext changed by retry");
     }
 
     #[test]
@@ -1170,7 +1000,7 @@ mod tests {
         let cts: Vec<_> = (0..4)
             .map(|i| sys.encrypt_slots(&[i * 3], &ie.public, &mut rng).unwrap())
             .collect();
-        let (fresh, cost) = ie.refresh_batch(&sys, &cts).unwrap();
+        let (fresh, cost) = ie.refresh_batch(&sys, &cts, &ParExec::serial()).unwrap();
         assert_eq!(fresh.len(), 4);
         let span = rec.span("recovery.retry").expect("attempts recorded");
         // One dropped attempt + one real crossing.

@@ -58,7 +58,7 @@ fn ingress_cells(
     let ceremony = session.ceremony();
     let key = derive_ingress_key(&ceremony.public, &ceremony.user_secret);
     let payload = seal_images(&key, &[3u8; 12], images).unwrap();
-    let (map, _, _) = session
+    let (map, _) = session
         .service()
         .transcipher_ingress(&key, &payload)
         .unwrap();

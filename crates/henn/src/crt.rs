@@ -415,42 +415,9 @@ impl CrtPlainSystem {
         Ok(CrtPreparedScalar { parts })
     }
 
-    /// Multiplies by a prepared scalar. Bit-identical to
-    /// [`CrtPlainSystem::mul_scalar`] with the original value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn mul_scalar_prepared(
-        &self,
-        a: &CrtCiphertext,
-        scalar: &CrtPreparedScalar,
-    ) -> hesgx_bfv::error::Result<CrtCiphertext> {
-        let mut parts = Vec::with_capacity(a.parts.len());
-        for i in 0..self.evaluators.len() {
-            parts.push(self.mul_scalar_prepared_part(&a.parts[i], scalar.part(i), i)?);
-        }
-        Ok(CrtCiphertext { parts })
-    }
-
-    /// Prepared scalar multiply of CRT part `part` only (limb-level entry
-    /// point).
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn mul_scalar_prepared_part(
-        &self,
-        a: &Ciphertext,
-        scalar: &PlainScalar,
-        part: usize,
-    ) -> hesgx_bfv::error::Result<Ciphertext> {
-        self.evaluators[part].mul_plain_scalar(a, scalar)
-    }
-
     /// Prepared scalar multiply of part `part`, drawing the output's limb
-    /// buffers from `arena` (bit-identical to
-    /// [`CrtPlainSystem::mul_scalar_prepared_part`]).
+    /// buffers from `arena`. Bit-identical to
+    /// [`CrtPlainSystem::mul_scalar_part`] with the original value.
     ///
     /// # Errors
     ///
@@ -465,28 +432,10 @@ impl CrtPlainSystem {
         self.evaluators[part].mul_plain_scalar_arena(a, scalar, arena)
     }
 
-    /// Fused multiply-accumulate `acc += a · w` on every CRT part — the
+    /// Fused multiply-accumulate `acc += a · w` on CRT part `part` — the
     /// conv/FC inner loop without the temporary ciphertext. Accumulated
-    /// values are bit-identical to [`CrtPlainSystem::mul_scalar`] followed
-    /// by [`CrtPlainSystem::add_inplace`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn mul_scalar_acc(
-        &self,
-        acc: &mut CrtCiphertext,
-        a: &CrtCiphertext,
-        scalar: &CrtPreparedScalar,
-    ) -> hesgx_bfv::error::Result<()> {
-        for i in 0..self.evaluators.len() {
-            self.mul_scalar_acc_part(&mut acc.parts[i], &a.parts[i], scalar.part(i), i)?;
-        }
-        Ok(())
-    }
-
-    /// Fused multiply-accumulate on CRT part `part` only (limb-level entry
-    /// point).
+    /// values are bit-identical to [`CrtPlainSystem::mul_scalar_part`]
+    /// followed by [`CrtPlainSystem::add_inplace_part`].
     ///
     /// # Errors
     ///
@@ -502,9 +451,9 @@ impl CrtPlainSystem {
     }
 
     /// Caches the evaluation (NTT) form of an encoded-weight plaintext for
-    /// CRT part `part` — the per-call centering + forward transform that
-    /// [`CrtPlainSystem::mul_plain_part`] redoes per request, done once at
-    /// weight provisioning.
+    /// CRT part `part` — the per-call centering + forward transform that a
+    /// plain `mul_plain` redoes per request, done once at weight
+    /// provisioning.
     ///
     /// # Errors
     ///
@@ -517,25 +466,9 @@ impl CrtPlainSystem {
         self.evaluators[part].transform_plain_to_ntt(plain)
     }
 
-    /// Multiplies part `part` by a plaintext polynomial, re-transforming the
-    /// plaintext on every call (the uncached baseline for
-    /// [`CrtPlainSystem::mul_plain_ntt_part`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn mul_plain_part(
-        &self,
-        a: &Ciphertext,
-        plain: &Plaintext,
-        part: usize,
-    ) -> hesgx_bfv::error::Result<Ciphertext> {
-        self.evaluators[part].mul_plain(a, plain)
-    }
-
     /// Multiplies part `part` by a cached evaluation-form plaintext —
-    /// bit-identical to [`CrtPlainSystem::mul_plain_part`] without the
-    /// per-call transform.
+    /// bit-identical to the evaluator's `mul_plain` without the per-call
+    /// transform.
     ///
     /// # Errors
     ///
@@ -599,25 +532,9 @@ impl CrtPlainSystem {
         Ok(CrtPreparedBias { parts })
     }
 
-    /// Adds a prepared bias in place on every CRT part. Values are
-    /// bit-identical to [`CrtPlainSystem::add_scalar`] with the original
+    /// Adds a prepared bias in place on CRT part `part`. Values are
+    /// bit-identical to [`CrtPlainSystem::add_scalar_part`] with the original
     /// constant (pinned by the bfv evaluator tests), with no allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn add_bias_inplace(
-        &self,
-        a: &mut CrtCiphertext,
-        bias: &CrtPreparedBias,
-    ) -> hesgx_bfv::error::Result<()> {
-        for i in 0..self.evaluators.len() {
-            self.add_bias_inplace_part(&mut a.parts[i], bias.part(i), i)?;
-        }
-        Ok(())
-    }
-
-    /// Prepared bias add on CRT part `part` only (limb-level entry point).
     ///
     /// # Errors
     ///
@@ -785,32 +702,39 @@ mod tests {
     #[test]
     fn prepared_scalar_and_bias_match_uncached_bitwise() {
         let (sys, keys, mut rng) = system();
+        let arena = PolyArena::new();
         let a = sys
             .encrypt_slots(&[10, -20, 7], &keys.public, &mut rng)
             .unwrap();
         for v in [-9_000i64, -1, 0, 1, 4, 11_000] {
             let prepared = sys.prepare_scalar(v).unwrap();
-            assert_eq!(
-                sys.mul_scalar_prepared(&a, &prepared).unwrap(),
-                sys.mul_scalar(&a, v).unwrap(),
-                "prepared multiply diverged for {v}"
-            );
-            // Fused accumulate vs multiply-then-add.
-            let mut fused = a.clone();
-            sys.mul_scalar_acc(&mut fused, &a, &prepared).unwrap();
-            let term = sys.mul_scalar(&a, v).unwrap();
-            let mut want = a.clone();
-            sys.add_inplace(&mut want, &term).unwrap();
-            assert_eq!(fused, want, "fused accumulate diverged for {v}");
-
             let bias = sys.prepare_bias(v).unwrap();
-            let mut got = a.clone();
-            sys.add_bias_inplace(&mut got, &bias).unwrap();
-            assert_eq!(
-                got,
-                sys.add_scalar(&a, v).unwrap(),
-                "prepared bias diverged for {v}"
-            );
+            for part in 0..sys.part_count() {
+                let x = &a.parts[part];
+                let term = sys.mul_scalar_part(x, v, part).unwrap();
+                assert_eq!(
+                    sys.mul_scalar_prepared_arena_part(x, prepared.part(part), &arena, part)
+                        .unwrap(),
+                    term,
+                    "prepared multiply diverged for {v}"
+                );
+                // Fused accumulate vs multiply-then-add.
+                let mut fused = x.clone();
+                sys.mul_scalar_acc_part(&mut fused, x, prepared.part(part), part)
+                    .unwrap();
+                let mut want = x.clone();
+                sys.add_inplace_part(&mut want, &term, part).unwrap();
+                assert_eq!(fused, want, "fused accumulate diverged for {v}");
+
+                let mut got = x.clone();
+                sys.add_bias_inplace_part(&mut got, bias.part(part), part)
+                    .unwrap();
+                assert_eq!(
+                    got,
+                    sys.add_scalar_part(x, v, part).unwrap(),
+                    "prepared bias diverged for {v}"
+                );
+            }
         }
     }
 
@@ -826,11 +750,7 @@ mod tests {
             let got = sys
                 .mul_scalar_prepared_arena_part(&a.parts[part], prepared.part(part), &arena, part)
                 .unwrap();
-            assert_eq!(
-                got,
-                sys.mul_scalar_prepared_part(&a.parts[part], prepared.part(part), part)
-                    .unwrap()
-            );
+            assert_eq!(got, sys.mul_scalar_part(&a.parts[part], -6, part).unwrap());
             arena.recycle_ciphertext(got);
         }
         assert!(arena.free_buffers() > 0);
@@ -848,7 +768,9 @@ mod tests {
             assert_eq!(
                 sys.mul_plain_ntt_part(&a.parts[part], &cached, part)
                     .unwrap(),
-                sys.mul_plain_part(&a.parts[part], &plain, part).unwrap(),
+                sys.evaluators[part]
+                    .mul_plain(&a.parts[part], &plain)
+                    .unwrap(),
                 "part {part}"
             );
         }

@@ -9,8 +9,9 @@
 use crate::crt::{CrtCiphertext, CrtKeys, CrtPlainSystem};
 use crate::image::EncryptedMap;
 use crate::ops::{self, OpCounter};
+use crate::par::ParExec;
 use crate::weights::WeightBank;
-use hesgx_bfv::error::Result;
+use hesgx_bfv::error::{BfvError, Result};
 use hesgx_bfv::prelude::PolyArena;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
@@ -27,6 +28,9 @@ pub struct CryptoNets {
     fc_bank: WeightBank,
     /// Session buffer pool shared by every inference this engine runs.
     arena: PolyArena,
+    /// The baseline is single-threaded by definition: every layer kernel
+    /// runs inline on the calling thread.
+    pool: ParExec,
 }
 
 impl CryptoNets {
@@ -35,7 +39,9 @@ impl CryptoNets {
     ///
     /// # Errors
     ///
-    /// Propagates parameter validation failures.
+    /// Returns [`BfvError::InvalidShape`] when the model's geometry is
+    /// inconsistent ([`QuantizedCnn::check_geometry`]) and propagates
+    /// parameter validation failures.
     ///
     /// # Panics
     ///
@@ -46,6 +52,7 @@ impl CryptoNets {
             QuantPipeline::CryptoNets,
             "model must be quantized for the CryptoNets pipeline"
         );
+        model.check_geometry().map_err(BfvError::InvalidShape)?;
         let report = model.range_report();
         // Depth-1 pipeline (the square) — small CRT moduli keep the
         // multiplication noise growth manageable.
@@ -58,6 +65,7 @@ impl CryptoNets {
             conv_bank,
             fc_bank,
             arena: PolyArena::new(),
+            pool: ParExec::serial(),
         })
     }
 
@@ -100,7 +108,7 @@ impl CryptoNets {
     ) -> Result<(Vec<CrtCiphertext>, OpCounter)> {
         let m = &self.model;
         let mut counter = OpCounter::default();
-        let conv = ops::he_conv2d_cached(
+        let conv = ops::he_conv2d(
             &self.sys,
             input,
             &self.conv_bank,
@@ -108,20 +116,34 @@ impl CryptoNets {
             m.kernel,
             1,
             &mut counter,
+            &self.pool,
             &self.arena,
         )?;
-        let squared = ops::he_square_activation(&self.sys, &conv, &keys.evaluation, &mut counter)?;
+        let squared = ops::he_square_activation(
+            &self.sys,
+            &conv,
+            &keys.evaluation,
+            &mut counter,
+            &self.pool,
+        )?;
         // The conv map is consumed; its buffers seed the pool accumulators.
         conv.recycle(&self.arena);
-        let pooled =
-            ops::he_scaled_mean_pool(&self.sys, &squared, m.window, &mut counter, &self.arena)?;
+        let pooled = ops::he_scaled_mean_pool(
+            &self.sys,
+            &squared,
+            m.window,
+            &mut counter,
+            &self.pool,
+            &self.arena,
+        )?;
         squared.recycle(&self.arena);
-        let logits = ops::he_fully_connected_cached(
+        let logits = ops::he_fully_connected(
             &self.sys,
             &pooled,
             &self.fc_bank,
             m.classes,
             &mut counter,
+            &self.pool,
             &self.arena,
         )?;
         pooled.recycle(&self.arena);

@@ -1,8 +1,16 @@
 //! Homomorphic layer operations: convolution, fully connected, scaled
 //! mean-pool, and the square activation — with operation counting for the
 //! paper's Fig. 4 analysis.
+//!
+//! There is one kernel per operation. Each schedules output cells × CRT
+//! limbs as independent tasks on a [`ParExec`]; the ops draw no randomness
+//! and every limb sees the same operation order, so the output is
+//! bit-identical for any pool size (a pool of one runs the tasks inline on
+//! the calling thread). Conv and FC consume a provisioned [`WeightBank`];
+//! the raw-weight [`he_conv2d_reference`] / [`he_fully_connected_reference`]
+//! are the test and bench oracles the kernels are pinned against.
 
-use crate::crt::{CrtCiphertext, CrtPlainSystem, CrtPreparedScalar};
+use crate::crt::{CrtCiphertext, CrtPlainSystem};
 use crate::image::EncryptedMap;
 use crate::par::ParExec;
 use crate::weights::WeightBank;
@@ -25,9 +33,9 @@ pub struct OpCounter {
     pub relin: u64,
     /// Per-call weight-operand preparations (centering + Shoup
     /// precomputation for a scalar, `Δ·m` embedding for a bias) performed
-    /// *inside* the layer op. The uncached kernels pay one per `C×P` and
-    /// one per bias; the [`WeightBank`]-driven kernels pay zero — all
-    /// preparation happened at provisioning.
+    /// *inside* the layer op. The [`WeightBank`]-driven kernels pay zero —
+    /// all preparation happened at provisioning; the raw-weight reference
+    /// oracles pay one per `C×P` and one per bias.
     pub weight_prep: u64,
 }
 
@@ -41,19 +49,290 @@ impl OpCounter {
     }
 }
 
+/// Reassembles `(cell, part)`-indexed task results (part-major within each
+/// cell) into whole CRT ciphertexts.
+fn assemble_cells(parts: Vec<Ciphertext>, n_cells: usize, n_parts: usize) -> Vec<CrtCiphertext> {
+    debug_assert_eq!(parts.len(), n_cells * n_parts);
+    let mut iter = parts.into_iter();
+    (0..n_cells)
+        .map(|_| CrtCiphertext {
+            parts: iter.by_ref().take(n_parts).collect(),
+        })
+        .collect()
+}
+
+/// One output cell of [`he_conv2d`], restricted to CRT part `part`: a fused
+/// multiply-accumulate chain over the kernel taps, then the prepared bias.
+#[allow(clippy::too_many_arguments)]
+fn conv_cell_part(
+    sys: &CrtPlainSystem,
+    input: &EncryptedMap,
+    bank: &WeightBank,
+    in_channels: usize,
+    kernel: usize,
+    stride: usize,
+    o: usize,
+    oy: usize,
+    ox: usize,
+    part: usize,
+    arena: &PolyArena,
+) -> Result<Ciphertext> {
+    let mut acc: Option<Ciphertext> = None;
+    for i in 0..in_channels {
+        for ky in 0..kernel {
+            for kx in 0..kernel {
+                let wgt =
+                    bank.scalars[((o * in_channels + i) * kernel + ky) * kernel + kx].part(part);
+                let x = &input.cell(i, oy * stride + ky, ox * stride + kx).parts[part];
+                match acc.as_mut() {
+                    None => acc = Some(sys.mul_scalar_prepared_arena_part(x, wgt, arena, part)?),
+                    Some(a) => sys.mul_scalar_acc_part(a, x, wgt, part)?,
+                }
+            }
+        }
+    }
+    let mut acc = acc.expect("kernel is non-empty");
+    sys.add_bias_inplace_part(&mut acc, bank.biases[o].part(part), part)?;
+    Ok(acc)
+}
+
 /// Homomorphic 2-D convolution (stride `stride`, valid padding) of a
-/// single-channel-per-group weight set: `weights[out][in][k][k]` flattened,
-/// integer bias per output channel.
+/// single-channel-per-group weight set: `bank.scalars` is
+/// `weights[out][in][k][k]` flattened, `bank.biases` one per output channel.
 ///
 /// Each output cell is `Σ w·x + bias` computed with scalar `C×P` multiplies
-/// and `C+C` additions — exactly the paper's Fig. 4 workload.
+/// and `C+C` additions — exactly the paper's Fig. 4 workload — as a fused
+/// multiply-accumulate with no per-call weight preparation (`weight_prep`
+/// stays 0); the one allocation per output cell (the initial accumulator)
+/// is drawn from `arena`. Op counts are tallied analytically.
+///
+/// # Errors
+///
+/// Propagates homomorphic-operation failures (lowest task index first).
+///
+/// # Panics
+///
+/// Panics when the bank does not hold `out_channels · in_channels · kernel²`
+/// scalars and `out_channels` biases — an invariant
+/// [`hesgx_nn::quantize::QuantizedCnn::check_geometry`] establishes for
+/// model-driven callers.
+#[allow(clippy::too_many_arguments)]
+// hesgx-lint: hot
+pub fn he_conv2d(
+    sys: &CrtPlainSystem,
+    input: &EncryptedMap,
+    bank: &WeightBank,
+    out_channels: usize,
+    kernel: usize,
+    stride: usize,
+    counter: &mut OpCounter,
+    pool: &ParExec,
+    arena: &PolyArena,
+) -> Result<EncryptedMap> {
+    let _prof = hesgx_obs::prof::span("henn.conv2d");
+    let (in_channels, h, w) = input.shape();
+    assert_eq!(
+        bank.scalars.len(),
+        out_channels * in_channels * kernel * kernel,
+        "weight count mismatch"
+    );
+    assert_eq!(bank.biases.len(), out_channels);
+    let oh = (h - kernel) / stride + 1;
+    let ow = (w - kernel) / stride + 1;
+    let n_cells = out_channels * oh * ow;
+    let n_parts = sys.part_count();
+    let parts = pool.try_run(n_cells * n_parts, |t| {
+        let (ci, part) = (t / n_parts, t % n_parts);
+        let o = ci / (oh * ow);
+        let rem = ci % (oh * ow);
+        conv_cell_part(
+            sys,
+            input,
+            bank,
+            in_channels,
+            kernel,
+            stride,
+            o,
+            rem / ow,
+            rem % ow,
+            part,
+            arena,
+        )
+    })?;
+    let muls = (in_channels * kernel * kernel) as u64;
+    counter.ct_pt_mul += n_cells as u64 * muls;
+    counter.ct_ct_add += n_cells as u64 * (muls - 1);
+    counter.ct_pt_add += n_cells as u64;
+    Ok(EncryptedMap::new(
+        out_channels,
+        oh,
+        ow,
+        assemble_cells(parts, n_cells, n_parts),
+    ))
+}
+
+/// Homomorphic fully connected layer over the flattened input map
+/// (`bank.scalars` is `weights[out][flat]`, one bias per output). The paper
+/// realizes this as a convolution with input-sized kernels (Table VI); the
+/// arithmetic is the same dot product, run as output neurons × CRT limbs
+/// with fused accumulate and arena-backed accumulators.
+///
+/// # Errors
+///
+/// Propagates homomorphic-operation failures (lowest task index first).
+///
+/// # Panics
+///
+/// Panics when the bank does not hold `out_dim · flat` scalars and `out_dim`
+/// biases.
+// hesgx-lint: hot
+pub fn he_fully_connected(
+    sys: &CrtPlainSystem,
+    input: &EncryptedMap,
+    bank: &WeightBank,
+    out_dim: usize,
+    counter: &mut OpCounter,
+    pool: &ParExec,
+    arena: &PolyArena,
+) -> Result<Vec<CrtCiphertext>> {
+    let _prof = hesgx_obs::prof::span("henn.fc");
+    let flat = input.cells().len();
+    assert_eq!(
+        bank.scalars.len(),
+        out_dim * flat,
+        "FC weight count mismatch"
+    );
+    assert_eq!(bank.biases.len(), out_dim);
+    let n_parts = sys.part_count();
+    let parts = pool.try_run(out_dim * n_parts, |t| -> Result<Ciphertext> {
+        let (o, part) = (t / n_parts, t % n_parts);
+        let mut acc: Option<Ciphertext> = None;
+        for (i, cell) in input.cells().iter().enumerate() {
+            let wgt = bank.scalars[o * flat + i].part(part);
+            match acc.as_mut() {
+                None => {
+                    acc = Some(sys.mul_scalar_prepared_arena_part(
+                        &cell.parts[part],
+                        wgt,
+                        arena,
+                        part,
+                    )?);
+                }
+                Some(a) => sys.mul_scalar_acc_part(a, &cell.parts[part], wgt, part)?,
+            }
+        }
+        let mut acc = acc.expect("FC input non-empty");
+        sys.add_bias_inplace_part(&mut acc, bank.biases[o].part(part), part)?;
+        Ok(acc)
+    })?;
+    counter.ct_pt_mul += (out_dim * flat) as u64;
+    counter.ct_ct_add += (out_dim * (flat - 1)) as u64;
+    counter.ct_pt_add += out_dim as u64;
+    Ok(assemble_cells(parts, out_dim, n_parts))
+}
+
+/// Scaled mean-pooling: the window **sum** (no division — HE cannot divide;
+/// paper §III-A). Output values are `window²` times the true mean. Each
+/// window accumulator owns its ciphertext (an in-place borrow would alias
+/// the input map); its buffers come from `arena`, so the copy recycles the
+/// previous stage's limbs instead of allocating.
+///
+/// # Errors
+///
+/// Propagates homomorphic-operation failures (lowest task index first).
+///
+/// # Panics
+///
+/// Panics when `window` does not divide the map sides.
+// hesgx-lint: hot
+pub fn he_scaled_mean_pool(
+    sys: &CrtPlainSystem,
+    input: &EncryptedMap,
+    window: usize,
+    counter: &mut OpCounter,
+    pool: &ParExec,
+    arena: &PolyArena,
+) -> Result<EncryptedMap> {
+    let _prof = hesgx_obs::prof::span("henn.pool");
+    let (c, h, w) = input.shape();
+    assert_eq!(h % window, 0);
+    assert_eq!(w % window, 0);
+    let (oh, ow) = (h / window, w / window);
+    let n_cells = c * oh * ow;
+    let n_parts = sys.part_count();
+    let parts = pool.try_run(n_cells * n_parts, |t| -> Result<Ciphertext> {
+        let (ci, part) = (t / n_parts, t % n_parts);
+        let ch = ci / (oh * ow);
+        let rem = ci % (oh * ow);
+        let (oy, ox) = (rem / ow, rem % ow);
+        let mut acc = arena.copy_ciphertext(&input.cell(ch, oy * window, ox * window).parts[part]);
+        for dy in 0..window {
+            for dx in 0..window {
+                if dy == 0 && dx == 0 {
+                    continue;
+                }
+                let other = input.cell(ch, oy * window + dy, ox * window + dx);
+                sys.add_inplace_part(&mut acc, &other.parts[part], part)?;
+            }
+        }
+        Ok(acc)
+    })?;
+    counter.ct_ct_add += n_cells as u64 * (window * window - 1) as u64;
+    Ok(EncryptedMap::new(
+        c,
+        oh,
+        ow,
+        assemble_cells(parts, n_cells, n_parts),
+    ))
+}
+
+/// Square activation: slot-wise `x²` via ciphertext multiplication, followed
+/// by relinearization with `evk` (the pure-HE pipeline's `EncryptSigmoid`
+/// substitute, paper §VI-C).
+///
+/// # Errors
+///
+/// Propagates homomorphic-operation failures (lowest task index first).
+// hesgx-lint: hot
+pub fn he_square_activation(
+    sys: &CrtPlainSystem,
+    input: &EncryptedMap,
+    evk: &[EvaluationKeys],
+    counter: &mut OpCounter,
+    pool: &ParExec,
+) -> Result<EncryptedMap> {
+    let _prof = hesgx_obs::prof::span("henn.square");
+    let (c, h, w) = input.shape();
+    let n_cells = input.cells().len();
+    let n_parts = sys.part_count();
+    let parts = pool.try_run(n_cells * n_parts, |t| {
+        let (ci, part) = (t / n_parts, t % n_parts);
+        let sq = sys.square_part(&input.cells()[ci].parts[part], part)?;
+        sys.relinearize_part(&sq, evk, part)
+    })?;
+    counter.ct_ct_mul += n_cells as u64;
+    counter.relin += n_cells as u64;
+    Ok(EncryptedMap::new(
+        c,
+        h,
+        w,
+        assemble_cells(parts, n_cells, n_parts),
+    ))
+}
+
+/// Raw-weight oracle for [`he_conv2d`]: the textbook serial loop — one
+/// whole-ciphertext scalar multiply (re-deriving the weight form) and one
+/// temporary ciphertext per tap, `weights[out][in][k][k]` flattened, integer
+/// bias per output channel. Output ciphertexts are bit-identical to the
+/// kernel's; `weight_prep` counts the one-per-tap and one-per-bias
+/// preparations the [`WeightBank`] removes. Tests pin the kernel against it
+/// and the Fig. 4 bench times it.
 ///
 /// # Errors
 ///
 /// Propagates homomorphic-operation failures.
 #[allow(clippy::too_many_arguments)]
-// hesgx-lint: hot
-pub fn he_conv2d(
+pub fn he_conv2d_reference(
     sys: &CrtPlainSystem,
     input: &EncryptedMap,
     weights: &[i64],
@@ -63,7 +342,6 @@ pub fn he_conv2d(
     stride: usize,
     counter: &mut OpCounter,
 ) -> Result<EncryptedMap> {
-    let _prof = hesgx_obs::prof::span("henn.conv2d");
     let (in_channels, h, w) = input.shape();
     assert_eq!(
         weights.len(),
@@ -106,96 +384,14 @@ pub fn he_conv2d(
     Ok(EncryptedMap::new(out_channels, oh, ow, cells))
 }
 
-/// Arena-backed whole-ciphertext prepared multiply (all CRT parts) — the
-/// first term of an accumulator chain, drawing its buffers from the
-/// session arena instead of the global allocator.
-fn mul_prepared_arena(
-    sys: &CrtPlainSystem,
-    a: &CrtCiphertext,
-    scalar: &CrtPreparedScalar,
-    arena: &PolyArena,
-) -> Result<CrtCiphertext> {
-    let mut parts = Vec::with_capacity(a.parts.len());
-    for i in 0..a.parts.len() {
-        parts.push(sys.mul_scalar_prepared_arena_part(&a.parts[i], scalar.part(i), arena, i)?);
-    }
-    Ok(CrtCiphertext { parts })
-}
-
-/// [`he_conv2d`] driven by a provisioned [`WeightBank`]: identical
-/// arithmetic — output ciphertexts are bit-identical to the uncached
-/// kernel — but no per-call weight preparation (`weight_prep` stays 0),
-/// fused multiply-accumulate instead of a temporary ciphertext per tap,
-/// and the one remaining allocation per output cell (the initial
-/// accumulator) drawn from `arena`.
+/// Raw-weight oracle for [`he_fully_connected`] (`weights[out][flat]`, bias
+/// per output), in the same style as [`he_conv2d_reference`]: bit-identical
+/// logits, one weight preparation per tap and per bias.
 ///
 /// # Errors
 ///
 /// Propagates homomorphic-operation failures.
-#[allow(clippy::too_many_arguments)]
-// hesgx-lint: hot
-pub fn he_conv2d_cached(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    bank: &WeightBank,
-    out_channels: usize,
-    kernel: usize,
-    stride: usize,
-    counter: &mut OpCounter,
-    arena: &PolyArena,
-) -> Result<EncryptedMap> {
-    let _prof = hesgx_obs::prof::span("henn.conv2d_cached");
-    let (in_channels, h, w) = input.shape();
-    assert_eq!(
-        bank.scalars.len(),
-        out_channels * in_channels * kernel * kernel,
-        "weight count mismatch"
-    );
-    assert_eq!(bank.biases.len(), out_channels);
-    let oh = (h - kernel) / stride + 1;
-    let ow = (w - kernel) / stride + 1;
-    let mut cells = Vec::with_capacity(out_channels * oh * ow);
-    for o in 0..out_channels {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc: Option<CrtCiphertext> = None;
-                for i in 0..in_channels {
-                    for ky in 0..kernel {
-                        for kx in 0..kernel {
-                            let wgt =
-                                &bank.scalars[((o * in_channels + i) * kernel + ky) * kernel + kx];
-                            let x = input.cell(i, oy * stride + ky, ox * stride + kx);
-                            counter.ct_pt_mul += 1;
-                            match acc.as_mut() {
-                                None => acc = Some(mul_prepared_arena(sys, x, wgt, arena)?),
-                                Some(a) => {
-                                    sys.mul_scalar_acc(a, x, wgt)?;
-                                    counter.ct_ct_add += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                let mut acc = acc.expect("kernel is non-empty");
-                sys.add_bias_inplace(&mut acc, &bank.biases[o])?;
-                counter.ct_pt_add += 1;
-                cells.push(acc);
-            }
-        }
-    }
-    Ok(EncryptedMap::new(out_channels, oh, ow, cells))
-}
-
-/// Homomorphic fully connected layer over the flattened input map
-/// (`weights[out][flat]`, bias per output). The paper realizes this as a
-/// convolution with input-sized kernels (Table VI); the arithmetic is the
-/// same dot product.
-///
-/// # Errors
-///
-/// Propagates homomorphic-operation failures.
-// hesgx-lint: hot
-pub fn he_fully_connected(
+pub fn he_fully_connected_reference(
     sys: &CrtPlainSystem,
     input: &EncryptedMap,
     weights: &[i64],
@@ -203,7 +399,6 @@ pub fn he_fully_connected(
     out_dim: usize,
     counter: &mut OpCounter,
 ) -> Result<Vec<CrtCiphertext>> {
-    let _prof = hesgx_obs::prof::span("henn.fc");
     let flat = input.cells().len();
     assert_eq!(weights.len(), out_dim * flat, "FC weight count mismatch");
     assert_eq!(bias.len(), out_dim);
@@ -230,514 +425,14 @@ pub fn he_fully_connected(
     Ok(out)
 }
 
-/// [`he_fully_connected`] driven by a provisioned [`WeightBank`]:
-/// bit-identical logits with zero per-call weight preparation and
-/// arena-backed accumulators.
-///
-/// # Errors
-///
-/// Propagates homomorphic-operation failures.
-// hesgx-lint: hot
-pub fn he_fully_connected_cached(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    bank: &WeightBank,
-    out_dim: usize,
-    counter: &mut OpCounter,
-    arena: &PolyArena,
-) -> Result<Vec<CrtCiphertext>> {
-    let _prof = hesgx_obs::prof::span("henn.fc_cached");
-    let flat = input.cells().len();
-    assert_eq!(
-        bank.scalars.len(),
-        out_dim * flat,
-        "FC weight count mismatch"
-    );
-    assert_eq!(bank.biases.len(), out_dim);
-    let mut out = Vec::with_capacity(out_dim);
-    for o in 0..out_dim {
-        let mut acc: Option<CrtCiphertext> = None;
-        for (i, cell) in input.cells().iter().enumerate() {
-            let wgt = &bank.scalars[o * flat + i];
-            counter.ct_pt_mul += 1;
-            match acc.as_mut() {
-                None => acc = Some(mul_prepared_arena(sys, cell, wgt, arena)?),
-                Some(a) => {
-                    sys.mul_scalar_acc(a, cell, wgt)?;
-                    counter.ct_ct_add += 1;
-                }
-            }
-        }
-        let mut acc = acc.expect("FC input non-empty");
-        sys.add_bias_inplace(&mut acc, &bank.biases[o])?;
-        counter.ct_pt_add += 1;
-        out.push(acc);
-    }
-    Ok(out)
-}
-
-/// Scaled mean-pooling: the window **sum** (no division — HE cannot divide;
-/// paper §III-A). Output values are `window²` times the true mean. The
-/// window accumulator owns its ciphertext (an in-place borrow would alias
-/// the input map); its buffers come from `arena`, so the copy recycles the
-/// previous stage's limbs instead of allocating.
-///
-/// # Errors
-///
-/// Propagates homomorphic-operation failures.
-// hesgx-lint: hot
-pub fn he_scaled_mean_pool(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    window: usize,
-    counter: &mut OpCounter,
-    arena: &PolyArena,
-) -> Result<EncryptedMap> {
-    let _prof = hesgx_obs::prof::span("henn.pool");
-    let (c, h, w) = input.shape();
-    assert_eq!(h % window, 0);
-    assert_eq!(w % window, 0);
-    let (oh, ow) = (h / window, w / window);
-    let mut cells = Vec::with_capacity(c * oh * ow);
-    for ch in 0..c {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = input.cell(ch, oy * window, ox * window).arena_copy(arena);
-                for dy in 0..window {
-                    for dx in 0..window {
-                        if dy == 0 && dx == 0 {
-                            continue;
-                        }
-                        sys.add_inplace(
-                            &mut acc,
-                            input.cell(ch, oy * window + dy, ox * window + dx),
-                        )?;
-                        counter.ct_ct_add += 1;
-                    }
-                }
-                cells.push(acc);
-            }
-        }
-    }
-    Ok(EncryptedMap::new(c, oh, ow, cells))
-}
-
-/// Square activation: slot-wise `x²` via ciphertext multiplication, followed
-/// by relinearization with `evk` (the pure-HE pipeline's `EncryptSigmoid`
-/// substitute, paper §VI-C).
-///
-/// # Errors
-///
-/// Propagates homomorphic-operation failures.
-// hesgx-lint: hot
-pub fn he_square_activation(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    evk: &[EvaluationKeys],
-    counter: &mut OpCounter,
-) -> Result<EncryptedMap> {
-    let _prof = hesgx_obs::prof::span("henn.square");
-    let (c, h, w) = input.shape();
-    let mut cells = Vec::with_capacity(input.cells().len());
-    for cell in input.cells() {
-        let sq = sys.square(cell)?;
-        counter.ct_ct_mul += 1;
-        let relin = sys.relinearize(&sq, evk)?;
-        counter.relin += 1;
-        cells.push(relin);
-    }
-    Ok(EncryptedMap::new(c, h, w, cells))
-}
-
-/// Reassembles `(cell, part)`-indexed task results (part-major within each
-/// cell) into whole CRT ciphertexts.
-fn assemble_cells(parts: Vec<Ciphertext>, n_cells: usize, n_parts: usize) -> Vec<CrtCiphertext> {
-    debug_assert_eq!(parts.len(), n_cells * n_parts);
-    let mut iter = parts.into_iter();
-    (0..n_cells)
-        .map(|_| CrtCiphertext {
-            parts: iter.by_ref().take(n_parts).collect(),
-        })
-        .collect()
-}
-
-/// One output cell of [`he_conv2d`], restricted to CRT part `part`: the
-/// same multiply/accumulate sequence the serial path applies to this limb,
-/// so the result is bit-identical for any scheduling.
-#[allow(clippy::too_many_arguments)]
-fn conv_cell_part(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    weights: &[i64],
-    bias: i64,
-    in_channels: usize,
-    kernel: usize,
-    stride: usize,
-    o: usize,
-    oy: usize,
-    ox: usize,
-    part: usize,
-) -> Result<Ciphertext> {
-    let mut acc: Option<Ciphertext> = None;
-    for i in 0..in_channels {
-        for ky in 0..kernel {
-            for kx in 0..kernel {
-                let wgt = weights[((o * in_channels + i) * kernel + ky) * kernel + kx];
-                let x = input.cell(i, oy * stride + ky, ox * stride + kx);
-                let term = sys.mul_scalar_part(&x.parts[part], wgt, part)?;
-                match acc.as_mut() {
-                    None => acc = Some(term),
-                    Some(a) => sys.add_inplace_part(a, &term, part)?,
-                }
-            }
-        }
-    }
-    sys.add_scalar_part(&acc.expect("kernel is non-empty"), bias, part)
-}
-
-/// Parallel [`he_conv2d`]: output cells × CRT limbs are scheduled as
-/// independent tasks on `pool`. Bit-identical to the serial version for any
-/// thread count (the ops draw no randomness and each limb sees the same
-/// operation order). Op counts are tallied analytically and match the
-/// serial counter exactly.
-///
-/// # Errors
-///
-/// Propagates homomorphic-operation failures (lowest task index first).
-#[allow(clippy::too_many_arguments)]
-// hesgx-lint: hot
-pub fn he_conv2d_par(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    weights: &[i64],
-    bias: &[i64],
-    out_channels: usize,
-    kernel: usize,
-    stride: usize,
-    counter: &mut OpCounter,
-    pool: &ParExec,
-) -> Result<EncryptedMap> {
-    let _prof = hesgx_obs::prof::span("henn.conv2d");
-    let (in_channels, h, w) = input.shape();
-    assert_eq!(
-        weights.len(),
-        out_channels * in_channels * kernel * kernel,
-        "weight count mismatch"
-    );
-    assert_eq!(bias.len(), out_channels);
-    let oh = (h - kernel) / stride + 1;
-    let ow = (w - kernel) / stride + 1;
-    let n_cells = out_channels * oh * ow;
-    let n_parts = sys.part_count();
-    let parts = pool.try_run(n_cells * n_parts, |t| {
-        let (ci, part) = (t / n_parts, t % n_parts);
-        let o = ci / (oh * ow);
-        let rem = ci % (oh * ow);
-        conv_cell_part(
-            sys,
-            input,
-            weights,
-            bias[o],
-            in_channels,
-            kernel,
-            stride,
-            o,
-            rem / ow,
-            rem % ow,
-            part,
-        )
-    })?;
-    let muls = (in_channels * kernel * kernel) as u64;
-    counter.ct_pt_mul += n_cells as u64 * muls;
-    counter.ct_ct_add += n_cells as u64 * (muls - 1);
-    counter.ct_pt_add += n_cells as u64;
-    counter.weight_prep += n_cells as u64 * (muls + 1);
-    Ok(EncryptedMap::new(
-        out_channels,
-        oh,
-        ow,
-        assemble_cells(parts, n_cells, n_parts),
-    ))
-}
-
-/// One output cell of [`he_conv2d_cached`], restricted to CRT part `part`:
-/// the same fused multiply-accumulate sequence the cached serial path
-/// applies to this limb, so the result is bit-identical for any
-/// scheduling.
-#[allow(clippy::too_many_arguments)]
-fn conv_cell_part_cached(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    bank: &WeightBank,
-    in_channels: usize,
-    kernel: usize,
-    stride: usize,
-    o: usize,
-    oy: usize,
-    ox: usize,
-    part: usize,
-    arena: &PolyArena,
-) -> Result<Ciphertext> {
-    let mut acc: Option<Ciphertext> = None;
-    for i in 0..in_channels {
-        for ky in 0..kernel {
-            for kx in 0..kernel {
-                let wgt =
-                    bank.scalars[((o * in_channels + i) * kernel + ky) * kernel + kx].part(part);
-                let x = &input.cell(i, oy * stride + ky, ox * stride + kx).parts[part];
-                match acc.as_mut() {
-                    None => acc = Some(sys.mul_scalar_prepared_arena_part(x, wgt, arena, part)?),
-                    Some(a) => sys.mul_scalar_acc_part(a, x, wgt, part)?,
-                }
-            }
-        }
-    }
-    let mut acc = acc.expect("kernel is non-empty");
-    sys.add_bias_inplace_part(&mut acc, bank.biases[o].part(part), part)?;
-    Ok(acc)
-}
-
-/// Parallel [`he_conv2d_cached`]: output cells × CRT limbs as independent
-/// tasks, fused accumulate, zero per-call weight preparation. Bit-identical
-/// to both the cached serial kernel and the uncached paths.
-///
-/// # Errors
-///
-/// Propagates homomorphic-operation failures (lowest task index first).
-#[allow(clippy::too_many_arguments)]
-// hesgx-lint: hot
-pub fn he_conv2d_cached_par(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    bank: &WeightBank,
-    out_channels: usize,
-    kernel: usize,
-    stride: usize,
-    counter: &mut OpCounter,
-    pool: &ParExec,
-    arena: &PolyArena,
-) -> Result<EncryptedMap> {
-    let _prof = hesgx_obs::prof::span("henn.conv2d_cached");
-    let (in_channels, h, w) = input.shape();
-    assert_eq!(
-        bank.scalars.len(),
-        out_channels * in_channels * kernel * kernel,
-        "weight count mismatch"
-    );
-    assert_eq!(bank.biases.len(), out_channels);
-    let oh = (h - kernel) / stride + 1;
-    let ow = (w - kernel) / stride + 1;
-    let n_cells = out_channels * oh * ow;
-    let n_parts = sys.part_count();
-    let parts = pool.try_run(n_cells * n_parts, |t| {
-        let (ci, part) = (t / n_parts, t % n_parts);
-        let o = ci / (oh * ow);
-        let rem = ci % (oh * ow);
-        conv_cell_part_cached(
-            sys,
-            input,
-            bank,
-            in_channels,
-            kernel,
-            stride,
-            o,
-            rem / ow,
-            rem % ow,
-            part,
-            arena,
-        )
-    })?;
-    let muls = (in_channels * kernel * kernel) as u64;
-    counter.ct_pt_mul += n_cells as u64 * muls;
-    counter.ct_ct_add += n_cells as u64 * (muls - 1);
-    counter.ct_pt_add += n_cells as u64;
-    Ok(EncryptedMap::new(
-        out_channels,
-        oh,
-        ow,
-        assemble_cells(parts, n_cells, n_parts),
-    ))
-}
-
-/// Parallel [`he_fully_connected`]: output neurons × CRT limbs as
-/// independent tasks. Bit-identical to the serial version.
-///
-/// # Errors
-///
-/// Propagates homomorphic-operation failures (lowest task index first).
-// hesgx-lint: hot
-pub fn he_fully_connected_par(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    weights: &[i64],
-    bias: &[i64],
-    out_dim: usize,
-    counter: &mut OpCounter,
-    pool: &ParExec,
-) -> Result<Vec<CrtCiphertext>> {
-    let _prof = hesgx_obs::prof::span("henn.fc");
-    let flat = input.cells().len();
-    assert_eq!(weights.len(), out_dim * flat, "FC weight count mismatch");
-    assert_eq!(bias.len(), out_dim);
-    let n_parts = sys.part_count();
-    let parts = pool.try_run(out_dim * n_parts, |t| {
-        let (o, part) = (t / n_parts, t % n_parts);
-        let mut acc: Option<Ciphertext> = None;
-        for (i, cell) in input.cells().iter().enumerate() {
-            let term = sys.mul_scalar_part(&cell.parts[part], weights[o * flat + i], part)?;
-            match acc.as_mut() {
-                None => acc = Some(term),
-                Some(a) => sys.add_inplace_part(a, &term, part)?,
-            }
-        }
-        sys.add_scalar_part(&acc.expect("FC input non-empty"), bias[o], part)
-    })?;
-    counter.ct_pt_mul += (out_dim * flat) as u64;
-    counter.ct_ct_add += (out_dim * (flat - 1)) as u64;
-    counter.ct_pt_add += out_dim as u64;
-    counter.weight_prep += (out_dim * (flat + 1)) as u64;
-    Ok(assemble_cells(parts, out_dim, n_parts))
-}
-
-/// Parallel [`he_fully_connected_cached`]: output neurons × CRT limbs as
-/// independent tasks, fused accumulate, zero per-call weight preparation.
-/// Bit-identical to both the cached serial kernel and the uncached paths.
-///
-/// # Errors
-///
-/// Propagates homomorphic-operation failures (lowest task index first).
-// hesgx-lint: hot
-pub fn he_fully_connected_cached_par(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    bank: &WeightBank,
-    out_dim: usize,
-    counter: &mut OpCounter,
-    pool: &ParExec,
-    arena: &PolyArena,
-) -> Result<Vec<CrtCiphertext>> {
-    let _prof = hesgx_obs::prof::span("henn.fc_cached");
-    let flat = input.cells().len();
-    assert_eq!(
-        bank.scalars.len(),
-        out_dim * flat,
-        "FC weight count mismatch"
-    );
-    assert_eq!(bank.biases.len(), out_dim);
-    let n_parts = sys.part_count();
-    let parts = pool.try_run(out_dim * n_parts, |t| -> Result<Ciphertext> {
-        let (o, part) = (t / n_parts, t % n_parts);
-        let mut acc: Option<Ciphertext> = None;
-        for (i, cell) in input.cells().iter().enumerate() {
-            let wgt = bank.scalars[o * flat + i].part(part);
-            match acc.as_mut() {
-                None => {
-                    acc = Some(sys.mul_scalar_prepared_arena_part(
-                        &cell.parts[part],
-                        wgt,
-                        arena,
-                        part,
-                    )?);
-                }
-                Some(a) => sys.mul_scalar_acc_part(a, &cell.parts[part], wgt, part)?,
-            }
-        }
-        let mut acc = acc.expect("FC input non-empty");
-        sys.add_bias_inplace_part(&mut acc, bank.biases[o].part(part), part)?;
-        Ok(acc)
-    })?;
-    counter.ct_pt_mul += (out_dim * flat) as u64;
-    counter.ct_ct_add += (out_dim * (flat - 1)) as u64;
-    counter.ct_pt_add += out_dim as u64;
-    Ok(assemble_cells(parts, out_dim, n_parts))
-}
-
-/// Parallel [`he_scaled_mean_pool`]: pooled cells × CRT limbs as
-/// independent tasks. Bit-identical to the serial version.
-///
-/// # Errors
-///
-/// Propagates homomorphic-operation failures (lowest task index first).
-// hesgx-lint: hot
-pub fn he_scaled_mean_pool_par(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    window: usize,
-    counter: &mut OpCounter,
-    pool: &ParExec,
-    arena: &PolyArena,
-) -> Result<EncryptedMap> {
-    let _prof = hesgx_obs::prof::span("henn.pool");
-    let (c, h, w) = input.shape();
-    assert_eq!(h % window, 0);
-    assert_eq!(w % window, 0);
-    let (oh, ow) = (h / window, w / window);
-    let n_cells = c * oh * ow;
-    let n_parts = sys.part_count();
-    let parts = pool.try_run(n_cells * n_parts, |t| -> Result<Ciphertext> {
-        let (ci, part) = (t / n_parts, t % n_parts);
-        let ch = ci / (oh * ow);
-        let rem = ci % (oh * ow);
-        let (oy, ox) = (rem / ow, rem % ow);
-        let mut acc = arena.copy_ciphertext(&input.cell(ch, oy * window, ox * window).parts[part]);
-        for dy in 0..window {
-            for dx in 0..window {
-                if dy == 0 && dx == 0 {
-                    continue;
-                }
-                let other = input.cell(ch, oy * window + dy, ox * window + dx);
-                sys.add_inplace_part(&mut acc, &other.parts[part], part)?;
-            }
-        }
-        Ok(acc)
-    })?;
-    counter.ct_ct_add += n_cells as u64 * (window * window - 1) as u64;
-    Ok(EncryptedMap::new(
-        c,
-        oh,
-        ow,
-        assemble_cells(parts, n_cells, n_parts),
-    ))
-}
-
-/// Parallel [`he_square_activation`]: cells × CRT limbs as independent
-/// tasks. Bit-identical to the serial version.
-///
-/// # Errors
-///
-/// Propagates homomorphic-operation failures (lowest task index first).
-// hesgx-lint: hot
-pub fn he_square_activation_par(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    evk: &[EvaluationKeys],
-    counter: &mut OpCounter,
-    pool: &ParExec,
-) -> Result<EncryptedMap> {
-    let _prof = hesgx_obs::prof::span("henn.square");
-    let (c, h, w) = input.shape();
-    let n_cells = input.cells().len();
-    let n_parts = sys.part_count();
-    let parts = pool.try_run(n_cells * n_parts, |t| {
-        let (ci, part) = (t / n_parts, t % n_parts);
-        let sq = sys.square_part(&input.cells()[ci].parts[part], part)?;
-        sys.relinearize_part(&sq, evk, part)
-    })?;
-    counter.ct_ct_mul += n_cells as u64;
-    counter.relin += n_cells as u64;
-    Ok(EncryptedMap::new(
-        c,
-        h,
-        w,
-        assemble_cells(parts, n_cells, n_parts),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::crt::CrtPlainSystem;
     use hesgx_crypto::rng::ChaChaRng;
+
+    /// Every kernel is swept over these pool sizes; 1 is the inline path.
+    const POOLS: [usize; 3] = [1, 2, 4];
 
     fn setup() -> (CrtPlainSystem, crate::crt::CrtKeys, ChaChaRng) {
         let sys = CrtPlainSystem::new(256, &[12289, 13313]).unwrap();
@@ -772,31 +467,36 @@ mod tests {
         out
     }
 
+    /// Two 6×6 images, a 2-channel 3×3 weight set, and its biases.
+    fn conv_case() -> (Vec<Vec<i64>>, Vec<i64>, Vec<i64>) {
+        let images = (0..2)
+            .map(|b| (0..36).map(|p| ((p * 7 + b * 3) % 16) as i64).collect())
+            .collect();
+        let weights = (0..2 * 9).map(|i| (i as i64 % 5) - 2).collect();
+        (images, weights, vec![4i64, -3])
+    }
+
     #[test]
     fn conv_matches_plaintext_reference() {
         let (sys, keys, mut rng) = setup();
-        let side = 6;
-        let k = 3;
-        let images: Vec<Vec<i64>> = (0..2)
-            .map(|b| {
-                (0..side * side)
-                    .map(|p| ((p * 7 + b * 3) % 16) as i64)
-                    .collect()
-            })
-            .collect();
-        let weights: Vec<i64> = (0..2 * k * k).map(|i| (i as i64 % 5) - 2).collect();
-        let bias = vec![4i64, -3];
+        let (side, k) = (6, 3);
+        let (images, weights, bias) = conv_case();
         let enc =
             EncryptedMap::encrypt_images(&sys, &images, side, &keys.public, &mut rng).unwrap();
-        let mut counter = OpCounter::default();
-        let out = he_conv2d(&sys, &enc, &weights, &bias, 2, k, 1, &mut counter).unwrap();
-        assert_eq!(out.shape(), (2, 4, 4));
-        assert_eq!(counter.ct_pt_mul, 2 * 16 * 9);
-        let dec = out.decrypt_all(&sys, &keys.secret, 2).unwrap();
-        for (b, img) in images.iter().enumerate() {
-            let expect = plain_conv(img, side, &weights, &bias, 2, k);
-            let expect: Vec<i128> = expect.iter().map(|&v| v as i128).collect();
-            assert_eq!(dec[b], expect, "batch {b}");
+        let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
+        let arena = PolyArena::new();
+        for threads in POOLS {
+            let mut counter = OpCounter::default();
+            let pool = ParExec::new(threads);
+            let out = he_conv2d(&sys, &enc, &bank, 2, k, 1, &mut counter, &pool, &arena).unwrap();
+            assert_eq!(out.shape(), (2, 4, 4));
+            assert_eq!(counter.ct_pt_mul, 2 * 16 * 9);
+            let dec = out.decrypt_all(&sys, &keys.secret, 2).unwrap();
+            for (b, img) in images.iter().enumerate() {
+                let expect = plain_conv(img, side, &weights, &bias, 2, k);
+                let expect: Vec<i128> = expect.iter().map(|&v| v as i128).collect();
+                assert_eq!(dec[b], expect, "batch {b}, {threads} threads");
+            }
         }
     }
 
@@ -807,14 +507,24 @@ mod tests {
         let images = vec![(1..=16i64).collect::<Vec<_>>()];
         let enc =
             EncryptedMap::encrypt_images(&sys, &images, side, &keys.public, &mut rng).unwrap();
-        let mut counter = OpCounter::default();
         let arena = PolyArena::new();
-        let pooled = he_scaled_mean_pool(&sys, &enc, 2, &mut counter, &arena).unwrap();
-        assert_eq!(pooled.shape(), (1, 2, 2));
-        let dec = pooled.decrypt_all(&sys, &keys.secret, 1).unwrap();
-        // windows: [1,2,5,6]=14, [3,4,7,8]=22, [9,10,13,14]=46, [11,12,15,16]=54.
-        assert_eq!(dec[0], vec![14, 22, 46, 54]);
-        assert_eq!(counter.ct_ct_add, 4 * 3);
+        let mut reference = None;
+        for threads in POOLS {
+            let mut counter = OpCounter::default();
+            let pool = ParExec::new(threads);
+            let pooled = he_scaled_mean_pool(&sys, &enc, 2, &mut counter, &pool, &arena).unwrap();
+            assert_eq!(pooled.shape(), (1, 2, 2));
+            let dec = pooled.decrypt_all(&sys, &keys.secret, 1).unwrap();
+            // windows: [1,2,5,6]=14, [3,4,7,8]=22, [9,10,13,14]=46, [11,12,15,16]=54.
+            assert_eq!(dec[0], vec![14, 22, 46, 54]);
+            assert_eq!(counter.ct_ct_add, 4 * 3);
+            let cells = pooled.cells().to_vec();
+            assert_eq!(
+                *reference.get_or_insert(cells.clone()),
+                cells,
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -822,12 +532,23 @@ mod tests {
         let (sys, keys, mut rng) = setup();
         let images = vec![vec![3i64, -4, 0, 12]];
         let enc = EncryptedMap::encrypt_images(&sys, &images, 2, &keys.public, &mut rng).unwrap();
-        let mut counter = OpCounter::default();
-        let sq = he_square_activation(&sys, &enc, &keys.evaluation, &mut counter).unwrap();
-        let dec = sq.decrypt_all(&sys, &keys.secret, 1).unwrap();
-        assert_eq!(dec[0], vec![9, 16, 0, 144]);
-        assert_eq!(counter.ct_ct_mul, 4);
-        assert_eq!(counter.relin, 4);
+        let mut reference = None;
+        for threads in POOLS {
+            let mut counter = OpCounter::default();
+            let pool = ParExec::new(threads);
+            let sq =
+                he_square_activation(&sys, &enc, &keys.evaluation, &mut counter, &pool).unwrap();
+            let dec = sq.decrypt_all(&sys, &keys.secret, 1).unwrap();
+            assert_eq!(dec[0], vec![9, 16, 0, 144]);
+            assert_eq!(counter.ct_ct_mul, 4);
+            assert_eq!(counter.relin, 4);
+            let cells = sq.cells().to_vec();
+            assert_eq!(
+                *reference.get_or_insert(cells.clone()),
+                cells,
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -836,57 +557,50 @@ mod tests {
         let images = vec![vec![1i64, 2, 3, 4]];
         let enc = EncryptedMap::encrypt_images(&sys, &images, 2, &keys.public, &mut rng).unwrap();
         let weights = vec![1i64, -1, 2, 0, /* row 2 */ 3, 3, -3, 1];
-        let bias = vec![10, -10];
-        let mut counter = OpCounter::default();
-        let out = he_fully_connected(&sys, &enc, &weights, &bias, 2, &mut counter).unwrap();
-        let logits: Vec<i128> = out
-            .iter()
-            .map(|ct| sys.decrypt_slots(ct, &keys.secret).unwrap()[0])
-            .collect();
-        assert_eq!(logits, vec![(1 - 2 + 6) + 10, 4 - 10]);
+        let bank = WeightBank::prepare(&sys, &weights, &[10, -10]).unwrap();
+        let arena = PolyArena::new();
+        for threads in POOLS {
+            let mut counter = OpCounter::default();
+            let pool = ParExec::new(threads);
+            let out =
+                he_fully_connected(&sys, &enc, &bank, 2, &mut counter, &pool, &arena).unwrap();
+            let logits: Vec<i128> = out
+                .iter()
+                .map(|ct| sys.decrypt_slots(ct, &keys.secret).unwrap()[0])
+                .collect();
+            assert_eq!(logits, vec![(1 - 2 + 6) + 10, 4 - 10], "{threads} threads");
+        }
     }
 
     #[test]
     fn cached_conv_is_bit_identical_with_zero_weight_prep() {
         let (sys, keys, mut rng) = setup();
-        let side = 6;
-        let k = 3;
-        let images: Vec<Vec<i64>> = (0..2)
-            .map(|b| {
-                (0..side * side)
-                    .map(|p| ((p * 7 + b * 3) % 16) as i64)
-                    .collect()
-            })
-            .collect();
-        let weights: Vec<i64> = (0..2 * k * k).map(|i| (i as i64 % 5) - 2).collect();
-        let bias = vec![4i64, -3];
+        let (side, k) = (6, 3);
+        let (images, weights, bias) = conv_case();
         let enc =
             EncryptedMap::encrypt_images(&sys, &images, side, &keys.public, &mut rng).unwrap();
-        let mut uncached = OpCounter::default();
-        let base = he_conv2d(&sys, &enc, &weights, &bias, 2, k, 1, &mut uncached).unwrap();
+        let mut oracle = OpCounter::default();
+        let base = he_conv2d_reference(&sys, &enc, &weights, &bias, 2, k, 1, &mut oracle).unwrap();
+        // The oracle's per-call weight preparation: 2·16 cells × 9 taps +
+        // 2·16 biases.
+        assert_eq!(oracle.weight_prep, 2 * 16 * 9 + 2 * 16);
         let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
         let arena = PolyArena::new();
-        let mut cached = OpCounter::default();
-        let fast = he_conv2d_cached(&sys, &enc, &bank, 2, k, 1, &mut cached, &arena).unwrap();
-        // Ciphertext-level bit-identity, not just equal decryptions.
-        assert_eq!(fast.cells(), base.cells());
-        // Same homomorphic work, but every per-call weight preparation
-        // (2·16 cells × 9 taps + 2·16 biases in the uncached kernel) drops
-        // to zero — the satellite op-count pin.
-        assert_eq!(cached.ct_pt_mul, uncached.ct_pt_mul);
-        assert_eq!(cached.ct_ct_add, uncached.ct_ct_add);
-        assert_eq!(cached.ct_pt_add, uncached.ct_pt_add);
-        assert_eq!(uncached.weight_prep, 2 * 16 * 9 + 2 * 16);
-        assert_eq!(cached.weight_prep, 0);
-        // The parallel cached kernel agrees for every pool size.
-        for threads in [1, 2, 4] {
+        for threads in POOLS {
             let pool = ParExec::new(threads);
-            let mut par_counter = OpCounter::default();
-            let par =
-                he_conv2d_cached_par(&sys, &enc, &bank, 2, k, 1, &mut par_counter, &pool, &arena)
-                    .unwrap();
-            assert_eq!(par.cells(), base.cells(), "{threads} threads");
-            assert_eq!(par_counter, cached, "{threads} threads");
+            let mut counter = OpCounter::default();
+            let fast = he_conv2d(&sys, &enc, &bank, 2, k, 1, &mut counter, &pool, &arena).unwrap();
+            // Ciphertext-level bit-identity, not just equal decryptions.
+            assert_eq!(fast.cells(), base.cells(), "{threads} threads");
+            // Same homomorphic work, zero per-call weight preparation.
+            assert_eq!(
+                counter,
+                OpCounter {
+                    weight_prep: 0,
+                    ..oracle
+                },
+                "{threads} threads"
+            );
         }
     }
 
@@ -897,30 +611,26 @@ mod tests {
         let enc = EncryptedMap::encrypt_images(&sys, &images, 2, &keys.public, &mut rng).unwrap();
         let weights = vec![1i64, -1, 2, 0, /* row 2 */ 3, 3, -3, 1];
         let bias = vec![10, -10];
-        let mut uncached = OpCounter::default();
-        let base = he_fully_connected(&sys, &enc, &weights, &bias, 2, &mut uncached).unwrap();
+        let mut oracle = OpCounter::default();
+        let base =
+            he_fully_connected_reference(&sys, &enc, &weights, &bias, 2, &mut oracle).unwrap();
+        assert_eq!(oracle.weight_prep, 2 * 4 + 2);
         let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
         let arena = PolyArena::new();
-        let mut cached = OpCounter::default();
-        let fast = he_fully_connected_cached(&sys, &enc, &bank, 2, &mut cached, &arena).unwrap();
-        assert_eq!(fast, base);
-        assert_eq!(uncached.weight_prep, 2 * 4 + 2);
-        assert_eq!(cached.weight_prep, 0);
-        for threads in [1, 3] {
+        for threads in POOLS {
             let pool = ParExec::new(threads);
-            let mut par_counter = OpCounter::default();
-            let par = he_fully_connected_cached_par(
-                &sys,
-                &enc,
-                &bank,
-                2,
-                &mut par_counter,
-                &pool,
-                &arena,
-            )
-            .unwrap();
-            assert_eq!(par, base, "{threads} threads");
-            assert_eq!(par_counter, cached, "{threads} threads");
+            let mut counter = OpCounter::default();
+            let fast =
+                he_fully_connected(&sys, &enc, &bank, 2, &mut counter, &pool, &arena).unwrap();
+            assert_eq!(fast, base, "{threads} threads");
+            assert_eq!(
+                counter,
+                OpCounter {
+                    weight_prep: 0,
+                    ..oracle
+                },
+                "{threads} threads"
+            );
         }
     }
 
@@ -938,7 +648,8 @@ mod tests {
         let parked = arena.free_buffers();
         assert!(parked > 0);
         let mut counter = OpCounter::default();
-        let pooled = he_scaled_mean_pool(&sys, &enc, 2, &mut counter, &arena).unwrap();
+        let pooled =
+            he_scaled_mean_pool(&sys, &enc, 2, &mut counter, &ParExec::serial(), &arena).unwrap();
         assert!(arena.free_buffers() < parked);
         let dec = pooled.decrypt_all(&sys, &keys.secret, 1).unwrap();
         assert_eq!(dec[0], vec![14, 22, 46, 54]);

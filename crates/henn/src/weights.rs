@@ -50,9 +50,9 @@ pub fn prepare_encoded_weights(
 
 /// All prepared operands of one linear layer (conv or FC): scalar weights
 /// with their per-limb Shoup constants and biases with their `Δ·c` residues,
-/// computed once at provisioning. The cached layer kernels in
-/// [`crate::ops`] consume a bank instead of raw integers, so no request
-/// ever re-derives a weight form.
+/// computed once at provisioning. The conv/FC kernels in [`crate::ops`]
+/// consume a bank instead of raw integers, so no request ever re-derives a
+/// weight form.
 #[derive(Debug, Clone)]
 pub struct WeightBank {
     /// Prepared multiply operands, in the layer's flattened weight order.

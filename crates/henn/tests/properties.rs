@@ -7,8 +7,12 @@ use hesgx_henn::crt::{CrtKeys, CrtPlainSystem};
 use hesgx_henn::image::EncryptedMap;
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
+use hesgx_henn::weights::WeightBank;
 use proptest::prelude::*;
 use std::sync::OnceLock;
+
+/// Every kernel is swept over these pool sizes; 1 runs inline.
+const POOLS: [usize; 3] = [1, 2, 4];
 
 fn system() -> &'static (CrtPlainSystem, CrtKeys) {
     static SYS: OnceLock<(CrtPlainSystem, CrtKeys)> = OnceLock::new();
@@ -71,19 +75,22 @@ proptest! {
         let mut rng = ChaChaRng::from_seed(seed);
         let images = vec![pixels.clone()];
         let enc = EncryptedMap::encrypt_images(sys, &images, 4, &keys.public, &mut rng).unwrap();
-        let mut counter = OpCounter::default();
-        let out = ops::he_conv2d(sys, &enc, &weights, &[bias], 1, 2, 1, &mut counter).unwrap();
-        let dec = out.decrypt_all(sys, &keys.secret, 1).unwrap();
-        // Plain reference.
-        for oy in 0..3 {
-            for ox in 0..3 {
-                let mut acc = bias;
-                for ky in 0..2 {
-                    for kx in 0..2 {
-                        acc += weights[ky * 2 + kx] * pixels[(oy + ky) * 4 + ox + kx];
+        let bank = WeightBank::prepare(sys, &weights, &[bias]).unwrap();
+        for threads in POOLS {
+            let mut counter = OpCounter::default();
+            let out = ops::he_conv2d(sys, &enc, &bank, 1, 2, 1, &mut counter, &ParExec::new(threads), &PolyArena::new()).unwrap();
+            let dec = out.decrypt_all(sys, &keys.secret, 1).unwrap();
+            // Plain reference.
+            for oy in 0..3 {
+                for ox in 0..3 {
+                    let mut acc = bias;
+                    for ky in 0..2 {
+                        for kx in 0..2 {
+                            acc += weights[ky * 2 + kx] * pixels[(oy + ky) * 4 + ox + kx];
+                        }
                     }
+                    prop_assert_eq!(dec[0][oy * 3 + ox], acc as i128, "{} threads", threads);
                 }
-                prop_assert_eq!(dec[0][oy * 3 + ox], acc as i128);
             }
         }
     }
@@ -93,18 +100,20 @@ proptest! {
         let (sys, keys) = system();
         let mut rng = ChaChaRng::from_seed(seed);
         let enc = EncryptedMap::encrypt_images(sys, std::slice::from_ref(&pixels), 4, &keys.public, &mut rng).unwrap();
-        let mut counter = OpCounter::default();
-        let pooled = ops::he_scaled_mean_pool(sys, &enc, 2, &mut counter, &PolyArena::new()).unwrap();
-        let dec = pooled.decrypt_all(sys, &keys.secret, 1).unwrap();
-        for oy in 0..2 {
-            for ox in 0..2 {
-                let mut sum = 0i64;
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        sum += pixels[(oy * 2 + dy) * 4 + ox * 2 + dx];
+        for threads in POOLS {
+            let mut counter = OpCounter::default();
+            let pooled = ops::he_scaled_mean_pool(sys, &enc, 2, &mut counter, &ParExec::new(threads), &PolyArena::new()).unwrap();
+            let dec = pooled.decrypt_all(sys, &keys.secret, 1).unwrap();
+            for oy in 0..2 {
+                for ox in 0..2 {
+                    let mut sum = 0i64;
+                    for dy in 0..2 {
+                        for dx in 0..2 {
+                            sum += pixels[(oy * 2 + dy) * 4 + ox * 2 + dx];
+                        }
                     }
+                    prop_assert_eq!(dec[0][oy * 2 + ox], sum as i128, "{} threads", threads);
                 }
-                prop_assert_eq!(dec[0][oy * 2 + ox], sum as i128);
             }
         }
     }
@@ -112,52 +121,59 @@ proptest! {
     #[test]
     fn par_conv_bit_identical_to_serial(pixels in proptest::collection::vec(0i64..16, 16),
                                         weights in proptest::collection::vec(-7i64..8, 4),
-                                        bias in -20i64..20, threads in 1usize..9,
-                                        seed in any::<u64>()) {
-        // HE ops draw no randomness, so the parallel conv must reproduce the
-        // serial ciphertexts bit for bit at every pool size.
+                                        bias in -20i64..20, seed in any::<u64>()) {
+        // HE ops draw no randomness, so the kernel must reproduce the serial
+        // raw-weight oracle's ciphertexts bit for bit at every pool size —
+        // with the oracle's one-per-tap weight preparations gone.
         let (sys, keys) = system();
         let mut rng = ChaChaRng::from_seed(seed);
         let enc = EncryptedMap::encrypt_images(sys, &[pixels], 4, &keys.public, &mut rng).unwrap();
-        let mut serial_counter = OpCounter::default();
-        let serial = ops::he_conv2d(sys, &enc, &weights, &[bias], 1, 2, 1, &mut serial_counter).unwrap();
-        let pool = ParExec::new(threads);
-        let mut par_counter = OpCounter::default();
-        let par = ops::he_conv2d_par(sys, &enc, &weights, &[bias], 1, 2, 1, &mut par_counter, &pool).unwrap();
-        prop_assert_eq!(serial.cells(), par.cells(), "ciphertext mismatch at {} threads", threads);
-        prop_assert_eq!(serial_counter, par_counter);
+        let mut oracle_counter = OpCounter::default();
+        let oracle = ops::he_conv2d_reference(sys, &enc, &weights, &[bias], 1, 2, 1, &mut oracle_counter).unwrap();
+        prop_assert_eq!(oracle_counter.weight_prep, 9 * 4 + 9);
+        let bank = WeightBank::prepare(sys, &weights, &[bias]).unwrap();
+        for threads in POOLS {
+            let mut counter = OpCounter::default();
+            let out = ops::he_conv2d(sys, &enc, &bank, 1, 2, 1, &mut counter, &ParExec::new(threads), &PolyArena::new()).unwrap();
+            prop_assert_eq!(oracle.cells(), out.cells(), "ciphertext mismatch at {} threads", threads);
+            prop_assert_eq!(counter, OpCounter { weight_prep: 0, ..oracle_counter });
+        }
     }
 
     #[test]
     fn par_fc_bit_identical_to_serial(pixels in proptest::collection::vec(0i64..16, 4),
                                       weights in proptest::collection::vec(-9i64..10, 12),
                                       biases in proptest::collection::vec(-20i64..20, 3),
-                                      threads in 1usize..9, seed in any::<u64>()) {
+                                      seed in any::<u64>()) {
         let (sys, keys) = system();
         let mut rng = ChaChaRng::from_seed(seed);
         let enc = EncryptedMap::encrypt_images(sys, &[pixels], 2, &keys.public, &mut rng).unwrap();
-        let mut serial_counter = OpCounter::default();
-        let serial = ops::he_fully_connected(sys, &enc, &weights, &biases, 3, &mut serial_counter).unwrap();
-        let pool = ParExec::new(threads);
-        let mut par_counter = OpCounter::default();
-        let par = ops::he_fully_connected_par(sys, &enc, &weights, &biases, 3, &mut par_counter, &pool).unwrap();
-        prop_assert_eq!(&serial, &par, "logit ciphertext mismatch at {} threads", threads);
-        prop_assert_eq!(serial_counter, par_counter);
+        let mut oracle_counter = OpCounter::default();
+        let oracle = ops::he_fully_connected_reference(sys, &enc, &weights, &biases, 3, &mut oracle_counter).unwrap();
+        prop_assert_eq!(oracle_counter.weight_prep, 3 * 4 + 3);
+        let bank = WeightBank::prepare(sys, &weights, &biases).unwrap();
+        for threads in POOLS {
+            let mut counter = OpCounter::default();
+            let out = ops::he_fully_connected(sys, &enc, &bank, 3, &mut counter, &ParExec::new(threads), &PolyArena::new()).unwrap();
+            prop_assert_eq!(&oracle, &out, "logit ciphertext mismatch at {} threads", threads);
+            prop_assert_eq!(counter, OpCounter { weight_prep: 0, ..oracle_counter });
+        }
     }
 
     #[test]
     fn par_pool_bit_identical_to_serial(pixels in proptest::collection::vec(-100i64..100, 16),
-                                        threads in 1usize..9, seed in any::<u64>()) {
+                                        seed in any::<u64>()) {
         let (sys, keys) = system();
         let mut rng = ChaChaRng::from_seed(seed);
         let enc = EncryptedMap::encrypt_images(sys, &[pixels], 4, &keys.public, &mut rng).unwrap();
         let mut serial_counter = OpCounter::default();
-        let serial = ops::he_scaled_mean_pool(sys, &enc, 2, &mut serial_counter, &PolyArena::new()).unwrap();
-        let pool = ParExec::new(threads);
-        let mut par_counter = OpCounter::default();
-        let par = ops::he_scaled_mean_pool_par(sys, &enc, 2, &mut par_counter, &pool, &PolyArena::new()).unwrap();
-        prop_assert_eq!(serial.cells(), par.cells(), "pooled ciphertext mismatch at {} threads", threads);
-        prop_assert_eq!(serial_counter, par_counter);
+        let serial = ops::he_scaled_mean_pool(sys, &enc, 2, &mut serial_counter, &ParExec::serial(), &PolyArena::new()).unwrap();
+        for threads in [2usize, 4] {
+            let mut counter = OpCounter::default();
+            let par = ops::he_scaled_mean_pool(sys, &enc, 2, &mut counter, &ParExec::new(threads), &PolyArena::new()).unwrap();
+            prop_assert_eq!(serial.cells(), par.cells(), "pooled ciphertext mismatch at {} threads", threads);
+            prop_assert_eq!(serial_counter, counter);
+        }
     }
 
     #[test]

@@ -164,7 +164,6 @@ pub const RULE_IDS: &[&str] = &[
     "unordered-iter",
     "rng-fork",
     "hot-path-alloc",
-    "deprecated-api",
 ];
 
 /// One-line rule descriptions, for the SARIF rules table. Kept in the
@@ -220,10 +219,6 @@ pub const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
         "no per-iteration allocation in loops of `hot`-marked functions",
     ),
     (
-        "deprecated-api",
-        "no calls to the deprecated Session inference shims",
-    ),
-    (
         "suppression",
         "allow markers must be well-formed, justified, and in use",
     ),
@@ -245,13 +240,6 @@ pub const WALL_OK_PATHS: &[&str] = &[
 /// Unordered hash containers tracked by the dataflow pass
 /// (`unordered-iter` rule).
 pub const TRACKED_CONTAINER_TYPES: &[&str] = &["HashMap", "HashSet"];
-
-/// Session-API types tracked for the `deprecated-api` rule (a value bound
-/// from `SessionBuilder::...` is coarsely treated as a session handle).
-pub const SESSION_TYPES: &[&str] = &["Session", "SessionBuilder"];
-
-/// The deprecated `Session` inference shims (`deprecated-api` rule).
-pub const DEPRECATED_SESSION_METHODS: &[&str] = &["infer", "infer_batch", "infer_batch_resilient"];
 
 /// Methods that iterate a container in arbitrary order
 /// (`unordered-iter` rule). `get`/`insert`/`retain`/`contains_key` are
@@ -313,13 +301,12 @@ pub const HOT_ALLOC_METHODS: &[&str] = &["to_vec", "to_owned", "clone", "collect
 pub const ARENA_TYPES: &[&str] = &["PolyArena"];
 
 /// Every type name the dataflow pass tracks: the secret registry plus the
-/// unordered containers, the session API types, and the scratch arenas.
+/// unordered containers and the scratch arenas.
 pub fn tracked_types() -> Vec<&'static str> {
     SECRET_TYPES
         .iter()
         .map(|t| t.name)
         .chain(TRACKED_CONTAINER_TYPES.iter().copied())
-        .chain(SESSION_TYPES.iter().copied())
         .chain(ARENA_TYPES.iter().copied())
         .collect()
 }

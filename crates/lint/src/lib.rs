@@ -28,11 +28,10 @@
 //! | `unordered-iter`| no HashMap/HashSet iteration feeding exported bytes    |
 //! | `rng-fork`      | retry bodies fork the RNG; they never share a stream   |
 //! | `hot-path-alloc`| no per-iteration allocation in `hot`-marked functions  |
-//! | `deprecated-api`| no calls to the deprecated `Session` inference shims   |
 //!
 //! The v2 front end layers a token stream ([`tokens`]), function scopes
 //! ([`scope`]), and a per-function binding table ([`dataflow`]) over the
-//! v1 line scanner; the last five rules — and the alias-taint upgrade to
+//! v1 line scanner; the last four rules — and the alias-taint upgrade to
 //! `secret-log`/`obs-secret-label` — consume that [`analysis::Analysis`]
 //! bundle rather than raw lines.
 //!

@@ -29,9 +29,8 @@ const USAGE: &str = "usage: hesgx-lint (--workspace | FILE...) [--root DIR] [--j
 Checks the hesgx workspace invariants: secret hygiene (including dataflow\n\
 alias taint), enclave panic-freedom, constant-time discipline, unsafe\n\
 inventory, the ECALL cost audit, replay determinism (wall-clock reads,\n\
-unordered-container iteration, RNG forking in retry bodies), hot-path\n\
-allocation, and deprecated Session shims. Suppress a finding inline with\n\
-a justified marker:\n\
+unordered-container iteration, RNG forking in retry bodies), and hot-path\n\
+allocation. Suppress a finding inline with a justified marker:\n\
     // hesgx-lint: allow(<rule>, reason = \"...\")\n\
 \n\
   --json                machine-readable report (byte-stable across runs)\n\

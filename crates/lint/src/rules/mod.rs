@@ -1,12 +1,11 @@
 //! The rule implementations. Line-oriented rules take the scanned
 //! [`SourceFile`] directly; the dataflow-aware families (determinism,
-//! taint, hot-path, deprecated-api) take the per-file [`Analysis`], which
+//! taint, hot-path) take the per-file [`Analysis`], which
 //! layers the token stream, function scopes, and binding table on top.
 //! The engine in `lib.rs` applies suppressions and the cross-file
 //! `forbid-unsafe` check.
 
 pub mod const_time;
-pub mod deprecated;
 pub mod determinism;
 pub mod ecall;
 pub mod hot;
@@ -30,7 +29,6 @@ pub fn check_file(a: &Analysis) -> Vec<Diagnostic> {
     out.extend(obs::check(a));
     out.extend(determinism::check(a));
     out.extend(hot::check(a));
-    out.extend(deprecated::check(a));
     out
 }
 

@@ -202,7 +202,7 @@ fn find_loops(toks: &[Tok], body: Span) -> Vec<LoopSpan> {
 }
 
 /// Finds the argument-list spans of calls whose callee name contains
-/// `retry` (e.g. `retry_with_cost(...)`, `transform_cells_retrying(...)`).
+/// `retry` (e.g. `retry_with_cost(...)`).
 fn find_retry_spans(toks: &[Tok], body: Span) -> Vec<Span> {
     let mut out = Vec::new();
     for k in body.start + 1..body.end {

@@ -44,7 +44,6 @@ const RULES: &[(&str, &str)] = &[
     ("rng-fork", "rng-fork"),
     ("secret-taint", "secret-log"),
     ("hot-path-alloc", "hot-path-alloc"),
-    ("deprecated-api", "deprecated-api"),
 ];
 
 #[test]
@@ -131,11 +130,6 @@ fn dataflow_bad_fixtures_report_expected_counts() {
         count("hot-path-alloc", "hot-path-alloc"),
         2,
         "to_vec + collect"
-    );
-    assert_eq!(
-        count("deprecated-api", "deprecated-api"),
-        2,
-        "param session + builder-bound session"
     );
 }
 

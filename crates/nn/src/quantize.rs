@@ -85,6 +85,56 @@ impl QuantizedCnn {
         self.conv_out * self.pool_side() * self.pool_side()
     }
 
+    /// Checks that the (public, hand-settable) fields describe a network the
+    /// encrypted pipelines can run: the kernel fits the input, the pooling
+    /// window tiles the conv output, and every weight/bias vector has the
+    /// length its layer implies. Engine constructors call this before any
+    /// shape arithmetic, so [`QuantizedCnn::conv_side`] and friends never
+    /// underflow on a model that passed.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first inconsistency found.
+    pub fn check_geometry(&self) -> Result<(), String> {
+        if self.kernel == 0 || self.kernel > self.in_side {
+            return Err(format!(
+                "kernel side {} does not fit the {}×{} input",
+                self.kernel, self.in_side, self.in_side
+            ));
+        }
+        if self.conv_out == 0 {
+            return Err("the conv layer has no output channels".into());
+        }
+        if self.window == 0 || !self.conv_side().is_multiple_of(self.window) {
+            return Err(format!(
+                "pooling window {} does not tile the {}×{} conv output",
+                self.window,
+                self.conv_side(),
+                self.conv_side()
+            ));
+        }
+        let expected = [
+            (
+                "conv_weights",
+                self.conv_weights.len(),
+                self.conv_out * self.kernel * self.kernel,
+            ),
+            ("conv_bias", self.conv_bias.len(), self.conv_out),
+            (
+                "fc_weights",
+                self.fc_weights.len(),
+                self.classes * self.fc_in(),
+            ),
+            ("fc_bias", self.fc_bias.len(), self.classes),
+        ];
+        for (name, len, want) in expected {
+            if len != want {
+                return Err(format!("{name} holds {len} values, the shape needs {want}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Quantizes a float network built by [`crate::model_zoo::paper_cnn`].
     ///
     /// # Panics

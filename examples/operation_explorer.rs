@@ -13,6 +13,7 @@ use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::CrtPlainSystem;
 use hesgx_henn::image::EncryptedMap;
 use hesgx_henn::ops::{self, OpCounter};
+use hesgx_henn::par::ParExec;
 use hesgx_nn::layers::ActivationKind;
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
 use hesgx_tee::enclave::{EnclaveBuilder, Platform};
@@ -124,6 +125,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .add_code(b"x")
         .build(platform);
     let ie = InferenceEnclave::new(enclave, keys.secret.clone(), keys.public.clone(), 9);
+    // One thread: the numbers below are per-operation costs, not speedups.
+    let pool = ParExec::serial();
     let images = vec![(0..576).map(|p| (p % 16) as i64).collect::<Vec<i64>>()];
     let input = EncryptedMap::encrypt_images(&sys, &images, 24, &keys.public, &mut rng)?;
     println!("window   rule        SGXDiv(ms)   SGXPool(ms)");
@@ -146,11 +149,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let start = Instant::now();
         let mut counter = OpCounter::default();
         let summed =
-            ops::he_scaled_mean_pool(&sys, &input, window, &mut counter, &PolyArena::new())?;
-        let (_, div_cost) = ie.divide_map(&sys, &summed, &model)?;
+            ops::he_scaled_mean_pool(&sys, &input, window, &mut counter, &pool, &PolyArena::new())?;
+        let (_, div_cost) = ie.divide_map(&sys, &summed, &model, &pool)?;
         let div_ms = start.elapsed().as_secs_f64() * 1e3
             + (div_cost.total_ns().saturating_sub(div_cost.real_ns)) as f64 / 1e6;
-        let (_, pool_cost) = ie.pool_full_map(&sys, &input, &model, false)?;
+        let (_, pool_cost) = ie.pool_full_map(&sys, &input, &model, false, &pool)?;
         let pool_ms = pool_cost.total_ns() as f64 / 1e6;
         println!(
             "{window:6}   {:?}   {div_ms:10.3}   {pool_ms:11.3}",
@@ -182,7 +185,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ActivationKind::Tanh,
         ActivationKind::LeakyRelu,
     ] {
-        let (_, cost) = ie.activation_map(&sys, &map, &model, kind)?;
+        let (_, cost) = ie.activation_map(&sys, &map, &model, kind, &pool)?;
         println!(
             "{kind:?} over 64 cells: {:.3} ms virtual",
             cost.total_ns() as f64 / 1e6
