@@ -99,7 +99,7 @@ fn build_session(model: &QuantizedCnn, plan: Option<FaultPlan>, obs: &Recorder) 
         .params(ParamsPreset::Small)
         .threads(2)
         .seed(7)
-        .noise_refresh(true)
+        .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Always))
         .recorder(obs.clone());
     if let Some(plan) = plan {
         builder = builder.chaos(plan);

@@ -3,7 +3,8 @@
 
 use super::{header, RunConfig};
 use crate::{PAPER_BATCH_SIZE, PAPER_POLY_DEGREE};
-use hesgx_core::pipeline::{total_enclave_cost, EcallBatching, HybridInference, ProvisionConfig};
+use hesgx_core::pipeline::{total_enclave_cost, HybridInference, ProvisionConfig};
+use hesgx_core::planner::{EcallBatching, Stage};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::cryptonets::CryptoNets;
 use hesgx_henn::image::EncryptedMap;
@@ -151,7 +152,7 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
     )
     .unwrap();
     let start = Instant::now();
-    let (logits, metrics) = service.infer(&enc, EcallBatching::Batched).unwrap();
+    let (logits, metrics) = service.run(service.plan(), &enc).unwrap();
     let wall = start.elapsed().as_secs_f64();
     let overhead = {
         let c = total_enclave_cost(&metrics);
@@ -175,8 +176,12 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
 
     // ---- EncryptSGX (single): per-pixel ECALLs. ----
     println!("running EncryptSGX (single) (per-pixel ECALLs)...");
+    // The same network placed differently: the exact plan with the
+    // activation stage swapped, on the same service.
+    let mut per_pixel = service.plan().clone();
+    per_pixel.stages[1] = Stage::Activation(EcallBatching::PerPixel);
     let start = Instant::now();
-    let (_, metrics_single) = service.infer(&enc, EcallBatching::PerPixel).unwrap();
+    let (_, metrics_single) = service.run(&per_pixel, &enc).unwrap();
     let wall_single = start.elapsed().as_secs_f64();
     let overhead_single = {
         let c = total_enclave_cost(&metrics_single);
@@ -207,9 +212,7 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
     )
     .unwrap();
     let start = Instant::now();
-    let _ = fake_service
-        .infer(&enc_fake, EcallBatching::Batched)
-        .unwrap();
+    let _ = fake_service.run(fake_service.plan(), &enc_fake).unwrap();
     let encrypt_fake_sgx_s = start.elapsed().as_secs_f64();
 
     let per_image = |total: f64| total / PAPER_BATCH_SIZE as f64;

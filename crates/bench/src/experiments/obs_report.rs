@@ -59,29 +59,28 @@ pub fn obs_report(cfg: RunConfig) -> ObsReport {
         .collect();
 
     let mut snaps = Vec::new();
-    let mut first: Option<(Session, Recorder)> = None;
+    let mut first: Option<(HybridMetrics, Recorder)> = None;
     for threads in [1usize, 2, 4] {
         let rec = Recorder::enabled();
         let session = SessionBuilder::new()
             .params(ParamsPreset::Small)
             .threads(threads)
             .seed(7)
-            .noise_refresh(true)
+            .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Always))
             .recorder(rec.clone())
             .build(Platform::new(702), model.clone())
             .expect("obs report provisioning");
-        session
+        let response = session
             .serve(InferRequest::single(image.clone()))
             .expect("fault-free inference");
         snaps.push(session.obs_snapshot_json());
         if first.is_none() {
-            first = Some((session, rec));
+            first = Some((response.metrics, rec));
         }
     }
     let snapshots_identical = snaps.windows(2).all(|w| w[0] == w[1]);
-    let (session, rec) = first.expect("at least one pool size ran");
+    let (metrics, rec) = first.expect("at least one pool size ran");
 
-    let metrics = session.metrics().expect("inference ran");
     let total = total_enclave_cost(&metrics);
     let spans = rec.spans_with_prefix("infer.");
     let folded = spans

@@ -12,7 +12,7 @@
 
 use super::{header, RunConfig};
 use crate::PAPER_POLY_DEGREE;
-use hesgx_core::pipeline::{EcallBatching, HybridInference, ProvisionConfig};
+use hesgx_core::pipeline::{HybridInference, ProvisionConfig};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::image::EncryptedMap;
 use hesgx_nn::layers::{ActivationKind, PoolKind};
@@ -132,7 +132,7 @@ pub fn par_sweep(cfg: RunConfig) -> ParSweep {
         let mut best_stages: Vec<f64> = Vec::new();
         for rep in 0..reps {
             let start = Instant::now();
-            let (logits, metrics) = service.infer(&enc, EcallBatching::Batched).unwrap();
+            let (logits, metrics) = service.run(service.plan(), &enc).unwrap();
             let wall = start.elapsed().as_secs_f64();
             if wall < best_wall {
                 best_wall = wall;

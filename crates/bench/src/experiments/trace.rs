@@ -8,7 +8,7 @@
 //! 1. **Timeline determinism** — the Chrome trace-event JSON and the
 //!    Prometheus exposition are byte-identical across pool sizes, because
 //!    every timestamp comes from the modeled virtual trace clock and the
-//!    ECALL path is selected by [`EcallBatching`], never by thread count.
+//!    ECALL path is selected by the plan, never by thread count.
 //! 2. **Noise-decision soundness** — in `Auto` mode the refresh fires *iff*
 //!    the enclave-measured pre-refresh budget is below the plan's
 //!    `refresh_threshold_bits`. Both outcomes are exercised: the planner
@@ -68,23 +68,22 @@ fn traced_run(
     Recorder,
 ) {
     let rec = Recorder::with_timeline();
-    let mut builder = SessionBuilder::new()
+    let mut policy = ServePolicy::new().noise_refresh(NoiseRefresh::Auto);
+    if let Some(bits) = threshold {
+        policy = policy.refresh_threshold_bits(bits);
+    }
+    let session = SessionBuilder::new()
         .params(ParamsPreset::Small)
         .threads(threads)
         .seed(TRACE_SEED)
-        .noise_refresh_auto(true)
-        .recorder(rec.clone());
-    if let Some(bits) = threshold {
-        builder = builder.refresh_threshold_bits(bits);
-    }
-    let session = builder
+        .policy(policy)
+        .recorder(rec.clone())
         .build(Platform::new(platform_id), model.clone())
         .expect("trace experiment provisioning");
-    let logits = session
+    let response = session
         .serve(InferRequest::single(image.to_vec()))
-        .expect("fault-free inference")
-        .logits;
-    let decisions = session.metrics().expect("inference ran").noise;
+        .expect("fault-free inference");
+    let (logits, decisions) = (response.logits, response.metrics.noise);
     let chrome = rec.export_chrome_trace();
     let prom = rec.export_prometheus();
     let events = rec.trace_events().len();
@@ -104,7 +103,7 @@ pub fn trace(cfg: RunConfig) -> TraceReport {
         .params(ParamsPreset::Small)
         .threads(1)
         .seed(TRACE_SEED)
-        .noise_refresh_auto(true)
+        .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Auto))
         .build(Platform::new(703), model.clone())
         .expect("untraced provisioning");
     let untraced_logits = untraced

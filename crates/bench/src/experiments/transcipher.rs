@@ -136,7 +136,7 @@ fn serve_once(
         .serve(InferRequest::batch(images.to_vec()).ingress(ingress))
         .expect("transcipher bench serve succeeds");
     let wall_ns = timer.elapsed_ns();
-    let metrics = session.metrics().expect("one inference ran");
+    let metrics = &response.metrics;
     // Reconciliation: fold exactly the `.ecall` pipeline spans (the `.he`
     // spans carry wall time only) and compare against the session's books.
     let folded = rec
@@ -146,7 +146,7 @@ fn serve_once(
         .fold(SpanCost::default(), |acc, (_, s)| {
             acc.saturating_add(s.cost)
         });
-    let reconciles = folded == total_enclave_cost(&metrics).span_cost();
+    let reconciles = folded == total_enclave_cost(metrics).span_cost();
     let ingress_model_ns = metrics
         .stages
         .iter()

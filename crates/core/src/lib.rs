@@ -20,8 +20,9 @@
 //!    weights never enter the enclave (§IV-C).
 //! 3. **Non-linear layers inside** ([`sgx_ops`]) — the enclave decrypts,
 //!    applies the *exact* sigmoid / pooling (no polynomial approximation),
-//!    and re-encrypts (§IV-D); the pooling split follows the §VI-D
-//!    window-size rule ([`planner`]).
+//!    and re-encrypts (§IV-D); [`planner`] compiles that placement rule —
+//!    and the §VI-D window-size rule for the pooling split — into the stage
+//!    list [`pipeline::HybridInference::run`] walks.
 //! 4. **Noise refresh instead of relinearization** ([`sgx_ops::InferenceEnclave::refresh_batch`])
 //!    — decrypt–re-encrypt inside the enclave removes noise and ciphertext
 //!    growth without evaluation keys (§IV-E).
@@ -79,8 +80,8 @@ pub mod session;
 pub mod sgx_ops;
 
 pub use error::{Error, FaultClass, Result};
-pub use pipeline::{EcallBatching, HybridInference, HybridMetrics, ProvisionConfig};
-pub use planner::{InferencePlan, Placement, PoolStrategy};
+pub use pipeline::{HybridInference, HybridMetrics, ProvisionConfig};
+pub use planner::{EcallBatching, InferencePlan, Placement, PoolStrategy, Stage};
 pub use recovery::RecoveryPolicy;
 pub use request::{
     InferRequest, InferResponse, Ingress, NoiseRefresh, Resilience, ServePolicy, TenantId,
@@ -92,8 +93,8 @@ pub use sgx_ops::InferenceEnclave;
 /// The convenient single import: `use hesgx_core::prelude::*;`.
 pub mod prelude {
     pub use crate::error::{Error, FaultClass, Result};
-    pub use crate::pipeline::{EcallBatching, HybridInference, HybridMetrics, ProvisionConfig};
-    pub use crate::planner::PoolStrategy;
+    pub use crate::pipeline::{HybridInference, HybridMetrics, ProvisionConfig};
+    pub use crate::planner::{EcallBatching, InferencePlan, Placement, PoolStrategy, Stage};
     pub use crate::recovery::RecoveryPolicy;
     pub use crate::request::{
         InferRequest, InferResponse, Ingress, NoiseRefresh, Resilience, ServePolicy, TenantId,

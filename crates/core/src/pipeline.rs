@@ -9,17 +9,17 @@ use crate::error::{Error, Result};
 use crate::keydist::{
     enclave_generate_keys, seal_secret_keys, secret_key_bytes, KeyCeremonyPublic,
 };
-use crate::planner::{plan_for, InferencePlan, PoolStrategy};
-use crate::recovery::RecoveryPolicy;
+use crate::planner::{plan_for, EcallBatching, InferencePlan, Placement, PoolStrategy, Stage};
+use crate::request::ServePolicy;
 use crate::sgx_ops::{sum_costs, InferenceEnclave};
-use hesgx_bfv::prelude::{EvaluationKeys, PolyArena};
+use hesgx_bfv::prelude::EvaluationKeys;
 use hesgx_chaos::FaultHook;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::{CrtCiphertext, CrtPlainSystem};
 use hesgx_henn::image::EncryptedMap;
-use hesgx_henn::ops::{self, OpCounter};
+use hesgx_henn::layers::{HeLayer, HeLayers};
+use hesgx_henn::ops::OpCounter;
 use hesgx_henn::par::ParExec;
-use hesgx_henn::weights::WeightBank;
 use hesgx_nn::layers::ActivationKind;
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
 use hesgx_obs::{counters, prof, Recorder};
@@ -28,6 +28,7 @@ use hesgx_tee::enclave::{EnclaveBuilder, Platform};
 use hesgx_tee::error::TeeError;
 use hesgx_tee::sealing::SealedBlob;
 use hesgx_tee::wall::WallTimer;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -105,20 +106,10 @@ impl HybridMetrics {
     }
 }
 
-/// Activation-in-enclave mode for the Fig. 8 control groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EcallBatching {
-    /// One ECALL per feature map (the framework's design, `EncryptSGX`).
-    Batched,
-    /// One ECALL per pixel (`EncryptSGX (single)` — the paper's negative
-    /// result: "frequent accesses to SGX bring about huge time-consuming").
-    PerPixel,
-}
-
 /// What a stage body hands back to [`HybridInference::run_stage`].
-pub(crate) struct Staged<T> {
-    /// The stage output, passed through to the caller.
-    out: T,
+pub(crate) struct Staged {
+    /// The stage's output map, passed through to the caller.
+    out: EncryptedMap,
     /// Display name for [`StageMetrics::name`]. Chosen by the body because
     /// it can depend on the outcome (Auto refresh: "Refresh" vs "Check").
     label: String,
@@ -127,9 +118,9 @@ pub(crate) struct Staged<T> {
     enclave: Option<CostBreakdown>,
 }
 
-impl<T> Staged<T> {
+impl Staged {
     /// An HE stage: wall time only.
-    pub(crate) fn he(out: T, label: impl Into<String>) -> Self {
+    fn he(out: EncryptedMap, label: impl Into<String>) -> Self {
         Staged {
             out,
             label: label.into(),
@@ -138,7 +129,7 @@ impl<T> Staged<T> {
     }
 
     /// An ECALL stage with its enclave cost.
-    pub(crate) fn ecall(out: T, label: impl Into<String>, cost: CostBreakdown) -> Self {
+    pub(crate) fn ecall(out: EncryptedMap, label: impl Into<String>, cost: CostBreakdown) -> Self {
         Staged {
             out,
             label: label.into(),
@@ -149,7 +140,8 @@ impl<T> Staged<T> {
 
 /// Everything [`HybridInference::provision_with`] needs beyond the platform
 /// and the model. [`ProvisionConfig::default`] matches the paper's setup:
-/// `poly_degree = 1024`, real-SGX cost model, one worker per available core.
+/// `poly_degree = 1024`, real-SGX cost model, one worker per available core,
+/// sigmoid activation, default retry budget, no noise refresh.
 #[derive(Debug, Clone)]
 pub struct ProvisionConfig {
     /// FV polynomial degree (the paper uses 1024 for the MNIST CNN).
@@ -161,28 +153,17 @@ pub struct ProvisionConfig {
     pub cost_model: Option<CostModel>,
     /// HE worker threads; `0` means one per available core, `1` is serial.
     pub threads: usize,
-    /// Pooling split override; `None` applies the §VI-D window rule.
-    pub pool_strategy: Option<PoolStrategy>,
-    /// Bounded-retry policy for transient enclave-boundary faults.
-    pub recovery: RecoveryPolicy,
+    /// The activation computed exactly inside the enclave (paper §VI-C:
+    /// ReLU and Tanh work just as well as Sigmoid).
+    pub activation: ActivationKind,
+    /// The one home of the retry and noise-refresh settings: the enclave
+    /// retries transient boundary faults under `policy.recovery`, and the
+    /// service's plans are compiled from the refresh mode and threshold.
+    pub policy: ServePolicy,
     /// Fault-injection hook threaded through every enclave boundary (ECALL
     /// entry/exit, EPC paging, seal/unseal, noise refresh). `None` runs
     /// fault-free with zero overhead on the hot paths.
     pub fault_hook: Option<Arc<dyn FaultHook>>,
-    /// Inserts an explicit in-enclave noise-refresh stage between pooling
-    /// and the fully connected layer (`ecall_DecreaseNoise`, §IV-E). Off by
-    /// default: the paper's four-stage pipeline does not need it at MNIST
-    /// depth.
-    pub refresh_between_stages: bool,
-    /// Gates the refresh stage on a live in-enclave budget probe instead
-    /// (Auto mode): the probe always runs at the refresh point, and the
-    /// refresh fires only when the measured budget drops below the plan's
-    /// `refresh_threshold_bits`. Takes precedence over
-    /// `refresh_between_stages` when both are set.
-    pub refresh_auto: bool,
-    /// Overrides the planner's `refresh_threshold_bits` (the Auto-mode
-    /// decision margin). `None` keeps the planner default.
-    pub refresh_threshold_bits: Option<u32>,
     /// Observability recorder threaded through the enclave, the worker pool,
     /// and the pipeline stages. The default is the disabled no-op recorder:
     /// recording costs nothing unless a caller installs an enabled one.
@@ -196,12 +177,9 @@ impl Default for ProvisionConfig {
             seed: 0,
             cost_model: None,
             threads: 0,
-            pool_strategy: None,
-            recovery: RecoveryPolicy::default(),
+            activation: ActivationKind::Sigmoid,
+            policy: ServePolicy::default(),
             fault_hook: None,
-            refresh_between_stages: false,
-            refresh_auto: false,
-            refresh_threshold_bits: None,
             recorder: Recorder::disabled(),
         }
     }
@@ -210,31 +188,34 @@ impl Default for ProvisionConfig {
 /// The hybrid HE + SGX inference service.
 #[derive(Debug)]
 pub struct HybridInference {
-    sys: CrtPlainSystem,
-    model: QuantizedCnn,
+    /// The layers that run under HE outside the enclave: CRT system, model,
+    /// prepared weight banks, worker pool, buffer arena.
+    he: HeLayers,
     enclave: InferenceEnclave,
+    /// The exact plan ([`Placement::Hybrid`]) compiled at provisioning.
     plan: InferencePlan,
+    /// The same model compiled for [`Placement::PureHe`].
+    degraded_plan: InferencePlan,
     activation: ActivationKind,
-    pool: ParExec,
-    /// Evaluation keys for the pure-HE degraded path (square activation
+    /// Evaluation keys for the pure-HE degraded plan (square activation
     /// needs relinearization). Private on purpose: the secret-hygiene lint
     /// forbids evaluation keys in public signatures outside bfv/henn.
     evaluation: Vec<EvaluationKeys>,
     /// Sealed copy of the secret keys (restart persistence, §IV-A step 2);
     /// probed by [`HybridInference::verify_sealed_state`].
     sealed_keys: SealedBlob,
-    refresh_between_stages: bool,
-    refresh_auto: bool,
     /// Observability recorder shared with the enclave and the worker pool.
     recorder: Recorder,
-    /// Conv weight forms (Shoup constants, `Δ·c` bias residues) prepared
-    /// once at provisioning — no request re-derives them.
-    conv_bank: WeightBank,
-    /// FC weight forms prepared once at provisioning.
-    fc_bank: WeightBank,
-    /// Session buffer pool: consumed feature maps recycle their limb
-    /// buffers here and the next stage's accumulator copies draw from it.
-    arena: PolyArena,
+}
+
+/// Display name of an HE stage in [`StageMetrics::name`].
+fn he_label(layer: HeLayer) -> &'static str {
+    match layer {
+        HeLayer::Conv => "Convolutional Layer (HE outside)",
+        HeLayer::Square => "Square Activation (HE fallback)",
+        HeLayer::SumPool => "Scaled Mean Pool (HE fallback)",
+        HeLayer::Fc => "Fully Connected Layer (HE outside)",
+    }
 }
 
 impl HybridInference {
@@ -263,10 +244,8 @@ impl HybridInference {
         let report = model.range_report();
         let sys = CrtPlainSystem::for_range(config.poly_degree, report.required_plain_bits)
             .map_err(Error::He)?;
-        let conv_bank =
-            WeightBank::prepare(&sys, &model.conv_weights, &model.conv_bias).map_err(Error::He)?;
-        let fc_bank =
-            WeightBank::prepare(&sys, &model.fc_weights, &model.fc_bias).map_err(Error::He)?;
+        let pool = ParExec::new(config.threads).with_recorder(config.recorder.clone());
+        let he = HeLayers::new(sys, model, pool).map_err(Error::He)?;
         // The enclave heap must hold a full encrypted feature map; the EPC
         // stays at its hardware size, so oversized working sets page (and are
         // charged) exactly as the paper's §III-B describes.
@@ -284,7 +263,7 @@ impl HybridInference {
         let enclave = builder.build(platform);
         let mut rng = ChaChaRng::from_seed(config.seed).fork("provision");
         let provision_start = WallTimer::start();
-        let (keys, ceremony) = enclave_generate_keys(&enclave, &sys, &mut rng)?;
+        let (keys, ceremony) = enclave_generate_keys(&enclave, he.system(), &mut rng)?;
         // Seal the secret keys right after the ceremony; a corrupted seal
         // (crash mid-write, injected fault) is only *detected* at the next
         // unseal, which is exactly what verify_sealed_state probes.
@@ -297,48 +276,44 @@ impl HybridInference {
             span.real_ns = provision_start.elapsed_ns();
             config.recorder.record_span("session.provision", span);
         }
-        let mut plan = plan_for(&model);
-        if let Some(strategy) = config.pool_strategy {
-            plan.pool_strategy = strategy;
-        }
-        if let Some(threshold) = config.refresh_threshold_bits {
-            plan.refresh_threshold_bits = threshold;
-        }
         let mut inference =
             InferenceEnclave::new(enclave, keys.secret, keys.public, config.seed ^ 0x1ee7);
-        inference.set_recovery_policy(config.recovery);
+        inference.set_recovery_policy(config.policy.recovery);
         let service = HybridInference {
-            sys,
+            plan: plan_for(he.model(), &config.policy, Placement::Hybrid),
+            degraded_plan: plan_for(he.model(), &config.policy, Placement::PureHe),
+            he,
             enclave: inference,
-            model,
-            plan,
-            activation: ActivationKind::Sigmoid,
-            pool: ParExec::new(config.threads).with_recorder(config.recorder.clone()),
+            activation: config.activation,
             evaluation: keys.evaluation,
             sealed_keys,
-            refresh_between_stages: config.refresh_between_stages,
-            refresh_auto: config.refresh_auto,
             recorder: config.recorder,
-            conv_bank,
-            fc_bank,
-            arena: PolyArena::new(),
         };
         Ok((service, ceremony))
     }
 
     /// The CRT system (for user-side encryption/decryption).
     pub fn system(&self) -> &CrtPlainSystem {
-        &self.sys
+        self.he.system()
     }
 
     /// The quantized model.
     pub fn model(&self) -> &QuantizedCnn {
-        &self.model
+        self.he.model()
     }
 
-    /// The execution plan.
+    /// The exact plan compiled at provisioning — the stage list
+    /// [`HybridInference::run`] walks when the enclave is available. Clone
+    /// it and swap a stage to run a Fig. 8 control group or the other
+    /// pooling split on the same service.
     pub fn plan(&self) -> &InferencePlan {
         &self.plan
+    }
+
+    /// The same model compiled for [`Placement::PureHe`]: what the session's
+    /// recovery ladder runs once the enclave stays unavailable.
+    pub fn degraded_plan(&self) -> &InferencePlan {
+        &self.degraded_plan
     }
 
     /// The inference enclave (metrics, side-channel log).
@@ -346,21 +321,9 @@ impl HybridInference {
         &self.enclave
     }
 
-    /// Overrides the activation function computed inside the enclave
-    /// (paper §VI-C: ReLU and Tanh work just as well as Sigmoid).
-    pub fn set_activation(&mut self, kind: ActivationKind) {
-        self.activation = kind;
-    }
-
     /// The HE worker-thread count this service runs with.
     pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Re-sizes the worker pool (`0` = one per available core). The results
-    /// of [`HybridInference::infer`] are bit-identical for every pool size.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.pool = ParExec::new(threads).with_recorder(self.recorder.clone());
+        self.he.pool().threads()
     }
 
     /// The observability recorder this service reports into (disabled no-op
@@ -392,7 +355,7 @@ impl HybridInference {
 
     /// The HE worker pool (crate-internal: the ingress dispatch shares it).
     pub(crate) fn pool(&self) -> &ParExec {
-        &self.pool
+        self.he.pool()
     }
 
     /// Runs one pipeline stage — the single instrumentation point of the
@@ -405,12 +368,12 @@ impl HybridInference {
     /// stage with [`HybridInference::record_stage`] and appends its
     /// [`StageMetrics`]. The body gets the metrics record for its op counts
     /// and noise decisions and hands back a [`Staged`] result.
-    pub(crate) fn run_stage<T>(
+    pub(crate) fn run_stage(
         &self,
         metrics: &mut HybridMetrics,
         span: &str,
-        body: impl FnOnce(&mut HybridMetrics) -> Result<Staged<T>>,
-    ) -> Result<T> {
+        body: impl FnOnce(&mut HybridMetrics) -> Result<Staged>,
+    ) -> Result<EncryptedMap> {
         let start = WallTimer::start();
         let traced = self.recorder.trace_enabled();
         if traced {
@@ -435,17 +398,26 @@ impl HybridInference {
 
     /// Recorder-gated noise-budget telemetry: measures the minimum
     /// invariant-noise budget of `cells` inside the enclave and records the
-    /// bit-count as a gauge sample. Telemetry-only — the probe's ECALL cost
+    /// bit-count as a `noise.budget.layer[{layer}].{side}` gauge sample
+    /// (`side` is `pre` or `post`). Telemetry-only — the probe's ECALL cost
     /// books under `ecall.ecall_NoiseProbe`, never under a pipeline stage,
     /// so the reconciliation invariant (the `infer.*.ecall` fold equals
     /// `total_enclave_cost`) is untouched. Returns the bits when measured.
-    fn probe_gauge(&self, label: &str, cells: &[CrtCiphertext]) -> Result<Option<u32>> {
+    fn probe_gauge(
+        &self,
+        layer: usize,
+        side: &str,
+        cells: &[CrtCiphertext],
+    ) -> Result<Option<u32>> {
         if !self.recorder.is_enabled() || cells.is_empty() {
             return Ok(None);
         }
         let refs: Vec<&CrtCiphertext> = cells.iter().collect();
-        let (bits, _) = self.enclave.noise_probe(&self.sys, &refs)?;
-        self.recorder.gauge(label, u64::from(bits));
+        let (bits, _) = self.enclave.noise_probe(self.system(), &refs)?;
+        self.recorder.gauge(
+            &format!("noise.budget.layer[{layer}].{side}"),
+            u64::from(bits),
+        );
         self.recorder.incr(counters::NOISE_PROBES, 1);
         Ok(Some(bits))
     }
@@ -469,188 +441,180 @@ impl HybridInference {
         }
     }
 
-    /// The noise-refresh point (§IV-E) between pooling and the FC layer, as
-    /// one ECALL stage. `Always` mode runs the decrypt–re-encrypt
-    /// unconditionally; `Auto` mode probes the live invariant-noise budget
-    /// inside the enclave and refreshes only when it falls below the plan's
-    /// threshold — the decision the trace timeline and the `repro trace`
-    /// noise table audit.
-    fn refresh_stage(
+    /// The body of a [`Stage::Refresh`] stage (§IV-E). Without `auto` the
+    /// decrypt–re-encrypt runs unconditionally; with it the enclave probes
+    /// the live invariant-noise budget and refreshes only when it falls
+    /// below `threshold` — the decision the trace timeline and the
+    /// `repro trace` noise table audit.
+    fn refresh(
         &self,
-        metrics: &mut HybridMetrics,
+        threshold: u32,
         layer: usize,
+        auto: bool,
         pooled: EncryptedMap,
-    ) -> Result<EncryptedMap> {
-        let threshold = self.plan.refresh_threshold_bits;
-        let pre = format!("noise.budget.layer[{layer}].pre");
-        let post = format!("noise.budget.layer[{layer}].post");
-        self.run_stage(metrics, &format!("infer.layer[{layer}].ecall"), |metrics| {
-            let (before, probe_cost) = if self.refresh_auto {
-                // Functional probe: it decides the refresh, so its cost
-                // belongs to the stage — folded into the stage metrics *and*
-                // the stage span, keeping the reconciliation invariant exact.
-                let refs: Vec<&CrtCiphertext> = pooled.cells().iter().collect();
-                let (bits, cost) = self.enclave.noise_probe(&self.sys, &refs)?;
-                self.recorder.incr(counters::NOISE_PROBES, 1);
-                self.recorder.gauge(&pre, u64::from(bits));
-                (Some(bits), cost)
-            } else {
-                // Always mode: budget telemetry around the refresh is
-                // recorder-gated and cost-invisible to the stage books.
-                let bits = self.probe_gauge(&pre, pooled.cells())?;
-                (bits, CostBreakdown::default())
-            };
-            let refreshed = !self.refresh_auto || before.is_some_and(|bits| bits < threshold);
-            let (out, cost, label, after) = if refreshed {
-                let (fresh, cost) =
-                    self.enclave
-                        .refresh_batch(&self.sys, pooled.cells(), &self.pool)?;
-                self.recorder.incr(counters::NOISE_REFRESHES, 1);
-                let (c, h, w) = pooled.shape();
-                let fresh = EncryptedMap::new(c, h, w, fresh);
-                let after = self.probe_gauge(&post, fresh.cells())?;
-                let cost = sum_costs(probe_cost, cost);
-                (fresh, cost, "Noise Refresh (SGX inside)", after)
-            } else {
-                self.recorder.incr(counters::NOISE_REFRESH_SKIPS, 1);
-                (pooled, probe_cost, "Noise Check (SGX inside)", None)
-            };
-            if let Some(bits) = before {
-                self.trace_refresh_decision(layer, bits, threshold, refreshed);
-                metrics.noise.push(NoiseDecision {
-                    layer,
-                    before_bits: bits,
-                    after_bits: after,
-                    threshold_bits: threshold,
-                    refreshed,
-                });
-            }
-            Ok(Staged::ecall(out, label, cost))
-        })
+        metrics: &mut HybridMetrics,
+    ) -> Result<Staged> {
+        let (before, probe_cost) = if auto {
+            // Functional probe: it decides the refresh, so its cost
+            // belongs to the stage — folded into the stage metrics *and*
+            // the stage span, keeping the reconciliation invariant exact.
+            let refs: Vec<&CrtCiphertext> = pooled.cells().iter().collect();
+            let (bits, cost) = self.enclave.noise_probe(self.system(), &refs)?;
+            self.recorder.incr(counters::NOISE_PROBES, 1);
+            self.recorder
+                .gauge(&format!("noise.budget.layer[{layer}].pre"), u64::from(bits));
+            (Some(bits), cost)
+        } else {
+            // Always mode: budget telemetry around the refresh is
+            // recorder-gated and cost-invisible to the stage books.
+            let bits = self.probe_gauge(layer, "pre", pooled.cells())?;
+            (bits, CostBreakdown::default())
+        };
+        let refreshed = !auto || before.is_some_and(|bits| bits < threshold);
+        let (out, cost, label, after) = if refreshed {
+            let (fresh, cost) =
+                self.enclave
+                    .refresh_batch(self.system(), pooled.cells(), self.pool())?;
+            self.recorder.incr(counters::NOISE_REFRESHES, 1);
+            let (c, h, w) = pooled.shape();
+            let fresh = EncryptedMap::new(c, h, w, fresh);
+            let after = self.probe_gauge(layer, "post", fresh.cells())?;
+            let cost = sum_costs(probe_cost, cost);
+            (fresh, cost, "Noise Refresh (SGX inside)", after)
+        } else {
+            self.recorder.incr(counters::NOISE_REFRESH_SKIPS, 1);
+            (pooled, probe_cost, "Noise Check (SGX inside)", None)
+        };
+        if let Some(bits) = before {
+            self.trace_refresh_decision(layer, bits, threshold, refreshed);
+            metrics.noise.push(NoiseDecision {
+                layer,
+                before_bits: bits,
+                after_bits: after,
+                threshold_bits: threshold,
+                refreshed,
+            });
+        }
+        Ok(Staged::ecall(out, label, cost))
     }
 
-    /// Runs the hybrid inference. Returns encrypted logits plus metrics.
+    /// The body of an exact non-linear stage: the whole map crosses the
+    /// boundary in `ecall`, with recorder-gated budget telemetry either side
+    /// (the pre-probe measures what actually crosses). The consumed map's
+    /// limb buffers seed the next HE stage's accumulator copies.
+    fn exact_in_enclave(
+        &self,
+        layer: usize,
+        input: Cow<'_, EncryptedMap>,
+        label: String,
+        ecall: impl FnOnce(&EncryptedMap) -> Result<(EncryptedMap, CostBreakdown)>,
+    ) -> Result<Staged> {
+        self.probe_gauge(layer, "pre", input.cells())?;
+        let (out, cost) = ecall(&input)?;
+        self.probe_gauge(layer, "post", out.cells())?;
+        if let Cow::Owned(consumed) = input {
+            self.he.recycle(consumed);
+        }
+        Ok(Staged::ecall(out, label, cost))
+    }
+
+    /// The body of stage `layer` of `plan`.
+    fn stage_body(
+        &self,
+        plan: &InferencePlan,
+        layer: usize,
+        input: Cow<'_, EncryptedMap>,
+        metrics: &mut HybridMetrics,
+    ) -> Result<Staged> {
+        let (sys, m, pool) = (self.system(), self.model(), self.pool());
+        match plan.stages[layer] {
+            // Parallel over output cells × CRT limbs, bit-identical for
+            // every pool size.
+            Stage::He(he) => {
+                let out = self
+                    .he
+                    .apply(he, input, &self.evaluation, &mut metrics.ops)?;
+                Ok(Staged::he(out, he_label(he)))
+            }
+            Stage::Activation(batching) => {
+                self.exact_in_enclave(layer, input, "Activation (SGX inside)".into(), |map| {
+                    match batching {
+                        EcallBatching::Batched => {
+                            self.enclave
+                                .activation_map(sys, map, m, self.activation, pool)
+                        }
+                        EcallBatching::PerPixel => {
+                            self.enclave
+                                .activation_map_single_ecalls(sys, map, m, self.activation)
+                        }
+                    }
+                })
+            }
+            // Either split is one ECALL: SgxPool ships the whole map in,
+            // SgxDiv sums the windows under HE first and ships the reduced
+            // (noisier) map in for the division.
+            Stage::Pool(strategy) => {
+                let label = format!("Pooling Layer ({strategy:?})");
+                match strategy {
+                    PoolStrategy::SgxPool => self.exact_in_enclave(layer, input, label, |map| {
+                        self.enclave.pool_full_map(sys, map, m, false, pool)
+                    }),
+                    PoolStrategy::SgxDiv => {
+                        let summed =
+                            self.he
+                                .apply(HeLayer::SumPool, input, &[], &mut metrics.ops)?;
+                        self.exact_in_enclave(layer, Cow::Owned(summed), label, |map| {
+                            self.enclave.divide_map(sys, map, m, pool)
+                        })
+                    }
+                }
+            }
+            Stage::Refresh { auto } => self.refresh(
+                plan.refresh_threshold_bits,
+                layer,
+                auto,
+                input.into_owned(),
+                metrics,
+            ),
+        }
+    }
+
+    /// Runs `plan` over `input`: one [`HybridInference::run_stage`] per
+    /// [`Stage`], each stage's map feeding the next. Returns the last map's
+    /// cells — the encrypted logits — plus the metrics.
+    ///
+    /// The exact plan, the degraded plan, and the Fig. 8 control groups all
+    /// come through here; only the stage list differs.
     ///
     /// # Errors
     ///
     /// Propagates HE/TEE failures.
-    pub fn infer(
+    pub fn run(
         &self,
+        plan: &InferencePlan,
         input: &EncryptedMap,
-        batching: EcallBatching,
     ) -> Result<(Vec<CrtCiphertext>, HybridMetrics)> {
         let mut metrics = HybridMetrics {
-            threads: self.pool.threads(),
+            threads: self.threads(),
             ..HybridMetrics::default()
         };
-        let m = &self.model;
-
-        // 1. Convolutional layer — HE outside SGX, parallel over output
-        // cells × CRT limbs (bit-identical for every pool size).
-        let conv = self.run_stage(&mut metrics, "infer.layer[0].he", |metrics| {
-            let conv = ops::he_conv2d(
-                &self.sys,
-                input,
-                &self.conv_bank,
-                m.conv_out,
-                m.kernel,
-                1,
-                &mut metrics.ops,
-                &self.pool,
-                &self.arena,
-            )?;
-            Ok(Staged::he(conv, "Convolutional Layer (HE outside)"))
-        })?;
-
-        // 2. Activation — plaintext inside SGX; the whole map crosses the
-        // ECALL boundary once, the per-cell work parallelizes inside.
-        let activated = self.run_stage(&mut metrics, "infer.layer[1].ecall", |_| {
-            self.probe_gauge("noise.budget.layer[1].pre", conv.cells())?;
-            let (activated, cost) = match batching {
-                EcallBatching::Batched => {
-                    self.enclave
-                        .activation_map(&self.sys, &conv, m, self.activation, &self.pool)?
-                }
-                EcallBatching::PerPixel => self.enclave.activation_map_single_ecalls(
-                    &self.sys,
-                    &conv,
-                    m,
-                    self.activation,
-                )?,
-            };
-            self.probe_gauge("noise.budget.layer[1].post", activated.cells())?;
-            // The conv map is consumed; its limb buffers seed the pool
-            // stage's accumulator copies.
-            conv.recycle(&self.arena);
-            Ok(Staged::ecall(activated, "Activation (SGX inside)", cost))
-        })?;
-
-        // 3. Pooling — split per the §VI-D rule; either way one ECALL. The
-        // pre-probe measures what actually crosses the boundary: the
-        // activated map for SgxPool, the homomorphically summed windows
-        // (noisier) for SgxDiv.
-        let strategy = self.plan.pool_strategy;
-        let pooled = self.run_stage(&mut metrics, "infer.layer[2].ecall", |metrics| {
-            let (pooled, cost) = match strategy {
-                PoolStrategy::SgxPool => {
-                    self.probe_gauge("noise.budget.layer[2].pre", activated.cells())?;
-                    self.enclave
-                        .pool_full_map(&self.sys, &activated, m, false, &self.pool)?
-                }
-                PoolStrategy::SgxDiv => {
-                    let summed = ops::he_scaled_mean_pool(
-                        &self.sys,
-                        &activated,
-                        m.window,
-                        &mut metrics.ops,
-                        &self.pool,
-                        &self.arena,
-                    )?;
-                    self.probe_gauge("noise.budget.layer[2].pre", summed.cells())?;
-                    let out = self.enclave.divide_map(&self.sys, &summed, m, &self.pool)?;
-                    summed.recycle(&self.arena);
-                    out
-                }
-            };
-            self.probe_gauge("noise.budget.layer[2].post", pooled.cells())?;
-            activated.recycle(&self.arena);
-            Ok(Staged::ecall(
-                pooled,
-                format!("Pooling Layer ({strategy:?})"),
-                cost,
-            ))
-        })?;
-
-        let mut layer = 3usize;
-        let pooled = if self.refresh_auto || self.refresh_between_stages {
-            let refreshed = self.refresh_stage(&mut metrics, layer, pooled)?;
-            layer += 1;
-            refreshed
-        } else {
-            pooled
+        let prefix = match plan.placement {
+            Placement::Hybrid => "infer",
+            Placement::PureHe => "infer.degraded",
         };
-
-        // 4. Fully connected layer — HE outside SGX, parallel over
-        // classes × CRT limbs.
-        let logits = self.run_stage(
-            &mut metrics,
-            &format!("infer.layer[{layer}].he"),
-            |metrics| {
-                let logits = ops::he_fully_connected(
-                    &self.sys,
-                    &pooled,
-                    &self.fc_bank,
-                    m.classes,
-                    &mut metrics.ops,
-                    &self.pool,
-                    &self.arena,
-                )?;
-                pooled.recycle(&self.arena);
-                Ok(Staged::he(logits, "Fully Connected Layer (HE outside)"))
-            },
-        )?;
-
-        Ok((logits, metrics))
+        let mut map = Cow::Borrowed(input);
+        for (layer, stage) in plan.stages.iter().enumerate() {
+            let side = match stage {
+                Stage::He(_) => "he",
+                _ => "ecall",
+            };
+            let span = format!("{prefix}.layer[{layer}].{side}");
+            let out = self.run_stage(&mut metrics, &span, |metrics| {
+                self.stage_body(plan, layer, map, metrics)
+            })?;
+            map = Cow::Owned(out);
+        }
+        Ok((map.into_owned().into_cells(), metrics))
     }
 
     /// Total enclave cost accumulated on this service's virtual clock.
@@ -676,87 +640,6 @@ impl HybridInference {
         }
         Ok(cost)
     }
-
-    /// The pure-HE degraded fallback: when the enclave is unavailable
-    /// (transient retries exhausted), linear layers run as usual but the
-    /// exact in-enclave sigmoid is replaced by the CryptoNets-style square
-    /// activation under the ceremony's evaluation keys, and mean pooling
-    /// stays a homomorphic window sum (no division without the enclave).
-    ///
-    /// The logits therefore sit on a different fixed-point scale than the
-    /// exact path — the caller gets a ranking-quality prediction, not the
-    /// bit-exact reference. [`crate::session::Served::Degraded`] marks such
-    /// results.
-    ///
-    /// # Errors
-    ///
-    /// Propagates HE failures.
-    pub fn infer_degraded(
-        &self,
-        input: &EncryptedMap,
-    ) -> Result<(Vec<CrtCiphertext>, HybridMetrics)> {
-        let mut metrics = HybridMetrics {
-            threads: self.pool.threads(),
-            ..HybridMetrics::default()
-        };
-        let m = &self.model;
-
-        let conv = self.run_stage(&mut metrics, "infer.degraded.layer[0].he", |metrics| {
-            let conv = ops::he_conv2d(
-                &self.sys,
-                input,
-                &self.conv_bank,
-                m.conv_out,
-                m.kernel,
-                1,
-                &mut metrics.ops,
-                &self.pool,
-                &self.arena,
-            )?;
-            Ok(Staged::he(conv, "Convolutional Layer (HE outside)"))
-        })?;
-
-        let activated = self.run_stage(&mut metrics, "infer.degraded.layer[1].he", |metrics| {
-            let activated = ops::he_square_activation(
-                &self.sys,
-                &conv,
-                &self.evaluation,
-                &mut metrics.ops,
-                &self.pool,
-            )?;
-            conv.recycle(&self.arena);
-            Ok(Staged::he(activated, "Square Activation (HE fallback)"))
-        })?;
-
-        let pooled = self.run_stage(&mut metrics, "infer.degraded.layer[2].he", |metrics| {
-            let pooled = ops::he_scaled_mean_pool(
-                &self.sys,
-                &activated,
-                m.window,
-                &mut metrics.ops,
-                &self.pool,
-                &self.arena,
-            )?;
-            activated.recycle(&self.arena);
-            Ok(Staged::he(pooled, "Scaled Mean Pool (HE fallback)"))
-        })?;
-
-        let logits = self.run_stage(&mut metrics, "infer.degraded.layer[3].he", |metrics| {
-            let logits = ops::he_fully_connected(
-                &self.sys,
-                &pooled,
-                &self.fc_bank,
-                m.classes,
-                &mut metrics.ops,
-                &self.pool,
-                &self.arena,
-            )?;
-            pooled.recycle(&self.arena);
-            Ok(Staged::he(logits, "Fully Connected Layer (HE outside)"))
-        })?;
-
-        Ok((logits, metrics))
-    }
 }
 
 /// Sums the enclave costs of a metrics record.
@@ -771,6 +654,8 @@ pub fn total_enclave_cost(metrics: &HybridMetrics) -> CostBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::NoiseRefresh;
+    use hesgx_henn::ops;
     use hesgx_tee::enclave::Platform;
 
     fn small_hybrid_model() -> QuantizedCnn {
@@ -809,20 +694,20 @@ mod tests {
             .map(|b| (0..64).map(|p| ((p + b * 7) % 16) as i64).collect())
             .collect();
         let enc = EncryptedMap::encrypt_images(
-            &service.sys,
+            service.system(),
             &images,
             model.in_side,
             service.enclave.public_keys(),
             &mut rng,
         )
         .unwrap();
-        let (logits, metrics) = service.infer(&enc, EcallBatching::Batched).unwrap();
+        let (logits, metrics) = service.run(service.plan(), &enc).unwrap();
         // Decrypt with the enclave's secret keys (test-only access).
         for (b, img) in images.iter().enumerate() {
             let expect = model.forward_ints(img);
             for (class, ct) in logits.iter().enumerate() {
                 let slots = service
-                    .sys
+                    .system()
                     .decrypt_slots(ct, service.enclave.secret_keys())
                     .unwrap();
                 assert_eq!(
@@ -851,15 +736,19 @@ mod tests {
         let mut rng = ChaChaRng::from_seed(102);
         let images = vec![(0..64).map(|p| (p % 16) as i64).collect::<Vec<i64>>()];
         let enc = EncryptedMap::encrypt_images(
-            &service.sys,
+            service.system(),
             &images,
             model.in_side,
             service.enclave.public_keys(),
             &mut rng,
         )
         .unwrap();
-        let (_, batched) = service.infer(&enc, EcallBatching::Batched).unwrap();
-        let (_, single) = service.infer(&enc, EcallBatching::PerPixel).unwrap();
+        let (_, batched) = service.run(service.plan(), &enc).unwrap();
+        // Fig. 8's `EncryptSGX (single)` group: the same plan with the
+        // activation stage swapped, on the same service.
+        let mut per_pixel = service.plan().clone();
+        per_pixel.stages[1] = Stage::Activation(EcallBatching::PerPixel);
+        let (_, single) = service.run(&per_pixel, &enc).unwrap();
         let b = total_enclave_cost(&batched);
         let s = total_enclave_cost(&single);
         assert!(
@@ -881,7 +770,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(service.plan().pool_strategy, PoolStrategy::SgxPool);
+        assert_eq!(service.plan().stages[2], Stage::Pool(PoolStrategy::SgxPool));
     }
 
     #[test]
@@ -923,14 +812,14 @@ mod tests {
             .unwrap();
             let mut rng = ChaChaRng::from_seed(103);
             let enc = EncryptedMap::encrypt_images(
-                &service.sys,
+                service.system(),
                 &images,
                 model.in_side,
                 service.enclave.public_keys(),
                 &mut rng,
             )
             .unwrap();
-            let (logits, metrics) = service.infer(&enc, EcallBatching::Batched).unwrap();
+            let (logits, metrics) = service.run(service.plan(), &enc).unwrap();
             assert_eq!(metrics.threads, threads);
             match &reference {
                 None => reference = Some(logits),
@@ -959,7 +848,7 @@ mod tests {
         .unwrap();
         let mut rng = ChaChaRng::from_seed(104);
         let enc = EncryptedMap::encrypt_images(
-            &service.sys,
+            service.system(),
             images,
             model.in_side,
             service.enclave.public_keys(),
@@ -980,13 +869,13 @@ mod tests {
             .map(|b| (0..64).map(|p| ((p * 5 + b * 3) % 16) as i64).collect())
             .collect();
         let (service, enc) = service_and_input(36, 12, &images);
-        let (logits, metrics) = service.infer(&enc, EcallBatching::Batched).unwrap();
+        let (logits, metrics) = service.run(service.plan(), &enc).unwrap();
 
         // Same seeds → same keys and the same enclave re-encryption streams.
         let (oracle, enc) = service_and_input(36, 12, &images);
         let mut oracle_ops = OpCounter::default();
         let conv = ops::he_conv2d_reference(
-            &oracle.sys,
+            oracle.system(),
             &enc,
             &model.conv_weights,
             &model.conv_bias,
@@ -998,14 +887,20 @@ mod tests {
         .unwrap();
         let (activated, _) = oracle
             .enclave
-            .activation_map(&oracle.sys, &conv, &model, oracle.activation, &oracle.pool)
+            .activation_map(
+                oracle.system(),
+                &conv,
+                &model,
+                oracle.activation,
+                oracle.pool(),
+            )
             .unwrap();
         let (pooled, _) = oracle
             .enclave
-            .pool_full_map(&oracle.sys, &activated, &model, false, &oracle.pool)
+            .pool_full_map(oracle.system(), &activated, &model, false, oracle.pool())
             .unwrap();
         let oracle_logits = ops::he_fully_connected_reference(
-            &oracle.sys,
+            oracle.system(),
             &pooled,
             &model.fc_weights,
             &model.fc_bias,
@@ -1031,19 +926,32 @@ mod tests {
         );
     }
 
-    /// Degraded (pure-HE) inference runs the same conv/FC kernels; the
-    /// fallback must stay bit-identical to its raw-weight oracle form too.
+    /// The degraded plan is the CryptoNets stage list: its logit ciphertexts
+    /// equal conv → square → sum-pool → FC assembled by hand, both around
+    /// the raw-weight oracles and around the bank kernels, and no stage
+    /// crosses into the enclave.
     #[test]
     fn degraded_cached_weights_are_bit_identical() {
+        use hesgx_bfv::prelude::PolyArena;
+        use hesgx_henn::weights::WeightBank;
         let model = small_hybrid_model();
         let images = vec![(0..64).map(|p| ((p * 7) % 16) as i64).collect::<Vec<i64>>()];
         let (service, enc) = service_and_input(37, 13, &images);
-        let (logits, metrics) = service.infer_degraded(&enc).unwrap();
+        let (logits, metrics) = service.run(service.degraded_plan(), &enc).unwrap();
         assert_eq!(metrics.ops.weight_prep, 0);
+        assert_eq!(metrics.stages.len(), 4);
+        assert!(metrics.stages.iter().all(|s| s.enclave.is_none()));
+
+        let (sys, pool, arena) = (service.system(), service.pool(), PolyArena::new());
+        let square_and_pool = |conv: &EncryptedMap, ops_count: &mut OpCounter| {
+            let squared =
+                ops::he_square_activation(sys, conv, &service.evaluation, ops_count, pool).unwrap();
+            ops::he_scaled_mean_pool(sys, &squared, model.window, ops_count, pool, &arena).unwrap()
+        };
 
         let mut oracle_ops = OpCounter::default();
         let conv = ops::he_conv2d_reference(
-            &service.sys,
+            sys,
             &enc,
             &model.conv_weights,
             &model.conv_bias,
@@ -1053,25 +961,9 @@ mod tests {
             &mut oracle_ops,
         )
         .unwrap();
-        let squared = ops::he_square_activation(
-            &service.sys,
-            &conv,
-            &service.evaluation,
-            &mut oracle_ops,
-            &service.pool,
-        )
-        .unwrap();
-        let pooled = ops::he_scaled_mean_pool(
-            &service.sys,
-            &squared,
-            model.window,
-            &mut oracle_ops,
-            &service.pool,
-            &service.arena,
-        )
-        .unwrap();
+        let pooled = square_and_pool(&conv, &mut oracle_ops);
         let oracle_logits = ops::he_fully_connected_reference(
-            &service.sys,
+            sys,
             &pooled,
             &model.fc_weights,
             &model.fc_bias,
@@ -1080,6 +972,156 @@ mod tests {
         )
         .unwrap();
         assert_eq!(logits, oracle_logits);
+
+        let mut hand_ops = OpCounter::default();
+        let conv_bank = WeightBank::prepare(sys, &model.conv_weights, &model.conv_bias).unwrap();
+        let fc_bank = WeightBank::prepare(sys, &model.fc_weights, &model.fc_bias).unwrap();
+        let conv = ops::he_conv2d(
+            sys,
+            &enc,
+            &conv_bank,
+            model.conv_out,
+            model.kernel,
+            1,
+            &mut hand_ops,
+            pool,
+            &arena,
+        )
+        .unwrap();
+        let pooled = square_and_pool(&conv, &mut hand_ops);
+        let hand_logits = ops::he_fully_connected(
+            sys,
+            &pooled,
+            &fc_bank,
+            model.classes,
+            &mut hand_ops,
+            pool,
+            &arena,
+        )
+        .unwrap();
+        assert_eq!(logits, hand_logits);
+        assert_eq!(metrics.ops, hand_ops);
+    }
+
+    /// Every compiled plan is exact. One service per (model, refresh policy,
+    /// pool size); on it, the plan's activation and pooling stages are
+    /// swapped through {batched, per-pixel} × {`SgxPool`, `SgxDiv`} — the
+    /// `SgxDiv` arm (HE window sum + in-enclave division) included, on the
+    /// 2×2 model where the §VI-D rule would not pick it and on a 3×3-window
+    /// model where it does. Logits must equal the plaintext reference and
+    /// the metrics must show one stage per plan stage, ECALL where planned.
+    #[test]
+    fn every_compiled_plan_is_exact() {
+        let window_3 = QuantizedCnn {
+            window: 3,
+            fc_weights: (0..3 * 8).map(|i| (i % 5) as i64 - 2).collect(),
+            ..small_hybrid_model()
+        };
+        let images: Vec<Vec<i64>> = (0..2)
+            .map(|b| (0..64).map(|p| ((p * 3 + b * 5) % 16) as i64).collect())
+            .collect();
+        // (policy, stage-3 label when the plan has a refresh stage)
+        let refreshes = [
+            (ServePolicy::new(), None),
+            (
+                ServePolicy::new().noise_refresh(NoiseRefresh::Always),
+                Some("Noise Refresh (SGX inside)"),
+            ),
+            (
+                ServePolicy::new()
+                    .noise_refresh(NoiseRefresh::Auto)
+                    .refresh_threshold_bits(0),
+                Some("Noise Check (SGX inside)"),
+            ),
+            (
+                ServePolicy::new()
+                    .noise_refresh(NoiseRefresh::Auto)
+                    .refresh_threshold_bits(u32::MAX),
+                Some("Noise Refresh (SGX inside)"),
+            ),
+        ];
+        for (model, natural) in [
+            (small_hybrid_model(), PoolStrategy::SgxPool),
+            (window_3, PoolStrategy::SgxDiv),
+        ] {
+            for (policy, refresh_label) in &refreshes {
+                for threads in [1usize, 2] {
+                    let (service, _) = HybridInference::provision_with(
+                        Platform::new(40),
+                        model.clone(),
+                        ProvisionConfig {
+                            poly_degree: 256,
+                            seed: 16,
+                            threads,
+                            policy: policy.clone(),
+                            ..ProvisionConfig::default()
+                        },
+                    )
+                    .unwrap();
+                    assert_eq!(service.plan().stages[2], Stage::Pool(natural));
+                    let enc = EncryptedMap::encrypt_images(
+                        service.system(),
+                        &images,
+                        model.in_side,
+                        service.enclave.public_keys(),
+                        &mut ChaChaRng::from_seed(107),
+                    )
+                    .unwrap();
+                    for batching in [EcallBatching::Batched, EcallBatching::PerPixel] {
+                        for strategy in [PoolStrategy::SgxPool, PoolStrategy::SgxDiv] {
+                            let mut plan = service.plan().clone();
+                            plan.stages[1] = Stage::Activation(batching);
+                            plan.stages[2] = Stage::Pool(strategy);
+                            let what = format!(
+                                "window {} {policy:?} {threads} threads {:?}",
+                                model.window, plan.stages
+                            );
+                            let (logits, metrics) = service.run(&plan, &enc).unwrap();
+                            for (b, img) in images.iter().enumerate() {
+                                let got: Vec<i128> = logits
+                                    .iter()
+                                    .map(|ct| {
+                                        service
+                                            .system()
+                                            .decrypt_slots(ct, service.enclave.secret_keys())
+                                            .unwrap()[b]
+                                    })
+                                    .collect();
+                                let expect: Vec<i128> =
+                                    model.forward_ints(img).iter().map(|&v| v.into()).collect();
+                                assert_eq!(got, expect, "{what}: image {b}");
+                            }
+                            let crossed: Vec<bool> =
+                                metrics.stages.iter().map(|s| s.enclave.is_some()).collect();
+                            let planned: Vec<bool> = plan
+                                .stages
+                                .iter()
+                                .map(|s| !matches!(s, Stage::He(_)))
+                                .collect();
+                            assert_eq!(crossed, planned, "{what}");
+                            assert_eq!(
+                                metrics.stages[2].name,
+                                format!("Pooling Layer ({strategy:?})"),
+                                "{what}"
+                            );
+                            // Conv and FC accumulate; of the pooling arms
+                            // only SgxDiv adds ciphertexts (the window sums).
+                            let conv_cells = model.conv_out * model.conv_side().pow(2);
+                            let pool_cells = model.conv_out * model.pool_side().pow(2);
+                            let mut adds = conv_cells * (model.kernel.pow(2) - 1)
+                                + model.classes * (model.fc_in() - 1);
+                            if strategy == PoolStrategy::SgxDiv {
+                                adds += pool_cells * (model.window.pow(2) - 1);
+                            }
+                            assert_eq!(metrics.ops.ct_ct_add, adds as u64, "{what}");
+                            if let Some(label) = refresh_label {
+                                assert_eq!(metrics.stages[3].name, *label, "{what}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The stage runner is the one instrumentation point: on every pipeline
@@ -1119,12 +1161,17 @@ mod tests {
                 ProvisionConfig {
                     poly_degree: 256,
                     seed: 15,
-                    refresh_between_stages: matches!(path, Path::RefreshAlways),
-                    refresh_auto: matches!(path, Path::AutoSkip | Path::AutoRefresh),
-                    refresh_threshold_bits: match path {
-                        Path::AutoSkip => Some(0),
-                        Path::AutoRefresh => Some(u32::MAX),
-                        _ => None,
+                    policy: match path {
+                        Path::RefreshAlways => {
+                            ServePolicy::new().noise_refresh(NoiseRefresh::Always)
+                        }
+                        Path::AutoSkip => ServePolicy::new()
+                            .noise_refresh(NoiseRefresh::Auto)
+                            .refresh_threshold_bits(0),
+                        Path::AutoRefresh => ServePolicy::new()
+                            .noise_refresh(NoiseRefresh::Auto)
+                            .refresh_threshold_bits(u32::MAX),
+                        _ => ServePolicy::new(),
                     },
                     recorder: rec.clone(),
                     ..ProvisionConfig::default()
@@ -1133,7 +1180,7 @@ mod tests {
             .unwrap();
             let mut rng = ChaChaRng::from_seed(106);
             let enc = EncryptedMap::encrypt_images(
-                &service.sys,
+                service.system(),
                 &images,
                 8,
                 service.enclave.public_keys(),
@@ -1143,23 +1190,17 @@ mod tests {
 
             let installed = profiler.install();
             let stages = match path {
-                Path::Degraded => service.infer_degraded(&enc).unwrap().1.stages,
+                Path::Degraded => service.run(service.degraded_plan(), &enc).unwrap().1.stages,
                 Path::Transciphered => {
                     let key = derive_ingress_key(&ceremony.public, &ceremony.user_secret);
                     let payload = seal_ingress_payload(&key, &mut rng, &images).unwrap();
                     let (enc, ingress) = service.transcipher_ingress(&key, &payload).unwrap();
-                    let (_, metrics) = service.infer(&enc, EcallBatching::Batched).unwrap();
+                    let (_, metrics) = service.run(service.plan(), &enc).unwrap();
                     let mut stages = vec![ingress];
                     stages.extend(metrics.stages);
                     stages
                 }
-                _ => {
-                    service
-                        .infer(&enc, EcallBatching::Batched)
-                        .unwrap()
-                        .1
-                        .stages
-                }
+                _ => service.run(service.plan(), &enc).unwrap().1.stages,
             };
             drop(installed);
             assert_eq!(stages.len(), want_stages, "{path:?}");

@@ -7,19 +7,32 @@
 //! window-size rule from Fig. 6: small windows favor `SGXPool` (ship the whole
 //! map in), larger windows favor `SGXDiv` (HE window-sums outside, division
 //! inside) because the homomorphic addition shrinks what must be decrypted.
+//!
+//! The plan is the program: [`plan_for`] compiles a model and a
+//! [`ServePolicy`] into the ordered [`Stage`] list that
+//! [`crate::pipeline::HybridInference::run`] walks. The degraded pure-HE
+//! fallback is the same model compiled with [`Placement::PureHe`], and the
+//! Fig. 8 control groups are the exact plan with one stage swapped.
 
-use crate::request::Ingress;
+use crate::request::{Ingress, NoiseRefresh, ServePolicy};
 use hesgx_crypto::transcipher;
+use hesgx_henn::layers::HeLayer;
 use hesgx_nn::quantize::QuantizedCnn;
 use serde::{Deserialize, Serialize};
 
-/// Where a layer executes.
+/// Whether the enclave is available to a plan's non-linear layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Placement {
-    /// Homomorphic computing outside SGX (paper §IV-C).
-    HeOutside,
-    /// Plaintext computing inside SGX (paper §IV-D).
-    SgxInside,
+    /// Linear layers under HE outside, non-linear layers exact on plaintext
+    /// inside SGX (paper Fig. 2). Logits are bit-identical to
+    /// [`QuantizedCnn::forward_ints`].
+    Hybrid,
+    /// The enclave is unavailable: the sigmoid becomes the CryptoNets
+    /// square under the ceremony's evaluation keys and mean pooling stays a
+    /// window sum (no division without the enclave). The logits sit on a
+    /// different fixed-point scale — a ranking-quality prediction, which
+    /// [`crate::session::Served::Degraded`] marks.
+    PureHe,
 }
 
 /// How the pooling layer splits between HE and the enclave.
@@ -46,25 +59,82 @@ impl PoolStrategy {
     }
 }
 
-/// One planned layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PlannedLayer {
-    /// Layer description.
-    pub name: String,
-    /// Where it runs.
-    pub placement: Placement,
+/// How the activation layer's cells cross the enclave boundary — the Fig. 8
+/// control groups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum EcallBatching {
+    /// One ECALL per feature map (the framework's design, `EncryptSGX`).
+    Batched,
+    /// One ECALL per pixel (`EncryptSGX (single)` — the paper's negative
+    /// result: "frequent accesses to SGX bring about huge time-consuming").
+    PerPixel,
 }
 
-/// The execution plan for the paper's 4-layer CNN.
+/// One step of a plan. [`Stage::He`] runs in the untrusted host; every other
+/// stage is an ECALL.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Stage {
+    /// A layer under HE outside the enclave (§IV-C).
+    He(HeLayer),
+    /// The exact activation on plaintext inside the enclave (§IV-D).
+    Activation(EcallBatching),
+    /// Mean pooling with the division inside the enclave (§VI-D).
+    Pool(PoolStrategy),
+    /// The in-enclave noise refresh point (`ecall_DecreaseNoise`, §IV-E).
+    /// `auto` probes the live budget first and refreshes only below the
+    /// plan's `refresh_threshold_bits`; otherwise the refresh always runs.
+    Refresh {
+        /// Gate the refresh on the measured budget.
+        auto: bool,
+    },
+}
+
+/// An executable plan: the stage list one inference walks.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InferencePlan {
-    /// Per-layer placements, in order.
-    pub layers: Vec<PlannedLayer>,
-    /// The pooling split.
-    pub pool_strategy: PoolStrategy,
+    /// Which side of the placement rule the plan was compiled for (names
+    /// the spans: `infer.layer[i]` vs `infer.degraded.layer[i]`).
+    pub placement: Placement,
+    /// The stages, in execution order. The last stage's output cells are
+    /// the logits.
+    pub stages: Vec<Stage>,
     /// Refresh ciphertexts inside the enclave when the minimum noise budget
     /// falls below this many bits.
     pub refresh_threshold_bits: u32,
+}
+
+/// The refresh threshold a policy without an override gets.
+const DEFAULT_REFRESH_THRESHOLD_BITS: u32 = 10;
+
+/// Compiles the paper's 4-layer CNN into a plan: linear layers → HE
+/// outside; non-linear layers → exact inside the enclave (pooling split by
+/// the §VI-D window rule, the policy's noise refresh before the FC layer),
+/// or their HE stand-ins when `placement` says the enclave is unavailable.
+pub fn plan_for(model: &QuantizedCnn, policy: &ServePolicy, placement: Placement) -> InferencePlan {
+    let mut stages = vec![Stage::He(HeLayer::Conv)];
+    match placement {
+        Placement::Hybrid => {
+            stages.push(Stage::Activation(EcallBatching::Batched));
+            stages.push(Stage::Pool(PoolStrategy::select(model.window)));
+            match policy.noise_refresh {
+                NoiseRefresh::Off => {}
+                NoiseRefresh::Always => stages.push(Stage::Refresh { auto: false }),
+                NoiseRefresh::Auto => stages.push(Stage::Refresh { auto: true }),
+            }
+        }
+        Placement::PureHe => {
+            stages.push(Stage::He(HeLayer::Square));
+            stages.push(Stage::He(HeLayer::SumPool));
+        }
+    }
+    stages.push(Stage::He(HeLayer::Fc));
+    InferencePlan {
+        placement,
+        stages,
+        refresh_threshold_bits: policy
+            .refresh_threshold_bits
+            .unwrap_or(DEFAULT_REFRESH_THRESHOLD_BITS),
+    }
 }
 
 /// Minimum upload-bytes reduction before the planner recommends shipping a
@@ -89,32 +159,6 @@ pub fn recommend_ingress(ciphertext_bytes: usize, pixels: usize, batch: usize) -
         Ingress::Transciphered
     } else {
         Ingress::FvCiphertext
-    }
-}
-
-/// Builds the plan for a hybrid-quantized model.
-pub fn plan_for(model: &QuantizedCnn) -> InferencePlan {
-    InferencePlan {
-        layers: vec![
-            PlannedLayer {
-                name: "Convolutional Layer".into(),
-                placement: Placement::HeOutside,
-            },
-            PlannedLayer {
-                name: "Sigmoid".into(),
-                placement: Placement::SgxInside,
-            },
-            PlannedLayer {
-                name: "Pooling Layer".into(),
-                placement: Placement::SgxInside,
-            },
-            PlannedLayer {
-                name: "Fully Connected Layer".into(),
-                placement: Placement::HeOutside,
-            },
-        ],
-        pool_strategy: PoolStrategy::select(model.window),
-        refresh_threshold_bits: 10,
     }
 }
 
@@ -158,12 +202,37 @@ mod tests {
             fc_scale: 32,
             act_scale: 16,
         };
-        let plan = plan_for(&model);
-        assert_eq!(plan.layers[0].placement, Placement::HeOutside);
-        assert_eq!(plan.layers[1].placement, Placement::SgxInside);
-        assert_eq!(plan.layers[2].placement, Placement::SgxInside);
-        assert_eq!(plan.layers[3].placement, Placement::HeOutside);
+        let plan = plan_for(&model, &ServePolicy::default(), Placement::Hybrid);
         // The paper's model uses a 2×2 window → SgxPool.
-        assert_eq!(plan.pool_strategy, PoolStrategy::SgxPool);
+        assert_eq!(
+            plan.stages,
+            [
+                Stage::He(HeLayer::Conv),
+                Stage::Activation(EcallBatching::Batched),
+                Stage::Pool(PoolStrategy::SgxPool),
+                Stage::He(HeLayer::Fc),
+            ]
+        );
+        assert_eq!(plan.refresh_threshold_bits, 10);
+        // The policy's refresh lands between pooling and the FC layer.
+        let policy = ServePolicy::new()
+            .noise_refresh(NoiseRefresh::Auto)
+            .refresh_threshold_bits(7);
+        let plan = plan_for(&model, &policy, Placement::Hybrid);
+        assert_eq!(plan.stages[3], Stage::Refresh { auto: true });
+        assert_eq!(plan.stages.len(), 5);
+        assert_eq!(plan.refresh_threshold_bits, 7);
+        // Without the enclave the same model compiles to the CryptoNets
+        // list, whatever the policy says about refreshing.
+        let plan = plan_for(&model, &policy, Placement::PureHe);
+        assert_eq!(
+            plan.stages,
+            [
+                Stage::He(HeLayer::Conv),
+                Stage::He(HeLayer::Square),
+                Stage::He(HeLayer::SumPool),
+                Stage::He(HeLayer::Fc),
+            ]
+        );
     }
 }

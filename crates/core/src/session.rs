@@ -1,7 +1,7 @@
 //! The one-stop session API: builder → [`Session`] → plaintext logits.
 //!
 //! [`HybridInference`] exposes the paper's machinery — key ceremony,
-//! encrypted maps, ECALL batching modes — which most callers don't want to
+//! encrypted maps, stage plans — which most callers don't want to
 //! assemble by hand. A [`Session`] owns both roles of the protocol (the
 //! provisioned edge service *and* the attested user key material) so a caller
 //! can go quantized pixels → logits in one call, while every intermediate
@@ -19,8 +19,8 @@
 //! [`RecoveryPolicy`], sealed-state corruption triggers a bounded
 //! re-provision (same seed → identical keys, so the user's material stays
 //! valid), and a request sent with [`Resilience::Degrade`] falls back to the
-//! pure-HE square-activation path — marked [`Served::Degraded`] — when
-//! retries are exhausted. Install a [`FaultPlan`] with
+//! service's pure-HE plan — marked [`Served::Degraded`] — when retries are
+//! exhausted. Install a [`FaultPlan`] with
 //! [`SessionBuilder::chaos`] to drive every one of those paths
 //! deterministically and read the resulting [`FaultReport`] back via
 //! [`Session::fault_report`].
@@ -56,12 +56,10 @@
 use crate::error::{Error, FaultClass, Result};
 use crate::ingress::seal_ingress_payload;
 use crate::keydist::{derive_ingress_key, verify_key_ceremony, KeyCeremonyPublic};
-use crate::pipeline::{
-    EcallBatching, HybridInference, HybridMetrics, ProvisionConfig, StageMetrics,
-};
-use crate::planner::PoolStrategy;
-use crate::recovery::{retry_with_cost, RecoveryPolicy};
-use crate::request::{InferRequest, InferResponse, Ingress, NoiseRefresh, Resilience, ServePolicy};
+use crate::pipeline::{HybridInference, HybridMetrics, ProvisionConfig, StageMetrics};
+use crate::planner::Placement;
+use crate::recovery::retry_with_cost;
+use crate::request::{InferRequest, InferResponse, Ingress, Resilience, ServePolicy};
 use hesgx_chaos::{FaultHook, FaultInjector, FaultPlan, FaultReport, RecoveryEvent};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::transcipher::IngressKey;
@@ -121,11 +119,9 @@ const MAX_REPROVISIONS: u32 = 2;
 pub struct SessionBuilder {
     preset: ParamsPreset,
     activation: ActivationKind,
-    pool_strategy: Option<PoolStrategy>,
     cost_model: Option<CostModel>,
     threads: usize,
     seed: u64,
-    batching: EcallBatching,
     policy: ServePolicy,
     chaos: Option<FaultPlan>,
     recorder: Recorder,
@@ -137,11 +133,9 @@ impl Default for SessionBuilder {
         SessionBuilder {
             preset: ParamsPreset::Paper,
             activation: ActivationKind::Sigmoid,
-            pool_strategy: None,
             cost_model: None,
             threads: 0,
             seed: 0,
-            batching: EcallBatching::Batched,
             policy: ServePolicy::default(),
             chaos: None,
             recorder: Recorder::disabled(),
@@ -171,14 +165,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Overrides the pooling split instead of applying the §VI-D window
-    /// rule.
-    #[must_use]
-    pub fn pooling(mut self, strategy: PoolStrategy) -> Self {
-        self.pool_strategy = Some(strategy);
-        self
-    }
-
     /// Overrides the enclave cost model — [`CostModel::fake_sgx`] gives the
     /// paper's `EncryptFakeSGX` control group.
     #[must_use]
@@ -204,28 +190,16 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the ECALL submission mode ([`EcallBatching::PerPixel`]
-    /// reproduces the paper's `EncryptSGX (single)` negative result).
-    #[must_use]
-    pub fn batching(mut self, batching: EcallBatching) -> Self {
-        self.batching = batching;
-        self
-    }
-
-    /// Installs the whole serving policy at once — the consolidated home of
-    /// the retry and noise-refresh knobs. The granular setters below edit
-    /// the same struct, so the last write wins either way.
+    /// Installs the serving policy — the one home of the retry and
+    /// noise-refresh settings. The service's plans are compiled from it:
+    /// [`crate::NoiseRefresh::Always`] adds a fifth `ecall_DecreaseNoise`
+    /// stage between pooling and the fully connected layer (§IV-E), and
+    /// [`crate::NoiseRefresh::Auto`] gates that stage on the budget the
+    /// enclave measures (`ecall_NoiseProbe`; only the bit-count leaves the
+    /// enclave), leaving its decision trail in [`HybridMetrics::noise`].
     #[must_use]
     pub fn policy(mut self, policy: ServePolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the bounded-retry policy for transient enclave faults
-    /// (shorthand for editing [`ServePolicy::recovery`]).
-    #[must_use]
-    pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.policy.recovery = policy;
         self
     }
 
@@ -238,53 +212,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn chaos(mut self, plan: FaultPlan) -> Self {
         self.chaos = Some(plan);
-        self
-    }
-
-    /// Inserts an explicit in-enclave noise-refresh stage between pooling
-    /// and the fully connected layer (`ecall_DecreaseNoise`, §IV-E), adding
-    /// a fifth stage to the metrics. Shorthand for setting
-    /// [`ServePolicy::noise_refresh`] to [`NoiseRefresh::Always`] (or back
-    /// to [`NoiseRefresh::Off`]); an already-selected [`NoiseRefresh::Auto`]
-    /// keeps precedence.
-    #[must_use]
-    pub fn noise_refresh(mut self, enabled: bool) -> Self {
-        if self.policy.noise_refresh != NoiseRefresh::Auto {
-            self.policy.noise_refresh = if enabled {
-                NoiseRefresh::Always
-            } else {
-                NoiseRefresh::Off
-            };
-        }
-        self
-    }
-
-    /// Gates the in-enclave noise refresh on a measured budget instead of
-    /// running it unconditionally: the enclave probes the minimum invariant
-    /// noise budget after pooling (`ecall_NoiseProbe`) and refreshes only
-    /// when the measured bits fall below the planner's
-    /// `refresh_threshold_bits`. Only the bit-count leaves the enclave. The
-    /// decision trail lands in [`HybridMetrics::noise`]. Shorthand for
-    /// setting [`ServePolicy::noise_refresh`] to [`NoiseRefresh::Auto`];
-    /// takes precedence over [`SessionBuilder::noise_refresh`].
-    #[must_use]
-    pub fn noise_refresh_auto(mut self, enabled: bool) -> Self {
-        self.policy.noise_refresh = if enabled {
-            NoiseRefresh::Auto
-        } else if self.policy.noise_refresh == NoiseRefresh::Auto {
-            NoiseRefresh::Off
-        } else {
-            self.policy.noise_refresh
-        };
-        self
-    }
-
-    /// Overrides the planner's refresh threshold (bits of invariant noise
-    /// budget below which [`NoiseRefresh::Auto`] refreshes). Shorthand for
-    /// [`ServePolicy::refresh_threshold_bits`].
-    #[must_use]
-    pub fn refresh_threshold_bits(mut self, bits: u32) -> Self {
-        self.policy.refresh_threshold_bits = Some(bits);
         self
     }
 
@@ -338,20 +265,16 @@ impl SessionBuilder {
             seed: self.seed,
             cost_model: self.cost_model,
             threads: self.threads,
-            pool_strategy: self.pool_strategy,
-            recovery: self.policy.recovery,
+            activation: self.activation,
+            policy: self.policy,
             fault_hook: chaos.clone().map(|injector| injector as Arc<dyn FaultHook>),
-            refresh_between_stages: self.policy.noise_refresh == NoiseRefresh::Always,
-            refresh_auto: self.policy.noise_refresh == NoiseRefresh::Auto,
-            refresh_threshold_bits: self.policy.refresh_threshold_bits,
             recorder: self.recorder.clone(),
         };
         let _prof_install = self.profiler.install();
         let provision_span = prof::span("session.provision");
-        let (mut service, ceremony) =
+        let (service, ceremony) =
             HybridInference::provision_with(platform.clone(), model.clone(), config.clone())?;
         drop(provision_span);
-        service.set_activation(self.activation);
 
         // The user role verifies the quote before trusting the keys (§IV-A).
         // An injected attestation-verification fault is transient — the
@@ -366,7 +289,7 @@ impl SessionBuilder {
         let measurement = *service.enclave().enclave().measurement();
         let hook = chaos.as_ref().map(|c| c.as_ref() as &dyn FaultHook);
         let (verified, _cost) =
-            retry_with_cost(&self.policy.recovery, hook, &self.recorder, || {
+            retry_with_cost(&config.policy.recovery, hook, &self.recorder, || {
                 let res = verify_key_ceremony(&attestation, &ceremony, &measurement)
                     .map(|_| ())
                     .map_err(Error::Tee);
@@ -383,14 +306,11 @@ impl SessionBuilder {
             service: RwLock::new(service),
             ceremony,
             ingress_key,
-            batching: self.batching,
             rng: Mutex::new(ChaChaRng::from_seed(self.seed).fork("session-client")),
             pool,
-            last_metrics: Mutex::new(None),
             platform,
             model,
             config,
-            activation: self.activation,
             chaos,
             recorder: self.recorder,
             profiler: self.profiler,
@@ -409,17 +329,14 @@ pub struct Session {
     /// transcript by both roles (DESIGN.md §17). Survives re-provisioning:
     /// same seed → same ceremony → same key.
     ingress_key: IngressKey,
-    batching: EcallBatching,
     rng: Mutex<ChaChaRng>,
     pool: ParExec,
-    last_metrics: Mutex<Option<HybridMetrics>>,
     /// Everything needed to re-provision after sealed-state corruption:
     /// same platform + model + config (same seed) rebuilds identical keys,
     /// so the user's ceremony material stays valid across the swap.
     platform: Arc<Platform>,
     model: QuantizedCnn,
     config: ProvisionConfig,
-    activation: ActivationKind,
     chaos: Option<Arc<FaultInjector>>,
     recorder: Recorder,
     profiler: Profiler,
@@ -449,9 +366,10 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] for an empty or oversized batch and
-    /// propagates HE/TEE failures (under [`Resilience::Degrade`], only
-    /// fatal ones — including failures of the fallback itself).
+    /// Returns [`Error::Config`] for an empty or oversized batch or an
+    /// image that is not `in_side × in_side` pixels, and propagates HE/TEE
+    /// failures (under [`Resilience::Degrade`], only fatal ones — including
+    /// failures of the fallback itself).
     pub fn serve(&self, request: InferRequest) -> Result<InferResponse> {
         let _prof_install = self.profiler.install();
         let _prof = prof::span("session.serve");
@@ -460,12 +378,7 @@ impl Session {
         let traced = self.trace_request_begin(request.images.len(), &trace_id);
         let result = self.serve_inner(&request);
         self.trace_request_end(traced, result.is_ok());
-        let (logits, served, upload_bytes) = result?;
-        let metrics = self
-            .last_metrics
-            .lock()
-            .clone()
-            .expect("a successful serve records pipeline metrics");
+        let (logits, served, metrics, upload_bytes) = result?;
         Ok(InferResponse {
             logits,
             served,
@@ -475,20 +388,20 @@ impl Session {
         })
     }
 
-    /// The recovery ladder around one encrypted batch: exact attempts with
-    /// bounded re-provisions, then the resilience-gated degraded fallback.
-    fn serve_inner(&self, request: &InferRequest) -> Result<(Vec<Vec<i64>>, Served, u64)> {
+    /// Ingress, then the recovery ladder around the encrypted batch.
+    fn serve_inner(
+        &self,
+        request: &InferRequest,
+    ) -> Result<(Vec<Vec<i64>>, Served, HybridMetrics, u64)> {
         let (enc, upload_bytes, ingress_stage) = self.ingest(request)?;
-        let (rows, served) = self.ladder(request, &enc)?;
+        let (rows, served, mut metrics) = self.ladder(request, &enc)?;
         // The ingress ECALL ran once, before the ladder; prepend its stage so
         // the metrics carry it and the obs `.ecall` span fold still equals
         // `total_enclave_cost` ns-for-ns.
         if let Some(stage) = ingress_stage {
-            if let Some(metrics) = self.last_metrics.lock().as_mut() {
-                metrics.stages.insert(0, stage);
-            }
+            metrics.stages.insert(0, stage);
         }
-        Ok((rows, served, upload_bytes))
+        Ok((rows, served, metrics, upload_bytes))
     }
 
     /// Brings a request's batch into the pipeline as an [`EncryptedMap`],
@@ -496,6 +409,7 @@ impl Session {
     /// client shipped, and the ingress stage metrics when an ECALL ran.
     fn ingest(&self, request: &InferRequest) -> Result<(EncryptedMap, u64, Option<StageMetrics>)> {
         let _prof = prof::span("session.ingest");
+        self.check_batch(&request.images)?;
         match request.ingress {
             Ingress::FvCiphertext => {
                 let enc = self.encrypt_batch(&request.images)?;
@@ -510,6 +424,31 @@ impl Session {
         }
     }
 
+    /// Validates a batch's shape where both ingress modes meet: a broker
+    /// merges tenants' requests into one batch, so a malformed one must come
+    /// back as an error, never reach a shape assert inside an encryptor.
+    fn check_batch(&self, images: &[Vec<i64>]) -> Result<()> {
+        if images.is_empty() {
+            return Err(Error::Config("empty image batch".into()));
+        }
+        let slots = self.service.read().system().slot_count();
+        if images.len() > slots {
+            return Err(Error::Config(format!(
+                "batch of {} exceeds the {} SIMD slots",
+                images.len(),
+                slots
+            )));
+        }
+        let side = self.model.in_side;
+        if let Some(bad) = images.iter().find(|img| img.len() != side * side) {
+            return Err(Error::Config(format!(
+                "request carries {} pixels per image, the model expects {side}×{side}",
+                bad.len()
+            )));
+        }
+        Ok(())
+    }
+
     /// Transciphered ingress: seals the batch under the session ingress key
     /// (the client role) and re-encrypts it under FV inside the enclave
     /// (`ecall_Transcipher`). The nonce comes from a dedicated fork of the
@@ -519,75 +458,80 @@ impl Session {
         &self,
         images: &[Vec<i64>],
     ) -> Result<(EncryptedMap, StageMetrics, usize)> {
-        if images.is_empty() {
-            return Err(Error::Config("empty image batch".into()));
-        }
-        let service = self.service.read();
-        let slots = service.system().slot_count();
-        if images.len() > slots {
-            return Err(Error::Config(format!(
-                "batch of {} exceeds the {} SIMD slots",
-                images.len(),
-                slots
-            )));
-        }
         let payload = {
             let mut rng = self.rng.lock();
             let mut nonce_rng = rng.fork("transcipher-nonce");
             rng.next_u64();
             seal_ingress_payload(&self.ingress_key, &mut nonce_rng, images)?
         };
-        let (enc, stage) = service.transcipher_ingress(&self.ingress_key, &payload)?;
+        let (enc, stage) = self
+            .service
+            .read()
+            .transcipher_ingress(&self.ingress_key, &payload)?;
         Ok((enc, stage, payload.len()))
     }
 
-    /// The exact-with-reprovision / degrade ladder over an ingested batch.
+    /// The recovery ladder over an ingested batch: run the exact plan
+    /// (re-provisioning, boundedly, on sealed-state corruption), else — for
+    /// a request that opted in — run the degraded plan.
     fn ladder(
         &self,
         request: &InferRequest,
         enc: &EncryptedMap,
-    ) -> Result<(Vec<Vec<i64>>, Served)> {
+    ) -> Result<(Vec<Vec<i64>>, Served, HybridMetrics)> {
         let _prof = prof::span("session.ladder");
+        let batch = request.images.len();
         let mut reprovisions = 0u32;
         loop {
-            match self.run_exact(enc, request.images.len()) {
-                Ok(rows) => {
+            let err = match self.run_plan(Placement::Hybrid, enc, batch) {
+                Ok((rows, metrics)) => {
                     self.recorder.incr(counters::SERVED_EXACT, 1);
-                    return Ok((rows, Served::Exact));
+                    return Ok((rows, Served::Exact, metrics));
                 }
-                Err(err) => match err.classify() {
-                    FaultClass::SealedState if reprovisions < MAX_REPROVISIONS => {
-                        self.reprovision("sealed-state corruption detected during inference")?;
-                        reprovisions += 1;
+                Err(err) => err,
+            };
+            match err.classify() {
+                FaultClass::SealedState if reprovisions < MAX_REPROVISIONS => {
+                    self.reprovision("sealed-state corruption detected during inference")?;
+                    reprovisions += 1;
+                }
+                FaultClass::Transient if request.resilience == Resilience::Degrade => {
+                    // Bounded retries already ran (and were exhausted)
+                    // inside the pipeline; keep serving without SGX.
+                    let reason = "transient retries exhausted; pure-HE square fallback";
+                    if let Some(hook) = self.hook() {
+                        hook.on_recovery(RecoveryEvent::Degraded { reason });
                     }
-                    FaultClass::Transient if request.resilience == Resilience::Degrade => {
-                        // Bounded retries already ran (and were exhausted)
-                        // inside the pipeline; keep serving without SGX.
-                        if let Some(hook) = self.hook() {
-                            hook.on_recovery(RecoveryEvent::Degraded {
-                                reason: "transient retries exhausted; pure-HE square fallback",
-                            });
-                        }
-                        if self.recorder.trace_enabled() {
-                            self.recorder.trace_instant(
-                                "session.degraded",
-                                &[(
-                                    "reason",
-                                    "transient retries exhausted; pure-HE square fallback"
-                                        .to_string(),
-                                )],
-                            );
-                        }
-                        let (logits, metrics) = self.service.read().infer_degraded(enc)?;
-                        *self.last_metrics.lock() = Some(metrics);
-                        let rows = self.decrypt_logits(&logits, request.images.len())?;
-                        self.recorder.incr(counters::SERVED_DEGRADED, 1);
-                        return Ok((rows, Served::Degraded));
+                    if self.recorder.trace_enabled() {
+                        self.recorder
+                            .trace_instant("session.degraded", &[("reason", reason.to_string())]);
                     }
-                    _ => return Err(err),
-                },
+                    let (rows, metrics) = self.run_plan(Placement::PureHe, enc, batch)?;
+                    self.recorder.incr(counters::SERVED_DEGRADED, 1);
+                    return Ok((rows, Served::Degraded, metrics));
+                }
+                _ => return Err(err),
             }
         }
+    }
+
+    /// One attempt over an already-encrypted batch: runs the service's plan
+    /// for `placement` and decrypts the logits.
+    fn run_plan(
+        &self,
+        placement: Placement,
+        enc: &EncryptedMap,
+        batch: usize,
+    ) -> Result<(Vec<Vec<i64>>, HybridMetrics)> {
+        let (logits, metrics) = {
+            let service = self.service.read();
+            let plan = match placement {
+                Placement::Hybrid => service.plan(),
+                Placement::PureHe => service.degraded_plan(),
+            };
+            service.run(plan, enc)?
+        };
+        Ok((self.decrypt_logits(&logits, batch)?, metrics))
     }
 
     /// Probes the sealed secret-key blob (the recovery ladder's
@@ -608,21 +552,10 @@ impl Session {
         self.service.read().verify_sealed_state().map(|_| true)
     }
 
-    /// Encrypts a batch after validating its shape.
+    /// FV-encrypts a batch [`Session::check_batch`] has validated.
     fn encrypt_batch(&self, images: &[Vec<i64>]) -> Result<EncryptedMap> {
         let _prof = prof::span("session.encrypt");
-        if images.is_empty() {
-            return Err(Error::Config("empty image batch".into()));
-        }
         let service = self.service.read();
-        let slots = service.system().slot_count();
-        if images.len() > slots {
-            return Err(Error::Config(format!(
-                "batch of {} exceeds the {} SIMD slots",
-                images.len(),
-                slots
-            )));
-        }
         let side = service.model().in_side;
         // Advance the client stream once per batch, then encrypt from a
         // fork so the per-cell streams stay scheduling-independent.
@@ -637,13 +570,6 @@ impl Session {
             &batch_rng,
             &self.pool,
         )?)
-    }
-
-    /// One exact-pipeline attempt over an already-encrypted batch.
-    fn run_exact(&self, enc: &EncryptedMap, batch: usize) -> Result<Vec<Vec<i64>>> {
-        let (logits, metrics) = self.service.read().infer(enc, self.batching)?;
-        *self.last_metrics.lock() = Some(metrics);
-        self.decrypt_logits(&logits, batch)
     }
 
     /// Decrypts per-class logit ciphertexts into one row per batched image.
@@ -669,12 +595,11 @@ impl Session {
     /// encrypted batch in flight) stays valid.
     fn reprovision(&self, reason: &'static str) -> Result<()> {
         let _prof = prof::span("session.reprovision");
-        let (mut service, ceremony) = HybridInference::provision_with(
+        let (service, ceremony) = HybridInference::provision_with(
             self.platform.clone(),
             self.model.clone(),
             self.config.clone(),
         )?;
-        service.set_activation(self.activation);
         debug_assert_eq!(
             ceremony.public, self.ceremony.public,
             "same-seed re-provision must regenerate identical keys"
@@ -733,12 +658,6 @@ impl Session {
         self.chaos.as_ref().map(|c| c.report_json())
     }
 
-    /// Metrics of the most recent [`Session::serve`] run, if any (also
-    /// carried on every [`InferResponse`]).
-    pub fn metrics(&self) -> Option<HybridMetrics> {
-        self.last_metrics.lock().clone()
-    }
-
     /// The underlying provisioned service (plan, enclave, CRT system). The
     /// guard holds a shared lock: re-provisioning waits for it to drop.
     pub fn service(&self) -> RwLockReadGuard<'_, HybridInference> {
@@ -783,6 +702,8 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::RecoveryPolicy;
+    use crate::request::NoiseRefresh;
     use hesgx_chaos::{ChaosEvent, FaultKind, FaultSite};
     use hesgx_nn::quantize::QuantPipeline;
 
@@ -860,6 +781,24 @@ mod tests {
             session.serve(InferRequest::batch(too_many)).unwrap_err(),
             Error::Config(_)
         ));
+        // A wrong-length image is refused the same way on both ingress
+        // modes, before it can reach a shape assert inside an encryptor —
+        // alone or hidden behind a well-formed image in a merged batch.
+        for ingress in [Ingress::FvCiphertext, Ingress::Transciphered] {
+            for images in [vec![vec![0; 63]], vec![vec![0; 64], vec![0; 65]]] {
+                let err = session
+                    .serve(InferRequest::batch(images).ingress(ingress))
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, Error::Config(msg) if msg.contains("the model expects 8×8")),
+                    "{ingress:?}: {err}"
+                );
+            }
+        }
+        // The refusals left the session serving.
+        let image: Vec<i64> = (0..64).map(|p| (p % 16) as i64).collect();
+        let response = session.serve(InferRequest::single(image.clone())).unwrap();
+        assert_eq!(response.logits, vec![session.model().forward_ints(&image)]);
     }
 
     #[test]
@@ -890,7 +829,7 @@ mod tests {
             .params(ParamsPreset::Small)
             .threads(1)
             .seed(9)
-            .noise_refresh(true)
+            .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Always))
             .build(Platform::new(41), small_model())
             .unwrap();
         let plain_resp = plain.serve(InferRequest::single(image.clone())).unwrap();
@@ -1010,23 +949,17 @@ mod tests {
         assert!(err.is_transient(), "{err}");
     }
 
-    /// The granular noise-refresh setters edit the consolidated
-    /// [`ServePolicy`] with the documented precedence: auto wins.
+    /// [`SessionBuilder::policy`] installs the whole [`ServePolicy`]; the
+    /// last write wins.
     #[test]
     fn builder_policy_precedence() {
         let b = SessionBuilder::new()
-            .noise_refresh(true)
-            .noise_refresh_auto(true);
-        assert_eq!(b.policy.noise_refresh, NoiseRefresh::Auto);
-        let b = b.noise_refresh(true); // auto keeps precedence
-        assert_eq!(b.policy.noise_refresh, NoiseRefresh::Auto);
-        let b = b.noise_refresh_auto(false);
-        assert_eq!(b.policy.noise_refresh, NoiseRefresh::Off);
-        let b = SessionBuilder::new().policy(
-            ServePolicy::new()
-                .recovery(RecoveryPolicy::none())
-                .noise_refresh(NoiseRefresh::Always),
-        );
+            .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Auto))
+            .policy(
+                ServePolicy::new()
+                    .recovery(RecoveryPolicy::none())
+                    .noise_refresh(NoiseRefresh::Always),
+            );
         assert_eq!(b.policy.recovery, RecoveryPolicy::none());
         assert_eq!(b.policy.noise_refresh, NoiseRefresh::Always);
     }

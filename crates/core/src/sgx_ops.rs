@@ -12,9 +12,10 @@
 //! and key-load costs amortize; the `*_single_ecalls` variants reproduce the
 //! pathological per-pixel design Fig. 8 calls `EncryptSGX (single)`.
 //!
-//! All of them run on one core, [`InferenceEnclave::transform_cells`]: one
-//! fallible ECALL per logical call, per-cell work scheduled on the caller's
-//! [`ParExec`] inside the enclave body (a pool of one runs it inline).
+//! All of them run on one skeleton, [`InferenceEnclave::batched_ecall`]: one
+//! fallible ECALL per logical call under the retry policy, per-cell work
+//! scheduled on the caller's [`ParExec`] inside the enclave body (a pool of
+//! one runs it inline) with its CPU time reported to the cost model.
 
 use crate::error::{Error, Result};
 use crate::recovery::{retry_with_cost, RecoveryPolicy};
@@ -48,6 +49,46 @@ pub struct InferenceEnclave {
     calls: AtomicU64,
     /// Bounded-retry policy for transient boundary faults.
     recovery: RecoveryPolicy,
+}
+
+/// The boundary shape of one batched ECALL — what
+/// [`InferenceEnclave::batched_ecall`] needs besides the body.
+struct EcallShape<'a> {
+    /// ECALL name (`ecall.<name>` on the books).
+    name: &'a str,
+    /// Marshalled input size; also sizes the touched EPC region.
+    in_bytes: usize,
+    /// The call's base RNG stream is the fork `{fork_prefix}-call-{n}`.
+    fork_prefix: &'a str,
+    /// An extra fault site consulted before each attempt: the request can be
+    /// dropped before it ever reaches the enclave.
+    pre_site: Option<FaultSite>,
+    /// Whether the compute pass re-reads the header page, now resident — the
+    /// spot where injected EPC load pressure strikes.
+    retouch_header: bool,
+}
+
+/// Runs `n` tasks on `pool` inside an ECALL body, each under its own wall
+/// timer, and adds their summed time to `cpu_ns` — what lets the virtual
+/// clock charge the enclave for the *full* CPU work of a batch, not just the
+/// shortened wall time.
+fn timed_tasks<T: Send + Sync>(
+    pool: &ParExec,
+    n: usize,
+    cpu_ns: &mut u64,
+    task: impl Fn(usize) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let timed = pool.try_run(n, |i| {
+        let start = WallTimer::start();
+        let out = task(i)?;
+        Ok::<_, Error>((out, start.elapsed_ns()))
+    })?;
+    let mut outs = Vec::with_capacity(timed.len());
+    for (out, ns) in timed {
+        outs.push(out);
+        *cpu_ns = cpu_ns.saturating_add(ns);
+    }
+    Ok(outs)
 }
 
 impl InferenceEnclave {
@@ -123,71 +164,59 @@ impl InferenceEnclave {
         &self.secret
     }
 
-    /// Decrypt a batch of ciphertexts, map each slot value, re-encrypt — the
-    /// common core of all in-enclave operators. Runs as ONE fallible ECALL
-    /// for the whole batch, with the per-cell decrypt→map→re-encrypt work
-    /// scheduled on `pool` inside the enclave body.
+    /// The skeleton of every batched in-enclave operator: ONE fallible ECALL
+    /// per logical call, `body` running inside it over a touched EPC region
+    /// of `in_bytes`.
     ///
     /// Transient boundary faults are retried under the enclave's
     /// [`RecoveryPolicy`] with every attempt's boundary cost summed into the
     /// returned breakdown (an aborted `EENTER` still crossed the boundary);
-    /// `pre_site` is an optional extra fault site consulted before each
-    /// attempt (the noise-refresh request path). The decrypted values are
-    /// exact on any successful attempt, so retries never change inference
-    /// output.
+    /// `shape.pre_site` is consulted before each attempt. The values a body
+    /// computes are exact on any successful attempt, so retries never change
+    /// inference output.
     ///
     /// The call counter advances and the base RNG stream is forked *once* per
     /// logical call, outside the retry loop (forking never advances the
-    /// parent stream), and each cell re-encrypts with its own fork keyed by
-    /// `(call number, cell index)`. A retried attempt therefore re-encrypts
-    /// with exactly the same randomness as the attempt it replaces — retries
-    /// are bit-invisible in the output ciphertexts — and the output is
-    /// bit-identical for every pool size. (The fork labels `par-call-{n}` /
-    /// `cell-{i}` are pinned by the golden ciphertext hashes.) The summed
-    /// per-task CPU time is reported to the cost model via
-    /// [`hesgx_tee::enclave::EnclaveCtx::record_cpu_ns`], so the virtual
-    /// clock charges the enclave for the *full* CPU work of the batch, not
-    /// just the shortened wall time.
-    fn transform_cells(
+    /// parent stream); bodies re-encrypt each cell from its own `cell-{i}`
+    /// fork of that base. A retried attempt therefore re-encrypts with
+    /// exactly the same randomness as the attempt it replaces — retries are
+    /// bit-invisible in the output ciphertexts — and the output is
+    /// bit-identical for every pool size. (The fork labels are pinned by the
+    /// golden ciphertext hashes.) `out_bytes` sizes the output marshalling
+    /// and may probe the base stream for it. The body tallies its CPU time
+    /// (see [`timed_tasks`]) into the `&mut u64`, which is reported via
+    /// [`hesgx_tee::enclave::EnclaveCtx::record_cpu_ns`].
+    fn batched_ecall<T>(
         &self,
-        name: &str,
-        sys: &CrtPlainSystem,
-        cells: &[&CrtCiphertext],
-        f: impl Fn(usize, i128) -> i64 + Sync,
-        pool: &ParExec,
-        pre_site: Option<FaultSite>,
-    ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
-        let in_bytes: usize = cells.iter().map(|c| c.byte_len()).sum();
+        shape: EcallShape<'_>,
+        out_bytes: impl FnOnce(&ChaChaRng) -> Result<usize>,
+        body: impl Fn(&ChaChaRng, &mut u64) -> Result<T>,
+    ) -> Result<(T, CostBreakdown)> {
+        let EcallShape {
+            name,
+            in_bytes,
+            fork_prefix,
+            pre_site,
+            retouch_header,
+        } = shape;
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        let base = self.rng.lock().fork(&format!("par-call-{call}"));
+        let base = self.rng.lock().fork(&format!("{fork_prefix}-call-{call}"));
+        let out_bytes = out_bytes(&base)?;
         let (result, cost) = retry_with_cost(&self.recovery, self.hook(), self.obs(), || {
             if let Err(e) = self.consult_pre_site(pre_site) {
                 return (Err(e), CostBreakdown::default());
             }
             let (res, cost) = self
                 .enclave
-                .ecall_fallible(name, in_bytes, in_bytes, |ctx| {
+                .ecall_fallible(name, in_bytes, out_bytes, |ctx| {
                     let region = ctx.alloc(in_bytes.max(4096)).map_err(Error::Tee)?;
-                    // First pass marshals the input in (cold faults); the
-                    // compute pass then re-reads the header page, now
-                    // resident — the spot where injected EPC load pressure
-                    // strikes.
+                    // First pass marshals the input in (cold faults).
                     ctx.touch(region).map_err(Error::Tee)?;
-                    ctx.touch_bytes(region, 1).map_err(Error::Tee)?;
-                    let tasks = pool.try_run(cells.len(), |idx| {
-                        let start = WallTimer::start();
-                        let mut rng = base.fork(&format!("cell-{idx}"));
-                        let slots = sys.decrypt_slots(cells[idx], &self.secret)?;
-                        let mapped: Vec<i64> = slots.iter().map(|&v| f(idx, v)).collect();
-                        let ct = sys.encrypt_slots(&mapped, &self.public, &mut rng)?;
-                        Ok::<_, Error>((ct, start.elapsed_ns()))
-                    })?;
-                    let mut out = Vec::with_capacity(tasks.len());
-                    let mut cpu_ns = 0u64;
-                    for (ct, ns) in tasks {
-                        out.push(ct);
-                        cpu_ns = cpu_ns.saturating_add(ns);
+                    if retouch_header {
+                        ctx.touch_bytes(region, 1).map_err(Error::Tee)?;
                     }
+                    let mut cpu_ns = 0u64;
+                    let out = body(&base, &mut cpu_ns)?;
                     ctx.record_cpu_ns(cpu_ns);
                     ctx.free(region).map_err(Error::Tee)?;
                     Ok::<_, Error>(out)
@@ -198,6 +227,39 @@ impl InferenceEnclave {
             }
         });
         Ok((result?, cost))
+    }
+
+    /// Decrypt a batch of ciphertexts, map each slot value, re-encrypt — the
+    /// common core of the cell-wise operators (activation, division,
+    /// refresh), one task per cell on `pool`.
+    fn transform_cells(
+        &self,
+        name: &str,
+        sys: &CrtPlainSystem,
+        cells: &[&CrtCiphertext],
+        f: impl Fn(usize, i128) -> i64 + Sync,
+        pool: &ParExec,
+        pre_site: Option<FaultSite>,
+    ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
+        let in_bytes: usize = cells.iter().map(|c| c.byte_len()).sum();
+        self.batched_ecall(
+            EcallShape {
+                name,
+                in_bytes,
+                fork_prefix: "par",
+                pre_site,
+                retouch_header: true,
+            },
+            |_| Ok(in_bytes),
+            |base, cpu_ns| {
+                timed_tasks(pool, cells.len(), cpu_ns, |idx| {
+                    let mut rng = base.fork(&format!("cell-{idx}"));
+                    let slots = sys.decrypt_slots(cells[idx], &self.secret)?;
+                    let mapped: Vec<i64> = slots.iter().map(|&v| f(idx, v)).collect();
+                    Ok(sys.encrypt_slots(&mapped, &self.public, &mut rng)?)
+                })
+            },
+        )
     }
 
     /// Exact activation over a whole feature map in a single batched ECALL
@@ -339,65 +401,43 @@ impl InferenceEnclave {
         // re-read from the authenticated header inside the ECALL body).
         let (_, pixels) = transcipher::peek_shape(payload)
             .map_err(|e| Error::Config(format!("transcipher ingress: {e}")))?;
-        let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        let base = self.rng.lock().fork(&format!("transcipher-call-{call}"));
-        let out_bytes = {
-            let mut probe_rng = base.fork("size-probe");
-            let probe = sys.encrypt_slots(&[0], &self.public, &mut probe_rng)?;
-            probe.byte_len().saturating_mul(pixels)
-        };
-        let (result, cost) = retry_with_cost(&self.recovery, self.hook(), self.obs(), || {
-            if let Err(e) = self.consult_pre_site(Some(FaultSite::Transcipher)) {
-                return (Err(e), CostBreakdown::default());
-            }
-            let (res, cost) =
-                self.enclave
-                    .ecall_fallible("ecall_Transcipher", in_bytes, out_bytes, |ctx| {
-                        let region = ctx.alloc(in_bytes.max(4096)).map_err(Error::Tee)?;
-                        // First pass marshals the payload in (cold faults);
-                        // the open pass re-reads the header page, now
-                        // resident — the spot where injected EPC load
-                        // pressure strikes.
-                        ctx.touch(region).map_err(Error::Tee)?;
-                        ctx.touch_bytes(region, 1).map_err(Error::Tee)?;
-                        let open_timer = WallTimer::start();
-                        let images = transcipher::open_images(key, payload)
-                            .map_err(|e| Error::Config(format!("transcipher ingress: {e}")))?;
-                        let mut cpu_ns = open_timer.elapsed_ns();
-                        let batch = images.len();
-                        let Some(first) = images.first() else {
-                            return Err(Error::Internal("transcipher payload opened empty"));
-                        };
-                        if batch > sys.slot_count() {
-                            return Err(Error::Config(format!(
-                                "transcipher batch of {batch} images exceeds the {} SIMD slots",
-                                sys.slot_count()
-                            )));
-                        }
-                        let pixels = first.len();
-                        let images = &images;
-                        let tasks = pool.try_run(pixels, |pixel| {
-                            let start = WallTimer::start();
-                            let mut rng = base.fork(&format!("cell-{pixel}"));
-                            let slots: Vec<i64> = images.iter().map(|img| img[pixel]).collect();
-                            let ct = sys.encrypt_slots(&slots, &self.public, &mut rng)?;
-                            Ok::<_, Error>((ct, start.elapsed_ns()))
-                        })?;
-                        let mut out = Vec::with_capacity(tasks.len());
-                        for (ct, ns) in tasks {
-                            out.push(ct);
-                            cpu_ns = cpu_ns.saturating_add(ns);
-                        }
-                        ctx.record_cpu_ns(cpu_ns);
-                        ctx.free(region).map_err(Error::Tee)?;
-                        Ok::<_, Error>((out, batch))
-                    });
-            match res {
-                Ok(inner) => (inner, cost),
-                Err(tee) => (Err(Error::Tee(tee)), cost),
-            }
-        });
-        let (cells, batch) = result?;
+        let ((cells, batch), cost) = self.batched_ecall(
+            EcallShape {
+                name: "ecall_Transcipher",
+                in_bytes,
+                fork_prefix: "transcipher",
+                pre_site: Some(FaultSite::Transcipher),
+                retouch_header: true,
+            },
+            |base| {
+                let mut probe_rng = base.fork("size-probe");
+                let probe = sys.encrypt_slots(&[0], &self.public, &mut probe_rng)?;
+                Ok(probe.byte_len().saturating_mul(pixels))
+            },
+            |base, cpu_ns| {
+                let open_timer = WallTimer::start();
+                let images = transcipher::open_images(key, payload)
+                    .map_err(|e| Error::Config(format!("transcipher ingress: {e}")))?;
+                *cpu_ns = open_timer.elapsed_ns();
+                let batch = images.len();
+                let Some(first) = images.first() else {
+                    return Err(Error::Internal("transcipher payload opened empty"));
+                };
+                if batch > sys.slot_count() {
+                    return Err(Error::Config(format!(
+                        "transcipher batch of {batch} images exceeds the {} SIMD slots",
+                        sys.slot_count()
+                    )));
+                }
+                let images = &images;
+                let cells = timed_tasks(pool, first.len(), cpu_ns, |pixel| {
+                    let mut rng = base.fork(&format!("cell-{pixel}"));
+                    let slots: Vec<i64> = images.iter().map(|img| img[pixel]).collect();
+                    Ok(sys.encrypt_slots(&slots, &self.public, &mut rng)?)
+                })?;
+                Ok((cells, batch))
+            },
+        )?;
         self.obs().incr(hesgx_obs::counters::TRANSCIPHERS, 1);
         self.obs()
             .incr(hesgx_obs::counters::INGRESS_UPLOAD_BYTES, in_bytes as u64);
@@ -427,82 +467,54 @@ impl InferenceEnclave {
         let window = model.window;
         let (oh, ow) = (h / window, w / window);
         let in_bytes = input.byte_len();
-        let out_count = c * oh * ow;
         let slot_count = sys.slot_count();
-        // One fork per logical call, outside the retry loop: a retried
-        // attempt re-encrypts with the same randomness as the one it
-        // replaces.
-        let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        let base = self.rng.lock().fork(&format!("par-call-{call}"));
-        let (result, cost) = retry_with_cost(&self.recovery, self.hook(), self.obs(), || {
-            let (res, cost) = self.enclave.ecall_fallible(
-                "ecall_pool",
+        let (cells, cost) = self.batched_ecall(
+            EcallShape {
+                name: "ecall_pool",
                 in_bytes,
-                in_bytes / (window * window).max(1),
-                |ctx| {
-                    let region = ctx.alloc(in_bytes.max(4096)).map_err(Error::Tee)?;
-                    ctx.touch(region).map_err(Error::Tee)?;
-                    let mut cpu_ns = 0u64;
-                    // Decrypt the full map, one task per cell.
-                    let decrypted = pool.try_run(input.cells().len(), |i| {
-                        let start = WallTimer::start();
-                        let slots = sys.decrypt_slots(&input.cells()[i], &self.secret)?;
-                        Ok::<_, Error>((slots, start.elapsed_ns()))
-                    })?;
-                    let mut plain = Vec::with_capacity(decrypted.len());
-                    for (slots, ns) in decrypted {
-                        plain.push(slots);
-                        cpu_ns = cpu_ns.saturating_add(ns);
-                    }
-                    // Pool + re-encrypt, one task per output cell.
-                    let plain = &plain;
-                    let outs = pool.try_run(out_count, |o| {
-                        let start = WallTimer::start();
-                        let ch = o / (oh * ow);
-                        let oy = (o / ow) % oh;
-                        let ox = o % ow;
-                        let mut rng = base.fork(&format!("cell-{o}"));
-                        let mut slots_out = vec![0i64; slot_count];
-                        for (s, slot_out) in slots_out.iter_mut().enumerate() {
-                            let mut acc: Option<i64> = None;
-                            for dy in 0..window {
-                                for dx in 0..window {
-                                    let v = plain
-                                        [(ch * h + oy * window + dy) * w + ox * window + dx][s]
-                                        as i64;
-                                    acc = Some(match acc {
-                                        None => v,
-                                        Some(a) if max_pool => a.max(v),
-                                        Some(a) => a + v,
-                                    });
-                                }
+                fork_prefix: "par",
+                pre_site: None,
+                retouch_header: false,
+            },
+            |_| Ok(in_bytes / (window * window).max(1)),
+            |base, cpu_ns| {
+                // Decrypt the full map, one task per cell.
+                let plain = timed_tasks(pool, input.cells().len(), cpu_ns, |i| {
+                    Ok(sys.decrypt_slots(&input.cells()[i], &self.secret)?)
+                })?;
+                // Pool + re-encrypt, one task per output cell.
+                let plain = &plain;
+                timed_tasks(pool, c * oh * ow, cpu_ns, |o| {
+                    let ch = o / (oh * ow);
+                    let oy = (o / ow) % oh;
+                    let ox = o % ow;
+                    let mut rng = base.fork(&format!("cell-{o}"));
+                    let mut slots_out = vec![0i64; slot_count];
+                    for (s, slot_out) in slots_out.iter_mut().enumerate() {
+                        let mut acc: Option<i64> = None;
+                        for dy in 0..window {
+                            for dx in 0..window {
+                                let v = plain[(ch * h + oy * window + dy) * w + ox * window + dx][s]
+                                    as i64;
+                                acc = Some(match acc {
+                                    None => v,
+                                    Some(a) if max_pool => a.max(v),
+                                    Some(a) => a + v,
+                                });
                             }
-                            let acc = acc.ok_or(Error::Internal("pooling window is empty"))?;
-                            *slot_out = if max_pool {
-                                acc
-                            } else {
-                                model.enclave_mean(acc)
-                            };
                         }
-                        let ct = sys.encrypt_slots(&slots_out, &self.public, &mut rng)?;
-                        Ok::<_, Error>((ct, start.elapsed_ns()))
-                    })?;
-                    let mut out_cells = Vec::with_capacity(out_count);
-                    for (ct, ns) in outs {
-                        out_cells.push(ct);
-                        cpu_ns = cpu_ns.saturating_add(ns);
+                        let acc = acc.ok_or(Error::Internal("pooling window is empty"))?;
+                        *slot_out = if max_pool {
+                            acc
+                        } else {
+                            model.enclave_mean(acc)
+                        };
                     }
-                    ctx.record_cpu_ns(cpu_ns);
-                    ctx.free(region).map_err(Error::Tee)?;
-                    Ok::<_, Error>(out_cells)
-                },
-            );
-            match res {
-                Ok(inner) => (inner, cost),
-                Err(tee) => (Err(Error::Tee(tee)), cost),
-            }
-        });
-        Ok((EncryptedMap::new(c, oh, ow, result?), cost))
+                    Ok(sys.encrypt_slots(&slots_out, &self.public, &mut rng)?)
+                })
+            },
+        )?;
+        Ok((EncryptedMap::new(c, oh, ow, cells), cost))
     }
 
     /// Noise refresh (`ecall_DcreaseNoise`, paper §VI-E / Table V): decrypt
@@ -656,7 +668,9 @@ mod tests {
                 &ParExec::serial(),
             )
             .unwrap();
-        let dec = out.decrypt_all(&sys, &ie.secret, 1).unwrap();
+        let dec = out
+            .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
+            .unwrap();
         let expect: Vec<i128> = values[0]
             .iter()
             .map(|&v| model.enclave_sigmoid(v) as i128)
@@ -691,8 +705,12 @@ mod tests {
         );
         // Both run the same core, so they compute the same values.
         assert_eq!(
-            single_out.decrypt_all(&sys, &ie.secret, 1).unwrap(),
-            batched_out.decrypt_all(&sys, &ie.secret, 1).unwrap()
+            single_out
+                .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
+                .unwrap(),
+            batched_out
+                .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
+                .unwrap()
         );
     }
 
@@ -749,7 +767,9 @@ mod tests {
                 .activation_map(&sys, &enc, &model, ActivationKind::Sigmoid, &pool)
                 .unwrap();
             assert!(cost.total_ns() > 0);
-            let dec = out.decrypt_all(&sys, &ie.secret, 1).unwrap();
+            let dec = out
+                .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
+                .unwrap();
             let expect: Vec<i128> = values[0]
                 .iter()
                 .map(|&v| model.enclave_sigmoid(v) as i128)
@@ -773,10 +793,14 @@ mod tests {
             let pool = ParExec::new(threads);
             let (mean, _) = ie.pool_full_map(&sys, &enc, &model, false, &pool).unwrap();
             assert_eq!(mean.shape(), (1, 2, 2));
-            let dec = mean.decrypt_all(&sys, &ie.secret, 1).unwrap();
+            let dec = mean
+                .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
+                .unwrap();
             assert_eq!(dec[0], vec![4, 6, 12, 14]);
             let (maxp, _) = ie.pool_full_map(&sys, &enc, &model, true, &pool).unwrap();
-            let dec = maxp.decrypt_all(&sys, &ie.secret, 1).unwrap();
+            let dec = maxp
+                .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
+                .unwrap();
             assert_eq!(dec[0], vec![6, 8, 14, 16]);
             // Ciphertext bits, not just values, are pool-size independent.
             let cells = (mean.cells().to_vec(), maxp.cells().to_vec());
@@ -823,7 +847,9 @@ mod tests {
         let (out, _) = ie
             .divide_map(&sys, &enc, &model, &ParExec::serial())
             .unwrap();
-        let dec = out.decrypt_all(&sys, &ie.secret, 1).unwrap();
+        let dec = out
+            .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
+            .unwrap();
         assert_eq!(dec[0], vec![1, 2, 2, 0]);
     }
 
@@ -838,11 +864,15 @@ mod tests {
             .pool_full_map(&sys, &enc, &model, false, &inline)
             .unwrap();
         assert_eq!(mean.shape(), (1, 2, 2));
-        let dec = mean.decrypt_all(&sys, &ie.secret, 1).unwrap();
+        let dec = mean
+            .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
+            .unwrap();
         // windows sums 14,22,46,54 → means 4,6,12,14 (round half up).
         assert_eq!(dec[0], vec![4, 6, 12, 14]);
         let (maxp, _) = ie.pool_full_map(&sys, &enc, &model, true, &inline).unwrap();
-        let dec = maxp.decrypt_all(&sys, &ie.secret, 1).unwrap();
+        let dec = maxp
+            .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
+            .unwrap();
         assert_eq!(dec[0], vec![6, 8, 14, 16]);
     }
 

@@ -44,7 +44,7 @@ fn every_fault_site_fires_once_and_inference_stays_exact() {
         .params(ParamsPreset::Small)
         .threads(2)
         .seed(13)
-        .noise_refresh(true)
+        .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Always))
         .chaos(plan)
         .build(Platform::new(500), model.clone())
         .unwrap();
@@ -83,7 +83,7 @@ fn every_fault_site_fires_once_and_inference_stays_exact() {
     );
     // Six stages ran (transciphered ingress + noise refresh enabled) and the
     // report is reproducible.
-    assert_eq!(session.metrics().unwrap().stages.len(), 6);
+    assert_eq!(response.metrics.stages.len(), 6);
 }
 
 /// Exhausting the retry budget must not kill the service: the resilient

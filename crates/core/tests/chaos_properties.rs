@@ -42,7 +42,7 @@ fn build(threads: usize, plan: Option<FaultPlan>) -> Session {
         .params(ParamsPreset::Small)
         .threads(threads)
         .seed(77)
-        .noise_refresh(true);
+        .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Always));
     if let Some(plan) = plan {
         builder = builder.chaos(plan);
     }

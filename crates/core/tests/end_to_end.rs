@@ -5,8 +5,8 @@
 mod testutil;
 
 use hesgx_core::keydist::verify_key_ceremony;
-use hesgx_core::pipeline::EcallBatching;
-use hesgx_core::planner::PoolStrategy;
+use hesgx_core::pipeline::{HybridInference, ProvisionConfig};
+use hesgx_core::planner::{EcallBatching, PoolStrategy, Stage};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::cryptonets::CryptoNets;
 use hesgx_henn::image::EncryptedMap;
@@ -39,7 +39,7 @@ fn full_paper_pipeline_matches_reference_for_batch() {
         .collect();
     let mut rng = ChaChaRng::from_seed(10);
     let enc = EncryptedMap::encrypt_images(service.system(), &images, 28, &keys, &mut rng).unwrap();
-    let (logits, metrics) = service.infer(&enc, EcallBatching::Batched).unwrap();
+    let (logits, metrics) = service.run(service.plan(), &enc).unwrap();
 
     for (b, img) in images.iter().enumerate() {
         let expect = model.forward_ints(img);
@@ -52,7 +52,7 @@ fn full_paper_pipeline_matches_reference_for_batch() {
         }
     }
     // The paper model's 2×2 window selects SgxPool; all four stages ran.
-    assert_eq!(service.plan().pool_strategy, PoolStrategy::SgxPool);
+    assert_eq!(service.plan().stages[2], Stage::Pool(PoolStrategy::SgxPool));
     assert_eq!(metrics.stages.len(), 4);
     assert_eq!(
         metrics.ops.ct_ct_mul, 0,
@@ -113,7 +113,7 @@ fn hybrid_and_plaintext_predictions_agree_across_dataset() {
     let enc =
         EncryptedMap::encrypt_images(service.system(), &images, 28, &ceremony.public, &mut rng)
             .unwrap();
-    let (logits, _) = service.infer(&enc, EcallBatching::Batched).unwrap();
+    let (logits, _) = service.run(service.plan(), &enc).unwrap();
     for (b, img) in images.iter().enumerate() {
         let mut best = (0usize, i128::MIN);
         for (class, ct) in logits.iter().enumerate() {
@@ -134,14 +134,22 @@ fn relu_and_tanh_in_enclave_also_exact() {
     // Paper §VI-C: SGX computes diverse activations exactly.
     for kind in [ActivationKind::Relu, ActivationKind::Tanh] {
         let model = hybrid_paper_model(3);
-        let (mut service, ceremony) = provision(Platform::new(52), model.clone(), 5);
-        service.set_activation(kind);
+        let (service, ceremony) = HybridInference::provision_with(
+            Platform::new(52),
+            model.clone(),
+            ProvisionConfig {
+                seed: 5,
+                activation: kind,
+                ..ProvisionConfig::default()
+            },
+        )
+        .unwrap();
         let image = vec![dataset::quantize_pixels(&dataset::generate(1, 8)[0].image)];
         let mut rng = ChaChaRng::from_seed(12);
         let enc =
             EncryptedMap::encrypt_images(service.system(), &image, 28, &ceremony.public, &mut rng)
                 .unwrap();
-        let (logits, _) = service.infer(&enc, EcallBatching::Batched).unwrap();
+        let (logits, _) = service.run(service.plan(), &enc).unwrap();
         // Reference with the same activation.
         let conv = model.conv_ints(&image[0]);
         let act: Vec<i64> = conv
@@ -195,7 +203,9 @@ fn side_channel_exposure_lower_for_batched_design() {
             &mut ChaChaRng::from_seed(14),
         )
         .unwrap();
-        let _ = service.infer(&enc, batching).unwrap();
+        let mut plan = service.plan().clone();
+        plan.stages[1] = Stage::Activation(batching);
+        let _ = service.run(&plan, &enc).unwrap();
         service
             .enclave()
             .enclave()

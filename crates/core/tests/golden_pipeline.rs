@@ -11,7 +11,7 @@
 mod testutil;
 
 use hesgx_bfv::serialization::ciphertext_to_bytes;
-use hesgx_core::pipeline::{EcallBatching, HybridInference, ProvisionConfig};
+use hesgx_core::pipeline::{HybridInference, ProvisionConfig};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::sha256::sha256;
 use hesgx_henn::image::EncryptedMap;
@@ -62,7 +62,7 @@ fn run_pool(threads: usize) -> (Vec<Vec<i128>>, String) {
         &mut rng,
     )
     .unwrap();
-    let (logits, _) = service.infer(&enc, EcallBatching::Batched).unwrap();
+    let (logits, _) = service.run(service.plan(), &enc).unwrap();
 
     let mut bytes = Vec::new();
     for ct in &logits {

@@ -12,29 +12,30 @@
 
 mod testutil;
 
-use hesgx_core::pipeline::total_enclave_cost;
-use hesgx_core::request::InferRequest;
+use hesgx_core::pipeline::{total_enclave_cost, HybridMetrics};
+use hesgx_core::request::{InferRequest, NoiseRefresh, ServePolicy};
 use hesgx_core::session::{ParamsPreset, Session, SessionBuilder};
 use hesgx_obs::{counters, Recorder, SpanCost};
 use hesgx_tee::enclave::Platform;
 use std::path::Path;
 
 /// Builds a fixed-seed session with an enabled recorder and runs one
-/// inference; everything except `threads` is held constant.
-fn run_session(threads: usize) -> (Session, Recorder) {
+/// inference, returning its metrics too; everything except `threads` is held
+/// constant.
+fn run_session(threads: usize) -> (Session, Recorder, HybridMetrics) {
     let rec = Recorder::enabled();
     let session = SessionBuilder::new()
         .params(ParamsPreset::Small)
         .threads(threads)
         .seed(7)
-        .noise_refresh(true)
+        .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Always))
         .recorder(rec.clone())
         .build(Platform::new(900), testutil::small_hybrid_model())
         .unwrap();
     let image: Vec<i64> = (0..64).map(|p| (p % 16) as i64).collect();
     let response = session.serve(InferRequest::single(image.clone())).unwrap();
     assert_eq!(response.logits, vec![session.model().forward_ints(&image)]);
-    (session, rec)
+    (session, rec, response.metrics)
 }
 
 #[test]
@@ -61,8 +62,7 @@ fn snapshot_is_byte_identical_across_pool_sizes_and_matches_golden() {
 
 #[test]
 fn per_layer_obs_totals_reconcile_with_pipeline_metrics() {
-    let (session, rec) = run_session(2);
-    let metrics = session.metrics().expect("one inference ran");
+    let (_, rec, metrics) = run_session(2);
     let total = total_enclave_cost(&metrics);
 
     // Fold exactly the `.ecall` pipeline spans — the `.he` spans carry wall
@@ -91,7 +91,7 @@ fn per_layer_obs_totals_reconcile_with_pipeline_metrics() {
 
 #[test]
 fn session_counters_track_serving_and_boundary_traffic() {
-    let (session, rec) = run_session(1);
+    let (session, rec, _) = run_session(1);
     assert_eq!(rec.counter(counters::SERVED_EXACT), 1);
     assert_eq!(rec.counter(counters::SERVED_DEGRADED), 0);
     assert_eq!(rec.counter(counters::ATTESTATION_VERIFIES), 1);

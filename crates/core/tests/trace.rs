@@ -16,7 +16,7 @@
 
 mod testutil;
 
-use hesgx_core::request::InferRequest;
+use hesgx_core::request::{InferRequest, NoiseRefresh, ServePolicy};
 use hesgx_core::session::{ParamsPreset, Session, SessionBuilder};
 use hesgx_obs::{Recorder, TracePhase};
 use hesgx_tee::enclave::Platform;
@@ -25,16 +25,16 @@ use hesgx_tee::enclave::Platform;
 /// are the only variables.
 fn traced_session(threads: usize, threshold: Option<u32>) -> (Session, Recorder) {
     let rec = Recorder::with_timeline();
-    let mut builder = SessionBuilder::new()
+    let mut policy = ServePolicy::new().noise_refresh(NoiseRefresh::Auto);
+    if let Some(bits) = threshold {
+        policy = policy.refresh_threshold_bits(bits);
+    }
+    let session = SessionBuilder::new()
         .params(ParamsPreset::Small)
         .threads(threads)
         .seed(7)
-        .noise_refresh_auto(true)
-        .recorder(rec.clone());
-    if let Some(bits) = threshold {
-        builder = builder.refresh_threshold_bits(bits);
-    }
-    let session = builder
+        .policy(policy)
+        .recorder(rec.clone())
         .build(Platform::new(910), testutil::small_hybrid_model())
         .unwrap();
     (session, rec)
@@ -114,7 +114,7 @@ fn tracing_never_changes_the_inference_result() {
         .params(ParamsPreset::Small)
         .threads(1)
         .seed(7)
-        .noise_refresh_auto(true)
+        .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Auto))
         .build(Platform::new(910), testutil::small_hybrid_model())
         .unwrap();
     let reference = untraced
@@ -139,8 +139,10 @@ fn auto_refresh_fires_iff_budget_is_below_threshold() {
     // the decision must be a skip and the stage count stays at 5 (4 layers +
     // the check stage).
     let (session, rec) = traced_session(1, None);
-    session.serve(InferRequest::single(image())).unwrap();
-    let metrics = session.metrics().unwrap();
+    let metrics = session
+        .serve(InferRequest::single(image()))
+        .unwrap()
+        .metrics;
     assert_eq!(metrics.noise.len(), 1, "{:?}", metrics.noise);
     let d = metrics.noise[0];
     assert!(
@@ -158,8 +160,10 @@ fn auto_refresh_fires_iff_budget_is_below_threshold() {
     // Threshold raised above the live budget: the same pipeline must take
     // the refresh and record the post-refresh budget.
     let (session, rec_hi) = traced_session(1, Some(200));
-    session.serve(InferRequest::single(image())).unwrap();
-    let metrics = session.metrics().unwrap();
+    let metrics = session
+        .serve(InferRequest::single(image()))
+        .unwrap()
+        .metrics;
     assert_eq!(metrics.noise.len(), 1);
     let d = metrics.noise[0];
     assert!(

@@ -8,32 +8,31 @@
 
 use crate::crt::{CrtCiphertext, CrtKeys, CrtPlainSystem};
 use crate::image::EncryptedMap;
-use crate::ops::{self, OpCounter};
+use crate::layers::{HeLayer, HeLayers};
+use crate::ops::OpCounter;
 use crate::par::ParExec;
-use crate::weights::WeightBank;
 use hesgx_bfv::error::{BfvError, Result};
-use hesgx_bfv::prelude::PolyArena;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
+use std::borrow::Cow;
 
 /// The CryptoNets-style HE-only inference engine.
 #[derive(Debug)]
 pub struct CryptoNets {
-    sys: CrtPlainSystem,
-    model: QuantizedCnn,
-    /// Conv weights/biases prepared once at construction — no request
-    /// re-derives Shoup constants or `Δ·c` residues.
-    conv_bank: WeightBank,
-    /// FC weights/biases prepared once at construction.
-    fc_bank: WeightBank,
-    /// Session buffer pool shared by every inference this engine runs.
-    arena: PolyArena,
-    /// The baseline is single-threaded by definition: every layer kernel
-    /// runs inline on the calling thread.
-    pool: ParExec,
+    /// The baseline is single-threaded by definition: the layers run on a
+    /// pool of one, inline on the calling thread.
+    he: HeLayers,
 }
 
 impl CryptoNets {
+    /// Every layer of the CNN under encryption, in order.
+    const LAYERS: [HeLayer; 4] = [
+        HeLayer::Conv,
+        HeLayer::Square,
+        HeLayer::SumPool,
+        HeLayer::Fc,
+    ];
+
     /// Builds the engine: selects plaintext moduli from the model's range
     /// report and constructs the per-modulus FV systems.
     ///
@@ -57,26 +56,19 @@ impl CryptoNets {
         // Depth-1 pipeline (the square) — small CRT moduli keep the
         // multiplication noise growth manageable.
         let sys = CrtPlainSystem::for_range_deep(poly_degree, report.required_plain_bits)?;
-        let conv_bank = WeightBank::prepare(&sys, &model.conv_weights, &model.conv_bias)?;
-        let fc_bank = WeightBank::prepare(&sys, &model.fc_weights, &model.fc_bias)?;
         Ok(CryptoNets {
-            sys,
-            model,
-            conv_bank,
-            fc_bank,
-            arena: PolyArena::new(),
-            pool: ParExec::serial(),
+            he: HeLayers::new(sys, model, ParExec::serial())?,
         })
     }
 
     /// The underlying CRT system (key generation, encryption).
     pub fn system(&self) -> &CrtPlainSystem {
-        &self.sys
+        self.he.system()
     }
 
     /// The quantized model.
     pub fn model(&self) -> &QuantizedCnn {
-        &self.model
+        self.he.model()
     }
 
     /// Encrypts a batch of quantized images.
@@ -91,7 +83,13 @@ impl CryptoNets {
         keys: &CrtKeys,
         rng: &mut ChaChaRng,
     ) -> Result<EncryptedMap> {
-        EncryptedMap::encrypt_images(&self.sys, images, self.model.in_side, &keys.public, rng)
+        EncryptedMap::encrypt_images(
+            self.system(),
+            images,
+            self.model().in_side,
+            &keys.public,
+            rng,
+        )
     }
 
     /// Runs the full encrypted inference; returns one ciphertext per class
@@ -106,48 +104,12 @@ impl CryptoNets {
         input: &EncryptedMap,
         keys: &CrtKeys,
     ) -> Result<(Vec<CrtCiphertext>, OpCounter)> {
-        let m = &self.model;
         let mut counter = OpCounter::default();
-        let conv = ops::he_conv2d(
-            &self.sys,
-            input,
-            &self.conv_bank,
-            m.conv_out,
-            m.kernel,
-            1,
-            &mut counter,
-            &self.pool,
-            &self.arena,
-        )?;
-        let squared = ops::he_square_activation(
-            &self.sys,
-            &conv,
-            &keys.evaluation,
-            &mut counter,
-            &self.pool,
-        )?;
-        // The conv map is consumed; its buffers seed the pool accumulators.
-        conv.recycle(&self.arena);
-        let pooled = ops::he_scaled_mean_pool(
-            &self.sys,
-            &squared,
-            m.window,
-            &mut counter,
-            &self.pool,
-            &self.arena,
-        )?;
-        squared.recycle(&self.arena);
-        let logits = ops::he_fully_connected(
-            &self.sys,
-            &pooled,
-            &self.fc_bank,
-            m.classes,
-            &mut counter,
-            &self.pool,
-            &self.arena,
-        )?;
-        pooled.recycle(&self.arena);
-        Ok((logits, counter))
+        let mut map = Cow::Borrowed(input);
+        for layer in Self::LAYERS {
+            map = Cow::Owned(self.he.apply(layer, map, &keys.evaluation, &mut counter)?);
+        }
+        Ok((map.into_owned().into_cells(), counter))
     }
 
     /// Decrypts logits and returns the predicted class per batch element.
@@ -164,7 +126,7 @@ impl CryptoNets {
     ) -> Result<Vec<usize>> {
         let mut per_class = Vec::with_capacity(logits.len());
         for ct in logits {
-            per_class.push(self.sys.decrypt_slots(ct, &keys.secret)?);
+            per_class.push(self.system().decrypt_slots(ct, &keys.secret)?);
         }
         let mut predictions = Vec::with_capacity(batch);
         for b in 0..batch {
@@ -193,7 +155,7 @@ impl CryptoNets {
     ) -> Result<Vec<Vec<i128>>> {
         let mut per_class = Vec::with_capacity(logits.len());
         for ct in logits {
-            per_class.push(self.sys.decrypt_slots(ct, &keys.secret)?);
+            per_class.push(self.system().decrypt_slots(ct, &keys.secret)?);
         }
         Ok((0..batch)
             .map(|b| per_class.iter().map(|slots| slots[b]).collect())

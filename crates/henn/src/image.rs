@@ -52,6 +52,12 @@ impl EncryptedMap {
         &self.cells
     }
 
+    /// The cells in row-major order, by value (the logits of a finished
+    /// inference).
+    pub fn into_cells(self) -> Vec<CrtCiphertext> {
+        self.cells
+    }
+
     /// Total serialized bytes (transfer/EPC modeling).
     pub fn byte_len(&self) -> usize {
         self.cells.iter().map(|c| c.byte_len()).sum()
@@ -144,37 +150,15 @@ impl EncryptedMap {
     }
 
     /// Decrypts every cell for the first `batch` slots: returns
-    /// `[batch][channels*height*width]` signed values.
+    /// `[batch][channels*height*width]` signed values. One decryption task
+    /// per cell on `pool` (a pool of one runs inline); decryption draws no
+    /// randomness, so the result is the same for every pool size.
     ///
     /// # Errors
     ///
     /// Propagates decryption failures.
     // hesgx-lint: allow(secret-pub-api, reason = "user-side decryption with the user's own key copy")
     pub fn decrypt_all(
-        &self,
-        sys: &CrtPlainSystem,
-        secret: &[SecretKey],
-        batch: usize,
-    ) -> Result<Vec<Vec<i128>>> {
-        let mut out = vec![Vec::with_capacity(self.cells.len()); batch];
-        for cell in &self.cells {
-            let slots = sys.decrypt_slots(cell, secret)?;
-            for (b, row) in out.iter_mut().enumerate() {
-                row.push(slots[b]);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Parallel [`EncryptedMap::decrypt_all`]: one decryption task per cell.
-    /// Decryption draws no randomness, so the result is identical to the
-    /// serial version for any pool size.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decryption failures.
-    // hesgx-lint: allow(secret-pub-api, reason = "user-side decryption with the user's own key copy")
-    pub fn decrypt_all_par(
         &self,
         sys: &CrtPlainSystem,
         secret: &[SecretKey],
@@ -211,7 +195,9 @@ mod tests {
         let map =
             EncryptedMap::encrypt_images(&sys, &images, side, &keys.public, &mut rng).unwrap();
         assert_eq!(map.shape(), (1, side, side));
-        let back = map.decrypt_all(&sys, &keys.secret, 3).unwrap();
+        let back = map
+            .decrypt_all(&sys, &keys.secret, 3, &ParExec::serial())
+            .unwrap();
         for (b, img) in images.iter().enumerate() {
             let expect: Vec<i128> = img.iter().map(|&v| v as i128).collect();
             assert_eq!(back[b], expect, "batch {b}");

@@ -1,0 +1,152 @@
+//! The HE layer bodies of the paper's 4-layer CNN: the one call site of each
+//! [`crate::ops`] kernel.
+//!
+//! Both engines walk these. [`crate::cryptonets::CryptoNets`] runs all four
+//! under encryption; the hybrid pipeline (`hesgx-core`) runs whichever ones
+//! its plan places outside the enclave. A layer's output is always an
+//! [`EncryptedMap`] — the FC logits are a `classes × 1 × 1` map — so layers
+//! chain without the caller knowing which one came last.
+
+use crate::crt::CrtPlainSystem;
+use crate::image::EncryptedMap;
+use crate::ops::{self, OpCounter};
+use crate::par::ParExec;
+use crate::weights::WeightBank;
+use hesgx_bfv::error::Result;
+use hesgx_bfv::prelude::{EvaluationKeys, PolyArena};
+use hesgx_nn::quantize::QuantizedCnn;
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+
+/// One layer of the CNN as it is computed under HE.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum HeLayer {
+    /// Convolution with plaintext weights ([`ops::he_conv2d`]).
+    Conv,
+    /// The CryptoNets square activation: ciphertext × ciphertext multiply
+    /// plus relinearization ([`ops::he_square_activation`]).
+    Square,
+    /// Mean-pooling without the division: the window sum
+    /// ([`ops::he_scaled_mean_pool`]).
+    SumPool,
+    /// Fully connected layer with plaintext weights
+    /// ([`ops::he_fully_connected`]).
+    Fc,
+}
+
+/// Everything the HE layers of one model need: the CRT system, the weight
+/// forms prepared once, the worker pool, and the buffer arena that consumed
+/// maps recycle into.
+#[derive(Debug)]
+pub struct HeLayers {
+    sys: CrtPlainSystem,
+    model: QuantizedCnn,
+    /// Conv weights/biases prepared once at construction — no request
+    /// re-derives Shoup constants or `Δ·c` residues.
+    conv_bank: WeightBank,
+    /// FC weights/biases prepared once at construction.
+    fc_bank: WeightBank,
+    pool: ParExec,
+    /// Consumed feature maps recycle their limb buffers here and the next
+    /// layer's accumulator copies draw from it.
+    arena: PolyArena,
+}
+
+impl HeLayers {
+    /// Prepares the conv and FC weight banks of `model` under `sys`. The
+    /// caller has checked the model's geometry
+    /// ([`QuantizedCnn::check_geometry`]).
+    ///
+    /// # Errors
+    ///
+    /// Fails when a weight exceeds a plaintext modulus.
+    pub fn new(sys: CrtPlainSystem, model: QuantizedCnn, pool: ParExec) -> Result<Self> {
+        let conv_bank = WeightBank::prepare(&sys, &model.conv_weights, &model.conv_bias)?;
+        let fc_bank = WeightBank::prepare(&sys, &model.fc_weights, &model.fc_bias)?;
+        Ok(HeLayers {
+            sys,
+            model,
+            conv_bank,
+            fc_bank,
+            pool,
+            arena: PolyArena::new(),
+        })
+    }
+
+    /// The CRT system the layers compute under.
+    pub fn system(&self) -> &CrtPlainSystem {
+        &self.sys
+    }
+
+    /// The quantized model.
+    pub fn model(&self) -> &QuantizedCnn {
+        &self.model
+    }
+
+    /// The HE worker pool.
+    pub fn pool(&self) -> &ParExec {
+        &self.pool
+    }
+
+    /// Returns a consumed map's limb buffers to the arena.
+    pub fn recycle(&self, map: EncryptedMap) {
+        map.recycle(&self.arena);
+    }
+
+    /// Runs one HE layer over `input`. An owned input is consumed: once the
+    /// output exists its limb buffers go back to the arena and seed the next
+    /// layer's accumulator copies. `evk` is read by [`HeLayer::Square`] only.
+    ///
+    /// # Errors
+    ///
+    /// Propagates homomorphic-operation failures.
+    pub fn apply(
+        &self,
+        layer: HeLayer,
+        input: Cow<'_, EncryptedMap>,
+        evk: &[EvaluationKeys],
+        counter: &mut OpCounter,
+    ) -> Result<EncryptedMap> {
+        let m = &self.model;
+        let out = match layer {
+            HeLayer::Conv => ops::he_conv2d(
+                &self.sys,
+                &input,
+                &self.conv_bank,
+                m.conv_out,
+                m.kernel,
+                1,
+                counter,
+                &self.pool,
+                &self.arena,
+            )?,
+            HeLayer::Square => {
+                ops::he_square_activation(&self.sys, &input, evk, counter, &self.pool)?
+            }
+            HeLayer::SumPool => ops::he_scaled_mean_pool(
+                &self.sys,
+                &input,
+                m.window,
+                counter,
+                &self.pool,
+                &self.arena,
+            )?,
+            HeLayer::Fc => {
+                let logits = ops::he_fully_connected(
+                    &self.sys,
+                    &input,
+                    &self.fc_bank,
+                    m.classes,
+                    counter,
+                    &self.pool,
+                    &self.arena,
+                )?;
+                EncryptedMap::new(m.classes, 1, 1, logits)
+            }
+        };
+        if let Cow::Owned(consumed) = input {
+            self.recycle(consumed);
+        }
+        Ok(out)
+    }
+}

@@ -28,6 +28,7 @@ pub mod approx;
 pub mod crt;
 pub mod cryptonets;
 pub mod image;
+pub mod layers;
 pub mod ops;
 pub mod par;
 pub mod weights;

@@ -491,7 +491,9 @@ mod tests {
             let out = he_conv2d(&sys, &enc, &bank, 2, k, 1, &mut counter, &pool, &arena).unwrap();
             assert_eq!(out.shape(), (2, 4, 4));
             assert_eq!(counter.ct_pt_mul, 2 * 16 * 9);
-            let dec = out.decrypt_all(&sys, &keys.secret, 2).unwrap();
+            let dec = out
+                .decrypt_all(&sys, &keys.secret, 2, &ParExec::serial())
+                .unwrap();
             for (b, img) in images.iter().enumerate() {
                 let expect = plain_conv(img, side, &weights, &bias, 2, k);
                 let expect: Vec<i128> = expect.iter().map(|&v| v as i128).collect();
@@ -514,7 +516,9 @@ mod tests {
             let pool = ParExec::new(threads);
             let pooled = he_scaled_mean_pool(&sys, &enc, 2, &mut counter, &pool, &arena).unwrap();
             assert_eq!(pooled.shape(), (1, 2, 2));
-            let dec = pooled.decrypt_all(&sys, &keys.secret, 1).unwrap();
+            let dec = pooled
+                .decrypt_all(&sys, &keys.secret, 1, &ParExec::serial())
+                .unwrap();
             // windows: [1,2,5,6]=14, [3,4,7,8]=22, [9,10,13,14]=46, [11,12,15,16]=54.
             assert_eq!(dec[0], vec![14, 22, 46, 54]);
             assert_eq!(counter.ct_ct_add, 4 * 3);
@@ -538,7 +542,9 @@ mod tests {
             let pool = ParExec::new(threads);
             let sq =
                 he_square_activation(&sys, &enc, &keys.evaluation, &mut counter, &pool).unwrap();
-            let dec = sq.decrypt_all(&sys, &keys.secret, 1).unwrap();
+            let dec = sq
+                .decrypt_all(&sys, &keys.secret, 1, &ParExec::serial())
+                .unwrap();
             assert_eq!(dec[0], vec![9, 16, 0, 144]);
             assert_eq!(counter.ct_ct_mul, 4);
             assert_eq!(counter.relin, 4);
@@ -651,7 +657,9 @@ mod tests {
         let pooled =
             he_scaled_mean_pool(&sys, &enc, 2, &mut counter, &ParExec::serial(), &arena).unwrap();
         assert!(arena.free_buffers() < parked);
-        let dec = pooled.decrypt_all(&sys, &keys.secret, 1).unwrap();
+        let dec = pooled
+            .decrypt_all(&sys, &keys.secret, 1, &ParExec::serial())
+            .unwrap();
         assert_eq!(dec[0], vec![14, 22, 46, 54]);
     }
 

@@ -79,7 +79,7 @@ proptest! {
         for threads in POOLS {
             let mut counter = OpCounter::default();
             let out = ops::he_conv2d(sys, &enc, &bank, 1, 2, 1, &mut counter, &ParExec::new(threads), &PolyArena::new()).unwrap();
-            let dec = out.decrypt_all(sys, &keys.secret, 1).unwrap();
+            let dec = out.decrypt_all(sys, &keys.secret, 1, &ParExec::serial()).unwrap();
             // Plain reference.
             for oy in 0..3 {
                 for ox in 0..3 {
@@ -103,7 +103,7 @@ proptest! {
         for threads in POOLS {
             let mut counter = OpCounter::default();
             let pooled = ops::he_scaled_mean_pool(sys, &enc, 2, &mut counter, &ParExec::new(threads), &PolyArena::new()).unwrap();
-            let dec = pooled.decrypt_all(sys, &keys.secret, 1).unwrap();
+            let dec = pooled.decrypt_all(sys, &keys.secret, 1, &ParExec::serial()).unwrap();
             for oy in 0..2 {
                 for ox in 0..2 {
                     let mut sum = 0i64;
@@ -181,8 +181,8 @@ proptest! {
             imgs in proptest::collection::vec(proptest::collection::vec(0i64..16, 16), 1..4),
             threads_a in 1usize..9, threads_b in 1usize..9, seed in any::<u64>()) {
         // Parallel encryption forks one RNG stream per cell, so the same
-        // seed yields the same ciphertexts whatever the pool size — and the
-        // parallel decrypt agrees with the serial one.
+        // seed yields the same ciphertexts whatever the pool size — and
+        // decryption agrees across pool sizes too.
         let (sys, keys) = system();
         let rng = ChaChaRng::from_seed(seed);
         let pool_a = ParExec::new(threads_a);
@@ -191,8 +191,8 @@ proptest! {
         let enc_b = EncryptedMap::encrypt_images_par(sys, &imgs, 4, &keys.public, &rng, &pool_b).unwrap();
         prop_assert_eq!(enc_a.cells(), enc_b.cells(),
                         "encryption differs between {} and {} threads", threads_a, threads_b);
-        let serial_dec = enc_a.decrypt_all(sys, &keys.secret, imgs.len()).unwrap();
-        let par_dec = enc_a.decrypt_all_par(sys, &keys.secret, imgs.len(), &pool_b).unwrap();
+        let serial_dec = enc_a.decrypt_all(sys, &keys.secret, imgs.len(), &ParExec::serial()).unwrap();
+        let par_dec = enc_a.decrypt_all(sys, &keys.secret, imgs.len(), &pool_b).unwrap();
         prop_assert_eq!(&serial_dec, &par_dec);
         for (b, img) in imgs.iter().enumerate() {
             for (p, &v) in img.iter().enumerate() {

@@ -212,7 +212,27 @@ impl Broker {
         report: &mut LoadReport,
         latencies: &mut Vec<VirtualNs>,
     ) -> VirtualNs {
-        let merged = merge_batch(batch);
+        // One batch is one pipeline outcome, so a request the session would
+        // refuse for its shape must not ride with the others: it fails alone,
+        // booked to its own tenant, and the rest of the batch is served.
+        let side = session.model().in_side;
+        let (batch, malformed): (Vec<&Pending>, Vec<&Pending>) = batch.iter().partition(|member| {
+            let images = &member.request.images;
+            images.iter().all(|img| img.len() == side * side)
+        });
+        for member in malformed {
+            report.failed += 1;
+            report
+                .per_tenant
+                .entry(member.request.tenant)
+                .or_default()
+                .dropped += 1;
+            self.recorder.incr("serve.failed", 1);
+        }
+        if batch.is_empty() {
+            return now;
+        }
+        let merged = merge_batch(&batch);
         let fill = merged.images.len();
         report.batches += 1;
         report.batched_images += fill;
@@ -259,7 +279,7 @@ impl Broker {
                     );
                 }
                 let mut offset = 0usize;
-                for member in batch {
+                for member in &batch {
                     let count = member.request.images.len();
                     let logits = response.logits[offset..offset + count].to_vec();
                     offset += count;
@@ -304,7 +324,7 @@ impl Broker {
                     .max(1)
                     .saturating_add(backoff);
                 let completion = now.saturating_add(service_ns);
-                for member in batch {
+                for member in &batch {
                     report.failed += 1;
                     report
                         .per_tenant
@@ -326,7 +346,7 @@ impl Broker {
 /// since the whole batch shares one pipeline outcome. The same unanimity
 /// rule picks the ingress mode: the batch ships transciphered only when
 /// every member did, because one payload carries the whole batch.
-fn merge_batch(batch: &[Pending]) -> InferRequest {
+fn merge_batch(batch: &[&Pending]) -> InferRequest {
     let mut images = Vec::new();
     for member in batch {
         images.extend(member.request.images.iter().cloned());
@@ -458,6 +478,49 @@ mod tests {
         );
         // The smaller upload shows up on the virtual clock too.
         assert!(tc.total_service_ns < fv.total_service_ns);
+    }
+
+    #[test]
+    fn a_malformed_request_fails_alone() {
+        // Request 2 ships a 63-pixel image to the 8×8 model; at max_batch 8
+        // it is packed with other tenants' requests. It must be booked as
+        // failed to its own tenant — on both ingress modes — while every
+        // other request is served exactly.
+        let spec = small_spec(6);
+        for ingress in [Ingress::FvCiphertext, Ingress::Transciphered] {
+            let mut trace = LoadTrace::generate(&spec);
+            for arrival in &mut trace.arrivals {
+                arrival.at = 0; // one full batch
+                arrival.request = arrival.request.clone().ingress(ingress);
+            }
+            trace.arrivals[2].request.images[0].pop();
+            let bad_tenant = trace.arrivals[2].request.tenant;
+            assert!(trace
+                .arrivals
+                .iter()
+                .any(|a| a.request.tenant != bad_tenant));
+
+            let b = broker(BrokerConfig::new().workers(1).max_batch(8));
+            let report = b.run(&trace);
+            assert_eq!(report.failed, 1, "{ingress:?}: {report:?}");
+            assert_eq!(report.completed_exact, spec.requests - 1, "{ingress:?}");
+            assert_eq!(
+                report.admitted,
+                report.completed() + report.failed + report.dropped_deadline
+            );
+            assert!(report.outcomes.iter().all(|o| o.id != 2));
+            let model = small_model();
+            for outcome in &report.outcomes {
+                let img = &trace.arrivals[outcome.id as usize].request.images[0];
+                assert_eq!(outcome.logits, vec![model.forward_ints(img)]);
+            }
+            for (tenant, stats) in &report.per_tenant {
+                let dropped = usize::from(*tenant == bad_tenant);
+                assert_eq!(stats.dropped, dropped, "tenant {tenant}");
+                assert_eq!(stats.served, stats.offered - dropped, "tenant {tenant}");
+            }
+            assert_eq!(b.recorder().counter("serve.failed"), 1);
+        }
     }
 
     #[test]

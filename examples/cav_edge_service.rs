@@ -66,11 +66,11 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         .build(Platform::new(77), hybrid_model.clone())?;
     println!("HE worker threads: {}", session.threads());
     let start = Instant::now();
-    let all_logits = session.serve(InferRequest::batch(images.clone()))?.logits;
+    let response = session.serve(InferRequest::batch(images.clone()))?;
     let hybrid_wall = start.elapsed();
-    let metrics = session.metrics().expect("one batch ran");
+    let all_logits = &response.logits;
     let enclave_overhead = {
-        let c = total_enclave_cost(&metrics);
+        let c = total_enclave_cost(&response.metrics);
         std::time::Duration::from_nanos(c.total_ns().saturating_sub(c.real_ns))
     };
 

@@ -53,20 +53,17 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     println!("[4/5] running one encrypted prediction...");
     let sample = &trained.test_set[0];
     let pixels = dataset::quantize_pixels(&sample.image);
-    let logits = session
-        .serve(InferRequest::single(pixels.clone()))?
-        .logits
-        .remove(0);
+    let response = session.serve(InferRequest::single(pixels.clone()))?;
 
     // 5. The plaintext argmax of the decrypted logits is the prediction.
     println!("[5/5] reading the result...");
-    let predicted = logits
+    let predicted = response.logits[0]
         .iter()
         .enumerate()
         .max_by_key(|(_, &v)| v)
         .map(|(class, _)| class)
         .expect("model has classes");
-    let metrics = session.metrics().expect("one inference ran");
+    let metrics = &response.metrics;
     println!();
     println!("true label:           {}", sample.label);
     println!("encrypted prediction: {predicted}");
