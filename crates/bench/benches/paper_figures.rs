@@ -29,10 +29,17 @@ fn bench_weight_encoding(c: &mut Criterion) {
 
 fn bench_conv_kernel(c: &mut Criterion) {
     let env = PaperEnv::new(12);
-    let mut rng = env.rng.fork("bench-conv");
+    let rng = env.rng.fork("bench-conv");
     let images = vec![(0..784).map(|p| (p % 16) as i64).collect::<Vec<i64>>()];
-    let input =
-        EncryptedMap::encrypt_images(&env.sys, &images, 28, &env.keys.public, &mut rng).unwrap();
+    let input = EncryptedMap::encrypt_images(
+        &env.sys,
+        &images,
+        28,
+        &env.keys.public,
+        &rng,
+        &ParExec::serial(),
+    )
+    .unwrap();
     let mut group = c.benchmark_group("fig4/he_conv_28x28");
     group.sample_size(10);
     for k in [1usize, 5, 14, 28] {
@@ -61,13 +68,20 @@ fn bench_conv_kernel(c: &mut Criterion) {
 
 fn bench_sigmoid_variants(c: &mut Criterion) {
     let env = PaperEnv::new(13);
-    let mut rng = env.rng.fork("bench-sigmoid");
+    let rng = env.rng.fork("bench-sigmoid");
     let side = 12;
     let images = vec![(0..side * side)
         .map(|p| (p as i64 % 31) - 15)
         .collect::<Vec<i64>>()];
-    let input =
-        EncryptedMap::encrypt_images(&env.sys, &images, side, &env.keys.public, &mut rng).unwrap();
+    let input = EncryptedMap::encrypt_images(
+        &env.sys,
+        &images,
+        side,
+        &env.keys.public,
+        &rng,
+        &ParExec::serial(),
+    )
+    .unwrap();
     let model = scale_stub(2);
     let real = env.inference_enclave(false);
     let fake = env.inference_enclave(true);
@@ -111,10 +125,17 @@ fn bench_sigmoid_variants(c: &mut Criterion) {
 fn bench_pooling_variants(c: &mut Criterion) {
     let env = PaperEnv::new(14);
     let arena = PolyArena::new();
-    let mut rng = env.rng.fork("bench-pool");
+    let rng = env.rng.fork("bench-pool");
     let images = vec![(0..576).map(|p| (p % 17) as i64).collect::<Vec<i64>>()];
-    let input =
-        EncryptedMap::encrypt_images(&env.sys, &images, 24, &env.keys.public, &mut rng).unwrap();
+    let input = EncryptedMap::encrypt_images(
+        &env.sys,
+        &images,
+        24,
+        &env.keys.public,
+        &rng,
+        &ParExec::serial(),
+    )
+    .unwrap();
     let real = env.inference_enclave(false);
     let serial = ParExec::serial();
     let mut group = c.benchmark_group("fig6/pooling_24x24");

@@ -27,7 +27,7 @@ fn bench_keygen(c: &mut Criterion) {
 
 fn bench_image_encryption(c: &mut Criterion) {
     let env = PaperEnv::new(2);
-    let mut rng = env.rng.fork("bench-enc");
+    let rng = env.rng.fork("bench-enc");
     let images: Vec<Vec<i64>> = (0..PAPER_BATCH_SIZE)
         .map(|b| (0..784).map(|p| ((p + b) % 16) as i64).collect())
         .collect();
@@ -36,8 +36,15 @@ fn bench_image_encryption(c: &mut Criterion) {
     group.bench_function("encrypt_10_images", |b| {
         b.iter(|| {
             black_box(
-                EncryptedMap::encrypt_images(&env.sys, &images, 28, &env.keys.public, &mut rng)
-                    .unwrap(),
+                EncryptedMap::encrypt_images(
+                    &env.sys,
+                    &images,
+                    28,
+                    &env.keys.public,
+                    &rng,
+                    &ParExec::serial(),
+                )
+                .unwrap(),
             )
         })
     });

@@ -28,10 +28,17 @@ pub fn ablate_ecall_batching(env: &mut PaperEnv) {
     header("ABLATION: ECALL batching granularity (16x16 feature map)");
     let model = scale_stub(2);
     let ie = env.inference_enclave(false);
-    let mut rng = env.rng.fork("ablate-batching");
+    let rng = env.rng.fork("ablate-batching");
     let images = vec![(0..256).map(|p| (p as i64 % 41) - 20).collect::<Vec<i64>>()];
-    let input =
-        EncryptedMap::encrypt_images(&env.sys, &images, 16, &env.keys.public, &mut rng).unwrap();
+    let input = EncryptedMap::encrypt_images(
+        &env.sys,
+        &images,
+        16,
+        &env.keys.public,
+        &rng,
+        &ParExec::serial(),
+    )
+    .unwrap();
     let (_, batched) = ie
         .activation_map(
             &env.sys,

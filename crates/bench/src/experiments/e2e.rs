@@ -8,6 +8,7 @@ use hesgx_core::planner::{EcallBatching, Stage};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::cryptonets::CryptoNets;
 use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::par::ParExec;
 use hesgx_nn::dataset;
 use hesgx_nn::layers::{ActivationKind, PoolKind};
 use hesgx_nn::model_zoo::{architecture_table, paper_cnn};
@@ -148,7 +149,8 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
         &images,
         hybrid_model.in_side,
         &ceremony.public,
-        &mut rng,
+        &rng,
+        &ParExec::serial(),
     )
     .unwrap();
     let start = Instant::now();
@@ -208,7 +210,8 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
         &images,
         hybrid_model.in_side,
         &fake_ceremony.public,
-        &mut rng,
+        &rng,
+        &ParExec::serial(),
     )
     .unwrap();
     let start = Instant::now();

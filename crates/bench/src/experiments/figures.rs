@@ -143,10 +143,17 @@ pub fn fig4_conv_kernel(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig4Point> {
     } else {
         (1..=28).collect()
     };
-    let mut rng = env.rng.fork("fig4");
+    let rng = env.rng.fork("fig4");
     let images = vec![(0..784).map(|p| (p % 16) as i64).collect::<Vec<i64>>()];
-    let input =
-        EncryptedMap::encrypt_images(&env.sys, &images, 28, &env.keys.public, &mut rng).unwrap();
+    let input = EncryptedMap::encrypt_images(
+        &env.sys,
+        &images,
+        28,
+        &env.keys.public,
+        &rng,
+        &ParExec::serial(),
+    )
+    .unwrap();
     let mut points = Vec::new();
     println!("kernel   C×P / C+C ops    time (ms)");
     for &k in &kernels {
@@ -202,7 +209,7 @@ pub fn fig5_sigmoid(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig5Point> {
     let real = env.inference_enclave(false);
     let fake = env.inference_enclave(true);
     let serial = ParExec::serial();
-    let mut rng = env.rng.fork("fig5");
+    let rng = env.rng.fork("fig5");
     let mut points = Vec::new();
     println!("map side   cells   EncryptSigmoid(ms)   SGXSigmoid(ms)   FakeSGXSigmoid(ms)");
     for &side in &sides {
@@ -210,7 +217,7 @@ pub fn fig5_sigmoid(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig5Point> {
             .map(|p| (p as i64 % 41) - 20)
             .collect::<Vec<i64>>()];
         let input =
-            EncryptedMap::encrypt_images(&env.sys, &images, side, &env.keys.public, &mut rng)
+            EncryptedMap::encrypt_images(&env.sys, &images, side, &env.keys.public, &rng, &serial)
                 .unwrap();
 
         // EncryptSigmoid: the HE pipeline's square + relinearization.
@@ -290,10 +297,11 @@ pub fn fig6_pooling(env: &mut PaperEnv, _cfg: RunConfig) -> Vec<Fig6Point> {
     let fake = env.inference_enclave(true);
     let arena = PolyArena::new();
     let serial = ParExec::serial();
-    let mut rng = env.rng.fork("fig6");
+    let rng = env.rng.fork("fig6");
     let images = vec![(0..576).map(|p| (p % 17) as i64).collect::<Vec<i64>>()];
     let input =
-        EncryptedMap::encrypt_images(&env.sys, &images, 24, &env.keys.public, &mut rng).unwrap();
+        EncryptedMap::encrypt_images(&env.sys, &images, 24, &env.keys.public, &rng, &serial)
+            .unwrap();
     let mut points = Vec::new();
     println!("window   EncSum(ms)  SGXDivide  FakeSGXDivide  SGXDiv(total)  SGXPool  FakeSGXPool");
     for &w in &windows {

@@ -21,6 +21,14 @@
 //! ciphertexts; the wall-time gap is the measured payoff of provision-time
 //! weight preparation and fused accumulation.
 //!
+//! The enclave-cell section prices what one activation/pool cell costs
+//! inside the enclave at the Fig. 8 ring degree: `decrypt_slots`, and
+//! `encrypt_slots` under the public key (the client's path) versus under the
+//! secret key (the enclave's). Its deterministic face is two
+//! flags: the RNS-native decryption equals the `U256` scale-and-round of the
+//! reconstructed phase on fresh, worn and size-3 ciphertexts, and a
+//! secret-key encryption round-trips every slot.
+//!
 //! Artifacts: `target/bench/BENCH_ntt.json` (full tables including wall
 //! times — informative, machine-readable, *not* replay-stable) and
 //! `target/bench/BENCH_ntt.deterministic.json` (tier shapes, output
@@ -29,8 +37,9 @@
 
 use super::{header, RunConfig};
 use hesgx_bfv::ntt::NttTable;
-use hesgx_bfv::prelude::PolyArena;
+use hesgx_bfv::prelude::{Ciphertext, Decryptor, PolyArena, SecretKey};
 use hesgx_crypto::rng::ChaChaRng;
+use hesgx_crypto::uint::{Reciprocal, U256};
 use hesgx_henn::crt::CrtPlainSystem;
 use hesgx_henn::image::EncryptedMap;
 use hesgx_henn::ops::{self, OpCounter};
@@ -110,6 +119,24 @@ pub struct NttBench {
     /// Per-call weight preparations of the oracle (the kernel is pinned to
     /// zero).
     pub conv_oracle_weight_prep: u64,
+    /// One enclave cell at the paper's ring degree.
+    pub cell: EnclaveCell,
+}
+
+/// What one cell of an enclave transform costs, and the two exactness flags
+/// that make the numbers meaningful.
+#[derive(Debug, Clone, Copy)]
+pub struct EnclaveCell {
+    /// Median of `CrtPlainSystem::decrypt_slots`.
+    pub decrypt_slots_ns: u64,
+    /// Median of `CrtPlainSystem::encrypt_slots` (public key).
+    pub encrypt_public_ns: u64,
+    /// Median of `CrtPlainSystem::encrypt_slots_symmetric` (secret key).
+    pub encrypt_secret_ns: u64,
+    /// `Decryptor::decrypt` equalled the `U256` reference on every probe.
+    pub rns_decrypt_matches_u256: bool,
+    /// A secret-key encryption decrypted back to every slot value.
+    pub symmetric_roundtrip_exact: bool,
 }
 
 fn median(mut samples: Vec<u64>) -> u64 {
@@ -261,8 +288,15 @@ fn run_conv(model: &QuantizedCnn, poly_degree: usize, reps: usize) -> ConvLayer 
                 .collect()
         })
         .collect();
-    let enc = EncryptedMap::encrypt_images(&sys, &images, model.in_side, &keys.public, &mut rng)
-        .expect("ntt_bench conv batch encrypts");
+    let enc = EncryptedMap::encrypt_images(
+        &sys,
+        &images,
+        model.in_side,
+        &keys.public,
+        &rng,
+        &ParExec::serial(),
+    )
+    .expect("ntt_bench conv batch encrypts");
     let bank = WeightBank::prepare(&sys, &model.conv_weights, &model.conv_bias)
         .expect("ntt_bench conv weights prepare");
     let (pool, arena) = (ParExec::serial(), PolyArena::new());
@@ -313,6 +347,92 @@ fn run_conv(model: &QuantizedCnn, poly_degree: usize, reps: usize) -> ConvLayer 
         cells_match,
         kernel_ops,
         oracle_ops,
+    }
+}
+
+/// `⌊(t·x + ⌊q/2⌋)/q⌋ mod t` in 256-bit integers on the reconstructed phase
+/// of `ct` — the decryption formula as written, to hold
+/// `Decryptor::decrypt`'s RNS-native evaluation against.
+fn decrypt_u256(
+    sys: &CrtPlainSystem,
+    part: usize,
+    dec: &Decryptor<&SecretKey>,
+    ct: &Ciphertext,
+) -> Vec<u64> {
+    let params = sys.contexts()[part].params();
+    let t = params.plain_modulus();
+    let q = params
+        .coeff_moduli()
+        .iter()
+        .fold(U256::ONE, |q, &qi| q.carrying_mul_u64(qi).0);
+    let rec_q = Reciprocal::new(q);
+    let phase = dec.raw_phase(ct).expect("ntt_bench cell phase");
+    phase
+        .into_iter()
+        .map(|x| {
+            let sum = x.carrying_mul_u64(t).0.wrapping_add(q.shr(1));
+            rec_q
+                .div_rem(sum)
+                .0
+                .to_u64()
+                .map_or(u64::MAX, |quot| quot % t)
+        })
+        .collect()
+}
+
+/// Times one enclave cell — decrypt, and re-encrypt under either key — on
+/// the fig8 system at `poly_degree`, and evaluates the two exactness flags.
+fn run_cell(poly_degree: usize, reps: usize) -> EnclaveCell {
+    let bits = conv_model(false).range_report().required_plain_bits;
+    let sys = CrtPlainSystem::for_range(poly_degree, bits).expect("ntt_bench cell system builds");
+    let mut rng = ChaChaRng::from_seed(SEED).fork("enclave-cell");
+    let keys = sys.generate_keys(&mut rng);
+    let span = 1i64 << bits.min(40);
+    let values: Vec<i64> = (0..sys.slot_count() as i64)
+        .map(|i| (i * 2_654_435_761) % span - span / 2)
+        .collect();
+
+    let public = sys
+        .encrypt_slots(&values, &keys.public, &mut rng)
+        .expect("ntt_bench cell encrypts");
+    let secret = sys
+        .encrypt_slots_symmetric(&values, &keys.secret, &mut rng)
+        .expect("ntt_bench cell encrypts");
+    let decrypted = sys
+        .decrypt_slots(&secret, &keys.secret)
+        .expect("ntt_bench cell decrypts");
+    let symmetric_roundtrip_exact = decrypted.iter().zip(&values).all(|(&d, &v)| d == v as i128);
+
+    // Fresh under both keys, worn by a scalar-multiply chain, and size 3.
+    let mut worn = sys
+        .mul_scalar(&secret, 1021)
+        .expect("ntt_bench cell multiplies");
+    worn = sys
+        .mul_scalar(&worn, -1019)
+        .expect("ntt_bench cell multiplies");
+    let squared = sys.square(&public).expect("ntt_bench cell squares");
+    let mut rns_decrypt_matches_u256 = true;
+    for part in 0..sys.part_count() {
+        let dec = Decryptor::new(sys.contexts()[part].clone(), &keys.secret[part]);
+        for ct in [&public, &secret, &worn, &squared] {
+            let got = dec.decrypt(ct.part(part)).expect("ntt_bench cell decrypts");
+            rns_decrypt_matches_u256 &=
+                got.coeffs() == decrypt_u256(&sys, part, &dec, ct.part(part));
+        }
+    }
+
+    EnclaveCell {
+        decrypt_slots_ns: median_of(reps, || {
+            std::hint::black_box(sys.decrypt_slots(&public, &keys.secret)).ok();
+        }),
+        encrypt_public_ns: median_of(reps, || {
+            std::hint::black_box(sys.encrypt_slots(&values, &keys.public, &mut rng)).ok();
+        }),
+        encrypt_secret_ns: median_of(reps, || {
+            std::hint::black_box(sys.encrypt_slots_symmetric(&values, &keys.secret, &mut rng)).ok();
+        }),
+        rns_decrypt_matches_u256,
+        symmetric_roundtrip_exact,
     }
 }
 
@@ -411,6 +531,28 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         oracle_ops.weight_prep
     );
 
+    let cell_degree = crate::PAPER_POLY_DEGREE;
+    let cell = run_cell(cell_degree, reps);
+    assert!(
+        cell.rns_decrypt_matches_u256,
+        "RNS-native decryption diverged from the U256 reference"
+    );
+    assert!(
+        cell.symmetric_roundtrip_exact,
+        "secret-key encryption did not round-trip"
+    );
+    println!(
+        "\nenclave cell at n={cell_degree}: decrypt_slots {} ns; encrypt_slots public-key {} ns \
+         vs secret-key {} ns — {:.2}x; RNS decrypt == U256 reference: {}; symmetric \
+         round-trip exact: {}",
+        cell.decrypt_slots_ns,
+        cell.encrypt_public_ns,
+        cell.encrypt_secret_ns,
+        cell.encrypt_public_ns as f64 / cell.encrypt_secret_ns.max(1) as f64,
+        cell.rns_decrypt_matches_u256,
+        cell.symmetric_roundtrip_exact
+    );
+
     // Full artifact: wall times included (informative, not replay-stable).
     let mut json = String::from("{\"experiment\":\"ntt_bench\",");
     let _ = write!(json, "\"reps\":{reps},\"tiers\":[");
@@ -441,11 +583,16 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         json,
         "],\"conv_layer\":{{\"poly_degree\":{poly_degree},\"batch\":{},\"cached_ns\":{},\
          \"uncached_ns\":{},\"cells_match\":{conv_cells_match},\
-         \"uncached_weight_prep\":{}}}}}",
+         \"uncached_weight_prep\":{}}},\"enclave_cell\":{{\"poly_degree\":{cell_degree},\
+         \"decrypt_slots_ns\":{},\"encrypt_slots_public_ns\":{},\
+         \"encrypt_slots_secret_ns\":{}}}}}",
         crate::PAPER_BATCH_SIZE,
         conv.optimized_ns,
         conv.reference_ns,
-        oracle_ops.weight_prep
+        oracle_ops.weight_prep,
+        cell.decrypt_slots_ns,
+        cell.encrypt_public_ns,
+        cell.encrypt_secret_ns
     );
     if let Some(path) = crate::write_bench_file("BENCH_ntt.json", &json) {
         println!("bench table written to {}", path.display());
@@ -470,13 +617,17 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         "],\"lazy_matches_reference\":true,\"conv_layer\":{{\"poly_degree\":{poly_degree},\
          \"batch\":{},\"cells_match\":{conv_cells_match},\
          \"cached_weight_prep\":{},\"uncached_weight_prep\":{},\
-         \"ct_pt_mul\":{},\"ct_pt_add\":{},\"ct_ct_add\":{}}}}}",
+         \"ct_pt_mul\":{},\"ct_pt_add\":{},\"ct_ct_add\":{}}},\
+         \"enclave_cell\":{{\"poly_degree\":{cell_degree},\
+         \"rns_decrypt_matches_u256\":{},\"symmetric_roundtrip_exact\":{}}}}}",
         crate::PAPER_BATCH_SIZE,
         kernel_ops.weight_prep,
         ops.weight_prep,
         ops.ct_pt_mul,
         ops.ct_pt_add,
-        ops.ct_ct_add
+        ops.ct_ct_add,
+        cell.rns_decrypt_matches_u256,
+        cell.symmetric_roundtrip_exact
     );
     if let Some(path) = crate::write_bench_file("BENCH_ntt.deterministic.json", &det) {
         println!("deterministic table written to {}", path.display());
@@ -489,5 +640,6 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         conv,
         conv_cells_match,
         conv_oracle_weight_prep: oracle_ops.weight_prep,
+        cell,
     }
 }

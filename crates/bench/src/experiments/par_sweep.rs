@@ -15,6 +15,7 @@ use crate::PAPER_POLY_DEGREE;
 use hesgx_core::pipeline::{HybridInference, ProvisionConfig};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::par::ParExec;
 use hesgx_nn::layers::{ActivationKind, PoolKind};
 use hesgx_nn::model_zoo::paper_cnn;
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
@@ -124,7 +125,8 @@ pub fn par_sweep(cfg: RunConfig) -> ParSweep {
             &images,
             model.in_side,
             &ceremony.public,
-            &mut ChaChaRng::from_seed(70),
+            &ChaChaRng::from_seed(70),
+            &ParExec::serial(),
         )
         .unwrap();
 

@@ -75,11 +75,12 @@ pub fn table2_image_encryption(env: &mut PaperEnv, cfg: RunConfig) -> Table2 {
     let images: Vec<Vec<i64>> = (0..PAPER_BATCH_SIZE)
         .map(|b| (0..784).map(|p| ((p + b) % 16) as i64).collect())
         .collect();
-    let mut rng = env.rng.fork("table2");
+    let rng = env.rng.fork("table2");
     let sys = &env.sys;
     let public = &env.keys.public;
     let samples = time_reps_ms(reps, || {
-        let _ = EncryptedMap::encrypt_images(sys, &images, 28, public, &mut rng).unwrap();
+        let _ = EncryptedMap::encrypt_images(sys, &images, 28, public, &rng, &ParExec::serial())
+            .unwrap();
     });
     let batch = Stats::from_samples_trimmed(&samples);
     println!("batchSize  Average(ms)   STD      96% CI             (n = {reps})");

@@ -67,6 +67,21 @@ pub fn mul_mod_shoup_lazy(x: u64, w: u64, w_shoup: u64, p: u64) -> u64 {
     x.wrapping_mul(w).wrapping_sub(q.wrapping_mul(p))
 }
 
+/// Shoup multiplication that keeps the quotient: returns
+/// `(floor(x·w / p), x·w mod p)` for `w < p` with `w_shoup` as in
+/// [`shoup_precompute`]. The lazy quotient estimate is the true quotient or
+/// one below it (see [`mul_mod_shoup_lazy`]), so one compare corrects both.
+#[inline]
+pub fn mul_div_rem_shoup(x: u64, w: u64, w_shoup: u64, p: u64) -> (u64, u64) {
+    let q = ((x as u128 * w_shoup as u128) >> 64) as u64;
+    let r = x.wrapping_mul(w).wrapping_sub(q.wrapping_mul(p));
+    if r >= p {
+        (q + 1, r - p)
+    } else {
+        (q, r)
+    }
+}
+
 /// High 128 bits of the 256-bit product `a · b`.
 #[inline]
 fn mulhi_u128(a: u128, b: u128) -> u128 {
@@ -415,6 +430,24 @@ mod shoup_tests {
             let ws = shoup_precompute(w, p);
             for x in [0u64, 1, p - 1, 987_654_321 % p, p / 3] {
                 assert_eq!(mul_mod_shoup(x, w, ws, p), mul_mod(x, w, p), "x={x} w={w}");
+            }
+        }
+    }
+
+    #[test]
+    fn shoup_div_rem_matches_u128_division() {
+        for p in [
+            12289u64,
+            largest_prime_congruent_one(52, 2048),
+            largest_prime_congruent_one(MAX_LIMB_BITS, 2048),
+        ] {
+            for w in [0u64, 1, 65537 % p, p / 2, p - 1] {
+                let ws = shoup_precompute(w, p);
+                for x in [0u64, 1, p / 3, p - 2, p - 1] {
+                    let prod = x as u128 * w as u128;
+                    let want = ((prod / p as u128) as u64, (prod % p as u128) as u64);
+                    assert_eq!(mul_div_rem_shoup(x, w, ws, p), want, "x={x} w={w} p={p}");
+                }
             }
         }
     }

@@ -1,15 +1,28 @@
 //! Precomputed context: NTT tables, CRT constants, the wide multiplication
 //! basis, and reciprocals for exact rescaling.
 
-use crate::arith::{self, inv_mod, mul_mod};
+use crate::arith::{self, inv_mod, mul_mod, shoup_precompute};
 use crate::ntt::NttTable;
 use crate::params::{EncryptionParameters, ParameterError};
+use crate::poly::RnsPoly;
 use hesgx_crypto::sha256::sha256;
 use hesgx_crypto::uint::{Reciprocal, U256};
 use std::sync::Arc;
 
 /// Bit size of the wide-basis primes used for exact tensor products.
 const WIDE_PRIME_BITS: u32 = 45;
+
+/// Per-limb constants of [`BfvContext::scale_and_round`]: `hat = q/q_i`,
+/// `hat_inv = hat⁻¹ mod q_i` and `t = t_quot·q_i + t_rem`, the pairs being
+/// Shoup operands `(w, shoup)` modulo `qi`.
+#[derive(Debug)]
+struct ScaleRoundLimb {
+    qi: u64,
+    hat_inv: (u64, u64),
+    hat: u128,
+    t_quot: u64,
+    t_rem: (u64, u64),
+}
 
 /// All precomputation for one parameter set.
 ///
@@ -35,8 +48,11 @@ pub struct BfvContext {
 
     /// Δ = floor(q / t).
     pub(crate) delta: U256,
-    /// Δ mod q_i.
-    pub(crate) delta_mod: Vec<u64>,
+    /// Δ mod q_i with its Shoup constant.
+    pub(crate) delta_mod: Vec<(u64, u64)>,
+    /// Decryption's per-limb constants, and `q` (at most 120 bits).
+    scale_round: Vec<ScaleRoundLimb>,
+    q_u128: u128,
 
     /// Wide CRT basis for exact ciphertext multiplication.
     pub(crate) wide_tables: Vec<NttTable>,
@@ -108,10 +124,21 @@ impl BfvContext {
         // Δ = floor(q / t).
         let t = params.plain_modulus();
         let (delta, _) = rec_div_by_u64(q, t);
-        let delta_mod = params
-            .coeff_moduli()
-            .iter()
-            .map(|&qi| u256_mod_u64(delta, qi))
+        let with_shoup = |w: u64, qi: u64| (w, shoup_precompute(w, qi));
+        let delta_mod = (params.coeff_moduli().iter())
+            .map(|&qi| with_shoup(u256_mod_u64(delta, qi), qi))
+            .collect();
+        let q_u128 = q
+            .to_u128()
+            .ok_or(ParameterError::CoeffModulusTooLarge(q_bits))?;
+        let scale_round = (params.coeff_moduli().iter().zip(&q_hat_inv))
+            .map(|(&qi, &hat_inv)| ScaleRoundLimb {
+                qi,
+                hat_inv: with_shoup(hat_inv, qi),
+                hat: q_u128 / qi as u128,
+                t_quot: t / qi,
+                t_rem: with_shoup(t % qi, qi),
+            })
             .collect();
 
         // Wide basis: NTT primes, skipping any that collide with the
@@ -197,6 +224,8 @@ impl BfvContext {
             q_hat_inv,
             delta,
             delta_mod,
+            scale_round,
+            q_u128,
             wide_tables,
             wide_primes,
             p_prod,
@@ -260,6 +289,39 @@ impl BfvContext {
             acc = sum;
         }
         self.rec_q.reduce_u512(acc)
+    }
+
+    /// Decryption's `⌊(t·x + ⌊q/2⌋)/q⌋ mod t` for every coefficient `x` of
+    /// `phase`, straight from its residues `x_i` in 64/128-bit words and
+    /// bit-identical to the `U256` evaluation (derivation: DESIGN.md §19).
+    /// With `y_i = [x_i·(q/q_i)⁻¹]_{q_i}` and `t·y_i = w_i·q_i + r_i` the
+    /// value is `Σ w_i + ⌊(Σ r_i·q/q_i + ⌊q/2⌋)/q⌋`; each `r_i·q/q_i < q <
+    /// 2^120`, so the remainder sum fits `u128` and carries at most the limb
+    /// count into the quotient.
+    pub(crate) fn scale_and_round(&self, phase: &RnsPoly) -> Vec<u64> {
+        let t = self.params.plain_modulus();
+        let q = self.q_u128;
+        (0..self.poly_degree())
+            .map(|j| {
+                let mut quot = 0u64;
+                let mut rem = q / 2;
+                for (limb, c) in phase.limbs.iter().zip(&self.scale_round) {
+                    let y = arith::mul_mod_shoup(limb[j], c.hat_inv.0, c.hat_inv.1, c.qi);
+                    let (w, r) = arith::mul_div_rem_shoup(y, c.t_rem.0, c.t_rem.1, c.qi);
+                    quot += c.t_quot * y + w;
+                    rem += r as u128 * c.hat;
+                }
+                while rem >= q {
+                    rem -= q;
+                    quot += 1;
+                }
+                // Below `(2t + 1)·limbs`: subtractions beat a division.
+                while quot >= t {
+                    quot -= t;
+                }
+                quot
+            })
+            .collect()
     }
 
     /// Reconstructs a wide-basis coefficient into `[0, P)`.
@@ -344,6 +406,35 @@ mod tests {
             .map(|&w| u256_mod_u64(x, w))
             .collect();
         assert_eq!(ctx.crt_reconstruct_wide(&residues), x);
+    }
+
+    #[test]
+    fn scale_and_round_is_exact_on_both_sides_of_the_rounding_boundary() {
+        // A random phase sits next to a rounding boundary with probability
+        // ~1/q, so solve for the neighbours: `t` is a unit modulo every
+        // limb, hence `t·x + ⌊q/2⌋ ≡ c (mod q)` has one solution `x` per
+        // `c`, found limb by limb. `c = q−1` rounds down, `c = 0` up.
+        for params in [presets::paper_n1024(), presets::test_n256()] {
+            let ctx = BfvContext::new(params).unwrap();
+            let (t, q) = (ctx.params().plain_modulus(), ctx.q_u128);
+            let targets = [q - 2, q - 1, 0, 1, q / 2, q / 2 + 1].map(|c| (c + q - q / 2) % q);
+            let mut phase = RnsPoly::zero(&ctx, crate::poly::PolyForm::Coeff);
+            for (limb, &qi) in phase.limbs.iter_mut().zip(ctx.params().coeff_moduli()) {
+                let t_inv = inv_mod(t % qi, qi).unwrap();
+                for (v, target) in limb.iter_mut().zip(targets) {
+                    *v = mul_mod((target % qi as u128) as u64, t_inv, qi);
+                }
+            }
+            let got = ctx.scale_and_round(&phase);
+            for j in 0..targets.len() {
+                let residues: Vec<u64> = phase.limbs.iter().map(|limb| limb[j]).collect();
+                let (tx, carry) = ctx.crt_reconstruct(&residues).carrying_mul_u64(t);
+                assert_eq!(carry, 0);
+                let (quot, rem) = ctx.rec_q.div_rem(tx.checked_add(ctx.q_half).unwrap());
+                assert_eq!(rem.to_u128().unwrap(), (targets[j] + q / 2) % q);
+                assert_eq!(got[j], quot.to_u64().unwrap() % t, "coefficient {j}");
+            }
+        }
     }
 
     #[test]

@@ -8,87 +8,71 @@ use crate::keys::SecretKey;
 use crate::plaintext::Plaintext;
 use crate::poly::{PolyForm, RnsPoly};
 use hesgx_crypto::uint::U256;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Decrypts ciphertexts with a secret key; also measures the invariant noise
 /// budget, which the hybrid planner uses to decide when an enclave refresh is
 /// due.
+///
+/// `K` is an owned [`SecretKey`] or a `&SecretKey`, so per-call users (the
+/// enclave's cell loop) borrow the resident key instead of cloning one.
 #[derive(Debug)]
-pub struct Decryptor {
+pub struct Decryptor<K = SecretKey> {
     ctx: Arc<BfvContext>,
-    sk: SecretKey,
+    sk: K,
 }
 
-impl Decryptor {
+impl<K: Borrow<SecretKey>> Decryptor<K> {
     /// Creates a decryptor for `sk` on `ctx`.
-    pub fn new(ctx: Arc<BfvContext>, sk: SecretKey) -> Self {
-        assert_eq!(sk.context_id(), ctx.id(), "secret key context mismatch");
+    pub fn new(ctx: Arc<BfvContext>, sk: K) -> Self {
+        assert_eq!(
+            sk.borrow().context_id(),
+            ctx.id(),
+            "secret key context mismatch"
+        );
         Decryptor { ctx, sk }
     }
 
-    /// Computes `c(s) = c0 + c1·s + c2·s² + …` in coefficient form.
+    /// Computes `c(s) = c0 + c1·s + c2·s² + …` in coefficient form; `c0`
+    /// needs no transform and joins on whichever side it already lives.
     fn dot_with_secret(&self, ct: &Ciphertext) -> RnsPoly {
         let ctx = &self.ctx;
+        let s = &self.sk.borrow().s;
         let mut acc = RnsPoly::zero(ctx, PolyForm::Ntt);
         let mut s_power = RnsPoly::zero(ctx, PolyForm::Ntt);
-        for (idx, poly) in ct.polys.iter().enumerate() {
+        for (idx, poly) in ct.polys.iter().enumerate().skip(1) {
             let mut p = poly.clone();
             p.to_ntt(ctx);
-            if idx == 0 {
-                acc.add_assign(&p, ctx);
+            if idx == 1 {
+                acc.mul_acc(&p, s, ctx);
             } else {
-                s_power = if idx == 1 {
-                    self.sk.s.clone()
-                } else {
-                    s_power.mul_pointwise(&self.sk.s, ctx)
-                };
+                let base = if idx == 2 { s } else { &s_power };
+                s_power = base.mul_pointwise(s, ctx);
                 acc.mul_acc(&p, &s_power, ctx);
             }
         }
+        let c0 = &ct.polys[0];
+        if c0.form() == PolyForm::Ntt {
+            acc.add_assign(c0, ctx);
+        }
         acc.to_coeff(ctx);
+        if c0.form() == PolyForm::Coeff {
+            acc.add_assign(c0, ctx);
+        }
         acc
     }
 
-    /// Decrypts: `m = round(t·[c(s)]_q / q) mod t`.
+    /// Decrypts: `m = round(t·[c(s)]_q / q) mod t`, scaled and rounded limb
+    /// by limb (see `BfvContext::scale_and_round`).
     ///
     /// # Errors
     ///
     /// Fails when the ciphertext is bound to another context or malformed.
     pub fn decrypt(&self, ct: &Ciphertext) -> Result<Plaintext> {
         self.check(ct)?;
-        let ctx = &self.ctx;
-        let acc = self.dot_with_secret(ct);
-        let t = ctx.params().plain_modulus();
-        let n = ctx.poly_degree();
-        let mut coeffs = vec![0u64; n];
-        if ctx.limb_count() == 1 {
-            // Single-limb fast path: everything fits u128.
-            let q = ctx.params().coeff_moduli()[0];
-            let half = q as u128 / 2;
-            for (j, out) in coeffs.iter_mut().enumerate() {
-                let x = acc.limbs[0][j] as u128;
-                let quot = (t as u128 * x + half) / q as u128;
-                *out = (quot % t as u128) as u64;
-            }
-            return Ok(Plaintext::from_coeffs(coeffs));
-        }
-        let mut residues = vec![0u64; ctx.limb_count()];
-        for (j, out) in coeffs.iter_mut().enumerate() {
-            for (r, limb) in residues.iter_mut().zip(&acc.limbs) {
-                *r = limb[j];
-            }
-            let x = ctx.crt_reconstruct(&residues);
-            // round(t*x/q) = floor((t*x + q/2) / q), then reduce mod t.
-            let (tx, carry) = x.carrying_mul_u64(t);
-            debug_assert_eq!(carry, 0, "t*x fits in 256 bits by parameter validation");
-            let (sum, overflow) = tx.overflowing_add(ctx.q_half);
-            debug_assert!(!overflow);
-            let (quot, _) = ctx.rec_q.div_rem(sum);
-            // quot <= t, so it fits u64 after reduction.
-            let q64 = quot.to_u64().unwrap_or(0);
-            *out = q64 % t;
-        }
-        Ok(Plaintext::from_coeffs(coeffs))
+        let phase = self.dot_with_secret(ct);
+        Ok(Plaintext::from_coeffs(self.ctx.scale_and_round(&phase)))
     }
 
     /// Measures the invariant-noise budget in bits.
@@ -98,19 +82,11 @@ impl Decryptor {
     /// number of noise-doubling operations the ciphertext can still absorb.
     /// Returns 0 when the ciphertext is no longer decryptable.
     pub fn invariant_noise_budget(&self, ct: &Ciphertext) -> Result<u32> {
-        self.check(ct)?;
         let ctx = &self.ctx;
-        let acc = self.dot_with_secret(ct);
         let t = ctx.params().plain_modulus();
-        let n = ctx.poly_degree();
         // noise coefficient = centered(t*x mod q); budget from its max norm.
         let mut max_bits = 0u32;
-        let mut residues = vec![0u64; ctx.limb_count()];
-        for j in 0..n {
-            for (r, limb) in residues.iter_mut().zip(&acc.limbs) {
-                *r = limb[j];
-            }
-            let x = ctx.crt_reconstruct(&residues);
+        for x in self.raw_phase(ct)? {
             let (tx, carry) = x.carrying_mul_u64(t);
             debug_assert_eq!(carry, 0);
             // t*x mod q, centered: this equals t*(noise) + small rounding part.

@@ -114,7 +114,8 @@ impl BatchEncoder {
         let mut coeffs = vec![0u64; self.slots];
         let len = plain.coeffs().len().min(self.slots);
         coeffs[..len].copy_from_slice(&plain.coeffs()[..len]);
-        for c in coeffs.iter_mut() {
+        // A decrypted plaintext is already reduced: divide only when not.
+        for c in coeffs.iter_mut().filter(|c| **c >= self.t) {
             *c %= self.t;
         }
         self.table.forward(&mut coeffs);

@@ -1,16 +1,20 @@
-//! Encryption — the paper's `Encrypt(pk, m)` (§II-B).
+//! Encryption — the paper's `Encrypt(pk, m)` (§II-B), and its secret-key
+//! form for the party that holds `s` (the inference enclave).
 
 use crate::ciphertext::Ciphertext;
 use crate::context::BfvContext;
 use crate::error::{BfvError, Result};
-use crate::keys::PublicKey;
+use crate::keys::{PublicKey, SecretKey};
 use crate::plaintext::Plaintext;
 use crate::poly::{PolyForm, RnsPoly};
 use crate::sampler;
 use hesgx_crypto::rng::ChaChaRng;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
-/// Encrypts plaintexts under a public key.
+/// Encrypts plaintexts under a public key (`K` = [`PublicKey`], owned or
+/// borrowed) or under the secret key itself (`K` = [`SecretKey`], owned or
+/// borrowed — see [`Encryptor::encrypt_symmetric`]).
 ///
 /// ```
 /// use hesgx_bfv::{context::BfvContext, encryptor::Encryptor, keys::KeyGenerator,
@@ -25,18 +29,12 @@ use std::sync::Arc;
 /// assert_eq!(ct.size(), 2);
 /// ```
 #[derive(Debug)]
-pub struct Encryptor {
+pub struct Encryptor<K = PublicKey> {
     ctx: Arc<BfvContext>,
-    pk: PublicKey,
+    key: K,
 }
 
-impl Encryptor {
-    /// Creates an encryptor for `pk` on `ctx`.
-    pub fn new(ctx: Arc<BfvContext>, pk: PublicKey) -> Self {
-        assert_eq!(pk.context_id(), ctx.id(), "public key context mismatch");
-        Encryptor { ctx, pk }
-    }
-
+impl<K> Encryptor<K> {
     fn validate(&self, plain: &Plaintext) -> Result<()> {
         if plain.len() > self.ctx.poly_degree() {
             return Err(BfvError::PlaintextTooLong {
@@ -51,6 +49,28 @@ impl Encryptor {
         Ok(())
     }
 
+    /// Finishes `c0` from its key-dependent mask in NTT form:
+    /// `c0 = mask + e + Δ·m` with a fresh error `e`.
+    fn mask_message(&self, mut mask: RnsPoly, plain: &Plaintext, rng: &mut ChaChaRng) -> RnsPoly {
+        let ctx = &self.ctx;
+        mask.to_coeff(ctx);
+        mask.add_assign(&sampler::gaussian_poly(ctx, rng, PolyForm::Coeff), ctx);
+        mask.add_assign(&RnsPoly::from_scaled_plain(ctx, plain.coeffs()), ctx);
+        mask
+    }
+}
+
+impl<K: Borrow<PublicKey>> Encryptor<K> {
+    /// Creates an encryptor for `pk` on `ctx`.
+    pub fn new(ctx: Arc<BfvContext>, pk: K) -> Self {
+        assert_eq!(
+            pk.borrow().context_id(),
+            ctx.id(),
+            "public key context mismatch"
+        );
+        Encryptor { ctx, key: pk }
+    }
+
     /// Encrypts `plain` into a fresh size-2 ciphertext:
     /// `ct = ([p0·u + e1 + Δ·m]_q, [p1·u + e2]_q)`.
     ///
@@ -61,36 +81,57 @@ impl Encryptor {
     pub fn encrypt(&self, plain: &Plaintext, rng: &mut ChaChaRng) -> Result<Ciphertext> {
         self.validate(plain)?;
         let ctx = &self.ctx;
+        let pk = self.key.borrow();
 
         let u = sampler::ternary_poly(ctx, rng, PolyForm::Ntt);
-        let e1 = sampler::gaussian_poly(ctx, rng, PolyForm::Coeff);
-        let e2 = sampler::gaussian_poly(ctx, rng, PolyForm::Coeff);
-
-        // c0 = p0·u + e1 + Δ·m
-        let mut c0 = self.pk.p0.mul_pointwise(&u, ctx);
-        c0.to_coeff(ctx);
-        c0.add_assign(&e1, ctx);
-        let delta_m = RnsPoly::from_scaled_plain(ctx, plain.coeffs(), &ctx.delta_mod);
-        c0.add_assign(&delta_m, ctx);
+        let c0 = self.mask_message(pk.p0.mul_pointwise(&u, ctx), plain, rng);
 
         // c1 = p1·u + e2
-        let mut c1 = self.pk.p1.mul_pointwise(&u, ctx);
+        let mut c1 = pk.p1.mul_pointwise(&u, ctx);
         c1.to_coeff(ctx);
-        c1.add_assign(&e2, ctx);
+        c1.add_assign(&sampler::gaussian_poly(ctx, rng, PolyForm::Coeff), ctx);
 
         Ok(Ciphertext {
             polys: vec![c0, c1],
             context_id: *ctx.id(),
         })
     }
+}
 
-    /// Encrypts a batch of plaintexts (convenience for image pipelines).
-    pub fn encrypt_many(
-        &self,
-        plains: &[Plaintext],
-        rng: &mut ChaChaRng,
-    ) -> Result<Vec<Ciphertext>> {
-        plains.iter().map(|p| self.encrypt(p, rng)).collect()
+impl<K: Borrow<SecretKey>> Encryptor<K> {
+    /// Creates a secret-key encryptor for `sk` on `ctx`.
+    pub fn symmetric(ctx: Arc<BfvContext>, sk: K) -> Self {
+        assert_eq!(
+            sk.borrow().context_id(),
+            ctx.id(),
+            "secret key context mismatch"
+        );
+        Encryptor { ctx, key: sk }
+    }
+
+    /// Secret-key encryption: `ct = ([−a·s + e + Δ·m]_q, a)` with `a`
+    /// uniform in `R_q` — the relation the public key itself satisfies.
+    /// Against the public-key path it does one pointwise product instead of
+    /// two and two transforms per limb instead of three, trades the ternary
+    /// and one of the two error polynomials for the uniform draw, and leaves
+    /// the fresh noise at `e` alone instead of `e_pk·u + e1 + e2·s`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the plaintext is longer than the ring degree or not reduced
+    /// modulo `t`.
+    pub fn encrypt_symmetric(&self, plain: &Plaintext, rng: &mut ChaChaRng) -> Result<Ciphertext> {
+        self.validate(plain)?;
+        let ctx = &self.ctx;
+        let a = sampler::uniform_poly(ctx, rng, PolyForm::Coeff);
+        let mut a_ntt = a.clone();
+        a_ntt.to_ntt(ctx);
+        let mut mask = a_ntt.mul_pointwise(&self.key.borrow().s, ctx);
+        mask.negate(ctx);
+        Ok(Ciphertext {
+            polys: vec![self.mask_message(mask, plain, rng), a],
+            context_id: *ctx.id(),
+        })
     }
 }
 

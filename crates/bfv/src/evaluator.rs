@@ -136,7 +136,7 @@ impl Evaluator {
         self.check(a)?;
         self.check_plain(plain)?;
         let mut out = a.clone();
-        let delta_m = RnsPoly::from_scaled_plain(&self.ctx, plain.coeffs(), &self.ctx.delta_mod);
+        let delta_m = RnsPoly::from_scaled_plain(&self.ctx, plain.coeffs());
         let mut dm = delta_m;
         match_form(&mut out.polys[0], &mut dm, &self.ctx);
         out.polys[0].add_assign(&dm, &self.ctx);
@@ -148,7 +148,7 @@ impl Evaluator {
         self.check(a)?;
         self.check_plain(plain)?;
         let mut out = a.clone();
-        let delta_m = RnsPoly::from_scaled_plain(&self.ctx, plain.coeffs(), &self.ctx.delta_mod);
+        let delta_m = RnsPoly::from_scaled_plain(&self.ctx, plain.coeffs());
         let mut dm = delta_m;
         match_form(&mut out.polys[0], &mut dm, &self.ctx);
         out.polys[0].sub_assign(&dm, &self.ctx);
@@ -357,7 +357,7 @@ impl Evaluator {
             .coeff_moduli()
             .iter()
             .enumerate()
-            .map(|(i, &qi)| mul_mod(residue % qi, self.ctx.delta_mod[i], qi))
+            .map(|(i, &qi)| mul_mod(residue % qi, self.ctx.delta_mod[i].0, qi))
             .collect();
         Ok(PreparedBias {
             delta_c,

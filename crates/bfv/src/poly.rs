@@ -5,7 +5,7 @@
 //! component-wise per limb; only ciphertext multiplication and decryption ever
 //! reconstruct full-width coefficients.
 
-use crate::arith::{add_mod, mul_mod, sub_mod};
+use crate::arith::{add_mod, sub_mod};
 use crate::context::BfvContext;
 use serde::{Deserialize, Serialize};
 
@@ -40,13 +40,13 @@ impl RnsPoly {
     pub fn from_signed(ctx: &BfvContext, coeffs: &[i64], form: PolyForm) -> Self {
         assert_eq!(coeffs.len(), ctx.poly_degree());
         let mut poly = RnsPoly::zero(ctx, PolyForm::Coeff);
-        for (i, &qi) in ctx.params().coeff_moduli().iter().enumerate() {
-            for (j, &c) in coeffs.iter().enumerate() {
-                poly.limbs[i][j] = if c >= 0 {
-                    c as u64 % qi
-                } else {
-                    qi - ((-c) as u64 % qi)
-                } % qi;
+        for (limb, &qi) in poly.limbs.iter_mut().zip(ctx.params().coeff_moduli()) {
+            for (v, &c) in limb.iter_mut().zip(coeffs) {
+                // Noise, ternary and centered-plaintext magnitudes sit far
+                // below every limb, so the division is the rare path.
+                let mag = c.unsigned_abs();
+                let mag = if mag < qi { mag } else { mag % qi };
+                *v = if c < 0 && mag != 0 { qi - mag } else { mag };
             }
         }
         if form == PolyForm::Ntt {
@@ -55,16 +55,16 @@ impl RnsPoly {
         poly
     }
 
-    /// Builds a polynomial whose coefficients are `coeffs[j] · scale_i` in
-    /// each limb, where `scale_i` is a per-limb constant. Used for `Δ · m`.
-    pub(crate) fn from_scaled_plain(ctx: &BfvContext, coeffs: &[u64], scale_mod: &[u64]) -> Self {
-        let n = ctx.poly_degree();
-        assert!(coeffs.len() <= n);
+    /// Builds `Δ · m`: coefficient `j` is `coeffs[j] · (Δ mod q_i)` in limb
+    /// `i`, by the context's precomputed Shoup operands (sound for any `u64`
+    /// coefficient, reduced or not).
+    pub(crate) fn from_scaled_plain(ctx: &BfvContext, coeffs: &[u64]) -> Self {
+        assert!(coeffs.len() <= ctx.poly_degree());
         let mut poly = RnsPoly::zero(ctx, PolyForm::Coeff);
         for (i, &qi) in ctx.params().coeff_moduli().iter().enumerate() {
-            let s = scale_mod[i];
-            for (j, &c) in coeffs.iter().enumerate() {
-                poly.limbs[i][j] = mul_mod(c % qi, s, qi);
+            let (s, s_shoup) = ctx.delta_mod[i];
+            for (v, &c) in poly.limbs[i].iter_mut().zip(coeffs) {
+                *v = crate::arith::mul_mod_shoup(c, s, s_shoup, qi);
             }
         }
         poly

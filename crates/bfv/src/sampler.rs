@@ -9,10 +9,8 @@ use hesgx_crypto::rng::ChaChaRng;
 /// Samples a uniformly random element of `R_q` (per-limb uniform residues).
 pub fn uniform_poly(ctx: &BfvContext, rng: &mut ChaChaRng, form: PolyForm) -> RnsPoly {
     let mut poly = RnsPoly::zero(ctx, PolyForm::Coeff);
-    for (i, &qi) in ctx.params().coeff_moduli().iter().enumerate() {
-        for v in poly.limbs[i].iter_mut() {
-            *v = rng.next_below(qi);
-        }
+    for (limb, &qi) in poly.limbs.iter_mut().zip(ctx.params().coeff_moduli()) {
+        rng.fill_below(qi, limb);
     }
     if form == PolyForm::Ntt {
         poly.to_ntt(ctx);

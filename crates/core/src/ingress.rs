@@ -48,7 +48,7 @@ impl HybridInference {
     /// sealed payload inside the enclave (`ecall_Transcipher`), re-encrypts
     /// the pixels under FV, and shapes the cells into the [`EncryptedMap`]
     /// the conv layer expects — one ciphertext per pixel, batch in the SIMD
-    /// slots, exactly what `EncryptedMap::encrypt_images_par` produces on
+    /// slots, exactly what `EncryptedMap::encrypt_images` produces on
     /// the FV-ciphertext path, so the rest of the pipeline is identical.
     ///
     /// Returns the map and the ingress stage's metrics (wall time and

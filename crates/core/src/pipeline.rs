@@ -689,7 +689,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut rng = ChaChaRng::from_seed(101);
+        let rng = ChaChaRng::from_seed(101);
         let images: Vec<Vec<i64>> = (0..3)
             .map(|b| (0..64).map(|p| ((p + b * 7) % 16) as i64).collect())
             .collect();
@@ -698,7 +698,8 @@ mod tests {
             &images,
             model.in_side,
             service.enclave.public_keys(),
-            &mut rng,
+            &rng,
+            &ParExec::serial(),
         )
         .unwrap();
         let (logits, metrics) = service.run(service.plan(), &enc).unwrap();
@@ -733,14 +734,15 @@ mod tests {
             },
         )
         .unwrap();
-        let mut rng = ChaChaRng::from_seed(102);
+        let rng = ChaChaRng::from_seed(102);
         let images = vec![(0..64).map(|p| (p % 16) as i64).collect::<Vec<i64>>()];
         let enc = EncryptedMap::encrypt_images(
             service.system(),
             &images,
             model.in_side,
             service.enclave.public_keys(),
-            &mut rng,
+            &rng,
+            &ParExec::serial(),
         )
         .unwrap();
         let (_, batched) = service.run(service.plan(), &enc).unwrap();
@@ -810,13 +812,14 @@ mod tests {
                 },
             )
             .unwrap();
-            let mut rng = ChaChaRng::from_seed(103);
+            let rng = ChaChaRng::from_seed(103);
             let enc = EncryptedMap::encrypt_images(
                 service.system(),
                 &images,
                 model.in_side,
                 service.enclave.public_keys(),
-                &mut rng,
+                &rng,
+                &ParExec::serial(),
             )
             .unwrap();
             let (logits, metrics) = service.run(service.plan(), &enc).unwrap();
@@ -846,13 +849,14 @@ mod tests {
             },
         )
         .unwrap();
-        let mut rng = ChaChaRng::from_seed(104);
+        let rng = ChaChaRng::from_seed(104);
         let enc = EncryptedMap::encrypt_images(
             service.system(),
             images,
             model.in_side,
             service.enclave.public_keys(),
-            &mut rng,
+            &rng,
+            &ParExec::serial(),
         )
         .unwrap();
         (service, enc)
@@ -1064,7 +1068,8 @@ mod tests {
                         &images,
                         model.in_side,
                         service.enclave.public_keys(),
-                        &mut ChaChaRng::from_seed(107),
+                        &ChaChaRng::from_seed(107),
+                        &ParExec::serial(),
                     )
                     .unwrap();
                     for batching in [EcallBatching::Batched, EcallBatching::PerPixel] {
@@ -1184,7 +1189,8 @@ mod tests {
                 &images,
                 8,
                 service.enclave.public_keys(),
-                &mut rng,
+                &rng,
+                &ParExec::serial(),
             )
             .unwrap();
 

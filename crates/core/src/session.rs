@@ -458,17 +458,19 @@ impl Session {
         &self,
         images: &[Vec<i64>],
     ) -> Result<(EncryptedMap, StageMetrics, usize)> {
-        let payload = {
-            let mut rng = self.rng.lock();
-            let mut nonce_rng = rng.fork("transcipher-nonce");
-            rng.next_u64();
-            seal_ingress_payload(&self.ingress_key, &mut nonce_rng, images)?
-        };
+        let payload = self.seal_batch(images)?;
         let (enc, stage) = self
             .service
             .read()
             .transcipher_ingress(&self.ingress_key, &payload)?;
         Ok((enc, stage, payload.len()))
+    }
+
+    /// The client role of transciphered ingress: seals `images` under the
+    /// session ingress key with this request's nonce stream.
+    fn seal_batch(&self, images: &[Vec<i64>]) -> Result<Vec<u8>> {
+        let mut nonce_rng = self.rng.lock().fork_next("transcipher-nonce");
+        seal_ingress_payload(&self.ingress_key, &mut nonce_rng, images)
     }
 
     /// The recovery ladder over an ingested batch: run the exact plan
@@ -557,12 +559,10 @@ impl Session {
         let _prof = prof::span("session.encrypt");
         let service = self.service.read();
         let side = service.model().in_side;
-        // Advance the client stream once per batch, then encrypt from a
-        // fork so the per-cell streams stay scheduling-independent.
-        let mut rng = self.rng.lock();
-        let batch_rng = rng.fork("batch");
-        rng.next_u64();
-        Ok(EncryptedMap::encrypt_images_par(
+        // A fresh base per batch (batches never share randomness); the
+        // cells fork it, so their streams stay scheduling-independent.
+        let batch_rng = self.rng.lock().fork_next("batch");
+        Ok(EncryptedMap::encrypt_images(
             service.system(),
             images,
             side,
@@ -817,8 +817,31 @@ mod tests {
         // Same plaintext twice: values equal, but a fresh random stream each
         // call (the client RNG advances between batches).
         let a = session.serve(InferRequest::single(image.clone())).unwrap();
-        let b = session.serve(InferRequest::single(image)).unwrap();
+        let b = session.serve(InferRequest::single(image.clone())).unwrap();
         assert_eq!(a.logits, b.logits);
+        // Regression: the per-batch base and the transcipher nonce stream
+        // were plain forks of the client stream — a function of its key, not
+        // its position — so every request reused one batch's encryption
+        // randomness and one ChaCha20 nonce.
+        let images = [image];
+        let first = session.encrypt_batch(&images).unwrap();
+        assert_ne!(
+            first.cells(),
+            session.encrypt_batch(&images).unwrap().cells()
+        );
+        assert_ne!(
+            session.seal_batch(&images).unwrap(),
+            session.seal_batch(&images).unwrap()
+        );
+        // Still a pure function of the seed and the request ordinal.
+        let replay = build(1, 8);
+        for _ in 0..2 {
+            replay.encrypt_batch(&images).unwrap();
+        }
+        assert_eq!(
+            first.cells(),
+            replay.encrypt_batch(&images).unwrap().cells()
+        );
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //!
 //! Every operation follows the same shape: ECALL in with the ciphertexts,
 //! decrypt with the enclave-resident secret keys, compute the exact function
-//! on plaintext, re-encrypt, ECALL out. The re-encryption also resets the
-//! invariant noise, which is why the hybrid pipeline never needs
+//! on plaintext, re-encrypt, ECALL out. The enclave holds `s`, so it
+//! re-encrypts under the secret key
+//! ([`CrtPlainSystem::encrypt_slots_symmetric`], DESIGN.md §19) — the public
+//! keys it keeps are only what it hands out. The re-encryption also resets
+//! the invariant noise, which is why the hybrid pipeline never needs
 //! relinearization keys (§IV-E).
 //!
 //! Batching policy mirrors the paper §VI-E: a whole feature map (or a whole
@@ -41,6 +44,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct InferenceEnclave {
     enclave: Enclave,
     secret: Vec<SecretKey>,
+    /// Only handed out ([`InferenceEnclave::public_keys`]); the enclave
+    /// itself re-encrypts under `secret`.
     public: Vec<PublicKey>,
     rng: Mutex<ChaChaRng>,
     /// Monotone per-call counter: domain-separates the RNG forks of the
@@ -58,6 +63,8 @@ struct EcallShape<'a> {
     name: &'a str,
     /// Marshalled input size; also sizes the touched EPC region.
     in_bytes: usize,
+    /// Marshalled output size.
+    out_bytes: usize,
     /// The call's base RNG stream is the fork `{fork_prefix}-call-{n}`.
     fork_prefix: &'a str,
     /// An extra fault site consulted before each attempt: the request can be
@@ -182,26 +189,24 @@ impl InferenceEnclave {
     /// exactly the same randomness as the attempt it replaces — retries are
     /// bit-invisible in the output ciphertexts — and the output is
     /// bit-identical for every pool size. (The fork labels are pinned by the
-    /// golden ciphertext hashes.) `out_bytes` sizes the output marshalling
-    /// and may probe the base stream for it. The body tallies its CPU time
+    /// golden ciphertext hashes.) The body tallies its CPU time
     /// (see [`timed_tasks`]) into the `&mut u64`, which is reported via
     /// [`hesgx_tee::enclave::EnclaveCtx::record_cpu_ns`].
     fn batched_ecall<T>(
         &self,
         shape: EcallShape<'_>,
-        out_bytes: impl FnOnce(&ChaChaRng) -> Result<usize>,
         body: impl Fn(&ChaChaRng, &mut u64) -> Result<T>,
     ) -> Result<(T, CostBreakdown)> {
         let EcallShape {
             name,
             in_bytes,
+            out_bytes,
             fork_prefix,
             pre_site,
             retouch_header,
         } = shape;
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
         let base = self.rng.lock().fork(&format!("{fork_prefix}-call-{call}"));
-        let out_bytes = out_bytes(&base)?;
         let (result, cost) = retry_with_cost(&self.recovery, self.hook(), self.obs(), || {
             if let Err(e) = self.consult_pre_site(pre_site) {
                 return (Err(e), CostBreakdown::default());
@@ -246,17 +251,17 @@ impl InferenceEnclave {
             EcallShape {
                 name,
                 in_bytes,
+                out_bytes: in_bytes,
                 fork_prefix: "par",
                 pre_site,
                 retouch_header: true,
             },
-            |_| Ok(in_bytes),
             |base, cpu_ns| {
                 timed_tasks(pool, cells.len(), cpu_ns, |idx| {
                     let mut rng = base.fork(&format!("cell-{idx}"));
                     let slots = sys.decrypt_slots(cells[idx], &self.secret)?;
                     let mapped: Vec<i64> = slots.iter().map(|&v| f(idx, v)).collect();
-                    Ok(sys.encrypt_slots(&mapped, &self.public, &mut rng)?)
+                    Ok(sys.encrypt_slots_symmetric(&mapped, &self.secret, &mut rng)?)
                 })
             },
         )
@@ -358,7 +363,7 @@ impl InferenceEnclave {
     /// authenticated and opened *inside*, and the quantized pixels are
     /// re-encrypted under FV — one ciphertext per pixel position with the
     /// batch riding the SIMD slots, exactly the layout
-    /// `EncryptedMap::encrypt_images_par` produces on the client for the
+    /// `EncryptedMap::encrypt_images` produces on the client for the
     /// FV-ciphertext ingress path.
     ///
     /// The upload is kilobytes where an FV-ciphertext upload is megabytes;
@@ -367,9 +372,9 @@ impl InferenceEnclave {
     /// the authenticate+stream-decrypt and for every per-pixel FV encryption
     /// (summed across pool workers via
     /// [`hesgx_tee::enclave::EnclaveCtx::record_cpu_ns`]), and output
-    /// marshalling sized from a deterministic probe encryption — fresh
-    /// ciphertext sizes depend only on the FV parameters, and the produced
-    /// map must leave the enclave for the HE-outside linear layers.
+    /// marshalling sized by [`CrtPlainSystem::fresh_ciphertext_byte_len`] —
+    /// fresh ciphertext sizes depend only on the FV parameters, and the
+    /// produced map must leave the enclave for the HE-outside linear layers.
     ///
     /// [`FaultSite::Transcipher`] is consulted before every attempt (the
     /// upload can be dropped in transit); transient faults retry under the
@@ -405,14 +410,10 @@ impl InferenceEnclave {
             EcallShape {
                 name: "ecall_Transcipher",
                 in_bytes,
+                out_bytes: sys.fresh_ciphertext_byte_len().saturating_mul(pixels),
                 fork_prefix: "transcipher",
                 pre_site: Some(FaultSite::Transcipher),
                 retouch_header: true,
-            },
-            |base| {
-                let mut probe_rng = base.fork("size-probe");
-                let probe = sys.encrypt_slots(&[0], &self.public, &mut probe_rng)?;
-                Ok(probe.byte_len().saturating_mul(pixels))
             },
             |base, cpu_ns| {
                 let open_timer = WallTimer::start();
@@ -433,7 +434,7 @@ impl InferenceEnclave {
                 let cells = timed_tasks(pool, first.len(), cpu_ns, |pixel| {
                     let mut rng = base.fork(&format!("cell-{pixel}"));
                     let slots: Vec<i64> = images.iter().map(|img| img[pixel]).collect();
-                    Ok(sys.encrypt_slots(&slots, &self.public, &mut rng)?)
+                    Ok(sys.encrypt_slots_symmetric(&slots, &self.secret, &mut rng)?)
                 })?;
                 Ok((cells, batch))
             },
@@ -472,11 +473,11 @@ impl InferenceEnclave {
             EcallShape {
                 name: "ecall_pool",
                 in_bytes,
+                out_bytes: in_bytes / (window * window).max(1),
                 fork_prefix: "par",
                 pre_site: None,
                 retouch_header: false,
             },
-            |_| Ok(in_bytes / (window * window).max(1)),
             |base, cpu_ns| {
                 // Decrypt the full map, one task per cell.
                 let plain = timed_tasks(pool, input.cells().len(), cpu_ns, |i| {
@@ -510,7 +511,7 @@ impl InferenceEnclave {
                             model.enclave_mean(acc)
                         };
                     }
-                    Ok(sys.encrypt_slots(&slots_out, &self.public, &mut rng)?)
+                    Ok(sys.encrypt_slots_symmetric(&slots_out, &self.secret, &mut rng)?)
                 })
             },
         )?;
@@ -616,8 +617,10 @@ pub fn sum_costs(a: CostBreakdown, b: CostBreakdown) -> CostBreakdown {
 mod tests {
     use super::*;
     use crate::keydist::enclave_generate_keys;
+    use hesgx_chaos::{FaultInjector, FaultKind, FaultPlan};
     use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
     use hesgx_tee::enclave::{EnclaveBuilder, Platform};
+    use std::sync::Arc;
 
     fn small_model() -> QuantizedCnn {
         QuantizedCnn {
@@ -638,10 +641,18 @@ mod tests {
     }
 
     fn setup() -> (InferenceEnclave, CrtPlainSystem, ChaChaRng) {
-        let platform = Platform::new(21);
-        let enclave = EnclaveBuilder::new("test-enclave")
-            .add_code(b"v1")
-            .build(platform);
+        setup_with(None)
+    }
+
+    /// The same seeded enclave every time, optionally with a fault hook.
+    fn setup_with(
+        hook: Option<Arc<FaultInjector>>,
+    ) -> (InferenceEnclave, CrtPlainSystem, ChaChaRng) {
+        let mut builder = EnclaveBuilder::new("test-enclave").add_code(b"v1");
+        if let Some(h) = hook {
+            builder = builder.fault_hook(h);
+        }
+        let enclave = builder.build(Platform::new(21));
         let sys = CrtPlainSystem::new(256, &[12289, 13313]).unwrap();
         let mut rng = ChaChaRng::from_seed(91);
         let (keys, _) = enclave_generate_keys(&enclave, &sys, &mut rng).expect("key ceremony");
@@ -654,11 +665,13 @@ mod tests {
 
     #[test]
     fn activation_matches_reference() {
-        let (ie, sys, mut rng) = setup();
+        let (ie, sys, rng) = setup();
         let model = small_model();
         // A map of "conv outputs" to activate.
         let values: Vec<Vec<i64>> = vec![vec![-500, -10, 0, 10, 500, 123, -77, 999, 4]];
-        let enc = EncryptedMap::encrypt_images(&sys, &values, 3, &ie.public, &mut rng).unwrap();
+        let enc =
+            EncryptedMap::encrypt_images(&sys, &values, 3, &ie.public, &rng, &ParExec::serial())
+                .unwrap();
         let (out, cost) = ie
             .activation_map(
                 &sys,
@@ -681,10 +694,12 @@ mod tests {
 
     #[test]
     fn batched_ecall_cheaper_than_per_cell() {
-        let (ie, sys, mut rng) = setup();
+        let (ie, sys, rng) = setup();
         let model = small_model();
         let values = vec![(0..16).map(|v| v * 10 - 80).collect::<Vec<i64>>()];
-        let enc = EncryptedMap::encrypt_images(&sys, &values, 4, &ie.public, &mut rng).unwrap();
+        let enc =
+            EncryptedMap::encrypt_images(&sys, &values, 4, &ie.public, &rng, &ParExec::serial())
+                .unwrap();
         let (batched_out, batched) = ie
             .activation_map(
                 &sys,
@@ -760,8 +775,16 @@ mod tests {
         for threads in [1usize, 2, 3, 8] {
             // Fresh (deterministic) enclave per pool size so each run starts
             // from the same RNG state and call counter.
-            let (ie, sys, mut rng) = setup();
-            let enc = EncryptedMap::encrypt_images(&sys, &values, 4, &ie.public, &mut rng).unwrap();
+            let (ie, sys, rng) = setup();
+            let enc = EncryptedMap::encrypt_images(
+                &sys,
+                &values,
+                4,
+                &ie.public,
+                &rng,
+                &ParExec::serial(),
+            )
+            .unwrap();
             let pool = ParExec::new(threads);
             let (out, cost) = ie
                 .activation_map(&sys, &enc, &model, ActivationKind::Sigmoid, &pool)
@@ -788,8 +811,10 @@ mod tests {
         let img = vec![(1..=16i64).collect::<Vec<i64>>()];
         let mut reference = None;
         for threads in POOLS {
-            let (ie, sys, mut rng) = setup();
-            let enc = EncryptedMap::encrypt_images(&sys, &img, 4, &ie.public, &mut rng).unwrap();
+            let (ie, sys, rng) = setup();
+            let enc =
+                EncryptedMap::encrypt_images(&sys, &img, 4, &ie.public, &rng, &ParExec::serial())
+                    .unwrap();
             let pool = ParExec::new(threads);
             let (mean, _) = ie.pool_full_map(&sys, &enc, &model, false, &pool).unwrap();
             assert_eq!(mean.shape(), (1, 2, 2));
@@ -839,11 +864,13 @@ mod tests {
 
     #[test]
     fn divide_map_computes_means() {
-        let (ie, sys, mut rng) = setup();
+        let (ie, sys, rng) = setup();
         let model = small_model();
         // Window sums (window=2 → divide by 4 with rounding).
         let sums = vec![vec![4i64, 6, 7, 0]];
-        let enc = EncryptedMap::encrypt_images(&sys, &sums, 2, &ie.public, &mut rng).unwrap();
+        let enc =
+            EncryptedMap::encrypt_images(&sys, &sums, 2, &ie.public, &rng, &ParExec::serial())
+                .unwrap();
         let (out, _) = ie
             .divide_map(&sys, &enc, &model, &ParExec::serial())
             .unwrap();
@@ -855,10 +882,11 @@ mod tests {
 
     #[test]
     fn pool_full_map_mean_and_max() {
-        let (ie, sys, mut rng) = setup();
+        let (ie, sys, rng) = setup();
         let model = small_model();
         let img = vec![(1..=16i64).collect::<Vec<i64>>()];
-        let enc = EncryptedMap::encrypt_images(&sys, &img, 4, &ie.public, &mut rng).unwrap();
+        let enc = EncryptedMap::encrypt_images(&sys, &img, 4, &ie.public, &rng, &ParExec::serial())
+            .unwrap();
         let inline = ParExec::serial();
         let (mean, _) = ie
             .pool_full_map(&sys, &enc, &model, false, &inline)
@@ -882,84 +910,73 @@ mod tests {
         // stream *inside* the retry closure, so a retried attempt
         // re-encrypted with different randomness than a fault-free run. The
         // core forks the stream once per logical call, outside the retry
-        // loop; checked here on the inline (pool of one) path for a batched
-        // transform, the full-map pool, and a one-cell call.
-        use hesgx_chaos::{FaultInjector, FaultKind, FaultPlan};
-        use std::sync::Arc;
+        // loop, and each cell forks that; checked at every pool size for a
+        // batched transform, the full-map pool, and a one-cell call.
         let model = small_model();
         let values: Vec<Vec<i64>> = vec![(0..16).map(|v| v * 9 - 70).collect()];
-        let run = |hook: Option<Arc<FaultInjector>>| {
-            let platform = Platform::new(21);
-            let mut builder = EnclaveBuilder::new("test-enclave").add_code(b"v1");
-            if let Some(h) = hook {
-                builder = builder.fault_hook(h);
-            }
-            let enclave = builder.build(platform);
-            let sys = CrtPlainSystem::new(256, &[12289, 13313]).unwrap();
-            let mut rng = ChaChaRng::from_seed(91);
-            let (keys, _) = enclave_generate_keys(&enclave, &sys, &mut rng).expect("key ceremony");
-            let ie = InferenceEnclave::new(enclave, keys.secret, keys.public, 92);
-            let enc = EncryptedMap::encrypt_images(&sys, &values, 4, &ie.public, &mut rng).unwrap();
-            let inline = ParExec::serial();
+        let run = |hook: Option<Arc<FaultInjector>>, threads: usize| {
+            let (ie, sys, rng) = setup_with(hook);
+            let enc = EncryptedMap::encrypt_images(
+                &sys,
+                &values,
+                4,
+                &ie.public,
+                &rng,
+                &ParExec::serial(),
+            )
+            .unwrap();
+            let pool = ParExec::new(threads);
             let (act, _) = ie
-                .activation_map(&sys, &enc, &model, ActivationKind::Sigmoid, &inline)
+                .activation_map(&sys, &enc, &model, ActivationKind::Sigmoid, &pool)
                 .unwrap();
-            let (pooled, _) = ie
-                .pool_full_map(&sys, &enc, &model, false, &inline)
-                .unwrap();
+            let (pooled, _) = ie.pool_full_map(&sys, &enc, &model, false, &pool).unwrap();
             let (one, _) = ie.refresh_one(&sys, &enc.cells()[0]).unwrap();
             (act.cells().to_vec(), pooled.cells().to_vec(), one)
         };
-        let clean = run(None);
-        // EcallExit consultation order in `run`: occurrence 0 is the
-        // activation ECALL (faulted, retried as occurrence 1), occurrence 2
-        // is the pool ECALL (faulted, retried as occurrence 3), occurrence 4
-        // is the one-cell refresh (faulted, retried as occurrence 5).
-        let injector = Arc::new(
-            FaultPlan::new(5)
-                .script(FaultSite::EcallExit, 0, FaultKind::Transient)
-                .script(FaultSite::EcallExit, 2, FaultKind::Transient)
-                .script(FaultSite::EcallExit, 4, FaultKind::Transient)
-                .build(),
-        );
-        let faulted = run(Some(injector.clone()));
-        assert_eq!(injector.report().retries(), 3, "all three faults delivered");
-        assert_eq!(
-            clean.0, faulted.0,
-            "activation ciphertexts changed by retry"
-        );
-        assert_eq!(clean.1, faulted.1, "pool ciphertexts changed by retry");
-        assert_eq!(clean.2, faulted.2, "one-cell ciphertext changed by retry");
+        let clean = run(None, 1);
+        for threads in POOLS {
+            assert_eq!(clean, run(None, threads), "{threads} threads");
+            // EcallExit consultation order in `run`: occurrence 0 is the
+            // activation ECALL (faulted, retried as occurrence 1), occurrence
+            // 2 is the pool ECALL (faulted, retried as occurrence 3),
+            // occurrence 4 is the one-cell refresh (faulted, retried as 5).
+            let injector = Arc::new(
+                FaultPlan::new(5)
+                    .script(FaultSite::EcallExit, 0, FaultKind::Transient)
+                    .script(FaultSite::EcallExit, 2, FaultKind::Transient)
+                    .script(FaultSite::EcallExit, 4, FaultKind::Transient)
+                    .build(),
+            );
+            let faulted = run(Some(injector.clone()), threads);
+            assert_eq!(injector.report().retries(), 3, "all three faults delivered");
+            assert_eq!(
+                clean.0, faulted.0,
+                "activation ciphertexts changed by retry"
+            );
+            assert_eq!(clean.1, faulted.1, "pool ciphertexts changed by retry");
+            assert_eq!(clean.2, faulted.2, "one-cell ciphertext changed by retry");
+        }
     }
 
     #[test]
     fn transcipher_ingress_recovers_pixels_and_retries_are_bit_invisible() {
-        use hesgx_chaos::{FaultInjector, FaultKind, FaultPlan};
-        use std::sync::Arc;
         let images: Vec<Vec<i64>> = (0..2)
             .map(|b| (0..16).map(|p| (p * 3 + b) as i64 - 7).collect())
             .collect();
         let key = IngressKey::derive(b"salt", b"ikm", b"test-ingress");
         let payload = transcipher::seal_images(&key, &[9u8; 12], &images).unwrap();
         let run = |hook: Option<Arc<FaultInjector>>, threads: usize| {
-            let platform = Platform::new(21);
-            let mut builder = EnclaveBuilder::new("test-enclave").add_code(b"v1");
-            if let Some(h) = hook {
-                builder = builder.fault_hook(h);
-            }
-            let enclave = builder.build(platform);
-            let sys = CrtPlainSystem::new(256, &[12289, 13313]).unwrap();
-            let mut rng = ChaChaRng::from_seed(91);
-            let (keys, _) = enclave_generate_keys(&enclave, &sys, &mut rng).expect("key ceremony");
-            let ie = InferenceEnclave::new(enclave, keys.secret, keys.public, 92);
+            let (ie, sys, _) = setup_with(hook);
             let pool = ParExec::new(threads);
             let (cells, batch, cost) = ie.transcipher_ingress(&sys, &key, &payload, &pool).unwrap();
             assert_eq!(batch, 2);
             assert_eq!(cells.len(), 16);
             assert!(cost.total_ns() > 0);
             // The re-encrypted cells decrypt to exactly the sealed pixels,
-            // slot b = image b — the layout the conv layer expects.
+            // slot b = image b — the layout the conv layer expects — and
+            // have the size the out-marshalling was priced at.
             for (pixel, ct) in cells.iter().enumerate() {
+                assert_eq!(ct.byte_len(), sys.fresh_ciphertext_byte_len());
                 let slots = sys.decrypt_slots(ct, &ie.secret).unwrap();
                 for (b, img) in images.iter().enumerate() {
                     assert_eq!(slots[b], img[pixel] as i128, "pixel {pixel} batch {b}");
@@ -968,20 +985,21 @@ mod tests {
             cells
         };
         let clean = run(None, 1);
-        let par = run(None, 4);
-        assert_eq!(clean, par, "pool size must not change ciphertext bits");
-        let injector = Arc::new(
-            FaultPlan::new(6)
-                .script(FaultSite::Transcipher, 0, FaultKind::Transient)
-                .build(),
-        );
-        let faulted = run(Some(injector.clone()), 2);
-        assert_eq!(
-            injector.report().retries(),
-            1,
-            "fault delivered and retried"
-        );
-        assert_eq!(clean, faulted, "retry must be bit-invisible");
+        for threads in POOLS {
+            assert_eq!(clean, run(None, threads), "{threads} threads");
+            let injector = Arc::new(
+                FaultPlan::new(6)
+                    .script(FaultSite::Transcipher, 0, FaultKind::Transient)
+                    .build(),
+            );
+            let faulted = run(Some(injector.clone()), threads);
+            assert_eq!(
+                injector.report().retries(),
+                1,
+                "fault delivered and retried"
+            );
+            assert_eq!(clean, faulted, "retry must be bit-invisible");
+        }
     }
 
     #[test]
@@ -1008,9 +1026,7 @@ mod tests {
         // attempt is (correctly) charged CostBreakdown::default() — but it
         // must still appear as a recorded entry, or FaultReport attempt
         // counts and recorded cost entries stop reconciling.
-        use hesgx_chaos::{FaultKind, FaultPlan};
         use hesgx_obs::{counters, Recorder};
-        use std::sync::Arc;
         let rec = Recorder::enabled();
         let injector = Arc::new(
             FaultPlan::new(9)

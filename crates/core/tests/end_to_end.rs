@@ -10,6 +10,7 @@ use hesgx_core::planner::{EcallBatching, PoolStrategy, Stage};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::cryptonets::CryptoNets;
 use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::par::ParExec;
 use hesgx_nn::dataset;
 use hesgx_nn::layers::ActivationKind;
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
@@ -37,8 +38,16 @@ fn full_paper_pipeline_matches_reference_for_batch() {
         .iter()
         .map(|s| dataset::quantize_pixels(&s.image))
         .collect();
-    let mut rng = ChaChaRng::from_seed(10);
-    let enc = EncryptedMap::encrypt_images(service.system(), &images, 28, &keys, &mut rng).unwrap();
+    let rng = ChaChaRng::from_seed(10);
+    let enc = EncryptedMap::encrypt_images(
+        service.system(),
+        &images,
+        28,
+        &keys,
+        &rng,
+        &ParExec::serial(),
+    )
+    .unwrap();
     let (logits, metrics) = service.run(service.plan(), &enc).unwrap();
 
     for (b, img) in images.iter().enumerate() {
@@ -109,10 +118,16 @@ fn hybrid_and_plaintext_predictions_agree_across_dataset() {
         .iter()
         .map(|s| dataset::quantize_pixels(&s.image))
         .collect();
-    let mut rng = ChaChaRng::from_seed(11);
-    let enc =
-        EncryptedMap::encrypt_images(service.system(), &images, 28, &ceremony.public, &mut rng)
-            .unwrap();
+    let rng = ChaChaRng::from_seed(11);
+    let enc = EncryptedMap::encrypt_images(
+        service.system(),
+        &images,
+        28,
+        &ceremony.public,
+        &rng,
+        &ParExec::serial(),
+    )
+    .unwrap();
     let (logits, _) = service.run(service.plan(), &enc).unwrap();
     for (b, img) in images.iter().enumerate() {
         let mut best = (0usize, i128::MIN);
@@ -145,10 +160,16 @@ fn relu_and_tanh_in_enclave_also_exact() {
         )
         .unwrap();
         let image = vec![dataset::quantize_pixels(&dataset::generate(1, 8)[0].image)];
-        let mut rng = ChaChaRng::from_seed(12);
-        let enc =
-            EncryptedMap::encrypt_images(service.system(), &image, 28, &ceremony.public, &mut rng)
-                .unwrap();
+        let rng = ChaChaRng::from_seed(12);
+        let enc = EncryptedMap::encrypt_images(
+            service.system(),
+            &image,
+            28,
+            &ceremony.public,
+            &rng,
+            &ParExec::serial(),
+        )
+        .unwrap();
         let (logits, _) = service.run(service.plan(), &enc).unwrap();
         // Reference with the same activation.
         let conv = model.conv_ints(&image[0]);
@@ -200,7 +221,8 @@ fn side_channel_exposure_lower_for_batched_design() {
             &image,
             28,
             &ceremony.public,
-            &mut ChaChaRng::from_seed(14),
+            &ChaChaRng::from_seed(14),
+            &ParExec::serial(),
         )
         .unwrap();
         let mut plan = service.plan().clone();

@@ -15,6 +15,7 @@ use hesgx_core::pipeline::{HybridInference, ProvisionConfig};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::sha256::sha256;
 use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::par::ParExec;
 use hesgx_tee::enclave::Platform;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -53,13 +54,14 @@ fn run_pool(threads: usize) -> (Vec<Vec<i128>>, String) {
                 .collect()
         })
         .collect();
-    let mut rng = ChaChaRng::from_seed(131);
+    let rng = ChaChaRng::from_seed(131);
     let enc = EncryptedMap::encrypt_images(
         service.system(),
         &images,
         model.in_side,
         &ceremony.public,
-        &mut rng,
+        &rng,
+        &ParExec::serial(),
     )
     .unwrap();
     let (logits, _) = service.run(service.plan(), &enc).unwrap();

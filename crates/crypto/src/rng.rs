@@ -100,6 +100,15 @@ impl ChaChaRng {
         Self::from_key(sha256(&material))
     }
 
+    /// Derives a child generator from `domain` and a word drawn from this
+    /// stream. Unlike [`ChaChaRng::fork`], which depends on the key alone,
+    /// this advances the parent, so successive calls with one label yield
+    /// independent children — the per-request form.
+    pub fn fork_next(&mut self, domain: &str) -> Self {
+        let word = self.next_u64();
+        self.fork(&format!("{domain}-{word}"))
+    }
+
     fn refill(&mut self) {
         self.buffer = chacha20::block(&self.key, self.counter, &self.nonce);
         self.counter = self.counter.checked_add(1).unwrap_or_else(|| {
@@ -150,17 +159,42 @@ impl ChaChaRng {
     ///
     /// Panics if `bound` is zero.
     pub fn next_below(&mut self, bound: u64) -> u64 {
+        let mut out = [0u64];
+        self.fill_below(bound, &mut out);
+        out[0]
+    }
+
+    /// Fills `dest` with uniform values in `[0, bound)` — the draws of
+    /// [`ChaChaRng::next_below`] repeated, with both divisions hoisted out
+    /// of the loop: the rejection zone, and the reduction `word % bound`,
+    /// done by a multiply with `⌊2^64 / bound⌋` and one correction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound` is zero.
+    pub fn fill_below(&mut self, bound: u64, dest: &mut [u64]) {
         assert!(bound > 0, "bound must be positive");
         if bound.is_power_of_two() {
-            return self.next_u64() & (bound - 1);
+            for v in dest {
+                *v = self.next_u64() & (bound - 1);
+            }
+            return;
         }
         // Rejection sampling over the largest multiple of bound.
         let zone = u64::MAX - (u64::MAX % bound) - 1;
-        loop {
-            let v = self.next_u64();
-            if v <= zone {
-                return v % bound;
-            }
+        // `⌊word·ratio / 2^64⌋` is `⌊word / bound⌋` or one below it (the
+        // estimate falls short by `word·(2^64 mod bound) / (bound·2^64) <
+        // 1`), so the remainder lands in `[0, 2·bound)`.
+        let ratio = ((1u128 << 64) / bound as u128) as u64;
+        for v in dest {
+            *v = loop {
+                let word = self.next_u64();
+                if word <= zone {
+                    let quotient = ((word as u128 * ratio as u128) >> 64) as u64;
+                    let rem = word - quotient * bound;
+                    break if rem >= bound { rem - bound } else { rem };
+                }
+            };
         }
     }
 
@@ -239,6 +273,15 @@ mod tests {
     }
 
     #[test]
+    fn fork_next_children_differ_per_call_and_replay_per_seed() {
+        let mut root = ChaChaRng::from_seed(1);
+        let first = root.fork_next("batch").next_u64();
+        assert_ne!(first, root.fork_next("batch").next_u64());
+        let mut replay = ChaChaRng::from_seed(1);
+        assert_eq!(first, replay.fork_next("batch").next_u64());
+    }
+
+    #[test]
     fn next_below_in_range_and_covers() {
         let mut rng = ChaChaRng::from_seed(3);
         let mut seen = [false; 10];
@@ -248,6 +291,28 @@ mod tests {
             seen[v as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn fill_below_is_next_below_repeated_and_reduces_exactly() {
+        for bound in [3u64, 10, 12289, (1 << 54) - 77, (1 << 63) + 5, u64::MAX] {
+            let mut bulk = ChaChaRng::from_seed(9);
+            let mut single = ChaChaRng::from_seed(9);
+            let mut words = ChaChaRng::from_seed(9);
+            let mut filled = [0u64; 64];
+            bulk.fill_below(bound, &mut filled);
+            let zone = u64::MAX - (u64::MAX % bound) - 1;
+            for &v in &filled {
+                assert_eq!(v, single.next_below(bound));
+                let accepted = loop {
+                    let word = words.next_u64();
+                    if word <= zone {
+                        break word;
+                    }
+                };
+                assert_eq!(v, accepted % bound, "bound {bound}");
+            }
+        }
     }
 
     #[test]

@@ -136,6 +136,7 @@ pub fn he_quadratic_map(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::ParExec;
     use hesgx_crypto::rng::ChaChaRng;
 
     #[test]
@@ -195,7 +196,9 @@ mod tests {
         let mut rng = ChaChaRng::from_seed(89);
         let keys = sys.generate_keys(&mut rng);
         let images = vec![vec![1i64, 2, 3, 4]];
-        let map = EncryptedMap::encrypt_images(&sys, &images, 2, &keys.public, &mut rng).unwrap();
+        let map =
+            EncryptedMap::encrypt_images(&sys, &images, 2, &keys.public, &rng, &ParExec::serial())
+                .unwrap();
         let fit = QuadraticFit {
             c0: 1,
             c1: 1,

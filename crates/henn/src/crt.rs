@@ -10,7 +10,7 @@
 //! experiments run `batchSize = 10` images at once (§V-B, §VIII).
 
 use hesgx_bfv::prelude::*;
-use hesgx_bfv::{arith, context::BfvContext};
+use hesgx_bfv::{arith, context::BfvContext, params::ParameterError};
 use hesgx_crypto::rng::ChaChaRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -125,6 +125,10 @@ pub struct CrtPlainSystem {
     encoders: Vec<BatchEncoder>,
     evaluators: Vec<Evaluator>,
     product: u128,
+    /// Per part `(T/t_i, [(T/t_i)^{-1}]_{t_i})`, the CRT-combine constants
+    /// of [`CrtPlainSystem::decrypt_slots`]; empty for a single-part system,
+    /// whose slots are already the residues.
+    combine: Vec<(u128, u64)>,
 }
 
 impl CrtPlainSystem {
@@ -133,7 +137,8 @@ impl CrtPlainSystem {
     ///
     /// # Errors
     ///
-    /// Propagates parameter/batching validation failures.
+    /// Propagates parameter/batching validation failures, and rejects a
+    /// repeated modulus (no CRT inverse) here rather than at decryption.
     pub fn new(poly_degree: usize, moduli: &[u64]) -> hesgx_bfv::error::Result<Self> {
         let mut contexts = Vec::new();
         let mut encoders = Vec::new();
@@ -148,13 +153,23 @@ impl CrtPlainSystem {
             evaluators.push(Evaluator::new(ctx.clone()));
             contexts.push(ctx);
         }
-        let product = moduli.iter().map(|&t| t as u128).product();
+        let product: u128 = moduli.iter().map(|&t| t as u128).product();
+        let mut combine = Vec::new();
+        if moduli.len() > 1 {
+            for &t in moduli {
+                let hat = product / t as u128;
+                let inv = arith::inv_mod((hat % t as u128) as u64, t)
+                    .ok_or(ParameterError::InvalidPlainModulus(t))?;
+                combine.push((hat, inv));
+            }
+        }
         Ok(CrtPlainSystem {
             moduli: moduli.to_vec(),
             contexts,
             encoders,
             evaluators,
             product,
+            combine,
         })
     }
 
@@ -248,6 +263,24 @@ impl CrtPlainSystem {
         }
     }
 
+    /// Batch-encodes `values` modulo each part's modulus and encrypts the
+    /// part plaintexts with `encrypt`.
+    fn encrypt_parts(
+        &self,
+        values: &[i64],
+        mut encrypt: impl FnMut(usize, &Plaintext) -> hesgx_bfv::error::Result<Ciphertext>,
+    ) -> hesgx_bfv::error::Result<CrtCiphertext> {
+        let mut parts = Vec::with_capacity(self.moduli.len());
+        for (i, &t) in self.moduli.iter().enumerate() {
+            let residues: Vec<u64> = values
+                .iter()
+                .map(|&v| v.rem_euclid(t as i64) as u64)
+                .collect();
+            parts.push(encrypt(i, &self.encoders[i].encode(&residues)?)?);
+        }
+        Ok(CrtCiphertext { parts })
+    }
+
     /// Encrypts one signed value per SIMD slot.
     ///
     /// # Errors
@@ -259,22 +292,35 @@ impl CrtPlainSystem {
         public: &[PublicKey],
         rng: &mut ChaChaRng,
     ) -> hesgx_bfv::error::Result<CrtCiphertext> {
-        let mut parts = Vec::with_capacity(self.moduli.len());
-        for (i, ctx) in self.contexts.iter().enumerate() {
-            let t = self.moduli[i];
-            // Residues mod t_i (signed lift handled per modulus).
-            let residues: Vec<u64> = values
-                .iter()
-                .map(|&v| {
-                    let r = v.rem_euclid(t as i64) as u64;
-                    r % t
-                })
-                .collect();
-            let pt = self.encoders[i].encode(&residues)?;
-            let enc = Encryptor::new(ctx.clone(), public[i].clone());
-            parts.push(enc.encrypt(&pt, rng)?);
-        }
-        Ok(CrtCiphertext { parts })
+        self.encrypt_parts(values, |i, pt| {
+            Encryptor::new(self.contexts[i].clone(), &public[i]).encrypt(pt, rng)
+        })
+    }
+
+    /// [`CrtPlainSystem::encrypt_slots`] under the secret keys
+    /// ([`Encryptor::encrypt_symmetric`]) — the enclave's re-encryption.
+    ///
+    /// # Errors
+    ///
+    /// Fails when more values than slots are supplied.
+    pub fn encrypt_slots_symmetric(
+        &self,
+        values: &[i64],
+        secret: &[SecretKey],
+        rng: &mut ChaChaRng,
+    ) -> hesgx_bfv::error::Result<CrtCiphertext> {
+        self.encrypt_parts(values, |i, pt| {
+            Encryptor::symmetric(self.contexts[i].clone(), &secret[i]).encrypt_symmetric(pt, rng)
+        })
+    }
+
+    /// [`CrtCiphertext::byte_len`] of a fresh (size-2) ciphertext: a
+    /// function of the parameters alone.
+    pub fn fresh_ciphertext_byte_len(&self) -> usize {
+        self.contexts
+            .iter()
+            .map(|ctx| 2 * ctx.limb_count() * ctx.poly_degree() * 8)
+            .sum()
     }
 
     /// Decrypts to one signed value per slot (CRT combination, centered lift).
@@ -287,38 +333,37 @@ impl CrtPlainSystem {
         ct: &CrtCiphertext,
         secret: &[SecretKey],
     ) -> hesgx_bfv::error::Result<Vec<i128>> {
-        let slots = self.slot_count();
-        let mut residues_per_part = Vec::with_capacity(self.moduli.len());
-        for (i, ctx) in self.contexts.iter().enumerate() {
-            let dec = Decryptor::new(ctx.clone(), secret[i].clone());
-            let pt = dec.decrypt(&ct.parts[i])?;
-            residues_per_part.push(self.encoders[i].decode(&pt));
-        }
-        let mut out = Vec::with_capacity(slots);
-        for s in 0..slots {
-            let residues: Vec<u64> = residues_per_part.iter().map(|r| r[s]).collect();
-            out.push(self.crt_combine_signed(&residues));
-        }
-        Ok(out)
-    }
-
-    /// Combines per-modulus residues into a signed value in `(-T/2, T/2]`.
-    fn crt_combine_signed(&self, residues: &[u64]) -> i128 {
         let t_big = self.product;
-        let mut acc: u128 = 0;
-        for (i, &t) in self.moduli.iter().enumerate() {
-            let hat = t_big / t as u128;
-            let hat_mod = (hat % t as u128) as u64;
-            let inv = arith::inv_mod(hat_mod, t).expect("moduli coprime");
-            let c = arith::mul_mod(residues[i] % t, inv, t);
-            // acc += c * hat (mod T). hat < 2^~35, c < 2^17 -> fits u128.
-            acc = (acc + (c as u128 * hat) % t_big) % t_big;
+        // Σ_i [r_i · (T/t_i)^{-1}]_{t_i} · T/t_i, each term below T.
+        let mut acc = vec![0u128; self.slot_count()];
+        for (i, ctx) in self.contexts.iter().enumerate() {
+            let pt = Decryptor::new(ctx.clone(), &secret[i]).decrypt(&ct.parts[i])?;
+            let residues = self.encoders[i].decode(&pt);
+            match self.combine.get(i) {
+                None => acc = residues.into_iter().map(u128::from).collect(),
+                Some(&(hat, inv)) => {
+                    // r, inv < t ≤ 2^30 (parameter validation): no overflow.
+                    let t = self.moduli[i];
+                    for (a, r) in acc.iter_mut().zip(residues) {
+                        *a += (r * inv % t) as u128 * hat;
+                    }
+                }
+            }
         }
-        if acc > t_big / 2 {
-            acc as i128 - t_big as i128
-        } else {
-            acc as i128
-        }
+        Ok(acc
+            .into_iter()
+            .map(|mut v| {
+                // Below `part_count · T`: a subtraction per extra part.
+                while v >= t_big {
+                    v -= t_big;
+                }
+                if v > t_big / 2 {
+                    v as i128 - t_big as i128
+                } else {
+                    v as i128
+                }
+            })
+            .collect())
     }
 
     /// `a += b`, component-wise.
@@ -614,7 +659,7 @@ impl CrtPlainSystem {
     ) -> hesgx_bfv::error::Result<u32> {
         let mut min = u32::MAX;
         for (i, ctx) in self.contexts.iter().enumerate() {
-            let dec = Decryptor::new(ctx.clone(), secret[i].clone());
+            let dec = Decryptor::new(ctx.clone(), &secret[i]);
             min = min.min(dec.invariant_noise_budget(&ct.parts[i])?);
         }
         Ok(min)
@@ -645,14 +690,33 @@ mod tests {
 
     #[test]
     fn encrypt_decrypt_signed_values() {
-        let (sys, keys, mut rng) = system();
+        // Two parts (CRT-combined) and one (the residues are the slots),
+        // under the public key and under the secret key.
         let values = vec![-1_000_000i64, -5, 0, 5, 1_000_000, 80_000_000];
-        let ct = sys.encrypt_slots(&values, &keys.public, &mut rng).unwrap();
-        let back = sys.decrypt_slots(&ct, &keys.secret).unwrap();
-        for (i, &v) in values.iter().enumerate() {
-            assert_eq!(back[i], v as i128, "slot {i}");
+        for moduli in [&[12289u64, 13313][..], &[268_432_897]] {
+            let sys = CrtPlainSystem::new(256, moduli).unwrap();
+            let mut rng = ChaChaRng::from_seed(41);
+            let keys = sys.generate_keys(&mut rng);
+            let cts = [
+                sys.encrypt_slots(&values, &keys.public, &mut rng).unwrap(),
+                sys.encrypt_slots_symmetric(&values, &keys.secret, &mut rng)
+                    .unwrap(),
+            ];
+            for ct in &cts {
+                assert_eq!(ct.byte_len(), sys.fresh_ciphertext_byte_len());
+                let back = sys.decrypt_slots(ct, &keys.secret).unwrap();
+                for (i, &v) in values.iter().enumerate() {
+                    assert_eq!(back[i], v as i128, "slot {i} of {moduli:?}");
+                }
+                assert!(back[values.len()..].iter().all(|&v| v == 0));
+            }
+            assert_ne!(cts[0], cts[1]);
         }
-        assert!(back[values.len()..].iter().all(|&v| v == 0));
+    }
+
+    #[test]
+    fn repeated_modulus_is_rejected_at_construction() {
+        assert!(CrtPlainSystem::new(256, &[12289, 12289]).is_err());
     }
 
     #[test]

@@ -83,12 +83,14 @@ impl CryptoNets {
         keys: &CrtKeys,
         rng: &mut ChaChaRng,
     ) -> Result<EncryptedMap> {
+        let batch_rng = rng.fork_next("batch");
         EncryptedMap::encrypt_images(
             self.system(),
             images,
             self.model().in_side,
             &keys.public,
-            rng,
+            &batch_rng,
+            self.he.pool(),
         )
     }
 

@@ -73,7 +73,14 @@ impl EncryptedMap {
         }
     }
 
-    /// Encrypts a batch of quantized images (each `side*side` pixels).
+    /// Encrypts a batch of quantized images (each `side*side` pixels): one
+    /// task per pixel position on `pool` (a pool of one runs inline).
+    ///
+    /// Each cell encrypts with its **own fork** of `rng`, keyed by the pixel
+    /// index (`enc-cell-{i}`), so the ciphertexts are bit-for-bit identical
+    /// for every thread count and scheduling order. Forking never advances
+    /// the parent: two calls on one `rng` draw the same randomness, so pass
+    /// a per-batch fork ([`ChaChaRng::fork_next`]) for more than one batch.
     ///
     /// # Errors
     ///
@@ -83,50 +90,6 @@ impl EncryptedMap {
     ///
     /// Panics when an image has the wrong pixel count.
     pub fn encrypt_images(
-        sys: &CrtPlainSystem,
-        images: &[Vec<i64>],
-        side: usize,
-        public: &[PublicKey],
-        rng: &mut ChaChaRng,
-    ) -> Result<EncryptedMap> {
-        let mut cells = Vec::with_capacity(side * side);
-        for pixel in 0..side * side {
-            let slots: Vec<i64> = images
-                .iter()
-                .map(|img| {
-                    assert_eq!(img.len(), side * side, "image size mismatch");
-                    img[pixel]
-                })
-                .collect();
-            cells.push(sys.encrypt_slots(&slots, public, rng)?);
-        }
-        Ok(EncryptedMap::new(1, side, side, cells))
-    }
-
-    /// Parallel batch encryption: one task per pixel position, scheduled on
-    /// `pool`.
-    ///
-    /// Each cell encrypts with its **own fork** of the caller's ChaCha20
-    /// stream, keyed by the pixel index (`enc-cell-{i}`), so the ciphertexts
-    /// are bit-for-bit identical for every thread count and scheduling
-    /// order. The forked streams are what make this safe: no task ever
-    /// shares RNG state with another. Note the stream layout differs from
-    /// the sequential draws of [`EncryptedMap::encrypt_images`], so the two
-    /// entry points produce different (equally valid) ciphertexts for the
-    /// same seed; `encrypt_images_par` agrees with *itself* across pool
-    /// sizes, which is the determinism contract the property tests pin down.
-    ///
-    /// The caller's `rng` is borrowed immutably — forking never advances the
-    /// parent stream.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the batch exceeds the slot count or encryption fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an image has the wrong pixel count.
-    pub fn encrypt_images_par(
         sys: &CrtPlainSystem,
         images: &[Vec<i64>],
         side: usize,
@@ -192,8 +155,15 @@ mod tests {
         let images: Vec<Vec<i64>> = (0..3)
             .map(|b| (0..side * side).map(|p| (b * 16 + p) as i64 % 16).collect())
             .collect();
-        let map =
-            EncryptedMap::encrypt_images(&sys, &images, side, &keys.public, &mut rng).unwrap();
+        let map = EncryptedMap::encrypt_images(
+            &sys,
+            &images,
+            side,
+            &keys.public,
+            &rng,
+            &ParExec::serial(),
+        )
+        .unwrap();
         assert_eq!(map.shape(), (1, side, side));
         let back = map
             .decrypt_all(&sys, &keys.secret, 3, &ParExec::serial())

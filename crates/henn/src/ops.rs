@@ -478,11 +478,18 @@ mod tests {
 
     #[test]
     fn conv_matches_plaintext_reference() {
-        let (sys, keys, mut rng) = setup();
+        let (sys, keys, rng) = setup();
         let (side, k) = (6, 3);
         let (images, weights, bias) = conv_case();
-        let enc =
-            EncryptedMap::encrypt_images(&sys, &images, side, &keys.public, &mut rng).unwrap();
+        let enc = EncryptedMap::encrypt_images(
+            &sys,
+            &images,
+            side,
+            &keys.public,
+            &rng,
+            &ParExec::serial(),
+        )
+        .unwrap();
         let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
         let arena = PolyArena::new();
         for threads in POOLS {
@@ -504,11 +511,18 @@ mod tests {
 
     #[test]
     fn scaled_pool_sums_windows() {
-        let (sys, keys, mut rng) = setup();
+        let (sys, keys, rng) = setup();
         let side = 4;
         let images = vec![(1..=16i64).collect::<Vec<_>>()];
-        let enc =
-            EncryptedMap::encrypt_images(&sys, &images, side, &keys.public, &mut rng).unwrap();
+        let enc = EncryptedMap::encrypt_images(
+            &sys,
+            &images,
+            side,
+            &keys.public,
+            &rng,
+            &ParExec::serial(),
+        )
+        .unwrap();
         let arena = PolyArena::new();
         let mut reference = None;
         for threads in POOLS {
@@ -533,9 +547,11 @@ mod tests {
 
     #[test]
     fn square_activation_squares_slots() {
-        let (sys, keys, mut rng) = setup();
+        let (sys, keys, rng) = setup();
         let images = vec![vec![3i64, -4, 0, 12]];
-        let enc = EncryptedMap::encrypt_images(&sys, &images, 2, &keys.public, &mut rng).unwrap();
+        let enc =
+            EncryptedMap::encrypt_images(&sys, &images, 2, &keys.public, &rng, &ParExec::serial())
+                .unwrap();
         let mut reference = None;
         for threads in POOLS {
             let mut counter = OpCounter::default();
@@ -559,9 +575,11 @@ mod tests {
 
     #[test]
     fn fully_connected_matches_dot_product() {
-        let (sys, keys, mut rng) = setup();
+        let (sys, keys, rng) = setup();
         let images = vec![vec![1i64, 2, 3, 4]];
-        let enc = EncryptedMap::encrypt_images(&sys, &images, 2, &keys.public, &mut rng).unwrap();
+        let enc =
+            EncryptedMap::encrypt_images(&sys, &images, 2, &keys.public, &rng, &ParExec::serial())
+                .unwrap();
         let weights = vec![1i64, -1, 2, 0, /* row 2 */ 3, 3, -3, 1];
         let bank = WeightBank::prepare(&sys, &weights, &[10, -10]).unwrap();
         let arena = PolyArena::new();
@@ -580,11 +598,18 @@ mod tests {
 
     #[test]
     fn cached_conv_is_bit_identical_with_zero_weight_prep() {
-        let (sys, keys, mut rng) = setup();
+        let (sys, keys, rng) = setup();
         let (side, k) = (6, 3);
         let (images, weights, bias) = conv_case();
-        let enc =
-            EncryptedMap::encrypt_images(&sys, &images, side, &keys.public, &mut rng).unwrap();
+        let enc = EncryptedMap::encrypt_images(
+            &sys,
+            &images,
+            side,
+            &keys.public,
+            &rng,
+            &ParExec::serial(),
+        )
+        .unwrap();
         let mut oracle = OpCounter::default();
         let base = he_conv2d_reference(&sys, &enc, &weights, &bias, 2, k, 1, &mut oracle).unwrap();
         // The oracle's per-call weight preparation: 2·16 cells × 9 taps +
@@ -612,9 +637,11 @@ mod tests {
 
     #[test]
     fn cached_fc_is_bit_identical_with_zero_weight_prep() {
-        let (sys, keys, mut rng) = setup();
+        let (sys, keys, rng) = setup();
         let images = vec![vec![1i64, 2, 3, 4]];
-        let enc = EncryptedMap::encrypt_images(&sys, &images, 2, &keys.public, &mut rng).unwrap();
+        let enc =
+            EncryptedMap::encrypt_images(&sys, &images, 2, &keys.public, &rng, &ParExec::serial())
+                .unwrap();
         let weights = vec![1i64, -1, 2, 0, /* row 2 */ 3, 3, -3, 1];
         let bias = vec![10, -10];
         let mut oracle = OpCounter::default();
@@ -642,11 +669,18 @@ mod tests {
 
     #[test]
     fn pool_recycles_arena_buffers() {
-        let (sys, keys, mut rng) = setup();
+        let (sys, keys, rng) = setup();
         let side = 4;
         let images = vec![(1..=16i64).collect::<Vec<_>>()];
-        let enc =
-            EncryptedMap::encrypt_images(&sys, &images, side, &keys.public, &mut rng).unwrap();
+        let enc = EncryptedMap::encrypt_images(
+            &sys,
+            &images,
+            side,
+            &keys.public,
+            &rng,
+            &ParExec::serial(),
+        )
+        .unwrap();
         let arena = PolyArena::new();
         // Park one consumed cell's buffers; the pool accumulators must
         // drain them and still produce the exact sums.

@@ -12,7 +12,7 @@
 //! expressed as independent per-index tasks produces bit-identical output
 //! regardless of the worker count or the scheduling interleaving. Paths that
 //! *do* need randomness (encryption) fork an independent, index-keyed RNG
-//! stream per task — see [`crate::image::EncryptedMap::encrypt_images_par`].
+//! stream per task — see [`crate::image::EncryptedMap::encrypt_images`].
 
 use hesgx_obs::{counters, Profiler, Recorder};
 use std::num::NonZeroUsize;

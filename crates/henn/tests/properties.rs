@@ -72,9 +72,9 @@ proptest! {
                                   weights in proptest::collection::vec(-7i64..8, 4),
                                   bias in -20i64..20, seed in any::<u64>()) {
         let (sys, keys) = system();
-        let mut rng = ChaChaRng::from_seed(seed);
+        let rng = ChaChaRng::from_seed(seed);
         let images = vec![pixels.clone()];
-        let enc = EncryptedMap::encrypt_images(sys, &images, 4, &keys.public, &mut rng).unwrap();
+        let enc = EncryptedMap::encrypt_images(sys, &images, 4, &keys.public, &rng, &ParExec::serial()).unwrap();
         let bank = WeightBank::prepare(sys, &weights, &[bias]).unwrap();
         for threads in POOLS {
             let mut counter = OpCounter::default();
@@ -98,8 +98,8 @@ proptest! {
     #[test]
     fn scaled_pool_matches_window_sums(pixels in proptest::collection::vec(-100i64..100, 16), seed in any::<u64>()) {
         let (sys, keys) = system();
-        let mut rng = ChaChaRng::from_seed(seed);
-        let enc = EncryptedMap::encrypt_images(sys, std::slice::from_ref(&pixels), 4, &keys.public, &mut rng).unwrap();
+        let rng = ChaChaRng::from_seed(seed);
+        let enc = EncryptedMap::encrypt_images(sys, std::slice::from_ref(&pixels), 4, &keys.public, &rng, &ParExec::serial()).unwrap();
         for threads in POOLS {
             let mut counter = OpCounter::default();
             let pooled = ops::he_scaled_mean_pool(sys, &enc, 2, &mut counter, &ParExec::new(threads), &PolyArena::new()).unwrap();
@@ -126,8 +126,8 @@ proptest! {
         // raw-weight oracle's ciphertexts bit for bit at every pool size —
         // with the oracle's one-per-tap weight preparations gone.
         let (sys, keys) = system();
-        let mut rng = ChaChaRng::from_seed(seed);
-        let enc = EncryptedMap::encrypt_images(sys, &[pixels], 4, &keys.public, &mut rng).unwrap();
+        let rng = ChaChaRng::from_seed(seed);
+        let enc = EncryptedMap::encrypt_images(sys, &[pixels], 4, &keys.public, &rng, &ParExec::serial()).unwrap();
         let mut oracle_counter = OpCounter::default();
         let oracle = ops::he_conv2d_reference(sys, &enc, &weights, &[bias], 1, 2, 1, &mut oracle_counter).unwrap();
         prop_assert_eq!(oracle_counter.weight_prep, 9 * 4 + 9);
@@ -146,8 +146,8 @@ proptest! {
                                       biases in proptest::collection::vec(-20i64..20, 3),
                                       seed in any::<u64>()) {
         let (sys, keys) = system();
-        let mut rng = ChaChaRng::from_seed(seed);
-        let enc = EncryptedMap::encrypt_images(sys, &[pixels], 2, &keys.public, &mut rng).unwrap();
+        let rng = ChaChaRng::from_seed(seed);
+        let enc = EncryptedMap::encrypt_images(sys, &[pixels], 2, &keys.public, &rng, &ParExec::serial()).unwrap();
         let mut oracle_counter = OpCounter::default();
         let oracle = ops::he_fully_connected_reference(sys, &enc, &weights, &biases, 3, &mut oracle_counter).unwrap();
         prop_assert_eq!(oracle_counter.weight_prep, 3 * 4 + 3);
@@ -164,8 +164,8 @@ proptest! {
     fn par_pool_bit_identical_to_serial(pixels in proptest::collection::vec(-100i64..100, 16),
                                         seed in any::<u64>()) {
         let (sys, keys) = system();
-        let mut rng = ChaChaRng::from_seed(seed);
-        let enc = EncryptedMap::encrypt_images(sys, &[pixels], 4, &keys.public, &mut rng).unwrap();
+        let rng = ChaChaRng::from_seed(seed);
+        let enc = EncryptedMap::encrypt_images(sys, &[pixels], 4, &keys.public, &rng, &ParExec::serial()).unwrap();
         let mut serial_counter = OpCounter::default();
         let serial = ops::he_scaled_mean_pool(sys, &enc, 2, &mut serial_counter, &ParExec::serial(), &PolyArena::new()).unwrap();
         for threads in [2usize, 4] {
@@ -187,8 +187,8 @@ proptest! {
         let rng = ChaChaRng::from_seed(seed);
         let pool_a = ParExec::new(threads_a);
         let pool_b = ParExec::new(threads_b);
-        let enc_a = EncryptedMap::encrypt_images_par(sys, &imgs, 4, &keys.public, &rng, &pool_a).unwrap();
-        let enc_b = EncryptedMap::encrypt_images_par(sys, &imgs, 4, &keys.public, &rng, &pool_b).unwrap();
+        let enc_a = EncryptedMap::encrypt_images(sys, &imgs, 4, &keys.public, &rng, &pool_a).unwrap();
+        let enc_b = EncryptedMap::encrypt_images(sys, &imgs, 4, &keys.public, &rng, &pool_b).unwrap();
         prop_assert_eq!(enc_a.cells(), enc_b.cells(),
                         "encryption differs between {} and {} threads", threads_a, threads_b);
         let serial_dec = enc_a.decrypt_all(sys, &keys.secret, imgs.len(), &ParExec::serial()).unwrap();
@@ -206,8 +206,8 @@ proptest! {
                                w in -10i64..10, seed in any::<u64>()) {
         // Scaling an encrypted map scales every batch slot independently.
         let (sys, keys) = system();
-        let mut rng = ChaChaRng::from_seed(seed);
-        let enc = EncryptedMap::encrypt_images(sys, &imgs, 2, &keys.public, &mut rng).unwrap();
+        let rng = ChaChaRng::from_seed(seed);
+        let enc = EncryptedMap::encrypt_images(sys, &imgs, 2, &keys.public, &rng, &ParExec::serial()).unwrap();
         let scaled = sys.mul_scalar(enc.cell(0, 0, 0), w).unwrap();
         let slots = sys.decrypt_slots(&scaled, &keys.secret).unwrap();
         for (b, img) in imgs.iter().enumerate() {
