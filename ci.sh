@@ -35,6 +35,11 @@ step_lint() {
     echo "==> cargo clippy --workspace -- -D warnings"
     cargo clippy --workspace --all-targets --offline -- -D warnings
 
+    # A deleted or renamed item must not leave a dangling [`link`] behind.
+    echo "==> cargo doc (broken intra-doc links denied)"
+    RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+        cargo doc --workspace --no-deps --offline -q
+
     # Lint gate: the baseline grandfathers nothing today (header-only file),
     # so any finding is a new finding and fails; --json must be byte-identical
     # across two runs (the lint's own output is held to the replay contract),
@@ -111,7 +116,7 @@ step_bench() {
     # Wall times live in BENCH_ntt.json (informative, never diffed); the
     # replay-stable face — tier checksums, ciphertext-identity flags, HE op
     # counts — is BENCH_ntt.deterministic.json. Each run also asserts
-    # in-process that the lazy/cached kernels are bit-identical to the eager
+    # in-process that the lazy kernels are bit-identical to the eager
     # reference and that the weight-bank conv kernel matches its raw-weight
     # oracle bit for bit with zero per-call weight preparations.
     echo "==> ntt bench (two runs, deterministic sections diffed)"

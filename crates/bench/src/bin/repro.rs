@@ -7,8 +7,8 @@
 //! ```
 
 use hesgx_bench::experiments::{
-    ablation, bench_trajectory, chaos_sweep, e2e, figures, ntt_bench, obs_report, par_sweep,
-    profile, serve_load, tables, trace, transcipher, RunConfig,
+    ablation, chaos_sweep, e2e, figures, ntt_bench, obs_report, profile, serve_load, tables, trace,
+    transcipher, RunConfig,
 };
 use hesgx_bench::PaperEnv;
 
@@ -25,7 +25,6 @@ const EXPERIMENTS: &[&str] = &[
     "model",
     "fig8",
     "ablation",
-    "par_sweep",
     "chaos_sweep",
     "obs_report",
     "trace",
@@ -33,7 +32,6 @@ const EXPERIMENTS: &[&str] = &[
     "ntt_bench",
     "transcipher",
     "profile",
-    "bench_trajectory",
 ];
 
 fn main() {
@@ -130,9 +128,6 @@ fn main() {
     if wanted("fig8") {
         e2e::fig8_end_to_end(cfg);
     }
-    if wanted("par_sweep") {
-        par_sweep::par_sweep(cfg);
-    }
     if wanted("chaos_sweep") {
         chaos_sweep::chaos_sweep(cfg);
     }
@@ -153,11 +148,6 @@ fn main() {
     }
     if wanted("profile") {
         profile::profile(cfg);
-    }
-    // Explicit-only: appends a dated row to a checked-in results file, a
-    // commit-time action — never part of the run-everything sweep.
-    if selected.contains(&"bench_trajectory") {
-        bench_trajectory::bench_trajectory(cfg);
     }
     println!();
     println!("done.");

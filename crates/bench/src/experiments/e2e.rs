@@ -264,7 +264,7 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
             c.transition_ns,
             c.copy_ns,
             c.paging_ns,
-            c.span_cost().model_ns()
+            c.model_ns()
         )
     };
     let fig8_json = format!(

@@ -5,13 +5,11 @@
 //! the integration tests (shape claims: who wins, ratios, crossovers).
 
 pub mod ablation;
-pub mod bench_trajectory;
 pub mod chaos_sweep;
 pub mod e2e;
 pub mod figures;
 pub mod ntt_bench;
 pub mod obs_report;
-pub mod par_sweep;
 pub mod profile;
 pub mod serve_load;
 pub mod tables;

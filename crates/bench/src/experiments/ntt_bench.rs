@@ -1,18 +1,15 @@
-//! `ntt_bench` — wall-time microbenchmarks of the lazy-reduction NTT hot
-//! path, plus the fig8-scale conv-layer payoff of the provisioned weight
-//! bank (not in the paper; the speed pass behind every HE number in it).
+//! `ntt_bench` — the exactness gate of the lazy-reduction NTT kernels and
+//! of the two things built on them that ship: the weight-bank conv kernel
+//! and the enclave cell (not in the paper). Wall numbers are printed for
+//! orientation only; `benchmark/` is where wall time is measured.
 //!
-//! Three kernels per `(n, p)` tier, optimized versus the retained eager
+//! Three kernels per `(n, p)` tier, lazy versus the retained eager
 //! reference: the Harvey/Shoup forward transform, the lazy inverse, and the
-//! negacyclic multiply as the production hot path runs it — against a
-//! cached evaluation-form operand ([`NttTable::prepare_cached_operand`],
-//! the form provisioned weights take), one forward transform + Barrett
-//! pointwise + lazy inverse, versus the seed's symmetric per-call eager
-//! reference (forward ×2 + `u128 %` pointwise + eager inverse + scaling).
-//! The symmetric lazy kernel (`negacyclic_multiply`, still two forward
-//! transforms) is reported alongside for an apples-to-apples kernel ratio.
-//! All wall times are median-of-k via the audited [`WallTimer`] shim; the
-//! speedup headline is the reference/cached ratio at `n = 4096`.
+//! symmetric negacyclic multiply (two forward transforms, Barrett pointwise
+//! stage and lazy inverse, versus two eager transforms, a `u128 %` pointwise
+//! stage, the eager inverse and its scaling pass). Bit-identity is asserted
+//! on every tier before anything is timed; wall times are median-of-k via
+//! the audited [`WallTimer`] shim.
 //!
 //! The conv-layer section runs the fig8-scale convolution over the paper's
 //! image batch twice on one thread — the [`WeightBank`] kernel
@@ -53,8 +50,8 @@ use std::fmt::Write as _;
 const SEED: u64 = 4096;
 
 /// The `(n, p)` tiers: every NTT-friendly prime the workspace's parameter
-/// presets actually select, at the paper's degree and the acceptance
-/// degree. Each prime satisfies `p ≡ 1 (mod 2n)`.
+/// presets actually select, from the test degree up to 4096. Each prime
+/// satisfies `p ≡ 1 (mod 2n)`.
 const TIERS: &[(usize, u64)] = &[
     (256, 12289),
     (1024, 12289),
@@ -90,12 +87,8 @@ pub struct TierResult {
     pub forward: KernelTimes,
     /// Inverse transform medians.
     pub inverse: KernelTimes,
-    /// Negacyclic multiply medians: cached-operand hot path (optimized)
-    /// versus the seed's symmetric eager per-call path (reference).
+    /// Symmetric negacyclic multiply medians.
     pub negacyclic: KernelTimes,
-    /// Median of the symmetric *lazy* multiply (two forward transforms) —
-    /// the kernel-for-kernel comparison against the same reference.
-    pub negacyclic_symmetric_ns: u64,
     /// Wrapping sum of the negacyclic product's coefficients — a
     /// deterministic witness that optimized and reference agreed exactly.
     pub product_checksum: u64,
@@ -108,9 +101,6 @@ pub struct NttBench {
     pub tiers: Vec<TierResult>,
     /// Lazy and eager paths agreed bit-for-bit on every tier.
     pub lazy_matches_reference: bool,
-    /// Worst (smallest) negacyclic speedup across the `n = 4096` tiers —
-    /// the acceptance headline.
-    pub negacyclic_speedup_4096: f64,
     /// Fig8-scale conv-layer medians: weight-bank kernel (optimized) versus
     /// the raw-weight oracle (reference).
     pub conv: KernelTimes,
@@ -177,14 +167,9 @@ fn bench_tier(n: usize, p: u64, reps: usize) -> TierResult {
     let mut inv_ref = fwd_opt;
     table.inverse(&mut inv_opt);
     table.inverse_reference(&mut inv_ref);
-    let cached_b = table.prepare_cached_operand(&b);
     let product_opt = table.negacyclic_multiply(&a, &b);
-    let product_cached = table.negacyclic_multiply_cached(&a, &cached_b);
     let product_ref = table.negacyclic_multiply_reference(&a, &b);
-    let exact = forward_exact
-        && inv_opt == inv_ref
-        && product_opt == product_ref
-        && product_cached == product_ref;
+    let exact = forward_exact && inv_opt == inv_ref && product_opt == product_ref;
     assert!(exact, "lazy NTT diverged from reference at n={n}, p={p}");
     let product_checksum = product_opt.iter().fold(0u64, |s, &c| s.wrapping_add(c));
 
@@ -208,27 +193,20 @@ fn bench_tier(n: usize, p: u64, reps: usize) -> TierResult {
             table.inverse_reference(&mut v);
         }),
     };
-    // The cached operand is prepared outside the timed region: production
-    // pays that forward transform once at weight provisioning, not per
-    // request, so the hot path being timed is exactly what `infer` runs.
     let negacyclic = KernelTimes {
         optimized_ns: median_of(reps, || {
-            std::hint::black_box(table.negacyclic_multiply_cached(&a, &cached_b));
+            std::hint::black_box(table.negacyclic_multiply(&a, &b));
         }),
         reference_ns: median_of(reps, || {
             std::hint::black_box(table.negacyclic_multiply_reference(&a, &b));
         }),
     };
-    let negacyclic_symmetric_ns = median_of(reps, || {
-        std::hint::black_box(table.negacyclic_multiply(&a, &b));
-    });
     TierResult {
         n,
         p,
         forward,
         inverse,
         negacyclic,
-        negacyclic_symmetric_ns,
         product_checksum,
     }
 }
@@ -438,17 +416,12 @@ fn run_cell(poly_degree: usize, reps: usize) -> EnclaveCell {
 
 /// Runs the NTT + conv-layer benchmark and writes both artifacts.
 pub fn ntt_bench(cfg: RunConfig) -> NttBench {
-    header("NTT BENCH: lazy-reduction hot path vs eager reference (not in the paper)");
+    header("NTT BENCH: lazy-reduction kernels vs eager reference (not in the paper)");
     let reps = cfg.reps(30);
     let conv_reps = if cfg.quick { 3 } else { 5 };
-    println!("median of {reps} runs per kernel; exactness asserted per tier");
+    println!("median of {reps} runs per kernel; exactness asserted per tier\n");
     println!(
-        "mul opt = cached-operand hot path (weights provisioned in evaluation \
-         form); mul sym = symmetric lazy kernel; mul ref = the seed's \
-         symmetric eager per-call path\n"
-    );
-    println!(
-        "{:>6} {:>8} {:>12} {:>12} {:>6} {:>12} {:>12} {:>6} {:>12} {:>12} {:>12} {:>6}",
+        "{:>6} {:>8} {:>12} {:>12} {:>6} {:>12} {:>12} {:>6} {:>12} {:>12} {:>6}",
         "n",
         "p",
         "fwd opt(ns)",
@@ -458,7 +431,6 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         "inv ref(ns)",
         "x",
         "mul opt(ns)",
-        "mul sym(ns)",
         "mul ref(ns)",
         "x"
     );
@@ -467,7 +439,7 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         .map(|&(n, p)| {
             let t = bench_tier(n, p, reps);
             println!(
-                "{:>6} {:>8} {:>12} {:>12} {:>6.2} {:>12} {:>12} {:>6.2} {:>12} {:>12} {:>12} {:>6.2}",
+                "{:>6} {:>8} {:>12} {:>12} {:>6.2} {:>12} {:>12} {:>6.2} {:>12} {:>12} {:>6.2}",
                 t.n,
                 t.p,
                 t.forward.optimized_ns,
@@ -477,22 +449,12 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
                 t.inverse.reference_ns,
                 t.inverse.speedup(),
                 t.negacyclic.optimized_ns,
-                t.negacyclic_symmetric_ns,
                 t.negacyclic.reference_ns,
                 t.negacyclic.speedup()
             );
             t
         })
         .collect();
-    let negacyclic_speedup_4096 = tiers
-        .iter()
-        .filter(|t| t.n == 4096)
-        .map(|t| t.negacyclic.speedup())
-        .fold(f64::INFINITY, f64::min);
-    println!(
-        "\nnegacyclic multiply speedup at n=4096, cached hot path vs per-call \
-         reference (worst tier): {negacyclic_speedup_4096:.2}x (acceptance floor: 2.00x)"
-    );
 
     let model = conv_model(cfg.quick);
     let poly_degree = if cfg.quick {
@@ -564,8 +526,7 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
             json,
             "{{\"n\":{},\"p\":{},\"forward\":{{\"optimized_ns\":{},\"reference_ns\":{}}},\
              \"inverse\":{{\"optimized_ns\":{},\"reference_ns\":{}}},\
-             \"negacyclic_multiply\":{{\"cached_ns\":{},\"symmetric_lazy_ns\":{},\
-             \"reference_ns\":{}}},\
+             \"negacyclic_multiply\":{{\"optimized_ns\":{},\"reference_ns\":{}}},\
              \"product_checksum\":{}}}",
             t.n,
             t.p,
@@ -574,7 +535,6 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
             t.inverse.optimized_ns,
             t.inverse.reference_ns,
             t.negacyclic.optimized_ns,
-            t.negacyclic_symmetric_ns,
             t.negacyclic.reference_ns,
             t.product_checksum
         );
@@ -636,7 +596,6 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
     NttBench {
         tiers,
         lazy_matches_reference: true,
-        negacyclic_speedup_4096,
         conv,
         conv_cells_match,
         conv_oracle_weight_prep: oracle_ops.weight_prep,

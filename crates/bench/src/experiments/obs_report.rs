@@ -89,7 +89,7 @@ pub fn obs_report(cfg: RunConfig) -> ObsReport {
         .fold(SpanCost::default(), |acc, (_, s)| {
             acc.saturating_add(s.cost)
         });
-    let reconciled = folded == total.span_cost();
+    let reconciled = folded == total;
     let delta_ns = u128::from(folded.total_ns()).abs_diff(u128::from(total.total_ns()));
 
     println!(

@@ -64,7 +64,7 @@ pub struct ProfileBench {
     pub stages_joined: usize,
     /// Headline measured/modeled ratio in permille.
     pub drift_top_ratio_permille: u64,
-    /// The headline ratio landed inside [`DRIFT_BAND_PERMILLE`].
+    /// The headline ratio landed inside `DRIFT_BAND_PERMILLE`.
     pub drift_within_band: bool,
 }
 

@@ -146,13 +146,13 @@ fn serve_once(
         .fold(SpanCost::default(), |acc, (_, s)| {
             acc.saturating_add(s.cost)
         });
-    let reconciles = folded == total_enclave_cost(metrics).span_cost();
+    let reconciles = folded == total_enclave_cost(metrics);
     let ingress_model_ns = metrics
         .stages
         .iter()
         .find(|s| s.name.contains("Transciphered"))
         .and_then(|s| s.enclave.as_ref())
-        .map(|c| c.span_cost().model_ns())
+        .map(|c| c.model_ns())
         .unwrap_or(0);
     (
         ServeRun {

@@ -9,7 +9,7 @@ use crate::plaintext::Plaintext;
 /// Compared to [`crate::encoding::ScalarEncoder`], the plaintext ℓ1 norm is
 /// the number of set bits rather than the value itself, so ciphertext ×
 /// plaintext noise growth is logarithmic in the weight magnitude — the reason
-/// CryptoNets-style pipelines (paper [16]) use this encoding.
+/// CryptoNets-style pipelines (paper \[16\]) use this encoding.
 ///
 /// Decoding evaluates the polynomial at `x = 2` after a centered lift of every
 /// coefficient, so it remains correct after homomorphic additions and

@@ -17,6 +17,7 @@ use crate::plaintext::{NttPlaintext, Plaintext};
 use crate::poly::{PolyForm, RnsPoly};
 use hesgx_obs::prof;
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A scalar weight prepared for repeated ciphertext multiplication: the
@@ -88,27 +89,9 @@ impl Evaluator {
         let (longer, shorter) = if a.size() >= b.size() { (a, b) } else { (b, a) };
         let mut out = longer.clone();
         for (dst, src) in out.polys.iter_mut().zip(shorter.polys.iter()) {
-            let mut s = src.clone();
-            match_form(dst, &mut s, &self.ctx);
-            dst.add_assign(&s, &self.ctx);
+            dst.add_assign(&in_form(src, dst.form(), &self.ctx), &self.ctx);
         }
         Ok(out)
-    }
-
-    /// Adds a sequence of ciphertexts.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an empty input or any context mismatch.
-    pub fn add_many(&self, cts: &[Ciphertext]) -> Result<Ciphertext> {
-        let (first, rest) = cts
-            .split_first()
-            .ok_or(BfvError::InvalidCiphertextSize(0))?;
-        let mut acc = first.clone();
-        for ct in rest {
-            acc = self.add(&acc, ct)?;
-        }
-        Ok(acc)
     }
 
     /// Homomorphic subtraction `a - b`.
@@ -137,9 +120,8 @@ impl Evaluator {
         self.check_plain(plain)?;
         let mut out = a.clone();
         let delta_m = RnsPoly::from_scaled_plain(&self.ctx, plain.coeffs());
-        let mut dm = delta_m;
-        match_form(&mut out.polys[0], &mut dm, &self.ctx);
-        out.polys[0].add_assign(&dm, &self.ctx);
+        let form = out.polys[0].form();
+        out.polys[0].add_assign(&in_form(&delta_m, form, &self.ctx), &self.ctx);
         Ok(out)
     }
 
@@ -149,9 +131,8 @@ impl Evaluator {
         self.check_plain(plain)?;
         let mut out = a.clone();
         let delta_m = RnsPoly::from_scaled_plain(&self.ctx, plain.coeffs());
-        let mut dm = delta_m;
-        match_form(&mut out.polys[0], &mut dm, &self.ctx);
-        out.polys[0].sub_assign(&dm, &self.ctx);
+        let form = out.polys[0].form();
+        out.polys[0].sub_assign(&in_form(&delta_m, form, &self.ctx), &self.ctx);
         Ok(out)
     }
 
@@ -163,34 +144,12 @@ impl Evaluator {
     /// magnitude of the weights.
     pub fn mul_plain(&self, a: &Ciphertext, plain: &Plaintext) -> Result<Ciphertext> {
         let _prof = prof::span("bfv.eval.mul_plain");
-        self.check(a)?;
-        self.check_plain(plain)?;
-        let ctx = &self.ctx;
-        let t = ctx.params().plain_modulus();
-        let n = ctx.poly_degree();
-        // Centered lift into signed coefficients.
-        let mut signed = vec![0i64; n];
-        for (j, &c) in plain.coeffs().iter().enumerate() {
-            signed[j] = if c > t / 2 {
-                c as i64 - t as i64
-            } else {
-                c as i64
-            };
-        }
-        let m_poly = RnsPoly::from_signed(ctx, &signed, PolyForm::Ntt);
-        let mut out = a.clone();
-        for poly in out.polys.iter_mut() {
-            poly.to_ntt(ctx);
-            *poly = poly.mul_pointwise(&m_poly, ctx);
-            poly.to_coeff(ctx);
-        }
-        Ok(out)
+        self.mul_plain_ntt(a, &self.transform_plain_to_ntt(plain)?)
     }
 
-    /// Computes the cached evaluation form of a plaintext: the centered
-    /// lift and forward NTT that [`Evaluator::mul_plain`] redoes per call,
-    /// done once (at weight provisioning) for reuse by
-    /// [`Evaluator::mul_plain_ntt`].
+    /// Computes the evaluation form of a plaintext — the centered lift and
+    /// forward NTT — once, for reuse across [`Evaluator::mul_plain_ntt`]
+    /// calls.
     pub fn transform_plain_to_ntt(&self, plain: &Plaintext) -> Result<NttPlaintext> {
         let _prof = prof::span("bfv.eval.plain_to_ntt");
         self.check_plain(plain)?;
@@ -210,9 +169,9 @@ impl Evaluator {
         })
     }
 
-    /// [`Evaluator::mul_plain`] against a cached evaluation form: skips the
-    /// per-call centering and forward transform of the plaintext. Results
-    /// are bit-identical to the uncached path.
+    /// Multiplies by a plaintext already in evaluation form
+    /// ([`Evaluator::transform_plain_to_ntt`]): one forward and one inverse
+    /// transform per ciphertext component, none of the plaintext.
     pub fn mul_plain_ntt(&self, a: &Ciphertext, plain: &NttPlaintext) -> Result<Ciphertext> {
         let _prof = prof::span("bfv.eval.mul_plain_ntt");
         self.check(a)?;
@@ -230,7 +189,8 @@ impl Evaluator {
     }
 
     /// Prepares a signed scalar weight for repeated multiplication
-    /// ([`Evaluator::mul_plain_scalar`] / [`Evaluator::mul_plain_scalar_acc`]).
+    /// ([`Evaluator::mul_plain_scalar_arena`] /
+    /// [`Evaluator::mul_plain_scalar_acc`]).
     ///
     /// # Errors
     ///
@@ -259,33 +219,16 @@ impl Evaluator {
         })
     }
 
-    /// [`Evaluator::mul_plain_signed_scalar`] against a prepared scalar:
-    /// no per-call Shoup precomputation. Bit-identical results.
-    pub fn mul_plain_scalar(&self, a: &Ciphertext, scalar: &PlainScalar) -> Result<Ciphertext> {
-        self.check(a)?;
-        if scalar.context_id != *self.ctx.id() {
-            return Err(BfvError::ContextMismatch);
-        }
-        let mut out = a.clone();
-        for poly in out.polys.iter_mut() {
-            poly.scale_u64_prepared(&scalar.scales, &self.ctx);
-            if scalar.negate {
-                poly.negate(&self.ctx);
-            }
-        }
-        Ok(out)
-    }
-
-    /// [`Evaluator::mul_plain_scalar`] drawing the output's limb buffers
-    /// from `arena` instead of the global allocator — the one remaining
-    /// allocation per conv/FC output cell (the initial accumulator) becomes
-    /// a recycled buffer. Bit-identical results: a recycled buffer is fully
-    /// overwritten before it is observable.
+    /// [`Evaluator::mul_plain_signed_scalar`] against a prepared scalar: no
+    /// per-call Shoup precomputation, and the output's limb buffers come
+    /// from `arena` instead of the global allocator — the one allocation per
+    /// conv/FC output cell (the initial accumulator) is a recycled buffer.
+    /// Bit-identical results: a recycled buffer is fully overwritten before
+    /// it is observable.
     ///
     /// # Errors
     ///
-    /// Fails on context mismatch, exactly like
-    /// [`Evaluator::mul_plain_scalar`].
+    /// Fails on context mismatch.
     pub fn mul_plain_scalar_arena(
         &self,
         a: &Ciphertext,
@@ -391,16 +334,6 @@ impl Evaluator {
         Ok(())
     }
 
-    /// Multiplies by a small unsigned scalar (repeated-addition semantics).
-    pub fn mul_scalar(&self, a: &Ciphertext, scalar: u64) -> Result<Ciphertext> {
-        self.check(a)?;
-        let mut out = a.clone();
-        for poly in out.polys.iter_mut() {
-            poly.scale_u64(scalar % self.ctx.params().plain_modulus(), &self.ctx);
-        }
-        Ok(out)
-    }
-
     /// Multiplies by a signed scalar constant — the fast path for
     /// convolution/FC weights (`C × P` with a degree-0 plaintext).
     ///
@@ -434,9 +367,7 @@ impl Evaluator {
             a.polys.push(RnsPoly::zero(&self.ctx, form));
         }
         for (dst, src) in a.polys.iter_mut().zip(b.polys.iter()) {
-            let mut s = src.clone();
-            match_form(dst, &mut s, &self.ctx);
-            dst.add_assign(&s, &self.ctx);
+            dst.add_assign(&in_form(src, dst.form(), &self.ctx), &self.ctx);
         }
         Ok(())
     }
@@ -640,14 +571,19 @@ impl Evaluator {
     }
 }
 
-/// Brings two polynomials to a common representation (prefers the first's).
-fn match_form(a: &mut RnsPoly, b: &mut RnsPoly, ctx: &BfvContext) {
-    if a.form() != b.form() {
-        match a.form() {
-            PolyForm::Coeff => b.to_coeff(ctx),
-            PolyForm::Ntt => b.to_ntt(ctx),
-        }
+/// `src` in representation `form`: borrowed when it already is (the common
+/// case — accumulator and operand share provenance), a converted copy only
+/// when the forms differ.
+fn in_form<'a>(src: &'a RnsPoly, form: PolyForm, ctx: &BfvContext) -> Cow<'a, RnsPoly> {
+    if src.form() == form {
+        return Cow::Borrowed(src);
     }
+    let mut converted = src.clone();
+    match form {
+        PolyForm::Coeff => converted.to_coeff(ctx),
+        PolyForm::Ntt => converted.to_ntt(ctx),
+    }
+    Cow::Owned(converted)
 }
 
 #[cfg(test)]
@@ -853,19 +789,9 @@ mod tests {
     fn mul_scalar_matches_plain() {
         let mut f = fixture();
         let a = f.enc.encrypt(&Plaintext::constant(7), &mut f.rng).unwrap();
-        let s = f.eval.mul_scalar(&a, 9).unwrap();
+        let s = f.eval.mul_plain_signed_scalar(&a, 9).unwrap();
         assert_eq!(f.dec.decrypt(&s).unwrap().coeffs()[0], 63);
-    }
-
-    #[test]
-    fn add_many_sums() {
-        let mut f = fixture();
-        let cts: Vec<Ciphertext> = (1..=5)
-            .map(|v| f.enc.encrypt(&Plaintext::constant(v), &mut f.rng).unwrap())
-            .collect();
-        let sum = f.eval.add_many(&cts).unwrap();
-        assert_eq!(f.dec.decrypt(&sum).unwrap().coeffs()[0], 15);
-        assert!(f.eval.add_many(&[]).is_err());
+        assert_eq!(s, f.eval.mul_plain(&a, &Plaintext::constant(9)).unwrap());
     }
 
     #[test]
@@ -936,6 +862,9 @@ mod scalar_tests {
 
     #[test]
     fn cached_ntt_plain_matches_mul_plain_bitwise() {
+        // `mul_plain` is `mul_plain_ntt` of the transform by construction, so
+        // both are pinned against the schoolbook convolution of each limb
+        // with the centered plaintext.
         let ctx = BfvContext::new(presets::test_n256()).unwrap();
         let mut rng = ChaChaRng::from_seed(94);
         let keygen = KeyGenerator::new(ctx.clone(), &mut rng);
@@ -952,12 +881,23 @@ mod scalar_tests {
             Plaintext::zero(),
         ] {
             let cached = eval.transform_plain_to_ntt(&plain).unwrap();
-            assert_eq!(
-                eval.mul_plain_ntt(&a, &cached).unwrap(),
-                eval.mul_plain(&a, &plain).unwrap(),
-                "cached mul_plain diverged for {:?}",
-                plain.coeffs()
-            );
+            let got = eval.mul_plain_ntt(&a, &cached).unwrap();
+            assert_eq!(got, eval.mul_plain(&a, &plain).unwrap());
+            for (poly, src) in got.polys.iter().zip(&a.polys) {
+                assert_eq!(poly.form(), PolyForm::Coeff);
+                for (i, &qi) in ctx.params().coeff_moduli().iter().enumerate() {
+                    let mut centered = vec![0u64; ctx.poly_degree()];
+                    for (m, &c) in centered.iter_mut().zip(plain.coeffs()) {
+                        *m = if c > t / 2 { qi - (t - c) } else { c };
+                    }
+                    assert_eq!(
+                        poly.limbs[i],
+                        crate::ntt::negacyclic_multiply_naive(&src.limbs[i], &centered, qi),
+                        "limb {i} diverged for {:?}",
+                        plain.coeffs()
+                    );
+                }
+            }
         }
     }
 
@@ -970,11 +910,12 @@ mod scalar_tests {
         let eval = Evaluator::new(ctx.clone());
         let a = enc.encrypt(&Plaintext::constant(11), &mut rng).unwrap();
         let acc0 = enc.encrypt(&Plaintext::constant(2), &mut rng).unwrap();
+        let arena = PolyArena::new();
         for v in [-7i64, -1, 0, 1, 13] {
             let prepared = eval.prepare_plain_scalar(v).unwrap();
             // One-shot multiply.
             assert_eq!(
-                eval.mul_plain_scalar(&a, &prepared).unwrap(),
+                eval.mul_plain_scalar_arena(&a, &prepared, &arena).unwrap(),
                 eval.mul_plain_signed_scalar(&a, v).unwrap(),
                 "scalar {v}"
             );
@@ -1003,7 +944,7 @@ mod scalar_tests {
         for v in [-5i64, 0, 9] {
             let prepared = eval.prepare_plain_scalar(v).unwrap();
             let got = eval.mul_plain_scalar_arena(&a, &prepared, &arena).unwrap();
-            assert_eq!(got, eval.mul_plain_scalar(&a, &prepared).unwrap());
+            assert_eq!(got, eval.mul_plain_signed_scalar(&a, v).unwrap());
             arena.recycle_ciphertext(got);
         }
         // The free list now holds one ciphertext's worth of buffers; the
@@ -1014,7 +955,7 @@ mod scalar_tests {
         let got = eval.mul_plain_scalar_arena(&a, &prepared, &arena).unwrap();
         assert_eq!(arena.free_buffers(), 0);
         assert_eq!(before, got.polys.iter().map(|p| p.limbs.len()).sum());
-        assert_eq!(got, eval.mul_plain_scalar(&a, &prepared).unwrap());
+        assert_eq!(got, eval.mul_plain_signed_scalar(&a, 3).unwrap());
     }
 
     #[test]

@@ -11,19 +11,6 @@ use crate::arith::{
 };
 use hesgx_obs::prof;
 
-/// A reusable multiplicand provisioned into evaluation form by
-/// [`NttTable::prepare_cached_operand`]: `NTT(b) · n^{-1} mod p` per slot
-/// (canonical range), plus the Shoup constant for each slot. Opaque —
-/// only [`NttTable::negacyclic_multiply_cached`] consumes it, and only
-/// tables with the same `(n, p)` produce/accept compatible values.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedNttOperand {
-    /// `NTT(b) · n^{-1} mod p`, canonical.
-    values: Vec<u64>,
-    /// `shoup_precompute(values[i], p)`.
-    shoup: Vec<u64>,
-}
-
 /// Precomputed twiddle tables for one `(n, p)` pair.
 ///
 /// Twiddle factors carry Shoup precomputations, so every butterfly costs two
@@ -276,129 +263,6 @@ impl NttTable {
         fa
     }
 
-    /// Precomputes the evaluation form of a *reused* operand — typically a
-    /// provisioned model weight — for [`Self::negacyclic_multiply_cached`].
-    ///
-    /// The cached form is `NTT(b) · n^{-1} mod p` in canonical range: the
-    /// `n^{-1}` scaling that [`Self::negacyclic_multiply`] applies after its
-    /// inverse transform is folded into the cached operand up front (the
-    /// transforms are linear, so scaling before the pointwise stage and
-    /// scaling after the inverse pass compute the same residues). Each slot
-    /// also carries a Shoup constant, so the per-request pointwise stage is
-    /// two multiplications per slot with no reduction branch. Paying the
-    /// forward transform and the Shoup divisions once at provisioning
-    /// removes them — and the scaling pass — from every per-request
-    /// multiply.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n`.
-    pub fn prepare_cached_operand(&self, b: &[u64]) -> CachedNttOperand {
-        let mut values = b.to_vec();
-        self.forward_lazy(&mut values);
-        self.scale_inv_n(&mut values);
-        let shoup = values
-            .iter()
-            .map(|&v| shoup_precompute(v, self.p))
-            .collect();
-        CachedNttOperand { values, shoup }
-    }
-
-    /// Negacyclic convolution against a cached operand from
-    /// [`Self::prepare_cached_operand`]: one forward transform, then a
-    /// single fused inverse in which the first butterfly pass absorbs the
-    /// Shoup pointwise products against the provisioned constants and the
-    /// last pass emits canonical values — no second forward transform, no
-    /// Shoup divisions, no `n^{-1}` scaling pass, and no separate pointwise
-    /// or correction sweeps over the coefficient array.
-    ///
-    /// Bit-identical to `negacyclic_multiply(a, b)`: the fused pointwise
-    /// stage leaves `NTT(a) · (NTT(b)·n^{-1})` as `[0, 2p)` residues the
-    /// inverse butterflies accept, the passes compute `n · INTT(·)` over the
-    /// same residues mod `p` exactly, and linearity moves the folded
-    /// `n^{-1}` to where the eager pipeline applies it. Both paths end
-    /// canonical, so equal residues mean equal bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != n` or the operand was prepared for another `n`.
-    // hesgx-lint: hot
-    pub fn negacyclic_multiply_cached(&self, a: &[u64], cached: &CachedNttOperand) -> Vec<u64> {
-        let _prof = prof::span("bfv.ntt.negacyclic_cached");
-        assert_eq!(a.len(), self.n, "operand length != n");
-        assert_eq!(cached.values.len(), self.n, "cached operand length != n");
-        let p = self.p;
-        if self.n == 1 {
-            // Degenerate degree: the transforms are the identity.
-            return vec![mul_mod_shoup(
-                a[0] % p,
-                cached.values[0],
-                cached.shoup[0],
-                p,
-            )];
-        }
-        let mut fa = a.to_vec();
-        self.forward_lazy(&mut fa);
-        self.inverse_lazy_fused(&mut fa, cached);
-        fa
-    }
-
-    /// Inverse (GS) butterfly passes with the cached-operand pointwise
-    /// products fused into the first pass and the canonical correction fused
-    /// into the last: inputs in `[0, 4p)` (forward-transform output times
-    /// the canonical cached slots stays below `2^64` inside the Shoup
-    /// product), outputs in `[0, p)`.
-    ///
-    /// The `first`/`last` flags are loop-invariant per pass, so the branches
-    /// predict perfectly; what the fusion buys is two fewer full sweeps over
-    /// the coefficient array per multiply.
-    // hesgx-lint: hot
-    fn inverse_lazy_fused(&self, values: &mut [u64], cached: &CachedNttOperand) {
-        assert_eq!(values.len(), self.n);
-        let p = self.p;
-        let two_p = self.two_p;
-        let mut t = 1;
-        let mut m = self.n;
-        while m > 1 {
-            let h = m >> 1;
-            let first = t == 1;
-            let last = h == 1;
-            for (i, block) in values.chunks_exact_mut(2 * t).enumerate() {
-                let s = self.inv_root_powers[h + i];
-                let s_shoup = self.inv_root_powers_shoup[h + i];
-                let (left, right) = block.split_at_mut(t);
-                for (j, (a, b)) in left.iter_mut().zip(right.iter_mut()).enumerate() {
-                    let (mut u, mut v) = (*a, *b);
-                    if first {
-                        // Pointwise stage, absorbed: `a` sits at global
-                        // index 2ti + j, `b` at 2ti + j + t. Lazy Shoup
-                        // products land both operands in [0, 2p).
-                        let idx = 2 * t * i + j;
-                        u = mul_mod_shoup_lazy(u, cached.values[idx], cached.shoup[idx], p);
-                        v = mul_mod_shoup_lazy(v, cached.values[idx + t], cached.shoup[idx + t], p);
-                    }
-                    // u + v in [0, 4p): one conditional subtract -> [0, 2p).
-                    let d = (u + v).wrapping_sub(two_p);
-                    let sum = d.wrapping_add(two_p & (((d as i64) >> 63) as u64));
-                    // u + 2p - v in (0, 4p) < 2^64; lazy product -> [0, 2p).
-                    let diff = mul_mod_shoup_lazy(u + two_p - v, s, s_shoup, p);
-                    if last {
-                        // Canonical correction, absorbed: [0, 2p) -> [0, p).
-                        let ds = sum.wrapping_sub(p);
-                        *a = ds.wrapping_add(p & (((ds as i64) >> 63) as u64));
-                        let dd = diff.wrapping_sub(p);
-                        *b = dd.wrapping_add(p & (((dd as i64) >> 63) as u64));
-                    } else {
-                        *a = sum;
-                        *b = diff;
-                    }
-                }
-            }
-            t <<= 1;
-            m = h;
-        }
-    }
-
     /// Pre-lazy eager forward transform (every butterfly fully reduces).
     /// Retained as the differential-test oracle and bench baseline.
     ///
@@ -535,26 +399,6 @@ mod tests {
                 negacyclic_multiply_naive(&a, &b, p),
                 "degree {n}"
             );
-        }
-    }
-
-    #[test]
-    fn cached_operand_multiply_is_bit_identical() {
-        for n in [8usize, 64, 256, 1024] {
-            let p = crate::arith::largest_prime_congruent_one(40, 2 * n as u64);
-            let table = NttTable::new(n, p);
-            let mut rng = ChaChaRng::from_seed(1000 + n as u64);
-            let a: Vec<u64> = (0..n).map(|_| rng.next_below(p)).collect();
-            let b: Vec<u64> = (0..n).map(|_| rng.next_below(p)).collect();
-            let cached = table.prepare_cached_operand(&b);
-            let via_cache = table.negacyclic_multiply_cached(&a, &cached);
-            assert_eq!(via_cache, table.negacyclic_multiply(&a, &b), "degree {n}");
-            assert_eq!(
-                via_cache,
-                table.negacyclic_multiply_reference(&a, &b),
-                "degree {n} vs eager reference"
-            );
-            assert!(via_cache.iter().all(|&v| v < p), "canonical range n={n}");
         }
     }
 

@@ -1,0 +1,181 @@
+//! The wire decoders of `hesgx_bfv::serialization` face bytes from outside
+//! the trust boundary (client → edge server, untrusted host → enclave), and
+//! that is why they exist although no serving path inside this workspace
+//! calls them: whatever arrives, they return `Err` — never panic, never
+//! allocate past a length they have validated — and whatever they accept is
+//! a well-formed artifact of the context (every residue below its limb
+//! modulus, every coefficient below `t`).
+
+use hesgx_bfv::context::BfvContext;
+use hesgx_bfv::prelude::*;
+use hesgx_bfv::serialization::*;
+use hesgx_crypto::rng::ChaChaRng;
+use proptest::prelude::*;
+use std::sync::{Arc, OnceLock};
+
+/// Magic + kind tag + context id.
+const HEADER: usize = 37;
+
+struct Fixture {
+    ctx: Arc<BfvContext>,
+    /// Valid encodings: ciphertext, public key, secret key, plaintext.
+    valid: [Vec<u8>; 4],
+}
+
+fn fixture() -> &'static Fixture {
+    static FIX: OnceLock<Fixture> = OnceLock::new();
+    FIX.get_or_init(|| {
+        let ctx = BfvContext::new(presets::test_n256()).unwrap();
+        let mut rng = ChaChaRng::from_seed(404);
+        let keygen = KeyGenerator::new(ctx.clone(), &mut rng);
+        let pt = Plaintext::from_coeffs(vec![1, 2, 3, 4000]);
+        let ct = Encryptor::new(ctx.clone(), keygen.public_key())
+            .encrypt(&pt, &mut rng)
+            .unwrap();
+        Fixture {
+            valid: [
+                ciphertext_to_bytes(&ct),
+                public_key_to_bytes(&keygen.public_key()),
+                secret_key_to_bytes(&keygen.secret_key()),
+                plaintext_to_bytes(&pt),
+            ],
+            ctx,
+        }
+    })
+}
+
+/// Runs decoder `kind` over `data`. An accepted artifact must re-encode to
+/// the very bytes it was read from (the format has one encoding per value,
+/// so nothing unvalidated can ride along) — except the plaintext's context
+/// id, which the format leaves unbound.
+fn decode(kind: usize, data: &[u8]) -> Result<(), BfvError> {
+    let ctx = &fixture().ctx;
+    let reencoded = match kind {
+        0 => ciphertext_to_bytes(&ciphertext_from_bytes(ctx, data)?),
+        1 => public_key_to_bytes(&public_key_from_bytes(ctx, data)?),
+        2 => secret_key_to_bytes(&secret_key_from_bytes(ctx, data)?),
+        _ => {
+            let pt = plaintext_from_bytes(ctx, data)?;
+            let t = ctx.params().plain_modulus();
+            assert!(pt.len() <= ctx.poly_degree() && pt.coeffs().iter().all(|&c| c < t));
+            assert_eq!(plaintext_to_bytes(&pt)[HEADER..], data[HEADER..]);
+            return Ok(());
+        }
+    };
+    assert_eq!(reencoded, data, "decoder {kind} accepted a second encoding");
+    Ok(())
+}
+
+/// Byte offset of residue `j` of limb `limb` of the `poly`-th polynomial in
+/// an encoding whose polynomials start `prefix` bytes after the header.
+fn residue_offset(ctx: &BfvContext, prefix: usize, poly: usize, limb: usize, j: usize) -> usize {
+    let limb_bytes = 8 + 8 * ctx.poly_degree();
+    let poly_bytes = 1 + 8 + ctx.limb_count() * limb_bytes;
+    HEADER + prefix + poly * poly_bytes + 1 + 8 + limb * limb_bytes + 8 + 8 * j
+}
+
+#[test]
+fn residue_at_or_above_its_limb_modulus_is_rejected() {
+    let f = fixture();
+    let n = f.ctx.poly_degree();
+    // (decoder, bytes before the first polynomial, polynomial count)
+    for (kind, prefix, polys) in [(0, 8, 2), (1, 0, 2), (2, 0, 1)] {
+        for poly in 0..polys {
+            for (limb, &qi) in f.ctx.params().coeff_moduli().iter().enumerate() {
+                for j in [0, n / 2, n - 1] {
+                    let at = residue_offset(&f.ctx, prefix, poly, limb, j);
+                    let mut bytes = f.valid[kind].clone();
+                    bytes[at..at + 8].copy_from_slice(&(qi - 1).to_le_bytes());
+                    assert_eq!(decode(kind, &bytes), Ok(()), "q_i - 1 is reduced");
+                    for bad in [qi, qi + 1, u64::MAX] {
+                        bytes[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                        assert_eq!(
+                            decode(kind, &bytes),
+                            Err(BfvError::PlaintextOutOfRange(qi)),
+                            "decoder {kind} poly {poly} limb {limb} slot {j} value {bad}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn oversized_length_prefixes_fail_before_any_allocation() {
+    // Every length field set to values whose allocation would abort the
+    // process if it were attempted before the bound check.
+    let f = fixture();
+    let huge = [u64::MAX, 1 << 60, 1 << 40, f.ctx.poly_degree() as u64 + 1];
+    for kind in 0..4 {
+        // Ciphertext: size, then (form, limb count, limb length); keys: limb
+        // count at +1, limb length at +9; plaintext: coefficient count.
+        let fields: &[usize] = match kind {
+            0 => &[0, 9, 17],
+            1 | 2 => &[1, 9],
+            _ => &[0],
+        };
+        for &field in fields {
+            for &len in &huge {
+                let mut bytes = f.valid[kind].clone();
+                bytes[HEADER + field..HEADER + field + 8].copy_from_slice(&len.to_le_bytes());
+                assert!(
+                    decode(kind, &bytes).is_err(),
+                    "decoder {kind} field {field}"
+                );
+                // The same header with nothing behind it.
+                bytes.truncate(HEADER + field + 8);
+                assert!(decode(kind, &bytes).is_err());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_bytes_are_an_error(
+        body in proptest::collection::vec(any::<u8>(), 0..4096usize),
+        with_header in any::<bool>(),
+    ) {
+        for kind in 0..4 {
+            // Half the cases get a valid magic/kind/context-id so the body
+            // reaches the structural checks instead of dying at the magic.
+            let mut data = Vec::new();
+            if with_header {
+                data.extend_from_slice(&fixture().valid[kind][..HEADER]);
+            }
+            data.extend_from_slice(&body);
+            prop_assert!(decode(kind, &data).is_err(), "decoder {kind} accepted noise");
+        }
+    }
+
+    #[test]
+    fn mutated_valid_encodings_never_panic(
+        at in any::<usize>(),
+        word in any::<u64>(),
+        mode in 0u8..7,
+    ) {
+        for kind in 0..4 {
+            let mut bytes = fixture().valid[kind].clone();
+            let at = at % bytes.len();
+            match mode {
+                0 => bytes[at] ^= 1 << (word % 8),
+                1 => bytes.truncate(at),
+                2 => bytes.extend_from_slice(&word.to_le_bytes()[..1 + at % 8]),
+                // An 8-byte field overwritten with a boundary or random word.
+                _ => {
+                    let at = at.min(bytes.len() - 8);
+                    let value = [0, u64::MAX, 1 << 40, word][usize::from(mode - 3)];
+                    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                }
+            }
+            // Either outcome is fine; `decode` asserts what acceptance means.
+            let accepted = decode(kind, &bytes).is_ok();
+            if mode == 1 || mode == 2 {
+                prop_assert!(!accepted, "decoder {kind} accepted a resized encoding");
+            }
+        }
+    }
+}

@@ -11,7 +11,7 @@ use crate::keydist::{
 };
 use crate::planner::{plan_for, EcallBatching, InferencePlan, Placement, PoolStrategy, Stage};
 use crate::request::ServePolicy;
-use crate::sgx_ops::{sum_costs, InferenceEnclave};
+use crate::sgx_ops::InferenceEnclave;
 use hesgx_bfv::prelude::EvaluationKeys;
 use hesgx_chaos::FaultHook;
 use hesgx_crypto::rng::ChaChaRng;
@@ -272,7 +272,7 @@ impl HybridInference {
             // The key-ceremony ECALL already recorded its own `ecall.*` span;
             // `session.provision` is the session-level rollup of the same
             // modeled cost plus the untrusted-side wall time around it.
-            let mut span = ceremony.keygen_cost.span_cost();
+            let mut span = ceremony.keygen_cost;
             span.real_ns = provision_start.elapsed_ns();
             config.recorder.record_span("session.provision", span);
         }
@@ -340,7 +340,7 @@ impl HybridInference {
         if !self.recorder.is_enabled() {
             return;
         }
-        let mut span = enclave.map(|c| c.span_cost()).unwrap_or_default();
+        let mut span = enclave.copied().unwrap_or_default();
         if enclave.is_none() {
             span.real_ns = wall.as_nanos() as u64;
         }
@@ -479,7 +479,7 @@ impl HybridInference {
             let (c, h, w) = pooled.shape();
             let fresh = EncryptedMap::new(c, h, w, fresh);
             let after = self.probe_gauge(layer, "post", fresh.cells())?;
-            let cost = sum_costs(probe_cost, cost);
+            let cost = probe_cost.saturating_add(cost);
             (fresh, cost, "Noise Refresh (SGX inside)", after)
         } else {
             self.recorder.incr(counters::NOISE_REFRESH_SKIPS, 1);
@@ -579,7 +579,7 @@ impl HybridInference {
         }
     }
 
-    /// Runs `plan` over `input`: one [`HybridInference::run_stage`] per
+    /// Runs `plan` over `input`: one `HybridInference::run_stage` per
     /// [`Stage`], each stage's map feeding the next. Returns the last map's
     /// cells — the encrypted logits — plus the metrics.
     ///
@@ -648,7 +648,7 @@ pub fn total_enclave_cost(metrics: &HybridMetrics) -> CostBreakdown {
         .stages
         .iter()
         .filter_map(|s| s.enclave)
-        .fold(CostBreakdown::default(), sum_costs)
+        .fold(CostBreakdown::default(), CostBreakdown::saturating_add)
 }
 
 #[cfg(test)]

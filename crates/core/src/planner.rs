@@ -14,8 +14,7 @@
 //! fallback is the same model compiled with [`Placement::PureHe`], and the
 //! Fig. 8 control groups are the exact plan with one stage swapped.
 
-use crate::request::{Ingress, NoiseRefresh, ServePolicy};
-use hesgx_crypto::transcipher;
+use crate::request::{NoiseRefresh, ServePolicy};
 use hesgx_henn::layers::HeLayer;
 use hesgx_nn::quantize::QuantizedCnn;
 use serde::{Deserialize, Serialize};
@@ -137,31 +136,6 @@ pub fn plan_for(model: &QuantizedCnn, policy: &ServePolicy, placement: Placement
     }
 }
 
-/// Minimum upload-bytes reduction before the planner recommends shipping a
-/// request transciphered instead of as FV ciphertexts. Transcipherment costs
-/// an extra ECALL (stream decrypt + in-enclave FV re-encryption), so a
-/// marginal byte win does not justify the switch; in practice the ratio at
-/// the paper's parameters is hundreds-fold, far past this bar (DESIGN.md §17).
-pub const TRANSCIPHER_MIN_GAIN: u64 = 8;
-
-/// Recommends the ingress mode for a `batch`-image request against a model
-/// with `pixels` inputs, given the byte length of one FV ciphertext at the
-/// session's parameters.
-///
-/// FV ingress uploads one ciphertext per pixel (the batch rides the SIMD
-/// slots, so the count does not grow with the batch); transciphered ingress
-/// uploads the framed stream payload. The planner picks [`Ingress::Transciphered`]
-/// when that shrinks the upload by at least [`TRANSCIPHER_MIN_GAIN`]×.
-pub fn recommend_ingress(ciphertext_bytes: usize, pixels: usize, batch: usize) -> Ingress {
-    let fv_upload = (ciphertext_bytes as u64).saturating_mul(pixels as u64);
-    let tc_upload = transcipher::payload_len(batch, pixels) as u64;
-    if fv_upload >= tc_upload.saturating_mul(TRANSCIPHER_MIN_GAIN) {
-        Ingress::Transciphered
-    } else {
-        Ingress::FvCiphertext
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,16 +147,6 @@ mod tests {
         assert_eq!(PoolStrategy::select(3), PoolStrategy::SgxDiv);
         assert_eq!(PoolStrategy::select(4), PoolStrategy::SgxDiv);
         assert_eq!(PoolStrategy::select(12), PoolStrategy::SgxDiv);
-    }
-
-    #[test]
-    fn ingress_recommendation_follows_the_upload_ratio() {
-        // Paper-scale ciphertexts (tens of KB per pixel) dwarf the 4-byte
-        // quantized pixels of the stream payload → transcipher.
-        assert_eq!(recommend_ingress(16_384, 784, 10), Ingress::Transciphered);
-        // Tiny toy ciphertexts under the gain bar (fv = 32·16 = 512 bytes
-        // vs an 8× bar over the 117-byte payload) → keep FV ingress.
-        assert_eq!(recommend_ingress(32, 16, 1), Ingress::FvCiphertext);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! thread counts is the contract the chaos property tests pin.
 
 use crate::error::Result;
-use crate::sgx_ops::sum_costs;
 use hesgx_chaos::{FaultHook, FaultSite, RecoveryEvent};
 use hesgx_obs::{counters, Recorder};
 use hesgx_tee::cost::CostBreakdown;
@@ -85,8 +84,8 @@ pub fn retry_with_cost<T>(
     let mut last_site: Option<FaultSite> = None;
     loop {
         let (result, cost) = op();
-        total = sum_costs(total, cost);
-        recorder.record_span("recovery.retry", cost.span_cost());
+        total = total.saturating_add(cost);
+        recorder.record_span("recovery.retry", cost);
         recorder.incr(counters::RECOVERY_ATTEMPTS, 1);
         attempts += 1;
         match result {

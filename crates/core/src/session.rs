@@ -16,7 +16,8 @@
 //!
 //! The session is also where the recovery ladder (DESIGN.md §11) lives:
 //! transient enclave faults retry inside the pipeline under the
-//! [`RecoveryPolicy`], sealed-state corruption triggers a bounded
+//! [`RecoveryPolicy`](crate::recovery::RecoveryPolicy), sealed-state
+//! corruption triggers a bounded
 //! re-provision (same seed → identical keys, so the user's material stays
 //! valid), and a request sent with [`Resilience::Degrade`] falls back to the
 //! service's pure-HE plan — marked [`Served::Degraded`] — when retries are

@@ -15,7 +15,7 @@
 //! and key-load costs amortize; the `*_single_ecalls` variants reproduce the
 //! pathological per-pixel design Fig. 8 calls `EncryptSGX (single)`.
 //!
-//! All of them run on one skeleton, [`InferenceEnclave::batched_ecall`]: one
+//! All of them run on one skeleton, `InferenceEnclave::batched_ecall`: one
 //! fallible ECALL per logical call under the retry policy, per-cell work
 //! scheduled on the caller's [`ParExec`] inside the enclave body (a pool of
 //! one runs it inline) with its CPU time reported to the cost model.
@@ -326,7 +326,7 @@ impl InferenceEnclave {
                     .pop()
                     .ok_or(Error::Internal("single-cell transform returned no cell"))?,
             );
-            total = sum_costs(total, cost);
+            total = total.saturating_add(cost);
         }
         Ok((EncryptedMap::new(c, h, w, out), total))
     }
@@ -603,16 +603,6 @@ impl InferenceEnclave {
     }
 }
 
-/// Sums two cost breakdowns term-wise.
-///
-/// Delegates to [`CostBreakdown::saturating_add`] so every fold path in the
-/// workspace — retry accumulation, pipeline metrics, report totals — shares
-/// one saturating primitive instead of each re-implementing (and one of them
-/// wrapping) the arithmetic.
-pub fn sum_costs(a: CostBreakdown, b: CostBreakdown) -> CostBreakdown {
-    a.saturating_add(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,7 +752,7 @@ mod tests {
         let mut single_total = CostBreakdown::default();
         for ct in &cts {
             let (_, c) = ie.refresh_one(&sys, ct).unwrap();
-            single_total = sum_costs(single_total, c);
+            single_total = single_total.saturating_add(c);
         }
         assert!(single_total.transition_ns > batched.transition_ns);
     }
@@ -1061,35 +1051,5 @@ mod tests {
             .span("ecall.ecall_DecreaseNoise")
             .expect("refresh crossing recorded");
         assert_eq!(ecall.entries, 1);
-    }
-
-    #[test]
-    fn sum_costs_saturates_near_u64_max() {
-        let big = CostBreakdown {
-            real_ns: u64::MAX - 5,
-            slowdown_ns: u64::MAX,
-            transition_ns: u64::MAX - 1,
-            copy_ns: 10,
-            paging_ns: u64::MAX / 2,
-            jitter_ns: i64::MAX - 1,
-        };
-        let other = CostBreakdown {
-            real_ns: 100,
-            slowdown_ns: 1,
-            transition_ns: 1,
-            copy_ns: 20,
-            paging_ns: u64::MAX / 2 + 10,
-            jitter_ns: 100,
-        };
-        let sum = sum_costs(big, other);
-        assert_eq!(sum.real_ns, u64::MAX);
-        assert_eq!(sum.slowdown_ns, u64::MAX);
-        assert_eq!(sum.transition_ns, u64::MAX);
-        assert_eq!(sum.copy_ns, 30);
-        assert_eq!(sum.paging_ns, u64::MAX);
-        assert_eq!(sum.jitter_ns, i64::MAX);
-        // A saturated breakdown's total pins at the ceiling instead of
-        // wrapping back toward zero.
-        assert_eq!(sum.total_ns(), u64::MAX);
     }
 }

@@ -81,8 +81,7 @@ fn per_layer_obs_totals_reconcile_with_pipeline_metrics() {
         acc.saturating_add(s.cost)
     });
     assert_eq!(
-        folded,
-        total.span_cost(),
+        folded, total,
         "obs per-layer totals must reconcile ns-for-ns with total_enclave_cost"
     );
     // total_ns agrees too (same fields, same saturating arithmetic).

@@ -10,7 +10,7 @@
 //! [`ct_eq`] folds the XOR of every byte pair into one accumulator and only
 //! inspects the accumulator at the end, so the data-dependent work is
 //! identical for every input of a given length. The fold itself is factored
-//! into [`xor_fold`] so tests can instrument it and prove that a first-byte
+//! into `xor_fold` so tests can instrument it and prove that a first-byte
 //! mismatch still visits the full slice.
 
 use std::hint::black_box;

@@ -1,4 +1,4 @@
-//! Plaintext-CRT arithmetic over FV — the CryptoNets technique (paper [16])
+//! Plaintext-CRT arithmetic over FV — the CryptoNets technique (paper \[16\])
 //! for dynamic ranges larger than one plaintext modulus.
 //!
 //! A logical value is encrypted once per plaintext modulus `t_i` (all moduli
@@ -44,18 +44,6 @@ impl CrtCiphertext {
     /// Largest component ciphertext size (2 fresh, 3 after a multiply).
     pub fn size(&self) -> usize {
         self.parts.iter().map(|c| c.size()).max().unwrap_or(0)
-    }
-
-    /// A copy whose limb buffers are drawn from `arena` instead of the
-    /// global allocator. Bit-identical to [`Clone::clone`].
-    pub fn arena_copy(&self, arena: &PolyArena) -> CrtCiphertext {
-        CrtCiphertext {
-            parts: self
-                .parts
-                .iter()
-                .map(|p| arena.copy_ciphertext(p))
-                .collect(),
-        }
     }
 
     /// Returns every limb buffer of a consumed ciphertext to `arena`.
@@ -366,6 +354,44 @@ impl CrtPlainSystem {
             .collect())
     }
 
+    /// The evaluator of CRT part `part` — the limb-level entry point of the
+    /// layer kernels in [`crate::ops`], which schedule cells × parts as
+    /// independent tasks and call the per-part FV operations directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part >= self.part_count()`.
+    pub fn evaluator(&self, part: usize) -> &Evaluator {
+        &self.evaluators[part]
+    }
+
+    /// `value` reduced into part `part`'s plaintext space, as the centered
+    /// representative in `(-t/2, t/2]` (minimal noise growth as a multiplier).
+    fn centered(&self, value: i64, part: usize) -> i64 {
+        let t = self.moduli[part] as i64;
+        let reduced = value.rem_euclid(t);
+        if reduced > t / 2 {
+            reduced - t
+        } else {
+            reduced
+        }
+    }
+
+    /// Applies `op` to every part of `a` with that part's evaluator.
+    fn map_parts(
+        &self,
+        a: &CrtCiphertext,
+        mut op: impl FnMut(usize, &Evaluator, &Ciphertext) -> hesgx_bfv::error::Result<Ciphertext>,
+    ) -> hesgx_bfv::error::Result<CrtCiphertext> {
+        let parts = self
+            .evaluators
+            .iter()
+            .enumerate()
+            .map(|(i, eval)| op(i, eval, &a.parts[i]))
+            .collect::<hesgx_bfv::error::Result<_>>()?;
+        Ok(CrtCiphertext { parts })
+    }
+
     /// `a += b`, component-wise.
     ///
     /// # Errors
@@ -376,30 +402,15 @@ impl CrtPlainSystem {
         a: &mut CrtCiphertext,
         b: &CrtCiphertext,
     ) -> hesgx_bfv::error::Result<()> {
-        for i in 0..self.evaluators.len() {
-            self.add_inplace_part(&mut a.parts[i], &b.parts[i], i)?;
+        for (i, eval) in self.evaluators.iter().enumerate() {
+            eval.add_inplace(&mut a.parts[i], &b.parts[i])?;
         }
         Ok(())
     }
 
-    /// `a += b` on CRT part `part` only — the limb-level entry point used by
-    /// the parallel engine ([`crate::par`]), which schedules limbs as
-    /// independent tasks. Applying the part-level ops in the same per-limb
-    /// order as the whole-ciphertext op yields bit-identical parts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn add_inplace_part(
-        &self,
-        a: &mut Ciphertext,
-        b: &Ciphertext,
-        part: usize,
-    ) -> hesgx_bfv::error::Result<()> {
-        self.evaluators[part].add_inplace(a, b)
-    }
-
-    /// Multiplies by a signed integer constant (applied to all slots).
+    /// Multiplies by a signed integer constant (applied to all slots),
+    /// re-deriving the weight form on every call — the raw-weight oracle of
+    /// [`CrtPlainSystem::prepare_scalar`].
     ///
     /// # Errors
     ///
@@ -409,33 +420,9 @@ impl CrtPlainSystem {
         a: &CrtCiphertext,
         value: i64,
     ) -> hesgx_bfv::error::Result<CrtCiphertext> {
-        let mut parts = Vec::with_capacity(a.parts.len());
-        for i in 0..self.evaluators.len() {
-            parts.push(self.mul_scalar_part(&a.parts[i], value, i)?);
-        }
-        Ok(CrtCiphertext { parts })
-    }
-
-    /// Scalar multiply of CRT part `part` only (limb-level entry point).
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn mul_scalar_part(
-        &self,
-        a: &Ciphertext,
-        value: i64,
-        part: usize,
-    ) -> hesgx_bfv::error::Result<Ciphertext> {
-        let t = self.moduli[part] as i64;
-        let reduced = value.rem_euclid(t);
-        // Use the centered representative for minimal noise growth.
-        let centered = if reduced > t / 2 {
-            reduced - t
-        } else {
-            reduced
-        };
-        self.evaluators[part].mul_plain_signed_scalar(a, centered)
+        self.map_parts(a, |i, eval, part| {
+            eval.mul_plain_signed_scalar(part, self.centered(value, i))
+        })
     }
 
     /// Prepares a signed scalar weight once for repeated multiplication —
@@ -446,88 +433,17 @@ impl CrtPlainSystem {
     ///
     /// Propagates component failures.
     pub fn prepare_scalar(&self, value: i64) -> hesgx_bfv::error::Result<CrtPreparedScalar> {
-        let mut parts = Vec::with_capacity(self.moduli.len());
-        for part in 0..self.moduli.len() {
-            let t = self.moduli[part] as i64;
-            let reduced = value.rem_euclid(t);
-            let centered = if reduced > t / 2 {
-                reduced - t
-            } else {
-                reduced
-            };
-            parts.push(self.evaluators[part].prepare_plain_scalar(centered)?);
-        }
+        let parts = self
+            .evaluators
+            .iter()
+            .enumerate()
+            .map(|(i, eval)| eval.prepare_plain_scalar(self.centered(value, i)))
+            .collect::<hesgx_bfv::error::Result<_>>()?;
         Ok(CrtPreparedScalar { parts })
     }
 
-    /// Prepared scalar multiply of part `part`, drawing the output's limb
-    /// buffers from `arena`. Bit-identical to
-    /// [`CrtPlainSystem::mul_scalar_part`] with the original value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn mul_scalar_prepared_arena_part(
-        &self,
-        a: &Ciphertext,
-        scalar: &PlainScalar,
-        arena: &PolyArena,
-        part: usize,
-    ) -> hesgx_bfv::error::Result<Ciphertext> {
-        self.evaluators[part].mul_plain_scalar_arena(a, scalar, arena)
-    }
-
-    /// Fused multiply-accumulate `acc += a · w` on CRT part `part` — the
-    /// conv/FC inner loop without the temporary ciphertext. Accumulated
-    /// values are bit-identical to [`CrtPlainSystem::mul_scalar_part`]
-    /// followed by [`CrtPlainSystem::add_inplace_part`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn mul_scalar_acc_part(
-        &self,
-        acc: &mut Ciphertext,
-        a: &Ciphertext,
-        scalar: &PlainScalar,
-        part: usize,
-    ) -> hesgx_bfv::error::Result<()> {
-        self.evaluators[part].mul_plain_scalar_acc(acc, a, scalar)
-    }
-
-    /// Caches the evaluation (NTT) form of an encoded-weight plaintext for
-    /// CRT part `part` — the per-call centering + forward transform that a
-    /// plain `mul_plain` redoes per request, done once at weight
-    /// provisioning.
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn transform_plain_part(
-        &self,
-        plain: &Plaintext,
-        part: usize,
-    ) -> hesgx_bfv::error::Result<NttPlaintext> {
-        self.evaluators[part].transform_plain_to_ntt(plain)
-    }
-
-    /// Multiplies part `part` by a cached evaluation-form plaintext —
-    /// bit-identical to the evaluator's `mul_plain` without the per-call
-    /// transform.
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn mul_plain_ntt_part(
-        &self,
-        a: &Ciphertext,
-        plain: &NttPlaintext,
-        part: usize,
-    ) -> hesgx_bfv::error::Result<Ciphertext> {
-        self.evaluators[part].mul_plain_ntt(a, plain)
-    }
-
-    /// Adds a signed integer constant (to all slots).
+    /// Adds a signed integer constant (to all slots), embedding `Δ·c` on
+    /// every call — the raw-weight oracle of [`CrtPlainSystem::prepare_bias`].
     ///
     /// # Errors
     ///
@@ -537,27 +453,10 @@ impl CrtPlainSystem {
         a: &CrtCiphertext,
         value: i64,
     ) -> hesgx_bfv::error::Result<CrtCiphertext> {
-        let mut parts = Vec::with_capacity(a.parts.len());
-        for i in 0..self.evaluators.len() {
-            parts.push(self.add_scalar_part(&a.parts[i], value, i)?);
-        }
-        Ok(CrtCiphertext { parts })
-    }
-
-    /// Scalar add on CRT part `part` only (limb-level entry point).
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn add_scalar_part(
-        &self,
-        a: &Ciphertext,
-        value: i64,
-        part: usize,
-    ) -> hesgx_bfv::error::Result<Ciphertext> {
-        let t = self.moduli[part];
-        let residue = value.rem_euclid(t as i64) as u64;
-        self.evaluators[part].add_plain(a, &Plaintext::constant(residue))
+        self.map_parts(a, |i, eval, part| {
+            let residue = value.rem_euclid(self.moduli[i] as i64) as u64;
+            eval.add_plain(part, &Plaintext::constant(residue))
+        })
     }
 
     /// Prepares a bias constant once for repeated in-place addition —
@@ -568,29 +467,13 @@ impl CrtPlainSystem {
     ///
     /// Propagates component failures.
     pub fn prepare_bias(&self, value: i64) -> hesgx_bfv::error::Result<CrtPreparedBias> {
-        let mut parts = Vec::with_capacity(self.moduli.len());
-        for part in 0..self.moduli.len() {
-            let t = self.moduli[part];
-            let residue = value.rem_euclid(t as i64) as u64;
-            parts.push(self.evaluators[part].prepare_plain_bias(residue)?);
-        }
+        let parts = self
+            .evaluators
+            .iter()
+            .zip(&self.moduli)
+            .map(|(eval, &t)| eval.prepare_plain_bias(value.rem_euclid(t as i64) as u64))
+            .collect::<hesgx_bfv::error::Result<_>>()?;
         Ok(CrtPreparedBias { parts })
-    }
-
-    /// Adds a prepared bias in place on CRT part `part`. Values are
-    /// bit-identical to [`CrtPlainSystem::add_scalar_part`] with the original
-    /// constant (pinned by the bfv evaluator tests), with no allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn add_bias_inplace_part(
-        &self,
-        a: &mut Ciphertext,
-        bias: &PreparedBias,
-        part: usize,
-    ) -> hesgx_bfv::error::Result<()> {
-        self.evaluators[part].add_plain_bias_inplace(a, bias)
     }
 
     /// Slot-wise square (`C × C` multiply). Output parts have size 3 until
@@ -600,20 +483,7 @@ impl CrtPlainSystem {
     ///
     /// Propagates component failures.
     pub fn square(&self, a: &CrtCiphertext) -> hesgx_bfv::error::Result<CrtCiphertext> {
-        let mut parts = Vec::with_capacity(a.parts.len());
-        for i in 0..self.evaluators.len() {
-            parts.push(self.square_part(&a.parts[i], i)?);
-        }
-        Ok(CrtCiphertext { parts })
-    }
-
-    /// Square of CRT part `part` only (limb-level entry point).
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn square_part(&self, a: &Ciphertext, part: usize) -> hesgx_bfv::error::Result<Ciphertext> {
-        self.evaluators[part].square(a)
+        self.map_parts(a, |_, eval, part| eval.square(part))
     }
 
     /// Relinearizes all parts back to size 2.
@@ -626,25 +496,7 @@ impl CrtPlainSystem {
         a: &CrtCiphertext,
         keys: &[EvaluationKeys],
     ) -> hesgx_bfv::error::Result<CrtCiphertext> {
-        let mut parts = Vec::with_capacity(a.parts.len());
-        for i in 0..self.evaluators.len() {
-            parts.push(self.relinearize_part(&a.parts[i], keys, i)?);
-        }
-        Ok(CrtCiphertext { parts })
-    }
-
-    /// Relinearization of CRT part `part` only (limb-level entry point).
-    ///
-    /// # Errors
-    ///
-    /// Propagates component failures.
-    pub fn relinearize_part(
-        &self,
-        a: &Ciphertext,
-        keys: &[EvaluationKeys],
-        part: usize,
-    ) -> hesgx_bfv::error::Result<Ciphertext> {
-        self.evaluators[part].relinearize(a, &keys[part])
+        self.map_parts(a, |i, eval, part| eval.relinearize(part, &keys[i]))
     }
 
     /// Minimum invariant-noise budget over the parts.
@@ -765,78 +617,48 @@ mod tests {
 
     #[test]
     fn prepared_scalar_and_bias_match_uncached_bitwise() {
-        let (sys, keys, mut rng) = system();
-        let arena = PolyArena::new();
-        let a = sys
-            .encrypt_slots(&[10, -20, 7], &keys.public, &mut rng)
-            .unwrap();
-        for v in [-9_000i64, -1, 0, 1, 4, 11_000] {
-            let prepared = sys.prepare_scalar(v).unwrap();
-            let bias = sys.prepare_bias(v).unwrap();
-            for part in 0..sys.part_count() {
-                let x = &a.parts[part];
-                let term = sys.mul_scalar_part(x, v, part).unwrap();
-                assert_eq!(
-                    sys.mul_scalar_prepared_arena_part(x, prepared.part(part), &arena, part)
-                        .unwrap(),
-                    term,
-                    "prepared multiply diverged for {v}"
-                );
-                // Fused accumulate vs multiply-then-add.
-                let mut fused = x.clone();
-                sys.mul_scalar_acc_part(&mut fused, x, prepared.part(part), part)
-                    .unwrap();
-                let mut want = x.clone();
-                sys.add_inplace_part(&mut want, &term, part).unwrap();
-                assert_eq!(fused, want, "fused accumulate diverged for {v}");
-
-                let mut got = x.clone();
-                sys.add_bias_inplace_part(&mut got, bias.part(part), part)
-                    .unwrap();
-                assert_eq!(
-                    got,
-                    sys.add_scalar_part(x, v, part).unwrap(),
-                    "prepared bias diverged for {v}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn arena_prepared_multiply_is_bit_identical() {
-        let (sys, keys, mut rng) = system();
-        let arena = PolyArena::new();
-        let a = sys
-            .encrypt_slots(&[42, -3], &keys.public, &mut rng)
-            .unwrap();
-        let prepared = sys.prepare_scalar(-6).unwrap();
-        for part in 0..sys.part_count() {
-            let got = sys
-                .mul_scalar_prepared_arena_part(&a.parts[part], prepared.part(part), &arena, part)
+        // The only test of the CRT centering: the prepared per-part forms,
+        // applied through `evaluator(i)` as the layer kernels do, against the
+        // whole-ciphertext raw-value oracles — at both part counts.
+        for sys in [
+            CrtPlainSystem::new(256, &[12289, 13313]).unwrap(),
+            CrtPlainSystem::for_range(256, 20).unwrap(),
+        ] {
+            let mut rng = ChaChaRng::from_seed(41);
+            let keys = sys.generate_keys(&mut rng);
+            let arena = PolyArena::new();
+            let a = sys
+                .encrypt_slots(&[10, -20, 7], &keys.public, &mut rng)
                 .unwrap();
-            assert_eq!(got, sys.mul_scalar_part(&a.parts[part], -6, part).unwrap());
-            arena.recycle_ciphertext(got);
-        }
-        assert!(arena.free_buffers() > 0);
-    }
+            for v in [-9_000i64, -1, 0, 1, 4, 11_000] {
+                let prepared = sys.prepare_scalar(v).unwrap();
+                let bias = sys.prepare_bias(v).unwrap();
+                let term = sys.mul_scalar(&a, v).unwrap();
+                let mut sum = a.clone();
+                sys.add_inplace(&mut sum, &term).unwrap();
+                let biased = sys.add_scalar(&a, v).unwrap();
+                let slots = sys.decrypt_slots(&term, &keys.secret).unwrap();
+                assert_eq!(slots[..3], [10 * v as i128, -20 * v as i128, 7 * v as i128]);
+                for part in 0..sys.part_count() {
+                    let (eval, x) = (sys.evaluator(part), a.part(part));
+                    assert_eq!(
+                        eval.mul_plain_scalar_arena(x, prepared.part(part), &arena)
+                            .unwrap(),
+                        term.parts[part],
+                        "prepared multiply diverged for {v}"
+                    );
+                    // Fused accumulate vs multiply-then-add.
+                    let mut fused = x.clone();
+                    eval.mul_plain_scalar_acc(&mut fused, x, prepared.part(part))
+                        .unwrap();
+                    assert_eq!(fused, sum.parts[part], "fused accumulate diverged for {v}");
 
-    #[test]
-    fn cached_ntt_plain_part_matches_per_call_transform() {
-        let (sys, keys, mut rng) = system();
-        let a = sys.encrypt_slots(&[5, -2], &keys.public, &mut rng).unwrap();
-        // A low-norm integer-encoded weight, as produced by the SEAL-style
-        // encoder: a few small signed digits.
-        let plain = Plaintext::from_coeffs(vec![3, 0, 1, 12288]);
-        for part in 0..sys.part_count() {
-            let cached = sys.transform_plain_part(&plain, part).unwrap();
-            assert_eq!(
-                sys.mul_plain_ntt_part(&a.parts[part], &cached, part)
-                    .unwrap(),
-                sys.evaluators[part]
-                    .mul_plain(&a.parts[part], &plain)
-                    .unwrap(),
-                "part {part}"
-            );
+                    let mut got = x.clone();
+                    eval.add_plain_bias_inplace(&mut got, bias.part(part))
+                        .unwrap();
+                    assert_eq!(got, biased.parts[part], "prepared bias diverged for {v}");
+                }
+            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! The pure-HE baseline: CryptoNets-style inference (paper [16], the
+//! The pure-HE baseline: CryptoNets-style inference (paper \[16\], the
 //! `Encrypted` scheme of Fig. 8).
 //!
 //! Pipeline: homomorphic convolution → square activation (ciphertext ×

@@ -2,7 +2,7 @@
 //!
 //! Homomorphic neural-network layers over `hesgx-bfv`, and the pure-HE
 //! baseline the paper compares against (`Encrypted` in Fig. 8 — the
-//! CryptoNets scheme of reference [16]).
+//! CryptoNets scheme of reference \[16\]).
 //!
 //! Data layout: an encrypted feature map holds **one ciphertext per pixel
 //! position** with the image batch riding in the SIMD slots
@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod approx;
 pub mod crt;
 pub mod cryptonets;
 pub mod image;

@@ -77,6 +77,7 @@ fn conv_cell_part(
     part: usize,
     arena: &PolyArena,
 ) -> Result<Ciphertext> {
+    let eval = sys.evaluator(part);
     let mut acc: Option<Ciphertext> = None;
     for i in 0..in_channels {
         for ky in 0..kernel {
@@ -85,14 +86,14 @@ fn conv_cell_part(
                     bank.scalars[((o * in_channels + i) * kernel + ky) * kernel + kx].part(part);
                 let x = &input.cell(i, oy * stride + ky, ox * stride + kx).parts[part];
                 match acc.as_mut() {
-                    None => acc = Some(sys.mul_scalar_prepared_arena_part(x, wgt, arena, part)?),
-                    Some(a) => sys.mul_scalar_acc_part(a, x, wgt, part)?,
+                    None => acc = Some(eval.mul_plain_scalar_arena(x, wgt, arena)?),
+                    Some(a) => eval.mul_plain_scalar_acc(a, x, wgt)?,
                 }
             }
         }
     }
     let mut acc = acc.expect("kernel is non-empty");
-    sys.add_bias_inplace_part(&mut acc, bank.biases[o].part(part), part)?;
+    eval.add_plain_bias_inplace(&mut acc, bank.biases[o].part(part))?;
     Ok(acc)
 }
 
@@ -206,23 +207,17 @@ pub fn he_fully_connected(
     let n_parts = sys.part_count();
     let parts = pool.try_run(out_dim * n_parts, |t| -> Result<Ciphertext> {
         let (o, part) = (t / n_parts, t % n_parts);
+        let eval = sys.evaluator(part);
         let mut acc: Option<Ciphertext> = None;
         for (i, cell) in input.cells().iter().enumerate() {
-            let wgt = bank.scalars[o * flat + i].part(part);
+            let (x, wgt) = (&cell.parts[part], bank.scalars[o * flat + i].part(part));
             match acc.as_mut() {
-                None => {
-                    acc = Some(sys.mul_scalar_prepared_arena_part(
-                        &cell.parts[part],
-                        wgt,
-                        arena,
-                        part,
-                    )?);
-                }
-                Some(a) => sys.mul_scalar_acc_part(a, &cell.parts[part], wgt, part)?,
+                None => acc = Some(eval.mul_plain_scalar_arena(x, wgt, arena)?),
+                Some(a) => eval.mul_plain_scalar_acc(a, x, wgt)?,
             }
         }
         let mut acc = acc.expect("FC input non-empty");
-        sys.add_bias_inplace_part(&mut acc, bank.biases[o].part(part), part)?;
+        eval.add_plain_bias_inplace(&mut acc, bank.biases[o].part(part))?;
         Ok(acc)
     })?;
     counter.ct_pt_mul += (out_dim * flat) as u64;
@@ -265,6 +260,7 @@ pub fn he_scaled_mean_pool(
         let ch = ci / (oh * ow);
         let rem = ci % (oh * ow);
         let (oy, ox) = (rem / ow, rem % ow);
+        let eval = sys.evaluator(part);
         let mut acc = arena.copy_ciphertext(&input.cell(ch, oy * window, ox * window).parts[part]);
         for dy in 0..window {
             for dx in 0..window {
@@ -272,7 +268,7 @@ pub fn he_scaled_mean_pool(
                     continue;
                 }
                 let other = input.cell(ch, oy * window + dy, ox * window + dx);
-                sys.add_inplace_part(&mut acc, &other.parts[part], part)?;
+                eval.add_inplace(&mut acc, &other.parts[part])?;
             }
         }
         Ok(acc)
@@ -307,8 +303,8 @@ pub fn he_square_activation(
     let n_parts = sys.part_count();
     let parts = pool.try_run(n_cells * n_parts, |t| {
         let (ci, part) = (t / n_parts, t % n_parts);
-        let sq = sys.square_part(&input.cells()[ci].parts[part], part)?;
-        sys.relinearize_part(&sq, evk, part)
+        let eval = sys.evaluator(part);
+        eval.relinearize(&eval.square(&input.cells()[ci].parts[part])?, &evk[part])
     })?;
     counter.ct_ct_mul += n_cells as u64;
     counter.relin += n_cells as u64;
@@ -434,11 +430,20 @@ mod tests {
     /// Every kernel is swept over these pool sizes; 1 is the inline path.
     const POOLS: [usize; 3] = [1, 2, 4];
 
-    fn setup() -> (CrtPlainSystem, crate::crt::CrtKeys, ChaChaRng) {
-        let sys = CrtPlainSystem::new(256, &[12289, 13313]).unwrap();
-        let mut rng = ChaChaRng::from_seed(61);
-        let keys = sys.generate_keys(&mut rng);
-        (sys, keys, rng)
+    /// Every test runs on a two-part and a one-part (`for_range`) system, so
+    /// the per-part evaluator path is covered at both part counts.
+    fn setups() -> Vec<(CrtPlainSystem, crate::crt::CrtKeys, ChaChaRng)> {
+        let two = CrtPlainSystem::new(256, &[12289, 13313]).unwrap();
+        let one = CrtPlainSystem::for_range(256, 14).unwrap();
+        assert_eq!((two.part_count(), one.part_count()), (2, 1));
+        [two, one]
+            .into_iter()
+            .map(|sys| {
+                let mut rng = ChaChaRng::from_seed(61);
+                let keys = sys.generate_keys(&mut rng);
+                (sys, keys, rng)
+            })
+            .collect()
     }
 
     fn plain_conv(
@@ -478,223 +483,259 @@ mod tests {
 
     #[test]
     fn conv_matches_plaintext_reference() {
-        let (sys, keys, rng) = setup();
-        let (side, k) = (6, 3);
-        let (images, weights, bias) = conv_case();
-        let enc = EncryptedMap::encrypt_images(
-            &sys,
-            &images,
-            side,
-            &keys.public,
-            &rng,
-            &ParExec::serial(),
-        )
-        .unwrap();
-        let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
-        let arena = PolyArena::new();
-        for threads in POOLS {
-            let mut counter = OpCounter::default();
-            let pool = ParExec::new(threads);
-            let out = he_conv2d(&sys, &enc, &bank, 2, k, 1, &mut counter, &pool, &arena).unwrap();
-            assert_eq!(out.shape(), (2, 4, 4));
-            assert_eq!(counter.ct_pt_mul, 2 * 16 * 9);
-            let dec = out
-                .decrypt_all(&sys, &keys.secret, 2, &ParExec::serial())
-                .unwrap();
-            for (b, img) in images.iter().enumerate() {
-                let expect = plain_conv(img, side, &weights, &bias, 2, k);
-                let expect: Vec<i128> = expect.iter().map(|&v| v as i128).collect();
-                assert_eq!(dec[b], expect, "batch {b}, {threads} threads");
+        for (sys, keys, rng) in setups() {
+            let (side, k) = (6, 3);
+            let (images, weights, bias) = conv_case();
+            let enc = EncryptedMap::encrypt_images(
+                &sys,
+                &images,
+                side,
+                &keys.public,
+                &rng,
+                &ParExec::serial(),
+            )
+            .unwrap();
+            let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
+            let arena = PolyArena::new();
+            for threads in POOLS {
+                let mut counter = OpCounter::default();
+                let pool = ParExec::new(threads);
+                let out =
+                    he_conv2d(&sys, &enc, &bank, 2, k, 1, &mut counter, &pool, &arena).unwrap();
+                assert_eq!(out.shape(), (2, 4, 4));
+                assert_eq!(counter.ct_pt_mul, 2 * 16 * 9);
+                let dec = out
+                    .decrypt_all(&sys, &keys.secret, 2, &ParExec::serial())
+                    .unwrap();
+                for (b, img) in images.iter().enumerate() {
+                    let expect = plain_conv(img, side, &weights, &bias, 2, k);
+                    let expect: Vec<i128> = expect.iter().map(|&v| v as i128).collect();
+                    assert_eq!(dec[b], expect, "batch {b}, {threads} threads");
+                }
             }
         }
     }
 
     #[test]
     fn scaled_pool_sums_windows() {
-        let (sys, keys, rng) = setup();
-        let side = 4;
-        let images = vec![(1..=16i64).collect::<Vec<_>>()];
-        let enc = EncryptedMap::encrypt_images(
-            &sys,
-            &images,
-            side,
-            &keys.public,
-            &rng,
-            &ParExec::serial(),
-        )
-        .unwrap();
-        let arena = PolyArena::new();
-        let mut reference = None;
-        for threads in POOLS {
-            let mut counter = OpCounter::default();
-            let pool = ParExec::new(threads);
-            let pooled = he_scaled_mean_pool(&sys, &enc, 2, &mut counter, &pool, &arena).unwrap();
-            assert_eq!(pooled.shape(), (1, 2, 2));
-            let dec = pooled
-                .decrypt_all(&sys, &keys.secret, 1, &ParExec::serial())
-                .unwrap();
-            // windows: [1,2,5,6]=14, [3,4,7,8]=22, [9,10,13,14]=46, [11,12,15,16]=54.
-            assert_eq!(dec[0], vec![14, 22, 46, 54]);
-            assert_eq!(counter.ct_ct_add, 4 * 3);
-            let cells = pooled.cells().to_vec();
-            assert_eq!(
-                *reference.get_or_insert(cells.clone()),
-                cells,
-                "{threads} threads"
-            );
+        for (sys, keys, rng) in setups() {
+            let side = 4;
+            let images = vec![(1..=16i64).collect::<Vec<_>>()];
+            let enc = EncryptedMap::encrypt_images(
+                &sys,
+                &images,
+                side,
+                &keys.public,
+                &rng,
+                &ParExec::serial(),
+            )
+            .unwrap();
+            let arena = PolyArena::new();
+            // Oracle: whole-ciphertext adds in the kernel's window order.
+            let mut oracle = Vec::new();
+            for (oy, ox) in [(0, 0), (0, 2), (2, 0), (2, 2)] {
+                let mut acc = enc.cell(0, oy, ox).clone();
+                for (dy, dx) in [(0, 1), (1, 0), (1, 1)] {
+                    sys.add_inplace(&mut acc, enc.cell(0, oy + dy, ox + dx))
+                        .unwrap();
+                }
+                oracle.push(acc);
+            }
+            for threads in POOLS {
+                let mut counter = OpCounter::default();
+                let pool = ParExec::new(threads);
+                let pooled =
+                    he_scaled_mean_pool(&sys, &enc, 2, &mut counter, &pool, &arena).unwrap();
+                assert_eq!(pooled.shape(), (1, 2, 2));
+                let dec = pooled
+                    .decrypt_all(&sys, &keys.secret, 1, &ParExec::serial())
+                    .unwrap();
+                // windows: [1,2,5,6]=14, [3,4,7,8]=22, [9,10,13,14]=46, [11,12,15,16]=54.
+                assert_eq!(dec[0], vec![14, 22, 46, 54]);
+                assert_eq!(counter.ct_ct_add, 4 * 3);
+                assert_eq!(pooled.cells(), oracle, "{threads} threads");
+            }
         }
     }
 
     #[test]
     fn square_activation_squares_slots() {
-        let (sys, keys, rng) = setup();
-        let images = vec![vec![3i64, -4, 0, 12]];
-        let enc =
-            EncryptedMap::encrypt_images(&sys, &images, 2, &keys.public, &rng, &ParExec::serial())
-                .unwrap();
-        let mut reference = None;
-        for threads in POOLS {
-            let mut counter = OpCounter::default();
-            let pool = ParExec::new(threads);
-            let sq =
-                he_square_activation(&sys, &enc, &keys.evaluation, &mut counter, &pool).unwrap();
-            let dec = sq
-                .decrypt_all(&sys, &keys.secret, 1, &ParExec::serial())
-                .unwrap();
-            assert_eq!(dec[0], vec![9, 16, 0, 144]);
-            assert_eq!(counter.ct_ct_mul, 4);
-            assert_eq!(counter.relin, 4);
-            let cells = sq.cells().to_vec();
-            assert_eq!(
-                *reference.get_or_insert(cells.clone()),
-                cells,
-                "{threads} threads"
-            );
+        for (sys, keys, rng) in setups() {
+            let images = vec![vec![3i64, -4, 0, 12]];
+            let enc = EncryptedMap::encrypt_images(
+                &sys,
+                &images,
+                2,
+                &keys.public,
+                &rng,
+                &ParExec::serial(),
+            )
+            .unwrap();
+            let oracle: Vec<CrtCiphertext> = enc
+                .cells()
+                .iter()
+                .map(|c| {
+                    sys.relinearize(&sys.square(c).unwrap(), &keys.evaluation)
+                        .unwrap()
+                })
+                .collect();
+            for threads in POOLS {
+                let mut counter = OpCounter::default();
+                let pool = ParExec::new(threads);
+                let sq = he_square_activation(&sys, &enc, &keys.evaluation, &mut counter, &pool)
+                    .unwrap();
+                let dec = sq
+                    .decrypt_all(&sys, &keys.secret, 1, &ParExec::serial())
+                    .unwrap();
+                assert_eq!(dec[0], vec![9, 16, 0, 144]);
+                assert_eq!(counter.ct_ct_mul, 4);
+                assert_eq!(counter.relin, 4);
+                assert_eq!(sq.cells(), oracle, "{threads} threads");
+            }
         }
     }
 
     #[test]
     fn fully_connected_matches_dot_product() {
-        let (sys, keys, rng) = setup();
-        let images = vec![vec![1i64, 2, 3, 4]];
-        let enc =
-            EncryptedMap::encrypt_images(&sys, &images, 2, &keys.public, &rng, &ParExec::serial())
-                .unwrap();
-        let weights = vec![1i64, -1, 2, 0, /* row 2 */ 3, 3, -3, 1];
-        let bank = WeightBank::prepare(&sys, &weights, &[10, -10]).unwrap();
-        let arena = PolyArena::new();
-        for threads in POOLS {
-            let mut counter = OpCounter::default();
-            let pool = ParExec::new(threads);
-            let out =
-                he_fully_connected(&sys, &enc, &bank, 2, &mut counter, &pool, &arena).unwrap();
-            let logits: Vec<i128> = out
-                .iter()
-                .map(|ct| sys.decrypt_slots(ct, &keys.secret).unwrap()[0])
-                .collect();
-            assert_eq!(logits, vec![(1 - 2 + 6) + 10, 4 - 10], "{threads} threads");
+        for (sys, keys, rng) in setups() {
+            let images = vec![vec![1i64, 2, 3, 4]];
+            let enc = EncryptedMap::encrypt_images(
+                &sys,
+                &images,
+                2,
+                &keys.public,
+                &rng,
+                &ParExec::serial(),
+            )
+            .unwrap();
+            let weights = vec![1i64, -1, 2, 0, /* row 2 */ 3, 3, -3, 1];
+            let bank = WeightBank::prepare(&sys, &weights, &[10, -10]).unwrap();
+            let arena = PolyArena::new();
+            for threads in POOLS {
+                let mut counter = OpCounter::default();
+                let pool = ParExec::new(threads);
+                let out =
+                    he_fully_connected(&sys, &enc, &bank, 2, &mut counter, &pool, &arena).unwrap();
+                let logits: Vec<i128> = out
+                    .iter()
+                    .map(|ct| sys.decrypt_slots(ct, &keys.secret).unwrap()[0])
+                    .collect();
+                assert_eq!(logits, vec![(1 - 2 + 6) + 10, 4 - 10], "{threads} threads");
+            }
         }
     }
 
     #[test]
     fn cached_conv_is_bit_identical_with_zero_weight_prep() {
-        let (sys, keys, rng) = setup();
-        let (side, k) = (6, 3);
-        let (images, weights, bias) = conv_case();
-        let enc = EncryptedMap::encrypt_images(
-            &sys,
-            &images,
-            side,
-            &keys.public,
-            &rng,
-            &ParExec::serial(),
-        )
-        .unwrap();
-        let mut oracle = OpCounter::default();
-        let base = he_conv2d_reference(&sys, &enc, &weights, &bias, 2, k, 1, &mut oracle).unwrap();
-        // The oracle's per-call weight preparation: 2·16 cells × 9 taps +
-        // 2·16 biases.
-        assert_eq!(oracle.weight_prep, 2 * 16 * 9 + 2 * 16);
-        let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
-        let arena = PolyArena::new();
-        for threads in POOLS {
-            let pool = ParExec::new(threads);
-            let mut counter = OpCounter::default();
-            let fast = he_conv2d(&sys, &enc, &bank, 2, k, 1, &mut counter, &pool, &arena).unwrap();
-            // Ciphertext-level bit-identity, not just equal decryptions.
-            assert_eq!(fast.cells(), base.cells(), "{threads} threads");
-            // Same homomorphic work, zero per-call weight preparation.
-            assert_eq!(
-                counter,
-                OpCounter {
-                    weight_prep: 0,
-                    ..oracle
-                },
-                "{threads} threads"
-            );
+        for (sys, keys, rng) in setups() {
+            let (side, k) = (6, 3);
+            let (images, weights, bias) = conv_case();
+            let enc = EncryptedMap::encrypt_images(
+                &sys,
+                &images,
+                side,
+                &keys.public,
+                &rng,
+                &ParExec::serial(),
+            )
+            .unwrap();
+            let mut oracle = OpCounter::default();
+            let base =
+                he_conv2d_reference(&sys, &enc, &weights, &bias, 2, k, 1, &mut oracle).unwrap();
+            // The oracle's per-call weight preparation: 2·16 cells × 9 taps +
+            // 2·16 biases.
+            assert_eq!(oracle.weight_prep, 2 * 16 * 9 + 2 * 16);
+            let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
+            let arena = PolyArena::new();
+            for threads in POOLS {
+                let pool = ParExec::new(threads);
+                let mut counter = OpCounter::default();
+                let fast =
+                    he_conv2d(&sys, &enc, &bank, 2, k, 1, &mut counter, &pool, &arena).unwrap();
+                // Ciphertext-level bit-identity, not just equal decryptions.
+                assert_eq!(fast.cells(), base.cells(), "{threads} threads");
+                // Same homomorphic work, zero per-call weight preparation.
+                assert_eq!(
+                    counter,
+                    OpCounter {
+                        weight_prep: 0,
+                        ..oracle
+                    },
+                    "{threads} threads"
+                );
+            }
         }
     }
 
     #[test]
     fn cached_fc_is_bit_identical_with_zero_weight_prep() {
-        let (sys, keys, rng) = setup();
-        let images = vec![vec![1i64, 2, 3, 4]];
-        let enc =
-            EncryptedMap::encrypt_images(&sys, &images, 2, &keys.public, &rng, &ParExec::serial())
-                .unwrap();
-        let weights = vec![1i64, -1, 2, 0, /* row 2 */ 3, 3, -3, 1];
-        let bias = vec![10, -10];
-        let mut oracle = OpCounter::default();
-        let base =
-            he_fully_connected_reference(&sys, &enc, &weights, &bias, 2, &mut oracle).unwrap();
-        assert_eq!(oracle.weight_prep, 2 * 4 + 2);
-        let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
-        let arena = PolyArena::new();
-        for threads in POOLS {
-            let pool = ParExec::new(threads);
-            let mut counter = OpCounter::default();
-            let fast =
-                he_fully_connected(&sys, &enc, &bank, 2, &mut counter, &pool, &arena).unwrap();
-            assert_eq!(fast, base, "{threads} threads");
-            assert_eq!(
-                counter,
-                OpCounter {
-                    weight_prep: 0,
-                    ..oracle
-                },
-                "{threads} threads"
-            );
+        for (sys, keys, rng) in setups() {
+            let images = vec![vec![1i64, 2, 3, 4]];
+            let enc = EncryptedMap::encrypt_images(
+                &sys,
+                &images,
+                2,
+                &keys.public,
+                &rng,
+                &ParExec::serial(),
+            )
+            .unwrap();
+            let weights = vec![1i64, -1, 2, 0, /* row 2 */ 3, 3, -3, 1];
+            let bias = vec![10, -10];
+            let mut oracle = OpCounter::default();
+            let base =
+                he_fully_connected_reference(&sys, &enc, &weights, &bias, 2, &mut oracle).unwrap();
+            assert_eq!(oracle.weight_prep, 2 * 4 + 2);
+            let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
+            let arena = PolyArena::new();
+            for threads in POOLS {
+                let pool = ParExec::new(threads);
+                let mut counter = OpCounter::default();
+                let fast =
+                    he_fully_connected(&sys, &enc, &bank, 2, &mut counter, &pool, &arena).unwrap();
+                assert_eq!(fast, base, "{threads} threads");
+                assert_eq!(
+                    counter,
+                    OpCounter {
+                        weight_prep: 0,
+                        ..oracle
+                    },
+                    "{threads} threads"
+                );
+            }
         }
     }
 
     #[test]
     fn pool_recycles_arena_buffers() {
-        let (sys, keys, rng) = setup();
-        let side = 4;
-        let images = vec![(1..=16i64).collect::<Vec<_>>()];
-        let enc = EncryptedMap::encrypt_images(
-            &sys,
-            &images,
-            side,
-            &keys.public,
-            &rng,
-            &ParExec::serial(),
-        )
-        .unwrap();
-        let arena = PolyArena::new();
-        // Park one consumed cell's buffers; the pool accumulators must
-        // drain them and still produce the exact sums.
-        enc.cells()[0].clone().recycle(&arena);
-        let parked = arena.free_buffers();
-        assert!(parked > 0);
-        let mut counter = OpCounter::default();
-        let pooled =
-            he_scaled_mean_pool(&sys, &enc, 2, &mut counter, &ParExec::serial(), &arena).unwrap();
-        assert!(arena.free_buffers() < parked);
-        let dec = pooled
-            .decrypt_all(&sys, &keys.secret, 1, &ParExec::serial())
+        for (sys, keys, rng) in setups() {
+            let side = 4;
+            let images = vec![(1..=16i64).collect::<Vec<_>>()];
+            let enc = EncryptedMap::encrypt_images(
+                &sys,
+                &images,
+                side,
+                &keys.public,
+                &rng,
+                &ParExec::serial(),
+            )
             .unwrap();
-        assert_eq!(dec[0], vec![14, 22, 46, 54]);
+            let arena = PolyArena::new();
+            // Park one consumed cell's buffers; the pool accumulators must
+            // drain them and still produce the exact sums.
+            enc.cells()[0].clone().recycle(&arena);
+            let parked = arena.free_buffers();
+            assert!(parked > 0);
+            let mut counter = OpCounter::default();
+            let pooled =
+                he_scaled_mean_pool(&sys, &enc, 2, &mut counter, &ParExec::serial(), &arena)
+                    .unwrap();
+            assert!(arena.free_buffers() < parked);
+            let dec = pooled
+                .decrypt_all(&sys, &keys.secret, 1, &ParExec::serial())
+                .unwrap();
+            assert_eq!(dec[0], vec![14, 22, 46, 54]);
+        }
     }
 
     #[test]

@@ -6,46 +6,13 @@
 use crate::crt::{CrtPlainSystem, CrtPreparedBias, CrtPreparedScalar};
 use hesgx_bfv::encoding::IntegerEncoder;
 use hesgx_bfv::error::Result;
-use hesgx_bfv::plaintext::{NttPlaintext, Plaintext};
+use hesgx_bfv::plaintext::Plaintext;
 
 /// The plaintext encodings of one weight across every CRT modulus.
 #[derive(Debug, Clone)]
 pub struct EncodedWeight {
     /// One plaintext per plaintext modulus.
     pub parts: Vec<Plaintext>,
-}
-
-/// One weight cached in evaluation (NTT) form for every CRT modulus — the
-/// centered lift and forward transform that a per-request `mul_plain` would
-/// redo, computed once at provisioning and reused by
-/// [`CrtPlainSystem::mul_plain_ntt_part`].
-#[derive(Debug, Clone)]
-pub struct EncodedWeightNtt {
-    /// One cached transform per plaintext modulus.
-    pub parts: Vec<NttPlaintext>,
-}
-
-/// Caches the evaluation form of already-encoded weights.
-///
-/// # Errors
-///
-/// Propagates transform validation failures.
-pub fn prepare_encoded_weights(
-    sys: &CrtPlainSystem,
-    encoded: &[EncodedWeight],
-) -> Result<Vec<EncodedWeightNtt>> {
-    encoded
-        .iter()
-        .map(|w| {
-            let parts: Result<Vec<NttPlaintext>> = w
-                .parts
-                .iter()
-                .enumerate()
-                .map(|(i, p)| sys.transform_plain_part(p, i))
-                .collect();
-            Ok(EncodedWeightNtt { parts: parts? })
-        })
-        .collect()
 }
 
 /// All prepared operands of one linear layer (conv or FC): scalar weights
@@ -149,15 +116,6 @@ mod tests {
                 true
             })
         }));
-    }
-
-    #[test]
-    fn prepared_encoded_weights_cover_every_part() {
-        let sys = CrtPlainSystem::new(256, &[12289, 13313]).unwrap();
-        let encoded = encode_weights(&sys, &[-42, 0, 1234]).unwrap();
-        let cached = prepare_encoded_weights(&sys, &encoded).unwrap();
-        assert_eq!(cached.len(), 3);
-        assert!(cached.iter().all(|w| w.parts.len() == 2));
     }
 
     #[test]

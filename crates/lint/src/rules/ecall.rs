@@ -3,7 +3,7 @@
 //! The paper's performance claims hinge on every enclave transition being
 //! accounted for (ECALL overhead, paging, in-enclave compute). Any `pub fn`
 //! on the ECALL wrapper (`sgx_ops.rs`) that does *not* return a
-//! [`CostBreakdown`] is an unmetered path into the enclave — either it
+//! `CostBreakdown` is an unmetered path into the enclave — either it
 //! must thread the cost through, or it needs a justified `allow` stating
 //! that it performs no enclave computation (constructors, accessors).
 

@@ -671,7 +671,7 @@ mod tests {
 
 /// Batch normalization over channels (inference-style, fixed statistics).
 ///
-/// The paper's related work (Chabanne et al. [10]) adds a normalization layer
+/// The paper's related work (Chabanne et al. \[10\]) adds a normalization layer
 /// before each activation so a low-degree polynomial approximation stays in
 /// its accurate range. Provided here as the extension that technique needs;
 /// statistics are set from data with [`BatchNorm::fit`] and then frozen

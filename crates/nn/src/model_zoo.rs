@@ -15,7 +15,7 @@ use hesgx_crypto::rng::ChaChaRng;
 ///
 /// `activation`/`pool` select the variant: `(Sigmoid, Mean)` is the hybrid
 /// framework's exact model; `(Square, ScaledMean)` is the CryptoNets-style
-/// HE-only baseline (paper [16]).
+/// HE-only baseline (paper \[16\]).
 pub fn paper_cnn(activation: ActivationKind, pool: PoolKind, rng: &mut ChaChaRng) -> Network {
     Network::new(vec![
         Layer::Conv(Conv2d::new(1, 6, 5, 1, rng)),

@@ -1,8 +1,8 @@
 //! `hesgx-obs` — deterministic, dependency-free metrics and tracing.
 //!
 //! The workspace charges every enclave boundary crossing through a *virtual
-//! clock* ([`hesgx-tee`]'s `CostBreakdown`), which is what makes the paper's
-//! Fig. 8 decomposition reproducible. This crate makes those charges — and
+//! clock* (`hesgx-tee`'s `CostBreakdown`, this crate's [`SpanCost`]), which
+//! is what makes the paper's Fig. 8 decomposition reproducible. This crate makes those charges — and
 //! the recovery / paging / parallelism machinery around them — *auditable*:
 //! a [`Recorder`] collects hierarchical spans, counters, gauges, log2
 //! histograms, and (when requested) an ordered per-request trace timeline,
@@ -106,11 +106,12 @@ pub mod counters {
     pub const INGRESS_UPLOAD_BYTES: &str = "ingress.upload_bytes";
 }
 
-/// Virtual-clock cost attached to a span entry.
-///
-/// Mirrors the six terms of `hesgx-tee`'s `CostBreakdown` without depending
-/// on it (this crate sits below the rest of the workspace). All arithmetic
-/// saturates — metrics must never panic the pipeline they observe.
+/// Virtual-clock cost of one enclave call or span entry — the six terms
+/// `hesgx-tee`'s `VirtualClock::charge` produces, defined here because this
+/// crate sits below the rest of the workspace (`hesgx_tee::cost` re-exports
+/// it as `CostBreakdown`). All arithmetic saturates: a cost ledger folded
+/// over long runs (or adversarially large scripted charges) must clamp at
+/// `u64::MAX`, never wrap, and never panic the pipeline it observes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanCost {
     /// Measured wall/CPU nanoseconds (machine-dependent; excluded from snapshots).
@@ -150,6 +151,12 @@ impl SpanCost {
             .saturating_add(self.copy_ns)
             .saturating_add(self.paging_ns)
             .saturating_add_signed(self.jitter_ns)
+    }
+
+    /// [`SpanCost::total_ns`] as a [`std::time::Duration`].
+    #[must_use]
+    pub fn total(&self) -> std::time::Duration {
+        std::time::Duration::from_nanos(self.total_ns())
     }
 
     /// The deterministic (modeled) terms only: transitions + copies + paging.

@@ -318,11 +318,7 @@ impl Broker {
             Err(_) => {
                 // The failed attempts still occupied the worker for their
                 // charged model time plus the retry backoffs.
-                let service_ns = charged
-                    .span_cost()
-                    .model_ns()
-                    .max(1)
-                    .saturating_add(backoff);
+                let service_ns = charged.model_ns().max(1).saturating_add(backoff);
                 let completion = now.saturating_add(service_ns);
                 for member in &batch {
                     report.failed += 1;

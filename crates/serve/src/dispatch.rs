@@ -44,7 +44,7 @@ pub fn modeled_service_ns(
     he_costs
         .eval_ns(&response.metrics.ops)
         .saturating_add(he_costs.ingress_ns(response.upload_bytes))
-        .saturating_add(charged.span_cost().model_ns())
+        .saturating_add(charged.model_ns())
         .max(1)
 }
 
@@ -83,17 +83,14 @@ mod tests {
         let image: Vec<i64> = (0..64).map(|p| (p % 16) as i64).collect();
         let (result, cost) = dispatch_batch(&session, InferRequest::single(image));
         let response = result.unwrap();
-        assert!(
-            cost.span_cost().model_ns() > 0,
-            "enclave stages must charge model time"
-        );
+        assert!(cost.model_ns() > 0, "enclave stages must charge model time");
         let ns = modeled_service_ns(&response, &cost, &HeCostModel::paper());
-        assert!(ns >= cost.span_cost().model_ns());
+        assert!(ns >= cost.model_ns());
         assert!(response.upload_bytes > 0, "FV ingress uploads ciphertexts");
         // The remainder beyond the charged enclave time prices the recorded
         // op counts plus the ingress transfer of the upload bytes.
         assert_eq!(
-            ns - cost.span_cost().model_ns(),
+            ns - cost.model_ns(),
             HeCostModel::paper().eval_ns(&response.metrics.ops)
                 + HeCostModel::paper().ingress_ns(response.upload_bytes)
         );

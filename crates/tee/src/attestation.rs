@@ -1,6 +1,6 @@
 //! Remote attestation: reports, quotes, and the attestation service.
 //!
-//! Mirrors the DCAP flow the paper relies on (§IV-A, [20]):
+//! Mirrors the DCAP flow the paper relies on (§IV-A, \[20\]):
 //!
 //! 1. The application enclave produces a **report** (`EREPORT`): its
 //!    measurement plus a caller-chosen *user data* field, MAC'd with a

@@ -67,69 +67,10 @@ impl CostModel {
     }
 }
 
-/// Per-call breakdown of charged virtual time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct CostBreakdown {
-    /// Real CPU nanoseconds measured for the body.
-    pub real_ns: u64,
-    /// Extra nanoseconds from the in-enclave slowdown factor.
-    pub slowdown_ns: u64,
-    /// Nanoseconds charged for boundary transitions.
-    pub transition_ns: u64,
-    /// Nanoseconds charged for copying data across the boundary.
-    pub copy_ns: u64,
-    /// Nanoseconds charged for EPC paging.
-    pub paging_ns: u64,
-    /// Jitter term (can be negative conceptually; stored as signed).
-    pub jitter_ns: i64,
-}
-
-impl CostBreakdown {
-    /// Total virtual nanoseconds. Saturating: breakdowns folded over long
-    /// runs (or adversarially large scripted charges) must clamp, never
-    /// wrap — a cost ledger that overflows silently is worse than one that
-    /// pins at `u64::MAX`.
-    pub fn total_ns(&self) -> u64 {
-        self.real_ns
-            .saturating_add(self.slowdown_ns)
-            .saturating_add(self.transition_ns)
-            .saturating_add(self.copy_ns)
-            .saturating_add(self.paging_ns)
-            .saturating_add_signed(self.jitter_ns)
-    }
-
-    /// Total virtual time as a [`Duration`].
-    pub fn total(&self) -> Duration {
-        Duration::from_nanos(self.total_ns())
-    }
-
-    /// Component-wise saturating sum — the single fold primitive every
-    /// cost-accounting path shares (see `hesgx_core::sgx_ops::sum_costs`).
-    #[must_use]
-    pub fn saturating_add(self, other: Self) -> Self {
-        CostBreakdown {
-            real_ns: self.real_ns.saturating_add(other.real_ns),
-            slowdown_ns: self.slowdown_ns.saturating_add(other.slowdown_ns),
-            transition_ns: self.transition_ns.saturating_add(other.transition_ns),
-            copy_ns: self.copy_ns.saturating_add(other.copy_ns),
-            paging_ns: self.paging_ns.saturating_add(other.paging_ns),
-            jitter_ns: self.jitter_ns.saturating_add(other.jitter_ns),
-        }
-    }
-
-    /// The same six terms as an observability [`hesgx_obs::SpanCost`].
-    #[must_use]
-    pub fn span_cost(&self) -> hesgx_obs::SpanCost {
-        hesgx_obs::SpanCost {
-            real_ns: self.real_ns,
-            slowdown_ns: self.slowdown_ns,
-            transition_ns: self.transition_ns,
-            copy_ns: self.copy_ns,
-            paging_ns: self.paging_ns,
-            jitter_ns: self.jitter_ns,
-        }
-    }
-}
+/// Per-call breakdown of charged virtual time: the six terms of the formula
+/// above. One type with the observability layer's span cost, so a charge is
+/// recorded, folded and exported without conversion.
+pub use hesgx_obs::SpanCost as CostBreakdown;
 
 /// Accumulates virtual time for one enclave.
 #[derive(Debug)]
@@ -285,31 +226,6 @@ mod tests {
             ..CostBreakdown::default()
         };
         assert_eq!(negative.total_ns(), 0);
-    }
-
-    #[test]
-    fn span_cost_mirrors_all_terms() {
-        let b = CostBreakdown {
-            real_ns: 1,
-            slowdown_ns: 2,
-            transition_ns: 3,
-            copy_ns: 4,
-            paging_ns: 5,
-            jitter_ns: -6,
-        };
-        let s = b.span_cost();
-        assert_eq!(
-            (
-                s.real_ns,
-                s.slowdown_ns,
-                s.transition_ns,
-                s.copy_ns,
-                s.paging_ns,
-                s.jitter_ns
-            ),
-            (1, 2, 3, 4, 5, -6)
-        );
-        assert_eq!(s.total_ns(), b.total_ns());
     }
 
     #[test]

@@ -336,7 +336,7 @@ impl Enclave {
         let breakdown = self.vclock.charge(real_ns, transitions, copied, ctx.faults);
         if self.recorder.is_enabled() {
             self.recorder
-                .record_span(&format!("ecall.{name}"), breakdown.span_cost());
+                .record_span(&format!("ecall.{name}"), breakdown);
             self.recorder.incr(counters::ECALLS, 1);
             self.recorder.incr(counters::ECALL_TRANSITIONS, transitions);
             self.recorder.incr(counters::BYTES_MARSHALLED, copied);
@@ -344,8 +344,7 @@ impl Enclave {
             self.recorder.observe("ecall.epc_faults", ctx.faults);
         }
         if trace {
-            self.recorder
-                .trace_advance(breakdown.span_cost().model_ns());
+            self.recorder.trace_advance(breakdown.model_ns());
             self.recorder.trace_end(&format!("ecall.{name}"));
         }
         {
@@ -401,7 +400,7 @@ impl Enclave {
                 // failed EENTER and the marshalled input are charged and
                 // must therefore appear on the books.
                 self.recorder
-                    .record_span(&format!("ecall.{name}"), breakdown.span_cost());
+                    .record_span(&format!("ecall.{name}"), breakdown);
                 self.recorder.incr(counters::ECALLS, 1);
                 self.recorder.incr(counters::ECALL_TRANSITIONS, 2);
                 self.recorder
@@ -416,8 +415,7 @@ impl Enclave {
                         &format!("ecall.{name}.aborted"),
                         &[("bytes_in", input_bytes.to_string())],
                     );
-                    self.recorder
-                        .trace_advance(breakdown.span_cost().model_ns());
+                    self.recorder.trace_advance(breakdown.model_ns());
                 }
             }
             let mut mon = self.monitor.lock();
