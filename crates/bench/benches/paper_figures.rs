@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hesgx_bench::experiments::figures::scale_stub;
 use hesgx_bench::PaperEnv;
 use hesgx_bfv::prelude::PolyArena;
+use hesgx_core::planner::{EcallBatching, EnclaveOp};
 use hesgx_henn::image::EncryptedMap;
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
@@ -86,6 +87,10 @@ fn bench_sigmoid_variants(c: &mut Criterion) {
     let real = env.inference_enclave(false);
     let fake = env.inference_enclave(true);
     let serial = ParExec::serial();
+    let (sigmoid, batched) = (
+        EnclaveOp::Activation(ActivationKind::Sigmoid),
+        EcallBatching::Batched,
+    );
     let mut group = c.benchmark_group("fig5/sigmoid_12x12");
     group.sample_size(10);
     group.bench_function("encrypt_sigmoid_square_relin", |b| {
@@ -106,7 +111,7 @@ fn bench_sigmoid_variants(c: &mut Criterion) {
     group.bench_function("sgx_sigmoid", |b| {
         b.iter(|| {
             black_box(
-                real.activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid, &serial)
+                real.apply(sigmoid, &env.sys, &model, &input, batched, &serial)
                     .unwrap(),
             )
         })
@@ -114,7 +119,7 @@ fn bench_sigmoid_variants(c: &mut Criterion) {
     group.bench_function("fake_sgx_sigmoid", |b| {
         b.iter(|| {
             black_box(
-                fake.activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid, &serial)
+                fake.apply(sigmoid, &env.sys, &model, &input, batched, &serial)
                     .unwrap(),
             )
         })
@@ -137,7 +142,7 @@ fn bench_pooling_variants(c: &mut Criterion) {
     )
     .unwrap();
     let real = env.inference_enclave(false);
-    let serial = ParExec::serial();
+    let (serial, batched) = (ParExec::serial(), EcallBatching::Batched);
     let mut group = c.benchmark_group("fig6/pooling_24x24");
     group.sample_size(10);
     for window in [2usize, 4, 8] {
@@ -157,15 +162,32 @@ fn bench_pooling_variants(c: &mut Criterion) {
                         &arena,
                     )
                     .unwrap();
-                    black_box(real.divide_map(&env.sys, &summed, &model, &serial).unwrap())
+                    black_box(
+                        real.apply(
+                            EnclaveOp::Divide,
+                            &env.sys,
+                            &model,
+                            &summed,
+                            batched,
+                            &serial,
+                        )
+                        .unwrap(),
+                    )
                 })
             },
         );
         group.bench_with_input(BenchmarkId::new("sgx_pool", window), &window, |b, _| {
             b.iter(|| {
                 black_box(
-                    real.pool_full_map(&env.sys, &input, &model, false, &serial)
-                        .unwrap(),
+                    real.apply(
+                        EnclaveOp::MeanPool,
+                        &env.sys,
+                        &model,
+                        &input,
+                        batched,
+                        &serial,
+                    )
+                    .unwrap(),
                 )
             })
         });

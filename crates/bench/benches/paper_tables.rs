@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks for the operations behind Tables I-V.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use hesgx_bench::experiments::figures::scale_stub;
 use hesgx_bench::{PaperEnv, PAPER_BATCH_SIZE};
 use hesgx_bfv::prelude::KeyGenerator;
+use hesgx_core::planner::{EcallBatching, EnclaveOp};
 use hesgx_henn::image::EncryptedMap;
 use hesgx_henn::par::ParExec;
 use std::hint::black_box;
@@ -75,17 +77,32 @@ fn bench_relinearization(c: &mut Criterion) {
         b.iter(|| black_box(env.sys.relinearize(&size3, &env.keys.evaluation).unwrap()))
     });
     let ie = env.inference_enclave(false);
+    let (model, serial) = (scale_stub(2), ParExec::serial());
+    let refresh = |cts: Vec<_>| {
+        let map = EncryptedMap::new(cts.len(), 1, 1, cts);
+        ie.apply(
+            EnclaveOp::Refresh,
+            &env.sys,
+            &model,
+            &map,
+            EcallBatching::Batched,
+            &serial,
+        )
+        .unwrap()
+    };
     c.bench_function("table5/sgx_noise_reduction", |b| {
-        b.iter(|| black_box(ie.refresh_one(&env.sys, &size3).unwrap()))
+        b.iter_batched(
+            || vec![size3.clone()],
+            |one| black_box(refresh(one)),
+            BatchSize::SmallInput,
+        )
     });
-    let batch: Vec<_> = (0..PAPER_BATCH_SIZE).map(|_| size3.clone()).collect();
-    let serial = ParExec::serial();
     let mut group = c.benchmark_group("table5");
     group.sample_size(10);
     group.bench_function("sgx_noise_reduction_batched_10", |b| {
         b.iter_batched(
-            || batch.clone(),
-            |batch| black_box(ie.refresh_batch(&env.sys, &batch, &serial).unwrap()),
+            || vec![size3.clone(); PAPER_BATCH_SIZE],
+            |batch| black_box(refresh(batch)),
             BatchSize::SmallInput,
         )
     });

@@ -13,6 +13,7 @@
 use super::{header, RunConfig};
 use crate::experiments::figures::scale_stub;
 use crate::PaperEnv;
+use hesgx_core::planner::{EcallBatching, EnclaveOp};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::CrtPlainSystem;
 use hesgx_henn::image::EncryptedMap;
@@ -30,27 +31,16 @@ pub fn ablate_ecall_batching(env: &mut PaperEnv) {
     let ie = env.inference_enclave(false);
     let rng = env.rng.fork("ablate-batching");
     let images = vec![(0..256).map(|p| (p as i64 % 41) - 20).collect::<Vec<i64>>()];
-    let input = EncryptedMap::encrypt_images(
-        &env.sys,
-        &images,
-        16,
-        &env.keys.public,
-        &rng,
-        &ParExec::serial(),
-    )
-    .unwrap();
-    let (_, batched) = ie
-        .activation_map(
-            &env.sys,
-            &input,
-            &model,
-            ActivationKind::Sigmoid,
-            &ParExec::serial(),
-        )
-        .unwrap();
-    let (_, single) = ie
-        .activation_map_single_ecalls(&env.sys, &input, &model, ActivationKind::Sigmoid)
-        .unwrap();
+    let serial = ParExec::serial();
+    let input =
+        EncryptedMap::encrypt_images(&env.sys, &images, 16, &env.keys.public, &rng, &serial)
+            .unwrap();
+    let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
+    let cost = |batching| {
+        let run = ie.apply(sigmoid, &env.sys, &model, &input, batching, &serial);
+        run.unwrap().1
+    };
+    let (batched, single) = (cost(EcallBatching::Batched), cost(EcallBatching::PerPixel));
     println!("granularity   virtual (ms)  transitions (ms)");
     println!(
         "one ECALL     {:12.3}  {:16.3}",

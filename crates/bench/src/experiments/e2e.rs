@@ -4,7 +4,7 @@
 use super::{header, RunConfig};
 use crate::{PAPER_BATCH_SIZE, PAPER_POLY_DEGREE};
 use hesgx_core::pipeline::{total_enclave_cost, HybridInference, ProvisionConfig};
-use hesgx_core::planner::{EcallBatching, Stage};
+use hesgx_core::planner::{EcallBatching, EnclaveOp, Stage};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::cryptonets::CryptoNets;
 use hesgx_henn::image::EncryptedMap;
@@ -181,7 +181,8 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
     // The same network placed differently: the exact plan with the
     // activation stage swapped, on the same service.
     let mut per_pixel = service.plan().clone();
-    per_pixel.stages[1] = Stage::Activation(EcallBatching::PerPixel);
+    let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
+    per_pixel.stages[1] = Stage::Enclave(sigmoid, EcallBatching::PerPixel);
     let start = Instant::now();
     let (_, metrics_single) = service.run(&per_pixel, &enc).unwrap();
     let wall_single = start.elapsed().as_secs_f64();

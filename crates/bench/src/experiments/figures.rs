@@ -5,6 +5,9 @@ use super::{header, RunConfig};
 use crate::stats::linear_fit;
 use crate::PaperEnv;
 use hesgx_bfv::prelude::PolyArena;
+use hesgx_core::planner::{EcallBatching, EnclaveOp};
+use hesgx_core::InferenceEnclave;
+use hesgx_henn::crt::CrtPlainSystem;
 use hesgx_henn::image::EncryptedMap;
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
@@ -31,6 +34,21 @@ pub fn scale_stub(window: usize) -> QuantizedCnn {
         fc_scale: 32,
         act_scale: 16,
     }
+}
+
+/// Virtual time (ms) of `op` over `map` in one batched ECALL.
+fn enclave_ms(
+    enclave: &InferenceEnclave,
+    sys: &CrtPlainSystem,
+    model: &QuantizedCnn,
+    op: EnclaveOp,
+    map: &EncryptedMap,
+) -> f64 {
+    let serial = ParExec::serial();
+    let (_, cost) = enclave
+        .apply(op, sys, model, map, EcallBatching::Batched, &serial)
+        .unwrap();
+    cost.total_ns() as f64 / 1e6
 }
 
 /// One Fig. 3 measurement point.
@@ -234,16 +252,10 @@ pub fn fig5_sigmoid(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig5Point> {
         let encrypt_ms = start.elapsed().as_secs_f64() * 1e3;
 
         // SGXSigmoid: exact sigmoid, batched ECALL, virtual time.
-        let (_, cost) = real
-            .activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid, &serial)
-            .unwrap();
-        let sgx_ms = cost.total_ns() as f64 / 1e6;
-
+        let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
+        let sgx_ms = enclave_ms(&real, &env.sys, &model, sigmoid, &input);
         // FakeSGXSigmoid: same code, zero-overhead model.
-        let (_, cost) = fake
-            .activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid, &serial)
-            .unwrap();
-        let fake_ms = cost.total_ns() as f64 / 1e6;
+        let fake_ms = enclave_ms(&fake, &env.sys, &model, sigmoid, &input);
 
         println!(
             "{side:8}   {:5}   {encrypt_ms:18.3}   {sgx_ms:14.3}   {fake_ms:18.3}",
@@ -313,19 +325,10 @@ pub fn fig6_pooling(env: &mut PaperEnv, _cfg: RunConfig) -> Vec<Fig6Point> {
             ops::he_scaled_mean_pool(&env.sys, &input, w, &mut counter, &serial, &arena).unwrap();
         let encrypted_sum_ms = start.elapsed().as_secs_f64() * 1e3;
 
-        let (_, cost) = real.divide_map(&env.sys, &summed, &model, &serial).unwrap();
-        let sgx_divide_ms = cost.total_ns() as f64 / 1e6;
-        let (_, cost) = fake.divide_map(&env.sys, &summed, &model, &serial).unwrap();
-        let fake_divide_ms = cost.total_ns() as f64 / 1e6;
-
-        let (_, cost) = real
-            .pool_full_map(&env.sys, &input, &model, false, &serial)
-            .unwrap();
-        let sgx_pool_ms = cost.total_ns() as f64 / 1e6;
-        let (_, cost) = fake
-            .pool_full_map(&env.sys, &input, &model, false, &serial)
-            .unwrap();
-        let fake_pool_ms = cost.total_ns() as f64 / 1e6;
+        let sgx_divide_ms = enclave_ms(&real, &env.sys, &model, EnclaveOp::Divide, &summed);
+        let fake_divide_ms = enclave_ms(&fake, &env.sys, &model, EnclaveOp::Divide, &summed);
+        let sgx_pool_ms = enclave_ms(&real, &env.sys, &model, EnclaveOp::MeanPool, &input);
+        let fake_pool_ms = enclave_ms(&fake, &env.sys, &model, EnclaveOp::MeanPool, &input);
 
         let p = Fig6Point {
             window: w,

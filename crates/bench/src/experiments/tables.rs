@@ -1,9 +1,11 @@
 //! Tables I–V: basic-operation timings inside vs outside SGX.
 
+use super::figures::scale_stub;
 use super::{header, RunConfig};
 use crate::stats::{time_reps_ms, Stats};
 use crate::{PaperEnv, PAPER_BATCH_SIZE};
 use hesgx_bfv::prelude::KeyGenerator;
+use hesgx_core::planner::{EcallBatching, EnclaveOp};
 use hesgx_henn::image::EncryptedMap;
 use hesgx_henn::par::ParExec;
 
@@ -249,20 +251,21 @@ pub fn table5_relinearization(env: &mut PaperEnv, cfg: RunConfig) -> Table5 {
     // Apples-to-apples amortization measurement: the SAME ten ciphertexts are
     // refreshed either with one ECALL each or all in one ECALL; measurements
     // interleave so host drift hits both groups equally.
-    let batch: Vec<_> = (0..PAPER_BATCH_SIZE).map(|_| size3.clone()).collect();
-    let serial = ParExec::serial();
-    let _ = ie.refresh_batch(sys, &batch, &serial).unwrap();
+    let batch = vec![size3.clone(); PAPER_BATCH_SIZE];
+    let batch = EncryptedMap::new(batch.len(), 1, 1, batch);
+    let (model, serial) = (scale_stub(2), ParExec::serial());
+    let per_ct_ms = |batching| {
+        let (_, cost) = ie
+            .apply(EnclaveOp::Refresh, sys, &model, &batch, batching, &serial)
+            .unwrap();
+        cost.total_ns() as f64 / 1e6 / PAPER_BATCH_SIZE as f64
+    };
+    per_ct_ms(EcallBatching::Batched);
     let mut single = Vec::with_capacity(reps);
     let mut per_ct = Vec::with_capacity(reps);
     for _ in 0..reps {
-        let mut total = 0u64;
-        for ct in &batch {
-            let (_, cost) = ie.refresh_one(sys, ct).unwrap();
-            total += cost.total_ns();
-        }
-        single.push(total as f64 / 1e6 / PAPER_BATCH_SIZE as f64);
-        let (_, cost) = ie.refresh_batch(sys, &batch, &serial).unwrap();
-        per_ct.push(cost.total_ns() as f64 / 1e6 / PAPER_BATCH_SIZE as f64);
+        single.push(per_ct_ms(EcallBatching::PerPixel));
+        per_ct.push(per_ct_ms(EcallBatching::Batched));
     }
     let sgx_single = Stats::from_samples_trimmed(&single);
     let batched = Stats::from_samples_trimmed(&per_ct);

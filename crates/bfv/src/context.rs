@@ -260,11 +260,6 @@ impl BfvContext {
         self.params.coeff_moduli().len()
     }
 
-    /// The full coefficient modulus `q` as a big integer.
-    pub fn coeff_modulus(&self) -> U256 {
-        self.q
-    }
-
     /// The scaling factor `Δ = floor(q / t)` applied to messages.
     pub fn delta(&self) -> U256 {
         self.delta

@@ -18,14 +18,16 @@
 //! 2. **Linear layers outside** ([`hesgx_henn::ops`]) — convolution and fully
 //!    connected layers run homomorphically in the untrusted host, so model
 //!    weights never enter the enclave (§IV-C).
-//! 3. **Non-linear layers inside** ([`sgx_ops`]) — the enclave decrypts,
-//!    applies the *exact* sigmoid / pooling (no polynomial approximation),
-//!    and re-encrypts (§IV-D); [`planner`] compiles that placement rule —
-//!    and the §VI-D window-size rule for the pooling split — into the stage
-//!    list [`pipeline::HybridInference::run`] walks.
-//! 4. **Noise refresh instead of relinearization** ([`sgx_ops::InferenceEnclave::refresh_batch`])
-//!    — decrypt–re-encrypt inside the enclave removes noise and ciphertext
-//!    growth without evaluation keys (§IV-E).
+//! 3. **Non-linear layers inside** ([`sgx_ops::InferenceEnclave::apply`]) —
+//!    the enclave decrypts, applies the *exact* sigmoid / pooling (no
+//!    polynomial approximation), and re-encrypts (§IV-D); [`planner`]
+//!    compiles that placement rule — and the §VI-D window-size rule for the
+//!    pooling split — into the stage list
+//!    [`pipeline::HybridInference::run`] walks.
+//! 4. **Noise refresh instead of relinearization** ([`EnclaveOp::Refresh`],
+//!    the same operator with the identity on the slots) — decrypt–re-encrypt
+//!    inside the enclave removes noise and ciphertext growth without
+//!    evaluation keys (§IV-E).
 //!
 //! Correctness contract: the encrypted pipeline reproduces
 //! [`hesgx_nn::quantize::QuantizedCnn::forward_ints`] bit for bit, which is
@@ -81,7 +83,7 @@ pub mod sgx_ops;
 
 pub use error::{Error, FaultClass, Result};
 pub use pipeline::{HybridInference, HybridMetrics, ProvisionConfig};
-pub use planner::{EcallBatching, InferencePlan, Placement, PoolStrategy, Stage};
+pub use planner::{EcallBatching, EnclaveOp, InferencePlan, Placement, PoolStrategy, Stage};
 pub use recovery::RecoveryPolicy;
 pub use request::{
     InferRequest, InferResponse, Ingress, NoiseRefresh, Resilience, ServePolicy, TenantId,
@@ -94,7 +96,9 @@ pub use sgx_ops::InferenceEnclave;
 pub mod prelude {
     pub use crate::error::{Error, FaultClass, Result};
     pub use crate::pipeline::{HybridInference, HybridMetrics, ProvisionConfig};
-    pub use crate::planner::{EcallBatching, InferencePlan, Placement, PoolStrategy, Stage};
+    pub use crate::planner::{
+        EcallBatching, EnclaveOp, InferencePlan, Placement, PoolStrategy, Stage,
+    };
     pub use crate::recovery::RecoveryPolicy;
     pub use crate::request::{
         InferRequest, InferResponse, Ingress, NoiseRefresh, Resilience, ServePolicy, TenantId,

@@ -9,7 +9,7 @@ use crate::error::{Error, Result};
 use crate::keydist::{
     enclave_generate_keys, seal_secret_keys, secret_key_bytes, KeyCeremonyPublic,
 };
-use crate::planner::{plan_for, EcallBatching, InferencePlan, Placement, PoolStrategy, Stage};
+use crate::planner::{plan_for, EcallBatching, EnclaveOp, InferencePlan, Placement, Stage};
 use crate::request::ServePolicy;
 use crate::sgx_ops::InferenceEnclave;
 use hesgx_bfv::prelude::EvaluationKeys;
@@ -194,9 +194,9 @@ pub struct HybridInference {
     enclave: InferenceEnclave,
     /// The exact plan ([`Placement::Hybrid`]) compiled at provisioning.
     plan: InferencePlan,
-    /// The same model compiled for [`Placement::PureHe`].
-    degraded_plan: InferencePlan,
-    activation: ActivationKind,
+    /// The same model compiled for [`Placement::PureHe`], when the
+    /// provisioned parameters can carry it.
+    degraded_plan: Option<InferencePlan>,
     /// Evaluation keys for the pure-HE degraded plan (square activation
     /// needs relinearization). Private on purpose: the secret-hygiene lint
     /// forbids evaluation keys in public signatures outside bfv/henn.
@@ -213,7 +213,7 @@ fn he_label(layer: HeLayer) -> &'static str {
     match layer {
         HeLayer::Conv => "Convolutional Layer (HE outside)",
         HeLayer::Square => "Square Activation (HE fallback)",
-        HeLayer::SumPool => "Scaled Mean Pool (HE fallback)",
+        HeLayer::SumPool => "Window Sum (HE outside)",
         HeLayer::Fc => "Fully Connected Layer (HE outside)",
     }
 }
@@ -244,6 +244,20 @@ impl HybridInference {
         let report = model.range_report();
         let sys = CrtPlainSystem::for_range(config.poly_degree, report.required_plain_bits)
             .map_err(Error::He)?;
+        // The parameters are sized for the hybrid plan. The pure-HE plan
+        // computes a different function — squares and undivided window sums
+        // grow far beyond `act_scale` — so it is compiled only when the
+        // same parameters also carry *its* range and its ciphertext
+        // multiplication; otherwise there is no degraded rung to fall to.
+        let compile = |placement| plan_for(&model, config.activation, &config.policy, placement);
+        let plan = compile(Placement::Hybrid);
+        let pure_he = QuantizedCnn {
+            pipeline: QuantPipeline::CryptoNets,
+            ..model.clone()
+        };
+        let degraded_plan = sys
+            .carries_deep(pure_he.range_report().required_plain_bits)
+            .then(|| compile(Placement::PureHe));
         let pool = ParExec::new(config.threads).with_recorder(config.recorder.clone());
         let he = HeLayers::new(sys, model, pool).map_err(Error::He)?;
         // The enclave heap must hold a full encrypted feature map; the EPC
@@ -280,11 +294,10 @@ impl HybridInference {
             InferenceEnclave::new(enclave, keys.secret, keys.public, config.seed ^ 0x1ee7);
         inference.set_recovery_policy(config.policy.recovery);
         let service = HybridInference {
-            plan: plan_for(he.model(), &config.policy, Placement::Hybrid),
-            degraded_plan: plan_for(he.model(), &config.policy, Placement::PureHe),
+            plan,
+            degraded_plan,
             he,
             enclave: inference,
-            activation: config.activation,
             evaluation: keys.evaluation,
             sealed_keys,
             recorder: config.recorder,
@@ -311,9 +324,14 @@ impl HybridInference {
     }
 
     /// The same model compiled for [`Placement::PureHe`]: what the session's
-    /// recovery ladder runs once the enclave stays unavailable.
-    pub fn degraded_plan(&self) -> &InferencePlan {
-        &self.degraded_plan
+    /// recovery ladder runs once the enclave stays unavailable. `None` when
+    /// the provisioned parameters — sized for the hybrid plan's range —
+    /// cannot carry the pure-HE plan exactly
+    /// ([`CrtPlainSystem::carries_deep`] of the model's
+    /// [`QuantPipeline::CryptoNets`] range): serving it anyway would return
+    /// logits wrapped modulo the plaintext modulus.
+    pub fn degraded_plan(&self) -> Option<&InferencePlan> {
+        self.degraded_plan.as_ref()
     }
 
     /// The inference enclave (metrics, side-channel log).
@@ -396,13 +414,31 @@ impl HybridInference {
         Ok(staged.out)
     }
 
-    /// Recorder-gated noise-budget telemetry: measures the minimum
-    /// invariant-noise budget of `cells` inside the enclave and records the
-    /// bit-count as a `noise.budget.layer[{layer}].{side}` gauge sample
-    /// (`side` is `pre` or `post`). Telemetry-only — the probe's ECALL cost
-    /// books under `ecall.ecall_NoiseProbe`, never under a pipeline stage,
-    /// so the reconciliation invariant (the `infer.*.ecall` fold equals
-    /// `total_enclave_cost`) is untouched. Returns the bits when measured.
+    /// Measures the minimum invariant-noise budget of `cells` inside the
+    /// enclave and records the bit-count as a
+    /// `noise.budget.layer[{layer}].{side}` gauge sample (`side` is `pre` or
+    /// `post`).
+    fn probe(
+        &self,
+        layer: usize,
+        side: &str,
+        cells: &[CrtCiphertext],
+    ) -> Result<(u32, CostBreakdown)> {
+        let refs: Vec<&CrtCiphertext> = cells.iter().collect();
+        let (bits, cost) = self.enclave.noise_probe(self.system(), &refs)?;
+        self.recorder.gauge(
+            &format!("noise.budget.layer[{layer}].{side}"),
+            u64::from(bits),
+        );
+        self.recorder.incr(counters::NOISE_PROBES, 1);
+        Ok((bits, cost))
+    }
+
+    /// Recorder-gated [`HybridInference::probe`]. Telemetry-only — the
+    /// probe's ECALL cost books under `ecall.ecall_NoiseProbe`, never under
+    /// a pipeline stage, so the reconciliation invariant (the
+    /// `infer.*.ecall` fold equals `total_enclave_cost`) is untouched.
+    /// Returns the bits when measured.
     fn probe_gauge(
         &self,
         layer: usize,
@@ -412,14 +448,7 @@ impl HybridInference {
         if !self.recorder.is_enabled() || cells.is_empty() {
             return Ok(None);
         }
-        let refs: Vec<&CrtCiphertext> = cells.iter().collect();
-        let (bits, _) = self.enclave.noise_probe(self.system(), &refs)?;
-        self.recorder.gauge(
-            &format!("noise.budget.layer[{layer}].{side}"),
-            u64::from(bits),
-        );
-        self.recorder.incr(counters::NOISE_PROBES, 1);
-        Ok(Some(bits))
+        Ok(Some(self.probe(layer, side, cells)?.0))
     }
 
     /// Drops the refresh-decision instant on the timeline.
@@ -441,80 +470,74 @@ impl HybridInference {
         }
     }
 
-    /// The body of a [`Stage::Refresh`] stage (§IV-E). Without `auto` the
-    /// decrypt–re-encrypt runs unconditionally; with it the enclave probes
-    /// the live invariant-noise budget and refreshes only when it falls
-    /// below `threshold` — the decision the trace timeline and the
-    /// `repro trace` noise table audit.
-    fn refresh(
+    /// The body of an enclave stage: the map crosses the boundary in
+    /// [`InferenceEnclave::apply`], with recorder-gated budget telemetry
+    /// either side (the pre-probe measures what actually crosses). The
+    /// consumed map's limb buffers seed the next HE stage's accumulator
+    /// copies.
+    ///
+    /// A refresh stage of a `refresh_auto` plan is gated (§IV-E): its
+    /// pre-probe is functional — the enclave measures the live budget and
+    /// the refresh runs only below the plan's threshold — so the probe's
+    /// cost belongs to the stage, folded into the stage metrics *and* the
+    /// stage span, keeping the reconciliation invariant exact. That
+    /// decision is what the trace timeline and the `repro trace` noise
+    /// table audit.
+    fn enclave_stage(
         &self,
-        threshold: u32,
+        plan: &InferencePlan,
         layer: usize,
-        auto: bool,
-        pooled: EncryptedMap,
+        (op, batching): (EnclaveOp, EcallBatching),
+        input: Cow<'_, EncryptedMap>,
         metrics: &mut HybridMetrics,
     ) -> Result<Staged> {
-        let (before, probe_cost) = if auto {
-            // Functional probe: it decides the refresh, so its cost
-            // belongs to the stage — folded into the stage metrics *and*
-            // the stage span, keeping the reconciliation invariant exact.
-            let refs: Vec<&CrtCiphertext> = pooled.cells().iter().collect();
-            let (bits, cost) = self.enclave.noise_probe(self.system(), &refs)?;
-            self.recorder.incr(counters::NOISE_PROBES, 1);
-            self.recorder
-                .gauge(&format!("noise.budget.layer[{layer}].pre"), u64::from(bits));
+        let refresh = op == EnclaveOp::Refresh;
+        let gated = refresh && plan.refresh_auto;
+        let threshold = plan.refresh_threshold_bits;
+        let (before, probe_cost) = if gated {
+            let (bits, cost) = self.probe(layer, "pre", input.cells())?;
             (Some(bits), cost)
         } else {
-            // Always mode: budget telemetry around the refresh is
-            // recorder-gated and cost-invisible to the stage books.
-            let bits = self.probe_gauge(layer, "pre", pooled.cells())?;
+            let bits = self.probe_gauge(layer, "pre", input.cells())?;
             (bits, CostBreakdown::default())
         };
-        let refreshed = !auto || before.is_some_and(|bits| bits < threshold);
-        let (out, cost, label, after) = if refreshed {
-            let (fresh, cost) =
-                self.enclave
-                    .refresh_batch(self.system(), pooled.cells(), self.pool())?;
-            self.recorder.incr(counters::NOISE_REFRESHES, 1);
-            let (c, h, w) = pooled.shape();
-            let fresh = EncryptedMap::new(c, h, w, fresh);
-            let after = self.probe_gauge(layer, "post", fresh.cells())?;
-            let cost = probe_cost.saturating_add(cost);
-            (fresh, cost, "Noise Refresh (SGX inside)", after)
+        let taken = !gated || before.is_some_and(|bits| bits < threshold);
+        let (out, cost, after) = if taken {
+            let (sys, model, pool) = (self.system(), self.model(), self.pool());
+            let (out, cost) = self.enclave.apply(op, sys, model, &input, batching, pool)?;
+            let after = self.probe_gauge(layer, "post", out.cells())?;
+            if let Cow::Owned(consumed) = input {
+                self.he.recycle(consumed);
+            }
+            (out, probe_cost.saturating_add(cost), after)
         } else {
-            self.recorder.incr(counters::NOISE_REFRESH_SKIPS, 1);
-            (pooled, probe_cost, "Noise Check (SGX inside)", None)
+            (input.into_owned(), probe_cost, None)
         };
-        if let Some(bits) = before {
-            self.trace_refresh_decision(layer, bits, threshold, refreshed);
-            metrics.noise.push(NoiseDecision {
-                layer,
-                before_bits: bits,
-                after_bits: after,
-                threshold_bits: threshold,
-                refreshed,
-            });
+        if refresh {
+            let counter = if taken {
+                counters::NOISE_REFRESHES
+            } else {
+                counters::NOISE_REFRESH_SKIPS
+            };
+            self.recorder.incr(counter, 1);
+            if let Some(bits) = before {
+                self.trace_refresh_decision(layer, bits, threshold, taken);
+                metrics.noise.push(NoiseDecision {
+                    layer,
+                    before_bits: bits,
+                    after_bits: after,
+                    threshold_bits: threshold,
+                    refreshed: taken,
+                });
+            }
         }
-        Ok(Staged::ecall(out, label, cost))
-    }
-
-    /// The body of an exact non-linear stage: the whole map crosses the
-    /// boundary in `ecall`, with recorder-gated budget telemetry either side
-    /// (the pre-probe measures what actually crosses). The consumed map's
-    /// limb buffers seed the next HE stage's accumulator copies.
-    fn exact_in_enclave(
-        &self,
-        layer: usize,
-        input: Cow<'_, EncryptedMap>,
-        label: String,
-        ecall: impl FnOnce(&EncryptedMap) -> Result<(EncryptedMap, CostBreakdown)>,
-    ) -> Result<Staged> {
-        self.probe_gauge(layer, "pre", input.cells())?;
-        let (out, cost) = ecall(&input)?;
-        self.probe_gauge(layer, "post", out.cells())?;
-        if let Cow::Owned(consumed) = input {
-            self.he.recycle(consumed);
-        }
+        let label = match op {
+            EnclaveOp::Activation(_) => "Activation (SGX inside)",
+            EnclaveOp::MeanPool => "Pooling Layer (SgxPool)",
+            EnclaveOp::Divide => "Pooling Layer (SgxDiv)",
+            EnclaveOp::Refresh if taken => "Noise Refresh (SGX inside)",
+            EnclaveOp::Refresh => "Noise Check (SGX inside)",
+        };
         Ok(Staged::ecall(out, label, cost))
     }
 
@@ -526,7 +549,6 @@ impl HybridInference {
         input: Cow<'_, EncryptedMap>,
         metrics: &mut HybridMetrics,
     ) -> Result<Staged> {
-        let (sys, m, pool) = (self.system(), self.model(), self.pool());
         match plan.stages[layer] {
             // Parallel over output cells × CRT limbs, bit-identical for
             // every pool size.
@@ -536,46 +558,9 @@ impl HybridInference {
                     .apply(he, input, &self.evaluation, &mut metrics.ops)?;
                 Ok(Staged::he(out, he_label(he)))
             }
-            Stage::Activation(batching) => {
-                self.exact_in_enclave(layer, input, "Activation (SGX inside)".into(), |map| {
-                    match batching {
-                        EcallBatching::Batched => {
-                            self.enclave
-                                .activation_map(sys, map, m, self.activation, pool)
-                        }
-                        EcallBatching::PerPixel => {
-                            self.enclave
-                                .activation_map_single_ecalls(sys, map, m, self.activation)
-                        }
-                    }
-                })
+            Stage::Enclave(op, batching) => {
+                self.enclave_stage(plan, layer, (op, batching), input, metrics)
             }
-            // Either split is one ECALL: SgxPool ships the whole map in,
-            // SgxDiv sums the windows under HE first and ships the reduced
-            // (noisier) map in for the division.
-            Stage::Pool(strategy) => {
-                let label = format!("Pooling Layer ({strategy:?})");
-                match strategy {
-                    PoolStrategy::SgxPool => self.exact_in_enclave(layer, input, label, |map| {
-                        self.enclave.pool_full_map(sys, map, m, false, pool)
-                    }),
-                    PoolStrategy::SgxDiv => {
-                        let summed =
-                            self.he
-                                .apply(HeLayer::SumPool, input, &[], &mut metrics.ops)?;
-                        self.exact_in_enclave(layer, Cow::Owned(summed), label, |map| {
-                            self.enclave.divide_map(sys, map, m, pool)
-                        })
-                    }
-                }
-            }
-            Stage::Refresh { auto } => self.refresh(
-                plan.refresh_threshold_bits,
-                layer,
-                auto,
-                input.into_owned(),
-                metrics,
-            ),
         }
     }
 
@@ -606,7 +591,7 @@ impl HybridInference {
         for (layer, stage) in plan.stages.iter().enumerate() {
             let side = match stage {
                 Stage::He(_) => "he",
-                _ => "ecall",
+                Stage::Enclave(..) => "ecall",
             };
             let span = format!("{prefix}.layer[{layer}].{side}");
             let out = self.run_stage(&mut metrics, &span, |metrics| {
@@ -615,11 +600,6 @@ impl HybridInference {
             map = Cow::Owned(out);
         }
         Ok((map.into_owned().into_cells(), metrics))
-    }
-
-    /// Total enclave cost accumulated on this service's virtual clock.
-    pub fn enclave_virtual_time(&self) -> Duration {
-        self.enclave.enclave().vclock().elapsed()
     }
 
     /// Unseals the stored secret-key blob and checks it still decodes to the
@@ -654,6 +634,7 @@ pub fn total_enclave_cost(metrics: &HybridMetrics) -> CostBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::PoolStrategy;
     use crate::request::NoiseRefresh;
     use hesgx_henn::ops;
     use hesgx_tee::enclave::Platform;
@@ -674,6 +655,46 @@ mod tests {
             fc_scale: 8,
             act_scale: 16,
         }
+    }
+
+    /// The same weights with an activation scale so wide that the hybrid
+    /// range needs the deep (multi-modulus) composition and covers the
+    /// model's pure-HE range — the only kind of service that has a degraded
+    /// plan ([`HybridInference::degraded_plan`]).
+    fn deep_hybrid_model() -> QuantizedCnn {
+        QuantizedCnn {
+            act_scale: 1 << 23,
+            ..small_hybrid_model()
+        }
+    }
+
+    /// `logits` decrypted with the enclave's secret keys (test-only access):
+    /// one row of class scores per batched image.
+    fn decrypt_rows(
+        service: &HybridInference,
+        logits: &[CrtCiphertext],
+        batch: usize,
+    ) -> Vec<Vec<i128>> {
+        let slots: Vec<Vec<i128>> = logits
+            .iter()
+            .map(|ct| {
+                service
+                    .system()
+                    .decrypt_slots(ct, service.enclave.secret_keys())
+                    .unwrap()
+            })
+            .collect();
+        (0..batch)
+            .map(|b| slots.iter().map(|class| class[b]).collect())
+            .collect()
+    }
+
+    /// The plaintext reference rows `decrypt_rows` is compared against.
+    fn reference_rows(model: &QuantizedCnn, images: &[Vec<i64>]) -> Vec<Vec<i128>> {
+        images
+            .iter()
+            .map(|img| model.forward_ints(img).iter().map(|&v| v.into()).collect())
+            .collect()
     }
 
     #[test]
@@ -703,20 +724,10 @@ mod tests {
         )
         .unwrap();
         let (logits, metrics) = service.run(service.plan(), &enc).unwrap();
-        // Decrypt with the enclave's secret keys (test-only access).
-        for (b, img) in images.iter().enumerate() {
-            let expect = model.forward_ints(img);
-            for (class, ct) in logits.iter().enumerate() {
-                let slots = service
-                    .system()
-                    .decrypt_slots(ct, service.enclave.secret_keys())
-                    .unwrap();
-                assert_eq!(
-                    slots[b], expect[class] as i128,
-                    "batch {b} class {class} logit"
-                );
-            }
-        }
+        assert_eq!(
+            decrypt_rows(&service, &logits, images.len()),
+            reference_rows(&model, &images)
+        );
         assert_eq!(metrics.stages.len(), 4);
         assert!(metrics.total() > Duration::ZERO);
     }
@@ -749,7 +760,10 @@ mod tests {
         // Fig. 8's `EncryptSGX (single)` group: the same plan with the
         // activation stage swapped, on the same service.
         let mut per_pixel = service.plan().clone();
-        per_pixel.stages[1] = Stage::Activation(EcallBatching::PerPixel);
+        let Stage::Enclave(activation, _) = per_pixel.stages[1] else {
+            panic!("stage 1 is the activation ECALL");
+        };
+        per_pixel.stages[1] = Stage::Enclave(activation, EcallBatching::PerPixel);
         let (_, single) = service.run(&per_pixel, &enc).unwrap();
         let b = total_enclave_cost(&batched);
         let s = total_enclave_cost(&single);
@@ -772,7 +786,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(service.plan().stages[2], Stage::Pool(PoolStrategy::SgxPool));
+        assert_eq!(service.plan().stages[2..3], *PoolStrategy::SgxPool.stages());
     }
 
     #[test]
@@ -831,14 +845,14 @@ mod tests {
         }
     }
 
-    /// Provisions the small model at degree 256 and encrypts `images` under
-    /// the ceremony keys with a fixed client seed.
+    /// Provisions `model` at degree 256 and encrypts `images` under the
+    /// ceremony keys with a fixed client seed.
     fn service_and_input(
+        model: &QuantizedCnn,
         platform: u64,
         seed: u64,
         images: &[Vec<i64>],
     ) -> (HybridInference, EncryptedMap) {
-        let model = small_hybrid_model();
         let (service, _) = HybridInference::provision_with(
             Platform::new(platform),
             model.clone(),
@@ -872,11 +886,11 @@ mod tests {
         let images: Vec<Vec<i64>> = (0..2)
             .map(|b| (0..64).map(|p| ((p * 5 + b * 3) % 16) as i64).collect())
             .collect();
-        let (service, enc) = service_and_input(36, 12, &images);
+        let (service, enc) = service_and_input(&model, 36, 12, &images);
         let (logits, metrics) = service.run(service.plan(), &enc).unwrap();
 
         // Same seeds → same keys and the same enclave re-encryption streams.
-        let (oracle, enc) = service_and_input(36, 12, &images);
+        let (oracle, enc) = service_and_input(&model, 36, 12, &images);
         let mut oracle_ops = OpCounter::default();
         let conv = ops::he_conv2d_reference(
             oracle.system(),
@@ -889,20 +903,16 @@ mod tests {
             &mut oracle_ops,
         )
         .unwrap();
-        let (activated, _) = oracle
-            .enclave
-            .activation_map(
-                oracle.system(),
-                &conv,
-                &model,
-                oracle.activation,
-                oracle.pool(),
-            )
-            .unwrap();
-        let (pooled, _) = oracle
-            .enclave
-            .pool_full_map(oracle.system(), &activated, &model, false, oracle.pool())
-            .unwrap();
+        let in_enclave = |op, map: &EncryptedMap| {
+            let (sys, pool) = (oracle.system(), oracle.pool());
+            oracle
+                .enclave
+                .apply(op, sys, &model, map, EcallBatching::Batched, pool)
+                .unwrap()
+                .0
+        };
+        let activated = in_enclave(EnclaveOp::Activation(ActivationKind::Sigmoid), &conv);
+        let pooled = in_enclave(EnclaveOp::MeanPool, &activated);
         let oracle_logits = ops::he_fully_connected_reference(
             oracle.system(),
             &pooled,
@@ -938,10 +948,11 @@ mod tests {
     fn degraded_cached_weights_are_bit_identical() {
         use hesgx_bfv::prelude::PolyArena;
         use hesgx_henn::weights::WeightBank;
-        let model = small_hybrid_model();
+        let model = deep_hybrid_model();
         let images = vec![(0..64).map(|p| ((p * 7) % 16) as i64).collect::<Vec<i64>>()];
-        let (service, enc) = service_and_input(37, 13, &images);
-        let (logits, metrics) = service.run(service.degraded_plan(), &enc).unwrap();
+        let (service, enc) = service_and_input(&model, 37, 13, &images);
+        let degraded = service.degraded_plan().expect("the deep model has one");
+        let (logits, metrics) = service.run(degraded, &enc).unwrap();
         assert_eq!(metrics.ops.weight_prep, 0);
         assert_eq!(metrics.stages.len(), 4);
         assert!(metrics.stages.iter().all(|s| s.enclave.is_none()));
@@ -1008,12 +1019,14 @@ mod tests {
     }
 
     /// Every compiled plan is exact. One service per (model, refresh policy,
-    /// pool size); on it, the plan's activation and pooling stages are
-    /// swapped through {batched, per-pixel} × {`SgxPool`, `SgxDiv`} — the
-    /// `SgxDiv` arm (HE window sum + in-enclave division) included, on the
-    /// 2×2 model where the §VI-D rule would not pick it and on a 3×3-window
-    /// model where it does. Logits must equal the plaintext reference and
-    /// the metrics must show one stage per plan stage, ECALL where planned.
+    /// pool size); on it, the plan's pooling stages are swapped through
+    /// {`SgxPool`, `SgxDiv`} — the `SgxDiv` split (an HE window-sum stage,
+    /// then the in-enclave division) included, on the 2×2 model where the
+    /// §VI-D rule would not pick it and on a 3×3-window model where it does
+    /// — and every enclave stage through {batched, per-pixel}. Logits must
+    /// equal the plaintext reference and the metrics must show one stage per
+    /// plan stage, ECALL where planned. The pure-HE plan joins on the model
+    /// whose parameters carry it, against the CryptoNets-pipeline reference.
     #[test]
     fn every_compiled_plan_is_exact() {
         let window_3 = QuantizedCnn {
@@ -1024,7 +1037,31 @@ mod tests {
         let images: Vec<Vec<i64>> = (0..2)
             .map(|b| (0..64).map(|p| ((p * 3 + b * 5) % 16) as i64).collect())
             .collect();
-        // (policy, stage-3 label when the plan has a refresh stage)
+        let provision = |model: &QuantizedCnn, policy: &ServePolicy, threads| {
+            let (service, _) = HybridInference::provision_with(
+                Platform::new(40),
+                model.clone(),
+                ProvisionConfig {
+                    poly_degree: 256,
+                    seed: 16,
+                    threads,
+                    policy: policy.clone(),
+                    ..ProvisionConfig::default()
+                },
+            )
+            .unwrap();
+            let enc = EncryptedMap::encrypt_images(
+                service.system(),
+                &images,
+                model.in_side,
+                service.enclave.public_keys(),
+                &ChaChaRng::from_seed(107),
+                &ParExec::serial(),
+            )
+            .unwrap();
+            (service, enc)
+        };
+        // (policy, the refresh stage's label when the plan has one)
         let refreshes = [
             (ServePolicy::new(), None),
             (
@@ -1050,66 +1087,54 @@ mod tests {
         ] {
             for (policy, refresh_label) in &refreshes {
                 for threads in [1usize, 2] {
-                    let (service, _) = HybridInference::provision_with(
-                        Platform::new(40),
-                        model.clone(),
-                        ProvisionConfig {
-                            poly_degree: 256,
-                            seed: 16,
-                            threads,
-                            policy: policy.clone(),
-                            ..ProvisionConfig::default()
-                        },
-                    )
-                    .unwrap();
-                    assert_eq!(service.plan().stages[2], Stage::Pool(natural));
-                    let enc = EncryptedMap::encrypt_images(
-                        service.system(),
-                        &images,
-                        model.in_side,
-                        service.enclave.public_keys(),
-                        &ChaChaRng::from_seed(107),
-                        &ParExec::serial(),
-                    )
-                    .unwrap();
+                    let (service, enc) = provision(&model, policy, threads);
+                    // Pooling starts at stage 2 and compiles to the split
+                    // the window rule picks.
+                    let pooling = 2..2 + natural.stages().len();
+                    assert_eq!(service.plan().stages[pooling.clone()], *natural.stages());
+                    // Sized for `act_scale`-bounded values, these parameters
+                    // cannot carry the pure-HE plan's squares.
+                    assert!(service.degraded_plan().is_none());
                     for batching in [EcallBatching::Batched, EcallBatching::PerPixel] {
                         for strategy in [PoolStrategy::SgxPool, PoolStrategy::SgxDiv] {
                             let mut plan = service.plan().clone();
-                            plan.stages[1] = Stage::Activation(batching);
-                            plan.stages[2] = Stage::Pool(strategy);
+                            plan.stages
+                                .splice(pooling.clone(), strategy.stages().iter().copied());
+                            for stage in &mut plan.stages {
+                                if let Stage::Enclave(op, _) = *stage {
+                                    *stage = Stage::Enclave(op, batching);
+                                }
+                            }
                             let what = format!(
                                 "window {} {policy:?} {threads} threads {:?}",
                                 model.window, plan.stages
                             );
                             let (logits, metrics) = service.run(&plan, &enc).unwrap();
-                            for (b, img) in images.iter().enumerate() {
-                                let got: Vec<i128> = logits
-                                    .iter()
-                                    .map(|ct| {
-                                        service
-                                            .system()
-                                            .decrypt_slots(ct, service.enclave.secret_keys())
-                                            .unwrap()[b]
-                                    })
-                                    .collect();
-                                let expect: Vec<i128> =
-                                    model.forward_ints(img).iter().map(|&v| v.into()).collect();
-                                assert_eq!(got, expect, "{what}: image {b}");
-                            }
+                            assert_eq!(
+                                decrypt_rows(&service, &logits, images.len()),
+                                reference_rows(&model, &images),
+                                "{what}"
+                            );
                             let crossed: Vec<bool> =
                                 metrics.stages.iter().map(|s| s.enclave.is_some()).collect();
                             let planned: Vec<bool> = plan
                                 .stages
                                 .iter()
-                                .map(|s| !matches!(s, Stage::He(_)))
+                                .map(|s| matches!(s, Stage::Enclave(..)))
                                 .collect();
                             assert_eq!(crossed, planned, "{what}");
+                            // The split's last stage is its ECALL; a refresh
+                            // stage, when planned, follows it.
+                            let pool_ecall = 1 + strategy.stages().len();
                             assert_eq!(
-                                metrics.stages[2].name,
+                                metrics.stages[pool_ecall].name,
                                 format!("Pooling Layer ({strategy:?})"),
                                 "{what}"
                             );
-                            // Conv and FC accumulate; of the pooling arms
+                            if let Some(label) = refresh_label {
+                                assert_eq!(metrics.stages[pool_ecall + 1].name, *label, "{what}");
+                            }
+                            // Conv and FC accumulate; of the pooling splits
                             // only SgxDiv adds ciphertexts (the window sums).
                             let conv_cells = model.conv_out * model.conv_side().pow(2);
                             let pool_cells = model.conv_out * model.pool_side().pow(2);
@@ -1119,13 +1144,41 @@ mod tests {
                                 adds += pool_cells * (model.window.pow(2) - 1);
                             }
                             assert_eq!(metrics.ops.ct_ct_add, adds as u64, "{what}");
-                            if let Some(label) = refresh_label {
-                                assert_eq!(metrics.stages[3].name, *label, "{what}");
-                            }
                         }
                     }
                 }
             }
+        }
+        // The model whose hybrid range covers its pure-HE range: both of
+        // the service's plans are exact, each against its own reference.
+        let model = deep_hybrid_model();
+        let pure_he_reference = QuantizedCnn {
+            pipeline: QuantPipeline::CryptoNets,
+            ..model.clone()
+        };
+        for threads in [1usize, 2] {
+            let (service, enc) = provision(&model, &ServePolicy::new(), threads);
+            let (logits, _) = service.run(service.plan(), &enc).unwrap();
+            assert_eq!(
+                decrypt_rows(&service, &logits, images.len()),
+                reference_rows(&model, &images),
+                "deep hybrid, {threads} threads"
+            );
+            let degraded = service.degraded_plan().expect("the deep model has one");
+            assert_eq!(degraded.placement, Placement::PureHe);
+            let (logits, metrics) = service.run(degraded, &enc).unwrap();
+            assert_eq!(
+                decrypt_rows(&service, &logits, images.len()),
+                reference_rows(&pure_he_reference, &images),
+                "pure HE, {threads} threads"
+            );
+            assert!(metrics.stages.iter().all(|s| s.enclave.is_none()));
+            let refs: Vec<&CrtCiphertext> = logits.iter().collect();
+            let (budget, _) = service
+                .enclave
+                .noise_probe(service.system(), &refs)
+                .unwrap();
+            assert!(budget > 0, "pure-HE logits ran out of noise budget");
         }
     }
 
@@ -1160,9 +1213,13 @@ mod tests {
         ] {
             let rec = Recorder::with_timeline();
             let profiler = Profiler::enabled();
+            let model = match path {
+                Path::Degraded => deep_hybrid_model(),
+                _ => small_hybrid_model(),
+            };
             let (service, ceremony) = HybridInference::provision_with(
                 Platform::new(39),
-                small_hybrid_model(),
+                model,
                 ProvisionConfig {
                     poly_degree: 256,
                     seed: 15,
@@ -1196,7 +1253,10 @@ mod tests {
 
             let installed = profiler.install();
             let stages = match path {
-                Path::Degraded => service.run(service.degraded_plan(), &enc).unwrap().1.stages,
+                Path::Degraded => {
+                    let plan = service.degraded_plan().expect("the deep model has one");
+                    service.run(plan, &enc).unwrap().1.stages
+                }
                 Path::Transciphered => {
                     let key = derive_ingress_key(&ceremony.public, &ceremony.user_secret);
                     let payload = seal_ingress_payload(&key, &mut rng, &images).unwrap();

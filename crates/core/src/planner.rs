@@ -10,12 +10,14 @@
 //!
 //! The plan is the program: [`plan_for`] compiles a model and a
 //! [`ServePolicy`] into the ordered [`Stage`] list that
-//! [`crate::pipeline::HybridInference::run`] walks. The degraded pure-HE
-//! fallback is the same model compiled with [`Placement::PureHe`], and the
-//! Fig. 8 control groups are the exact plan with one stage swapped.
+//! [`crate::pipeline::HybridInference::run`] walks — HE layers and enclave
+//! operators alike are data. The degraded pure-HE fallback is the same model
+//! compiled with [`Placement::PureHe`], and the Fig. 8 control groups are
+//! the exact plan with one stage swapped.
 
 use crate::request::{NoiseRefresh, ServePolicy};
 use hesgx_henn::layers::HeLayer;
+use hesgx_nn::layers::ActivationKind;
 use hesgx_nn::quantize::QuantizedCnn;
 use serde::{Deserialize, Serialize};
 
@@ -28,9 +30,12 @@ pub enum Placement {
     Hybrid,
     /// The enclave is unavailable: the sigmoid becomes the CryptoNets
     /// square under the ceremony's evaluation keys and mean pooling stays a
-    /// window sum (no division without the enclave). The logits sit on a
-    /// different fixed-point scale — a ranking-quality prediction, which
-    /// [`crate::session::Served::Degraded`] marks.
+    /// window sum (no division without the enclave). The logits are exactly
+    /// [`QuantizedCnn::forward_ints`] of the same weights quantized for
+    /// [`hesgx_nn::quantize::QuantPipeline::CryptoNets`] — a different
+    /// fixed-point scale, which [`crate::session::Served::Degraded`] marks.
+    /// A service compiles this plan only when its parameters can carry it
+    /// ([`crate::pipeline::HybridInference::degraded_plan`]).
     PureHe,
 }
 
@@ -56,36 +61,62 @@ impl PoolStrategy {
             PoolStrategy::SgxDiv
         }
     }
+
+    /// The stages the split compiles to: `SgxPool` is one ECALL over the
+    /// whole map; `SgxDiv` sums the windows under HE first and ships the
+    /// reduced (noisier) map in for the division.
+    pub fn stages(self) -> &'static [Stage] {
+        match self {
+            PoolStrategy::SgxPool => &[Stage::Enclave(EnclaveOp::MeanPool, EcallBatching::Batched)],
+            PoolStrategy::SgxDiv => &[
+                Stage::He(HeLayer::SumPool),
+                Stage::Enclave(EnclaveOp::Divide, EcallBatching::Batched),
+            ],
+        }
+    }
 }
 
-/// How the activation layer's cells cross the enclave boundary — the Fig. 8
+/// What the enclave computes on the decrypted slots between ECALL-in and
+/// re-encrypt (paper §IV-D/§IV-E) — the operand of
+/// [`crate::sgx_ops::InferenceEnclave::apply`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum EnclaveOp {
+    /// The exact activation, cell by cell (`SGXSigmoid` in Fig. 5; ReLU,
+    /// Tanh and LeakyReLU work just as well, §VI-C).
+    Activation(ActivationKind),
+    /// `SGXPool` (§VI-D): every pooling window is summed and divided
+    /// inside — fixed input size regardless of window (the green line of
+    /// Fig. 6).
+    MeanPool,
+    /// `SGXDiv` (§VI-D): the non-linear division by `k²` of window sums that
+    /// were computed homomorphically outside.
+    Divide,
+    /// Noise refresh (`ecall_DecreaseNoise`, §IV-E / Table V): decrypt and
+    /// re-encrypt unchanged, removing all accumulated noise and shrinking
+    /// size-3 ciphertexts back to size 2 — the enclave alternative to
+    /// relinearization.
+    Refresh,
+}
+
+/// How an enclave stage's cells cross the boundary (§VI-E) — the Fig. 8
 /// control groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EcallBatching {
     /// One ECALL per feature map (the framework's design, `EncryptSGX`).
     Batched,
-    /// One ECALL per pixel (`EncryptSGX (single)` — the paper's negative
-    /// result: "frequent accesses to SGX bring about huge time-consuming").
+    /// One ECALL per output cell (`EncryptSGX (single)` — the paper's
+    /// negative result: "frequent accesses to SGX bring about huge
+    /// time-consuming").
     PerPixel,
 }
 
-/// One step of a plan. [`Stage::He`] runs in the untrusted host; every other
-/// stage is an ECALL.
+/// One step of a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Stage {
     /// A layer under HE outside the enclave (§IV-C).
     He(HeLayer),
-    /// The exact activation on plaintext inside the enclave (§IV-D).
-    Activation(EcallBatching),
-    /// Mean pooling with the division inside the enclave (§VI-D).
-    Pool(PoolStrategy),
-    /// The in-enclave noise refresh point (`ecall_DecreaseNoise`, §IV-E).
-    /// `auto` probes the live budget first and refreshes only below the
-    /// plan's `refresh_threshold_bits`; otherwise the refresh always runs.
-    Refresh {
-        /// Gate the refresh on the measured budget.
-        auto: bool,
-    },
+    /// An exact operator on plaintext inside the enclave (§IV-D).
+    Enclave(EnclaveOp, EcallBatching),
 }
 
 /// An executable plan: the stage list one inference walks.
@@ -97,6 +128,10 @@ pub struct InferencePlan {
     /// The stages, in execution order. The last stage's output cells are
     /// the logits.
     pub stages: Vec<Stage>,
+    /// Gate every [`EnclaveOp::Refresh`] stage on the live budget: the
+    /// enclave probes first and refreshes only below
+    /// `refresh_threshold_bits`. Otherwise a refresh stage always runs.
+    pub refresh_auto: bool,
     /// Refresh ciphertexts inside the enclave when the minimum noise budget
     /// falls below this many bits.
     pub refresh_threshold_bits: u32,
@@ -106,19 +141,26 @@ pub struct InferencePlan {
 const DEFAULT_REFRESH_THRESHOLD_BITS: u32 = 10;
 
 /// Compiles the paper's 4-layer CNN into a plan: linear layers → HE
-/// outside; non-linear layers → exact inside the enclave (pooling split by
-/// the §VI-D window rule, the policy's noise refresh before the FC layer),
-/// or their HE stand-ins when `placement` says the enclave is unavailable.
-pub fn plan_for(model: &QuantizedCnn, policy: &ServePolicy, placement: Placement) -> InferencePlan {
+/// outside; non-linear layers → exact inside the enclave (`activation`,
+/// pooling split by the §VI-D window rule, the policy's noise refresh before
+/// the FC layer), or their HE stand-ins when `placement` says the enclave is
+/// unavailable.
+pub fn plan_for(
+    model: &QuantizedCnn,
+    activation: ActivationKind,
+    policy: &ServePolicy,
+    placement: Placement,
+) -> InferencePlan {
     let mut stages = vec![Stage::He(HeLayer::Conv)];
     match placement {
         Placement::Hybrid => {
-            stages.push(Stage::Activation(EcallBatching::Batched));
-            stages.push(Stage::Pool(PoolStrategy::select(model.window)));
-            match policy.noise_refresh {
-                NoiseRefresh::Off => {}
-                NoiseRefresh::Always => stages.push(Stage::Refresh { auto: false }),
-                NoiseRefresh::Auto => stages.push(Stage::Refresh { auto: true }),
+            stages.push(Stage::Enclave(
+                EnclaveOp::Activation(activation),
+                EcallBatching::Batched,
+            ));
+            stages.extend(PoolStrategy::select(model.window).stages());
+            if policy.noise_refresh != NoiseRefresh::Off {
+                stages.push(Stage::Enclave(EnclaveOp::Refresh, EcallBatching::Batched));
             }
         }
         Placement::PureHe => {
@@ -130,6 +172,7 @@ pub fn plan_for(model: &QuantizedCnn, policy: &ServePolicy, placement: Placement
     InferencePlan {
         placement,
         stages,
+        refresh_auto: policy.noise_refresh == NoiseRefresh::Auto,
         refresh_threshold_bits: policy
             .refresh_threshold_bits
             .unwrap_or(DEFAULT_REFRESH_THRESHOLD_BITS),
@@ -166,29 +209,66 @@ mod tests {
             fc_scale: 32,
             act_scale: 16,
         };
-        let plan = plan_for(&model, &ServePolicy::default(), Placement::Hybrid);
+        let sigmoid = ActivationKind::Sigmoid;
+        let plan = plan_for(&model, sigmoid, &ServePolicy::default(), Placement::Hybrid);
         // The paper's model uses a 2×2 window → SgxPool.
         assert_eq!(
             plan.stages,
             [
                 Stage::He(HeLayer::Conv),
-                Stage::Activation(EcallBatching::Batched),
-                Stage::Pool(PoolStrategy::SgxPool),
+                Stage::Enclave(EnclaveOp::Activation(sigmoid), EcallBatching::Batched),
+                Stage::Enclave(EnclaveOp::MeanPool, EcallBatching::Batched),
                 Stage::He(HeLayer::Fc),
             ]
         );
         assert_eq!(plan.refresh_threshold_bits, 10);
+        assert!(!plan.refresh_auto);
+        // A 3×3 window → SgxDiv: the window sum is an HE stage of its own,
+        // only the division crosses into the enclave.
+        let window_3 = QuantizedCnn {
+            window: 3,
+            ..model.clone()
+        };
+        let plan = plan_for(
+            &window_3,
+            sigmoid,
+            &ServePolicy::default(),
+            Placement::Hybrid,
+        );
+        assert_eq!(
+            plan.stages[2..4],
+            [
+                Stage::He(HeLayer::SumPool),
+                Stage::Enclave(EnclaveOp::Divide, EcallBatching::Batched),
+            ]
+        );
+        assert_eq!(plan.stages.len(), 5);
         // The policy's refresh lands between pooling and the FC layer.
         let policy = ServePolicy::new()
             .noise_refresh(NoiseRefresh::Auto)
             .refresh_threshold_bits(7);
-        let plan = plan_for(&model, &policy, Placement::Hybrid);
-        assert_eq!(plan.stages[3], Stage::Refresh { auto: true });
+        let plan = plan_for(&model, ActivationKind::Relu, &policy, Placement::Hybrid);
+        assert_eq!(
+            plan.stages[1],
+            Stage::Enclave(
+                EnclaveOp::Activation(ActivationKind::Relu),
+                EcallBatching::Batched
+            )
+        );
+        assert_eq!(
+            plan.stages[3],
+            Stage::Enclave(EnclaveOp::Refresh, EcallBatching::Batched)
+        );
         assert_eq!(plan.stages.len(), 5);
+        assert!(plan.refresh_auto);
         assert_eq!(plan.refresh_threshold_bits, 7);
+        let always = ServePolicy::new().noise_refresh(NoiseRefresh::Always);
+        let always = plan_for(&model, sigmoid, &always, Placement::Hybrid);
+        assert_eq!(always.stages[3], plan.stages[3]);
+        assert!(!always.refresh_auto);
         // Without the enclave the same model compiles to the CryptoNets
         // list, whatever the policy says about refreshing.
-        let plan = plan_for(&model, &policy, Placement::PureHe);
+        let plan = plan_for(&model, sigmoid, &policy, Placement::PureHe);
         assert_eq!(
             plan.stages,
             [

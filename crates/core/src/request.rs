@@ -53,7 +53,10 @@ pub enum Resilience {
     #[default]
     FailFast,
     /// Answer from the pure-HE square-activation fallback and mark the
-    /// response [`Served::Degraded`].
+    /// response [`Served::Degraded`]. A service whose parameters cannot
+    /// carry that plan exactly has no such fallback
+    /// ([`crate::HybridInference::degraded_plan`]); there the request fails
+    /// as a [`Resilience::FailFast`] one does.
     Degrade,
 }
 

@@ -21,7 +21,8 @@
 //! re-provision (same seed → identical keys, so the user's material stays
 //! valid), and a request sent with [`Resilience::Degrade`] falls back to the
 //! service's pure-HE plan — marked [`Served::Degraded`] — when retries are
-//! exhausted. Install a [`FaultPlan`] with
+//! exhausted, provided the service compiled one
+//! ([`HybridInference::degraded_plan`]). Install a [`FaultPlan`] with
 //! [`SessionBuilder::chaos`] to drive every one of those paths
 //! deterministically and read the resulting [`FaultReport`] back via
 //! [`Session::fault_report`].
@@ -106,8 +107,12 @@ pub enum Served {
     Exact,
     /// Transient-fault retries were exhausted and the pure-HE
     /// square-activation fallback answered instead. The logits sit on a
-    /// different fixed-point scale — a ranking-quality prediction, not the
-    /// exact reference.
+    /// different fixed-point scale: they are exactly
+    /// [`QuantizedCnn::forward_ints`] of the same weights quantized for
+    /// [`QuantPipeline::CryptoNets`](hesgx_nn::quantize::QuantPipeline::CryptoNets),
+    /// not the hybrid reference. Only a service whose parameters can carry
+    /// that plan has this rung ([`HybridInference::degraded_plan`]); on any
+    /// other the exhausted request fails as a fail-fast one does.
     Degraded,
 }
 
@@ -498,9 +503,14 @@ impl Session {
                     self.reprovision("sealed-state corruption detected during inference")?;
                     reprovisions += 1;
                 }
-                FaultClass::Transient if request.resilience == Resilience::Degrade => {
+                FaultClass::Transient
+                    if request.resilience == Resilience::Degrade
+                        && self.service.read().degraded_plan().is_some() =>
+                {
                     // Bounded retries already ran (and were exhausted)
-                    // inside the pipeline; keep serving without SGX.
+                    // inside the pipeline; keep serving without SGX. (A
+                    // service whose parameters cannot carry the pure-HE
+                    // plan has no such rung: the error propagates below.)
                     let reason = "transient retries exhausted; pure-HE square fallback";
                     if let Some(hook) = self.hook() {
                         hook.on_recovery(RecoveryEvent::Degraded { reason });
@@ -530,7 +540,9 @@ impl Session {
             let service = self.service.read();
             let plan = match placement {
                 Placement::Hybrid => service.plan(),
-                Placement::PureHe => service.degraded_plan(),
+                Placement::PureHe => service
+                    .degraded_plan()
+                    .ok_or(Error::Internal("no degraded plan was compiled"))?,
             };
             service.run(plan, enc)?
         };
@@ -934,43 +946,65 @@ mod tests {
     fn exhausted_retries_degrade_but_keep_serving() {
         // Four consecutive scripted faults on the first ECALL exceed the
         // default budget of 3 retries; the resilient path must fall back.
-        let plan = FaultPlan::new(3)
-            .script(FaultSite::EcallEnter, 0, FaultKind::Transient)
-            .script(FaultSite::EcallEnter, 1, FaultKind::Transient)
-            .script(FaultSite::EcallEnter, 2, FaultKind::Transient)
-            .script(FaultSite::EcallEnter, 3, FaultKind::Transient);
-        let session = SessionBuilder::new()
-            .params(ParamsPreset::Small)
-            .threads(1)
-            .seed(12)
-            .chaos(plan)
-            .build(Platform::new(44), small_model())
-            .unwrap();
+        let exhausting = || {
+            (0..4).fold(FaultPlan::new(3), |plan, occurrence| {
+                plan.script(FaultSite::EcallEnter, occurrence, FaultKind::Transient)
+            })
+        };
+        let session_for = |platform, model: QuantizedCnn| {
+            SessionBuilder::new()
+                .params(ParamsPreset::Small)
+                .threads(1)
+                .seed(12)
+                .chaos(exhausting())
+                .build(Platform::new(platform), model)
+                .unwrap()
+        };
+        // The degraded rung exists where the parameters carry the pure-HE
+        // plan: a hybrid range wide enough to need the deep composition
+        // and to cover the squares.
+        let deep = QuantizedCnn {
+            act_scale: 1 << 23,
+            ..small_model()
+        };
+        let session = session_for(44, deep.clone());
         let image: Vec<i64> = (0..64).map(|p| (p % 4) as i64).collect();
-        let response = session
-            .serve(InferRequest::single(image.clone()).resilience(Resilience::Degrade))
-            .unwrap();
+        let degrade = || InferRequest::single(image.clone()).resilience(Resilience::Degrade);
+        let response = session.serve(degrade()).unwrap();
         assert_eq!(response.served, Served::Degraded);
-        assert_eq!(response.logits.len(), 1);
-        assert_eq!(response.logits[0].len(), session.model().classes);
-        let report = session.fault_report().unwrap();
-        assert!(report.degraded());
+        // Degraded is exact too — against the pure-HE reference.
+        let pure_he = QuantizedCnn {
+            pipeline: QuantPipeline::CryptoNets,
+            ..deep
+        };
+        assert_eq!(response.logits, vec![pure_he.forward_ints(&image)]);
+        assert!(session.fault_report().unwrap().degraded());
+        {
+            let enc = session.encrypt_batch(std::slice::from_ref(&image)).unwrap();
+            let service = session.service();
+            let plan = service.degraded_plan().expect("the deep model has one");
+            let (logits, _) = service.run(plan, &enc).unwrap();
+            let refs: Vec<&CrtCiphertext> = logits.iter().collect();
+            let (budget, _) = service
+                .enclave()
+                .noise_probe(service.system(), &refs)
+                .unwrap();
+            assert!(budget > 0, "degraded logits ran out of noise budget");
+        }
         // A fail-fast request propagates the same exhaustion as an error.
-        let session2 = SessionBuilder::new()
-            .params(ParamsPreset::Small)
-            .threads(1)
-            .seed(12)
-            .chaos(
-                FaultPlan::new(3)
-                    .script(FaultSite::EcallEnter, 0, FaultKind::Transient)
-                    .script(FaultSite::EcallEnter, 1, FaultKind::Transient)
-                    .script(FaultSite::EcallEnter, 2, FaultKind::Transient)
-                    .script(FaultSite::EcallEnter, 3, FaultKind::Transient),
-            )
-            .build(Platform::new(45), small_model())
-            .unwrap();
-        let err = session2.serve(InferRequest::single(image)).unwrap_err();
+        let session2 = session_for(45, small_model());
+        let err = session2
+            .serve(InferRequest::single(image.clone()))
+            .unwrap_err();
         assert!(err.is_transient(), "{err}");
+        // And so does a `Degrade` request on a service sized for the hybrid
+        // plan alone: the pure-HE logits would wrap modulo its plaintext
+        // modulus, so no degraded plan was compiled and nothing degrades.
+        let session3 = session_for(46, small_model());
+        assert!(session3.service().degraded_plan().is_none());
+        let err = session3.serve(degrade()).unwrap_err();
+        assert!(err.is_transient(), "{err}");
+        assert!(!session3.fault_report().unwrap().degraded());
     }
 
     /// [`SessionBuilder::policy`] installs the whole [`ServePolicy`]; the

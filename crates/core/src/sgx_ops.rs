@@ -3,7 +3,9 @@
 //!
 //! Every operation follows the same shape: ECALL in with the ciphertexts,
 //! decrypt with the enclave-resident secret keys, compute the exact function
-//! on plaintext, re-encrypt, ECALL out. The enclave holds `s`, so it
+//! on plaintext, re-encrypt, ECALL out — so there is one map → map operator,
+//! [`InferenceEnclave::apply`], and *what* it computes is data
+//! ([`EnclaveOp`]). The enclave holds `s`, so it
 //! re-encrypts under the secret key
 //! ([`CrtPlainSystem::encrypt_slots_symmetric`], DESIGN.md §19) — the public
 //! keys it keeps are only what it hands out. The re-encryption also resets
@@ -12,15 +14,17 @@
 //!
 //! Batching policy mirrors the paper §VI-E: a whole feature map (or a whole
 //! batch of ciphertexts) enters in a *single* ECALL so the boundary-crossing
-//! and key-load costs amortize; the `*_single_ecalls` variants reproduce the
-//! pathological per-pixel design Fig. 8 calls `EncryptSGX (single)`.
+//! and key-load costs amortize; [`EcallBatching::PerPixel`] reproduces, for
+//! any operator, the pathological one-ECALL-per-cell design Fig. 8 calls
+//! `EncryptSGX (single)`.
 //!
-//! All of them run on one skeleton, `InferenceEnclave::batched_ecall`: one
+//! Every ECALL runs on one skeleton, `InferenceEnclave::batched_ecall`: one
 //! fallible ECALL per logical call under the retry policy, per-cell work
 //! scheduled on the caller's [`ParExec`] inside the enclave body (a pool of
 //! one runs it inline) with its CPU time reported to the cost model.
 
 use crate::error::{Error, Result};
+use crate::planner::{EcallBatching, EnclaveOp};
 use crate::recovery::{retry_with_cost, RecoveryPolicy};
 use hesgx_bfv::prelude::{PublicKey, SecretKey};
 use hesgx_chaos::{FaultHook, FaultSite};
@@ -29,7 +33,6 @@ use hesgx_crypto::transcipher::{self, IngressKey};
 use hesgx_henn::crt::{CrtCiphertext, CrtPlainSystem};
 use hesgx_henn::image::EncryptedMap;
 use hesgx_henn::par::ParExec;
-use hesgx_nn::layers::ActivationKind;
 use hesgx_nn::quantize::QuantizedCnn;
 use hesgx_tee::cost::CostBreakdown;
 use hesgx_tee::enclave::Enclave;
@@ -127,12 +130,6 @@ impl InferenceEnclave {
     // hesgx-lint: allow(ecall-cost, reason = "setter; performs no enclave computation")
     pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
         self.recovery = policy;
-    }
-
-    /// The active retry policy.
-    // hesgx-lint: allow(ecall-cost, reason = "accessor; performs no enclave computation")
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.recovery
     }
 
     /// The enclave's installed fault hook as a trait object (recovery-event
@@ -234,128 +231,108 @@ impl InferenceEnclave {
         Ok((result?, cost))
     }
 
-    /// Decrypt a batch of ciphertexts, map each slot value, re-encrypt — the
-    /// common core of the cell-wise operators (activation, division,
-    /// refresh), one task per cell on `pool`.
-    fn transform_cells(
-        &self,
-        name: &str,
-        sys: &CrtPlainSystem,
-        cells: &[&CrtCiphertext],
-        f: impl Fn(usize, i128) -> i64 + Sync,
-        pool: &ParExec,
-        pre_site: Option<FaultSite>,
-    ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
-        let in_bytes: usize = cells.iter().map(|c| c.byte_len()).sum();
-        self.batched_ecall(
-            EcallShape {
-                name,
-                in_bytes,
-                out_bytes: in_bytes,
-                fork_prefix: "par",
-                pre_site,
-                retouch_header: true,
-            },
-            |base, cpu_ns| {
-                timed_tasks(pool, cells.len(), cpu_ns, |idx| {
-                    let mut rng = base.fork(&format!("cell-{idx}"));
-                    let slots = sys.decrypt_slots(cells[idx], &self.secret)?;
-                    let mapped: Vec<i64> = slots.iter().map(|&v| f(idx, v)).collect();
-                    Ok(sys.encrypt_slots_symmetric(&mapped, &self.secret, &mut rng)?)
-                })
-            },
-        )
-    }
-
-    /// Exact activation over a whole feature map in a single batched ECALL
-    /// (`SGXSigmoid` in Fig. 5; also serves ReLU/Tanh/LeakyReLU, §VI-C),
-    /// per-cell work scheduled on `pool` inside the enclave.
+    /// The one in-enclave operator (paper §IV-D/§IV-E): the cells of `input`
+    /// cross the boundary, are decrypted, `op` is computed exactly on every
+    /// slot, and the result is re-encrypted into the returned map.
+    ///
+    /// Output cell `o` is a function of the `k × k` window of input cells at
+    /// its position, summed slot-wise: `k` is the model's pooling window for
+    /// [`EnclaveOp::MeanPool`] (the whole feature map enters, a `k²`-th of it
+    /// leaves) and 1 — the cell itself — for every other op.
+    ///
+    /// [`EcallBatching::Batched`] is one ECALL for the whole map, per-cell
+    /// work scheduled on `pool` inside the enclave body.
+    /// [`EcallBatching::PerPixel`] is the same call once per output cell on
+    /// an inline pool — the unamortized row of Table V, the `EncryptSGX
+    /// (single)` group of Fig. 8 — returning the summed cost.
     ///
     /// # Errors
     ///
     /// Propagates HE/TEE failures.
-    pub fn activation_map(
+    pub fn apply(
         &self,
+        op: EnclaveOp,
         sys: &CrtPlainSystem,
-        input: &EncryptedMap,
         model: &QuantizedCnn,
-        kind: ActivationKind,
+        input: &EncryptedMap,
+        batching: EcallBatching,
         pool: &ParExec,
     ) -> Result<(EncryptedMap, CostBreakdown)> {
+        let name = match (op, batching) {
+            (EnclaveOp::Activation(_), EcallBatching::Batched) => "ecall_activation",
+            (EnclaveOp::Activation(_), EcallBatching::PerPixel) => "ecall_activation_single",
+            (EnclaveOp::MeanPool, _) => "ecall_pool",
+            (EnclaveOp::Divide, _) => "ecall_divide",
+            (EnclaveOp::Refresh, _) => "ecall_DecreaseNoise",
+        };
+        let on_slot = |sum: i64| match op {
+            EnclaveOp::Activation(kind) => model.enclave_activation(sum, kind),
+            EnclaveOp::MeanPool | EnclaveOp::Divide => model.enclave_mean(sum),
+            EnclaveOp::Refresh => sum,
+        };
+        let gathers = op == EnclaveOp::MeanPool;
+        let k = if gathers { model.window } else { 1 };
         let (c, h, w) = input.shape();
-        let cells: Vec<&CrtCiphertext> = input.cells().iter().collect();
-        let (out, cost) = self.transform_cells(
-            "ecall_activation",
-            sys,
-            &cells,
-            |_, v| model.enclave_activation(v as i64, kind),
-            pool,
-            None,
-        )?;
-        Ok((EncryptedMap::new(c, h, w, out), cost))
-    }
-
-    /// The pathological per-pixel variant: one ECALL per cell
-    /// (`EncryptSGX (single)` in Fig. 8). Returns the summed cost.
-    ///
-    /// # Errors
-    ///
-    /// Propagates HE/TEE failures.
-    pub fn activation_map_single_ecalls(
-        &self,
-        sys: &CrtPlainSystem,
-        input: &EncryptedMap,
-        model: &QuantizedCnn,
-        kind: ActivationKind,
-    ) -> Result<(EncryptedMap, CostBreakdown)> {
-        let (c, h, w) = input.shape();
-        let mut out = Vec::with_capacity(input.cells().len());
-        let mut total = CostBreakdown::default();
+        let (oh, ow, k2) = (h / k, w / k, k * k);
+        let outputs = c * oh * ow;
+        // The crossing cells, window by window in output order.
+        let crossing: Vec<&CrtCiphertext> = (0..outputs * k2)
+            .map(|i| {
+                let (o, d) = (i / k2, i % k2);
+                input.cell(o / (oh * ow), (o / ow) % oh * k + d / k, o % ow * k + d % k)
+            })
+            .collect();
         let inline = ParExec::serial();
-        for cell in input.cells() {
-            let (mut mapped, cost) = self.transform_cells(
-                "ecall_activation_single",
-                sys,
-                &[cell],
-                |_, v| model.enclave_activation(v as i64, kind),
-                &inline,
-                None,
+        let (per_call, pool) = match batching {
+            EcallBatching::Batched => (outputs, pool),
+            EcallBatching::PerPixel => (1, &inline),
+        };
+        let slot_count = sys.slot_count();
+        let mut cells = Vec::with_capacity(outputs);
+        let mut total = CostBreakdown::default();
+        for first in (0..outputs).step_by(per_call.max(1)) {
+            let windows = &crossing[first * k2..(first + per_call) * k2];
+            let in_bytes: usize = windows.iter().map(|c| c.byte_len()).sum();
+            let decrypt =
+                |i: usize| -> Result<_> { Ok(sys.decrypt_slots(windows[i], &self.secret)?) };
+            let (out, cost) = self.batched_ecall(
+                EcallShape {
+                    name,
+                    in_bytes,
+                    out_bytes: in_bytes / k2,
+                    fork_prefix: "par",
+                    pre_site: (op == EnclaveOp::Refresh).then_some(FaultSite::NoiseRefresh),
+                    retouch_header: !gathers,
+                },
+                |base, cpu_ns| {
+                    // A gathering op decrypts in a pass of its own, one task
+                    // per crossing cell, so a small output map still spreads
+                    // its decryptions over the pool; a cell-wise op decrypts
+                    // inside its output task.
+                    let gathered = gathers
+                        .then(|| timed_tasks(pool, windows.len(), cpu_ns, decrypt))
+                        .transpose()?;
+                    timed_tasks(pool, per_call, cpu_ns, |j| {
+                        let mut rng = base.fork(&format!("cell-{j}"));
+                        let own;
+                        let window = match &gathered {
+                            Some(plain) => &plain[j * k2..(j + 1) * k2],
+                            None => {
+                                own = [decrypt(j)?];
+                                &own[..]
+                            }
+                        };
+                        let slots: Vec<i64> = (0..slot_count)
+                            .map(|s| on_slot(window.iter().map(|cell| cell[s] as i64).sum()))
+                            .collect();
+                        Ok(sys.encrypt_slots_symmetric(&slots, &self.secret, &mut rng)?)
+                    })
+                },
             )?;
-            out.push(
-                mapped
-                    .pop()
-                    .ok_or(Error::Internal("single-cell transform returned no cell"))?,
-            );
+            cells.extend(out);
             total = total.saturating_add(cost);
         }
-        Ok((EncryptedMap::new(c, h, w, out), total))
-    }
-
-    /// `SGXDiv` (paper §VI-D): the window sums were computed homomorphically
-    /// outside; the enclave only performs the non-linear division by `k²` —
-    /// one ECALL, per-cell work on `pool`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates HE/TEE failures.
-    pub fn divide_map(
-        &self,
-        sys: &CrtPlainSystem,
-        summed: &EncryptedMap,
-        model: &QuantizedCnn,
-        pool: &ParExec,
-    ) -> Result<(EncryptedMap, CostBreakdown)> {
-        let (c, h, w) = summed.shape();
-        let cells: Vec<&CrtCiphertext> = summed.cells().iter().collect();
-        let (out, cost) = self.transform_cells(
-            "ecall_divide",
-            sys,
-            &cells,
-            |_, v| model.enclave_mean(v as i64),
-            pool,
-            None,
-        )?;
-        Ok((EncryptedMap::new(c, h, w, out), cost))
+        Ok((EncryptedMap::new(c, oh, ow, cells), total))
     }
 
     /// Transciphered ingress (`ecall_Transcipher`, DESIGN.md §17): the
@@ -445,130 +422,6 @@ impl InferenceEnclave {
         Ok((cells, batch, cost))
     }
 
-    /// `SGXPool` (paper §VI-D): the whole feature map enters the enclave and
-    /// both the addition and the division happen inside. Fixed input size
-    /// regardless of window (the paper's green line in Fig. 6). Still one
-    /// ECALL for the whole map; the decryption of every input cell and the
-    /// pool+re-encrypt of every output cell are scheduled on `pool` inside
-    /// the enclave body, with the summed per-task CPU time reported to the
-    /// cost model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates HE/TEE failures.
-    pub fn pool_full_map(
-        &self,
-        sys: &CrtPlainSystem,
-        input: &EncryptedMap,
-        model: &QuantizedCnn,
-        max_pool: bool,
-        pool: &ParExec,
-    ) -> Result<(EncryptedMap, CostBreakdown)> {
-        let (c, h, w) = input.shape();
-        let window = model.window;
-        let (oh, ow) = (h / window, w / window);
-        let in_bytes = input.byte_len();
-        let slot_count = sys.slot_count();
-        let (cells, cost) = self.batched_ecall(
-            EcallShape {
-                name: "ecall_pool",
-                in_bytes,
-                out_bytes: in_bytes / (window * window).max(1),
-                fork_prefix: "par",
-                pre_site: None,
-                retouch_header: false,
-            },
-            |base, cpu_ns| {
-                // Decrypt the full map, one task per cell.
-                let plain = timed_tasks(pool, input.cells().len(), cpu_ns, |i| {
-                    Ok(sys.decrypt_slots(&input.cells()[i], &self.secret)?)
-                })?;
-                // Pool + re-encrypt, one task per output cell.
-                let plain = &plain;
-                timed_tasks(pool, c * oh * ow, cpu_ns, |o| {
-                    let ch = o / (oh * ow);
-                    let oy = (o / ow) % oh;
-                    let ox = o % ow;
-                    let mut rng = base.fork(&format!("cell-{o}"));
-                    let mut slots_out = vec![0i64; slot_count];
-                    for (s, slot_out) in slots_out.iter_mut().enumerate() {
-                        let mut acc: Option<i64> = None;
-                        for dy in 0..window {
-                            for dx in 0..window {
-                                let v = plain[(ch * h + oy * window + dy) * w + ox * window + dx][s]
-                                    as i64;
-                                acc = Some(match acc {
-                                    None => v,
-                                    Some(a) if max_pool => a.max(v),
-                                    Some(a) => a + v,
-                                });
-                            }
-                        }
-                        let acc = acc.ok_or(Error::Internal("pooling window is empty"))?;
-                        *slot_out = if max_pool {
-                            acc
-                        } else {
-                            model.enclave_mean(acc)
-                        };
-                    }
-                    Ok(sys.encrypt_slots_symmetric(&slots_out, &self.secret, &mut rng)?)
-                })
-            },
-        )?;
-        Ok((EncryptedMap::new(c, oh, ow, cells), cost))
-    }
-
-    /// Noise refresh (`ecall_DcreaseNoise`, paper §VI-E / Table V): decrypt
-    /// and re-encrypt a batch of ciphertexts in one ECALL (per-ciphertext
-    /// work on `pool`), removing all accumulated noise and shrinking size-3
-    /// ciphertexts back to size 2 — the enclave alternative to
-    /// relinearization.
-    ///
-    /// # Errors
-    ///
-    /// Propagates HE/TEE failures.
-    pub fn refresh_batch(
-        &self,
-        sys: &CrtPlainSystem,
-        cts: &[CrtCiphertext],
-        pool: &ParExec,
-    ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
-        let refs: Vec<&CrtCiphertext> = cts.iter().collect();
-        self.transform_cells(
-            "ecall_DecreaseNoise",
-            sys,
-            &refs,
-            |_, v| v as i64,
-            pool,
-            Some(FaultSite::NoiseRefresh),
-        )
-    }
-
-    /// Single-ciphertext refresh (one ECALL round-trip each — the
-    /// unamortized row of Table V).
-    ///
-    /// # Errors
-    ///
-    /// Propagates HE/TEE failures.
-    pub fn refresh_one(
-        &self,
-        sys: &CrtPlainSystem,
-        ct: &CrtCiphertext,
-    ) -> Result<(CrtCiphertext, CostBreakdown)> {
-        let (mut out, cost) = self.transform_cells(
-            "ecall_DecreaseNoise",
-            sys,
-            &[ct],
-            |_, v| v as i64,
-            &ParExec::serial(),
-            Some(FaultSite::NoiseRefresh),
-        )?;
-        let fresh = out
-            .pop()
-            .ok_or(Error::Internal("refresh returned no ciphertext"))?;
-        Ok((fresh, cost))
-    }
-
     /// Measures the minimum invariant-noise budget (bits) across `cts`
     /// inside the enclave — the noise-telemetry source and the input to the
     /// Auto refresh decision (DESIGN.md §13).
@@ -608,7 +461,9 @@ mod tests {
     use super::*;
     use crate::keydist::enclave_generate_keys;
     use hesgx_chaos::{FaultInjector, FaultKind, FaultPlan};
+    use hesgx_nn::layers::ActivationKind;
     use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
+    use hesgx_obs::{counters, Recorder};
     use hesgx_tee::enclave::{EnclaveBuilder, Platform};
     use std::sync::Arc;
 
@@ -631,14 +486,18 @@ mod tests {
     }
 
     fn setup() -> (InferenceEnclave, CrtPlainSystem, ChaChaRng) {
-        setup_with(None)
+        setup_with(None, Recorder::disabled())
     }
 
-    /// The same seeded enclave every time, optionally with a fault hook.
+    /// The same seeded enclave every time, optionally with a fault hook and
+    /// an enabled recorder.
     fn setup_with(
         hook: Option<Arc<FaultInjector>>,
+        recorder: Recorder,
     ) -> (InferenceEnclave, CrtPlainSystem, ChaChaRng) {
-        let mut builder = EnclaveBuilder::new("test-enclave").add_code(b"v1");
+        let mut builder = EnclaveBuilder::new("test-enclave")
+            .add_code(b"v1")
+            .recorder(recorder);
         if let Some(h) = hook {
             builder = builder.fault_hook(h);
         }
@@ -653,70 +512,177 @@ mod tests {
     /// Every pooled operator is swept over these pool sizes; 1 runs inline.
     const POOLS: [usize; 3] = [1, 2, 4];
 
-    #[test]
-    fn activation_matches_reference() {
-        let (ie, sys, rng) = setup();
-        let model = small_model();
-        // A map of "conv outputs" to activate.
-        let values: Vec<Vec<i64>> = vec![vec![-500, -10, 0, 10, 500, 123, -77, 999, 4]];
-        let enc =
-            EncryptedMap::encrypt_images(&sys, &values, 3, &ie.public, &rng, &ParExec::serial())
-                .unwrap();
-        let (out, cost) = ie
-            .activation_map(
-                &sys,
-                &enc,
-                &model,
-                ActivationKind::Sigmoid,
-                &ParExec::serial(),
-            )
-            .unwrap();
-        let dec = out
-            .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
-            .unwrap();
-        let expect: Vec<i128> = values[0]
-            .iter()
-            .map(|&v| model.enclave_sigmoid(v) as i128)
-            .collect();
-        assert_eq!(dec[0], expect);
-        assert!(cost.total_ns() > 0);
+    /// Every operator of the one entry point, with the `ecall.<name>` books
+    /// its batched and per-pixel calls land in.
+    const OPS: [(EnclaveOp, &str, &str); 5] = [
+        (
+            EnclaveOp::Activation(ActivationKind::Sigmoid),
+            "ecall_activation",
+            "ecall_activation_single",
+        ),
+        (
+            EnclaveOp::Activation(ActivationKind::Relu),
+            "ecall_activation",
+            "ecall_activation_single",
+        ),
+        (EnclaveOp::MeanPool, "ecall_pool", "ecall_pool"),
+        (EnclaveOp::Divide, "ecall_divide", "ecall_divide"),
+        (
+            EnclaveOp::Refresh,
+            "ecall_DecreaseNoise",
+            "ecall_DecreaseNoise",
+        ),
+    ];
+
+    /// The table's input: a 2 × 4 × 4 map (two channels, so the pooling
+    /// windows must respect channel boundaries) carrying two images in slots
+    /// 0 and 1; every other slot holds zero.
+    const SHAPE: (usize, usize, usize) = (2, 4, 4);
+
+    fn table_images() -> Vec<Vec<i64>> {
+        (0..2)
+            .map(|b| (0..32).map(|i| i * 9 - 70 + b * 13).collect())
+            .collect()
     }
 
-    #[test]
-    fn batched_ecall_cheaper_than_per_cell() {
-        let (ie, sys, rng) = setup();
-        let model = small_model();
-        let values = vec![(0..16).map(|v| v * 10 - 80).collect::<Vec<i64>>()];
-        let enc =
-            EncryptedMap::encrypt_images(&sys, &values, 4, &ie.public, &rng, &ParExec::serial())
-                .unwrap();
-        let (batched_out, batched) = ie
-            .activation_map(
-                &sys,
-                &enc,
-                &model,
-                ActivationKind::Sigmoid,
+    fn table_input(ie: &InferenceEnclave, sys: &CrtPlainSystem, rng: &ChaChaRng) -> EncryptedMap {
+        let images = table_images();
+        let mut cells = Vec::new();
+        for ch in 0..2 {
+            let channel: Vec<Vec<i64>> = images
+                .iter()
+                .map(|img| img[ch * 16..(ch + 1) * 16].to_vec())
+                .collect();
+            let rng = rng.fork(&format!("channel-{ch}"));
+            let map = EncryptedMap::encrypt_images(
+                sys,
+                &channel,
+                4,
+                &ie.public,
+                &rng,
                 &ParExec::serial(),
             )
             .unwrap();
-        let (single_out, single) = ie
-            .activation_map_single_ecalls(&sys, &enc, &model, ActivationKind::Sigmoid)
-            .unwrap();
-        assert!(
-            single.transition_ns > batched.transition_ns,
-            "per-cell ECALLs must pay more transitions: {} vs {}",
-            single.transition_ns,
-            batched.transition_ns
-        );
-        // Both run the same core, so they compute the same values.
-        assert_eq!(
-            single_out
-                .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
-                .unwrap(),
-            batched_out
-                .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
-                .unwrap()
-        );
+            cells.extend(map.into_cells());
+        }
+        EncryptedMap::new(SHAPE.0, SHAPE.1, SHAPE.2, cells)
+    }
+
+    /// The plaintext function `op` computes over one image of the table map
+    /// — the oracle every `apply` call is held to.
+    fn reference(op: EnclaveOp, model: &QuantizedCnn, image: &[i64]) -> Vec<i64> {
+        let (c, h, w) = SHAPE;
+        match op {
+            EnclaveOp::Activation(kind) => image
+                .iter()
+                .map(|&v| model.enclave_activation(v, kind))
+                .collect(),
+            EnclaveOp::Divide => image.iter().map(|&v| model.enclave_mean(v)).collect(),
+            EnclaveOp::Refresh => image.to_vec(),
+            EnclaveOp::MeanPool => {
+                let k = model.window;
+                let mut out = Vec::new();
+                for ch in 0..c {
+                    for oy in 0..h / k {
+                        for ox in 0..w / k {
+                            let sum = (0..k * k)
+                                .map(|d| image[(ch * h + oy * k + d / k) * w + ox * k + d % k])
+                                .sum();
+                            out.push(model.enclave_mean(sum));
+                        }
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// The one entry point, over `EnclaveOp × {Batched, PerPixel} × pools`:
+    /// every slot of every output cell decrypts to the plaintext function,
+    /// the batched ciphertext bits do not depend on the pool size, and a
+    /// per-pixel run pays two transitions per output cell into the same
+    /// `ecall.<name>` books Fig. 8's `EncryptSGX (single)` group reads.
+    #[test]
+    fn apply_matches_the_plaintext_function_for_every_op_batching_and_pool() {
+        let model = small_model();
+        let images = table_images();
+        for (op, batched_name, per_pixel_name) in OPS {
+            let expect: Vec<Vec<i64>> = images
+                .iter()
+                .map(|img| reference(op, &model, img))
+                .collect();
+            let idle = reference(op, &model, &[0; 32]);
+            let mut batched_bits = None;
+            for batching in [EcallBatching::Batched, EcallBatching::PerPixel] {
+                for threads in POOLS {
+                    let what = format!("{op:?} {batching:?} {threads} threads");
+                    // Fresh (deterministic) enclave per run so each starts
+                    // from the same RNG state and call counter.
+                    let rec = Recorder::enabled();
+                    let (ie, sys, rng) = setup_with(None, rec.clone());
+                    let input = table_input(&ie, &sys, &rng);
+                    let pool = ParExec::new(threads);
+                    // The key ceremony already crossed the boundary once.
+                    let crossings = |rec: &Recorder| {
+                        [counters::ECALLS, counters::ECALL_TRANSITIONS].map(|c| rec.counter(c))
+                    };
+                    let before = crossings(&rec);
+                    let (out, cost) = ie.apply(op, &sys, &model, &input, batching, &pool).unwrap();
+                    let outputs = expect[0].len();
+                    assert_eq!(out.cells().len(), outputs, "{what}");
+                    for (o, ct) in out.cells().iter().enumerate() {
+                        let slots = sys.decrypt_slots(ct, &ie.secret).unwrap();
+                        for (s, &got) in slots.iter().enumerate() {
+                            let want = expect.get(s).map_or(idle[o], |img| img[o]);
+                            assert_eq!(got, want as i128, "{what}: cell {o} slot {s}");
+                        }
+                    }
+                    let (name, calls) = match batching {
+                        EcallBatching::Batched => (batched_name, 1),
+                        EcallBatching::PerPixel => (per_pixel_name, outputs as u64),
+                    };
+                    let span = rec.span(&format!("ecall.{name}")).expect(&what);
+                    assert_eq!(span.entries, calls, "{what}");
+                    assert_eq!(span.cost.transition_ns, cost.transition_ns, "{what}");
+                    let [ecalls, transitions] = crossings(&rec);
+                    assert_eq!(ecalls - before[0], calls, "{what}");
+                    assert_eq!(transitions - before[1], 2 * calls, "{what}");
+                    if batching == EcallBatching::Batched {
+                        // Ciphertext bits, not just values, are pool-size
+                        // independent.
+                        let bits = out.cells().to_vec();
+                        assert_eq!(*batched_bits.get_or_insert(bits.clone()), bits, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// §VI-E: per-pixel crossings pay the boundary once per output cell, a
+    /// batched call once per map — for the activation (Fig. 8) and the
+    /// refresh (Table V) alike — and both compute the same values.
+    #[test]
+    fn batched_ecall_cheaper_than_per_cell() {
+        let model = small_model();
+        for (op, ..) in OPS {
+            let (ie, sys, rng) = setup();
+            let input = table_input(&ie, &sys, &rng);
+            let serial = ParExec::serial();
+            let run = |batching| {
+                ie.apply(op, &sys, &model, &input, batching, &serial)
+                    .unwrap()
+            };
+            let (batched_out, batched) = run(EcallBatching::Batched);
+            let (single_out, single) = run(EcallBatching::PerPixel);
+            assert_eq!(
+                single.transition_ns,
+                batched.transition_ns * single_out.cells().len() as u64,
+                "{op:?}: one enter + exit per output cell"
+            );
+            let decrypt =
+                |map: &EncryptedMap| map.decrypt_all(&sys, &ie.secret, 2, &serial).unwrap();
+            assert_eq!(decrypt(&single_out), decrypt(&batched_out), "{op:?}");
+        }
     }
 
     #[test]
@@ -730,168 +696,26 @@ mod tests {
         let sq = sys.square(&ct).unwrap();
         assert_eq!(sq.size(), 3);
         let before = sys.noise_budget(&sq, keys_secret).unwrap();
-        let (fresh, _) = ie.refresh_one(&sys, &sq).unwrap();
+        let (fresh, _) = ie
+            .apply(
+                EnclaveOp::Refresh,
+                &sys,
+                &small_model(),
+                &EncryptedMap::new(1, 1, 1, vec![sq]),
+                EcallBatching::PerPixel,
+                &ParExec::serial(),
+            )
+            .unwrap();
+        let fresh = &fresh.cells()[0];
         assert_eq!(fresh.size(), 2, "refresh shrinks the ciphertext");
-        let after = sys.noise_budget(&fresh, keys_secret).unwrap();
+        let after = sys.noise_budget(fresh, keys_secret).unwrap();
         assert!(
             after > before,
             "refresh must reset noise: {before} -> {after}"
         );
-        let dec = sys.decrypt_slots(&fresh, keys_secret).unwrap();
+        let dec = sys.decrypt_slots(fresh, keys_secret).unwrap();
         assert_eq!(dec[0], 1234 * 1234);
         assert_eq!(dec[1], 99 * 99);
-    }
-
-    #[test]
-    fn batched_refresh_amortizes_transitions() {
-        let (ie, sys, mut rng) = setup();
-        let cts: Vec<_> = (0..8)
-            .map(|i| sys.encrypt_slots(&[i], &ie.public, &mut rng).unwrap())
-            .collect();
-        let (_, batched) = ie.refresh_batch(&sys, &cts, &ParExec::serial()).unwrap();
-        let mut single_total = CostBreakdown::default();
-        for ct in &cts {
-            let (_, c) = ie.refresh_one(&sys, ct).unwrap();
-            single_total = single_total.saturating_add(c);
-        }
-        assert!(single_total.transition_ns > batched.transition_ns);
-    }
-
-    #[test]
-    fn parallel_activation_bit_identical_across_pool_sizes() {
-        let model = small_model();
-        let values: Vec<Vec<i64>> = vec![(0..16).map(|v| v * 9 - 70).collect()];
-        let mut reference: Option<Vec<CrtCiphertext>> = None;
-        for threads in [1usize, 2, 3, 8] {
-            // Fresh (deterministic) enclave per pool size so each run starts
-            // from the same RNG state and call counter.
-            let (ie, sys, rng) = setup();
-            let enc = EncryptedMap::encrypt_images(
-                &sys,
-                &values,
-                4,
-                &ie.public,
-                &rng,
-                &ParExec::serial(),
-            )
-            .unwrap();
-            let pool = ParExec::new(threads);
-            let (out, cost) = ie
-                .activation_map(&sys, &enc, &model, ActivationKind::Sigmoid, &pool)
-                .unwrap();
-            assert!(cost.total_ns() > 0);
-            let dec = out
-                .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
-                .unwrap();
-            let expect: Vec<i128> = values[0]
-                .iter()
-                .map(|&v| model.enclave_sigmoid(v) as i128)
-                .collect();
-            assert_eq!(dec[0], expect, "{threads} threads");
-            match &reference {
-                None => reference = Some(out.cells().to_vec()),
-                Some(cells) => assert_eq!(out.cells(), &cells[..], "{threads} threads"),
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_pool_full_map_matches_serial_values() {
-        let model = small_model();
-        let img = vec![(1..=16i64).collect::<Vec<i64>>()];
-        let mut reference = None;
-        for threads in POOLS {
-            let (ie, sys, rng) = setup();
-            let enc =
-                EncryptedMap::encrypt_images(&sys, &img, 4, &ie.public, &rng, &ParExec::serial())
-                    .unwrap();
-            let pool = ParExec::new(threads);
-            let (mean, _) = ie.pool_full_map(&sys, &enc, &model, false, &pool).unwrap();
-            assert_eq!(mean.shape(), (1, 2, 2));
-            let dec = mean
-                .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
-                .unwrap();
-            assert_eq!(dec[0], vec![4, 6, 12, 14]);
-            let (maxp, _) = ie.pool_full_map(&sys, &enc, &model, true, &pool).unwrap();
-            let dec = maxp
-                .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
-                .unwrap();
-            assert_eq!(dec[0], vec![6, 8, 14, 16]);
-            // Ciphertext bits, not just values, are pool-size independent.
-            let cells = (mean.cells().to_vec(), maxp.cells().to_vec());
-            assert_eq!(
-                *reference.get_or_insert(cells.clone()),
-                cells,
-                "{threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_refresh_preserves_values() {
-        let mut reference = None;
-        for threads in POOLS {
-            let (ie, sys, mut rng) = setup();
-            let cts: Vec<_> = (0..6)
-                .map(|i| {
-                    sys.encrypt_slots(&[i * 11 - 20], &ie.public, &mut rng)
-                        .unwrap()
-                })
-                .collect();
-            let pool = ParExec::new(threads);
-            let (fresh, _) = ie.refresh_batch(&sys, &cts, &pool).unwrap();
-            for (i, ct) in fresh.iter().enumerate() {
-                let dec = sys.decrypt_slots(ct, &ie.secret).unwrap();
-                assert_eq!(dec[0], (i as i128) * 11 - 20);
-            }
-            assert_eq!(
-                *reference.get_or_insert(fresh.clone()),
-                fresh,
-                "{threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn divide_map_computes_means() {
-        let (ie, sys, rng) = setup();
-        let model = small_model();
-        // Window sums (window=2 → divide by 4 with rounding).
-        let sums = vec![vec![4i64, 6, 7, 0]];
-        let enc =
-            EncryptedMap::encrypt_images(&sys, &sums, 2, &ie.public, &rng, &ParExec::serial())
-                .unwrap();
-        let (out, _) = ie
-            .divide_map(&sys, &enc, &model, &ParExec::serial())
-            .unwrap();
-        let dec = out
-            .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
-            .unwrap();
-        assert_eq!(dec[0], vec![1, 2, 2, 0]);
-    }
-
-    #[test]
-    fn pool_full_map_mean_and_max() {
-        let (ie, sys, rng) = setup();
-        let model = small_model();
-        let img = vec![(1..=16i64).collect::<Vec<i64>>()];
-        let enc = EncryptedMap::encrypt_images(&sys, &img, 4, &ie.public, &rng, &ParExec::serial())
-            .unwrap();
-        let inline = ParExec::serial();
-        let (mean, _) = ie
-            .pool_full_map(&sys, &enc, &model, false, &inline)
-            .unwrap();
-        assert_eq!(mean.shape(), (1, 2, 2));
-        let dec = mean
-            .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
-            .unwrap();
-        // windows sums 14,22,46,54 → means 4,6,12,14 (round half up).
-        assert_eq!(dec[0], vec![4, 6, 12, 14]);
-        let (maxp, _) = ie.pool_full_map(&sys, &enc, &model, true, &inline).unwrap();
-        let dec = maxp
-            .decrypt_all(&sys, &ie.secret, 1, &ParExec::serial())
-            .unwrap();
-        assert_eq!(dec[0], vec![6, 8, 14, 16]);
     }
 
     #[test]
@@ -900,51 +724,43 @@ mod tests {
         // stream *inside* the retry closure, so a retried attempt
         // re-encrypted with different randomness than a fault-free run. The
         // core forks the stream once per logical call, outside the retry
-        // loop, and each cell forks that; checked at every pool size for a
-        // batched transform, the full-map pool, and a one-cell call.
+        // loop, and each cell forks that; checked for every op at every
+        // pool size, batched and (inline) one cell per call.
         let model = small_model();
-        let values: Vec<Vec<i64>> = vec![(0..16).map(|v| v * 9 - 70).collect()];
-        let run = |hook: Option<Arc<FaultInjector>>, threads: usize| {
-            let (ie, sys, rng) = setup_with(hook);
-            let enc = EncryptedMap::encrypt_images(
-                &sys,
-                &values,
-                4,
-                &ie.public,
-                &rng,
-                &ParExec::serial(),
-            )
-            .unwrap();
-            let pool = ParExec::new(threads);
-            let (act, _) = ie
-                .activation_map(&sys, &enc, &model, ActivationKind::Sigmoid, &pool)
-                .unwrap();
-            let (pooled, _) = ie.pool_full_map(&sys, &enc, &model, false, &pool).unwrap();
-            let (one, _) = ie.refresh_one(&sys, &enc.cells()[0]).unwrap();
-            (act.cells().to_vec(), pooled.cells().to_vec(), one)
-        };
-        let clean = run(None, 1);
-        for threads in POOLS {
-            assert_eq!(clean, run(None, threads), "{threads} threads");
-            // EcallExit consultation order in `run`: occurrence 0 is the
-            // activation ECALL (faulted, retried as occurrence 1), occurrence
-            // 2 is the pool ECALL (faulted, retried as occurrence 3),
-            // occurrence 4 is the one-cell refresh (faulted, retried as 5).
-            let injector = Arc::new(
-                FaultPlan::new(5)
-                    .script(FaultSite::EcallExit, 0, FaultKind::Transient)
-                    .script(FaultSite::EcallExit, 2, FaultKind::Transient)
-                    .script(FaultSite::EcallExit, 4, FaultKind::Transient)
-                    .build(),
-            );
-            let faulted = run(Some(injector.clone()), threads);
-            assert_eq!(injector.report().retries(), 3, "all three faults delivered");
-            assert_eq!(
-                clean.0, faulted.0,
-                "activation ciphertexts changed by retry"
-            );
-            assert_eq!(clean.1, faulted.1, "pool ciphertexts changed by retry");
-            assert_eq!(clean.2, faulted.2, "one-cell ciphertext changed by retry");
+        for (op, ..) in OPS {
+            let run = |hook: Option<Arc<FaultInjector>>, batching, threads| {
+                let (ie, sys, rng) = setup_with(hook, Recorder::disabled());
+                let input = table_input(&ie, &sys, &rng);
+                let pool = ParExec::new(threads);
+                let (out, _) = ie.apply(op, &sys, &model, &input, batching, &pool).unwrap();
+                out.into_cells()
+            };
+            for (batching, pools) in [
+                (EcallBatching::Batched, &POOLS[..]),
+                (EcallBatching::PerPixel, &POOLS[..1]),
+            ] {
+                let clean = run(None, batching, 1);
+                for &threads in pools {
+                    // The result of the first crossing is lost on the way
+                    // out; a per-pixel run also loses its third cell's.
+                    let injector = Arc::new(
+                        FaultPlan::new(5)
+                            .script(FaultSite::EcallExit, 0, FaultKind::Transient)
+                            .script(FaultSite::EcallExit, 3, FaultKind::Transient)
+                            .build(),
+                    );
+                    let faulted = run(Some(injector.clone()), batching, threads);
+                    let delivered = match batching {
+                        EcallBatching::Batched => 1,
+                        EcallBatching::PerPixel => 2,
+                    };
+                    assert_eq!(injector.report().retries(), delivered, "{op:?}");
+                    assert_eq!(
+                        clean, faulted,
+                        "{op:?} {batching:?} {threads} threads: ciphertexts changed by retry"
+                    );
+                }
+            }
         }
     }
 
@@ -956,7 +772,7 @@ mod tests {
         let key = IngressKey::derive(b"salt", b"ikm", b"test-ingress");
         let payload = transcipher::seal_images(&key, &[9u8; 12], &images).unwrap();
         let run = |hook: Option<Arc<FaultInjector>>, threads: usize| {
-            let (ie, sys, _) = setup_with(hook);
+            let (ie, sys, _) = setup_with(hook, Recorder::disabled());
             let pool = ParExec::new(threads);
             let (cells, batch, cost) = ie.transcipher_ingress(&sys, &key, &payload, &pool).unwrap();
             assert_eq!(batch, 2);
@@ -1016,28 +832,27 @@ mod tests {
         // attempt is (correctly) charged CostBreakdown::default() — but it
         // must still appear as a recorded entry, or FaultReport attempt
         // counts and recorded cost entries stop reconciling.
-        use hesgx_obs::{counters, Recorder};
         let rec = Recorder::enabled();
         let injector = Arc::new(
             FaultPlan::new(9)
                 .script(FaultSite::NoiseRefresh, 0, FaultKind::Transient)
                 .build(),
         );
-        let platform = Platform::new(21);
-        let enclave = EnclaveBuilder::new("test-enclave")
-            .add_code(b"v1")
-            .fault_hook(injector.clone())
-            .recorder(rec.clone())
-            .build(platform);
-        let sys = CrtPlainSystem::new(256, &[12289, 13313]).unwrap();
-        let mut rng = ChaChaRng::from_seed(91);
-        let (keys, _) = enclave_generate_keys(&enclave, &sys, &mut rng).expect("key ceremony");
-        let ie = InferenceEnclave::new(enclave, keys.secret, keys.public, 92);
+        let (ie, sys, mut rng) = setup_with(Some(injector.clone()), rec.clone());
         let cts: Vec<_> = (0..4)
             .map(|i| sys.encrypt_slots(&[i * 3], &ie.public, &mut rng).unwrap())
             .collect();
-        let (fresh, cost) = ie.refresh_batch(&sys, &cts, &ParExec::serial()).unwrap();
-        assert_eq!(fresh.len(), 4);
+        let (fresh, cost) = ie
+            .apply(
+                EnclaveOp::Refresh,
+                &sys,
+                &small_model(),
+                &EncryptedMap::new(1, 2, 2, cts),
+                EcallBatching::Batched,
+                &ParExec::serial(),
+            )
+            .unwrap();
+        assert_eq!(fresh.cells().len(), 4);
         let span = rec.span("recovery.retry").expect("attempts recorded");
         // One dropped attempt + one real crossing.
         assert_eq!(span.entries, 2, "zero-cost attempt must be recorded");

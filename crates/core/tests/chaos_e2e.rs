@@ -25,6 +25,10 @@ mod testutil;
 
 use hesgx_chaos::{FaultKind, FaultPlan, FaultSite};
 use hesgx_core::prelude::*;
+use hesgx_crypto::rng::ChaChaRng;
+use hesgx_henn::crt::CrtCiphertext;
+use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::par::ParExec;
 
 #[test]
 fn every_fault_site_fires_once_and_inference_stays_exact() {
@@ -86,28 +90,90 @@ fn every_fault_site_fires_once_and_inference_stays_exact() {
     assert_eq!(response.metrics.stages.len(), 6);
 }
 
+/// Four consecutive aborted `EENTER`s on the first ECALL: one more than the
+/// default budget of three retries.
+fn exhaust_the_retry_budget() -> FaultPlan {
+    (0..4).fold(FaultPlan::new(9), |plan, occurrence| {
+        plan.script(FaultSite::EcallEnter, occurrence, FaultKind::Transient)
+    })
+}
+
 /// Exhausting the retry budget must not kill the service: the resilient
-/// entry point degrades to the pure-HE square-activation fallback.
+/// entry point degrades to the pure-HE square-activation fallback — on a
+/// service whose parameters carry that plan (a hybrid range wide enough to
+/// need the deep modulus composition and to cover the squares) — and the
+/// degraded logits are exact against the pure-HE reference.
 #[test]
 fn exhausted_budget_degrades_instead_of_failing() {
-    let mut plan = FaultPlan::new(9);
-    for occurrence in 0..4 {
-        plan = plan.script(FaultSite::EcallEnter, occurrence, FaultKind::Transient);
-    }
+    let model = QuantizedCnn {
+        act_scale: 1 << 23,
+        ..testutil::small_hybrid_model()
+    };
     let session = SessionBuilder::new()
         .params(ParamsPreset::Small)
         .threads(1)
         .seed(21)
-        .chaos(plan)
-        .build(Platform::new(501), testutil::small_hybrid_model())
+        .chaos(exhaust_the_retry_budget())
+        .build(Platform::new(501), model.clone())
         .unwrap();
     let image: Vec<i64> = (0..64).map(|p| (p % 4) as i64).collect();
     let response = session
-        .serve(InferRequest::single(image).resilience(Resilience::Degrade))
+        .serve(InferRequest::single(image.clone()).resilience(Resilience::Degrade))
         .unwrap();
     assert_eq!(response.served, Served::Degraded);
-    assert_eq!(response.logits[0].len(), session.model().classes);
+    let pure_he = QuantizedCnn {
+        pipeline: QuantPipeline::CryptoNets,
+        ..model
+    };
+    assert_eq!(response.logits, vec![pure_he.forward_ints(&image)]);
     let report = session.fault_report().unwrap();
     assert!(report.degraded());
+    assert_eq!(report.injected_at(FaultSite::EcallEnter), 4);
+
+    // The same plan over a hand-encrypted batch: its logit ciphertexts
+    // still hold noise budget, so the values above were not luck.
+    let service = session.service();
+    let enc = EncryptedMap::encrypt_images(
+        service.system(),
+        &[image],
+        8,
+        &session.ceremony().public,
+        &ChaChaRng::from_seed(22),
+        &ParExec::serial(),
+    )
+    .unwrap();
+    let plan = service.degraded_plan().expect("the deep model has one");
+    let (logits, _) = service.run(plan, &enc).unwrap();
+    let refs: Vec<&CrtCiphertext> = logits.iter().collect();
+    let (budget, _) = service
+        .enclave()
+        .noise_probe(service.system(), &refs)
+        .unwrap();
+    assert!(budget > 0, "degraded logits ran out of noise budget");
+}
+
+/// At the paper's scale the service is sized for the hybrid plan alone (one
+/// ~17-bit plaintext modulus); the pure-HE plan's logits reach tens of
+/// millions and would come back wrapped modulo it. No degraded plan is
+/// compiled, so a `Degrade` request that exhausts its retries is refused —
+/// the transient error propagates exactly as for a fail-fast request and
+/// nothing is reported as degraded.
+#[test]
+fn degrade_request_at_paper_scale_is_refused_not_served_wrapped() {
+    let session = SessionBuilder::new()
+        .params(ParamsPreset::Paper)
+        .threads(2)
+        .seed(23)
+        .chaos(exhaust_the_retry_budget())
+        .build(Platform::new(502), testutil::hybrid_paper_model(5))
+        .unwrap();
+    assert!(session.service().degraded_plan().is_none());
+    let image: Vec<i64> = (0..28 * 28).map(|p| (p % 16) as i64).collect();
+    let err = session
+        .serve(InferRequest::single(image).resilience(Resilience::Degrade))
+        .unwrap_err();
+    assert!(err.is_transient(), "{err}");
+    let report = session.fault_report().unwrap();
+    assert!(!report.degraded());
     assert_eq!(report.injected_at(FaultSite::EcallEnter), 4);
 }

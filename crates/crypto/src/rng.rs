@@ -71,24 +71,6 @@ impl ChaChaRng {
         Self::from_key(sha256(&material))
     }
 
-    /// Creates an unpredictable generator from OS entropy sources.
-    ///
-    /// Mixes the current time, the process id, and a heap address. Suitable for
-    /// demos; experiments should prefer [`ChaChaRng::from_seed`] for
-    /// reproducibility.
-    pub fn from_entropy() -> Self {
-        // hesgx-lint: allow(wall-clock, reason = "entropy seeding deliberately mixes wall time; demos only, never on a seeded replay path")
-        let now = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap_or_default();
-        let probe = Box::new(0u8);
-        let mut material = Vec::with_capacity(32);
-        material.extend_from_slice(&now.as_nanos().to_le_bytes());
-        material.extend_from_slice(&std::process::id().to_le_bytes());
-        material.extend_from_slice(&(&*probe as *const u8 as usize).to_le_bytes());
-        Self::from_key(sha256(&material))
-    }
-
     /// Derives an independent child generator labeled by `domain`.
     ///
     /// Children with different labels produce independent streams; forking the

@@ -304,11 +304,6 @@ impl VerifyingKey {
         self.pk
     }
 
-    /// Reconstructs a verifying key from a group element.
-    pub fn from_element(group: Arc<SchnorrGroup>, pk: U256) -> Self {
-        VerifyingKey { group, pk }
-    }
-
     /// Verifies `signature` over `message`.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
         let g = &self.group;

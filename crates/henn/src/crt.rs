@@ -195,17 +195,41 @@ impl CrtPlainSystem {
         poly_degree: usize,
         required_bits: u32,
     ) -> hesgx_bfv::error::Result<Self> {
-        let step = 2 * poly_degree as u64;
-        let mut moduli = Vec::new();
         let mut bits = 0f64;
-        let mut lower = 40_000u64;
-        while bits < required_bits as f64 + 1.0 {
-            let t = arith::smallest_prime_congruent_one_above(lower, step);
-            moduli.push(t);
-            bits += (t as f64).log2();
-            lower = t;
-        }
+        let moduli: Vec<u64> = Self::deep_moduli(poly_degree)
+            .take_while(|&t| {
+                let short = bits < required_bits as f64 + 1.0;
+                bits += (t as f64).log2();
+                short
+            })
+            .collect();
         Self::new(poly_degree, &moduli)
+    }
+
+    /// The moduli [`CrtPlainSystem::for_range_deep`] composes a range from,
+    /// in order: the successive batching primes above a ~15-bit floor.
+    fn deep_moduli(poly_degree: usize) -> impl Iterator<Item = u64> {
+        let step = 2 * poly_degree as u64;
+        std::iter::successors(Some(40_000), move |&lower| {
+            Some(arith::smallest_prime_congruent_one_above(lower, step))
+        })
+        .skip(1)
+    }
+
+    /// Whether a pipeline with a ciphertext–ciphertext multiplication and
+    /// results within `required_bits` of signed range computes exactly under
+    /// this system: the modulus product covers the range, and the moduli are
+    /// the ones [`CrtPlainSystem::for_range_deep`] composes from — whose
+    /// `≈ t²` multiplication noise floor the pure-HE engine runs under. The
+    /// single large modulus of [`CrtPlainSystem::for_range`]'s
+    /// linear-pipeline shortcut fails the second test however wide it is.
+    pub fn carries_deep(&self, required_bits: u32) -> bool {
+        let covered = self
+            .product
+            .checked_shr(required_bits)
+            .is_some_and(|rest| rest > 0);
+        let deep = Self::deep_moduli(self.slot_count()).take(self.moduli.len());
+        covered && self.moduli.iter().copied().eq(deep)
     }
 
     /// The plaintext moduli.

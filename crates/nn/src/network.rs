@@ -21,11 +21,6 @@ impl Network {
         &self.layers
     }
 
-    /// Mutable access to the layers (weight surgery in tests).
-    pub fn layers_mut(&mut self) -> &mut [Layer] {
-        &mut self.layers
-    }
-
     /// Plain forward pass: logits for one input.
     pub fn forward(&self, input: &Tensor) -> Tensor {
         let mut cur = input.clone();

@@ -246,11 +246,6 @@ impl EnclaveCtx<'_> {
         self.ocalls += 1;
     }
 
-    /// Page faults recorded so far in this call.
-    pub fn fault_count(&self) -> u64 {
-        self.faults
-    }
-
     /// Reports aggregate CPU time consumed by the ECALL body.
     ///
     /// The dispatcher measures the body's *wall-clock* time; when the body
@@ -261,11 +256,6 @@ impl EnclaveCtx<'_> {
     /// batch of work, not just the elapsed span.
     pub fn record_cpu_ns(&mut self, ns: u64) {
         self.cpu_ns = self.cpu_ns.saturating_add(ns);
-    }
-
-    /// CPU nanoseconds reported so far in this call.
-    pub fn reported_cpu_ns(&self) -> u64 {
-        self.cpu_ns
     }
 }
 
@@ -300,18 +290,10 @@ impl Enclave {
         // drift report joins measured wall ns against the modeled cost.
         let _prof = hesgx_obs::prof::span2("ecall", name);
         hesgx_obs::prof::add_bytes((input_bytes + output_bytes) as u64);
-        {
-            let mut mon = self.monitor.lock();
-            mon.record(SideChannelEvent::EcallEnter {
-                name: name.to_string(),
-                input_bytes,
-            });
-        }
         // Timeline: the slice opens before the body so EPC load/evict
         // instants recorded during the body nest inside it; the clock
         // advances by the call's *modeled* cost when the slice closes.
-        let trace = self.recorder.trace_enabled();
-        if trace {
+        if self.recorder.trace_enabled() {
             self.recorder.trace_begin(
                 &format!("ecall.{name}"),
                 &[("bytes_in", input_bytes.to_string())],
@@ -328,12 +310,30 @@ impl Enclave {
         // Parallel bodies report their summed per-task CPU time; charge
         // whichever is larger so fanned-out work still pays the in-enclave
         // slowdown on every CPU-nanosecond of the batch.
-        let wall_ns = start.elapsed_ns();
-        let real_ns = wall_ns.max(ctx.cpu_ns);
+        let real_ns = start.elapsed_ns().max(ctx.cpu_ns);
+        let breakdown = self.book_crossing(name, input_bytes, output_bytes, real_ns, Some(&ctx));
+        (result, breakdown)
+    }
+
+    /// Charges one boundary crossing to the virtual clock and books it —
+    /// the only place a crossing touches the recorder, the timeline and the
+    /// side-channel monitor. `ran` is the context of the body that executed;
+    /// `None` is an aborted `EENTER`: the body never ran, so the failed
+    /// crossing and the marshalled input are all there is to charge, and
+    /// the timeline gets an instant instead of a slice to close.
+    fn book_crossing(
+        &self,
+        name: &str,
+        input_bytes: usize,
+        output_bytes: usize,
+        real_ns: u64,
+        ran: Option<&EnclaveCtx<'_>>,
+    ) -> CostBreakdown {
+        let (faults, ocalls) = ran.map_or((0, 0), |ctx| (ctx.faults, ctx.ocalls));
         // Enter + exit, plus a round-trip per OCALL.
-        let transitions = 2 + 2 * ctx.ocalls;
+        let transitions = 2 + 2 * ocalls;
         let copied = (input_bytes + output_bytes) as u64;
-        let breakdown = self.vclock.charge(real_ns, transitions, copied, ctx.faults);
+        let breakdown = self.vclock.charge(real_ns, transitions, copied, faults);
         if self.recorder.is_enabled() {
             self.recorder
                 .record_span(&format!("ecall.{name}"), breakdown);
@@ -341,28 +341,38 @@ impl Enclave {
             self.recorder.incr(counters::ECALL_TRANSITIONS, transitions);
             self.recorder.incr(counters::BYTES_MARSHALLED, copied);
             self.recorder.observe("ecall.bytes", copied);
-            self.recorder.observe("ecall.epc_faults", ctx.faults);
+            self.recorder.observe("ecall.epc_faults", faults);
         }
-        if trace {
+        if self.recorder.trace_enabled() {
+            if ran.is_none() {
+                self.recorder.trace_instant(
+                    &format!("ecall.{name}.aborted"),
+                    &[("bytes_in", input_bytes.to_string())],
+                );
+            }
             self.recorder.trace_advance(breakdown.model_ns());
-            self.recorder.trace_end(&format!("ecall.{name}"));
+            if ran.is_some() {
+                self.recorder.trace_end(&format!("ecall.{name}"));
+            }
         }
-        {
-            let mut mon = self.monitor.lock();
-            if ctx.faults > 0 {
-                mon.record(SideChannelEvent::PageFaults { count: ctx.faults });
-            }
-            for _ in 0..ctx.ocalls {
-                mon.record(SideChannelEvent::Ocall {
-                    name: "host".to_string(),
-                });
-            }
-            mon.record(SideChannelEvent::EcallExit {
-                name: name.to_string(),
-                output_bytes,
+        let mut mon = self.monitor.lock();
+        mon.record(SideChannelEvent::EcallEnter {
+            name: name.to_string(),
+            input_bytes,
+        });
+        if faults > 0 {
+            mon.record(SideChannelEvent::PageFaults { count: faults });
+        }
+        for _ in 0..ocalls {
+            mon.record(SideChannelEvent::Ocall {
+                name: "host".to_string(),
             });
         }
-        (result, breakdown)
+        mon.record(SideChannelEvent::EcallExit {
+            name: name.to_string(),
+            output_bytes,
+        });
+        breakdown
     }
 
     /// Consults the fault hook, if one is installed.
@@ -394,39 +404,7 @@ impl Enclave {
         body: impl FnOnce(&mut EnclaveCtx<'_>) -> R,
     ) -> (Result<R>, CostBreakdown) {
         if self.consult(FaultSite::EcallEnter).is_some() {
-            let breakdown = self.vclock.charge(0, 2, input_bytes as u64, 0);
-            if self.recorder.is_enabled() {
-                // The aborted crossing is still a boundary event: the
-                // failed EENTER and the marshalled input are charged and
-                // must therefore appear on the books.
-                self.recorder
-                    .record_span(&format!("ecall.{name}"), breakdown);
-                self.recorder.incr(counters::ECALLS, 1);
-                self.recorder.incr(counters::ECALL_TRANSITIONS, 2);
-                self.recorder
-                    .incr(counters::BYTES_MARSHALLED, input_bytes as u64);
-                // Aborted crossings are boundary events too: they land in
-                // the distributions and on the timeline as an instant (the
-                // body never ran, so there is no slice to draw).
-                self.recorder.observe("ecall.bytes", input_bytes as u64);
-                self.recorder.observe("ecall.epc_faults", 0);
-                if self.recorder.trace_enabled() {
-                    self.recorder.trace_instant(
-                        &format!("ecall.{name}.aborted"),
-                        &[("bytes_in", input_bytes.to_string())],
-                    );
-                    self.recorder.trace_advance(breakdown.model_ns());
-                }
-            }
-            let mut mon = self.monitor.lock();
-            mon.record(SideChannelEvent::EcallEnter {
-                name: name.to_string(),
-                input_bytes,
-            });
-            mon.record(SideChannelEvent::EcallExit {
-                name: name.to_string(),
-                output_bytes: 0,
-            });
+            let breakdown = self.book_crossing(name, input_bytes, 0, 0, None);
             return (Err(TeeError::Interrupted(FaultSite::EcallEnter)), breakdown);
         }
         let (result, breakdown) = self.ecall(name, input_bytes, output_bytes, body);
@@ -500,16 +478,6 @@ impl Enclave {
     /// Runs `f` with the side-channel monitor.
     pub fn with_monitor<R>(&self, f: impl FnOnce(&SideChannelMonitor) -> R) -> R {
         f(&self.monitor.lock())
-    }
-
-    /// Allocates a persistent region on the enclave heap from outside an
-    /// ECALL (models `EADD`-time allocation of long-lived buffers).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the heap is exhausted.
-    pub fn alloc_region(&self, bytes: usize) -> Result<RegionId> {
-        self.epc.lock().alloc(bytes)
     }
 }
 

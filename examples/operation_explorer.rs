@@ -7,7 +7,7 @@
 //! ```
 
 use hesgx_bfv::prelude::*;
-use hesgx_core::planner::PoolStrategy;
+use hesgx_core::planner::{EcallBatching, EnclaveOp, PoolStrategy};
 use hesgx_core::InferenceEnclave;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::CrtPlainSystem;
@@ -150,10 +150,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut counter = OpCounter::default();
         let summed =
             ops::he_scaled_mean_pool(&sys, &input, window, &mut counter, &pool, &PolyArena::new())?;
-        let (_, div_cost) = ie.divide_map(&sys, &summed, &model, &pool)?;
+        let batched = EcallBatching::Batched;
+        let (_, div_cost) = ie.apply(EnclaveOp::Divide, &sys, &model, &summed, batched, &pool)?;
         let div_ms = start.elapsed().as_secs_f64() * 1e3
             + (div_cost.total_ns().saturating_sub(div_cost.real_ns)) as f64 / 1e6;
-        let (_, pool_cost) = ie.pool_full_map(&sys, &input, &model, false, &pool)?;
+        let (_, pool_cost) = ie.apply(EnclaveOp::MeanPool, &sys, &model, &input, batched, &pool)?;
         let pool_ms = pool_cost.total_ns() as f64 / 1e6;
         println!(
             "{window:6}   {:?}   {div_ms:10.3}   {pool_ms:11.3}",
@@ -185,7 +186,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ActivationKind::Tanh,
         ActivationKind::LeakyRelu,
     ] {
-        let (_, cost) = ie.activation_map(&sys, &map, &model, kind, &pool)?;
+        let op = EnclaveOp::Activation(kind);
+        let (_, cost) = ie.apply(op, &sys, &model, &map, EcallBatching::Batched, &pool)?;
         println!(
             "{kind:?} over 64 cells: {:.3} ms virtual",
             cost.total_ns() as f64 / 1e6
