@@ -135,6 +135,20 @@ step_bench() {
     echo "==> fig8 bench table"
     repro fig8 --quick
     test -s target/bench/BENCH_fig8.json
+
+    # The frozen benchmark accounts stages by position and verifies every
+    # logit row against forward_ints, exiting non-zero on a mismatch; a short
+    # traced run of each BENCHMARK.json workload makes a plan-shape change
+    # that breaks either fail here instead of in the benchmark run. Read-only
+    # use of benchmark/ (it writes under its git-ignored out/).
+    local benchmark=(cargo run --release --offline -q --manifest-path benchmark/Cargo.toml --)
+    local workloads workload
+    workloads=$("${benchmark[@]}" --list | awk '$1 == "workload" { print $2 }')
+    test -n "$workloads"
+    for workload in $workloads; do
+        echo "==> benchmark smoke: $workload"
+        "${benchmark[@]}" --workload "$workload" --seed 1 --seconds 2 --trace 1 > /dev/null
+    done
 }
 
 # The run itself asserts the deterministic face (tree shape, call counts,

@@ -111,7 +111,7 @@ fn bench_sigmoid_variants(c: &mut Criterion) {
     group.bench_function("sgx_sigmoid", |b| {
         b.iter(|| {
             black_box(
-                real.apply(sigmoid, &env.sys, &model, &input, batched, &serial)
+                real.apply(&[sigmoid], &env.sys, &model, &input, batched, &serial)
                     .unwrap(),
             )
         })
@@ -119,7 +119,7 @@ fn bench_sigmoid_variants(c: &mut Criterion) {
     group.bench_function("fake_sgx_sigmoid", |b| {
         b.iter(|| {
             black_box(
-                fake.apply(sigmoid, &env.sys, &model, &input, batched, &serial)
+                fake.apply(&[sigmoid], &env.sys, &model, &input, batched, &serial)
                     .unwrap(),
             )
         })
@@ -164,7 +164,7 @@ fn bench_pooling_variants(c: &mut Criterion) {
                     .unwrap();
                     black_box(
                         real.apply(
-                            EnclaveOp::Divide,
+                            &[EnclaveOp::Divide],
                             &env.sys,
                             &model,
                             &summed,
@@ -180,7 +180,7 @@ fn bench_pooling_variants(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     real.apply(
-                        EnclaveOp::MeanPool,
+                        &[EnclaveOp::MeanPool],
                         &env.sys,
                         &model,
                         &input,

@@ -81,7 +81,7 @@ fn bench_relinearization(c: &mut Criterion) {
     let refresh = |cts: Vec<_>| {
         let map = EncryptedMap::new(cts.len(), 1, 1, cts);
         ie.apply(
-            EnclaveOp::Refresh,
+            &[EnclaveOp::Refresh],
             &env.sys,
             &model,
             &map,

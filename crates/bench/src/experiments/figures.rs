@@ -46,7 +46,7 @@ fn enclave_ms(
 ) -> f64 {
     let serial = ParExec::serial();
     let (_, cost) = enclave
-        .apply(op, sys, model, map, EcallBatching::Batched, &serial)
+        .apply(&[op], sys, model, map, EcallBatching::Batched, &serial)
         .unwrap();
     cost.total_ns() as f64 / 1e6
 }

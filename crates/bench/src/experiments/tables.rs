@@ -256,7 +256,14 @@ pub fn table5_relinearization(env: &mut PaperEnv, cfg: RunConfig) -> Table5 {
     let (model, serial) = (scale_stub(2), ParExec::serial());
     let per_ct_ms = |batching| {
         let (_, cost) = ie
-            .apply(EnclaveOp::Refresh, sys, &model, &batch, batching, &serial)
+            .apply(
+                &[EnclaveOp::Refresh],
+                sys,
+                &model,
+                &batch,
+                batching,
+                &serial,
+            )
             .unwrap();
         cost.total_ns() as f64 / 1e6 / PAPER_BATCH_SIZE as f64
     };

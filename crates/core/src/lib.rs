@@ -19,8 +19,9 @@
 //!    connected layers run homomorphically in the untrusted host, so model
 //!    weights never enter the enclave (§IV-C).
 //! 3. **Non-linear layers inside** ([`sgx_ops::InferenceEnclave::apply`]) —
-//!    the enclave decrypts, applies the *exact* sigmoid / pooling (no
-//!    polynomial approximation), and re-encrypts (§IV-D); [`planner`]
+//!    the enclave decrypts, applies the *exact* sigmoid and pooling (no
+//!    polynomial approximation) in one boundary crossing, and re-encrypts
+//!    only the pooled map (§IV-D, §VI-E); [`planner`]
 //!    compiles that placement rule — and the §VI-D window-size rule for the
 //!    pooling split — into the stage list
 //!    [`pipeline::HybridInference::run`] walks.

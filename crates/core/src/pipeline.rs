@@ -470,7 +470,7 @@ impl HybridInference {
         }
     }
 
-    /// The body of an enclave stage: the map crosses the boundary in
+    /// The body of an enclave stage: the map crosses the boundary once in
     /// [`InferenceEnclave::apply`], with recorder-gated budget telemetry
     /// either side (the pre-probe measures what actually crosses). The
     /// consumed map's limb buffers seed the next HE stage's accumulator
@@ -487,11 +487,11 @@ impl HybridInference {
         &self,
         plan: &InferencePlan,
         layer: usize,
-        (op, batching): (EnclaveOp, EcallBatching),
+        (ops, batching): (&[EnclaveOp], EcallBatching),
         input: Cow<'_, EncryptedMap>,
         metrics: &mut HybridMetrics,
     ) -> Result<Staged> {
-        let refresh = op == EnclaveOp::Refresh;
+        let refresh = ops.contains(&EnclaveOp::Refresh);
         let gated = refresh && plan.refresh_auto;
         let threshold = plan.refresh_threshold_bits;
         let (before, probe_cost) = if gated {
@@ -504,7 +504,9 @@ impl HybridInference {
         let taken = !gated || before.is_some_and(|bits| bits < threshold);
         let (out, cost, after) = if taken {
             let (sys, model, pool) = (self.system(), self.model(), self.pool());
-            let (out, cost) = self.enclave.apply(op, sys, model, &input, batching, pool)?;
+            let (out, cost) = self
+                .enclave
+                .apply(ops, sys, model, &input, batching, pool)?;
             let after = self.probe_gauge(layer, "post", out.cells())?;
             if let Cow::Owned(consumed) = input {
                 self.he.recycle(consumed);
@@ -531,13 +533,14 @@ impl HybridInference {
                 });
             }
         }
-        let label = match op {
+        let label = |op: &EnclaveOp| match op {
             EnclaveOp::Activation(_) => "Activation (SGX inside)",
             EnclaveOp::MeanPool => "Pooling Layer (SgxPool)",
             EnclaveOp::Divide => "Pooling Layer (SgxDiv)",
             EnclaveOp::Refresh if taken => "Noise Refresh (SGX inside)",
             EnclaveOp::Refresh => "Noise Check (SGX inside)",
         };
+        let label = ops.iter().map(label).collect::<Vec<_>>().join(" + ");
         Ok(Staged::ecall(out, label, cost))
     }
 
@@ -549,17 +552,17 @@ impl HybridInference {
         input: Cow<'_, EncryptedMap>,
         metrics: &mut HybridMetrics,
     ) -> Result<Staged> {
-        match plan.stages[layer] {
+        match &plan.stages[layer] {
             // Parallel over output cells × CRT limbs, bit-identical for
             // every pool size.
-            Stage::He(he) => {
+            &Stage::He(he) => {
                 let out = self
                     .he
                     .apply(he, input, &self.evaluation, &mut metrics.ops)?;
                 Ok(Staged::he(out, he_label(he)))
             }
-            Stage::Enclave(op, batching) => {
-                self.enclave_stage(plan, layer, (op, batching), input, metrics)
+            Stage::Enclave(chain, batching) => {
+                self.enclave_stage(plan, layer, (chain, *batching), input, metrics)
             }
         }
     }
@@ -634,7 +637,7 @@ pub fn total_enclave_cost(metrics: &HybridMetrics) -> CostBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::PoolStrategy;
+    use crate::planner::{fuse, PoolStrategy};
     use crate::request::NoiseRefresh;
     use hesgx_henn::ops;
     use hesgx_tee::enclave::Platform;
@@ -728,7 +731,8 @@ mod tests {
             decrypt_rows(&service, &logits, images.len()),
             reference_rows(&model, &images)
         );
-        assert_eq!(metrics.stages.len(), 4);
+        // Conv, one crossing for activation + pooling, FC.
+        assert_eq!(metrics.stages.len(), 3);
         assert!(metrics.total() > Duration::ZERO);
     }
 
@@ -757,13 +761,17 @@ mod tests {
         )
         .unwrap();
         let (_, batched) = service.run(service.plan(), &enc).unwrap();
-        // Fig. 8's `EncryptSGX (single)` group: the same plan with the
-        // activation stage swapped, on the same service.
+        // Fig. 8's `EncryptSGX (single)` group: the hand-unfused plan with
+        // a per-pixel activation stage, on the same service.
         let mut per_pixel = service.plan().clone();
-        let Stage::Enclave(activation, _) = per_pixel.stages[1] else {
-            panic!("stage 1 is the activation ECALL");
-        };
-        per_pixel.stages[1] = Stage::Enclave(activation, EcallBatching::PerPixel);
+        let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
+        per_pixel.stages.splice(
+            1..2,
+            [
+                Stage::Enclave(vec![sigmoid], EcallBatching::PerPixel),
+                Stage::enclave(EnclaveOp::MeanPool),
+            ],
+        );
         let (_, single) = service.run(&per_pixel, &enc).unwrap();
         let b = total_enclave_cost(&batched);
         let s = total_enclave_cost(&single);
@@ -786,7 +794,12 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(service.plan().stages[2..3], *PoolStrategy::SgxPool.stages());
+        // SgxPool, riding the activation's crossing.
+        let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
+        assert_eq!(
+            service.plan().stages[1],
+            Stage::Enclave(vec![sigmoid, EnclaveOp::MeanPool], EcallBatching::Batched)
+        );
     }
 
     #[test]
@@ -903,7 +916,7 @@ mod tests {
             &mut oracle_ops,
         )
         .unwrap();
-        let in_enclave = |op, map: &EncryptedMap| {
+        let in_enclave = |op: &[EnclaveOp], map: &EncryptedMap| {
             let (sys, pool) = (oracle.system(), oracle.pool());
             oracle
                 .enclave
@@ -911,8 +924,8 @@ mod tests {
                 .unwrap()
                 .0
         };
-        let activated = in_enclave(EnclaveOp::Activation(ActivationKind::Sigmoid), &conv);
-        let pooled = in_enclave(EnclaveOp::MeanPool, &activated);
+        let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
+        let pooled = in_enclave(&[sigmoid, EnclaveOp::MeanPool], &conv);
         let oracle_logits = ops::he_fully_connected_reference(
             oracle.system(),
             &pooled,
@@ -1019,14 +1032,17 @@ mod tests {
     }
 
     /// Every compiled plan is exact. One service per (model, refresh policy,
-    /// pool size); on it, the plan's pooling stages are swapped through
-    /// {`SgxPool`, `SgxDiv`} — the `SgxDiv` split (an HE window-sum stage,
-    /// then the in-enclave division) included, on the 2×2 model where the
-    /// §VI-D rule would not pick it and on a 3×3-window model where it does
-    /// — and every enclave stage through {batched, per-pixel}. Logits must
-    /// equal the plaintext reference and the metrics must show one stage per
-    /// plan stage, ECALL where planned. The pure-HE plan joins on the model
-    /// whose parameters carry it, against the CryptoNets-pipeline reference.
+    /// pool size); on it, the hand-unfused plan's pooling stages are swapped
+    /// through {`SgxPool`, `SgxDiv`} — the `SgxDiv` split (an HE window-sum
+    /// stage, then the in-enclave division) included, on the 2×2 model where
+    /// the §VI-D rule would not pick it and on a 3×3-window model where it
+    /// does — each list runs unfused and as the planner's merge pass fuses
+    /// it (the service's own plan among them), and every enclave stage
+    /// through {batched, per-pixel}. Logits must equal the plaintext
+    /// reference — fused and unfused therefore each other — and the metrics
+    /// must show one stage per plan stage, ECALL where planned. The pure-HE
+    /// plan joins on the model whose parameters carry it, against the
+    /// CryptoNets-pipeline reference.
     #[test]
     fn every_compiled_plan_is_exact() {
         let window_3 = QuantizedCnn {
@@ -1088,62 +1104,87 @@ mod tests {
             for (policy, refresh_label) in &refreshes {
                 for threads in [1usize, 2] {
                     let (service, enc) = provision(&model, policy, threads);
-                    // Pooling starts at stage 2 and compiles to the split
-                    // the window rule picks.
+                    // One stage per op: pooling starts at stage 2 and
+                    // compiles to the split the window rule picks.
+                    let mut unfused = Vec::new();
+                    for stage in &service.plan().stages {
+                        match stage {
+                            Stage::Enclave(chain, _) => {
+                                unfused.extend(chain.iter().map(|&op| Stage::enclave(op)))
+                            }
+                            he => unfused.push(he.clone()),
+                        }
+                    }
                     let pooling = 2..2 + natural.stages().len();
-                    assert_eq!(service.plan().stages[pooling.clone()], *natural.stages());
+                    assert_eq!(unfused[pooling.clone()], natural.stages());
+                    assert_eq!(fuse(unfused.clone()), service.plan().stages);
                     // Sized for `act_scale`-bounded values, these parameters
                     // cannot carry the pure-HE plan's squares.
                     assert!(service.degraded_plan().is_none());
                     for batching in [EcallBatching::Batched, EcallBatching::PerPixel] {
                         for strategy in [PoolStrategy::SgxPool, PoolStrategy::SgxDiv] {
-                            let mut plan = service.plan().clone();
-                            plan.stages
-                                .splice(pooling.clone(), strategy.stages().iter().copied());
-                            for stage in &mut plan.stages {
-                                if let Stage::Enclave(op, _) = *stage {
-                                    *stage = Stage::Enclave(op, batching);
+                            let mut stages = unfused.clone();
+                            stages.splice(pooling.clone(), strategy.stages());
+                            // SgxDiv keeps an HE stage between its two
+                            // crossings: nothing to merge, one list to run.
+                            let mut lists = vec![fuse(stages.clone()), stages];
+                            lists.dedup();
+                            assert_eq!(lists.len() == 1, strategy == PoolStrategy::SgxDiv);
+                            let mut fused_rows = None;
+                            for mut stages in lists {
+                                for stage in &mut stages {
+                                    if let Stage::Enclave(_, stage_batching) = stage {
+                                        *stage_batching = batching;
+                                    }
                                 }
+                                let plan = InferencePlan {
+                                    stages,
+                                    ..service.plan().clone()
+                                };
+                                let what = format!(
+                                    "window {} {policy:?} {threads} threads {:?}",
+                                    model.window, plan.stages
+                                );
+                                let (logits, metrics) = service.run(&plan, &enc).unwrap();
+                                let rows = decrypt_rows(&service, &logits, images.len());
+                                assert_eq!(rows, reference_rows(&model, &images), "{what}");
+                                assert_eq!(*fused_rows.get_or_insert(rows.clone()), rows, "{what}");
+                                let crossed: Vec<bool> =
+                                    metrics.stages.iter().map(|s| s.enclave.is_some()).collect();
+                                let planned: Vec<bool> = plan
+                                    .stages
+                                    .iter()
+                                    .map(|s| matches!(s, Stage::Enclave(..)))
+                                    .collect();
+                                assert_eq!(crossed, planned, "{what}");
+                                // The stage that pools is named for the
+                                // split; a refresh stage, when planned,
+                                // follows it.
+                                let label = format!("Pooling Layer ({strategy:?})");
+                                let pool_ecall = metrics
+                                    .stages
+                                    .iter()
+                                    .position(|s| s.name.ends_with(&label))
+                                    .expect(&what);
+                                if let Some(label) = refresh_label {
+                                    assert_eq!(
+                                        metrics.stages[pool_ecall + 1].name,
+                                        *label,
+                                        "{what}"
+                                    );
+                                }
+                                // Conv and FC accumulate; of the pooling
+                                // splits only SgxDiv adds ciphertexts (the
+                                // window sums).
+                                let conv_cells = model.conv_out * model.conv_side().pow(2);
+                                let pool_cells = model.conv_out * model.pool_side().pow(2);
+                                let mut adds = conv_cells * (model.kernel.pow(2) - 1)
+                                    + model.classes * (model.fc_in() - 1);
+                                if strategy == PoolStrategy::SgxDiv {
+                                    adds += pool_cells * (model.window.pow(2) - 1);
+                                }
+                                assert_eq!(metrics.ops.ct_ct_add, adds as u64, "{what}");
                             }
-                            let what = format!(
-                                "window {} {policy:?} {threads} threads {:?}",
-                                model.window, plan.stages
-                            );
-                            let (logits, metrics) = service.run(&plan, &enc).unwrap();
-                            assert_eq!(
-                                decrypt_rows(&service, &logits, images.len()),
-                                reference_rows(&model, &images),
-                                "{what}"
-                            );
-                            let crossed: Vec<bool> =
-                                metrics.stages.iter().map(|s| s.enclave.is_some()).collect();
-                            let planned: Vec<bool> = plan
-                                .stages
-                                .iter()
-                                .map(|s| matches!(s, Stage::Enclave(..)))
-                                .collect();
-                            assert_eq!(crossed, planned, "{what}");
-                            // The split's last stage is its ECALL; a refresh
-                            // stage, when planned, follows it.
-                            let pool_ecall = 1 + strategy.stages().len();
-                            assert_eq!(
-                                metrics.stages[pool_ecall].name,
-                                format!("Pooling Layer ({strategy:?})"),
-                                "{what}"
-                            );
-                            if let Some(label) = refresh_label {
-                                assert_eq!(metrics.stages[pool_ecall + 1].name, *label, "{what}");
-                            }
-                            // Conv and FC accumulate; of the pooling splits
-                            // only SgxDiv adds ciphertexts (the window sums).
-                            let conv_cells = model.conv_out * model.conv_side().pow(2);
-                            let pool_cells = model.conv_out * model.pool_side().pow(2);
-                            let mut adds = conv_cells * (model.kernel.pow(2) - 1)
-                                + model.classes * (model.fc_in() - 1);
-                            if strategy == PoolStrategy::SgxDiv {
-                                adds += pool_cells * (model.window.pow(2) - 1);
-                            }
-                            assert_eq!(metrics.ops.ct_ct_add, adds as u64, "{what}");
                         }
                     }
                 }
@@ -1204,11 +1245,11 @@ mod tests {
         }
         let images = vec![(0..64).map(|p| ((p * 3) % 16) as i64).collect::<Vec<i64>>()];
         for (path, want_stages) in [
-            (Path::Plain, 4),
-            (Path::RefreshAlways, 5),
-            (Path::AutoSkip, 5),
-            (Path::AutoRefresh, 5),
-            (Path::Transciphered, 5),
+            (Path::Plain, 3),
+            (Path::RefreshAlways, 4),
+            (Path::AutoSkip, 4),
+            (Path::AutoRefresh, 4),
+            (Path::Transciphered, 4),
             (Path::Degraded, 4),
         ] {
             let rec = Recorder::with_timeline();
@@ -1276,7 +1317,7 @@ mod tests {
                 } else {
                     "Noise Refresh (SGX inside)"
                 };
-                assert_eq!(stages[3].name, want, "{path:?}");
+                assert_eq!(stages[2].name, want, "{path:?}");
             }
 
             let span_entries: u64 = rec

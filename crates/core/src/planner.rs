@@ -11,9 +11,10 @@
 //! The plan is the program: [`plan_for`] compiles a model and a
 //! [`ServePolicy`] into the ordered [`Stage`] list that
 //! [`crate::pipeline::HybridInference::run`] walks — HE layers and enclave
-//! operators alike are data. The degraded pure-HE fallback is the same model
-//! compiled with [`Placement::PureHe`], and the Fig. 8 control groups are
-//! the exact plan with one stage swapped.
+//! operators alike are data, and adjacent batched enclave stages compile to
+//! one stage carrying the chain of their operators (§VI-E). The degraded
+//! pure-HE fallback is the same model compiled with [`Placement::PureHe`]; the
+//! Fig. 8 control groups and per-op experiments are hand-built unfused plans.
 
 use crate::request::{NoiseRefresh, ServePolicy};
 use hesgx_henn::layers::HeLayer;
@@ -65,12 +66,12 @@ impl PoolStrategy {
     /// The stages the split compiles to: `SgxPool` is one ECALL over the
     /// whole map; `SgxDiv` sums the windows under HE first and ships the
     /// reduced (noisier) map in for the division.
-    pub fn stages(self) -> &'static [Stage] {
+    pub fn stages(self) -> Vec<Stage> {
         match self {
-            PoolStrategy::SgxPool => &[Stage::Enclave(EnclaveOp::MeanPool, EcallBatching::Batched)],
-            PoolStrategy::SgxDiv => &[
+            PoolStrategy::SgxPool => vec![Stage::enclave(EnclaveOp::MeanPool)],
+            PoolStrategy::SgxDiv => vec![
                 Stage::He(HeLayer::SumPool),
-                Stage::Enclave(EnclaveOp::Divide, EcallBatching::Batched),
+                Stage::enclave(EnclaveOp::Divide),
             ],
         }
     }
@@ -111,12 +112,38 @@ pub enum EcallBatching {
 }
 
 /// One step of a plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Stage {
     /// A layer under HE outside the enclave (§IV-C).
     He(HeLayer),
-    /// An exact operator on plaintext inside the enclave (§IV-D).
-    Enclave(EnclaveOp, EcallBatching),
+    /// One boundary crossing (§IV-D): decrypt once, fold the chain of exact
+    /// operators over the plaintext in order, re-encrypt the final map.
+    Enclave(Vec<EnclaveOp>, EcallBatching),
+}
+
+impl Stage {
+    /// A batched enclave stage computing the single operator `op`.
+    pub fn enclave(op: EnclaveOp) -> Self {
+        Stage::Enclave(vec![op], EcallBatching::Batched)
+    }
+}
+
+/// Merges every batched enclave stage into a batched enclave stage right
+/// before it. [`EnclaveOp::Refresh`] never merges: it is policy-gated on a
+/// probe of exactly what it refreshes and has a fault site of its own.
+pub(crate) fn fuse(mut stages: Vec<Stage>) -> Vec<Stage> {
+    use EcallBatching::Batched;
+    let merges = |ops: &[EnclaveOp]| !ops.contains(&EnclaveOp::Refresh);
+    stages.dedup_by(|later, earlier| match (earlier, later) {
+        (Stage::Enclave(chain, Batched), Stage::Enclave(ops, Batched))
+            if merges(chain) && merges(ops) =>
+        {
+            chain.append(ops);
+            true
+        }
+        _ => false,
+    });
+    stages
 }
 
 /// An executable plan: the stage list one inference walks.
@@ -154,13 +181,10 @@ pub fn plan_for(
     let mut stages = vec![Stage::He(HeLayer::Conv)];
     match placement {
         Placement::Hybrid => {
-            stages.push(Stage::Enclave(
-                EnclaveOp::Activation(activation),
-                EcallBatching::Batched,
-            ));
+            stages.push(Stage::enclave(EnclaveOp::Activation(activation)));
             stages.extend(PoolStrategy::select(model.window).stages());
             if policy.noise_refresh != NoiseRefresh::Off {
-                stages.push(Stage::Enclave(EnclaveOp::Refresh, EcallBatching::Batched));
+                stages.push(Stage::enclave(EnclaveOp::Refresh));
             }
         }
         Placement::PureHe => {
@@ -171,7 +195,7 @@ pub fn plan_for(
     stages.push(Stage::He(HeLayer::Fc));
     InferencePlan {
         placement,
-        stages,
+        stages: fuse(stages),
         refresh_auto: policy.noise_refresh == NoiseRefresh::Auto,
         refresh_threshold_bits: policy
             .refresh_threshold_bits
@@ -210,21 +234,24 @@ mod tests {
             act_scale: 16,
         };
         let sigmoid = ActivationKind::Sigmoid;
+        let activation = EnclaveOp::Activation(sigmoid);
+        let batched = EcallBatching::Batched;
         let plan = plan_for(&model, sigmoid, &ServePolicy::default(), Placement::Hybrid);
-        // The paper's model uses a 2×2 window → SgxPool.
+        // The paper's model uses a 2×2 window → SgxPool, and the pooling
+        // rides the activation's boundary crossing: one enclave stage.
         assert_eq!(
             plan.stages,
             [
                 Stage::He(HeLayer::Conv),
-                Stage::Enclave(EnclaveOp::Activation(sigmoid), EcallBatching::Batched),
-                Stage::Enclave(EnclaveOp::MeanPool, EcallBatching::Batched),
+                Stage::Enclave(vec![activation, EnclaveOp::MeanPool], batched),
                 Stage::He(HeLayer::Fc),
             ]
         );
         assert_eq!(plan.refresh_threshold_bits, 10);
         assert!(!plan.refresh_auto);
-        // A 3×3 window → SgxDiv: the window sum is an HE stage of its own,
-        // only the division crosses into the enclave.
+        // A 3×3 window → SgxDiv: the window sum is an HE stage of its own
+        // between the two crossings, so nothing is adjacent and nothing
+        // merges — only the division crosses into the enclave.
         let window_3 = QuantizedCnn {
             window: 3,
             ..model.clone()
@@ -236,36 +263,47 @@ mod tests {
             Placement::Hybrid,
         );
         assert_eq!(
-            plan.stages[2..4],
+            plan.stages,
             [
+                Stage::He(HeLayer::Conv),
+                Stage::enclave(activation),
                 Stage::He(HeLayer::SumPool),
-                Stage::Enclave(EnclaveOp::Divide, EcallBatching::Batched),
+                Stage::enclave(EnclaveOp::Divide),
+                Stage::He(HeLayer::Fc),
             ]
         );
-        assert_eq!(plan.stages.len(), 5);
-        // The policy's refresh lands between pooling and the FC layer.
+        // The policy's refresh lands between pooling and the FC layer and
+        // stays a stage of its own, gated or not.
         let policy = ServePolicy::new()
             .noise_refresh(NoiseRefresh::Auto)
             .refresh_threshold_bits(7);
         let plan = plan_for(&model, ActivationKind::Relu, &policy, Placement::Hybrid);
+        let relu_pool = vec![
+            EnclaveOp::Activation(ActivationKind::Relu),
+            EnclaveOp::MeanPool,
+        ];
         assert_eq!(
-            plan.stages[1],
-            Stage::Enclave(
-                EnclaveOp::Activation(ActivationKind::Relu),
-                EcallBatching::Batched
-            )
+            plan.stages[1..3],
+            [
+                Stage::Enclave(relu_pool, batched),
+                Stage::enclave(EnclaveOp::Refresh)
+            ]
         );
-        assert_eq!(
-            plan.stages[3],
-            Stage::Enclave(EnclaveOp::Refresh, EcallBatching::Batched)
-        );
-        assert_eq!(plan.stages.len(), 5);
+        assert_eq!(plan.stages.len(), 4);
         assert!(plan.refresh_auto);
         assert_eq!(plan.refresh_threshold_bits, 7);
         let always = ServePolicy::new().noise_refresh(NoiseRefresh::Always);
         let always = plan_for(&model, sigmoid, &always, Placement::Hybrid);
-        assert_eq!(always.stages[3], plan.stages[3]);
+        assert_eq!(always.stages[2], plan.stages[2]);
+        assert_eq!(always.stages.len(), 4);
         assert!(!always.refresh_auto);
+        // Only batched neighbours merge: a hand-unfused plan (the paper's
+        // per-op experiments, Fig. 8's per-pixel group) survives the pass.
+        let unfused = vec![
+            Stage::Enclave(vec![activation], EcallBatching::PerPixel),
+            Stage::enclave(EnclaveOp::MeanPool),
+        ];
+        assert_eq!(fuse(unfused.clone()), unfused);
         // Without the enclave the same model compiles to the CryptoNets
         // list, whatever the policy says about refreshing.
         let plan = plan_for(&model, sigmoid, &policy, Placement::PureHe);

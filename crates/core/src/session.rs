@@ -188,8 +188,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Seeds every RNG in the session (keys, encryption, enclave identity);
-    /// two sessions with equal seeds and thread counts behave identically.
+    /// Seeds every RNG in the session (keys, encryption, enclave identity):
+    /// equal seeds give equal keys and, on a fresh platform each, equal runs.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -198,8 +198,8 @@ impl SessionBuilder {
 
     /// Installs the serving policy — the one home of the retry and
     /// noise-refresh settings. The service's plans are compiled from it:
-    /// [`crate::NoiseRefresh::Always`] adds a fifth `ecall_DecreaseNoise`
-    /// stage between pooling and the fully connected layer (§IV-E), and
+    /// [`crate::NoiseRefresh::Always`] adds an `ecall_DecreaseNoise` stage
+    /// of its own between pooling and the fully connected layer (§IV-E), and
     /// [`crate::NoiseRefresh::Auto`] gates that stage on the budget the
     /// enclave measures (`ecall_NoiseProbe`; only the bit-count leaves the
     /// enclave), leaving its decision trail in [`HybridMetrics::noise`].
@@ -308,11 +308,15 @@ impl SessionBuilder {
         // ceremony material it already holds; the enclave side derives the
         // same key independently, so nothing new crosses the wire.
         let ingress_key = derive_ingress_key(&ceremony.public, &ceremony.user_secret);
+        // A broker's workers share keys and the ingress key: each client
+        // stream (FV randomness, transcipher nonces) is its launch's own.
+        let launch = service.enclave().enclave().launch();
+        let client = ChaChaRng::from_seed(self.seed).fork("session-client");
         Ok(Session {
             service: RwLock::new(service),
             ceremony,
             ingress_key,
-            rng: Mutex::new(ChaChaRng::from_seed(self.seed).fork("session-client")),
+            rng: Mutex::new(client.fork(&format!("launch-{launch}"))),
             pool,
             platform,
             model,
@@ -416,6 +420,9 @@ impl Session {
     fn ingest(&self, request: &InferRequest) -> Result<(EncryptedMap, u64, Option<StageMetrics>)> {
         let _prof = prof::span("session.ingest");
         self.check_batch(&request.images)?;
+        let slots = self.service.read().system().slot_count();
+        let ppm = (request.images.len() * 1_000_000 / slots) as u64;
+        self.recorder.gauge(counters::SLOT_OCCUPANCY_PPM, ppm);
         match request.ingress {
             Ingress::FvCiphertext => {
                 let enc = self.encrypt_batch(&request.images)?;
@@ -758,7 +765,7 @@ mod tests {
         for (img, row) in images.iter().zip(&response.logits) {
             assert_eq!(row, &session.model().forward_ints(img));
         }
-        assert_eq!(response.metrics.stages.len(), 4);
+        assert_eq!(response.metrics.stages.len(), 3);
         assert_eq!(response.metrics.threads, 2);
     }
 
@@ -858,7 +865,7 @@ mod tests {
     }
 
     #[test]
-    fn noise_refresh_adds_a_fifth_stage_without_changing_logits() {
+    fn noise_refresh_adds_a_stage_without_changing_logits() {
         let image: Vec<i64> = (0..64).map(|p| (p % 16) as i64).collect();
         let plain = build(1, 9);
         let refreshed = SessionBuilder::new()
@@ -871,7 +878,14 @@ mod tests {
         let plain_resp = plain.serve(InferRequest::single(image.clone())).unwrap();
         let refreshed_resp = refreshed.serve(InferRequest::single(image)).unwrap();
         assert_eq!(plain_resp.logits, refreshed_resp.logits);
-        assert_eq!(refreshed_resp.metrics.stages.len(), 5);
+        assert_eq!(
+            refreshed_resp.metrics.stages.len(),
+            plain_resp.metrics.stages.len() + 1
+        );
+        assert_eq!(
+            refreshed_resp.metrics.stages[2].name,
+            "Noise Refresh (SGX inside)"
+        );
     }
 
     #[test]
@@ -940,6 +954,77 @@ mod tests {
         let image: Vec<i64> = (0..64).map(|p| (p % 16) as i64).collect();
         let response = session.serve(InferRequest::single(image.clone())).unwrap();
         assert_eq!(response.logits, vec![session.model().forward_ints(&image)]);
+    }
+
+    /// ROADMAP item 1, enclave half. A broker's workers are same-seed
+    /// sessions on one platform — one key ceremony, one secret key — and a
+    /// re-provision rebuilds the same keys again. Under one key a repeated
+    /// mask (`c1 = a` of the symmetric form, the pair `(u, e)` behind a
+    /// client encryption, a transcipher nonce) lets the host subtract two
+    /// ciphertexts, so no stream may repeat across worker 0, worker 1 and
+    /// worker 0's re-provisioned successor.
+    #[test]
+    fn no_mask_repeats_across_workers_or_reprovisioning() {
+        use crate::planner::{EcallBatching, EnclaveOp};
+        use hesgx_bfv::serialization::ciphertext_to_bytes;
+        let platform = Platform::new(47);
+        let worker = || {
+            SessionBuilder::new()
+                .params(ParamsPreset::Small)
+                .threads(1)
+                .seed(17)
+                .build(platform.clone(), small_model())
+                .unwrap()
+        };
+        let (w0, w1) = (worker(), worker());
+        assert_eq!(w0.ceremony().public, w1.ceremony().public, "one key domain");
+        let images = vec![(0..64).map(|p| (p % 16) as i64).collect::<Vec<i64>>()];
+        // The last limb of the last polynomial of a size-2 ciphertext: c1.
+        let c1 = |map: &EncryptedMap| -> Vec<Vec<u8>> {
+            let parts = map
+                .cells()
+                .iter()
+                .flat_map(|ct| (0..ct.part_count()).map(|p| ciphertext_to_bytes(ct.part(p))));
+            parts
+                .map(|bytes| bytes[bytes.len() - 8 * 256..].to_vec())
+                .collect()
+        };
+        // The client role: each worker's first batch and first payload.
+        let (enc0, enc1) = (
+            w0.encrypt_batch(&images).unwrap(),
+            w1.encrypt_batch(&images).unwrap(),
+        );
+        let mut seen = [c1(&enc0), c1(&enc1)].concat();
+        seen.push(w0.seal_batch(&images).unwrap());
+        seen.push(w1.seal_batch(&images).unwrap());
+        // What the host sees leave a service's first two ECALLs.
+        let first_ecalls = |session: &Session| -> Vec<Vec<u8>> {
+            let service = session.service();
+            let mut seen = Vec::new();
+            for _ in 0..2 {
+                let (out, _) = service
+                    .enclave()
+                    .apply(
+                        &[EnclaveOp::Refresh],
+                        service.system(),
+                        service.model(),
+                        &enc0,
+                        EcallBatching::Batched,
+                        &ParExec::serial(),
+                    )
+                    .unwrap();
+                seen.extend(c1(&out));
+            }
+            seen
+        };
+        seen.extend(first_ecalls(&w0));
+        seen.extend(first_ecalls(&w1));
+        w0.reprovision("test").unwrap();
+        seen.extend(first_ecalls(&w0));
+        let total = seen.len();
+        seen.sort();
+        seen.dedup();
+        assert_eq!(seen.len(), total, "a mask or nonce was used twice");
     }
 
     #[test]

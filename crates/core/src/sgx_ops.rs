@@ -4,8 +4,8 @@
 //! Every operation follows the same shape: ECALL in with the ciphertexts,
 //! decrypt with the enclave-resident secret keys, compute the exact function
 //! on plaintext, re-encrypt, ECALL out — so there is one map → map operator,
-//! [`InferenceEnclave::apply`], and *what* it computes is data
-//! ([`EnclaveOp`]). The enclave holds `s`, so it
+//! [`InferenceEnclave::apply`], and *what* it computes is data (a chain of
+//! [`EnclaveOp`]s). The enclave holds `s`, so it
 //! re-encrypts under the secret key
 //! ([`CrtPlainSystem::encrypt_slots_symmetric`], DESIGN.md §19) — the public
 //! keys it keeps are only what it hands out. The re-encryption also resets
@@ -101,6 +101,34 @@ fn timed_tasks<T: Send + Sync>(
     Ok(outs)
 }
 
+/// Folds `chain` over the square block of decrypted cells (row-major, one
+/// slot vector each) behind one output cell: [`EnclaveOp::MeanPool`] first
+/// sums the block's `k × k` windows, then every op maps the slots in place.
+fn fold_chain(chain: &[EnclaveOp], model: &QuantizedCnn, mut block: Vec<Vec<i64>>) -> Vec<i64> {
+    let k = model.window;
+    for &op in chain {
+        if op == EnclaveOp::MeanPool {
+            let wide = block.len().isqrt();
+            let side = wide / k;
+            // Cell `d` of the window behind pooled cell `i`.
+            let cell = |i: usize, d: usize| {
+                &block[((i / side) * k + d / k) * wide + (i % side) * k + d % k]
+            };
+            let sum = |i, s| (0..k * k).map(|d| cell(i, d)[s]).sum();
+            let pooled = |i| (0..block[0].len()).map(|s| sum(i, s)).collect();
+            block = (0..side * side).map(pooled).collect();
+        }
+        block.iter_mut().flatten().for_each(|v| {
+            *v = match op {
+                EnclaveOp::Activation(kind) => model.enclave_activation(*v, kind),
+                EnclaveOp::MeanPool | EnclaveOp::Divide => model.enclave_mean(*v),
+                EnclaveOp::Refresh => *v,
+            }
+        });
+    }
+    block.swap_remove(0)
+}
+
 impl InferenceEnclave {
     /// Wraps an enclave whose key ceremony produced `secret`/`public`.
     // hesgx-lint: allow(ecall-cost, reason = "constructor; performs no enclave computation")
@@ -110,11 +138,16 @@ impl InferenceEnclave {
         public: Vec<PublicKey>,
         seed: u64,
     ) -> Self {
+        // Same seed → same keys, for a fleet's workers and a re-provisioned
+        // successor alike; a mask reused under one key lets the host subtract
+        // two ciphertexts, so each launch draws from a stream of its own.
+        let root = ChaChaRng::from_seed(seed).fork("enclave-reencrypt");
+        let rng = root.fork(&format!("launch-{}", enclave.launch()));
         InferenceEnclave {
             enclave,
             secret,
             public,
-            rng: Mutex::new(ChaChaRng::from_seed(seed).fork("enclave-reencrypt")),
+            rng: Mutex::new(rng),
             calls: AtomicU64::new(0),
             recovery: RecoveryPolicy::default(),
         }
@@ -232,13 +265,15 @@ impl InferenceEnclave {
     }
 
     /// The one in-enclave operator (paper §IV-D/§IV-E): the cells of `input`
-    /// cross the boundary, are decrypted, `op` is computed exactly on every
-    /// slot, and the result is re-encrypted into the returned map.
+    /// cross the boundary and are decrypted once, `chain` is folded over the
+    /// plaintext slots in order, and only the final map is re-encrypted —
+    /// one crossing however many operators the chain carries (§VI-E).
     ///
-    /// Output cell `o` is a function of the `k × k` window of input cells at
-    /// its position, summed slot-wise: `k` is the model's pooling window for
-    /// [`EnclaveOp::MeanPool`] (the whole feature map enters, a `k²`-th of it
-    /// leaves) and 1 — the cell itself — for every other op.
+    /// Output cell `o` is a function of the `span × span` block of input
+    /// cells at its position, decrypted and folded inside `o`'s task: every
+    /// [`EnclaveOp::MeanPool`] of the chain multiplies `span` by the model's
+    /// pooling window, every other op is cell-wise. The boundary is priced
+    /// from the chain's two ends: the map enters, a `span²`-th of it leaves.
     ///
     /// [`EcallBatching::Batched`] is one ECALL for the whole map, per-cell
     /// work scheduled on `pool` inside the enclave body.
@@ -251,35 +286,38 @@ impl InferenceEnclave {
     /// Propagates HE/TEE failures.
     pub fn apply(
         &self,
-        op: EnclaveOp,
+        chain: &[EnclaveOp],
         sys: &CrtPlainSystem,
         model: &QuantizedCnn,
         input: &EncryptedMap,
         batching: EcallBatching,
         pool: &ParExec,
     ) -> Result<(EncryptedMap, CostBreakdown)> {
-        let name = match (op, batching) {
-            (EnclaveOp::Activation(_), EcallBatching::Batched) => "ecall_activation",
-            (EnclaveOp::Activation(_), EcallBatching::PerPixel) => "ecall_activation_single",
-            (EnclaveOp::MeanPool, _) => "ecall_pool",
-            (EnclaveOp::Divide, _) => "ecall_divide",
-            (EnclaveOp::Refresh, _) => "ecall_DecreaseNoise",
+        let book = |op: &EnclaveOp| match op {
+            EnclaveOp::Activation(_) => "_activation",
+            EnclaveOp::MeanPool => "_pool",
+            EnclaveOp::Divide => "_divide",
+            EnclaveOp::Refresh => "_DecreaseNoise",
         };
-        let on_slot = |sum: i64| match op {
-            EnclaveOp::Activation(kind) => model.enclave_activation(sum, kind),
-            EnclaveOp::MeanPool | EnclaveOp::Divide => model.enclave_mean(sum),
-            EnclaveOp::Refresh => sum,
-        };
-        let gathers = op == EnclaveOp::MeanPool;
-        let k = if gathers { model.window } else { 1 };
+        let mut name = chain
+            .iter()
+            .map(book)
+            .fold("ecall".to_owned(), |name, op| name + op);
+        if batching == EcallBatching::PerPixel && name == "ecall_activation" {
+            name += "_single";
+        }
+        let refreshes = chain.contains(&EnclaveOp::Refresh);
+        let pools = chain.iter().filter(|op| **op == EnclaveOp::MeanPool);
+        let span = model.window.pow(pools.count() as u32);
         let (c, h, w) = input.shape();
-        let (oh, ow, k2) = (h / k, w / k, k * k);
+        let (oh, ow, span2) = (h / span, w / span, span * span);
         let outputs = c * oh * ow;
-        // The crossing cells, window by window in output order.
-        let crossing: Vec<&CrtCiphertext> = (0..outputs * k2)
+        // The crossing cells: block by block in output order, row-major inside.
+        let crossing: Vec<&CrtCiphertext> = (0..outputs * span2)
             .map(|i| {
-                let (o, d) = (i / k2, i % k2);
-                input.cell(o / (oh * ow), (o / ow) % oh * k + d / k, o % ow * k + d % k)
+                let (o, d) = (i / span2, i % span2);
+                let (y, x) = ((o / ow) % oh * span + d / span, o % ow * span + d % span);
+                input.cell(o / (oh * ow), y, x)
             })
             .collect();
         let inline = ParExec::serial();
@@ -287,44 +325,29 @@ impl InferenceEnclave {
             EcallBatching::Batched => (outputs, pool),
             EcallBatching::PerPixel => (1, &inline),
         };
-        let slot_count = sys.slot_count();
         let mut cells = Vec::with_capacity(outputs);
         let mut total = CostBreakdown::default();
         for first in (0..outputs).step_by(per_call.max(1)) {
-            let windows = &crossing[first * k2..(first + per_call) * k2];
-            let in_bytes: usize = windows.iter().map(|c| c.byte_len()).sum();
-            let decrypt =
-                |i: usize| -> Result<_> { Ok(sys.decrypt_slots(windows[i], &self.secret)?) };
+            let blocks = &crossing[first * span2..(first + per_call) * span2];
+            let in_bytes: usize = blocks.iter().map(|c| c.byte_len()).sum();
             let (out, cost) = self.batched_ecall(
                 EcallShape {
-                    name,
+                    name: &name,
                     in_bytes,
-                    out_bytes: in_bytes / k2,
+                    out_bytes: in_bytes / span2,
                     fork_prefix: "par",
-                    pre_site: (op == EnclaveOp::Refresh).then_some(FaultSite::NoiseRefresh),
-                    retouch_header: !gathers,
+                    pre_site: refreshes.then_some(FaultSite::NoiseRefresh),
+                    retouch_header: span == 1,
                 },
                 |base, cpu_ns| {
-                    // A gathering op decrypts in a pass of its own, one task
-                    // per crossing cell, so a small output map still spreads
-                    // its decryptions over the pool; a cell-wise op decrypts
-                    // inside its output task.
-                    let gathered = gathers
-                        .then(|| timed_tasks(pool, windows.len(), cpu_ns, decrypt))
-                        .transpose()?;
                     timed_tasks(pool, per_call, cpu_ns, |j| {
                         let mut rng = base.fork(&format!("cell-{j}"));
-                        let own;
-                        let window = match &gathered {
-                            Some(plain) => &plain[j * k2..(j + 1) * k2],
-                            None => {
-                                own = [decrypt(j)?];
-                                &own[..]
-                            }
-                        };
-                        let slots: Vec<i64> = (0..slot_count)
-                            .map(|s| on_slot(window.iter().map(|cell| cell[s] as i64).sum()))
-                            .collect();
+                        let mut block = Vec::with_capacity(span2);
+                        for ct in &blocks[j * span2..(j + 1) * span2] {
+                            let slots = sys.decrypt_slots(ct, &self.secret)?;
+                            block.push(slots.iter().map(|&v| v as i64).collect::<Vec<_>>());
+                        }
+                        let slots = fold_chain(chain, model, block);
                         Ok(sys.encrypt_slots_symmetric(&slots, &self.secret, &mut rng)?)
                     })
                 },
@@ -512,27 +535,49 @@ mod tests {
     /// Every pooled operator is swept over these pool sizes; 1 runs inline.
     const POOLS: [usize; 3] = [1, 2, 4];
 
-    /// Every operator of the one entry point, with the `ecall.<name>` books
-    /// its batched and per-pixel calls land in.
-    const OPS: [(EnclaveOp, &str, &str); 5] = [
-        (
-            EnclaveOp::Activation(ActivationKind::Sigmoid),
-            "ecall_activation",
-            "ecall_activation_single",
-        ),
-        (
-            EnclaveOp::Activation(ActivationKind::Relu),
-            "ecall_activation",
-            "ecall_activation_single",
-        ),
-        (EnclaveOp::MeanPool, "ecall_pool", "ecall_pool"),
-        (EnclaveOp::Divide, "ecall_divide", "ecall_divide"),
-        (
-            EnclaveOp::Refresh,
-            "ecall_DecreaseNoise",
-            "ecall_DecreaseNoise",
-        ),
+    const KINDS: [ActivationKind; 5] = [
+        ActivationKind::Sigmoid,
+        ActivationKind::Relu,
+        ActivationKind::Tanh,
+        ActivationKind::LeakyRelu,
+        ActivationKind::Square,
     ];
+
+    /// Every chain the one entry point is swept over, with the
+    /// `ecall.<name>` books its batched and per-pixel calls land in: each op
+    /// alone, the activation + pooling chain the planner compiles for every
+    /// activation kind, and — the general case of the block fold — pooling
+    /// twice with a cell-wise op in between.
+    fn chains() -> Vec<(Vec<EnclaveOp>, &'static str, &'static str)> {
+        let mut chains = vec![
+            (vec![EnclaveOp::MeanPool], "ecall_pool", "ecall_pool"),
+            (vec![EnclaveOp::Divide], "ecall_divide", "ecall_divide"),
+            (
+                vec![EnclaveOp::Refresh],
+                "ecall_DecreaseNoise",
+                "ecall_DecreaseNoise",
+            ),
+            (
+                vec![EnclaveOp::MeanPool, EnclaveOp::Divide, EnclaveOp::MeanPool],
+                "ecall_pool_divide_pool",
+                "ecall_pool_divide_pool",
+            ),
+        ];
+        for kind in KINDS {
+            let activation = EnclaveOp::Activation(kind);
+            chains.push((
+                vec![activation],
+                "ecall_activation",
+                "ecall_activation_single",
+            ));
+            chains.push((
+                vec![activation, EnclaveOp::MeanPool],
+                "ecall_activation_pool",
+                "ecall_activation_pool",
+            ));
+        }
+        chains
+    }
 
     /// The table's input: a 2 × 4 × 4 map (two channels, so the pooling
     /// windows must respect channel boundaries) carrying two images in slots
@@ -568,54 +613,61 @@ mod tests {
         EncryptedMap::new(SHAPE.0, SHAPE.1, SHAPE.2, cells)
     }
 
-    /// The plaintext function `op` computes over one image of the table map
-    /// — the oracle every `apply` call is held to.
-    fn reference(op: EnclaveOp, model: &QuantizedCnn, image: &[i64]) -> Vec<i64> {
-        let (c, h, w) = SHAPE;
-        match op {
-            EnclaveOp::Activation(kind) => image
-                .iter()
-                .map(|&v| model.enclave_activation(v, kind))
-                .collect(),
-            EnclaveOp::Divide => image.iter().map(|&v| model.enclave_mean(v)).collect(),
-            EnclaveOp::Refresh => image.to_vec(),
-            EnclaveOp::MeanPool => {
-                let k = model.window;
-                let mut out = Vec::new();
-                for ch in 0..c {
-                    for oy in 0..h / k {
-                        for ox in 0..w / k {
-                            let sum = (0..k * k)
-                                .map(|d| image[(ch * h + oy * k + d / k) * w + ox * k + d % k])
-                                .sum();
-                            out.push(model.enclave_mean(sum));
+    /// The plaintext function `chain` computes over one image of the table
+    /// map, one whole-map pass per op — the oracle every `apply` call is
+    /// held to.
+    fn reference(chain: &[EnclaveOp], model: &QuantizedCnn, image: &[i64]) -> Vec<i64> {
+        let (c, mut h, mut w) = SHAPE;
+        let mut image = image.to_vec();
+        for &op in chain {
+            image = match op {
+                EnclaveOp::Activation(kind) => image
+                    .iter()
+                    .map(|&v| model.enclave_activation(v, kind))
+                    .collect(),
+                EnclaveOp::Divide => image.iter().map(|&v| model.enclave_mean(v)).collect(),
+                EnclaveOp::Refresh => image,
+                EnclaveOp::MeanPool => {
+                    let k = model.window;
+                    let mut out = Vec::new();
+                    for ch in 0..c {
+                        for oy in 0..h / k {
+                            for ox in 0..w / k {
+                                let sum = (0..k * k)
+                                    .map(|d| image[(ch * h + oy * k + d / k) * w + ox * k + d % k])
+                                    .sum();
+                                out.push(model.enclave_mean(sum));
+                            }
                         }
                     }
+                    (h, w) = (h / k, w / k);
+                    out
                 }
-                out
-            }
+            };
         }
+        image
     }
 
-    /// The one entry point, over `EnclaveOp × {Batched, PerPixel} × pools`:
+    /// The one entry point, over `chain × {Batched, PerPixel} × pools`:
     /// every slot of every output cell decrypts to the plaintext function,
     /// the batched ciphertext bits do not depend on the pool size, and a
-    /// per-pixel run pays two transitions per output cell into the same
-    /// `ecall.<name>` books Fig. 8's `EncryptSGX (single)` group reads.
+    /// per-pixel run pays two transitions per *final* output cell into the
+    /// same `ecall.<name>` books Fig. 8's `EncryptSGX (single)` group reads.
     #[test]
     fn apply_matches_the_plaintext_function_for_every_op_batching_and_pool() {
         let model = small_model();
         let images = table_images();
-        for (op, batched_name, per_pixel_name) in OPS {
+        for (chain, batched_name, per_pixel_name) in chains() {
+            let chain = &chain[..];
             let expect: Vec<Vec<i64>> = images
                 .iter()
-                .map(|img| reference(op, &model, img))
+                .map(|img| reference(chain, &model, img))
                 .collect();
-            let idle = reference(op, &model, &[0; 32]);
+            let idle = reference(chain, &model, &[0; 32]);
             let mut batched_bits = None;
             for batching in [EcallBatching::Batched, EcallBatching::PerPixel] {
                 for threads in POOLS {
-                    let what = format!("{op:?} {batching:?} {threads} threads");
+                    let what = format!("{chain:?} {batching:?} {threads} threads");
                     // Fresh (deterministic) enclave per run so each starts
                     // from the same RNG state and call counter.
                     let rec = Recorder::enabled();
@@ -624,10 +676,17 @@ mod tests {
                     let pool = ParExec::new(threads);
                     // The key ceremony already crossed the boundary once.
                     let crossings = |rec: &Recorder| {
-                        [counters::ECALLS, counters::ECALL_TRANSITIONS].map(|c| rec.counter(c))
+                        [
+                            counters::ECALLS,
+                            counters::ECALL_TRANSITIONS,
+                            counters::BYTES_MARSHALLED,
+                        ]
+                        .map(|c| rec.counter(c))
                     };
                     let before = crossings(&rec);
-                    let (out, cost) = ie.apply(op, &sys, &model, &input, batching, &pool).unwrap();
+                    let (out, cost) = ie
+                        .apply(chain, &sys, &model, &input, batching, &pool)
+                        .unwrap();
                     let outputs = expect[0].len();
                     assert_eq!(out.cells().len(), outputs, "{what}");
                     for (o, ct) in out.cells().iter().enumerate() {
@@ -644,9 +703,19 @@ mod tests {
                     let span = rec.span(&format!("ecall.{name}")).expect(&what);
                     assert_eq!(span.entries, calls, "{what}");
                     assert_eq!(span.cost.transition_ns, cost.transition_ns, "{what}");
-                    let [ecalls, transitions] = crossings(&rec);
+                    let [ecalls, transitions, marshalled] = crossings(&rec);
                     assert_eq!(ecalls - before[0], calls, "{what}");
                     assert_eq!(transitions - before[1], 2 * calls, "{what}");
+                    // The boundary is priced from the chain's two ends: the
+                    // whole input map in, only the final map out.
+                    let bytes = |map: &EncryptedMap| -> u64 {
+                        map.cells().iter().map(|c| c.byte_len() as u64).sum()
+                    };
+                    assert_eq!(
+                        marshalled - before[2],
+                        bytes(&input) + bytes(&out),
+                        "{what}"
+                    );
                     if batching == EcallBatching::Batched {
                         // Ciphertext bits, not just values, are pool-size
                         // independent.
@@ -659,17 +728,19 @@ mod tests {
     }
 
     /// §VI-E: per-pixel crossings pay the boundary once per output cell, a
-    /// batched call once per map — for the activation (Fig. 8) and the
-    /// refresh (Table V) alike — and both compute the same values.
+    /// batched call once per map — for the activation (Fig. 8), the refresh
+    /// (Table V) and a fused chain alike, whose per-pixel ECALL carries the
+    /// whole block of inputs behind one *final* output cell — and both
+    /// compute the same values.
     #[test]
     fn batched_ecall_cheaper_than_per_cell() {
         let model = small_model();
-        for (op, ..) in OPS {
+        for (op, ..) in chains() {
             let (ie, sys, rng) = setup();
             let input = table_input(&ie, &sys, &rng);
             let serial = ParExec::serial();
             let run = |batching| {
-                ie.apply(op, &sys, &model, &input, batching, &serial)
+                ie.apply(&op, &sys, &model, &input, batching, &serial)
                     .unwrap()
             };
             let (batched_out, batched) = run(EcallBatching::Batched);
@@ -698,7 +769,7 @@ mod tests {
         let before = sys.noise_budget(&sq, keys_secret).unwrap();
         let (fresh, _) = ie
             .apply(
-                EnclaveOp::Refresh,
+                &[EnclaveOp::Refresh],
                 &sys,
                 &small_model(),
                 &EncryptedMap::new(1, 1, 1, vec![sq]),
@@ -724,15 +795,17 @@ mod tests {
         // stream *inside* the retry closure, so a retried attempt
         // re-encrypted with different randomness than a fault-free run. The
         // core forks the stream once per logical call, outside the retry
-        // loop, and each cell forks that; checked for every op at every
+        // loop, and each cell forks that; checked for every chain at every
         // pool size, batched and (inline) one cell per call.
         let model = small_model();
-        for (op, ..) in OPS {
+        for (op, ..) in chains() {
             let run = |hook: Option<Arc<FaultInjector>>, batching, threads| {
                 let (ie, sys, rng) = setup_with(hook, Recorder::disabled());
                 let input = table_input(&ie, &sys, &rng);
                 let pool = ParExec::new(threads);
-                let (out, _) = ie.apply(op, &sys, &model, &input, batching, &pool).unwrap();
+                let (out, _) = ie
+                    .apply(&op, &sys, &model, &input, batching, &pool)
+                    .unwrap();
                 out.into_cells()
             };
             for (batching, pools) in [
@@ -742,11 +815,12 @@ mod tests {
                 let clean = run(None, batching, 1);
                 for &threads in pools {
                     // The result of the first crossing is lost on the way
-                    // out; a per-pixel run also loses its third cell's.
+                    // out; a per-pixel run also loses its second cell's
+                    // (the shortest chain output has two).
                     let injector = Arc::new(
                         FaultPlan::new(5)
                             .script(FaultSite::EcallExit, 0, FaultKind::Transient)
-                            .script(FaultSite::EcallExit, 3, FaultKind::Transient)
+                            .script(FaultSite::EcallExit, 2, FaultKind::Transient)
                             .build(),
                     );
                     let faulted = run(Some(injector.clone()), batching, threads);
@@ -844,7 +918,7 @@ mod tests {
             .collect();
         let (fresh, cost) = ie
             .apply(
-                EnclaveOp::Refresh,
+                &[EnclaveOp::Refresh],
                 &sys,
                 &small_model(),
                 &EncryptedMap::new(1, 2, 2, cts),

@@ -6,7 +6,7 @@ mod testutil;
 
 use hesgx_core::keydist::verify_key_ceremony;
 use hesgx_core::pipeline::{HybridInference, ProvisionConfig};
-use hesgx_core::planner::{EcallBatching, EnclaveOp, PoolStrategy, Stage};
+use hesgx_core::planner::{EcallBatching, EnclaveOp, Stage};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::cryptonets::CryptoNets;
 use hesgx_henn::image::EncryptedMap;
@@ -60,9 +60,14 @@ fn full_paper_pipeline_matches_reference_for_batch() {
             assert_eq!(got, expect[class] as i128, "batch {b} class {class}");
         }
     }
-    // The paper model's 2×2 window selects SgxPool; all four stages ran.
-    assert_eq!(service.plan().stages[2..3], *PoolStrategy::SgxPool.stages());
-    assert_eq!(metrics.stages.len(), 4);
+    // The paper model's 2×2 window selects SgxPool, fused into the
+    // activation's crossing; all three stages ran.
+    let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
+    assert_eq!(
+        service.plan().stages[1],
+        Stage::Enclave(vec![sigmoid, EnclaveOp::MeanPool], EcallBatching::Batched)
+    );
+    assert_eq!(metrics.stages.len(), 3);
     assert_eq!(
         metrics.ops.ct_ct_mul, 0,
         "hybrid pipeline never multiplies ciphertexts"
@@ -238,9 +243,16 @@ fn side_channel_exposure_lower_for_batched_design() {
             &ParExec::serial(),
         )
         .unwrap();
+        // The hand-unfused plan, its activation stage crossing as told.
         let mut plan = service.plan().clone();
         let activation = EnclaveOp::Activation(ActivationKind::Sigmoid);
-        plan.stages[1] = Stage::Enclave(activation, batching);
+        plan.stages.splice(
+            1..2,
+            [
+                Stage::Enclave(vec![activation], batching),
+                Stage::enclave(EnclaveOp::MeanPool),
+            ],
+        );
         let _ = service.run(&plan, &enc).unwrap();
         service
             .enclave()
@@ -279,7 +291,7 @@ fn noise_refresh_extends_computation_indefinitely() {
         let sq = sys.square(&ct).unwrap();
         let (fresh, _) = ie
             .apply(
-                EnclaveOp::Refresh,
+                &[EnclaveOp::Refresh],
                 &sys,
                 &small_hybrid_model(),
                 &EncryptedMap::new(1, 1, 1, vec![sq]),

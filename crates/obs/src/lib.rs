@@ -104,6 +104,9 @@ pub mod counters {
     /// Client upload bytes accepted at ingress (stream payloads or FV
     /// ciphertext maps, whichever the request shipped).
     pub const INGRESS_UPLOAD_BYTES: &str = "ingress.upload_bytes";
+    /// Gauge, one sample per request: live SIMD slots (images in the batch)
+    /// per million slots of a ciphertext — 10 / 1024 reads 9765.
+    pub const SLOT_OCCUPANCY_PPM: &str = "ingress.slot_occupancy_ppm";
 }
 
 /// Virtual-clock cost of one enclave call or span entry — the six terms

@@ -37,7 +37,7 @@ pub struct Broker {
 
 impl Broker {
     /// Provisions `config.workers` sessions for `model`, every one from the
-    /// same `seed` on an identical platform, and verifies they landed in one
+    /// same `seed` on one shared platform, and verifies they landed in one
     /// key domain (identical ceremony public keys) — the precondition for
     /// packing images from different requests into one ciphertext batch.
     ///
@@ -59,6 +59,10 @@ impl Broker {
         he_threads: usize,
         recorder: Recorder,
     ) -> Result<Broker> {
+        // One platform hosts the fleet: same seed → one key domain, while each
+        // worker's enclave launch (and every re-provisioned successor) draws
+        // its encryption randomness from a stream of its own.
+        let platform = Platform::new(config.platform_id);
         let mut sessions = Vec::with_capacity(config.workers);
         for _ in 0..config.workers {
             let session = SessionBuilder::new()
@@ -67,7 +71,7 @@ impl Broker {
                 .seed(seed)
                 .policy(config.policy.clone())
                 .recorder(recorder.clone())
-                .build(Platform::new(config.platform_id), model.clone())?;
+                .build(platform.clone(), model.clone())?;
             sessions.push(session);
         }
         let domain = digest_public_keys(&sessions[0].ceremony().public);

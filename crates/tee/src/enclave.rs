@@ -28,6 +28,8 @@ pub struct Platform {
     secret: [u8; 32],
     report_key: [u8; 32],
     qe: QuotingEnclave,
+    /// Enclaves launched on this platform so far — see [`Enclave::launch`].
+    launches: AtomicU64,
 }
 
 impl std::fmt::Debug for Platform {
@@ -60,6 +62,7 @@ impl Platform {
             secret,
             report_key,
             qe: QuotingEnclave::new(platform_id, report_key, seed ^ 0x5147_5545),
+            launches: AtomicU64::new(0),
         })
     }
 
@@ -166,6 +169,7 @@ impl EnclaveBuilder {
         Enclave {
             name: self.name,
             measurement,
+            launch: platform.launches.fetch_add(1, Ordering::Relaxed),
             platform,
             vclock: VirtualClock::new(self.cost_model, self.seed),
             epc: Mutex::new(epc),
@@ -182,6 +186,7 @@ impl EnclaveBuilder {
 pub struct Enclave {
     name: String,
     measurement: [u8; 32],
+    launch: u64,
     platform: Arc<Platform>,
     vclock: VirtualClock,
     epc: Mutex<Epc>,
@@ -268,6 +273,17 @@ impl Enclave {
     /// The enclave measurement (MRENCLAVE analogue).
     pub fn measurement(&self) -> &[u8; 32] {
         &self.measurement
+    }
+
+    /// This instance's 0-based launch ordinal on its platform: every
+    /// [`EnclaveBuilder::build`] on one [`Platform`] gets the next one. It is
+    /// the deterministic stand-in for the hardware randomness that keeps two
+    /// instances of one enclave image — a fleet's workers, or an enclave and
+    /// its re-provisioned successor — from ever sharing an
+    /// encryption-randomness stream; identity (measurement, sealing and
+    /// report keys) does not depend on it.
+    pub fn launch(&self) -> u64 {
+        self.launch
     }
 
     /// The platform hosting this enclave.
