@@ -147,8 +147,18 @@ step_bench() {
     test -n "$workloads"
     for workload in $workloads; do
         echo "==> benchmark smoke: $workload"
-        "${benchmark[@]}" --workload "$workload" --seed 1 --seconds 2 --trace 1 > /dev/null
+        "${benchmark[@]}" --workload "$workload" --seed 1 --seconds 2 --trace 1 \
+            > target/bench/smoke.txt
+        # A fig8_fv request (batch of 10) is served patch-packed: 7950 ct x pt
+        # multiplies, against 79200 one ciphertext per pixel. A silent fall
+        # back to the unpacked layout must fail here, not show up later as a
+        # slow benchmark.
+        if [ "$workload" = fig8_fv ]; then
+            awk '$1 == "henn.ops.ct_pt_mul" { seen = 1; if ($2 + 0 >= 79200) unpacked = 1 }
+                 END { exit (unpacked || !seen) }' target/bench/smoke.txt
+        fi
     done
+    rm -f target/bench/smoke.txt
 }
 
 # The run itself asserts the deterministic face (tree shape, call counts,

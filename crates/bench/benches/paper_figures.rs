@@ -6,7 +6,7 @@ use hesgx_bench::experiments::figures::scale_stub;
 use hesgx_bench::PaperEnv;
 use hesgx_bfv::prelude::PolyArena;
 use hesgx_core::planner::{EcallBatching, EnclaveOp};
-use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
 use hesgx_henn::weights::{conv_weight_count, encode_weights};
@@ -36,6 +36,7 @@ fn bench_conv_kernel(c: &mut Criterion) {
         &env.sys,
         &images,
         28,
+        Layout::Pixel,
         &env.keys.public,
         &rng,
         &ParExec::serial(),
@@ -78,6 +79,7 @@ fn bench_sigmoid_variants(c: &mut Criterion) {
         &env.sys,
         &images,
         side,
+        Layout::Pixel,
         &env.keys.public,
         &rng,
         &ParExec::serial(),
@@ -136,6 +138,7 @@ fn bench_pooling_variants(c: &mut Criterion) {
         &env.sys,
         &images,
         24,
+        Layout::Pixel,
         &env.keys.public,
         &rng,
         &ParExec::serial(),

@@ -5,7 +5,7 @@ use hesgx_bench::experiments::figures::scale_stub;
 use hesgx_bench::{PaperEnv, PAPER_BATCH_SIZE};
 use hesgx_bfv::prelude::KeyGenerator;
 use hesgx_core::planner::{EcallBatching, EnclaveOp};
-use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 use std::hint::black_box;
 
@@ -42,6 +42,7 @@ fn bench_image_encryption(c: &mut Criterion) {
                     &env.sys,
                     &images,
                     28,
+                    Layout::Pixel,
                     &env.keys.public,
                     &rng,
                     &ParExec::serial(),

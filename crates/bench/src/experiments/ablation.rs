@@ -16,7 +16,7 @@ use crate::PaperEnv;
 use hesgx_core::planner::{EcallBatching, EnclaveOp};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::CrtPlainSystem;
-use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::dataset;
 use hesgx_nn::layers::{ActivationKind, PoolKind};
@@ -32,9 +32,16 @@ pub fn ablate_ecall_batching(env: &mut PaperEnv) {
     let rng = env.rng.fork("ablate-batching");
     let images = vec![(0..256).map(|p| (p as i64 % 41) - 20).collect::<Vec<i64>>()];
     let serial = ParExec::serial();
-    let input =
-        EncryptedMap::encrypt_images(&env.sys, &images, 16, &env.keys.public, &rng, &serial)
-            .unwrap();
+    let input = EncryptedMap::encrypt_images(
+        &env.sys,
+        &images,
+        16,
+        Layout::Pixel,
+        &env.keys.public,
+        &rng,
+        &serial,
+    )
+    .unwrap();
     let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
     let cost = |batching| {
         let run = ie.apply(&[sigmoid], &env.sys, &model, &input, batching, &serial);

@@ -3,11 +3,12 @@
 
 use super::{header, RunConfig};
 use crate::{PAPER_BATCH_SIZE, PAPER_POLY_DEGREE};
-use hesgx_core::pipeline::{total_enclave_cost, HybridInference, ProvisionConfig};
+use hesgx_core::pipeline::{total_enclave_cost, HybridInference, HybridMetrics, ProvisionConfig};
 use hesgx_core::planner::{EcallBatching, EnclaveOp, Stage};
 use hesgx_crypto::rng::ChaChaRng;
+use hesgx_henn::crt::CrtCiphertext;
 use hesgx_henn::cryptonets::CryptoNets;
-use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::dataset;
 use hesgx_nn::layers::{ActivationKind, PoolKind};
@@ -43,10 +44,16 @@ pub struct Fig8 {
     pub encrypted_s: f64,
     /// Hybrid with per-pixel ECALLs (`EncryptSGX (single)`).
     pub encrypt_sgx_single_s: f64,
-    /// Hybrid, batched ECALLs (`EncryptSGX` — the framework).
+    /// Hybrid, batched ECALLs (`EncryptSGX` — the framework), in the
+    /// paper's one-ciphertext-per-pixel layout.
     pub encrypt_sgx_s: f64,
     /// Hybrid with the zero-overhead enclave (`EncryptFakeSGX`).
     pub encrypt_fake_sgx_s: f64,
+    /// `EncryptSGX` from the patch-packed ingress layout — the path
+    /// `Session::serve` takes for this batch.
+    pub encrypt_sgx_packed_s: f64,
+    /// `EncryptFakeSGX` from the patch-packed ingress layout.
+    pub encrypt_fake_sgx_packed_s: f64,
     /// Whether every encrypted prediction matched the plaintext quantized
     /// reference exactly (the paper's "accuracy rates are consistent" claim).
     pub predictions_exact: bool,
@@ -78,6 +85,21 @@ pub fn train_models(cfg: RunConfig) -> (TrainedModel, TrainedModel) {
     };
     let cryptonets = train_paper_cnn(ActivationKind::Square, PoolKind::ScaledMean, &square_cfg);
     (hybrid, cryptonets)
+}
+
+/// One timed run of `plan`: the logits, the metrics, and the effective
+/// seconds (wall plus the modeled enclave overhead — the number Fig. 8 plots).
+fn timed_run(
+    service: &HybridInference,
+    plan: &hesgx_core::planner::InferencePlan,
+    enc: &EncryptedMap,
+) -> (Vec<CrtCiphertext>, HybridMetrics, f64) {
+    let start = Instant::now();
+    let (logits, metrics) = service.run(plan, enc).unwrap();
+    let wall = start.elapsed().as_secs_f64();
+    let cost = total_enclave_cost(&metrics);
+    let overhead = cost.total_ns().saturating_sub(cost.real_ns) as f64 / 1e9;
+    (logits, metrics, wall + overhead)
 }
 
 /// Fig. 8 — "Prediction time with/without SGX" over a batch of 10 encrypted
@@ -144,37 +166,48 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
         },
     )
     .unwrap();
-    let enc = EncryptedMap::encrypt_images(
-        service.system(),
-        &images,
-        hybrid_model.in_side,
-        &ceremony.public,
-        &rng,
-        &ParExec::serial(),
-    )
-    .unwrap();
-    let start = Instant::now();
-    let (logits, metrics) = service.run(service.plan(), &enc).unwrap();
-    let wall = start.elapsed().as_secs_f64();
-    let overhead = {
-        let c = total_enclave_cost(&metrics);
-        (c.total_ns().saturating_sub(c.real_ns)) as f64 / 1e9
+    // The paper's layout (one ciphertext per pixel) for the groups that
+    // reproduce it, and the patch-packed layout this batch is served in.
+    let packed_layout = service.ingress_layout(images.len());
+    let encrypt = |service: &HybridInference, public: &[_], layout| {
+        EncryptedMap::encrypt_images(
+            service.system(),
+            &images,
+            hybrid_model.in_side,
+            layout,
+            public,
+            &rng,
+            &ParExec::serial(),
+        )
+        .unwrap()
     };
-    let encrypt_sgx_s = wall + overhead;
+    let enc = encrypt(&service, &ceremony.public, Layout::Pixel);
+    let (logits, metrics, encrypt_sgx_s) = timed_run(&service, service.plan(), &enc);
     // Accuracy consistency: decrypt with the user's keys, compare to reference.
-    let mut hybrid_exact = true;
-    for (b, img) in images.iter().enumerate() {
-        let expect = hybrid_model.forward_ints(img);
-        for (class, ct) in logits.iter().enumerate() {
-            let slots = service
-                .system()
-                .decrypt_slots(ct, &ceremony.user_secret)
-                .unwrap();
-            if slots[b] != expect[class] as i128 {
-                hybrid_exact = false;
-            }
-        }
-    }
+    let exact = |logits: &[CrtCiphertext]| {
+        let rows = EncryptedMap::new(logits.len(), 1, 1, logits.to_vec())
+            .decrypt_all(
+                service.system(),
+                &ceremony.user_secret,
+                images.len(),
+                &ParExec::serial(),
+            )
+            .unwrap();
+        images.iter().zip(&rows).all(|(img, row)| {
+            let expect = hybrid_model.forward_ints(img);
+            row.iter()
+                .zip(&expect)
+                .all(|(&got, &want)| got == want as i128)
+        })
+    };
+    let mut hybrid_exact = exact(&logits);
+
+    // ---- EncryptSGX (packed): the same plan from the packed ingress. ----
+    println!("running EncryptSGX (packed) (patch-packed ingress, the served path)...");
+    let enc_packed = encrypt(&service, &ceremony.public, packed_layout);
+    let (logits_packed, metrics_packed, encrypt_sgx_packed_s) =
+        timed_run(&service, service.plan(), &enc_packed);
+    hybrid_exact &= exact(&logits_packed);
 
     // ---- EncryptSGX (single): per-pixel ECALLs. ----
     println!("running EncryptSGX (single) (per-pixel ECALLs)...");
@@ -189,14 +222,7 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
             Stage::enclave(EnclaveOp::MeanPool),
         ],
     );
-    let start = Instant::now();
-    let (_, metrics_single) = service.run(&per_pixel, &enc).unwrap();
-    let wall_single = start.elapsed().as_secs_f64();
-    let overhead_single = {
-        let c = total_enclave_cost(&metrics_single);
-        (c.total_ns().saturating_sub(c.real_ns)) as f64 / 1e9
-    };
-    let encrypt_sgx_single_s = wall_single + overhead_single;
+    let (_, metrics_single, encrypt_sgx_single_s) = timed_run(&service, &per_pixel, &enc);
 
     // ---- EncryptFakeSGX: the same pipeline, zero-overhead enclave. ----
     println!("running EncryptFakeSGX (control: same code outside the enclave)...");
@@ -212,18 +238,14 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
         },
     )
     .unwrap();
-    let enc_fake = EncryptedMap::encrypt_images(
-        fake_service.system(),
-        &images,
-        hybrid_model.in_side,
-        &fake_ceremony.public,
-        &rng,
-        &ParExec::serial(),
-    )
-    .unwrap();
-    let start = Instant::now();
-    let _ = fake_service.run(fake_service.plan(), &enc_fake).unwrap();
-    let encrypt_fake_sgx_s = start.elapsed().as_secs_f64();
+    let fake_run = |layout| {
+        let enc = encrypt(&fake_service, &fake_ceremony.public, layout);
+        let start = Instant::now();
+        let _ = fake_service.run(fake_service.plan(), &enc).unwrap();
+        start.elapsed().as_secs_f64()
+    };
+    let encrypt_fake_sgx_s = fake_run(Layout::Pixel);
+    let encrypt_fake_sgx_packed_s = fake_run(packed_layout);
 
     let per_image = |total: f64| total / PAPER_BATCH_SIZE as f64;
     let saving = (encrypted_s - encrypt_sgx_s) / encrypted_s;
@@ -246,11 +268,30 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
         per_image(encrypt_fake_sgx_s)
     );
     println!(
+        "EncryptSGX (packed)    {encrypt_sgx_packed_s:9.3}   {:13.4}",
+        per_image(encrypt_sgx_packed_s)
+    );
+    println!(
+        "EncryptFakeSGX (packed){encrypt_fake_sgx_packed_s:9.3}   {:13.4}",
+        per_image(encrypt_fake_sgx_packed_s)
+    );
+    println!(
         "paper: Encrypted 450.7 s/img, EncryptSGX(single) +152.5 s/img penalty, EncryptSGX 272.1 s/img, EncryptFakeSGX 240.4 s/img"
     );
     println!(
         "hybrid saving over pure HE: {:.1}% (paper: 39.615%)",
         saving * 100.0
+    );
+    println!(
+        "  from the packed ingress ({packed_layout:?}, {} ciphertexts for {}): {:.1}%",
+        enc_packed.cells().len(),
+        enc.cells().len(),
+        (encrypted_s - encrypt_sgx_packed_s) / encrypted_s * 100.0
+    );
+    println!(
+        "EncryptSGX / EncryptFakeSGX: {:.2}x per-pixel layout, {:.2}x packed (paper: 1.13x)",
+        encrypt_sgx_s / encrypt_fake_sgx_s,
+        encrypt_sgx_packed_s / encrypt_fake_sgx_packed_s
     );
     println!(
         "encrypted predictions exactly match plaintext quantized reference: hybrid {hybrid_exact}, baseline {baseline_exact} (paper: 'accuracy rates are consistent with the plaintext predictions')"
@@ -264,6 +305,7 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
     // operation counts only — wall seconds stay out, so CI can diff this
     // artifact across reruns.
     let batched_cost = total_enclave_cost(&metrics);
+    let packed_cost = total_enclave_cost(&metrics_packed);
     let single_cost = total_enclave_cost(&metrics_single);
     let cost_json = |c: &hesgx_tee::cost::CostBreakdown| {
         format!(
@@ -274,16 +316,20 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
             c.model_ns()
         )
     };
+    let ops_json = |ops: &hesgx_henn::ops::OpCounter| {
+        format!(
+            "{{\"ct_pt_mul\":{},\"ct_ct_add\":{},\"ct_pt_add\":{},\"ct_ct_mul\":{},\"relin\":{}}}",
+            ops.ct_pt_mul, ops.ct_ct_add, ops.ct_pt_add, ops.ct_ct_mul, ops.relin
+        )
+    };
     let fig8_json = format!(
-        "{{\"experiment\":\"fig8\",\"batch_size\":{},\"batched\":{},\"per_pixel\":{},\"ops\":{{\"ct_pt_mul\":{},\"ct_ct_add\":{},\"ct_pt_add\":{},\"ct_ct_mul\":{},\"relin\":{}}},\"predictions_exact\":{}}}",
+        "{{\"experiment\":\"fig8\",\"batch_size\":{},\"batched\":{},\"per_pixel\":{},\"ops\":{},\"packed\":{},\"packed_ops\":{},\"predictions_exact\":{}}}",
         PAPER_BATCH_SIZE,
         cost_json(&batched_cost),
         cost_json(&single_cost),
-        metrics.ops.ct_pt_mul,
-        metrics.ops.ct_ct_add,
-        metrics.ops.ct_pt_add,
-        metrics.ops.ct_ct_mul,
-        metrics.ops.relin,
+        ops_json(&metrics.ops),
+        cost_json(&packed_cost),
+        ops_json(&metrics_packed.ops),
         hybrid_exact && baseline_exact
     );
     if let Some(path) = crate::write_bench_file("BENCH_fig8.json", &fig8_json) {
@@ -295,6 +341,8 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
         encrypt_sgx_single_s,
         encrypt_sgx_s,
         encrypt_fake_sgx_s,
+        encrypt_sgx_packed_s,
+        encrypt_fake_sgx_packed_s,
         predictions_exact: hybrid_exact && baseline_exact,
         hybrid_float_accuracy: hybrid_trained.test_accuracy,
         cryptonets_float_accuracy: cryptonets_trained.test_accuracy,

@@ -8,7 +8,7 @@ use hesgx_bfv::prelude::PolyArena;
 use hesgx_core::planner::{EcallBatching, EnclaveOp};
 use hesgx_core::InferenceEnclave;
 use hesgx_henn::crt::CrtPlainSystem;
-use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
 use hesgx_henn::weights::{conv_weight_count, encode_weights};
@@ -167,6 +167,7 @@ pub fn fig4_conv_kernel(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig4Point> {
         &env.sys,
         &images,
         28,
+        Layout::Pixel,
         &env.keys.public,
         &rng,
         &ParExec::serial(),
@@ -234,9 +235,16 @@ pub fn fig5_sigmoid(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig5Point> {
         let images = vec![(0..side * side)
             .map(|p| (p as i64 % 41) - 20)
             .collect::<Vec<i64>>()];
-        let input =
-            EncryptedMap::encrypt_images(&env.sys, &images, side, &env.keys.public, &rng, &serial)
-                .unwrap();
+        let input = EncryptedMap::encrypt_images(
+            &env.sys,
+            &images,
+            side,
+            Layout::Pixel,
+            &env.keys.public,
+            &rng,
+            &serial,
+        )
+        .unwrap();
 
         // EncryptSigmoid: the HE pipeline's square + relinearization.
         let start = Instant::now();
@@ -311,9 +319,16 @@ pub fn fig6_pooling(env: &mut PaperEnv, _cfg: RunConfig) -> Vec<Fig6Point> {
     let serial = ParExec::serial();
     let rng = env.rng.fork("fig6");
     let images = vec![(0..576).map(|p| (p % 17) as i64).collect::<Vec<i64>>()];
-    let input =
-        EncryptedMap::encrypt_images(&env.sys, &images, 24, &env.keys.public, &rng, &serial)
-            .unwrap();
+    let input = EncryptedMap::encrypt_images(
+        &env.sys,
+        &images,
+        24,
+        Layout::Pixel,
+        &env.keys.public,
+        &rng,
+        &serial,
+    )
+    .unwrap();
     let mut points = Vec::new();
     println!("window   EncSum(ms)  SGXDivide  FakeSGXDivide  SGXDiv(total)  SGXPool  FakeSGXPool");
     for &w in &windows {

@@ -38,7 +38,7 @@ use hesgx_bfv::prelude::{Ciphertext, Decryptor, PolyArena, SecretKey};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::uint::{Reciprocal, U256};
 use hesgx_henn::crt::CrtPlainSystem;
-use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
 use hesgx_henn::weights::WeightBank;
@@ -270,6 +270,7 @@ fn run_conv(model: &QuantizedCnn, poly_degree: usize, reps: usize) -> ConvLayer 
         &sys,
         &images,
         model.in_side,
+        Layout::Pixel,
         &keys.public,
         &rng,
         &ParExec::serial(),

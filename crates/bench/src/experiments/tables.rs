@@ -6,7 +6,7 @@ use crate::stats::{time_reps_ms, Stats};
 use crate::{PaperEnv, PAPER_BATCH_SIZE};
 use hesgx_bfv::prelude::KeyGenerator;
 use hesgx_core::planner::{EcallBatching, EnclaveOp};
-use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 
 /// Table I result: key-generation time inside vs outside SGX (ms).
@@ -81,8 +81,16 @@ pub fn table2_image_encryption(env: &mut PaperEnv, cfg: RunConfig) -> Table2 {
     let sys = &env.sys;
     let public = &env.keys.public;
     let samples = time_reps_ms(reps, || {
-        let _ = EncryptedMap::encrypt_images(sys, &images, 28, public, &rng, &ParExec::serial())
-            .unwrap();
+        let _ = EncryptedMap::encrypt_images(
+            sys,
+            &images,
+            28,
+            Layout::Pixel,
+            public,
+            &rng,
+            &ParExec::serial(),
+        )
+        .unwrap();
     });
     let batch = Stats::from_samples_trimmed(&samples);
     println!("batchSize  Average(ms)   STD      96% CI             (n = {reps})");

@@ -6,7 +6,7 @@
 //! from the key-ceremony transcript (see [`crate::keydist::derive_ingress_key`]).
 //! The service side is [`HybridInference::transcipher_ingress`], which sends
 //! the payload through the enclave wrapper and shapes the re-encrypted cells
-//! into the [`EncryptedMap`] the conv layer expects, as an
+//! into the [`EncryptedMap`] the plan's conv layer reads, as an
 //! `infer.ingress.ecall` stage of the pipeline's stage runner so the obs fold
 //! still reconciles ns-for-ns with [`crate::pipeline::total_enclave_cost`].
 //!
@@ -47,9 +47,9 @@ impl HybridInference {
     /// Transciphered ingress at the pipeline level: opens the client's
     /// sealed payload inside the enclave (`ecall_Transcipher`), re-encrypts
     /// the pixels under FV, and shapes the cells into the [`EncryptedMap`]
-    /// the conv layer expects — one ciphertext per pixel, batch in the SIMD
-    /// slots, exactly what `EncryptedMap::encrypt_images` produces on
-    /// the FV-ciphertext path, so the rest of the pipeline is identical.
+    /// of [`HybridInference::ingress_layout`] — the map the client's
+    /// `EncryptedMap::encrypt_images` produces on the FV-ciphertext path, so
+    /// the rest of the pipeline is identical.
     ///
     /// Returns the map and the ingress stage's metrics (wall time and
     /// enclave cost, also recorded as the `infer.ingress.ecall` stage span).
@@ -67,19 +67,21 @@ impl HybridInference {
     ) -> Result<(EncryptedMap, StageMetrics)> {
         let mut metrics = HybridMetrics::default();
         let map = self.run_stage(&mut metrics, "infer.ingress.ecall", |_| {
-            let (cells, _batch, cost) =
-                self.enclave()
-                    .transcipher_ingress(self.system(), key, payload, self.pool())?;
-            let side = self.model().in_side;
-            if cells.len() != side * side {
+            let (sys, model, plan) = (self.system(), self.model(), self.plan());
+            let (cells, batch, cost) = self
+                .enclave()
+                .transcipher_ingress(sys, model, plan, key, payload, self.pool())?;
+            let (side, slots) = (model.in_side, sys.slot_count());
+            let layout = self.ingress_layout(batch);
+            let want = layout.ingress_cells(side, slots);
+            if cells.len() != want {
                 return Err(Error::Config(format!(
-                    "transcipher payload carries {} pixels per image, the model expects {}×{side}",
-                    cells.len(),
-                    side
+                    "transcipher ingress returned {} cells, {layout:?} of a {side}×{side} image has {want}",
+                    cells.len()
                 )));
             }
             Ok(Staged::ecall(
-                EncryptedMap::new(1, side, side, cells),
+                EncryptedMap::ingress(layout, side, cells),
                 "Transciphered Ingress (SGX inside)",
                 cost,
             ))

@@ -16,7 +16,7 @@ use hesgx_bfv::prelude::EvaluationKeys;
 use hesgx_chaos::FaultHook;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::{CrtCiphertext, CrtPlainSystem};
-use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::layers::{HeLayer, HeLayers};
 use hesgx_henn::ops::OpCounter;
 use hesgx_henn::par::ParExec;
@@ -315,6 +315,12 @@ impl HybridInference {
         self.he.model()
     }
 
+    /// [`InferencePlan::ingress_layout`] of [`HybridInference::plan`].
+    pub fn ingress_layout(&self, batch: usize) -> Layout {
+        let slots = self.system().slot_count();
+        self.plan.ingress_layout(self.model(), batch, slots)
+    }
+
     /// The exact plan compiled at provisioning — the stage list
     /// [`HybridInference::run`] walks when the enclave is available. Clone
     /// it and swap a stage to run a Fig. 8 control group or the other
@@ -504,6 +510,12 @@ impl HybridInference {
         let taken = !gated || before.is_some_and(|bits| bits < threshold);
         let (out, cost, after) = if taken {
             let (sys, model, pool) = (self.system(), self.model(), self.pool());
+            // The live share of the crossing cells' slots, where the map
+            // says (a `Pixel` map's batch is the session's to know).
+            if let Some(ppm) = input.occupancy_ppm(sys.slot_count()) {
+                let gauge = format!("infer.layer[{layer}].slot_occupancy_ppm");
+                self.recorder.gauge(&gauge, ppm);
+            }
             let (out, cost) = self
                 .enclave
                 .apply(ops, sys, model, &input, batching, pool)?;
@@ -721,6 +733,7 @@ mod tests {
             service.system(),
             &images,
             model.in_side,
+            Layout::Pixel,
             service.enclave.public_keys(),
             &rng,
             &ParExec::serial(),
@@ -755,6 +768,7 @@ mod tests {
             service.system(),
             &images,
             model.in_side,
+            Layout::Pixel,
             service.enclave.public_keys(),
             &rng,
             &ParExec::serial(),
@@ -844,6 +858,7 @@ mod tests {
                 service.system(),
                 &images,
                 model.in_side,
+                Layout::Pixel,
                 service.enclave.public_keys(),
                 &rng,
                 &ParExec::serial(),
@@ -881,6 +896,7 @@ mod tests {
             service.system(),
             images,
             model.in_side,
+            Layout::Pixel,
             service.enclave.public_keys(),
             &rng,
             &ParExec::serial(),
@@ -1040,9 +1056,13 @@ mod tests {
     /// it (the service's own plan among them), and every enclave stage
     /// through {batched, per-pixel}. Logits must equal the plaintext
     /// reference — fused and unfused therefore each other — and the metrics
-    /// must show one stage per plan stage, ECALL where planned. The pure-HE
-    /// plan joins on the model whose parameters carry it, against the
-    /// CryptoNets-pipeline reference.
+    /// must show one stage per plan stage, ECALL where planned. Every list
+    /// runs from both ingress layouts of the same images: a patch-packed
+    /// input gives the same rows from fewer conv accumulations wherever a
+    /// batched crossing follows the convolution, and is refused — an error,
+    /// not a panic — where a per-pixel one does. The pure-HE plan joins on
+    /// the model whose parameters carry it, against the CryptoNets-pipeline
+    /// reference, and refuses a packed input the same way.
     #[test]
     fn every_compiled_plan_is_exact() {
         let window_3 = QuantizedCnn {
@@ -1066,15 +1086,22 @@ mod tests {
                 },
             )
             .unwrap();
-            let enc = EncryptedMap::encrypt_images(
-                service.system(),
-                &images,
-                model.in_side,
-                service.enclave.public_keys(),
-                &ChaChaRng::from_seed(107),
-                &ParExec::serial(),
-            )
-            .unwrap();
+            let encrypt = |layout| {
+                EncryptedMap::encrypt_images(
+                    service.system(),
+                    &images,
+                    model.in_side,
+                    layout,
+                    service.enclave.public_keys(),
+                    &ChaChaRng::from_seed(107),
+                    &ParExec::serial(),
+                )
+                .unwrap()
+            };
+            // 9 kernel offsets × one cell of 36 positions × 2 images.
+            let packed = encrypt(service.ingress_layout(images.len()));
+            assert_eq!(packed.shape(), (9, 1, 1));
+            let enc = [encrypt(Layout::Pixel), packed];
             (service, enc)
         };
         // (policy, the refresh stage's label when the plan has one)
@@ -1141,49 +1168,71 @@ mod tests {
                                     stages,
                                     ..service.plan().clone()
                                 };
-                                let what = format!(
-                                    "window {} {policy:?} {threads} threads {:?}",
-                                    model.window, plan.stages
-                                );
-                                let (logits, metrics) = service.run(&plan, &enc).unwrap();
-                                let rows = decrypt_rows(&service, &logits, images.len());
-                                assert_eq!(rows, reference_rows(&model, &images), "{what}");
-                                assert_eq!(*fused_rows.get_or_insert(rows.clone()), rows, "{what}");
-                                let crossed: Vec<bool> =
-                                    metrics.stages.iter().map(|s| s.enclave.is_some()).collect();
-                                let planned: Vec<bool> = plan
-                                    .stages
-                                    .iter()
-                                    .map(|s| matches!(s, Stage::Enclave(..)))
-                                    .collect();
-                                assert_eq!(crossed, planned, "{what}");
-                                // The stage that pools is named for the
-                                // split; a refresh stage, when planned,
-                                // follows it.
-                                let label = format!("Pooling Layer ({strategy:?})");
-                                let pool_ecall = metrics
-                                    .stages
-                                    .iter()
-                                    .position(|s| s.name.ends_with(&label))
-                                    .expect(&what);
-                                if let Some(label) = refresh_label {
+                                for input in &enc {
+                                    let what = format!(
+                                        "window {} {policy:?} {threads} threads {:?} from {:?}",
+                                        model.window,
+                                        plan.stages,
+                                        input.layout()
+                                    );
+                                    let pixel = input.layout() == Layout::Pixel;
+                                    if !pixel && batching == EcallBatching::PerPixel {
+                                        let err = service.run(&plan, input).unwrap_err();
+                                        assert!(matches!(err, Error::Config(_)), "{what}: {err}");
+                                        continue;
+                                    }
+                                    let (logits, metrics) = service.run(&plan, input).unwrap();
+                                    let rows = decrypt_rows(&service, &logits, images.len());
+                                    assert_eq!(rows, reference_rows(&model, &images), "{what}");
                                     assert_eq!(
-                                        metrics.stages[pool_ecall + 1].name,
-                                        *label,
+                                        *fused_rows.get_or_insert(rows.clone()),
+                                        rows,
                                         "{what}"
                                     );
+                                    let crossed: Vec<bool> = metrics
+                                        .stages
+                                        .iter()
+                                        .map(|s| s.enclave.is_some())
+                                        .collect();
+                                    let planned: Vec<bool> = plan
+                                        .stages
+                                        .iter()
+                                        .map(|s| matches!(s, Stage::Enclave(..)))
+                                        .collect();
+                                    assert_eq!(crossed, planned, "{what}");
+                                    // The stage that pools is named for the
+                                    // split; a refresh stage, when planned,
+                                    // follows it.
+                                    let label = format!("Pooling Layer ({strategy:?})");
+                                    let pool_ecall = metrics
+                                        .stages
+                                        .iter()
+                                        .position(|s| s.name.ends_with(&label))
+                                        .expect(&what);
+                                    if let Some(label) = refresh_label {
+                                        assert_eq!(
+                                            metrics.stages[pool_ecall + 1].name,
+                                            *label,
+                                            "{what}"
+                                        );
+                                    }
+                                    // Conv and FC accumulate; of the pooling
+                                    // splits only SgxDiv adds ciphertexts (the
+                                    // window sums). A packed conv accumulates
+                                    // once per output chunk, not per position.
+                                    let conv_cells = if pixel {
+                                        model.conv_out * model.conv_side().pow(2)
+                                    } else {
+                                        model.conv_out
+                                    };
+                                    let pool_cells = model.conv_out * model.pool_side().pow(2);
+                                    let mut adds = conv_cells * (model.kernel.pow(2) - 1)
+                                        + model.classes * (model.fc_in() - 1);
+                                    if strategy == PoolStrategy::SgxDiv {
+                                        adds += pool_cells * (model.window.pow(2) - 1);
+                                    }
+                                    assert_eq!(metrics.ops.ct_ct_add, adds as u64, "{what}");
                                 }
-                                // Conv and FC accumulate; of the pooling
-                                // splits only SgxDiv adds ciphertexts (the
-                                // window sums).
-                                let conv_cells = model.conv_out * model.conv_side().pow(2);
-                                let pool_cells = model.conv_out * model.pool_side().pow(2);
-                                let mut adds = conv_cells * (model.kernel.pow(2) - 1)
-                                    + model.classes * (model.fc_in() - 1);
-                                if strategy == PoolStrategy::SgxDiv {
-                                    adds += pool_cells * (model.window.pow(2) - 1);
-                                }
-                                assert_eq!(metrics.ops.ct_ct_add, adds as u64, "{what}");
                             }
                         }
                     }
@@ -1198,15 +1247,22 @@ mod tests {
             ..model.clone()
         };
         for threads in [1usize, 2] {
-            let (service, enc) = provision(&model, &ServePolicy::new(), threads);
-            let (logits, _) = service.run(service.plan(), &enc).unwrap();
-            assert_eq!(
-                decrypt_rows(&service, &logits, images.len()),
-                reference_rows(&model, &images),
-                "deep hybrid, {threads} threads"
-            );
+            let (service, [enc, packed]) = provision(&model, &ServePolicy::new(), threads);
+            for input in [&enc, &packed] {
+                let (logits, _) = service.run(service.plan(), input).unwrap();
+                assert_eq!(
+                    decrypt_rows(&service, &logits, images.len()),
+                    reference_rows(&model, &images),
+                    "deep hybrid, {threads} threads, {:?}",
+                    input.layout()
+                );
+            }
             let degraded = service.degraded_plan().expect("the deep model has one");
             assert_eq!(degraded.placement, Placement::PureHe);
+            // Nothing behind its convolution can repack.
+            assert_eq!(degraded.ingress_layout(&model, 2, 256), Layout::Pixel);
+            let err = service.run(degraded, &packed).unwrap_err();
+            assert!(matches!(err, Error::He(_)), "{err}");
             let (logits, metrics) = service.run(degraded, &enc).unwrap();
             assert_eq!(
                 decrypt_rows(&service, &logits, images.len()),
@@ -1286,6 +1342,7 @@ mod tests {
                 service.system(),
                 &images,
                 8,
+                Layout::Pixel,
                 service.enclave.public_keys(),
                 &rng,
                 &ParExec::serial(),

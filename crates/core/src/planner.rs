@@ -17,6 +17,7 @@
 //! Fig. 8 control groups and per-op experiments are hand-built unfused plans.
 
 use crate::request::{NoiseRefresh, ServePolicy};
+use hesgx_henn::image::Layout;
 use hesgx_henn::layers::HeLayer;
 use hesgx_nn::layers::ActivationKind;
 use hesgx_nn::quantize::QuantizedCnn;
@@ -162,6 +163,21 @@ pub struct InferencePlan {
     /// Refresh ciphertexts inside the enclave when the minimum noise budget
     /// falls below this many bits.
     pub refresh_threshold_bits: u32,
+}
+
+impl InferencePlan {
+    /// The layout a `batch`-image request enters this plan in, for the FV
+    /// client path and `ecall_Transcipher` alike. [`Layout::Patches`] needs a
+    /// repacker behind the convolution — a batched enclave stage, which
+    /// decrypts the whole map anyway; there the count decides
+    /// ([`Layout::for_conv`]). Every other plan reads [`Layout::Pixel`].
+    pub fn ingress_layout(&self, model: &QuantizedCnn, batch: usize, slots: usize) -> Layout {
+        use EcallBatching::Batched;
+        let [Stage::He(HeLayer::Conv), Stage::Enclave(_, Batched), ..] = &self.stages[..] else {
+            return Layout::Pixel;
+        };
+        Layout::for_conv(model.in_side, model.kernel, batch, slots)
+    }
 }
 
 /// The refresh threshold a policy without an override gets.

@@ -66,7 +66,7 @@ use hesgx_chaos::{FaultHook, FaultInjector, FaultPlan, FaultReport, RecoveryEven
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::transcipher::IngressKey;
 use hesgx_henn::crt::CrtCiphertext;
-use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::layers::ActivationKind;
 use hesgx_nn::quantize::QuantizedCnn;
@@ -403,8 +403,8 @@ impl Session {
         &self,
         request: &InferRequest,
     ) -> Result<(Vec<Vec<i64>>, Served, HybridMetrics, u64)> {
-        let (enc, upload_bytes, ingress_stage) = self.ingest(request)?;
-        let (rows, served, mut metrics) = self.ladder(request, &enc)?;
+        let (enc, mut upload_bytes, ingress_stage) = self.ingest(request)?;
+        let (rows, served, mut metrics) = self.ladder(request, &enc, &mut upload_bytes)?;
         // The ingress ECALL ran once, before the ladder; prepend its stage so
         // the metrics carry it and the obs `.ecall` span fold still equals
         // `total_enclave_cost` ns-for-ns.
@@ -414,27 +414,27 @@ impl Session {
         Ok((rows, served, metrics, upload_bytes))
     }
 
-    /// Brings a request's batch into the pipeline as an [`EncryptedMap`],
-    /// by the request's [`Ingress`] mode. Returns the map, the bytes the
+    /// Brings a request's batch into the pipeline by its [`Ingress`] mode, in
+    /// [`HybridInference::ingress_layout`]. Returns the map, the bytes the
     /// client shipped, and the ingress stage metrics when an ECALL ran.
     fn ingest(&self, request: &InferRequest) -> Result<(EncryptedMap, u64, Option<StageMetrics>)> {
         let _prof = prof::span("session.ingest");
         self.check_batch(&request.images)?;
-        let slots = self.service.read().system().slot_count();
-        let ppm = (request.images.len() * 1_000_000 / slots) as u64;
-        self.recorder.gauge(counters::SLOT_OCCUPANCY_PPM, ppm);
-        match request.ingress {
+        let batch = request.images.len();
+        let (enc, bytes, stage) = match request.ingress {
             Ingress::FvCiphertext => {
-                let enc = self.encrypt_batch(&request.images)?;
-                let bytes: u64 = enc.cells().iter().map(|c| c.byte_len() as u64).sum();
-                self.recorder.incr(counters::INGRESS_UPLOAD_BYTES, bytes);
-                Ok((enc, bytes, None))
+                let layout = self.service.read().ingress_layout(batch);
+                let enc = self.encrypt_batch(&request.images, layout)?;
+                let bytes = enc.byte_len() as u64;
+                (enc, bytes, None)
             }
-            Ingress::Transciphered => {
-                let (enc, stage, payload_len) = self.transcipher_batch(&request.images)?;
-                Ok((enc, payload_len as u64, Some(stage)))
-            }
-        }
+            Ingress::Transciphered => self.transcipher_batch(&request.images)?,
+        };
+        let slots = self.service.read().system().slot_count();
+        let pixel_ppm = (batch * 1_000_000 / slots) as u64;
+        let ppm = enc.occupancy_ppm(slots).unwrap_or(pixel_ppm);
+        self.recorder.gauge(counters::SLOT_OCCUPANCY_PPM, ppm);
+        Ok((enc, bytes, stage))
     }
 
     /// Validates a batch's shape where both ingress modes meet: a broker
@@ -470,13 +470,13 @@ impl Session {
     fn transcipher_batch(
         &self,
         images: &[Vec<i64>],
-    ) -> Result<(EncryptedMap, StageMetrics, usize)> {
+    ) -> Result<(EncryptedMap, u64, Option<StageMetrics>)> {
         let payload = self.seal_batch(images)?;
         let (enc, stage) = self
             .service
             .read()
             .transcipher_ingress(&self.ingress_key, &payload)?;
-        Ok((enc, stage, payload.len()))
+        Ok((enc, payload.len() as u64, Some(stage)))
     }
 
     /// The client role of transciphered ingress: seals `images` under the
@@ -493,6 +493,7 @@ impl Session {
         &self,
         request: &InferRequest,
         enc: &EncryptedMap,
+        upload_bytes: &mut u64,
     ) -> Result<(Vec<Vec<i64>>, Served, HybridMetrics)> {
         let _prof = prof::span("session.ladder");
         let batch = request.images.len();
@@ -526,6 +527,14 @@ impl Session {
                         self.recorder
                             .trace_instant("session.degraded", &[("reason", reason.to_string())]);
                     }
+                    // That plan has no repacker: a packed request re-enters
+                    // per pixel through the FV client path, a second upload.
+                    let packed = enc.layout() != Layout::Pixel;
+                    let pixel = packed
+                        .then(|| self.encrypt_batch(&request.images, Layout::Pixel))
+                        .transpose()?;
+                    *upload_bytes += pixel.as_ref().map_or(0, |map| map.byte_len() as u64);
+                    let enc = pixel.as_ref().unwrap_or(enc);
                     let (rows, metrics) = self.run_plan(Placement::PureHe, enc, batch)?;
                     self.recorder.incr(counters::SERVED_DEGRADED, 1);
                     return Ok((rows, Served::Degraded, metrics));
@@ -574,22 +583,26 @@ impl Session {
         self.service.read().verify_sealed_state().map(|_| true)
     }
 
-    /// FV-encrypts a batch [`Session::check_batch`] has validated.
-    fn encrypt_batch(&self, images: &[Vec<i64>]) -> Result<EncryptedMap> {
+    /// The client role of FV-ciphertext ingress: encrypts a batch
+    /// [`Session::check_batch`] has validated in `layout`, booking the upload.
+    fn encrypt_batch(&self, images: &[Vec<i64>], layout: Layout) -> Result<EncryptedMap> {
         let _prof = prof::span("session.encrypt");
         let service = self.service.read();
-        let side = service.model().in_side;
         // A fresh base per batch (batches never share randomness); the
         // cells fork it, so their streams stay scheduling-independent.
         let batch_rng = self.rng.lock().fork_next("batch");
-        Ok(EncryptedMap::encrypt_images(
+        let enc = EncryptedMap::encrypt_images(
             service.system(),
             images,
-            side,
+            service.model().in_side,
+            layout,
             &self.ceremony.public,
             &batch_rng,
             &self.pool,
-        )?)
+        )?;
+        self.recorder
+            .incr(counters::INGRESS_UPLOAD_BYTES, enc.byte_len() as u64);
+        Ok(enc)
     }
 
     /// Decrypts per-class logit ciphertexts into one row per batched image.
@@ -745,6 +758,12 @@ mod tests {
         }
     }
 
+    /// The client role of FV-ciphertext ingress, in the layout `serve` picks.
+    fn client_batch(session: &Session, images: &[Vec<i64>]) -> EncryptedMap {
+        let layout = session.service().ingress_layout(images.len());
+        session.encrypt_batch(images, layout).unwrap()
+    }
+
     fn build(threads: usize, seed: u64) -> Session {
         SessionBuilder::new()
             .params(ParamsPreset::Small)
@@ -844,11 +863,8 @@ mod tests {
         // its position — so every request reused one batch's encryption
         // randomness and one ChaCha20 nonce.
         let images = [image];
-        let first = session.encrypt_batch(&images).unwrap();
-        assert_ne!(
-            first.cells(),
-            session.encrypt_batch(&images).unwrap().cells()
-        );
+        let first = client_batch(&session, &images);
+        assert_ne!(first.cells(), client_batch(&session, &images).cells());
         assert_ne!(
             session.seal_batch(&images).unwrap(),
             session.seal_batch(&images).unwrap()
@@ -856,12 +872,9 @@ mod tests {
         // Still a pure function of the seed and the request ordinal.
         let replay = build(1, 8);
         for _ in 0..2 {
-            replay.encrypt_batch(&images).unwrap();
+            client_batch(&replay, &images);
         }
-        assert_eq!(
-            first.cells(),
-            replay.encrypt_batch(&images).unwrap().cells()
-        );
+        assert_eq!(first.cells(), client_batch(&replay, &images).cells());
     }
 
     #[test]
@@ -990,10 +1003,7 @@ mod tests {
                 .collect()
         };
         // The client role: each worker's first batch and first payload.
-        let (enc0, enc1) = (
-            w0.encrypt_batch(&images).unwrap(),
-            w1.encrypt_batch(&images).unwrap(),
-        );
+        let (enc0, enc1) = (client_batch(&w0, &images), client_batch(&w1, &images));
         let mut seen = [c1(&enc0), c1(&enc1)].concat();
         seen.push(w0.seal_batch(&images).unwrap());
         seen.push(w1.seal_batch(&images).unwrap());
@@ -1064,8 +1074,15 @@ mod tests {
         };
         assert_eq!(response.logits, vec![pure_he.forward_ints(&image)]);
         assert!(session.fault_report().unwrap().degraded());
+        // The request came in packed (9 kernel offsets × one chunk); the
+        // pure-HE plan cannot read that, so the rung re-ingested it one cell
+        // per pixel and the response owns up to both uploads.
+        let fresh = session.service().system().fresh_ciphertext_byte_len() as u64;
+        assert_eq!(response.upload_bytes, (9 + 64) * fresh);
         {
-            let enc = session.encrypt_batch(std::slice::from_ref(&image)).unwrap();
+            let enc = session
+                .encrypt_batch(std::slice::from_ref(&image), Layout::Pixel)
+                .unwrap();
             let service = session.service();
             let plan = service.degraded_plan().expect("the deep model has one");
             let (logits, _) = service.run(plan, &enc).unwrap();

@@ -24,14 +24,14 @@
 //! one runs it inline) with its CPU time reported to the cost model.
 
 use crate::error::{Error, Result};
-use crate::planner::{EcallBatching, EnclaveOp};
+use crate::planner::{EcallBatching, EnclaveOp, InferencePlan};
 use crate::recovery::{retry_with_cost, RecoveryPolicy};
 use hesgx_bfv::prelude::{PublicKey, SecretKey};
 use hesgx_chaos::{FaultHook, FaultSite};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::transcipher::{self, IngressKey};
 use hesgx_henn::crt::{CrtCiphertext, CrtPlainSystem};
-use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::image::{patch_slot, EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::quantize::QuantizedCnn;
 use hesgx_tee::cost::CostBreakdown;
@@ -66,6 +66,8 @@ struct EcallShape<'a> {
     name: &'a str,
     /// Marshalled input size; also sizes the touched EPC region.
     in_bytes: usize,
+    /// Plaintext the body stages on the enclave heap: EPC-touched like the input.
+    staging_bytes: usize,
     /// Marshalled output size.
     out_bytes: usize,
     /// The call's base RNG stream is the fork `{fork_prefix}-call-{n}`.
@@ -230,6 +232,7 @@ impl InferenceEnclave {
         let EcallShape {
             name,
             in_bytes,
+            staging_bytes,
             out_bytes,
             fork_prefix,
             pre_site,
@@ -244,7 +247,8 @@ impl InferenceEnclave {
             let (res, cost) = self
                 .enclave
                 .ecall_fallible(name, in_bytes, out_bytes, |ctx| {
-                    let region = ctx.alloc(in_bytes.max(4096)).map_err(Error::Tee)?;
+                    let resident = (in_bytes + staging_bytes).max(4096);
+                    let region = ctx.alloc(resident).map_err(Error::Tee)?;
                     // First pass marshals the input in (cold faults).
                     ctx.touch(region).map_err(Error::Tee)?;
                     if retouch_header {
@@ -270,10 +274,15 @@ impl InferenceEnclave {
     /// one crossing however many operators the chain carries (§VI-E).
     ///
     /// Output cell `o` is a function of the `span × span` block of input
-    /// cells at its position, decrypted and folded inside `o`'s task: every
+    /// positions at its position, folded inside `o`'s task: every
     /// [`EnclaveOp::MeanPool`] of the chain multiplies `span` by the model's
-    /// pooling window, every other op is cell-wise. The boundary is priced
-    /// from the chain's two ends: the map enters, a `span²`-th of it leaves.
+    /// pooling window, every other op is cell-wise. A [`Layout::Pixel`] input
+    /// is decrypted cell by cell inside the task that reads it, a
+    /// [`Layout::Patches`] input whole, in one pass, into a plaintext staging
+    /// buffer the tasks gather from through [`patch_slot`]. The output is
+    /// always [`Layout::Pixel`] — the enclave is the repacker. The boundary
+    /// is priced from the cells that cross: the input's in, one fresh
+    /// ciphertext per output cell out.
     ///
     /// [`EcallBatching::Batched`] is one ECALL for the whole map, per-cell
     /// work scheduled on `pool` inside the enclave body.
@@ -283,7 +292,8 @@ impl InferenceEnclave {
     ///
     /// # Errors
     ///
-    /// Propagates HE/TEE failures.
+    /// [`Error::Config`] for a packed map that is misshapen or crosses per
+    /// pixel (its cells do not split by output); propagates HE/TEE failures.
     pub fn apply(
         &self,
         chain: &[EnclaveOp],
@@ -309,45 +319,84 @@ impl InferenceEnclave {
         let refreshes = chain.contains(&EnclaveOp::Refresh);
         let pools = chain.iter().filter(|op| **op == EnclaveOp::MeanPool);
         let span = model.window.pow(pools.count() as u32);
-        let (c, h, w) = input.shape();
+        let slots = sys.slot_count();
+        let (c, cells_h, cells_w) = input.shape();
+        // The feature map's sides, and a packed map's batch.
+        let (h, w, packed) = match input.layout() {
+            Layout::Pixel => (cells_h, cells_w, None),
+            Layout::Patches { batch, side }
+                if batching == EcallBatching::Batched
+                    && (cells_h, cells_w) == (Layout::chunks(batch, side, slots), 1) =>
+            {
+                (side, side, Some(batch))
+            }
+            layout => {
+                return Err(Error::Config(format!(
+                    "a {c}×{cells_h}×{cells_w} {layout:?} map cannot cross {batching:?}"
+                )))
+            }
+        };
         let (oh, ow, span2) = (h / span, w / span, span * span);
         let outputs = c * oh * ow;
-        // The crossing cells: block by block in output order, row-major inside.
-        let crossing: Vec<&CrtCiphertext> = (0..outputs * span2)
-            .map(|i| {
-                let (o, d) = (i / span2, i % span2);
-                let (y, x) = ((o / ow) % oh * span + d / span, o % ow * span + d % span);
-                input.cell(o / (oh * ow), y, x)
-            })
-            .collect();
+        // Member `d` of the block behind output cell `o`: channel, position.
+        let member = |o: usize, d: usize| {
+            let (y, x) = ((o / ow) % oh * span + d / span, o % ow * span + d % span);
+            (o / (oh * ow), y * w + x)
+        };
+        // The crossing cells: a packed map whole, else block by block.
+        let crossing: Vec<&CrtCiphertext> = match packed {
+            Some(_) => input.cells().iter().collect(),
+            None => (0..outputs * span2)
+                .map(|i| {
+                    let (ch, position) = member(i / span2, i % span2);
+                    input.cell(ch, position / w, position % w)
+                })
+                .collect(),
+        };
         let inline = ParExec::serial();
         let (per_call, pool) = match batching {
             EcallBatching::Batched => (outputs, pool),
             EcallBatching::PerPixel => (1, &inline),
         };
+        let decrypt = |ct: &CrtCiphertext| -> Result<Vec<i64>> {
+            let slots = sys.decrypt_slots(ct, &self.secret)?;
+            Ok(slots.iter().map(|&v| v as i64).collect())
+        };
         let mut cells = Vec::with_capacity(outputs);
         let mut total = CostBreakdown::default();
-        for first in (0..outputs).step_by(per_call.max(1)) {
-            let blocks = &crossing[first * span2..(first + per_call) * span2];
-            let in_bytes: usize = blocks.iter().map(|c| c.byte_len()).sum();
+        let per_entry = packed.map_or(per_call * span2, |_| crossing.len());
+        for entering in crossing.chunks(per_entry.max(1)) {
             let (out, cost) = self.batched_ecall(
                 EcallShape {
                     name: &name,
-                    in_bytes,
-                    out_bytes: in_bytes / span2,
+                    in_bytes: entering.iter().map(|c| c.byte_len()).sum(),
+                    staging_bytes: packed.map_or(0, |_| entering.len() * slots * 8),
+                    out_bytes: per_call * sys.fresh_ciphertext_byte_len(),
                     fork_prefix: "par",
                     pre_site: refreshes.then_some(FaultSite::NoiseRefresh),
                     retouch_header: span == 1,
                 },
                 |base, cpu_ns| {
+                    let staged = match packed {
+                        Some(_) => {
+                            timed_tasks(pool, entering.len(), cpu_ns, |i| decrypt(entering[i]))?
+                        }
+                        None => Vec::new(),
+                    };
                     timed_tasks(pool, per_call, cpu_ns, |j| {
                         let mut rng = base.fork(&format!("cell-{j}"));
-                        let mut block = Vec::with_capacity(span2);
-                        for ct in &blocks[j * span2..(j + 1) * span2] {
-                            let slots = sys.decrypt_slots(ct, &self.secret)?;
-                            block.push(slots.iter().map(|&v| v as i64).collect::<Vec<_>>());
-                        }
-                        let slots = fold_chain(chain, model, block);
+                        let block = (0..span2).map(|d| match packed {
+                            None => decrypt(entering[j * span2 + d]),
+                            Some(batch) => {
+                                let (ch, position) = member(j, d);
+                                let image = |b| {
+                                    let i = patch_slot(position, b, batch);
+                                    staged[ch * cells_h + i / slots][i % slots]
+                                };
+                                Ok((0..batch).map(image).collect())
+                            }
+                        });
+                        let slots = fold_chain(chain, model, block.collect::<Result<_>>()?);
                         Ok(sys.encrypt_slots_symmetric(&slots, &self.secret, &mut rng)?)
                     })
                 },
@@ -361,56 +410,53 @@ impl InferenceEnclave {
     /// Transciphered ingress (`ecall_Transcipher`, DESIGN.md §17): the
     /// client's ChaCha20-sealed pixel payload enters the enclave, is
     /// authenticated and opened *inside*, and the quantized pixels are
-    /// re-encrypted under FV — one ciphertext per pixel position with the
-    /// batch riding the SIMD slots, exactly the layout
-    /// `EncryptedMap::encrypt_images` produces on the client for the
-    /// FV-ciphertext ingress path.
+    /// re-encrypted under FV in [`InferencePlan::ingress_layout`] — cell for
+    /// cell what [`Layout::pack`] has the client encrypt on the FV-ciphertext
+    /// path.
     ///
     /// The upload is kilobytes where an FV-ciphertext upload is megabytes;
-    /// the price is the in-enclave FV encryption, which is charged honestly:
-    /// EPC touches for the marshalled payload region, measured CPU time for
-    /// the authenticate+stream-decrypt and for every per-pixel FV encryption
-    /// (summed across pool workers via
-    /// [`hesgx_tee::enclave::EnclaveCtx::record_cpu_ns`]), and output
-    /// marshalling sized by [`CrtPlainSystem::fresh_ciphertext_byte_len`] —
-    /// fresh ciphertext sizes depend only on the FV parameters, and the
-    /// produced map must leave the enclave for the HE-outside linear layers.
+    /// the price is the in-enclave FV encryption, charged honestly: EPC
+    /// touches for the payload, measured CPU time for the open and every
+    /// per-cell FV encryption (summed across workers), and out-marshalling
+    /// of one [`CrtPlainSystem::fresh_ciphertext_byte_len`] per cell.
     ///
     /// [`FaultSite::Transcipher`] is consulted before every attempt (the
-    /// upload can be dropped in transit); transient faults retry under the
-    /// enclave's [`RecoveryPolicy`]. The RNG base is forked once per logical
-    /// call *outside* the retry loop and every cell encrypts from its own
-    /// `cell-{pixel}` fork, so retries are bit-invisible and the ciphertext
-    /// bits are identical for every pool size.
-    ///
-    /// Returns the per-pixel ciphertext cells, the batch size the payload
-    /// carried, and the boundary cost.
+    /// upload can be dropped in transit). The skeleton forks the RNG base
+    /// once per logical call and every cell encrypts from its own `cell-{i}`
+    /// fork, so retries are bit-invisible and the bits pool-size independent.
+    /// Returns the ingress cells, the payload's batch size, the boundary cost.
     ///
     /// # Errors
     ///
-    /// Fails without retry when the payload does not authenticate or is
-    /// malformed ([`Error::Config`] — a forged upload must not burn the
-    /// retry budget), or when its batch exceeds the SIMD slot count;
-    /// propagates HE/TEE failures.
+    /// Fails without retry ([`Error::Config`] — a forged upload must not burn
+    /// the retry budget) when the payload does not authenticate, is
+    /// malformed, carries images of another size than the model's or more
+    /// of them than SIMD slots; propagates HE/TEE failures.
     pub fn transcipher_ingress(
         &self,
         sys: &CrtPlainSystem,
+        model: &QuantizedCnn,
+        plan: &InferencePlan,
         key: &IngressKey,
         payload: &[u8],
         pool: &ParExec,
     ) -> Result<(Vec<CrtCiphertext>, usize, CostBreakdown)> {
-        let in_bytes = payload.len();
+        let (side, slots, in_bytes) = (model.in_side, sys.slot_count(), payload.len());
         // The clear framing header sizes the out-marshalling before the tag
         // is checked; a lying header can only mis-price a request that then
         // fails authentication, never desynchronize unpacking (the shape is
         // re-read from the authenticated header inside the ECALL body).
-        let (_, pixels) = transcipher::peek_shape(payload)
+        let (images, _) = transcipher::peek_shape(payload)
             .map_err(|e| Error::Config(format!("transcipher ingress: {e}")))?;
+        let priced = plan.ingress_layout(model, images, slots);
         let ((cells, batch), cost) = self.batched_ecall(
             EcallShape {
                 name: "ecall_Transcipher",
                 in_bytes,
-                out_bytes: sys.fresh_ciphertext_byte_len().saturating_mul(pixels),
+                staging_bytes: 0,
+                out_bytes: sys
+                    .fresh_ciphertext_byte_len()
+                    .saturating_mul(priced.ingress_cells(side, slots)),
                 fork_prefix: "transcipher",
                 pre_site: Some(FaultSite::Transcipher),
                 retouch_header: true,
@@ -419,22 +465,20 @@ impl InferenceEnclave {
                 let open_timer = WallTimer::start();
                 let images = transcipher::open_images(key, payload)
                     .map_err(|e| Error::Config(format!("transcipher ingress: {e}")))?;
-                *cpu_ns = open_timer.elapsed_ns();
-                let batch = images.len();
-                let Some(first) = images.first() else {
-                    return Err(Error::Internal("transcipher payload opened empty"));
-                };
-                if batch > sys.slot_count() {
+                // (The framing gives every image of a payload one length.)
+                let (batch, pixels) = (images.len(), images.first().map_or(0, Vec::len));
+                if batch > slots || pixels != side * side {
                     return Err(Error::Config(format!(
-                        "transcipher batch of {batch} images exceeds the {} SIMD slots",
-                        sys.slot_count()
+                        "transcipher payload carries {batch} images of {pixels} pixels, the model \
+                         expects {side}×{side} and the {slots} SIMD slots hold one image each"
                     )));
                 }
-                let images = &images;
-                let cells = timed_tasks(pool, first.len(), cpu_ns, |pixel| {
-                    let mut rng = base.fork(&format!("cell-{pixel}"));
-                    let slots: Vec<i64> = images.iter().map(|img| img[pixel]).collect();
-                    Ok(sys.encrypt_slots_symmetric(&slots, &self.secret, &mut rng)?)
+                let layout = plan.ingress_layout(model, batch, slots);
+                let packed = layout.pack(&images, side, slots);
+                *cpu_ns = open_timer.elapsed_ns();
+                let cells = timed_tasks(pool, packed.len(), cpu_ns, |cell| {
+                    let mut rng = base.fork(&format!("cell-{cell}"));
+                    Ok(sys.encrypt_slots_symmetric(&packed[cell], &self.secret, &mut rng)?)
                 })?;
                 Ok((cells, batch))
             },
@@ -590,7 +634,14 @@ mod tests {
             .collect()
     }
 
-    fn table_input(ie: &InferenceEnclave, sys: &CrtPlainSystem, rng: &ChaChaRng) -> EncryptedMap {
+    /// The table map in `layout`: one cell per position, or each channel's
+    /// (position, image) pairs packed through [`patch_slot`] into one cell.
+    fn table_input(
+        ie: &InferenceEnclave,
+        sys: &CrtPlainSystem,
+        rng: &ChaChaRng,
+        layout: Layout,
+    ) -> EncryptedMap {
         let images = table_images();
         let mut cells = Vec::new();
         for ch in 0..2 {
@@ -598,11 +649,22 @@ mod tests {
                 .iter()
                 .map(|img| img[ch * 16..(ch + 1) * 16].to_vec())
                 .collect();
-            let rng = rng.fork(&format!("channel-{ch}"));
+            let mut rng = rng.fork(&format!("channel-{ch}"));
+            if let Layout::Patches { batch, .. } = layout {
+                let mut slots = vec![0; 16 * batch];
+                for (b, img) in channel.iter().enumerate() {
+                    for (position, &v) in img.iter().enumerate() {
+                        slots[patch_slot(position, b, batch)] = v;
+                    }
+                }
+                cells.push(sys.encrypt_slots(&slots, &ie.public, &mut rng).unwrap());
+                continue;
+            }
             let map = EncryptedMap::encrypt_images(
                 sys,
                 &channel,
                 4,
+                Layout::Pixel,
                 &ie.public,
                 &rng,
                 &ParExec::serial(),
@@ -610,8 +672,14 @@ mod tests {
             .unwrap();
             cells.extend(map.into_cells());
         }
-        EncryptedMap::new(SHAPE.0, SHAPE.1, SHAPE.2, cells)
+        match layout {
+            Layout::Pixel => EncryptedMap::new(SHAPE.0, SHAPE.1, SHAPE.2, cells),
+            Layout::Patches { .. } => EncryptedMap::new(SHAPE.0, 1, 1, cells).with_layout(layout),
+        }
     }
+
+    /// Both layouts of the table map.
+    const LAYOUTS: [Layout; 2] = [Layout::Pixel, Layout::Patches { batch: 2, side: 4 }];
 
     /// The plaintext function `chain` computes over one image of the table
     /// map, one whole-map pass per op — the oracle every `apply` call is
@@ -648,31 +716,40 @@ mod tests {
         image
     }
 
-    /// The one entry point, over `chain × {Batched, PerPixel} × pools`:
-    /// every slot of every output cell decrypts to the plaintext function,
-    /// the batched ciphertext bits do not depend on the pool size, and a
-    /// per-pixel run pays two transitions per *final* output cell into the
-    /// same `ecall.<name>` books Fig. 8's `EncryptSGX (single)` group reads.
+    /// The one entry point, over `chain × layout × {Batched, PerPixel} ×
+    /// pools`: every slot of every output cell decrypts to the plaintext
+    /// function (a packed input leaves the slots beyond its batch zero), the
+    /// batched ciphertext bits do not depend on the pool size, a per-pixel
+    /// run pays two transitions per *final* output cell into the same
+    /// `ecall.<name>` books Fig. 8's `EncryptSGX (single)` group reads, and
+    /// a packed map — whose cells do not split by output cell — refuses to
+    /// cross per pixel.
     #[test]
     fn apply_matches_the_plaintext_function_for_every_op_batching_and_pool() {
         let model = small_model();
         let images = table_images();
-        for (chain, batched_name, per_pixel_name) in chains() {
+        for ((chain, batched_name, per_pixel_name), layout) in chains()
+            .into_iter()
+            .flat_map(|chain| LAYOUTS.map(|layout| (chain.clone(), layout)))
+        {
             let chain = &chain[..];
             let expect: Vec<Vec<i64>> = images
                 .iter()
                 .map(|img| reference(chain, &model, img))
                 .collect();
-            let idle = reference(chain, &model, &[0; 32]);
+            let idle = match layout {
+                Layout::Pixel => reference(chain, &model, &[0; 32]),
+                Layout::Patches { .. } => vec![0; expect[0].len()],
+            };
             let mut batched_bits = None;
             for batching in [EcallBatching::Batched, EcallBatching::PerPixel] {
                 for threads in POOLS {
-                    let what = format!("{chain:?} {batching:?} {threads} threads");
+                    let what = format!("{chain:?} {layout:?} {batching:?} {threads} threads");
                     // Fresh (deterministic) enclave per run so each starts
                     // from the same RNG state and call counter.
                     let rec = Recorder::enabled();
                     let (ie, sys, rng) = setup_with(None, rec.clone());
-                    let input = table_input(&ie, &sys, &rng);
+                    let input = table_input(&ie, &sys, &rng, layout);
                     let pool = ParExec::new(threads);
                     // The key ceremony already crossed the boundary once.
                     let crossings = |rec: &Recorder| {
@@ -684,9 +761,14 @@ mod tests {
                         .map(|c| rec.counter(c))
                     };
                     let before = crossings(&rec);
-                    let (out, cost) = ie
-                        .apply(chain, &sys, &model, &input, batching, &pool)
-                        .unwrap();
+                    let applied = ie.apply(chain, &sys, &model, &input, batching, &pool);
+                    if layout != Layout::Pixel && batching == EcallBatching::PerPixel {
+                        assert!(matches!(applied, Err(Error::Config(_))), "{what}");
+                        assert_eq!(crossings(&rec), before, "{what}: refused before crossing");
+                        continue;
+                    }
+                    let (out, cost) = applied.unwrap();
+                    assert_eq!(out.layout(), Layout::Pixel, "{what}");
                     let outputs = expect[0].len();
                     assert_eq!(out.cells().len(), outputs, "{what}");
                     for (o, ct) in out.cells().iter().enumerate() {
@@ -706,8 +788,9 @@ mod tests {
                     let [ecalls, transitions, marshalled] = crossings(&rec);
                     assert_eq!(ecalls - before[0], calls, "{what}");
                     assert_eq!(transitions - before[1], 2 * calls, "{what}");
-                    // The boundary is priced from the chain's two ends: the
-                    // whole input map in, only the final map out.
+                    // The boundary is priced from the cells that cross: the
+                    // whole input map in — two packed cells instead of 32 —
+                    // and only the final map out.
                     let bytes = |map: &EncryptedMap| -> u64 {
                         map.cells().iter().map(|c| c.byte_len() as u64).sum()
                     };
@@ -737,7 +820,7 @@ mod tests {
         let model = small_model();
         for (op, ..) in chains() {
             let (ie, sys, rng) = setup();
-            let input = table_input(&ie, &sys, &rng);
+            let input = table_input(&ie, &sys, &rng, Layout::Pixel);
             let serial = ParExec::serial();
             let run = |batching| {
                 ie.apply(&op, &sys, &model, &input, batching, &serial)
@@ -799,20 +882,22 @@ mod tests {
         // pool size, batched and (inline) one cell per call.
         let model = small_model();
         for (op, ..) in chains() {
-            let run = |hook: Option<Arc<FaultInjector>>, batching, threads| {
+            let run = |hook: Option<Arc<FaultInjector>>, layout, batching, threads| {
                 let (ie, sys, rng) = setup_with(hook, Recorder::disabled());
-                let input = table_input(&ie, &sys, &rng);
+                let input = table_input(&ie, &sys, &rng, layout);
                 let pool = ParExec::new(threads);
                 let (out, _) = ie
                     .apply(&op, &sys, &model, &input, batching, &pool)
                     .unwrap();
                 out.into_cells()
             };
-            for (batching, pools) in [
-                (EcallBatching::Batched, &POOLS[..]),
-                (EcallBatching::PerPixel, &POOLS[..1]),
+            // A packed map crosses batched only.
+            for (layout, batching, pools) in [
+                (LAYOUTS[0], EcallBatching::Batched, &POOLS[..]),
+                (LAYOUTS[1], EcallBatching::Batched, &POOLS[..]),
+                (LAYOUTS[0], EcallBatching::PerPixel, &POOLS[..1]),
             ] {
-                let clean = run(None, batching, 1);
+                let clean = run(None, layout, batching, 1);
                 for &threads in pools {
                     // The result of the first crossing is lost on the way
                     // out; a per-pixel run also loses its second cell's
@@ -823,7 +908,7 @@ mod tests {
                             .script(FaultSite::EcallExit, 2, FaultKind::Transient)
                             .build(),
                     );
-                    let faulted = run(Some(injector.clone()), batching, threads);
+                    let faulted = run(Some(injector.clone()), layout, batching, threads);
                     let delivered = match batching {
                         EcallBatching::Batched => 1,
                         EcallBatching::PerPixel => 2,
@@ -831,73 +916,118 @@ mod tests {
                     assert_eq!(injector.report().retries(), delivered, "{op:?}");
                     assert_eq!(
                         clean, faulted,
-                        "{op:?} {batching:?} {threads} threads: ciphertexts changed by retry"
+                        "{op:?} {layout:?} {batching:?} {threads} threads: ciphertexts changed by retry"
                     );
                 }
             }
         }
     }
 
+    /// The plans of `small_model` that read each ingress layout: the hybrid
+    /// plan packs a small batch, the pure-HE plan never does.
+    fn ingress_plans() -> [(InferencePlan, Layout); 2] {
+        let compile = |placement| {
+            let policy = crate::request::ServePolicy::default();
+            crate::planner::plan_for(&small_model(), ActivationKind::Sigmoid, &policy, placement)
+        };
+        [
+            (
+                compile(crate::planner::Placement::Hybrid),
+                Layout::Patches { batch: 2, side: 6 },
+            ),
+            (compile(crate::planner::Placement::PureHe), Layout::Pixel),
+        ]
+    }
+
     #[test]
     fn transcipher_ingress_recovers_pixels_and_retries_are_bit_invisible() {
+        let model = small_model();
         let images: Vec<Vec<i64>> = (0..2)
-            .map(|b| (0..16).map(|p| (p * 3 + b) as i64 - 7).collect())
+            .map(|b| (0..64).map(|p| (p * 3 + b) as i64 - 7).collect())
             .collect();
         let key = IngressKey::derive(b"salt", b"ikm", b"test-ingress");
         let payload = transcipher::seal_images(&key, &[9u8; 12], &images).unwrap();
-        let run = |hook: Option<Arc<FaultInjector>>, threads: usize| {
-            let (ie, sys, _) = setup_with(hook, Recorder::disabled());
-            let pool = ParExec::new(threads);
-            let (cells, batch, cost) = ie.transcipher_ingress(&sys, &key, &payload, &pool).unwrap();
-            assert_eq!(batch, 2);
-            assert_eq!(cells.len(), 16);
-            assert!(cost.total_ns() > 0);
-            // The re-encrypted cells decrypt to exactly the sealed pixels,
-            // slot b = image b — the layout the conv layer expects — and
-            // have the size the out-marshalling was priced at.
-            for (pixel, ct) in cells.iter().enumerate() {
-                assert_eq!(ct.byte_len(), sys.fresh_ciphertext_byte_len());
-                let slots = sys.decrypt_slots(ct, &ie.secret).unwrap();
-                for (b, img) in images.iter().enumerate() {
-                    assert_eq!(slots[b], img[pixel] as i128, "pixel {pixel} batch {b}");
+        for (plan, layout) in ingress_plans() {
+            let run = |hook: Option<Arc<FaultInjector>>, threads: usize| {
+                let rec = Recorder::enabled();
+                let (ie, sys, _) = setup_with(hook.clone(), rec.clone());
+                let pool = ParExec::new(threads);
+                let marshalled = rec.counter(counters::BYTES_MARSHALLED);
+                let (cells, batch, cost) = ie
+                    .transcipher_ingress(&sys, &model, &plan, &key, &payload, &pool)
+                    .unwrap();
+                assert_eq!(batch, 2);
+                assert_eq!(plan.ingress_layout(&model, batch, 256), layout);
+                // 9 kernel offsets × one chunk of 72 values, or 64 pixels.
+                let want = if layout == Layout::Pixel { 64 } else { 9 };
+                assert_eq!(cells.len(), want, "{layout:?}");
+                assert!(cost.total_ns() > 0);
+                // The out-marshalling was priced for exactly these cells.
+                if hook.is_none() {
+                    let out: usize = cells.iter().map(|ct| ct.byte_len()).sum();
+                    assert_eq!(
+                        rec.counter(counters::BYTES_MARSHALLED) - marshalled,
+                        (payload.len() + out) as u64
+                    );
                 }
+                // The re-encrypted cells decrypt to exactly the slot values
+                // the client would have encrypted, the rest of a cell zero.
+                let packed = layout.pack(&images, 8, 256);
+                for (i, ct) in cells.iter().enumerate() {
+                    assert_eq!(ct.byte_len(), sys.fresh_ciphertext_byte_len());
+                    let mut want = packed[i].clone();
+                    want.resize(256, 0);
+                    let slots = sys.decrypt_slots(ct, &ie.secret).unwrap();
+                    let want: Vec<i128> = want.iter().map(|&v| v.into()).collect();
+                    assert_eq!(slots, want, "{layout:?} cell {i}");
+                }
+                cells
+            };
+            let clean = run(None, 1);
+            for threads in POOLS {
+                assert_eq!(clean, run(None, threads), "{threads} threads");
+                let injector = Arc::new(
+                    FaultPlan::new(6)
+                        .script(FaultSite::Transcipher, 0, FaultKind::Transient)
+                        .build(),
+                );
+                let faulted = run(Some(injector.clone()), threads);
+                assert_eq!(
+                    injector.report().retries(),
+                    1,
+                    "fault delivered and retried"
+                );
+                assert_eq!(clean, faulted, "retry must be bit-invisible");
             }
-            cells
-        };
-        let clean = run(None, 1);
-        for threads in POOLS {
-            assert_eq!(clean, run(None, threads), "{threads} threads");
-            let injector = Arc::new(
-                FaultPlan::new(6)
-                    .script(FaultSite::Transcipher, 0, FaultKind::Transient)
-                    .build(),
-            );
-            let faulted = run(Some(injector.clone()), threads);
-            assert_eq!(
-                injector.report().retries(),
-                1,
-                "fault delivered and retried"
-            );
-            assert_eq!(clean, faulted, "retry must be bit-invisible");
         }
     }
 
     #[test]
     fn transcipher_ingress_rejects_forged_payloads_without_retrying() {
         let (ie, sys, _) = setup();
-        let images = vec![vec![1i64, 2, 3, 4]];
+        let model = small_model();
         let key = IngressKey::derive(b"salt", b"ikm", b"test-ingress");
-        let mut payload = transcipher::seal_images(&key, &[1u8; 12], &images).unwrap();
-        let mid = payload.len() / 2;
-        payload[mid] ^= 0x40;
         let pool = ParExec::new(1);
-        let err = ie
-            .transcipher_ingress(&sys, &key, &payload, &pool)
-            .unwrap_err();
-        assert!(
-            matches!(err, Error::Config(_)),
-            "auth failure must be fatal, not transient: {err}"
-        );
+        for (plan, layout) in ingress_plans() {
+            let ingress =
+                |payload: &[u8]| ie.transcipher_ingress(&sys, &model, &plan, &key, payload, &pool);
+            let mut payload = transcipher::seal_images(&key, &[1u8; 12], &[vec![1; 64]]).unwrap();
+            let mid = payload.len() / 2;
+            payload[mid] ^= 0x40;
+            let err = ingress(&payload).unwrap_err();
+            assert!(
+                matches!(err, Error::Config(_)),
+                "auth failure must be fatal, not transient: {err}"
+            );
+            // An authentic payload of the wrong geometry is refused inside
+            // the body, before any slot is gathered from it.
+            let payload = transcipher::seal_images(&key, &[2u8; 12], &[vec![1; 16]]).unwrap();
+            let err = ingress(&payload).unwrap_err();
+            assert!(
+                matches!(&err, Error::Config(msg) if msg.contains("the model expects 8×8")),
+                "{layout:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use hesgx_chaos::{FaultKind, FaultPlan, FaultSite};
 use hesgx_core::prelude::*;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::CrtCiphertext;
-use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 
 #[test]
@@ -142,6 +142,7 @@ fn exhausted_budget_degrades_instead_of_failing() {
         service.system(),
         &[image],
         8,
+        Layout::Pixel,
         &session.ceremony().public,
         &ChaChaRng::from_seed(22),
         &ParExec::serial(),

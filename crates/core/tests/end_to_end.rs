@@ -7,13 +7,17 @@ mod testutil;
 use hesgx_core::keydist::verify_key_ceremony;
 use hesgx_core::pipeline::{HybridInference, ProvisionConfig};
 use hesgx_core::planner::{EcallBatching, EnclaveOp, Stage};
+use hesgx_core::request::{InferRequest, Ingress};
+use hesgx_core::session::{ParamsPreset, SessionBuilder};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::cryptonets::CryptoNets;
-use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::image::{EncryptedMap, Layout};
+use hesgx_henn::ops::OpCounter;
 use hesgx_henn::par::ParExec;
 use hesgx_nn::dataset;
 use hesgx_nn::layers::ActivationKind;
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
+use hesgx_obs::{counters, Recorder};
 use hesgx_tee::attestation::AttestationService;
 use hesgx_tee::enclave::Platform;
 use testutil::{hybrid_paper_model, provision, small_hybrid_model};
@@ -43,6 +47,7 @@ fn full_paper_pipeline_matches_reference_for_batch() {
         service.system(),
         &images,
         28,
+        Layout::Pixel,
         &keys,
         &rng,
         &ParExec::serial(),
@@ -128,6 +133,7 @@ fn hybrid_and_plaintext_predictions_agree_across_dataset() {
         service.system(),
         &images,
         28,
+        Layout::Pixel,
         &ceremony.public,
         &rng,
         &ParExec::serial(),
@@ -173,6 +179,7 @@ fn relu_and_tanh_in_enclave_also_exact() {
             service.system(),
             &image,
             model.in_side,
+            Layout::Pixel,
             &ceremony.public,
             &rng,
             &ParExec::serial(),
@@ -238,6 +245,7 @@ fn side_channel_exposure_lower_for_batched_design() {
             service.system(),
             &image,
             28,
+            Layout::Pixel,
             &ceremony.public,
             &ChaChaRng::from_seed(14),
             &ParExec::serial(),
@@ -312,4 +320,148 @@ fn noise_refresh_extends_computation_indefinitely() {
         );
         ct = fresh;
     }
+}
+
+/// The differential test of the two ingress layouts. The same images are
+/// served through `Session::serve` in both `Ingress` modes — which pick the
+/// layout by the count rule — and, on the same service, run by hand from an
+/// explicit `Pixel` map and an explicit `Patches` map: every row of every
+/// path equals `forward_ints`, and the logit ciphertexts of the hand-run
+/// paths are bit-identical across HE pool sizes. Batches sit on every edge
+/// of the packing: inside one chunk (1, 2, 10), the largest the rule still
+/// packs for the 8×8 model at n = 256 (`9·⌈36·49/256⌉ = 63 < 64`) and one
+/// beyond it (50, served in `Pixel`), and — forced by hand — one whose 36·64
+/// values fill nine chunks exactly and one that spills a tenth.
+#[test]
+fn both_layouts_serve_identical_logits_at_every_batch_edge() {
+    let model = small_hybrid_model();
+    for batch in [1usize, 2, 10, 49, 50, 64, 65] {
+        let images: Vec<Vec<i64>> = (0..batch)
+            .map(|b| (0..64).map(|p| ((p * 5 + b * 11) % 16) as i64).collect())
+            .collect();
+        let reference: Vec<Vec<i64>> = images.iter().map(|img| model.forward_ints(img)).collect();
+        let patches = Layout::Patches { batch, side: 6 };
+        let mut bits = None;
+        for threads in [1usize, 2, 4] {
+            let what = format!("batch {batch}, {threads} threads");
+            let session = SessionBuilder::new()
+                .params(ParamsPreset::Small)
+                .threads(threads)
+                .seed(77)
+                .build(Platform::new(920), model.clone())
+                .unwrap();
+            let service = session.service();
+            let (sys, fresh) = (
+                service.system(),
+                service.system().fresh_ciphertext_byte_len(),
+            );
+            let ruled = service.ingress_layout(batch);
+            assert_eq!(
+                ruled,
+                if batch <= 49 { patches } else { Layout::Pixel },
+                "{what}"
+            );
+            for ingress in [Ingress::FvCiphertext, Ingress::Transciphered] {
+                let response = session
+                    .serve(InferRequest::batch(images.clone()).ingress(ingress))
+                    .unwrap();
+                assert_eq!(response.logits, reference, "{what} {ingress:?}");
+                if ingress == Ingress::FvCiphertext {
+                    let cells = ruled.ingress_cells(8, 256);
+                    assert_eq!(response.upload_bytes, (cells * fresh) as u64, "{what}");
+                }
+            }
+            let by_hand = [Layout::Pixel, patches].map(|layout| {
+                let enc = EncryptedMap::encrypt_images(
+                    sys,
+                    &images,
+                    8,
+                    layout,
+                    &session.ceremony().public,
+                    &ChaChaRng::from_seed(78),
+                    &ParExec::serial(),
+                )
+                .unwrap();
+                let (logits, _) = service.run(service.plan(), &enc).unwrap();
+                let rows = EncryptedMap::new(3, 1, 1, logits.clone())
+                    .decrypt_all(
+                        sys,
+                        &session.ceremony().user_secret,
+                        batch,
+                        &ParExec::serial(),
+                    )
+                    .unwrap();
+                for (row, want) in rows.iter().zip(&reference) {
+                    let want: Vec<i128> = want.iter().map(|&v| v.into()).collect();
+                    assert_eq!(row, &want, "{what} {layout:?}");
+                }
+                logits
+            });
+            assert_eq!(*bits.get_or_insert(by_hand.clone()), by_hand, "{what}");
+        }
+    }
+}
+
+/// The benchmark's `fig8_fv` request — the paper's geometry (28×28 in, five
+/// 5×5 maps, 2×2 pooling, ten classes) at n = 1024 with `batchSize = 10` —
+/// served packed: 150 ingress ciphertexts (25 kernel offsets × 6 chunks of
+/// the 5760 (position, image) pairs) instead of 784, 30 conv-output cells
+/// instead of 2880, the fully connected layer unchanged.
+#[test]
+fn packed_paper_request_pins_its_op_counts() {
+    let flat = 5 * 12 * 12;
+    let model = QuantizedCnn {
+        pipeline: QuantPipeline::Hybrid,
+        in_side: 28,
+        conv_out: 5,
+        kernel: 5,
+        window: 2,
+        classes: 10,
+        conv_weights: (0..5 * 25).map(|i| (i % 7) as i64 - 3).collect(),
+        conv_bias: (0..5).map(|i| (i % 5) - 2).collect(),
+        fc_weights: (0..10 * flat).map(|i| (i % 5) as i64 - 2).collect(),
+        fc_bias: (0..10).map(|i| (i % 9) - 4).collect(),
+        weight_scale: 8,
+        fc_scale: 8,
+        act_scale: 16,
+    };
+    let rec = Recorder::enabled();
+    let session = SessionBuilder::new()
+        .params(ParamsPreset::Paper)
+        .threads(2)
+        .seed(2021)
+        .recorder(rec.clone())
+        .build(Platform::new(921), model.clone())
+        .unwrap();
+    let images: Vec<Vec<i64>> = (0..10)
+        .map(|b| (0..784).map(|p| ((p * 3 + b * 7) % 16) as i64).collect())
+        .collect();
+    let response = session.serve(InferRequest::batch(images.clone())).unwrap();
+    for (image, row) in images.iter().zip(&response.logits) {
+        assert_eq!(row, &model.forward_ints(image));
+    }
+    assert_eq!(
+        response.metrics.ops,
+        OpCounter {
+            ct_pt_mul: 30 * 25 + 10 * 720,
+            ct_ct_add: 30 * 24 + 10 * 719,
+            ct_pt_add: 30 + 10,
+            ..OpCounter::default()
+        }
+    );
+    assert_eq!(
+        (
+            response.metrics.ops.ct_pt_mul,
+            response.metrics.ops.ct_ct_add
+        ),
+        (7950, 7910)
+    );
+    let fresh = session.service().system().fresh_ciphertext_byte_len() as u64;
+    assert_eq!(response.upload_bytes, 150 * fresh);
+    // 5760 live slots of 6 × 1024, at ingress and into the enclave.
+    assert_eq!(rec.gauge_series(counters::SLOT_OCCUPANCY_PPM), [937_500]);
+    assert_eq!(
+        rec.gauge_series("infer.layer[1].slot_occupancy_ppm"),
+        [937_500]
+    );
 }

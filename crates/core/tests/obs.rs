@@ -130,8 +130,13 @@ fn default_paper_request_crosses_the_boundary_once() {
             .unwrap();
         assert_eq!(response.logits, vec![session.model().forward_ints(&image)]);
         assert_eq!(stage_transitions() - before, want, "{ingress:?}");
-        // 1 live slot of 256.
+        // The request came in patch-packed: 25 kernel offsets × 3 cells
+        // holding 576 output positions of one image, 576 of every 768 slots
+        // live (one image per pixel cell would be 1 of 256) — and the conv
+        // output that crosses into the enclave is packed the same way.
         let occupancy = rec.gauge_series(counters::SLOT_OCCUPANCY_PPM);
-        assert_eq!(occupancy, [1_000_000 / 256], "{ingress:?}");
+        assert_eq!(occupancy, [750_000], "{ingress:?}");
+        let crossing = rec.gauge_series("infer.layer[1].slot_occupancy_ppm");
+        assert_eq!(crossing, [750_000], "{ingress:?}");
     }
 }

@@ -7,7 +7,7 @@
 //! the user decrypts the ten logits and takes the argmax.
 
 use crate::crt::{CrtCiphertext, CrtKeys, CrtPlainSystem};
-use crate::image::EncryptedMap;
+use crate::image::{EncryptedMap, Layout};
 use crate::layers::{HeLayer, HeLayers};
 use crate::ops::OpCounter;
 use crate::par::ParExec;
@@ -88,6 +88,7 @@ impl CryptoNets {
             self.system(),
             images,
             self.model().in_side,
+            Layout::Pixel,
             &keys.public,
             &batch_rng,
             self.he.pool(),

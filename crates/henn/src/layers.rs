@@ -8,11 +8,11 @@
 //! chain without the caller knowing which one came last.
 
 use crate::crt::CrtPlainSystem;
-use crate::image::EncryptedMap;
+use crate::image::{EncryptedMap, Layout};
 use crate::ops::{self, OpCounter};
 use crate::par::ParExec;
 use crate::weights::WeightBank;
-use hesgx_bfv::error::Result;
+use hesgx_bfv::error::{BfvError, Result};
 use hesgx_bfv::prelude::{EvaluationKeys, PolyArena};
 use hesgx_nn::quantize::QuantizedCnn;
 use serde::{Deserialize, Serialize};
@@ -99,7 +99,8 @@ impl HeLayers {
     ///
     /// # Errors
     ///
-    /// Propagates homomorphic-operation failures.
+    /// [`BfvError::InvalidShape`] for a patch-packed input to a layer other
+    /// than the convolution; propagates homomorphic-operation failures.
     pub fn apply(
         &self,
         layer: HeLayer,
@@ -108,18 +109,27 @@ impl HeLayers {
         counter: &mut OpCounter,
     ) -> Result<EncryptedMap> {
         let m = &self.model;
+        let layout = input.layout();
+        if layout != Layout::Pixel && layer != HeLayer::Conv {
+            return Err(BfvError::InvalidShape(format!(
+                "{layer:?} reads one cell per position, the map is {layout:?}"
+            )));
+        }
         let out = match layer {
+            // Over a `k² × chunks × 1` packed map it is a 1×1 convolution, same
+            // bank: `[out][1][ky][kx]` and `[out][k²][1][1]` flatten identically.
             HeLayer::Conv => ops::he_conv2d(
                 &self.sys,
                 &input,
                 &self.conv_bank,
                 m.conv_out,
-                m.kernel,
+                if layout == Layout::Pixel { m.kernel } else { 1 },
                 1,
                 counter,
                 &self.pool,
                 &self.arena,
-            )?,
+            )?
+            .with_layout(layout),
             HeLayer::Square => {
                 ops::he_square_activation(&self.sys, &input, evk, counter, &self.pool)?
             }

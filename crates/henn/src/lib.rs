@@ -4,12 +4,14 @@
 //! baseline the paper compares against (`Encrypted` in Fig. 8 — the
 //! CryptoNets scheme of reference \[16\]).
 //!
-//! Data layout: an encrypted feature map holds **one ciphertext per pixel
-//! position** with the image batch riding in the SIMD slots
-//! ([`image::EncryptedMap`]), so all per-image costs amortize over
-//! `batchSize` exactly as in the paper's experiments (§V-B). Values larger
-//! than one plaintext modulus are handled by plaintext-CRT
-//! ([`crt::CrtPlainSystem`]), the CryptoNets technique.
+//! Data layout: an encrypted feature map ([`image::EncryptedMap`]) holds
+//! **one ciphertext per pixel position** with the image batch riding in the
+//! SIMD slots, so all per-image costs amortize over `batchSize` exactly as in
+//! the paper's experiments (§V-B) — or, as [`image::Layout::Patches`], the
+//! convolution's im2col patches packed into full ciphertexts, which the
+//! hybrid pipeline serves small batches in. Values larger than one plaintext
+//! modulus are handled by plaintext-CRT ([`crt::CrtPlainSystem`]), the
+//! CryptoNets technique.
 //!
 //! Layers ([`ops`]): homomorphic convolution and fully connected layers
 //! (ciphertext × plaintext-scalar weights), scaled mean-pooling (window sums —
@@ -34,6 +36,6 @@ pub mod weights;
 
 pub use crt::{CrtCiphertext, CrtKeys, CrtPlainSystem};
 pub use cryptonets::CryptoNets;
-pub use image::EncryptedMap;
+pub use image::{EncryptedMap, Layout};
 pub use ops::OpCounter;
 pub use par::ParExec;

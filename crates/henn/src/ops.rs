@@ -425,6 +425,7 @@ pub fn he_fully_connected_reference(
 mod tests {
     use super::*;
     use crate::crt::CrtPlainSystem;
+    use crate::image::Layout;
     use hesgx_crypto::rng::ChaChaRng;
 
     /// Every kernel is swept over these pool sizes; 1 is the inline path.
@@ -490,6 +491,7 @@ mod tests {
                 &sys,
                 &images,
                 side,
+                Layout::Pixel,
                 &keys.public,
                 &rng,
                 &ParExec::serial(),
@@ -525,6 +527,7 @@ mod tests {
                 &sys,
                 &images,
                 side,
+                Layout::Pixel,
                 &keys.public,
                 &rng,
                 &ParExec::serial(),
@@ -566,6 +569,7 @@ mod tests {
                 &sys,
                 &images,
                 2,
+                Layout::Pixel,
                 &keys.public,
                 &rng,
                 &ParExec::serial(),
@@ -603,6 +607,7 @@ mod tests {
                 &sys,
                 &images,
                 2,
+                Layout::Pixel,
                 &keys.public,
                 &rng,
                 &ParExec::serial(),
@@ -634,6 +639,7 @@ mod tests {
                 &sys,
                 &images,
                 side,
+                Layout::Pixel,
                 &keys.public,
                 &rng,
                 &ParExec::serial(),
@@ -667,6 +673,65 @@ mod tests {
         }
     }
 
+    /// A patch-packed input is a `k² × chunks × 1` map and the convolution
+    /// over it the same kernel called as a 1×1 convolution with the same
+    /// bank: decrypted and unpacked, its output equals the raw-weight
+    /// oracle's on the `Pixel` map of the same images, cell for cell — at a
+    /// batch inside one chunk, one filling its chunk exactly (16 positions ×
+    /// 16 images = 256 slots) and one spilling a single image over.
+    #[test]
+    fn packed_conv_is_the_pixel_conv_cell_for_cell() {
+        for (sys, keys, rng) in setups() {
+            let (side, k, slots) = (6, 3, sys.slot_count());
+            let (_, weights, bias) = conv_case();
+            let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
+            let arena = PolyArena::new();
+            let serial = ParExec::serial();
+            for (batch, chunks) in [(2, 1), (16, 1), (17, 2)] {
+                let images: Vec<Vec<i64>> = (0..batch)
+                    .map(|b| (0..36).map(|p| ((p * 7 + b * 3) % 16) as i64).collect())
+                    .collect();
+                let encrypt = |layout| {
+                    let public = &keys.public;
+                    EncryptedMap::encrypt_images(&sys, &images, side, layout, public, &rng, &serial)
+                        .unwrap()
+                };
+                let mut oracle_ops = OpCounter::default();
+                let pixel = encrypt(Layout::Pixel);
+                let oracle =
+                    he_conv2d_reference(&sys, &pixel, &weights, &bias, 2, k, 1, &mut oracle_ops)
+                        .unwrap()
+                        .decrypt_all(&sys, &keys.secret, batch, &serial)
+                        .unwrap();
+                let layout = Layout::Patches { batch, side: 4 };
+                let packed = encrypt(layout);
+                assert_eq!(packed.shape(), (k * k, chunks, 1), "batch {batch}");
+                assert_eq!(layout.ingress_cells(side, slots), k * k * chunks);
+                let mut bits = None;
+                for threads in POOLS {
+                    let mut counter = OpCounter::default();
+                    let pool = ParExec::new(threads);
+                    let out = he_conv2d(&sys, &packed, &bank, 2, 1, 1, &mut counter, &pool, &arena)
+                        .unwrap()
+                        .with_layout(layout);
+                    assert_eq!(out.shape(), (2, chunks, 1));
+                    // One multiply-accumulate chain per output *chunk*, not
+                    // per output position.
+                    assert_eq!(counter.ct_pt_mul as usize, 2 * chunks * k * k);
+                    assert!(counter.ct_pt_mul < oracle_ops.ct_pt_mul);
+                    let dec = out.decrypt_unpacked(&sys, &keys.secret);
+                    assert_eq!(dec, oracle, "batch {batch}, {threads} threads");
+                    let cells = out.cells().to_vec();
+                    assert_eq!(
+                        *bits.get_or_insert(cells.clone()),
+                        cells,
+                        "{threads} threads"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn cached_fc_is_bit_identical_with_zero_weight_prep() {
         for (sys, keys, rng) in setups() {
@@ -675,6 +740,7 @@ mod tests {
                 &sys,
                 &images,
                 2,
+                Layout::Pixel,
                 &keys.public,
                 &rng,
                 &ParExec::serial(),
@@ -715,6 +781,7 @@ mod tests {
                 &sys,
                 &images,
                 side,
+                Layout::Pixel,
                 &keys.public,
                 &rng,
                 &ParExec::serial(),

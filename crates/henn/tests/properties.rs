@@ -4,7 +4,7 @@
 use hesgx_bfv::prelude::PolyArena;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::{CrtKeys, CrtPlainSystem};
-use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::image::{patch_slot, EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
 use hesgx_henn::weights::WeightBank;
@@ -67,6 +67,64 @@ proptest! {
         );
     }
 
+    /// The slot-index function is a bijection onto `[0, P·B)`, and packing
+    /// through it loses nothing: every (kernel offset, position, image)
+    /// value of the im2col patches sits where `patch_slot` says, every
+    /// packed cell but a channel's last is full, and the image is recovered
+    /// from the patches.
+    #[test]
+    fn patch_slot_is_a_bijection_and_packing_round_trips(
+        in_side in 2usize..9, kernel_pick in 0usize..8, batch in 1usize..7,
+        slots_pick in 0usize..4, seed in any::<u64>(),
+    ) {
+        let slots = [4usize, 16, 64, 256][slots_pick];
+        let kernel = 1 + kernel_pick % in_side;
+        let side = in_side - kernel + 1;
+        let live = side * side * batch;
+        let mut seen: Vec<usize> = (0..side * side)
+            .flat_map(|p| (0..batch).map(move |b| patch_slot(p, b, batch)))
+            .collect();
+        seen.sort_unstable();
+        prop_assert_eq!(seen, (0..live).collect::<Vec<_>>());
+
+        let mut rng = ChaChaRng::from_seed(seed);
+        let images: Vec<Vec<i64>> = (0..batch)
+            .map(|_| (0..in_side * in_side).map(|_| rng.next_below(1 << 20) as i64).collect())
+            .collect();
+        let layout = Layout::Patches { batch, side };
+        let chunks = live.div_ceil(slots);
+        prop_assert_eq!(layout.ingress_cells(in_side, slots), kernel * kernel * chunks);
+        let cells = layout.pack(&images, in_side, slots);
+        prop_assert_eq!(cells.len(), kernel * kernel * chunks);
+        for (cell, values) in cells.iter().enumerate() {
+            let want = if cell % chunks + 1 < chunks { slots } else { live - (chunks - 1) * slots };
+            prop_assert_eq!(values.len(), want, "cell {}", cell);
+        }
+        let mut unpacked = vec![vec![None; in_side * in_side]; batch];
+        for offset in 0..kernel * kernel {
+            for p in 0..side * side {
+                for (b, image) in unpacked.iter_mut().enumerate() {
+                    let i = patch_slot(p, b, batch);
+                    let pixel = (p / side + offset / kernel) * in_side + p % side + offset % kernel;
+                    let value = cells[offset * chunks + i / slots][i % slots];
+                    prop_assert_eq!(*image[pixel].get_or_insert(value), value);
+                }
+            }
+        }
+        let unpacked: Vec<Vec<i64>> = unpacked
+            .into_iter()
+            .map(|image| image.into_iter().map(|v| v.expect("every pixel is in a patch")).collect())
+            .collect();
+        prop_assert_eq!(&unpacked, &images);
+        // The unpacked layout is the batch, pixel by pixel.
+        let pixels = Layout::Pixel.pack(&images, in_side, slots);
+        prop_assert_eq!(pixels.len(), Layout::Pixel.ingress_cells(in_side, slots));
+        for (pixel, column) in pixels.iter().enumerate() {
+            let want: Vec<i64> = images.iter().map(|img| img[pixel]).collect();
+            prop_assert_eq!(column, &want);
+        }
+    }
+
     #[test]
     fn he_conv_matches_plain_conv(pixels in proptest::collection::vec(0i64..16, 16),
                                   weights in proptest::collection::vec(-7i64..8, 4),
@@ -74,7 +132,7 @@ proptest! {
         let (sys, keys) = system();
         let rng = ChaChaRng::from_seed(seed);
         let images = vec![pixels.clone()];
-        let enc = EncryptedMap::encrypt_images(sys, &images, 4, &keys.public, &rng, &ParExec::serial()).unwrap();
+        let enc = EncryptedMap::encrypt_images(sys, &images, 4, Layout::Pixel, &keys.public, &rng, &ParExec::serial()).unwrap();
         let bank = WeightBank::prepare(sys, &weights, &[bias]).unwrap();
         for threads in POOLS {
             let mut counter = OpCounter::default();
@@ -99,7 +157,7 @@ proptest! {
     fn scaled_pool_matches_window_sums(pixels in proptest::collection::vec(-100i64..100, 16), seed in any::<u64>()) {
         let (sys, keys) = system();
         let rng = ChaChaRng::from_seed(seed);
-        let enc = EncryptedMap::encrypt_images(sys, std::slice::from_ref(&pixels), 4, &keys.public, &rng, &ParExec::serial()).unwrap();
+        let enc = EncryptedMap::encrypt_images(sys, std::slice::from_ref(&pixels), 4, Layout::Pixel, &keys.public, &rng, &ParExec::serial()).unwrap();
         for threads in POOLS {
             let mut counter = OpCounter::default();
             let pooled = ops::he_scaled_mean_pool(sys, &enc, 2, &mut counter, &ParExec::new(threads), &PolyArena::new()).unwrap();
@@ -127,7 +185,7 @@ proptest! {
         // with the oracle's one-per-tap weight preparations gone.
         let (sys, keys) = system();
         let rng = ChaChaRng::from_seed(seed);
-        let enc = EncryptedMap::encrypt_images(sys, &[pixels], 4, &keys.public, &rng, &ParExec::serial()).unwrap();
+        let enc = EncryptedMap::encrypt_images(sys, &[pixels], 4, Layout::Pixel, &keys.public, &rng, &ParExec::serial()).unwrap();
         let mut oracle_counter = OpCounter::default();
         let oracle = ops::he_conv2d_reference(sys, &enc, &weights, &[bias], 1, 2, 1, &mut oracle_counter).unwrap();
         prop_assert_eq!(oracle_counter.weight_prep, 9 * 4 + 9);
@@ -147,7 +205,7 @@ proptest! {
                                       seed in any::<u64>()) {
         let (sys, keys) = system();
         let rng = ChaChaRng::from_seed(seed);
-        let enc = EncryptedMap::encrypt_images(sys, &[pixels], 2, &keys.public, &rng, &ParExec::serial()).unwrap();
+        let enc = EncryptedMap::encrypt_images(sys, &[pixels], 2, Layout::Pixel, &keys.public, &rng, &ParExec::serial()).unwrap();
         let mut oracle_counter = OpCounter::default();
         let oracle = ops::he_fully_connected_reference(sys, &enc, &weights, &biases, 3, &mut oracle_counter).unwrap();
         prop_assert_eq!(oracle_counter.weight_prep, 3 * 4 + 3);
@@ -165,7 +223,7 @@ proptest! {
                                         seed in any::<u64>()) {
         let (sys, keys) = system();
         let rng = ChaChaRng::from_seed(seed);
-        let enc = EncryptedMap::encrypt_images(sys, &[pixels], 4, &keys.public, &rng, &ParExec::serial()).unwrap();
+        let enc = EncryptedMap::encrypt_images(sys, &[pixels], 4, Layout::Pixel, &keys.public, &rng, &ParExec::serial()).unwrap();
         let mut serial_counter = OpCounter::default();
         let serial = ops::he_scaled_mean_pool(sys, &enc, 2, &mut serial_counter, &ParExec::serial(), &PolyArena::new()).unwrap();
         for threads in [2usize, 4] {
@@ -187,8 +245,8 @@ proptest! {
         let rng = ChaChaRng::from_seed(seed);
         let pool_a = ParExec::new(threads_a);
         let pool_b = ParExec::new(threads_b);
-        let enc_a = EncryptedMap::encrypt_images(sys, &imgs, 4, &keys.public, &rng, &pool_a).unwrap();
-        let enc_b = EncryptedMap::encrypt_images(sys, &imgs, 4, &keys.public, &rng, &pool_b).unwrap();
+        let enc_a = EncryptedMap::encrypt_images(sys, &imgs, 4, Layout::Pixel, &keys.public, &rng, &pool_a).unwrap();
+        let enc_b = EncryptedMap::encrypt_images(sys, &imgs, 4, Layout::Pixel, &keys.public, &rng, &pool_b).unwrap();
         prop_assert_eq!(enc_a.cells(), enc_b.cells(),
                         "encryption differs between {} and {} threads", threads_a, threads_b);
         let serial_dec = enc_a.decrypt_all(sys, &keys.secret, imgs.len(), &ParExec::serial()).unwrap();
@@ -207,7 +265,7 @@ proptest! {
         // Scaling an encrypted map scales every batch slot independently.
         let (sys, keys) = system();
         let rng = ChaChaRng::from_seed(seed);
-        let enc = EncryptedMap::encrypt_images(sys, &imgs, 2, &keys.public, &rng, &ParExec::serial()).unwrap();
+        let enc = EncryptedMap::encrypt_images(sys, &imgs, 2, Layout::Pixel, &keys.public, &rng, &ParExec::serial()).unwrap();
         let scaled = sys.mul_scalar(enc.cell(0, 0, 0), w).unwrap();
         let slots = sys.decrypt_slots(&scaled, &keys.secret).unwrap();
         for (b, img) in imgs.iter().enumerate() {

@@ -11,7 +11,7 @@ use hesgx_core::planner::{EcallBatching, EnclaveOp, PoolStrategy};
 use hesgx_core::InferenceEnclave;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::CrtPlainSystem;
-use hesgx_henn::image::EncryptedMap;
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::layers::ActivationKind;
@@ -128,7 +128,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One thread: the numbers below are per-operation costs, not speedups.
     let pool = ParExec::serial();
     let images = vec![(0..576).map(|p| (p % 16) as i64).collect::<Vec<i64>>()];
-    let input = EncryptedMap::encrypt_images(&sys, &images, 24, &keys.public, &rng, &pool)?;
+    let input =
+        EncryptedMap::encrypt_images(&sys, &images, 24, Layout::Pixel, &keys.public, &rng, &pool)?;
     println!("window   rule        SGXDiv(ms)   SGXPool(ms)");
     for window in [2usize, 3, 4, 6, 8, 12] {
         let model = QuantizedCnn {
@@ -181,7 +182,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         act_scale: 16,
     };
     let img = vec![(0..64).map(|p| p as i64 * 4 - 128).collect::<Vec<i64>>()];
-    let map = EncryptedMap::encrypt_images(&sys, &img, 8, &keys.public, &rng, &pool)?;
+    let map =
+        EncryptedMap::encrypt_images(&sys, &img, 8, Layout::Pixel, &keys.public, &rng, &pool)?;
     for kind in [
         ActivationKind::Sigmoid,
         ActivationKind::Relu,
