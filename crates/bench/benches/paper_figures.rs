@@ -113,16 +113,32 @@ fn bench_sigmoid_variants(c: &mut Criterion) {
     group.bench_function("sgx_sigmoid", |b| {
         b.iter(|| {
             black_box(
-                real.apply(&[sigmoid], &env.sys, &model, &input, batched, &serial)
-                    .unwrap(),
+                real.apply(
+                    &[sigmoid],
+                    &env.sys,
+                    &model,
+                    &input,
+                    batched,
+                    Layout::Pixel,
+                    &serial,
+                )
+                .unwrap(),
             )
         })
     });
     group.bench_function("fake_sgx_sigmoid", |b| {
         b.iter(|| {
             black_box(
-                fake.apply(&[sigmoid], &env.sys, &model, &input, batched, &serial)
-                    .unwrap(),
+                fake.apply(
+                    &[sigmoid],
+                    &env.sys,
+                    &model,
+                    &input,
+                    batched,
+                    Layout::Pixel,
+                    &serial,
+                )
+                .unwrap(),
             )
         })
     });
@@ -172,6 +188,7 @@ fn bench_pooling_variants(c: &mut Criterion) {
                             &model,
                             &summed,
                             batched,
+                            Layout::Pixel,
                             &serial,
                         )
                         .unwrap(),
@@ -188,6 +205,7 @@ fn bench_pooling_variants(c: &mut Criterion) {
                         &model,
                         &input,
                         batched,
+                        Layout::Pixel,
                         &serial,
                     )
                     .unwrap(),

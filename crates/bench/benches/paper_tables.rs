@@ -87,6 +87,7 @@ fn bench_relinearization(c: &mut Criterion) {
             &model,
             &map,
             EcallBatching::Batched,
+            Layout::Pixel,
             &serial,
         )
         .unwrap()

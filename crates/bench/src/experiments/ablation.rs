@@ -44,7 +44,8 @@ pub fn ablate_ecall_batching(env: &mut PaperEnv) {
     .unwrap();
     let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
     let cost = |batching| {
-        let run = ie.apply(&[sigmoid], &env.sys, &model, &input, batching, &serial);
+        let (sys, emit) = (&env.sys, Layout::Pixel);
+        let run = ie.apply(&[sigmoid], sys, &model, &input, batching, emit, &serial);
         run.unwrap().1
     };
     let (batched, single) = (cost(EcallBatching::Batched), cost(EcallBatching::PerPixel));

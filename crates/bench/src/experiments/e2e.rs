@@ -6,7 +6,6 @@ use crate::{PAPER_BATCH_SIZE, PAPER_POLY_DEGREE};
 use hesgx_core::pipeline::{total_enclave_cost, HybridInference, HybridMetrics, ProvisionConfig};
 use hesgx_core::planner::{EcallBatching, EnclaveOp, Stage};
 use hesgx_crypto::rng::ChaChaRng;
-use hesgx_henn::crt::CrtCiphertext;
 use hesgx_henn::cryptonets::CryptoNets;
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
@@ -93,7 +92,7 @@ fn timed_run(
     service: &HybridInference,
     plan: &hesgx_core::planner::InferencePlan,
     enc: &EncryptedMap,
-) -> (Vec<CrtCiphertext>, HybridMetrics, f64) {
+) -> (EncryptedMap, HybridMetrics, f64) {
     let start = Instant::now();
     let (logits, metrics) = service.run(plan, enc).unwrap();
     let wall = start.elapsed().as_secs_f64();
@@ -184,8 +183,8 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
     let enc = encrypt(&service, &ceremony.public, Layout::Pixel);
     let (logits, metrics, encrypt_sgx_s) = timed_run(&service, service.plan(), &enc);
     // Accuracy consistency: decrypt with the user's keys, compare to reference.
-    let exact = |logits: &[CrtCiphertext]| {
-        let rows = EncryptedMap::new(logits.len(), 1, 1, logits.to_vec())
+    let exact = |logits: &EncryptedMap| {
+        let rows = logits
             .decrypt_all(
                 service.system(),
                 &ceremony.user_secret,
@@ -202,8 +201,9 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
     };
     let mut hybrid_exact = exact(&logits);
 
-    // ---- EncryptSGX (packed): the same plan from the packed ingress. ----
-    println!("running EncryptSGX (packed) (patch-packed ingress, the served path)...");
+    // ---- EncryptSGX (packed): the same plan from the packed ingress, which
+    // also leaves the enclave packed for the FC layer. ----
+    println!("running EncryptSGX (packed) (packed ingress and egress, the served path)...");
     let enc_packed = encrypt(&service, &ceremony.public, packed_layout);
     let (logits_packed, metrics_packed, encrypt_sgx_packed_s) =
         timed_run(&service, service.plan(), &enc_packed);
@@ -283,9 +283,11 @@ pub fn fig8_end_to_end(cfg: RunConfig) -> Fig8 {
         saving * 100.0
     );
     println!(
-        "  from the packed ingress ({packed_layout:?}, {} ciphertexts for {}): {:.1}%",
+        "  packed ({packed_layout:?}, {} ciphertexts in for {}, {} logit ciphertexts out for {}): {:.1}%",
         enc_packed.cells().len(),
         enc.cells().len(),
+        logits_packed.cells().len(),
+        logits.cells().len(),
         (encrypted_s - encrypt_sgx_packed_s) / encrypted_s * 100.0
     );
     println!(

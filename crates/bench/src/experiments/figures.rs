@@ -45,8 +45,9 @@ fn enclave_ms(
     map: &EncryptedMap,
 ) -> f64 {
     let serial = ParExec::serial();
+    let (batched, emit) = (EcallBatching::Batched, Layout::Pixel);
     let (_, cost) = enclave
-        .apply(&[op], sys, model, map, EcallBatching::Batched, &serial)
+        .apply(&[op], sys, model, map, batched, emit, &serial)
         .unwrap();
     cost.total_ns() as f64 / 1e6
 }

@@ -270,6 +270,7 @@ pub fn table5_relinearization(env: &mut PaperEnv, cfg: RunConfig) -> Table5 {
                 &model,
                 &batch,
                 batching,
+                Layout::Pixel,
                 &serial,
             )
             .unwrap();

@@ -188,6 +188,44 @@ impl Evaluator {
         Ok(out)
     }
 
+    /// `Σ aᵢ · pᵢ` accumulated in evaluation form: one forward transform per
+    /// input component, one inverse per output component. The transforms are
+    /// linear and sums mod `q` exact, so the result is bit-identical to
+    /// [`Evaluator::mul_plain_ntt`] and [`Evaluator::add_inplace`] term by
+    /// term, under any grouping of the terms.
+    ///
+    /// # Errors
+    ///
+    /// Fails on context mismatch and on an empty sum.
+    pub fn dot_plain_ntt<'a>(
+        &self,
+        terms: impl IntoIterator<Item = (&'a Ciphertext, &'a NttPlaintext)>,
+    ) -> Result<Ciphertext> {
+        let _prof = prof::span("bfv.eval.dot_plain_ntt");
+        let ctx = &self.ctx;
+        let mut polys: Vec<RnsPoly> = Vec::new();
+        for (a, plain) in terms {
+            self.check(a)?;
+            if plain.context_id != *ctx.id() {
+                return Err(BfvError::ContextMismatch);
+            }
+            while polys.len() < a.polys.len() {
+                polys.push(RnsPoly::zero(ctx, PolyForm::Ntt));
+            }
+            for (acc, src) in polys.iter_mut().zip(&a.polys) {
+                acc.mul_acc(&in_form(src, PolyForm::Ntt, ctx), &plain.poly, ctx);
+            }
+        }
+        if polys.is_empty() {
+            return Err(BfvError::InvalidShape("empty dot product".into()));
+        }
+        polys.iter_mut().for_each(|poly| poly.to_coeff(ctx));
+        Ok(Ciphertext {
+            polys,
+            context_id: *ctx.id(),
+        })
+    }
+
     /// Prepares a signed scalar weight for repeated multiplication
     /// ([`Evaluator::mul_plain_scalar_arena`] /
     /// [`Evaluator::mul_plain_scalar_acc`]).
@@ -899,6 +937,53 @@ mod scalar_tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn dot_plain_ntt_is_the_term_by_term_sum_bitwise_under_any_grouping() {
+        let ctx = BfvContext::new(presets::test_n256()).unwrap();
+        let mut rng = ChaChaRng::from_seed(96);
+        let keygen = KeyGenerator::new(ctx.clone(), &mut rng);
+        let enc = Encryptor::new(ctx.clone(), keygen.public_key());
+        let eval = Evaluator::new(ctx.clone());
+        let t = ctx.params().plain_modulus();
+        let mut terms = Vec::new();
+        for i in 0..5u64 {
+            let message = Plaintext::from_coeffs((0..7).map(|j| (i * 7 + j) % t).collect());
+            let weights = (0..256).map(|j| (j * (i + 3) * 977) % t).collect();
+            let weights = eval
+                .transform_plain_to_ntt(&Plaintext::from_coeffs(weights))
+                .unwrap();
+            terms.push((enc.encrypt(&message, &mut rng).unwrap(), weights));
+        }
+        // One term in evaluation form already, one of size 3.
+        terms[1].0.polys.iter_mut().for_each(|p| p.to_ntt(&ctx));
+        terms[3].0 = eval.square(&terms[3].0).unwrap();
+        let refs = |range: std::ops::Range<usize>| terms[range].iter().map(|(a, p)| (a, p));
+        let mut sum = eval.mul_plain_ntt(&terms[0].0, &terms[0].1).unwrap();
+        for (a, plain) in refs(1..5) {
+            let term = eval.mul_plain_ntt(a, plain).unwrap();
+            eval.add_inplace(&mut sum, &term).unwrap();
+        }
+        let whole = eval.dot_plain_ntt(refs(0..5)).unwrap();
+        assert_eq!(whole, sum);
+        assert!(whole.polys.iter().all(|p| p.form() == PolyForm::Coeff));
+        // The size-3 term first or last, the sum split anywhere: same bits.
+        for split in 1..5 {
+            let mut grouped = eval.dot_plain_ntt(refs(split..5)).unwrap();
+            let head = eval.dot_plain_ntt(refs(0..split)).unwrap();
+            eval.add_inplace(&mut grouped, &head).unwrap();
+            assert_eq!(grouped, sum, "split at {split}");
+        }
+        assert!(matches!(
+            eval.dot_plain_ntt(refs(0..0)),
+            Err(BfvError::InvalidShape(_))
+        ));
+        let other = Evaluator::new(BfvContext::new(presets::paper_n1024()).unwrap());
+        assert!(matches!(
+            other.dot_plain_ntt(refs(0..1)),
+            Err(BfvError::ContextMismatch)
+        ));
     }
 
     #[test]

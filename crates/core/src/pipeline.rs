@@ -516,9 +516,10 @@ impl HybridInference {
                 let gauge = format!("infer.layer[{layer}].slot_occupancy_ppm");
                 self.recorder.gauge(&gauge, ppm);
             }
+            let emit = plan.egress_layout(layer, model, input.layout(), sys.slot_count());
             let (out, cost) = self
                 .enclave
-                .apply(ops, sys, model, &input, batching, pool)?;
+                .apply(ops, sys, model, &input, batching, emit, pool)?;
             let after = self.probe_gauge(layer, "post", out.cells())?;
             if let Cow::Owned(consumed) = input {
                 self.he.recycle(consumed);
@@ -551,6 +552,7 @@ impl HybridInference {
             EnclaveOp::Divide => "Pooling Layer (SgxDiv)",
             EnclaveOp::Refresh if taken => "Noise Refresh (SGX inside)",
             EnclaveOp::Refresh => "Noise Check (SGX inside)",
+            EnclaveOp::LogitReduce => "Logit Reduction (SGX inside)",
         };
         let label = ops.iter().map(label).collect::<Vec<_>>().join(" + ");
         Ok(Staged::ecall(out, label, cost))
@@ -580,8 +582,11 @@ impl HybridInference {
     }
 
     /// Runs `plan` over `input`: one `HybridInference::run_stage` per
-    /// [`Stage`], each stage's map feeding the next. Returns the last map's
-    /// cells — the encrypted logits — plus the metrics.
+    /// [`Stage`], each stage's map feeding the next. Returns the last map —
+    /// the encrypted logits, in the layout [`EncryptedMap::decrypt_all`]
+    /// decodes: one cell per class, or one [`Layout::FcOperand`] cell — plus
+    /// the metrics. A closing [`EnclaveOp::LogitReduce`] stage runs only
+    /// behind a fully connected layer that left partial sums.
     ///
     /// The exact plan, the degraded plan, and the Fig. 8 control groups all
     /// come through here; only the stage list differs.
@@ -593,7 +598,7 @@ impl HybridInference {
         &self,
         plan: &InferencePlan,
         input: &EncryptedMap,
-    ) -> Result<(Vec<CrtCiphertext>, HybridMetrics)> {
+    ) -> Result<(EncryptedMap, HybridMetrics)> {
         let mut metrics = HybridMetrics {
             threads: self.threads(),
             ..HybridMetrics::default()
@@ -604,6 +609,11 @@ impl HybridInference {
         };
         let mut map = Cow::Borrowed(input);
         for (layer, stage) in plan.stages.iter().enumerate() {
+            let reduction =
+                matches!(stage, Stage::Enclave(chain, _) if chain[..] == [EnclaveOp::LogitReduce]);
+            if reduction && map.layout() == Layout::Pixel {
+                continue;
+            }
             let side = match stage {
                 Stage::He(_) => "he",
                 Stage::Enclave(..) => "ecall",
@@ -614,7 +624,7 @@ impl HybridInference {
             })?;
             map = Cow::Owned(out);
         }
-        Ok((map.into_owned().into_cells(), metrics))
+        Ok((map.into_owned(), metrics))
     }
 
     /// Unseals the stored secret-key blob and checks it still decodes to the
@@ -687,21 +697,13 @@ mod tests {
     /// one row of class scores per batched image.
     fn decrypt_rows(
         service: &HybridInference,
-        logits: &[CrtCiphertext],
+        logits: &EncryptedMap,
         batch: usize,
     ) -> Vec<Vec<i128>> {
-        let slots: Vec<Vec<i128>> = logits
-            .iter()
-            .map(|ct| {
-                service
-                    .system()
-                    .decrypt_slots(ct, service.enclave.secret_keys())
-                    .unwrap()
-            })
-            .collect();
-        (0..batch)
-            .map(|b| slots.iter().map(|class| class[b]).collect())
-            .collect()
+        let secret = service.enclave.secret_keys();
+        logits
+            .decrypt_all(service.system(), secret, batch, &ParExec::serial())
+            .unwrap()
     }
 
     /// The plaintext reference rows `decrypt_rows` is compared against.
@@ -839,7 +841,7 @@ mod tests {
         let images: Vec<Vec<i64>> = (0..2)
             .map(|b| (0..64).map(|p| ((p * 3 + b) % 16) as i64).collect())
             .collect();
-        let mut reference: Option<Vec<CrtCiphertext>> = None;
+        let mut reference: Option<EncryptedMap> = None;
         for threads in [1usize, 2, 4] {
             // Same seeds everywhere → only the pool size varies.
             let (service, _) = HybridInference::provision_with(
@@ -936,7 +938,15 @@ mod tests {
             let (sys, pool) = (oracle.system(), oracle.pool());
             oracle
                 .enclave
-                .apply(op, sys, &model, map, EcallBatching::Batched, pool)
+                .apply(
+                    op,
+                    sys,
+                    &model,
+                    map,
+                    EcallBatching::Batched,
+                    Layout::Pixel,
+                    pool,
+                )
                 .unwrap()
                 .0
         };
@@ -952,7 +962,11 @@ mod tests {
         )
         .unwrap();
 
-        assert_eq!(logits, oracle_logits, "bank kernels must match the oracles");
+        assert_eq!(
+            logits.cells(),
+            oracle_logits,
+            "bank kernels must match the oracles"
+        );
         assert_eq!(metrics.ops.weight_prep, 0, "no per-request weight prep");
         // Conv: 2 channels × 6×6 cells × 3×3 taps + bias per cell;
         // FC: 3 classes × 18 inputs + bias per class.
@@ -1015,7 +1029,7 @@ mod tests {
             &mut oracle_ops,
         )
         .unwrap();
-        assert_eq!(logits, oracle_logits);
+        assert_eq!(logits.cells(), oracle_logits);
 
         let mut hand_ops = OpCounter::default();
         let conv_bank = WeightBank::prepare(sys, &model.conv_weights, &model.conv_bias).unwrap();
@@ -1043,7 +1057,7 @@ mod tests {
             &arena,
         )
         .unwrap();
-        assert_eq!(logits, hand_logits);
+        assert_eq!(logits.cells(), hand_logits);
         assert_eq!(metrics.ops, hand_ops);
     }
 
@@ -1057,22 +1071,41 @@ mod tests {
     /// through {batched, per-pixel}. Logits must equal the plaintext
     /// reference — fused and unfused therefore each other — and the metrics
     /// must show one stage per plan stage, ECALL where planned. Every list
-    /// runs from both ingress layouts of the same images: a patch-packed
-    /// input gives the same rows from fewer conv accumulations wherever a
-    /// batched crossing follows the convolution, and is refused — an error,
-    /// not a panic — where a per-pixel one does. The pure-HE plan joins on
-    /// the model whose parameters carry it, against the CryptoNets-pipeline
-    /// reference, and refuses a packed input the same way.
+    /// runs from every ingress layout × every egress layout the rules pick:
+    /// a per-pixel map of two images (out per pixel), the same images
+    /// patch-packed (out packed for the 32-class FC layer, four inputs a
+    /// cell, wherever a batched crossing without a refresh feeds it directly
+    /// — one logits ciphertext, the closing reduction run), and five images
+    /// patch-packed, one past the egress rule (`⌊256/(32·5)⌋ = 1` input a
+    /// cell: out per pixel, the closing stage skipped). A patch-packed input gives the same
+    /// rows from fewer conv accumulations wherever a batched crossing follows
+    /// the convolution, and is refused — an error, not a panic — where a
+    /// per-pixel one does. The pure-HE plan joins on the model whose
+    /// parameters carry it, against the CryptoNets-pipeline reference, and
+    /// refuses a packed input the same way.
     #[test]
     fn every_compiled_plan_is_exact() {
-        let window_3 = QuantizedCnn {
-            window: 3,
-            fc_weights: (0..3 * 8).map(|i| (i % 5) as i64 - 2).collect(),
-            ..small_hybrid_model()
+        // An FC layer wide enough to pack (`32·J ≥ 256` for both windows).
+        let wide_fc = |window: usize| {
+            let model = QuantizedCnn {
+                window,
+                classes: 32,
+                ..small_hybrid_model()
+            };
+            QuantizedCnn {
+                fc_weights: (0..32 * model.fc_in())
+                    .map(|i| (i % 5) as i64 - 2)
+                    .collect(),
+                fc_bias: (0..32).map(|i| i % 9 - 4).collect(),
+                ..model
+            }
         };
-        let images: Vec<Vec<i64>> = (0..2)
-            .map(|b| (0..64).map(|p| ((p * 3 + b * 5) % 16) as i64).collect())
-            .collect();
+        let batch_of = |n: usize| -> Vec<Vec<i64>> {
+            (0..n)
+                .map(|b| (0..64).map(|p| ((p * 3 + b * 5) % 16) as i64).collect())
+                .collect()
+        };
+        let (images, past_the_rule) = (batch_of(2), batch_of(5));
         let provision = |model: &QuantizedCnn, policy: &ServePolicy, threads| {
             let (service, _) = HybridInference::provision_with(
                 Platform::new(40),
@@ -1086,10 +1119,10 @@ mod tests {
                 },
             )
             .unwrap();
-            let encrypt = |layout| {
+            let encrypt = |images: &[Vec<i64>], layout| {
                 EncryptedMap::encrypt_images(
                     service.system(),
-                    &images,
+                    images,
                     model.in_side,
                     layout,
                     service.enclave.public_keys(),
@@ -1098,10 +1131,12 @@ mod tests {
                 )
                 .unwrap()
             };
-            // 9 kernel offsets × one cell of 36 positions × 2 images.
-            let packed = encrypt(service.ingress_layout(images.len()));
+            // 9 kernel offsets × one cell of 36 positions × 2 or 5 images.
+            let packed = encrypt(&images, service.ingress_layout(2));
             assert_eq!(packed.shape(), (9, 1, 1));
-            let enc = [encrypt(Layout::Pixel), packed];
+            let wide = encrypt(&past_the_rule, service.ingress_layout(5));
+            assert_eq!(wide.shape(), (9, 1, 1));
+            let enc = [encrypt(&images, Layout::Pixel), packed, wide];
             (service, enc)
         };
         // (policy, the refresh stage's label when the plan has one)
@@ -1124,15 +1159,17 @@ mod tests {
                 Some("Noise Refresh (SGX inside)"),
             ),
         ];
+        let mut packed_egresses = 0;
         for (model, natural) in [
-            (small_hybrid_model(), PoolStrategy::SgxPool),
-            (window_3, PoolStrategy::SgxDiv),
+            (wide_fc(2), PoolStrategy::SgxPool),
+            (wide_fc(3), PoolStrategy::SgxDiv),
         ] {
             for (policy, refresh_label) in &refreshes {
                 for threads in [1usize, 2] {
                     let (service, enc) = provision(&model, policy, threads);
                     // One stage per op: pooling starts at stage 2 and
-                    // compiles to the split the window rule picks.
+                    // compiles to the split the window rule picks; the
+                    // closing reduction ends every hybrid plan.
                     let mut unfused = Vec::new();
                     for stage in &service.plan().stages {
                         match stage {
@@ -1144,6 +1181,10 @@ mod tests {
                     }
                     let pooling = 2..2 + natural.stages().len();
                     assert_eq!(unfused[pooling.clone()], natural.stages());
+                    assert_eq!(
+                        unfused.last(),
+                        Some(&Stage::enclave(EnclaveOp::LogitReduce))
+                    );
                     assert_eq!(fuse(unfused.clone()), service.plan().stages);
                     // Sized for `act_scale`-bounded values, these parameters
                     // cannot carry the pure-HE plan's squares.
@@ -1157,8 +1198,8 @@ mod tests {
                             let mut lists = vec![fuse(stages.clone()), stages];
                             lists.dedup();
                             assert_eq!(lists.len() == 1, strategy == PoolStrategy::SgxDiv);
-                            let mut fused_rows = None;
-                            for mut stages in lists {
+                            let mut fused_rows = [None, None, None];
+                            for (fused, mut stages) in lists.into_iter().enumerate() {
                                 for stage in &mut stages {
                                     if let Stage::Enclave(_, stage_batching) = stage {
                                         *stage_batching = batching;
@@ -1168,7 +1209,8 @@ mod tests {
                                     stages,
                                     ..service.plan().clone()
                                 };
-                                for input in &enc {
+                                for (i, input) in enc.iter().enumerate() {
+                                    let images = [&images, &images, &past_the_rule][i];
                                     let what = format!(
                                         "window {} {policy:?} {threads} threads {:?} from {:?}",
                                         model.window,
@@ -1181,11 +1223,23 @@ mod tests {
                                         assert!(matches!(err, Error::Config(_)), "{what}: {err}");
                                         continue;
                                     }
+                                    // The egress rule's plan shape, spelled
+                                    // out: the one crossing that repacks the
+                                    // convolution's output is the one feeding
+                                    // the FC layer — and the count, for the
+                                    // batch the packed map carries.
+                                    let operand = i == 1
+                                        && (fused, strategy) == (0, PoolStrategy::SgxPool)
+                                        && batching == EcallBatching::Batched
+                                        && refresh_label.is_none();
+                                    packed_egresses += usize::from(operand);
                                     let (logits, metrics) = service.run(&plan, input).unwrap();
+                                    let cells = if operand { 1 } else { model.classes };
+                                    assert_eq!(logits.cells().len(), cells, "{what}");
                                     let rows = decrypt_rows(&service, &logits, images.len());
-                                    assert_eq!(rows, reference_rows(&model, &images), "{what}");
+                                    assert_eq!(rows, reference_rows(&model, images), "{what}");
                                     assert_eq!(
-                                        *fused_rows.get_or_insert(rows.clone()),
+                                        *fused_rows[i].get_or_insert(rows.clone()),
                                         rows,
                                         "{what}"
                                     );
@@ -1194,8 +1248,10 @@ mod tests {
                                         .iter()
                                         .map(|s| s.enclave.is_some())
                                         .collect();
-                                    let planned: Vec<bool> = plan
-                                        .stages
+                                    // (The closing reduction runs only
+                                    // behind a packed egress.)
+                                    let ran = plan.stages.len() - usize::from(!operand);
+                                    let planned: Vec<bool> = plan.stages[..ran]
                                         .iter()
                                         .map(|s| matches!(s, Stage::Enclave(..)))
                                         .collect();
@@ -1219,15 +1275,18 @@ mod tests {
                                     // Conv and FC accumulate; of the pooling
                                     // splits only SgxDiv adds ciphertexts (the
                                     // window sums). A packed conv accumulates
-                                    // once per output chunk, not per position.
-                                    let conv_cells = if pixel {
-                                        model.conv_out * model.conv_side().pow(2)
-                                    } else {
-                                        model.conv_out
+                                    // once per output chunk, not per position;
+                                    // a packed FC once per operand cell.
+                                    let conv_cells = match input.shape() {
+                                        _ if pixel => model.conv_out * model.conv_side().pow(2),
+                                        (_, chunks, _) => model.conv_out * chunks,
                                     };
                                     let pool_cells = model.conv_out * model.pool_side().pow(2);
-                                    let mut adds = conv_cells * (model.kernel.pow(2) - 1)
-                                        + model.classes * (model.fc_in() - 1);
+                                    let mut adds = conv_cells * (model.kernel.pow(2) - 1);
+                                    adds += match operand {
+                                        true => model.fc_in().div_ceil(4) - 1,
+                                        false => model.classes * (model.fc_in() - 1),
+                                    };
                                     if strategy == PoolStrategy::SgxDiv {
                                         adds += pool_cells * (model.window.pow(2) - 1);
                                     }
@@ -1239,6 +1298,8 @@ mod tests {
                 }
             }
         }
+        // Both models × both pool sizes of the refresh-free policy.
+        assert_eq!(packed_egresses, 4);
         // The model whose hybrid range covers its pure-HE range: both of
         // the service's plans are exact, each against its own reference.
         let model = deep_hybrid_model();
@@ -1247,12 +1308,12 @@ mod tests {
             ..model.clone()
         };
         for threads in [1usize, 2] {
-            let (service, [enc, packed]) = provision(&model, &ServePolicy::new(), threads);
-            for input in [&enc, &packed] {
+            let (service, [enc, packed, wide]) = provision(&model, &ServePolicy::new(), threads);
+            for (input, images) in [(&enc, &images), (&packed, &images), (&wide, &past_the_rule)] {
                 let (logits, _) = service.run(service.plan(), input).unwrap();
                 assert_eq!(
                     decrypt_rows(&service, &logits, images.len()),
-                    reference_rows(&model, &images),
+                    reference_rows(&model, images),
                     "deep hybrid, {threads} threads, {:?}",
                     input.layout()
                 );
@@ -1270,7 +1331,7 @@ mod tests {
                 "pure HE, {threads} threads"
             );
             assert!(metrics.stages.iter().all(|s| s.enclave.is_none()));
-            let refs: Vec<&CrtCiphertext> = logits.iter().collect();
+            let refs: Vec<&CrtCiphertext> = logits.cells().iter().collect();
             let (budget, _) = service
                 .enclave
                 .noise_probe(service.system(), &refs)

@@ -12,7 +12,8 @@
 //! [`ServePolicy`] into the ordered [`Stage`] list that
 //! [`crate::pipeline::HybridInference::run`] walks — HE layers and enclave
 //! operators alike are data, and adjacent batched enclave stages compile to
-//! one stage carrying the chain of their operators (§VI-E). The degraded
+//! one stage carrying the chain of their operators (§VI-E); a hybrid plan
+//! closes with the logit reduction a packed egress needs. The degraded
 //! pure-HE fallback is the same model compiled with [`Placement::PureHe`]; the
 //! Fig. 8 control groups and per-op experiments are hand-built unfused plans.
 
@@ -98,6 +99,12 @@ pub enum EnclaveOp {
     /// size-3 ciphertexts back to size 2 — the enclave alternative to
     /// relinearization.
     Refresh,
+    /// The closing stage behind a fully connected layer that read
+    /// [`Layout::FcOperand`]: its one output cell is decrypted, the partial
+    /// sums of every (class, image) are added up, and the logits leave in
+    /// one ciphertext. A chain of its own; the run skips it when the
+    /// request's egress was [`Layout::Pixel`].
+    LogitReduce,
 }
 
 /// How an enclave stage's cells cross the boundary (§VI-E) — the Fig. 8
@@ -178,6 +185,31 @@ impl InferencePlan {
         };
         Layout::for_conv(model.in_side, model.kernel, batch, slots)
     }
+
+    /// The layout enclave stage `layer` emits for an input in `input`
+    /// layout. [`Layout::FcOperand`] needs the plan to end `[Enclave(batched,
+    /// no Refresh), He(Fc), Enclave([LogitReduce])]` from `layer` on and the
+    /// input to say how many images it carries; there the count decides
+    /// ([`Layout::for_fc`]). Everything else leaves as [`Layout::Pixel`].
+    pub fn egress_layout(
+        &self,
+        layer: usize,
+        model: &QuantizedCnn,
+        input: Layout,
+        slots: usize,
+    ) -> Layout {
+        use EcallBatching::Batched;
+        let closing = Stage::enclave(EnclaveOp::LogitReduce);
+        match (input, self.stages.get(layer..).unwrap_or_default()) {
+            (
+                Layout::Patches { batch, .. },
+                [Stage::Enclave(chain, Batched), Stage::He(HeLayer::Fc), last],
+            ) if *last == closing && !chain.contains(&EnclaveOp::Refresh) => {
+                Layout::for_fc(model.fc_in(), model.classes, batch, slots)
+            }
+            _ => Layout::Pixel,
+        }
+    }
 }
 
 /// The refresh threshold a policy without an override gets.
@@ -209,6 +241,9 @@ pub fn plan_for(
         }
     }
     stages.push(Stage::He(HeLayer::Fc));
+    if placement == Placement::Hybrid {
+        stages.push(Stage::enclave(EnclaveOp::LogitReduce));
+    }
     InferencePlan {
         placement,
         stages: fuse(stages),
@@ -254,13 +289,16 @@ mod tests {
         let batched = EcallBatching::Batched;
         let plan = plan_for(&model, sigmoid, &ServePolicy::default(), Placement::Hybrid);
         // The paper's model uses a 2×2 window → SgxPool, and the pooling
-        // rides the activation's boundary crossing: one enclave stage.
+        // rides the activation's boundary crossing: one enclave stage, and
+        // the closing reduction behind the FC layer.
+        let closing = Stage::enclave(EnclaveOp::LogitReduce);
         assert_eq!(
             plan.stages,
             [
                 Stage::He(HeLayer::Conv),
                 Stage::Enclave(vec![activation, EnclaveOp::MeanPool], batched),
                 Stage::He(HeLayer::Fc),
+                closing.clone(),
             ]
         );
         assert_eq!(plan.refresh_threshold_bits, 10);
@@ -286,6 +324,7 @@ mod tests {
                 Stage::He(HeLayer::SumPool),
                 Stage::enclave(EnclaveOp::Divide),
                 Stage::He(HeLayer::Fc),
+                closing.clone(),
             ]
         );
         // The policy's refresh lands between pooling and the FC layer and
@@ -305,13 +344,13 @@ mod tests {
                 Stage::enclave(EnclaveOp::Refresh)
             ]
         );
-        assert_eq!(plan.stages.len(), 4);
+        assert_eq!(plan.stages.len(), 5);
         assert!(plan.refresh_auto);
         assert_eq!(plan.refresh_threshold_bits, 7);
         let always = ServePolicy::new().noise_refresh(NoiseRefresh::Always);
         let always = plan_for(&model, sigmoid, &always, Placement::Hybrid);
         assert_eq!(always.stages[2], plan.stages[2]);
-        assert_eq!(always.stages.len(), 4);
+        assert_eq!(always.stages.len(), 5);
         assert!(!always.refresh_auto);
         // Only batched neighbours merge: a hand-unfused plan (the paper's
         // per-op experiments, Fig. 8's per-pixel group) survives the pass.
@@ -320,6 +359,55 @@ mod tests {
             Stage::enclave(EnclaveOp::MeanPool),
         ];
         assert_eq!(fuse(unfused.clone()), unfused);
+        // The egress rule reads the plan's shape from the stage it is asked
+        // about, the batch off that stage's input, and then the count: ten
+        // classes at n = 1024 leave packed up to 51 images (`⌊1024/520⌋ = 1`
+        // input a cell is no fewer cells), whatever the 864 inputs here.
+        let default = plan_for(&model, sigmoid, &ServePolicy::default(), Placement::Hybrid);
+        let patches = |batch| Layout::Patches { batch, side: 24 };
+        let egress =
+            |plan: &InferencePlan, layer, input| plan.egress_layout(layer, &model, input, 1024);
+        let operand = |batch| Layout::FcOperand {
+            classes: 10,
+            batch,
+            inputs: 864,
+        };
+        assert_eq!(egress(&default, 1, patches(10)), operand(10));
+        assert_eq!(egress(&default, 1, patches(51)), operand(51));
+        assert_eq!(egress(&default, 1, patches(52)), Layout::Pixel);
+        // A per-pixel map does not say how many images it carries; no other
+        // stage feeds the FC layer; a refresh re-encrypts per pixel (`plan`,
+        // `always`); a hand-built plan may leave the closing stage out, end
+        // it differently, or cross per pixel.
+        assert_eq!(egress(&default, 1, Layout::Pixel), Layout::Pixel);
+        for layer in [0, 2, 3, 4, usize::MAX] {
+            assert_eq!(egress(&default, layer, patches(10)), Layout::Pixel);
+        }
+        for refreshed in [&plan, &always] {
+            for layer in 0..5 {
+                assert_eq!(egress(refreshed, layer, patches(10)), Layout::Pixel);
+            }
+        }
+        let edit = |edit: &dyn Fn(&mut Vec<Stage>)| {
+            let mut by_hand = default.clone();
+            edit(&mut by_hand.stages);
+            egress(&by_hand, 1, patches(10))
+        };
+        assert_eq!(edit(&|_| ()), operand(10));
+        assert_eq!(edit(&|stages| stages.truncate(3)), Layout::Pixel);
+        assert_eq!(edit(&|stages| stages.push(closing.clone())), Layout::Pixel);
+        assert_eq!(
+            edit(&|stages| stages[3] = Stage::enclave(EnclaveOp::Refresh)),
+            Layout::Pixel
+        );
+        for stage in [1, 3] {
+            let per_pixel = |stages: &mut Vec<Stage>| {
+                if let Stage::Enclave(_, batching) = &mut stages[stage] {
+                    *batching = EcallBatching::PerPixel;
+                }
+            };
+            assert_eq!(edit(&per_pixel), Layout::Pixel);
+        }
         // Without the enclave the same model compiles to the CryptoNets
         // list, whatever the policy says about refreshing.
         let plan = plan_for(&model, sigmoid, &policy, Placement::PureHe);

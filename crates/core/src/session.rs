@@ -65,7 +65,6 @@ use crate::request::{InferRequest, InferResponse, Ingress, Resilience, ServePoli
 use hesgx_chaos::{FaultHook, FaultInjector, FaultPlan, FaultReport, RecoveryEvent};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::transcipher::IngressKey;
-use hesgx_henn::crt::CrtCiphertext;
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::layers::ActivationKind;
@@ -605,21 +604,15 @@ impl Session {
         Ok(enc)
     }
 
-    /// Decrypts per-class logit ciphertexts into one row per batched image.
-    fn decrypt_logits(&self, logits: &[CrtCiphertext], batch: usize) -> Result<Vec<Vec<i64>>> {
+    /// Decrypts the logits map into one row per batched image.
+    fn decrypt_logits(&self, logits: &EncryptedMap, batch: usize) -> Result<Vec<Vec<i64>>> {
         let _prof = prof::span("session.decrypt");
         let service = self.service.read();
-        let mut out = vec![Vec::with_capacity(logits.len()); batch];
-        for ct in logits {
-            let slots = service
-                .system()
-                .decrypt_slots(ct, &self.ceremony.user_secret)?;
-            for (b, row) in out.iter_mut().enumerate() {
-                let v = i64::try_from(slots[b]).map_err(|_| Error::RangeViolation(slots[b]))?;
-                row.push(v);
-            }
-        }
-        Ok(out)
+        let (secret, inline) = (&self.ceremony.user_secret, ParExec::serial());
+        let rows = logits.decrypt_all(service.system(), secret, batch, &inline)?;
+        let narrow = |v: i128| i64::try_from(v).map_err(|_| Error::RangeViolation(v));
+        let narrow = |row: Vec<i128>| row.into_iter().map(narrow).collect();
+        rows.into_iter().map(narrow).collect()
     }
 
     /// Rebuilds the provisioned service from the stored platform + model +
@@ -784,8 +777,39 @@ mod tests {
         for (img, row) in images.iter().zip(&response.logits) {
             assert_eq!(row, &session.model().forward_ints(img));
         }
+        // Conv, activation + pooling, FC: this model's 3 × 18 FC values are
+        // no ciphertext's worth, so they leave per pixel — nothing to reduce.
         assert_eq!(response.metrics.stages.len(), 3);
         assert_eq!(response.metrics.threads, 2);
+        // The same model with an FC layer wide enough to pack (16 × 18 values
+        // a image): four stages, the closing reduction last.
+        let wide = QuantizedCnn {
+            classes: 16,
+            fc_weights: (0..16 * 18).map(|i| (i % 5) as i64 - 2).collect(),
+            fc_bias: (0..16).map(|i| i % 9 - 4).collect(),
+            ..small_model()
+        };
+        let session = SessionBuilder::new()
+            .params(ParamsPreset::Small)
+            .threads(2)
+            .seed(5)
+            .build(Platform::new(48), wide)
+            .unwrap();
+        let response = session.serve(InferRequest::batch(images.clone())).unwrap();
+        for (img, row) in images.iter().zip(&response.logits) {
+            assert_eq!(row, &session.model().forward_ints(img));
+        }
+        let names: Vec<&str> = response.metrics.stages[2..]
+            .iter()
+            .map(|stage| stage.name.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "Fully Connected Layer (HE outside)",
+                "Logit Reduction (SGX inside)"
+            ]
+        );
     }
 
     #[test]
@@ -1007,23 +1031,34 @@ mod tests {
         let mut seen = [c1(&enc0), c1(&enc1)].concat();
         seen.push(w0.seal_batch(&images).unwrap());
         seen.push(w1.seal_batch(&images).unwrap());
-        // What the host sees leave a service's first two ECALLs.
+        // What the host sees leave a service's first four ECALLs: two
+        // refreshes, then the cell a packed egress emits (the 9 × 3 × 3
+        // pooled values of the ingress map, for three classes) and the
+        // reduced cell of the closing stage.
         let first_ecalls = |session: &Session| -> Vec<Vec<u8>> {
             let service = session.service();
             let mut seen = Vec::new();
-            for _ in 0..2 {
+            let mut map = enc0.clone();
+            let operand = Layout::FcOperand {
+                classes: 3,
+                batch: 1,
+                inputs: 81,
+            };
+            for (chain, from_last, emit) in [
+                (vec![EnclaveOp::Refresh], false, Layout::Pixel),
+                (vec![EnclaveOp::Refresh], false, Layout::Pixel),
+                (vec![EnclaveOp::MeanPool], false, operand),
+                (vec![EnclaveOp::LogitReduce], true, Layout::Pixel),
+            ] {
+                let input = if from_last { &map } else { &enc0 };
+                let (sys, model) = (service.system(), service.model());
+                let (batched, serial) = (EcallBatching::Batched, ParExec::serial());
                 let (out, _) = service
                     .enclave()
-                    .apply(
-                        &[EnclaveOp::Refresh],
-                        service.system(),
-                        service.model(),
-                        &enc0,
-                        EcallBatching::Batched,
-                        &ParExec::serial(),
-                    )
+                    .apply(&chain, sys, model, input, batched, emit, &serial)
                     .unwrap();
                 seen.extend(c1(&out));
+                map = out;
             }
             seen
         };
@@ -1086,7 +1121,7 @@ mod tests {
             let service = session.service();
             let plan = service.degraded_plan().expect("the deep model has one");
             let (logits, _) = service.run(plan, &enc).unwrap();
-            let refs: Vec<&CrtCiphertext> = logits.iter().collect();
+            let refs: Vec<_> = logits.cells().iter().collect();
             let (budget, _) = service
                 .enclave()
                 .noise_probe(service.system(), &refs)

@@ -31,7 +31,7 @@ use hesgx_chaos::{FaultHook, FaultSite};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::transcipher::{self, IngressKey};
 use hesgx_henn::crt::{CrtCiphertext, CrtPlainSystem};
-use hesgx_henn::image::{patch_slot, EncryptedMap, Layout};
+use hesgx_henn::image::{fc_cell, fc_slot, patch_slot, EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::quantize::QuantizedCnn;
 use hesgx_tee::cost::CostBreakdown;
@@ -124,7 +124,7 @@ fn fold_chain(chain: &[EnclaveOp], model: &QuantizedCnn, mut block: Vec<Vec<i64>
             *v = match op {
                 EnclaveOp::Activation(kind) => model.enclave_activation(*v, kind),
                 EnclaveOp::MeanPool | EnclaveOp::Divide => model.enclave_mean(*v),
-                EnclaveOp::Refresh => *v,
+                EnclaveOp::Refresh | EnclaveOp::LogitReduce => *v,
             }
         });
     }
@@ -273,16 +273,20 @@ impl InferenceEnclave {
     /// plaintext slots in order, and only the final map is re-encrypted —
     /// one crossing however many operators the chain carries (§VI-E).
     ///
-    /// Output cell `o` is a function of the `span × span` block of input
-    /// positions at its position, folded inside `o`'s task: every
-    /// [`EnclaveOp::MeanPool`] of the chain multiplies `span` by the model's
-    /// pooling window, every other op is cell-wise. A [`Layout::Pixel`] input
-    /// is decrypted cell by cell inside the task that reads it, a
-    /// [`Layout::Patches`] input whole, in one pass, into a plaintext staging
-    /// buffer the tasks gather from through [`patch_slot`]. The output is
-    /// always [`Layout::Pixel`] — the enclave is the repacker. The boundary
-    /// is priced from the cells that cross: the input's in, one fresh
-    /// ciphertext per output cell out.
+    /// Output `o` is a function of the `span × span` block of input
+    /// positions at its position, folded inside the task that emits it:
+    /// every [`EnclaveOp::MeanPool`] of the chain multiplies `span` by the
+    /// model's pooling window, every other op is cell-wise. A
+    /// [`Layout::Pixel`] input is decrypted cell by cell inside the task that
+    /// reads it, a [`Layout::Patches`] input whole, in one pass, into a
+    /// plaintext staging buffer the tasks gather from through [`patch_slot`].
+    /// The enclave is the repacker: it emits `emit`, the layout the next
+    /// layer reads — one cell per output ([`Layout::Pixel`]) or
+    /// [`Layout::fc_per_cell`] outputs a cell, each repeated for every class
+    /// at [`fc_slot`] ([`Layout::FcOperand`]). An [`EnclaveOp::LogitReduce`]
+    /// chain reads that layer's one output cell and emits the reduced one
+    /// whatever `emit` says. The boundary is priced from the cells that
+    /// cross: the input's in, one fresh ciphertext per emitted cell out.
     ///
     /// [`EcallBatching::Batched`] is one ECALL for the whole map, per-cell
     /// work scheduled on `pool` inside the enclave body.
@@ -292,8 +296,12 @@ impl InferenceEnclave {
     ///
     /// # Errors
     ///
-    /// [`Error::Config`] for a packed map that is misshapen or crosses per
-    /// pixel (its cells do not split by output); propagates HE/TEE failures.
+    /// [`Error::Config`] for a map whose cells do not hold what its layout
+    /// claims, a packed layout either side of a per-pixel crossing (its
+    /// cells do not split by output), sides the chain's pooling does not
+    /// tile, an `emit` that does not hold the outputs, and a `LogitReduce`
+    /// not alone over a one-cell `FcOperand` map; propagates HE/TEE failures.
+    #[allow(clippy::too_many_arguments)]
     pub fn apply(
         &self,
         chain: &[EnclaveOp],
@@ -301,6 +309,7 @@ impl InferenceEnclave {
         model: &QuantizedCnn,
         input: &EncryptedMap,
         batching: EcallBatching,
+        emit: Layout,
         pool: &ParExec,
     ) -> Result<(EncryptedMap, CostBreakdown)> {
         let book = |op: &EnclaveOp| match op {
@@ -308,6 +317,7 @@ impl InferenceEnclave {
             EnclaveOp::MeanPool => "_pool",
             EnclaveOp::Divide => "_divide",
             EnclaveOp::Refresh => "_DecreaseNoise",
+            EnclaveOp::LogitReduce => "_LogitReduce",
         };
         let mut name = chain
             .iter()
@@ -316,29 +326,72 @@ impl InferenceEnclave {
         if batching == EcallBatching::PerPixel && name == "ecall_activation" {
             name += "_single";
         }
+        let batched = batching == EcallBatching::Batched;
         let refreshes = chain.contains(&EnclaveOp::Refresh);
-        let pools = chain.iter().filter(|op| **op == EnclaveOp::MeanPool);
-        let span = model.window.pow(pools.count() as u32);
         let slots = sys.slot_count();
         let (c, cells_h, cells_w) = input.shape();
-        // The feature map's sides, and a packed map's batch.
-        let (h, w, packed) = match input.layout() {
-            Layout::Pixel => (cells_h, cells_w, None),
+        let refuse = || {
+            let layout = input.layout();
+            Error::Config(format!(
+                "a {c}×{cells_h}×{cells_w} {layout:?} map cannot cross {batching:?} through \
+                 {chain:?} into {emit:?}"
+            ))
+        };
+        let pools = chain.iter().filter(|op| **op == EnclaveOp::MeanPool);
+        let span = u32::try_from(pools.count())
+            .ok()
+            .and_then(|pools| model.window.checked_pow(pools))
+            .filter(|&span| span > 0);
+        let span2 = span.and_then(|span| span.checked_mul(span));
+        let (span, span2) = span.zip(span2).ok_or_else(refuse)?;
+        // The feature map's sides; a packed map's batch; the (classes, batch,
+        // partial sums) of the cell a reduction reads.
+        let (h, w, packed, reduce) = match input.layout() {
+            Layout::Pixel => (cells_h, cells_w, None, None),
             Layout::Patches { batch, side }
-                if batching == EcallBatching::Batched
+                if batched
+                    && batch > 0
                     && (cells_h, cells_w) == (Layout::chunks(batch, side, slots), 1) =>
             {
-                (side, side, Some(batch))
+                (side, side, Some(batch), None)
             }
-            layout => {
-                return Err(Error::Config(format!(
-                    "a {c}×{cells_h}×{cells_w} {layout:?} map cannot cross {batching:?}"
-                )))
+            Layout::FcOperand {
+                classes,
+                batch,
+                inputs,
+            } if batched
+                && chain == [EnclaveOp::LogitReduce]
+                && input.fc_per_cell(slots).ok() == Some(inputs) =>
+            {
+                (1, 1, None, Some((classes, batch, inputs)))
             }
+            _ => return Err(refuse()),
         };
-        let (oh, ow, span2) = (h / span, w / span, span * span);
+        let reduces = chain.contains(&EnclaveOp::LogitReduce);
+        if h % span != 0 || w % span != 0 || reduces != reduce.is_some() {
+            return Err(refuse());
+        }
+        let (oh, ow) = (h / span, w / span);
         let outputs = c * oh * ow;
-        // Member `d` of the block behind output cell `o`: channel, position.
+        // Outputs per emitted cell, and the layout the cells leave in.
+        let (per, emit) = match (reduce, emit) {
+            (Some((classes, batch, _)), _) => {
+                let reduced = Layout::FcOperand {
+                    classes,
+                    batch,
+                    inputs: 1,
+                };
+                (1, reduced)
+            }
+            (None, Layout::Pixel) => (1, emit),
+            (None, Layout::FcOperand { batch, inputs, .. })
+                if batched && inputs == outputs && packed.is_none_or(|held| held == batch) =>
+            {
+                (emit.fc_per_cell(slots).ok_or_else(refuse)?, emit)
+            }
+            _ => return Err(refuse()),
+        };
+        // Member `d` of the block behind output `o`: channel, position.
         let member = |o: usize, d: usize| {
             let (y, x) = ((o / ow) % oh * span + d / span, o % ow * span + d % span);
             (o / (oh * ow), y * w + x)
@@ -355,16 +408,24 @@ impl InferenceEnclave {
         };
         let inline = ParExec::serial();
         let (per_call, pool) = match batching {
-            EcallBatching::Batched => (outputs, pool),
+            EcallBatching::Batched => (outputs.div_ceil(per), pool),
             EcallBatching::PerPixel => (1, &inline),
         };
         let decrypt = |ct: &CrtCiphertext| -> Result<Vec<i64>> {
             let slots = sys.decrypt_slots(ct, &self.secret)?;
             Ok(slots.iter().map(|&v| v as i64).collect())
         };
-        let mut cells = Vec::with_capacity(outputs);
+        // An emitted `FcOperand` cell: `value(j_local, class, image)` at
+        // `fc_slot`, for its `live` inputs.
+        let operand = |live, value: &dyn Fn(usize, usize, usize) -> i64| match emit {
+            Layout::FcOperand { classes, batch, .. } => {
+                fc_cell(slots, (per, live), (classes, batch), value)
+            }
+            _ => Vec::new(),
+        };
+        let mut cells = Vec::with_capacity(outputs.div_ceil(per));
         let mut total = CostBreakdown::default();
-        let per_entry = packed.map_or(per_call * span2, |_| crossing.len());
+        let per_entry = packed.map_or(per_call * per * span2, |_| crossing.len());
         for entering in crossing.chunks(per_entry.max(1)) {
             let (out, cost) = self.batched_ecall(
                 EcallShape {
@@ -385,26 +446,44 @@ impl InferenceEnclave {
                     };
                     timed_tasks(pool, per_call, cpu_ns, |j| {
                         let mut rng = base.fork(&format!("cell-{j}"));
-                        let block = (0..span2).map(|d| match packed {
-                            None => decrypt(entering[j * span2 + d]),
-                            Some(batch) => {
-                                let (ch, position) = member(j, d);
-                                let image = |b| {
-                                    let i = patch_slot(position, b, batch);
-                                    staged[ch * cells_h + i / slots][i % slots]
-                                };
-                                Ok((0..batch).map(image).collect())
-                            }
+                        // The outputs behind cell `j`, one image-indexed
+                        // slot vector each.
+                        let folded = (j * per..outputs.min((j + 1) * per)).map(|o| {
+                            let block = (0..span2).map(|d| match packed {
+                                None => decrypt(entering[o * span2 + d]),
+                                Some(batch) => {
+                                    let (ch, position) = member(o, d);
+                                    let image = |b| {
+                                        let i = patch_slot(position, b, batch);
+                                        staged[ch * cells_h + i / slots][i % slots]
+                                    };
+                                    Ok((0..batch).map(image).collect())
+                                }
+                            });
+                            Ok(fold_chain(chain, model, block.collect::<Result<_>>()?))
                         });
-                        let slots = fold_chain(chain, model, block.collect::<Result<_>>()?);
-                        Ok(sys.encrypt_slots_symmetric(&slots, &self.secret, &mut rng)?)
+                        let mut folded: Vec<Vec<i64>> = folded.collect::<Result<_>>()?;
+                        let values = match (reduce, emit) {
+                            (Some((classes, _, sums)), _) => operand(1, &|_, class, image| {
+                                let partial =
+                                    |i| folded[0][fc_slot(i, class, image, sums, classes)];
+                                (0..sums).map(partial).sum()
+                            }),
+                            (None, Layout::Pixel) => folded.swap_remove(0),
+                            _ => operand(folded.len(), &|j, _, image| folded[j][image]),
+                        };
+                        Ok(sys.encrypt_slots_symmetric(&values, &self.secret, &mut rng)?)
                     })
                 },
             )?;
             cells.extend(out);
             total = total.saturating_add(cost);
         }
-        Ok((EncryptedMap::new(c, oh, ow, cells), total))
+        let out = match emit {
+            Layout::Pixel => EncryptedMap::new(c, oh, ow, cells),
+            _ => EncryptedMap::new(cells.len(), 1, 1, cells).with_layout(emit),
+        };
+        Ok((out, total))
     }
 
     /// Transciphered ingress (`ecall_Transcipher`, DESIGN.md §17): the
@@ -674,8 +753,43 @@ mod tests {
         }
         match layout {
             Layout::Pixel => EncryptedMap::new(SHAPE.0, SHAPE.1, SHAPE.2, cells),
-            Layout::Patches { .. } => EncryptedMap::new(SHAPE.0, 1, 1, cells).with_layout(layout),
+            _ => EncryptedMap::new(SHAPE.0, 1, 1, cells).with_layout(layout),
         }
+    }
+
+    /// What a chain's `outputs` values per image leave the enclave as: one
+    /// cell each, or packed for a 25-class FC layer — five to a cell at two
+    /// images (`⌊256/50⌋`), so the table's 32, 8 and 2 outputs fill seven
+    /// cells (the last one short), two (the last one short) and one.
+    fn emits(outputs: usize) -> [Layout; 2] {
+        let (classes, batch) = (25, 2);
+        let operand = Layout::FcOperand {
+            classes,
+            batch,
+            inputs: outputs,
+        };
+        [Layout::Pixel, operand]
+    }
+
+    /// The slot vector of every cell `emit` lays `expect` (`[image][output]`)
+    /// out in — the oracle side of [`fc_slot`]. `idle` is what a `Pixel`
+    /// cell's slots beyond the batch hold.
+    fn emitted(expect: &[Vec<i64>], idle: &[i64], emit: Layout) -> Vec<Vec<i64>> {
+        let outputs = idle.len();
+        let Layout::FcOperand { classes, batch, .. } = emit else {
+            let slot = |o, s| expect.get(s).map_or(idle[o], |img: &Vec<i64>| img[o]);
+            return (0..outputs)
+                .map(|o| (0..256).map(|s| slot(o, s)).collect())
+                .collect();
+        };
+        let per = emit.fc_per_cell(256).unwrap();
+        let mut cells = vec![vec![0; 256]; outputs.div_ceil(per)];
+        for (o, image, class) in (0..outputs * batch * classes)
+            .map(|i| (i / (batch * classes), i / classes % batch, i % classes))
+        {
+            cells[o / per][fc_slot(o % per, class, image, per, classes)] = expect[image][o];
+        }
+        cells
     }
 
     /// Both layouts of the table map.
@@ -694,7 +808,7 @@ mod tests {
                     .map(|&v| model.enclave_activation(v, kind))
                     .collect(),
                 EnclaveOp::Divide => image.iter().map(|&v| model.enclave_mean(v)).collect(),
-                EnclaveOp::Refresh => image,
+                EnclaveOp::Refresh | EnclaveOp::LogitReduce => image,
                 EnclaveOp::MeanPool => {
                     let k = model.window;
                     let mut out = Vec::new();
@@ -716,14 +830,16 @@ mod tests {
         image
     }
 
-    /// The one entry point, over `chain × layout × {Batched, PerPixel} ×
-    /// pools`: every slot of every output cell decrypts to the plaintext
-    /// function (a packed input leaves the slots beyond its batch zero), the
-    /// batched ciphertext bits do not depend on the pool size, a per-pixel
-    /// run pays two transitions per *final* output cell into the same
-    /// `ecall.<name>` books Fig. 8's `EncryptSGX (single)` group reads, and
-    /// a packed map — whose cells do not split by output cell — refuses to
-    /// cross per pixel.
+    /// The one entry point, over `chain × layout × emitted layout × {Batched,
+    /// PerPixel} × pools`: every slot of every output cell decrypts to the
+    /// plaintext function, laid out as the emitted layout says (a packed
+    /// input leaves the slots beyond its batch zero, a packed output every
+    /// slot outside its (input, class, image) triples), the batched
+    /// ciphertext bits do not depend on the pool size, a per-pixel run pays
+    /// two transitions per *final* output cell into the same `ecall.<name>`
+    /// books Fig. 8's `EncryptSGX (single)` group reads, and a packed map —
+    /// whose cells do not split by output cell — refuses to cross per pixel
+    /// on either side.
     #[test]
     fn apply_matches_the_plaintext_function_for_every_op_batching_and_pool() {
         let model = small_model();
@@ -739,74 +855,189 @@ mod tests {
                 .collect();
             let idle = match layout {
                 Layout::Pixel => reference(chain, &model, &[0; 32]),
-                Layout::Patches { .. } => vec![0; expect[0].len()],
+                _ => vec![0; expect[0].len()],
             };
-            let mut batched_bits = None;
-            for batching in [EcallBatching::Batched, EcallBatching::PerPixel] {
-                for threads in POOLS {
-                    let what = format!("{chain:?} {layout:?} {batching:?} {threads} threads");
-                    // Fresh (deterministic) enclave per run so each starts
-                    // from the same RNG state and call counter.
-                    let rec = Recorder::enabled();
-                    let (ie, sys, rng) = setup_with(None, rec.clone());
-                    let input = table_input(&ie, &sys, &rng, layout);
-                    let pool = ParExec::new(threads);
-                    // The key ceremony already crossed the boundary once.
-                    let crossings = |rec: &Recorder| {
-                        [
-                            counters::ECALLS,
-                            counters::ECALL_TRANSITIONS,
-                            counters::BYTES_MARSHALLED,
-                        ]
-                        .map(|c| rec.counter(c))
-                    };
-                    let before = crossings(&rec);
-                    let applied = ie.apply(chain, &sys, &model, &input, batching, &pool);
-                    if layout != Layout::Pixel && batching == EcallBatching::PerPixel {
-                        assert!(matches!(applied, Err(Error::Config(_))), "{what}");
-                        assert_eq!(crossings(&rec), before, "{what}: refused before crossing");
-                        continue;
-                    }
-                    let (out, cost) = applied.unwrap();
-                    assert_eq!(out.layout(), Layout::Pixel, "{what}");
-                    let outputs = expect[0].len();
-                    assert_eq!(out.cells().len(), outputs, "{what}");
-                    for (o, ct) in out.cells().iter().enumerate() {
-                        let slots = sys.decrypt_slots(ct, &ie.secret).unwrap();
-                        for (s, &got) in slots.iter().enumerate() {
-                            let want = expect.get(s).map_or(idle[o], |img| img[o]);
-                            assert_eq!(got, want as i128, "{what}: cell {o} slot {s}");
+            let outputs = expect[0].len();
+            for emit in emits(outputs) {
+                let want = emitted(&expect, &idle, emit);
+                let mut batched_bits = None;
+                for batching in [EcallBatching::Batched, EcallBatching::PerPixel] {
+                    for threads in POOLS {
+                        let what = format!(
+                            "{chain:?} {layout:?} into {emit:?} {batching:?} {threads} threads"
+                        );
+                        // Fresh (deterministic) enclave per run so each starts
+                        // from the same RNG state and call counter.
+                        let rec = Recorder::enabled();
+                        let (ie, sys, rng) = setup_with(None, rec.clone());
+                        let input = table_input(&ie, &sys, &rng, layout);
+                        let pool = ParExec::new(threads);
+                        // The key ceremony already crossed the boundary once.
+                        let crossings = |rec: &Recorder| {
+                            [
+                                counters::ECALLS,
+                                counters::ECALL_TRANSITIONS,
+                                counters::BYTES_MARSHALLED,
+                            ]
+                            .map(|c| rec.counter(c))
+                        };
+                        let before = crossings(&rec);
+                        let applied = ie.apply(chain, &sys, &model, &input, batching, emit, &pool);
+                        let packed = layout != Layout::Pixel || emit != Layout::Pixel;
+                        if packed && batching == EcallBatching::PerPixel {
+                            assert!(matches!(applied, Err(Error::Config(_))), "{what}");
+                            assert_eq!(crossings(&rec), before, "{what}: refused before crossing");
+                            continue;
                         }
-                    }
-                    let (name, calls) = match batching {
-                        EcallBatching::Batched => (batched_name, 1),
-                        EcallBatching::PerPixel => (per_pixel_name, outputs as u64),
-                    };
-                    let span = rec.span(&format!("ecall.{name}")).expect(&what);
-                    assert_eq!(span.entries, calls, "{what}");
-                    assert_eq!(span.cost.transition_ns, cost.transition_ns, "{what}");
-                    let [ecalls, transitions, marshalled] = crossings(&rec);
-                    assert_eq!(ecalls - before[0], calls, "{what}");
-                    assert_eq!(transitions - before[1], 2 * calls, "{what}");
-                    // The boundary is priced from the cells that cross: the
-                    // whole input map in — two packed cells instead of 32 —
-                    // and only the final map out.
-                    let bytes = |map: &EncryptedMap| -> u64 {
-                        map.cells().iter().map(|c| c.byte_len() as u64).sum()
-                    };
-                    assert_eq!(
-                        marshalled - before[2],
-                        bytes(&input) + bytes(&out),
-                        "{what}"
-                    );
-                    if batching == EcallBatching::Batched {
-                        // Ciphertext bits, not just values, are pool-size
-                        // independent.
-                        let bits = out.cells().to_vec();
-                        assert_eq!(*batched_bits.get_or_insert(bits.clone()), bits, "{what}");
+                        let (out, cost) = applied.unwrap();
+                        assert_eq!(out.layout(), emit, "{what}");
+                        assert_eq!(out.cells().len(), want.len(), "{what}");
+                        for (o, ct) in out.cells().iter().enumerate() {
+                            let slots = sys.decrypt_slots(ct, &ie.secret).unwrap();
+                            let want: Vec<i128> = want[o].iter().map(|&v| v.into()).collect();
+                            assert_eq!(slots, want, "{what}: cell {o}");
+                        }
+                        let (name, calls) = match batching {
+                            EcallBatching::Batched => (batched_name, 1),
+                            EcallBatching::PerPixel => (per_pixel_name, outputs as u64),
+                        };
+                        let span = rec.span(&format!("ecall.{name}")).expect(&what);
+                        assert_eq!(span.entries, calls, "{what}");
+                        assert_eq!(span.cost.transition_ns, cost.transition_ns, "{what}");
+                        let [ecalls, transitions, marshalled] = crossings(&rec);
+                        assert_eq!(ecalls - before[0], calls, "{what}");
+                        assert_eq!(transitions - before[1], 2 * calls, "{what}");
+                        // The boundary is priced from the cells that cross:
+                        // the whole input map in — two packed cells instead
+                        // of 32 — and only the final map out, seven packed
+                        // cells instead of 32.
+                        let bytes = |map: &EncryptedMap| -> u64 {
+                            map.cells().iter().map(|c| c.byte_len() as u64).sum()
+                        };
+                        assert_eq!(
+                            marshalled - before[2],
+                            bytes(&input) + bytes(&out),
+                            "{what}"
+                        );
+                        if batching == EcallBatching::Batched {
+                            // Ciphertext bits, not just values, are pool-size
+                            // independent.
+                            let bits = out.cells().to_vec();
+                            assert_eq!(*batched_bits.get_or_insert(bits.clone()), bits, "{what}");
+                        }
                     }
                 }
             }
+        }
+    }
+
+    /// The cell a 3-class FC layer leaves for two images at five partial
+    /// sums each: `fc_slot(j, class, image)` holds `100·class + 10·image + j
+    /// − 40`, every other slot a value the reduction must not pick up.
+    fn partial_sums(ie: &InferenceEnclave, sys: &CrtPlainSystem, rng: &ChaChaRng) -> EncryptedMap {
+        let mut slots = vec![7; 256];
+        for (j, class, image) in (0..30).map(|i| (i % 5, i / 5 % 3, i / 15)) {
+            slots[fc_slot(j, class, image, 5, 3)] = (100 * class + 10 * image + j) as i64 - 40;
+        }
+        let mut rng = rng.fork("partial-sums");
+        let cell = sys.encrypt_slots(&slots, &ie.public, &mut rng).unwrap();
+        EncryptedMap::new(1, 1, 1, vec![cell]).with_layout(Layout::FcOperand {
+            classes: 3,
+            batch: 2,
+            inputs: 5,
+        })
+    }
+
+    /// The closing stage: one `ecall_LogitReduce` decrypts the FC layer's
+    /// one cell, adds up the partial sums of every (class, image) and
+    /// re-encrypts one cell holding each logit once, at `fc_slot` with one
+    /// input per cell — every other slot zero, the bits pool-independent —
+    /// which is what `decrypt_all` hands the client row by row. Anything
+    /// else it is asked to reduce is refused before the boundary.
+    #[test]
+    fn logit_reduce_sums_the_partials_into_one_ciphertext() {
+        let model = small_model();
+        let reduce = [EnclaveOp::LogitReduce];
+        let mut bits = None;
+        for threads in POOLS {
+            let rec = Recorder::enabled();
+            let (ie, sys, rng) = setup_with(None, rec.clone());
+            let input = partial_sums(&ie, &sys, &rng);
+            let pool = ParExec::new(threads);
+            let batched = EcallBatching::Batched;
+            let (out, _) = ie
+                .apply(&reduce, &sys, &model, &input, batched, Layout::Pixel, &pool)
+                .unwrap();
+            let reduced = Layout::FcOperand {
+                classes: 3,
+                batch: 2,
+                inputs: 1,
+            };
+            assert_eq!((out.layout(), out.shape()), (reduced, (1, 1, 1)));
+            let mut want = vec![0i128; 256];
+            for (class, image) in (0..6).map(|i| (i % 3, i / 3)) {
+                // Σ_j (100·class + 10·image + j − 40), j < 5.
+                want[fc_slot(0, class, image, 1, 3)] = 5 * (100 * class + 10 * image) as i128 - 190;
+            }
+            assert_eq!(
+                sys.decrypt_slots(&out.cells()[0], &ie.secret).unwrap(),
+                want
+            );
+            let rows = out.decrypt_all(&sys, &ie.secret, 2, &pool).unwrap();
+            assert_eq!(rows, [[-190, 310, 810], [-140, 360, 860]]);
+            assert_eq!(rec.span("ecall.ecall_LogitReduce").unwrap().entries, 1);
+            let cells = out.into_cells();
+            assert_eq!(
+                *bits.get_or_insert(cells.clone()),
+                cells,
+                "{threads} threads"
+            );
+
+            let ecalls = rec.counter(counters::ECALLS);
+            let refused = |chain: &[EnclaveOp], map: &EncryptedMap, batching| {
+                let applied = ie.apply(chain, &sys, &model, map, batching, Layout::Pixel, &pool);
+                assert!(
+                    matches!(applied, Err(Error::Config(_))),
+                    "{chain:?} over {:?}",
+                    map.layout()
+                );
+            };
+            refused(&reduce, &input, EcallBatching::PerPixel);
+            refused(
+                &[EnclaveOp::LogitReduce, EnclaveOp::Refresh],
+                &input,
+                batched,
+            );
+            refused(&[EnclaveOp::Refresh], &input, batched);
+            for layout in LAYOUTS {
+                refused(&reduce, &table_input(&ie, &sys, &rng, layout), batched);
+            }
+            // Two cells, and one cell claiming more sums than it holds.
+            let wide = emits(8)[1];
+            let (two, _) = ie
+                .apply(
+                    &[EnclaveOp::MeanPool],
+                    &sys,
+                    &model,
+                    &table_input(&ie, &sys, &rng, LAYOUTS[0]),
+                    batched,
+                    wide,
+                    &pool,
+                )
+                .unwrap();
+            assert_eq!(two.cells().len(), 2);
+            refused(&reduce, &two, batched);
+            let claim = Layout::FcOperand {
+                classes: 3,
+                batch: 2,
+                inputs: 43,
+            };
+            refused(&reduce, &input.clone().with_layout(claim), batched);
+            assert_eq!(
+                rec.counter(counters::ECALLS),
+                ecalls + 1,
+                "refused before crossing"
+            );
         }
     }
 
@@ -823,7 +1054,7 @@ mod tests {
             let input = table_input(&ie, &sys, &rng, Layout::Pixel);
             let serial = ParExec::serial();
             let run = |batching| {
-                ie.apply(&op, &sys, &model, &input, batching, &serial)
+                ie.apply(&op, &sys, &model, &input, batching, Layout::Pixel, &serial)
                     .unwrap()
             };
             let (batched_out, batched) = run(EcallBatching::Batched);
@@ -857,6 +1088,7 @@ mod tests {
                 &small_model(),
                 &EncryptedMap::new(1, 1, 1, vec![sq]),
                 EcallBatching::PerPixel,
+                Layout::Pixel,
                 &ParExec::serial(),
             )
             .unwrap();
@@ -879,25 +1111,44 @@ mod tests {
         // re-encrypted with different randomness than a fault-free run. The
         // core forks the stream once per logical call, outside the retry
         // loop, and each cell forks that; checked for every chain at every
-        // pool size, batched and (inline) one cell per call.
+        // pool size, batched — into either emitted layout — and (inline) one
+        // cell per call, and for the closing reduction over its one cell.
         let model = small_model();
-        for (op, ..) in chains() {
-            let run = |hook: Option<Arc<FaultInjector>>, layout, batching, threads| {
+        let reduce = (vec![EnclaveOp::LogitReduce], "", "");
+        for (op, ..) in chains().into_iter().chain([reduce]) {
+            let run = |hook: Option<Arc<FaultInjector>>, layout, batching, operand, threads| {
                 let (ie, sys, rng) = setup_with(hook, Recorder::disabled());
-                let input = table_input(&ie, &sys, &rng, layout);
+                let input = match layout {
+                    Layout::FcOperand { .. } => partial_sums(&ie, &sys, &rng),
+                    _ => table_input(&ie, &sys, &rng, layout),
+                };
+                let outputs = reference(&op, &model, &[0; 32]).len();
+                let emit = emits(outputs)[usize::from(operand)];
                 let pool = ParExec::new(threads);
                 let (out, _) = ie
-                    .apply(&op, &sys, &model, &input, batching, &pool)
+                    .apply(&op, &sys, &model, &input, batching, emit, &pool)
                     .unwrap();
                 out.into_cells()
             };
-            // A packed map crosses batched only.
-            for (layout, batching, pools) in [
-                (LAYOUTS[0], EcallBatching::Batched, &POOLS[..]),
-                (LAYOUTS[1], EcallBatching::Batched, &POOLS[..]),
-                (LAYOUTS[0], EcallBatching::PerPixel, &POOLS[..1]),
-            ] {
-                let clean = run(None, layout, batching, 1);
+            // A packed map crosses batched only, either way.
+            let batched = EcallBatching::Batched;
+            let mut cases = vec![
+                (LAYOUTS[0], batched, false, &POOLS[..]),
+                (LAYOUTS[1], batched, false, &POOLS[..]),
+                (LAYOUTS[0], batched, true, &POOLS[..]),
+                (LAYOUTS[1], batched, true, &POOLS[..]),
+                (LAYOUTS[0], EcallBatching::PerPixel, false, &POOLS[..1]),
+            ];
+            if op == [EnclaveOp::LogitReduce] {
+                let sums = Layout::FcOperand {
+                    classes: 3,
+                    batch: 2,
+                    inputs: 5,
+                };
+                cases = vec![(sums, batched, false, &POOLS[..])];
+            }
+            for (layout, batching, operand, pools) in cases {
+                let clean = run(None, layout, batching, operand, 1);
                 for &threads in pools {
                     // The result of the first crossing is lost on the way
                     // out; a per-pixel run also loses its second cell's
@@ -908,7 +1159,7 @@ mod tests {
                             .script(FaultSite::EcallExit, 2, FaultKind::Transient)
                             .build(),
                     );
-                    let faulted = run(Some(injector.clone()), layout, batching, threads);
+                    let faulted = run(Some(injector.clone()), layout, batching, operand, threads);
                     let delivered = match batching {
                         EcallBatching::Batched => 1,
                         EcallBatching::PerPixel => 2,
@@ -916,7 +1167,8 @@ mod tests {
                     assert_eq!(injector.report().retries(), delivered, "{op:?}");
                     assert_eq!(
                         clean, faulted,
-                        "{op:?} {layout:?} {batching:?} {threads} threads: ciphertexts changed by retry"
+                        "{op:?} {layout:?} {batching:?} operand {operand} {threads} threads: \
+                         ciphertexts changed by retry"
                     );
                 }
             }
@@ -1053,6 +1305,7 @@ mod tests {
                 &small_model(),
                 &EncryptedMap::new(1, 2, 2, cts),
                 EcallBatching::Batched,
+                Layout::Pixel,
                 &ParExec::serial(),
             )
             .unwrap();

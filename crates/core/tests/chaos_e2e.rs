@@ -95,6 +95,43 @@ fn every_fault_site_fires_once_and_inference_stays_exact() {
     assert_eq!(response.metrics.stages.len(), 5);
 }
 
+/// The closing `ecall_LogitReduce` is a crossing like any other: a request
+/// served packed both ways crosses twice (enter/exit occurrences 0 and 1), and
+/// losing the reduction's entry and then its result costs two retries and
+/// changes nothing in the logits. (None of the occurrence indices scripted
+/// above moved with the new crossing: that session's refresh policy keeps its
+/// egress per pixel, so its plan has no closing stage to run.)
+#[test]
+fn closing_reduction_retries_like_any_other_crossing() {
+    let plan = FaultPlan::new(8)
+        .script(FaultSite::EcallEnter, 1, FaultKind::Transient)
+        .script(FaultSite::EcallExit, 1, FaultKind::Transient);
+    let model = testutil::wide_hybrid_model();
+    let session = SessionBuilder::new()
+        .params(ParamsPreset::Small)
+        .threads(2)
+        .seed(14)
+        .chaos(plan)
+        .build(Platform::new(503), model.clone())
+        .unwrap();
+    let images: Vec<Vec<i64>> = (0..3)
+        .map(|b| (0..64).map(|p| ((p * 7 + b) % 16) as i64).collect())
+        .collect();
+    let response = session.serve(InferRequest::batch(images.clone())).unwrap();
+    for (image, row) in images.iter().zip(&response.logits) {
+        assert_eq!(row, &model.forward_ints(image));
+    }
+    assert_eq!(response.metrics.stages.len(), 4);
+    assert_eq!(
+        response.metrics.stages[3].name,
+        "Logit Reduction (SGX inside)"
+    );
+    let report = session.fault_report().unwrap();
+    assert_eq!(report.injected_at(FaultSite::EcallEnter), 1);
+    assert_eq!(report.injected_at(FaultSite::EcallExit), 1);
+    assert_eq!(report.retries(), 2, "{}", report.to_json());
+}
+
 /// Four consecutive aborted `EENTER`s on the first ECALL: one more than the
 /// default budget of three retries.
 fn exhaust_the_retry_budget() -> FaultPlan {
@@ -150,7 +187,7 @@ fn exhausted_budget_degrades_instead_of_failing() {
     .unwrap();
     let plan = service.degraded_plan().expect("the deep model has one");
     let (logits, _) = service.run(plan, &enc).unwrap();
-    let refs: Vec<&CrtCiphertext> = logits.iter().collect();
+    let refs: Vec<&CrtCiphertext> = logits.cells().iter().collect();
     let (budget, _) = service
         .enclave()
         .noise_probe(service.system(), &refs)

@@ -20,7 +20,7 @@ use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
 use hesgx_obs::{counters, Recorder};
 use hesgx_tee::attestation::AttestationService;
 use hesgx_tee::enclave::Platform;
-use testutil::{hybrid_paper_model, provision, small_hybrid_model};
+use testutil::{hybrid_paper_model, provision, small_hybrid_model, wide_hybrid_model};
 
 #[test]
 fn full_paper_pipeline_matches_reference_for_batch() {
@@ -55,18 +55,22 @@ fn full_paper_pipeline_matches_reference_for_batch() {
     .unwrap();
     let (logits, metrics) = service.run(service.plan(), &enc).unwrap();
 
+    let rows = logits
+        .decrypt_all(
+            service.system(),
+            &ceremony.user_secret,
+            3,
+            &ParExec::serial(),
+        )
+        .unwrap();
     for (b, img) in images.iter().enumerate() {
-        let expect = model.forward_ints(img);
-        for (class, ct) in logits.iter().enumerate() {
-            let got = service
-                .system()
-                .decrypt_slots(ct, &ceremony.user_secret)
-                .unwrap()[b];
-            assert_eq!(got, expect[class] as i128, "batch {b} class {class}");
-        }
+        let expect: Vec<i128> = model.forward_ints(img).iter().map(|&v| v.into()).collect();
+        assert_eq!(rows[b], expect, "batch {b}");
     }
     // The paper model's 2×2 window selects SgxPool, fused into the
-    // activation's crossing; all three stages ran.
+    // activation's crossing; a per-pixel map leaves one logit ciphertext per
+    // class, so the plan's closing reduction has nothing to do: three
+    // stages ran.
     let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
     assert_eq!(
         service.plan().stages[1],
@@ -140,18 +144,18 @@ fn hybrid_and_plaintext_predictions_agree_across_dataset() {
     )
     .unwrap();
     let (logits, _) = service.run(service.plan(), &enc).unwrap();
+    let rows = logits
+        .decrypt_all(
+            service.system(),
+            &ceremony.user_secret,
+            4,
+            &ParExec::serial(),
+        )
+        .unwrap();
     for (b, img) in images.iter().enumerate() {
-        let mut best = (0usize, i128::MIN);
-        for (class, ct) in logits.iter().enumerate() {
-            let v = service
-                .system()
-                .decrypt_slots(ct, &ceremony.user_secret)
-                .unwrap()[b];
-            if v > best.1 {
-                best = (class, v);
-            }
-        }
-        assert_eq!(best.0, model.predict_ints(img), "sample {b}");
+        // The first maximum, as `predict_ints` picks it.
+        let best = (0..rows[b].len()).rev().max_by_key(|&class| rows[b][class]);
+        assert_eq!(best, Some(model.predict_ints(img)), "sample {b}");
     }
 }
 
@@ -207,15 +211,19 @@ fn relu_and_tanh_in_enclave_also_exact() {
                 }
             }
         }
-        for (class, ct) in logits.iter().enumerate() {
+        let rows = logits
+            .decrypt_all(
+                service.system(),
+                &ceremony.user_secret,
+                1,
+                &ParExec::serial(),
+            )
+            .unwrap();
+        for (class, &got) in rows[0].iter().enumerate() {
             let mut expect = model.fc_bias[class];
             for (i, &p) in pooled.iter().enumerate() {
                 expect += model.fc_weights[class * model.fc_in() + i] * p;
             }
-            let got = service
-                .system()
-                .decrypt_slots(ct, &ceremony.user_secret)
-                .unwrap()[0];
             assert_eq!(got, expect as i128, "{kind:?} class {class}");
         }
     }
@@ -304,6 +312,7 @@ fn noise_refresh_extends_computation_indefinitely() {
                 &small_hybrid_model(),
                 &EncryptedMap::new(1, 1, 1, vec![sq]),
                 EcallBatching::PerPixel,
+                Layout::Pixel,
                 &ParExec::serial(),
             )
             .unwrap();
@@ -322,25 +331,36 @@ fn noise_refresh_extends_computation_indefinitely() {
     }
 }
 
-/// The differential test of the two ingress layouts. The same images are
-/// served through `Session::serve` in both `Ingress` modes — which pick the
-/// layout by the count rule — and, on the same service, run by hand from an
-/// explicit `Pixel` map and an explicit `Patches` map: every row of every
-/// path equals `forward_ints`, and the logit ciphertexts of the hand-run
-/// paths are bit-identical across HE pool sizes. Batches sit on every edge
-/// of the packing: inside one chunk (1, 2, 10), the largest the rule still
-/// packs for the 8×8 model at n = 256 (`9·⌈36·49/256⌉ = 63 < 64`) and one
-/// beyond it (50, served in `Pixel`), and — forced by hand — one whose 36·64
-/// values fill nine chunks exactly and one that spills a tenth.
+/// The differential test of the layouts, ingress and egress. The same images
+/// are served through `Session::serve` in both `Ingress` modes — which pick
+/// both layouts by their count rules — and, on the same service, run by hand
+/// from an explicit `Pixel` map and an explicit `Patches` map: every row of
+/// every path equals `forward_ints`, and the logit ciphertexts of the
+/// hand-run paths are bit-identical across HE pool sizes (the packed FC sums
+/// its cells in pool-sized groups; sums mod q are exact under any grouping).
+/// The model is the 8×8 one with sixteen classes (`J = 18` FC inputs, so
+/// `C·J = 288 ≥ 256`: wide enough to pack), at n = 256. Ingress edges: inside
+/// one chunk (1, 2, 5), the largest batch the rule still packs
+/// (`9·⌈36·49/256⌉ = 63 < 64`) and one beyond it (50, served in `Pixel`), and
+/// — forced by hand — 64, whose 36·64 values fill nine chunks exactly, and
+/// 65, which spills a tenth. Egress edges, `L = min(18, ⌊256/(16·B)⌋)`: a
+/// batch of one (`L = 16`, `J % L ≠ 0`: 16 + 2), `L = 8` (2: 8 + 8 + 2), `L =
+/// 3` (5: six full cells), `L = 2` (8: nine cells), `L = 1` where one cell
+/// per input is no fewer (9: back to `Pixel`), and `C·B` just below, at and
+/// just above the slots (15, 16, 17 — `Pixel`). (`L = J` cannot occur: a
+/// layer that narrow does not pack at all.)
 #[test]
 fn both_layouts_serve_identical_logits_at_every_batch_edge() {
-    let model = small_hybrid_model();
-    for batch in [1usize, 2, 10, 49, 50, 64, 65] {
+    let model = wide_hybrid_model();
+    for batch in [1usize, 2, 5, 8, 9, 15, 16, 17, 49, 50, 64, 65] {
         let images: Vec<Vec<i64>> = (0..batch)
             .map(|b| (0..64).map(|p| ((p * 5 + b * 11) % 16) as i64).collect())
             .collect();
         let reference: Vec<Vec<i64>> = images.iter().map(|img| model.forward_ints(img)).collect();
         let patches = Layout::Patches { batch, side: 6 };
+        // What leaves the enclave for the FC layer when the batch came packed.
+        let operand = Layout::for_fc(18, 16, batch, 256);
+        assert_eq!(operand != Layout::Pixel, batch <= 8, "batch {batch}");
         let mut bits = None;
         for threads in [1usize, 2, 4] {
             let what = format!("batch {batch}, {threads} threads");
@@ -366,6 +386,11 @@ fn both_layouts_serve_identical_logits_at_every_batch_edge() {
                     .serve(InferRequest::batch(images.clone()).ingress(ingress))
                     .unwrap();
                 assert_eq!(response.logits, reference, "{what} {ingress:?}");
+                // Conv, one crossing, FC; the closing reduction only behind
+                // a packed egress; the ingress ECALL when transciphered.
+                let stages =
+                    3 + usize::from(batch <= 8) + usize::from(ingress == Ingress::Transciphered);
+                assert_eq!(response.metrics.stages.len(), stages, "{what} {ingress:?}");
                 if ingress == Ingress::FvCiphertext {
                     let cells = ruled.ingress_cells(8, 256);
                     assert_eq!(response.upload_bytes, (cells * fresh) as u64, "{what}");
@@ -383,7 +408,12 @@ fn both_layouts_serve_identical_logits_at_every_batch_edge() {
                 )
                 .unwrap();
                 let (logits, _) = service.run(service.plan(), &enc).unwrap();
-                let rows = EncryptedMap::new(3, 1, 1, logits.clone())
+                // A per-pixel map does not say how many images it carries:
+                // it leaves per pixel too.
+                let packed = layout == patches && operand != Layout::Pixel;
+                let cells = if packed { 1 } else { model.classes };
+                assert_eq!(logits.cells().len(), cells, "{what} {layout:?}");
+                let rows = logits
                     .decrypt_all(
                         sys,
                         &session.ceremony().user_secret,
@@ -395,47 +425,77 @@ fn both_layouts_serve_identical_logits_at_every_batch_edge() {
                     let want: Vec<i128> = want.iter().map(|&v| v.into()).collect();
                     assert_eq!(row, &want, "{what} {layout:?}");
                 }
-                logits
+                logits.into_cells()
             });
             assert_eq!(*bits.get_or_insert(by_hand.clone()), by_hand, "{what}");
         }
     }
 }
 
-/// The benchmark's `fig8_fv` request — the paper's geometry (28×28 in, five
-/// 5×5 maps, 2×2 pooling, ten classes) at n = 1024 with `batchSize = 10` —
-/// served packed: 150 ingress ciphertexts (25 kernel offsets × 6 chunks of
-/// the 5760 (position, image) pairs) instead of 784, 30 conv-output cells
-/// instead of 2880, the fully connected layer unchanged.
-#[test]
-fn packed_paper_request_pins_its_op_counts() {
-    let flat = 5 * 12 * 12;
-    let model = QuantizedCnn {
+/// Deterministic formula weights in the shape `benchmark/` builds its
+/// workload models in: `in_side²` pixels, `conv_out` maps of `kernel²`, 2×2
+/// pooling, `classes` outputs.
+fn formula_model(in_side: usize, conv_out: usize, kernel: usize, classes: usize) -> QuantizedCnn {
+    let conv_side = in_side - kernel + 1;
+    let flat = conv_out * (conv_side / 2).pow(2);
+    QuantizedCnn {
         pipeline: QuantPipeline::Hybrid,
-        in_side: 28,
-        conv_out: 5,
-        kernel: 5,
+        in_side,
+        conv_out,
+        kernel,
         window: 2,
-        classes: 10,
-        conv_weights: (0..5 * 25).map(|i| (i % 7) as i64 - 3).collect(),
-        conv_bias: (0..5).map(|i| (i % 5) - 2).collect(),
-        fc_weights: (0..10 * flat).map(|i| (i % 5) as i64 - 2).collect(),
-        fc_bias: (0..10).map(|i| (i % 9) - 4).collect(),
+        classes,
+        conv_weights: (0..conv_out * kernel * kernel)
+            .map(|i| (i % 7) as i64 - 3)
+            .collect(),
+        conv_bias: (0..conv_out).map(|i| (i as i64 % 5) - 2).collect(),
+        fc_weights: (0..classes * flat).map(|i| (i % 5) as i64 - 2).collect(),
+        fc_bias: (0..classes).map(|i| (i as i64 % 9) - 4).collect(),
         weight_scale: 8,
         fc_scale: 8,
         act_scale: 16,
-    };
+    }
+}
+
+/// A paper-geometry session (28×28 in, five 5×5 maps, 2×2 pooling, ten
+/// classes, n = 1024) with an enabled recorder, and `batch` images for it.
+fn paper_session(batch: usize) -> (hesgx_core::session::Session, Recorder, Vec<Vec<i64>>) {
     let rec = Recorder::enabled();
     let session = SessionBuilder::new()
         .params(ParamsPreset::Paper)
         .threads(2)
         .seed(2021)
         .recorder(rec.clone())
-        .build(Platform::new(921), model.clone())
+        .build(Platform::new(921), formula_model(28, 5, 5, 10))
         .unwrap();
-    let images: Vec<Vec<i64>> = (0..10)
+    let images = (0..batch)
         .map(|b| (0..784).map(|p| ((p * 3 + b * 7) % 16) as i64).collect())
         .collect();
+    (session, rec, images)
+}
+
+/// The ECALLs a session's pipeline stages booked, by name with their entry
+/// counts (the key ceremony and the recorder's own noise probes left out).
+fn stage_ecalls(rec: &Recorder) -> Vec<String> {
+    let booked = rec.spans_with_prefix("ecall.ecall_").into_iter();
+    booked
+        .map(|(name, stats)| format!("{} x{}", &name["ecall.".len()..], stats.entries))
+        .filter(|name| !name.starts_with("ecall_NoiseProbe") && !name.starts_with("ecall_generate"))
+        .collect()
+}
+
+/// The benchmark's `fig8_fv` request — the paper's geometry at n = 1024 with
+/// `batchSize = 10` — served packed both ways: 150 ingress ciphertexts (25
+/// kernel offsets × 6 chunks of the 5760 (position, image) pairs) instead of
+/// 784, 30 conv-output cells instead of 2880; then 72 FC operand cells
+/// (`L = ⌊1024/100⌋ = 10` of the 720 inputs each) instead of 720, 72
+/// slot-wise multiplies instead of 7200, and one logits ciphertext out of
+/// the closing reduction instead of ten.
+#[test]
+fn packed_paper_request_pins_its_op_counts() {
+    let (session, rec, images) = paper_session(10);
+    let model = session.model().clone();
+    let marshalled = rec.counter(counters::BYTES_MARSHALLED);
     let response = session.serve(InferRequest::batch(images.clone())).unwrap();
     for (image, row) in images.iter().zip(&response.logits) {
         assert_eq!(row, &model.forward_ints(image));
@@ -443,25 +503,116 @@ fn packed_paper_request_pins_its_op_counts() {
     assert_eq!(
         response.metrics.ops,
         OpCounter {
-            ct_pt_mul: 30 * 25 + 10 * 720,
-            ct_ct_add: 30 * 24 + 10 * 719,
-            ct_pt_add: 30 + 10,
+            ct_pt_mul: 30 * 25 + 72,
+            ct_ct_add: 30 * 24 + 71,
+            ct_pt_add: 30 + 1,
             ..OpCounter::default()
         }
     );
     assert_eq!(
         (
             response.metrics.ops.ct_pt_mul,
-            response.metrics.ops.ct_ct_add
+            response.metrics.ops.ct_ct_add,
+            response.metrics.ops.ct_pt_add
         ),
-        (7950, 7910)
+        (822, 791, 31)
     );
     let fresh = session.service().system().fresh_ciphertext_byte_len() as u64;
     assert_eq!(response.upload_bytes, 150 * fresh);
-    // 5760 live slots of 6 × 1024, at ingress and into the enclave.
+    // Two crossings: 30 conv cells in and 72 operand cells out, then the
+    // FC's one cell in and the one logits ciphertext out.
+    assert_eq!(
+        stage_ecalls(&rec),
+        ["ecall_LogitReduce x1", "ecall_activation_pool x1"]
+    );
+    // (The recorder's four noise probes read the same 104 cells once more
+    // and hand back four bytes each.)
+    let crossed = (30 + 72 + 1 + 1) * fresh;
+    assert_eq!(
+        rec.counter(counters::BYTES_MARSHALLED) - marshalled,
+        crossed + (crossed + 4 * 4)
+    );
+    assert_eq!(response.metrics.stages.len(), 4);
+    // 5760 live slots of 6 × 1024 at ingress and into the enclave; 72 000 of
+    // 72 × 1024 out of it, so 1000 of 1024 partial sums into the reduction.
     assert_eq!(rec.gauge_series(counters::SLOT_OCCUPANCY_PPM), [937_500]);
     assert_eq!(
         rec.gauge_series("infer.layer[1].slot_occupancy_ppm"),
         [937_500]
     );
+    assert_eq!(
+        rec.gauge_series("infer.layer[3].slot_occupancy_ppm"),
+        [976_562]
+    );
+}
+
+/// One image past the egress rule (`L = ⌊1024/520⌋ = 1`: one cell per input
+/// is no fewer than today's) the request still enters packed (`B ≤ 55`) but
+/// runs exactly the parent's stages and crossings: one fused ECALL, two
+/// transitions, 720 `Pixel` cells into the scalar FC, ten logit ciphertexts,
+/// and no closing ECALL — not even an empty one.
+#[test]
+fn request_past_the_egress_rule_books_the_per_pixel_crossings() {
+    let (session, rec, images) = paper_session(52);
+    assert_eq!(
+        Layout::for_fc(720, 10, 51, 1024),
+        Layout::FcOperand {
+            classes: 10,
+            batch: 51,
+            inputs: 720
+        }
+    );
+    assert_eq!(Layout::for_fc(720, 10, 52, 1024), Layout::Pixel);
+    let response = session.serve(InferRequest::batch(images.clone())).unwrap();
+    for (image, row) in images.iter().zip(&response.logits) {
+        assert_eq!(row, &session.model().forward_ints(image));
+    }
+    assert_eq!(stage_ecalls(&rec), ["ecall_activation_pool x1"]);
+    // One enter and one exit: what the request paid in transitions is what
+    // that one ECALL booked.
+    let crossing = rec.span("ecall.ecall_activation_pool").unwrap().cost;
+    let paid = hesgx_core::pipeline::total_enclave_cost(&response.metrics);
+    assert_eq!(paid.transition_ns, crossing.transition_ns);
+    assert_eq!(response.metrics.stages.len(), 3);
+    // 5 maps × ⌈576·52/1024⌉ = 30 chunks × 25 taps, then 10 × 720.
+    assert_eq!(response.metrics.ops.ct_pt_mul, 150 * 25 + 7200);
+}
+
+/// The packed FC's accumulator — 72 (paper model, `ParamsPreset::Paper`) or
+/// 25 (the broker's 12×12 geometry with sixteen classes, wide enough to
+/// pack, at `ParamsPreset::Small` and the broker's `max_batch` of 8)
+/// multiplies by batch-encoded plaintexts summed into one ciphertext —
+/// reaches the closing reduction with at least 30 bits of noise budget:
+/// the recorder's pre-crossing probe measures it inside the enclave.
+#[test]
+fn packed_fc_accumulator_keeps_its_noise_floor() {
+    for (model, preset, batch) in [
+        (formula_model(28, 5, 5, 10), ParamsPreset::Paper, 10),
+        (formula_model(12, 2, 3, 16), ParamsPreset::Small, 8),
+    ] {
+        let rec = Recorder::enabled();
+        let session = SessionBuilder::new()
+            .params(preset)
+            .threads(2)
+            .seed(5)
+            .recorder(rec.clone())
+            .build(Platform::new(922), model.clone())
+            .unwrap();
+        let pixels = model.in_side * model.in_side;
+        let images: Vec<Vec<i64>> = (0..batch)
+            .map(|b| (0..pixels).map(|p| ((p * 3 + b * 7) % 16) as i64).collect())
+            .collect();
+        let response = session.serve(InferRequest::batch(images.clone())).unwrap();
+        for (image, row) in images.iter().zip(&response.logits) {
+            assert_eq!(row, &model.forward_ints(image), "{preset:?}");
+        }
+        assert_eq!(stage_ecalls(&rec).len(), 2, "{preset:?}: packed egress");
+        let fresh = rec.gauge_series("noise.budget.layer[1].post");
+        let accumulator = rec.gauge_series("noise.budget.layer[3].pre");
+        println!("{preset:?}: {accumulator:?} bits of a fresh {fresh:?}");
+        assert!(
+            matches!(accumulator[..], [bits] if bits >= 30),
+            "{preset:?}"
+        );
+    }
 }

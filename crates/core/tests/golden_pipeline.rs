@@ -4,10 +4,16 @@
 //! *provably* behavior-preserving: the decrypted logits and the serialized
 //! logit-ciphertext bytes must be byte-identical to the pre-optimization
 //! pipeline at every HE pool size. This test pins both against
-//! `tests/golden/pipeline_bits.json`, for the `Pixel` ingress layout (whose
-//! digest has not moved since the patch-packed layout landed beside it) and
-//! for the `Patches` layout requests are served in. Regenerate (only when an intentional
-//! protocol change lands) with
+//! `tests/golden/pipeline_bits.json` for three runs: the `Pixel` ingress and
+//! the `Patches` ingress of the 8×8 model, whose logits leave one ciphertext
+//! per class — through the compiled plan (its FC layer is too narrow to pack,
+//! so the closing reduction is skipped) and through the hand-built
+//! three-stage list without that stage, bit for bit the same: digests that
+//! have not moved since each layout landed, the proof that `Pixel` egress is
+//! still bit-identical — and the `Patches` ingress of the same model with a
+//! sixteen-class FC layer, wide enough that the compiled plan packs the
+//! egress and its logits leave in one ciphertext. Regenerate (only when an
+//! intentional protocol change lands) with
 //! `HESGX_UPDATE_GOLDEN=1 cargo test -p hesgx-core --test golden_pipeline`.
 
 mod testutil;
@@ -16,12 +22,14 @@ use hesgx_bfv::serialization::ciphertext_to_bytes;
 use hesgx_core::pipeline::{HybridInference, ProvisionConfig};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::sha256::sha256;
+use hesgx_henn::crt::CrtCiphertext;
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
+use hesgx_nn::quantize::QuantizedCnn;
 use hesgx_tee::enclave::Platform;
 use std::fmt::Write as _;
 use std::path::Path;
-use testutil::small_hybrid_model;
+use testutil::{small_hybrid_model, wide_hybrid_model};
 
 const BATCH: usize = 2;
 
@@ -33,14 +41,18 @@ fn hex(bytes: &[u8]) -> String {
     s
 }
 
-/// Runs one seeded batch at `threads` workers through both ingress layouts —
-/// `Pixel` first (the paper-reproduction plans' and, bit for bit, the
-/// pre-packing pipeline's), then the `Patches` layout `Session::serve` picks
-/// for it. Returns the decrypted logits (`[batch][class]`, asserted equal for
-/// the two) and, per layout, the sha256 over every serialized logit
-/// ciphertext part in (class, part) order.
-fn run_pool(threads: usize) -> (Vec<Vec<i128>>, [String; 2]) {
-    let model = small_hybrid_model();
+/// One seeded batch of `model` on a fresh service at `threads` workers,
+/// entered in each of `layouts` in turn (consecutive inferences: the
+/// enclave's call counter advances between them) and run through the compiled
+/// plan, or — `per_class` — through it without its closing stage. Returns,
+/// per layout, the decrypted logits (`[batch][class]`) and the logit
+/// ciphertexts.
+fn run(
+    model: &QuantizedCnn,
+    threads: usize,
+    layouts: &[Layout],
+    per_class: bool,
+) -> Vec<(Vec<Vec<i128>>, Vec<CrtCiphertext>)> {
     let (service, ceremony) = HybridInference::provision_with(
         Platform::new(83),
         model.clone(),
@@ -59,70 +71,100 @@ fn run_pool(threads: usize) -> (Vec<Vec<i128>>, [String; 2]) {
                 .collect()
         })
         .collect();
-    let rng = ChaChaRng::from_seed(131);
-    let packed = service.ingress_layout(BATCH);
-    assert_eq!(packed, Layout::Patches { batch: 2, side: 6 });
-    let mut rows = None;
-    let digests = [Layout::Pixel, packed].map(|layout| {
+    let mut plan = service.plan().clone();
+    assert_eq!(plan.stages.len(), 4);
+    plan.stages.truncate(if per_class { 3 } else { 4 });
+    let serial = ParExec::serial();
+    let served = layouts.iter().map(|&layout| {
         let enc = EncryptedMap::encrypt_images(
             service.system(),
             &images,
             model.in_side,
             layout,
             &ceremony.public,
-            &rng,
-            &ParExec::serial(),
+            &ChaChaRng::from_seed(131),
+            &serial,
         )
         .unwrap();
-        let (logits, _) = service.run(service.plan(), &enc).unwrap();
-
-        let mut bytes = Vec::new();
-        for ct in &logits {
-            for part in 0..ct.part_count() {
-                bytes.extend_from_slice(&ciphertext_to_bytes(ct.part(part)));
-            }
-        }
-        let mut decrypted = vec![Vec::new(); BATCH];
-        for ct in &logits {
-            let slots = service
-                .system()
-                .decrypt_slots(ct, &ceremony.user_secret)
-                .unwrap();
-            for (b, row) in decrypted.iter_mut().enumerate() {
-                row.push(slots[b]);
-            }
-        }
-        assert_eq!(
-            *rows.get_or_insert(decrypted.clone()),
-            decrypted,
-            "{layout:?}"
-        );
-        hex(&sha256(&bytes))
+        let (logits, _) = service.run(&plan, &enc).unwrap();
+        let rows = logits.decrypt_all(service.system(), &ceremony.user_secret, BATCH, &serial);
+        (rows.unwrap(), logits.into_cells())
     });
-    (rows.unwrap(), digests)
+    served.collect()
+}
+
+/// The sha256 over every serialized ciphertext part in (cell, part) order.
+fn digest(cells: &[CrtCiphertext]) -> String {
+    let mut bytes = Vec::new();
+    for ct in cells {
+        for part in 0..ct.part_count() {
+            bytes.extend_from_slice(&ciphertext_to_bytes(ct.part(part)));
+        }
+    }
+    hex(&sha256(&bytes))
+}
+
+/// The three pinned runs at `threads` workers: the 8×8 model from `Pixel`
+/// and then from the `Patches` ingress `Session::serve` picks (one logit
+/// ciphertext per class either way, rows asserted equal, and both asserted
+/// bit-identical to the plan without its closing stage), then the
+/// sixteen-class model from `Patches` through its compiled plan (packed
+/// egress: one logits ciphertext; rows asserted equal to the plan without
+/// the closing stage). Returns each model's rows and the three digests.
+fn run_pool(threads: usize) -> ([Vec<Vec<i128>>; 2], [String; 3]) {
+    let packed = Layout::Patches { batch: 2, side: 6 };
+    let narrow = small_hybrid_model();
+    let compiled = run(&narrow, threads, &[Layout::Pixel, packed], false);
+    assert_eq!(
+        compiled,
+        run(&narrow, threads, &[Layout::Pixel, packed], true)
+    );
+    let [(rows, pixel), (packed_rows, patches)] = &compiled[..] else {
+        panic!("two layouts, two runs");
+    };
+    assert_eq!(rows, packed_rows);
+    assert_eq!(
+        (pixel.len(), patches.len()),
+        (narrow.classes, narrow.classes)
+    );
+
+    let wide = wide_hybrid_model();
+    let (wide_rows, one) = run(&wide, threads, &[packed], false).remove(0);
+    assert_eq!(one.len(), 1, "packed egress");
+    let (per_class_rows, sixteen) = run(&wide, threads, &[packed], true).remove(0);
+    assert_eq!(sixteen.len(), wide.classes);
+    assert_eq!(wide_rows, per_class_rows);
+    (
+        [rows.clone(), wide_rows],
+        [digest(pixel), digest(patches), digest(&one)],
+    )
 }
 
 /// Renders the golden artifact: a small deterministic JSON document.
-fn render(logits: &[Vec<i128>], [pixel, packed]: &[String; 2]) -> String {
-    let rows: Vec<String> = logits
-        .iter()
-        .map(|row| {
+fn render([logits, wide]: &[Vec<Vec<i128>>; 2], [pixel, packed, egress]: &[String; 3]) -> String {
+    let rows = |logits: &[Vec<i128>]| -> String {
+        let rows = logits.iter().map(|row| {
             let vals: Vec<String> = row.iter().map(|v| v.to_string()).collect();
             format!("[{}]", vals.join(","))
-        })
-        .collect();
+        });
+        rows.collect::<Vec<_>>().join(", ")
+    };
     format!(
         "{{\n  \"model\": \"small_hybrid_model\",\n  \"poly_degree\": 256,\n  \
          \"pools\": [1, 2, 4],\n  \"logits\": [{}],\n  \
          \"ciphertext_sha256\": \"{pixel}\",\n  \
-         \"packed_ciphertext_sha256\": \"{packed}\"\n}}\n",
-        rows.join(", "),
+         \"packed_ciphertext_sha256\": \"{packed}\",\n  \
+         \"packed_egress_model\": \"wide_hybrid_model\",\n  \
+         \"packed_egress_logits\": [{}],\n  \
+         \"packed_egress_ciphertext_sha256\": \"{egress}\"\n}}\n",
+        rows(logits),
+        rows(wide),
     )
 }
 
 #[test]
 fn pipeline_logits_and_ciphertext_bytes_match_golden() {
-    let mut reference: Option<(Vec<Vec<i128>>, [String; 2])> = None;
+    let mut reference = None;
     for threads in [1usize, 2, 4] {
         let run = run_pool(threads);
         match &reference {

@@ -3,7 +3,11 @@
 //!
 //! - **Golden snapshot**: a fixed-seed session produces a byte-identical
 //!   `Recorder::snapshot_json` across runs *and* across worker-pool sizes;
-//!   the bytes are pinned by `tests/golden/obs_snapshot.json`. Regenerate
+//!   the bytes are pinned by `tests/golden/obs_snapshot.json`, one line per
+//!   plan shape: the 8×8 model under the refresh policy (one logit
+//!   ciphertext per class; the line the file has always held) and its
+//!   sixteen-class variant under the default
+//!   policy (packed egress, the closing `ecall_LogitReduce`). Regenerate
 //!   with `HESGX_UPDATE_GOLDEN=1 cargo test -p hesgx-core --test obs` after
 //!   an intentional change to what the pipeline records.
 //! - **Reconciliation**: summing the recorder's `infer.layer[i].ecall` spans
@@ -20,17 +24,27 @@ use hesgx_tee::enclave::Platform;
 use std::path::Path;
 
 /// Builds a fixed-seed session with an enabled recorder and runs one
-/// inference, returning its metrics too; everything except `threads` is held
-/// constant.
+/// inference, returning its metrics too; everything except `threads` and the
+/// refresh mode is held constant.
 fn run_session(threads: usize) -> (Session, Recorder, HybridMetrics) {
+    run_policy(threads, NoiseRefresh::Always)
+}
+
+/// `NoiseRefresh::Off` serves the sixteen-class model, whose FC layer is
+/// wide enough to pack: the default plan's packed egress.
+fn run_policy(threads: usize, refresh: NoiseRefresh) -> (Session, Recorder, HybridMetrics) {
+    let model = match refresh {
+        NoiseRefresh::Off => testutil::wide_hybrid_model(),
+        _ => testutil::small_hybrid_model(),
+    };
     let rec = Recorder::enabled();
     let session = SessionBuilder::new()
         .params(ParamsPreset::Small)
         .threads(threads)
         .seed(7)
-        .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Always))
+        .policy(ServePolicy::new().noise_refresh(refresh))
         .recorder(rec.clone())
-        .build(Platform::new(900), testutil::small_hybrid_model())
+        .build(Platform::new(900), model)
         .unwrap();
     let image: Vec<i64> = (0..64).map(|p| (p % 16) as i64).collect();
     let response = session.serve(InferRequest::single(image.clone())).unwrap();
@@ -40,10 +54,16 @@ fn run_session(threads: usize) -> (Session, Recorder, HybridMetrics) {
 
 #[test]
 fn snapshot_is_byte_identical_across_pool_sizes_and_matches_golden() {
+    let snapshot = |refresh, threads| run_policy(threads, refresh).0.obs_snapshot_json();
     let snaps: Vec<String> = [1usize, 2, 4]
         .iter()
-        .map(|&threads| run_session(threads).0.obs_snapshot_json())
+        .map(|&threads| {
+            let always = snapshot(NoiseRefresh::Always, threads);
+            format!("{always}\n{}\n", snapshot(NoiseRefresh::Off, threads))
+        })
         .collect();
+    // Only the default plan's line books the closing crossing.
+    assert_eq!(snaps[0].matches("ecall.ecall_LogitReduce").count(), 1);
     assert_eq!(snaps[0], snaps[1], "1 vs 2 workers");
     assert_eq!(snaps[0], snaps[2], "1 vs 4 workers");
 
@@ -106,13 +126,14 @@ fn session_counters_track_serving_and_boundary_traffic() {
     assert_eq!(rec.counter(counters::SERVED_EXACT), 2);
 }
 
-/// One boundary crossing per non-linear block: a request to the default plan
-/// of the paper's model enters the enclave once — two transitions — and
-/// twice when its ingress is transciphered. (The recorder-gated noise probes
-/// are telemetry with ECALLs of their own; they are counted out.)
+/// One boundary crossing per non-linear block, and the closing reduction: a
+/// request to the default plan of the paper's model enters the enclave twice
+/// — four transitions — and three times when its ingress is transciphered.
+/// (The recorder-gated noise probes are telemetry with ECALLs of their own;
+/// they are counted out.)
 #[test]
-fn default_paper_request_crosses_the_boundary_once() {
-    for (ingress, want) in [(Ingress::FvCiphertext, 2), (Ingress::Transciphered, 4)] {
+fn default_paper_request_crosses_the_boundary_twice() {
+    for (ingress, want) in [(Ingress::FvCiphertext, 4), (Ingress::Transciphered, 6)] {
         let rec = Recorder::enabled();
         let session = SessionBuilder::new()
             .params(ParamsPreset::Small)
@@ -138,5 +159,12 @@ fn default_paper_request_crosses_the_boundary_once() {
         assert_eq!(occupancy, [750_000], "{ingress:?}");
         let crossing = rec.gauge_series("infer.layer[1].slot_occupancy_ppm");
         assert_eq!(crossing, [750_000], "{ingress:?}");
+        // It leaves packed for the ten-class FC layer, `⌊256/10⌋ = 25` of the
+        // 864 pooled values to a cell, so 250 of the accumulator's 256 slots
+        // hold partial sums on the way into the reduction.
+        let reduction = rec.gauge_series("infer.layer[3].slot_occupancy_ppm");
+        assert_eq!(reduction, [976_562], "{ingress:?}");
+        let reduce = rec.span("ecall.ecall_LogitReduce").expect("closing stage");
+        assert_eq!(reduce.entries, 1, "{ingress:?}");
     }
 }

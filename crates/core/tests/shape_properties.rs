@@ -1,0 +1,231 @@
+//! Host-claimed shapes (ROADMAP 4a). The untrusted host hands the enclave and
+//! the HE layers an [`EncryptedMap`] whose shape and [`Layout`] it chose, and
+//! a transcipher payload whose framing it chose; every index, gather bound
+//! and staging size downstream derives from those claims. Whatever is
+//! claimed — no images, no classes, more of either than slots, a cell count
+//! that disagrees with the layout, a side the pooling does not tile,
+//! products past `usize`, a reduction over a map that holds no partial sums,
+//! an operand map into a layer that does not read it — the answer is `Err`,
+//! never a panic or an out-of-bounds gather, and nothing is emitted that the
+//! cells which actually crossed could not fill.
+
+mod testutil;
+
+use hesgx_core::planner::{plan_for, EcallBatching, EnclaveOp, Placement};
+use hesgx_core::request::ServePolicy;
+use hesgx_core::InferenceEnclave;
+use hesgx_crypto::rng::ChaChaRng;
+use hesgx_crypto::transcipher::{seal_images, IngressKey};
+use hesgx_henn::crt::{CrtCiphertext, CrtKeys, CrtPlainSystem};
+use hesgx_henn::image::{EncryptedMap, Layout};
+use hesgx_henn::layers::{HeLayer, HeLayers};
+use hesgx_henn::ops::OpCounter;
+use hesgx_henn::par::ParExec;
+use hesgx_nn::layers::ActivationKind;
+use hesgx_tee::enclave::{EnclaveBuilder, Platform};
+use proptest::prelude::*;
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
+/// One key domain shared by the enclave, the HE layers and the cells a map is
+/// built from — so no claim is turned away as a context mismatch before its
+/// shape is read.
+struct Host {
+    enclave: InferenceEnclave,
+    layers: HeLayers,
+    keys: CrtKeys,
+    cell: CrtCiphertext,
+}
+
+fn host() -> &'static Host {
+    static HOST: OnceLock<Host> = OnceLock::new();
+    HOST.get_or_init(|| {
+        let sys = || CrtPlainSystem::new(256, &[12289, 13313]).unwrap();
+        let mut rng = ChaChaRng::from_seed(41);
+        let keys = sys().generate_keys(&mut rng);
+        let cell = sys()
+            .encrypt_slots(&[3, -1, 4, 1, -5, 9], &keys.public, &mut rng)
+            .unwrap();
+        let enclave = EnclaveBuilder::new("claims")
+            .add_code(b"c")
+            .build(Platform::new(930));
+        let enclave = InferenceEnclave::new(enclave, keys.secret.clone(), keys.public.clone(), 42);
+        let model = testutil::small_hybrid_model();
+        let layers = HeLayers::new(sys(), model, ParExec::new(2)).unwrap();
+        Host {
+            enclave,
+            layers,
+            keys,
+            cell,
+        }
+    })
+}
+
+/// What a claim is replaced with: small numbers around the geometry of the
+/// 8×8 model at n = 256, and the ones whose products leave `usize` (picks
+/// `0..20`).
+fn number(pick: usize) -> usize {
+    const EDGES: [usize; 12] = [
+        0,
+        1,
+        2,
+        3,
+        6,
+        18,
+        36,
+        85,
+        86,
+        256,
+        usize::MAX / 2,
+        usize::MAX,
+    ];
+    if pick < 8 {
+        pick
+    } else {
+        EDGES[pick - 8]
+    }
+}
+
+/// `layout` with field `field` (of its one to three numbers) set to `value`.
+fn claim(layout: Layout, field: usize, value: usize) -> Layout {
+    let pick = |i, old| if field == i { value } else { old };
+    match layout {
+        Layout::Pixel => Layout::Pixel,
+        Layout::Patches { batch, side } => Layout::Patches {
+            batch: pick(0, batch),
+            side: pick(1, side),
+        },
+        Layout::FcOperand {
+            classes,
+            batch,
+            inputs,
+        } => Layout::FcOperand {
+            classes: pick(0, classes),
+            batch: pick(1, batch),
+            inputs: pick(2, inputs),
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A crossing the pipeline could have built — a per-pixel, patch-packed
+    /// or partial-sum map, an activation with or without pooling or the
+    /// closing reduction, out per pixel or packed for the FC layer — is
+    /// served; the same crossing with one claim replaced (a layout number,
+    /// the emitted layout's, a missing row of cells, another chain) is
+    /// served or refused, and so is each HE layer over the same map.
+    #[test]
+    fn claimed_shapes_are_refused_or_served_never_trusted(
+        family in 0usize..3, channels in 1usize..3, side_pick in 0usize..3,
+        batch in 1usize..5, classes in 1usize..6, pools in any::<bool>(),
+        operand in any::<bool>(), per_pixel in 0usize..4,
+        mutate in 0usize..12, field in 0usize..3, value in 0usize..20, other in 0usize..5,
+    ) {
+        let host = host();
+        let (sys, model) = (host.layers.system(), host.layers.model());
+        let side = [2usize, 4, 6][side_pick];
+        let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
+        let mut chain = vec![sigmoid];
+        chain.extend(pools.then_some(EnclaveOp::MeanPool));
+        let outputs = channels * (side / if pools { 2 } else { 1 }).pow(2);
+        let (mut layout, mut shape) = match family {
+            0 => (Layout::Pixel, (channels, side, side)),
+            1 => (Layout::Patches { batch, side }, (channels, Layout::chunks(batch, side, 256), 1)),
+            _ => {
+                chain = vec![EnclaveOp::LogitReduce];
+                (Layout::FcOperand { classes, batch, inputs: side }, (1, 1, 1))
+            }
+        };
+        let mut emit = match operand && family < 2 {
+            true => Layout::FcOperand { classes, batch, inputs: outputs },
+            false => Layout::Pixel,
+        };
+        let batching = if per_pixel == 0 { EcallBatching::PerPixel } else { EcallBatching::Batched };
+        // What this crossing is before anything is changed about it.
+        let packed = family > 0 || emit != Layout::Pixel;
+        let built = mutate < 6;
+        match mutate {
+            6 | 7 => layout = claim(layout, field, number(value)),
+            8 => emit = claim(emit, field, number(value)),
+            9 => shape.1 -= 1,
+            10 => chain = vec![[sigmoid, EnclaveOp::MeanPool, EnclaveOp::Divide, EnclaveOp::Refresh,
+                EnclaveOp::LogitReduce][other]; 1 + value % 3],
+            11 => chain = vec![EnclaveOp::MeanPool; 60 + value],
+            _ => {}
+        }
+        let cells = vec![host.cell.clone(); shape.0 * shape.1 * shape.2];
+        let map = EncryptedMap::new(shape.0, shape.1, shape.2, cells).with_layout(layout);
+        let _ = (map.occupancy_ppm(256), map.fc_per_cell(256));
+        let _ = map.decrypt_all(sys, &host.keys.secret, 2, &ParExec::serial());
+
+        let applied = host.enclave.apply(&chain, sys, model, &map, batching, emit, host.layers.pool());
+        if built {
+            let crosses = !packed || batching == EcallBatching::Batched;
+            prop_assert_eq!(applied.is_ok(), crosses, "{:?}", applied.as_ref().err());
+        }
+        if let Ok((out, _)) = applied {
+            // Every emitted cell was filled from cells that crossed.
+            prop_assert!(out.cells().len() <= map.cells().len() * 256, "{:?}", out.shape());
+            if chain.contains(&EnclaveOp::LogitReduce) {
+                prop_assert_eq!(&chain[..], &[EnclaveOp::LogitReduce][..]);
+                prop_assert_eq!((map.cells().len(), out.cells().len()), (1, 1));
+                let reduced = matches!(out.layout(), Layout::FcOperand { inputs: 1, .. });
+                prop_assert!(reduced);
+            } else {
+                prop_assert_eq!(out.layout(), emit);
+            }
+            let per_pixel = batching == EcallBatching::PerPixel;
+            prop_assert!(!per_pixel || (layout, emit) == (Layout::Pixel, Layout::Pixel));
+            prop_assert!(out.fc_per_cell(256).is_ok() || out.layout() == Layout::Pixel);
+        }
+
+        for layer in [HeLayer::Conv, HeLayer::Square, HeLayer::SumPool, HeLayer::Fc] {
+            let mut counter = OpCounter::default();
+            let out = host.layers.apply(layer, Cow::Borrowed(&map), &host.keys.evaluation, &mut counter);
+            let reads = matches!(
+                (layer, layout),
+                (_, Layout::Pixel)
+                    | (HeLayer::Conv, Layout::Patches { .. })
+                    | (HeLayer::Fc, Layout::FcOperand { .. })
+            );
+            prop_assert!(reads || out.is_err(), "{:?} read {:?}", layer, layout);
+            if out.is_err() {
+                prop_assert_eq!(counter, OpCounter::default());
+            }
+        }
+    }
+
+    /// A transcipher payload's framing is the host's claim about its batch:
+    /// only an authentic payload of the model's geometry comes back as cells,
+    /// exactly the ingress layout's count of them.
+    #[test]
+    fn transcipher_framing_claims_are_refused_inside_the_enclave(
+        images in 0usize..4, pixels_pick in 0usize..6,
+        forge_at in 0usize..16, forged in any::<u8>(),
+    ) {
+        let host = host();
+        let (sys, model) = (host.layers.system(), host.layers.model());
+        let pixels = [0, 1, 16, 63, 64, 65][pixels_pick];
+        let key = IngressKey::derive(b"salt", b"ikm", b"claims");
+        let batch = vec![vec![1i64; pixels]; images];
+        let Ok(mut payload) = seal_images(&key, &[5u8; 12], &batch) else {
+            return Ok(());
+        };
+        // Half the time, overwrite a byte of the clear `images`/`pixels`
+        // framing words (payload bytes 13..21).
+        let tampered = forge_at < 8 && std::mem::replace(&mut payload[13 + forge_at], forged) != forged;
+        let plan = plan_for(model, ActivationKind::Sigmoid, &ServePolicy::default(), Placement::Hybrid);
+        let pool = ParExec::serial();
+        let cells = host.enclave.transcipher_ingress(sys, model, &plan, &key, &payload, &pool);
+        match cells {
+            Ok((cells, served, _)) => {
+                prop_assert!(!tampered && pixels == 64 && served == images);
+                let layout = plan.ingress_layout(model, images, 256);
+                prop_assert_eq!(cells.len(), layout.ingress_cells(8, 256));
+            }
+            Err(err) => prop_assert!(tampered || pixels != 64 || images == 0, "{}", err),
+        }
+    }
+}

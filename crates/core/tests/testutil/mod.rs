@@ -33,6 +33,18 @@ pub fn small_hybrid_model() -> QuantizedCnn {
     }
 }
 
+/// [`small_hybrid_model`] with sixteen classes: its FC layer (16 × 18 values
+/// an image) is wider than a degree-256 ciphertext, so small batches leave
+/// the enclave packed for it (`Layout::for_fc`: up to 8 images at n = 256).
+pub fn wide_hybrid_model() -> QuantizedCnn {
+    QuantizedCnn {
+        classes: 16,
+        fc_weights: (0..16 * 18).map(|i| (i % 5) as i64 - 2).collect(),
+        fc_bias: (0..16).map(|i| i % 9 - 4).collect(),
+        ..small_hybrid_model()
+    }
+}
+
 /// A small untrained paper-architecture (28×28 MNIST-shaped) model, weights
 /// random but fixed by `seed` — exactness tests don't need training.
 pub fn hybrid_paper_model(seed: u64) -> QuantizedCnn {

@@ -275,22 +275,30 @@ impl CrtPlainSystem {
         }
     }
 
-    /// Batch-encodes `values` modulo each part's modulus and encrypts the
-    /// part plaintexts with `encrypt`.
+    /// Batch-encodes one signed value per SIMD slot modulo each part's
+    /// modulus: the part plaintexts of an encryption or a slot-wise operand.
+    ///
+    /// # Errors
+    ///
+    /// Fails when more values than slots are supplied.
+    pub fn encode_slots(&self, values: &[i64]) -> hesgx_bfv::error::Result<Vec<Plaintext>> {
+        let residues = |t: u64| values.iter().map(move |&v| v.rem_euclid(t as i64) as u64);
+        (self.moduli.iter().zip(&self.encoders))
+            .map(|(&t, encoder)| encoder.encode(&residues(t).collect::<Vec<_>>()))
+            .collect()
+    }
+
+    /// Encrypts the part plaintexts of `values` with `encrypt`.
     fn encrypt_parts(
         &self,
         values: &[i64],
         mut encrypt: impl FnMut(usize, &Plaintext) -> hesgx_bfv::error::Result<Ciphertext>,
     ) -> hesgx_bfv::error::Result<CrtCiphertext> {
-        let mut parts = Vec::with_capacity(self.moduli.len());
-        for (i, &t) in self.moduli.iter().enumerate() {
-            let residues: Vec<u64> = values
-                .iter()
-                .map(|&v| v.rem_euclid(t as i64) as u64)
-                .collect();
-            parts.push(encrypt(i, &self.encoders[i].encode(&residues)?)?);
-        }
-        Ok(CrtCiphertext { parts })
+        let plain = self.encode_slots(values)?;
+        let parts = plain.iter().enumerate().map(|(i, pt)| encrypt(i, pt));
+        Ok(CrtCiphertext {
+            parts: parts.collect::<hesgx_bfv::error::Result<_>>()?,
+        })
     }
 
     /// Encrypts one signed value per SIMD slot.

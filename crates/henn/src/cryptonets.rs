@@ -127,21 +127,13 @@ impl CryptoNets {
         keys: &CrtKeys,
         batch: usize,
     ) -> Result<Vec<usize>> {
-        let mut per_class = Vec::with_capacity(logits.len());
-        for ct in logits {
-            per_class.push(self.system().decrypt_slots(ct, &keys.secret)?);
-        }
-        let mut predictions = Vec::with_capacity(batch);
-        for b in 0..batch {
-            let mut best = 0;
-            for (class, slots) in per_class.iter().enumerate() {
-                if slots[b] > per_class[best][b] {
-                    best = class;
-                }
-            }
-            predictions.push(best);
-        }
-        Ok(predictions)
+        // The first maximum of each row.
+        let first_max = |row: Vec<i128>| (0..row.len()).rev().max_by_key(|&class| row[class]);
+        let rows = self.decrypt_logits(logits, keys, batch)?;
+        Ok(rows
+            .into_iter()
+            .map(|row| first_max(row).unwrap_or(0))
+            .collect())
     }
 
     /// Decrypts raw logits: `[batch][classes]`.

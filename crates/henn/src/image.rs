@@ -5,11 +5,13 @@
 //! `B` 28×28 images are 784 encryptions with `B` live slots each.
 //! [`Layout::Patches`] fills the slots with the convolution's im2col patches,
 //! which makes it a rotation-free 1×1 convolution over `k²` channels;
-//! [`Layout::for_conv`] counts which is fewer ciphertexts (DESIGN.md §6).
+//! [`Layout::FcOperand`] repeats every fully connected input once per class,
+//! which makes that layer slot-wise too. [`Layout::for_conv`] and
+//! [`Layout::for_fc`] count which is fewer ciphertexts (DESIGN.md §6).
 
 use crate::crt::{CrtCiphertext, CrtPlainSystem};
 use crate::par::ParExec;
-use hesgx_bfv::error::Result;
+use hesgx_bfv::error::{BfvError, Result};
 use hesgx_bfv::prelude::{PolyArena, PublicKey, SecretKey};
 use hesgx_crypto::rng::ChaChaRng;
 
@@ -27,12 +29,55 @@ pub enum Layout {
         /// Side of the convolution's output.
         side: usize,
     },
+    /// Packed for the fully connected layer: cell `g` holds inputs
+    /// `g·L .. g·L + L` of every image, each repeated for every class at
+    /// [`fc_slot`], `L` = [`Layout::fc_per_cell`] — `⌈inputs / L⌉` cells. The
+    /// layer's one output cell holds `L` partial sums per (class, image)
+    /// (`inputs = L`), the reduced logits one (`inputs = 1`).
+    FcOperand {
+        /// Output classes of the layer.
+        classes: usize,
+        /// Images in the batch.
+        batch: usize,
+        /// Values the map holds per (class, image).
+        inputs: usize,
+    },
 }
 
 /// The one slot-index function of [`Layout::Patches`]: (`position`, `image`)
 /// is value `index` of its channel — cell `index / slots`, slot `index % slots`.
 pub fn patch_slot(position: usize, image: usize, batch: usize) -> usize {
     position * batch + image
+}
+
+/// The one slot-index function of [`Layout::FcOperand`]: input `j_local` of
+/// its cell, as seen by `class`, of `image` — `per_cell` inputs to a cell.
+pub fn fc_slot(
+    j_local: usize,
+    class: usize,
+    image: usize,
+    per_cell: usize,
+    classes: usize,
+) -> usize {
+    (image * per_cell + j_local) * classes + class
+}
+
+/// The slots of one [`Layout::FcOperand`] cell of `per_cell` inputs:
+/// `value(j_local, class, image)` at [`fc_slot`] for the cell's first `live`
+/// inputs and `images` images, zero elsewhere.
+pub fn fc_cell(
+    slots: usize,
+    (per_cell, live): (usize, usize),
+    (classes, images): (usize, usize),
+    value: impl Fn(usize, usize, usize) -> i64,
+) -> Vec<i64> {
+    let mut cell = vec![0; slots];
+    for (image, class) in (0..images * classes).map(|i| (i / classes, i % classes)) {
+        for j in 0..live {
+            cell[fc_slot(j, class, image, per_cell, classes)] = value(j, class, image);
+        }
+    }
+    cell
 }
 
 impl Layout {
@@ -48,15 +93,54 @@ impl Layout {
         Layout::Pixel
     }
 
-    /// Cells per channel of a `Patches { batch, side }` map.
-    pub fn chunks(batch: usize, side: usize, slots: usize) -> usize {
-        (side * side * batch).div_ceil(slots)
+    /// The layout an enclave hands `batch` images' `inputs` values to a
+    /// `classes`-way fully connected layer in. The operand layout iff it is
+    /// fewer ciphertexts — `C·B ≤ slots` and `⌈J/L⌉ < J` (the paper's model,
+    /// n = 1024: `B ≤ 51`) — and the layer is wider than a ciphertext,
+    /// `C·J ≥ slots`: a narrower one would fit a small batch into one cell
+    /// (`L = J`), leaving the HE layer a single multiply and the whole dot
+    /// product to whoever adds up the partial sums (DESIGN.md §6).
+    pub fn for_fc(inputs: usize, classes: usize, batch: usize, slots: usize) -> Layout {
+        let operand = Layout::FcOperand {
+            classes,
+            batch,
+            inputs,
+        };
+        let wide = classes.checked_mul(inputs).is_some_and(|all| all >= slots);
+        match operand.fc_per_cell(slots) {
+            Some(per_cell) if wide && inputs.div_ceil(per_cell) < inputs => operand,
+            _ => Layout::Pixel,
+        }
     }
 
-    /// How many ciphertexts a batch of `in_side × in_side` images is.
+    /// `L = min(inputs, ⌊slots / (C·B)⌋)`, the inputs one cell of an
+    /// `FcOperand` map holds. `None` for another layout and for a claim no
+    /// cell can hold: no input, class or image, or `C·B` past `slots`.
+    pub fn fc_per_cell(self, slots: usize) -> Option<usize> {
+        let Layout::FcOperand {
+            classes,
+            batch,
+            inputs,
+        } = self
+        else {
+            return None;
+        };
+        let block = classes.checked_mul(batch).filter(|&block| block > 0)?;
+        Some(inputs.min(slots / block)).filter(|&per_cell| per_cell > 0)
+    }
+
+    /// Cells per channel of a `Patches { batch, side }` map (a claim past
+    /// `usize` saturates: more cells than any map holds).
+    pub fn chunks(batch: usize, side: usize, slots: usize) -> usize {
+        let values = side.saturating_mul(side).saturating_mul(batch);
+        values.div_ceil(slots)
+    }
+
+    /// How many ciphertexts a batch of `in_side × in_side` images is (no
+    /// batch enters as `FcOperand`; one told to enters per pixel).
     pub fn ingress_cells(self, in_side: usize, slots: usize) -> usize {
         match self {
-            Layout::Pixel => in_side * in_side,
+            Layout::Pixel | Layout::FcOperand { .. } => in_side * in_side,
             Layout::Patches { batch, side } => {
                 (in_side - side + 1).pow(2) * Layout::chunks(batch, side, slots)
             }
@@ -87,7 +171,7 @@ impl Layout {
 }
 
 /// An encrypted feature map: `channels × height × width` row-major cells.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncryptedMap {
     channels: usize,
     height: usize,
@@ -137,11 +221,37 @@ impl EncryptedMap {
     /// Live slots per million slots of a packed map's cells; a
     /// [`Layout::Pixel`] map does not say how many images it carries.
     pub fn occupancy_ppm(&self, slots: usize) -> Option<u64> {
-        let Layout::Patches { batch, side } = self.layout else {
-            return None;
+        let live = match self.layout {
+            Layout::Pixel => return None,
+            Layout::Patches { batch, side } => [self.channels, side, side, batch],
+            Layout::FcOperand {
+                classes,
+                batch,
+                inputs,
+            } => [inputs, classes, batch, 1],
         };
-        let live = self.channels * side * side * batch * 1_000_000;
-        Some((live / (self.cells.len() * slots).max(1)) as u64)
+        // (A host-claimed shape may multiply past any integer width.)
+        let live = live
+            .iter()
+            .fold(1_000_000u128, |n, &f| n.saturating_mul(f as u128));
+        let held = (self.cells.len() as u128 * slots as u128).max(1);
+        Some(u64::try_from(live / held).unwrap_or(u64::MAX))
+    }
+
+    /// [`Layout::fc_per_cell`] of a map holding exactly the cells its
+    /// [`Layout::FcOperand`] claims; [`BfvError::InvalidShape`] otherwise.
+    pub fn fc_per_cell(&self, slots: usize) -> Result<usize> {
+        if let (Layout::FcOperand { inputs, .. }, Some(per_cell)) =
+            (self.layout, self.layout.fc_per_cell(slots))
+        {
+            if inputs.div_ceil(per_cell) == self.cells.len() {
+                return Ok(per_cell);
+            }
+        }
+        let (held, layout) = (self.cells.len(), self.layout);
+        Err(BfvError::InvalidShape(format!(
+            "{held} cells of {slots} slots as {layout:?}"
+        )))
     }
 
     /// Shape as `(channels, height, width)`.
@@ -216,15 +326,20 @@ impl EncryptedMap {
         Ok(EncryptedMap::ingress(layout, side, cells))
     }
 
-    /// Decrypts every cell for the first `batch` slots: returns
-    /// `[batch][channels*height*width]` signed values — the images of a
-    /// [`Layout::Pixel`] map. One decryption task per cell on `pool` (a pool
-    /// of one runs inline); decryption draws no randomness, so the result is
-    /// the same for every pool size.
+    /// Decrypts every cell into one row of signed values per image, for the
+    /// first `batch` images — the one decode of a finished inference's logits.
+    /// A [`Layout::Pixel`] (or, raw, a [`Layout::Patches`]) map gives slot `b`
+    /// of every cell, `[batch][channels*height*width]`; a
+    /// [`Layout::FcOperand`] map reads [`fc_slot`], `[batch][class·inputs +
+    /// input]` — `[batch][classes]` for reduced logits. One decryption task
+    /// per cell on `pool` (a pool of one runs inline); decryption draws no
+    /// randomness, so the result is the same for every pool size.
     ///
     /// # Errors
     ///
-    /// Propagates decryption failures.
+    /// [`BfvError::InvalidShape`] for an `FcOperand` map that does not hold
+    /// what it claims or fewer than `batch` images; propagates decryption
+    /// failures.
     // hesgx-lint: allow(secret-pub-api, reason = "user-side decryption with the user's own key copy")
     pub fn decrypt_all(
         &self,
@@ -233,11 +348,33 @@ impl EncryptedMap {
         batch: usize,
         pool: &ParExec,
     ) -> Result<Vec<Vec<i128>>> {
-        let per_cell = pool.try_run(self.cells.len(), |i| {
+        let operand = match self.layout {
+            Layout::FcOperand {
+                classes,
+                batch: held,
+                inputs,
+            } => {
+                let per_cell = self.fc_per_cell(sys.slot_count())?;
+                if batch > held {
+                    return Err(BfvError::InvalidShape(format!(
+                        "{batch} rows of a map of {held} images"
+                    )));
+                }
+                Some((classes, inputs, per_cell))
+            }
+            _ => None,
+        };
+        let cells = pool.try_run(self.cells.len(), |i| {
             sys.decrypt_slots(&self.cells[i], secret)
         })?;
-        let image = |b| per_cell.iter().map(|cell| cell[b]).collect();
-        Ok((0..batch).map(image).collect())
+        let row = |b| match operand {
+            None => cells.iter().map(|cell| cell[b]).collect(),
+            Some((classes, inputs, per)) => (0..classes * inputs)
+                .map(|v| (v / inputs, v % inputs))
+                .map(|(class, j)| cells[j / per][fc_slot(j % per, class, b, per, classes)])
+                .collect(),
+        };
+        Ok((0..batch).map(row).collect())
     }
 }
 
@@ -296,6 +433,133 @@ mod tests {
             assert_eq!(layout.ingress_cells(12, 256), cells);
         }
         assert_eq!(Layout::for_conv(4, 4, 1, 256), Layout::Pixel);
+        // The egress rule: the paper's 720 pooled values for ten classes at
+        // n = 1024 leave ten to a cell at the paper's batch (72 ciphertexts,
+        // not 720) and packed up to 51 images — 52 would be one input a cell
+        // again. The broker's 50 values for three classes at n = 256 never
+        // do: 150 values are not a ciphertext's worth, one image's would all
+        // sit in one cell.
+        let operand = |classes, batch, inputs| Layout::FcOperand {
+            classes,
+            batch,
+            inputs,
+        };
+        for (batch, per_cell, cells) in [(1, 102, 8), (10, 10, 72), (34, 3, 240), (51, 2, 360)] {
+            let layout = Layout::for_fc(720, 10, batch, 1024);
+            assert_eq!(layout, operand(10, batch, 720));
+            assert_eq!(layout.fc_per_cell(1024), Some(per_cell), "batch {batch}");
+            assert_eq!(720usize.div_ceil(per_cell), cells, "batch {batch}");
+        }
+        assert_eq!(Layout::for_fc(720, 10, 52, 1024), Layout::Pixel);
+        assert_eq!(operand(10, 52, 720).fc_per_cell(1024), Some(1));
+        for (batch, per_cell) in [(1, 50), (2, 42), (8, 10)] {
+            assert_eq!(Layout::for_fc(50, 3, batch, 256), Layout::Pixel);
+            assert_eq!(operand(3, batch, 50).fc_per_cell(256), Some(per_cell));
+        }
+        // `C·J` at the slots is wide enough, one value short is not.
+        assert_eq!(Layout::for_fc(64, 4, 2, 256), operand(4, 2, 64));
+        assert_eq!(Layout::for_fc(85, 3, 2, 256), Layout::Pixel);
+        assert_eq!(Layout::for_fc(usize::MAX, 3, 2, 256), Layout::Pixel);
+        // `C·B` at the slots still holds one input a cell; past them, and for
+        // a claim of nothing or of more than `usize`, no cell holds any.
+        assert_eq!(operand(4, 64, 18).fc_per_cell(256), Some(1));
+        for claim in [
+            operand(4, 65, 18),
+            operand(0, 2, 18),
+            operand(3, 0, 18),
+            operand(3, 2, 0),
+            operand(usize::MAX, 2, 18),
+            Layout::Pixel,
+            Layout::Patches { batch: 2, side: 6 },
+        ] {
+            assert_eq!(claim.fc_per_cell(256), None, "{claim:?}");
+        }
+        for (inputs, classes, batch) in [
+            (72, 4, 64),
+            (72, 4, 65),
+            (1, 256, 1),
+            (18, 0, 2),
+            (72, 4, 0),
+        ] {
+            assert_eq!(Layout::for_fc(inputs, classes, batch, 256), Layout::Pixel);
+        }
+        // The reduced logits hold one value per (class, image).
+        assert_eq!(operand(10, 10, 1).fc_per_cell(1024), Some(1));
+    }
+
+    /// An `FcOperand` map decrypts through `fc_slot` into one row per image
+    /// (`[class·inputs + input]`), says how full its cells are, and refuses
+    /// a claim its cells do not hold.
+    #[test]
+    fn fc_operand_round_trips_and_reports_its_occupancy() {
+        let sys = CrtPlainSystem::new(256, &[12289]).unwrap();
+        let mut rng = ChaChaRng::from_seed(53);
+        let keys = sys.generate_keys(&mut rng);
+        // Seven inputs of two images for twenty classes: ⌊256/40⌋ = 6 a cell.
+        let (classes, batch, inputs) = (20, 2, 7);
+        let layout = Layout::FcOperand {
+            classes,
+            batch,
+            inputs,
+        };
+        let value = |input: usize, image: usize| (input * 10 + image) as i64 - 30;
+        let cells: Vec<CrtCiphertext> = [(0, 6), (6, 1)]
+            .iter()
+            .map(|&(first, live)| {
+                let each = |j, _, image| value(first + j, image);
+                let slots = fc_cell(256, (6, live), (classes, batch), each);
+                sys.encrypt_slots(&slots, &keys.public, &mut rng).unwrap()
+            })
+            .collect();
+        let map = EncryptedMap::new(2, 1, 1, cells.clone()).with_layout(layout);
+        assert_eq!(map.fc_per_cell(256).unwrap(), 6);
+        assert_eq!(map.occupancy_ppm(256), Some(7 * 40 * 1_000_000 / 512));
+        let rows = map
+            .decrypt_all(&sys, &keys.secret, batch, &ParExec::new(2))
+            .unwrap();
+        for (image, row) in rows.iter().enumerate() {
+            let want: Vec<i128> = (0..classes * inputs)
+                .map(|v| value(v % inputs, image).into())
+                .collect();
+            assert_eq!(row, &want, "image {image}");
+        }
+        // The paper request's operand map and its one logits ciphertext.
+        let paper = |inputs, count| {
+            let layout = Layout::FcOperand {
+                classes: 10,
+                batch: 10,
+                inputs,
+            };
+            let map = EncryptedMap::new(count, 1, 1, vec![cells[0].clone(); count]);
+            map.with_layout(layout).occupancy_ppm(1024)
+        };
+        assert_eq!(paper(720, 72), Some(976_562));
+        assert_eq!(paper(1, 1), Some(97_656));
+        // More rows than images, a cell too many, a claim no cell holds.
+        let invalid = |map: &EncryptedMap, batch| {
+            let rows = map.decrypt_all(&sys, &keys.secret, batch, &ParExec::serial());
+            assert!(matches!(rows, Err(BfvError::InvalidShape(_))), "{map:?}");
+        };
+        invalid(&map, 3);
+        let long = EncryptedMap::new(3, 1, 1, vec![cells[0].clone(); 3]).with_layout(layout);
+        assert!(long.fc_per_cell(256).is_err());
+        invalid(&long, 2);
+        for claim in [(0, 2, 7), (20, 13, 7), (usize::MAX, usize::MAX, 7)] {
+            let (classes, batch, inputs) = claim;
+            let claim = Layout::FcOperand {
+                classes,
+                batch,
+                inputs,
+            };
+            let map = map.clone().with_layout(claim);
+            invalid(&map, 1);
+            assert!(map.occupancy_ppm(256).is_some());
+        }
+        assert!(map
+            .clone()
+            .with_layout(Layout::Pixel)
+            .fc_per_cell(256)
+            .is_err());
     }
 
     #[test]

@@ -11,12 +11,13 @@ use crate::crt::CrtPlainSystem;
 use crate::image::{EncryptedMap, Layout};
 use crate::ops::{self, OpCounter};
 use crate::par::ParExec;
-use crate::weights::WeightBank;
+use crate::weights::{FcOperandBank, WeightBank};
 use hesgx_bfv::error::{BfvError, Result};
 use hesgx_bfv::prelude::{EvaluationKeys, PolyArena};
 use hesgx_nn::quantize::QuantizedCnn;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One layer of the CNN as it is computed under HE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -30,7 +31,8 @@ pub enum HeLayer {
     /// ([`ops::he_scaled_mean_pool`]).
     SumPool,
     /// Fully connected layer with plaintext weights
-    /// ([`ops::he_fully_connected`]).
+    /// ([`ops::he_fully_connected`]; over a [`Layout::FcOperand`] map,
+    /// [`ops::he_fc_operand`]).
     Fc,
 }
 
@@ -46,6 +48,9 @@ pub struct HeLayers {
     conv_bank: WeightBank,
     /// FC weights/biases prepared once at construction.
     fc_bank: WeightBank,
+    /// The FC operands over [`Layout::FcOperand`] maps, built on first use:
+    /// at most one bank per distinct `per_cell`.
+    fc_operands: Mutex<Vec<Arc<FcOperandBank>>>,
     pool: ParExec,
     /// Consumed feature maps recycle their limb buffers here and the next
     /// layer's accumulator copies draw from it.
@@ -68,6 +73,7 @@ impl HeLayers {
             model,
             conv_bank,
             fc_bank,
+            fc_operands: Mutex::default(),
             pool,
             arena: PolyArena::new(),
         })
@@ -93,14 +99,36 @@ impl HeLayers {
         map.recycle(&self.arena);
     }
 
+    /// The FC operand bank for cells of `per_cell` inputs.
+    fn fc_operands(&self, per_cell: usize) -> Result<Arc<FcOperandBank>> {
+        let mut banks = self
+            .fc_operands
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(bank) = banks.iter().find(|bank| bank.per_cell == per_cell) {
+            return Ok(bank.clone());
+        }
+        let m = &self.model;
+        let bank = Arc::new(FcOperandBank::prepare(
+            &self.sys,
+            &m.fc_weights,
+            &m.fc_bias,
+            per_cell,
+        )?);
+        banks.push(bank.clone());
+        Ok(bank)
+    }
+
     /// Runs one HE layer over `input`. An owned input is consumed: once the
     /// output exists its limb buffers go back to the arena and seed the next
     /// layer's accumulator copies. `evk` is read by [`HeLayer::Square`] only.
     ///
     /// # Errors
     ///
-    /// [`BfvError::InvalidShape`] for a patch-packed input to a layer other
-    /// than the convolution; propagates homomorphic-operation failures.
+    /// [`BfvError::InvalidShape`] for a packed input to a layer that does
+    /// not read its layout ([`Layout::Patches`]: the convolution,
+    /// [`Layout::FcOperand`]: the fully connected layer); propagates
+    /// homomorphic-operation failures.
     pub fn apply(
         &self,
         layer: HeLayer,
@@ -110,9 +138,15 @@ impl HeLayers {
     ) -> Result<EncryptedMap> {
         let m = &self.model;
         let layout = input.layout();
-        if layout != Layout::Pixel && layer != HeLayer::Conv {
+        let readable = matches!(
+            (layer, layout),
+            (_, Layout::Pixel)
+                | (HeLayer::Conv, Layout::Patches { .. })
+                | (HeLayer::Fc, Layout::FcOperand { .. })
+        );
+        if !readable {
             return Err(BfvError::InvalidShape(format!(
-                "{layer:?} reads one cell per position, the map is {layout:?}"
+                "{layer:?} does not read a {layout:?} map"
             )));
         }
         let out = match layer {
@@ -141,6 +175,10 @@ impl HeLayers {
                 &self.pool,
                 &self.arena,
             )?,
+            HeLayer::Fc if layout != Layout::Pixel => {
+                let bank = self.fc_operands(input.fc_per_cell(self.sys.slot_count())?)?;
+                ops::he_fc_operand(&self.sys, &input, &bank, counter, &self.pool)?
+            }
             HeLayer::Fc => {
                 let logits = ops::he_fully_connected(
                     &self.sys,

@@ -11,10 +11,10 @@
 //! are the test and bench oracles the kernels are pinned against.
 
 use crate::crt::{CrtCiphertext, CrtPlainSystem};
-use crate::image::EncryptedMap;
+use crate::image::{EncryptedMap, Layout};
 use crate::par::ParExec;
-use crate::weights::WeightBank;
-use hesgx_bfv::error::Result;
+use crate::weights::{FcOperandBank, WeightBank};
+use hesgx_bfv::error::{BfvError, Result};
 use hesgx_bfv::prelude::{Ciphertext, EvaluationKeys, PolyArena};
 
 /// Counts of homomorphic primitive operations (the paper's `C×P` / `C+C`
@@ -109,14 +109,10 @@ fn conv_cell_part(
 ///
 /// # Errors
 ///
-/// Propagates homomorphic-operation failures (lowest task index first).
-///
-/// # Panics
-///
-/// Panics when the bank does not hold `out_channels · in_channels · kernel²`
-/// scalars and `out_channels` biases — an invariant
-/// [`hesgx_nn::quantize::QuantizedCnn::check_geometry`] establishes for
-/// model-driven callers.
+/// [`BfvError::InvalidShape`] for a map smaller than the kernel or a bank
+/// that does not hold `out_channels · in_channels · kernel²` scalars and
+/// `out_channels` biases; propagates homomorphic-operation failures (lowest
+/// task index first).
 #[allow(clippy::too_many_arguments)]
 // hesgx-lint: hot
 pub fn he_conv2d(
@@ -132,12 +128,21 @@ pub fn he_conv2d(
 ) -> Result<EncryptedMap> {
     let _prof = hesgx_obs::prof::span("henn.conv2d");
     let (in_channels, h, w) = input.shape();
-    assert_eq!(
-        bank.scalars.len(),
-        out_channels * in_channels * kernel * kernel,
-        "weight count mismatch"
-    );
-    assert_eq!(bank.biases.len(), out_channels);
+    let taps = [in_channels, kernel, kernel]
+        .iter()
+        .try_fold(out_channels, |n, &f| n.checked_mul(f));
+    if kernel.min(stride) == 0
+        || h.min(w) < kernel
+        || taps != Some(bank.scalars.len())
+        || bank.biases.len() != out_channels
+    {
+        return Err(BfvError::InvalidShape(format!(
+            "{kernel}×{kernel} stride-{stride} conv of a {in_channels}×{h}×{w} map: {} weights, \
+             {} biases, {out_channels} outputs",
+            bank.scalars.len(),
+            bank.biases.len()
+        )));
+    }
     let oh = (h - kernel) / stride + 1;
     let ow = (w - kernel) / stride + 1;
     let n_cells = out_channels * oh * ow;
@@ -180,12 +185,9 @@ pub fn he_conv2d(
 ///
 /// # Errors
 ///
-/// Propagates homomorphic-operation failures (lowest task index first).
-///
-/// # Panics
-///
-/// Panics when the bank does not hold `out_dim · flat` scalars and `out_dim`
-/// biases.
+/// [`BfvError::InvalidShape`] for an empty map or a bank that does not hold
+/// `out_dim · flat` scalars and `out_dim` biases; propagates
+/// homomorphic-operation failures (lowest task index first).
 // hesgx-lint: hot
 pub fn he_fully_connected(
     sys: &CrtPlainSystem,
@@ -198,12 +200,19 @@ pub fn he_fully_connected(
 ) -> Result<Vec<CrtCiphertext>> {
     let _prof = hesgx_obs::prof::span("henn.fc");
     let flat = input.cells().len();
-    assert_eq!(
-        bank.scalars.len(),
-        out_dim * flat,
-        "FC weight count mismatch"
-    );
-    assert_eq!(bank.biases.len(), out_dim);
+    let scalars = out_dim.checked_mul(flat);
+    if flat == 0
+        || input.layout() != Layout::Pixel
+        || scalars != Some(bank.scalars.len())
+        || bank.biases.len() != out_dim
+    {
+        return Err(BfvError::InvalidShape(format!(
+            "FC over {flat} {:?} cells: {} weights, {} biases, {out_dim} outputs",
+            input.layout(),
+            bank.scalars.len(),
+            bank.biases.len()
+        )));
+    }
     let n_parts = sys.part_count();
     let parts = pool.try_run(out_dim * n_parts, |t| -> Result<Ciphertext> {
         let (o, part) = (t / n_parts, t % n_parts);
@@ -216,7 +225,7 @@ pub fn he_fully_connected(
                 Some(a) => eval.mul_plain_scalar_acc(a, x, wgt)?,
             }
         }
-        let mut acc = acc.expect("FC input non-empty");
+        let mut acc = acc.ok_or(BfvError::InvalidCiphertextSize(0))?;
         eval.add_plain_bias_inplace(&mut acc, bank.biases[o].part(part))?;
         Ok(acc)
     })?;
@@ -224,6 +233,75 @@ pub fn he_fully_connected(
     counter.ct_ct_add += (out_dim * (flat - 1)) as u64;
     counter.ct_pt_add += out_dim as u64;
     Ok(assemble_cells(parts, out_dim, n_parts))
+}
+
+/// Cells one task of [`he_fc_operand`] accumulates: fixed, so the transform
+/// count does not depend on the pool size.
+const FC_OPERAND_GROUP: usize = 8;
+
+/// The fully connected layer over a [`Layout::FcOperand`] map: one slot-wise
+/// `C×P` per cell against `bank`'s weight plaintexts, summed into one
+/// ciphertext (in evaluation form, `FC_OPERAND_GROUP` cells a task) plus
+/// the bias plaintext. Its slots hold `per_cell` partial sums per
+/// (class, image): the output map is `FcOperand` with `inputs = per_cell`.
+///
+/// # Errors
+///
+/// [`BfvError::InvalidShape`] when the map is not the operand layout `bank`
+/// was prepared for; propagates homomorphic-operation failures.
+pub fn he_fc_operand(
+    sys: &CrtPlainSystem,
+    input: &EncryptedMap,
+    bank: &FcOperandBank,
+    counter: &mut OpCounter,
+    pool: &ParExec,
+) -> Result<EncryptedMap> {
+    let _prof = hesgx_obs::prof::span("henn.fc");
+    let per_cell = input.fc_per_cell(sys.slot_count())?;
+    let batch = match input.layout() {
+        Layout::FcOperand {
+            classes,
+            batch,
+            inputs,
+        } if (classes, inputs, per_cell) == (bank.classes, bank.inputs, bank.per_cell) => batch,
+        layout => {
+            return Err(BfvError::InvalidShape(format!(
+                "{layout:?} into operands of {} inputs, {} classes, {} a cell",
+                bank.inputs, bank.classes, bank.per_cell
+            )))
+        }
+    };
+    let (cells, n_parts) = (input.cells(), sys.part_count());
+    let tasks = cells.chunks(FC_OPERAND_GROUP);
+    let tasks: Vec<_> = tasks.zip(bank.weights.chunks(FC_OPERAND_GROUP)).collect();
+    let groups = tasks.len();
+    let partial = pool.try_run(groups * n_parts, |t| {
+        let (part, (cells, weights)) = (t / groups, tasks[t % groups]);
+        let terms = cells.iter().zip(weights);
+        sys.evaluator(part)
+            .dot_plain_ntt(terms.map(|(cell, weight)| (&cell.parts[part], &weight[part])))
+    })?;
+    let mut partial = partial.into_iter();
+    let parts = (0..n_parts).map(|part| {
+        let eval = sys.evaluator(part);
+        let mut acc = partial.next().ok_or(BfvError::InvalidCiphertextSize(0))?;
+        for term in partial.by_ref().take(groups - 1) {
+            eval.add_inplace(&mut acc, &term)?;
+        }
+        eval.add_plain(&acc, &bank.bias[part])
+    });
+    let logits = CrtCiphertext {
+        parts: parts.collect::<Result<_>>()?,
+    };
+    counter.ct_pt_mul += cells.len() as u64;
+    counter.ct_ct_add += cells.len() as u64 - 1;
+    counter.ct_pt_add += 1;
+    let layout = Layout::FcOperand {
+        classes: bank.classes,
+        batch,
+        inputs: per_cell,
+    };
+    Ok(EncryptedMap::new(1, 1, 1, vec![logits]).with_layout(layout))
 }
 
 /// Scaled mean-pooling: the window **sum** (no division — HE cannot divide;
@@ -234,11 +312,8 @@ pub fn he_fully_connected(
 ///
 /// # Errors
 ///
-/// Propagates homomorphic-operation failures (lowest task index first).
-///
-/// # Panics
-///
-/// Panics when `window` does not divide the map sides.
+/// [`BfvError::InvalidShape`] when `window` does not divide the map sides;
+/// propagates homomorphic-operation failures (lowest task index first).
 // hesgx-lint: hot
 pub fn he_scaled_mean_pool(
     sys: &CrtPlainSystem,
@@ -250,8 +325,11 @@ pub fn he_scaled_mean_pool(
 ) -> Result<EncryptedMap> {
     let _prof = hesgx_obs::prof::span("henn.pool");
     let (c, h, w) = input.shape();
-    assert_eq!(h % window, 0);
-    assert_eq!(w % window, 0);
+    if window == 0 || h % window != 0 || w % window != 0 {
+        return Err(BfvError::InvalidShape(format!(
+            "a {window}×{window} window does not tile a {c}×{h}×{w} map"
+        )));
+    }
     let (oh, ow) = (h / window, w / window);
     let n_cells = c * oh * ow;
     let n_parts = sys.part_count();
@@ -425,7 +503,6 @@ pub fn he_fully_connected_reference(
 mod tests {
     use super::*;
     use crate::crt::CrtPlainSystem;
-    use crate::image::Layout;
     use hesgx_crypto::rng::ChaChaRng;
 
     /// Every kernel is swept over these pool sizes; 1 is the inline path.
@@ -728,6 +805,167 @@ mod tests {
                         "{threads} threads"
                     );
                 }
+            }
+        }
+    }
+
+    /// The operand-layout FC against the raw-weight oracle on the same
+    /// plaintext inputs: seven inputs of four images for twenty classes,
+    /// three to a cell (`⌊256/80⌋`, the last cell holding one). Slot for
+    /// slot, the accumulator holds the oracle's dot product split into the
+    /// three partial sums `fc_slot` says — the bias in the first — and zero
+    /// everywhere else; the bits do not depend on the pool size.
+    #[test]
+    fn fc_operand_kernel_is_the_reference_fc_slot_for_slot() {
+        use crate::image::{fc_cell, fc_slot};
+        for (sys, keys, mut rng) in setups() {
+            let (classes, batch, inputs, per) = (20usize, 4usize, 7usize, 3usize);
+            let x = |image: usize, input: usize| ((input * 5 + image * 3) % 16) as i64;
+            let weights: Vec<i64> = (0..classes * inputs).map(|i| (i % 5) as i64 - 2).collect();
+            let bias: Vec<i64> = (0..classes).map(|c| (c % 9) as i64 - 4).collect();
+            let images: Vec<Vec<i64>> = (0..batch)
+                .map(|b| (0..inputs).map(|j| x(b, j)).collect())
+                .collect();
+            // The oracle over one cell per input, image `b` in slot `b`.
+            let serial = ParExec::serial();
+            let pixel: Vec<CrtCiphertext> = (0..inputs)
+                .map(|j| {
+                    let column: Vec<i64> = images.iter().map(|img| img[j]).collect();
+                    sys.encrypt_slots(&column, &keys.public, &mut rng).unwrap()
+                })
+                .collect();
+            let pixel = EncryptedMap::new(inputs, 1, 1, pixel);
+            let mut oracle_ops = OpCounter::default();
+            let oracle = he_fully_connected_reference(
+                &sys,
+                &pixel,
+                &weights,
+                &bias,
+                classes,
+                &mut oracle_ops,
+            )
+            .unwrap();
+            let oracle = EncryptedMap::new(classes, 1, 1, oracle)
+                .decrypt_all(&sys, &keys.secret, batch, &serial)
+                .unwrap();
+            // The same inputs in the operand layout.
+            let layout = Layout::FcOperand {
+                classes,
+                batch,
+                inputs,
+            };
+            assert_eq!(layout.fc_per_cell(256), Some(per));
+            let cells: Vec<CrtCiphertext> = (0..inputs.div_ceil(per))
+                .map(|g| {
+                    let live = per.min(inputs - g * per);
+                    let each = |j, _, image| x(image, g * per + j);
+                    let slots = fc_cell(256, (per, live), (classes, batch), each);
+                    sys.encrypt_slots(&slots, &keys.public, &mut rng).unwrap()
+                })
+                .collect();
+            let packed = EncryptedMap::new(cells.len(), 1, 1, cells).with_layout(layout);
+            let bank = FcOperandBank::prepare(&sys, &weights, &bias, per).unwrap();
+            assert_eq!((bank.weights.len(), bank.bias.len()), (3, sys.part_count()));
+            let mut want = vec![0i128; 256];
+            for (image, class, j) in (0..batch * classes * per)
+                .map(|i| (i / (classes * per), i / per % classes, i % per))
+            {
+                let taps = (j..inputs).step_by(per);
+                let dot: i64 = taps
+                    .map(|i| weights[class * inputs + i] * x(image, i))
+                    .sum();
+                let sum = dot + if j == 0 { bias[class] } else { 0 };
+                want[fc_slot(j, class, image, per, classes)] = sum.into();
+            }
+            let mut bits = None;
+            for threads in POOLS {
+                let mut counter = OpCounter::default();
+                let pool = ParExec::new(threads);
+                let out = he_fc_operand(&sys, &packed, &bank, &mut counter, &pool).unwrap();
+                let sums = Layout::FcOperand {
+                    classes,
+                    batch,
+                    inputs: per,
+                };
+                assert_eq!((out.shape(), out.layout()), ((1, 1, 1), sums));
+                let slots = sys.decrypt_slots(&out.cells()[0], &keys.secret).unwrap();
+                assert_eq!(slots, want, "{threads} threads");
+                // Summed per (class, image), the partial sums are the logits.
+                let rows = out.decrypt_all(&sys, &keys.secret, batch, &serial).unwrap();
+                for (row, logits) in rows.iter().zip(&oracle) {
+                    let reduced: Vec<i128> =
+                        row.chunks(per).map(|sums| sums.iter().sum()).collect();
+                    assert_eq!(&reduced, logits, "{threads} threads");
+                }
+                // Three multiplies, not 140.
+                let ops = OpCounter {
+                    ct_pt_mul: 3,
+                    ct_ct_add: 2,
+                    ct_pt_add: 1,
+                    ..OpCounter::default()
+                };
+                assert_eq!(counter, ops);
+                assert_eq!(oracle_ops.ct_pt_mul, 140);
+                let cells = out.into_cells();
+                assert_eq!(
+                    *bits.get_or_insert(cells.clone()),
+                    cells,
+                    "{threads} threads"
+                );
+            }
+            // The kernel is chosen by the map's layout; each refuses the
+            // other's map, and a bank prepared for other cells.
+            let refused = |result: Result<EncryptedMap>| {
+                assert!(matches!(result, Err(BfvError::InvalidShape(_))));
+            };
+            let mut counter = OpCounter::default();
+            refused(he_fc_operand(&sys, &pixel, &bank, &mut counter, &serial));
+            let other = FcOperandBank::prepare(&sys, &weights, &bias, 2).unwrap();
+            refused(he_fc_operand(&sys, &packed, &other, &mut counter, &serial));
+            let scalar = WeightBank::prepare(&sys, &weights[..classes * 3], &bias).unwrap();
+            let arena = PolyArena::new();
+            let fc = he_fully_connected(
+                &sys,
+                &packed,
+                &scalar,
+                classes,
+                &mut counter,
+                &serial,
+                &arena,
+            );
+            assert!(matches!(fc, Err(BfvError::InvalidShape(_))));
+            let empty = EncryptedMap::new(0, 1, 1, Vec::new());
+            let fc = he_fully_connected(
+                &sys,
+                &empty,
+                &scalar,
+                classes,
+                &mut counter,
+                &serial,
+                &arena,
+            );
+            assert!(matches!(fc, Err(BfvError::InvalidShape(_))));
+            let fc = he_fully_connected(
+                &sys,
+                &pixel,
+                &scalar,
+                classes,
+                &mut counter,
+                &serial,
+                &arena,
+            );
+            assert!(
+                matches!(fc, Err(BfvError::InvalidShape(_))),
+                "3 of 7 weight columns"
+            );
+            assert_eq!(counter, OpCounter::default());
+            // No block of inputs for every class fits a cell; ragged rows.
+            for (weights, per) in [(&weights[..], 13), (&weights[..], 0), (&weights[1..], 3)] {
+                let bank = FcOperandBank::prepare(&sys, weights, &bias, per);
+                assert!(
+                    matches!(bank, Err(BfvError::InvalidShape(_))),
+                    "{per} a cell"
+                );
             }
         }
     }

@@ -4,9 +4,10 @@
 //! the weights' number").
 
 use crate::crt::{CrtPlainSystem, CrtPreparedBias, CrtPreparedScalar};
+use crate::image::fc_cell;
 use hesgx_bfv::encoding::IntegerEncoder;
-use hesgx_bfv::error::Result;
-use hesgx_bfv::plaintext::Plaintext;
+use hesgx_bfv::error::{BfvError, Result};
+use hesgx_bfv::plaintext::{NttPlaintext, Plaintext};
 
 /// The plaintext encodings of one weight across every CRT modulus.
 #[derive(Debug, Clone)]
@@ -45,6 +46,72 @@ impl WeightBank {
                 .iter()
                 .map(|&b| sys.prepare_bias(b))
                 .collect::<Result<_>>()?,
+        })
+    }
+}
+
+/// The fully connected layer's operands over a
+/// [`Layout::FcOperand`](crate::image::Layout::FcOperand) map of `per_cell`
+/// inputs a cell: per cell, the weights `W[class][g·L + j_local]` at
+/// [`fc_slot`](crate::image::fc_slot), and the biases at `j_local = 0`, both
+/// written into every image block a cell has room for — so a bank depends on
+/// the model and `L` alone, never on the batch.
+#[derive(Debug)]
+pub struct FcOperandBank {
+    /// Output classes of the layer.
+    pub classes: usize,
+    /// Inputs of the layer.
+    pub inputs: usize,
+    /// Inputs a cell holds (`L`).
+    pub per_cell: usize,
+    /// `[cell][part]` weight plaintexts, in evaluation form.
+    pub weights: Vec<Vec<NttPlaintext>>,
+    /// `[part]` bias plaintexts.
+    pub bias: Vec<Plaintext>,
+}
+
+impl FcOperandBank {
+    /// Encodes `weights[class][input]` and one bias per class for cells of
+    /// `per_cell` inputs.
+    ///
+    /// # Errors
+    ///
+    /// [`BfvError::InvalidShape`] when the weights are not one row per bias
+    /// or one (class, image) block of `per_cell` inputs exceeds the slots.
+    pub fn prepare(
+        sys: &CrtPlainSystem,
+        weights: &[i64],
+        biases: &[i64],
+        per_cell: usize,
+    ) -> Result<FcOperandBank> {
+        let (classes, slots) = (biases.len(), sys.slot_count());
+        let block = per_cell.saturating_mul(classes);
+        if block == 0 || block > slots || !weights.len().is_multiple_of(classes) {
+            return Err(BfvError::InvalidShape(format!(
+                "{} weights, {classes} classes, {per_cell} inputs a cell of {slots} slots",
+                weights.len()
+            )));
+        }
+        let (inputs, images) = (weights.len() / classes, slots / block);
+        // One cell: `value(j_local, class, _)` in every image block.
+        let cell = |value: &dyn Fn(usize, usize, usize) -> i64, live| {
+            sys.encode_slots(&fc_cell(slots, (per_cell, live), (classes, images), value))
+        };
+        let ntt =
+            |(part, plain): (usize, &Plaintext)| sys.evaluator(part).transform_plain_to_ntt(plain);
+        let weights = (0..inputs.div_ceil(per_cell))
+            .map(|g| {
+                let (first, live) = (g * per_cell, per_cell.min(inputs - g * per_cell));
+                let plain = cell(&|j, class, _| weights[class * inputs + first + j], live)?;
+                plain.iter().enumerate().map(ntt).collect()
+            })
+            .collect::<Result<_>>()?;
+        Ok(FcOperandBank {
+            classes,
+            inputs,
+            per_cell,
+            weights,
+            bias: cell(&|_, class, _| biases[class], 1)?,
         })
     }
 }

@@ -4,10 +4,10 @@
 use hesgx_bfv::prelude::PolyArena;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::{CrtKeys, CrtPlainSystem};
-use hesgx_henn::image::{patch_slot, EncryptedMap, Layout};
+use hesgx_henn::image::{fc_cell, fc_slot, patch_slot, EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
-use hesgx_henn::weights::WeightBank;
+use hesgx_henn::weights::{FcOperandBank, WeightBank};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -122,6 +122,68 @@ proptest! {
         for (pixel, column) in pixels.iter().enumerate() {
             let want: Vec<i64> = images.iter().map(|img| img[pixel]).collect();
             prop_assert_eq!(column, &want);
+        }
+    }
+
+    /// `fc_slot` sends the (input, class, image) triples of one cell to
+    /// distinct slots inside the ciphertext, for every shape the count rule
+    /// admits; and pack → multiply → reduce through it is the plaintext
+    /// fully connected layer: the inputs laid out as the enclave lays them
+    /// out, multiplied by the operand bank, decrypted and summed per
+    /// (class, image), equal `W·x + b` for every image.
+    #[test]
+    fn fc_slot_is_injective_and_pack_multiply_reduce_round_trips(
+        inputs in 1usize..40, classes in 1usize..16, batch in 1usize..9, seed in any::<u64>(),
+    ) {
+        let (sys, keys) = system();
+        let slots = sys.slot_count();
+        let layout = Layout::FcOperand { classes, batch, inputs };
+        let per = layout.fc_per_cell(slots).expect("15 × 8 ≤ 256");
+        prop_assert_eq!(per, inputs.min(slots / (classes * batch)));
+        let mut seen: Vec<usize> = (0..per * classes * batch)
+            .map(|i| fc_slot(i % per, i / per % classes, i / (per * classes), per, classes))
+            .collect();
+        seen.sort_unstable();
+        seen.dedup();
+        prop_assert_eq!(seen.len(), per * classes * batch);
+        prop_assert!(seen.last().is_some_and(|&last| last < slots));
+        // The rule picks the layout exactly when it saves a ciphertext for a
+        // layer wider than one.
+        let ruled = Layout::for_fc(inputs, classes, batch, slots);
+        let picked = inputs.div_ceil(per) < inputs && classes * inputs >= slots;
+        prop_assert_eq!(ruled == layout, picked);
+
+        let mut rng = ChaChaRng::from_seed(seed);
+        let mut draw = |n: usize, below: u64| -> Vec<i64> {
+            (0..n).map(|_| rng.next_below(below) as i64 - below as i64 / 2).collect()
+        };
+        let x: Vec<Vec<i64>> = (0..batch).map(|_| draw(inputs, 64)).collect();
+        let (weights, bias) = (draw(classes * inputs, 16), draw(classes, 200));
+        let cells = (0..inputs.div_ceil(per)).map(|g| {
+            let each = |j, _, image: usize| x[image][g * per + j];
+            let live = per.min(inputs - g * per);
+            let values = fc_cell(slots, (per, live), (classes, batch), each);
+            sys.encrypt_slots(&values, &keys.public, &mut rng).unwrap()
+        });
+        let cells: Vec<_> = cells.collect();
+        let map = EncryptedMap::new(cells.len(), 1, 1, cells).with_layout(layout);
+        let bank = FcOperandBank::prepare(sys, &weights, &bias, per).unwrap();
+        let mut bits = None;
+        for threads in POOLS {
+            let mut counter = OpCounter::default();
+            let pool = ParExec::new(threads);
+            let sums = ops::he_fc_operand(sys, &map, &bank, &mut counter, &pool).unwrap();
+            prop_assert_eq!(counter.ct_pt_mul as usize, inputs.div_ceil(per));
+            let rows = sums.decrypt_all(sys, &keys.secret, batch, &pool).unwrap();
+            for (image, row) in rows.iter().enumerate() {
+                for (class, partial) in row.chunks(per).enumerate() {
+                    let dot: i64 = (0..inputs).map(|i| weights[class * inputs + i] * x[image][i]).sum();
+                    let logit: i128 = partial.iter().sum();
+                    prop_assert_eq!(logit, (dot + bias[class]).into(), "image {} class {}", image, class);
+                }
+            }
+            let cells = sums.into_cells();
+            prop_assert_eq!(bits.get_or_insert(cells.clone()), &cells, "{} threads", threads);
         }
     }
 

@@ -152,12 +152,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let summed =
             ops::he_scaled_mean_pool(&sys, &input, window, &mut counter, &pool, &PolyArena::new())?;
         let batched = EcallBatching::Batched;
-        let (_, div_cost) =
-            ie.apply(&[EnclaveOp::Divide], &sys, &model, &summed, batched, &pool)?;
+        let (_, div_cost) = ie.apply(
+            &[EnclaveOp::Divide],
+            &sys,
+            &model,
+            &summed,
+            batched,
+            Layout::Pixel,
+            &pool,
+        )?;
         let div_ms = start.elapsed().as_secs_f64() * 1e3
             + (div_cost.total_ns().saturating_sub(div_cost.real_ns)) as f64 / 1e6;
-        let (_, pool_cost) =
-            ie.apply(&[EnclaveOp::MeanPool], &sys, &model, &input, batched, &pool)?;
+        let (_, pool_cost) = ie.apply(
+            &[EnclaveOp::MeanPool],
+            &sys,
+            &model,
+            &input,
+            batched,
+            Layout::Pixel,
+            &pool,
+        )?;
         let pool_ms = pool_cost.total_ns() as f64 / 1e6;
         println!(
             "{window:6}   {:?}   {div_ms:10.3}   {pool_ms:11.3}",
@@ -191,7 +205,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ActivationKind::LeakyRelu,
     ] {
         let op = [EnclaveOp::Activation(kind)];
-        let (_, cost) = ie.apply(&op, &sys, &model, &map, EcallBatching::Batched, &pool)?;
+        let (_, cost) = ie.apply(
+            &op,
+            &sys,
+            &model,
+            &map,
+            EcallBatching::Batched,
+            Layout::Pixel,
+            &pool,
+        )?;
         println!(
             "{kind:?} over 64 cells: {:.3} ms virtual",
             cost.total_ns() as f64 / 1e6
@@ -207,9 +229,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         EnclaveOp::Activation(ActivationKind::Sigmoid),
         EnclaveOp::MeanPool,
     );
-    let (activated, act_cost) = ie.apply(&[sigmoid], &sys, &model, &map, batched, &pool)?;
-    let (_, pool_cost) = ie.apply(&[mean_pool], &sys, &model, &activated, batched, &pool)?;
-    let (_, fused) = ie.apply(&[sigmoid, mean_pool], &sys, &model, &map, batched, &pool)?;
+    let (activated, act_cost) = ie.apply(
+        &[sigmoid],
+        &sys,
+        &model,
+        &map,
+        batched,
+        Layout::Pixel,
+        &pool,
+    )?;
+    let (_, pool_cost) = ie.apply(
+        &[mean_pool],
+        &sys,
+        &model,
+        &activated,
+        batched,
+        Layout::Pixel,
+        &pool,
+    )?;
+    let (_, fused) = ie.apply(
+        &[sigmoid, mean_pool],
+        &sys,
+        &model,
+        &map,
+        batched,
+        Layout::Pixel,
+        &pool,
+    )?;
     println!(
         "two ECALLs: {:.3} ms virtual   one chained ECALL: {:.3} ms virtual",
         act_cost.saturating_add(pool_cost).total_ns() as f64 / 1e6,
