@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI, and the one definition of every check: each job of
 # .github/workflows/ci.yml calls its step here.
-# Usage: ./ci.sh [lint|test|chaos|obs|serve|bench|profile]...   (no argument = all)
+# Usage: ./ci.sh [lint|test|chaos|obs|serve|bench|profile|loc]...   (no argument = all)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -176,7 +176,31 @@ step_profile() {
     test -s target/bench/profile_hotspots.txt
 }
 
-steps=(lint test chaos obs serve bench profile)
+# ROADMAP's size metric, measured by a tool: the lines above the first
+# `#[cfg(test)]` of every *.rs under crates/{core,henn,bfv}/src, per crate
+# and in total, against the checked-in results/loc.txt — so growth is a
+# reviewed diff of that file, not a sentence in a PR body.
+step_loc() {
+    echo "==> non-test lines of crates/{core,henn,bfv}/src (vs results/loc.txt)"
+    local crate count total=0 report=""
+    for crate in core henn bfv; do
+        count=$(find "crates/$crate/src" -name '*.rs' -exec awk '
+            FNR == 1 { test = 0 }
+            /#\[cfg\(test\)\]/ { test = 1 }
+            !test { n++ }
+            END { print n + 0 }' {} +)
+        report+="$crate $count"$'\n'
+        total=$((total + count))
+    done
+    report+="total $total"
+    echo "$report"
+    if ! diff results/loc.txt <(echo "$report"); then
+        echo "loc: counts differ from results/loc.txt; update it in the same commit" >&2
+        exit 1
+    fi
+}
+
+steps=(lint test chaos obs serve bench profile loc)
 if [ "$#" -gt 0 ]; then
     for step in "$@"; do
         case " ${steps[*]} " in

@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hesgx_bench::experiments::figures::scale_stub;
 use hesgx_bench::PaperEnv;
-use hesgx_bfv::prelude::PolyArena;
 use hesgx_core::planner::{EcallBatching, EnclaveOp};
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
@@ -56,8 +55,7 @@ fn bench_conv_kernel(c: &mut Criterion) {
                         &weights,
                         &[0],
                         1,
-                        k,
-                        1,
+                        (k, k),
                         &mut counter,
                     )
                     .unwrap(),
@@ -147,7 +145,6 @@ fn bench_sigmoid_variants(c: &mut Criterion) {
 
 fn bench_pooling_variants(c: &mut Criterion) {
     let env = PaperEnv::new(14);
-    let arena = PolyArena::new();
     let rng = env.rng.fork("bench-pool");
     let images = vec![(0..576).map(|p| (p % 17) as i64).collect::<Vec<i64>>()];
     let input = EncryptedMap::encrypt_images(
@@ -172,15 +169,9 @@ fn bench_pooling_variants(c: &mut Criterion) {
             |b, &window| {
                 b.iter(|| {
                     let mut counter = OpCounter::default();
-                    let summed = ops::he_scaled_mean_pool(
-                        &env.sys,
-                        &input,
-                        window,
-                        &mut counter,
-                        &serial,
-                        &arena,
-                    )
-                    .unwrap();
+                    let summed =
+                        ops::he_scaled_mean_pool(&env.sys, &input, window, &mut counter, &serial)
+                            .unwrap();
                     black_box(
                         real.apply(
                             &[EnclaveOp::Divide],

@@ -4,7 +4,6 @@
 use super::{header, RunConfig};
 use crate::stats::linear_fit;
 use crate::PaperEnv;
-use hesgx_bfv::prelude::PolyArena;
 use hesgx_core::planner::{EcallBatching, EnclaveOp};
 use hesgx_core::InferenceEnclave;
 use hesgx_henn::crt::CrtPlainSystem;
@@ -180,7 +179,7 @@ pub fn fig4_conv_kernel(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig4Point> {
         let weights: Vec<i64> = (0..k * k).map(|i| (i as i64 % 5) - 2).collect();
         let mut counter = OpCounter::default();
         let start = Instant::now();
-        let _ = ops::he_conv2d_reference(&env.sys, &input, &weights, &[0], 1, k, 1, &mut counter)
+        let _ = ops::he_conv2d_reference(&env.sys, &input, &weights, &[0], 1, (k, k), &mut counter)
             .unwrap();
         let ms = start.elapsed().as_secs_f64() * 1e3;
         let theoretical = OpCounter::conv_theoretical(28, k);
@@ -316,7 +315,6 @@ pub fn fig6_pooling(env: &mut PaperEnv, _cfg: RunConfig) -> Vec<Fig6Point> {
     let windows = [2usize, 3, 4, 6, 8, 12];
     let real = env.inference_enclave(false);
     let fake = env.inference_enclave(true);
-    let arena = PolyArena::new();
     let serial = ParExec::serial();
     let rng = env.rng.fork("fig6");
     let images = vec![(0..576).map(|p| (p % 17) as i64).collect::<Vec<i64>>()];
@@ -337,8 +335,7 @@ pub fn fig6_pooling(env: &mut PaperEnv, _cfg: RunConfig) -> Vec<Fig6Point> {
 
         let start = Instant::now();
         let mut counter = OpCounter::default();
-        let summed =
-            ops::he_scaled_mean_pool(&env.sys, &input, w, &mut counter, &serial, &arena).unwrap();
+        let summed = ops::he_scaled_mean_pool(&env.sys, &input, w, &mut counter, &serial).unwrap();
         let encrypted_sum_ms = start.elapsed().as_secs_f64() * 1e3;
 
         let sgx_divide_ms = enclave_ms(&real, &env.sys, &model, EnclaveOp::Divide, &summed);

@@ -34,7 +34,7 @@
 
 use super::{header, RunConfig};
 use hesgx_bfv::ntt::NttTable;
-use hesgx_bfv::prelude::{Ciphertext, Decryptor, PolyArena, SecretKey};
+use hesgx_bfv::prelude::{Ciphertext, Decryptor, SecretKey};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::uint::{Reciprocal, U256};
 use hesgx_henn::crt::CrtPlainSystem;
@@ -278,20 +278,10 @@ fn run_conv(model: &QuantizedCnn, poly_degree: usize, reps: usize) -> ConvLayer 
     .expect("ntt_bench conv batch encrypts");
     let bank = WeightBank::prepare(&sys, &model.conv_weights, &model.conv_bias)
         .expect("ntt_bench conv weights prepare");
-    let (pool, arena) = (ParExec::serial(), PolyArena::new());
+    let (pool, k) = (ParExec::serial(), (model.kernel, model.kernel));
     let kernel = |counter: &mut OpCounter| {
-        ops::he_conv2d(
-            &sys,
-            &enc,
-            &bank,
-            model.conv_out,
-            model.kernel,
-            1,
-            counter,
-            &pool,
-            &arena,
-        )
-        .expect("ntt_bench conv kernel runs")
+        ops::he_conv2d(&sys, &enc, &bank, model.conv_out, k, counter, &pool)
+            .expect("ntt_bench conv kernel runs")
     };
     let oracle = |counter: &mut OpCounter| {
         ops::he_conv2d_reference(
@@ -300,22 +290,17 @@ fn run_conv(model: &QuantizedCnn, poly_degree: usize, reps: usize) -> ConvLayer 
             &model.conv_weights,
             &model.conv_bias,
             model.conv_out,
-            model.kernel,
-            1,
+            k,
             counter,
         )
         .expect("ntt_bench conv oracle runs")
     };
-    // The untimed first runs yield the identity flag and the op counts;
-    // recycling the kernel's output parks its buffers in the arena, so the
-    // timed runs measure the steady state.
+    // The untimed first runs yield the identity flag and the op counts.
     let (mut kernel_ops, mut oracle_ops) = (OpCounter::default(), OpCounter::default());
-    let kernel_map = kernel(&mut kernel_ops);
-    let cells_match = kernel_map.cells() == oracle(&mut oracle_ops).cells();
-    kernel_map.recycle(&arena);
+    let cells_match = kernel(&mut kernel_ops).cells() == oracle(&mut oracle_ops).cells();
     let times = KernelTimes {
         optimized_ns: median_of(reps, || {
-            std::hint::black_box(kernel(&mut OpCounter::default())).recycle(&arena);
+            std::hint::black_box(kernel(&mut OpCounter::default()));
         }),
         reference_ns: median_of(reps, || {
             std::hint::black_box(oracle(&mut OpCounter::default()));

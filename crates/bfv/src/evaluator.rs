@@ -7,7 +7,6 @@
 //! arithmetic, and reduced back into RNS form — the textbook FV definition,
 //! with no floating-point approximation.
 
-use crate::arena::PolyArena;
 use crate::arith::mul_mod;
 use crate::ciphertext::Ciphertext;
 use crate::context::{u256_mod_u64, BfvContext};
@@ -227,7 +226,7 @@ impl Evaluator {
     }
 
     /// Prepares a signed scalar weight for repeated multiplication
-    /// ([`Evaluator::mul_plain_scalar_arena`] /
+    /// ([`Evaluator::mul_plain_scalar`] /
     /// [`Evaluator::mul_plain_scalar_acc`]).
     ///
     /// # Errors
@@ -258,26 +257,18 @@ impl Evaluator {
     }
 
     /// [`Evaluator::mul_plain_signed_scalar`] against a prepared scalar: no
-    /// per-call Shoup precomputation, and the output's limb buffers come
-    /// from `arena` instead of the global allocator — the one allocation per
-    /// conv/FC output cell (the initial accumulator) is a recycled buffer.
-    /// Bit-identical results: a recycled buffer is fully overwritten before
-    /// it is observable.
+    /// per-call Shoup precomputation. The clone is the one allocation per
+    /// conv output cell — the initial accumulator, i.e. the output itself.
     ///
     /// # Errors
     ///
     /// Fails on context mismatch.
-    pub fn mul_plain_scalar_arena(
-        &self,
-        a: &Ciphertext,
-        scalar: &PlainScalar,
-        arena: &PolyArena,
-    ) -> Result<Ciphertext> {
+    pub fn mul_plain_scalar(&self, a: &Ciphertext, scalar: &PlainScalar) -> Result<Ciphertext> {
         self.check(a)?;
         if scalar.context_id != *self.ctx.id() {
             return Err(BfvError::ContextMismatch);
         }
-        let mut out = arena.copy_ciphertext(a);
+        let mut out = a.clone();
         for poly in out.polys.iter_mut() {
             poly.scale_u64_prepared(&scalar.scales, &self.ctx);
             if scalar.negate {
@@ -995,12 +986,11 @@ mod scalar_tests {
         let eval = Evaluator::new(ctx.clone());
         let a = enc.encrypt(&Plaintext::constant(11), &mut rng).unwrap();
         let acc0 = enc.encrypt(&Plaintext::constant(2), &mut rng).unwrap();
-        let arena = PolyArena::new();
         for v in [-7i64, -1, 0, 1, 13] {
             let prepared = eval.prepare_plain_scalar(v).unwrap();
             // One-shot multiply.
             assert_eq!(
-                eval.mul_plain_scalar_arena(&a, &prepared, &arena).unwrap(),
+                eval.mul_plain_scalar(&a, &prepared).unwrap(),
                 eval.mul_plain_signed_scalar(&a, v).unwrap(),
                 "scalar {v}"
             );
@@ -1015,32 +1005,6 @@ mod scalar_tests {
         }
         let t = ctx.params().plain_modulus() as i64;
         assert!(eval.prepare_plain_scalar(t).is_err());
-    }
-
-    #[test]
-    fn arena_scalar_multiply_is_bit_identical_and_recycles() {
-        let ctx = BfvContext::new(presets::test_n256()).unwrap();
-        let mut rng = ChaChaRng::from_seed(97);
-        let keygen = KeyGenerator::new(ctx.clone(), &mut rng);
-        let enc = Encryptor::new(ctx.clone(), keygen.public_key());
-        let eval = Evaluator::new(ctx.clone());
-        let arena = PolyArena::new();
-        let a = enc.encrypt(&Plaintext::constant(23), &mut rng).unwrap();
-        for v in [-5i64, 0, 9] {
-            let prepared = eval.prepare_plain_scalar(v).unwrap();
-            let got = eval.mul_plain_scalar_arena(&a, &prepared, &arena).unwrap();
-            assert_eq!(got, eval.mul_plain_signed_scalar(&a, v).unwrap());
-            arena.recycle_ciphertext(got);
-        }
-        // The free list now holds one ciphertext's worth of buffers; the
-        // next arena multiply must drain it rather than allocate.
-        assert!(arena.free_buffers() > 0);
-        let prepared = eval.prepare_plain_scalar(3).unwrap();
-        let before = arena.free_buffers();
-        let got = eval.mul_plain_scalar_arena(&a, &prepared, &arena).unwrap();
-        assert_eq!(arena.free_buffers(), 0);
-        assert_eq!(before, got.polys.iter().map(|p| p.limbs.len()).sum());
-        assert_eq!(got, eval.mul_plain_signed_scalar(&a, 3).unwrap());
     }
 
     #[test]

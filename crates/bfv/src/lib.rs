@@ -56,7 +56,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arena;
 pub mod arith;
 pub mod ciphertext;
 pub mod context;
@@ -75,7 +74,6 @@ pub mod serialization;
 
 /// Convenient glob-import of the main types.
 pub mod prelude {
-    pub use crate::arena::PolyArena;
     pub use crate::ciphertext::Ciphertext;
     pub use crate::context::BfvContext;
     pub use crate::decryptor::Decryptor;

@@ -28,7 +28,6 @@ use hesgx_tee::enclave::{EnclaveBuilder, Platform};
 use hesgx_tee::error::TeeError;
 use hesgx_tee::sealing::SealedBlob;
 use hesgx_tee::wall::WallTimer;
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -107,9 +106,11 @@ impl HybridMetrics {
 }
 
 /// What a stage body hands back to [`HybridInference::run_stage`].
-pub(crate) struct Staged {
-    /// The stage's output map, passed through to the caller.
-    out: EncryptedMap,
+pub(crate) struct Staged<T = EncryptedMap> {
+    /// The stage's output, passed through to the caller: a map, or inside
+    /// [`HybridInference::run`] `None` for a stage that left its input as it
+    /// was (an Auto refresh that measured and skipped).
+    out: T,
     /// Display name for [`StageMetrics::name`]. Chosen by the body because
     /// it can depend on the outcome (Auto refresh: "Refresh" vs "Check").
     label: String,
@@ -118,9 +119,9 @@ pub(crate) struct Staged {
     enclave: Option<CostBreakdown>,
 }
 
-impl Staged {
+impl<T> Staged<T> {
     /// An HE stage: wall time only.
-    fn he(out: EncryptedMap, label: impl Into<String>) -> Self {
+    fn he(out: T, label: impl Into<String>) -> Self {
         Staged {
             out,
             label: label.into(),
@@ -129,7 +130,7 @@ impl Staged {
     }
 
     /// An ECALL stage with its enclave cost.
-    pub(crate) fn ecall(out: EncryptedMap, label: impl Into<String>, cost: CostBreakdown) -> Self {
+    pub(crate) fn ecall(out: T, label: impl Into<String>, cost: CostBreakdown) -> Self {
         Staged {
             out,
             label: label.into(),
@@ -189,7 +190,7 @@ impl Default for ProvisionConfig {
 #[derive(Debug)]
 pub struct HybridInference {
     /// The layers that run under HE outside the enclave: CRT system, model,
-    /// prepared weight banks, worker pool, buffer arena.
+    /// prepared weight banks, worker pool.
     he: HeLayers,
     enclave: InferenceEnclave,
     /// The exact plan ([`Placement::Hybrid`]) compiled at provisioning.
@@ -392,12 +393,12 @@ impl HybridInference {
     /// stage with [`HybridInference::record_stage`] and appends its
     /// [`StageMetrics`]. The body gets the metrics record for its op counts
     /// and noise decisions and hands back a [`Staged`] result.
-    pub(crate) fn run_stage(
+    pub(crate) fn run_stage<T>(
         &self,
         metrics: &mut HybridMetrics,
         span: &str,
-        body: impl FnOnce(&mut HybridMetrics) -> Result<Staged>,
-    ) -> Result<EncryptedMap> {
+        body: impl FnOnce(&mut HybridMetrics) -> Result<Staged<T>>,
+    ) -> Result<T> {
         let start = WallTimer::start();
         let traced = self.recorder.trace_enabled();
         if traced {
@@ -478,9 +479,7 @@ impl HybridInference {
 
     /// The body of an enclave stage: the map crosses the boundary once in
     /// [`InferenceEnclave::apply`], with recorder-gated budget telemetry
-    /// either side (the pre-probe measures what actually crosses). The
-    /// consumed map's limb buffers seed the next HE stage's accumulator
-    /// copies.
+    /// either side (the pre-probe measures what actually crosses).
     ///
     /// A refresh stage of a `refresh_auto` plan is gated (§IV-E): its
     /// pre-probe is functional — the enclave measures the live budget and
@@ -494,9 +493,9 @@ impl HybridInference {
         plan: &InferencePlan,
         layer: usize,
         (ops, batching): (&[EnclaveOp], EcallBatching),
-        input: Cow<'_, EncryptedMap>,
+        input: &EncryptedMap,
         metrics: &mut HybridMetrics,
-    ) -> Result<Staged> {
+    ) -> Result<Staged<Option<EncryptedMap>>> {
         let refresh = ops.contains(&EnclaveOp::Refresh);
         let gated = refresh && plan.refresh_auto;
         let threshold = plan.refresh_threshold_bits;
@@ -519,14 +518,11 @@ impl HybridInference {
             let emit = plan.egress_layout(layer, model, input.layout(), sys.slot_count());
             let (out, cost) = self
                 .enclave
-                .apply(ops, sys, model, &input, batching, emit, pool)?;
+                .apply(ops, sys, model, input, batching, emit, pool)?;
             let after = self.probe_gauge(layer, "post", out.cells())?;
-            if let Cow::Owned(consumed) = input {
-                self.he.recycle(consumed);
-            }
-            (out, probe_cost.saturating_add(cost), after)
+            (Some(out), probe_cost.saturating_add(cost), after)
         } else {
-            (input.into_owned(), probe_cost, None)
+            (None, probe_cost, None)
         };
         if refresh {
             let counter = if taken {
@@ -563,9 +559,9 @@ impl HybridInference {
         &self,
         plan: &InferencePlan,
         layer: usize,
-        input: Cow<'_, EncryptedMap>,
+        input: &EncryptedMap,
         metrics: &mut HybridMetrics,
-    ) -> Result<Staged> {
+    ) -> Result<Staged<Option<EncryptedMap>>> {
         match &plan.stages[layer] {
             // Parallel over output cells × CRT limbs, bit-identical for
             // every pool size.
@@ -573,7 +569,7 @@ impl HybridInference {
                 let out = self
                     .he
                     .apply(he, input, &self.evaluation, &mut metrics.ops)?;
-                Ok(Staged::he(out, he_label(he)))
+                Ok(Staged::he(Some(out), he_label(he)))
             }
             Stage::Enclave(chain, batching) => {
                 self.enclave_stage(plan, layer, (chain, *batching), input, metrics)
@@ -607,8 +603,10 @@ impl HybridInference {
             Placement::Hybrid => "infer",
             Placement::PureHe => "infer.degraded",
         };
-        let mut map = Cow::Borrowed(input);
+        // The latest stage output; until a stage has one, the input.
+        let mut last: Option<EncryptedMap> = None;
         for (layer, stage) in plan.stages.iter().enumerate() {
+            let map = last.as_ref().unwrap_or(input);
             let reduction =
                 matches!(stage, Stage::Enclave(chain, _) if chain[..] == [EnclaveOp::LogitReduce]);
             if reduction && map.layout() == Layout::Pixel {
@@ -622,9 +620,9 @@ impl HybridInference {
             let out = self.run_stage(&mut metrics, &span, |metrics| {
                 self.stage_body(plan, layer, map, metrics)
             })?;
-            map = Cow::Owned(out);
+            last = out.or(last);
         }
-        Ok((map.into_owned(), metrics))
+        Ok((last.unwrap_or_else(|| input.clone()), metrics))
     }
 
     /// Unseals the stored secret-key blob and checks it still decodes to the
@@ -929,8 +927,7 @@ mod tests {
             &model.conv_weights,
             &model.conv_bias,
             model.conv_out,
-            model.kernel,
-            1,
+            (model.kernel, model.kernel),
             &mut oracle_ops,
         )
         .unwrap();
@@ -952,19 +949,20 @@ mod tests {
         };
         let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
         let pooled = in_enclave(&[sigmoid, EnclaveOp::MeanPool], &conv);
-        let oracle_logits = ops::he_fully_connected_reference(
+        let oracle_logits = ops::he_conv2d_reference(
             oracle.system(),
             &pooled,
             &model.fc_weights,
             &model.fc_bias,
             model.classes,
+            (model.pool_side(), model.pool_side()),
             &mut oracle_ops,
         )
         .unwrap();
 
         assert_eq!(
             logits.cells(),
-            oracle_logits,
+            oracle_logits.cells(),
             "bank kernels must match the oracles"
         );
         assert_eq!(metrics.ops.weight_prep, 0, "no per-request weight prep");
@@ -989,7 +987,6 @@ mod tests {
     /// crosses into the enclave.
     #[test]
     fn degraded_cached_weights_are_bit_identical() {
-        use hesgx_bfv::prelude::PolyArena;
         use hesgx_henn::weights::WeightBank;
         let model = deep_hybrid_model();
         let images = vec![(0..64).map(|p| ((p * 7) % 16) as i64).collect::<Vec<i64>>()];
@@ -1000,11 +997,11 @@ mod tests {
         assert_eq!(metrics.stages.len(), 4);
         assert!(metrics.stages.iter().all(|s| s.enclave.is_none()));
 
-        let (sys, pool, arena) = (service.system(), service.pool(), PolyArena::new());
+        let (sys, pool) = (service.system(), service.pool());
         let square_and_pool = |conv: &EncryptedMap, ops_count: &mut OpCounter| {
             let squared =
                 ops::he_square_activation(sys, conv, &service.evaluation, ops_count, pool).unwrap();
-            ops::he_scaled_mean_pool(sys, &squared, model.window, ops_count, pool, &arena).unwrap()
+            ops::he_scaled_mean_pool(sys, &squared, model.window, ops_count, pool).unwrap()
         };
 
         let mut oracle_ops = OpCounter::default();
@@ -1014,22 +1011,23 @@ mod tests {
             &model.conv_weights,
             &model.conv_bias,
             model.conv_out,
-            model.kernel,
-            1,
+            (model.kernel, model.kernel),
             &mut oracle_ops,
         )
         .unwrap();
         let pooled = square_and_pool(&conv, &mut oracle_ops);
-        let oracle_logits = ops::he_fully_connected_reference(
+        let fc = (model.pool_side(), model.pool_side());
+        let oracle_logits = ops::he_conv2d_reference(
             sys,
             &pooled,
             &model.fc_weights,
             &model.fc_bias,
             model.classes,
+            fc,
             &mut oracle_ops,
         )
         .unwrap();
-        assert_eq!(logits.cells(), oracle_logits);
+        assert_eq!(logits.cells(), oracle_logits.cells());
 
         let mut hand_ops = OpCounter::default();
         let conv_bank = WeightBank::prepare(sys, &model.conv_weights, &model.conv_bias).unwrap();
@@ -1039,25 +1037,23 @@ mod tests {
             &enc,
             &conv_bank,
             model.conv_out,
-            model.kernel,
-            1,
+            (model.kernel, model.kernel),
             &mut hand_ops,
             pool,
-            &arena,
         )
         .unwrap();
         let pooled = square_and_pool(&conv, &mut hand_ops);
-        let hand_logits = ops::he_fully_connected(
+        let hand_logits = ops::he_conv2d(
             sys,
             &pooled,
             &fc_bank,
             model.classes,
+            fc,
             &mut hand_ops,
             pool,
-            &arena,
         )
         .unwrap();
-        assert_eq!(logits.cells(), hand_logits);
+        assert_eq!(logits.cells(), hand_logits.cells());
         assert_eq!(metrics.ops, hand_ops);
     }
 

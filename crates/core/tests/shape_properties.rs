@@ -5,9 +5,10 @@
 //! claimed — no images, no classes, more of either than slots, a cell count
 //! that disagrees with the layout, a side the pooling does not tile,
 //! products past `usize`, a reduction over a map that holds no partial sums,
-//! an operand map into a layer that does not read it — the answer is `Err`,
-//! never a panic or an out-of-bounds gather, and nothing is emitted that the
-//! cells which actually crossed could not fill.
+//! an operand map into a layer that does not read it, a fully connected layer
+//! over a map that is not its bank's — the answer is `Err`, never a panic or
+//! an out-of-bounds gather, and nothing is emitted that the cells which
+//! actually crossed could not fill.
 
 mod testutil;
 
@@ -19,12 +20,12 @@ use hesgx_crypto::transcipher::{seal_images, IngressKey};
 use hesgx_henn::crt::{CrtCiphertext, CrtKeys, CrtPlainSystem};
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::layers::{HeLayer, HeLayers};
-use hesgx_henn::ops::OpCounter;
+use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
+use hesgx_henn::weights::WeightBank;
 use hesgx_nn::layers::ActivationKind;
 use hesgx_tee::enclave::{EnclaveBuilder, Platform};
 use proptest::prelude::*;
-use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// One key domain shared by the enclave, the HE layers and the cells a map is
@@ -33,6 +34,8 @@ use std::sync::OnceLock;
 struct Host {
     enclave: InferenceEnclave,
     layers: HeLayers,
+    /// The model's FC weights, prepared: what `HeLayer::Fc` multiplies by.
+    fc_bank: WeightBank,
     keys: CrtKeys,
     cell: CrtCiphertext,
 }
@@ -51,10 +54,12 @@ fn host() -> &'static Host {
             .build(Platform::new(930));
         let enclave = InferenceEnclave::new(enclave, keys.secret.clone(), keys.public.clone(), 42);
         let model = testutil::small_hybrid_model();
+        let fc_bank = WeightBank::prepare(&sys(), &model.fc_weights, &model.fc_bias).unwrap();
         let layers = HeLayers::new(sys(), model, ParExec::new(2)).unwrap();
         Host {
             enclave,
             layers,
+            fc_bank,
             keys,
             cell,
         }
@@ -183,7 +188,7 @@ proptest! {
 
         for layer in [HeLayer::Conv, HeLayer::Square, HeLayer::SumPool, HeLayer::Fc] {
             let mut counter = OpCounter::default();
-            let out = host.layers.apply(layer, Cow::Borrowed(&map), &host.keys.evaluation, &mut counter);
+            let out = host.layers.apply(layer, &map, &host.keys.evaluation, &mut counter);
             let reads = matches!(
                 (layer, layout),
                 (_, Layout::Pixel)
@@ -194,6 +199,34 @@ proptest! {
             if out.is_err() {
                 prop_assert_eq!(counter, OpCounter::default());
             }
+        }
+
+        // The FC layer is the convolution whose kernel is the map's own
+        // sides: the model's `2 × 3 × 3` pooled map comes back as one cell a
+        // class; with one side replaced it no longer holds the bank's 18
+        // inputs and is refused, not read short or mis-shaped.
+        let mut fc_shape = [model.conv_out, model.pool_side(), model.pool_side()];
+        if !built {
+            fc_shape[field] = value % 8;
+        }
+        let [c, h, w] = fc_shape;
+        let fc_map = EncryptedMap::new(c, h, w, vec![host.cell.clone(); c * h * w]);
+        let mut counter = OpCounter::default();
+        let logits = host.layers.apply(HeLayer::Fc, &fc_map, &host.keys.evaluation, &mut counter);
+        prop_assert_eq!(logits.is_ok(), c * h * w == model.fc_in(), "{:?}", fc_shape);
+        if let Ok(logits) = logits {
+            prop_assert_eq!(logits.shape(), (model.classes, 1, 1));
+        }
+        // The kernel itself under a claimed output count and kernel sides:
+        // served only when the taps are exactly the bank's and fit the map.
+        let (out, rows, cols) = (number(other), number(value), number(mutate + field));
+        let mut counter = OpCounter::default();
+        let served = ops::he_conv2d(sys, &fc_map, &host.fc_bank, out, (rows, cols), &mut counter, host.layers.pool());
+        let taps = [c, rows, cols].iter().try_fold(out, |n, &f| n.checked_mul(f));
+        let fits = out == model.classes && taps == Some(model.classes * model.fc_in()) && rows <= h && cols <= w;
+        prop_assert_eq!(served.is_ok(), fits, "{} × {:?} over {:?}", out, (rows, cols), fc_shape);
+        if served.is_err() {
+            prop_assert_eq!(counter, OpCounter::default());
         }
     }
 

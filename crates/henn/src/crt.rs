@@ -45,13 +45,6 @@ impl CrtCiphertext {
     pub fn size(&self) -> usize {
         self.parts.iter().map(|c| c.size()).max().unwrap_or(0)
     }
-
-    /// Returns every limb buffer of a consumed ciphertext to `arena`.
-    pub fn recycle(self, arena: &PolyArena) {
-        for part in self.parts {
-            arena.recycle_ciphertext(part);
-        }
-    }
 }
 
 /// A scalar weight prepared for every CRT part: the per-part `rem_euclid`
@@ -658,7 +651,6 @@ mod tests {
         ] {
             let mut rng = ChaChaRng::from_seed(41);
             let keys = sys.generate_keys(&mut rng);
-            let arena = PolyArena::new();
             let a = sys
                 .encrypt_slots(&[10, -20, 7], &keys.public, &mut rng)
                 .unwrap();
@@ -674,8 +666,7 @@ mod tests {
                 for part in 0..sys.part_count() {
                     let (eval, x) = (sys.evaluator(part), a.part(part));
                     assert_eq!(
-                        eval.mul_plain_scalar_arena(x, prepared.part(part), &arena)
-                            .unwrap(),
+                        eval.mul_plain_scalar(x, prepared.part(part)).unwrap(),
                         term.parts[part],
                         "prepared multiply diverged for {v}"
                     );

@@ -14,7 +14,6 @@ use crate::par::ParExec;
 use hesgx_bfv::error::{BfvError, Result};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
-use std::borrow::Cow;
 
 /// The CryptoNets-style HE-only inference engine.
 #[derive(Debug)]
@@ -108,11 +107,14 @@ impl CryptoNets {
         keys: &CrtKeys,
     ) -> Result<(Vec<CrtCiphertext>, OpCounter)> {
         let mut counter = OpCounter::default();
-        let mut map = Cow::Borrowed(input);
-        for layer in Self::LAYERS {
-            map = Cow::Owned(self.he.apply(layer, map, &keys.evaluation, &mut counter)?);
+        let [first, rest @ ..] = Self::LAYERS;
+        let mut map = self
+            .he
+            .apply(first, input, &keys.evaluation, &mut counter)?;
+        for layer in rest {
+            map = self.he.apply(layer, &map, &keys.evaluation, &mut counter)?;
         }
-        Ok((map.into_owned().into_cells(), counter))
+        Ok((map.into_cells(), counter))
     }
 
     /// Decrypts logits and returns the predicted class per batch element.

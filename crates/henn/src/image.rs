@@ -12,7 +12,7 @@
 use crate::crt::{CrtCiphertext, CrtPlainSystem};
 use crate::par::ParExec;
 use hesgx_bfv::error::{BfvError, Result};
-use hesgx_bfv::prelude::{PolyArena, PublicKey, SecretKey};
+use hesgx_bfv::prelude::{PublicKey, SecretKey};
 use hesgx_crypto::rng::ChaChaRng;
 
 /// How the cells of an [`EncryptedMap`] hold a batch of feature maps.
@@ -278,16 +278,6 @@ impl EncryptedMap {
     /// Total serialized bytes (transfer/EPC modeling).
     pub fn byte_len(&self) -> usize {
         self.cells.iter().map(|c| c.byte_len()).sum()
-    }
-
-    /// Returns every limb buffer of a consumed map to `arena` — the
-    /// stage-to-stage recycling of the inference pipeline: once a layer has
-    /// produced its output map, the input map's buffers feed the next
-    /// layer's accumulator copies.
-    pub fn recycle(self, arena: &PolyArena) {
-        for cell in self.cells {
-            cell.recycle(arena);
-        }
     }
 
     /// Encrypts a batch of quantized images (each `side*side` pixels) in

@@ -13,10 +13,9 @@ use crate::ops::{self, OpCounter};
 use crate::par::ParExec;
 use crate::weights::{FcOperandBank, WeightBank};
 use hesgx_bfv::error::{BfvError, Result};
-use hesgx_bfv::prelude::{EvaluationKeys, PolyArena};
+use hesgx_bfv::prelude::EvaluationKeys;
 use hesgx_nn::quantize::QuantizedCnn;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// One layer of the CNN as it is computed under HE.
@@ -30,15 +29,14 @@ pub enum HeLayer {
     /// Mean-pooling without the division: the window sum
     /// ([`ops::he_scaled_mean_pool`]).
     SumPool,
-    /// Fully connected layer with plaintext weights
-    /// ([`ops::he_fully_connected`]; over a [`Layout::FcOperand`] map,
+    /// Fully connected layer with plaintext weights: [`ops::he_conv2d`] with
+    /// the map-sized kernel (over a [`Layout::FcOperand`] map,
     /// [`ops::he_fc_operand`]).
     Fc,
 }
 
 /// Everything the HE layers of one model need: the CRT system, the weight
-/// forms prepared once, the worker pool, and the buffer arena that consumed
-/// maps recycle into.
+/// forms prepared once, and the worker pool.
 #[derive(Debug)]
 pub struct HeLayers {
     sys: CrtPlainSystem,
@@ -52,9 +50,6 @@ pub struct HeLayers {
     /// at most one bank per distinct `per_cell`.
     fc_operands: Mutex<Vec<Arc<FcOperandBank>>>,
     pool: ParExec,
-    /// Consumed feature maps recycle their limb buffers here and the next
-    /// layer's accumulator copies draw from it.
-    arena: PolyArena,
 }
 
 impl HeLayers {
@@ -75,7 +70,6 @@ impl HeLayers {
             fc_bank,
             fc_operands: Mutex::default(),
             pool,
-            arena: PolyArena::new(),
         })
     }
 
@@ -92,11 +86,6 @@ impl HeLayers {
     /// The HE worker pool.
     pub fn pool(&self) -> &ParExec {
         &self.pool
-    }
-
-    /// Returns a consumed map's limb buffers to the arena.
-    pub fn recycle(&self, map: EncryptedMap) {
-        map.recycle(&self.arena);
     }
 
     /// The FC operand bank for cells of `per_cell` inputs.
@@ -119,9 +108,8 @@ impl HeLayers {
         Ok(bank)
     }
 
-    /// Runs one HE layer over `input`. An owned input is consumed: once the
-    /// output exists its limb buffers go back to the arena and seed the next
-    /// layer's accumulator copies. `evk` is read by [`HeLayer::Square`] only.
+    /// Runs one HE layer over `input`. `evk` is read by [`HeLayer::Square`]
+    /// only.
     ///
     /// # Errors
     ///
@@ -132,12 +120,12 @@ impl HeLayers {
     pub fn apply(
         &self,
         layer: HeLayer,
-        input: Cow<'_, EncryptedMap>,
+        input: &EncryptedMap,
         evk: &[EvaluationKeys],
         counter: &mut OpCounter,
     ) -> Result<EncryptedMap> {
-        let m = &self.model;
-        let layout = input.layout();
+        let (sys, m, pool) = (&self.sys, &self.model, &self.pool);
+        let (layout, (_, h, w)) = (input.layout(), input.shape());
         let readable = matches!(
             (layer, layout),
             (_, Layout::Pixel)
@@ -149,52 +137,25 @@ impl HeLayers {
                 "{layer:?} does not read a {layout:?} map"
             )));
         }
-        let out = match layer {
+        match layer {
             // Over a `k² × chunks × 1` packed map it is a 1×1 convolution, same
             // bank: `[out][1][ky][kx]` and `[out][k²][1][1]` flatten identically.
-            HeLayer::Conv => ops::he_conv2d(
-                &self.sys,
-                &input,
-                &self.conv_bank,
-                m.conv_out,
-                if layout == Layout::Pixel { m.kernel } else { 1 },
-                1,
-                counter,
-                &self.pool,
-                &self.arena,
-            )?
-            .with_layout(layout),
-            HeLayer::Square => {
-                ops::he_square_activation(&self.sys, &input, evk, counter, &self.pool)?
+            HeLayer::Conv => {
+                let k = if layout == Layout::Pixel { m.kernel } else { 1 };
+                let bank = &self.conv_bank;
+                let out = ops::he_conv2d(sys, input, bank, m.conv_out, (k, k), counter, pool)?;
+                Ok(out.with_layout(layout))
             }
-            HeLayer::SumPool => ops::he_scaled_mean_pool(
-                &self.sys,
-                &input,
-                m.window,
-                counter,
-                &self.pool,
-                &self.arena,
-            )?,
+            HeLayer::Square => ops::he_square_activation(sys, input, evk, counter, pool),
+            HeLayer::SumPool => ops::he_scaled_mean_pool(sys, input, m.window, counter, pool),
             HeLayer::Fc if layout != Layout::Pixel => {
-                let bank = self.fc_operands(input.fc_per_cell(self.sys.slot_count())?)?;
-                ops::he_fc_operand(&self.sys, &input, &bank, counter, &self.pool)?
+                let bank = self.fc_operands(input.fc_per_cell(sys.slot_count())?)?;
+                ops::he_fc_operand(sys, input, &bank, counter, pool)
             }
+            // Paper Table VI, layer 4: the convolution whose kernel is the map.
             HeLayer::Fc => {
-                let logits = ops::he_fully_connected(
-                    &self.sys,
-                    &input,
-                    &self.fc_bank,
-                    m.classes,
-                    counter,
-                    &self.pool,
-                    &self.arena,
-                )?;
-                EncryptedMap::new(m.classes, 1, 1, logits)
+                ops::he_conv2d(sys, input, &self.fc_bank, m.classes, (h, w), counter, pool)
             }
-        };
-        if let Cow::Owned(consumed) = input {
-            self.recycle(consumed);
         }
-        Ok(out)
     }
 }

@@ -1,4 +1,5 @@
-//! Homomorphic layer operations: convolution, fully connected, scaled
+//! Homomorphic layer operations: convolution (the fully connected layer is
+//! the convolution with a map-sized kernel, paper Table VI), scaled
 //! mean-pool, and the square activation — with operation counting for the
 //! paper's Fig. 4 analysis.
 //!
@@ -6,16 +7,16 @@
 //! limbs as independent tasks on a [`ParExec`]; the ops draw no randomness
 //! and every limb sees the same operation order, so the output is
 //! bit-identical for any pool size (a pool of one runs the tasks inline on
-//! the calling thread). Conv and FC consume a provisioned [`WeightBank`];
-//! the raw-weight [`he_conv2d_reference`] / [`he_fully_connected_reference`]
-//! are the test and bench oracles the kernels are pinned against.
+//! the calling thread). The scalar-weight layers consume a provisioned
+//! [`WeightBank`]; the raw-weight [`he_conv2d_reference`] is the test and
+//! bench oracle the kernel is pinned against.
 
 use crate::crt::{CrtCiphertext, CrtPlainSystem};
 use crate::image::{EncryptedMap, Layout};
 use crate::par::ParExec;
 use crate::weights::{FcOperandBank, WeightBank};
 use hesgx_bfv::error::{BfvError, Result};
-use hesgx_bfv::prelude::{Ciphertext, EvaluationKeys, PolyArena};
+use hesgx_bfv::prelude::{Ciphertext, EvaluationKeys};
 
 /// Counts of homomorphic primitive operations (the paper's `C×P` / `C+C`
 /// terminology in Fig. 4).
@@ -61,111 +62,98 @@ fn assemble_cells(parts: Vec<Ciphertext>, n_cells: usize, n_parts: usize) -> Vec
         .collect()
 }
 
-/// One output cell of [`he_conv2d`], restricted to CRT part `part`: a fused
-/// multiply-accumulate chain over the kernel taps, then the prepared bias.
-#[allow(clippy::too_many_arguments)]
+/// Output cell `cell` of [`he_conv2d`], restricted to CRT part `part`: a
+/// fused multiply-accumulate chain over the kernel taps, then the prepared
+/// bias.
 fn conv_cell_part(
     sys: &CrtPlainSystem,
     input: &EncryptedMap,
     bank: &WeightBank,
-    in_channels: usize,
-    kernel: usize,
-    stride: usize,
-    o: usize,
-    oy: usize,
-    ox: usize,
+    (rows, cols): (usize, usize),
+    cell: usize,
     part: usize,
-    arena: &PolyArena,
 ) -> Result<Ciphertext> {
+    let (in_channels, h, w) = input.shape();
+    let (oh, ow) = (h - rows + 1, w - cols + 1);
+    let (o, oy, ox) = (cell / (oh * ow), cell % (oh * ow) / ow, cell % ow);
     let eval = sys.evaluator(part);
     let mut acc: Option<Ciphertext> = None;
     for i in 0..in_channels {
-        for ky in 0..kernel {
-            for kx in 0..kernel {
-                let wgt =
-                    bank.scalars[((o * in_channels + i) * kernel + ky) * kernel + kx].part(part);
-                let x = &input.cell(i, oy * stride + ky, ox * stride + kx).parts[part];
+        for ky in 0..rows {
+            for kx in 0..cols {
+                let wgt = bank.scalars[((o * in_channels + i) * rows + ky) * cols + kx].part(part);
+                let x = &input.cell(i, oy + ky, ox + kx).parts[part];
                 match acc.as_mut() {
-                    None => acc = Some(eval.mul_plain_scalar_arena(x, wgt, arena)?),
+                    None => acc = Some(eval.mul_plain_scalar(x, wgt)?),
                     Some(a) => eval.mul_plain_scalar_acc(a, x, wgt)?,
                 }
             }
         }
     }
-    let mut acc = acc.expect("kernel is non-empty");
+    let mut acc = acc.ok_or_else(|| BfvError::InvalidShape("empty tap set".into()))?;
     eval.add_plain_bias_inplace(&mut acc, bank.biases[o].part(part))?;
     Ok(acc)
 }
 
-/// Homomorphic 2-D convolution (stride `stride`, valid padding) of a
-/// single-channel-per-group weight set: `bank.scalars` is
-/// `weights[out][in][k][k]` flattened, `bank.biases` one per output channel.
+/// Homomorphic 2-D convolution (stride 1, valid padding) with a
+/// `kernel = (rows, cols)` window: `bank.scalars` is
+/// `weights[out][in][rows][cols]` flattened, `bank.biases` one per output
+/// channel. With the map's own `(height, width)` as the kernel it is the
+/// fully connected layer over the flattened map — the paper's layer 4,
+/// "fully connected (as convolution)" (Table VI) — and the output is
+/// `out_channels × 1 × 1`.
 ///
 /// Each output cell is `Σ w·x + bias` computed with scalar `C×P` multiplies
 /// and `C+C` additions — exactly the paper's Fig. 4 workload — as a fused
 /// multiply-accumulate with no per-call weight preparation (`weight_prep`
-/// stays 0); the one allocation per output cell (the initial accumulator)
-/// is drawn from `arena`. Op counts are tallied analytically.
+/// stays 0); the one allocation per output cell is the output itself. Op
+/// counts are tallied analytically.
 ///
 /// # Errors
 ///
-/// [`BfvError::InvalidShape`] for a map smaller than the kernel or a bank
-/// that does not hold `out_channels · in_channels · kernel²` scalars and
-/// `out_channels` biases; propagates homomorphic-operation failures (lowest
-/// task index first).
-#[allow(clippy::too_many_arguments)]
+/// [`BfvError::InvalidShape`] for an empty tap set, a [`Layout::FcOperand`]
+/// map (that one is [`he_fc_operand`]'s), a map smaller than the kernel or a
+/// bank that does not hold `out_channels · in_channels · rows · cols` scalars
+/// and `out_channels` biases; propagates homomorphic-operation failures
+/// (lowest task index first).
 // hesgx-lint: hot
 pub fn he_conv2d(
     sys: &CrtPlainSystem,
     input: &EncryptedMap,
     bank: &WeightBank,
     out_channels: usize,
-    kernel: usize,
-    stride: usize,
+    kernel: (usize, usize),
     counter: &mut OpCounter,
     pool: &ParExec,
-    arena: &PolyArena,
 ) -> Result<EncryptedMap> {
     let _prof = hesgx_obs::prof::span("henn.conv2d");
     let (in_channels, h, w) = input.shape();
-    let taps = [in_channels, kernel, kernel]
+    let (rows, cols) = kernel;
+    let taps = [in_channels, rows, cols]
         .iter()
         .try_fold(out_channels, |n, &f| n.checked_mul(f));
-    if kernel.min(stride) == 0
-        || h.min(w) < kernel
+    if taps == Some(0)
+        || matches!(input.layout(), Layout::FcOperand { .. })
+        || h < rows
+        || w < cols
         || taps != Some(bank.scalars.len())
         || bank.biases.len() != out_channels
     {
         return Err(BfvError::InvalidShape(format!(
-            "{kernel}×{kernel} stride-{stride} conv of a {in_channels}×{h}×{w} map: {} weights, \
-             {} biases, {out_channels} outputs",
+            "{rows}×{cols} conv of a {in_channels}×{h}×{w} {:?} map: {} weights, {} biases, \
+             {out_channels} outputs",
+            input.layout(),
             bank.scalars.len(),
             bank.biases.len()
         )));
     }
-    let oh = (h - kernel) / stride + 1;
-    let ow = (w - kernel) / stride + 1;
+    let (oh, ow) = (h - rows + 1, w - cols + 1);
     let n_cells = out_channels * oh * ow;
     let n_parts = sys.part_count();
     let parts = pool.try_run(n_cells * n_parts, |t| {
-        let (ci, part) = (t / n_parts, t % n_parts);
-        let o = ci / (oh * ow);
-        let rem = ci % (oh * ow);
-        conv_cell_part(
-            sys,
-            input,
-            bank,
-            in_channels,
-            kernel,
-            stride,
-            o,
-            rem / ow,
-            rem % ow,
-            part,
-            arena,
-        )
+        conv_cell_part(sys, input, bank, kernel, t / n_parts, t % n_parts)
     })?;
-    let muls = (in_channels * kernel * kernel) as u64;
+    let muls = (in_channels * rows * cols) as u64;
     counter.ct_pt_mul += n_cells as u64 * muls;
     counter.ct_ct_add += n_cells as u64 * (muls - 1);
     counter.ct_pt_add += n_cells as u64;
@@ -175,64 +163,6 @@ pub fn he_conv2d(
         ow,
         assemble_cells(parts, n_cells, n_parts),
     ))
-}
-
-/// Homomorphic fully connected layer over the flattened input map
-/// (`bank.scalars` is `weights[out][flat]`, one bias per output). The paper
-/// realizes this as a convolution with input-sized kernels (Table VI); the
-/// arithmetic is the same dot product, run as output neurons × CRT limbs
-/// with fused accumulate and arena-backed accumulators.
-///
-/// # Errors
-///
-/// [`BfvError::InvalidShape`] for an empty map or a bank that does not hold
-/// `out_dim · flat` scalars and `out_dim` biases; propagates
-/// homomorphic-operation failures (lowest task index first).
-// hesgx-lint: hot
-pub fn he_fully_connected(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    bank: &WeightBank,
-    out_dim: usize,
-    counter: &mut OpCounter,
-    pool: &ParExec,
-    arena: &PolyArena,
-) -> Result<Vec<CrtCiphertext>> {
-    let _prof = hesgx_obs::prof::span("henn.fc");
-    let flat = input.cells().len();
-    let scalars = out_dim.checked_mul(flat);
-    if flat == 0
-        || input.layout() != Layout::Pixel
-        || scalars != Some(bank.scalars.len())
-        || bank.biases.len() != out_dim
-    {
-        return Err(BfvError::InvalidShape(format!(
-            "FC over {flat} {:?} cells: {} weights, {} biases, {out_dim} outputs",
-            input.layout(),
-            bank.scalars.len(),
-            bank.biases.len()
-        )));
-    }
-    let n_parts = sys.part_count();
-    let parts = pool.try_run(out_dim * n_parts, |t| -> Result<Ciphertext> {
-        let (o, part) = (t / n_parts, t % n_parts);
-        let eval = sys.evaluator(part);
-        let mut acc: Option<Ciphertext> = None;
-        for (i, cell) in input.cells().iter().enumerate() {
-            let (x, wgt) = (&cell.parts[part], bank.scalars[o * flat + i].part(part));
-            match acc.as_mut() {
-                None => acc = Some(eval.mul_plain_scalar_arena(x, wgt, arena)?),
-                Some(a) => eval.mul_plain_scalar_acc(a, x, wgt)?,
-            }
-        }
-        let mut acc = acc.ok_or(BfvError::InvalidCiphertextSize(0))?;
-        eval.add_plain_bias_inplace(&mut acc, bank.biases[o].part(part))?;
-        Ok(acc)
-    })?;
-    counter.ct_pt_mul += (out_dim * flat) as u64;
-    counter.ct_ct_add += (out_dim * (flat - 1)) as u64;
-    counter.ct_pt_add += out_dim as u64;
-    Ok(assemble_cells(parts, out_dim, n_parts))
 }
 
 /// Cells one task of [`he_fc_operand`] accumulates: fixed, so the transform
@@ -307,8 +237,7 @@ pub fn he_fc_operand(
 /// Scaled mean-pooling: the window **sum** (no division — HE cannot divide;
 /// paper §III-A). Output values are `window²` times the true mean. Each
 /// window accumulator owns its ciphertext (an in-place borrow would alias
-/// the input map); its buffers come from `arena`, so the copy recycles the
-/// previous stage's limbs instead of allocating.
+/// the input map).
 ///
 /// # Errors
 ///
@@ -321,7 +250,6 @@ pub fn he_scaled_mean_pool(
     window: usize,
     counter: &mut OpCounter,
     pool: &ParExec,
-    arena: &PolyArena,
 ) -> Result<EncryptedMap> {
     let _prof = hesgx_obs::prof::span("henn.pool");
     let (c, h, w) = input.shape();
@@ -339,7 +267,7 @@ pub fn he_scaled_mean_pool(
         let rem = ci % (oh * ow);
         let (oy, ox) = (rem / ow, rem % ow);
         let eval = sys.evaluator(part);
-        let mut acc = arena.copy_ciphertext(&input.cell(ch, oy * window, ox * window).parts[part]);
+        let mut acc = input.cell(ch, oy * window, ox * window).parts[part].clone();
         for dy in 0..window {
             for dx in 0..window {
                 if dy == 0 && dx == 0 {
@@ -396,46 +324,42 @@ pub fn he_square_activation(
 
 /// Raw-weight oracle for [`he_conv2d`]: the textbook serial loop — one
 /// whole-ciphertext scalar multiply (re-deriving the weight form) and one
-/// temporary ciphertext per tap, `weights[out][in][k][k]` flattened, integer
-/// bias per output channel. Output ciphertexts are bit-identical to the
-/// kernel's; `weight_prep` counts the one-per-tap and one-per-bias
+/// temporary ciphertext per tap, `weights[out][in][rows][cols]` flattened,
+/// integer bias per output channel. Output ciphertexts are bit-identical to
+/// the kernel's; `weight_prep` counts the one-per-tap and one-per-bias
 /// preparations the [`WeightBank`] removes. Tests pin the kernel against it
 /// and the Fig. 4 bench times it.
 ///
 /// # Errors
 ///
 /// Propagates homomorphic-operation failures.
-#[allow(clippy::too_many_arguments)]
 pub fn he_conv2d_reference(
     sys: &CrtPlainSystem,
     input: &EncryptedMap,
     weights: &[i64],
     bias: &[i64],
     out_channels: usize,
-    kernel: usize,
-    stride: usize,
+    (rows, cols): (usize, usize),
     counter: &mut OpCounter,
 ) -> Result<EncryptedMap> {
     let (in_channels, h, w) = input.shape();
     assert_eq!(
         weights.len(),
-        out_channels * in_channels * kernel * kernel,
+        out_channels * in_channels * rows * cols,
         "weight count mismatch"
     );
     assert_eq!(bias.len(), out_channels);
-    let oh = (h - kernel) / stride + 1;
-    let ow = (w - kernel) / stride + 1;
+    let (oh, ow) = (h - rows + 1, w - cols + 1);
     let mut cells = Vec::with_capacity(out_channels * oh * ow);
     for o in 0..out_channels {
         for oy in 0..oh {
             for ox in 0..ow {
                 let mut acc: Option<CrtCiphertext> = None;
                 for i in 0..in_channels {
-                    for ky in 0..kernel {
-                        for kx in 0..kernel {
-                            let wgt = weights[((o * in_channels + i) * kernel + ky) * kernel + kx];
-                            let x = input.cell(i, oy * stride + ky, ox * stride + kx);
-                            let term = sys.mul_scalar(x, wgt)?;
+                    for ky in 0..rows {
+                        for kx in 0..cols {
+                            let wgt = weights[((o * in_channels + i) * rows + ky) * cols + kx];
+                            let term = sys.mul_scalar(input.cell(i, oy + ky, ox + kx), wgt)?;
                             counter.ct_pt_mul += 1;
                             counter.weight_prep += 1;
                             match acc.as_mut() {
@@ -456,47 +380,6 @@ pub fn he_conv2d_reference(
         }
     }
     Ok(EncryptedMap::new(out_channels, oh, ow, cells))
-}
-
-/// Raw-weight oracle for [`he_fully_connected`] (`weights[out][flat]`, bias
-/// per output), in the same style as [`he_conv2d_reference`]: bit-identical
-/// logits, one weight preparation per tap and per bias.
-///
-/// # Errors
-///
-/// Propagates homomorphic-operation failures.
-pub fn he_fully_connected_reference(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    weights: &[i64],
-    bias: &[i64],
-    out_dim: usize,
-    counter: &mut OpCounter,
-) -> Result<Vec<CrtCiphertext>> {
-    let flat = input.cells().len();
-    assert_eq!(weights.len(), out_dim * flat, "FC weight count mismatch");
-    assert_eq!(bias.len(), out_dim);
-    let mut out = Vec::with_capacity(out_dim);
-    for o in 0..out_dim {
-        let mut acc: Option<CrtCiphertext> = None;
-        for (i, cell) in input.cells().iter().enumerate() {
-            let term = sys.mul_scalar(cell, weights[o * flat + i])?;
-            counter.ct_pt_mul += 1;
-            counter.weight_prep += 1;
-            match acc.as_mut() {
-                None => acc = Some(term),
-                Some(a) => {
-                    sys.add_inplace(a, &term)?;
-                    counter.ct_ct_add += 1;
-                }
-            }
-        }
-        let acc = sys.add_scalar(&acc.expect("FC input non-empty"), bias[o])?;
-        counter.ct_pt_add += 1;
-        counter.weight_prep += 1;
-        out.push(acc);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -575,12 +458,10 @@ mod tests {
             )
             .unwrap();
             let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
-            let arena = PolyArena::new();
             for threads in POOLS {
                 let mut counter = OpCounter::default();
                 let pool = ParExec::new(threads);
-                let out =
-                    he_conv2d(&sys, &enc, &bank, 2, k, 1, &mut counter, &pool, &arena).unwrap();
+                let out = he_conv2d(&sys, &enc, &bank, 2, (k, k), &mut counter, &pool).unwrap();
                 assert_eq!(out.shape(), (2, 4, 4));
                 assert_eq!(counter.ct_pt_mul, 2 * 16 * 9);
                 let dec = out
@@ -610,7 +491,6 @@ mod tests {
                 &ParExec::serial(),
             )
             .unwrap();
-            let arena = PolyArena::new();
             // Oracle: whole-ciphertext adds in the kernel's window order.
             let mut oracle = Vec::new();
             for (oy, ox) in [(0, 0), (0, 2), (2, 0), (2, 2)] {
@@ -624,8 +504,7 @@ mod tests {
             for threads in POOLS {
                 let mut counter = OpCounter::default();
                 let pool = ParExec::new(threads);
-                let pooled =
-                    he_scaled_mean_pool(&sys, &enc, 2, &mut counter, &pool, &arena).unwrap();
+                let pooled = he_scaled_mean_pool(&sys, &enc, 2, &mut counter, &pool).unwrap();
                 assert_eq!(pooled.shape(), (1, 2, 2));
                 let dec = pooled
                     .decrypt_all(&sys, &keys.secret, 1, &ParExec::serial())
@@ -692,13 +571,13 @@ mod tests {
             .unwrap();
             let weights = vec![1i64, -1, 2, 0, /* row 2 */ 3, 3, -3, 1];
             let bank = WeightBank::prepare(&sys, &weights, &[10, -10]).unwrap();
-            let arena = PolyArena::new();
             for threads in POOLS {
                 let mut counter = OpCounter::default();
                 let pool = ParExec::new(threads);
-                let out =
-                    he_fully_connected(&sys, &enc, &bank, 2, &mut counter, &pool, &arena).unwrap();
+                let out = he_conv2d(&sys, &enc, &bank, 2, (2, 2), &mut counter, &pool).unwrap();
+                assert_eq!(out.shape(), (2, 1, 1));
                 let logits: Vec<i128> = out
+                    .cells()
                     .iter()
                     .map(|ct| sys.decrypt_slots(ct, &keys.secret).unwrap()[0])
                     .collect();
@@ -707,45 +586,55 @@ mod tests {
         }
     }
 
+    /// The kernel against its raw-weight oracle over every geometry a plan
+    /// calls it with: the square single-channel convolution, a non-square
+    /// window over two channels, and the map-sized kernel that is the FC layer
+    /// — square and not.
     #[test]
     fn cached_conv_is_bit_identical_with_zero_weight_prep() {
-        for (sys, keys, rng) in setups() {
-            let (side, k) = (6, 3);
-            let (images, weights, bias) = conv_case();
-            let enc = EncryptedMap::encrypt_images(
-                &sys,
-                &images,
-                side,
-                Layout::Pixel,
-                &keys.public,
-                &rng,
-                &ParExec::serial(),
-            )
-            .unwrap();
-            let mut oracle = OpCounter::default();
-            let base =
-                he_conv2d_reference(&sys, &enc, &weights, &bias, 2, k, 1, &mut oracle).unwrap();
-            // The oracle's per-call weight preparation: 2·16 cells × 9 taps +
-            // 2·16 biases.
-            assert_eq!(oracle.weight_prep, 2 * 16 * 9 + 2 * 16);
-            let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
-            let arena = PolyArena::new();
-            for threads in POOLS {
-                let pool = ParExec::new(threads);
-                let mut counter = OpCounter::default();
-                let fast =
-                    he_conv2d(&sys, &enc, &bank, 2, k, 1, &mut counter, &pool, &arena).unwrap();
-                // Ciphertext-level bit-identity, not just equal decryptions.
-                assert_eq!(fast.cells(), base.cells(), "{threads} threads");
-                // Same homomorphic work, zero per-call weight preparation.
-                assert_eq!(
-                    counter,
-                    OpCounter {
+        for (sys, keys, mut rng) in setups() {
+            for (shape, out, kernel) in [
+                ((1, 6, 6), 2, (3, 3)),
+                ((2, 4, 5), 3, (2, 3)),
+                ((2, 4, 4), 3, (4, 4)),
+                ((2, 3, 5), 2, (3, 5)),
+            ] {
+                let (c, h, w) = shape;
+                let cells = (0..c * h * w)
+                    .map(|p| {
+                        let slots = [(p * 7 % 16) as i64, (p * 5 % 16) as i64];
+                        sys.encrypt_slots(&slots, &keys.public, &mut rng).unwrap()
+                    })
+                    .collect();
+                let enc = EncryptedMap::new(c, h, w, cells);
+                let (oh, ow) = (h - kernel.0 + 1, w - kernel.1 + 1);
+                let taps = c * kernel.0 * kernel.1;
+                let weights: Vec<i64> = (0..out * taps).map(|i| (i as i64 % 5) - 2).collect();
+                let bias: Vec<i64> = (0..out).map(|o| 4 - 3 * o as i64).collect();
+                let mut oracle = OpCounter::default();
+                let base =
+                    he_conv2d_reference(&sys, &enc, &weights, &bias, out, kernel, &mut oracle)
+                        .unwrap();
+                assert_eq!(base.shape(), (out, oh, ow));
+                // The oracle's per-call weight preparation: one per tap and
+                // one per bias of every output cell.
+                assert_eq!(oracle.weight_prep as usize, out * oh * ow * (taps + 1));
+                let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
+                for threads in POOLS {
+                    let pool = ParExec::new(threads);
+                    let mut counter = OpCounter::default();
+                    let fast =
+                        he_conv2d(&sys, &enc, &bank, out, kernel, &mut counter, &pool).unwrap();
+                    assert_eq!(fast.shape(), base.shape());
+                    // Ciphertext-level bit-identity, not just equal decryptions.
+                    assert_eq!(fast.cells(), base.cells(), "{shape:?}, {threads} threads");
+                    // Same homomorphic work, zero per-call weight preparation.
+                    let prepared = OpCounter {
                         weight_prep: 0,
                         ..oracle
-                    },
-                    "{threads} threads"
-                );
+                    };
+                    assert_eq!(counter, prepared, "{shape:?}, {threads} threads");
+                }
             }
         }
     }
@@ -762,7 +651,6 @@ mod tests {
             let (side, k, slots) = (6, 3, sys.slot_count());
             let (_, weights, bias) = conv_case();
             let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
-            let arena = PolyArena::new();
             let serial = ParExec::serial();
             for (batch, chunks) in [(2, 1), (16, 1), (17, 2)] {
                 let images: Vec<Vec<i64>> = (0..batch)
@@ -776,7 +664,7 @@ mod tests {
                 let mut oracle_ops = OpCounter::default();
                 let pixel = encrypt(Layout::Pixel);
                 let oracle =
-                    he_conv2d_reference(&sys, &pixel, &weights, &bias, 2, k, 1, &mut oracle_ops)
+                    he_conv2d_reference(&sys, &pixel, &weights, &bias, 2, (k, k), &mut oracle_ops)
                         .unwrap()
                         .decrypt_all(&sys, &keys.secret, batch, &serial)
                         .unwrap();
@@ -788,7 +676,7 @@ mod tests {
                 for threads in POOLS {
                     let mut counter = OpCounter::default();
                     let pool = ParExec::new(threads);
-                    let out = he_conv2d(&sys, &packed, &bank, 2, 1, 1, &mut counter, &pool, &arena)
+                    let out = he_conv2d(&sys, &packed, &bank, 2, (1, 1), &mut counter, &pool)
                         .unwrap()
                         .with_layout(layout);
                     assert_eq!(out.shape(), (2, chunks, 1));
@@ -836,18 +724,12 @@ mod tests {
                 .collect();
             let pixel = EncryptedMap::new(inputs, 1, 1, pixel);
             let mut oracle_ops = OpCounter::default();
-            let oracle = he_fully_connected_reference(
-                &sys,
-                &pixel,
-                &weights,
-                &bias,
-                classes,
-                &mut oracle_ops,
-            )
-            .unwrap();
-            let oracle = EncryptedMap::new(classes, 1, 1, oracle)
-                .decrypt_all(&sys, &keys.secret, batch, &serial)
-                .unwrap();
+            let fc = (1, 1);
+            let oracle =
+                he_conv2d_reference(&sys, &pixel, &weights, &bias, classes, fc, &mut oracle_ops)
+                    .unwrap()
+                    .decrypt_all(&sys, &keys.secret, batch, &serial)
+                    .unwrap();
             // The same inputs in the operand layout.
             let layout = Layout::FcOperand {
                 classes,
@@ -923,41 +805,19 @@ mod tests {
             let other = FcOperandBank::prepare(&sys, &weights, &bias, 2).unwrap();
             refused(he_fc_operand(&sys, &packed, &other, &mut counter, &serial));
             let scalar = WeightBank::prepare(&sys, &weights[..classes * 3], &bias).unwrap();
-            let arena = PolyArena::new();
-            let fc = he_fully_connected(
-                &sys,
-                &packed,
-                &scalar,
-                classes,
-                &mut counter,
-                &serial,
-                &arena,
-            );
-            assert!(matches!(fc, Err(BfvError::InvalidShape(_))));
             let empty = EncryptedMap::new(0, 1, 1, Vec::new());
-            let fc = he_fully_connected(
-                &sys,
-                &empty,
-                &scalar,
-                classes,
-                &mut counter,
-                &serial,
-                &arena,
-            );
-            assert!(matches!(fc, Err(BfvError::InvalidShape(_))));
-            let fc = he_fully_connected(
-                &sys,
-                &pixel,
-                &scalar,
-                classes,
-                &mut counter,
-                &serial,
-                &arena,
-            );
-            assert!(
-                matches!(fc, Err(BfvError::InvalidShape(_))),
-                "3 of 7 weight columns"
-            );
+            // An operand map, no taps, 3 of 7 weight columns.
+            for map in [&packed, &empty, &pixel] {
+                refused(he_conv2d(
+                    &sys,
+                    map,
+                    &scalar,
+                    classes,
+                    fc,
+                    &mut counter,
+                    &serial,
+                ));
+            }
             assert_eq!(counter, OpCounter::default());
             // No block of inputs for every class fits a cell; ragged rows.
             for (weights, per) in [(&weights[..], 13), (&weights[..], 0), (&weights[1..], 3)] {
@@ -988,16 +848,15 @@ mod tests {
             let bias = vec![10, -10];
             let mut oracle = OpCounter::default();
             let base =
-                he_fully_connected_reference(&sys, &enc, &weights, &bias, 2, &mut oracle).unwrap();
+                he_conv2d_reference(&sys, &enc, &weights, &bias, 2, (2, 2), &mut oracle).unwrap();
             assert_eq!(oracle.weight_prep, 2 * 4 + 2);
             let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
-            let arena = PolyArena::new();
             for threads in POOLS {
                 let pool = ParExec::new(threads);
                 let mut counter = OpCounter::default();
-                let fast =
-                    he_fully_connected(&sys, &enc, &bank, 2, &mut counter, &pool, &arena).unwrap();
-                assert_eq!(fast, base, "{threads} threads");
+                let fast = he_conv2d(&sys, &enc, &bank, 2, (2, 2), &mut counter, &pool).unwrap();
+                assert_eq!(fast.shape(), (2, 1, 1));
+                assert_eq!(fast.cells(), base.cells(), "{threads} threads");
                 assert_eq!(
                     counter,
                     OpCounter {
@@ -1007,39 +866,6 @@ mod tests {
                     "{threads} threads"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn pool_recycles_arena_buffers() {
-        for (sys, keys, rng) in setups() {
-            let side = 4;
-            let images = vec![(1..=16i64).collect::<Vec<_>>()];
-            let enc = EncryptedMap::encrypt_images(
-                &sys,
-                &images,
-                side,
-                Layout::Pixel,
-                &keys.public,
-                &rng,
-                &ParExec::serial(),
-            )
-            .unwrap();
-            let arena = PolyArena::new();
-            // Park one consumed cell's buffers; the pool accumulators must
-            // drain them and still produce the exact sums.
-            enc.cells()[0].clone().recycle(&arena);
-            let parked = arena.free_buffers();
-            assert!(parked > 0);
-            let mut counter = OpCounter::default();
-            let pooled =
-                he_scaled_mean_pool(&sys, &enc, 2, &mut counter, &ParExec::serial(), &arena)
-                    .unwrap();
-            assert!(arena.free_buffers() < parked);
-            let dec = pooled
-                .decrypt_all(&sys, &keys.secret, 1, &ParExec::serial())
-                .unwrap();
-            assert_eq!(dec[0], vec![14, 22, 46, 54]);
         }
     }
 

@@ -1,10 +1,11 @@
-//! Work-stealing parallel execution for the homomorphic hot paths.
+//! Parallel execution for the homomorphic hot paths.
 //!
 //! HE workloads here are embarrassingly parallel along two axes: the output
-//! positions of a layer (one ciphertext per pixel) and the CRT limbs of each
+//! cells of a layer and the CRT limbs of each
 //! [`crate::crt::CrtCiphertext`]. [`ParExec`] runs an indexed task set over a
 //! scoped worker pool (built on `crossbeam::thread::scope`, so tasks may
-//! borrow stack data) with per-worker deques and half-range stealing.
+//! borrow stack data); each worker claims the next unclaimed index from one
+//! shared counter, so a slow task delays only the worker that drew it.
 //!
 //! Determinism contract: `run(n, f)` always returns `f(0), f(1), …, f(n-1)`
 //! **in index order**, and every task executes exactly once. Because the
@@ -16,92 +17,10 @@
 
 use hesgx_obs::{counters, Profiler, Recorder};
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Packs a `[lo, hi)` index range into one atomic word.
-fn pack(lo: u32, hi: u32) -> u64 {
-    ((lo as u64) << 32) | hi as u64
-}
-
-/// Inverse of [`pack`].
-fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
-}
-
-/// Per-worker claimable index ranges with lock-free half-range stealing.
-struct Ranges {
-    slots: Vec<AtomicU64>,
-}
-
-impl Ranges {
-    /// Splits `0..n` evenly across `workers` slots.
-    fn new(n: u32, workers: usize) -> Self {
-        let per = n / workers as u32;
-        let extra = n % workers as u32;
-        let mut slots = Vec::with_capacity(workers);
-        let mut lo = 0u32;
-        for w in 0..workers as u32 {
-            let len = per + u32::from(w < extra);
-            slots.push(AtomicU64::new(pack(lo, lo + len)));
-            lo += len;
-        }
-        Ranges { slots }
-    }
-
-    /// Claims the next index from worker `w`'s own range.
-    fn pop_own(&self, w: usize) -> Option<u32> {
-        let slot = &self.slots[w];
-        loop {
-            let cur = slot.load(Ordering::Acquire);
-            let (lo, hi) = unpack(cur);
-            if lo >= hi {
-                return None;
-            }
-            if slot
-                .compare_exchange_weak(cur, pack(lo + 1, hi), Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return Some(lo);
-            }
-        }
-    }
-
-    /// Steals the upper half of some victim's remaining range into worker
-    /// `w`'s slot, returning the first stolen index. `None` means every
-    /// slot was empty at the time of the scan.
-    fn steal_into(&self, w: usize) -> Option<u32> {
-        let workers = self.slots.len();
-        for offset in 1..workers {
-            let v = (w + offset) % workers;
-            let slot = &self.slots[v];
-            loop {
-                let cur = slot.load(Ordering::Acquire);
-                let (lo, hi) = unpack(cur);
-                if lo >= hi {
-                    break;
-                }
-                // Floor split: the stolen upper half `[mid, hi)` is always
-                // non-empty (even when one task remains), and never overlaps
-                // the `[lo, mid)` the victim keeps.
-                let mid = lo + (hi - lo) / 2;
-                if slot
-                    .compare_exchange(cur, pack(lo, mid), Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    // `mid` is consumed now; the rest becomes our own range
-                    // (our slot is empty, and thieves only ever CAS it, so a
-                    // plain store cannot lose claimed indices).
-                    self.slots[w].store(pack(mid + 1, hi), Ordering::Release);
-                    return Some(mid);
-                }
-            }
-        }
-        None
-    }
-}
-
-/// A scoped work-stealing executor for indexed task sets.
+/// A scoped, dynamically balanced executor for indexed task sets.
 ///
 /// `threads == 1` runs tasks inline on the calling thread with zero
 /// synchronization — the serial fast path the determinism tests compare
@@ -164,8 +83,7 @@ impl ParExec {
     ///
     /// # Panics
     ///
-    /// Propagates the first panicking task; panics if `n` exceeds `u32::MAX`
-    /// (far beyond any feature-map size here).
+    /// Propagates the first panicking task.
     pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send + Sync,
@@ -182,15 +100,17 @@ impl ParExec {
             let _scope = profiler.worker_scope(0);
             return (0..n).map(f).collect();
         }
-        assert!(u32::try_from(n).is_ok(), "task set too large");
-        let ranges = Ranges::new(n as u32, workers);
+        // The next unclaimed index. `Relaxed`: it publishes no data — results
+        // travel through their `OnceLock`s and the scope's joins.
+        let next = AtomicUsize::new(0);
         let results: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
         let profiler = &profiler;
         let run_worker = |w: usize| {
             let _scope = profiler.worker_scope(w);
-            while let Some(idx) = ranges.pop_own(w).or_else(|| ranges.steal_into(w)) {
-                let idx = idx as usize;
-                if results[idx].set(f(idx)).is_err() {
+            loop {
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = results.get(idx) else { break };
+                if slot.set(f(idx)).is_err() {
                     unreachable!("index {idx} claimed twice");
                 }
             }

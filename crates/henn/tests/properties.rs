@@ -1,7 +1,6 @@
 //! Property-based tests of the homomorphic NN layers: every encrypted
 //! operation must agree with its plaintext counterpart on random inputs.
 
-use hesgx_bfv::prelude::PolyArena;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::{CrtKeys, CrtPlainSystem};
 use hesgx_henn::image::{fc_cell, fc_slot, patch_slot, EncryptedMap, Layout};
@@ -198,7 +197,7 @@ proptest! {
         let bank = WeightBank::prepare(sys, &weights, &[bias]).unwrap();
         for threads in POOLS {
             let mut counter = OpCounter::default();
-            let out = ops::he_conv2d(sys, &enc, &bank, 1, 2, 1, &mut counter, &ParExec::new(threads), &PolyArena::new()).unwrap();
+            let out = ops::he_conv2d(sys, &enc, &bank, 1, (2, 2), &mut counter, &ParExec::new(threads)).unwrap();
             let dec = out.decrypt_all(sys, &keys.secret, 1, &ParExec::serial()).unwrap();
             // Plain reference.
             for oy in 0..3 {
@@ -222,7 +221,7 @@ proptest! {
         let enc = EncryptedMap::encrypt_images(sys, std::slice::from_ref(&pixels), 4, Layout::Pixel, &keys.public, &rng, &ParExec::serial()).unwrap();
         for threads in POOLS {
             let mut counter = OpCounter::default();
-            let pooled = ops::he_scaled_mean_pool(sys, &enc, 2, &mut counter, &ParExec::new(threads), &PolyArena::new()).unwrap();
+            let pooled = ops::he_scaled_mean_pool(sys, &enc, 2, &mut counter, &ParExec::new(threads)).unwrap();
             let dec = pooled.decrypt_all(sys, &keys.secret, 1, &ParExec::serial()).unwrap();
             for oy in 0..2 {
                 for ox in 0..2 {
@@ -249,12 +248,12 @@ proptest! {
         let rng = ChaChaRng::from_seed(seed);
         let enc = EncryptedMap::encrypt_images(sys, &[pixels], 4, Layout::Pixel, &keys.public, &rng, &ParExec::serial()).unwrap();
         let mut oracle_counter = OpCounter::default();
-        let oracle = ops::he_conv2d_reference(sys, &enc, &weights, &[bias], 1, 2, 1, &mut oracle_counter).unwrap();
+        let oracle = ops::he_conv2d_reference(sys, &enc, &weights, &[bias], 1, (2, 2), &mut oracle_counter).unwrap();
         prop_assert_eq!(oracle_counter.weight_prep, 9 * 4 + 9);
         let bank = WeightBank::prepare(sys, &weights, &[bias]).unwrap();
         for threads in POOLS {
             let mut counter = OpCounter::default();
-            let out = ops::he_conv2d(sys, &enc, &bank, 1, 2, 1, &mut counter, &ParExec::new(threads), &PolyArena::new()).unwrap();
+            let out = ops::he_conv2d(sys, &enc, &bank, 1, (2, 2), &mut counter, &ParExec::new(threads)).unwrap();
             prop_assert_eq!(oracle.cells(), out.cells(), "ciphertext mismatch at {} threads", threads);
             prop_assert_eq!(counter, OpCounter { weight_prep: 0, ..oracle_counter });
         }
@@ -269,13 +268,14 @@ proptest! {
         let rng = ChaChaRng::from_seed(seed);
         let enc = EncryptedMap::encrypt_images(sys, &[pixels], 2, Layout::Pixel, &keys.public, &rng, &ParExec::serial()).unwrap();
         let mut oracle_counter = OpCounter::default();
-        let oracle = ops::he_fully_connected_reference(sys, &enc, &weights, &biases, 3, &mut oracle_counter).unwrap();
+        let oracle = ops::he_conv2d_reference(sys, &enc, &weights, &biases, 3, (2, 2), &mut oracle_counter).unwrap();
         prop_assert_eq!(oracle_counter.weight_prep, 3 * 4 + 3);
         let bank = WeightBank::prepare(sys, &weights, &biases).unwrap();
         for threads in POOLS {
             let mut counter = OpCounter::default();
-            let out = ops::he_fully_connected(sys, &enc, &bank, 3, &mut counter, &ParExec::new(threads), &PolyArena::new()).unwrap();
-            prop_assert_eq!(&oracle, &out, "logit ciphertext mismatch at {} threads", threads);
+            let out = ops::he_conv2d(sys, &enc, &bank, 3, (2, 2), &mut counter, &ParExec::new(threads)).unwrap();
+            prop_assert_eq!(out.shape(), (3, 1, 1));
+            prop_assert_eq!(oracle.cells(), out.cells(), "logit ciphertext mismatch at {} threads", threads);
             prop_assert_eq!(counter, OpCounter { weight_prep: 0, ..oracle_counter });
         }
     }
@@ -287,10 +287,10 @@ proptest! {
         let rng = ChaChaRng::from_seed(seed);
         let enc = EncryptedMap::encrypt_images(sys, &[pixels], 4, Layout::Pixel, &keys.public, &rng, &ParExec::serial()).unwrap();
         let mut serial_counter = OpCounter::default();
-        let serial = ops::he_scaled_mean_pool(sys, &enc, 2, &mut serial_counter, &ParExec::serial(), &PolyArena::new()).unwrap();
+        let serial = ops::he_scaled_mean_pool(sys, &enc, 2, &mut serial_counter, &ParExec::serial()).unwrap();
         for threads in [2usize, 4] {
             let mut counter = OpCounter::default();
-            let par = ops::he_scaled_mean_pool(sys, &enc, 2, &mut counter, &ParExec::new(threads), &PolyArena::new()).unwrap();
+            let par = ops::he_scaled_mean_pool(sys, &enc, 2, &mut counter, &ParExec::new(threads)).unwrap();
             prop_assert_eq!(serial.cells(), par.cells(), "pooled ciphertext mismatch at {} threads", threads);
             prop_assert_eq!(serial_counter, counter);
         }

@@ -114,12 +114,16 @@ pub const SECRET_TYPES: &[SecretType] = &[
     },
 ];
 
-/// Files holding enclave-resident code, where panics abort the ECALL
-/// (`enclave-panic` rule).
+/// Files holding enclave-resident code, where panics abort the ECALL, and
+/// the serve path around it, where a panic takes a broker worker down with
+/// a host-shaped request (`enclave-panic` rule).
 pub const ENCLAVE_PATHS: &[&str] = &[
     "crates/tee/src",
-    "crates/core/src/sgx_ops.rs",
-    "crates/core/src/keydist.rs",
+    "crates/core/src",
+    "crates/henn/src/layers.rs",
+    "crates/henn/src/image.rs",
+    "crates/henn/src/weights.rs",
+    "crates/henn/src/crt.rs",
     "fixtures/enclave-panic",
 ];
 
@@ -293,21 +297,13 @@ pub const RNG_SAFE_METHODS: &[&str] = &["fork", "clone"];
 /// Allocating methods banned inside hot-path loops (`hot-path-alloc`).
 pub const HOT_ALLOC_METHODS: &[&str] = &["to_vec", "to_owned", "clone", "collect"];
 
-/// Scratch-buffer pool types whose methods *recycle* rather than allocate
-/// (`hot-path-alloc` rule). A `.clone()` on an arena handle bumps an `Arc`,
-/// and the copy methods draw from the pooled free list — the exact pattern
-/// the rule exists to push hot kernels toward, so arena-tagged receivers
-/// are exempt.
-pub const ARENA_TYPES: &[&str] = &["PolyArena"];
-
 /// Every type name the dataflow pass tracks: the secret registry plus the
-/// unordered containers and the scratch arenas.
+/// unordered containers.
 pub fn tracked_types() -> Vec<&'static str> {
     SECRET_TYPES
         .iter()
         .map(|t| t.name)
         .chain(TRACKED_CONTAINER_TYPES.iter().copied())
-        .chain(ARENA_TYPES.iter().copied())
         .collect()
 }
 

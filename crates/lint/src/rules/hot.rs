@@ -9,14 +9,9 @@
 //! enforces the promise for the allocating calls that actually appear in
 //! this codebase: `Vec::new`, `vec![...]`, `.to_vec()`, `.to_owned()`,
 //! `.clone()`, and `.collect()`.
-//!
-//! Receivers the dataflow pass tags as a scratch arena ([`ARENA_TYPES`])
-//! are exempt: `arena.clone()` bumps an `Arc` and the arena's copy methods
-//! draw from a pooled free list — borrowing the arena is how a hot kernel
-//! *avoids* allocating, not an allocation.
 
 use crate::analysis::Analysis;
-use crate::config::{ARENA_TYPES, HOT_ALLOC_METHODS};
+use crate::config::HOT_ALLOC_METHODS;
 use crate::diag::Diagnostic;
 use crate::tokens::seq;
 
@@ -47,9 +42,6 @@ pub fn check(a: &Analysis) -> Vec<Diagnostic> {
                     && a.toks
                         .get(i + 1)
                         .is_some_and(|n| n.is_punct('(') || n.is_punct(':'))
-                    && !a
-                        .tag_of(i - 2)
-                        .is_some_and(|tag| ARENA_TYPES.contains(&tag))
                 {
                     Some(format!(".{}()", t.text))
                 } else {
@@ -91,9 +83,9 @@ mod tests {
     #[test]
     fn allocations_in_marked_fn_loops_are_flagged() {
         let d = diags(
-            "// hesgx-lint: hot\nfn conv(rows: &[Vec<u64>]) {\n    for row in rows {\n        let s = row.to_vec();\n        let t: Vec<u64> = s.iter().map(|v| v + 1).collect();\n        let u = vec![0u64; 4];\n    }\n}\n",
+            "// hesgx-lint: hot\nfn conv(rows: &[Vec<u64>]) {\n    for row in rows {\n        let s = row.to_vec();\n        let t: Vec<u64> = s.iter().map(|v| v + 1).collect();\n        let u = vec![0u64; 4];\n        let c = row.clone();\n    }\n}\n",
         );
-        assert_eq!(d.len(), 3, "{d:?}");
+        assert_eq!(d.len(), 4, "{d:?}");
         assert!(d.iter().all(|d| d.rule == "hot-path-alloc"));
     }
 
@@ -119,25 +111,6 @@ mod tests {
             "// hesgx-lint: hot\nfn pool(rows: &[Vec<u64>]) {\n    for row in rows {\n        for _w in 0..4 {\n            let s = row.to_vec();\n        }\n    }\n}\n",
         );
         assert_eq!(d.len(), 1, "{d:?}");
-    }
-
-    #[test]
-    fn arena_handle_clone_is_exempt() {
-        // Param-typed arena: the dataflow pass tags `arena`, so cloning the
-        // handle (an Arc bump) inside a hot loop is not an allocation.
-        let d = diags(
-            "// hesgx-lint: hot\nfn conv(rows: &[Vec<u64>], arena: &PolyArena) {\n    for row in rows {\n        let handle = arena.clone();\n        let buf = arena.copy_poly(row);\n    }\n}\n",
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn arena_field_clone_is_exempt_but_other_clones_still_flag() {
-        let d = diags(
-            "struct Engine { arena: PolyArena }\nimpl Engine {\n    // hesgx-lint: hot\n    fn conv(&self, rows: &[Vec<u64>]) {\n        for row in rows {\n            let handle = self.arena.clone();\n            let copy = row.clone();\n        }\n    }\n}\n",
-        );
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains(".clone()"));
     }
 
     #[test]

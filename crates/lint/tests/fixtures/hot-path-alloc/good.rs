@@ -21,16 +21,3 @@ fn setup_tables(rows: &[Vec<u64>]) -> Vec<Vec<u64>> {
     }
     tables
 }
-
-// hesgx-lint: hot
-fn accumulate_with_arena(rows: &[Vec<u64>], arena: &PolyArena) -> Vec<u64> {
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        // Arena borrows recycle pooled buffers — not allocations: the
-        // handle clone bumps an Arc and copy_poly draws from the free list.
-        let handle = arena.clone();
-        let scratch = handle.copy_poly(row);
-        out.push(scratch[0]);
-    }
-    out
-}

@@ -149,8 +149,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let start = Instant::now();
         let mut counter = OpCounter::default();
-        let summed =
-            ops::he_scaled_mean_pool(&sys, &input, window, &mut counter, &pool, &PolyArena::new())?;
+        let summed = ops::he_scaled_mean_pool(&sys, &input, window, &mut counter, &pool)?;
         let batched = EcallBatching::Batched;
         let (_, div_cost) = ie.apply(
             &[EnclaveOp::Divide],

@@ -31,7 +31,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
 
     // 2. Build the session: the enclave generates the FV keys inside and
     //    binds them into an attestation quote — no trusted third party. The
-    //    HE hot paths run on a work-stealing pool, one worker per core.
+    //    HE hot paths run on a worker pool, one worker per core.
     println!("[2/5] building the inference session (enclave key ceremony)...");
     let platform = Platform::new(7);
     let mut attestation = AttestationService::new();
