@@ -158,6 +158,14 @@ step_bench() {
             awk '$1 == "henn.ops.ct_pt_mul" { seen = 1; if ($2 + 0 >= 7950) unpacked = 1 }
                  END { exit (unpacked || !seen) }' target/bench/smoke.txt
         fi
+        # A purehe_12 request runs 400 squares and 400 relinearisations:
+        # 19246 transforms with every component of a square lifted once (25
+        # a square), 23246 when each operand of the tensor product is lifted
+        # separately (35). A silent return to double lifting must fail here.
+        if [ "$workload" = purehe_12 ]; then
+            awk '$1 == "prof.bfv_ntt_calls" { seen = 1; if ($2 + 0 >= 23246) relifted = 1 }
+                 END { exit (relifted || !seen) }' target/bench/smoke.txt
+        fi
     done
     rm -f target/bench/smoke.txt
 }

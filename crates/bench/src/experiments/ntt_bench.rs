@@ -334,7 +334,10 @@ fn decrypt_u256(
     phase
         .into_iter()
         .map(|x| {
-            let sum = x.carrying_mul_u64(t).0.wrapping_add(q.shr(1));
+            let sum = U256::from_u128(x)
+                .carrying_mul_u64(t)
+                .0
+                .wrapping_add(q.shr(1));
             rec_q
                 .div_rem(sum)
                 .0

@@ -151,6 +151,15 @@ impl BarrettU128 {
         r
     }
 
+    /// `z / p` for `z < p` as a 64-bit fixed-point fraction, rounded down:
+    /// `⌊z·⌊2^128/p⌋ / 2^64⌋`, which lies in `(2^64·z/p − 2, 2^64·z/p]`
+    /// (the inner floor loses less than `z/2^64 < 1`, the outer less than 1).
+    #[inline]
+    pub fn frac64(&self, z: u64) -> u64 {
+        let (hi, lo) = ((self.ratio >> 64) as u64, self.ratio as u64);
+        z * hi + ((z as u128 * lo as u128) >> 64) as u64
+    }
+
     /// `a · b mod p` for arbitrary `u64` operands (a product of two `u64`
     /// values always fits `u128`, so lazy `[0, 4p)` operands are covered).
     ///
@@ -282,18 +291,18 @@ pub fn largest_prime_congruent_one(bits: u32, modulus_step: u64) -> u64 {
     panic!("no prime of {bits} bits congruent to 1 mod {modulus_step}");
 }
 
+/// The primes below `2^bits` that are `≡ 1 (mod step)`, largest first.
+pub fn primes_congruent_one_below(bits: u32, step: u64) -> impl Iterator<Item = u64> {
+    assert!(bits <= MAX_LIMB_BITS);
+    let first = ((1u64 << bits) - 2) / step * step + 1;
+    std::iter::successors(Some(first), move |&c| c.checked_sub(step))
+        .take_while(move |&c| c > step)
+        .filter(|&c| is_prime_u64(c))
+}
+
 /// Returns `count` distinct primes just below `2^bits`, each `≡ 1 (mod step)`.
 pub fn primes_congruent_one(bits: u32, step: u64, count: usize) -> Vec<u64> {
-    assert!(bits <= MAX_LIMB_BITS);
-    let mut out = Vec::with_capacity(count);
-    let upper = 1u64 << bits;
-    let mut candidate = (upper - 2) / step * step + 1;
-    while out.len() < count && candidate > step {
-        if is_prime_u64(candidate) {
-            out.push(candidate);
-        }
-        candidate -= step;
-    }
+    let out: Vec<u64> = primes_congruent_one_below(bits, step).take(count).collect();
     assert_eq!(out.len(), count, "not enough primes below 2^{bits}");
     out
 }

@@ -1,25 +1,22 @@
-//! Precomputed context: NTT tables, CRT constants, the wide multiplication
-//! basis, and reciprocals for exact rescaling.
+//! Precomputed context: NTT tables, CRT constants and the extension basis of
+//! ciphertext multiplication.
 
-use crate::arith::{self, inv_mod, mul_mod, shoup_precompute};
+use crate::arith::{self, inv_mod, shoup_precompute};
 use crate::ntt::NttTable;
 use crate::params::{EncryptionParameters, ParameterError};
 use crate::poly::RnsPoly;
+use crate::tensor::TensorBasis;
 use hesgx_crypto::sha256::sha256;
-use hesgx_crypto::uint::{Reciprocal, U256};
 use std::sync::Arc;
 
-/// Bit size of the wide-basis primes used for exact tensor products.
-const WIDE_PRIME_BITS: u32 = 45;
-
-/// Per-limb constants of [`BfvContext::scale_and_round`]: `hat = q/q_i`,
-/// `hat_inv = hat⁻¹ mod q_i` and `t = t_quot·q_i + t_rem`, the pairs being
+/// Per-limb CRT constants: `hat = q/q_i`, `hat_inv = hat⁻¹ mod q_i` and, for
+/// [`BfvContext::scale_and_round`], `t = t_quot·q_i + t_rem`; the pairs are
 /// Shoup operands `(w, shoup)` modulo `qi`.
 #[derive(Debug)]
-struct ScaleRoundLimb {
-    qi: u64,
-    hat_inv: (u64, u64),
-    hat: u128,
+pub(crate) struct CrtLimb {
+    pub(crate) qi: u64,
+    pub(crate) hat_inv: (u64, u64),
+    pub(crate) hat: u128,
     t_quot: u64,
     t_rem: (u64, u64),
 }
@@ -37,36 +34,14 @@ pub struct BfvContext {
     /// NTT tables per coefficient-modulus limb.
     pub(crate) ntt_tables: Vec<NttTable>,
 
-    /// q = Π q_i.
-    pub(crate) q: U256,
-    pub(crate) rec_q: Reciprocal,
-    pub(crate) q_half: U256,
-    /// q / q_i.
-    pub(crate) q_hat: Vec<U256>,
-    /// (q / q_i)^{-1} mod q_i.
-    pub(crate) q_hat_inv: Vec<u64>,
-
-    /// Δ = floor(q / t).
-    pub(crate) delta: U256,
+    /// q = Π q_i (at most 120 bits) and its per-limb CRT constants.
+    pub(crate) q: u128,
+    crt: Vec<CrtLimb>,
     /// Δ mod q_i with its Shoup constant.
     pub(crate) delta_mod: Vec<(u64, u64)>,
-    /// Decryption's per-limb constants, and `q` (at most 120 bits).
-    scale_round: Vec<ScaleRoundLimb>,
-    q_u128: u128,
 
-    /// Wide CRT basis for exact ciphertext multiplication.
-    pub(crate) wide_tables: Vec<NttTable>,
-    pub(crate) wide_primes: Vec<u64>,
-    /// P = Π w_j.
-    pub(crate) p_prod: U256,
-    pub(crate) rec_p: Reciprocal,
-    pub(crate) p_half: U256,
-    /// P / w_j.
-    pub(crate) p_hat: Vec<U256>,
-    /// (P / w_j)^{-1} mod w_j.
-    pub(crate) p_hat_inv: Vec<u64>,
-    /// q mod w_j (for centering inputs into the wide basis).
-    pub(crate) q_mod_wide: Vec<u64>,
+    /// Extension basis for exact ciphertext multiplication.
+    pub(crate) tensor: TensorBasis,
 
     /// Precomputed discrete-Gaussian table for the error distribution.
     noise: crate::sampler::DiscreteGaussian,
@@ -78,121 +53,51 @@ pub struct BfvContext {
 }
 
 impl BfvContext {
-    /// Builds the context, validating that a wide basis exists for the
-    /// parameter sizes.
+    /// Builds the context: validates the parameters and selects the
+    /// extension basis of ciphertext multiplication.
     ///
     /// # Errors
     ///
-    /// Returns [`ParameterError::CoeffModulusTooLarge`] when the total
-    /// coefficient modulus leaves no room for the exact-multiplication basis.
+    /// Returns the [`ParameterError`] of the first invalid field, or
+    /// [`ParameterError::CoeffModulusTooLarge`] when the coefficient modulus
+    /// leaves no room for the exact-multiplication basis.
     pub fn new(params: EncryptionParameters) -> Result<Arc<Self>, ParameterError> {
+        // Deserialized parameters have not been through the builder.
+        params.validate()?;
         let n = params.poly_degree();
-        let q_bits = params.coeff_modulus_bits();
-        let log_n = n.trailing_zeros();
-        // Exact tensor products need P > n * q^2 (with one bit to spare) and
-        // the reciprocal machinery needs P below 2^250.
-        let wide_target = 2 * q_bits + log_n + 2;
-        if wide_target > 250 {
-            return Err(ParameterError::CoeffModulusTooLarge(q_bits));
-        }
-
-        let ntt_tables: Vec<NttTable> = params
-            .coeff_moduli()
-            .iter()
-            .map(|&q| NttTable::new(n, q))
-            .collect();
-
-        // q product and CRT constants.
-        let mut q = U256::ONE;
-        for &qi in params.coeff_moduli() {
-            let (prod, carry) = q.carrying_mul_u64(qi);
-            assert_eq!(carry, 0, "q fits in 256 bits by validation");
-            q = prod;
-        }
-        let rec_q = Reciprocal::new(q);
-        let q_half = q.shr(1);
-        let mut q_hat = Vec::new();
-        let mut q_hat_inv = Vec::new();
-        for &qi in params.coeff_moduli() {
-            let (hat, rem) = rec_div_by_u64(q, qi);
-            debug_assert_eq!(rem, 0);
-            q_hat.push(hat);
-            let hat_mod = u256_mod_u64(hat, qi);
-            q_hat_inv.push(inv_mod(hat_mod, qi).expect("limbs are coprime"));
-        }
-
-        // Δ = floor(q / t).
         let t = params.plain_modulus();
-        let (delta, _) = rec_div_by_u64(q, t);
-        let with_shoup = |w: u64, qi: u64| (w, shoup_precompute(w, qi));
-        let delta_mod = (params.coeff_moduli().iter())
-            .map(|&qi| with_shoup(u256_mod_u64(delta, qi), qi))
-            .collect();
-        let q_u128 = q
-            .to_u128()
-            .ok_or(ParameterError::CoeffModulusTooLarge(q_bits))?;
-        let scale_round = (params.coeff_moduli().iter().zip(&q_hat_inv))
-            .map(|(&qi, &hat_inv)| ScaleRoundLimb {
-                qi,
-                hat_inv: with_shoup(hat_inv, qi),
-                hat: q_u128 / qi as u128,
-                t_quot: t / qi,
-                t_rem: with_shoup(t % qi, qi),
-            })
-            .collect();
+        let moduli = params.coeff_moduli();
+        let ntt_tables: Vec<NttTable> = moduli.iter().map(|&q| NttTable::new(n, q)).collect();
 
-        // Wide basis: NTT primes, skipping any that collide with the
-        // coefficient moduli, until the product covers the tensor bound. The
-        // prime size adapts downward so the rounded-up product stays below the
-        // 2^250 reciprocal limit even for large q (e.g. n = 2048 defaults).
-        let step = 2 * n as u64;
-        let wide_bits = (38..=WIDE_PRIME_BITS)
-            .rev()
-            .find(|&bits| bits * wide_target.div_ceil(bits) <= 250)
-            .ok_or(ParameterError::CoeffModulusTooLarge(q_bits))?;
-        let mut wide_primes = Vec::new();
-        let mut p_prod = U256::ONE;
-        let mut p_bits = 0u32;
-        let mut candidate_pool = arith::primes_congruent_one(wide_bits, step, 16).into_iter();
-        while p_bits < wide_target {
-            let w = candidate_pool.next().expect("enough wide primes exist");
-            if params.coeff_moduli().contains(&w) {
-                continue;
-            }
-            let (prod, carry) = p_prod.carrying_mul_u64(w);
-            assert_eq!(carry, 0, "wide product below 2^250 by validation");
-            p_prod = prod;
-            p_bits = p_prod.bits();
-            wide_primes.push(w);
-        }
-        // The rescaling step computes t · |coefficient| inside a U256; the
-        // coefficients are bounded by the tensor bound (2^wide_target), which
-        // may be well below P itself.
-        let t_bits = 64 - params.plain_modulus().leading_zeros();
-        if t_bits + wide_target > 255 {
-            return Err(ParameterError::CoeffModulusTooLarge(q_bits));
-        }
-        let wide_tables: Vec<NttTable> = wide_primes.iter().map(|&w| NttTable::new(n, w)).collect();
-        let rec_p = Reciprocal::new(p_prod);
-        let p_half = p_prod.shr(1);
-        let mut p_hat = Vec::new();
-        let mut p_hat_inv = Vec::new();
-        for &w in &wide_primes {
-            let (hat, rem) = rec_div_by_u64(p_prod, w);
-            debug_assert_eq!(rem, 0);
-            p_hat.push(hat);
-            let hat_mod = u256_mod_u64(hat, w);
-            p_hat_inv.push(inv_mod(hat_mod, w).expect("wide primes are coprime"));
-        }
-        let q_mod_wide = wide_primes.iter().map(|&w| u256_mod_u64(q, w)).collect();
+        // q < 2^120 by validation.
+        let q: u128 = moduli.iter().map(|&qi| qi as u128).product();
+        let with_shoup = |w: u64, qi: u64| (w, shoup_precompute(w, qi));
+        let crt = (moduli.iter())
+            .map(|&qi| {
+                let hat = q / qi as u128;
+                let hat_inv = inv_mod((hat % qi as u128) as u64, qi)
+                    .ok_or(ParameterError::DuplicateCoeffModulus(qi))?;
+                Ok(CrtLimb {
+                    qi,
+                    hat_inv: with_shoup(hat_inv, qi),
+                    hat,
+                    t_quot: t / qi,
+                    t_rem: with_shoup(t % qi, qi),
+                })
+            })
+            .collect::<Result<Vec<_>, ParameterError>>()?;
+        let delta = q / t as u128;
+        let delta_mod = (moduli.iter())
+            .map(|&qi| with_shoup((delta % qi as u128) as u64, qi))
+            .collect();
+        let tensor = TensorBasis::new(&params, q, &crt)?;
 
         // Relinearization decomposition: q_bits split into dbc-bit digits.
         let dbc = params.decomposition_bit_count();
-        let decomp_count = q_bits.div_ceil(dbc) as usize;
+        let decomp_count = params.coeff_modulus_bits().div_ceil(dbc) as usize;
         let mut decomp_pow = Vec::with_capacity(decomp_count);
         for k in 0..decomp_count {
-            let row: Vec<u64> = params
-                .coeff_moduli()
+            let row: Vec<u64> = moduli
                 .iter()
                 .map(|&qi| {
                     // (2^dbc)^k mod q_i
@@ -206,7 +111,7 @@ impl BfvContext {
         // Context id: hash of the parameter encoding.
         let mut material = Vec::new();
         material.extend_from_slice(&(n as u64).to_le_bytes());
-        for &qi in params.coeff_moduli() {
+        for &qi in moduli {
             material.extend_from_slice(&qi.to_le_bytes());
         }
         material.extend_from_slice(&t.to_le_bytes());
@@ -218,22 +123,9 @@ impl BfvContext {
             id,
             ntt_tables,
             q,
-            rec_q,
-            q_half,
-            q_hat,
-            q_hat_inv,
-            delta,
+            crt,
             delta_mod,
-            scale_round,
-            q_u128,
-            wide_tables,
-            wide_primes,
-            p_prod,
-            rec_p,
-            p_half,
-            p_hat,
-            p_hat_inv,
-            q_mod_wide,
+            tensor,
             noise: crate::sampler::DiscreteGaussian::new(params_noise),
             decomp_count,
             decomp_pow,
@@ -261,8 +153,8 @@ impl BfvContext {
     }
 
     /// The scaling factor `Δ = floor(q / t)` applied to messages.
-    pub fn delta(&self) -> U256 {
-        self.delta
+    pub fn delta(&self) -> u128 {
+        self.q / self.params.plain_modulus() as u128
     }
 
     /// The precomputed error-distribution sampler.
@@ -270,20 +162,18 @@ impl BfvContext {
         &self.noise
     }
 
-    /// Reconstructs a coefficient from its RNS residues into `[0, q)`.
-    pub(crate) fn crt_reconstruct(&self, residues: &[u64]) -> U256 {
-        debug_assert_eq!(residues.len(), self.limb_count());
-        let mut acc = hesgx_crypto::uint::U512::ZERO;
-        for (i, &r) in residues.iter().enumerate() {
-            let c = mul_mod(r, self.q_hat_inv[i], self.params.coeff_moduli()[i]);
-            let (term, carry) = self.q_hat[i].carrying_mul_u64(c);
-            let mut wide = hesgx_crypto::uint::U512::from_u256(term);
-            wide.0[4] = carry;
-            let (sum, overflow) = acc.overflowing_add(wide);
-            debug_assert!(!overflow);
-            acc = sum;
+    /// Coefficient `j` of `poly` reconstructed from its residues into
+    /// `[0, q)`: `Σ [x_i·(q/q_i)⁻¹]_{q_i}·q/q_i`, each term below `q < 2^120`,
+    /// less the few multiples of `q` the sum ran over.
+    pub(crate) fn reconstruct(&self, poly: &RnsPoly, j: usize) -> u128 {
+        let mut x = 0u128;
+        for (limb, c) in poly.limbs.iter().zip(&self.crt) {
+            x += arith::mul_mod_shoup(limb[j], c.hat_inv.0, c.hat_inv.1, c.qi) as u128 * c.hat;
         }
-        self.rec_q.reduce_u512(acc)
+        while x >= self.q {
+            x -= self.q;
+        }
+        x
     }
 
     /// Decryption's `⌊(t·x + ⌊q/2⌋)/q⌋ mod t` for every coefficient `x` of
@@ -295,12 +185,12 @@ impl BfvContext {
     /// count into the quotient.
     pub(crate) fn scale_and_round(&self, phase: &RnsPoly) -> Vec<u64> {
         let t = self.params.plain_modulus();
-        let q = self.q_u128;
+        let q = self.q;
         (0..self.poly_degree())
             .map(|j| {
                 let mut quot = 0u64;
                 let mut rem = q / 2;
-                for (limb, c) in phase.limbs.iter().zip(&self.scale_round) {
+                for (limb, c) in phase.limbs.iter().zip(&self.crt) {
                     let y = arith::mul_mod_shoup(limb[j], c.hat_inv.0, c.hat_inv.1, c.qi);
                     let (w, r) = arith::mul_div_rem_shoup(y, c.t_rem.0, c.t_rem.1, c.qi);
                     quot += c.t_quot * y + w;
@@ -318,89 +208,53 @@ impl BfvContext {
             })
             .collect()
     }
-
-    /// Reconstructs a wide-basis coefficient into `[0, P)`.
-    pub(crate) fn crt_reconstruct_wide(&self, residues: &[u64]) -> U256 {
-        debug_assert_eq!(residues.len(), self.wide_primes.len());
-        let mut acc = hesgx_crypto::uint::U512::ZERO;
-        for (j, &r) in residues.iter().enumerate() {
-            let c = mul_mod(r, self.p_hat_inv[j], self.wide_primes[j]);
-            let (term, carry) = self.p_hat[j].carrying_mul_u64(c);
-            let mut wide = hesgx_crypto::uint::U512::from_u256(term);
-            wide.0[4] = carry;
-            let (sum, overflow) = acc.overflowing_add(wide);
-            debug_assert!(!overflow);
-            acc = sum;
-        }
-        self.rec_p.reduce_u512(acc)
-    }
-}
-
-/// Divides a `U256` by a `u64`, returning quotient and remainder.
-pub(crate) fn rec_div_by_u64(n: U256, d: u64) -> (U256, u64) {
-    assert!(d > 0);
-    let mut q = [0u64; 4];
-    let mut rem: u128 = 0;
-    for i in (0..4).rev() {
-        let cur = rem << 64 | n.0[i] as u128;
-        q[i] = (cur / d as u128) as u64;
-        rem = cur % d as u128;
-    }
-    (U256(q), rem as u64)
-}
-
-/// Computes `n mod d` for a `u64` divisor.
-pub(crate) fn u256_mod_u64(n: U256, d: u64) -> u64 {
-    rec_div_by_u64(n, d).1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arith::mul_mod;
     use crate::params::presets;
+    use crate::poly::PolyForm;
+    use hesgx_crypto::uint::{Reciprocal, U256};
+
+    /// `poly` with coefficient `j` set to `x mod q_i` in every limb.
+    fn set_coeff(ctx: &BfvContext, poly: &mut RnsPoly, j: usize, x: u128) {
+        for (limb, &qi) in poly.limbs.iter_mut().zip(ctx.params().coeff_moduli()) {
+            limb[j] = (x % qi as u128) as u64;
+        }
+    }
 
     #[test]
     fn context_builds_for_presets() {
         let ctx = BfvContext::new(presets::paper_n1024()).unwrap();
         assert_eq!(ctx.poly_degree(), 1024);
         assert_eq!(ctx.limb_count(), 2);
-        assert!(ctx.wide_primes.len() >= 5);
         let ctx2 = BfvContext::new(presets::test_n256()).unwrap();
         assert_eq!(ctx2.poly_degree(), 256);
     }
 
     #[test]
-    fn div_by_u64_matches_u128() {
-        let n = U256::from_u128(123_456_789_012_345_678_901_234_567u128);
-        let (q, r) = rec_div_by_u64(n, 97);
-        assert_eq!(
-            q.to_u128().unwrap(),
-            123_456_789_012_345_678_901_234_567u128 / 97
-        );
-        assert_eq!(r as u128, 123_456_789_012_345_678_901_234_567u128 % 97);
-    }
-
-    #[test]
     fn crt_reconstruct_roundtrip() {
-        let ctx = BfvContext::new(presets::paper_n1024()).unwrap();
-        let moduli = ctx.params().coeff_moduli().to_vec();
-        // Pick x, compute residues, reconstruct.
-        let x = U256::from_u128(0xdead_beef_cafe_babe_0123_4567u128);
-        let residues: Vec<u64> = moduli.iter().map(|&m| u256_mod_u64(x, m)).collect();
-        assert_eq!(ctx.crt_reconstruct(&residues), x);
-    }
-
-    #[test]
-    fn crt_reconstruct_wide_roundtrip() {
-        let ctx = BfvContext::new(presets::test_n256()).unwrap();
-        // Any value below P (the wide product has >= 130 bits here).
-        let x = U256([0x1234_5678_9abc_def0, 0xfeed_beef, 0, 0]);
-        let residues: Vec<u64> = ctx
-            .wide_primes
-            .iter()
-            .map(|&w| u256_mod_u64(x, w))
-            .collect();
-        assert_eq!(ctx.crt_reconstruct_wide(&residues), x);
+        for params in [presets::paper_n1024(), presets::test_n256()] {
+            let ctx = BfvContext::new(params).unwrap();
+            let q = ctx.q;
+            let probes = [
+                0,
+                1,
+                q / 2,
+                q / 2 + 1,
+                q - 1,
+                0xdead_beef_cafe_babe_0123 % q,
+            ];
+            let mut poly = RnsPoly::zero(&ctx, PolyForm::Coeff);
+            for (j, &x) in probes.iter().enumerate() {
+                set_coeff(&ctx, &mut poly, j, x);
+            }
+            for (j, &x) in probes.iter().enumerate() {
+                assert_eq!(ctx.reconstruct(&poly, j), x);
+            }
+        }
     }
 
     #[test]
@@ -411,9 +265,9 @@ mod tests {
         // `c`, found limb by limb. `c = q−1` rounds down, `c = 0` up.
         for params in [presets::paper_n1024(), presets::test_n256()] {
             let ctx = BfvContext::new(params).unwrap();
-            let (t, q) = (ctx.params().plain_modulus(), ctx.q_u128);
+            let (t, q) = (ctx.params().plain_modulus(), ctx.q);
             let targets = [q - 2, q - 1, 0, 1, q / 2, q / 2 + 1].map(|c| (c + q - q / 2) % q);
-            let mut phase = RnsPoly::zero(&ctx, crate::poly::PolyForm::Coeff);
+            let mut phase = RnsPoly::zero(&ctx, PolyForm::Coeff);
             for (limb, &qi) in phase.limbs.iter_mut().zip(ctx.params().coeff_moduli()) {
                 let t_inv = inv_mod(t % qi, qi).unwrap();
                 for (v, target) in limb.iter_mut().zip(targets) {
@@ -421,11 +275,12 @@ mod tests {
                 }
             }
             let got = ctx.scale_and_round(&phase);
+            let rec_q = Reciprocal::new(U256::from_u128(q));
             for j in 0..targets.len() {
-                let residues: Vec<u64> = phase.limbs.iter().map(|limb| limb[j]).collect();
-                let (tx, carry) = ctx.crt_reconstruct(&residues).carrying_mul_u64(t);
+                let x = U256::from_u128(ctx.reconstruct(&phase, j));
+                let (tx, carry) = x.carrying_mul_u64(t);
                 assert_eq!(carry, 0);
-                let (quot, rem) = ctx.rec_q.div_rem(tx.checked_add(ctx.q_half).unwrap());
+                let (quot, rem) = rec_q.div_rem(tx.checked_add(U256::from_u128(q / 2)).unwrap());
                 assert_eq!(rem.to_u128().unwrap(), (targets[j] + q / 2) % q);
                 assert_eq!(got[j], quot.to_u64().unwrap() % t, "coefficient {j}");
             }
@@ -435,12 +290,12 @@ mod tests {
     #[test]
     fn delta_times_t_close_to_q() {
         let ctx = BfvContext::new(presets::paper_n1024()).unwrap();
-        let t = ctx.params().plain_modulus();
-        let (dt, carry) = ctx.delta.carrying_mul_u64(t);
-        assert_eq!(carry, 0);
+        let t = ctx.params().plain_modulus() as u128;
         // q - Δt = q mod t < t
-        let diff = ctx.q.wrapping_sub(dt);
-        assert!(diff < U256::from_u64(t));
+        assert!(ctx.q - ctx.delta() * t < t);
+        for (&(delta_i, _), &qi) in ctx.delta_mod.iter().zip(ctx.params().coeff_moduli()) {
+            assert_eq!(delta_i as u128, ctx.delta() % qi as u128);
+        }
     }
 
     #[test]
@@ -450,40 +305,92 @@ mod tests {
         assert_ne!(a.id(), b.id());
     }
 
+    /// `P' > MAX_TENSOR_TERMS·n·t·q`, i.e. `|round(t·d/q)| < P'/4` for every
+    /// tensor component `d` — evaluated on the integers themselves.
+    pub(super) fn extension_clears_the_scaled_tensor(ctx: &BfvContext) -> bool {
+        let times = |x: U256, y: u64| {
+            let (prod, carry) = x.carrying_mul_u64(y);
+            assert_eq!(carry, 0);
+            prod
+        };
+        let extension = (ctx.tensor.tables()).fold(U256::ONE, |p, t| times(p, t.modulus()));
+        let terms = (crate::tensor::MAX_TENSOR_TERMS * ctx.poly_degree()) as u64;
+        let scaled = times(U256::from_u128(ctx.q), ctx.params().plain_modulus());
+        extension > times(scaled, terms)
+    }
+
     #[test]
     fn wide_basis_covers_tensor_bound() {
-        let ctx = BfvContext::new(presets::paper_n1024()).unwrap();
-        let q_bits = ctx.params().coeff_modulus_bits();
-        let n_bits = ctx.poly_degree().trailing_zeros();
-        assert!(ctx.p_prod.bits() > 2 * q_bits + n_bits);
-        assert!(ctx.p_prod.bits() <= 250);
+        for (params, primes) in [(presets::paper_n1024(), 3), (presets::test_n256(), 2)] {
+            let ctx = BfvContext::new(params).unwrap();
+            assert!(extension_clears_the_scaled_tensor(&ctx));
+            assert_eq!(ctx.tensor.tables().count(), primes);
+        }
+    }
+
+    #[test]
+    fn unvalidated_parameters_are_an_error_not_a_panic() {
+        // Deserialization bypasses the builder: a composite limb, a repeated
+        // limb and an oversized `t` must all come back as errors.
+        let good = presets::test_n256();
+        let with = |moduli: Vec<u64>, t: u64| {
+            let mut params = good.clone();
+            params.set_unvalidated(moduli, t);
+            BfvContext::new(params).map(|_| ())
+        };
+        let qs = good.coeff_moduli().to_vec();
+        assert_eq!(
+            with(vec![qs[0], qs[0]], 12289),
+            Err(ParameterError::DuplicateCoeffModulus(qs[0]))
+        );
+        assert_eq!(
+            with(vec![qs[0], 513 * 5], 12289),
+            Err(ParameterError::InvalidCoeffModulus(513 * 5))
+        );
+        assert_eq!(
+            with(qs.clone(), 1 << 40),
+            Err(ParameterError::InvalidPlainModulus(1 << 40))
+        );
+        assert_eq!(with(qs, 12289), Ok(()));
     }
 }
 
 #[cfg(test)]
 mod wide_basis_tests {
+    use super::tests::extension_clears_the_scaled_tensor;
     use super::*;
+    use crate::arith::primes_congruent_one;
     use crate::params::EncryptionParameters;
 
     #[test]
     fn wide_basis_adapts_for_large_degrees() {
-        // n = 2048 with the default (112-bit) q needs a finer-grained basis;
-        // this used to overflow the 2^250 reciprocal limit.
-        for n in [2048usize, 4096] {
+        // Every degree the default coefficient moduli serve gets a basis.
+        for n in [256usize, 512, 1024, 2048, 4096, 8192, 16384, 32768] {
             let params = EncryptionParameters::builder()
                 .poly_degree(n)
                 .plain_modulus(65537)
                 .build()
                 .unwrap();
             let ctx = BfvContext::new(params).unwrap();
-            let q_bits = ctx.params().coeff_modulus_bits();
-            assert!(ctx.p_prod.bits() > 2 * q_bits + n.trailing_zeros());
-            assert!(
-                ctx.p_prod.bits() <= 250,
-                "n={n}: {} bits",
-                ctx.p_prod.bits()
-            );
+            assert!(extension_clears_the_scaled_tensor(&ctx), "n={n}");
+            assert!(ctx.tensor.tables().count() <= 3, "n={n}");
         }
+    }
+
+    #[test]
+    fn extension_primes_skip_the_coefficient_moduli() {
+        // The second-largest 62-bit NTT prime as a limb of q: the extension
+        // basis takes the largest, then skips to the third.
+        let top = primes_congruent_one(62, 512, 5);
+        let params = EncryptionParameters::builder()
+            .poly_degree(256)
+            .coeff_moduli(vec![top[1], primes_congruent_one(40, 512, 1)[0]])
+            .plain_modulus(12289)
+            .build()
+            .unwrap();
+        let ctx = BfvContext::new(params).unwrap();
+        let extension: Vec<u64> = ctx.tensor.tables().map(|t| t.modulus()).collect();
+        assert_eq!(extension, [top[0], top[2], top[3]]);
     }
 
     #[test]

@@ -7,7 +7,6 @@ use crate::error::{BfvError, Result};
 use crate::keys::SecretKey;
 use crate::plaintext::Plaintext;
 use crate::poly::{PolyForm, RnsPoly};
-use hesgx_crypto::uint::U256;
 use std::borrow::Borrow;
 use std::sync::Arc;
 
@@ -82,27 +81,15 @@ impl<K: Borrow<SecretKey>> Decryptor<K> {
     /// number of noise-doubling operations the ciphertext can still absorb.
     /// Returns 0 when the ciphertext is no longer decryptable.
     pub fn invariant_noise_budget(&self, ct: &Ciphertext) -> Result<u32> {
+        self.check(ct)?;
         let ctx = &self.ctx;
-        let t = ctx.params().plain_modulus();
-        // noise coefficient = centered(t*x mod q); budget from its max norm.
-        let mut max_bits = 0u32;
-        for x in self.raw_phase(ct)? {
-            let (tx, carry) = x.carrying_mul_u64(t);
-            debug_assert_eq!(carry, 0);
-            // t*x mod q, centered: this equals t*(noise) + small rounding part.
-            let rem = ctx
-                .rec_q
-                .reduce_u512(hesgx_crypto::uint::U512::from_u256(tx));
-            let mag = if rem > ctx.q_half {
-                ctx.q.wrapping_sub(rem)
-            } else {
-                rem
-            };
-            max_bits = max_bits.max(mag.bits());
-        }
-        // v = (t*x mod q)/q  =>  budget = -log2(2*||v||) ≈ q_bits - mag_bits - 1.
-        let q_bits = ctx.q.bits();
-        Ok(q_bits.saturating_sub(max_bits + 1))
+        // t·[c(s)]_q mod q, limb by limb; centered it is t·(noise) plus a
+        // small rounding part, and the budget follows from its max norm:
+        // v = (t·x mod q)/q  =>  −log2(2‖v‖) ≈ q_bits − norm_bits − 1.
+        let mut noise = self.dot_with_secret(ct);
+        noise.scale_u64(ctx.params().plain_modulus(), ctx);
+        let q_bits = u128::BITS - ctx.q.leading_zeros();
+        Ok(q_bits.saturating_sub(noise.centered_norm_bits(ctx) + 1))
     }
 
     fn check(&self, ct: &Ciphertext) -> Result<()> {
@@ -117,20 +104,12 @@ impl<K: Borrow<SecretKey>> Decryptor<K> {
 
     /// Reconstructs the raw `[c(s)]_q` coefficients (diagnostic API used by
     /// tests and by the noise-analysis example).
-    pub fn raw_phase(&self, ct: &Ciphertext) -> Result<Vec<U256>> {
+    pub fn raw_phase(&self, ct: &Ciphertext) -> Result<Vec<u128>> {
         self.check(ct)?;
-        let ctx = &self.ctx;
-        let acc = self.dot_with_secret(ct);
-        let n = ctx.poly_degree();
-        let mut out = Vec::with_capacity(n);
-        let mut residues = vec![0u64; ctx.limb_count()];
-        for j in 0..n {
-            for (r, limb) in residues.iter_mut().zip(&acc.limbs) {
-                *r = limb[j];
-            }
-            out.push(ctx.crt_reconstruct(&residues));
-        }
-        Ok(out)
+        let phase = self.dot_with_secret(ct);
+        Ok((0..self.ctx.poly_degree())
+            .map(|j| self.ctx.reconstruct(&phase, j))
+            .collect())
     }
 }
 

@@ -2,18 +2,20 @@
 //! relinearization (§II-B), plus plaintext add/multiply used by the
 //! convolutional and fully connected layers.
 //!
-//! Ciphertext multiplication is exact: the tensor product is computed over the
-//! integers in a wide CRT/NTT basis, rescaled by `round(t·x/q)` with 256-bit
-//! arithmetic, and reduced back into RNS form — the textbook FV definition,
-//! with no floating-point approximation.
+//! Ciphertext multiplication is exact: the tensor product of the centered
+//! operands is computed over the integers — held as residues modulo the
+//! limbs of `q` and a few extension primes — and rescaled by `round(t·x/q)`
+//! in 64/128-bit words (`crate::tensor`), the textbook FV definition with no
+//! floating-point approximation and no wide integer.
 
 use crate::arith::mul_mod;
 use crate::ciphertext::Ciphertext;
-use crate::context::{u256_mod_u64, BfvContext};
+use crate::context::BfvContext;
 use crate::error::{BfvError, Result};
 use crate::keys::EvaluationKeys;
 use crate::plaintext::{NttPlaintext, Plaintext};
 use crate::poly::{PolyForm, RnsPoly};
+use crate::tensor::MAX_TENSOR_TERMS;
 use hesgx_obs::prof;
 
 use std::borrow::Cow;
@@ -403,54 +405,104 @@ impl Evaluator {
 
     /// Homomorphic multiplication: the FV tensor product with exact
     /// `round(t·x/q)` rescaling. Output size is `a.size() + b.size() - 1`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on context mismatch and when both operands hold more than
+    /// eight polynomials (the extension basis is sized for sums of eight
+    /// products).
     pub fn multiply(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
         let _prof = prof::span("bfv.eval.multiply");
         self.check(a)?;
         self.check(b)?;
-        let ctx = &self.ctx;
-        let wide_count = ctx.wide_primes.len();
-        let n = ctx.poly_degree();
-
-        // Lift both operands into the wide NTT basis.
-        let a_wide: Vec<Vec<Vec<u64>>> = a.polys.iter().map(|p| self.to_wide_ntt(p)).collect();
-        let b_wide: Vec<Vec<Vec<u64>>> = b.polys.iter().map(|p| self.to_wide_ntt(p)).collect();
-
-        let out_size = a.size() + b.size() - 1;
-        let mut out_polys = Vec::with_capacity(out_size);
-        for k in 0..out_size {
-            // Tensor component k = sum over i+j = k of a_i * b_j, in the wide
-            // evaluation domain.
-            let mut acc = vec![vec![0u64; n]; wide_count];
-            for (i, a_i) in a_wide.iter().enumerate() {
-                let Some(j) = k.checked_sub(i) else { continue };
-                if j >= b.size() {
-                    continue;
-                }
-                for (w, &wp) in ctx.wide_primes.iter().enumerate() {
-                    let (ai, bj) = (&a_i[w], &b_wide[j][w]);
-                    for x in 0..n {
-                        let prod = mul_mod(ai[x], bj[x], wp);
-                        acc[w][x] = crate::arith::add_mod(acc[w][x], prod, wp);
-                    }
-                }
-            }
-            // Back to coefficient form in the wide basis.
-            for (w, table) in ctx.wide_tables.iter().enumerate() {
-                table.inverse(&mut acc[w]);
-            }
-            // Rescale each coefficient by t/q and reduce into the q-basis.
-            out_polys.push(self.rescale_from_wide(&acc));
-        }
-
-        Ok(Ciphertext {
-            polys: out_polys,
-            context_id: *ctx.id(),
+        let a_ext: Vec<_> = a.polys.iter().map(|p| self.lift_ntt(p)).collect();
+        let b_ext: Vec<_> = b.polys.iter().map(|p| self.lift_ntt(p)).collect();
+        self.tensor(&a_ext, &b_ext, |i, j| {
+            (i < a.size() && j < b.size()).then_some(false)
         })
     }
 
-    /// Homomorphic squaring (equivalent to `multiply(a, a)`).
+    /// Homomorphic squaring: bit-identical to `multiply(a, a)`, with each
+    /// component lifted once and the symmetric products `aᵢ·aⱼ`, `i < j`,
+    /// computed once and doubled.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::multiply`].
     pub fn square(&self, a: &Ciphertext) -> Result<Ciphertext> {
-        self.multiply(a, a)
+        let _prof = prof::span("bfv.eval.multiply");
+        self.check(a)?;
+        let ext: Vec<_> = a.polys.iter().map(|p| self.lift_ntt(p)).collect();
+        self.tensor(&ext, &ext, |i, j| (i <= j && j < a.size()).then_some(i < j))
+    }
+
+    /// `poly`, centered, in evaluation form modulo every limb of `q` (its
+    /// own residues — centering changes nothing modulo `qᵢ`) followed by
+    /// every prime of the extension basis.
+    fn lift_ntt(&self, poly: &RnsPoly) -> Vec<Vec<u64>> {
+        let ctx = &self.ctx;
+        let coeff = in_form(poly, PolyForm::Coeff, ctx);
+        let centered: Vec<u128> = (0..ctx.poly_degree())
+            .map(|j| ctx.reconstruct(&coeff, j))
+            .collect();
+        let mut rows = match poly.form() {
+            PolyForm::Ntt => poly.limbs.clone(),
+            PolyForm::Coeff => {
+                let mut own = coeff.into_owned();
+                own.to_ntt(ctx);
+                own.limbs
+            }
+        };
+        rows.extend(ctx.tensor.lift_ntt(&centered));
+        rows
+    }
+
+    /// The scaled tensor product of lifted operands: component `k` is
+    /// `round(t/q · Σ aᵢ·bⱼ)` over the `i + j = k` for which `doubled(i, j)`
+    /// is `Some`, the product counted twice when it says so.
+    fn tensor(
+        &self,
+        a: &[Vec<Vec<u64>>],
+        b: &[Vec<Vec<u64>>],
+        doubled: impl Fn(usize, usize) -> Option<bool>,
+    ) -> Result<Ciphertext> {
+        let ctx = &self.ctx;
+        if a.len().min(b.len()) > MAX_TENSOR_TERMS {
+            return Err(BfvError::InvalidCiphertextSize(a.len().min(b.len())));
+        }
+        let tables = || ctx.ntt_tables.iter().chain(ctx.tensor.tables());
+        let polys = (0..a.len() + b.len() - 1)
+            .map(|k| {
+                let terms: Vec<(usize, usize, bool)> = (0..=k)
+                    .filter_map(|i| doubled(i, k - i).map(|twice| (i, k - i, twice)))
+                    .collect();
+                // A product is below 2^124 and at most MAX_TENSOR_TERMS of
+                // them (a doubled one counts twice) are summed unreduced.
+                let rows: Vec<Vec<u64>> = tables()
+                    .enumerate()
+                    .map(|(limb, table)| {
+                        let mut sums = vec![0u128; table.len()];
+                        for &(i, j, twice) in &terms {
+                            for ((s, &x), &y) in sums.iter_mut().zip(&a[i][limb]).zip(&b[j][limb]) {
+                                *s += (x as u128 * y as u128) << twice as u32;
+                            }
+                        }
+                        let barrett = table.barrett();
+                        let mut row: Vec<u64> = sums.iter().map(|&s| barrett.reduce(s)).collect();
+                        table.inverse(&mut row);
+                        row
+                    })
+                    .collect();
+                RnsPoly {
+                    limbs: ctx.tensor.scale_round(&rows),
+                    form: PolyForm::Coeff,
+                }
+            })
+            .collect();
+        Ok(Ciphertext {
+            polys,
+            context_id: *ctx.id(),
+        })
     }
 
     /// Relinearizes a size-3 ciphertext back to size 2 using evaluation keys
@@ -477,126 +529,64 @@ impl Evaluator {
             return Err(BfvError::EvaluationKeyMismatch);
         }
 
+        // c0' = c0 + Σ evk_k.0 ⊙ d_k ; c1' = c1 + Σ evk_k.1 ⊙ d_k over the
+        // base-2^dbc digits d_k of c2's coefficients in [0, q). The sums stay
+        // unreduced between reductions: a product is below 2^124.
+        const LAZY_TERMS: usize = 8;
         let dbc = ctx.params().decomposition_bit_count();
-        let mask = if dbc == 64 {
-            u64::MAX
-        } else {
-            (1u64 << dbc) - 1
-        };
+        let mask = (1u64 << dbc) - 1;
         let n = ctx.poly_degree();
-        let limbs = ctx.limb_count();
-
-        // Decompose c2 coefficient-wise in base 2^dbc over [0, q).
-        let mut c2 = ct.polys[2].clone();
-        c2.to_coeff(ctx);
-        let mut digits: Vec<RnsPoly> = (0..ctx.decomp_count)
-            .map(|_| RnsPoly::zero(ctx, PolyForm::Coeff))
-            .collect();
-        let mut residues = vec![0u64; limbs];
-        for j in 0..n {
-            for (r, limb) in residues.iter_mut().zip(&c2.limbs) {
-                *r = limb[j];
+        let c2 = in_form(&ct.polys[2], PolyForm::Coeff, ctx);
+        let c2: Vec<u128> = (0..n).map(|j| ctx.reconstruct(&c2, j)).collect();
+        let zero = vec![vec![0u128; n]; ctx.limb_count()];
+        let mut sums = [zero.clone(), zero];
+        let mut digit = RnsPoly::zero(ctx, PolyForm::Coeff);
+        for (k, (key0, key1)) in evk.keys.iter().enumerate() {
+            // A digit is its own residue modulo every limb wider than the base.
+            digit.form = PolyForm::Coeff;
+            for (limb, table) in digit.limbs.iter_mut().zip(&ctx.ntt_tables) {
+                for (v, &x) in limb.iter_mut().zip(&c2) {
+                    let d = (x >> (k as u32 * dbc)) as u64 & mask;
+                    *v = if d < table.modulus() {
+                        d
+                    } else {
+                        table.barrett().reduce(d as u128)
+                    };
+                }
             }
-            let x = ctx.crt_reconstruct(&residues);
-            for (k, digit_poly) in digits.iter_mut().enumerate() {
-                let shifted = x.shr(k as u32 * dbc);
-                let digit = shifted.0[0] & mask;
-                for (i, &qi) in ctx.params().coeff_moduli().iter().enumerate() {
-                    digit_poly.limbs[i][j] = digit % qi;
+            digit.to_ntt(ctx);
+            for (sums, key) in sums.iter_mut().zip([key0, key1]) {
+                for ((sum, key), digit) in sums.iter_mut().zip(&key.limbs).zip(&digit.limbs) {
+                    for ((s, &a), &d) in sum.iter_mut().zip(key).zip(digit) {
+                        *s += a as u128 * d as u128;
+                    }
+                }
+                if (k + 1) % LAZY_TERMS == 0 {
+                    for (sum, table) in sums.iter_mut().zip(&ctx.ntt_tables) {
+                        sum.iter_mut()
+                            .for_each(|s| *s = table.barrett().reduce(*s) as u128);
+                    }
                 }
             }
         }
-
-        // c0' = c0 + Σ evk_k.0 ⊙ d_k ; c1' = c1 + Σ evk_k.1 ⊙ d_k.
-        let mut acc0 = RnsPoly::zero(ctx, PolyForm::Ntt);
-        let mut acc1 = RnsPoly::zero(ctx, PolyForm::Ntt);
-        for (k, digit_poly) in digits.iter_mut().enumerate() {
-            digit_poly.to_ntt(ctx);
-            acc0.mul_acc(&evk.keys[k].0, digit_poly, ctx);
-            acc1.mul_acc(&evk.keys[k].1, digit_poly, ctx);
-        }
-        acc0.to_coeff(ctx);
-        acc1.to_coeff(ctx);
-
-        let mut c0 = ct.polys[0].clone();
-        c0.to_coeff(ctx);
-        c0.add_assign(&acc0, ctx);
-        let mut c1 = ct.polys[1].clone();
-        c1.to_coeff(ctx);
-        c1.add_assign(&acc1, ctx);
-
+        let polys = (sums.iter().zip(&ct.polys))
+            .map(|(sums, c)| {
+                let limbs = (sums.iter().zip(&ctx.ntt_tables))
+                    .map(|(sum, table)| sum.iter().map(|&s| table.barrett().reduce(s)).collect())
+                    .collect();
+                let mut acc = RnsPoly {
+                    limbs,
+                    form: PolyForm::Ntt,
+                };
+                acc.to_coeff(ctx);
+                acc.add_assign(&in_form(c, PolyForm::Coeff, ctx), ctx);
+                acc
+            })
+            .collect();
         Ok(Ciphertext {
-            polys: vec![c0, c1],
+            polys,
             context_id: *ctx.id(),
         })
-    }
-
-    /// Lifts an RNS polynomial into the wide basis (centered representatives)
-    /// and applies the wide forward NTT. Returns `[wide_prime][coeff]`.
-    fn to_wide_ntt(&self, poly: &RnsPoly) -> Vec<Vec<u64>> {
-        let ctx = &self.ctx;
-        let n = ctx.poly_degree();
-        let limbs = ctx.limb_count();
-        let wide_count = ctx.wide_primes.len();
-        let mut out = vec![vec![0u64; n]; wide_count];
-        let mut p = poly.clone();
-        p.to_coeff(ctx);
-        let mut residues = vec![0u64; limbs];
-        #[allow(clippy::needless_range_loop)] // j walks a column across out[w][j]
-        for j in 0..n {
-            for (r, limb) in residues.iter_mut().zip(&p.limbs) {
-                *r = limb[j];
-            }
-            let x = ctx.crt_reconstruct(&residues);
-            let negative = x > ctx.q_half;
-            for (w, &wp) in ctx.wide_primes.iter().enumerate() {
-                let mut r = u256_mod_u64(x, wp);
-                if negative {
-                    // value is x - q (negative); shift by q mod wp.
-                    r = crate::arith::sub_mod(r, ctx.q_mod_wide[w], wp);
-                }
-                out[w][j] = r;
-            }
-        }
-        for (w, table) in ctx.wide_tables.iter().enumerate() {
-            table.forward(&mut out[w]);
-        }
-        out
-    }
-
-    /// CRT-reconstructs wide-basis coefficients, centers them, rescales by
-    /// `round(t·x/q)`, and reduces into the q-basis RNS limbs.
-    fn rescale_from_wide(&self, wide_coeffs: &[Vec<u64>]) -> RnsPoly {
-        let ctx = &self.ctx;
-        let n = ctx.poly_degree();
-        let t = ctx.params().plain_modulus();
-        let mut out = RnsPoly::zero(ctx, PolyForm::Coeff);
-        let mut residues = vec![0u64; ctx.wide_primes.len()];
-        for j in 0..n {
-            for (w, limb) in wide_coeffs.iter().enumerate() {
-                residues[w] = limb[j];
-            }
-            let y = ctx.crt_reconstruct_wide(&residues);
-            let (mag, negative) = if y > ctx.p_half {
-                (ctx.p_prod.wrapping_sub(y), true)
-            } else {
-                (y, false)
-            };
-            // s = round(t·mag / q) = floor((t·mag + q/2) / q).
-            let (tm, carry) = mag.carrying_mul_u64(t);
-            debug_assert_eq!(carry, 0, "t*|coeff| fits in 256 bits by validation");
-            let (sum, overflow) = tm.overflowing_add(ctx.q_half);
-            debug_assert!(!overflow);
-            let (s, _) = ctx.rec_q.div_rem(sum);
-            for (i, &qi) in ctx.params().coeff_moduli().iter().enumerate() {
-                let mut r = u256_mod_u64(s, qi);
-                if negative && r != 0 {
-                    r = qi - r;
-                }
-                out.limbs[i][j] = r;
-            }
-        }
-        out
     }
 }
 

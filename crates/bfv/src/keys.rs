@@ -117,6 +117,17 @@ impl EvaluationKeys {
     pub fn context_id(&self) -> &[u8; 32] {
         &self.context_id
     }
+
+    /// Raw RNS limbs of component `k`'s pair `(b_k, a_k)`, in evaluation
+    /// form (for canonical hashing and independent re-computation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.component_count()`.
+    pub fn component_limbs(&self, k: usize) -> (&[Vec<u64>], &[Vec<u64>]) {
+        let (b, a) = &self.keys[k];
+        (&b.limbs, &a.limbs)
+    }
 }
 
 /// Generates FV key material for one context.

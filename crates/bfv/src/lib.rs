@@ -23,8 +23,9 @@
 //! * **RNS coefficient modulus** — `q` is a product of NTT-friendly primes;
 //!   all linear operations run per-limb with no big-integer arithmetic.
 //! * **Exact multiplication** — the tensor product is computed over the
-//!   integers in a wide CRT/NTT basis and rescaled by `round(t·x/q)` using
-//!   `U256` arithmetic, matching the textbook FV definition bit for bit.
+//!   integers, as residues modulo `q`'s limbs and three extension primes, and
+//!   rescaled by `round(t·x/q)` in 64/128-bit words, matching the textbook
+//!   FV definition bit for bit.
 //! * **Three encoders** — scalar, SEAL-style integer (low-norm), and SIMD
 //!   batching (`t ≡ 1 mod 2n`), the throughput extension of the paper's §VIII.
 //! * **Noise budget tracking** — [`decryptor::Decryptor::invariant_noise_budget`]
@@ -71,6 +72,7 @@ pub mod plaintext;
 pub mod poly;
 pub mod sampler;
 pub mod serialization;
+mod tensor;
 
 /// Convenient glob-import of the main types.
 pub mod prelude {

@@ -181,14 +181,21 @@ impl EncryptionParameters {
             256 | 512 => arith::primes_congruent_one(46, step, 2),
             1024 => arith::primes_congruent_one(52, step, 2),
             2048 => arith::primes_congruent_one(56, step, 2),
-            // Larger degrees cap q a little lower so the exact-multiplication
-            // wide basis still fits under the 2^250 reciprocal limit.
+            // Larger degrees keep the slightly lower cap they were first
+            // given: changing a default would orphan existing keys.
             4096 => arith::primes_congruent_one(55, step, 2),
             _ => arith::primes_congruent_one(54, step, 2),
         }
     }
 
-    fn validate(&self) -> Result<(), ParameterError> {
+    /// Replaces `q` and `t` without validation, as deserialization can.
+    #[cfg(test)]
+    pub(crate) fn set_unvalidated(&mut self, coeff_moduli: Vec<u64>, plain_modulus: u64) {
+        self.coeff_moduli = coeff_moduli;
+        self.plain_modulus = plain_modulus;
+    }
+
+    pub(crate) fn validate(&self) -> Result<(), ParameterError> {
         let n = self.poly_degree;
         if !n.is_power_of_two() || !(256..=32768).contains(&n) {
             return Err(ParameterError::InvalidDegree(n));
@@ -206,8 +213,9 @@ impl EncryptionParameters {
         if self.coeff_moduli.is_empty() {
             return Err(ParameterError::InvalidCoeffModulus(0));
         }
-        // Exact multiplication uses a wide CRT basis inside U256; cap q so the
-        // tensor-product bound n*q^2 stays well below 2^250.
+        // Reconstruction, decryption's scale-and-round and the base
+        // conversions of multiplication hold a coefficient of `[0, q)` — and
+        // short sums of them — in a `u128`.
         if self.coeff_modulus_bits() > 120 {
             return Err(ParameterError::CoeffModulusTooLarge(
                 self.coeff_modulus_bits(),

@@ -2,8 +2,9 @@
 //!
 //! A polynomial is stored as one residue vector per coefficient-modulus limb,
 //! either in coefficient form or in NTT (evaluation) form. All arithmetic is
-//! component-wise per limb; only ciphertext multiplication and decryption ever
-//! reconstruct full-width coefficients.
+//! component-wise per limb; only ciphertext multiplication, relinearization
+//! and the noise measurements ever reconstruct full-width coefficients, and
+//! those fit a `u128`.
 
 use crate::arith::{add_mod, sub_mod};
 use crate::context::BfvContext;
@@ -219,22 +220,14 @@ impl RnsPoly {
     /// polynomial). Used by noise-budget estimation.
     pub fn centered_norm_bits(&self, ctx: &BfvContext) -> u32 {
         assert_eq!(self.form, PolyForm::Coeff);
-        let n = ctx.poly_degree();
-        let mut max_bits = 0;
-        let mut residues = vec![0u64; ctx.limb_count()];
-        for j in 0..n {
-            for (r, limb) in residues.iter_mut().zip(&self.limbs) {
-                *r = limb[j];
-            }
-            let x = ctx.crt_reconstruct(&residues);
-            let mag = if x > ctx.q_half {
-                ctx.q.wrapping_sub(x)
-            } else {
-                x
-            };
-            max_bits = max_bits.max(mag.bits());
-        }
-        max_bits
+        (0..ctx.poly_degree())
+            .map(|j| {
+                let x = ctx.reconstruct(self, j);
+                let magnitude = if x > ctx.q / 2 { ctx.q - x } else { x };
+                u128::BITS - magnitude.leading_zeros()
+            })
+            .max()
+            .unwrap_or(0)
     }
 }
 

@@ -38,28 +38,66 @@ impl Fixture {
         }
     }
 
-    /// The reference decryption: reconstruct, scale, round, reduce — 256-bit
-    /// integers throughout.
-    fn decrypt_u256(&self, ct: &Ciphertext) -> Vec<u64> {
-        let params = self.ctx.params();
-        let t = params.plain_modulus();
-        let q = params.coeff_moduli().iter().fold(U256::ONE, |q, &qi| {
+    /// `q` and its reciprocal, 256 bits wide.
+    fn q_u256(&self) -> (U256, Reciprocal) {
+        let moduli = self.ctx.params().coeff_moduli();
+        let q = moduli.iter().fold(U256::ONE, |q, &qi| {
             let (prod, carry) = q.carrying_mul_u64(qi);
             assert_eq!(carry, 0);
             prod
         });
-        let rec_q = Reciprocal::new(q);
-        self.decryptor
-            .raw_phase(ct)
-            .unwrap()
-            .into_iter()
-            .map(|x| {
-                let (tx, carry) = x.carrying_mul_u64(t);
-                assert_eq!(carry, 0);
+        (q, Reciprocal::new(q))
+    }
+
+    /// `t·x` for every coefficient `x` of the reconstructed phase.
+    fn scaled_phase_u256(&self, ct: &Ciphertext) -> impl Iterator<Item = U256> {
+        let t = self.ctx.params().plain_modulus();
+        let phase = self.decryptor.raw_phase(ct).unwrap();
+        phase.into_iter().map(move |x| {
+            let (tx, carry) = U256::from_u128(x).carrying_mul_u64(t);
+            assert_eq!(carry, 0);
+            tx
+        })
+    }
+
+    /// The reference decryption: reconstruct, scale, round, reduce — 256-bit
+    /// integers throughout.
+    fn decrypt_u256(&self, ct: &Ciphertext) -> Vec<u64> {
+        let t = self.ctx.params().plain_modulus();
+        let (q, rec_q) = self.q_u256();
+        self.scaled_phase_u256(ct)
+            .map(|tx| {
                 let (quot, _) = rec_q.div_rem(tx.checked_add(q.shr(1)).unwrap());
                 quot.to_u64().unwrap() % t
             })
             .collect()
+    }
+
+    /// The reference noise budget: `bits(q) − bits(max |[t·x]_q|) − 1` with
+    /// the centered remainder taken in 256-bit integers.
+    fn budget_u256(&self, ct: &Ciphertext) -> u32 {
+        let (q, rec_q) = self.q_u256();
+        let norm_bits = self
+            .scaled_phase_u256(ct)
+            .map(|tx| {
+                let rem = rec_q.div_rem(tx).1;
+                let centered = if rem > q.shr(1) {
+                    q.wrapping_sub(rem)
+                } else {
+                    rem
+                };
+                centered.bits()
+            })
+            .max()
+            .unwrap();
+        q.bits().saturating_sub(norm_bits + 1)
+    }
+
+    /// Asserts the production budget equals the reference; returns it.
+    fn checked_budget(&self, ct: &Ciphertext, what: &str) -> u32 {
+        let got = self.decryptor.invariant_noise_budget(ct).unwrap();
+        assert_eq!(got, self.budget_u256(ct), "{}: budget, {what}", self.name);
+        got
     }
 
     /// Asserts the production decryption equals the reference; returns it.
@@ -84,6 +122,7 @@ impl Fixture {
         let m = self.random_plain(&mut rng);
         let fresh = self.public.encrypt(&m, &mut rng).unwrap();
         assert_eq!(self.checked_decrypt(&fresh, "fresh"), m.coeffs());
+        self.checked_budget(&fresh, "fresh");
         let sym = self.symmetric.encrypt_symmetric(&m, &mut rng).unwrap();
         assert_eq!(self.checked_decrypt(&sym, "fresh symmetric"), m.coeffs());
 
@@ -94,14 +133,16 @@ impl Fixture {
             chain = ev.add_plain(&chain, &m).unwrap();
         }
         self.checked_decrypt(&chain, "mul_plain/add chain");
+        self.checked_budget(&chain, "mul_plain/add chain");
 
         let squared = ev.square(&fresh).unwrap();
         assert_eq!(squared.size(), 3);
         self.checked_decrypt(&squared, "size 3");
+        self.checked_budget(&squared, "size 3");
 
         let mut worn = sym;
         for step in 0.. {
-            let budget = self.decryptor.invariant_noise_budget(&worn).unwrap();
+            let budget = self.checked_budget(&worn, "worn");
             self.checked_decrypt(&worn, &format!("budget {budget} bits"));
             if budget == 0 && step > 0 {
                 break;
