@@ -99,7 +99,6 @@ fn build_session(model: &QuantizedCnn, plan: Option<FaultPlan>, obs: &Recorder) 
         .params(ParamsPreset::Small)
         .threads(2)
         .seed(7)
-        .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Always))
         .recorder(obs.clone());
     if let Some(plan) = plan {
         builder = builder.chaos(plan);

@@ -66,7 +66,6 @@ pub fn obs_report(cfg: RunConfig) -> ObsReport {
             .params(ParamsPreset::Small)
             .threads(threads)
             .seed(7)
-            .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Always))
             .recorder(rec.clone())
             .build(Platform::new(702), model.clone())
             .expect("obs report provisioning");

@@ -1,5 +1,5 @@
-//! `trace` — deterministic per-request trace timelines and the noise-budget
-//! decision table (not in the paper).
+//! `trace` — deterministic per-request trace timelines and the per-crossing
+//! noise-budget table (not in the paper).
 //!
 //! Runs a fixed-seed session at worker-pool sizes 1/2/4 with a
 //! timeline-enabled [`Recorder`] and checks the three contracts DESIGN.md
@@ -9,10 +9,10 @@
 //!    Prometheus exposition are byte-identical across pool sizes, because
 //!    every timestamp comes from the modeled virtual trace clock and the
 //!    ECALL path is selected by the plan, never by thread count.
-//! 2. **Noise-decision soundness** — in `Auto` mode the refresh fires *iff*
-//!    the enclave-measured pre-refresh budget is below the plan's
-//!    `refresh_threshold_bits`. Both outcomes are exercised: the planner
-//!    default (10 bits) skips, a raised override (80 bits) refreshes.
+//! 2. **Every crossing refreshes** — the enclave re-encrypts what it
+//!    decrypted, so each crossing leaves with at least the budget it came in
+//!    with: `noise.budget.layer[i].post ≥ noise.budget.layer[i].pre`, both
+//!    measured inside the enclave (only the bit-counts leave it).
 //! 3. **Zero-cost-when-off** — logits from the traced run are bit-identical
 //!    to an untraced run of the same seed: telemetry probes never touch the
 //!    ciphertext path.
@@ -22,12 +22,22 @@
 //! exposition. CI runs this experiment twice and diffs the outputs.
 
 use super::{chaos_sweep::sweep_model, header, RunConfig};
-use hesgx_core::pipeline::NoiseDecision;
 use hesgx_core::prelude::*;
 use hesgx_obs::Recorder;
 
 /// Seed every session in this experiment uses (also in the artifact names).
 pub const TRACE_SEED: u64 = 7;
+
+/// The noise budget (bits) of one boundary crossing, either side of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrossingBudget {
+    /// Pipeline layer index of the enclave stage.
+    pub layer: usize,
+    /// Minimum budget of the cells that crossed in.
+    pub pre_bits: u64,
+    /// Minimum budget of the cells the enclave re-encrypted.
+    pub post_bits: u64,
+}
 
 /// Machine-checkable summary of the trace experiment.
 #[derive(Debug, Clone)]
@@ -38,10 +48,10 @@ pub struct TraceReport {
     pub prometheus_identical: bool,
     /// Traced logits equal the untraced run's logits (zero-cost-when-off).
     pub logits_match_untraced: bool,
-    /// Every decision satisfies `refreshed == (before_bits < threshold)`.
-    pub decisions_sound: bool,
-    /// Noise decisions from both threshold configs, execution order.
-    pub decisions: Vec<NoiseDecision>,
+    /// Every crossing left with at least the budget it came in with.
+    pub crossings_refresh: bool,
+    /// The pool-1 run's crossings, in stage order.
+    pub budgets: Vec<CrossingBudget>,
     /// Trace events in the pool-1 timeline.
     pub events: usize,
     /// Where the Perfetto trace landed (unset when the write failed).
@@ -50,47 +60,46 @@ pub struct TraceReport {
     pub prom_path: Option<String>,
 }
 
-/// One traced run: returns (logits, noise decisions, chrome JSON,
-/// Prometheus text, event count, recorder).
-#[allow(clippy::type_complexity)]
+/// One traced run: returns (logits, crossing budgets, chrome JSON,
+/// Prometheus text, event count).
 fn traced_run(
     threads: usize,
-    threshold: Option<u32>,
     model: &hesgx_nn::quantize::QuantizedCnn,
     image: &[i64],
-    platform_id: u64,
-) -> (
-    Vec<Vec<i64>>,
-    Vec<NoiseDecision>,
-    String,
-    String,
-    usize,
-    Recorder,
-) {
+) -> (Vec<Vec<i64>>, Vec<CrossingBudget>, String, String, usize) {
     let rec = Recorder::with_timeline();
-    let mut policy = ServePolicy::new().noise_refresh(NoiseRefresh::Auto);
-    if let Some(bits) = threshold {
-        policy = policy.refresh_threshold_bits(bits);
-    }
     let session = SessionBuilder::new()
         .params(ParamsPreset::Small)
         .threads(threads)
         .seed(TRACE_SEED)
-        .policy(policy)
         .recorder(rec.clone())
-        .build(Platform::new(platform_id), model.clone())
+        .build(Platform::new(703), model.clone())
         .expect("trace experiment provisioning");
-    let response = session
+    let logits = session
         .serve(InferRequest::single(image.to_vec()))
-        .expect("fault-free inference");
-    let (logits, decisions) = (response.logits, response.metrics.noise);
+        .expect("fault-free inference")
+        .logits;
+    let gauge = |layer, side| rec.gauge_series(&format!("noise.budget.layer[{layer}].{side}"));
+    let stages = session.service().plan().stages.len();
+    let budgets = (0..stages)
+        .filter_map(
+            |layer| match (&gauge(layer, "pre")[..], &gauge(layer, "post")[..]) {
+                (&[pre_bits], &[post_bits]) => Some(CrossingBudget {
+                    layer,
+                    pre_bits,
+                    post_bits,
+                }),
+                _ => None,
+            },
+        )
+        .collect();
     let chrome = rec.export_chrome_trace();
     let prom = rec.export_prometheus();
     let events = rec.trace_events().len();
-    (logits, decisions, chrome, prom, events, rec)
+    (logits, budgets, chrome, prom, events)
 }
 
-/// Runs the report, prints the noise table, writes `target/obs/trace-7.*`.
+/// Runs the report, prints the budget table, writes `target/obs/trace-7.*`.
 pub fn trace(cfg: RunConfig) -> TraceReport {
     header("TRACE: deterministic timelines + noise-budget telemetry (not in the paper)");
     let model = sweep_model(cfg.quick);
@@ -103,7 +112,6 @@ pub fn trace(cfg: RunConfig) -> TraceReport {
         .params(ParamsPreset::Small)
         .threads(1)
         .seed(TRACE_SEED)
-        .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Auto))
         .build(Platform::new(703), model.clone())
         .expect("untraced provisioning");
     let untraced_logits = untraced
@@ -111,75 +119,37 @@ pub fn trace(cfg: RunConfig) -> TraceReport {
         .expect("untraced inference")
         .logits;
 
-    // Traced runs across pool sizes, planner-default threshold (10 bits —
-    // the small model keeps far more budget than that, so Auto skips).
-    let mut chrome_outs = Vec::new();
-    let mut prom_outs = Vec::new();
-    #[allow(clippy::type_complexity)]
-    let mut first: Option<(Vec<Vec<i64>>, Vec<NoiseDecision>, usize, Recorder)> = None;
-    for threads in [1usize, 2, 4] {
-        let (logits, decisions, chrome, prom, events, rec) =
-            traced_run(threads, None, &model, &image, 703);
-        chrome_outs.push(chrome);
-        prom_outs.push(prom);
-        if first.is_none() {
-            first = Some((logits, decisions, events, rec));
-        }
-    }
-    let chrome_identical = chrome_outs.windows(2).all(|w| w[0] == w[1]);
-    let prometheus_identical = prom_outs.windows(2).all(|w| w[0] == w[1]);
-    let (logits, skip_decisions, events, rec) = first.expect("at least one pool size ran");
+    let runs: Vec<_> = [1usize, 2, 4]
+        .iter()
+        .map(|&threads| traced_run(threads, &model, &image))
+        .collect();
+    let chrome_identical = runs.windows(2).all(|w| w[0].2 == w[1].2);
+    let prometheus_identical = runs.windows(2).all(|w| w[0].3 == w[1].3);
+    let (logits, budgets, chrome, prom, events) = runs.into_iter().next().expect("pool 1 ran");
     let logits_match_untraced = logits == untraced_logits;
-
-    // Second config: threshold raised above the live budget, so the same
-    // pipeline must take the refresh — and still agree on the logits.
-    let (forced_logits, take_decisions, ..) = traced_run(1, Some(80), &model, &image, 704);
-    let forced_match = forced_logits == untraced_logits;
-
-    let mut decisions = skip_decisions;
-    decisions.extend(take_decisions.iter().copied());
-    let decisions_sound = !decisions.is_empty()
-        && decisions
-            .iter()
-            .all(|d| d.refreshed == (d.before_bits < d.threshold_bits));
+    let crossings_refresh =
+        !budgets.is_empty() && budgets.iter().all(|b| b.post_bits >= b.pre_bits);
 
     println!(
-        "input {}×{} | FV n = 256 | pools 1/2/4 | seed {TRACE_SEED} | auto refresh",
+        "input {}×{} | FV n = 256 | pools 1/2/4 | seed {TRACE_SEED}",
         model.in_side, model.in_side
     );
     println!();
-    println!("noise-budget decisions (bits measured inside the enclave):");
-    println!("layer   threshold   before   after   margin   decision");
-    for d in &decisions {
-        let after = d
-            .after_bits
-            .map_or_else(|| "-".to_string(), |b| b.to_string());
-        let margin = i64::from(d.before_bits) - i64::from(d.threshold_bits);
-        let verdict = if d.refreshed { "REFRESH" } else { "skip" };
-        println!(
-            "{:>5} {:>11} {:>8} {:>7} {:>8} {:>10}",
-            d.layer, d.threshold_bits, d.before_bits, after, margin, verdict
-        );
+    println!("noise budget per crossing (bits measured inside the enclave):");
+    println!("layer   pre   post");
+    for b in &budgets {
+        println!("{:>5} {:>5} {:>6}", b.layer, b.pre_bits, b.post_bits);
     }
     println!();
     println!("trace events (pool 1): {events}");
     println!("chrome trace byte-identical across pools 1/2/4: {chrome_identical}");
     println!("prometheus text byte-identical across pools 1/2/4: {prometheus_identical}");
-    println!(
-        "logits bit-identical to untraced run: {}",
-        logits_match_untraced && forced_match
-    );
+    println!("logits bit-identical to untraced run: {logits_match_untraced}");
 
-    let trace_path = crate::write_obs_file(
-        &format!("trace-{TRACE_SEED}.json"),
-        &rec.export_chrome_trace(),
-    )
-    .map(|p| p.display().to_string());
-    let prom_path = crate::write_obs_file(
-        &format!("trace-{TRACE_SEED}.prom"),
-        &rec.export_prometheus(),
-    )
-    .map(|p| p.display().to_string());
+    let trace_path = crate::write_obs_file(&format!("trace-{TRACE_SEED}.json"), &chrome)
+        .map(|p| p.display().to_string());
+    let prom_path = crate::write_obs_file(&format!("trace-{TRACE_SEED}.prom"), &prom)
+        .map(|p| p.display().to_string());
     if let Some(path) = &trace_path {
         println!("perfetto trace written to {path} (open in ui.perfetto.dev)");
     }
@@ -197,24 +167,20 @@ pub fn trace(cfg: RunConfig) -> TraceReport {
         "prometheus exposition diverged across pool sizes 1/2/4"
     );
     assert!(
-        logits_match_untraced && forced_match,
+        logits_match_untraced,
         "tracing changed the inference result"
     );
     assert!(
-        decisions_sound,
-        "refresh decision disagrees with the recorded budget/threshold: {decisions:?}"
-    );
-    assert!(
-        decisions.iter().any(|d| !d.refreshed) && decisions.iter().any(|d| d.refreshed),
-        "expected both a skipped and a taken refresh across the two thresholds"
+        crossings_refresh,
+        "a crossing left with less budget than it came in with: {budgets:?}"
     );
 
     TraceReport {
         chrome_identical,
         prometheus_identical,
-        logits_match_untraced: logits_match_untraced && forced_match,
-        decisions_sound,
-        decisions,
+        logits_match_untraced,
+        crossings_refresh,
+        budgets,
         events,
         trace_path,
         prom_path,

@@ -22,13 +22,13 @@
 //!    the enclave decrypts, applies the *exact* sigmoid and pooling (no
 //!    polynomial approximation) in one boundary crossing, and re-encrypts
 //!    only the pooled map (§IV-D, §VI-E); [`planner`]
-//!    compiles that placement rule — and the §VI-D window-size rule for the
-//!    pooling split — into the stage list
+//!    compiles that placement rule into the stage list
 //!    [`pipeline::HybridInference::run`] walks.
-//! 4. **Noise refresh instead of relinearization** ([`EnclaveOp::Refresh`],
-//!    the same operator with the identity on the slots) — decrypt–re-encrypt
+//! 4. **Noise refresh instead of relinearization** — decrypt–re-encrypt
 //!    inside the enclave removes noise and ciphertext growth without
-//!    evaluation keys (§IV-E).
+//!    evaluation keys (§IV-E). Every crossing of a compiled plan does it on
+//!    the way; [`EnclaveOp::Refresh`] (the same operator with the identity on
+//!    the slots) is the stand-alone `ecall_DecreaseNoise` of hand-built plans.
 //!
 //! Correctness contract: the encrypted pipeline reproduces
 //! [`hesgx_nn::quantize::QuantizedCnn::forward_ints`] bit for bit, which is
@@ -84,12 +84,9 @@ pub mod sgx_ops;
 
 pub use error::{Error, FaultClass, Result};
 pub use pipeline::{HybridInference, HybridMetrics, ProvisionConfig};
-pub use planner::{EcallBatching, EnclaveOp, InferencePlan, Placement, PoolStrategy, Stage};
+pub use planner::{EcallBatching, EnclaveOp, InferencePlan, Placement, Stage};
 pub use recovery::RecoveryPolicy;
-pub use request::{
-    InferRequest, InferResponse, Ingress, NoiseRefresh, Resilience, ServePolicy, TenantId,
-    VirtualNs,
-};
+pub use request::{InferRequest, InferResponse, Ingress, Resilience, TenantId, VirtualNs};
 pub use session::{ParamsPreset, Served, Session, SessionBuilder};
 pub use sgx_ops::InferenceEnclave;
 
@@ -97,13 +94,10 @@ pub use sgx_ops::InferenceEnclave;
 pub mod prelude {
     pub use crate::error::{Error, FaultClass, Result};
     pub use crate::pipeline::{HybridInference, HybridMetrics, ProvisionConfig};
-    pub use crate::planner::{
-        EcallBatching, EnclaveOp, InferencePlan, Placement, PoolStrategy, Stage,
-    };
+    pub use crate::planner::{EcallBatching, EnclaveOp, InferencePlan, Placement, Stage};
     pub use crate::recovery::RecoveryPolicy;
     pub use crate::request::{
-        InferRequest, InferResponse, Ingress, NoiseRefresh, Resilience, ServePolicy, TenantId,
-        VirtualNs,
+        InferRequest, InferResponse, Ingress, Resilience, TenantId, VirtualNs,
     };
     pub use crate::session::{ParamsPreset, Served, Session, SessionBuilder};
     pub use hesgx_chaos::{FaultPlan, FaultReport, FaultSite};

@@ -1,7 +1,7 @@
 //! The hybrid inference pipeline — the paper's Fig. 2 put together.
 //!
-//! `EncryptSGX` flow: homomorphic convolution outside → exact sigmoid inside →
-//! pooling split per the §VI-D rule → homomorphic fully connected outside →
+//! `EncryptSGX` flow: homomorphic convolution outside → exact sigmoid and
+//! pooling inside, in one crossing → homomorphic fully connected outside →
 //! encrypted logits back to the user. Per-stage wall-clock and enclave
 //! virtual-time metrics are collected for the Fig. 8 comparison.
 
@@ -10,7 +10,7 @@ use crate::keydist::{
     enclave_generate_keys, seal_secret_keys, secret_key_bytes, KeyCeremonyPublic,
 };
 use crate::planner::{plan_for, EcallBatching, EnclaveOp, InferencePlan, Placement, Stage};
-use crate::request::ServePolicy;
+use crate::recovery::RecoveryPolicy;
 use crate::sgx_ops::InferenceEnclave;
 use hesgx_bfv::prelude::EvaluationKeys;
 use hesgx_chaos::FaultHook;
@@ -57,28 +57,6 @@ impl StageMetrics {
     }
 }
 
-/// One noise-refresh decision taken (or audited) at the refresh point
-/// between pooling and the fully connected layer.
-///
-/// The budget is the minimum invariant-noise budget in bits across the
-/// feature map, measured *inside* the enclave by
-/// [`InferenceEnclave::noise_probe`]; only the bit-counts recorded here ever
-/// cross the boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NoiseDecision {
-    /// Pipeline layer index the decision belongs to.
-    pub layer: usize,
-    /// Minimum budget (bits) measured before the decision.
-    pub before_bits: u32,
-    /// Minimum budget (bits) measured after a taken refresh (`None` when
-    /// the refresh was skipped or post-telemetry was off).
-    pub after_bits: Option<u32>,
-    /// The `refresh_threshold_bits` in force (planner default or override).
-    pub threshold_bits: u32,
-    /// Whether the refresh actually ran.
-    pub refreshed: bool,
-}
-
 /// Full-pipeline metrics.
 #[derive(Debug, Clone, Default)]
 pub struct HybridMetrics {
@@ -88,9 +66,6 @@ pub struct HybridMetrics {
     pub ops: OpCounter,
     /// Worker threads the run executed with (1 = serial).
     pub threads: usize,
-    /// Noise-refresh decisions, in execution order (empty when no refresh
-    /// point ran or no budget was measured).
-    pub noise: Vec<NoiseDecision>,
 }
 
 impl HybridMetrics {
@@ -106,22 +81,19 @@ impl HybridMetrics {
 }
 
 /// What a stage body hands back to [`HybridInference::run_stage`].
-pub(crate) struct Staged<T = EncryptedMap> {
-    /// The stage's output, passed through to the caller: a map, or inside
-    /// [`HybridInference::run`] `None` for a stage that left its input as it
-    /// was (an Auto refresh that measured and skipped).
-    out: T,
-    /// Display name for [`StageMetrics::name`]. Chosen by the body because
-    /// it can depend on the outcome (Auto refresh: "Refresh" vs "Check").
+pub(crate) struct Staged {
+    /// The stage's output map, passed through to the caller.
+    out: EncryptedMap,
+    /// Display name for [`StageMetrics::name`].
     label: String,
     /// `Some` marks an ECALL stage and carries what crossing the boundary
     /// cost; `None` is an HE stage that never left the untrusted side.
     enclave: Option<CostBreakdown>,
 }
 
-impl<T> Staged<T> {
+impl Staged {
     /// An HE stage: wall time only.
-    fn he(out: T, label: impl Into<String>) -> Self {
+    fn he(out: EncryptedMap, label: impl Into<String>) -> Self {
         Staged {
             out,
             label: label.into(),
@@ -130,7 +102,7 @@ impl<T> Staged<T> {
     }
 
     /// An ECALL stage with its enclave cost.
-    pub(crate) fn ecall(out: T, label: impl Into<String>, cost: CostBreakdown) -> Self {
+    pub(crate) fn ecall(out: EncryptedMap, label: impl Into<String>, cost: CostBreakdown) -> Self {
         Staged {
             out,
             label: label.into(),
@@ -142,7 +114,7 @@ impl<T> Staged<T> {
 /// Everything [`HybridInference::provision_with`] needs beyond the platform
 /// and the model. [`ProvisionConfig::default`] matches the paper's setup:
 /// `poly_degree = 1024`, real-SGX cost model, one worker per available core,
-/// sigmoid activation, default retry budget, no noise refresh.
+/// sigmoid activation, default retry budget.
 #[derive(Debug, Clone)]
 pub struct ProvisionConfig {
     /// FV polynomial degree (the paper uses 1024 for the MNIST CNN).
@@ -157,10 +129,9 @@ pub struct ProvisionConfig {
     /// The activation computed exactly inside the enclave (paper §VI-C:
     /// ReLU and Tanh work just as well as Sigmoid).
     pub activation: ActivationKind,
-    /// The one home of the retry and noise-refresh settings: the enclave
-    /// retries transient boundary faults under `policy.recovery`, and the
-    /// service's plans are compiled from the refresh mode and threshold.
-    pub policy: ServePolicy,
+    /// The bounded-retry policy the enclave retries transient boundary
+    /// faults under.
+    pub recovery: RecoveryPolicy,
     /// Fault-injection hook threaded through every enclave boundary (ECALL
     /// entry/exit, EPC paging, seal/unseal, noise refresh). `None` runs
     /// fault-free with zero overhead on the hot paths.
@@ -179,7 +150,7 @@ impl Default for ProvisionConfig {
             cost_model: None,
             threads: 0,
             activation: ActivationKind::Sigmoid,
-            policy: ServePolicy::default(),
+            recovery: RecoveryPolicy::default(),
             fault_hook: None,
             recorder: Recorder::disabled(),
         }
@@ -250,7 +221,7 @@ impl HybridInference {
         // grow far beyond `act_scale` — so it is compiled only when the
         // same parameters also carry *its* range and its ciphertext
         // multiplication; otherwise there is no degraded rung to fall to.
-        let compile = |placement| plan_for(&model, config.activation, &config.policy, placement);
+        let compile = |placement| plan_for(config.activation, placement);
         let plan = compile(Placement::Hybrid);
         let pure_he = QuantizedCnn {
             pipeline: QuantPipeline::CryptoNets,
@@ -293,7 +264,7 @@ impl HybridInference {
         }
         let mut inference =
             InferenceEnclave::new(enclave, keys.secret, keys.public, config.seed ^ 0x1ee7);
-        inference.set_recovery_policy(config.policy.recovery);
+        inference.set_recovery_policy(config.recovery);
         let service = HybridInference {
             plan,
             degraded_plan,
@@ -324,8 +295,8 @@ impl HybridInference {
 
     /// The exact plan compiled at provisioning — the stage list
     /// [`HybridInference::run`] walks when the enclave is available. Clone
-    /// it and swap a stage to run a Fig. 8 control group or the other
-    /// pooling split on the same service.
+    /// it and swap a stage to run a Fig. 8 control group, the `SgxDiv`
+    /// pooling split or a noise refresh on the same service.
     pub fn plan(&self) -> &InferencePlan {
         &self.plan
     }
@@ -392,13 +363,13 @@ impl HybridInference {
     /// the body fails, so the timeline stays balanced), then books the
     /// stage with [`HybridInference::record_stage`] and appends its
     /// [`StageMetrics`]. The body gets the metrics record for its op counts
-    /// and noise decisions and hands back a [`Staged`] result.
-    pub(crate) fn run_stage<T>(
+    /// and hands back a [`Staged`] result.
+    pub(crate) fn run_stage(
         &self,
         metrics: &mut HybridMetrics,
         span: &str,
-        body: impl FnOnce(&mut HybridMetrics) -> Result<Staged<T>>,
-    ) -> Result<T> {
+        body: impl FnOnce(&mut HybridMetrics) -> Result<Staged>,
+    ) -> Result<EncryptedMap> {
         let start = WallTimer::start();
         let traced = self.recorder.trace_enabled();
         if traced {
@@ -421,133 +392,52 @@ impl HybridInference {
         Ok(staged.out)
     }
 
-    /// Measures the minimum invariant-noise budget of `cells` inside the
-    /// enclave and records the bit-count as a
+    /// Recorder-gated budget telemetry: measures the minimum invariant-noise
+    /// budget of `map` inside the enclave and records the bit-count as a
     /// `noise.budget.layer[{layer}].{side}` gauge sample (`side` is `pre` or
-    /// `post`).
-    fn probe(
-        &self,
-        layer: usize,
-        side: &str,
-        cells: &[CrtCiphertext],
-    ) -> Result<(u32, CostBreakdown)> {
-        let refs: Vec<&CrtCiphertext> = cells.iter().collect();
-        let (bits, cost) = self.enclave.noise_probe(self.system(), &refs)?;
-        self.recorder.gauge(
-            &format!("noise.budget.layer[{layer}].{side}"),
-            u64::from(bits),
-        );
-        self.recorder.incr(counters::NOISE_PROBES, 1);
-        Ok((bits, cost))
-    }
-
-    /// Recorder-gated [`HybridInference::probe`]. Telemetry-only — the
-    /// probe's ECALL cost books under `ecall.ecall_NoiseProbe`, never under
-    /// a pipeline stage, so the reconciliation invariant (the
+    /// `post`). The probe's ECALL cost books under `ecall.ecall_NoiseProbe`,
+    /// never under a pipeline stage, so the reconciliation invariant (the
     /// `infer.*.ecall` fold equals `total_enclave_cost`) is untouched.
-    /// Returns the bits when measured.
-    fn probe_gauge(
-        &self,
-        layer: usize,
-        side: &str,
-        cells: &[CrtCiphertext],
-    ) -> Result<Option<u32>> {
-        if !self.recorder.is_enabled() || cells.is_empty() {
-            return Ok(None);
+    fn budget_gauge(&self, layer: usize, side: &str, map: &EncryptedMap) -> Result<()> {
+        if !self.recorder.is_enabled() || map.cells().is_empty() {
+            return Ok(());
         }
-        Ok(Some(self.probe(layer, side, cells)?.0))
-    }
-
-    /// Drops the refresh-decision instant on the timeline.
-    fn trace_refresh_decision(&self, layer: usize, bits: u32, threshold: u32, taken: bool) {
-        if self.recorder.trace_enabled() {
-            self.recorder.trace_instant(
-                "noise.refresh.decision",
-                &[
-                    ("layer", layer.to_string()),
-                    ("budget_bits", bits.to_string()),
-                    ("threshold_bits", threshold.to_string()),
-                    (
-                        "margin_bits",
-                        (i64::from(bits) - i64::from(threshold)).to_string(),
-                    ),
-                    ("taken", taken.to_string()),
-                ],
-            );
-        }
+        let cells: Vec<&CrtCiphertext> = map.cells().iter().collect();
+        let (bits, _) = self.enclave.noise_probe(self.system(), &cells)?;
+        let gauge = format!("noise.budget.layer[{layer}].{side}");
+        self.recorder.gauge(&gauge, u64::from(bits));
+        self.recorder.incr(counters::NOISE_PROBES, 1);
+        Ok(())
     }
 
     /// The body of an enclave stage: the map crosses the boundary once in
     /// [`InferenceEnclave::apply`], with recorder-gated budget telemetry
     /// either side (the pre-probe measures what actually crosses).
-    ///
-    /// A refresh stage of a `refresh_auto` plan is gated (§IV-E): its
-    /// pre-probe is functional — the enclave measures the live budget and
-    /// the refresh runs only below the plan's threshold — so the probe's
-    /// cost belongs to the stage, folded into the stage metrics *and* the
-    /// stage span, keeping the reconciliation invariant exact. That
-    /// decision is what the trace timeline and the `repro trace` noise
-    /// table audit.
     fn enclave_stage(
         &self,
         plan: &InferencePlan,
         layer: usize,
         (ops, batching): (&[EnclaveOp], EcallBatching),
         input: &EncryptedMap,
-        metrics: &mut HybridMetrics,
-    ) -> Result<Staged<Option<EncryptedMap>>> {
-        let refresh = ops.contains(&EnclaveOp::Refresh);
-        let gated = refresh && plan.refresh_auto;
-        let threshold = plan.refresh_threshold_bits;
-        let (before, probe_cost) = if gated {
-            let (bits, cost) = self.probe(layer, "pre", input.cells())?;
-            (Some(bits), cost)
-        } else {
-            let bits = self.probe_gauge(layer, "pre", input.cells())?;
-            (bits, CostBreakdown::default())
-        };
-        let taken = !gated || before.is_some_and(|bits| bits < threshold);
-        let (out, cost, after) = if taken {
-            let (sys, model, pool) = (self.system(), self.model(), self.pool());
-            // The live share of the crossing cells' slots, where the map
-            // says (a `Pixel` map's batch is the session's to know).
-            if let Some(ppm) = input.occupancy_ppm(sys.slot_count()) {
-                let gauge = format!("infer.layer[{layer}].slot_occupancy_ppm");
-                self.recorder.gauge(&gauge, ppm);
-            }
-            let emit = plan.egress_layout(layer, model, input.layout(), sys.slot_count());
-            let (out, cost) = self
-                .enclave
-                .apply(ops, sys, model, input, batching, emit, pool)?;
-            let after = self.probe_gauge(layer, "post", out.cells())?;
-            (Some(out), probe_cost.saturating_add(cost), after)
-        } else {
-            (None, probe_cost, None)
-        };
-        if refresh {
-            let counter = if taken {
-                counters::NOISE_REFRESHES
-            } else {
-                counters::NOISE_REFRESH_SKIPS
-            };
-            self.recorder.incr(counter, 1);
-            if let Some(bits) = before {
-                self.trace_refresh_decision(layer, bits, threshold, taken);
-                metrics.noise.push(NoiseDecision {
-                    layer,
-                    before_bits: bits,
-                    after_bits: after,
-                    threshold_bits: threshold,
-                    refreshed: taken,
-                });
-            }
+    ) -> Result<Staged> {
+        self.budget_gauge(layer, "pre", input)?;
+        let (sys, model, pool) = (self.system(), self.model(), self.pool());
+        // The live share of the crossing cells' slots, where the map says (a
+        // `Pixel` map's batch is the session's to know).
+        if let Some(ppm) = input.occupancy_ppm(sys.slot_count()) {
+            let gauge = format!("infer.layer[{layer}].slot_occupancy_ppm");
+            self.recorder.gauge(&gauge, ppm);
         }
+        let emit = plan.egress_layout(layer, model, input.layout(), sys.slot_count());
+        let (out, cost) = self
+            .enclave
+            .apply(ops, sys, model, input, batching, emit, pool)?;
+        self.budget_gauge(layer, "post", &out)?;
         let label = |op: &EnclaveOp| match op {
             EnclaveOp::Activation(_) => "Activation (SGX inside)",
             EnclaveOp::MeanPool => "Pooling Layer (SgxPool)",
             EnclaveOp::Divide => "Pooling Layer (SgxDiv)",
-            EnclaveOp::Refresh if taken => "Noise Refresh (SGX inside)",
-            EnclaveOp::Refresh => "Noise Check (SGX inside)",
+            EnclaveOp::Refresh => "Noise Refresh (SGX inside)",
             EnclaveOp::LogitReduce => "Logit Reduction (SGX inside)",
         };
         let label = ops.iter().map(label).collect::<Vec<_>>().join(" + ");
@@ -561,7 +451,7 @@ impl HybridInference {
         layer: usize,
         input: &EncryptedMap,
         metrics: &mut HybridMetrics,
-    ) -> Result<Staged<Option<EncryptedMap>>> {
+    ) -> Result<Staged> {
         match &plan.stages[layer] {
             // Parallel over output cells × CRT limbs, bit-identical for
             // every pool size.
@@ -569,10 +459,10 @@ impl HybridInference {
                 let out = self
                     .he
                     .apply(he, input, &self.evaluation, &mut metrics.ops)?;
-                Ok(Staged::he(Some(out), he_label(he)))
+                Ok(Staged::he(out, he_label(he)))
             }
             Stage::Enclave(chain, batching) => {
-                self.enclave_stage(plan, layer, (chain, *batching), input, metrics)
+                self.enclave_stage(plan, layer, (chain, *batching), input)
             }
         }
     }
@@ -603,7 +493,7 @@ impl HybridInference {
             Placement::Hybrid => "infer",
             Placement::PureHe => "infer.degraded",
         };
-        // The latest stage output; until a stage has one, the input.
+        // The latest stage output; until a stage ran, the input.
         let mut last: Option<EncryptedMap> = None;
         for (layer, stage) in plan.stages.iter().enumerate() {
             let map = last.as_ref().unwrap_or(input);
@@ -617,10 +507,9 @@ impl HybridInference {
                 Stage::Enclave(..) => "ecall",
             };
             let span = format!("{prefix}.layer[{layer}].{side}");
-            let out = self.run_stage(&mut metrics, &span, |metrics| {
+            last = Some(self.run_stage(&mut metrics, &span, |metrics| {
                 self.stage_body(plan, layer, map, metrics)
-            })?;
-            last = out.or(last);
+            })?);
         }
         Ok((last.unwrap_or_else(|| input.clone()), metrics))
     }
@@ -657,8 +546,7 @@ pub fn total_enclave_cost(metrics: &HybridMetrics) -> CostBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{fuse, PoolStrategy};
-    use crate::request::NoiseRefresh;
+    use crate::planner::fuse;
     use hesgx_henn::ops;
     use hesgx_tee::enclave::Platform;
 
@@ -1057,28 +945,40 @@ mod tests {
         assert_eq!(metrics.ops, hand_ops);
     }
 
-    /// Every compiled plan is exact. One service per (model, refresh policy,
-    /// pool size); on it, the hand-unfused plan's pooling stages are swapped
-    /// through {`SgxPool`, `SgxDiv`} — the `SgxDiv` split (an HE window-sum
-    /// stage, then the in-enclave division) included, on the 2×2 model where
-    /// the §VI-D rule would not pick it and on a 3×3-window model where it
-    /// does — each list runs unfused and as the planner's merge pass fuses
-    /// it (the service's own plan among them), and every enclave stage
-    /// through {batched, per-pixel}. Logits must equal the plaintext
-    /// reference — fused and unfused therefore each other — and the metrics
-    /// must show one stage per plan stage, ECALL where planned. Every list
-    /// runs from every ingress layout × every egress layout the rules pick:
-    /// a per-pixel map of two images (out per pixel), the same images
-    /// patch-packed (out packed for the 32-class FC layer, four inputs a
-    /// cell, wherever a batched crossing without a refresh feeds it directly
-    /// — one logits ciphertext, the closing reduction run), and five images
-    /// patch-packed, one past the egress rule (`⌊256/(32·5)⌋ = 1` input a
-    /// cell: out per pixel, the closing stage skipped). A patch-packed input gives the same
+    /// Every compiled plan is exact, and it is the one hybrid plan worth
+    /// running. One service per (model, pool size): the 2×2- and 3×3-window
+    /// models with an FC layer wide enough to pack, and a 3×3-window model
+    /// whose FC layer never packs. Whatever the window, the compiled plan is
+    /// the fused `SgxPool` list — activation and pooling in one crossing —
+    /// and two literal hand-unfused lists run beside it: `SgxPool` (its two
+    /// crossings merge back into the compiled plan) and `SgxDiv` (an HE
+    /// window-sum stage between the activation's crossing and the in-enclave
+    /// division: nothing to merge), each unfused and as the planner's merge
+    /// pass fuses it, every enclave stage through {batched, per-pixel}.
+    /// Logits must equal the plaintext reference — fused and unfused
+    /// therefore each other — and the metrics must show one stage per plan
+    /// stage, ECALL where planned. Every list runs from every ingress layout
+    /// × every egress layout the rules pick: a per-pixel map of two images
+    /// (out per pixel), the same images patch-packed (out packed for a wide
+    /// FC layer wherever a batched crossing feeds it directly — one logits
+    /// ciphertext, the closing reduction run), and five images patch-packed,
+    /// one past the egress rule (`⌊256/(32·5)⌋ = 1` input a cell: out per
+    /// pixel, the closing stage skipped). A patch-packed input gives the same
     /// rows from fewer conv accumulations wherever a batched crossing follows
     /// the convolution, and is refused — an error, not a panic — where a
-    /// per-pixel one does. The pure-HE plan joins on the model whose
-    /// parameters carry it, against the CryptoNets-pipeline reference, and
-    /// refuses a packed input the same way.
+    /// per-pixel one does.
+    ///
+    /// Two facts pin why the compiler has no choice left to make. Every
+    /// crossing of a compiled plan enters with at least 10 bits of noise
+    /// budget (`noise.budget.layer[i].pre`), so a refresh gated at that
+    /// threshold would always skip — and it leaves re-encrypted with at
+    /// least as much (`.post`), a refresh in all but name. And against the
+    /// `SgxDiv` list on the same service and input, the compiled plan books
+    /// no more transitions and no more marshalling, strictly fewer
+    /// transitions wherever it crosses once — which on the narrow 3×3 model
+    /// it always does (DESIGN.md §6). The pure-HE plan joins on the model
+    /// whose parameters carry it, against the CryptoNets-pipeline reference,
+    /// and refuses a packed input the same way.
     #[test]
     fn every_compiled_plan_is_exact() {
         // An FC layer wide enough to pack (`32·J ≥ 256` for both windows).
@@ -1096,13 +996,25 @@ mod tests {
                 ..model
             }
         };
+        // Three classes of 8 inputs: no ciphertext's worth, never packed.
+        let narrow_3 = {
+            let model = QuantizedCnn {
+                window: 3,
+                ..small_hybrid_model()
+            };
+            QuantizedCnn {
+                fc_weights: (0..3 * model.fc_in()).map(|i| (i % 5) as i64 - 2).collect(),
+                ..model
+            }
+        };
         let batch_of = |n: usize| -> Vec<Vec<i64>> {
             (0..n)
                 .map(|b| (0..64).map(|p| ((p * 3 + b * 5) % 16) as i64).collect())
                 .collect()
         };
         let (images, past_the_rule) = (batch_of(2), batch_of(5));
-        let provision = |model: &QuantizedCnn, policy: &ServePolicy, threads| {
+        let provision = |model: &QuantizedCnn, threads| {
+            let recorder = Recorder::enabled();
             let (service, _) = HybridInference::provision_with(
                 Platform::new(40),
                 model.clone(),
@@ -1110,7 +1022,7 @@ mod tests {
                     poly_degree: 256,
                     seed: 16,
                     threads,
-                    policy: policy.clone(),
+                    recorder: recorder.clone(),
                     ..ProvisionConfig::default()
                 },
             )
@@ -1133,168 +1045,165 @@ mod tests {
             let wide = encrypt(&past_the_rule, service.ingress_layout(5));
             assert_eq!(wide.shape(), (9, 1, 1));
             let enc = [encrypt(&images, Layout::Pixel), packed, wide];
-            (service, enc)
+            (service, enc, recorder)
         };
-        // (policy, the refresh stage's label when the plan has one)
-        let refreshes = [
-            (ServePolicy::new(), None),
-            (
-                ServePolicy::new().noise_refresh(NoiseRefresh::Always),
-                Some("Noise Refresh (SGX inside)"),
-            ),
-            (
-                ServePolicy::new()
-                    .noise_refresh(NoiseRefresh::Auto)
-                    .refresh_threshold_bits(0),
-                Some("Noise Check (SGX inside)"),
-            ),
-            (
-                ServePolicy::new()
-                    .noise_refresh(NoiseRefresh::Auto)
-                    .refresh_threshold_bits(u32::MAX),
-                Some("Noise Refresh (SGX inside)"),
-            ),
+        // The two pooling splits of §VI-D, one stage per operator.
+        let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
+        let closing = Stage::enclave(EnclaveOp::LogitReduce);
+        let sgx_pool = vec![
+            Stage::He(HeLayer::Conv),
+            Stage::enclave(sigmoid),
+            Stage::enclave(EnclaveOp::MeanPool),
+            Stage::He(HeLayer::Fc),
+            closing.clone(),
+        ];
+        let sgx_div = vec![
+            Stage::He(HeLayer::Conv),
+            Stage::enclave(sigmoid),
+            Stage::He(HeLayer::SumPool),
+            Stage::enclave(EnclaveOp::Divide),
+            Stage::He(HeLayer::Fc),
+            closing,
         ];
         let mut packed_egresses = 0;
-        for (model, natural) in [
-            (wide_fc(2), PoolStrategy::SgxPool),
-            (wide_fc(3), PoolStrategy::SgxDiv),
-        ] {
-            for (policy, refresh_label) in &refreshes {
-                for threads in [1usize, 2] {
-                    let (service, enc) = provision(&model, policy, threads);
-                    // One stage per op: pooling starts at stage 2 and
-                    // compiles to the split the window rule picks; the
-                    // closing reduction ends every hybrid plan.
-                    let mut unfused = Vec::new();
-                    for stage in &service.plan().stages {
-                        match stage {
-                            Stage::Enclave(chain, _) => {
-                                unfused.extend(chain.iter().map(|&op| Stage::enclave(op)))
-                            }
-                            he => unfused.push(he.clone()),
-                        }
-                    }
-                    let pooling = 2..2 + natural.stages().len();
-                    assert_eq!(unfused[pooling.clone()], natural.stages());
-                    assert_eq!(
-                        unfused.last(),
-                        Some(&Stage::enclave(EnclaveOp::LogitReduce))
-                    );
-                    assert_eq!(fuse(unfused.clone()), service.plan().stages);
-                    // Sized for `act_scale`-bounded values, these parameters
-                    // cannot carry the pure-HE plan's squares.
-                    assert!(service.degraded_plan().is_none());
-                    for batching in [EcallBatching::Batched, EcallBatching::PerPixel] {
-                        for strategy in [PoolStrategy::SgxPool, PoolStrategy::SgxDiv] {
-                            let mut stages = unfused.clone();
-                            stages.splice(pooling.clone(), strategy.stages());
-                            // SgxDiv keeps an HE stage between its two
-                            // crossings: nothing to merge, one list to run.
-                            let mut lists = vec![fuse(stages.clone()), stages];
-                            lists.dedup();
-                            assert_eq!(lists.len() == 1, strategy == PoolStrategy::SgxDiv);
-                            let mut fused_rows = [None, None, None];
-                            for (fused, mut stages) in lists.into_iter().enumerate() {
-                                for stage in &mut stages {
-                                    if let Stage::Enclave(_, stage_batching) = stage {
-                                        *stage_batching = batching;
-                                    }
+        for model in [wide_fc(2), wide_fc(3), narrow_3] {
+            let packs = Layout::for_fc(model.fc_in(), model.classes, 2, 256) != Layout::Pixel;
+            for threads in [1usize, 2] {
+                let (service, enc, recorder) = provision(&model, threads);
+                assert_eq!(service.plan().stages, fuse(sgx_pool.clone()));
+                // Sized for `act_scale`-bounded values, these parameters
+                // cannot carry the pure-HE plan's squares.
+                assert!(service.degraded_plan().is_none());
+                // Per input: the batched books of the compiled plan and of
+                // the `SgxDiv` list, and the compiled plan's crossings.
+                let mut books = [(CostBreakdown::default(), CostBreakdown::default(), 0); 3];
+                for batching in [EcallBatching::Batched, EcallBatching::PerPixel] {
+                    for (div, unfused) in [(false, &sgx_pool), (true, &sgx_div)] {
+                        // SgxDiv keeps an HE stage between its two crossings:
+                        // nothing to merge, one list to run.
+                        let mut lists = vec![fuse(unfused.clone()), unfused.clone()];
+                        lists.dedup();
+                        assert_eq!(lists.len() == 1, div);
+                        let mut fused_rows = [None, None, None];
+                        for mut stages in lists {
+                            for stage in &mut stages {
+                                if let Stage::Enclave(_, stage_batching) = stage {
+                                    *stage_batching = batching;
                                 }
-                                let plan = InferencePlan {
-                                    stages,
-                                    ..service.plan().clone()
+                            }
+                            let plan = InferencePlan {
+                                stages,
+                                ..service.plan().clone()
+                            };
+                            let compiled = plan == *service.plan();
+                            for (i, input) in enc.iter().enumerate() {
+                                let images = [&images, &images, &past_the_rule][i];
+                                let what = format!(
+                                    "window {} {threads} threads {:?} from {:?}",
+                                    model.window,
+                                    plan.stages,
+                                    input.layout()
+                                );
+                                let pixel = input.layout() == Layout::Pixel;
+                                if !pixel && batching == EcallBatching::PerPixel {
+                                    let err = service.run(&plan, input).unwrap_err();
+                                    assert!(matches!(err, Error::Config(_)), "{what}: {err}");
+                                    continue;
+                                }
+                                // The egress rule's plan shape, spelled out:
+                                // the one crossing that repacks the
+                                // convolution's output is the one feeding the
+                                // FC layer — and the count, for the batch the
+                                // packed map carries.
+                                let operand = i == 1 && compiled && packs;
+                                packed_egresses += usize::from(operand);
+                                recorder.reset();
+                                let (logits, metrics) = service.run(&plan, input).unwrap();
+                                let cells = if operand { 1 } else { model.classes };
+                                assert_eq!(logits.cells().len(), cells, "{what}");
+                                let rows = decrypt_rows(&service, &logits, images.len());
+                                assert_eq!(rows, reference_rows(&model, images), "{what}");
+                                assert_eq!(
+                                    *fused_rows[i].get_or_insert(rows.clone()),
+                                    rows,
+                                    "{what}"
+                                );
+                                let crossed: Vec<bool> =
+                                    metrics.stages.iter().map(|s| s.enclave.is_some()).collect();
+                                // (The closing reduction runs only behind a
+                                // packed egress.)
+                                let ran = plan.stages.len() - usize::from(!operand);
+                                let planned: Vec<bool> = plan.stages[..ran]
+                                    .iter()
+                                    .map(|s| matches!(s, Stage::Enclave(..)))
+                                    .collect();
+                                assert_eq!(crossed, planned, "{what}");
+                                // The stage that pools is named for the split.
+                                let label = if div {
+                                    "Pooling Layer (SgxDiv)"
+                                } else {
+                                    "Pooling Layer (SgxPool)"
                                 };
-                                for (i, input) in enc.iter().enumerate() {
-                                    let images = [&images, &images, &past_the_rule][i];
-                                    let what = format!(
-                                        "window {} {policy:?} {threads} threads {:?} from {:?}",
-                                        model.window,
-                                        plan.stages,
-                                        input.layout()
-                                    );
-                                    let pixel = input.layout() == Layout::Pixel;
-                                    if !pixel && batching == EcallBatching::PerPixel {
-                                        let err = service.run(&plan, input).unwrap_err();
-                                        assert!(matches!(err, Error::Config(_)), "{what}: {err}");
-                                        continue;
-                                    }
-                                    // The egress rule's plan shape, spelled
-                                    // out: the one crossing that repacks the
-                                    // convolution's output is the one feeding
-                                    // the FC layer — and the count, for the
-                                    // batch the packed map carries.
-                                    let operand = i == 1
-                                        && (fused, strategy) == (0, PoolStrategy::SgxPool)
-                                        && batching == EcallBatching::Batched
-                                        && refresh_label.is_none();
-                                    packed_egresses += usize::from(operand);
-                                    let (logits, metrics) = service.run(&plan, input).unwrap();
-                                    let cells = if operand { 1 } else { model.classes };
-                                    assert_eq!(logits.cells().len(), cells, "{what}");
-                                    let rows = decrypt_rows(&service, &logits, images.len());
-                                    assert_eq!(rows, reference_rows(&model, images), "{what}");
-                                    assert_eq!(
-                                        *fused_rows[i].get_or_insert(rows.clone()),
-                                        rows,
-                                        "{what}"
-                                    );
-                                    let crossed: Vec<bool> = metrics
-                                        .stages
-                                        .iter()
-                                        .map(|s| s.enclave.is_some())
-                                        .collect();
-                                    // (The closing reduction runs only
-                                    // behind a packed egress.)
-                                    let ran = plan.stages.len() - usize::from(!operand);
-                                    let planned: Vec<bool> = plan.stages[..ran]
-                                        .iter()
-                                        .map(|s| matches!(s, Stage::Enclave(..)))
-                                        .collect();
-                                    assert_eq!(crossed, planned, "{what}");
-                                    // The stage that pools is named for the
-                                    // split; a refresh stage, when planned,
-                                    // follows it.
-                                    let label = format!("Pooling Layer ({strategy:?})");
-                                    let pool_ecall = metrics
-                                        .stages
-                                        .iter()
-                                        .position(|s| s.name.ends_with(&label))
-                                        .expect(&what);
-                                    if let Some(label) = refresh_label {
-                                        assert_eq!(
-                                            metrics.stages[pool_ecall + 1].name,
-                                            *label,
-                                            "{what}"
-                                        );
-                                    }
-                                    // Conv and FC accumulate; of the pooling
-                                    // splits only SgxDiv adds ciphertexts (the
-                                    // window sums). A packed conv accumulates
-                                    // once per output chunk, not per position;
-                                    // a packed FC once per operand cell.
-                                    let conv_cells = match input.shape() {
-                                        _ if pixel => model.conv_out * model.conv_side().pow(2),
-                                        (_, chunks, _) => model.conv_out * chunks,
+                                assert!(
+                                    metrics.stages.iter().any(|s| s.name.ends_with(label)),
+                                    "{what}"
+                                );
+                                // Conv and FC accumulate; of the pooling
+                                // splits only SgxDiv adds ciphertexts (the
+                                // window sums). A packed conv accumulates
+                                // once per output chunk, not per position; a
+                                // packed FC once per operand cell.
+                                let conv_cells = match input.shape() {
+                                    _ if pixel => model.conv_out * model.conv_side().pow(2),
+                                    (_, chunks, _) => model.conv_out * chunks,
+                                };
+                                let pool_cells = model.conv_out * model.pool_side().pow(2);
+                                let mut adds = conv_cells * (model.kernel.pow(2) - 1);
+                                adds += match operand {
+                                    true => model.fc_in().div_ceil(4) - 1,
+                                    false => model.classes * (model.fc_in() - 1),
+                                };
+                                if div {
+                                    adds += pool_cells * (model.window.pow(2) - 1);
+                                }
+                                assert_eq!(metrics.ops.ct_ct_add, adds as u64, "{what}");
+                                if compiled {
+                                    let crossings = crossed.iter().filter(|&&c| c).count();
+                                    let budgets = |side| -> Vec<u64> {
+                                        let gauge =
+                                            |layer| format!("noise.budget.layer[{layer}].{side}");
+                                        let series = |layer| recorder.gauge_series(&gauge(layer));
+                                        (0..plan.stages.len()).flat_map(series).collect()
                                     };
-                                    let pool_cells = model.conv_out * model.pool_side().pow(2);
-                                    let mut adds = conv_cells * (model.kernel.pow(2) - 1);
-                                    adds += match operand {
-                                        true => model.fc_in().div_ceil(4) - 1,
-                                        false => model.classes * (model.fc_in() - 1),
-                                    };
-                                    if strategy == PoolStrategy::SgxDiv {
-                                        adds += pool_cells * (model.window.pow(2) - 1);
+                                    let (pre, post) = (budgets("pre"), budgets("post"));
+                                    assert_eq!(pre.len(), crossings, "{what}");
+                                    for (bits_in, bits_out) in pre.iter().zip(&post) {
+                                        assert!(*bits_in >= 10, "{what}: {pre:?}");
+                                        assert!(bits_out >= bits_in, "{what}: {post:?}");
                                     }
-                                    assert_eq!(metrics.ops.ct_ct_add, adds as u64, "{what}");
+                                    books[i].0 = total_enclave_cost(&metrics);
+                                    books[i].2 = crossings;
+                                }
+                                if div && batching == EcallBatching::Batched {
+                                    books[i].1 = total_enclave_cost(&metrics);
                                 }
                             }
                         }
                     }
                 }
+                // DESIGN.md §6's table, booked: behind the activation's
+                // crossing the fused pool is never costlier than `SgxDiv`.
+                for (fused, split, crossings) in books {
+                    assert!(fused.copy_ns <= split.copy_ns, "{fused:?} vs {split:?}");
+                    assert!(fused.transition_ns <= split.transition_ns);
+                    if crossings == 1 {
+                        assert!(fused.transition_ns < split.transition_ns);
+                    }
+                    assert!(packs || crossings == 1, "window {}", model.window);
+                }
             }
         }
-        // Both models × both pool sizes of the refresh-free policy.
+        // The wide models × both pool sizes.
         assert_eq!(packed_egresses, 4);
         // The model whose hybrid range covers its pure-HE range: both of
         // the service's plans are exact, each against its own reference.
@@ -1304,7 +1213,7 @@ mod tests {
             ..model.clone()
         };
         for threads in [1usize, 2] {
-            let (service, [enc, packed, wide]) = provision(&model, &ServePolicy::new(), threads);
+            let (service, [enc, packed, wide], _) = provision(&model, threads);
             for (input, images) in [(&enc, &images), (&packed, &images), (&wide, &past_the_rule)] {
                 let (logits, _) = service.run(service.plan(), input).unwrap();
                 assert_eq!(
@@ -1348,20 +1257,15 @@ mod tests {
         #[derive(Clone, Copy, Debug)]
         enum Path {
             Plain,
-            RefreshAlways,
-            /// Auto with a threshold no budget is below: probe, skip.
-            AutoSkip,
-            /// Auto with a threshold every budget is below: probe, refresh.
-            AutoRefresh,
+            /// The service's plan by hand, a refresh stage after pooling.
+            Refreshed,
             Transciphered,
             Degraded,
         }
         let images = vec![(0..64).map(|p| ((p * 3) % 16) as i64).collect::<Vec<i64>>()];
         for (path, want_stages) in [
             (Path::Plain, 3),
-            (Path::RefreshAlways, 4),
-            (Path::AutoSkip, 4),
-            (Path::AutoRefresh, 4),
+            (Path::Refreshed, 4),
             (Path::Transciphered, 4),
             (Path::Degraded, 4),
         ] {
@@ -1377,18 +1281,6 @@ mod tests {
                 ProvisionConfig {
                     poly_degree: 256,
                     seed: 15,
-                    policy: match path {
-                        Path::RefreshAlways => {
-                            ServePolicy::new().noise_refresh(NoiseRefresh::Always)
-                        }
-                        Path::AutoSkip => ServePolicy::new()
-                            .noise_refresh(NoiseRefresh::Auto)
-                            .refresh_threshold_bits(0),
-                        Path::AutoRefresh => ServePolicy::new()
-                            .noise_refresh(NoiseRefresh::Auto)
-                            .refresh_threshold_bits(u32::MAX),
-                        _ => ServePolicy::new(),
-                    },
                     recorder: rec.clone(),
                     ..ProvisionConfig::default()
                 },
@@ -1412,6 +1304,11 @@ mod tests {
                     let plan = service.degraded_plan().expect("the deep model has one");
                     service.run(plan, &enc).unwrap().1.stages
                 }
+                Path::Refreshed => {
+                    let mut plan = service.plan().clone();
+                    plan.stages.insert(2, Stage::enclave(EnclaveOp::Refresh));
+                    service.run(&plan, &enc).unwrap().1.stages
+                }
                 Path::Transciphered => {
                     let key = derive_ingress_key(&ceremony.public, &ceremony.user_secret);
                     let payload = seal_ingress_payload(&key, &mut rng, &images).unwrap();
@@ -1421,18 +1318,10 @@ mod tests {
                     stages.extend(metrics.stages);
                     stages
                 }
-                _ => service.run(service.plan(), &enc).unwrap().1.stages,
+                Path::Plain => service.run(service.plan(), &enc).unwrap().1.stages,
             };
             drop(installed);
             assert_eq!(stages.len(), want_stages, "{path:?}");
-            if let Path::AutoSkip | Path::AutoRefresh = path {
-                let want = if matches!(path, Path::AutoSkip) {
-                    "Noise Check (SGX inside)"
-                } else {
-                    "Noise Refresh (SGX inside)"
-                };
-                assert_eq!(stages[2].name, want, "{path:?}");
-            }
 
             let span_entries: u64 = rec
                 .spans_with_prefix("infer.")

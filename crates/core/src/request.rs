@@ -8,13 +8,11 @@
 //! [`InferResponse`] that bundles the logits with how they were served,
 //! the stage metrics, and the deterministic trace ID.
 //!
-//! [`ServePolicy`] is the session-level companion: the knobs that used to be
-//! scattered across `SessionBuilder` setters (noise-refresh mode, refresh
-//! threshold, retry caps) in one struct that both
-//! [`crate::SessionBuilder::policy`] and the `hesgx-serve` broker accept.
+//! The session-level companion is [`crate::RecoveryPolicy`], the retry
+//! budget that both [`crate::SessionBuilder::recovery`] and the
+//! `hesgx-serve` broker accept.
 
 use crate::pipeline::HybridMetrics;
-use crate::recovery::RecoveryPolicy;
 use crate::session::Served;
 
 /// Tenant identifier attached to a request; the serving broker schedules
@@ -161,64 +159,6 @@ pub struct InferResponse {
     pub trace_id: String,
 }
 
-/// When the in-enclave noise refresh (`ecall_DecreaseNoise`, §IV-E) runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NoiseRefresh {
-    /// Never refresh between pooling and the FC layer (four-stage pipeline).
-    #[default]
-    Off,
-    /// Always insert the refresh stage.
-    Always,
-    /// Probe the invariant noise budget after pooling (`ecall_NoiseProbe`)
-    /// and refresh only when the measured bits fall below the threshold.
-    Auto,
-}
-
-/// Session-level serving policy: the retry and noise-refresh knobs in one
-/// struct, accepted by both [`crate::SessionBuilder::policy`] and the
-/// `hesgx-serve` broker.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ServePolicy {
-    /// Bounded-retry policy for transient enclave faults. The pipeline
-    /// retries ECALLs under this policy, and the serving broker reuses it
-    /// for request-level retry (same backoff schedule on the virtual
-    /// clock).
-    pub recovery: RecoveryPolicy,
-    /// Noise-refresh mode for the stage between pooling and the FC layer.
-    pub noise_refresh: NoiseRefresh,
-    /// Override of the planner's refresh threshold (bits of invariant noise
-    /// budget below which [`NoiseRefresh::Auto`] refreshes).
-    pub refresh_threshold_bits: Option<u32>,
-}
-
-impl ServePolicy {
-    /// The paper-faithful default: default retry budget, no noise refresh.
-    pub fn new() -> Self {
-        ServePolicy::default()
-    }
-
-    /// Sets the bounded-retry policy.
-    #[must_use]
-    pub fn recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Sets the noise-refresh mode.
-    #[must_use]
-    pub fn noise_refresh(mut self, mode: NoiseRefresh) -> Self {
-        self.noise_refresh = mode;
-        self
-    }
-
-    /// Overrides the planner's refresh threshold.
-    #[must_use]
-    pub fn refresh_threshold_bits(mut self, bits: u32) -> Self {
-        self.refresh_threshold_bits = Some(bits);
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,16 +184,5 @@ mod tests {
         assert_eq!(req.ingress, Ingress::FvCiphertext);
         assert_eq!(req.resilience, Resilience::FailFast);
         assert_eq!(req.deadline, None);
-    }
-
-    #[test]
-    fn serve_policy_builder_chains() {
-        let p = ServePolicy::new()
-            .recovery(RecoveryPolicy::none())
-            .noise_refresh(NoiseRefresh::Auto)
-            .refresh_threshold_bits(12);
-        assert_eq!(p.recovery, RecoveryPolicy::none());
-        assert_eq!(p.noise_refresh, NoiseRefresh::Auto);
-        assert_eq!(p.refresh_threshold_bits, Some(12));
     }
 }

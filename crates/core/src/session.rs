@@ -16,8 +16,7 @@
 //!
 //! The session is also where the recovery ladder (DESIGN.md §11) lives:
 //! transient enclave faults retry inside the pipeline under the
-//! [`RecoveryPolicy`](crate::recovery::RecoveryPolicy), sealed-state
-//! corruption triggers a bounded
+//! [`RecoveryPolicy`], sealed-state corruption triggers a bounded
 //! re-provision (same seed → identical keys, so the user's material stays
 //! valid), and a request sent with [`Resilience::Degrade`] falls back to the
 //! service's pure-HE plan — marked [`Served::Degraded`] — when retries are
@@ -60,8 +59,8 @@ use crate::ingress::seal_ingress_payload;
 use crate::keydist::{derive_ingress_key, verify_key_ceremony, KeyCeremonyPublic};
 use crate::pipeline::{HybridInference, HybridMetrics, ProvisionConfig, StageMetrics};
 use crate::planner::Placement;
-use crate::recovery::retry_with_cost;
-use crate::request::{InferRequest, InferResponse, Ingress, Resilience, ServePolicy};
+use crate::recovery::{retry_with_cost, RecoveryPolicy};
+use crate::request::{InferRequest, InferResponse, Ingress, Resilience};
 use hesgx_chaos::{FaultHook, FaultInjector, FaultPlan, FaultReport, RecoveryEvent};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::transcipher::IngressKey;
@@ -127,7 +126,7 @@ pub struct SessionBuilder {
     cost_model: Option<CostModel>,
     threads: usize,
     seed: u64,
-    policy: ServePolicy,
+    recovery: RecoveryPolicy,
     chaos: Option<FaultPlan>,
     recorder: Recorder,
     profiler: Profiler,
@@ -141,7 +140,7 @@ impl Default for SessionBuilder {
             cost_model: None,
             threads: 0,
             seed: 0,
-            policy: ServePolicy::default(),
+            recovery: RecoveryPolicy::default(),
             chaos: None,
             recorder: Recorder::disabled(),
             profiler: Profiler::disabled(),
@@ -151,7 +150,7 @@ impl Default for SessionBuilder {
 
 impl SessionBuilder {
     /// Starts from the defaults: paper parameters, sigmoid activation,
-    /// §VI-D pooling rule, calibrated SGX cost model, one worker per core.
+    /// default retry budget, calibrated SGX cost model, one worker per core.
     pub fn new() -> Self {
         SessionBuilder::default()
     }
@@ -195,16 +194,12 @@ impl SessionBuilder {
         self
     }
 
-    /// Installs the serving policy — the one home of the retry and
-    /// noise-refresh settings. The service's plans are compiled from it:
-    /// [`crate::NoiseRefresh::Always`] adds an `ecall_DecreaseNoise` stage
-    /// of its own between pooling and the fully connected layer (§IV-E), and
-    /// [`crate::NoiseRefresh::Auto`] gates that stage on the budget the
-    /// enclave measures (`ecall_NoiseProbe`; only the bit-count leaves the
-    /// enclave), leaving its decision trail in [`HybridMetrics::noise`].
+    /// Installs the bounded-retry policy: the enclave retries transient
+    /// boundary faults under it, and so does the attestation check at
+    /// [`SessionBuilder::build`].
     #[must_use]
-    pub fn policy(mut self, policy: ServePolicy) -> Self {
-        self.policy = policy;
+    pub fn recovery(mut self, recovery: RecoveryPolicy) -> Self {
+        self.recovery = recovery;
         self
     }
 
@@ -271,7 +266,7 @@ impl SessionBuilder {
             cost_model: self.cost_model,
             threads: self.threads,
             activation: self.activation,
-            policy: self.policy,
+            recovery: self.recovery,
             fault_hook: chaos.clone().map(|injector| injector as Arc<dyn FaultHook>),
             recorder: self.recorder.clone(),
         };
@@ -293,13 +288,12 @@ impl SessionBuilder {
         attestation.set_recorder(self.recorder.clone());
         let measurement = *service.enclave().enclave().measurement();
         let hook = chaos.as_ref().map(|c| c.as_ref() as &dyn FaultHook);
-        let (verified, _cost) =
-            retry_with_cost(&config.policy.recovery, hook, &self.recorder, || {
-                let res = verify_key_ceremony(&attestation, &ceremony, &measurement)
-                    .map(|_| ())
-                    .map_err(Error::Tee);
-                (res, CostBreakdown::default())
-            });
+        let (verified, _cost) = retry_with_cost(&config.recovery, hook, &self.recorder, || {
+            let res = verify_key_ceremony(&attestation, &ceremony, &measurement)
+                .map(|_| ())
+                .map_err(Error::Tee);
+            (res, CostBreakdown::default())
+        });
         verified?;
 
         let pool = ParExec::new(self.threads).with_recorder(self.recorder.clone());
@@ -728,8 +722,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::RecoveryPolicy;
-    use crate::request::NoiseRefresh;
+    use crate::planner::{EcallBatching, EnclaveOp, Stage};
     use hesgx_chaos::{ChaosEvent, FaultKind, FaultSite};
     use hesgx_nn::quantize::QuantPipeline;
 
@@ -901,28 +894,26 @@ mod tests {
         assert_eq!(first.cells(), client_batch(&replay, &images).cells());
     }
 
+    /// The §IV-E refresh is an operator of hand-built plans: between pooling
+    /// and the FC layer it is one more crossing and changes no logit.
     #[test]
     fn noise_refresh_adds_a_stage_without_changing_logits() {
-        let image: Vec<i64> = (0..64).map(|p| (p % 16) as i64).collect();
-        let plain = build(1, 9);
-        let refreshed = SessionBuilder::new()
-            .params(ParamsPreset::Small)
-            .threads(1)
-            .seed(9)
-            .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Always))
-            .build(Platform::new(41), small_model())
-            .unwrap();
-        let plain_resp = plain.serve(InferRequest::single(image.clone())).unwrap();
-        let refreshed_resp = refreshed.serve(InferRequest::single(image)).unwrap();
-        assert_eq!(plain_resp.logits, refreshed_resp.logits);
-        assert_eq!(
-            refreshed_resp.metrics.stages.len(),
-            plain_resp.metrics.stages.len() + 1
-        );
-        assert_eq!(
-            refreshed_resp.metrics.stages[2].name,
-            "Noise Refresh (SGX inside)"
-        );
+        let session = build(1, 9);
+        let images = [(0..64).map(|p| (p % 16) as i64).collect::<Vec<i64>>()];
+        let enc = client_batch(&session, &images);
+        let service = session.service();
+        let mut refreshed = service.plan().clone();
+        refreshed
+            .stages
+            .insert(2, Stage::enclave(EnclaveOp::Refresh));
+        let (plain, plain_metrics) = service.run(service.plan(), &enc).unwrap();
+        let (fresh, fresh_metrics) = service.run(&refreshed, &enc).unwrap();
+        drop(service);
+        let rows = session.decrypt_logits(&fresh, 1).unwrap();
+        assert_eq!(rows, session.decrypt_logits(&plain, 1).unwrap());
+        assert_eq!(rows, vec![session.model().forward_ints(&images[0])]);
+        assert_eq!(fresh_metrics.stages.len(), plain_metrics.stages.len() + 1);
+        assert_eq!(fresh_metrics.stages[2].name, "Noise Refresh (SGX inside)");
     }
 
     #[test]
@@ -1002,7 +993,6 @@ mod tests {
     /// worker 0's re-provisioned successor.
     #[test]
     fn no_mask_repeats_across_workers_or_reprovisioning() {
-        use crate::planner::{EcallBatching, EnclaveOp};
         use hesgx_bfv::serialization::ciphertext_to_bytes;
         let platform = Platform::new(47);
         let worker = || {
@@ -1144,18 +1134,13 @@ mod tests {
         assert!(!session3.fault_report().unwrap().degraded());
     }
 
-    /// [`SessionBuilder::policy`] installs the whole [`ServePolicy`]; the
-    /// last write wins.
+    /// [`SessionBuilder::recovery`] installs the whole [`RecoveryPolicy`];
+    /// the last write wins.
     #[test]
     fn builder_policy_precedence() {
         let b = SessionBuilder::new()
-            .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Auto))
-            .policy(
-                ServePolicy::new()
-                    .recovery(RecoveryPolicy::none())
-                    .noise_refresh(NoiseRefresh::Always),
-            );
-        assert_eq!(b.policy.recovery, RecoveryPolicy::none());
-        assert_eq!(b.policy.noise_refresh, NoiseRefresh::Always);
+            .recovery(RecoveryPolicy::default())
+            .recovery(RecoveryPolicy::none());
+        assert_eq!(b.recovery, RecoveryPolicy::none());
     }
 }

@@ -569,8 +569,7 @@ impl InferenceEnclave {
     }
 
     /// Measures the minimum invariant-noise budget (bits) across `cts`
-    /// inside the enclave — the noise-telemetry source and the input to the
-    /// Auto refresh decision (DESIGN.md §13).
+    /// inside the enclave — the noise-telemetry source (DESIGN.md §13).
     ///
     /// The probe deliberately sits *outside* the fault-injection and RNG
     /// machinery: it uses the plain (infallible) ECALL path, consults no
@@ -1178,10 +1177,7 @@ mod tests {
     /// The plans of `small_model` that read each ingress layout: the hybrid
     /// plan packs a small batch, the pure-HE plan never does.
     fn ingress_plans() -> [(InferencePlan, Layout); 2] {
-        let compile = |placement| {
-            let policy = crate::request::ServePolicy::default();
-            crate::planner::plan_for(&small_model(), ActivationKind::Sigmoid, &policy, placement)
-        };
+        let compile = |placement| crate::planner::plan_for(ActivationKind::Sigmoid, placement);
         [
             (
                 compile(crate::planner::Placement::Hybrid),

@@ -15,8 +15,10 @@
 //!   (the request's second fallible crossing, after the ingress ECALL) is
 //!   interrupted on entry, and its retry loses the result on exit (both
 //!   retried — two of the budget of three);
-//! * `noise-refresh` — the refresh request between pooling and the FC layer
-//!   is dropped once (retried);
+//! * `noise-refresh` — no compiled plan refreshes, so the same request runs
+//!   again through a hand-built plan with an `Enclave([Refresh])` stage
+//!   between pooling and the FC layer, and that refresh request is dropped
+//!   once (retried);
 //! * `transcipher` — the request ships as a transciphered payload and the
 //!   first upload is dropped in transit (retried).
 //!
@@ -51,7 +53,6 @@ fn every_fault_site_fires_once_and_inference_stays_exact() {
         .params(ParamsPreset::Small)
         .threads(2)
         .seed(13)
-        .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Always))
         .chaos(plan)
         .build(Platform::new(500), model.clone())
         .unwrap();
@@ -64,16 +65,50 @@ fn every_fault_site_fires_once_and_inference_stays_exact() {
     );
 
     // Full 28×28 inference through the faulty boundary, shipped as a
-    // transciphered payload so the new ingress site is exercised too.
+    // transciphered payload so the new ingress site is exercised too. Its
+    // egress is packed, so the closing reduction crosses as well — after
+    // the fused ECALL's last attempt, behind every scripted occurrence.
     let image: Vec<i64> = (0..28 * 28).map(|p| (p % 16) as i64).collect();
     let response = session
         .serve(InferRequest::single(image.clone()).ingress(Ingress::Transciphered))
         .unwrap();
+    let reference = vec![model.forward_ints(&image)];
     assert_eq!(
-        response.logits,
-        vec![model.forward_ints(&image)],
+        response.logits, reference,
         "recovered inference must stay bit-identical to the reference"
     );
+    // Five stages ran: transciphered ingress, conv, activation + pooling in
+    // one crossing, FC, the closing reduction.
+    assert_eq!(response.metrics.stages.len(), 5);
+
+    // The noise-refresh site: the service's plan by hand, a refresh stage
+    // after pooling (per pixel: the egress rule packs only a crossing that
+    // feeds the FC layer), over the same image patch-packed by the client.
+    let service = session.service();
+    let mut refreshed = service.plan().clone();
+    refreshed
+        .stages
+        .insert(2, Stage::enclave(EnclaveOp::Refresh));
+    let enc = EncryptedMap::encrypt_images(
+        service.system(),
+        std::slice::from_ref(&image),
+        28,
+        service.ingress_layout(1),
+        &session.ceremony().public,
+        &ChaChaRng::from_seed(14),
+        &ParExec::serial(),
+    )
+    .unwrap();
+    let (logits, metrics) = service.run(&refreshed, &enc).unwrap();
+    let secret = &session.ceremony().user_secret;
+    let rows = logits.decrypt_all(service.system(), secret, 1, &ParExec::serial());
+    let wide = |row: &Vec<i64>| row.iter().map(|&v| i128::from(v)).collect::<Vec<_>>();
+    assert_eq!(
+        rows.unwrap(),
+        reference.iter().map(wide).collect::<Vec<_>>()
+    );
+    assert_eq!(metrics.stages[2].name, "Noise Refresh (SGX inside)");
+    drop(service);
 
     // Coverage: every one of the nine sites injected at least once.
     let report = session.fault_report().expect("chaos plan installed");
@@ -90,17 +125,13 @@ fn every_fault_site_fires_once_and_inference_stays_exact() {
         "attestation/transcipher/enter/exit/refresh faults all retry: {}",
         report.to_json()
     );
-    // Five stages ran: transciphered ingress, conv, activation + pooling in
-    // one crossing, noise refresh, FC.
-    assert_eq!(response.metrics.stages.len(), 5);
 }
 
 /// The closing `ecall_LogitReduce` is a crossing like any other: a request
 /// served packed both ways crosses twice (enter/exit occurrences 0 and 1), and
 /// losing the reduction's entry and then its result costs two retries and
-/// changes nothing in the logits. (None of the occurrence indices scripted
-/// above moved with the new crossing: that session's refresh policy keeps its
-/// egress per pixel, so its plan has no closing stage to run.)
+/// changes nothing in the logits. (The paper-model session above reduces too,
+/// after the occurrences it scripts.)
 #[test]
 fn closing_reduction_retries_like_any_other_crossing() {
     let plan = FaultPlan::new(8)

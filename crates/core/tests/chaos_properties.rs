@@ -4,8 +4,8 @@
 //! Two properties are pinned across worker-pool sizes 1/2/4:
 //!
 //! 1. **Transient faults never change output** — a plan that injects only
-//!    recoverable faults (interrupted ECALLs, dropped refresh requests, EPC
-//!    pressure), capped under the retry budget, produces logits bit-identical
+//!    recoverable faults (interrupted ECALLs, EPC pressure), capped under
+//!    the retry budget, produces logits bit-identical
 //!    to the fault-free run. The enclave decrypts exactly on any successful
 //!    attempt, so recovery is invisible in the plaintext.
 //! 2. **Same seed → same report** — the `FaultReport` (and its JSON
@@ -25,8 +25,8 @@ const POOLS: [usize; 3] = [1, 2, 4];
 /// via the cap, so runs always recover.
 const RATE: f64 = 0.25;
 /// At most one rate-triggered fault per site: even the worst interleaving
-/// (refresh-drop, then entry, then exit fault on one ECALL) stays within the
-/// default budget of 3 retries.
+/// (entry, then exit fault on one ECALL) stays within the default budget of
+/// 3 retries.
 const CAP: u64 = 1;
 
 fn batch() -> Vec<Vec<i64>> {
@@ -41,8 +41,7 @@ fn build(threads: usize, plan: Option<FaultPlan>) -> Session {
     let mut builder = SessionBuilder::new()
         .params(ParamsPreset::Small)
         .threads(threads)
-        .seed(77)
-        .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Always));
+        .seed(77);
     if let Some(plan) = plan {
         builder = builder.chaos(plan);
     }

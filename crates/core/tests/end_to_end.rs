@@ -67,10 +67,9 @@ fn full_paper_pipeline_matches_reference_for_batch() {
         let expect: Vec<i128> = model.forward_ints(img).iter().map(|&v| v.into()).collect();
         assert_eq!(rows[b], expect, "batch {b}");
     }
-    // The paper model's 2×2 window selects SgxPool, fused into the
-    // activation's crossing; a per-pixel map leaves one logit ciphertext per
-    // class, so the plan's closing reduction has nothing to do: three
-    // stages ran.
+    // The pooling rides the activation's crossing (SgxPool, fused); a
+    // per-pixel map leaves one logit ciphertext per class, so the plan's
+    // closing reduction has nothing to do: three stages ran.
     let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
     assert_eq!(
         service.plan().stages[1],

@@ -4,12 +4,11 @@
 //! - **Golden snapshot**: a fixed-seed session produces a byte-identical
 //!   `Recorder::snapshot_json` across runs *and* across worker-pool sizes;
 //!   the bytes are pinned by `tests/golden/obs_snapshot.json`, one line per
-//!   plan shape: the 8×8 model under the refresh policy (one logit
-//!   ciphertext per class; the line the file has always held) and its
-//!   sixteen-class variant under the default
-//!   policy (packed egress, the closing `ecall_LogitReduce`). Regenerate
-//!   with `HESGX_UPDATE_GOLDEN=1 cargo test -p hesgx-core --test obs` after
-//!   an intentional change to what the pipeline records.
+//!   plan shape: the 8×8 model (one logit ciphertext per class, one
+//!   crossing) and its sixteen-class variant (packed egress, the closing
+//!   `ecall_LogitReduce`). Regenerate with
+//!   `HESGX_UPDATE_GOLDEN=1 cargo test -p hesgx-core --test obs` after an
+//!   intentional change to what the pipeline records.
 //! - **Reconciliation**: summing the recorder's `infer.layer[i].ecall` spans
 //!   reproduces `total_enclave_cost(&metrics)` exactly — every term, every
 //!   nanosecond — because both sides are fed the same `CostBreakdown`.
@@ -17,32 +16,28 @@
 mod testutil;
 
 use hesgx_core::pipeline::{total_enclave_cost, HybridMetrics};
-use hesgx_core::request::{InferRequest, Ingress, NoiseRefresh, ServePolicy};
+use hesgx_core::request::{InferRequest, Ingress};
 use hesgx_core::session::{ParamsPreset, Session, SessionBuilder};
+use hesgx_nn::quantize::QuantizedCnn;
 use hesgx_obs::{counters, Recorder, SpanCost};
 use hesgx_tee::enclave::Platform;
 use std::path::Path;
 
-/// Builds a fixed-seed session with an enabled recorder and runs one
-/// inference, returning its metrics too; everything except `threads` and the
-/// refresh mode is held constant.
+/// Builds a fixed-seed session of the sixteen-class model (packed egress: two
+/// crossings) with an enabled recorder and runs one inference, returning its
+/// metrics too.
 fn run_session(threads: usize) -> (Session, Recorder, HybridMetrics) {
-    run_policy(threads, NoiseRefresh::Always)
+    run_model(threads, testutil::wide_hybrid_model())
 }
 
-/// `NoiseRefresh::Off` serves the sixteen-class model, whose FC layer is
-/// wide enough to pack: the default plan's packed egress.
-fn run_policy(threads: usize, refresh: NoiseRefresh) -> (Session, Recorder, HybridMetrics) {
-    let model = match refresh {
-        NoiseRefresh::Off => testutil::wide_hybrid_model(),
-        _ => testutil::small_hybrid_model(),
-    };
+/// One inference of `model` on a fixed-seed session; everything except
+/// `threads` and the model is held constant.
+fn run_model(threads: usize, model: QuantizedCnn) -> (Session, Recorder, HybridMetrics) {
     let rec = Recorder::enabled();
     let session = SessionBuilder::new()
         .params(ParamsPreset::Small)
         .threads(threads)
         .seed(7)
-        .policy(ServePolicy::new().noise_refresh(refresh))
         .recorder(rec.clone())
         .build(Platform::new(900), model)
         .unwrap();
@@ -54,15 +49,16 @@ fn run_policy(threads: usize, refresh: NoiseRefresh) -> (Session, Recorder, Hybr
 
 #[test]
 fn snapshot_is_byte_identical_across_pool_sizes_and_matches_golden() {
-    let snapshot = |refresh, threads| run_policy(threads, refresh).0.obs_snapshot_json();
+    let snapshot = |model, threads| run_model(threads, model).0.obs_snapshot_json();
     let snaps: Vec<String> = [1usize, 2, 4]
         .iter()
         .map(|&threads| {
-            let always = snapshot(NoiseRefresh::Always, threads);
-            format!("{always}\n{}\n", snapshot(NoiseRefresh::Off, threads))
+            let narrow = snapshot(testutil::small_hybrid_model(), threads);
+            let wide = snapshot(testutil::wide_hybrid_model(), threads);
+            format!("{narrow}\n{wide}\n")
         })
         .collect();
-    // Only the default plan's line books the closing crossing.
+    // Only the packed egress books the closing crossing.
     assert_eq!(snaps[0].matches("ecall.ecall_LogitReduce").count(), 1);
     assert_eq!(snaps[0], snaps[1], "1 vs 2 workers");
     assert_eq!(snaps[0], snaps[2], "1 vs 4 workers");
@@ -92,8 +88,7 @@ fn per_layer_obs_totals_reconcile_with_pipeline_metrics() {
         .into_iter()
         .filter(|(name, _)| name.ends_with(".ecall"))
         .collect();
-    // Activation + pooling in one crossing, and the explicit noise-refresh
-    // stage.
+    // Activation + pooling in one crossing, and the closing reduction.
     assert_eq!(ecall_spans.len(), 2, "{ecall_spans:?}");
     for (_, stats) in &ecall_spans {
         assert_eq!(stats.entries, 1, "one inference, one entry per stage");

@@ -13,7 +13,6 @@
 mod testutil;
 
 use hesgx_core::planner::{plan_for, EcallBatching, EnclaveOp, Placement};
-use hesgx_core::request::ServePolicy;
 use hesgx_core::InferenceEnclave;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::transcipher::{seal_images, IngressKey};
@@ -249,7 +248,7 @@ proptest! {
         // Half the time, overwrite a byte of the clear `images`/`pixels`
         // framing words (payload bytes 13..21).
         let tampered = forge_at < 8 && std::mem::replace(&mut payload[13 + forge_at], forged) != forged;
-        let plan = plan_for(model, ActivationKind::Sigmoid, &ServePolicy::default(), Placement::Hybrid);
+        let plan = plan_for(ActivationKind::Sigmoid, Placement::Hybrid);
         let pool = ParExec::serial();
         let cells = host.enclave.transcipher_ingress(sys, model, &plan, &key, &payload, &pool);
         match cells {

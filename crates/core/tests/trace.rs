@@ -1,6 +1,5 @@
 //! Trace-timeline integration tests (DESIGN.md §13): timeline determinism,
-//! exporter byte-stability, zero-cost-when-off, and the noise-refresh
-//! decision contract.
+//! exporter byte-stability, and zero-cost-when-off.
 //!
 //! - **Timeline determinism**: a fixed-seed session emits byte-identical
 //!   trace-event sequences — and byte-identical Chrome-trace / Prometheus
@@ -9,31 +8,21 @@
 //! - **Zero-cost-when-off**: logits of a traced run equal those of an
 //!   untraced run bit-for-bit; the telemetry probes never touch the
 //!   ciphertext path, the call counters, or the enclave RNG.
-//! - **Refresh-iff-threshold**: in `Auto` mode the refresh stage runs
-//!   exactly when the enclave-measured pre-refresh budget is below
-//!   `refresh_threshold_bits`, and the recorded [`NoiseDecision`] trail
-//!   says so.
 
 mod testutil;
 
-use hesgx_core::request::{InferRequest, NoiseRefresh, ServePolicy};
+use hesgx_core::request::InferRequest;
 use hesgx_core::session::{ParamsPreset, Session, SessionBuilder};
 use hesgx_obs::{Recorder, TracePhase};
 use hesgx_tee::enclave::Platform;
 
-/// Fixed-seed traced session: `threads` and the optional threshold override
-/// are the only variables.
-fn traced_session(threads: usize, threshold: Option<u32>) -> (Session, Recorder) {
+/// Fixed-seed traced session: `threads` is the only variable.
+fn traced_session(threads: usize) -> (Session, Recorder) {
     let rec = Recorder::with_timeline();
-    let mut policy = ServePolicy::new().noise_refresh(NoiseRefresh::Auto);
-    if let Some(bits) = threshold {
-        policy = policy.refresh_threshold_bits(bits);
-    }
     let session = SessionBuilder::new()
         .params(ParamsPreset::Small)
         .threads(threads)
         .seed(7)
-        .policy(policy)
         .recorder(rec.clone())
         .build(Platform::new(910), testutil::small_hybrid_model())
         .unwrap();
@@ -49,7 +38,7 @@ fn timelines_and_exporters_are_byte_identical_across_pool_sizes() {
     let runs: Vec<(String, String, Vec<hesgx_obs::TraceEvent>)> = [1usize, 2, 4]
         .iter()
         .map(|&threads| {
-            let (session, rec) = traced_session(threads, None);
+            let (session, rec) = traced_session(threads);
             session.serve(InferRequest::single(image())).unwrap();
             (
                 rec.export_chrome_trace(),
@@ -74,7 +63,7 @@ fn timelines_and_exporters_are_byte_identical_across_pool_sizes() {
 
 #[test]
 fn request_span_wraps_the_timeline_with_a_deterministic_trace_id() {
-    let (session, rec) = traced_session(1, None);
+    let (session, rec) = traced_session(1);
     session.serve(InferRequest::single(image())).unwrap();
     let events = rec.trace_events();
     let begin = events
@@ -114,7 +103,6 @@ fn tracing_never_changes_the_inference_result() {
         .params(ParamsPreset::Small)
         .threads(1)
         .seed(7)
-        .policy(ServePolicy::new().noise_refresh(NoiseRefresh::Auto))
         .build(Platform::new(910), testutil::small_hybrid_model())
         .unwrap();
     let reference = untraced
@@ -122,73 +110,10 @@ fn tracing_never_changes_the_inference_result() {
         .unwrap()
         .logits;
     assert_eq!(reference, vec![untraced.model().forward_ints(&image())]);
-
-    for threshold in [None, Some(200)] {
-        let (traced, _) = traced_session(1, threshold);
-        assert_eq!(
-            traced.serve(InferRequest::single(image())).unwrap().logits,
-            reference,
-            "tracing (threshold {threshold:?}) changed the logits"
-        );
-    }
-}
-
-#[test]
-fn auto_refresh_fires_iff_budget_is_below_threshold() {
-    // Planner default (10 bits): the small model keeps far more budget, so
-    // the decision must be a skip and the stage count stays at 5 (4 layers +
-    // the check stage).
-    let (session, rec) = traced_session(1, None);
-    let metrics = session
-        .serve(InferRequest::single(image()))
-        .unwrap()
-        .metrics;
-    assert_eq!(metrics.noise.len(), 1, "{:?}", metrics.noise);
-    let d = metrics.noise[0];
-    assert!(
-        !d.refreshed,
-        "budget {} ≥ threshold {}",
-        d.before_bits, d.threshold_bits
-    );
-    assert!(d.before_bits >= d.threshold_bits);
-    assert_eq!(d.after_bits, None, "no refresh, no post measurement");
-    assert!(metrics
-        .stages
-        .iter()
-        .any(|s| s.name.starts_with("Noise Check")));
-
-    // Threshold raised above the live budget: the same pipeline must take
-    // the refresh and record the post-refresh budget.
-    let (session, rec_hi) = traced_session(1, Some(200));
-    let metrics = session
-        .serve(InferRequest::single(image()))
-        .unwrap()
-        .metrics;
-    assert_eq!(metrics.noise.len(), 1);
-    let d = metrics.noise[0];
-    assert!(
-        d.refreshed,
-        "budget {} < threshold {}",
-        d.before_bits, d.threshold_bits
-    );
-    assert!(d.before_bits < d.threshold_bits);
-    assert!(d.after_bits.is_some(), "taken refresh measures the result");
-    assert!(metrics
-        .stages
-        .iter()
-        .any(|s| s.name.starts_with("Noise Refresh")));
-
-    // Both timelines carry the decision instant with the verdict.
-    let decision = |rec: &Recorder, taken: &str| {
-        rec.trace_events()
-            .iter()
-            .find(|e| e.name == "noise.refresh.decision")
-            .map(|e| e.args.iter().any(|(k, v)| k == "taken" && v == taken))
-            .unwrap_or(false)
-    };
-    assert!(decision(&rec, "false"), "skip decision on the timeline");
-    assert!(
-        decision(&rec_hi, "true"),
-        "refresh decision on the timeline"
+    let (traced, _) = traced_session(1);
+    assert_eq!(
+        traced.serve(InferRequest::single(image())).unwrap().logits,
+        reference,
+        "tracing changed the logits"
     );
 }

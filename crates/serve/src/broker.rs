@@ -69,7 +69,7 @@ impl Broker {
                 .params(preset)
                 .threads(he_threads)
                 .seed(seed)
-                .policy(config.policy.clone())
+                .recovery(config.recovery)
                 .recorder(recorder.clone())
                 .build(platform.clone(), model.clone())?;
             sessions.push(session);
@@ -249,13 +249,13 @@ impl Broker {
         // to the batch's virtual completion time.
         let attempts = Cell::new(0u32);
         let (result, charged) =
-            retry_with_cost(&self.config.policy.recovery, None, &self.recorder, || {
+            retry_with_cost(&self.config.recovery, None, &self.recorder, || {
                 attempts.set(attempts.get() + 1);
                 dispatch_batch(session, merged.clone())
             });
         let mut backoff: VirtualNs = 0;
         for retry in 0..attempts.get().saturating_sub(1) {
-            backoff = backoff.saturating_add(self.config.policy.recovery.backoff_ns(retry));
+            backoff = backoff.saturating_add(self.config.recovery.backoff_ns(retry));
         }
         match result {
             Ok(response) => {

@@ -1,7 +1,7 @@
 //! Broker configuration: fleet size, admission bounds, batching caps, the
 //! deficit-round-robin quantum, and the modeled HE evaluator cost table.
 
-use hesgx_core::request::ServePolicy;
+use hesgx_core::RecoveryPolicy;
 use hesgx_henn::ops::OpCounter;
 
 /// Modeled nanosecond cost of each homomorphic evaluator operation at the
@@ -103,9 +103,9 @@ pub struct BrokerConfig {
     /// Platform identity every worker is provisioned on (same identity →
     /// same measurement; instances stay separate so no state is shared).
     pub platform_id: u64,
-    /// Serving policy installed into every worker session and reused for
-    /// the broker-level request retry ladder.
-    pub policy: ServePolicy,
+    /// Bounded-retry policy installed into every worker session and reused
+    /// for the broker-level request retry ladder.
+    pub recovery: RecoveryPolicy,
     /// Modeled HE evaluator cost table for pricing dispatched batches.
     pub he_costs: HeCostModel,
 }
@@ -118,7 +118,7 @@ impl Default for BrokerConfig {
             max_batch: 16,
             quantum: 4,
             platform_id: 9_000,
-            policy: ServePolicy::default(),
+            recovery: RecoveryPolicy::default(),
             he_costs: HeCostModel::paper(),
         }
     }
@@ -159,11 +159,11 @@ impl BrokerConfig {
         self
     }
 
-    /// Sets the serving policy (retries, noise refresh) for workers and the
-    /// broker retry ladder.
+    /// Sets the bounded-retry policy for workers and the broker retry
+    /// ladder.
     #[must_use]
-    pub fn policy(mut self, policy: ServePolicy) -> Self {
-        self.policy = policy;
+    pub fn recovery(mut self, recovery: RecoveryPolicy) -> Self {
+        self.recovery = recovery;
         self
     }
 

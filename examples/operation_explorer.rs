@@ -1,13 +1,13 @@
 //! Operation explorer: the paper's §VI quantitative analysis at example
 //! scale — per-operation costs of FV and the enclave, SIMD batching
-//! throughput, and the pooling-strategy decision rule.
+//! throughput, and the pooling split of Fig. 6.
 //!
 //! ```text
 //! cargo run --release -p hesgx-core --example operation_explorer
 //! ```
 
 use hesgx_bfv::prelude::*;
-use hesgx_core::planner::{EcallBatching, EnclaveOp, PoolStrategy};
+use hesgx_core::planner::{EcallBatching, EnclaveOp};
 use hesgx_core::InferenceEnclave;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::CrtPlainSystem;
@@ -117,7 +117,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!("\n== pooling strategy rule (paper §VI-D) ==");
+    println!("\n== pooling split, standing alone (paper §VI-D, Fig. 6) ==");
     let sys = CrtPlainSystem::new(1024, &[65537])?;
     let keys = sys.generate_keys(&mut rng);
     let platform = Platform::new(3);
@@ -130,7 +130,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let images = vec![(0..576).map(|p| (p % 16) as i64).collect::<Vec<i64>>()];
     let input =
         EncryptedMap::encrypt_images(&sys, &images, 24, Layout::Pixel, &keys.public, &rng, &pool)?;
-    println!("window   rule        SGXDiv(ms)   SGXPool(ms)");
+    println!("window   SGXDiv(ms)   SGXPool(ms)   cheaper");
     for window in [2usize, 3, 4, 6, 8, 12] {
         let model = QuantizedCnn {
             pipeline: QuantPipeline::Hybrid,
@@ -172,10 +172,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &pool,
         )?;
         let pool_ms = pool_cost.total_ns() as f64 / 1e6;
-        println!(
-            "{window:6}   {:?}   {div_ms:10.3}   {pool_ms:11.3}",
-            PoolStrategy::select(window)
-        );
+        let cheaper = if div_ms < pool_ms {
+            "SGXDiv"
+        } else {
+            "SGXPool"
+        };
+        println!("{window:6}   {div_ms:10.3}   {pool_ms:11.3}   {cheaper}");
     }
 
     println!("\n== exact activations inside SGX (paper §VI-C) ==");
