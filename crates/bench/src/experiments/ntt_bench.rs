@@ -20,8 +20,9 @@
 //!
 //! The enclave-cell section prices what one activation/pool cell costs
 //! inside the enclave at the Fig. 8 ring degree: `decrypt_slots`, and
-//! `encrypt_slots` under the public key (the client's path) versus under the
-//! secret key (the enclave's). Its deterministic face is two
+//! `encrypt_slots` under the public key (SEAL 2.1's client path) versus under
+//! the secret key (the served client's and the enclave's). Its deterministic
+//! face is two
 //! flags: the RNS-native decryption equals the `U256` scale-and-round of the
 //! reconstructed phase on fresh, worn and size-3 ciphertexts, and a
 //! secret-key encryption round-trips every slot.
@@ -121,7 +122,7 @@ pub struct EnclaveCell {
     pub decrypt_slots_ns: u64,
     /// Median of `CrtPlainSystem::encrypt_slots` (public key).
     pub encrypt_public_ns: u64,
-    /// Median of `CrtPlainSystem::encrypt_slots_symmetric` (secret key).
+    /// Median of `CrtPlainSystem::encrypt_slots` (secret key).
     pub encrypt_secret_ns: u64,
     /// `Decryptor::decrypt` equalled the `U256` reference on every probe.
     pub rns_decrypt_matches_u256: bool,
@@ -363,7 +364,7 @@ fn run_cell(poly_degree: usize, reps: usize) -> EnclaveCell {
         .encrypt_slots(&values, &keys.public, &mut rng)
         .expect("ntt_bench cell encrypts");
     let secret = sys
-        .encrypt_slots_symmetric(&values, &keys.secret, &mut rng)
+        .encrypt_slots(&values, &keys.secret, &mut rng)
         .expect("ntt_bench cell encrypts");
     let decrypted = sys
         .decrypt_slots(&secret, &keys.secret)
@@ -396,7 +397,7 @@ fn run_cell(poly_degree: usize, reps: usize) -> EnclaveCell {
             std::hint::black_box(sys.encrypt_slots(&values, &keys.public, &mut rng)).ok();
         }),
         encrypt_secret_ns: median_of(reps, || {
-            std::hint::black_box(sys.encrypt_slots_symmetric(&values, &keys.secret, &mut rng)).ok();
+            std::hint::black_box(sys.encrypt_slots(&values, &keys.secret, &mut rng)).ok();
         }),
         rns_decrypt_matches_u256,
         symmetric_roundtrip_exact,

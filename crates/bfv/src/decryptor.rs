@@ -41,8 +41,7 @@ impl<K: Borrow<SecretKey>> Decryptor<K> {
         let mut acc = RnsPoly::zero(ctx, PolyForm::Ntt);
         let mut s_power = RnsPoly::zero(ctx, PolyForm::Ntt);
         for (idx, poly) in ct.polys.iter().enumerate().skip(1) {
-            let mut p = poly.clone();
-            p.to_ntt(ctx);
+            let p = poly.in_form(PolyForm::Ntt, ctx);
             if idx == 1 {
                 acc.mul_acc(&p, s, ctx);
             } else {

@@ -1,9 +1,9 @@
 //! Encryption — the paper's `Encrypt(pk, m)` (§II-B), and its secret-key
-//! form for the party that holds `s` (the inference enclave).
+//! form for the parties that hold `s` (the user and the inference enclave).
 
 use crate::ciphertext::Ciphertext;
 use crate::context::BfvContext;
-use crate::error::{BfvError, Result};
+use crate::error::Result;
 use crate::keys::{PublicKey, SecretKey};
 use crate::plaintext::Plaintext;
 use crate::poly::{PolyForm, RnsPoly};
@@ -35,27 +35,13 @@ pub struct Encryptor<K = PublicKey> {
 }
 
 impl<K> Encryptor<K> {
-    fn validate(&self, plain: &Plaintext) -> Result<()> {
-        if plain.len() > self.ctx.poly_degree() {
-            return Err(BfvError::PlaintextTooLong {
-                len: plain.len(),
-                degree: self.ctx.poly_degree(),
-            });
-        }
-        let t = self.ctx.params().plain_modulus();
-        if let Some(&c) = plain.coeffs().iter().find(|&&c| c >= t) {
-            return Err(BfvError::PlaintextOutOfRange(c));
-        }
-        Ok(())
-    }
-
-    /// Finishes `c0` from its key-dependent mask in NTT form:
-    /// `c0 = mask + e + Δ·m` with a fresh error `e`.
+    /// Finishes `c0` from its key-dependent mask: `c0 = mask + e + Δ·m`
+    /// with a fresh error `e`, in the mask's form.
     fn mask_message(&self, mut mask: RnsPoly, plain: &Plaintext, rng: &mut ChaChaRng) -> RnsPoly {
         let ctx = &self.ctx;
-        mask.to_coeff(ctx);
-        mask.add_assign(&sampler::gaussian_poly(ctx, rng, PolyForm::Coeff), ctx);
-        mask.add_assign(&RnsPoly::from_scaled_plain(ctx, plain.coeffs()), ctx);
+        let mut noisy = sampler::gaussian_poly(ctx, rng, PolyForm::Coeff);
+        noisy.add_assign(&RnsPoly::from_scaled_plain(ctx, plain.coeffs()), ctx);
+        mask.add_assign(&noisy.in_form(mask.form(), ctx), ctx);
         mask
     }
 }
@@ -79,12 +65,14 @@ impl<K: Borrow<PublicKey>> Encryptor<K> {
     /// Fails when the plaintext is longer than the ring degree or not reduced
     /// modulo `t`.
     pub fn encrypt(&self, plain: &Plaintext, rng: &mut ChaChaRng) -> Result<Ciphertext> {
-        self.validate(plain)?;
+        plain.check(&self.ctx)?;
         let ctx = &self.ctx;
         let pk = self.key.borrow();
 
         let u = sampler::ternary_poly(ctx, rng, PolyForm::Ntt);
-        let c0 = self.mask_message(pk.p0.mul_pointwise(&u, ctx), plain, rng);
+        let mut mask = pk.p0.mul_pointwise(&u, ctx);
+        mask.to_coeff(ctx);
+        let c0 = self.mask_message(mask, plain, rng);
 
         // c1 = p1·u + e2
         let mut c1 = pk.p1.mul_pointwise(&u, ctx);
@@ -110,23 +98,21 @@ impl<K: Borrow<SecretKey>> Encryptor<K> {
     }
 
     /// Secret-key encryption: `ct = ([−a·s + e + Δ·m]_q, a)` with `a`
-    /// uniform in `R_q` — the relation the public key itself satisfies.
-    /// Against the public-key path it does one pointwise product instead of
-    /// two and two transforms per limb instead of three, trades the ternary
-    /// and one of the two error polynomials for the uniform draw, and leaves
-    /// the fresh noise at `e` alone instead of `e_pk·u + e1 + e2·s`.
+    /// uniform in `R_q` — the relation the public key itself satisfies — in
+    /// evaluation form, where `a` is drawn directly (a uniform polynomial is
+    /// uniform in either basis). Against the public-key path: one pointwise
+    /// product instead of two, one transform per limb (`NTT(e + Δ·m)`)
+    /// instead of three, fresh noise `e` instead of `e_pk·u + e1 + e2·s`.
     ///
     /// # Errors
     ///
     /// Fails when the plaintext is longer than the ring degree or not reduced
     /// modulo `t`.
     pub fn encrypt_symmetric(&self, plain: &Plaintext, rng: &mut ChaChaRng) -> Result<Ciphertext> {
-        self.validate(plain)?;
+        plain.check(&self.ctx)?;
         let ctx = &self.ctx;
-        let a = sampler::uniform_poly(ctx, rng, PolyForm::Coeff);
-        let mut a_ntt = a.clone();
-        a_ntt.to_ntt(ctx);
-        let mut mask = a_ntt.mul_pointwise(&self.key.borrow().s, ctx);
+        let a = sampler::uniform_poly(ctx, rng, PolyForm::Ntt);
+        let mut mask = a.mul_pointwise(&self.key.borrow().s, ctx);
         mask.negate(ctx);
         Ok(Ciphertext {
             polys: vec![self.mask_message(mask, plain, rng), a],
@@ -135,9 +121,45 @@ impl<K: Borrow<SecretKey>> Encryptor<K> {
     }
 }
 
+/// The key a party encrypts under, its type picking the encryption: a
+/// [`PublicKey`] for anyone ([`Encryptor::encrypt`]), the [`SecretKey`] for
+/// whoever holds `s` — the user, the enclave ([`Encryptor::encrypt_symmetric`]).
+pub trait EncryptionKey {
+    /// Encrypts `plain` under this key on `ctx`; fails as that method does.
+    fn encrypt(
+        &self,
+        ctx: &Arc<BfvContext>,
+        plain: &Plaintext,
+        rng: &mut ChaChaRng,
+    ) -> Result<Ciphertext>;
+}
+
+impl EncryptionKey for PublicKey {
+    fn encrypt(
+        &self,
+        ctx: &Arc<BfvContext>,
+        plain: &Plaintext,
+        rng: &mut ChaChaRng,
+    ) -> Result<Ciphertext> {
+        Encryptor::new(ctx.clone(), self).encrypt(plain, rng)
+    }
+}
+
+impl EncryptionKey for SecretKey {
+    fn encrypt(
+        &self,
+        ctx: &Arc<BfvContext>,
+        plain: &Plaintext,
+        rng: &mut ChaChaRng,
+    ) -> Result<Ciphertext> {
+        Encryptor::symmetric(ctx.clone(), self).encrypt_symmetric(plain, rng)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::BfvError;
     use crate::keys::KeyGenerator;
     use crate::params::presets;
 
@@ -174,6 +196,37 @@ mod tests {
             enc.encrypt(&Plaintext::constant(t), &mut rng),
             Err(BfvError::PlaintextOutOfRange(_))
         ));
+    }
+
+    /// On every preset the secret-key encryption leaves both components in
+    /// evaluation form, decrypts every slot exactly, and starts with at
+    /// least the public-key encryption's noise budget.
+    #[test]
+    fn symmetric_encryption_is_exact_and_no_noisier_on_every_preset() {
+        use crate::{decryptor::Decryptor, encoding::BatchEncoder};
+        let deep_t = crate::arith::smallest_prime_congruent_one_above(40_000, 2048);
+        for params in [
+            presets::test_n256(),
+            presets::paper_n1024(),
+            presets::cryptonets_n1024(deep_t),
+        ] {
+            let ctx = BfvContext::new(params).unwrap();
+            let mut rng = ChaChaRng::from_seed(17);
+            let keygen = KeyGenerator::new(ctx.clone(), &mut rng);
+            let public = Encryptor::new(ctx.clone(), keygen.public_key());
+            let symmetric = Encryptor::symmetric(ctx.clone(), keygen.secret_key());
+            let dec = Decryptor::new(ctx.clone(), keygen.secret_key());
+            let encoder = BatchEncoder::new(ctx.params()).unwrap();
+            let mut slots = vec![0u64; ctx.poly_degree()];
+            rng.fill_below(ctx.params().plain_modulus(), &mut slots);
+            let m = encoder.encode(&slots).unwrap();
+            let sym = symmetric.encrypt_symmetric(&m, &mut rng).unwrap();
+            assert!(sym.polys.iter().all(|p| p.form() == PolyForm::Ntt));
+            assert_eq!(encoder.decode(&dec.decrypt(&sym).unwrap()), slots);
+            let pk = public.encrypt(&m, &mut rng).unwrap();
+            let budget = |ct| dec.invariant_noise_budget(ct).unwrap();
+            assert!(budget(&sym) >= budget(&pk), "n = {}", ctx.poly_degree());
+        }
     }
 
     #[test]

@@ -18,7 +18,6 @@ use crate::poly::{PolyForm, RnsPoly};
 use crate::tensor::MAX_TENSOR_TERMS;
 use hesgx_obs::prof;
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A scalar weight prepared for repeated ciphertext multiplication: the
@@ -32,14 +31,23 @@ pub struct PlainScalar {
     context_id: [u8; 32],
 }
 
-/// A bias constant prepared for repeated ciphertext addition: the per-limb
-/// `Δ·c mod qi` values. Adding it needs no polynomial allocation and no
-/// NTT — the transform of a constant polynomial is that constant in every
-/// slot, so both representations add in place.
+/// A plaintext prepared for repeated addition to `c0`: `Δ·m` in the form
+/// that adds without a transform.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreparedBias {
-    delta_c: Vec<u64>,
+    delta_m: Addend,
     context_id: [u8; 32],
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Addend {
+    /// A constant `c`: the per-limb `Δ·c mod qi`, slot 0 in coefficient
+    /// form and every slot in evaluation form (the transform of a constant
+    /// is that constant everywhere) — it adds in place to either.
+    Constant(Vec<u64>),
+    /// Any other plaintext: its polynomial in evaluation form, where the
+    /// ciphertexts it is added to live.
+    Poly(RnsPoly),
 }
 
 /// Stateless evaluator over one context.
@@ -69,20 +77,6 @@ impl Evaluator {
         Ok(())
     }
 
-    fn check_plain(&self, plain: &Plaintext) -> Result<()> {
-        if plain.len() > self.ctx.poly_degree() {
-            return Err(BfvError::PlaintextTooLong {
-                len: plain.len(),
-                degree: self.ctx.poly_degree(),
-            });
-        }
-        let t = self.ctx.params().plain_modulus();
-        if let Some(&c) = plain.coeffs().iter().find(|&&c| c >= t) {
-            return Err(BfvError::PlaintextOutOfRange(c));
-        }
-        Ok(())
-    }
-
     /// Homomorphic addition: component-wise sum (sizes may differ).
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
         self.check(a)?;
@@ -90,7 +84,7 @@ impl Evaluator {
         let (longer, shorter) = if a.size() >= b.size() { (a, b) } else { (b, a) };
         let mut out = longer.clone();
         for (dst, src) in out.polys.iter_mut().zip(shorter.polys.iter()) {
-            dst.add_assign(&in_form(src, dst.form(), &self.ctx), &self.ctx);
+            dst.add_assign(&src.in_form(dst.form(), &self.ctx), &self.ctx);
         }
         Ok(out)
     }
@@ -118,22 +112,22 @@ impl Evaluator {
     /// Adds a plaintext: `c0 += Δ·m`.
     pub fn add_plain(&self, a: &Ciphertext, plain: &Plaintext) -> Result<Ciphertext> {
         self.check(a)?;
-        self.check_plain(plain)?;
+        plain.check(&self.ctx)?;
         let mut out = a.clone();
         let delta_m = RnsPoly::from_scaled_plain(&self.ctx, plain.coeffs());
         let form = out.polys[0].form();
-        out.polys[0].add_assign(&in_form(&delta_m, form, &self.ctx), &self.ctx);
+        out.polys[0].add_assign(&delta_m.in_form(form, &self.ctx), &self.ctx);
         Ok(out)
     }
 
     /// Subtracts a plaintext: `c0 -= Δ·m`.
     pub fn sub_plain(&self, a: &Ciphertext, plain: &Plaintext) -> Result<Ciphertext> {
         self.check(a)?;
-        self.check_plain(plain)?;
+        plain.check(&self.ctx)?;
         let mut out = a.clone();
         let delta_m = RnsPoly::from_scaled_plain(&self.ctx, plain.coeffs());
         let form = out.polys[0].form();
-        out.polys[0].sub_assign(&in_form(&delta_m, form, &self.ctx), &self.ctx);
+        out.polys[0].sub_assign(&delta_m.in_form(form, &self.ctx), &self.ctx);
         Ok(out)
     }
 
@@ -153,7 +147,7 @@ impl Evaluator {
     /// calls.
     pub fn transform_plain_to_ntt(&self, plain: &Plaintext) -> Result<NttPlaintext> {
         let _prof = prof::span("bfv.eval.plain_to_ntt");
-        self.check_plain(plain)?;
+        plain.check(&self.ctx)?;
         let ctx = &self.ctx;
         let t = ctx.params().plain_modulus();
         let mut signed = vec![0i64; ctx.poly_degree()];
@@ -171,27 +165,20 @@ impl Evaluator {
     }
 
     /// Multiplies by a plaintext already in evaluation form
-    /// ([`Evaluator::transform_plain_to_ntt`]): one forward and one inverse
-    /// transform per ciphertext component, none of the plaintext.
+    /// ([`Evaluator::transform_plain_to_ntt`]): the one-term
+    /// [`Evaluator::dot_plain_ntt`].
+    ///
+    /// # Errors
+    ///
+    /// Fails on context mismatch.
     pub fn mul_plain_ntt(&self, a: &Ciphertext, plain: &NttPlaintext) -> Result<Ciphertext> {
-        let _prof = prof::span("bfv.eval.mul_plain_ntt");
-        self.check(a)?;
-        if plain.context_id != *self.ctx.id() {
-            return Err(BfvError::ContextMismatch);
-        }
-        let ctx = &self.ctx;
-        let mut out = a.clone();
-        for poly in out.polys.iter_mut() {
-            poly.to_ntt(ctx);
-            *poly = poly.mul_pointwise(&plain.poly, ctx);
-            poly.to_coeff(ctx);
-        }
-        Ok(out)
+        self.dot_plain_ntt([(a, plain)])
     }
 
-    /// `Σ aᵢ · pᵢ` accumulated in evaluation form: one forward transform per
-    /// input component, one inverse per output component. The transforms are
-    /// linear and sums mod `q` exact, so the result is bit-identical to
+    /// `Σ aᵢ · pᵢ` accumulated in evaluation form, where the result stays:
+    /// one forward transform per input component in coefficient form, none
+    /// for one already in evaluation form, none of the output. Sums mod `q`
+    /// are exact, so the result is bit-identical to
     /// [`Evaluator::mul_plain_ntt`] and [`Evaluator::add_inplace`] term by
     /// term, under any grouping of the terms.
     ///
@@ -214,13 +201,12 @@ impl Evaluator {
                 polys.push(RnsPoly::zero(ctx, PolyForm::Ntt));
             }
             for (acc, src) in polys.iter_mut().zip(&a.polys) {
-                acc.mul_acc(&in_form(src, PolyForm::Ntt, ctx), &plain.poly, ctx);
+                acc.mul_acc(&src.in_form(PolyForm::Ntt, ctx), &plain.poly, ctx);
             }
         }
         if polys.is_empty() {
             return Err(BfvError::InvalidShape("empty dot product".into()));
         }
-        polys.iter_mut().for_each(|poly| poly.to_coeff(ctx));
         Ok(Ciphertext {
             polys,
             context_id: *ctx.id(),
@@ -288,9 +274,10 @@ impl Evaluator {
     ///
     /// # Errors
     ///
-    /// Fails on context mismatch or when `acc` is smaller than `a` or their
-    /// component forms disagree (never the case between the accumulator and
-    /// operand of one conv/FC cell, which share provenance).
+    /// Fails on context mismatch, when `acc` is smaller than `a`, and
+    /// ([`BfvError::InvalidShape`]) when their component forms disagree —
+    /// never the case between the accumulator and operand of one conv/FC
+    /// cell, which share provenance, unless a host relabelled a form.
     pub fn mul_plain_scalar_acc(
         &self,
         acc: &mut Ciphertext,
@@ -307,52 +294,63 @@ impl Evaluator {
         }
         for (dst, src) in acc.polys.iter_mut().zip(a.polys.iter()) {
             if dst.form() != src.form() {
-                return Err(BfvError::ContextMismatch);
+                let forms = (src.form(), dst.form());
+                return Err(BfvError::InvalidShape(format!("{forms:?} accumulation")));
             }
             dst.scale_acc_prepared(src, &scalar.scales, scalar.negate, &self.ctx);
         }
         Ok(())
     }
 
-    /// Prepares a bias constant (already reduced mod `t`) for repeated
-    /// in-place addition via [`Evaluator::add_plain_bias_inplace`].
+    /// Prepares a plaintext (reduced mod `t`) for repeated in-place
+    /// addition via [`Evaluator::add_plain_bias_inplace`].
     ///
     /// # Errors
     ///
-    /// Fails when `residue >= t`.
-    pub fn prepare_plain_bias(&self, residue: u64) -> Result<PreparedBias> {
-        let t = self.ctx.params().plain_modulus();
-        if residue >= t {
-            return Err(BfvError::PlaintextOutOfRange(residue));
-        }
-        let delta_c = self
-            .ctx
-            .params()
-            .coeff_moduli()
-            .iter()
-            .enumerate()
-            .map(|(i, &qi)| mul_mod(residue % qi, self.ctx.delta_mod[i].0, qi))
-            .collect();
+    /// Fails when the plaintext is longer than the ring degree or not
+    /// reduced modulo `t`.
+    pub fn prepare_plain_bias(&self, plain: &Plaintext) -> Result<PreparedBias> {
+        plain.check(&self.ctx)?;
+        let ctx = &self.ctx;
+        let delta_m = if plain.significant_len() <= 1 {
+            let c = plain.coeffs().first().copied().unwrap_or(0);
+            let moduli = ctx.params().coeff_moduli().iter().enumerate();
+            Addend::Constant(
+                moduli
+                    .map(|(i, &qi)| mul_mod(c % qi, ctx.delta_mod[i].0, qi))
+                    .collect(),
+            )
+        } else {
+            let mut poly = RnsPoly::from_scaled_plain(ctx, plain.coeffs());
+            poly.to_ntt(ctx);
+            Addend::Poly(poly)
+        };
         Ok(PreparedBias {
-            delta_c,
-            context_id: *self.ctx.id(),
+            delta_m,
+            context_id: *ctx.id(),
         })
     }
 
-    /// Adds a prepared bias in place: `c0 += Δ·c`. Allocation-free and
-    /// NTT-free in both representations — in coefficient form only slot 0
-    /// changes; in evaluation form the transform of a constant is that
-    /// constant everywhere. Values are bit-identical to
-    /// [`Evaluator::add_plain`] with `Plaintext::constant(c)`.
+    /// Adds a prepared plaintext in place: `c0 += Δ·m`. Allocation-free
+    /// and NTT-free for a constant in either representation and for any
+    /// plaintext in evaluation form. Values are bit-identical to
+    /// [`Evaluator::add_plain`].
     pub fn add_plain_bias_inplace(&self, a: &mut Ciphertext, bias: &PreparedBias) -> Result<()> {
         self.check(a)?;
         if bias.context_id != *self.ctx.id() {
             return Err(BfvError::ContextMismatch);
         }
-        let form = a.polys[0].form();
+        let c0 = &mut a.polys[0];
+        let form = c0.form();
+        let delta_c = match &bias.delta_m {
+            Addend::Constant(delta_c) => delta_c,
+            Addend::Poly(delta_m) => {
+                c0.add_assign(&delta_m.in_form(form, &self.ctx), &self.ctx);
+                return Ok(());
+            }
+        };
         for (i, &qi) in self.ctx.params().coeff_moduli().iter().enumerate() {
-            let dc = bias.delta_c[i];
-            let limb = &mut a.polys[0].limbs[i];
+            let (dc, limb) = (delta_c[i], &mut c0.limbs[i]);
             match form {
                 PolyForm::Coeff => limb[0] = crate::arith::add_mod(limb[0], dc, qi),
                 PolyForm::Ntt => {
@@ -398,7 +396,7 @@ impl Evaluator {
             a.polys.push(RnsPoly::zero(&self.ctx, form));
         }
         for (dst, src) in a.polys.iter_mut().zip(b.polys.iter()) {
-            dst.add_assign(&in_form(src, dst.form(), &self.ctx), &self.ctx);
+            dst.add_assign(&src.in_form(dst.form(), &self.ctx), &self.ctx);
         }
         Ok(())
     }
@@ -441,7 +439,7 @@ impl Evaluator {
     /// every prime of the extension basis.
     fn lift_ntt(&self, poly: &RnsPoly) -> Vec<Vec<u64>> {
         let ctx = &self.ctx;
-        let coeff = in_form(poly, PolyForm::Coeff, ctx);
+        let coeff = poly.in_form(PolyForm::Coeff, ctx);
         let centered: Vec<u128> = (0..ctx.poly_degree())
             .map(|j| ctx.reconstruct(&coeff, j))
             .collect();
@@ -536,7 +534,7 @@ impl Evaluator {
         let dbc = ctx.params().decomposition_bit_count();
         let mask = (1u64 << dbc) - 1;
         let n = ctx.poly_degree();
-        let c2 = in_form(&ct.polys[2], PolyForm::Coeff, ctx);
+        let c2 = ct.polys[2].in_form(PolyForm::Coeff, ctx);
         let c2: Vec<u128> = (0..n).map(|j| ctx.reconstruct(&c2, j)).collect();
         let zero = vec![vec![0u128; n]; ctx.limb_count()];
         let mut sums = [zero.clone(), zero];
@@ -579,7 +577,7 @@ impl Evaluator {
                     form: PolyForm::Ntt,
                 };
                 acc.to_coeff(ctx);
-                acc.add_assign(&in_form(c, PolyForm::Coeff, ctx), ctx);
+                acc.add_assign(&c.in_form(PolyForm::Coeff, ctx), ctx);
                 acc
             })
             .collect();
@@ -588,21 +586,6 @@ impl Evaluator {
             context_id: *ctx.id(),
         })
     }
-}
-
-/// `src` in representation `form`: borrowed when it already is (the common
-/// case — accumulator and operand share provenance), a converted copy only
-/// when the forms differ.
-fn in_form<'a>(src: &'a RnsPoly, form: PolyForm, ctx: &BfvContext) -> Cow<'a, RnsPoly> {
-    if src.form() == form {
-        return Cow::Borrowed(src);
-    }
-    let mut converted = src.clone();
-    match form {
-        PolyForm::Coeff => converted.to_coeff(ctx),
-        PolyForm::Ntt => converted.to_ntt(ctx),
-    }
-    Cow::Owned(converted)
 }
 
 #[cfg(test)]
@@ -810,7 +793,9 @@ mod tests {
         let a = f.enc.encrypt(&Plaintext::constant(7), &mut f.rng).unwrap();
         let s = f.eval.mul_plain_signed_scalar(&a, 9).unwrap();
         assert_eq!(f.dec.decrypt(&s).unwrap().coeffs()[0], 63);
-        assert_eq!(s, f.eval.mul_plain(&a, &Plaintext::constant(9)).unwrap());
+        let mut product = f.eval.mul_plain(&a, &Plaintext::constant(9)).unwrap();
+        product.polys.iter_mut().for_each(|p| p.to_coeff(&f.ctx));
+        assert_eq!(s, product);
     }
 
     #[test]
@@ -903,7 +888,8 @@ mod scalar_tests {
             let got = eval.mul_plain_ntt(&a, &cached).unwrap();
             assert_eq!(got, eval.mul_plain(&a, &plain).unwrap());
             for (poly, src) in got.polys.iter().zip(&a.polys) {
-                assert_eq!(poly.form(), PolyForm::Coeff);
+                assert_eq!(poly.form(), PolyForm::Ntt);
+                let poly = poly.in_form(PolyForm::Coeff, &ctx);
                 for (i, &qi) in ctx.params().coeff_moduli().iter().enumerate() {
                     let mut centered = vec![0u64; ctx.poly_degree()];
                     for (m, &c) in centered.iter_mut().zip(plain.coeffs()) {
@@ -948,7 +934,7 @@ mod scalar_tests {
         }
         let whole = eval.dot_plain_ntt(refs(0..5)).unwrap();
         assert_eq!(whole, sum);
-        assert!(whole.polys.iter().all(|p| p.form() == PolyForm::Coeff));
+        assert!(whole.polys.iter().all(|p| p.form() == PolyForm::Ntt));
         // The size-3 term first or last, the sum split anywhere: same bits.
         for split in 1..5 {
             let mut grouped = eval.dot_plain_ntt(refs(split..5)).unwrap();
@@ -1006,29 +992,55 @@ mod scalar_tests {
         let eval = Evaluator::new(ctx.clone());
         let t = ctx.params().plain_modulus();
         let base = enc.encrypt(&Plaintext::constant(500), &mut rng).unwrap();
-        for residue in [0u64, 17, t - 1] {
-            let bias = eval.prepare_plain_bias(residue).unwrap();
-            // Coefficient-form ciphertext.
-            let mut got = base.clone();
-            eval.add_plain_bias_inplace(&mut got, &bias).unwrap();
-            let want = eval
-                .add_plain(&base, &Plaintext::constant(residue))
-                .unwrap();
-            assert_eq!(got, want, "coeff-form bias {residue}");
-            // NTT-form ciphertext (the transform of a constant is that
-            // constant everywhere — pinned here against full add_plain).
-            let mut ntt_base = base.clone();
-            for poly in ntt_base.polys.iter_mut() {
-                poly.to_ntt(&ctx);
-            }
-            let mut got = ntt_base.clone();
-            eval.add_plain_bias_inplace(&mut got, &bias).unwrap();
-            let want = eval
-                .add_plain(&ntt_base, &Plaintext::constant(residue))
-                .unwrap();
-            assert_eq!(got, want, "ntt-form bias {residue}");
+        let mut ntt_base = base.clone();
+        for poly in ntt_base.polys.iter_mut() {
+            poly.to_ntt(&ctx);
         }
-        assert!(eval.prepare_plain_bias(t).is_err());
+        // Constants (the transform of a constant is that constant
+        // everywhere — pinned here against full add_plain) and a polynomial
+        // prepared in evaluation form, added to either form.
+        let polynomial = Plaintext::from_coeffs(vec![4, 0, t - 1, 9]);
+        for plain in [0u64, 17, t - 1]
+            .map(Plaintext::constant)
+            .into_iter()
+            .chain([polynomial])
+        {
+            let bias = eval.prepare_plain_bias(&plain).unwrap();
+            for (form, base) in [("coeff", &base), ("ntt", &ntt_base)] {
+                let mut got = base.clone();
+                eval.add_plain_bias_inplace(&mut got, &bias).unwrap();
+                let want = eval.add_plain(base, &plain).unwrap();
+                assert_eq!(got, want, "{form}-form bias {:?}", plain.coeffs());
+            }
+        }
+        assert!(eval.prepare_plain_bias(&Plaintext::constant(t)).is_err());
+    }
+
+    /// A host that relabels one component's form reaches the accumulate
+    /// with operands that disagree: a shape error, not a context mismatch
+    /// and not the poly-level assert.
+    #[test]
+    fn accumulating_a_relabelled_form_is_a_shape_error() {
+        let ctx = BfvContext::new(presets::test_n256()).unwrap();
+        let mut rng = ChaChaRng::from_seed(97);
+        let keygen = KeyGenerator::new(ctx.clone(), &mut rng);
+        let enc = Encryptor::symmetric(ctx.clone(), keygen.secret_key());
+        let eval = Evaluator::new(ctx.clone());
+        let a = enc
+            .encrypt_symmetric(&Plaintext::constant(3), &mut rng)
+            .unwrap();
+        let w = eval.prepare_plain_scalar(-2).unwrap();
+        let mut acc = eval.mul_plain_scalar(&a, &w).unwrap();
+        eval.mul_plain_scalar_acc(&mut acc, &a, &w).unwrap();
+        for component in 0..2 {
+            let mut relabelled = a.clone();
+            relabelled.polys[component].form = PolyForm::Coeff;
+            let result = eval.mul_plain_scalar_acc(&mut acc.clone(), &relabelled, &w);
+            assert!(
+                matches!(result, Err(BfvError::InvalidShape(_))),
+                "{result:?}"
+            );
+        }
     }
 
     #[test]

@@ -170,8 +170,10 @@ impl KeyGenerator {
         let mut s = sampler::ternary_poly(&ctx, rng, PolyForm::Coeff);
         s.to_ntt(&ctx);
 
-        // PublicKeyGen: a <- R_q uniform, e <- X, pk = ([-(a·s + e)]_q, a).
-        let a = sampler::uniform_poly(&ctx, rng, PolyForm::Ntt);
+        // PublicKeyGen: a <- R_q uniform, e <- X, pk = ([-(a·s + e)]_q, a)
+        // (`a` drawn as coefficients: the goldens pin a seed's keys).
+        let mut a = sampler::uniform_poly(&ctx, rng, PolyForm::Coeff);
+        a.to_ntt(&ctx);
         let mut e = sampler::gaussian_poly(&ctx, rng, PolyForm::Coeff);
         e.to_ntt(&ctx);
         let mut p0 = a.mul_pointwise(&s, &ctx);
@@ -208,7 +210,8 @@ impl KeyGenerator {
         let s2 = self.sk.s.mul_pointwise(&self.sk.s, ctx);
         let mut keys = Vec::with_capacity(ctx.decomp_count);
         for k in 0..ctx.decomp_count {
-            let a_k = sampler::uniform_poly(ctx, rng, PolyForm::Ntt);
+            let mut a_k = sampler::uniform_poly(ctx, rng, PolyForm::Coeff);
+            a_k.to_ntt(ctx);
             let mut e_k = sampler::gaussian_poly(ctx, rng, PolyForm::Coeff);
             e_k.to_ntt(ctx);
             // b_k = -(a_k·s + e_k) + w^k·s²

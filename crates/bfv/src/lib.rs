@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::context::BfvContext;
     pub use crate::decryptor::Decryptor;
     pub use crate::encoding::{BatchEncoder, IntegerEncoder, ScalarEncoder};
-    pub use crate::encryptor::Encryptor;
+    pub use crate::encryptor::{EncryptionKey, Encryptor};
     pub use crate::error::BfvError;
     pub use crate::evaluator::{Evaluator, PlainScalar, PreparedBias};
     pub use crate::keys::{EvaluationKeys, KeyGenerator, PublicKey, SecretKey};

@@ -1,5 +1,7 @@
 //! Plaintext polynomials over `R_t`.
 
+use crate::context::BfvContext;
+use crate::error::{BfvError, Result};
 use crate::poly::RnsPoly;
 use serde::{Deserialize, Serialize};
 
@@ -55,6 +57,21 @@ impl Plaintext {
             .iter()
             .rposition(|&c| c != 0)
             .map_or(0, |p| p + 1)
+    }
+
+    /// Fails when the plaintext is longer than `ctx`'s ring degree or a
+    /// coefficient is not reduced modulo `t`.
+    pub(crate) fn check(&self, ctx: &BfvContext) -> Result<()> {
+        let degree = ctx.poly_degree();
+        if self.len() > degree {
+            let len = self.len();
+            return Err(BfvError::PlaintextTooLong { len, degree });
+        }
+        let t = ctx.params().plain_modulus();
+        match self.coeffs.iter().find(|&&c| c >= t) {
+            Some(&c) => Err(BfvError::PlaintextOutOfRange(c)),
+            None => Ok(()),
+        }
     }
 }
 

@@ -9,6 +9,7 @@
 use crate::arith::{add_mod, sub_mod};
 use crate::context::BfvContext;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Representation of an [`RnsPoly`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -96,6 +97,20 @@ impl RnsPoly {
             table.inverse(limb);
         }
         self.form = PolyForm::Coeff;
+    }
+
+    /// This polynomial in representation `form`: borrowed when it already
+    /// is (the common case), a converted copy only when the forms differ.
+    pub(crate) fn in_form(&self, form: PolyForm, ctx: &BfvContext) -> Cow<'_, RnsPoly> {
+        if self.form == form {
+            return Cow::Borrowed(self);
+        }
+        let mut converted = self.clone();
+        match form {
+            PolyForm::Coeff => converted.to_coeff(ctx),
+            PolyForm::Ntt => converted.to_ntt(ctx),
+        }
+        Cow::Owned(converted)
     }
 
     /// `self += other` (forms must match).

@@ -6,14 +6,13 @@ use crate::params::NOISE_TRUNCATION_SIGMAS;
 use crate::poly::{PolyForm, RnsPoly};
 use hesgx_crypto::rng::ChaChaRng;
 
-/// Samples a uniformly random element of `R_q` (per-limb uniform residues).
+/// Samples a uniformly random element of `R_q` as per-limb uniform residues
+/// in representation `form` — a uniform polynomial is uniform in either
+/// basis, so nothing is transformed.
 pub fn uniform_poly(ctx: &BfvContext, rng: &mut ChaChaRng, form: PolyForm) -> RnsPoly {
-    let mut poly = RnsPoly::zero(ctx, PolyForm::Coeff);
+    let mut poly = RnsPoly::zero(ctx, form);
     for (limb, &qi) in poly.limbs.iter_mut().zip(ctx.params().coeff_moduli()) {
         rng.fill_below(qi, limb);
-    }
-    if form == PolyForm::Ntt {
-        poly.to_ntt(ctx);
     }
     poly
 }

@@ -7,6 +7,7 @@
 //! modulus, every coefficient below `t`).
 
 use hesgx_bfv::context::BfvContext;
+use hesgx_bfv::ntt::NttTable;
 use hesgx_bfv::prelude::*;
 use hesgx_bfv::serialization::*;
 use hesgx_crypto::rng::ChaChaRng;
@@ -20,6 +21,11 @@ struct Fixture {
     ctx: Arc<BfvContext>,
     /// Valid encodings: ciphertext, public key, secret key, plaintext.
     valid: [Vec<u8>; 4],
+    /// A valid ciphertext of mixed form: `c0` in evaluation form, `c1` in
+    /// coefficient form (see [`mixed_form`]).
+    mixed: Vec<u8>,
+    /// What both ciphertexts encrypt.
+    plain: Plaintext,
 }
 
 fn fixture() -> &'static Fixture {
@@ -28,20 +34,66 @@ fn fixture() -> &'static Fixture {
         let ctx = BfvContext::new(presets::test_n256()).unwrap();
         let mut rng = ChaChaRng::from_seed(404);
         let keygen = KeyGenerator::new(ctx.clone(), &mut rng);
-        let pt = Plaintext::from_coeffs(vec![1, 2, 3, 4000]);
+        let plain = Plaintext::from_coeffs(vec![1, 2, 3, 4000]);
         let ct = Encryptor::new(ctx.clone(), keygen.public_key())
-            .encrypt(&pt, &mut rng)
+            .encrypt(&plain, &mut rng)
+            .unwrap();
+        let sym = Encryptor::symmetric(ctx.clone(), keygen.secret_key())
+            .encrypt_symmetric(&plain, &mut rng)
             .unwrap();
         Fixture {
             valid: [
                 ciphertext_to_bytes(&ct),
                 public_key_to_bytes(&keygen.public_key()),
                 secret_key_to_bytes(&keygen.secret_key()),
-                plaintext_to_bytes(&pt),
+                plaintext_to_bytes(&plain),
             ],
+            mixed: mixed_form(&ctx, ciphertext_to_bytes(&sym)),
+            plain,
             ctx,
         }
     })
+}
+
+/// Every valid encoding the mutation test starts from, with its decoder.
+fn corpus() -> impl Iterator<Item = (usize, &'static [u8])> {
+    let f = fixture();
+    let valid = f.valid.iter().enumerate();
+    valid
+        .map(|(kind, bytes)| (kind, &bytes[..]))
+        .chain([(0, &f.mixed[..])])
+}
+
+/// An evaluation-form ciphertext with its `c1` inverse-transformed and
+/// relabelled: the same ciphertext, the wire format's form byte differing
+/// between its components.
+fn mixed_form(ctx: &BfvContext, mut bytes: Vec<u8>) -> Vec<u8> {
+    let n = ctx.poly_degree();
+    let form_at = residue_offset(ctx, 8, 1, 0, 0) - 8 - 8 - 1;
+    assert_eq!(bytes[form_at], 1, "c1 in evaluation form");
+    bytes[form_at] = 0;
+    for (limb, &qi) in ctx.params().coeff_moduli().iter().enumerate() {
+        let at = residue_offset(ctx, 8, 1, limb, 0);
+        let words = bytes[at..at + 8 * n].chunks_exact(8);
+        let mut values: Vec<u64> = words
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        NttTable::new(n, qi).inverse(&mut values);
+        for (j, v) in values.iter().enumerate() {
+            bytes[at + 8 * j..at + 8 * j + 8].copy_from_slice(&v.to_le_bytes());
+        }
+    }
+    bytes
+}
+
+#[test]
+fn a_mixed_form_ciphertext_decodes_and_decrypts() {
+    let f = fixture();
+    assert_eq!(decode(0, &f.mixed), Ok(()));
+    let sk = secret_key_from_bytes(&f.ctx, &f.valid[2]).unwrap();
+    let ct = ciphertext_from_bytes(&f.ctx, &f.mixed).unwrap();
+    let decrypted = Decryptor::new(f.ctx.clone(), sk).decrypt(&ct).unwrap();
+    assert_eq!(decrypted.coeffs()[..f.plain.len()], *f.plain.coeffs());
 }
 
 /// Runs decoder `kind` over `data`. An accepted artifact must re-encode to
@@ -157,8 +209,8 @@ proptest! {
         word in any::<u64>(),
         mode in 0u8..7,
     ) {
-        for kind in 0..4 {
-            let mut bytes = fixture().valid[kind].clone();
+        for (kind, valid) in corpus() {
+            let mut bytes = valid.to_vec();
             let at = at % bytes.len();
             match mode {
                 0 => bytes[at] ^= 1 << (word % 8),

@@ -72,7 +72,7 @@ fn key_bytes(key: &PublicKey) -> Vec<u8> {
 pub struct KeyCeremonyPublic {
     /// Public keys (one per CRT plaintext modulus).
     pub public: Vec<PublicKey>,
-    /// The user's copy of the secret keys (decrypting inference results).
+    /// The user's copy of the secret keys (encrypting requests, decrypting results).
     pub user_secret: Vec<SecretKey>,
     /// Signed quote whose user data commits to [`digest_public_keys`].
     pub quote: Quote,

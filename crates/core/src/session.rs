@@ -577,7 +577,9 @@ impl Session {
     }
 
     /// The client role of FV-ciphertext ingress: encrypts a batch
-    /// [`Session::check_batch`] has validated in `layout`, booking the upload.
+    /// [`Session::check_batch`] has validated in `layout` under the user's
+    /// copy of the secret keys (evaluation form, DESIGN.md §19), booking the
+    /// upload.
     fn encrypt_batch(&self, images: &[Vec<i64>], layout: Layout) -> Result<EncryptedMap> {
         let _prof = prof::span("session.encrypt");
         let service = self.service.read();
@@ -589,7 +591,7 @@ impl Session {
             images,
             service.model().in_side,
             layout,
-            &self.ceremony.public,
+            &self.ceremony.user_secret,
             &batch_rng,
             &self.pool,
         )?;
@@ -987,8 +989,9 @@ mod tests {
     /// ROADMAP item 1, enclave half. A broker's workers are same-seed
     /// sessions on one platform — one key ceremony, one secret key — and a
     /// re-provision rebuilds the same keys again. Under one key a repeated
-    /// mask (`c1 = a` of the symmetric form, the pair `(u, e)` behind a
-    /// client encryption, a transcipher nonce) lets the host subtract two
+    /// mask (`c1 = a` of the symmetric form, which the client's batches,
+    /// the enclave's re-encryptions and its transcipher ingress all use
+    /// under the one `s`; a transcipher nonce) lets the host subtract two
     /// ciphertexts, so no stream may repeat across worker 0, worker 1 and
     /// worker 0's re-provisioned successor.
     #[test]
@@ -1016,11 +1019,14 @@ mod tests {
                 .map(|bytes| bytes[bytes.len() - 8 * 256..].to_vec())
                 .collect()
         };
-        // The client role: each worker's first batch and first payload.
+        // The client role: each worker's first batch and first payload, and
+        // worker 0's second batch.
         let (enc0, enc1) = (client_batch(&w0, &images), client_batch(&w1, &images));
-        let mut seen = [c1(&enc0), c1(&enc1)].concat();
+        let mut seen = [c1(&enc0), c1(&enc1), c1(&client_batch(&w0, &images))].concat();
         seen.push(w0.seal_batch(&images).unwrap());
         seen.push(w1.seal_batch(&images).unwrap());
+        // What the transcipher-ingress ECALL emits.
+        let transciphered = |session: &Session| c1(&session.transcipher_batch(&images).unwrap().0);
         // What the host sees leave a service's first four ECALLs: two
         // refreshes, then the cell a packed egress emits (the 9 × 3 × 3
         // pooled values of the ingress map, for three classes) and the
@@ -1052,10 +1058,13 @@ mod tests {
             }
             seen
         };
-        seen.extend(first_ecalls(&w0));
-        seen.extend(first_ecalls(&w1));
+        for worker in [&w0, &w1] {
+            seen.extend(first_ecalls(worker));
+            seen.extend(transciphered(worker));
+        }
         w0.reprovision("test").unwrap();
         seen.extend(first_ecalls(&w0));
+        seen.extend(transciphered(&w0));
         let total = seen.len();
         seen.sort();
         seen.dedup();

@@ -6,9 +6,9 @@
 //! on plaintext, re-encrypt, ECALL out — so there is one map → map operator,
 //! [`InferenceEnclave::apply`], and *what* it computes is data (a chain of
 //! [`EnclaveOp`]s). The enclave holds `s`, so it
-//! re-encrypts under the secret key
-//! ([`CrtPlainSystem::encrypt_slots_symmetric`], DESIGN.md §19) — the public
-//! keys it keeps are only what it hands out. The re-encryption also resets
+//! re-encrypts under the secret key, in evaluation form
+//! ([`CrtPlainSystem::encrypt_slots`] given `&self.secret`, DESIGN.md §19) —
+//! the public keys it keeps are only what it hands out. The re-encryption also resets
 //! the invariant noise, which is why the hybrid pipeline never needs
 //! relinearization keys (§IV-E).
 //!
@@ -472,7 +472,7 @@ impl InferenceEnclave {
                             (None, Layout::Pixel) => folded.swap_remove(0),
                             _ => operand(folded.len(), &|j, _, image| folded[j][image]),
                         };
-                        Ok(sys.encrypt_slots_symmetric(&values, &self.secret, &mut rng)?)
+                        Ok(sys.encrypt_slots(&values, &self.secret, &mut rng)?)
                     })
                 },
             )?;
@@ -557,7 +557,7 @@ impl InferenceEnclave {
                 *cpu_ns = open_timer.elapsed_ns();
                 let cells = timed_tasks(pool, packed.len(), cpu_ns, |cell| {
                     let mut rng = base.fork(&format!("cell-{cell}"));
-                    Ok(sys.encrypt_slots_symmetric(&packed[cell], &self.secret, &mut rng)?)
+                    Ok(sys.encrypt_slots(&packed[cell], &self.secret, &mut rng)?)
                 })?;
                 Ok((cells, batch))
             },

@@ -8,11 +8,11 @@
 //! the `Patches` ingress of the 8×8 model, whose logits leave one ciphertext
 //! per class — through the compiled plan (its FC layer is too narrow to pack,
 //! so the closing reduction is skipped) and through the hand-built
-//! three-stage list without that stage, bit for bit the same: digests that
-//! have not moved since each layout landed, the proof that `Pixel` egress is
-//! still bit-identical — and the `Patches` ingress of the same model with a
-//! sixteen-class FC layer, wide enough that the compiled plan packs the
-//! egress and its logits leave in one ciphertext. Regenerate (only when an
+//! three-stage list without that stage, bit for bit the same: the proof that
+//! `Pixel` egress is the three-stage pipeline's — and the `Patches` ingress
+//! of the same model with a sixteen-class FC layer, wide enough that the
+//! compiled plan packs the egress and its logits leave in one ciphertext.
+//! Regenerate (only when an
 //! intentional protocol change lands) with
 //! `HESGX_UPDATE_GOLDEN=1 cargo test -p hesgx-core --test golden_pipeline`.
 

@@ -8,10 +8,15 @@
 //! an operand map into a layer that does not read it, a fully connected layer
 //! over a map that is not its bank's — the answer is `Err`, never a panic or
 //! an out-of-bounds gather, and nothing is emitted that the cells which
-//! actually crossed could not fill.
+//! actually crossed could not fill. A polynomial's form is a claim too (the
+//! wire format carries it per polynomial): relabelled, it is served or
+//! refused, never trusted into a panic.
 
 mod testutil;
 
+use hesgx_bfv::context::BfvContext;
+use hesgx_bfv::prelude::{BfvError, Ciphertext, EncryptionKey, Plaintext};
+use hesgx_bfv::serialization::{ciphertext_from_bytes, ciphertext_to_bytes};
 use hesgx_core::planner::{plan_for, EcallBatching, EnclaveOp, Placement};
 use hesgx_core::InferenceEnclave;
 use hesgx_crypto::rng::ChaChaRng;
@@ -25,7 +30,7 @@ use hesgx_henn::weights::WeightBank;
 use hesgx_nn::layers::ActivationKind;
 use hesgx_tee::enclave::{EnclaveBuilder, Platform};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One key domain shared by the enclave, the HE layers and the cells a map is
 /// built from — so no claim is turned away as a context mismatch before its
@@ -88,6 +93,49 @@ fn number(pick: usize) -> usize {
     } else {
         EDGES[pick - 8]
     }
+}
+
+/// Encrypts under `key`, then — for the part that carries a `component` —
+/// flips that polynomial's form byte on the wire: the one claim about a
+/// ciphertext the format lets a host make without touching a residue.
+struct Relabel<'a, K> {
+    key: &'a K,
+    component: Option<usize>,
+}
+
+impl<K: EncryptionKey> EncryptionKey for Relabel<'_, K> {
+    fn encrypt(
+        &self,
+        ctx: &Arc<BfvContext>,
+        plain: &Plaintext,
+        rng: &mut ChaChaRng,
+    ) -> hesgx_bfv::error::Result<Ciphertext> {
+        let ct = self.key.encrypt(ctx, plain, rng)?;
+        let Some(component) = self.component else {
+            return Ok(ct);
+        };
+        let mut bytes = ciphertext_to_bytes(&ct);
+        // Magic, kind, context id, size; then per polynomial its form byte,
+        // limb count and length-prefixed limbs.
+        let poly_bytes = 1 + 8 + ctx.limb_count() * (8 + 8 * ctx.poly_degree());
+        bytes[37 + 8 + component * poly_bytes] ^= 1;
+        ciphertext_from_bytes(ctx, &bytes)
+    }
+}
+
+/// A cell of the host's key domain encrypted under `keys` (the public or the
+/// secret ones) with polynomial `component` of CRT part `part` relabelled.
+fn relabelled<K: EncryptionKey>(keys: &[K], part: usize, component: usize) -> CrtCiphertext {
+    let keys: Vec<_> = (keys.iter().enumerate())
+        .map(|(i, key)| Relabel {
+            key,
+            component: (i == part).then_some(component),
+        })
+        .collect();
+    let mut rng = ChaChaRng::from_seed(43);
+    let sys = host().layers.system();
+    sys.encrypt_slots(&[3, -1, 4, 1, -5, 9], &keys, &mut rng)
+        .unwrap()
 }
 
 /// `layout` with field `field` (of its one to three numbers) set to `value`.
@@ -226,6 +274,55 @@ proptest! {
         prop_assert_eq!(served.is_ok(), fits, "{} × {:?} over {:?}", out, (rows, cols), fc_shape);
         if served.is_err() {
             prop_assert_eq!(counter, OpCounter::default());
+        }
+    }
+
+    /// The wire format encodes each polynomial's form, so a host can
+    /// relabel one component of one cell of a map the pipeline could have
+    /// built: the model's input per pixel or patch-packed, its pooled map per
+    /// pixel or packed for the FC layer. Decryption and the enclave serve it
+    /// (to a wrong value, which only its sender reads); a convolution refuses
+    /// to accumulate it into a correctly labelled cell; the operand FC
+    /// transforms whatever it is handed. Nothing panics.
+    #[test]
+    fn a_relabelled_form_is_refused_or_served_never_trusted(
+        family in 0usize..4, secret_base in any::<bool>(), part in 0usize..2,
+        component in 0usize..2, at in any::<usize>(),
+    ) {
+        let host = host();
+        let (sys, model) = (host.layers.system(), host.layers.model());
+        let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
+        let (layer, chain, layout, shape) = match family {
+            0 => (HeLayer::Conv, vec![sigmoid, EnclaveOp::MeanPool], Layout::Pixel, (1, 8, 8)),
+            1 => (HeLayer::Conv, vec![sigmoid], Layout::Patches { batch: 2, side: 6 }, (9, 1, 1)),
+            2 => (HeLayer::Fc, vec![sigmoid], Layout::Pixel, (2, 3, 3)),
+            _ => (
+                HeLayer::Fc,
+                vec![EnclaveOp::LogitReduce],
+                Layout::FcOperand { classes: 3, batch: 2, inputs: 18 },
+                (1, 1, 1),
+            ),
+        };
+        let mut cells = vec![host.cell.clone(); shape.0 * shape.1 * shape.2];
+        let target = at % cells.len();
+        cells[target] = match secret_base {
+            true => relabelled(&host.keys.secret, part, component),
+            false => relabelled(&host.keys.public, part, component),
+        };
+        let map = EncryptedMap::new(shape.0, shape.1, shape.2, cells).with_layout(layout);
+
+        let _ = map.decrypt_all(sys, &host.keys.secret, 2, &ParExec::serial());
+        let batched = EcallBatching::Batched;
+        let applied = host.enclave.apply(&chain, sys, model, &map, batched, Layout::Pixel, host.layers.pool());
+        prop_assert!(applied.is_ok(), "{:?}", applied.err());
+        let mut counter = OpCounter::default();
+        let out = host.layers.apply(layer, &map, &host.keys.evaluation, &mut counter);
+        if layout == Layout::Pixel || layer == HeLayer::Conv {
+            let refused = matches!(out, Err(BfvError::InvalidShape(_)));
+            prop_assert!(refused, "{:?} over {:?}: {:?}", layer, layout, out.map(|m| m.shape()));
+            prop_assert_eq!(counter, OpCounter::default());
+        } else {
+            prop_assert!(out.is_ok(), "{:?}", out.err());
         }
     }
 

@@ -8,9 +8,13 @@
 use crate::chacha20::{self, BLOCK_LEN, KEY_LEN, NONCE_LEN};
 use crate::sha256::sha256;
 
+/// Keystream bytes buffered per refill: four consecutive blocks, so a word
+/// draw is a load from the buffer and a refill is rare.
+const BUFFER_LEN: usize = 4 * BLOCK_LEN;
+
 /// ChaCha20-based pseudo-random generator.
 ///
-/// The generator key and the buffered keystream block are zeroized when the
+/// The generator key and the buffered keystream blocks are zeroized when the
 /// generator drops (see [`ChaChaRng::zeroize`]): forks of this type seed key
 /// generation and enclave re-encryption, so a stale copy in freed memory is
 /// key-equivalent material.
@@ -29,7 +33,7 @@ pub struct ChaChaRng {
     key: [u8; KEY_LEN],
     nonce: [u8; NONCE_LEN],
     counter: u32,
-    buffer: [u8; BLOCK_LEN],
+    buffer: [u8; BUFFER_LEN],
     offset: usize,
 }
 
@@ -58,8 +62,8 @@ impl ChaChaRng {
             key,
             nonce: [0; NONCE_LEN],
             counter: 0,
-            buffer: [0; BLOCK_LEN],
-            offset: BLOCK_LEN,
+            buffer: [0; BUFFER_LEN],
+            offset: BUFFER_LEN,
         }
     }
 
@@ -92,17 +96,19 @@ impl ChaChaRng {
     }
 
     fn refill(&mut self) {
-        self.buffer = chacha20::block(&self.key, self.counter, &self.nonce);
-        self.counter = self.counter.checked_add(1).unwrap_or_else(|| {
-            // Roll the nonce on counter exhaustion (2^32 blocks = 256 GiB).
-            for b in self.nonce.iter_mut() {
-                *b = b.wrapping_add(1);
-                if *b != 0 {
-                    break;
+        for block in self.buffer.chunks_exact_mut(BLOCK_LEN) {
+            block.copy_from_slice(&chacha20::block(&self.key, self.counter, &self.nonce));
+            self.counter = self.counter.checked_add(1).unwrap_or_else(|| {
+                // Roll the nonce on counter exhaustion (2^32 blocks = 256 GiB).
+                for b in self.nonce.iter_mut() {
+                    *b = b.wrapping_add(1);
+                    if *b != 0 {
+                        break;
+                    }
                 }
-            }
-            0
-        });
+                0
+            });
+        }
         self.offset = 0;
     }
 
@@ -110,10 +116,10 @@ impl ChaChaRng {
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut written = 0;
         while written < dest.len() {
-            if self.offset == BLOCK_LEN {
+            if self.offset == BUFFER_LEN {
                 self.refill();
             }
-            let take = (BLOCK_LEN - self.offset).min(dest.len() - written);
+            let take = (BUFFER_LEN - self.offset).min(dest.len() - written);
             dest[written..written + take]
                 .copy_from_slice(&self.buffer[self.offset..self.offset + take]);
             self.offset += take;
@@ -121,18 +127,28 @@ impl ChaChaRng {
         }
     }
 
+    /// The next `N` keystream bytes: one load from the buffer, unless they
+    /// straddle a refill.
+    fn next_bytes<const N: usize>(&mut self) -> [u8; N] {
+        let mut out = [0u8; N];
+        match self.buffer.get(self.offset..self.offset + N) {
+            Some(bytes) => {
+                out.copy_from_slice(bytes);
+                self.offset += N;
+            }
+            None => self.fill_bytes(&mut out),
+        }
+        out
+    }
+
     /// Returns a uniformly random `u64`.
     pub fn next_u64(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.fill_bytes(&mut b);
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.next_bytes())
     }
 
     /// Returns a uniformly random `u32`.
     pub fn next_u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.fill_bytes(&mut b);
-        u32::from_le_bytes(b)
+        u32::from_le_bytes(self.next_bytes())
     }
 
     /// Returns a uniform value in `[0, bound)` via rejection sampling.
@@ -221,7 +237,7 @@ impl ChaChaRng {
             *b = 0;
         }
         self.counter = 0;
-        self.offset = BLOCK_LEN;
+        self.offset = BUFFER_LEN;
         // Keep the optimizer from eliding the wipes as dead stores.
         std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
     }
@@ -348,6 +364,44 @@ mod tests {
         let rendered = format!("{rng:?}");
         assert!(rendered.contains("<redacted>"));
         assert!(!rendered.contains("buffer"));
+    }
+
+    /// Every draw reads one byte stream — the concatenated `chacha20::block`
+    /// outputs — across four-block refills and across the `u32::MAX` counter
+    /// rollover (where the nonce steps), whatever mix of word and unaligned
+    /// byte draws reads it.
+    #[test]
+    fn draws_are_the_block_keystream_across_refills_and_counter_rollover() {
+        const BLOCKS: usize = 12;
+        for start in [0, u32::MAX - 5] {
+            let mut rng = ChaChaRng::from_seed(13);
+            rng.counter = start;
+            let (mut counter, mut nonce) = (start, rng.nonce);
+            let mut expected = Vec::new();
+            for _ in 0..BLOCKS {
+                expected.extend_from_slice(&chacha20::block(&rng.key, counter, &nonce));
+                counter = counter.wrapping_add(1);
+                // The nonce starts at zero: its roll is the first byte.
+                nonce[0] += u8::from(counter == 0);
+            }
+            let mut drawn = Vec::new();
+            for step in 0.. {
+                match step % 5 {
+                    0 => drawn.extend_from_slice(&rng.next_u32().to_le_bytes()),
+                    1 | 3 => drawn.extend_from_slice(&rng.next_u64().to_le_bytes()),
+                    _ => {
+                        let mut bytes = [0u8; 61];
+                        let len = if step % 10 == 2 { 3 } else { 61 };
+                        rng.fill_bytes(&mut bytes[..len]);
+                        drawn.extend_from_slice(&bytes[..len]);
+                    }
+                }
+                if drawn.len() >= expected.len() - 64 {
+                    break;
+                }
+            }
+            assert_eq!(drawn, expected[..drawn.len()], "start {start}");
+        }
     }
 
     #[test]

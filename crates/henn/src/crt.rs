@@ -281,49 +281,24 @@ impl CrtPlainSystem {
             .collect()
     }
 
-    /// Encrypts the part plaintexts of `values` with `encrypt`.
-    fn encrypt_parts(
+    /// Encrypts one signed value per SIMD slot under one key per part; the
+    /// key type picks the encryption ([`EncryptionKey`]): the public keys,
+    /// or the secret keys — in evaluation form — for a party that holds `s`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when more values than slots are supplied.
+    pub fn encrypt_slots<K: EncryptionKey>(
         &self,
         values: &[i64],
-        mut encrypt: impl FnMut(usize, &Plaintext) -> hesgx_bfv::error::Result<Ciphertext>,
+        keys: &[K],
+        rng: &mut ChaChaRng,
     ) -> hesgx_bfv::error::Result<CrtCiphertext> {
         let plain = self.encode_slots(values)?;
-        let parts = plain.iter().enumerate().map(|(i, pt)| encrypt(i, pt));
+        let parts = plain.iter().enumerate();
+        let parts = parts.map(|(i, pt)| keys[i].encrypt(&self.contexts[i], pt, rng));
         Ok(CrtCiphertext {
             parts: parts.collect::<hesgx_bfv::error::Result<_>>()?,
-        })
-    }
-
-    /// Encrypts one signed value per SIMD slot.
-    ///
-    /// # Errors
-    ///
-    /// Fails when more values than slots are supplied.
-    pub fn encrypt_slots(
-        &self,
-        values: &[i64],
-        public: &[PublicKey],
-        rng: &mut ChaChaRng,
-    ) -> hesgx_bfv::error::Result<CrtCiphertext> {
-        self.encrypt_parts(values, |i, pt| {
-            Encryptor::new(self.contexts[i].clone(), &public[i]).encrypt(pt, rng)
-        })
-    }
-
-    /// [`CrtPlainSystem::encrypt_slots`] under the secret keys
-    /// ([`Encryptor::encrypt_symmetric`]) — the enclave's re-encryption.
-    ///
-    /// # Errors
-    ///
-    /// Fails when more values than slots are supplied.
-    pub fn encrypt_slots_symmetric(
-        &self,
-        values: &[i64],
-        secret: &[SecretKey],
-        rng: &mut ChaChaRng,
-    ) -> hesgx_bfv::error::Result<CrtCiphertext> {
-        self.encrypt_parts(values, |i, pt| {
-            Encryptor::symmetric(self.contexts[i].clone(), &secret[i]).encrypt_symmetric(pt, rng)
         })
     }
 
@@ -496,7 +471,9 @@ impl CrtPlainSystem {
             .evaluators
             .iter()
             .zip(&self.moduli)
-            .map(|(eval, &t)| eval.prepare_plain_bias(value.rem_euclid(t as i64) as u64))
+            .map(|(eval, &t)| {
+                eval.prepare_plain_bias(&Plaintext::constant(value.rem_euclid(t as i64) as u64))
+            })
             .collect::<hesgx_bfv::error::Result<_>>()?;
         Ok(CrtPreparedBias { parts })
     }
@@ -576,8 +553,7 @@ mod tests {
             let keys = sys.generate_keys(&mut rng);
             let cts = [
                 sys.encrypt_slots(&values, &keys.public, &mut rng).unwrap(),
-                sys.encrypt_slots_symmetric(&values, &keys.secret, &mut rng)
-                    .unwrap(),
+                sys.encrypt_slots(&values, &keys.secret, &mut rng).unwrap(),
             ];
             for ct in &cts {
                 assert_eq!(ct.byte_len(), sys.fresh_ciphertext_byte_len());

@@ -12,7 +12,7 @@
 use crate::crt::{CrtCiphertext, CrtPlainSystem};
 use crate::par::ParExec;
 use hesgx_bfv::error::{BfvError, Result};
-use hesgx_bfv::prelude::{PublicKey, SecretKey};
+use hesgx_bfv::prelude::{EncryptionKey, SecretKey};
 use hesgx_crypto::rng::ChaChaRng;
 
 /// How the cells of an [`EncryptedMap`] hold a batch of feature maps.
@@ -281,7 +281,9 @@ impl EncryptedMap {
     }
 
     /// Encrypts a batch of quantized images (each `side*side` pixels) in
-    /// `layout`: one task per ingress cell on `pool` (one runs inline).
+    /// `layout` under `keys` ([`CrtPlainSystem::encrypt_slots`]: the user's
+    /// copy of the secret keys, or the public keys): one task per ingress
+    /// cell on `pool` (one runs inline).
     ///
     /// Each cell encrypts with its **own fork** of `rng`, keyed by the cell
     /// index (`enc-cell-{i}`), so the ciphertexts are bit-for-bit identical
@@ -296,12 +298,12 @@ impl EncryptedMap {
     /// # Panics
     ///
     /// Panics when an image has the wrong pixel count.
-    pub fn encrypt_images(
+    pub fn encrypt_images<K: EncryptionKey + Sync>(
         sys: &CrtPlainSystem,
         images: &[Vec<i64>],
         side: usize,
         layout: Layout,
-        public: &[PublicKey],
+        keys: &[K],
         rng: &ChaChaRng,
         pool: &ParExec,
     ) -> Result<EncryptedMap> {
@@ -311,7 +313,7 @@ impl EncryptedMap {
         let packed = layout.pack(images, side, sys.slot_count());
         let cells = pool.try_run(packed.len(), |cell| {
             let mut cell_rng = base.fork(&format!("enc-cell-{cell}"));
-            sys.encrypt_slots(&packed[cell], public, &mut cell_rng)
+            sys.encrypt_slots(&packed[cell], keys, &mut cell_rng)
         })?;
         Ok(EncryptedMap::ingress(layout, side, cells))
     }

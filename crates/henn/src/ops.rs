@@ -172,7 +172,8 @@ const FC_OPERAND_GROUP: usize = 8;
 /// The fully connected layer over a [`Layout::FcOperand`] map: one slot-wise
 /// `C×P` per cell against `bank`'s weight plaintexts, summed into one
 /// ciphertext (in evaluation form, `FC_OPERAND_GROUP` cells a task) plus
-/// the bias plaintext. Its slots hold `per_cell` partial sums per
+/// the bias — no transform when the map arrives in evaluation form, as
+/// the enclave emits it. Its slots hold `per_cell` partial sums per
 /// (class, image): the output map is `FcOperand` with `inputs = per_cell`.
 ///
 /// # Errors
@@ -218,7 +219,8 @@ pub fn he_fc_operand(
         for term in partial.by_ref().take(groups - 1) {
             eval.add_inplace(&mut acc, &term)?;
         }
-        eval.add_plain(&acc, &bank.bias[part])
+        eval.add_plain_bias_inplace(&mut acc, &bank.bias[part])?;
+        Ok(acc)
     });
     let logits = CrtCiphertext {
         parts: parts.collect::<Result<_>>()?,

@@ -7,6 +7,7 @@ use crate::crt::{CrtPlainSystem, CrtPreparedBias, CrtPreparedScalar};
 use crate::image::fc_cell;
 use hesgx_bfv::encoding::IntegerEncoder;
 use hesgx_bfv::error::{BfvError, Result};
+use hesgx_bfv::evaluator::PreparedBias;
 use hesgx_bfv::plaintext::{NttPlaintext, Plaintext};
 
 /// The plaintext encodings of one weight across every CRT modulus.
@@ -66,8 +67,8 @@ pub struct FcOperandBank {
     pub per_cell: usize,
     /// `[cell][part]` weight plaintexts, in evaluation form.
     pub weights: Vec<Vec<NttPlaintext>>,
-    /// `[part]` bias plaintexts.
-    pub bias: Vec<Plaintext>,
+    /// `[part]` bias addends, in evaluation form.
+    pub bias: Vec<PreparedBias>,
 }
 
 impl FcOperandBank {
@@ -106,12 +107,16 @@ impl FcOperandBank {
                 plain.iter().enumerate().map(ntt).collect()
             })
             .collect::<Result<_>>()?;
+        let bias = cell(&|_, class, _| biases[class], 1)?
+            .into_iter()
+            .enumerate();
+        let bias = bias.map(|(part, plain)| sys.evaluator(part).prepare_plain_bias(&plain));
         Ok(FcOperandBank {
             classes,
             inputs,
             per_cell,
             weights,
-            bias: cell(&|_, class, _| biases[class], 1)?,
+            bias: bias.collect::<Result<_>>()?,
         })
     }
 }
