@@ -130,6 +130,15 @@ step_bench() {
     run_twice_diff transcipher target/bench/BENCH_transcipher.deterministic.json
     test -s target/bench/BENCH_transcipher.json
 
+    # Fig. 3 times WeightBank::prepare, the once-per-model operand
+    # preparation the served convolution consumes; its wall times are
+    # orientation only, so the gate is that the sweep runs and reports one
+    # linearity fit per sweep (two fixed-kernel sweeps and the joint one).
+    echo "==> fig3 (weight-operand preparation sweeps)"
+    mkdir -p target/bench
+    repro fig3 --quick > target/bench/fig3.txt
+    test "$(grep -c '^  R² ' target/bench/fig3.txt)" -eq 3
+
     # Fig. 8's deterministic face: modeled enclave cost terms + HE op counts,
     # kept next to the NTT tables for cross-commit diffing.
     echo "==> fig8 bench table"

@@ -8,7 +8,7 @@ use hesgx_core::planner::{EcallBatching, EnclaveOp};
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
-use hesgx_henn::weights::{conv_weight_count, encode_weights};
+use hesgx_henn::weights::WeightBank;
 use hesgx_nn::layers::ActivationKind;
 use std::hint::black_box;
 
@@ -16,12 +16,13 @@ fn bench_weight_encoding(c: &mut Criterion) {
     let env = PaperEnv::new(11);
     let mut group = c.benchmark_group("fig3/weight_encoding");
     for kernels in [11usize, 26] {
-        let count = conv_weight_count(kernels, 5);
-        let weights: Vec<i64> = (0..count).map(|i| (i as i64 % 63) - 31).collect();
+        let operand = |i: usize| (i as i64 % 63) - 31;
+        let weights: Vec<i64> = (0..kernels * 25).map(operand).collect();
+        let biases: Vec<i64> = (0..kernels).map(operand).collect();
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{kernels}kernels_5x5")),
-            &weights,
-            |b, w| b.iter(|| black_box(encode_weights(&env.sys, w).unwrap())),
+            &(weights, biases),
+            |b, (w, bias)| b.iter(|| black_box(WeightBank::prepare(&env.sys, w, bias).unwrap())),
         );
     }
     group.finish();

@@ -87,28 +87,6 @@ impl BatchEncoder {
         Ok(Plaintext::from_coeffs(evals))
     }
 
-    /// Encodes signed slot values with a centered lift.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a magnitude exceeds `(t-1)/2`.
-    pub fn encode_signed(&self, values: &[i64]) -> Result<Plaintext> {
-        let max = ((self.t - 1) / 2) as i64;
-        let unsigned: Result<Vec<u64>> = values
-            .iter()
-            .map(|&v| {
-                if v.abs() > max {
-                    Err(BfvError::EncodeOutOfRange(v))
-                } else if v >= 0 {
-                    Ok(v as u64)
-                } else {
-                    Ok(self.t - (-v) as u64)
-                }
-            })
-            .collect();
-        self.encode(&unsigned?)
-    }
-
     /// Decodes all `n` slot values (unsigned residues mod `t`).
     pub fn decode(&self, plain: &Plaintext) -> Vec<u64> {
         let mut coeffs = vec![0u64; self.slots];
@@ -120,20 +98,6 @@ impl BatchEncoder {
         }
         self.table.forward(&mut coeffs);
         coeffs
-    }
-
-    /// Decodes slot values with a centered lift to signed integers.
-    pub fn decode_signed(&self, plain: &Plaintext) -> Vec<i64> {
-        self.decode(plain)
-            .into_iter()
-            .map(|v| {
-                if v > self.t / 2 {
-                    v as i64 - self.t as i64
-                } else {
-                    v as i64
-                }
-            })
-            .collect()
     }
 }
 
@@ -158,11 +122,24 @@ mod tests {
 
     #[test]
     fn roundtrip_signed() {
+        // Signed slot values travel as their residues mod t, the way
+        // `CrtPlainSystem::encode_slots` reduces them; a centered lift of the
+        // decoded residues gives them back.
         let e = encoder();
-        let values = vec![-5i64, 0, 5, -1000, 1000];
-        let back = e.decode_signed(&e.encode_signed(&values).unwrap());
-        assert_eq!(&back[..5], &values[..]);
-        assert!(back[5..].iter().all(|&v| v == 0));
+        let t = e.plain_modulus() as i64;
+        let values = [-5i64, 0, 5, -1000, 1000, -(t - 1) / 2, (t - 1) / 2];
+        let residues: Vec<u64> = values.iter().map(|v| v.rem_euclid(t) as u64).collect();
+        let back = e.decode(&e.encode(&residues).unwrap());
+        let lift = |r: u64| {
+            if r as i64 > t / 2 {
+                r as i64 - t
+            } else {
+                r as i64
+            }
+        };
+        let back: Vec<i64> = back.into_iter().map(lift).collect();
+        assert_eq!(&back[..values.len()], &values[..]);
+        assert!(back[values.len()..].iter().all(|&v| v == 0));
     }
 
     #[test]

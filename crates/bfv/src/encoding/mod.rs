@@ -1,19 +1,13 @@
-//! Plaintext encoders.
+//! The plaintext encoder.
 //!
-//! * [`scalar::ScalarEncoder`] — one integer per plaintext, stored in the
-//!   constant coefficient. Exact integer arithmetic modulo `t`.
-//! * [`integer::IntegerEncoder`] — SEAL-style signed binary expansion across
-//!   coefficients; keeps plaintext norms small so `C × P` noise growth tracks
-//!   the true weight magnitude.
-//! * [`batch::BatchEncoder`] — SIMD slots via the CRT/NTT structure of `Z_t`
-//!   (`t ≡ 1 mod 2n`, prime). This is the batching the paper's §VIII discusses
-//!   ("you can get 1024 times the throughput"); the image pipelines put the
-//!   batch dimension in the slots.
+//! [`batch::BatchEncoder`] maps `n` SIMD slots via the CRT/NTT structure of
+//! `Z_t` (`t ≡ 1 mod 2n`, prime). This is the batching the paper's §VIII
+//! discusses ("you can get 1024 times the throughput"); the image pipelines
+//! put the batch dimension in the slots. Model weights are prepared once per
+//! model in `hesgx_henn::weights`: a convolution weight as a slot-wise scalar
+//! operand ([`crate::evaluator::PlainScalar`]), the packed FC layer's weights
+//! as batch-encoded cells.
 
 pub mod batch;
-pub mod integer;
-pub mod scalar;
 
 pub use batch::BatchEncoder;
-pub use integer::IntegerEncoder;
-pub use scalar::ScalarEncoder;

@@ -24,7 +24,7 @@ pub enum BfvError {
     EvaluationKeyMismatch,
     /// Batching requested but `t ≢ 1 (mod 2n)` or `t` is not prime.
     BatchingUnsupported,
-    /// A value does not fit the encoder's representable range.
+    /// A scalar operand does not fit the plaintext space (`|v| ≥ t`).
     EncodeOutOfRange(i64),
     /// Too many values for the available slots.
     TooManyValues {

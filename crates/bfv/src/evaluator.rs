@@ -89,26 +89,6 @@ impl Evaluator {
         Ok(out)
     }
 
-    /// Homomorphic subtraction `a - b`.
-    pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
-        let mut neg = b.clone();
-        self.check(&neg)?;
-        for poly in neg.polys.iter_mut() {
-            poly.negate(&self.ctx);
-        }
-        self.add(a, &neg)
-    }
-
-    /// Homomorphic negation.
-    pub fn negate(&self, a: &Ciphertext) -> Result<Ciphertext> {
-        self.check(a)?;
-        let mut out = a.clone();
-        for poly in out.polys.iter_mut() {
-            poly.negate(&self.ctx);
-        }
-        Ok(out)
-    }
-
     /// Adds a plaintext: `c0 += Δ·m`.
     pub fn add_plain(&self, a: &Ciphertext, plain: &Plaintext) -> Result<Ciphertext> {
         self.check(a)?;
@@ -117,17 +97,6 @@ impl Evaluator {
         let delta_m = RnsPoly::from_scaled_plain(&self.ctx, plain.coeffs());
         let form = out.polys[0].form();
         out.polys[0].add_assign(&delta_m.in_form(form, &self.ctx), &self.ctx);
-        Ok(out)
-    }
-
-    /// Subtracts a plaintext: `c0 -= Δ·m`.
-    pub fn sub_plain(&self, a: &Ciphertext, plain: &Plaintext) -> Result<Ciphertext> {
-        self.check(a)?;
-        plain.check(&self.ctx)?;
-        let mut out = a.clone();
-        let delta_m = RnsPoly::from_scaled_plain(&self.ctx, plain.coeffs());
-        let form = out.polys[0].form();
-        out.polys[0].sub_assign(&delta_m.in_form(form, &self.ctx), &self.ctx);
         Ok(out)
     }
 
@@ -638,21 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn sub_and_negate() {
-        let mut f = fixture();
-        let t = f.ctx.params().plain_modulus();
-        let a = f
-            .enc
-            .encrypt(&Plaintext::constant(100), &mut f.rng)
-            .unwrap();
-        let b = f.enc.encrypt(&Plaintext::constant(30), &mut f.rng).unwrap();
-        let d = f.eval.sub(&a, &b).unwrap();
-        assert_eq!(f.dec.decrypt(&d).unwrap().coeffs()[0], 70);
-        let neg = f.eval.negate(&a).unwrap();
-        assert_eq!(f.dec.decrypt(&neg).unwrap().coeffs()[0], t - 100);
-    }
-
-    #[test]
     fn plain_add_sub() {
         let mut f = fixture();
         let a = f
@@ -661,8 +615,6 @@ mod tests {
             .unwrap();
         let added = f.eval.add_plain(&a, &Plaintext::constant(17)).unwrap();
         assert_eq!(f.dec.decrypt(&added).unwrap().coeffs()[0], 517);
-        let subbed = f.eval.sub_plain(&added, &Plaintext::constant(17)).unwrap();
-        assert_eq!(f.dec.decrypt(&subbed).unwrap().coeffs()[0], 500);
     }
 
     #[test]

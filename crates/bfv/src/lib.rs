@@ -26,11 +26,11 @@
 //!   integers, as residues modulo `q`'s limbs and three extension primes, and
 //!   rescaled by `round(t·x/q)` in 64/128-bit words, matching the textbook
 //!   FV definition bit for bit.
-//! * **Three encoders** — scalar, SEAL-style integer (low-norm), and SIMD
-//!   batching (`t ≡ 1 mod 2n`), the throughput extension of the paper's §VIII.
+//! * **One encoder** — SIMD batching (`t ≡ 1 mod 2n`), the throughput
+//!   extension of the paper's §VIII; a convolution weight is a slot-wise
+//!   scalar operand ([`evaluator::PlainScalar`]), not a polynomial of its own.
 //! * **Noise budget tracking** — [`decryptor::Decryptor::invariant_noise_budget`]
-//!   drives the hybrid framework's decision to refresh ciphertexts in the
-//!   enclave instead of relinearizing.
+//!   feeds the hybrid framework's noise telemetry and its tests.
 //!
 //! # Examples
 //!
@@ -79,7 +79,7 @@ pub mod prelude {
     pub use crate::ciphertext::Ciphertext;
     pub use crate::context::BfvContext;
     pub use crate::decryptor::Decryptor;
-    pub use crate::encoding::{BatchEncoder, IntegerEncoder, ScalarEncoder};
+    pub use crate::encoding::BatchEncoder;
     pub use crate::encryptor::{EncryptionKey, Encryptor};
     pub use crate::error::BfvError;
     pub use crate::evaluator::{Evaluator, PlainScalar, PreparedBias};

@@ -6,7 +6,7 @@
 //! and the noise measurements ever reconstruct full-width coefficients, and
 //! those fit a `u128`.
 
-use crate::arith::{add_mod, sub_mod};
+use crate::arith::add_mod;
 use crate::context::BfvContext;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -119,16 +119,6 @@ impl RnsPoly {
         for (i, &qi) in ctx.params().coeff_moduli().iter().enumerate() {
             for j in 0..self.limbs[i].len() {
                 self.limbs[i][j] = add_mod(self.limbs[i][j], other.limbs[i][j], qi);
-            }
-        }
-    }
-
-    /// `self -= other` (forms must match).
-    pub fn sub_assign(&mut self, other: &RnsPoly, ctx: &BfvContext) {
-        assert_eq!(self.form, other.form, "form mismatch in sub");
-        for (i, &qi) in ctx.params().coeff_moduli().iter().enumerate() {
-            for j in 0..self.limbs[i].len() {
-                self.limbs[i][j] = sub_mod(self.limbs[i][j], other.limbs[i][j], qi);
             }
         }
     }
@@ -286,7 +276,9 @@ mod tests {
         let b = random_poly(&ctx, &mut rng);
         let mut c = a.clone();
         c.add_assign(&b, &ctx);
-        c.sub_assign(&b, &ctx);
+        let mut minus_b = b;
+        minus_b.negate(&ctx);
+        c.add_assign(&minus_b, &ctx);
         assert_eq!(c, a);
     }
 

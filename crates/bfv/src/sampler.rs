@@ -39,20 +39,6 @@ pub fn ternary_signed(n: usize, rng: &mut ChaChaRng) -> Vec<i64> {
     out
 }
 
-/// Samples from the truncated discrete Gaussian with standard deviation
-/// `sigma`, truncated at [`NOISE_TRUNCATION_SIGMAS`]·σ.
-pub fn gaussian_signed(n: usize, sigma: f64, rng: &mut ChaChaRng) -> Vec<i64> {
-    let bound = (NOISE_TRUNCATION_SIGMAS * sigma).ceil() as i64;
-    (0..n)
-        .map(|_| loop {
-            let sample = (rng.next_gaussian() * sigma).round() as i64;
-            if sample.abs() <= bound {
-                break sample;
-            }
-        })
-        .collect()
-}
-
 /// Table-based discrete Gaussian sampler (inverse-CDF over the truncated
 /// support). Replaces per-sample Box–Muller transcendentals with one uniform
 /// draw and a small binary search — the hot path of encryption.
@@ -124,19 +110,6 @@ mod tests {
         for target in -1..=1 {
             assert!(v.contains(&target));
         }
-    }
-
-    #[test]
-    fn gaussian_bounded_and_centered() {
-        let mut rng = ChaChaRng::from_seed(2);
-        let sigma = 3.2;
-        let v = gaussian_signed(20_000, sigma, &mut rng);
-        let bound = (NOISE_TRUNCATION_SIGMAS * sigma).ceil() as i64;
-        assert!(v.iter().all(|&x| x.abs() <= bound));
-        let mean = v.iter().sum::<i64>() as f64 / v.len() as f64;
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        let var = v.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / v.len() as f64;
-        assert!((var.sqrt() - sigma).abs() < 0.2, "std {}", var.sqrt());
     }
 
     #[test]

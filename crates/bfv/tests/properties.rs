@@ -2,7 +2,7 @@
 //! encoder round-trips, and NTT correctness against the schoolbook oracle.
 
 use hesgx_bfv::context::BfvContext;
-use hesgx_bfv::encoding::{BatchEncoder, IntegerEncoder, ScalarEncoder};
+use hesgx_bfv::encoding::BatchEncoder;
 use hesgx_bfv::ntt::{negacyclic_multiply_naive, NttTable};
 use hesgx_bfv::prelude::*;
 use hesgx_crypto::rng::ChaChaRng;
@@ -97,18 +97,6 @@ proptest! {
             f.decryptor.decrypt(&lhs).unwrap().coeffs()[0],
             f.decryptor.decrypt(&rhs).unwrap().coeffs()[0]
         );
-    }
-
-    #[test]
-    fn scalar_encoder_roundtrip(v in -2000i64..2000) {
-        let enc = ScalarEncoder::new(4099);
-        prop_assert_eq!(enc.decode(&enc.encode(v).unwrap()), v);
-    }
-
-    #[test]
-    fn integer_encoder_roundtrip(v in any::<i32>()) {
-        let enc = IntegerEncoder::new(65537, 1024);
-        prop_assert_eq!(enc.decode(&enc.encode(v as i64).unwrap()).unwrap(), v as i64);
     }
 
     #[test]

@@ -1400,6 +1400,10 @@ mod tests {
             let err = CryptoNets::new(model, 256).unwrap_err();
             assert!(matches!(err, BfvError::InvalidShape(_)), "{what}: {err}");
         }
+        // A well-formed model quantized for the other pipeline is refused
+        // the same way by the pure-HE engine.
+        let err = CryptoNets::new(small_hybrid_model(), 256).unwrap_err();
+        assert!(matches!(err, BfvError::InvalidShape(_)), "{err}");
         assert!(small_hybrid_model().check_geometry().is_ok());
     }
 }

@@ -67,7 +67,7 @@ use hesgx_crypto::transcipher::IngressKey;
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::layers::ActivationKind;
-use hesgx_nn::quantize::QuantizedCnn;
+use hesgx_nn::quantize::{QuantizedCnn, MAX_PIXEL};
 use hesgx_obs::{counters, prof, Profiler, Recorder};
 use hesgx_tee::attestation::AttestationService;
 use hesgx_tee::cost::{CostBreakdown, CostModel};
@@ -430,9 +430,11 @@ impl Session {
         Ok((enc, bytes, stage))
     }
 
-    /// Validates a batch's shape where both ingress modes meet: a broker
-    /// merges tenants' requests into one batch, so a malformed one must come
-    /// back as an error, never reach a shape assert inside an encryptor.
+    /// Validates a batch where both ingress modes meet: a broker merges
+    /// tenants' requests into one batch, so a malformed one must come back as
+    /// an error, never reach a shape assert inside an encryptor, and a pixel
+    /// outside ±[`MAX_PIXEL`] must never be reduced modulo `t` into an exact
+    /// looking answer with wrong logits.
     fn check_batch(&self, images: &[Vec<i64>]) -> Result<()> {
         if images.is_empty() {
             return Err(Error::Config("empty image batch".into()));
@@ -446,13 +448,16 @@ impl Session {
             )));
         }
         let side = self.model.in_side;
-        if let Some(bad) = images.iter().find(|img| img.len() != side * side) {
-            return Err(Error::Config(format!(
+        match images.iter().find(|img| !self.model.accepts_image(img)) {
+            None => Ok(()),
+            Some(bad) if bad.len() != side * side => Err(Error::Config(format!(
                 "request carries {} pixels per image, the model expects {side}×{side}",
                 bad.len()
-            )));
+            ))),
+            Some(_) => Err(Error::Config(format!(
+                "request carries a pixel outside ±{MAX_PIXEL}"
+            ))),
         }
-        Ok(())
     }
 
     /// Transciphered ingress: seals the batch under the session ingress key
@@ -850,6 +855,21 @@ mod tests {
                 assert!(
                     matches!(&err, Error::Config(msg) if msg.contains("the model expects 8×8")),
                     "{ingress:?}: {err}"
+                );
+            }
+        }
+        // So is a pixel outside ±MAX_PIXEL, which would otherwise wrap
+        // modulo t into an exact-looking answer with wrong logits.
+        for ingress in [Ingress::FvCiphertext, Ingress::Transciphered] {
+            for pixel in [16, -16, i64::MIN, i64::MAX] {
+                let mut image = vec![0; 64];
+                image[9] = pixel;
+                let err = session
+                    .serve(InferRequest::batch(vec![vec![0; 64], image]).ingress(ingress))
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, Error::Config(msg) if msg.contains("outside ±15")),
+                    "{ingress:?}, pixel {pixel}: {err}"
                 );
             }
         }

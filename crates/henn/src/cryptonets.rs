@@ -37,19 +37,17 @@ impl CryptoNets {
     ///
     /// # Errors
     ///
-    /// Returns [`BfvError::InvalidShape`] when the model's geometry is
-    /// inconsistent ([`QuantizedCnn::check_geometry`]) and propagates
-    /// parameter validation failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the model is not quantized for the CryptoNets pipeline.
+    /// Returns [`BfvError::InvalidShape`] when the model is not quantized
+    /// for the CryptoNets pipeline or its geometry is inconsistent
+    /// ([`QuantizedCnn::check_geometry`]), and propagates parameter
+    /// validation failures.
     pub fn new(model: QuantizedCnn, poly_degree: usize) -> Result<Self> {
-        assert_eq!(
-            model.pipeline,
-            QuantPipeline::CryptoNets,
-            "model must be quantized for the CryptoNets pipeline"
-        );
+        if model.pipeline != QuantPipeline::CryptoNets {
+            return Err(BfvError::InvalidShape(format!(
+                "model quantized for {:?}, CryptoNets needs QuantPipeline::CryptoNets",
+                model.pipeline
+            )));
+        }
         model.check_geometry().map_err(BfvError::InvalidShape)?;
         let report = model.range_report();
         // Depth-1 pipeline (the square) — small CRT moduli keep the

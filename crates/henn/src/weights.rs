@@ -1,21 +1,15 @@
 //! Model-weight encoding into the homomorphic plaintext space — the
 //! preliminary step the edge server performs once per model (paper §IV-B) and
 //! the workload of Fig. 3 ("the encoding time has a linear relationship with
-//! the weights' number").
+//! the weights' number"). This module is the one place a model weight becomes
+//! a plaintext operand: a slot-wise scalar with its Shoup constants, a bias as
+//! `Δ·b` residues, or a batch-encoded cell of the packed FC layer.
 
 use crate::crt::{CrtPlainSystem, CrtPreparedBias, CrtPreparedScalar};
 use crate::image::fc_cell;
-use hesgx_bfv::encoding::IntegerEncoder;
 use hesgx_bfv::error::{BfvError, Result};
 use hesgx_bfv::evaluator::PreparedBias;
 use hesgx_bfv::plaintext::{NttPlaintext, Plaintext};
-
-/// The plaintext encodings of one weight across every CRT modulus.
-#[derive(Debug, Clone)]
-pub struct EncodedWeight {
-    /// One plaintext per plaintext modulus.
-    pub parts: Vec<Plaintext>,
-}
 
 /// All prepared operands of one linear layer (conv or FC): scalar weights
 /// with their per-limb Shoup constants and biases with their `Δ·c` residues,
@@ -31,7 +25,9 @@ pub struct WeightBank {
 }
 
 impl WeightBank {
-    /// Prepares every weight and bias of one layer.
+    /// Prepares every weight and bias of one layer. Preparation time is
+    /// linear in the number of operands and independent of the kernel-shape
+    /// split that produced them — the two claims of Fig. 3(a)/(b).
     ///
     /// # Errors
     ///
@@ -121,32 +117,6 @@ impl FcOperandBank {
     }
 }
 
-/// Encodes a model's integer weights into per-modulus plaintexts using the
-/// SEAL-style integer encoder (low-norm digit expansion).
-///
-/// Returns one [`EncodedWeight`] per input weight. Encoding time is linear in
-/// the number of weights and independent of the kernel-shape split that
-/// produced them — the two claims of Fig. 3(a)/(b).
-///
-/// # Errors
-///
-/// Fails when a weight exceeds the encoder's representable range.
-pub fn encode_weights(sys: &CrtPlainSystem, weights: &[i64]) -> Result<Vec<EncodedWeight>> {
-    let degree = sys.contexts()[0].poly_degree();
-    let encoders: Vec<IntegerEncoder> = sys
-        .moduli()
-        .iter()
-        .map(|&t| IntegerEncoder::new(t, degree))
-        .collect();
-    weights
-        .iter()
-        .map(|&w| {
-            let parts: Result<Vec<Plaintext>> = encoders.iter().map(|e| e.encode(w)).collect();
-            Ok(EncodedWeight { parts: parts? })
-        })
-        .collect()
-}
-
 /// Counts the weights of a conv layer configuration: `kernels` kernels of
 /// `k × k` values plus one bias each (the paper's Fig. 3 workload generator:
 /// "The weights are divided into the value of kernels and bias").
@@ -157,14 +127,19 @@ pub fn conv_weight_count(kernels: usize, kernel_side: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hesgx_bfv::ciphertext::Ciphertext;
+    use hesgx_bfv::decryptor::Decryptor;
+    use hesgx_bfv::encoding::BatchEncoder;
+    use hesgx_crypto::rng::ChaChaRng;
 
     #[test]
     fn encodes_every_weight_for_every_modulus() {
         let sys = CrtPlainSystem::new(256, &[12289, 13313]).unwrap();
         let weights: Vec<i64> = (-10..10).collect();
-        let encoded = encode_weights(&sys, &weights).unwrap();
-        assert_eq!(encoded.len(), 20);
-        assert!(encoded.iter().all(|e| e.parts.len() == 2));
+        let bank = WeightBank::prepare(&sys, &weights, &[1, -1]).unwrap();
+        assert_eq!(bank.scalars.len(), 20);
+        assert!(bank.scalars.iter().all(|s| s.parts.len() == 2));
+        assert!(bank.biases.iter().all(|b| b.parts.len() == 2));
     }
 
     #[test]
@@ -174,29 +149,49 @@ mod tests {
         assert_eq!(conv_weight_count(26, 5), 26 * 25 + 26);
     }
 
+    /// Every prepared operand acts on a ciphertext as its weight does, in
+    /// every CRT part: `x · w` and `x + b` decrypt to `w·x mod t_i` and
+    /// `x + b mod t_i`, for negative weights and for weights at the edges
+    /// `±(t_i − 1)/2` of both parts' centered ranges.
     #[test]
     fn weight_bank_prepares_every_operand() {
-        let sys = CrtPlainSystem::new(256, &[12289, 13313]).unwrap();
-        let weights: Vec<i64> = (-6..6).collect();
-        let biases = vec![7i64, -11];
+        let moduli = [12289u64, 13313];
+        let sys = CrtPlainSystem::new(256, &moduli).unwrap();
+        let mut weights: Vec<i64> = (-6..6).collect();
+        for &t in &moduli {
+            let half = (t as i64 - 1) / 2;
+            weights.extend([half, -half]);
+        }
+        let biases = vec![7i64, -11, 6144, -6656];
         let bank = WeightBank::prepare(&sys, &weights, &biases).unwrap();
-        assert_eq!(bank.scalars.len(), 12);
-        assert_eq!(bank.biases.len(), 2);
-        assert!(bank.scalars.iter().all(|s| {
-            (0..sys.part_count()).all(|i| {
-                let _ = s.part(i);
-                true
-            })
-        }));
-    }
+        assert_eq!(bank.scalars.len(), weights.len());
+        assert_eq!(bank.biases.len(), biases.len());
 
-    #[test]
-    fn encoded_weights_decode_back() {
-        let sys = CrtPlainSystem::new(256, &[12289]).unwrap();
-        let encoder = IntegerEncoder::new(12289, 256);
-        let encoded = encode_weights(&sys, &[-42, 0, 1234]).unwrap();
-        assert_eq!(encoder.decode(&encoded[0].parts[0]).unwrap(), -42);
-        assert_eq!(encoder.decode(&encoded[1].parts[0]).unwrap(), 0);
-        assert_eq!(encoder.decode(&encoded[2].parts[0]).unwrap(), 1234);
+        let mut rng = ChaChaRng::from_seed(28);
+        let keys = sys.generate_keys(&mut rng);
+        let x = [3i64, -2, 0, 1, -7];
+        let ct = sys.encrypt_slots(&x, &keys.secret, &mut rng).unwrap();
+        for (i, (&t, ctx)) in moduli.iter().zip(sys.contexts()).enumerate() {
+            let (eval, encoder) = (sys.evaluator(i), BatchEncoder::new(ctx.params()).unwrap());
+            let decryptor = Decryptor::new(ctx.clone(), &keys.secret[i]);
+            let slots = |c: &Ciphertext| encoder.decode(&decryptor.decrypt(c).unwrap());
+            // Unfilled slots hold 0; a bias lands in every slot.
+            let expect = |f: &dyn Fn(i64) -> i64| -> Vec<u64> {
+                let x = x.iter().copied().chain(std::iter::repeat(0));
+                let x = x.take(sys.slot_count());
+                x.map(|xv| f(xv).rem_euclid(t as i64) as u64).collect()
+            };
+            for (&w, s) in weights.iter().zip(&bank.scalars) {
+                let prod = eval.mul_plain_scalar(ct.part(i), s.part(i)).unwrap();
+                let want = expect(&|xv| w * xv);
+                assert_eq!(slots(&prod), want, "weight {w}, t = {t}");
+            }
+            for (&b, p) in biases.iter().zip(&bank.biases) {
+                let mut sum = ct.part(i).clone();
+                eval.add_plain_bias_inplace(&mut sum, p.part(i)).unwrap();
+                let want = expect(&|xv| xv + b);
+                assert_eq!(slots(&sum), want, "bias {b}, t = {t}");
+            }
+        }
     }
 }

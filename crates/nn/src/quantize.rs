@@ -34,6 +34,11 @@ pub enum QuantPipeline {
 /// [`crate::dataset::quantize_pixels`]. `x_f ≈ x_int * PIXEL_STEP`.
 pub const PIXEL_STEP: f64 = 16.0 / 255.0;
 
+/// Largest pixel magnitude a model's plaintext space is sized for: the top of
+/// [`crate::dataset::quantize_pixels`]'s 0–15 range, and the input bound of
+/// [`QuantizedCnn::range_report`].
+pub const MAX_PIXEL: i64 = 15;
+
 /// Integer version of the paper's 4-layer CNN shape: conv → activation →
 /// pool → fully connected. Dimensions are configurable so tests and ablation
 /// benches can run scaled-down instances; [`QuantizedCnn::from_network`]
@@ -83,6 +88,15 @@ impl QuantizedCnn {
     /// Flattened FC input size.
     pub fn fc_in(&self) -> usize {
         self.conv_out * self.pool_side() * self.pool_side()
+    }
+
+    /// Whether `pixels` is an image the model can serve: `in_side²` pixels,
+    /// each within ±[`MAX_PIXEL`]. A larger pixel would wrap modulo the
+    /// plaintext modulus into wrong logits no later stage can tell from
+    /// right ones, so every served request is checked against this.
+    pub fn accepts_image(&self, pixels: &[i64]) -> bool {
+        pixels.len() == self.in_side * self.in_side
+            && pixels.iter().all(|p| (-MAX_PIXEL..=MAX_PIXEL).contains(p))
     }
 
     /// Checks that the (public, hand-settable) fields describe a network the
@@ -336,10 +350,9 @@ impl QuantizedCnn {
 
     /// Worst-case dynamic-range analysis.
     pub fn range_report(&self) -> RangeReport {
-        let max_pixel = 15i64;
         let max_w = self.conv_weights.iter().map(|w| w.abs()).max().unwrap_or(0);
         let max_cb = self.conv_bias.iter().map(|b| b.abs()).max().unwrap_or(0);
-        let conv_bound = (self.kernel * self.kernel) as i64 * max_w * max_pixel + max_cb;
+        let conv_bound = (self.kernel * self.kernel) as i64 * max_w * MAX_PIXEL + max_cb;
         let act_bound = match self.pipeline {
             QuantPipeline::Hybrid => self.act_scale,
             QuantPipeline::CryptoNets => conv_bound * conv_bound,

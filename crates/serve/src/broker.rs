@@ -217,13 +217,13 @@ impl Broker {
         latencies: &mut Vec<VirtualNs>,
     ) -> VirtualNs {
         // One batch is one pipeline outcome, so a request the session would
-        // refuse for its shape must not ride with the others: it fails alone,
-        // booked to its own tenant, and the rest of the batch is served.
-        let side = session.model().in_side;
-        let (batch, malformed): (Vec<&Pending>, Vec<&Pending>) = batch.iter().partition(|member| {
-            let images = &member.request.images;
-            images.iter().all(|img| img.len() == side * side)
-        });
+        // refuse for its shape or its pixel range must not ride with the
+        // others: it fails alone, booked to its own tenant, and the rest of
+        // the batch is served.
+        let model = session.model();
+        let accepted =
+            |member: &&Pending| member.request.images.iter().all(|i| model.accepts_image(i));
+        let (batch, malformed): (Vec<&Pending>, Vec<&Pending>) = batch.iter().partition(accepted);
         for member in malformed {
             report.failed += 1;
             report
@@ -482,11 +482,13 @@ mod tests {
 
     #[test]
     fn a_malformed_request_fails_alone() {
-        // Request 2 ships a 63-pixel image to the 8×8 model; at max_batch 8
-        // it is packed with other tenants' requests. It must be booked as
-        // failed to its own tenant — on both ingress modes — while every
-        // other request is served exactly.
+        // Request 2 ships a 63-pixel image to the 8×8 model and request 4 a
+        // pixel of 2^20, which would wrap modulo t into wrong logits; at
+        // max_batch 8 both are packed with other tenants' requests. Each must
+        // be booked as failed to its own tenant — on both ingress modes —
+        // while every other request is served exactly.
         let spec = small_spec(6);
+        let bad = [2usize, 4];
         for ingress in [Ingress::FvCiphertext, Ingress::Transciphered] {
             let mut trace = LoadTrace::generate(&spec);
             for arrival in &mut trace.arrivals {
@@ -494,32 +496,40 @@ mod tests {
                 arrival.request = arrival.request.clone().ingress(ingress);
             }
             trace.arrivals[2].request.images[0].pop();
-            let bad_tenant = trace.arrivals[2].request.tenant;
+            trace.arrivals[4].request.images[0][9] = 1 << 20;
+            let bad_tenants = bad.map(|id| trace.arrivals[id].request.tenant);
             assert!(trace
                 .arrivals
                 .iter()
-                .any(|a| a.request.tenant != bad_tenant));
+                .any(|a| !bad_tenants.contains(&a.request.tenant)));
 
             let b = broker(BrokerConfig::new().workers(1).max_batch(8));
             let report = b.run(&trace);
-            assert_eq!(report.failed, 1, "{ingress:?}: {report:?}");
-            assert_eq!(report.completed_exact, spec.requests - 1, "{ingress:?}");
+            assert_eq!(report.failed, bad.len(), "{ingress:?}: {report:?}");
+            assert_eq!(
+                report.completed_exact,
+                spec.requests - bad.len(),
+                "{ingress:?}"
+            );
             assert_eq!(
                 report.admitted,
                 report.completed() + report.failed + report.dropped_deadline
             );
-            assert!(report.outcomes.iter().all(|o| o.id != 2));
+            assert!(report
+                .outcomes
+                .iter()
+                .all(|o| !bad.contains(&(o.id as usize))));
             let model = small_model();
             for outcome in &report.outcomes {
                 let img = &trace.arrivals[outcome.id as usize].request.images[0];
                 assert_eq!(outcome.logits, vec![model.forward_ints(img)]);
             }
             for (tenant, stats) in &report.per_tenant {
-                let dropped = usize::from(*tenant == bad_tenant);
+                let dropped = bad_tenants.iter().filter(|&t| t == tenant).count();
                 assert_eq!(stats.dropped, dropped, "tenant {tenant}");
                 assert_eq!(stats.served, stats.offered - dropped, "tenant {tenant}");
             }
-            assert_eq!(b.recorder().counter("serve.failed"), 1);
+            assert_eq!(b.recorder().counter("serve.failed"), bad.len() as u64);
         }
     }
 
