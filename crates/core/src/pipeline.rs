@@ -22,7 +22,7 @@ use hesgx_henn::ops::OpCounter;
 use hesgx_henn::par::ParExec;
 use hesgx_nn::layers::ActivationKind;
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
-use hesgx_obs::{counters, prof, Recorder};
+use hesgx_obs::{counters, Recorder};
 use hesgx_tee::cost::{CostBreakdown, CostModel};
 use hesgx_tee::enclave::{EnclaveBuilder, Platform};
 use hesgx_tee::error::TeeError;
@@ -176,8 +176,6 @@ pub struct HybridInference {
     /// Sealed copy of the secret keys (restart persistence, §IV-A step 2);
     /// probed by [`HybridInference::verify_sealed_state`].
     sealed_keys: SealedBlob,
-    /// Observability recorder shared with the enclave and the worker pool.
-    recorder: Recorder,
 }
 
 /// Display name of an HE stage in [`StageMetrics::name`].
@@ -272,7 +270,6 @@ impl HybridInference {
             enclave: inference,
             evaluation: keys.evaluation,
             sealed_keys,
-            recorder: config.recorder,
         };
         Ok((service, ceremony))
     }
@@ -312,7 +309,7 @@ impl HybridInference {
         self.degraded_plan.as_ref()
     }
 
-    /// The inference enclave (metrics, side-channel log).
+    /// The inference enclave (measurement, launch ordinal, recorder).
     pub fn enclave(&self) -> &InferenceEnclave {
         &self.enclave
     }
@@ -322,31 +319,11 @@ impl HybridInference {
         self.he.pool().threads()
     }
 
-    /// The observability recorder this service reports into (disabled no-op
-    /// unless [`ProvisionConfig::recorder`] installed an enabled one).
+    /// The observability recorder this service reports into: the
+    /// enclave's own (disabled no-op unless [`ProvisionConfig::recorder`]
+    /// installed an enabled one).
     pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// Records a per-layer pipeline span: `.he` stages carry wall time only
-    /// (no boundary crossing, so no modeled terms), `.ecall` stages carry the
-    /// stage's full [`CostBreakdown`] — which is what makes the obs totals
-    /// reconcile ns-for-ns with [`total_enclave_cost`].
-    fn record_stage(&self, name: &str, wall: Duration, enclave: Option<&CostBreakdown>) {
-        if !self.recorder.is_enabled() {
-            return;
-        }
-        let mut span = enclave.copied().unwrap_or_default();
-        if enclave.is_none() {
-            span.real_ns = wall.as_nanos() as u64;
-        }
-        self.recorder.record_span(name, span);
-        if enclave.is_some() {
-            // Per-layer ECALL cost distribution (modeled terms only, so the
-            // histogram stays byte-stable across runs and pool sizes).
-            self.recorder
-                .observe(&format!("{name}.model_ns"), span.model_ns());
-        }
+        self.enclave.enclave().recorder()
     }
 
     /// The HE worker pool (crate-internal: the ingress dispatch shares it).
@@ -355,15 +332,16 @@ impl HybridInference {
     }
 
     /// Runs one pipeline stage — the single instrumentation point of the
-    /// pipeline. `span` names the stage on every observability face: the
-    /// trace-timeline slice, the profiler frame (same name, so the drift
-    /// report joins measured wall time against modeled cost), and the
-    /// recorder span. In one fixed order the runner starts the wall timer,
-    /// opens the slice and the frame, runs `body`, closes both (also when
-    /// the body fails, so the timeline stays balanced), then books the
-    /// stage with [`HybridInference::record_stage`] and appends its
-    /// [`StageMetrics`]. The body gets the metrics record for its op counts
-    /// and hands back a [`Staged`] result.
+    /// pipeline. `span` names the stage on every observability face
+    /// ([`Recorder::open`]): the trace-timeline slice, the profiler frame
+    /// and the recorder span. A failed body drops the scope, which closes
+    /// the slice and the frame and books nothing. Otherwise the span books
+    /// wall time only for an `.he` stage (no boundary crossing, so no
+    /// modeled terms) and the stage's full [`CostBreakdown`] for an
+    /// `.ecall` stage — which is what makes the obs totals reconcile
+    /// ns-for-ns with [`total_enclave_cost`] — and the stage's
+    /// [`StageMetrics`] are appended. The body gets the metrics record for
+    /// its op counts and hands back a [`Staged`] result.
     pub(crate) fn run_stage(
         &self,
         metrics: &mut HybridMetrics,
@@ -371,19 +349,20 @@ impl HybridInference {
         body: impl FnOnce(&mut HybridMetrics) -> Result<Staged>,
     ) -> Result<EncryptedMap> {
         let start = WallTimer::start();
-        let traced = self.recorder.trace_enabled();
-        if traced {
-            self.recorder.trace_begin(span, &[]);
-        }
-        let frame = prof::span(span);
-        let result = body(metrics);
-        drop(frame);
-        if traced {
-            self.recorder.trace_end(span);
-        }
-        let staged = result?;
+        let recorder = self.recorder();
+        let scope = recorder.open(span, &[]);
+        let staged = body(metrics)?;
         let wall = start.elapsed();
-        self.record_stage(span, wall, staged.enclave.as_ref());
+        let cost = staged.enclave.unwrap_or(CostBreakdown {
+            real_ns: wall.as_nanos() as u64,
+            ..CostBreakdown::default()
+        });
+        scope.close(cost);
+        if staged.enclave.is_some() && recorder.is_enabled() {
+            // Per-layer ECALL cost distribution (modeled terms only, so the
+            // histogram stays byte-stable across runs and pool sizes).
+            recorder.observe(&format!("{span}.model_ns"), cost.model_ns());
+        }
         metrics.stages.push(StageMetrics {
             name: staged.label,
             wall,
@@ -399,14 +378,14 @@ impl HybridInference {
     /// never under a pipeline stage, so the reconciliation invariant (the
     /// `infer.*.ecall` fold equals `total_enclave_cost`) is untouched.
     fn budget_gauge(&self, layer: usize, side: &str, map: &EncryptedMap) -> Result<()> {
-        if !self.recorder.is_enabled() || map.cells().is_empty() {
+        if !self.recorder().is_enabled() || map.cells().is_empty() {
             return Ok(());
         }
         let cells: Vec<&CrtCiphertext> = map.cells().iter().collect();
         let (bits, _) = self.enclave.noise_probe(self.system(), &cells)?;
         let gauge = format!("noise.budget.layer[{layer}].{side}");
-        self.recorder.gauge(&gauge, u64::from(bits));
-        self.recorder.incr(counters::NOISE_PROBES, 1);
+        self.recorder().gauge(&gauge, u64::from(bits));
+        self.recorder().incr(counters::NOISE_PROBES, 1);
         Ok(())
     }
 
@@ -426,7 +405,7 @@ impl HybridInference {
         // `Pixel` map's batch is the session's to know).
         if let Some(ppm) = input.occupancy_ppm(sys.slot_count()) {
             let gauge = format!("infer.layer[{layer}].slot_occupancy_ppm");
-            self.recorder.gauge(&gauge, ppm);
+            self.recorder().gauge(&gauge, ppm);
         }
         let emit = plan.egress_layout(layer, model, input.layout(), sys.slot_count());
         let (out, cost) = self

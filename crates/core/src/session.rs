@@ -118,34 +118,14 @@ pub enum Served {
 /// is recoverable, a second in a row means the environment is hostile.
 const MAX_REPROVISIONS: u32 = 2;
 
-/// Builder for [`Session`]; every knob has a paper-faithful default.
-#[derive(Debug, Clone)]
+/// Builder for [`Session`]; every knob has a paper-faithful default (those
+/// of [`ProvisionConfig`]).
+#[derive(Debug, Clone, Default)]
 pub struct SessionBuilder {
-    preset: ParamsPreset,
-    activation: ActivationKind,
-    cost_model: Option<CostModel>,
-    threads: usize,
-    seed: u64,
-    recovery: RecoveryPolicy,
+    /// The provisioning settings; `build` fills in the fault hook.
+    config: ProvisionConfig,
     chaos: Option<FaultPlan>,
-    recorder: Recorder,
     profiler: Profiler,
-}
-
-impl Default for SessionBuilder {
-    fn default() -> Self {
-        SessionBuilder {
-            preset: ParamsPreset::Paper,
-            activation: ActivationKind::Sigmoid,
-            cost_model: None,
-            threads: 0,
-            seed: 0,
-            recovery: RecoveryPolicy::default(),
-            chaos: None,
-            recorder: Recorder::disabled(),
-            profiler: Profiler::disabled(),
-        }
-    }
 }
 
 impl SessionBuilder {
@@ -158,14 +138,14 @@ impl SessionBuilder {
     /// Selects the FV parameter preset.
     #[must_use]
     pub fn params(mut self, preset: ParamsPreset) -> Self {
-        self.preset = preset;
+        self.config.poly_degree = preset.poly_degree();
         self
     }
 
     /// Selects the activation computed exactly inside the enclave (§VI-C).
     #[must_use]
     pub fn activation(mut self, kind: ActivationKind) -> Self {
-        self.activation = kind;
+        self.config.activation = kind;
         self
     }
 
@@ -173,7 +153,7 @@ impl SessionBuilder {
     /// paper's `EncryptFakeSGX` control group.
     #[must_use]
     pub fn cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = Some(model);
+        self.config.cost_model = Some(model);
         self
     }
 
@@ -182,7 +162,7 @@ impl SessionBuilder {
     /// bit-identical for every value.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.config.threads = threads;
         self
     }
 
@@ -190,7 +170,7 @@ impl SessionBuilder {
     /// equal seeds give equal keys and, on a fresh platform each, equal runs.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
@@ -199,7 +179,7 @@ impl SessionBuilder {
     /// [`SessionBuilder::build`].
     #[must_use]
     pub fn recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
+        self.config.recovery = recovery;
         self
     }
 
@@ -222,7 +202,7 @@ impl SessionBuilder {
     /// is the disabled no-op recorder (zero overhead).
     #[must_use]
     pub fn recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
+        self.config.recorder = recorder;
         self
     }
 
@@ -248,7 +228,8 @@ impl SessionBuilder {
     /// degree, model quantized for another pipeline) and propagates HE/TEE
     /// provisioning and attestation failures.
     pub fn build(self, platform: Arc<Platform>, model: QuantizedCnn) -> Result<Session> {
-        let poly_degree = self.preset.poly_degree();
+        let mut config = self.config;
+        let poly_degree = config.poly_degree;
         if poly_degree < 2 || !poly_degree.is_power_of_two() {
             return Err(Error::Config(format!(
                 "polynomial degree must be a power of two >= 2, got {poly_degree}"
@@ -258,18 +239,9 @@ impl SessionBuilder {
         if let Some(injector) = &chaos {
             // Delivered faults are counted once, at the injector — the single
             // source of truth for `faults.injected`.
-            injector.set_recorder(self.recorder.clone());
+            injector.set_recorder(config.recorder.clone());
         }
-        let config = ProvisionConfig {
-            poly_degree,
-            seed: self.seed,
-            cost_model: self.cost_model,
-            threads: self.threads,
-            activation: self.activation,
-            recovery: self.recovery,
-            fault_hook: chaos.clone().map(|injector| injector as Arc<dyn FaultHook>),
-            recorder: self.recorder.clone(),
-        };
+        config.fault_hook = chaos.clone().map(|injector| injector as Arc<dyn FaultHook>);
         let _prof_install = self.profiler.install();
         let provision_span = prof::span("session.provision");
         let (service, ceremony) =
@@ -285,10 +257,10 @@ impl SessionBuilder {
         if let Some(injector) = &chaos {
             attestation.set_fault_hook(injector.clone());
         }
-        attestation.set_recorder(self.recorder.clone());
+        attestation.set_recorder(config.recorder.clone());
         let measurement = *service.enclave().enclave().measurement();
         let hook = chaos.as_ref().map(|c| c.as_ref() as &dyn FaultHook);
-        let (verified, _cost) = retry_with_cost(&config.recovery, hook, &self.recorder, || {
+        let (verified, _cost) = retry_with_cost(&config.recovery, hook, &config.recorder, || {
             let res = verify_key_ceremony(&attestation, &ceremony, &measurement)
                 .map(|_| ())
                 .map_err(Error::Tee);
@@ -296,7 +268,7 @@ impl SessionBuilder {
         });
         verified?;
 
-        let pool = ParExec::new(self.threads).with_recorder(self.recorder.clone());
+        let pool = ParExec::new(config.threads).with_recorder(config.recorder.clone());
         // The user role derives the transciphered-ingress key from the
         // ceremony material it already holds; the enclave side derives the
         // same key independently, so nothing new crosses the wire.
@@ -304,7 +276,7 @@ impl SessionBuilder {
         // A broker's workers share keys and the ingress key: each client
         // stream (FV randomness, transcipher nonces) is its launch's own.
         let launch = service.enclave().enclave().launch();
-        let client = ChaChaRng::from_seed(self.seed).fork("session-client");
+        let client = ChaChaRng::from_seed(config.seed).fork("session-client");
         Ok(Session {
             service: RwLock::new(service),
             ceremony,
@@ -315,7 +287,6 @@ impl SessionBuilder {
             model,
             config,
             chaos,
-            recorder: self.recorder,
             profiler: self.profiler,
             requests: AtomicU64::new(0),
         })
@@ -341,7 +312,6 @@ pub struct Session {
     model: QuantizedCnn,
     config: ProvisionConfig,
     chaos: Option<Arc<FaultInjector>>,
-    recorder: Recorder,
     profiler: Profiler,
     /// Monotone per-session request counter; combined with the seed it
     /// yields the deterministic trace ID `req-<seed:016x>-<n>` so timelines
@@ -426,7 +396,7 @@ impl Session {
         let slots = self.service.read().system().slot_count();
         let pixel_ppm = (batch * 1_000_000 / slots) as u64;
         let ppm = enc.occupancy_ppm(slots).unwrap_or(pixel_ppm);
-        self.recorder.gauge(counters::SLOT_OCCUPANCY_PPM, ppm);
+        self.recorder().gauge(counters::SLOT_OCCUPANCY_PPM, ppm);
         Ok((enc, bytes, stage))
     }
 
@@ -499,7 +469,7 @@ impl Session {
         loop {
             let err = match self.run_plan(Placement::Hybrid, enc, batch) {
                 Ok((rows, metrics)) => {
-                    self.recorder.incr(counters::SERVED_EXACT, 1);
+                    self.recorder().incr(counters::SERVED_EXACT, 1);
                     return Ok((rows, Served::Exact, metrics));
                 }
                 Err(err) => err,
@@ -521,8 +491,8 @@ impl Session {
                     if let Some(hook) = self.hook() {
                         hook.on_recovery(RecoveryEvent::Degraded { reason });
                     }
-                    if self.recorder.trace_enabled() {
-                        self.recorder
+                    if self.recorder().trace_enabled() {
+                        self.recorder()
                             .trace_instant("session.degraded", &[("reason", reason.to_string())]);
                     }
                     // That plan has no repacker: a packed request re-enters
@@ -534,7 +504,7 @@ impl Session {
                     *upload_bytes += pixel.as_ref().map_or(0, |map| map.byte_len() as u64);
                     let enc = pixel.as_ref().unwrap_or(enc);
                     let (rows, metrics) = self.run_plan(Placement::PureHe, enc, batch)?;
-                    self.recorder.incr(counters::SERVED_DEGRADED, 1);
+                    self.recorder().incr(counters::SERVED_DEGRADED, 1);
                     return Ok((rows, Served::Degraded, metrics));
                 }
                 _ => return Err(err),
@@ -600,7 +570,7 @@ impl Session {
             &batch_rng,
             &self.pool,
         )?;
-        self.recorder
+        self.recorder()
             .incr(counters::INGRESS_UPLOAD_BYTES, enc.byte_len() as u64);
         Ok(enc)
     }
@@ -634,7 +604,7 @@ impl Session {
         if let Some(hook) = self.hook() {
             hook.on_recovery(RecoveryEvent::Reprovisioned { reason });
         }
-        self.recorder.incr(counters::REPROVISIONS, 1);
+        self.recorder().incr(counters::REPROVISIONS, 1);
         *self.service.write() = service;
         Ok(())
     }
@@ -648,10 +618,10 @@ impl Session {
     /// equal seeds replay byte-identical timelines. Returns whether a span
     /// was opened.
     fn trace_request_begin(&self, batch: usize, trace_id: &str) -> bool {
-        if !self.recorder.trace_enabled() {
+        if !self.recorder().trace_enabled() {
             return false;
         }
-        self.recorder.trace_begin(
+        self.recorder().trace_begin(
             "session.request",
             &[
                 ("api", "serve".to_string()),
@@ -670,9 +640,9 @@ impl Session {
             return;
         }
         if !ok {
-            self.recorder.trace_instant("session.request.error", &[]);
+            self.recorder().trace_instant("session.request.error", &[]);
         }
-        self.recorder.trace_end("session.request");
+        self.recorder().trace_end("session.request");
     }
 
     /// The fault report accumulated by the installed chaos plan, if any.
@@ -709,7 +679,7 @@ impl Session {
     /// The observability recorder installed via [`SessionBuilder::recorder`]
     /// (the disabled no-op recorder when none was).
     pub fn recorder(&self) -> &Recorder {
-        &self.recorder
+        &self.config.recorder
     }
 
     /// The wall-clock profiler installed via [`SessionBuilder::profiler`]
@@ -722,7 +692,7 @@ impl Session {
     /// keys, modeled cost terms and entry counts only — byte-identical across
     /// runs and worker-pool sizes for a fixed seed.
     pub fn obs_snapshot_json(&self) -> String {
-        self.recorder.snapshot_json()
+        self.recorder().snapshot_json()
     }
 }
 
@@ -1170,6 +1140,6 @@ mod tests {
         let b = SessionBuilder::new()
             .recovery(RecoveryPolicy::default())
             .recovery(RecoveryPolicy::none());
-        assert_eq!(b.recovery, RecoveryPolicy::none());
+        assert_eq!(b.config.recovery, RecoveryPolicy::none());
     }
 }

@@ -342,8 +342,8 @@ impl InferenceEnclave {
             .ok()
             .and_then(|pools| model.window.checked_pow(pools))
             .filter(|&span| span > 0);
-        let span2 = span.and_then(|span| span.checked_mul(span));
-        let (span, span2) = span.zip(span2).ok_or_else(refuse)?;
+        let area = span.and_then(|span| span.checked_mul(span));
+        let (span, area) = span.zip(area).ok_or_else(refuse)?;
         // The feature map's sides; a packed map's batch; the (classes, batch,
         // partial sums) of the cell a reduction reads.
         let (h, w, packed, reduce) = match input.layout() {
@@ -399,9 +399,9 @@ impl InferenceEnclave {
         // The crossing cells: a packed map whole, else block by block.
         let crossing: Vec<&CrtCiphertext> = match packed {
             Some(_) => input.cells().iter().collect(),
-            None => (0..outputs * span2)
+            None => (0..outputs * area)
                 .map(|i| {
-                    let (ch, position) = member(i / span2, i % span2);
+                    let (ch, position) = member(i / area, i % area);
                     input.cell(ch, position / w, position % w)
                 })
                 .collect(),
@@ -425,7 +425,7 @@ impl InferenceEnclave {
         };
         let mut cells = Vec::with_capacity(outputs.div_ceil(per));
         let mut total = CostBreakdown::default();
-        let per_entry = packed.map_or(per_call * per * span2, |_| crossing.len());
+        let per_entry = packed.map_or(per_call * per * area, |_| crossing.len());
         for entering in crossing.chunks(per_entry.max(1)) {
             let (out, cost) = self.batched_ecall(
                 EcallShape {
@@ -449,8 +449,8 @@ impl InferenceEnclave {
                         // The outputs behind cell `j`, one image-indexed
                         // slot vector each.
                         let folded = (j * per..outputs.min((j + 1) * per)).map(|o| {
-                            let block = (0..span2).map(|d| match packed {
-                                None => decrypt(entering[o * span2 + d]),
+                            let block = (0..area).map(|d| match packed {
+                                None => decrypt(entering[o * area + d]),
                                 Some(batch) => {
                                     let (ch, position) = member(o, d);
                                     let image = |b| {

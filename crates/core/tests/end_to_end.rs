@@ -238,12 +238,14 @@ fn side_channel_exposure_lower_for_batched_design() {
     let mut rng = ChaChaRng::from_seed(13);
 
     let run = |batching: EcallBatching, seed: u64| {
+        let recorder = Recorder::enabled();
         let (service, ceremony) = HybridInference::provision_with(
             Platform::new(seed),
             model.clone(),
             ProvisionConfig {
                 poly_degree: 256,
                 seed,
+                recorder: recorder.clone(),
                 ..ProvisionConfig::default()
             },
         )
@@ -269,10 +271,16 @@ fn side_channel_exposure_lower_for_batched_design() {
             ],
         );
         let _ = service.run(&plan, &enc).unwrap();
-        service
-            .enclave()
-            .enclave()
-            .with_monitor(|m| (m.ecall_count(), m.exposure_score()))
+        // The recorder is the one ledger of what the host observes: the
+        // stage crossings (the noise probes an enabled recorder adds are
+        // left out) plus the EPC page faults, each fault weighing four.
+        let crossings: u64 = ["ecall.ecall_activation", "ecall.ecall_pool"]
+            .iter()
+            .flat_map(|prefix| recorder.spans_with_prefix(prefix))
+            .map(|(_, span)| span.entries)
+            .sum();
+        let faults = recorder.counter(counters::EPC_PAGE_FAULTS);
+        (crossings, crossings + 4 * faults)
     };
     let _ = &mut rng;
     let (batched_ecalls, batched_score) = run(EcallBatching::Batched, 60);

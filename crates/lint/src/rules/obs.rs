@@ -16,7 +16,10 @@
 //! events (`trace_begin`/`trace_end`/`trace_instant`) land verbatim in the
 //! Chrome trace-event JSON — names *and* argument keys/values — and gauge /
 //! histogram names become Prometheus label values. Every one of those entry
-//! points is held to the same no-secret-identifier standard.
+//! points is held to the same no-secret-identifier standard — and so are
+//! `Recorder::open`, which names a slice, a profiler frame and a span in one
+//! call, and the profiler frame `prof::span`, whose names land in
+//! `profile.collapsed.txt` and `BENCH_profile.deterministic.json`.
 
 use crate::analysis::Analysis;
 use crate::config::{SECRET_LOG_TOKENS, SECRET_TYPES};
@@ -25,8 +28,11 @@ use crate::lexer::{ident_positions, identifiers, next_nonspace};
 
 /// Recorder entry points that persist a label into an exported artifact:
 /// the snapshot (spans/counters), the Prometheus exposition (gauges,
-/// histograms), or the Chrome trace-event JSON (trace names and args).
+/// histograms), the Chrome trace-event JSON (trace names and args), or the
+/// profiler exports (frame names).
 const RECORD_CALLS: &[&str] = &[
+    "open",
+    "span",
     "record_span",
     "record_zero_attempt",
     "incr",
@@ -177,6 +183,18 @@ mod tests {
             .iter()
             .any(|d| d.rule == "obs-secret-label"));
         let f = scan("fn f(r: &Recorder) { r.observe(\"SealedBlob.bytes\", 1); }\n");
+        assert!(check(&Analysis::new(&f))
+            .iter()
+            .any(|d| d.rule == "obs-secret-label"));
+    }
+
+    #[test]
+    fn secret_token_in_scope_or_profiler_frame_is_flagged() {
+        let f = scan("fn f(r: &Recorder) { let s = r.open(\"unseal.secret_key\", &[]); }\n");
+        assert!(check(&Analysis::new(&f))
+            .iter()
+            .any(|d| d.rule == "obs-secret-label"));
+        let f = scan("fn f() { let _p = prof::span(\"SealedBlob.open\"); }\n");
         assert!(check(&Analysis::new(&f))
             .iter()
             .any(|d| d.rule == "obs-secret-label"));

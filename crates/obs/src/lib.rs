@@ -14,15 +14,18 @@
 //! | span | recorded by | cost carried |
 //! |------|-------------|--------------|
 //! | `session.provision` | `hesgx-core` pipeline | key ceremony + sealing |
-//! | `infer.layer[i].he` | `hesgx-core` pipeline | wall time only (outside) |
-//! | `infer.layer[i].ecall` | `hesgx-core` pipeline | full virtual-clock terms |
-//! | `ecall.<name>` | `hesgx-tee` enclave | full virtual-clock terms |
+//! | `infer.layer[i].he` | `hesgx-core` stage runner, via [`Recorder::open`] | wall time only (outside) |
+//! | `infer.layer[i].ecall` | `hesgx-core` stage runner, via [`Recorder::open`] | full virtual-clock terms |
+//! | `ecall.<name>` | `hesgx-tee` enclave, via [`Recorder::open`] | full virtual-clock terms |
 //! | `recovery.retry` | `hesgx-core` recovery | per-attempt cost (zero-cost attempts included) |
 //! | `epc.load` / `epc.evict` | `hesgx-tee` EPC | count only (ns live in the owning ecall's `paging_ns`) |
 //!
 //! The same names double as trace-event names on the timeline (DESIGN.md
 //! §13), with instants for EPC loads/evictions, retry attempts and degraded
-//! fallbacks.
+//! fallbacks, and as profiler frame names. A stage or an ECALL opens its
+//! slice and its frame with one [`Recorder::open`] call and books its span
+//! with [`Scope::close`], so the three faces cannot disagree on a name. The
+//! recorder is the only ledger of an enclave crossing or a page fault.
 //!
 //! # Determinism rules
 //!
@@ -67,7 +70,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub mod counters {
     /// ECALLs executed (one per enclave boundary round trip).
     pub const ECALLS: &str = "ecall.calls";
-    /// World-switch transitions charged (2 per ECALL + 2 per nested OCALL).
+    /// World-switch transitions charged (2 per ECALL: EENTER + EEXIT).
     pub const ECALL_TRANSITIONS: &str = "ecall.transitions";
     /// Bytes marshalled across the boundary (inputs + outputs).
     pub const BYTES_MARSHALLED: &str = "ecall.bytes_marshalled";
@@ -302,6 +305,31 @@ impl Recorder {
         }
     }
 
+    /// Opens `name` on every face with one call: the timeline slice (when
+    /// a timeline is kept, annotated with `args`) and the frame of the
+    /// thread's installed profiler ([`prof::span`]), under the one name the
+    /// recorder span will carry — the join key of
+    /// [`Profiler::drift_report`]. [`Scope::close`] books the span and
+    /// closes both faces; a scope dropped without `close` closes both and
+    /// books nothing (the path of a failed stage). The args are formatted
+    /// only when a timeline is kept.
+    pub fn open<'a>(&'a self, name: &'a str, args: &[(&str, u64)]) -> Scope<'a> {
+        let mut traced = false;
+        if let Some(mut state) = self.lock() {
+            if let Some(trace) = state.trace.as_mut() {
+                let args: Vec<_> = args.iter().map(|&(k, v)| (k, v.to_string())).collect();
+                trace.push(TracePhase::Begin, name, &args);
+                traced = true;
+            }
+        }
+        Scope {
+            recorder: self,
+            name,
+            traced,
+            _frame: prof::span(name),
+        }
+    }
+
     /// Closes the innermost open slice of the same name on the timeline.
     pub fn trace_end(&self, name: &str) {
         if let Some(mut state) = self.lock() {
@@ -483,6 +511,32 @@ impl Recorder {
     }
 }
 
+/// A span open on every face, returned by [`Recorder::open`].
+#[derive(Debug)]
+#[must_use = "dropping the scope immediately closes it without booking the span"]
+pub struct Scope<'a> {
+    recorder: &'a Recorder,
+    name: &'a str,
+    traced: bool,
+    _frame: prof::SpanGuard,
+}
+
+impl Scope<'_> {
+    /// Books one entry of `cost` under the scope's name, then closes the
+    /// timeline slice and the profiler frame.
+    pub fn close(self, cost: SpanCost) {
+        self.recorder.record_span(self.name, cost);
+    }
+}
+
+impl Drop for Scope<'_> {
+    fn drop(&mut self) {
+        if self.traced {
+            self.recorder.trace_end(self.name);
+        }
+    }
+}
+
 /// Appends `render(item)` for each item, comma-separated.
 fn push_joined<I, T>(out: &mut String, items: I, mut render: impl FnMut(&mut String, T))
 where
@@ -542,6 +596,8 @@ mod tests {
         r.observe("h", 1);
         r.trace_begin("t", &[]);
         r.trace_end("t");
+        r.open("o", &[("k", 1)]).close(cost(1, 2, 3, 4, 5));
+        drop(r.open("o", &[]));
         assert!(!r.is_enabled());
         assert!(!r.trace_enabled());
         assert_eq!(r.span("a"), None);
@@ -702,6 +758,48 @@ mod tests {
         assert_eq!(r.trace_dropped(), 0);
         // Timestamps strictly increase.
         assert!(events.windows(2).all(|w| w[0].ts_ns < w[1].ts_ns));
+    }
+
+    #[test]
+    fn a_scope_opens_and_closes_every_face_under_one_name() {
+        let r = Recorder::with_timeline();
+        let profiler = Profiler::enabled();
+        let _installed = profiler.install();
+        r.open("infer.layer[1].ecall", &[("layer", 1)])
+            .close(cost(1, 2, 3, 4, 0));
+        let span = r
+            .span("infer.layer[1].ecall")
+            .expect("close books the span");
+        assert_eq!(span.entries, 1);
+        assert_eq!(span.cost.model_ns(), 9);
+        let events = r.trace_events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].phase, TracePhase::Begin);
+        assert_eq!(events[0].args, [("layer".to_owned(), "1".to_owned())]);
+        assert_eq!(events[1].phase, TracePhase::End);
+        assert!(events.iter().all(|e| e.name == "infer.layer[1].ecall"));
+        let frames = profiler.hotspots();
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].path, "infer.layer[1].ecall");
+        assert_eq!(frames[0].calls, 1);
+        // One name on both sides: the drift report joins them.
+        let drift = profiler.drift_report(&r);
+        assert_eq!(drift.entries.len(), 1);
+        assert_eq!(drift.entries[0].stage, "infer.layer[1].ecall");
+
+        // A scope dropped without `close` (a failed stage) balances the
+        // slice and closes the frame, but books nothing.
+        drop(r.open("infer.layer[2].he", &[]));
+        assert_eq!(r.span("infer.layer[2].he"), None);
+        let events = r.trace_events();
+        assert_eq!(events.len(), 4);
+        assert_eq!(events[2].phase, TracePhase::Begin);
+        assert_eq!(events[3].phase, TracePhase::End);
+        assert!(events[2..].iter().all(|e| e.name == "infer.layer[2].he"));
+        let failed = profiler.hotspots();
+        assert!(failed
+            .iter()
+            .any(|h| h.path == "infer.layer[2].he" && h.calls == 1));
     }
 
     #[test]

@@ -583,16 +583,6 @@ pub fn span(name: &str) -> SpanGuard {
     })
 }
 
-/// [`span`] with a `prefix.name` frame, formatting only when a profiler is
-/// installed (the dispatcher hot path pays no allocation when disabled).
-#[must_use = "dropping the guard immediately closes the span"]
-pub fn span2(prefix: &str, name: &str) -> SpanGuard {
-    if CURRENT.with_borrow(Option::is_none) {
-        return SpanGuard { active: None };
-    }
-    span(&format!("{prefix}.{name}"))
-}
-
 /// Attributes `bytes` to the innermost open scope on this thread (no-op
 /// when no profiler is installed or no scope is open).
 pub fn add_bytes(bytes: u64) {
@@ -606,7 +596,7 @@ pub fn add_bytes(bytes: u64) {
     });
 }
 
-/// Scope guard returned by [`span`] / [`span2`].
+/// Scope guard returned by [`span`].
 #[derive(Debug)]
 pub struct SpanGuard {
     active: Option<(Arc<Shared>, usize, Instant)>,

@@ -48,9 +48,10 @@ impl Broker {
     ///
     /// # Errors
     ///
-    /// Fails when a worker cannot be provisioned or when the fleet's
-    /// ceremonies disagree (split key domains — batching would mix
-    /// ciphertexts no single user key decrypts).
+    /// Returns [`Error::Config`] for a fleet of zero workers. Fails when a
+    /// worker cannot be provisioned or when the fleet's ceremonies disagree
+    /// (split key domains — batching would mix ciphertexts no single user
+    /// key decrypts).
     pub fn new(
         config: BrokerConfig,
         model: QuantizedCnn,
@@ -59,6 +60,9 @@ impl Broker {
         he_threads: usize,
         recorder: Recorder,
     ) -> Result<Broker> {
+        if config.workers == 0 {
+            return Err(Error::Config("a broker needs at least one worker".into()));
+        }
         // One platform hosts the fleet: same seed → one key domain, while each
         // worker's enclave launch (and every re-provisioned successor) draws
         // its encryption randomness from a stream of its own.
@@ -548,6 +552,26 @@ mod tests {
             b.recorder().counter("serve.drop.queue_full") as usize,
             report.dropped_queue_full
         );
+    }
+
+    #[test]
+    fn a_zero_worker_config_is_refused_before_provisioning() {
+        // Regression test: the `workers()` setter clamps to 1, a struct
+        // literal does not — this used to index `sessions[0]` of an empty
+        // fleet and panic.
+        let config = BrokerConfig {
+            workers: 0,
+            ..BrokerConfig::default()
+        };
+        let result = Broker::new(
+            config,
+            small_model(),
+            ParamsPreset::Small,
+            21,
+            1,
+            Recorder::disabled(),
+        );
+        assert!(matches!(result, Err(Error::Config(_))));
     }
 
     #[test]

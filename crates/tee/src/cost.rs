@@ -22,7 +22,6 @@
 use hesgx_crypto::rng::ChaChaRng;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// Tunable constants of the enclave cost model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -30,7 +29,8 @@ pub struct CostModel {
     /// Multiplier on real CPU time spent inside the enclave
     /// (memory-encryption-engine and cache effects). Paper Table I ratio.
     pub in_enclave_factor: f64,
-    /// Cost of one ECALL or OCALL transition (EENTER + EEXIT), nanoseconds.
+    /// Cost of one world-switch transition, nanoseconds; an ECALL pays two
+    /// (EENTER + EEXIT).
     pub transition_ns: u64,
     /// Cost of evicting + reloading one EPC page (seal, MAC, copy), ns.
     pub page_swap_ns: u64,
@@ -72,17 +72,12 @@ impl CostModel {
 /// recorded, folded and exported without conversion.
 pub use hesgx_obs::SpanCost as CostBreakdown;
 
-/// Accumulates virtual time for one enclave.
+/// Prices enclave calls for one enclave. It keeps no running total: the
+/// observability recorder is the one ledger of what was charged.
 #[derive(Debug)]
 pub struct VirtualClock {
     model: CostModel,
-    inner: Mutex<ClockInner>,
-}
-
-#[derive(Debug)]
-struct ClockInner {
-    virtual_ns: u128,
-    rng: ChaChaRng,
+    rng: Mutex<ChaChaRng>,
 }
 
 impl VirtualClock {
@@ -90,10 +85,7 @@ impl VirtualClock {
     pub fn new(model: CostModel, seed: u64) -> Self {
         VirtualClock {
             model,
-            inner: Mutex::new(ClockInner {
-                virtual_ns: 0,
-                rng: ChaChaRng::from_seed(seed).fork("tee-vclock"),
-            }),
+            rng: Mutex::new(ChaChaRng::from_seed(seed).fork("tee-vclock")),
         }
     }
 
@@ -107,7 +99,9 @@ impl VirtualClock {
     /// `real_ns` is the measured body time, `transitions` the number of
     /// boundary crossings (usually 2: enter + exit), `copied_bytes` the
     /// marshalled argument/result volume, and `page_faults` the EPC faults
-    /// the call incurred.
+    /// the call incurred. Every term and the jitter base saturate at
+    /// `u64::MAX`: the model's fields are public, and a ruinously expensive
+    /// setting must be charged as such, never wrap to a cheap one.
     pub fn charge(
         &self,
         real_ns: u64,
@@ -117,38 +111,27 @@ impl VirtualClock {
     ) -> CostBreakdown {
         let m = &self.model;
         let slowdown = (real_ns as f64 * (m.in_enclave_factor - 1.0)).max(0.0) as u64;
-        let transition = transitions * m.transition_ns;
+        let transition = transitions.saturating_mul(m.transition_ns);
         let copy = (copied_bytes as f64 * m.per_byte_copy_ns) as u64;
-        let paging = page_faults * m.page_swap_ns;
-        let mut inner = self.inner.lock();
+        let paging = page_faults.saturating_mul(m.page_swap_ns);
         let jitter = if m.jitter_rel_std > 0.0 {
-            let base = (real_ns + slowdown + transition + copy + paging) as f64;
-            (inner.rng.next_gaussian() * m.jitter_rel_std * base) as i64
+            let base = real_ns
+                .saturating_add(slowdown)
+                .saturating_add(transition)
+                .saturating_add(copy)
+                .saturating_add(paging) as f64;
+            (self.rng.lock().next_gaussian() * m.jitter_rel_std * base) as i64
         } else {
             0
         };
-        let breakdown = CostBreakdown {
+        CostBreakdown {
             real_ns,
             slowdown_ns: slowdown,
             transition_ns: transition,
             copy_ns: copy,
             paging_ns: paging,
             jitter_ns: jitter,
-        };
-        inner.virtual_ns += breakdown.total_ns() as u128;
-        drop(inner);
-        breakdown
-    }
-
-    /// Total virtual nanoseconds accumulated so far.
-    pub fn elapsed_ns(&self) -> u128 {
-        self.inner.lock().virtual_ns
-    }
-
-    /// Total virtual time accumulated so far.
-    pub fn elapsed(&self) -> Duration {
-        let ns = self.elapsed_ns();
-        Duration::from_nanos(ns.min(u64::MAX as u128) as u64)
+        }
     }
 }
 
@@ -169,18 +152,6 @@ mod tests {
         assert_eq!(b.total_ns(), 1_000_000);
         assert_eq!(b.slowdown_ns, 0);
         assert_eq!(b.paging_ns, 0);
-    }
-
-    #[test]
-    fn charge_accumulates() {
-        let model = CostModel {
-            jitter_rel_std: 0.0,
-            ..CostModel::default()
-        };
-        let clock = VirtualClock::new(model, 1);
-        let b1 = clock.charge(1000, 2, 0, 0);
-        let b2 = clock.charge(1000, 2, 0, 0);
-        assert_eq!(clock.elapsed_ns(), (b1.total_ns() + b2.total_ns()) as u128);
     }
 
     #[test]
@@ -226,6 +197,36 @@ mod tests {
             ..CostBreakdown::default()
         };
         assert_eq!(negative.total_ns(), 0);
+    }
+
+    #[test]
+    fn near_max_model_terms_saturate_instead_of_wrapping() {
+        // Regression test: the transition and paging products used to be
+        // unchecked — a debug build panicked, a release build charged a
+        // wrapped (here: zero) cost for a ruinously expensive crossing.
+        let model = CostModel {
+            transition_ns: u64::MAX / 2 + 1,
+            page_swap_ns: u64::MAX / 3,
+            jitter_rel_std: 0.0,
+            ..CostModel::default()
+        };
+        let clock = VirtualClock::new(model, 4);
+        let b = clock.charge(0, 2, 0, 0);
+        assert_eq!(b.transition_ns, u64::MAX);
+        assert_eq!(b.total_ns(), u64::MAX);
+        let b = clock.charge(0, 0, 0, 4);
+        assert_eq!(b.paging_ns, u64::MAX);
+        // With jitter on, the base sum saturates too instead of wrapping.
+        let jittered = VirtualClock::new(
+            CostModel {
+                transition_ns: u64::MAX,
+                ..CostModel::default()
+            },
+            5,
+        );
+        let b = jittered.charge(u64::MAX, 2, u64::MAX, 0);
+        assert_eq!(b.transition_ns, u64::MAX);
+        assert_eq!(b.slowdown_ns, u64::MAX);
     }
 
     #[test]

@@ -6,18 +6,18 @@
 //! and configuration into a measurement. [`Enclave::ecall`] executes a closure
 //! "inside" the enclave: the body runs for real while the boundary crossing,
 //! marshalling, slowdown, and paging are charged on the virtual clock and
-//! logged on the side-channel monitor.
+//! booked on the observability recorder — the one ledger of every crossing
+//! and page fault.
 
 use crate::attestation::{QuotingEnclave, Report};
 use crate::cost::{CostBreakdown, CostModel, VirtualClock};
-use crate::epc::{Epc, EpcStats, RegionId, DEFAULT_EPC_BYTES};
+use crate::epc::{Epc, RegionId, DEFAULT_EPC_BYTES};
 use crate::error::{Result, TeeError};
 use crate::sealing::{self, SealedBlob};
-use crate::sidechannel::{SideChannelEvent, SideChannelMonitor};
 use crate::wall::WallTimer;
 use hesgx_chaos::{FaultHook, FaultKind, FaultSite};
 use hesgx_crypto::sha256::Sha256;
-use hesgx_obs::{counters, Recorder};
+use hesgx_obs::{counters, Recorder, Scope};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -85,7 +85,6 @@ pub struct EnclaveBuilder {
     heap_bytes: usize,
     epc_bytes: usize,
     cost_model: CostModel,
-    event_log_capacity: usize,
     seed: u64,
     hook: Option<Arc<dyn FaultHook>>,
     recorder: Recorder,
@@ -100,7 +99,6 @@ impl EnclaveBuilder {
             heap_bytes: 64 * 1024 * 1024,
             epc_bytes: DEFAULT_EPC_BYTES,
             cost_model: CostModel::default(),
-            event_log_capacity: 1024,
             seed: 0,
             hook: None,
             recorder: Recorder::disabled(),
@@ -173,12 +171,17 @@ impl EnclaveBuilder {
             platform,
             vclock: VirtualClock::new(self.cost_model, self.seed),
             epc: Mutex::new(epc),
-            monitor: Mutex::new(SideChannelMonitor::new(self.event_log_capacity)),
             seal_counter: AtomicU64::new(1),
             hook: self.hook,
             recorder: self.recorder,
         }
     }
+}
+
+/// The one spelling of ECALL `name`'s recorder span, timeline slice and
+/// profiler frame.
+fn ecall_span(name: &str) -> String {
+    ["ecall.", name].concat()
 }
 
 /// A running enclave instance.
@@ -190,19 +193,17 @@ pub struct Enclave {
     platform: Arc<Platform>,
     vclock: VirtualClock,
     epc: Mutex<Epc>,
-    monitor: Mutex<SideChannelMonitor>,
     seal_counter: AtomicU64,
     hook: Option<Arc<dyn FaultHook>>,
     recorder: Recorder,
 }
 
-/// Execution context handed to an ECALL body; tracks memory touches and
-/// OCALLs so they can be charged and logged.
+/// Execution context handed to an ECALL body; tracks memory touches so
+/// they can be charged.
 #[derive(Debug)]
 pub struct EnclaveCtx<'a> {
     epc: &'a Mutex<Epc>,
     faults: u64,
-    ocalls: u64,
     cpu_ns: u64,
 }
 
@@ -243,12 +244,6 @@ impl EnclaveCtx<'_> {
     pub fn touch_bytes(&mut self, region: RegionId, bytes: usize) -> Result<()> {
         self.faults += self.epc.lock().touch_bytes(region, bytes)?;
         Ok(())
-    }
-
-    /// Records an OCALL out to the untrusted host (charged as an extra
-    /// boundary round-trip).
-    pub fn ocall(&mut self, _name: &str) {
-        self.ocalls += 1;
     }
 
     /// Reports aggregate CPU time consumed by the ECALL body.
@@ -302,23 +297,16 @@ impl Enclave {
         output_bytes: usize,
         body: impl FnOnce(&mut EnclaveCtx<'_>) -> R,
     ) -> (R, CostBreakdown) {
-        // Same frame name the recorder uses for its span, so the profiler's
-        // drift report joins measured wall ns against the modeled cost.
-        let _prof = hesgx_obs::prof::span2("ecall", name);
+        // The slice and the frame open before the body, so EPC load/evict
+        // instants and frames recorded during the body nest inside them.
+        let span = ecall_span(name);
+        let scope = self
+            .recorder
+            .open(&span, &[("bytes_in", input_bytes as u64)]);
         hesgx_obs::prof::add_bytes((input_bytes + output_bytes) as u64);
-        // Timeline: the slice opens before the body so EPC load/evict
-        // instants recorded during the body nest inside it; the clock
-        // advances by the call's *modeled* cost when the slice closes.
-        if self.recorder.trace_enabled() {
-            self.recorder.trace_begin(
-                &format!("ecall.{name}"),
-                &[("bytes_in", input_bytes.to_string())],
-            );
-        }
         let mut ctx = EnclaveCtx {
             epc: &self.epc,
             faults: 0,
-            ocalls: 0,
             cpu_ns: 0,
         };
         let start = WallTimer::start();
@@ -327,67 +315,52 @@ impl Enclave {
         // whichever is larger so fanned-out work still pays the in-enclave
         // slowdown on every CPU-nanosecond of the batch.
         let real_ns = start.elapsed_ns().max(ctx.cpu_ns);
-        let breakdown = self.book_crossing(name, input_bytes, output_bytes, real_ns, Some(&ctx));
+        let copied = (input_bytes + output_bytes) as u64;
+        let breakdown = self.book_crossing(&span, Some(scope), copied, real_ns, ctx.faults);
         (result, breakdown)
     }
 
-    /// Charges one boundary crossing to the virtual clock and books it —
-    /// the only place a crossing touches the recorder, the timeline and the
-    /// side-channel monitor. `ran` is the context of the body that executed;
-    /// `None` is an aborted `EENTER`: the body never ran, so the failed
-    /// crossing and the marshalled input are all there is to charge, and
-    /// the timeline gets an instant instead of a slice to close.
+    /// Charges one boundary crossing (EENTER + EEXIT) to the virtual clock
+    /// and books it under `span` on the recorder — the one ledger of a
+    /// crossing. `scope` is what [`Enclave::ecall`] opened around the body
+    /// that ran; `None` is an aborted `EENTER`: the body never ran, so the
+    /// failed crossing and the marshalled input are all there is to charge,
+    /// and the timeline gets an instant instead of a slice to close.
     fn book_crossing(
         &self,
-        name: &str,
-        input_bytes: usize,
-        output_bytes: usize,
+        span: &str,
+        scope: Option<Scope<'_>>,
+        copied: u64,
         real_ns: u64,
-        ran: Option<&EnclaveCtx<'_>>,
+        faults: u64,
     ) -> CostBreakdown {
-        let (faults, ocalls) = ran.map_or((0, 0), |ctx| (ctx.faults, ctx.ocalls));
-        // Enter + exit, plus a round-trip per OCALL.
-        let transitions = 2 + 2 * ocalls;
-        let copied = (input_bytes + output_bytes) as u64;
-        let breakdown = self.vclock.charge(real_ns, transitions, copied, faults);
+        const TRANSITIONS: u64 = 2;
+        let breakdown = self.vclock.charge(real_ns, TRANSITIONS, copied, faults);
         if self.recorder.is_enabled() {
-            self.recorder
-                .record_span(&format!("ecall.{name}"), breakdown);
             self.recorder.incr(counters::ECALLS, 1);
-            self.recorder.incr(counters::ECALL_TRANSITIONS, transitions);
+            self.recorder.incr(counters::ECALL_TRANSITIONS, TRANSITIONS);
             self.recorder.incr(counters::BYTES_MARSHALLED, copied);
             self.recorder.observe("ecall.bytes", copied);
             self.recorder.observe("ecall.epc_faults", faults);
         }
-        if self.recorder.trace_enabled() {
-            if ran.is_none() {
-                self.recorder.trace_instant(
-                    &format!("ecall.{name}.aborted"),
-                    &[("bytes_in", input_bytes.to_string())],
-                );
+        match scope {
+            Some(scope) => {
+                // The trace clock advances by the call's *modeled* cost
+                // before the slice closes.
+                self.recorder.trace_advance(breakdown.model_ns());
+                scope.close(breakdown);
             }
-            self.recorder.trace_advance(breakdown.model_ns());
-            if ran.is_some() {
-                self.recorder.trace_end(&format!("ecall.{name}"));
+            None => {
+                self.recorder.record_span(span, breakdown);
+                if self.recorder.trace_enabled() {
+                    self.recorder.trace_instant(
+                        &format!("{span}.aborted"),
+                        &[("bytes_in", copied.to_string())],
+                    );
+                    self.recorder.trace_advance(breakdown.model_ns());
+                }
             }
         }
-        let mut mon = self.monitor.lock();
-        mon.record(SideChannelEvent::EcallEnter {
-            name: name.to_string(),
-            input_bytes,
-        });
-        if faults > 0 {
-            mon.record(SideChannelEvent::PageFaults { count: faults });
-        }
-        for _ in 0..ocalls {
-            mon.record(SideChannelEvent::Ocall {
-                name: "host".to_string(),
-            });
-        }
-        mon.record(SideChannelEvent::EcallExit {
-            name: name.to_string(),
-            output_bytes,
-        });
         breakdown
     }
 
@@ -420,7 +393,8 @@ impl Enclave {
         body: impl FnOnce(&mut EnclaveCtx<'_>) -> R,
     ) -> (Result<R>, CostBreakdown) {
         if self.consult(FaultSite::EcallEnter).is_some() {
-            let breakdown = self.book_crossing(name, input_bytes, 0, 0, None);
+            let span = ecall_span(name);
+            let breakdown = self.book_crossing(&span, None, input_bytes as u64, 0, 0);
             return (Err(TeeError::Interrupted(FaultSite::EcallEnter)), breakdown);
         }
         let (result, breakdown) = self.ecall(name, input_bytes, output_bytes, body);
@@ -480,21 +454,6 @@ impl Enclave {
     pub fn create_report(&self, user_data: Vec<u8>) -> Report {
         Report::new(&self.platform.report_key, self.measurement, user_data)
     }
-
-    /// The enclave's virtual clock.
-    pub fn vclock(&self) -> &VirtualClock {
-        &self.vclock
-    }
-
-    /// Snapshot of EPC statistics.
-    pub fn epc_stats(&self) -> EpcStats {
-        self.epc.lock().stats()
-    }
-
-    /// Runs `f` with the side-channel monitor.
-    pub fn with_monitor<R>(&self, f: impl FnOnce(&SideChannelMonitor) -> R) -> R {
-        f(&self.monitor.lock())
-    }
 }
 
 #[cfg(test)]
@@ -518,30 +477,36 @@ mod tests {
 
     #[test]
     fn ecall_returns_value_and_charges_time() {
-        let e = EnclaveBuilder::new("e").build(platform());
+        let rec = Recorder::enabled();
+        let e = EnclaveBuilder::new("e")
+            .recorder(rec.clone())
+            .build(platform());
         let (value, cost) = e.ecall("add", 16, 8, |_| 2 + 2);
         assert_eq!(value, 4);
         assert!(cost.transition_ns > 0);
-        assert!(e.vclock().elapsed_ns() >= cost.total_ns() as u128);
+        assert_eq!(rec.span("ecall.add").map(|s| s.cost), Some(cost));
     }
 
     #[test]
     fn ecalls_logged_on_monitor() {
-        let e = EnclaveBuilder::new("e").build(platform());
+        let rec = Recorder::enabled();
+        let e = EnclaveBuilder::new("e")
+            .recorder(rec.clone())
+            .build(platform());
         e.ecall("f", 0, 0, |_| ());
-        e.ecall("g", 0, 0, |ctx| ctx.ocall("host_log"));
-        e.with_monitor(|m| {
-            assert_eq!(m.ecall_count(), 2);
-            assert_eq!(m.ocall_count(), 1);
-        });
+        e.ecall("g", 0, 0, |_| ());
+        assert_eq!(rec.counter(counters::ECALLS), 2);
+        assert_eq!(rec.counter(counters::ECALL_TRANSITIONS), 4);
     }
 
     #[test]
     fn paging_pressure_visible() {
         // Enclave with tiny EPC: scanning a large region twice faults a lot.
+        let rec = Recorder::enabled();
         let e = EnclaveBuilder::new("e")
             .epc_bytes(8 * crate::epc::PAGE_SIZE)
             .heap_bytes(32 * crate::epc::PAGE_SIZE)
+            .recorder(rec.clone())
             .build(platform());
         let ((), cost) = e.ecall("scan", 0, 0, |ctx| {
             let big = ctx.alloc(16 * crate::epc::PAGE_SIZE).unwrap();
@@ -549,8 +514,8 @@ mod tests {
             ctx.touch(big).unwrap();
         });
         assert!(cost.paging_ns > 0);
-        assert!(e.epc_stats().evictions > 0);
-        e.with_monitor(|m| assert!(m.page_fault_count() >= 16));
+        assert!(rec.counter(counters::EPC_EVICTIONS) > 0);
+        assert!(rec.counter(counters::EPC_PAGE_FAULTS) >= 16);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::error::{Result, TeeError};
 use hesgx_chaos::{FaultHook, FaultSite};
 use hesgx_obs::{counters, Recorder};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Page size in bytes (SGX uses 4 KiB EPC pages).
@@ -23,23 +23,13 @@ pub const DEFAULT_EPC_BYTES: usize = 93 * 1024 * 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegionId(pub u64);
 
-/// Statistics accumulated by the page cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EpcStats {
-    /// Page faults (first touch or reload after eviction).
-    pub faults: u64,
-    /// Evictions (pages sealed out to untrusted memory).
-    pub evictions: u64,
-    /// Touches that hit resident pages.
-    pub hits: u64,
-}
-
 #[derive(Debug)]
 struct Region {
     pages: usize,
 }
 
-/// An LRU-managed enclave page cache.
+/// An LRU-managed enclave page cache. Its faults, evictions and hits are
+/// booked only on the installed [`Recorder`] (`epc.*` counters and spans).
 #[derive(Debug)]
 pub struct Epc {
     capacity_pages: usize,
@@ -51,8 +41,7 @@ pub struct Epc {
     next_region: u64,
     /// Resident pages in LRU order (front = least recently used).
     lru: Vec<(RegionId, usize)>,
-    resident: BTreeMap<(RegionId, usize), usize>, // -> index hint (rebuilt lazily)
-    stats: EpcStats,
+    resident: BTreeSet<(RegionId, usize)>,
     hook: Option<Arc<dyn FaultHook>>,
     recorder: Recorder,
 }
@@ -68,8 +57,7 @@ impl Epc {
             regions: BTreeMap::new(),
             next_region: 1,
             lru: Vec::new(),
-            resident: BTreeMap::new(),
-            stats: EpcStats::default(),
+            resident: BTreeSet::new(),
             hook: None,
             recorder: Recorder::disabled(),
         }
@@ -124,7 +112,7 @@ impl Epc {
             .ok_or(TeeError::UnknownRegion(id.0))?;
         self.allocated_pages -= region.pages;
         self.lru.retain(|&(r, _)| r != id);
-        self.resident.retain(|&(r, _), _| r != id);
+        self.resident.retain(|&(r, _)| r != id);
         Ok(())
     }
 
@@ -174,7 +162,7 @@ impl Epc {
     /// Touches one page; returns `true` on fault.
     fn touch_page(&mut self, id: RegionId, page: usize) -> bool {
         let key = (id, page);
-        if self.resident.contains_key(&key) {
+        if self.resident.contains(&key) {
             let pressured = self
                 .hook
                 .as_ref()
@@ -194,14 +182,12 @@ impl Epc {
                     let item = self.lru.remove(pos);
                     self.lru.push(item);
                 }
-                self.stats.hits += 1;
                 self.recorder.incr(counters::EPC_HITS, 1);
                 return false;
             }
         }
         // Fault: evict if full, then load.
         let _prof = hesgx_obs::prof::span("epc.load");
-        self.stats.faults += 1;
         self.recorder.record_zero_attempt("epc.load");
         self.recorder.incr(counters::EPC_PAGE_FAULTS, 1);
         if self.recorder.trace_enabled() {
@@ -226,24 +212,18 @@ impl Epc {
             self.record_eviction();
         }
         self.lru.push(key);
-        self.resident.insert(key, 0);
+        self.resident.insert(key);
         true
     }
 
-    /// Bumps the eviction stat and its observability mirror together.
-    fn record_eviction(&mut self) {
+    /// Books one eviction on every observability face.
+    fn record_eviction(&self) {
         let _prof = hesgx_obs::prof::span("epc.evict");
-        self.stats.evictions += 1;
         self.recorder.record_zero_attempt("epc.evict");
         self.recorder.incr(counters::EPC_EVICTIONS, 1);
         if self.recorder.trace_enabled() {
             self.recorder.trace_instant("epc.evict", &[]);
         }
-    }
-
-    /// Current statistics.
-    pub fn stats(&self) -> EpcStats {
-        self.stats
     }
 
     /// Number of currently resident pages.
@@ -266,6 +246,15 @@ impl Epc {
 mod tests {
     use super::*;
 
+    /// A page cache booking into a fresh recorder — the ledger the tests
+    /// read its faults, evictions and hits from.
+    fn recorded(capacity_pages: usize, heap_pages: usize) -> (Epc, Recorder) {
+        let rec = Recorder::enabled();
+        let mut epc = Epc::new(capacity_pages * PAGE_SIZE, heap_pages * PAGE_SIZE);
+        epc.set_recorder(rec.clone());
+        (epc, rec)
+    }
+
     #[test]
     fn alloc_within_heap() {
         let mut epc = Epc::new(16 * PAGE_SIZE, 8 * PAGE_SIZE);
@@ -287,37 +276,37 @@ mod tests {
 
     #[test]
     fn cold_touch_faults_then_hits() {
-        let mut epc = Epc::new(16 * PAGE_SIZE, 8 * PAGE_SIZE);
+        let (mut epc, rec) = recorded(16, 8);
         let r = epc.alloc(4 * PAGE_SIZE).unwrap();
         assert_eq!(epc.touch_region(r).unwrap(), 4);
         assert_eq!(epc.touch_region(r).unwrap(), 0);
-        assert_eq!(epc.stats().faults, 4);
-        assert_eq!(epc.stats().hits, 4);
+        assert_eq!(rec.counter(counters::EPC_PAGE_FAULTS), 4);
+        assert_eq!(rec.counter(counters::EPC_HITS), 4);
     }
 
     #[test]
     fn working_set_larger_than_epc_thrashes() {
         // 4-page EPC, two 3-page regions: alternating scans must fault forever.
-        let mut epc = Epc::new(4 * PAGE_SIZE, 8 * PAGE_SIZE);
+        let (mut epc, rec) = recorded(4, 8);
         let a = epc.alloc(3 * PAGE_SIZE).unwrap();
         let b = epc.alloc(3 * PAGE_SIZE).unwrap();
         epc.touch_region(a).unwrap();
         epc.touch_region(b).unwrap();
         let faults_a = epc.touch_region(a).unwrap();
         assert!(faults_a > 0, "thrashing working set must keep faulting");
-        assert!(epc.stats().evictions > 0);
+        assert!(rec.counter(counters::EPC_EVICTIONS) > 0);
     }
 
     #[test]
     fn small_working_set_no_thrash() {
-        let mut epc = Epc::new(8 * PAGE_SIZE, 8 * PAGE_SIZE);
+        let (mut epc, rec) = recorded(8, 8);
         let a = epc.alloc(2 * PAGE_SIZE).unwrap();
         let b = epc.alloc(2 * PAGE_SIZE).unwrap();
         epc.touch_region(a).unwrap();
         epc.touch_region(b).unwrap();
         assert_eq!(epc.touch_region(a).unwrap(), 0);
         assert_eq!(epc.touch_region(b).unwrap(), 0);
-        assert_eq!(epc.stats().evictions, 0);
+        assert_eq!(rec.counter(counters::EPC_EVICTIONS), 0);
     }
 
     #[test]
@@ -338,14 +327,14 @@ mod tests {
                 .script(FaultSite::EpcLoad, 0, FaultKind::Pressure)
                 .build(),
         );
-        let mut epc = Epc::new(16 * PAGE_SIZE, 8 * PAGE_SIZE);
+        let (mut epc, rec) = recorded(16, 8);
         epc.set_fault_hook(injector);
         let r = epc.alloc(PAGE_SIZE).unwrap();
         assert_eq!(epc.touch_region(r).unwrap(), 1); // cold fault
                                                      // Resident, but the injected pressure evicts it mid-touch: faults
                                                      // again instead of hitting.
         assert_eq!(epc.touch_region(r).unwrap(), 1);
-        assert_eq!(epc.stats().evictions, 1);
+        assert_eq!(rec.counter(counters::EPC_EVICTIONS), 1);
         // Subsequent touches hit normally (script fired once).
         assert_eq!(epc.touch_region(r).unwrap(), 0);
     }
@@ -358,34 +347,28 @@ mod tests {
                 .script(FaultSite::EpcEvict, 1, FaultKind::Pressure)
                 .build(),
         );
-        let mut epc = Epc::new(16 * PAGE_SIZE, 8 * PAGE_SIZE);
+        let (mut epc, rec) = recorded(16, 8);
         epc.set_fault_hook(injector);
         let a = epc.alloc(PAGE_SIZE).unwrap();
         let b = epc.alloc(PAGE_SIZE).unwrap();
         epc.touch_region(a).unwrap(); // cold fault, occurrence 0: no injection
         epc.touch_region(b).unwrap(); // cold fault, occurrence 1: evicts `a`
-        assert_eq!(epc.stats().evictions, 1);
+        assert_eq!(rec.counter(counters::EPC_EVICTIONS), 1);
         // `a` was the extra victim, so touching it faults again.
         assert_eq!(epc.touch_region(a).unwrap(), 1);
     }
 
     #[test]
-    fn recorder_mirrors_epc_stats() {
-        let rec = Recorder::enabled();
-        let mut epc = Epc::new(2 * PAGE_SIZE, 8 * PAGE_SIZE);
-        epc.set_recorder(rec.clone());
+    fn recorder_counts_every_epc_event() {
+        let (mut epc, rec) = recorded(2, 8);
         let r = epc.alloc(3 * PAGE_SIZE).unwrap();
-        epc.touch_region(r).unwrap(); // 3 cold faults, 1 capacity eviction
-        epc.touch_region(r).unwrap(); // keeps thrashing within a 2-page EPC
-        let stats = epc.stats();
-        assert_eq!(rec.counter(counters::EPC_PAGE_FAULTS), stats.faults);
-        assert_eq!(rec.counter(counters::EPC_EVICTIONS), stats.evictions);
-        assert_eq!(rec.counter(counters::EPC_HITS), stats.hits);
-        assert_eq!(rec.span("epc.load").map(|s| s.entries), Some(stats.faults));
-        assert_eq!(
-            rec.span("epc.evict").map(|s| s.entries),
-            Some(stats.evictions)
-        );
+        assert_eq!(epc.touch_region(r).unwrap(), 3); // 1 capacity eviction
+        assert_eq!(epc.touch_region(r).unwrap(), 3); // thrashes: 3 more
+        assert_eq!(rec.counter(counters::EPC_PAGE_FAULTS), 6);
+        assert_eq!(rec.counter(counters::EPC_EVICTIONS), 4);
+        assert_eq!(rec.counter(counters::EPC_HITS), 0);
+        assert_eq!(rec.span("epc.load").map(|s| s.entries), Some(6));
+        assert_eq!(rec.span("epc.evict").map(|s| s.entries), Some(4));
     }
 
     #[test]

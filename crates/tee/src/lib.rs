@@ -7,13 +7,13 @@
 //! What is simulated, and how:
 //!
 //! * **Isolation & lifecycle** — [`enclave::EnclaveBuilder`] measures loaded
-//!   code into an MRENCLAVE-style hash; [`enclave::Enclave::ecall`] runs typed
-//!   closures "inside" with boundary accounting. Functional security
+//!   code into an MRENCLAVE-style hash; [`enclave::Enclave::ecall`] runs
+//!   closures "inside" and charges each boundary crossing. Functional security
 //!   properties (sealing bound to measurement, attestation chains) are
 //!   executed for real in software.
 //! * **Performance** — a calibrated [`cost::CostModel`] charges the
 //!   in-enclave slowdown, EENTER/EEXIT transitions, marshalling, and EPC
-//!   paging on a [`cost::VirtualClock`]. Defaults reproduce the ratios of the
+//!   paging through a [`cost::VirtualClock`]. Defaults reproduce the ratios of the
 //!   paper's Tables I/IV/V; [`cost::CostModel::fake_sgx`] is the paper's
 //!   `FakeSGX` control (same code, no enclave).
 //! * **Limited memory** — [`epc::Epc`] models the ~93 MiB protected page
@@ -22,9 +22,11 @@
 //! * **Remote attestation** — [`attestation`] implements the DCAP-style
 //!   report → quote → service chain, including the *user data* field the
 //!   paper uses to distribute FV keys without a trusted third party (§IV-A).
-//! * **Side channels** — [`sidechannel::SideChannelMonitor`] logs every
-//!   host-observable event so deployment strategies can be compared by
-//!   exposure (§IV-C).
+//! * **Side channels** — the host-observable events, boundary crossings and
+//!   EPC page faults, are booked once, on the `hesgx_obs::Recorder` an
+//!   enclave is built with (`ecall.*` spans, `ecall.calls`,
+//!   `epc.page_faults`), so deployment strategies can be compared by
+//!   exposure (§IV-C) from the same ledger that prices them.
 //!
 //! # Examples
 //!
@@ -59,7 +61,6 @@ pub mod enclave;
 pub mod epc;
 pub mod error;
 pub mod sealing;
-pub mod sidechannel;
 pub mod wall;
 
 /// Convenient glob-import of the main types.
@@ -69,10 +70,9 @@ pub mod prelude {
     };
     pub use crate::cost::{CostBreakdown, CostModel, VirtualClock};
     pub use crate::enclave::{Enclave, EnclaveBuilder, EnclaveCtx, Platform};
-    pub use crate::epc::{Epc, EpcStats, RegionId, PAGE_SIZE};
+    pub use crate::epc::{Epc, RegionId, PAGE_SIZE};
     pub use crate::error::TeeError;
     pub use crate::sealing::SealedBlob;
-    pub use crate::sidechannel::{SideChannelEvent, SideChannelMonitor};
     pub use crate::wall::WallTimer;
     pub use hesgx_chaos::{FaultHook, FaultKind, FaultPlan, FaultReport, FaultSite};
 }

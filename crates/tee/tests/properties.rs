@@ -2,6 +2,7 @@
 //! accounting invariants, attestation chain robustness, and cost-model
 //! monotonicity.
 
+use hesgx_obs::{counters, Recorder};
 use hesgx_tee::attestation::AttestationService;
 use hesgx_tee::cost::{CostModel, VirtualClock};
 use hesgx_tee::enclave::{EnclaveBuilder, Platform};
@@ -61,14 +62,15 @@ proptest! {
                                            touches in proptest::collection::vec(0usize..6, 0..30)) {
         let total: usize = regions.iter().sum();
         let mut epc = Epc::new(capacity_pages * PAGE_SIZE, (total + 1) * PAGE_SIZE);
+        let rec = Recorder::enabled();
+        epc.set_recorder(rec.clone());
         let ids: Vec<_> = regions.iter().map(|&p| epc.alloc(p * PAGE_SIZE).unwrap()).collect();
         for &t in &touches {
             let _ = epc.touch_region(ids[t % ids.len()]);
         }
         prop_assert!(epc.resident_pages() <= capacity_pages);
         // Conservation: faults = hits' complement; evictions <= faults.
-        let stats = epc.stats();
-        prop_assert!(stats.evictions <= stats.faults);
+        prop_assert!(rec.counter(counters::EPC_EVICTIONS) <= rec.counter(counters::EPC_PAGE_FAULTS));
     }
 
     #[test]

@@ -19,6 +19,7 @@ use hesgx_henn::cryptonets::CryptoNets;
 use hesgx_nn::dataset;
 use hesgx_nn::layers::PoolKind;
 use hesgx_nn::train::{train_paper_cnn, TrainConfig};
+use hesgx_obs::{counters, Recorder};
 use std::time::Instant;
 
 const BATCH: usize = 10;
@@ -63,6 +64,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         .params(ParamsPreset::Paper)
         .activation(ActivationKind::Sigmoid)
         .seed(5)
+        .recorder(Recorder::enabled())
         .build(Platform::new(77), hybrid_model.clone())?;
     println!("HE worker threads: {}", session.threads());
     let start = Instant::now();
@@ -89,18 +91,17 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     println!(
         "pipeline: {hybrid_wall:?} wall + {enclave_overhead:?} modeled SGX overhead = {hybrid_total:?} for {BATCH} images"
     );
+    // The recorder is the one ledger of what the host observes; the noise
+    // probes an enabled recorder adds are its own telemetry, not the
+    // pipeline's crossings.
+    let recorder = session.recorder();
+    let probes = recorder
+        .span("ecall.ecall_NoiseProbe")
+        .map_or(0, |span| span.entries);
     println!(
         "enclave side-channel exposure: {} ECALLs, {} page faults",
-        session
-            .service()
-            .enclave()
-            .enclave()
-            .with_monitor(|m| m.ecall_count()),
-        session
-            .service()
-            .enclave()
-            .enclave()
-            .with_monitor(|m| m.page_fault_count())
+        recorder.counter(counters::ECALLS) - probes,
+        recorder.counter(counters::EPC_PAGE_FAULTS)
     );
 
     println!("\n== pure-HE baseline (Encrypted / CryptoNets) ==");
