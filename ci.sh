@@ -167,13 +167,19 @@ step_bench() {
             awk '$1 == "henn.ops.ct_pt_mul" { seen = 1; if ($2 + 0 >= 7950) unpacked = 1 }
                  END { exit (unpacked || !seen) }' target/bench/smoke.txt
         fi
-        # A purehe_12 request runs 400 squares and 400 relinearisations:
-        # 19246 transforms with every component of a square lifted once (25
-        # a square), 23246 when each operand of the tensor product is lifted
-        # separately (35). A silent return to double lifting must fail here.
+        # A purehe_12 request (batch of 10) runs in the orbit layout: per CRT
+        # part, 36 public-key encryptions (7 transforms each), 8 squares (25:
+        # every component lifted once) and relinearisations (18), 6 FC
+        # products over coefficient-form pooled cells (4), 15 rotations (16:
+        # two inverse for c1, 14 digit forwards) and 3 logit decryptions (3)
+        # — 869 a part, 1738 for the two. One pixel per ciphertext it is 200
+        # squares a part and 19246 transforms. A silent fall back to the
+        # per-pixel plan (ct x ct multiplies at 200 or more) or any extra
+        # transform must fail here.
         if [ "$workload" = purehe_12 ]; then
-            awk '$1 == "prof.bfv_ntt_calls" { seen = 1; if ($2 + 0 >= 23246) relifted = 1 }
-                 END { exit (relifted || !seen) }' target/bench/smoke.txt
+            awk '$1 == "henn.ops.ct_ct_mul" { squares = 1; if ($2 + 0 >= 200) unpacked = 1 }
+                 $1 == "prof.bfv_ntt_calls" { seen = 1; if ($2 + 0 > 1738) transformed = 1 }
+                 END { exit (unpacked || transformed || !seen || !squares) }' target/bench/smoke.txt
         fi
         # A fig8 request is 765 transforms because whoever holds s encrypts
         # in evaluation form (3 a ciphertext: the batch encode and one

@@ -9,7 +9,7 @@
 
 use crate::arith::is_prime_u64;
 use crate::error::{BfvError, Result};
-use crate::ntt::NttTable;
+use crate::ntt::{bit_reverse, NttTable};
 use crate::params::EncryptionParameters;
 use crate::plaintext::Plaintext;
 
@@ -101,6 +101,22 @@ impl BatchEncoder {
     }
 }
 
+/// SEAL's batch-matrix index map: entry `row·n/2 + col` is the encoder slot
+/// of `(row, col)` in the `2 × n/2` matrix whose rows `x → x^{3^k}` rotates
+/// left by `k` — row 0 at `ψ^{3^col}`, row 1 at `ψ^{−3^col}`; the encoder
+/// keeps `ψ^{2j+1}` in slot `bitrev(j)`, an order this map leaves alone.
+pub fn matrix_index_map(n: usize) -> Vec<usize> {
+    let (row, two_n, log_n) = (n / 2, 2 * n, n.trailing_zeros());
+    let mut map = vec![0; n];
+    let mut pos = 1;
+    for col in 0..row {
+        map[col] = bit_reverse((pos - 1) / 2, log_n);
+        map[row + col] = bit_reverse((two_n - pos - 1) / 2, log_n);
+        pos = pos * 3 % two_n;
+    }
+    map
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,6 +156,16 @@ mod tests {
         let back: Vec<i64> = back.into_iter().map(lift).collect();
         assert_eq!(&back[..values.len()], &values[..]);
         assert!(back[values.len()..].iter().all(|&v| v == 0));
+    }
+
+    /// The index map is a bijection onto the slots.
+    #[test]
+    fn matrix_index_map_is_a_permutation() {
+        for n in [256, 1024] {
+            let mut seen = matrix_index_map(n);
+            seen.sort_unstable();
+            assert_eq!(seen, (0..n).collect::<Vec<_>>(), "n = {n}");
+        }
     }
 
     #[test]

@@ -22,6 +22,8 @@ pub enum BfvError {
     NothingToRelinearize,
     /// The evaluation keys do not match the context decomposition.
     EvaluationKeyMismatch,
+    /// No Galois key was generated for this Galois element.
+    MissingGaloisKey(usize),
     /// Batching requested but `t ≢ 1 (mod 2n)` or `t` is not prime.
     BatchingUnsupported,
     /// A scalar operand does not fit the plaintext space (`|v| ≥ t`).
@@ -59,6 +61,7 @@ impl std::fmt::Display for BfvError {
             BfvError::EvaluationKeyMismatch => {
                 write!(f, "evaluation keys do not match context decomposition")
             }
+            BfvError::MissingGaloisKey(g) => write!(f, "no Galois key for element {g}"),
             BfvError::BatchingUnsupported => {
                 write!(f, "plaintext modulus does not support batching")
             }

@@ -1,6 +1,6 @@
 //! Homomorphic evaluation — the paper's `Add`, `Multiply`, and
 //! relinearization (§II-B), plus plaintext add/multiply used by the
-//! convolutional and fully connected layers.
+//! convolutional and fully connected layers, and slot rotations.
 //!
 //! Ciphertext multiplication is exact: the tensor product of the centered
 //! operands is computed over the integers — held as residues modulo the
@@ -12,7 +12,7 @@ use crate::arith::mul_mod;
 use crate::ciphertext::Ciphertext;
 use crate::context::BfvContext;
 use crate::error::{BfvError, Result};
-use crate::keys::EvaluationKeys;
+use crate::keys::{orbit_steps, Automorphism, EvaluationKeys, GaloisKeys};
 use crate::plaintext::{NttPlaintext, Plaintext};
 use crate::poly::{PolyForm, RnsPoly};
 use crate::tensor::MAX_TENSOR_TERMS;
@@ -492,27 +492,113 @@ impl Evaluator {
             return Err(BfvError::InvalidCiphertextSize(ct.size()));
         }
         let ctx = &self.ctx;
-        if evk.component_count() != ctx.decomp_count {
+        let c2 = ct.polys[2].in_form(PolyForm::Coeff, ctx);
+        let switched = self.key_switch(&c2, &evk.keys)?;
+        let polys = (switched.into_iter().zip(&ct.polys))
+            .map(|(mut acc, c)| {
+                acc.to_coeff(ctx);
+                acc.add_assign(&c.in_form(PolyForm::Coeff, ctx), ctx);
+                acc
+            })
+            .collect();
+        Ok(Ciphertext {
+            polys,
+            context_id: *ctx.id(),
+        })
+    }
+
+    /// Permutes the slots of a size-2 ciphertext by `automorphism`, switched
+    /// back to `s` with `gk`; the result is in evaluation form.
+    ///
+    /// # Errors
+    ///
+    /// [`BfvError::ContextMismatch`], [`BfvError::MissingGaloisKey`], or
+    /// [`BfvError::InvalidCiphertextSize`] for a ciphertext not of size 2.
+    pub fn apply_galois(
+        &self,
+        ct: &Ciphertext,
+        automorphism: Automorphism,
+        gk: &GaloisKeys,
+    ) -> Result<Ciphertext> {
+        let _prof = prof::span("bfv.eval.apply_galois");
+        self.check(ct)?;
+        if gk.context_id != *self.ctx.id() {
+            return Err(BfvError::ContextMismatch);
+        }
+        if ct.size() != 2 {
+            return Err(BfvError::InvalidCiphertextSize(ct.size()));
+        }
+        let ctx = &self.ctx;
+        let galois_elt = automorphism.galois_elt(ctx.poly_degree());
+        let keys = gk.keys.iter().find(|(g, _)| *g == galois_elt);
+        let (_, keys) = keys.ok_or(BfvError::MissingGaloisKey(galois_elt))?;
+        let mut c1 = ct.polys[1].automorphism(galois_elt, ctx);
+        c1.to_coeff(ctx);
+        let [mut c0, c1] = self.key_switch(&c1, &keys.keys)?;
+        c0.add_assign(&ct.polys[0].automorphism(galois_elt, ctx), ctx);
+        Ok(Ciphertext {
+            polys: vec![c0, c1],
+            context_id: *ctx.id(),
+        })
+    }
+
+    /// Rotates both rows of the batch matrix left by `step`; fails as
+    /// [`Evaluator::apply_galois`] does.
+    pub fn rotate_rows(&self, ct: &Ciphertext, step: usize, gk: &GaloisKeys) -> Result<Ciphertext> {
+        self.apply_galois(ct, Automorphism::RotateRows(step), gk)
+    }
+
+    /// The sum of `ct` over the full orbit of the row rotation by `stride`, a
+    /// power of two dividing `n/2`: each slot gets the sum of the slots of its
+    /// row that multiples of `stride` reach ([`crate::keys::orbit_steps`]).
+    ///
+    /// # Errors
+    ///
+    /// [`BfvError::InvalidShape`] for another stride; as [`Evaluator::rotate_rows`].
+    pub fn rotate_and_sum(
+        &self,
+        ct: &Ciphertext,
+        stride: usize,
+        gk: &GaloisKeys,
+    ) -> Result<Ciphertext> {
+        let row = self.ctx.poly_degree() / 2;
+        if !stride.is_power_of_two() || stride > row {
+            return Err(BfvError::InvalidShape(format!("orbit stride {stride}")));
+        }
+        let mut acc = ct.clone();
+        for step in orbit_steps(row * 2, stride) {
+            let rotated = self.rotate_rows(&acc, step, gk)?;
+            self.add_inplace(&mut acc, &rotated)?;
+        }
+        Ok(acc)
+    }
+
+    /// The key switch of relinearization and the Galois automorphisms:
+    /// `(Σ b_k ⊙ d_k, Σ a_k ⊙ d_k)`, in evaluation form, over the base-`2^dbc`
+    /// digits `d_k` of coefficient-form `c` in `[0, q)`. The sums stay
+    /// unreduced between reductions: a product is below 2^124.
+    ///
+    /// # Errors
+    ///
+    /// [`BfvError::EvaluationKeyMismatch`] for a key of another length.
+    fn key_switch(&self, c: &RnsPoly, keys: &[(RnsPoly, RnsPoly)]) -> Result<[RnsPoly; 2]> {
+        const LAZY_TERMS: usize = 8;
+        let ctx = &self.ctx;
+        if keys.len() != ctx.decomp_count {
             return Err(BfvError::EvaluationKeyMismatch);
         }
-
-        // c0' = c0 + Σ evk_k.0 ⊙ d_k ; c1' = c1 + Σ evk_k.1 ⊙ d_k over the
-        // base-2^dbc digits d_k of c2's coefficients in [0, q). The sums stay
-        // unreduced between reductions: a product is below 2^124.
-        const LAZY_TERMS: usize = 8;
         let dbc = ctx.params().decomposition_bit_count();
         let mask = (1u64 << dbc) - 1;
         let n = ctx.poly_degree();
-        let c2 = ct.polys[2].in_form(PolyForm::Coeff, ctx);
-        let c2: Vec<u128> = (0..n).map(|j| ctx.reconstruct(&c2, j)).collect();
+        let c: Vec<u128> = (0..n).map(|j| ctx.reconstruct(c, j)).collect();
         let zero = vec![vec![0u128; n]; ctx.limb_count()];
         let mut sums = [zero.clone(), zero];
         let mut digit = RnsPoly::zero(ctx, PolyForm::Coeff);
-        for (k, (key0, key1)) in evk.keys.iter().enumerate() {
+        for (k, (key0, key1)) in keys.iter().enumerate() {
             // A digit is its own residue modulo every limb wider than the base.
             digit.form = PolyForm::Coeff;
             for (limb, table) in digit.limbs.iter_mut().zip(&ctx.ntt_tables) {
-                for (v, &x) in limb.iter_mut().zip(&c2) {
+                for (v, &x) in limb.iter_mut().zip(&c) {
                     let d = (x >> (k as u32 * dbc)) as u64 & mask;
                     *v = if d < table.modulus() {
                         d
@@ -536,24 +622,15 @@ impl Evaluator {
                 }
             }
         }
-        let polys = (sums.iter().zip(&ct.polys))
-            .map(|(sums, c)| {
-                let limbs = (sums.iter().zip(&ctx.ntt_tables))
-                    .map(|(sum, table)| sum.iter().map(|&s| table.barrett().reduce(s)).collect())
-                    .collect();
-                let mut acc = RnsPoly {
-                    limbs,
-                    form: PolyForm::Ntt,
-                };
-                acc.to_coeff(ctx);
-                acc.add_assign(&c.in_form(PolyForm::Coeff, ctx), ctx);
-                acc
-            })
-            .collect();
-        Ok(Ciphertext {
-            polys,
-            context_id: *ctx.id(),
-        })
+        Ok(sums.map(|sums| {
+            let limbs = (sums.iter().zip(&ctx.ntt_tables))
+                .map(|(sum, table)| sum.iter().map(|&s| table.barrett().reduce(s)).collect())
+                .collect();
+            RnsPoly {
+                limbs,
+                form: PolyForm::Ntt,
+            }
+        }))
     }
 }
 

@@ -1,5 +1,5 @@
 //! Key material and key generation — the paper's `SecretKeyGen`,
-//! `PublicKeyGen`, and `EvaluationKeyGen` (§II-B).
+//! `PublicKeyGen`, and `EvaluationKeyGen` (§II-B), and Galois keys.
 
 use crate::context::BfvContext;
 use crate::poly::{PolyForm, RnsPoly};
@@ -130,6 +130,14 @@ impl EvaluationKeys {
     }
 }
 
+/// Galois keys: per Galois element `g`, the switching key from `σ_g(s)` back
+/// to `s` — [`EvaluationKeys`] with `σ_g(s)` in place of `s²`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GaloisKeys {
+    pub(crate) keys: Vec<(usize, EvaluationKeys)>,
+    pub(crate) context_id: [u8; 32],
+}
+
 /// Generates FV key material for one context.
 ///
 /// # Examples
@@ -205,33 +213,83 @@ impl KeyGenerator {
     /// `EvaluationKeyGen(sk, w)`: generates relinearization keys with the
     /// context's decomposition base `w = 2^dbc`.
     pub fn evaluation_keys(&self, rng: &mut ChaChaRng) -> EvaluationKeys {
+        let s2 = self.sk.s.mul_pointwise(&self.sk.s, &self.ctx);
+        EvaluationKeys {
+            keys: self.switching_key(&s2, rng),
+            context_id: *self.ctx.id(),
+        }
+    }
+
+    /// The Galois keys of `automorphisms`, in that order.
+    pub fn galois_keys(&self, automorphisms: &[Automorphism], rng: &mut ChaChaRng) -> GaloisKeys {
         let ctx = &self.ctx;
-        // s^2 in NTT form.
-        let s2 = self.sk.s.mul_pointwise(&self.sk.s, ctx);
+        let keys = automorphisms.iter().map(|a| {
+            let g = a.galois_elt(ctx.poly_degree());
+            let keys = self.switching_key(&self.sk.s.automorphism(g, ctx), rng);
+            let context_id = *ctx.id();
+            (g, EvaluationKeys { keys, context_id })
+        });
+        GaloisKeys {
+            keys: keys.collect(),
+            context_id: *ctx.id(),
+        }
+    }
+
+    /// The switching key from `target` to `s`: per decomposition component
+    /// `k`, `(−(a_k·s + e_k) + w^k·target, a_k)`, in evaluation form.
+    fn switching_key(&self, target: &RnsPoly, rng: &mut ChaChaRng) -> Vec<(RnsPoly, RnsPoly)> {
+        let ctx = &self.ctx;
         let mut keys = Vec::with_capacity(ctx.decomp_count);
         for k in 0..ctx.decomp_count {
             let mut a_k = sampler::uniform_poly(ctx, rng, PolyForm::Coeff);
             a_k.to_ntt(ctx);
             let mut e_k = sampler::gaussian_poly(ctx, rng, PolyForm::Coeff);
             e_k.to_ntt(ctx);
-            // b_k = -(a_k·s + e_k) + w^k·s²
             let mut b_k = a_k.mul_pointwise(&self.sk.s, ctx);
             b_k.add_assign(&e_k, ctx);
             b_k.negate(ctx);
-            let mut scaled_s2 = s2.clone();
+            let mut scaled = target.clone();
             // w^k mod q_i is a per-limb constant.
             for (i, &qi) in ctx.params().coeff_moduli().iter().enumerate() {
                 let wk = ctx.decomp_pow[k][i];
-                for v in scaled_s2.limbs[i].iter_mut() {
+                for v in scaled.limbs[i].iter_mut() {
                     *v = crate::arith::mul_mod(*v, wk, qi);
                 }
             }
-            b_k.add_assign(&scaled_s2, ctx);
+            b_k.add_assign(&scaled, ctx);
             keys.push((b_k, a_k));
         }
-        EvaluationKeys {
-            keys,
-            context_id: *ctx.id(),
+        keys
+    }
+}
+
+/// A slot permutation of the batch matrix ([`crate::encoding::matrix_index_map`]):
+/// the automorphism `x → x^g` for an odd `g < 2n`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Automorphism {
+    /// Both rows rotated left by this many columns: `g = 3^step mod 2n`.
+    RotateRows(usize),
+    /// The two rows swapped: `g = 2n − 1`, i.e. `x → x^{−1}`.
+    SwapRows,
+}
+
+/// The steps of [`crate::evaluator::Evaluator::rotate_and_sum`] over the
+/// orbit of `stride`: `stride·2^j` below `n/2`.
+pub fn orbit_steps(poly_degree: usize, stride: usize) -> impl Iterator<Item = usize> {
+    let first = Some(stride).filter(|&s| s > 0);
+    std::iter::successors(first, |&s| s.checked_mul(2)).take_while(move |&s| s < poly_degree / 2)
+}
+
+impl Automorphism {
+    /// The Galois element `g` of this permutation at degree `n`.
+    pub fn galois_elt(self, poly_degree: usize) -> usize {
+        let two_n = 2 * poly_degree as u64;
+        match self {
+            Automorphism::RotateRows(step) => {
+                let step = (step % (poly_degree / 2)) as u64;
+                crate::arith::pow_mod(3, step, two_n) as usize
+            }
+            Automorphism::SwapRows => 2 * poly_degree - 1,
         }
     }
 }

@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::encryptor::{EncryptionKey, Encryptor};
     pub use crate::error::BfvError;
     pub use crate::evaluator::{Evaluator, PlainScalar, PreparedBias};
-    pub use crate::keys::{EvaluationKeys, KeyGenerator, PublicKey, SecretKey};
+    pub use crate::keys::{EvaluationKeys, GaloisKeys, KeyGenerator, PublicKey, SecretKey};
     pub use crate::params::{presets, EncryptionParameters, SecurityLevel};
     pub use crate::plaintext::{NttPlaintext, Plaintext};
 }

@@ -43,7 +43,7 @@ pub struct NttTable {
     inv_n_shoup: u64,
 }
 
-fn bit_reverse(mut x: usize, log_n: u32) -> usize {
+pub(crate) fn bit_reverse(mut x: usize, log_n: u32) -> usize {
     let mut r = 0;
     for _ in 0..log_n {
         r = (r << 1) | (x & 1);

@@ -8,6 +8,7 @@
 
 use crate::arith::add_mod;
 use crate::context::BfvContext;
+use crate::ntt::bit_reverse;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -218,6 +219,23 @@ impl RnsPoly {
         }
     }
 
+    /// The Galois automorphism `x → x^g`, `g` odd and below `2n`, in
+    /// evaluation form (converted first if need be), where it permutes: slot
+    /// `i` holds the value at `ψ^{2·bitrev(i)+1}`, and the image's value at
+    /// `ψ^e` is this polynomial's at `ψ^{e·g}`.
+    pub fn automorphism(&self, galois_elt: usize, ctx: &BfvContext) -> RnsPoly {
+        let (two_n, log_n) = (2 * ctx.poly_degree(), ctx.poly_degree().trailing_zeros());
+        let src = self.in_form(PolyForm::Ntt, ctx);
+        let mut out = RnsPoly::zero(ctx, PolyForm::Ntt);
+        for (dst, src) in out.limbs.iter_mut().zip(&src.limbs) {
+            for (i, v) in dst.iter_mut().enumerate() {
+                let e = (2 * bit_reverse(i, log_n) + 1) * galois_elt % two_n;
+                *v = src[bit_reverse((e - 1) / 2, log_n)];
+            }
+        }
+        out
+    }
+
     /// Infinity norm of the centered coefficients, reconstructed over the
     /// full modulus. Only meaningful in coefficient form.
     ///
@@ -389,6 +407,47 @@ mod tests {
             got.scale_acc_prepared(&src, &scales, negate, &ctx);
             assert_eq!(got, want, "scalar {scalar} negate {negate}");
         }
+    }
+
+    /// The evaluation-form permutation is `x → x^g` on the coefficients
+    /// (coefficient `j` to `j·g mod 2n`, negated past `n`) seen through the
+    /// transform, for rotations and the row swap; and it is a ring map: it
+    /// commutes with the product.
+    #[test]
+    fn automorphism_is_x_to_the_g_and_a_ring_map() {
+        let ctx = ctx();
+        let mut rng = ChaChaRng::from_seed(7);
+        let a = random_poly(&ctx, &mut rng);
+        let b = random_poly(&ctx, &mut rng);
+        let n = ctx.poly_degree();
+        for g in [3, 9, 27, 2 * n - 1, 2 * n - 3] {
+            let mut oracle = RnsPoly::zero(&ctx, PolyForm::Coeff);
+            let moduli = ctx.params().coeff_moduli();
+            for ((dst, src), &qi) in oracle.limbs.iter_mut().zip(&a.limbs).zip(moduli) {
+                for (j, &v) in src.iter().enumerate() {
+                    let k = j * g % (2 * n);
+                    if k < n {
+                        dst[k] = v;
+                    } else {
+                        dst[k - n] = (qi - v) % qi;
+                    }
+                }
+            }
+            oracle.to_ntt(&ctx);
+            let image = a.automorphism(g, &ctx);
+            assert_eq!(image, oracle, "g = {g}");
+            let mut b_ntt = b.clone();
+            b_ntt.to_ntt(&ctx);
+            let mut a_ntt = a.clone();
+            a_ntt.to_ntt(&ctx);
+            let product = a_ntt.mul_pointwise(&b_ntt, &ctx).automorphism(g, &ctx);
+            let images = image.mul_pointwise(&b_ntt.automorphism(g, &ctx), &ctx);
+            assert_eq!(product, images, "g = {g}");
+        }
+        // x → x^1 is the identity.
+        let mut a_ntt = a.clone();
+        a_ntt.to_ntt(&ctx);
+        assert_eq!(a.automorphism(1, &ctx), a_ntt);
     }
 
     #[test]

@@ -433,11 +433,10 @@ impl HybridInference {
     ) -> Result<Staged> {
         match &plan.stages[layer] {
             // Parallel over output cells × CRT limbs, bit-identical for
-            // every pool size.
+            // every pool size. No map here is an orbit map: no Galois keys.
             &Stage::He(he) => {
-                let out = self
-                    .he
-                    .apply(he, input, &self.evaluation, &mut metrics.ops)?;
+                let evk = &self.evaluation;
+                let out = self.he.apply(he, input, evk, &[], &mut metrics.ops)?;
                 Ok(Staged::he(out, he_label(he)))
             }
             Stage::Enclave(chain, batching) => {

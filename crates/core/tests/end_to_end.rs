@@ -108,16 +108,85 @@ fn cryptonets_baseline_matches_reference_on_paper_architecture() {
     let images: Vec<Vec<i64>> = (0..2)
         .map(|b| (0..144).map(|p| ((p * 5 + b) % 16) as i64).collect())
         .collect();
+    // One ciphertext per pixel, as in the paper, and the orbit layout the
+    // engine picks: 25 offsets × 4 window members for both images.
+    let pixel = EncryptedMap::encrypt_images(
+        engine.system(),
+        &images,
+        12,
+        Layout::Pixel,
+        &keys.public,
+        &rng.fork_next("batch"),
+        &ParExec::serial(),
+    )
+    .unwrap();
+    let orbit = engine.encrypt_batch(&images, &keys, &mut rng).unwrap();
+    assert_eq!(orbit.cells().len(), 100);
+    // The baseline pays squares + relinearizations the hybrid avoids: one
+    // a conv output pixel, or one a (channel, window member) plane; the
+    // orbit FC rotates each of the 10 logits over 16 positions.
+    for (enc, squares, rotations) in [(pixel, 3 * 8 * 8, 0), (orbit, 3 * 4, 10 * 4)] {
+        let (logits, counter) = engine.infer(&enc, &keys).unwrap();
+        let dec = engine.decrypt_logits(&logits, &keys, 2).unwrap();
+        for (b, img) in images.iter().enumerate() {
+            let expect: Vec<i128> = model.forward_ints(img).iter().map(|&v| v as i128).collect();
+            assert_eq!(dec[b], expect, "batch {b}, {:?}", enc.layout());
+        }
+        assert_eq!((counter.ct_ct_mul, counter.rotations), (squares, rotations));
+        assert_eq!(counter.relin, counter.ct_ct_mul);
+    }
+}
+
+/// The orbit plan at the paper's geometry (28×28 input, 5×5 kernel, 2×2
+/// pool, ten classes): 144 pooled positions make an orbit of 256, two
+/// images a matrix row and four a group, so five images take two groups
+/// (200 ingress cells, not 784) and every logit is summed over 8 rotations.
+#[test]
+fn cryptonets_orbit_plan_matches_reference_at_paper_scale() {
+    let model = QuantizedCnn {
+        pipeline: QuantPipeline::CryptoNets,
+        in_side: 28,
+        conv_out: 2,
+        kernel: 5,
+        window: 2,
+        classes: 10,
+        conv_weights: (0..50).map(|i| (i % 9) as i64 - 4).collect(),
+        conv_bias: vec![3, -2],
+        fc_weights: (0..10 * 288).map(|i| (i % 7) as i64 - 3).collect(),
+        fc_bias: (0..10).map(|i| i * 11 - 50).collect(),
+        weight_scale: 8,
+        fc_scale: 8,
+        act_scale: 16,
+    };
+    let engine = CryptoNets::new(model.clone(), 1024).unwrap();
+    let mut rng = ChaChaRng::from_seed(21);
+    let keys = engine.system().generate_keys(&mut rng);
+    let images: Vec<Vec<i64>> = (0..5)
+        .map(|b| {
+            (0..784)
+                .map(|p| ((p * 7 + b * 3) % 31) as i64 - 15)
+                .collect()
+        })
+        .collect();
     let enc = engine.encrypt_batch(&images, &keys, &mut rng).unwrap();
+    let layout = Layout::Orbit {
+        batch: 5,
+        side: 12,
+        window: 2,
+    };
+    assert_eq!((enc.layout(), enc.cells().len()), (layout, 200));
     let (logits, counter) = engine.infer(&enc, &keys).unwrap();
-    let dec = engine.decrypt_logits(&logits, &keys, 2).unwrap();
+    let dec = engine.decrypt_logits(&logits, &keys, 5).unwrap();
     for (b, img) in images.iter().enumerate() {
         let expect: Vec<i128> = model.forward_ints(img).iter().map(|&v| v as i128).collect();
-        assert_eq!(dec[b], expect, "batch {b}");
+        assert_eq!(dec[b], expect, "image {b}");
     }
-    // The baseline pays squares + relinearizations the hybrid avoids.
-    assert_eq!(counter.ct_ct_mul as usize, 3 * 8 * 8);
-    assert_eq!(counter.relin, counter.ct_ct_mul);
+    // Two channels × four members × two groups; ten logits × two groups × 8.
+    assert_eq!((counter.ct_ct_mul, counter.rotations), (16, 160));
+    let budget = (logits.cells().iter())
+        .map(|ct| engine.system().noise_budget(ct, &keys.secret).unwrap())
+        .min();
+    assert!(budget.unwrap() > 0);
 }
 
 #[test]

@@ -156,6 +156,15 @@ fn claim(layout: Layout, field: usize, value: usize) -> Layout {
             batch: pick(1, batch),
             inputs: pick(2, inputs),
         },
+        Layout::Orbit {
+            batch,
+            side,
+            window,
+        } => Layout::Orbit {
+            batch: pick(0, batch),
+            side: pick(1, side),
+            window: pick(2, window),
+        },
     }
 }
 
@@ -235,7 +244,7 @@ proptest! {
 
         for layer in [HeLayer::Conv, HeLayer::Square, HeLayer::SumPool, HeLayer::Fc] {
             let mut counter = OpCounter::default();
-            let out = host.layers.apply(layer, &map, &host.keys.evaluation, &mut counter);
+            let out = host.layers.apply(layer, &map, &host.keys.evaluation, &host.keys.galois, &mut counter);
             let reads = matches!(
                 (layer, layout),
                 (_, Layout::Pixel)
@@ -259,7 +268,7 @@ proptest! {
         let [c, h, w] = fc_shape;
         let fc_map = EncryptedMap::new(c, h, w, vec![host.cell.clone(); c * h * w]);
         let mut counter = OpCounter::default();
-        let logits = host.layers.apply(HeLayer::Fc, &fc_map, &host.keys.evaluation, &mut counter);
+        let logits = host.layers.apply(HeLayer::Fc, &fc_map, &host.keys.evaluation, &host.keys.galois, &mut counter);
         prop_assert_eq!(logits.is_ok(), c * h * w == model.fc_in(), "{:?}", fc_shape);
         if let Ok(logits) = logits {
             prop_assert_eq!(logits.shape(), (model.classes, 1, 1));
@@ -316,7 +325,7 @@ proptest! {
         let applied = host.enclave.apply(&chain, sys, model, &map, batched, Layout::Pixel, host.layers.pool());
         prop_assert!(applied.is_ok(), "{:?}", applied.err());
         let mut counter = OpCounter::default();
-        let out = host.layers.apply(layer, &map, &host.keys.evaluation, &mut counter);
+        let out = host.layers.apply(layer, &map, &host.keys.evaluation, &host.keys.galois, &mut counter);
         if layout == Layout::Pixel || layer == HeLayer::Conv {
             let refused = matches!(out, Err(BfvError::InvalidShape(_)));
             prop_assert!(refused, "{:?} over {:?}: {:?}", layer, layout, out.map(|m| m.shape()));

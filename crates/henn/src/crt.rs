@@ -9,6 +9,7 @@
 //! The batch (SIMD) dimension carries the image batch, exactly as the paper's
 //! experiments run `batchSize = 10` images at once (§V-B, §VIII).
 
+use hesgx_bfv::keys::Automorphism;
 use hesgx_bfv::prelude::*;
 use hesgx_bfv::{arith, context::BfvContext, params::ParameterError};
 use hesgx_crypto::rng::ChaChaRng;
@@ -95,6 +96,8 @@ pub struct CrtKeys {
     pub secret: Vec<SecretKey>,
     /// Relinearization keys, one per modulus.
     pub evaluation: Vec<EvaluationKeys>,
+    /// Galois keys of the declared rotations, one set per modulus.
+    pub galois: Vec<GaloisKeys>,
 }
 
 /// The multi-modulus FV system: contexts, encoders, and evaluators for each
@@ -110,6 +113,8 @@ pub struct CrtPlainSystem {
     /// of [`CrtPlainSystem::decrypt_slots`]; empty for a single-part system,
     /// whose slots are already the residues.
     combine: Vec<(u128, u64)>,
+    /// What [`CrtPlainSystem::generate_keys`] makes Galois keys for.
+    pub(crate) rotations: Vec<Automorphism>,
 }
 
 impl CrtPlainSystem {
@@ -151,7 +156,15 @@ impl CrtPlainSystem {
             evaluators,
             product,
             combine,
+            rotations: Vec::new(),
         })
+    }
+
+    /// The system whose [`CrtPlainSystem::generate_keys`] also makes Galois
+    /// keys for the row rotations by `steps`, declared by the engine.
+    pub fn with_rotations(mut self, steps: Vec<usize>) -> Self {
+        self.rotations = steps.into_iter().map(Automorphism::RotateRows).collect();
+        self
     }
 
     /// Builds a system whose modulus product covers `required_bits` of signed
@@ -250,21 +263,26 @@ impl CrtPlainSystem {
         self.contexts[0].poly_degree()
     }
 
-    /// Generates key material for all parts.
+    /// Generates key material for all parts; the Galois keys draw from forks
+    /// of `rng`, so nothing else differs with rotations or without.
     pub fn generate_keys(&self, rng: &mut ChaChaRng) -> CrtKeys {
         let mut public = Vec::new();
         let mut secret = Vec::new();
         let mut evaluation = Vec::new();
-        for ctx in &self.contexts {
+        let mut galois = Vec::new();
+        for (part, ctx) in self.contexts.iter().enumerate() {
             let keygen = KeyGenerator::new(ctx.clone(), rng);
             public.push(keygen.public_key());
             secret.push(keygen.secret_key());
             evaluation.push(keygen.evaluation_keys(rng));
+            let fork = &mut rng.fork(&format!("galois-{part}"));
+            galois.push(keygen.galois_keys(&self.rotations, fork));
         }
         CrtKeys {
             public,
             secret,
             evaluation,
+            galois,
         }
     }
 

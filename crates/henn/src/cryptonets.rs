@@ -5,13 +5,16 @@
 //! ciphertext + relinearization) → scaled mean-pool (sums only) → homomorphic
 //! fully connected layer. The entire computation happens under encryption;
 //! the user decrypts the ten logits and takes the argmax.
+//! A batch enters as [`Layout::Orbit`] when that is fewer ciphertexts (only
+//! the FC rotates); a [`Layout::Pixel`] map runs the paper's plan.
 
-use crate::crt::{CrtCiphertext, CrtKeys, CrtPlainSystem};
-use crate::image::{EncryptedMap, Layout};
+use crate::crt::{CrtKeys, CrtPlainSystem};
+use crate::image::{orbit_stride, EncryptedMap, Layout};
 use crate::layers::{HeLayer, HeLayers};
 use crate::ops::OpCounter;
 use crate::par::ParExec;
 use hesgx_bfv::error::{BfvError, Result};
+use hesgx_bfv::keys::orbit_steps;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
 
@@ -53,6 +56,10 @@ impl CryptoNets {
         // Depth-1 pipeline (the square) — small CRT moduli keep the
         // multiplication noise growth manageable.
         let sys = CrtPlainSystem::for_range_deep(poly_degree, report.required_plain_bits)?;
+        let steps = orbit_stride(model.pool_side(), poly_degree).map_or(Vec::new(), |stride| {
+            orbit_steps(poly_degree, stride).collect()
+        });
+        let sys = sys.with_rotations(steps);
         Ok(CryptoNets {
             he: HeLayers::new(sys, model, ParExec::serial())?,
         })
@@ -68,11 +75,13 @@ impl CryptoNets {
         self.he.model()
     }
 
-    /// Encrypts a batch of quantized images.
+    /// Encrypts a batch of quantized images in [`Layout::for_orbit`]'s layout.
     ///
     /// # Errors
     ///
-    /// Propagates encryption failures.
+    /// [`BfvError::InvalidShape`] for an empty batch or an image the model
+    /// does not accept ([`QuantizedCnn::accepts_image`]: a pixel past
+    /// `±MAX_PIXEL` would wrap modulo `t`); propagates encryption failures.
     // hesgx-lint: allow(secret-pub-api, reason = "pure-HE baseline runs client and server in one process; the caller holds its own keys")
     pub fn encrypt_batch(
         &self,
@@ -80,39 +89,41 @@ impl CryptoNets {
         keys: &CrtKeys,
         rng: &mut ChaChaRng,
     ) -> Result<EncryptedMap> {
+        let m = self.model();
+        if images.is_empty() || !images.iter().all(|img| m.accepts_image(img)) {
+            let refused = "an empty batch or an image the model does not accept";
+            return Err(BfvError::InvalidShape(refused.into()));
+        }
+        let slots = self.system().slot_count();
+        let layout = Layout::for_orbit(m.in_side, m.kernel, m.window, images.len(), slots);
         let batch_rng = rng.fork_next("batch");
         EncryptedMap::encrypt_images(
             self.system(),
             images,
-            self.model().in_side,
-            Layout::Pixel,
+            m.in_side,
+            layout,
             &keys.public,
             &batch_rng,
             self.he.pool(),
         )
     }
 
-    /// Runs the full encrypted inference; returns one ciphertext per class
-    /// logit (batch in the slots) and the operation counts.
+    /// Runs the full encrypted inference over a map in either layout; returns
+    /// the logits map and the operation counts. Reads no secret key.
     ///
     /// # Errors
     ///
     /// Propagates homomorphic-operation failures.
     // hesgx-lint: allow(secret-pub-api, reason = "pure-HE baseline runs client and server in one process; the caller holds its own keys")
-    pub fn infer(
-        &self,
-        input: &EncryptedMap,
-        keys: &CrtKeys,
-    ) -> Result<(Vec<CrtCiphertext>, OpCounter)> {
+    pub fn infer(&self, input: &EncryptedMap, keys: &CrtKeys) -> Result<(EncryptedMap, OpCounter)> {
         let mut counter = OpCounter::default();
+        let (evk, galois) = (&keys.evaluation, &keys.galois);
         let [first, rest @ ..] = Self::LAYERS;
-        let mut map = self
-            .he
-            .apply(first, input, &keys.evaluation, &mut counter)?;
+        let mut map = self.he.apply(first, input, evk, galois, &mut counter)?;
         for layer in rest {
-            map = self.he.apply(layer, &map, &keys.evaluation, &mut counter)?;
+            map = self.he.apply(layer, &map, evk, galois, &mut counter)?;
         }
-        Ok((map.into_cells(), counter))
+        Ok((map, counter))
     }
 
     /// Decrypts logits and returns the predicted class per batch element.
@@ -123,7 +134,7 @@ impl CryptoNets {
     // hesgx-lint: allow(secret-pub-api, reason = "pure-HE baseline runs client and server in one process; the caller holds its own keys")
     pub fn decrypt_predictions(
         &self,
-        logits: &[CrtCiphertext],
+        logits: &EncryptedMap,
         keys: &CrtKeys,
         batch: usize,
     ) -> Result<Vec<usize>> {
@@ -144,17 +155,11 @@ impl CryptoNets {
     // hesgx-lint: allow(secret-pub-api, reason = "pure-HE baseline runs client and server in one process; the caller holds its own keys")
     pub fn decrypt_logits(
         &self,
-        logits: &[CrtCiphertext],
+        logits: &EncryptedMap,
         keys: &CrtKeys,
         batch: usize,
     ) -> Result<Vec<Vec<i128>>> {
-        let mut per_class = Vec::with_capacity(logits.len());
-        for ct in logits {
-            per_class.push(self.system().decrypt_slots(ct, &keys.secret)?);
-        }
-        Ok((0..batch)
-            .map(|b| per_class.iter().map(|slots| slots[b]).collect())
-            .collect())
+        logits.decrypt_all(self.system(), &keys.secret, batch, self.he.pool())
     }
 }
 
@@ -182,28 +187,146 @@ mod tests {
         }
     }
 
+    /// `batch` images of `side × side` pixels in `0..16`.
+    fn images(batch: usize, side: usize) -> Vec<Vec<i64>> {
+        (0..batch)
+            .map(|b| {
+                (0..side * side)
+                    .map(|p| ((p * 3 + b * 5) % 16) as i64)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Infers `enc` and checks every image's logits against `forward_ints`.
+    fn exact(
+        engine: &CryptoNets,
+        keys: &CrtKeys,
+        images: &[Vec<i64>],
+        enc: &EncryptedMap,
+    ) -> OpCounter {
+        let (logits, counter) = engine.infer(enc, keys).unwrap();
+        let dec = engine.decrypt_logits(&logits, keys, images.len()).unwrap();
+        for (b, img) in images.iter().enumerate() {
+            let expect: Vec<i128> = engine
+                .model()
+                .forward_ints(img)
+                .iter()
+                .map(|&v| v as i128)
+                .collect();
+            assert_eq!(dec[b], expect, "batch {b} logits must match reference");
+        }
+        counter
+    }
+
     #[test]
     fn encrypted_inference_matches_integer_reference() {
         let model = small_model();
         let engine = CryptoNets::new(model.clone(), 256).unwrap();
         let mut rng = ChaChaRng::from_seed(71);
         let keys = engine.system().generate_keys(&mut rng);
-        let images: Vec<Vec<i64>> = (0..3)
-            .map(|b| (0..64).map(|p| ((p * 3 + b * 5) % 16) as i64).collect())
-            .collect();
-        let enc = engine.encrypt_batch(&images, &keys, &mut rng).unwrap();
-        let (logits, counter) = engine.infer(&enc, &keys).unwrap();
-        let dec = engine.decrypt_logits(&logits, &keys, 3).unwrap();
-        for (b, img) in images.iter().enumerate() {
-            let expect: Vec<i128> = model.forward_ints(img).iter().map(|&v| v as i128).collect();
-            assert_eq!(dec[b], expect, "batch {b} logits must match reference");
-        }
+        let images = images(3, 8);
+        // The paper's plan: one ciphertext per pixel.
+        let pool = ParExec::serial();
+        let pixel = EncryptedMap::encrypt_images(
+            engine.system(),
+            &images,
+            8,
+            Layout::Pixel,
+            &keys.public,
+            &rng,
+            &pool,
+        )
+        .unwrap();
+        let counter = exact(&engine, &keys, &images, &pixel);
         // Operation counts: conv = out_side² * k² * channels multiplies.
         assert_eq!(counter.ct_pt_mul as usize, 2 * 36 * 9 + 3 * 18);
         assert_eq!(counter.ct_ct_mul as usize, 2 * 36);
         assert_eq!(counter.relin as usize, 2 * 36);
+        assert_eq!(counter.rotations, 0);
         // Every weight form was prepared at construction, none per request.
         assert_eq!(counter.weight_prep, 0);
+        // The orbit plan `encrypt_batch` picks: 36 ingress cells (9 offsets ×
+        // 4 window members), 8 conv cells, 6 FC slot vectors, and each of
+        // the 3 logits summed over an orbit of 16 positions in 4 rotations.
+        let orbit = engine.encrypt_batch(&images, &keys, &mut rng).unwrap();
+        assert_eq!(
+            orbit.layout(),
+            Layout::Orbit {
+                batch: 3,
+                side: 3,
+                window: 2
+            }
+        );
+        assert_eq!(orbit.cells().len(), 36);
+        let counter = exact(&engine, &keys, &images, &orbit);
+        assert_eq!(
+            counter,
+            OpCounter {
+                ct_pt_mul: 8 * 9 + 6,
+                ct_ct_add: 8 * 8 + 2 * 3 + 3 * (1 + 4),
+                ct_pt_add: 8 + 3,
+                ct_ct_mul: 8,
+                relin: 8,
+                rotations: 12,
+                weight_prep: 0,
+            }
+        );
+    }
+
+    /// A batch wider than one orbit cell's images takes a cell per group and
+    /// per plane, until one per pixel is fewer ciphertexts: the 12×12 model
+    /// at n = 256 holds 8 images a group, 36 cells a group against 144
+    /// pixels; the 8×8 model 16 images, 36 cells against 64.
+    #[test]
+    fn wide_batches_take_more_cells_or_fall_back_to_pixels() {
+        let wide = QuantizedCnn {
+            in_side: 12,
+            fc_weights: (0..3 * 50).map(|i| (i % 5) as i64 - 2).collect(),
+            ..small_model()
+        };
+        for (model, batch, cells) in [(wide, 9, 72), (small_model(), 17, 64)] {
+            let side = model.in_side;
+            let engine = CryptoNets::new(model, 256).unwrap();
+            let mut rng = ChaChaRng::from_seed(73);
+            let keys = engine.system().generate_keys(&mut rng);
+            let images = images(batch, side);
+            let enc = engine.encrypt_batch(&images, &keys, &mut rng).unwrap();
+            assert_eq!(enc.cells().len(), cells, "{side}×{side}, batch {batch}");
+            let counter = exact(&engine, &keys, &images, &enc);
+            let (pixel, squares) = (enc.layout() == Layout::Pixel, counter.ct_ct_mul);
+            assert_eq!(
+                (pixel, squares),
+                if side == 8 { (true, 72) } else { (false, 16) }
+            );
+        }
+    }
+
+    /// An image the model does not accept, and an empty batch, are refused
+    /// before anything is encrypted.
+    #[test]
+    fn encrypt_batch_refuses_what_the_model_does_not_accept() {
+        let engine = CryptoNets::new(small_model(), 256).unwrap();
+        let mut rng = ChaChaRng::from_seed(74);
+        let keys = engine.system().generate_keys(&mut rng);
+        let good = images(1, 8).remove(0);
+        let mut short = good.clone();
+        short.pop();
+        let (mut bright, mut dark) = (good.clone(), good.clone());
+        bright[5] = 16;
+        dark[0] = -16;
+        for batch in [
+            vec![],
+            vec![good.clone(), short],
+            vec![bright],
+            vec![good, dark],
+        ] {
+            let refused = engine.encrypt_batch(&batch, &keys, &mut rng);
+            assert!(
+                matches!(refused, Err(BfvError::InvalidShape(_))),
+                "{batch:?}"
+            );
+        }
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! [`Layout::Patches`] fills the slots with the convolution's im2col patches,
 //! which makes it a rotation-free 1×1 convolution over `k²` channels;
 //! [`Layout::FcOperand`] repeats every fully connected input once per class,
-//! which makes that layer slot-wise too. [`Layout::for_conv`] and
-//! [`Layout::for_fc`] count which is fewer ciphertexts (DESIGN.md §6).
+//! which makes that layer slot-wise too, and [`Layout::Orbit`] the pure-HE
+//! plan but its FC rotations; `Layout::for_*` pick the fewer (DESIGN.md §6).
 
 use crate::crt::{CrtCiphertext, CrtPlainSystem};
 use crate::par::ParExec;
+use hesgx_bfv::encoding::matrix_index_map;
 use hesgx_bfv::error::{BfvError, Result};
 use hesgx_bfv::prelude::{EncryptionKey, SecretKey};
 use hesgx_crypto::rng::ChaChaRng;
@@ -42,12 +43,39 @@ pub enum Layout {
         /// Values the map holds per (class, image).
         inputs: usize,
     },
+    /// Packed for the pure-HE plan, a stride-1 convolution whose output a
+    /// `window²` sum-pool brings to `side × side`: cell `[plane][g·window +
+    /// dy][dx]` holds window member `(dy, dx)` of plane `plane` (kernel
+    /// offset, then output channel) for group `g`'s images, (pooled position,
+    /// image) at [`orbit_entry`]; pooled, `[channel][g][0]`.
+    Orbit {
+        /// Images in the batch.
+        batch: usize,
+        /// Side of the pooled map.
+        side: usize,
+        /// Side of the pooling window.
+        window: usize,
+    },
 }
 
 /// The one slot-index function of [`Layout::Patches`]: (`position`, `image`)
 /// is value `index` of its channel — cell `index / slots`, slot `index % slots`.
 pub fn patch_slot(position: usize, image: usize, batch: usize) -> usize {
     position * batch + image
+}
+
+/// The images a batch-matrix row of `slots / 2` holds in [`Layout::Orbit`]:
+/// the row over the orbit, `side²` rounded up to a power of two.
+pub fn orbit_stride(side: usize, slots: usize) -> Option<usize> {
+    let orbit = side.checked_mul(side)?.checked_next_power_of_two()?;
+    Some(slots / 2 / orbit).filter(|&stride| stride > 0)
+}
+
+/// The one slot-index function of [`Layout::Orbit`]: the batch-matrix entry
+/// ([`matrix_index_map`]) of `position` of image `image` of its group —
+/// rotations by multiples of `stride` cycle one image's positions only.
+pub fn orbit_entry(position: usize, image: usize, stride: usize, slots: usize) -> usize {
+    image / stride * (slots / 2) + position * stride + image % stride
 }
 
 /// The one slot-index function of [`Layout::FcOperand`]: input `j_local` of
@@ -91,6 +119,38 @@ impl Layout {
             return patches;
         }
         Layout::Pixel
+    }
+
+    /// The layout bringing `batch` `in_side²` images to the pure-HE plan
+    /// (`kernel²` conv, `window²` pool) in fewer ciphertexts: the orbit iff
+    /// it has a stride and `kernel²·window²·groups < in_side²` (the 12×12
+    /// model at n = 1024: `B ≤ 96`).
+    pub fn for_orbit(
+        in_side: usize,
+        kernel: usize,
+        window: usize,
+        batch: usize,
+        slots: usize,
+    ) -> Layout {
+        let side = (in_side + 1 - kernel) / window;
+        let orbit = Layout::Orbit {
+            batch,
+            side,
+            window,
+        };
+        match orbit.orbit_geometry(slots) {
+            Some(_) if orbit.ingress_cells(in_side, slots) < in_side * in_side => orbit,
+            _ => Layout::Pixel,
+        }
+    }
+
+    /// `(stride, groups)` of a [`Layout::Orbit`] map: [`orbit_stride`] and
+    /// `⌈batch / (2·stride)⌉`; `None` for another layout or no stride.
+    pub fn orbit_geometry(self, slots: usize) -> Option<(usize, usize)> {
+        let Layout::Orbit { batch, side, .. } = self else {
+            return None;
+        };
+        orbit_stride(side, slots).map(|stride| (stride, batch.div_ceil(2 * stride)))
     }
 
     /// The layout an enclave hands `batch` images' `inputs` values to a
@@ -144,12 +204,21 @@ impl Layout {
             Layout::Patches { batch, side } => {
                 (in_side - side + 1).pow(2) * Layout::chunks(batch, side, slots)
             }
+            Layout::Orbit { side, window, .. } => {
+                let groups = self.orbit_geometry(slots).map_or(0, |(_, groups)| groups);
+                ((in_side + 1).saturating_sub(side * window) * window).pow(2) * groups
+            }
         }
     }
 
     /// The slot values of every ingress cell, in map order (client and
     /// `ecall_Transcipher`). Panics on an image shorter than `in_side²`.
     pub fn pack(self, images: &[Vec<i64>], in_side: usize, slots: usize) -> Vec<Vec<i64>> {
+        if let (Layout::Orbit { side, window, .. }, Some(geometry)) =
+            (self, self.orbit_geometry(slots))
+        {
+            return pack_orbit(images, (in_side, side, window), slots, geometry);
+        }
         let Layout::Patches { batch, side } = self else {
             let cell = |pixel| images.iter().map(|img| img[pixel]).collect();
             return (0..in_side * in_side).map(cell).collect();
@@ -168,6 +237,37 @@ impl Layout {
         }
         cells
     }
+}
+
+/// [`Layout::pack`] of a [`Layout::Orbit`], in map order.
+fn pack_orbit(
+    images: &[Vec<i64>],
+    (in_side, side, window): (usize, usize, usize),
+    slots: usize,
+    (stride, groups): (usize, usize),
+) -> Vec<Vec<i64>> {
+    let kernel = in_side + 1 - side * window;
+    let (map, per_group) = (matrix_index_map(slots), 2 * stride);
+    let padded = images.chunks(per_group).chain(std::iter::repeat(&[][..]));
+    let groups: Vec<&[Vec<i64>]> = padded.take(groups).collect();
+    let mut cells = Vec::new();
+    for (ky, kx) in (0..kernel * kernel).map(|offset| (offset / kernel, offset % kernel)) {
+        for group in &groups {
+            for (dy, dx) in (0..window * window).map(|m| (m / window, m % window)) {
+                let mut cell = vec![0; slots];
+                for (image, img) in group.iter().enumerate() {
+                    for position in 0..side * side {
+                        let y = position / side * window + dy + ky;
+                        let x = position % side * window + dx + kx;
+                        cell[map[orbit_entry(position, image, stride, slots)]] =
+                            img[y * in_side + x];
+                    }
+                }
+                cells.push(cell);
+            }
+        }
+    }
+    cells
 }
 
 /// An encrypted feature map: `channels × height × width` row-major cells.
@@ -198,13 +298,16 @@ impl EncryptedMap {
     }
 
     /// The map of a [`Layout::pack`]ed batch's ciphertexts (`1 × in_side ×
-    /// in_side`, or `k² × chunks × 1`). Panics when the cell count does not fit.
+    /// in_side`, `k² × chunks × 1` or `k² × groups·w × w`). Panics when the
+    /// cell count does not fit.
     pub fn ingress(layout: Layout, in_side: usize, cells: Vec<CrtCiphertext>) -> Self {
-        let Layout::Patches { side, .. } = layout else {
-            return EncryptedMap::new(1, in_side, in_side, cells);
+        let (offsets, width) = match layout {
+            Layout::Patches { side, .. } => ((in_side - side + 1).pow(2), 1),
+            Layout::Orbit { side, window, .. } => ((in_side + 1 - side * window).pow(2), window),
+            _ => return EncryptedMap::new(1, in_side, in_side, cells),
         };
-        let offsets = (in_side - side + 1).pow(2);
-        EncryptedMap::new(offsets, cells.len() / offsets, 1, cells).with_layout(layout)
+        let height = cells.len() / (offsets * width);
+        EncryptedMap::new(offsets, height, width, cells).with_layout(layout)
     }
 
     /// The same cells read under `layout` (a packed convolution's output).
@@ -219,10 +322,11 @@ impl EncryptedMap {
     }
 
     /// Live slots per million slots of a packed map's cells; a
-    /// [`Layout::Pixel`] map does not say how many images it carries.
+    /// [`Layout::Pixel`] map does not say how many images it carries (nor,
+    /// unmeasured, does a [`Layout::Orbit`] one).
     pub fn occupancy_ppm(&self, slots: usize) -> Option<u64> {
         let live = match self.layout {
-            Layout::Pixel => return None,
+            Layout::Pixel | Layout::Orbit { .. } => return None,
             Layout::Patches { batch, side } => [self.channels, side, side, batch],
             Layout::FcOperand {
                 classes,
@@ -293,11 +397,8 @@ impl EncryptedMap {
     ///
     /// # Errors
     ///
-    /// Fails when a cell holds more values than slots or encryption fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an image has the wrong pixel count.
+    /// [`BfvError::InvalidShape`] for an image not of `side²` pixels; fails
+    /// when a cell holds more values than slots or encryption fails.
     pub fn encrypt_images<K: EncryptionKey + Sync>(
         sys: &CrtPlainSystem,
         images: &[Vec<i64>],
@@ -307,8 +408,11 @@ impl EncryptedMap {
         rng: &ChaChaRng,
         pool: &ParExec,
     ) -> Result<EncryptedMap> {
-        let sized = |img: &Vec<i64>| img.len() == side * side;
-        assert!(images.iter().all(sized), "image size mismatch");
+        if images.iter().any(|img| img.len() != side * side) {
+            return Err(BfvError::InvalidShape(format!(
+                "an image not of {side}² pixels"
+            )));
+        }
         let base = rng.fork("enc-map");
         let packed = layout.pack(images, side, sys.slot_count());
         let cells = pool.try_run(packed.len(), |cell| {
@@ -323,15 +427,17 @@ impl EncryptedMap {
     /// A [`Layout::Pixel`] (or, raw, a [`Layout::Patches`]) map gives slot `b`
     /// of every cell, `[batch][channels*height*width]`; a
     /// [`Layout::FcOperand`] map reads [`fc_slot`], `[batch][class·inputs +
-    /// input]` — `[batch][classes]` for reduced logits. One decryption task
-    /// per cell on `pool` (a pool of one runs inline); decryption draws no
-    /// randomness, so the result is the same for every pool size.
+    /// input]` — `[batch][classes]` for reduced logits; a `channels × groups
+    /// × 1` [`Layout::Orbit`] map reads position 0 of the image's group,
+    /// `[batch][channels]`. One decryption task per cell on `pool` (a pool of
+    /// one runs inline); decryption draws no randomness, so the result is the
+    /// same for every pool size.
     ///
     /// # Errors
     ///
-    /// [`BfvError::InvalidShape`] for an `FcOperand` map that does not hold
-    /// what it claims or fewer than `batch` images; propagates decryption
-    /// failures.
+    /// [`BfvError::InvalidShape`] for an `FcOperand` or `Orbit` map that
+    /// does not hold what it claims or fewer than `batch` images; propagates
+    /// decryption failures.
     // hesgx-lint: allow(secret-pub-api, reason = "user-side decryption with the user's own key copy")
     pub fn decrypt_all(
         &self,
@@ -340,34 +446,59 @@ impl EncryptedMap {
         batch: usize,
         pool: &ParExec,
     ) -> Result<Vec<Vec<i128>>> {
-        let operand = match self.layout {
+        let slots = sys.slot_count();
+        let refuse = || {
+            let (cells, layout) = (self.cells.len(), self.layout);
+            let claim = format!("{batch} rows of {cells} cells as {layout:?}");
+            Err(BfvError::InvalidShape(claim))
+        };
+        let read = match self.layout {
             Layout::FcOperand {
                 classes,
                 batch: held,
                 inputs,
             } => {
-                let per_cell = self.fc_per_cell(sys.slot_count())?;
+                let per_cell = self.fc_per_cell(slots)?;
                 if batch > held {
-                    return Err(BfvError::InvalidShape(format!(
-                        "{batch} rows of a map of {held} images"
-                    )));
+                    return refuse();
                 }
-                Some((classes, inputs, per_cell))
+                Read::Operand(classes, inputs, per_cell)
             }
-            _ => None,
+            Layout::Orbit { batch: held, .. } => {
+                let geometry = self.layout.orbit_geometry(slots);
+                let shaped = (self.height, self.width) == (geometry.map_or(0, |(_, g)| g), 1);
+                match geometry.filter(|_| shaped && batch <= held) {
+                    Some((stride, _)) => Read::Orbit(stride, matrix_index_map(slots)),
+                    None => return refuse(),
+                }
+            }
+            _ => Read::Slot,
         };
         let cells = pool.try_run(self.cells.len(), |i| {
             sys.decrypt_slots(&self.cells[i], secret)
         })?;
-        let row = |b| match operand {
-            None => cells.iter().map(|cell| cell[b]).collect(),
-            Some((classes, inputs, per)) => (0..classes * inputs)
+        let row = |b| match &read {
+            Read::Slot => cells.iter().map(|cell| cell[b]).collect(),
+            Read::Operand(classes, inputs, per) => (0..classes * inputs)
                 .map(|v| (v / inputs, v % inputs))
-                .map(|(class, j)| cells[j / per][fc_slot(j % per, class, b, per, classes)])
+                .map(|(class, j)| cells[j / per][fc_slot(j % per, class, b, *per, *classes)])
                 .collect(),
+            Read::Orbit(stride, map) => {
+                let (group, image) = (b / (2 * stride), b % (2 * stride));
+                let slot = map[orbit_entry(0, image, *stride, slots)];
+                let cell = |c: usize| cells[c * self.height + group][slot];
+                (0..self.channels).map(cell).collect()
+            }
         };
         Ok((0..batch).map(row).collect())
     }
+}
+
+/// Where [`EncryptedMap::decrypt_all`] reads an image's values.
+enum Read {
+    Slot,
+    Operand(usize, usize, usize),
+    Orbit(usize, Vec<usize>),
 }
 
 #[cfg(test)]
@@ -589,6 +720,108 @@ mod tests {
         .unwrap();
         assert_eq!(pixel.layout(), Layout::Pixel);
         assert_eq!(pixel.occupancy_ppm(256), None);
+    }
+
+    /// The orbit count rule: the 12×12 / 3×3 / 2×2 model at n = 1024 runs an
+    /// orbit of 32 positions, 16 images a matrix row and 32 a group of 36
+    /// cells — packed up to 96 images (108 cells against 144). The paper's
+    /// 28×28 / 5×5 / 2×2 model: an orbit of 256, 4 images a group of 100
+    /// cells against 784, so up to 28. An orbit longer than a row never.
+    #[test]
+    fn orbit_count_rule_and_geometry() {
+        let orbit = |batch, side| Layout::Orbit {
+            batch,
+            side,
+            window: 2,
+        };
+        for (batch, groups) in [(1, 1), (10, 1), (32, 1), (33, 2), (96, 3)] {
+            assert_eq!(Layout::for_orbit(12, 3, 2, batch, 1024), orbit(batch, 5));
+            assert_eq!(orbit(batch, 5).orbit_geometry(1024), Some((16, groups)));
+            assert_eq!(orbit(batch, 5).ingress_cells(12, 1024), 36 * groups);
+        }
+        assert_eq!(Layout::for_orbit(12, 3, 2, 97, 1024), Layout::Pixel);
+        assert_eq!(Layout::for_orbit(28, 5, 2, 28, 1024), orbit(28, 12));
+        assert_eq!(orbit(28, 12).ingress_cells(28, 1024), 700);
+        assert_eq!(Layout::for_orbit(28, 5, 2, 29, 1024), Layout::Pixel);
+        assert_eq!(Layout::for_orbit(28, 5, 2, 1, 256), Layout::Pixel);
+        assert_eq!(orbit(1, 12).orbit_geometry(256), None);
+        assert_eq!(Layout::Pixel.orbit_geometry(1024), None);
+    }
+
+    /// An orbit batch packs one cell per (kernel offset, window member), each
+    /// pooled position of each image at its `orbit_entry`; `decrypt_all`
+    /// reads position 0 of a `channels × groups × 1` map.
+    #[test]
+    fn orbit_batch_packs_planes_of_pooled_positions() {
+        let sys = CrtPlainSystem::new(256, &[12289]).unwrap();
+        let mut rng = ChaChaRng::from_seed(54);
+        let keys = sys.generate_keys(&mut rng);
+        // 4×4 images, a 1×1 kernel, 2×2 windows: 4 positions, 32 images a row.
+        let images: Vec<Vec<i64>> = (0..3)
+            .map(|b| (0..16).map(|p| (b * 16 + p) as i64 - 20).collect())
+            .collect();
+        let layout = Layout::for_orbit(4, 1, 2, 3, 256);
+        assert_eq!(layout.orbit_geometry(256), Some((32, 1)));
+        let pool = ParExec::serial();
+        let map = EncryptedMap::encrypt_images(&sys, &images, 4, layout, &keys.secret, &rng, &pool)
+            .unwrap();
+        assert_eq!((map.shape(), map.layout()), ((1, 2, 2), layout));
+        assert_eq!(map.occupancy_ppm(256), None);
+        let index = matrix_index_map(256);
+        for (member, cell) in map.cells().iter().enumerate() {
+            let slots = sys.decrypt_slots(cell, &keys.secret).unwrap();
+            let (dy, dx) = (member / 2, member % 2);
+            for (b, img) in images.iter().enumerate() {
+                for position in 0..4 {
+                    let pixel = (position / 2 * 2 + dy) * 4 + position % 2 * 2 + dx;
+                    let slot = index[orbit_entry(position, b, 32, 256)];
+                    assert_eq!(
+                        slots[slot], img[pixel] as i128,
+                        "member {member}, image {b}"
+                    );
+                }
+            }
+        }
+        // The four member cells read as a `4 × 1 × 1` map: position 0 of each.
+        let cells = map.cells().to_vec();
+        let pooled = EncryptedMap::new(4, 1, 1, cells).with_layout(layout);
+        let rows = pooled.decrypt_all(&sys, &keys.secret, 3, &pool).unwrap();
+        for (row, img) in rows.iter().zip(&images) {
+            let want: Vec<i128> = [0, 1, 4, 5].iter().map(|&p| img[p].into()).collect();
+            assert_eq!(row, &want);
+        }
+        // More rows than images, a map not one row a group, or a height its
+        // groups do not make.
+        assert!(pooled.decrypt_all(&sys, &keys.secret, 4, &pool).is_err());
+        assert!(map.decrypt_all(&sys, &keys.secret, 1, &pool).is_err());
+        let claim = Layout::Orbit {
+            batch: 129,
+            side: 2,
+            window: 2,
+        };
+        let odd = pooled.with_layout(claim);
+        assert!(odd.decrypt_all(&sys, &keys.secret, 1, &pool).is_err());
+    }
+
+    /// An image of the wrong size is an error, not a panic.
+    #[test]
+    fn encrypt_images_refuses_a_misshapen_image() {
+        let sys = CrtPlainSystem::new(256, &[12289]).unwrap();
+        let mut rng = ChaChaRng::from_seed(55);
+        let keys = sys.generate_keys(&mut rng);
+        let images = vec![vec![1i64; 16], vec![1i64; 15]];
+        for layout in [Layout::Pixel, Layout::for_orbit(4, 1, 2, 2, 256)] {
+            let enc = EncryptedMap::encrypt_images(
+                &sys,
+                &images,
+                4,
+                layout,
+                &keys.public,
+                &rng,
+                &ParExec::serial(),
+            );
+            assert!(matches!(enc, Err(BfvError::InvalidShape(_))), "{layout:?}");
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@ use crate::crt::CrtPlainSystem;
 use crate::image::{EncryptedMap, Layout};
 use crate::ops::{self, OpCounter};
 use crate::par::ParExec;
-use crate::weights::{FcOperandBank, WeightBank};
+use crate::weights::{FcOperandBank, OrbitFcBank, WeightBank};
 use hesgx_bfv::error::{BfvError, Result};
-use hesgx_bfv::prelude::EvaluationKeys;
+use hesgx_bfv::prelude::{EvaluationKeys, GaloisKeys};
 use hesgx_nn::quantize::QuantizedCnn;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -31,7 +31,8 @@ pub enum HeLayer {
     SumPool,
     /// Fully connected layer with plaintext weights: [`ops::he_conv2d`] with
     /// the map-sized kernel (over a [`Layout::FcOperand`] map,
-    /// [`ops::he_fc_operand`]).
+    /// [`ops::he_fc_operand`]; over a [`Layout::Orbit`] map,
+    /// [`ops::he_fc_orbit`]).
     Fc,
 }
 
@@ -49,6 +50,8 @@ pub struct HeLayers {
     /// The FC operands over [`Layout::FcOperand`] maps, built on first use:
     /// at most one bank per distinct `per_cell`.
     fc_operands: Mutex<Vec<Arc<FcOperandBank>>>,
+    /// The FC operands over [`Layout::Orbit`] maps, when the system rotates.
+    orbit_fc: Option<OrbitFcBank>,
     pool: ParExec,
 }
 
@@ -63,12 +66,17 @@ impl HeLayers {
     pub fn new(sys: CrtPlainSystem, model: QuantizedCnn, pool: ParExec) -> Result<Self> {
         let conv_bank = WeightBank::prepare(&sys, &model.conv_weights, &model.conv_bias)?;
         let fc_bank = WeightBank::prepare(&sys, &model.fc_weights, &model.fc_bias)?;
+        let (fc, side) = ((&model.fc_weights, &model.fc_bias), model.pool_side());
+        let orbit_fc = (!sys.rotations.is_empty())
+            .then(|| OrbitFcBank::prepare(&sys, fc.0, fc.1, side))
+            .transpose()?;
         Ok(HeLayers {
             sys,
             model,
             conv_bank,
             fc_bank,
             fc_operands: Mutex::default(),
+            orbit_fc,
             pool,
         })
     }
@@ -109,7 +117,7 @@ impl HeLayers {
     }
 
     /// Runs one HE layer over `input`. `evk` is read by [`HeLayer::Square`]
-    /// only.
+    /// only, `galois` by [`HeLayer::Fc`] over a [`Layout::Orbit`] map only.
     ///
     /// # Errors
     ///
@@ -122,13 +130,14 @@ impl HeLayers {
         layer: HeLayer,
         input: &EncryptedMap,
         evk: &[EvaluationKeys],
+        galois: &[GaloisKeys],
         counter: &mut OpCounter,
     ) -> Result<EncryptedMap> {
         let (sys, m, pool) = (&self.sys, &self.model, &self.pool);
         let (layout, (_, h, w)) = (input.layout(), input.shape());
         let readable = matches!(
             (layer, layout),
-            (_, Layout::Pixel)
+            (_, Layout::Pixel | Layout::Orbit { .. })
                 | (HeLayer::Conv, Layout::Patches { .. })
                 | (HeLayer::Fc, Layout::FcOperand { .. })
         );
@@ -138,7 +147,7 @@ impl HeLayers {
             )));
         }
         match layer {
-            // Over a `k² × chunks × 1` packed map it is a 1×1 convolution, same
+            // Over a packed map of `k²` channels it is a 1×1 convolution, same
             // bank: `[out][1][ky][kx]` and `[out][k²][1][1]` flatten identically.
             HeLayer::Conv => {
                 let k = if layout == Layout::Pixel { m.kernel } else { 1 };
@@ -148,6 +157,11 @@ impl HeLayers {
             }
             HeLayer::Square => ops::he_square_activation(sys, input, evk, counter, pool),
             HeLayer::SumPool => ops::he_scaled_mean_pool(sys, input, m.window, counter, pool),
+            HeLayer::Fc if matches!(layout, Layout::Orbit { .. }) => {
+                let bank = self.orbit_fc.as_ref();
+                let bank = bank.ok_or_else(|| BfvError::InvalidShape("no rotations".into()))?;
+                ops::he_fc_orbit(sys, input, bank, galois, counter, pool)
+            }
             HeLayer::Fc if layout != Layout::Pixel => {
                 let bank = self.fc_operands(input.fc_per_cell(sys.slot_count())?)?;
                 ops::he_fc_operand(sys, input, &bank, counter, pool)

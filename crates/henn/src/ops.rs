@@ -14,9 +14,9 @@
 use crate::crt::{CrtCiphertext, CrtPlainSystem};
 use crate::image::{EncryptedMap, Layout};
 use crate::par::ParExec;
-use crate::weights::{FcOperandBank, WeightBank};
+use crate::weights::{FcOperandBank, OrbitFcBank, WeightBank};
 use hesgx_bfv::error::{BfvError, Result};
-use hesgx_bfv::prelude::{Ciphertext, EvaluationKeys};
+use hesgx_bfv::prelude::{Ciphertext, EvaluationKeys, GaloisKeys};
 
 /// Counts of homomorphic primitive operations (the paper's `C×P` / `C+C`
 /// terminology in Fig. 4).
@@ -32,6 +32,8 @@ pub struct OpCounter {
     pub ct_ct_mul: u64,
     /// Relinearizations.
     pub relin: u64,
+    /// Row rotations (Galois automorphisms with their key switch).
+    pub rotations: u64,
     /// Per-call weight-operand preparations (centering + Shoup
     /// precomputation for a scalar, `Δ·m` embedding for a bias) performed
     /// *inside* the layer op. The [`WeightBank`]-driven kernels pay zero —
@@ -236,10 +238,61 @@ pub fn he_fc_operand(
     Ok(EncryptedMap::new(1, 1, 1, vec![logits]).with_layout(layout))
 }
 
+/// The fully connected layer over a `channels × groups × 1` [`Layout::Orbit`]
+/// map: per (class, group), one slot-wise `C×P` a channel, a `rotate_and_sum`
+/// over the **full** orbit and the bias, so every slot of a logit cell holds
+/// a whole logit, never a partial sum of `W·x`. Output `classes × groups × 1`.
+///
+/// # Errors
+///
+/// [`BfvError::InvalidShape`] for a map `bank` was not prepared for;
+/// propagates homomorphic-operation failures, lowest task index first.
+pub fn he_fc_orbit(
+    sys: &CrtPlainSystem,
+    input: &EncryptedMap,
+    bank: &OrbitFcBank,
+    galois: &[GaloisKeys],
+    counter: &mut OpCounter,
+    pool: &ParExec,
+) -> Result<EncryptedMap> {
+    let _prof = hesgx_obs::prof::span("henn.fc");
+    let (slots, (channels, groups, width)) = (sys.slot_count(), input.shape());
+    let classes = bank.bias.len();
+    let fits = matches!(input.layout(), Layout::Orbit { side, .. } if side == bank.side)
+        && (width, bank.weights.len()) == (1, classes * channels);
+    let geometry = input.layout().orbit_geometry(slots);
+    let Some((stride, _)) = geometry.filter(|&(_, held)| fits && held == groups) else {
+        let claim = format!("{channels}×{groups}×{width} {:?}", input.layout());
+        return Err(BfvError::InvalidShape(claim));
+    };
+    let n_parts = sys.part_count();
+    let parts = pool.try_run(classes * groups * n_parts, |t| -> Result<Ciphertext> {
+        let (cell, part) = (t / n_parts, t % n_parts);
+        let (class, group) = (cell / groups, cell % groups);
+        let eval = sys.evaluator(part);
+        let w = &bank.weights[class * channels..];
+        let terms = (0..channels).map(|o| (&input.cell(o, group, 0).parts[part], &w[o][part]));
+        let dot = eval.dot_plain_ntt(terms)?;
+        let key = galois.get(part).ok_or(BfvError::MissingGaloisKey(0))?;
+        let mut logit = eval.rotate_and_sum(&dot, stride, key)?;
+        eval.add_plain_bias_inplace(&mut logit, bank.bias[class].part(part))?;
+        Ok(logit)
+    })?;
+    let cells = (classes * groups) as u64;
+    let rotations = (slots / 2 / stride).trailing_zeros() as u64;
+    counter.ct_pt_mul += cells * channels as u64;
+    counter.ct_ct_add += cells * (channels as u64 - 1 + rotations);
+    counter.ct_pt_add += cells;
+    counter.rotations += cells * rotations;
+    let logits = assemble_cells(parts, classes * groups, n_parts);
+    Ok(EncryptedMap::new(classes, groups, 1, logits).with_layout(input.layout()))
+}
+
 /// Scaled mean-pooling: the window **sum** (no division — HE cannot divide;
 /// paper §III-A). Output values are `window²` times the true mean. Each
 /// window accumulator owns its ciphertext (an in-place borrow would alias
-/// the input map).
+/// the input map). The output keeps the input's layout (over a
+/// [`Layout::Orbit`] map a window is a group's `window²` member cells).
 ///
 /// # Errors
 ///
@@ -282,17 +335,13 @@ pub fn he_scaled_mean_pool(
         Ok(acc)
     })?;
     counter.ct_ct_add += n_cells as u64 * (window * window - 1) as u64;
-    Ok(EncryptedMap::new(
-        c,
-        oh,
-        ow,
-        assemble_cells(parts, n_cells, n_parts),
-    ))
+    let cells = assemble_cells(parts, n_cells, n_parts);
+    Ok(EncryptedMap::new(c, oh, ow, cells).with_layout(input.layout()))
 }
 
 /// Square activation: slot-wise `x²` via ciphertext multiplication, followed
 /// by relinearization with `evk` (the pure-HE pipeline's `EncryptSigmoid`
-/// substitute, paper §VI-C).
+/// substitute, paper §VI-C). The output keeps the input's layout.
 ///
 /// # Errors
 ///
@@ -316,12 +365,8 @@ pub fn he_square_activation(
     })?;
     counter.ct_ct_mul += n_cells as u64;
     counter.relin += n_cells as u64;
-    Ok(EncryptedMap::new(
-        c,
-        h,
-        w,
-        assemble_cells(parts, n_cells, n_parts),
-    ))
+    let cells = assemble_cells(parts, n_cells, n_parts);
+    Ok(EncryptedMap::new(c, h, w, cells).with_layout(input.layout()))
 }
 
 /// Raw-weight oracle for [`he_conv2d`]: the textbook serial loop — one
@@ -374,7 +419,8 @@ pub fn he_conv2d_reference(
                         }
                     }
                 }
-                let acc = sys.add_scalar(&acc.expect("kernel is non-empty"), bias[o])?;
+                let acc = acc.ok_or_else(|| BfvError::InvalidShape("empty tap set".into()))?;
+                let acc = sys.add_scalar(&acc, bias[o])?;
                 counter.ct_pt_add += 1;
                 counter.weight_prep += 1;
                 cells.push(acc);

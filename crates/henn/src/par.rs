@@ -110,9 +110,8 @@ impl ParExec {
             loop {
                 let idx = next.fetch_add(1, Ordering::Relaxed);
                 let Some(slot) = results.get(idx) else { break };
-                if slot.set(f(idx)).is_err() {
-                    unreachable!("index {idx} claimed twice");
-                }
+                // `fetch_add` hands each index out once: the slot is empty.
+                let _ = slot.set(f(idx));
             }
         };
         crossbeam::thread::scope(|s| {
@@ -126,10 +125,11 @@ impl ParExec {
                 }
             }
         })
-        .expect("scope itself does not fail");
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        // Every index ran: workers stop only past `n`, and all have joined.
         results
             .into_iter()
-            .map(|slot| slot.into_inner().expect("every index executed"))
+            .filter_map(OnceLock::into_inner)
             .collect()
     }
 

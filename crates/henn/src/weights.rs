@@ -3,10 +3,11 @@
 //! the workload of Fig. 3 ("the encoding time has a linear relationship with
 //! the weights' number"). This module is the one place a model weight becomes
 //! a plaintext operand: a slot-wise scalar with its Shoup constants, a bias as
-//! `Δ·b` residues, or a batch-encoded cell of the packed FC layer.
+//! `Δ·b` residues, or a batch-encoded cell of a packed FC layer.
 
 use crate::crt::{CrtPlainSystem, CrtPreparedBias, CrtPreparedScalar};
-use crate::image::fc_cell;
+use crate::image::{fc_cell, orbit_entry, orbit_stride};
+use hesgx_bfv::encoding::matrix_index_map;
 use hesgx_bfv::error::{BfvError, Result};
 use hesgx_bfv::evaluator::PreparedBias;
 use hesgx_bfv::plaintext::{NttPlaintext, Plaintext};
@@ -112,6 +113,69 @@ impl FcOperandBank {
             inputs,
             per_cell,
             weights,
+            bias: bias.collect::<Result<_>>()?,
+        })
+    }
+}
+
+/// The fully connected layer's operands over a
+/// [`Layout::Orbit`](crate::image::Layout::Orbit) map of pooled side `side`:
+/// per (class, channel), `W[class][channel·side² + position]` at every
+/// image's [`orbit_entry`] (zero at the orbit's padding positions), and the
+/// class biases — the model's and `n`'s alone, never the batch's.
+#[derive(Debug)]
+pub struct OrbitFcBank {
+    /// Side of the pooled map.
+    pub side: usize,
+    /// `[class·channels + channel][part]` weight vectors, in evaluation form.
+    pub weights: Vec<Vec<NttPlaintext>>,
+    /// One constant bias per class.
+    pub bias: Vec<CrtPreparedBias>,
+}
+
+impl OrbitFcBank {
+    /// Encodes `weights[class][channel][position]` and one bias per class.
+    ///
+    /// # Errors
+    ///
+    /// [`BfvError::InvalidShape`] when the weights are not whole
+    /// `channels × side²` rows per bias or the orbit has no stride; fails
+    /// when a weight exceeds a plaintext modulus.
+    pub fn prepare(
+        sys: &CrtPlainSystem,
+        weights: &[i64],
+        biases: &[i64],
+        side: usize,
+    ) -> Result<OrbitFcBank> {
+        let (slots, positions) = (sys.slot_count(), side * side);
+        let row = biases.len().saturating_mul(positions);
+        let fits = row > 0 && weights.len().is_multiple_of(row);
+        let Some(stride) = orbit_stride(side, slots).filter(|_| fits) else {
+            let count = weights.len();
+            return Err(BfvError::InvalidShape(format!(
+                "{count} weights, side {side}"
+            )));
+        };
+        let map = matrix_index_map(slots);
+        let vector = |row: &[i64]| -> Result<Vec<NttPlaintext>> {
+            let mut values = vec![0; slots];
+            for (position, &w) in row.iter().enumerate() {
+                for image in 0..2 * stride {
+                    values[map[orbit_entry(position, image, stride, slots)]] = w;
+                }
+            }
+            let plain = sys.encode_slots(&values)?.into_iter().enumerate();
+            plain
+                .map(|(part, plain)| sys.evaluator(part).transform_plain_to_ntt(&plain))
+                .collect()
+        };
+        let bias = biases.iter().map(|&b| sys.prepare_bias(b));
+        Ok(OrbitFcBank {
+            side,
+            weights: weights
+                .chunks(positions)
+                .map(vector)
+                .collect::<Result<_>>()?,
             bias: bias.collect::<Result<_>>()?,
         })
     }

@@ -122,6 +122,8 @@ pub const ENCLAVE_PATHS: &[&str] = &[
     "crates/core/src",
     "crates/henn/src/layers.rs",
     "crates/henn/src/image.rs",
+    "crates/henn/src/ops.rs",
+    "crates/henn/src/par.rs",
     "crates/henn/src/weights.rs",
     "crates/henn/src/crt.rs",
     "fixtures/enclave-panic",

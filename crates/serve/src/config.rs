@@ -188,6 +188,7 @@ mod tests {
             ct_pt_add: 1,
             ct_ct_mul: 1,
             relin: 1,
+            rotations: 0,
             weight_prep: 0,
         };
         assert_eq!(
