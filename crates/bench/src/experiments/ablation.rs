@@ -8,7 +8,8 @@
 //!   float model (the knob that trades plaintext-modulus head-room for
 //!   fidelity).
 //! * **CRT modulus count** — single large vs multiple small plaintext moduli
-//!   for a linear pipeline (the `for_range` fast path).
+//!   for a linear pipeline (the depth-0 shortcut of
+//!   `CrtPlainSystem::moduli_for`).
 
 use super::{header, RunConfig};
 use crate::experiments::figures::scale_stub;
@@ -117,7 +118,7 @@ pub fn ablate_quantization(cfg: RunConfig) {
             .iter()
             .filter(|s| q.predict_image(&s.image) == net.predict(&dataset::normalize(&s.image)))
             .count();
-        let report = q.range_report();
+        let report = q.range_report().expect("the paper model's range fits i64");
         println!(
             "{ws:12}  {fs:8}  {act:9}  {:6.1}%    {:8}",
             100.0 * agree as f64 / samples.len() as f64,
@@ -161,7 +162,7 @@ pub fn ablate_crt_parts(cfg: RunConfig) {
             (sys.modulus_product() as f64).log2()
         );
     }
-    println!("(every operation scales with the part count — why for_range prefers one modulus for linear pipelines)");
+    println!("(every operation scales with the part count — why moduli_for prefers one modulus for linear pipelines)");
 }
 
 /// Runs all ablations.

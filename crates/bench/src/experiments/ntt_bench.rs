@@ -256,8 +256,9 @@ struct ConvLayer {
 /// weight-bank kernel on an inline pool, then the raw-weight oracle, on
 /// the same encrypted input.
 fn run_conv(model: &QuantizedCnn, poly_degree: usize, reps: usize) -> ConvLayer {
-    let sys = CrtPlainSystem::for_range(poly_degree, model.range_report().required_plain_bits)
-        .expect("ntt_bench conv system builds");
+    let bits = model.range_report().expect("ntt_bench conv range fits i64");
+    let moduli = CrtPlainSystem::moduli_for(poly_degree, bits.required_plain_bits, 0);
+    let sys = CrtPlainSystem::new(poly_degree, &moduli).expect("ntt_bench conv system builds");
     let mut rng = ChaChaRng::from_seed(SEED).fork("conv-layer");
     let keys = sys.generate_keys(&mut rng);
     let images: Vec<Vec<i64>> = (0..crate::PAPER_BATCH_SIZE)
@@ -351,8 +352,12 @@ fn decrypt_u256(
 /// Times one enclave cell — decrypt, and re-encrypt under either key — on
 /// the fig8 system at `poly_degree`, and evaluates the two exactness flags.
 fn run_cell(poly_degree: usize, reps: usize) -> EnclaveCell {
-    let bits = conv_model(false).range_report().required_plain_bits;
-    let sys = CrtPlainSystem::for_range(poly_degree, bits).expect("ntt_bench cell system builds");
+    let report = conv_model(false).range_report();
+    let bits = report
+        .expect("ntt_bench cell range fits i64")
+        .required_plain_bits;
+    let moduli = CrtPlainSystem::moduli_for(poly_degree, bits, 0);
+    let sys = CrtPlainSystem::new(poly_degree, &moduli).expect("ntt_bench cell system builds");
     let mut rng = ChaChaRng::from_seed(SEED).fork("enclave-cell");
     let keys = sys.generate_keys(&mut rng);
     let span = 1i64 << bits.min(40);

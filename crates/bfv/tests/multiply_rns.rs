@@ -473,8 +473,9 @@ impl Fixture {
     }
 }
 
-/// The plaintext moduli `CrtPlainSystem::for_range_deep` composes a range
-/// from at n = 1024 (the paper-scale pure-HE model takes the first three).
+/// The plaintext moduli `CrtPlainSystem::moduli_for` composes a range from
+/// at n = 1024 past the linear shortcut (the paper-scale pure-HE model takes
+/// the first three).
 fn deep_moduli() -> impl Iterator<Item = u64> {
     std::iter::successors(Some(40_000), |&lower| {
         Some(hesgx_bfv::arith::smallest_prime_congruent_one_above(

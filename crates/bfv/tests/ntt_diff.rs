@@ -13,7 +13,7 @@ use hesgx_bfv::ntt::{negacyclic_multiply_naive, NttTable};
 use hesgx_crypto::rng::ChaChaRng;
 
 /// Transform lengths used across the stack: 8–256 by the unit corpus,
-/// 256/1024 by the pipeline (`for_range` / paper parameters), 4096 as the
+/// 256/1024 by the pipeline (`moduli_for` / paper parameters), 4096 as the
 /// largest `ntt_bench` tier.
 const DEGREES: &[usize] = &[8, 64, 256, 1024, 4096];
 

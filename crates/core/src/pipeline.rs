@@ -12,10 +12,11 @@ use crate::keydist::{
 use crate::planner::{plan_for, EcallBatching, EnclaveOp, InferencePlan, Placement, Stage};
 use crate::recovery::RecoveryPolicy;
 use crate::sgx_ops::InferenceEnclave;
-use hesgx_bfv::prelude::EvaluationKeys;
+use hesgx_bfv::prelude::{EvaluationKeys, GaloisKeys};
 use hesgx_chaos::FaultHook;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::{CrtCiphertext, CrtPlainSystem};
+use hesgx_henn::cryptonets::CryptoNets;
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::layers::{HeLayer, HeLayers};
 use hesgx_henn::ops::OpCounter;
@@ -169,10 +170,12 @@ pub struct HybridInference {
     /// The same model compiled for [`Placement::PureHe`], when the
     /// provisioned parameters can carry it.
     degraded_plan: Option<InferencePlan>,
-    /// Evaluation keys for the pure-HE degraded plan (square activation
-    /// needs relinearization). Private on purpose: the secret-hygiene lint
-    /// forbids evaluation keys in public signatures outside bfv/henn.
+    /// Evaluation and Galois keys for the pure-HE degraded plan (its square
+    /// relinearizes, its orbit FC rotates; no Galois keys without it).
+    /// Private on purpose: the secret-hygiene lint forbids both in public
+    /// signatures outside bfv/henn.
     evaluation: Vec<EvaluationKeys>,
+    galois: Vec<GaloisKeys>,
     /// Sealed copy of the secret keys (restart persistence, §IV-A step 2);
     /// probed by [`HybridInference::verify_sealed_state`].
     sealed_keys: SealedBlob,
@@ -196,9 +199,9 @@ impl HybridInference {
     /// # Errors
     ///
     /// Returns [`Error::Config`] when the model is not quantized for the
-    /// hybrid pipeline or its geometry is inconsistent
-    /// ([`QuantizedCnn::check_geometry`]); fails when the HE parameters
-    /// cannot cover its value range.
+    /// hybrid pipeline, its geometry is inconsistent
+    /// ([`QuantizedCnn::check_geometry`]) or its range does not fit `i64`;
+    /// fails when the HE parameters cannot cover its value range.
     pub fn provision_with(
         platform: Arc<Platform>,
         model: QuantizedCnn,
@@ -211,23 +214,24 @@ impl HybridInference {
             )));
         }
         model.check_geometry().map_err(Error::Config)?;
-        let report = model.range_report();
-        let sys = CrtPlainSystem::for_range(config.poly_degree, report.required_plain_bits)
-            .map_err(Error::He)?;
-        // The parameters are sized for the hybrid plan. The pure-HE plan
-        // computes a different function — squares and undivided window sums
-        // grow far beyond `act_scale` — so it is compiled only when the
-        // same parameters also carry *its* range and its ciphertext
-        // multiplication; otherwise there is no degraded rung to fall to.
-        let compile = |placement| plan_for(config.activation, placement);
-        let plan = compile(Placement::Hybrid);
+        let n = config.poly_degree;
+        let report = model.range_report().map_err(Error::Config)?;
+        let moduli = CrtPlainSystem::moduli_for(n, report.required_plain_bits, 0);
+        // The parameters are sized for the hybrid plan; the pure-HE plan's
+        // squares and undivided window sums grow far past `act_scale`. It is
+        // compiled only where the service's moduli begin with the ones
+        // `CryptoNets` builds for *its* range; else there is no degraded rung.
         let pure_he = QuantizedCnn {
             pipeline: QuantPipeline::CryptoNets,
             ..model.clone()
         };
-        let degraded_plan = sys
-            .carries_deep(pure_he.range_report().required_plain_bits)
-            .then(|| compile(Placement::PureHe));
+        let carried = CryptoNets::moduli(&pure_he, n).is_ok_and(|own| moduli.starts_with(&own));
+        let steps = carried.then(|| CryptoNets::rotations(&pure_he, n));
+        let sys = CrtPlainSystem::new(n, &moduli).map_err(Error::He)?;
+        let sys = sys.with_rotations(steps.unwrap_or_default());
+        let compile = |placement| plan_for(config.activation, placement);
+        let plan = compile(Placement::Hybrid);
+        let degraded_plan = carried.then(|| compile(Placement::PureHe));
         let pool = ParExec::new(config.threads).with_recorder(config.recorder.clone());
         let he = HeLayers::new(sys, model, pool).map_err(Error::He)?;
         // The enclave heap must hold a full encrypted feature map; the EPC
@@ -269,6 +273,7 @@ impl HybridInference {
             he,
             enclave: inference,
             evaluation: keys.evaluation,
+            galois: keys.galois,
             sealed_keys,
         };
         Ok((service, ceremony))
@@ -299,12 +304,12 @@ impl HybridInference {
     }
 
     /// The same model compiled for [`Placement::PureHe`]: what the session's
-    /// recovery ladder runs once the enclave stays unavailable. `None` when
-    /// the provisioned parameters — sized for the hybrid plan's range —
-    /// cannot carry the pure-HE plan exactly
-    /// ([`CrtPlainSystem::carries_deep`] of the model's
-    /// [`QuantPipeline::CryptoNets`] range): serving it anyway would return
-    /// logits wrapped modulo the plaintext modulus.
+    /// recovery ladder runs once the enclave stays unavailable, with the
+    /// Galois keys its orbit FC rotates under. `None` when the provisioned
+    /// parameters — sized for the hybrid plan's range — do not begin with
+    /// the moduli [`CryptoNets::moduli`] picks for the model's
+    /// [`QuantPipeline::CryptoNets`] range, or that range overflows `i64`:
+    /// serving it anyway would return wrapped logits.
     pub fn degraded_plan(&self) -> Option<&InferencePlan> {
         self.degraded_plan.as_ref()
     }
@@ -433,10 +438,10 @@ impl HybridInference {
     ) -> Result<Staged> {
         match &plan.stages[layer] {
             // Parallel over output cells × CRT limbs, bit-identical for
-            // every pool size. No map here is an orbit map: no Galois keys.
+            // every pool size.
             &Stage::He(he) => {
-                let evk = &self.evaluation;
-                let out = self.he.apply(he, input, evk, &[], &mut metrics.ops)?;
+                let (evk, galois) = (&self.evaluation, &self.galois);
+                let out = self.he.apply(he, input, evk, galois, &mut metrics.ops)?;
                 Ok(Staged::he(out, he_label(he)))
             }
             Stage::Enclave(chain, batching) => {
@@ -1203,23 +1208,48 @@ mod tests {
             }
             let degraded = service.degraded_plan().expect("the deep model has one");
             assert_eq!(degraded.placement, Placement::PureHe);
-            // Nothing behind its convolution can repack.
-            assert_eq!(degraded.ingress_layout(&model, 2, 256), Layout::Pixel);
+            // Nothing behind its convolution can repack: it reads the orbit
+            // layout the pure-HE engine encrypts in, or one cell per pixel.
+            let layout = degraded.ingress_layout(&model, 2, 256);
+            let (batch, side, window) = (2, 3, 2);
+            assert_eq!(
+                layout,
+                Layout::Orbit {
+                    batch,
+                    side,
+                    window
+                }
+            );
+            let orbit = EncryptedMap::encrypt_images(
+                service.system(),
+                &images,
+                model.in_side,
+                layout,
+                service.enclave.public_keys(),
+                &ChaChaRng::from_seed(108),
+                &ParExec::serial(),
+            )
+            .unwrap();
             let err = service.run(degraded, &packed).unwrap_err();
             assert!(matches!(err, Error::He(_)), "{err}");
-            let (logits, metrics) = service.run(degraded, &enc).unwrap();
-            assert_eq!(
-                decrypt_rows(&service, &logits, images.len()),
-                reference_rows(&pure_he_reference, &images),
-                "pure HE, {threads} threads"
-            );
-            assert!(metrics.stages.iter().all(|s| s.enclave.is_none()));
-            let refs: Vec<&CrtCiphertext> = logits.cells().iter().collect();
-            let (budget, _) = service
-                .enclave
-                .noise_probe(service.system(), &refs)
-                .unwrap();
-            assert!(budget > 0, "pure-HE logits ran out of noise budget");
+            for input in [&enc, &orbit] {
+                let what = format!("pure HE, {threads} threads, {:?}", input.layout());
+                let (logits, metrics) = service.run(degraded, input).unwrap();
+                assert_eq!(
+                    decrypt_rows(&service, &logits, images.len()),
+                    reference_rows(&pure_he_reference, &images),
+                    "{what}"
+                );
+                assert!(metrics.stages.iter().all(|s| s.enclave.is_none()));
+                let rotates = input.layout() == layout;
+                assert_eq!(metrics.ops.rotations > 0, rotates, "{what}");
+                let refs: Vec<&CrtCiphertext> = logits.cells().iter().collect();
+                let (budget, _) = service
+                    .enclave
+                    .noise_probe(service.system(), &refs)
+                    .unwrap();
+                assert!(budget > 0, "{what}: logits ran out of noise budget");
+            }
         }
     }
 

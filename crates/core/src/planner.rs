@@ -17,6 +17,7 @@
 //! [`Placement::PureHe`]; the Fig. 8 control groups, the `SGXDiv` split, the
 //! noise refresh and the per-op experiments are hand-built plans.
 
+use hesgx_henn::cryptonets::CryptoNets;
 use hesgx_henn::image::Layout;
 use hesgx_henn::layers::HeLayer;
 use hesgx_nn::layers::ActivationKind;
@@ -30,9 +31,10 @@ pub enum Placement {
     /// inside SGX (paper Fig. 2). Logits are bit-identical to
     /// [`QuantizedCnn::forward_ints`].
     Hybrid,
-    /// The enclave is unavailable: the sigmoid becomes the CryptoNets
-    /// square under the ceremony's evaluation keys and mean pooling stays a
-    /// window sum (no division without the enclave). The logits are exactly
+    /// The enclave is unavailable: the pure-HE engine's plan
+    /// ([`CryptoNets::LAYERS`]). The sigmoid becomes the square, mean
+    /// pooling stays a window sum (no division without the enclave), and
+    /// over a [`Layout::Orbit`] map the FC rotates. The logits are exactly
     /// [`QuantizedCnn::forward_ints`] of the same weights quantized for
     /// [`hesgx_nn::quantize::QuantPipeline::CryptoNets`] — a different
     /// fixed-point scale, which [`crate::session::Served::Degraded`] marks.
@@ -127,12 +129,17 @@ pub struct InferencePlan {
 
 impl InferencePlan {
     /// The layout a `batch`-image request enters this plan in, for the FV
-    /// client path and `ecall_Transcipher` alike. [`Layout::Patches`] needs a
-    /// repacker behind the convolution — a batched enclave stage, which
-    /// decrypts the whole map anyway; there the count decides
-    /// ([`Layout::for_conv`]). Every other plan reads [`Layout::Pixel`].
+    /// client path and `ecall_Transcipher` alike. The pure-HE plan reads
+    /// [`Layout::Orbit`] where [`CryptoNets`] encrypts in it
+    /// ([`Layout::for_orbit`]). [`Layout::Patches`] needs a repacker behind
+    /// the convolution — a batched enclave stage, which decrypts the whole
+    /// map anyway; there the count decides ([`Layout::for_conv`]). Every
+    /// other plan reads [`Layout::Pixel`].
     pub fn ingress_layout(&self, model: &QuantizedCnn, batch: usize, slots: usize) -> Layout {
         use EcallBatching::Batched;
+        if self.placement == Placement::PureHe {
+            return Layout::for_orbit(model.in_side, model.kernel, model.window, batch, slots);
+        }
         let [Stage::He(HeLayer::Conv), Stage::Enclave(_, Batched), ..] = &self.stages[..] else {
             return Layout::Pixel;
         };
@@ -165,28 +172,21 @@ impl InferencePlan {
 
 /// Compiles the paper's 4-layer CNN into a plan: linear layers → HE
 /// outside; the activation and the mean pooling → exact inside the enclave,
-/// in one crossing whatever the window; or their HE stand-ins when
-/// `placement` says the enclave is unavailable.
+/// in one crossing whatever the window; or, when `placement` says the
+/// enclave is unavailable, the pure-HE engine's own layers
+/// ([`CryptoNets::LAYERS`]).
 pub fn plan_for(activation: ActivationKind, placement: Placement) -> InferencePlan {
-    let mut stages = vec![Stage::He(HeLayer::Conv)];
-    match placement {
-        Placement::Hybrid => {
-            stages.push(Stage::enclave(EnclaveOp::Activation(activation)));
-            stages.push(Stage::enclave(EnclaveOp::MeanPool));
-        }
-        Placement::PureHe => {
-            stages.push(Stage::He(HeLayer::Square));
-            stages.push(Stage::He(HeLayer::SumPool));
-        }
-    }
-    stages.push(Stage::He(HeLayer::Fc));
-    if placement == Placement::Hybrid {
-        stages.push(Stage::enclave(EnclaveOp::LogitReduce));
-    }
-    InferencePlan {
-        placement,
-        stages: fuse(stages),
-    }
+    let stages = match placement {
+        Placement::Hybrid => fuse(vec![
+            Stage::He(HeLayer::Conv),
+            Stage::enclave(EnclaveOp::Activation(activation)),
+            Stage::enclave(EnclaveOp::MeanPool),
+            Stage::He(HeLayer::Fc),
+            Stage::enclave(EnclaveOp::LogitReduce),
+        ]),
+        Placement::PureHe => CryptoNets::LAYERS.map(Stage::He).to_vec(),
+    };
+    InferencePlan { placement, stages }
 }
 
 #[cfg(test)]

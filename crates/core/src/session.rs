@@ -58,7 +58,7 @@ use crate::error::{Error, FaultClass, Result};
 use crate::ingress::seal_ingress_payload;
 use crate::keydist::{derive_ingress_key, verify_key_ceremony, KeyCeremonyPublic};
 use crate::pipeline::{HybridInference, HybridMetrics, ProvisionConfig, StageMetrics};
-use crate::planner::Placement;
+use crate::planner::{InferencePlan, Placement};
 use crate::recovery::{retry_with_cost, RecoveryPolicy};
 use crate::request::{InferRequest, InferResponse, Ingress, Resilience};
 use hesgx_chaos::{FaultHook, FaultInjector, FaultPlan, FaultReport, RecoveryEvent};
@@ -103,15 +103,24 @@ pub enum Served {
     /// The full hybrid pipeline ran: logits are bit-identical to
     /// [`QuantizedCnn::forward_ints`].
     Exact,
-    /// Transient-fault retries were exhausted and the pure-HE
-    /// square-activation fallback answered instead. The logits sit on a
-    /// different fixed-point scale: they are exactly
+    /// Transient-fault retries were exhausted and the pure-HE plan of
+    /// [`CryptoNets`](hesgx_henn::cryptonets::CryptoNets) answered instead.
+    /// The logits sit on a different fixed-point scale: they are exactly
     /// [`QuantizedCnn::forward_ints`] of the same weights quantized for
     /// [`QuantPipeline::CryptoNets`](hesgx_nn::quantize::QuantPipeline::CryptoNets),
     /// not the hybrid reference. Only a service whose parameters can carry
     /// that plan has this rung ([`HybridInference::degraded_plan`]); on any
     /// other the exhausted request fails as a fail-fast one does.
     Degraded,
+}
+
+/// The plan `service` compiled for `placement`.
+fn plan(service: &HybridInference, placement: Placement) -> Result<&InferencePlan> {
+    let degraded = service.degraded_plan();
+    match placement {
+        Placement::Hybrid => Ok(service.plan()),
+        Placement::PureHe => degraded.ok_or(Error::Internal("no degraded plan was compiled")),
+    }
 }
 
 /// Bound on sealed-state re-provisions per recovery episode: one corruption
@@ -386,8 +395,7 @@ impl Session {
         let batch = request.images.len();
         let (enc, bytes, stage) = match request.ingress {
             Ingress::FvCiphertext => {
-                let layout = self.service.read().ingress_layout(batch);
-                let enc = self.encrypt_batch(&request.images, layout)?;
+                let enc = self.encrypt_batch(&request.images, Placement::Hybrid)?;
                 let bytes = enc.byte_len() as u64;
                 (enc, bytes, None)
             }
@@ -495,14 +503,13 @@ impl Session {
                         self.recorder()
                             .trace_instant("session.degraded", &[("reason", reason.to_string())]);
                     }
-                    // That plan has no repacker: a packed request re-enters
-                    // per pixel through the FV client path, a second upload.
-                    let packed = enc.layout() != Layout::Pixel;
-                    let pixel = packed
-                        .then(|| self.encrypt_batch(&request.images, Layout::Pixel))
+                    // That plan reads a per-pixel map as it is; a patch-packed
+                    // one re-enters once, in the layout the plan asks for.
+                    let reingested = matches!(enc.layout(), Layout::Patches { .. })
+                        .then(|| self.encrypt_batch(&request.images, Placement::PureHe))
                         .transpose()?;
-                    *upload_bytes += pixel.as_ref().map_or(0, |map| map.byte_len() as u64);
-                    let enc = pixel.as_ref().unwrap_or(enc);
+                    *upload_bytes += reingested.as_ref().map_or(0, |map| map.byte_len() as u64);
+                    let enc = reingested.as_ref().unwrap_or(enc);
                     let (rows, metrics) = self.run_plan(Placement::PureHe, enc, batch)?;
                     self.recorder().incr(counters::SERVED_DEGRADED, 1);
                     return Ok((rows, Served::Degraded, metrics));
@@ -522,13 +529,7 @@ impl Session {
     ) -> Result<(Vec<Vec<i64>>, HybridMetrics)> {
         let (logits, metrics) = {
             let service = self.service.read();
-            let plan = match placement {
-                Placement::Hybrid => service.plan(),
-                Placement::PureHe => service
-                    .degraded_plan()
-                    .ok_or(Error::Internal("no degraded plan was compiled"))?,
-            };
-            service.run(plan, enc)?
+            service.run(plan(&service, placement)?, enc)?
         };
         Ok((self.decrypt_logits(&logits, batch)?, metrics))
     }
@@ -552,19 +553,22 @@ impl Session {
     }
 
     /// The client role of FV-ciphertext ingress: encrypts a batch
-    /// [`Session::check_batch`] has validated in `layout` under the user's
-    /// copy of the secret keys (evaluation form, DESIGN.md §19), booking the
-    /// upload.
-    fn encrypt_batch(&self, images: &[Vec<i64>], layout: Layout) -> Result<EncryptedMap> {
+    /// [`Session::check_batch`] has validated in the ingress layout of the
+    /// service's plan for `placement`, under the user's copy of the secret
+    /// keys (evaluation form, DESIGN.md §19), booking the upload.
+    fn encrypt_batch(&self, images: &[Vec<i64>], placement: Placement) -> Result<EncryptedMap> {
         let _prof = prof::span("session.encrypt");
         let service = self.service.read();
+        let (sys, model) = (service.system(), service.model());
+        let layout =
+            plan(&service, placement)?.ingress_layout(model, images.len(), sys.slot_count());
         // A fresh base per batch (batches never share randomness); the
         // cells fork it, so their streams stay scheduling-independent.
         let batch_rng = self.rng.lock().fork_next("batch");
         let enc = EncryptedMap::encrypt_images(
-            service.system(),
+            sys,
             images,
-            service.model().in_side,
+            model.in_side,
             layout,
             &self.ceremony.user_secret,
             &batch_rng,
@@ -723,8 +727,7 @@ mod tests {
 
     /// The client role of FV-ciphertext ingress, in the layout `serve` picks.
     fn client_batch(session: &Session, images: &[Vec<i64>]) -> EncryptedMap {
-        let layout = session.service().ingress_layout(images.len());
-        session.encrypt_batch(images, layout).unwrap()
+        session.encrypt_batch(images, Placement::Hybrid).unwrap()
     }
 
     fn build(threads: usize, seed: u64) -> Session {
@@ -1099,14 +1102,16 @@ mod tests {
         assert_eq!(response.logits, vec![pure_he.forward_ints(&image)]);
         assert!(session.fault_report().unwrap().degraded());
         // The request came in packed (9 kernel offsets × one chunk); the
-        // pure-HE plan cannot read that, so the rung re-ingested it one cell
-        // per pixel and the response owns up to both uploads.
+        // pure-HE plan cannot read that, so the rung re-ingested it in the
+        // orbit layout (9 offsets × 4 window members) and the response owns
+        // up to both uploads.
         let fresh = session.service().system().fresh_ciphertext_byte_len() as u64;
-        assert_eq!(response.upload_bytes, (9 + 64) * fresh);
+        assert_eq!(response.upload_bytes, (9 + 36) * fresh);
         {
             let enc = session
-                .encrypt_batch(std::slice::from_ref(&image), Layout::Pixel)
+                .encrypt_batch(std::slice::from_ref(&image), Placement::PureHe)
                 .unwrap();
+            assert_eq!(enc.cells().len(), 36);
             let service = session.service();
             let plan = service.degraded_plan().expect("the deep model has one");
             let (logits, _) = service.run(plan, &enc).unwrap();

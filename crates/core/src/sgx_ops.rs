@@ -1174,16 +1174,28 @@ mod tests {
         }
     }
 
-    /// The plans of `small_model` that read each ingress layout: the hybrid
-    /// plan packs a small batch, the pure-HE plan never does.
-    fn ingress_plans() -> [(InferencePlan, Layout); 2] {
+    /// The plans of `small_model` that read each packed ingress layout, and
+    /// its cells for two images: the hybrid plan's patches (9 kernel offsets
+    /// × one chunk of 72 values), the pure-HE plan's orbit (9 offsets × 4
+    /// window members).
+    fn ingress_plans() -> [(InferencePlan, Layout, usize); 2] {
         let compile = |placement| crate::planner::plan_for(ActivationKind::Sigmoid, placement);
+        let (batch, side, window) = (2, 3, 2);
         [
             (
                 compile(crate::planner::Placement::Hybrid),
-                Layout::Patches { batch: 2, side: 6 },
+                Layout::Patches { batch, side: 6 },
+                9,
             ),
-            (compile(crate::planner::Placement::PureHe), Layout::Pixel),
+            (
+                compile(crate::planner::Placement::PureHe),
+                Layout::Orbit {
+                    batch,
+                    side,
+                    window,
+                },
+                36,
+            ),
         ]
     }
 
@@ -1195,7 +1207,7 @@ mod tests {
             .collect();
         let key = IngressKey::derive(b"salt", b"ikm", b"test-ingress");
         let payload = transcipher::seal_images(&key, &[9u8; 12], &images).unwrap();
-        for (plan, layout) in ingress_plans() {
+        for (plan, layout, want) in ingress_plans() {
             let run = |hook: Option<Arc<FaultInjector>>, threads: usize| {
                 let rec = Recorder::enabled();
                 let (ie, sys, _) = setup_with(hook.clone(), rec.clone());
@@ -1206,8 +1218,6 @@ mod tests {
                     .unwrap();
                 assert_eq!(batch, 2);
                 assert_eq!(plan.ingress_layout(&model, batch, 256), layout);
-                // 9 kernel offsets × one chunk of 72 values, or 64 pixels.
-                let want = if layout == Layout::Pixel { 64 } else { 9 };
                 assert_eq!(cells.len(), want, "{layout:?}");
                 assert!(cost.total_ns() > 0);
                 // The out-marshalling was priced for exactly these cells.
@@ -1256,7 +1266,7 @@ mod tests {
         let model = small_model();
         let key = IngressKey::derive(b"salt", b"ikm", b"test-ingress");
         let pool = ParExec::new(1);
-        for (plan, layout) in ingress_plans() {
+        for (plan, layout, _) in ingress_plans() {
             let ingress =
                 |payload: &[u8]| ie.transcipher_ingress(&sys, &model, &plan, &key, payload, &pool);
             let mut payload = transcipher::seal_images(&key, &[1u8; 12], &[vec![1; 64]]).unwrap();

@@ -31,7 +31,7 @@ use hesgx_chaos::{FaultKind, FaultPlan, FaultSite};
 use hesgx_core::prelude::*;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::CrtCiphertext;
-use hesgx_henn::image::{EncryptedMap, Layout};
+use hesgx_henn::image::EncryptedMap;
 use hesgx_henn::par::ParExec;
 
 #[test]
@@ -163,67 +163,171 @@ fn closing_reduction_retries_like_any_other_crossing() {
     assert_eq!(report.retries(), 2, "{}", report.to_json());
 }
 
-/// Four consecutive aborted `EENTER`s on the first ECALL: one more than the
-/// default budget of three retries.
-fn exhaust_the_retry_budget() -> FaultPlan {
-    (0..4).fold(FaultPlan::new(9), |plan, occurrence| {
+/// Four consecutive aborted `EENTER`s from occurrence `first` on — one more
+/// than the default budget of three retries on the ECALL they hit.
+fn exhaust_the_retry_budget(first: u64) -> FaultPlan {
+    (first..first + 4).fold(FaultPlan::new(9), |plan, occurrence| {
         plan.script(FaultSite::EcallEnter, occurrence, FaultKind::Transient)
     })
 }
 
 /// Exhausting the retry budget must not kill the service: the resilient
-/// entry point degrades to the pure-HE square-activation fallback — on a
-/// service whose parameters carry that plan (a hybrid range wide enough to
-/// need the deep modulus composition and to cover the squares) — and the
-/// degraded logits are exact against the pure-HE reference.
+/// entry point degrades to the pure-HE plan — on a service whose parameters
+/// carry it (its moduli begin with the ones the pure-HE range needs) — and
+/// the degraded logits are exact against the pure-HE reference.
+///
+/// The rung serves `CryptoNets`' orbit plan whichever way the request came
+/// in and on any pool: the FC rotates, the square runs once a conv cell
+/// (2 channels × 4 window members), and the patch-packed request is
+/// re-encrypted once in the orbit layout, so the response owns its first
+/// upload plus one fresh ciphertext an orbit cell.
 #[test]
 fn exhausted_budget_degrades_instead_of_failing() {
     let model = QuantizedCnn {
         act_scale: 1 << 23,
         ..testutil::small_hybrid_model()
     };
+    let pure_he = QuantizedCnn {
+        pipeline: QuantPipeline::CryptoNets,
+        ..model.clone()
+    };
+    let image: Vec<i64> = (0..64).map(|p| (p % 4) as i64).collect();
+    for ingress in [Ingress::FvCiphertext, Ingress::Transciphered] {
+        // A transciphered request crosses once before the exhausted ECALL.
+        let first = u64::from(ingress == Ingress::Transciphered);
+        let request = || {
+            let request = InferRequest::single(image.clone()).ingress(ingress);
+            request.resilience(Resilience::Degrade)
+        };
+        let mut served = Vec::new();
+        for threads in [1, 2] {
+            let build = |chaos: Option<FaultPlan>| {
+                let builder = SessionBuilder::new()
+                    .params(ParamsPreset::Small)
+                    .threads(threads)
+                    .seed(21);
+                let builder = match chaos {
+                    Some(plan) => builder.chaos(plan),
+                    None => builder,
+                };
+                builder.build(Platform::new(501), model.clone()).unwrap()
+            };
+            let what = format!("{ingress:?}, {threads} threads");
+            let exact = build(None).serve(request()).unwrap();
+            assert_eq!(exact.served, Served::Exact, "{what}");
+            let session = build(Some(exhaust_the_retry_budget(first)));
+            let response = session.serve(request()).unwrap();
+            assert_eq!(response.served, Served::Degraded, "{what}");
+            assert_eq!(
+                response.logits,
+                vec![pure_he.forward_ints(&image)],
+                "{what}"
+            );
+            let report = session.fault_report().unwrap();
+            assert!(report.degraded(), "{what}");
+            assert_eq!(report.injected_at(FaultSite::EcallEnter), 4, "{what}");
+            let ops = response.metrics.ops;
+            assert!(ops.rotations > 0, "{what}: {ops:?}");
+            assert_eq!(ops.ct_ct_mul, 8, "{what}: {ops:?}");
+
+            let service = session.service();
+            let plan = service.degraded_plan().expect("the deep model has one");
+            let layout = plan.ingress_layout(&model, 1, 256);
+            let cells = layout.ingress_cells(model.in_side, 256) as u64;
+            assert_eq!(cells, 36, "{layout:?}");
+            let fresh = service.system().fresh_ciphertext_byte_len() as u64;
+            assert_eq!(
+                response.upload_bytes,
+                exact.upload_bytes + cells * fresh,
+                "{what}"
+            );
+            // The same plan over a hand-encrypted orbit map: its logit
+            // ciphertexts still hold noise budget, so the values above were
+            // not luck.
+            let enc = EncryptedMap::encrypt_images(
+                service.system(),
+                std::slice::from_ref(&image),
+                model.in_side,
+                layout,
+                &session.ceremony().public,
+                &ChaChaRng::from_seed(22),
+                &ParExec::serial(),
+            )
+            .unwrap();
+            let (logits, _) = service.run(plan, &enc).unwrap();
+            let refs: Vec<&CrtCiphertext> = logits.cells().iter().collect();
+            let (budget, _) = service
+                .enclave()
+                .noise_probe(service.system(), &refs)
+                .unwrap();
+            assert!(
+                budget > 0,
+                "{what}: degraded logits ran out of noise budget"
+            );
+            served.push(response.logits);
+        }
+        assert_eq!(served[0], served[1], "{ingress:?}: pool sizes disagree");
+    }
+}
+
+/// A model whose pure-HE range does not fit `i64` (conv and FC weights of
+/// ±2^20, a 49-bit hybrid range): `forward_ints` of its CryptoNets twin
+/// wraps, so there is no exact reference to serve. The hybrid service
+/// provisions without a degraded rung and the exhausted `Degrade` request
+/// gets the transient error; an engine whose own range overflows is refused.
+#[test]
+fn a_pure_he_range_past_i64_has_no_degraded_rung() {
+    use hesgx_bfv::error::BfvError;
+    use hesgx_henn::cryptonets::CryptoNets;
+    let signed = |n: usize, magnitude: i64| -> Vec<i64> {
+        (0..n).map(|i| [magnitude, -magnitude][i % 2]).collect()
+    };
+    let model = QuantizedCnn {
+        conv_weights: signed(18, 1 << 20),
+        fc_weights: signed(3 * 18, 1 << 20),
+        act_scale: 1 << 23,
+        ..testutil::small_hybrid_model()
+    };
+    let report = model.range_report().unwrap();
+    assert_eq!(report.required_plain_bits, 49);
+    let pure_he = QuantizedCnn {
+        pipeline: QuantPipeline::CryptoNets,
+        ..model.clone()
+    };
+    assert!(pure_he.range_report().is_err());
+    let err = CryptoNets::new(pure_he, 256).unwrap_err();
+    assert!(matches!(err, BfvError::InvalidShape(_)), "{err}");
+
     let session = SessionBuilder::new()
         .params(ParamsPreset::Small)
         .threads(1)
-        .seed(21)
-        .chaos(exhaust_the_retry_budget())
-        .build(Platform::new(501), model.clone())
+        .seed(25)
+        .chaos(exhaust_the_retry_budget(0))
+        .build(Platform::new(504), model.clone())
         .unwrap();
+    assert!(session.service().degraded_plan().is_none());
     let image: Vec<i64> = (0..64).map(|p| (p % 4) as i64).collect();
-    let response = session
-        .serve(InferRequest::single(image.clone()).resilience(Resilience::Degrade))
-        .unwrap();
-    assert_eq!(response.served, Served::Degraded);
-    let pure_he = QuantizedCnn {
-        pipeline: QuantPipeline::CryptoNets,
+    let err = session
+        .serve(InferRequest::single(image).resilience(Resilience::Degrade))
+        .unwrap_err();
+    assert!(err.is_transient(), "{err}");
+    assert!(!session.fault_report().unwrap().degraded());
+
+    // A hybrid model whose own range overflows is refused at provisioning.
+    let wide = QuantizedCnn {
+        fc_weights: signed(3 * 18, 1 << 40),
         ..model
     };
-    assert_eq!(response.logits, vec![pure_he.forward_ints(&image)]);
-    let report = session.fault_report().unwrap();
-    assert!(report.degraded());
-    assert_eq!(report.injected_at(FaultSite::EcallEnter), 4);
-
-    // The same plan over a hand-encrypted batch: its logit ciphertexts
-    // still hold noise budget, so the values above were not luck.
-    let service = session.service();
-    let enc = EncryptedMap::encrypt_images(
-        service.system(),
-        &[image],
-        8,
-        Layout::Pixel,
-        &session.ceremony().public,
-        &ChaChaRng::from_seed(22),
-        &ParExec::serial(),
+    let err = HybridInference::provision_with(
+        Platform::new(505),
+        wide,
+        ProvisionConfig {
+            poly_degree: 256,
+            ..ProvisionConfig::default()
+        },
     )
-    .unwrap();
-    let plan = service.degraded_plan().expect("the deep model has one");
-    let (logits, _) = service.run(plan, &enc).unwrap();
-    let refs: Vec<&CrtCiphertext> = logits.cells().iter().collect();
-    let (budget, _) = service
-        .enclave()
-        .noise_probe(service.system(), &refs)
-        .unwrap();
-    assert!(budget > 0, "degraded logits ran out of noise budget");
+    .unwrap_err();
+    assert!(matches!(err, Error::Config(_)), "{err}");
 }
 
 /// At the paper's scale the service is sized for the hybrid plan alone (one
@@ -238,7 +342,7 @@ fn degrade_request_at_paper_scale_is_refused_not_served_wrapped() {
         .params(ParamsPreset::Paper)
         .threads(2)
         .seed(23)
-        .chaos(exhaust_the_retry_budget())
+        .chaos(exhaust_the_retry_budget(0))
         .build(Platform::new(502), testutil::hybrid_paper_model(5))
         .unwrap();
     assert!(session.service().degraded_plan().is_none());

@@ -167,75 +167,29 @@ impl CrtPlainSystem {
         self
     }
 
-    /// Builds a system whose modulus product covers `required_bits` of signed
-    /// dynamic range (from [`hesgx_nn::quantize::RangeReport`]).
+    /// The plaintext moduli covering `required_bits` of signed range (from
+    /// [`hesgx_nn::quantize::RangeReport`]) for a plan with `depth`
+    /// ciphertext multiplications — the one chooser of both engines.
     ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation failures.
-    pub fn for_range(poly_degree: usize, required_bits: u32) -> hesgx_bfv::error::Result<Self> {
+    /// A linear plan (`depth` 0) whose range fits one prime below the 2^30
+    /// validation cap gets that prime: every operation runs once, not once
+    /// per part. Anything else is composed from the successive ~16-bit
+    /// batching primes above 40 000, because a multiplication carries an
+    /// `r_t·‖m‖ ≈ t²` noise floor that a large `t` would blow through.
+    pub fn moduli_for(poly_degree: usize, required_bits: u32, depth: u32) -> Vec<u64> {
         let step = 2 * poly_degree as u64;
-        // One modulus when the range fits a single prime below the 2^30
-        // validation cap — every homomorphic operation then runs once instead
-        // of once per CRT part. Only sound for linear (ct × plaintext)
-        // pipelines: ciphertext–ciphertext multiplication carries an
-        // `r_t·‖m‖ ≈ t²` noise floor that a large t would blow through; deep
-        // pipelines must use [`CrtPlainSystem::for_range_deep`].
-        if required_bits <= 28 {
-            let lower = (1u64 << (required_bits + 1)).max(40_000);
-            let t = arith::smallest_prime_congruent_one_above(lower, step);
-            return Self::new(poly_degree, &[t]);
+        let above = move |lower| arith::smallest_prime_congruent_one_above(lower, step);
+        if depth == 0 && required_bits <= 28 {
+            return vec![above((1u64 << (required_bits + 1)).max(40_000))];
         }
-        Self::for_range_deep(poly_degree, required_bits)
-    }
-
-    /// Like [`CrtPlainSystem::for_range`] but always composes the range from
-    /// ~16-bit moduli, keeping the per-part noise growth of
-    /// ciphertext–ciphertext multiplication small. Use this for pipelines
-    /// with multiplicative depth (the CryptoNets baseline).
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation failures.
-    pub fn for_range_deep(
-        poly_degree: usize,
-        required_bits: u32,
-    ) -> hesgx_bfv::error::Result<Self> {
         let mut bits = 0f64;
-        let moduli: Vec<u64> = Self::deep_moduli(poly_degree)
+        std::iter::successors(Some(above(40_000)), |&t| Some(above(t)))
             .take_while(|&t| {
                 let short = bits < required_bits as f64 + 1.0;
                 bits += (t as f64).log2();
                 short
             })
-            .collect();
-        Self::new(poly_degree, &moduli)
-    }
-
-    /// The moduli [`CrtPlainSystem::for_range_deep`] composes a range from,
-    /// in order: the successive batching primes above a ~15-bit floor.
-    fn deep_moduli(poly_degree: usize) -> impl Iterator<Item = u64> {
-        let step = 2 * poly_degree as u64;
-        std::iter::successors(Some(40_000), move |&lower| {
-            Some(arith::smallest_prime_congruent_one_above(lower, step))
-        })
-        .skip(1)
-    }
-
-    /// Whether a pipeline with a ciphertext–ciphertext multiplication and
-    /// results within `required_bits` of signed range computes exactly under
-    /// this system: the modulus product covers the range, and the moduli are
-    /// the ones [`CrtPlainSystem::for_range_deep`] composes from — whose
-    /// `≈ t²` multiplication noise floor the pure-HE engine runs under. The
-    /// single large modulus of [`CrtPlainSystem::for_range`]'s
-    /// linear-pipeline shortcut fails the second test however wide it is.
-    pub fn carries_deep(&self, required_bits: u32) -> bool {
-        let covered = self
-            .product
-            .checked_shr(required_bits)
-            .is_some_and(|rest| rest > 0);
-        let deep = Self::deep_moduli(self.slot_count()).take(self.moduli.len());
-        covered && self.moduli.iter().copied().eq(deep)
+            .collect()
     }
 
     /// The plaintext moduli.
@@ -549,14 +503,80 @@ mod tests {
         (sys, keys, rng)
     }
 
+    /// The chooser, by depth: one prime for a linear range up to 28 bits,
+    /// the ~16-bit composition past that and at any depth.
     #[test]
-    fn for_range_covers_requirement() {
-        let sys = CrtPlainSystem::for_range(256, 30).unwrap();
-        assert!(sys.modulus_product() > 1u128 << 31);
-        // All moduli batching-friendly.
-        for &t in sys.moduli() {
-            assert_eq!(t % 512, 1);
-            assert!(arith::is_prime_u64(t));
+    fn moduli_for_is_a_function_of_depth() {
+        let small = [40961, 45569, 50177, 51713];
+        for (bits, depth, want) in [
+            (14, 0, &[40961][..]),
+            (20, 0, &[2_100_737]),
+            (28, 0, &[536_874_497]),
+            (29, 0, &small[..2]),
+            (30, 0, &small[..3]),
+            (14, 1, &small[..1]),
+            (20, 1, &small[..2]),
+            (30, 1, &small[..3]),
+            (49, 2, &small[..4]),
+        ] {
+            let moduli = CrtPlainSystem::moduli_for(256, bits, depth);
+            assert_eq!(moduli, want, "{bits} bits at depth {depth}");
+            let sys = CrtPlainSystem::new(256, &moduli).unwrap();
+            assert!(sys.modulus_product() >> (bits + 1) > 0, "{bits} bits");
+            for &t in sys.moduli() {
+                assert_eq!(t % 512, 1);
+                assert!(arith::is_prime_u64(t));
+            }
+        }
+    }
+
+    /// The degraded-rung predicate of the hybrid service: its moduli (the
+    /// model's range at depth 0) begin with the ones the CryptoNets range
+    /// needs at depth 1. Only the deep model has the rung.
+    #[test]
+    fn a_hybrid_service_carries_the_pure_he_plan_where_its_moduli_begin_with_its_own() {
+        use hesgx_nn::layers::{ActivationKind, PoolKind};
+        use hesgx_nn::model_zoo::paper_cnn;
+        use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
+        let small = QuantizedCnn {
+            pipeline: QuantPipeline::Hybrid,
+            in_side: 8,
+            conv_out: 2,
+            kernel: 3,
+            window: 2,
+            classes: 3,
+            conv_weights: (0..18).map(|i| (i % 7) as i64 - 3).collect(),
+            conv_bias: vec![5, -9],
+            fc_weights: (0..3 * 18).map(|i| (i % 5) as i64 - 2).collect(),
+            fc_bias: vec![10, -5, 0],
+            weight_scale: 8,
+            fc_scale: 8,
+            act_scale: 16,
+        };
+        let deep = QuantizedCnn {
+            act_scale: 1 << 23,
+            ..small.clone()
+        };
+        let net = paper_cnn(
+            ActivationKind::Sigmoid,
+            PoolKind::Mean,
+            &mut ChaChaRng::from_seed(5),
+        );
+        let paper = QuantizedCnn::from_network(&net, QuantPipeline::Hybrid, 16, 32, 16);
+        for (model, n, hybrid, pure_he, rung) in [
+            (small, 256, &[40961][..], &[40961, 45569][..], false),
+            (deep, 256, &[40961, 45569, 50177], &[40961, 45569], true),
+            (paper, 1024, &[270_337], &[40961, 59393, 61441], false),
+        ] {
+            let bits = |model: &QuantizedCnn| model.range_report().unwrap().required_plain_bits;
+            let service = CrtPlainSystem::moduli_for(n, bits(&model), 0);
+            let cryptonets = QuantizedCnn {
+                pipeline: QuantPipeline::CryptoNets,
+                ..model
+            };
+            let own = CrtPlainSystem::moduli_for(n, bits(&cryptonets), 1);
+            assert_eq!((&service[..], &own[..]), (hybrid, pure_he));
+            assert_eq!(service.starts_with(&own), rung, "{hybrid:?}");
         }
     }
 
@@ -641,7 +661,7 @@ mod tests {
         // whole-ciphertext raw-value oracles — at both part counts.
         for sys in [
             CrtPlainSystem::new(256, &[12289, 13313]).unwrap(),
-            CrtPlainSystem::for_range(256, 20).unwrap(),
+            CrtPlainSystem::new(256, &CrtPlainSystem::moduli_for(256, 20, 0)).unwrap(),
         ] {
             let mut rng = ChaChaRng::from_seed(41);
             let keys = sys.generate_keys(&mut rng);

@@ -7,6 +7,8 @@
 //! the user decrypts the ten logits and takes the argmax.
 //! A batch enters as [`Layout::Orbit`] when that is fewer ciphertexts (only
 //! the FC rotates); a [`Layout::Pixel`] map runs the paper's plan.
+//! Its layers, moduli, rotations and ingress rule ([`Layout::for_orbit`]) are
+//! also what a hybrid service's degraded rung (`hesgx-core`) serves.
 
 use crate::crt::{CrtKeys, CrtPlainSystem};
 use crate::image::{orbit_stride, EncryptedMap, Layout};
@@ -28,22 +30,50 @@ pub struct CryptoNets {
 
 impl CryptoNets {
     /// Every layer of the CNN under encryption, in order.
-    const LAYERS: [HeLayer; 4] = [
+    pub const LAYERS: [HeLayer; 4] = [
         HeLayer::Conv,
         HeLayer::Square,
         HeLayer::SumPool,
         HeLayer::Fc,
     ];
 
-    /// Builds the engine: selects plaintext moduli from the model's range
-    /// report and constructs the per-modulus FV systems.
+    /// Ciphertext multiplications on the path of [`CryptoNets::LAYERS`].
+    pub const DEPTH: u32 = 1;
+
+    /// The plaintext moduli of the plan for `model` (quantized for
+    /// [`QuantPipeline::CryptoNets`]): its range at [`CryptoNets::DEPTH`].
+    ///
+    /// # Errors
+    ///
+    /// [`BfvError::InvalidShape`] when that range does not fit `i64`.
+    pub fn moduli(model: &QuantizedCnn, poly_degree: usize) -> Result<Vec<u64>> {
+        let report = model.range_report().map_err(BfvError::InvalidShape)?;
+        Ok(CrtPlainSystem::moduli_for(
+            poly_degree,
+            report.required_plain_bits,
+            Self::DEPTH,
+        ))
+    }
+
+    /// The row rotations the plan's FC takes over a [`Layout::Orbit`] map of
+    /// `model` at `poly_degree` ([`orbit_steps`]): a function of the geometry,
+    /// never of the batch. None where no orbit fits a row.
+    pub fn rotations(model: &QuantizedCnn, poly_degree: usize) -> Vec<usize> {
+        let stride = orbit_stride(model.pool_side(), poly_degree);
+        stride.map_or(Vec::new(), |stride| {
+            orbit_steps(poly_degree, stride).collect()
+        })
+    }
+
+    /// Builds the engine: the per-modulus FV systems of
+    /// [`CryptoNets::moduli`], declaring [`CryptoNets::rotations`].
     ///
     /// # Errors
     ///
     /// Returns [`BfvError::InvalidShape`] when the model is not quantized
-    /// for the CryptoNets pipeline or its geometry is inconsistent
-    /// ([`QuantizedCnn::check_geometry`]), and propagates parameter
-    /// validation failures.
+    /// for the CryptoNets pipeline, its geometry is inconsistent
+    /// ([`QuantizedCnn::check_geometry`]) or its range does not fit `i64`,
+    /// and propagates parameter validation failures.
     pub fn new(model: QuantizedCnn, poly_degree: usize) -> Result<Self> {
         if model.pipeline != QuantPipeline::CryptoNets {
             return Err(BfvError::InvalidShape(format!(
@@ -52,14 +82,8 @@ impl CryptoNets {
             )));
         }
         model.check_geometry().map_err(BfvError::InvalidShape)?;
-        let report = model.range_report();
-        // Depth-1 pipeline (the square) — small CRT moduli keep the
-        // multiplication noise growth manageable.
-        let sys = CrtPlainSystem::for_range_deep(poly_degree, report.required_plain_bits)?;
-        let steps = orbit_stride(model.pool_side(), poly_degree).map_or(Vec::new(), |stride| {
-            orbit_steps(poly_degree, stride).collect()
-        });
-        let sys = sys.with_rotations(steps);
+        let sys = CrtPlainSystem::new(poly_degree, &Self::moduli(&model, poly_degree)?)?;
+        let sys = sys.with_rotations(Self::rotations(&model, poly_degree));
         Ok(CryptoNets {
             he: HeLayers::new(sys, model, ParExec::serial())?,
         })
@@ -346,7 +370,7 @@ mod tests {
     fn modulus_selection_covers_model_range() {
         let model = small_model();
         let engine = CryptoNets::new(model.clone(), 256).unwrap();
-        let bound = model.range_report().logit_bound as u128;
+        let bound = model.range_report().unwrap().logit_bound as u128;
         assert!(engine.system().modulus_product() > 2 * bound);
     }
 }

@@ -439,11 +439,12 @@ mod tests {
     /// Every kernel is swept over these pool sizes; 1 is the inline path.
     const POOLS: [usize; 3] = [1, 2, 4];
 
-    /// Every test runs on a two-part and a one-part (`for_range`) system, so
-    /// the per-part evaluator path is covered at both part counts.
+    /// Every test runs on a two-part and a one-part system (the linear
+    /// chooser's pick for 14 bits), so the per-part evaluator path is
+    /// covered at both part counts.
     fn setups() -> Vec<(CrtPlainSystem, crate::crt::CrtKeys, ChaChaRng)> {
         let two = CrtPlainSystem::new(256, &[12289, 13313]).unwrap();
-        let one = CrtPlainSystem::for_range(256, 14).unwrap();
+        let one = CrtPlainSystem::new(256, &[40961]).unwrap();
         assert_eq!((two.part_count(), one.part_count()), (2, 1));
         [two, one]
             .into_iter()

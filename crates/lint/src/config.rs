@@ -45,6 +45,15 @@ pub const SECRET_TYPES: &[SecretType] = &[
         pub_sig_allowed: Some(&["crates/bfv/src", "crates/henn/src"]),
     },
     SecretType {
+        name: "GaloisKeys",
+        // Switching keys from `σ_g(s)` back to `s`: evaluation material of
+        // the same class as the relinearization keys, handed to the same
+        // layer. The derived Debug prints only the redacting
+        // `EvaluationKeys` inside.
+        no_debug: false,
+        pub_sig_allowed: Some(&["crates/bfv/src", "crates/henn/src"]),
+    },
+    SecretType {
         name: "KeyGenerator",
         no_debug: true,
         pub_sig_allowed: None,

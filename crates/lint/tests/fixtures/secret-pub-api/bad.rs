@@ -5,6 +5,10 @@ pub fn export_key(slot: usize) -> SecretKey {
     lookup(slot)
 }
 
+pub fn export_rotations(slot: usize) -> GaloisKeys {
+    lookup(slot)
+}
+
 pub struct Harness {
     pub keys: CrtKeys,
 }

@@ -348,30 +348,58 @@ impl QuantizedCnn {
         self.predict_ints(&crate::dataset::quantize_pixels(image))
     }
 
-    /// Worst-case dynamic-range analysis.
-    pub fn range_report(&self) -> RangeReport {
-        let max_w = self.conv_weights.iter().map(|w| w.abs()).max().unwrap_or(0);
-        let max_cb = self.conv_bias.iter().map(|b| b.abs()).max().unwrap_or(0);
-        let conv_bound = (self.kernel * self.kernel) as i64 * max_w * MAX_PIXEL + max_cb;
-        let act_bound = match self.pipeline {
-            QuantPipeline::Hybrid => self.act_scale,
-            QuantPipeline::CryptoNets => conv_bound * conv_bound,
+    /// Worst-case dynamic-range analysis, in checked `i64` arithmetic.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a bound does not fit `i64`: [`QuantizedCnn::forward_ints`]
+    /// would wrap there too, so no engine has an exact reference to meet.
+    pub fn range_report(&self) -> Result<RangeReport, String> {
+        let count = |n: usize| i64::try_from(n).ok();
+        let max_abs = |values: &[i64]| {
+            values
+                .iter()
+                .try_fold(0i64, |max, v| Some(max.max(v.checked_abs()?)))
         };
-        let k2 = (self.window * self.window) as i64;
-        let pool_bound = match self.pipeline {
-            QuantPipeline::Hybrid => act_bound, // mean keeps the scale
-            QuantPipeline::CryptoNets => act_bound * k2, // sum magnifies (numerical diffusion)
+        // `n · max|w| · x + max|b|`: an affine layer of `n` terms over `|x|`.
+        let affine = |n: usize, w: &[i64], x: i64, b: &[i64]| {
+            count(n)?
+                .checked_mul(max_abs(w)?)?
+                .checked_mul(x)?
+                .checked_add(max_abs(b)?)
         };
-        let max_fw = self.fc_weights.iter().map(|w| w.abs()).max().unwrap_or(0);
-        let max_fb = self.fc_bias.iter().map(|b| b.abs()).max().unwrap_or(0);
-        let logit_bound = self.fc_in() as i64 * max_fw * pool_bound + max_fb;
-        RangeReport {
+        let bounds = || {
+            let k2 = self.kernel.checked_mul(self.kernel)?;
+            let conv = affine(k2, &self.conv_weights, MAX_PIXEL, &self.conv_bias)?;
+            let (act, pool) = match self.pipeline {
+                // The mean keeps the scale.
+                QuantPipeline::Hybrid => (self.act_scale, self.act_scale),
+                // The window sum magnifies the square (numerical diffusion).
+                QuantPipeline::CryptoNets => {
+                    let act = conv.checked_mul(conv)?;
+                    (
+                        act,
+                        act.checked_mul(count(self.window.checked_mul(self.window)?)?)?,
+                    )
+                }
+            };
+            let logit = affine(self.fc_in(), &self.fc_weights, pool, &self.fc_bias)?;
+            Some((conv, act, pool, logit))
+        };
+        let Some((conv_bound, act_bound, pool_bound, logit_bound)) = bounds() else {
+            return Err(format!(
+                "a {:?} bound of this model overflows i64",
+                self.pipeline
+            ));
+        };
+        Ok(RangeReport {
             conv_bound,
             act_bound,
             pool_bound,
             logit_bound,
+            // `2·bound + 1 ≤ u64::MAX` for any bound that fits `i64`.
             required_plain_bits: 64 - (2 * logit_bound as u64 + 1).leading_zeros(),
-        }
+        })
     }
 }
 
@@ -422,7 +450,7 @@ mod tests {
     #[test]
     fn hybrid_range_fits_moderate_modulus() {
         let q = trained_stub(QuantPipeline::Hybrid);
-        let r = q.range_report();
+        let r = q.range_report().unwrap();
         assert!(r.act_bound == 16);
         assert!(r.required_plain_bits < 32, "hybrid range: {r:?}");
     }
@@ -430,10 +458,24 @@ mod tests {
     #[test]
     fn cryptonets_range_shows_numerical_diffusion() {
         let q = trained_stub(QuantPipeline::CryptoNets);
-        let r = q.range_report();
+        let r = q.range_report().unwrap();
         // Scaled mean-pool magnifies by k² (paper §III-A).
         assert_eq!(r.pool_bound, r.act_bound * 4);
         assert!(r.required_plain_bits > 20);
+    }
+
+    #[test]
+    fn range_report_refuses_one_past_i64_max() {
+        let mut q = trained_stub(QuantPipeline::Hybrid);
+        q.fc_weights.fill(0);
+        q.fc_bias[3] = i64::MAX;
+        let r = q.range_report().unwrap();
+        assert_eq!((r.logit_bound, r.required_plain_bits), (i64::MAX, 64));
+        q.fc_weights[0] = 1;
+        assert!(q.range_report().is_err());
+        q.fc_weights[0] = 0;
+        q.conv_weights[0] = i64::MIN;
+        assert!(q.range_report().is_err(), "|i64::MIN| does not fit");
     }
 
     #[test]

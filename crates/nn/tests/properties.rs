@@ -90,7 +90,7 @@ proptest! {
         let l2 = model.forward_ints(&pixels);
         prop_assert_eq!(&l1, &l2);
         // Every intermediate bound from the range report must hold.
-        let report = model.range_report();
+        let report = model.range_report().unwrap();
         for &v in &model.conv_ints(&pixels) {
             prop_assert!(v.abs() <= report.conv_bound);
         }
@@ -98,6 +98,57 @@ proptest! {
             prop_assert!(logit.abs() <= report.logit_bound);
         }
         prop_assert!(model.predict_ints(&pixels) < 4);
+    }
+
+    /// At the `i64` edge the range report is the wide-integer one or a
+    /// refusal, never a wrapped bound: weights near a power of two up to
+    /// 2^30 and activation scales up to 2^40 cross `i64::MAX` in both
+    /// pipelines and stay far inside `i128`.
+    #[test]
+    fn range_report_is_exact_or_refuses_at_the_i64_edge(
+        cryptonets in any::<bool>(),
+        conv in 0u32..31,
+        fc in 0u32..31,
+        act in 0u32..41,
+        nudge in -1i64..2,
+        negative in any::<bool>(),
+    ) {
+        let weight = |exp: u32| {
+            let w = (1i64 << exp) + nudge;
+            if negative { -w } else { w }
+        };
+        let pipeline = if cryptonets { QuantPipeline::CryptoNets } else { QuantPipeline::Hybrid };
+        let model = QuantizedCnn {
+            pipeline,
+            in_side: 8,
+            conv_out: 2,
+            kernel: 3,
+            window: 2,
+            classes: 4,
+            conv_weights: (0..18).map(|i| if i == 5 { weight(conv) } else { i % 3 - 1 }).collect(),
+            conv_bias: vec![1, -2],
+            fc_weights: (0..4 * 18).map(|i| if i == 7 { weight(fc) } else { 1 }).collect(),
+            fc_bias: vec![5, -5, 0, 2],
+            weight_scale: 8,
+            fc_scale: 8,
+            act_scale: 1 << act,
+        };
+        let max = |v: &[i64]| v.iter().map(|&x| i128::from(x).abs()).max().unwrap_or(0);
+        let conv_bound = 9 * max(&model.conv_weights) * 15 + max(&model.conv_bias);
+        let (act_bound, pool_bound) = match pipeline {
+            QuantPipeline::Hybrid => (i128::from(model.act_scale), i128::from(model.act_scale)),
+            QuantPipeline::CryptoNets => (conv_bound * conv_bound, 4 * conv_bound * conv_bound),
+        };
+        let logit_bound = 18 * max(&model.fc_weights) * pool_bound + max(&model.fc_bias);
+        let wide = [conv_bound, act_bound, pool_bound, logit_bound];
+        match model.range_report() {
+            Ok(r) => {
+                let got = [r.conv_bound, r.act_bound, r.pool_bound, r.logit_bound];
+                prop_assert_eq!(got.map(i128::from), wide);
+                prop_assert!(r.required_plain_bits <= 64);
+            }
+            Err(_) => prop_assert!(wide.iter().any(|&b| b > i128::from(i64::MAX)), "{wide:?}"),
+        }
     }
 
     #[test]
