@@ -102,7 +102,6 @@ fn build_session(
     preset: ParamsPreset,
     threads: usize,
     model: &QuantizedCnn,
-    profiler: Profiler,
 ) -> (Session, Recorder) {
     let rec = Recorder::enabled();
     let session = SessionBuilder::new()
@@ -110,7 +109,6 @@ fn build_session(
         .threads(threads)
         .seed(SEED)
         .recorder(rec.clone())
-        .profiler(profiler)
         .build(Platform::new(1897), model.clone())
         .expect("profile bench session provisions");
     (session, rec)
@@ -118,7 +116,8 @@ fn build_session(
 
 /// One profiled serve on a fresh session (fresh session per serve keeps
 /// every RNG stream at its origin, so logits compare bit-for-bit across
-/// pool sizes and against the unprofiled run).
+/// pool sizes and against the unprofiled run). The profiler is installed
+/// as this thread's ambient one around provisioning and the serve.
 fn serve_once(
     preset: ParamsPreset,
     threads: usize,
@@ -126,7 +125,8 @@ fn serve_once(
     images: &[Vec<i64>],
     profiler: Profiler,
 ) -> (Vec<Vec<i64>>, Recorder, u64) {
-    let (session, rec) = build_session(preset, threads, model, profiler);
+    let _installed = profiler.install();
+    let (session, rec) = build_session(preset, threads, model);
     let timer = WallTimer::start();
     let response = session
         .serve(InferRequest::batch(images.to_vec()))
@@ -314,6 +314,14 @@ pub fn profile(cfg: RunConfig) -> ProfileBench {
         summary.stages_joined > 0,
         "drift report joined no stages — profiler/recorder names diverged"
     );
+    // A request and the key ceremony are one scope each: a frame and a
+    // span under one name, so the model answers for a whole request too.
+    for stage in ["session.request", "session.provision"] {
+        assert!(
+            drift.entries.iter().any(|entry| entry.stage == stage),
+            "drift report did not join {stage} — it needs a frame and a span"
+        );
+    }
     assert!(
         summary.drift_within_band,
         "drift budget exceeded: {ratio} permille outside [{lo}, {hi}]"

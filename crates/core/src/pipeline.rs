@@ -74,11 +74,6 @@ impl HybridMetrics {
     pub fn total(&self) -> Duration {
         self.stages.iter().map(|s| s.effective()).sum()
     }
-
-    /// Total enclave overhead (effective − wall).
-    pub fn enclave_overhead(&self) -> Duration {
-        self.total() - self.stages.iter().map(|s| s.wall).sum::<Duration>()
-    }
 }
 
 /// What a stage body hands back to [`HybridInference::run_stage`].
@@ -198,15 +193,22 @@ impl HybridInference {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] when the model is not quantized for the
-    /// hybrid pipeline, its geometry is inconsistent
-    /// ([`QuantizedCnn::check_geometry`]) or its range does not fit `i64`;
-    /// fails when the HE parameters cannot cover its value range.
+    /// Returns [`Error::Config`] when the polynomial degree is not a power
+    /// of two ≥ 2, the model is not quantized for the hybrid pipeline, its
+    /// geometry is inconsistent ([`QuantizedCnn::check_geometry`]) or its
+    /// range does not fit `i64`; fails when the HE parameters cannot cover
+    /// its value range.
     pub fn provision_with(
         platform: Arc<Platform>,
         model: QuantizedCnn,
         config: ProvisionConfig,
     ) -> Result<(Self, KeyCeremonyPublic)> {
+        let n = config.poly_degree;
+        if n < 2 || !n.is_power_of_two() {
+            return Err(Error::Config(format!(
+                "polynomial degree must be a power of two >= 2, got {n}"
+            )));
+        }
         if model.pipeline != QuantPipeline::Hybrid {
             return Err(Error::Config(format!(
                 "model quantized for {:?}, the hybrid pipeline needs QuantPipeline::Hybrid",
@@ -214,7 +216,8 @@ impl HybridInference {
             )));
         }
         model.check_geometry().map_err(Error::Config)?;
-        let n = config.poly_degree;
+        // One scope on every face; it books the key ceremony below.
+        let scope = config.recorder.open("session.provision", &[]);
         let report = model.range_report().map_err(Error::Config)?;
         let moduli = CrtPlainSystem::moduli_for(n, report.required_plain_bits, 0);
         // The parameters are sized for the hybrid plan; the pure-HE plan's
@@ -256,14 +259,12 @@ impl HybridInference {
         // (crash mid-write, injected fault) is only *detected* at the next
         // unseal, which is exactly what verify_sealed_state probes.
         let sealed_keys = seal_secret_keys(&enclave, &keys.secret);
-        if config.recorder.is_enabled() {
-            // The key-ceremony ECALL already recorded its own `ecall.*` span;
-            // `session.provision` is the session-level rollup of the same
-            // modeled cost plus the untrusted-side wall time around it.
-            let mut span = ceremony.keygen_cost;
-            span.real_ns = provision_start.elapsed_ns();
-            config.recorder.record_span("session.provision", span);
-        }
+        // The key-ceremony ECALL already recorded its own `ecall.*` span;
+        // `session.provision` is the session-level rollup of the same
+        // modeled cost plus the untrusted-side wall time around it.
+        let mut cost = ceremony.keygen_cost;
+        cost.real_ns = provision_start.elapsed_ns();
+        scope.close(cost);
         let mut inference =
             InferenceEnclave::new(enclave, keys.secret, keys.public, config.seed ^ 0x1ee7);
         inference.set_recovery_policy(config.recovery);

@@ -154,8 +154,9 @@ pub struct InferResponse {
     pub upload_bytes: u64,
     /// Deterministic request identifier `req-<seed:016x>-<ordinal>`: a pure
     /// function of the session seed and the per-session request ordinal,
-    /// never of wall time, so replays produce identical IDs. Matches the
-    /// `trace_id` argument on the `session.request` trace span.
+    /// never of wall time, so replays produce identical IDs. The
+    /// `session.request` trace slice carries the same two facts as its
+    /// `seed` and `request` arguments.
     pub trace_id: String,
 }
 

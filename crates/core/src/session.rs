@@ -57,7 +57,9 @@
 use crate::error::{Error, FaultClass, Result};
 use crate::ingress::seal_ingress_payload;
 use crate::keydist::{derive_ingress_key, verify_key_ceremony, KeyCeremonyPublic};
-use crate::pipeline::{HybridInference, HybridMetrics, ProvisionConfig, StageMetrics};
+use crate::pipeline::{
+    total_enclave_cost, HybridInference, HybridMetrics, ProvisionConfig, StageMetrics,
+};
 use crate::planner::{InferencePlan, Placement};
 use crate::recovery::{retry_with_cost, RecoveryPolicy};
 use crate::request::{InferRequest, InferResponse, Ingress, Resilience};
@@ -68,10 +70,11 @@ use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::layers::ActivationKind;
 use hesgx_nn::quantize::{QuantizedCnn, MAX_PIXEL};
-use hesgx_obs::{counters, prof, Profiler, Recorder};
+use hesgx_obs::{counters, Recorder};
 use hesgx_tee::attestation::AttestationService;
-use hesgx_tee::cost::{CostBreakdown, CostModel};
+use hesgx_tee::cost::CostBreakdown;
 use hesgx_tee::enclave::Platform;
+use hesgx_tee::wall::WallTimer;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -83,8 +86,6 @@ pub enum ParamsPreset {
     Paper,
     /// Small parameters for tests and demos: degree 256.
     Small,
-    /// An explicit polynomial degree (must be a power of two).
-    Degree(usize),
 }
 
 impl ParamsPreset {
@@ -92,7 +93,6 @@ impl ParamsPreset {
         match self {
             ParamsPreset::Paper => 1024,
             ParamsPreset::Small => 256,
-            ParamsPreset::Degree(n) => n,
         }
     }
 }
@@ -134,7 +134,6 @@ pub struct SessionBuilder {
     /// The provisioning settings; `build` fills in the fault hook.
     config: ProvisionConfig,
     chaos: Option<FaultPlan>,
-    profiler: Profiler,
 }
 
 impl SessionBuilder {
@@ -155,14 +154,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn activation(mut self, kind: ActivationKind) -> Self {
         self.config.activation = kind;
-        self
-    }
-
-    /// Overrides the enclave cost model — [`CostModel::fake_sgx`] gives the
-    /// paper's `EncryptFakeSGX` control group.
-    #[must_use]
-    pub fn cost_model(mut self, model: CostModel) -> Self {
-        self.config.cost_model = Some(model);
         self
     }
 
@@ -215,35 +206,16 @@ impl SessionBuilder {
         self
     }
 
-    /// Installs a wall-clock profiler: the session installs it as the
-    /// ambient per-thread profiler around provisioning and every `serve`,
-    /// so the BFV kernels, henn ops, ECALL dispatcher, and EPC paths feed
-    /// a stack-attributed hotspot tree (`hesgx_obs::prof`). The default is
-    /// the disabled no-op profiler (zero overhead). Wall numbers never
-    /// reach deterministic artifacts — see DESIGN.md §18.
-    #[must_use]
-    pub fn profiler(mut self, profiler: Profiler) -> Self {
-        self.profiler = profiler;
-        self
-    }
-
     /// Provisions the service on `platform`, runs the key ceremony,
     /// verifies the attested quote (retrying transient attestation faults
     /// under the recovery policy), and returns the ready session.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] for invalid parameters (non-power-of-two
-    /// degree, model quantized for another pipeline) and propagates HE/TEE
-    /// provisioning and attestation failures.
+    /// Returns [`Error::Config`] for a model quantized for another pipeline
+    /// and propagates HE/TEE provisioning and attestation failures.
     pub fn build(self, platform: Arc<Platform>, model: QuantizedCnn) -> Result<Session> {
         let mut config = self.config;
-        let poly_degree = config.poly_degree;
-        if poly_degree < 2 || !poly_degree.is_power_of_two() {
-            return Err(Error::Config(format!(
-                "polynomial degree must be a power of two >= 2, got {poly_degree}"
-            )));
-        }
         let chaos = self.chaos.map(|plan| Arc::new(plan.build()));
         if let Some(injector) = &chaos {
             // Delivered faults are counted once, at the injector — the single
@@ -251,11 +223,8 @@ impl SessionBuilder {
             injector.set_recorder(config.recorder.clone());
         }
         config.fault_hook = chaos.clone().map(|injector| injector as Arc<dyn FaultHook>);
-        let _prof_install = self.profiler.install();
-        let provision_span = prof::span("session.provision");
         let (service, ceremony) =
             HybridInference::provision_with(platform.clone(), model.clone(), config.clone())?;
-        drop(provision_span);
 
         // The user role verifies the quote before trusting the keys (§IV-A).
         // An injected attestation-verification fault is transient — the
@@ -277,7 +246,6 @@ impl SessionBuilder {
         });
         verified?;
 
-        let pool = ParExec::new(config.threads).with_recorder(config.recorder.clone());
         // The user role derives the transciphered-ingress key from the
         // ceremony material it already holds; the enclave side derives the
         // same key independently, so nothing new crosses the wire.
@@ -291,12 +259,10 @@ impl SessionBuilder {
             ceremony,
             ingress_key,
             rng: Mutex::new(client.fork(&format!("launch-{launch}"))),
-            pool,
             platform,
             model,
             config,
             chaos,
-            profiler: self.profiler,
             requests: AtomicU64::new(0),
         })
     }
@@ -313,7 +279,6 @@ pub struct Session {
     /// same seed → same ceremony → same key.
     ingress_key: IngressKey,
     rng: Mutex<ChaChaRng>,
-    pool: ParExec,
     /// Everything needed to re-provision after sealed-state corruption:
     /// same platform + model + config (same seed) rebuilds identical keys,
     /// so the user's ceremony material stays valid across the swap.
@@ -321,10 +286,10 @@ pub struct Session {
     model: QuantizedCnn,
     config: ProvisionConfig,
     chaos: Option<Arc<FaultInjector>>,
-    profiler: Profiler,
-    /// Monotone per-session request counter; combined with the seed it
-    /// yields the deterministic trace ID `req-<seed:016x>-<n>` so timelines
-    /// from different sessions (or re-runs) line up byte-for-byte.
+    /// Monotone per-session request counter; with the seed it names a
+    /// request — the `session.request` slice's `seed`/`request` args and the
+    /// trace ID `req-<seed:016x>-<n>` — so timelines from different sessions
+    /// (or re-runs) line up byte-for-byte.
     requests: AtomicU64,
 }
 
@@ -352,22 +317,51 @@ impl Session {
     /// image that is not `in_side × in_side` pixels, and propagates HE/TEE
     /// failures (under [`Resilience::Degrade`], only fatal ones — including
     /// failures of the fallback itself).
+    ///
+    /// The request is one `session.request` scope on every observability
+    /// face, named by the session seed and the request ordinal — never by
+    /// wall time — so equal seeds replay byte-identical timelines. A served
+    /// request books the rollup of its enclave stages
+    /// ([`total_enclave_cost`]) plus its wall time, as `session.provision`
+    /// does for the ceremony; a failed one drops an error instant and books
+    /// nothing.
     pub fn serve(&self, request: InferRequest) -> Result<InferResponse> {
-        let _prof_install = self.profiler.install();
-        let _prof = prof::span("session.serve");
+        let seed = self.config.seed;
         let ordinal = self.requests.fetch_add(1, Ordering::Relaxed);
-        let trace_id = format!("req-{:016x}-{ordinal}", self.config.seed);
-        let traced = self.trace_request_begin(request.images.len(), &trace_id);
-        let result = self.serve_inner(&request);
-        self.trace_request_end(traced, result.is_ok());
-        let (logits, served, metrics, upload_bytes) = result?;
+        let batch = request.images.len() as u64;
+        let args = [("batch", batch), ("seed", seed), ("request", ordinal)];
+        let start = WallTimer::start();
+        let scope = self.recorder().open("session.request", &args);
+        let (logits, served, metrics, upload_bytes) = match self.serve_inner(&request) {
+            Ok(served) => served,
+            Err(err) => {
+                self.recorder().trace_instant("session.request.error", &[]);
+                return Err(err);
+            }
+        };
+        let mut cost = total_enclave_cost(&metrics);
+        cost.real_ns = start.elapsed_ns();
+        scope.close(cost);
         Ok(InferResponse {
             logits,
             served,
             metrics,
             upload_bytes,
-            trace_id,
+            trace_id: format!("req-{seed:016x}-{ordinal}"),
         })
+    }
+
+    /// Runs `body` as one `name` scope on every observability face, booked
+    /// as an `.he` stage books: wall time only, and nothing on failure.
+    fn scoped<T>(&self, name: &str, body: impl FnOnce() -> Result<T>) -> Result<T> {
+        let start = WallTimer::start();
+        let scope = self.recorder().open(name, &[]);
+        let out = body()?;
+        scope.close(CostBreakdown {
+            real_ns: start.elapsed_ns(),
+            ..CostBreakdown::default()
+        });
+        Ok(out)
     }
 
     /// Ingress, then the recovery ladder around the encrypted batch.
@@ -390,22 +384,23 @@ impl Session {
     /// [`HybridInference::ingress_layout`]. Returns the map, the bytes the
     /// client shipped, and the ingress stage metrics when an ECALL ran.
     fn ingest(&self, request: &InferRequest) -> Result<(EncryptedMap, u64, Option<StageMetrics>)> {
-        let _prof = prof::span("session.ingest");
-        self.check_batch(&request.images)?;
-        let batch = request.images.len();
-        let (enc, bytes, stage) = match request.ingress {
-            Ingress::FvCiphertext => {
-                let enc = self.encrypt_batch(&request.images, Placement::Hybrid)?;
-                let bytes = enc.byte_len() as u64;
-                (enc, bytes, None)
-            }
-            Ingress::Transciphered => self.transcipher_batch(&request.images)?,
-        };
-        let slots = self.service.read().system().slot_count();
-        let pixel_ppm = (batch * 1_000_000 / slots) as u64;
-        let ppm = enc.occupancy_ppm(slots).unwrap_or(pixel_ppm);
-        self.recorder().gauge(counters::SLOT_OCCUPANCY_PPM, ppm);
-        Ok((enc, bytes, stage))
+        self.scoped("session.ingest", || {
+            self.check_batch(&request.images)?;
+            let batch = request.images.len();
+            let (enc, bytes, stage) = match request.ingress {
+                Ingress::FvCiphertext => {
+                    let enc = self.encrypt_batch(&request.images, Placement::Hybrid)?;
+                    let bytes = enc.byte_len() as u64;
+                    (enc, bytes, None)
+                }
+                Ingress::Transciphered => self.transcipher_batch(&request.images)?,
+            };
+            let slots = self.service.read().system().slot_count();
+            let pixel_ppm = (batch * 1_000_000 / slots) as u64;
+            let ppm = enc.occupancy_ppm(slots).unwrap_or(pixel_ppm);
+            self.recorder().gauge(counters::SLOT_OCCUPANCY_PPM, ppm);
+            Ok((enc, bytes, stage))
+        })
     }
 
     /// Validates a batch where both ingress modes meet: a broker merges
@@ -471,52 +466,55 @@ impl Session {
         enc: &EncryptedMap,
         upload_bytes: &mut u64,
     ) -> Result<(Vec<Vec<i64>>, Served, HybridMetrics)> {
-        let _prof = prof::span("session.ladder");
-        let batch = request.images.len();
-        let mut reprovisions = 0u32;
-        loop {
-            let err = match self.run_plan(Placement::Hybrid, enc, batch) {
-                Ok((rows, metrics)) => {
-                    self.recorder().incr(counters::SERVED_EXACT, 1);
-                    return Ok((rows, Served::Exact, metrics));
-                }
-                Err(err) => err,
-            };
-            match err.classify() {
-                FaultClass::SealedState if reprovisions < MAX_REPROVISIONS => {
-                    self.reprovision("sealed-state corruption detected during inference")?;
-                    reprovisions += 1;
-                }
-                FaultClass::Transient
-                    if request.resilience == Resilience::Degrade
-                        && self.service.read().degraded_plan().is_some() =>
-                {
-                    // Bounded retries already ran (and were exhausted)
-                    // inside the pipeline; keep serving without SGX. (A
-                    // service whose parameters cannot carry the pure-HE
-                    // plan has no such rung: the error propagates below.)
-                    let reason = "transient retries exhausted; pure-HE square fallback";
-                    if let Some(hook) = self.hook() {
-                        hook.on_recovery(RecoveryEvent::Degraded { reason });
+        self.scoped("session.ladder", || {
+            let batch = request.images.len();
+            let mut reprovisions = 0u32;
+            loop {
+                let err = match self.run_plan(Placement::Hybrid, enc, batch) {
+                    Ok((rows, metrics)) => {
+                        self.recorder().incr(counters::SERVED_EXACT, 1);
+                        return Ok((rows, Served::Exact, metrics));
                     }
-                    if self.recorder().trace_enabled() {
-                        self.recorder()
-                            .trace_instant("session.degraded", &[("reason", reason.to_string())]);
+                    Err(err) => err,
+                };
+                match err.classify() {
+                    FaultClass::SealedState if reprovisions < MAX_REPROVISIONS => {
+                        self.reprovision("sealed-state corruption detected during inference")?;
+                        reprovisions += 1;
                     }
-                    // That plan reads a per-pixel map as it is; a patch-packed
-                    // one re-enters once, in the layout the plan asks for.
-                    let reingested = matches!(enc.layout(), Layout::Patches { .. })
-                        .then(|| self.encrypt_batch(&request.images, Placement::PureHe))
-                        .transpose()?;
-                    *upload_bytes += reingested.as_ref().map_or(0, |map| map.byte_len() as u64);
-                    let enc = reingested.as_ref().unwrap_or(enc);
-                    let (rows, metrics) = self.run_plan(Placement::PureHe, enc, batch)?;
-                    self.recorder().incr(counters::SERVED_DEGRADED, 1);
-                    return Ok((rows, Served::Degraded, metrics));
+                    FaultClass::Transient
+                        if request.resilience == Resilience::Degrade
+                            && self.service.read().degraded_plan().is_some() =>
+                    {
+                        // Bounded retries already ran (and were exhausted)
+                        // inside the pipeline; keep serving without SGX. (A
+                        // service whose parameters cannot carry the pure-HE
+                        // plan has no such rung: the error propagates below.)
+                        let reason = "transient retries exhausted; pure-HE square fallback";
+                        if let Some(hook) = self.hook() {
+                            hook.on_recovery(RecoveryEvent::Degraded { reason });
+                        }
+                        if self.recorder().trace_enabled() {
+                            self.recorder().trace_instant(
+                                "session.degraded",
+                                &[("reason", reason.to_string())],
+                            );
+                        }
+                        // That plan reads a per-pixel map as it is; a patch-packed
+                        // one re-enters once, in the layout the plan asks for.
+                        let reingested = matches!(enc.layout(), Layout::Patches { .. })
+                            .then(|| self.encrypt_batch(&request.images, Placement::PureHe))
+                            .transpose()?;
+                        *upload_bytes += reingested.as_ref().map_or(0, |map| map.byte_len() as u64);
+                        let enc = reingested.as_ref().unwrap_or(enc);
+                        let (rows, metrics) = self.run_plan(Placement::PureHe, enc, batch)?;
+                        self.recorder().incr(counters::SERVED_DEGRADED, 1);
+                        return Ok((rows, Served::Degraded, metrics));
+                    }
+                    _ => return Err(err),
                 }
-                _ => return Err(err),
             }
-        }
+        })
     }
 
     /// One attempt over an already-encrypted batch: runs the service's plan
@@ -557,37 +555,39 @@ impl Session {
     /// service's plan for `placement`, under the user's copy of the secret
     /// keys (evaluation form, DESIGN.md §19), booking the upload.
     fn encrypt_batch(&self, images: &[Vec<i64>], placement: Placement) -> Result<EncryptedMap> {
-        let _prof = prof::span("session.encrypt");
-        let service = self.service.read();
-        let (sys, model) = (service.system(), service.model());
-        let layout =
-            plan(&service, placement)?.ingress_layout(model, images.len(), sys.slot_count());
-        // A fresh base per batch (batches never share randomness); the
-        // cells fork it, so their streams stay scheduling-independent.
-        let batch_rng = self.rng.lock().fork_next("batch");
-        let enc = EncryptedMap::encrypt_images(
-            sys,
-            images,
-            model.in_side,
-            layout,
-            &self.ceremony.user_secret,
-            &batch_rng,
-            &self.pool,
-        )?;
-        self.recorder()
-            .incr(counters::INGRESS_UPLOAD_BYTES, enc.byte_len() as u64);
-        Ok(enc)
+        self.scoped("session.encrypt", || {
+            let service = self.service.read();
+            let (sys, model) = (service.system(), service.model());
+            let layout =
+                plan(&service, placement)?.ingress_layout(model, images.len(), sys.slot_count());
+            // A fresh base per batch (batches never share randomness); the
+            // cells fork it, so their streams stay scheduling-independent.
+            let batch_rng = self.rng.lock().fork_next("batch");
+            let enc = EncryptedMap::encrypt_images(
+                sys,
+                images,
+                model.in_side,
+                layout,
+                &self.ceremony.user_secret,
+                &batch_rng,
+                service.pool(),
+            )?;
+            self.recorder()
+                .incr(counters::INGRESS_UPLOAD_BYTES, enc.byte_len() as u64);
+            Ok(enc)
+        })
     }
 
     /// Decrypts the logits map into one row per batched image.
     fn decrypt_logits(&self, logits: &EncryptedMap, batch: usize) -> Result<Vec<Vec<i64>>> {
-        let _prof = prof::span("session.decrypt");
-        let service = self.service.read();
-        let (secret, inline) = (&self.ceremony.user_secret, ParExec::serial());
-        let rows = logits.decrypt_all(service.system(), secret, batch, &inline)?;
-        let narrow = |v: i128| i64::try_from(v).map_err(|_| Error::RangeViolation(v));
-        let narrow = |row: Vec<i128>| row.into_iter().map(narrow).collect();
-        rows.into_iter().map(narrow).collect()
+        self.scoped("session.decrypt", || {
+            let service = self.service.read();
+            let (secret, inline) = (&self.ceremony.user_secret, ParExec::serial());
+            let rows = logits.decrypt_all(service.system(), secret, batch, &inline)?;
+            let narrow = |v: i128| i64::try_from(v).map_err(|_| Error::RangeViolation(v));
+            let narrow = |row: Vec<i128>| row.into_iter().map(narrow).collect();
+            rows.into_iter().map(narrow).collect()
+        })
     }
 
     /// Rebuilds the provisioned service from the stored platform + model +
@@ -595,58 +595,27 @@ impl Session {
     /// everything the user already holds (public keys, secret copy, the
     /// encrypted batch in flight) stays valid.
     fn reprovision(&self, reason: &'static str) -> Result<()> {
-        let _prof = prof::span("session.reprovision");
-        let (service, ceremony) = HybridInference::provision_with(
-            self.platform.clone(),
-            self.model.clone(),
-            self.config.clone(),
-        )?;
-        debug_assert_eq!(
-            ceremony.public, self.ceremony.public,
-            "same-seed re-provision must regenerate identical keys"
-        );
-        if let Some(hook) = self.hook() {
-            hook.on_recovery(RecoveryEvent::Reprovisioned { reason });
-        }
-        self.recorder().incr(counters::REPROVISIONS, 1);
-        *self.service.write() = service;
-        Ok(())
+        self.scoped("session.reprovision", || {
+            let (service, ceremony) = HybridInference::provision_with(
+                self.platform.clone(),
+                self.model.clone(),
+                self.config.clone(),
+            )?;
+            debug_assert_eq!(
+                ceremony.public, self.ceremony.public,
+                "same-seed re-provision must regenerate identical keys"
+            );
+            if let Some(hook) = self.hook() {
+                hook.on_recovery(RecoveryEvent::Reprovisioned { reason });
+            }
+            self.recorder().incr(counters::REPROVISIONS, 1);
+            *self.service.write() = service;
+            Ok(())
+        })
     }
 
     fn hook(&self) -> Option<&dyn FaultHook> {
         self.chaos.as_ref().map(|c| c.as_ref() as &dyn FaultHook)
-    }
-
-    /// Opens the per-request trace span. The trace ID is a pure function of
-    /// the session seed and the request ordinal — never of wall time — so
-    /// equal seeds replay byte-identical timelines. Returns whether a span
-    /// was opened.
-    fn trace_request_begin(&self, batch: usize, trace_id: &str) -> bool {
-        if !self.recorder().trace_enabled() {
-            return false;
-        }
-        self.recorder().trace_begin(
-            "session.request",
-            &[
-                ("api", "serve".to_string()),
-                ("batch", batch.to_string()),
-                ("trace_id", trace_id.to_string()),
-            ],
-        );
-        true
-    }
-
-    /// Closes the span opened by [`Session::trace_request_begin`], marking
-    /// failed requests with an instant first so the outcome is visible on
-    /// the timeline.
-    fn trace_request_end(&self, traced: bool, ok: bool) {
-        if !traced {
-            return;
-        }
-        if !ok {
-            self.recorder().trace_instant("session.request.error", &[]);
-        }
-        self.recorder().trace_end("session.request");
     }
 
     /// The fault report accumulated by the installed chaos plan, if any.
@@ -677,19 +646,13 @@ impl Session {
 
     /// The HE worker-thread count.
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.service.read().threads()
     }
 
     /// The observability recorder installed via [`SessionBuilder::recorder`]
     /// (the disabled no-op recorder when none was).
     pub fn recorder(&self) -> &Recorder {
         &self.config.recorder
-    }
-
-    /// The wall-clock profiler installed via [`SessionBuilder::profiler`]
-    /// (the disabled no-op profiler when none was).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
     }
 
     /// The deterministic JSON snapshot of the session's recorder: sorted
@@ -852,13 +815,20 @@ mod tests {
         assert_eq!(response.logits, vec![session.model().forward_ints(&image)]);
     }
 
+    /// The degree is checked where it is consumed, so a hand-built
+    /// [`ProvisionConfig`] gets the same refusal `build` would — and a zero
+    /// degree never reaches the modulus chooser's division.
     #[test]
-    fn bad_degree_rejected_at_build() {
-        let err = SessionBuilder::new()
-            .params(ParamsPreset::Degree(300))
-            .build(Platform::new(49), small_model())
-            .unwrap_err();
-        assert!(matches!(err, Error::Config(_)), "{err}");
+    fn bad_degree_rejected_at_provisioning() {
+        for poly_degree in [0, 1, 300] {
+            let config = ProvisionConfig {
+                poly_degree,
+                ..ProvisionConfig::default()
+            };
+            let err = HybridInference::provision_with(Platform::new(49), small_model(), config)
+                .unwrap_err();
+            assert!(matches!(err, Error::Config(_)), "{poly_degree}: {err}");
+        }
     }
 
     #[test]

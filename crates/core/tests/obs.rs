@@ -12,6 +12,8 @@
 //! - **Reconciliation**: summing the recorder's `infer.layer[i].ecall` spans
 //!   reproduces `total_enclave_cost(&metrics)` exactly — every term, every
 //!   nanosecond — because both sides are fed the same `CostBreakdown`.
+//! - **One scope per request**: a request is one `session.request` slice,
+//!   span and profiler frame, and its span rolls up the same enclave cost.
 
 mod testutil;
 
@@ -19,7 +21,7 @@ use hesgx_core::pipeline::{total_enclave_cost, HybridMetrics};
 use hesgx_core::request::{InferRequest, Ingress};
 use hesgx_core::session::{ParamsPreset, Session, SessionBuilder};
 use hesgx_nn::quantize::QuantizedCnn;
-use hesgx_obs::{counters, Recorder, SpanCost};
+use hesgx_obs::{counters, Profiler, Recorder, SpanCost, TracePhase};
 use hesgx_tee::enclave::Platform;
 use std::path::Path;
 
@@ -162,4 +164,49 @@ fn default_paper_request_crosses_the_boundary_twice() {
         let reduce = rec.span("ecall.ecall_LogitReduce").expect("closing stage");
         assert_eq!(reduce.entries, 1, "{ingress:?}");
     }
+}
+
+/// A request opens one scope: one balanced slice, one span entry whose
+/// modeled terms are the request's enclave rollup, and one profiler frame
+/// under the same name, which the drift report joins.
+#[test]
+fn a_request_is_one_scope_on_every_face() {
+    let rec = Recorder::with_timeline();
+    let profiler = Profiler::enabled();
+    let _installed = profiler.install();
+    let session = SessionBuilder::new()
+        .params(ParamsPreset::Small)
+        .threads(1)
+        .seed(7)
+        .recorder(rec.clone())
+        .build(Platform::new(902), testutil::wide_hybrid_model())
+        .unwrap();
+    let image: Vec<i64> = (0..64).map(|p| (p % 16) as i64).collect();
+    let response = session.serve(InferRequest::single(image)).unwrap();
+
+    let events = rec.trace_events();
+    let count = |phase| {
+        events
+            .iter()
+            .filter(|e| e.name == "session.request" && e.phase == phase)
+            .count()
+    };
+    assert_eq!((count(TracePhase::Begin), count(TracePhase::End)), (1, 1));
+
+    let span = rec.span("session.request").expect("a served request books");
+    assert_eq!(span.entries, 1);
+    let total = total_enclave_cost(&response.metrics);
+    let modeled = |c: SpanCost| (c.transition_ns, c.copy_ns, c.paging_ns);
+    assert_eq!(modeled(span.cost), modeled(total));
+    assert!(span.cost.real_ns > 0, "the request's wall time");
+
+    let drift = profiler.drift_report(&rec);
+    let joined = drift
+        .entries
+        .iter()
+        .find(|e| e.stage == "session.request")
+        .expect("the frame and the span share one name");
+    assert_eq!(joined.calls, 1);
+    assert_eq!(joined.modeled_ns, span.cost.total_ns());
+    assert!(drift.entries.iter().any(|e| e.stage == "session.provision"));
 }

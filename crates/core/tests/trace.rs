@@ -64,19 +64,28 @@ fn timelines_and_exporters_are_byte_identical_across_pool_sizes() {
 #[test]
 fn request_span_wraps_the_timeline_with_a_deterministic_trace_id() {
     let (session, rec) = traced_session(1);
-    session.serve(InferRequest::single(image())).unwrap();
+    let response = session.serve(InferRequest::single(image())).unwrap();
+    assert_eq!(response.trace_id, "req-0000000000000007-0");
+    // The slice carries the facts the trace ID spells: seed 7, request 0.
+    let request_args = |events: &[hesgx_obs::TraceEvent], ordinal: &str| {
+        let begins: Vec<_> = events
+            .iter()
+            .filter(|e| e.name == "session.request" && e.phase == TracePhase::Begin)
+            .collect();
+        let arg = |e: &hesgx_obs::TraceEvent, key: &str| {
+            e.args
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone())
+        };
+        begins.iter().any(|e| {
+            arg(e, "seed").as_deref() == Some("7")
+                && arg(e, "request").as_deref() == Some(ordinal)
+                && arg(e, "batch").as_deref() == Some("1")
+        })
+    };
     let events = rec.trace_events();
-    let begin = events
-        .iter()
-        .find(|e| e.name == "session.request" && e.phase == TracePhase::Begin)
-        .expect("request span opens the inference timeline");
-    let trace_id = begin
-        .args
-        .iter()
-        .find(|(k, _)| k == "trace_id")
-        .map(|(_, v)| v.clone())
-        .expect("trace_id arg present");
-    assert_eq!(trace_id, "req-0000000000000007-0", "seed 7, first request");
+    assert!(request_args(&events, "0"), "seed 7, first request");
     assert!(
         events
             .iter()
@@ -90,11 +99,10 @@ fn request_span_wraps_the_timeline_with_a_deterministic_trace_id() {
     }
     // A second request gets the next ordinal.
     session.serve(InferRequest::single(image())).unwrap();
-    let events = rec.trace_events();
-    assert!(events.iter().any(|e| e
-        .args
-        .iter()
-        .any(|(k, v)| k == "trace_id" && v == "req-0000000000000007-1")));
+    assert!(
+        request_args(&rec.trace_events(), "1"),
+        "seed 7, second request"
+    );
 }
 
 #[test]

@@ -13,7 +13,10 @@
 //!
 //! | span | recorded by | cost carried |
 //! |------|-------------|--------------|
-//! | `session.provision` | `hesgx-core` pipeline | key ceremony + sealing |
+//! | `session.provision` | `hesgx-core` provisioning, via [`Recorder::open`] | key ceremony + wall time of ceremony and seal |
+//! | `session.request` | `hesgx-core` session, via [`Recorder::open`] | the request's enclave rollup + its wall time |
+//! | `session.{ingest,encrypt,ladder,decrypt,reprovision}` | `hesgx-core` session, via [`Recorder::open`] | wall time only |
+//! | `serve.dispatch` | `hesgx-serve` dispatch, via [`Recorder::open`] | wall time only |
 //! | `infer.layer[i].he` | `hesgx-core` stage runner, via [`Recorder::open`] | wall time only (outside) |
 //! | `infer.layer[i].ecall` | `hesgx-core` stage runner, via [`Recorder::open`] | full virtual-clock terms |
 //! | `ecall.<name>` | `hesgx-tee` enclave, via [`Recorder::open`] | full virtual-clock terms |
@@ -22,10 +25,12 @@
 //!
 //! The same names double as trace-event names on the timeline (DESIGN.md
 //! §13), with instants for EPC loads/evictions, retry attempts and degraded
-//! fallbacks, and as profiler frame names. A stage or an ECALL opens its
-//! slice and its frame with one [`Recorder::open`] call and books its span
-//! with [`Scope::close`], so the three faces cannot disagree on a name. The
-//! recorder is the only ledger of an enclave crossing or a page fault.
+//! fallbacks, and as profiler frame names. Every span above
+//! `recovery.retry` opens its slice and its frame with one
+//! [`Recorder::open`] call and books its span with [`Scope::close`], so the
+//! three faces cannot disagree on a name; a scope is the only way to open
+//! a slice. The recorder is the only ledger of an enclave crossing or a
+//! page fault.
 //!
 //! # Determinism rules
 //!
@@ -296,15 +301,6 @@ impl Recorder {
         }
     }
 
-    /// Opens a duration slice on the timeline (no-op without a timeline).
-    pub fn trace_begin(&self, name: &str, args: &[(&str, String)]) {
-        if let Some(mut state) = self.lock() {
-            if let Some(trace) = state.trace.as_mut() {
-                trace.push(TracePhase::Begin, name, args);
-            }
-        }
-    }
-
     /// Opens `name` on every face with one call: the timeline slice (when
     /// a timeline is kept, annotated with `args`) and the frame of the
     /// thread's installed profiler ([`prof::span`]), under the one name the
@@ -312,30 +308,20 @@ impl Recorder {
     /// [`Profiler::drift_report`]. [`Scope::close`] books the span and
     /// closes both faces; a scope dropped without `close` closes both and
     /// books nothing (the path of a failed stage). The args are formatted
-    /// only when a timeline is kept.
+    /// only when a timeline is kept. This is the only way onto the timeline
+    /// other than an instant, so every stored slice is balanced: at the
+    /// event cap a slice is stored whole or not at all.
     pub fn open<'a>(&'a self, name: &'a str, args: &[(&str, u64)]) -> Scope<'a> {
-        let mut traced = false;
-        if let Some(mut state) = self.lock() {
-            if let Some(trace) = state.trace.as_mut() {
-                let args: Vec<_> = args.iter().map(|&(k, v)| (k, v.to_string())).collect();
-                trace.push(TracePhase::Begin, name, &args);
-                traced = true;
-            }
-        }
+        let slice = self.lock().and_then(|mut state| {
+            let trace = state.trace.as_mut()?;
+            let args: Vec<_> = args.iter().map(|&(k, v)| (k, v.to_string())).collect();
+            Some(trace.begin(name, &args))
+        });
         Scope {
             recorder: self,
             name,
-            traced,
+            slice,
             _frame: prof::span(name),
-        }
-    }
-
-    /// Closes the innermost open slice of the same name on the timeline.
-    pub fn trace_end(&self, name: &str) {
-        if let Some(mut state) = self.lock() {
-            if let Some(trace) = state.trace.as_mut() {
-                trace.push(TracePhase::End, name, &[]);
-            }
         }
     }
 
@@ -343,7 +329,7 @@ impl Recorder {
     pub fn trace_instant(&self, name: &str, args: &[(&str, String)]) {
         if let Some(mut state) = self.lock() {
             if let Some(trace) = state.trace.as_mut() {
-                trace.push(TracePhase::Instant, name, args);
+                trace.instant(name, args);
             }
         }
     }
@@ -517,7 +503,9 @@ impl Recorder {
 pub struct Scope<'a> {
     recorder: &'a Recorder,
     name: &'a str,
-    traced: bool,
+    /// `Some(stored)` when a timeline is kept: whether the slice's Begin
+    /// was stored, which decides whether its End is.
+    slice: Option<bool>,
     _frame: prof::SpanGuard,
 }
 
@@ -531,8 +519,11 @@ impl Scope<'_> {
 
 impl Drop for Scope<'_> {
     fn drop(&mut self) {
-        if self.traced {
-            self.recorder.trace_end(self.name);
+        let Some(begun) = self.slice else { return };
+        if let Some(mut state) = self.recorder.lock() {
+            if let Some(trace) = state.trace.as_mut() {
+                trace.end(self.name, begun);
+            }
         }
     }
 }
@@ -594,8 +585,7 @@ mod tests {
         r.incr(counters::ECALLS, 7);
         r.gauge("g", 1);
         r.observe("h", 1);
-        r.trace_begin("t", &[]);
-        r.trace_end("t");
+        r.trace_instant("t", &[]);
         r.open("o", &[("k", 1)]).close(cost(1, 2, 3, 4, 5));
         drop(r.open("o", &[]));
         assert!(!r.is_enabled());
@@ -621,7 +611,7 @@ mod tests {
     #[test]
     fn enabled_without_timeline_drops_trace_events() {
         let r = Recorder::enabled();
-        r.trace_begin("x", &[]);
+        drop(r.open("x", &[]));
         r.trace_instant("y", &[]);
         assert!(r.is_enabled());
         assert!(!r.trace_enabled());
@@ -743,10 +733,10 @@ mod tests {
     fn timeline_records_ordered_events_on_the_trace_clock() {
         let r = Recorder::with_timeline();
         assert!(r.trace_enabled());
-        r.trace_begin("infer.layer[1].ecall", &[("layer", "1".to_owned())]);
+        let scope = r.open("infer.layer[1].ecall", &[("layer", 1)]);
         r.trace_instant("epc.load", &[]);
         r.trace_advance(10_000);
-        r.trace_end("infer.layer[1].ecall");
+        drop(scope);
         let events = r.trace_events();
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].phase, TracePhase::Begin);
@@ -802,13 +792,30 @@ mod tests {
             .any(|h| h.path == "infer.layer[2].he" && h.calls == 1));
     }
 
+    /// A slice opened with one slot left under the cap is refused whole:
+    /// storing its Begin would leave its End nowhere to go.
+    #[test]
+    fn a_slice_at_the_timeline_cap_is_stored_whole_or_not_at_all() {
+        let r = Recorder::with_timeline();
+        for _ in 0..trace::MAX_TRACE_EVENTS - 1 {
+            r.trace_instant("", &[]);
+        }
+        r.open("slice", &[]).close(SpanCost::default());
+        let events = r.trace_events();
+        assert_eq!(events.len(), trace::MAX_TRACE_EVENTS - 1);
+        assert_eq!(r.trace_dropped(), 2);
+        let count = |phase| events.iter().filter(|e| e.phase == phase).count();
+        assert_eq!(count(TracePhase::Begin), count(TracePhase::End));
+        assert_eq!(r.span("slice").map(|s| s.entries), Some(1));
+    }
+
     #[test]
     fn exporters_are_deterministic_for_equal_state() {
         let build = || {
             let r = Recorder::with_timeline();
-            r.trace_begin("session.request", &[("trace_id", "req-7-0".to_owned())]);
+            let scope = r.open("session.request", &[("seed", 7), ("request", 0)]);
             r.trace_advance(500);
-            r.trace_end("session.request");
+            drop(scope);
             r.incr(counters::ECALLS, 3);
             r.record_span("ecall.x", cost(9, 10, 20, 30, 1));
             r.gauge("noise.budget.layer[3].pre", 14);
@@ -883,7 +890,7 @@ mod tests {
         r.incr("c", 1);
         r.gauge("g", 1);
         r.observe("h", 1);
-        r.trace_begin("t", &[]);
+        r.trace_instant("t", &[]);
         r.reset();
         assert!(r.is_enabled());
         assert!(r.trace_enabled(), "reset keeps the timeline mode");
@@ -894,7 +901,7 @@ mod tests {
         assert!(r.trace_events().is_empty());
         assert_eq!(r.snapshot_json(), EMPTY_SNAPSHOT);
         // The trace clock restarted at zero.
-        r.trace_begin("t2", &[]);
+        r.trace_instant("t2", &[]);
         assert_eq!(r.trace_events()[0].ts_ns, 0);
     }
 

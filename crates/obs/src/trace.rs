@@ -50,19 +50,42 @@ pub(crate) struct TraceState {
     pub vnow: u64,
     /// Recorded events in order.
     pub events: Vec<TraceEvent>,
-    /// Events discarded after [`MAX_TRACE_EVENTS`] was reached.
+    /// Events refused by the [`MAX_TRACE_EVENTS`] cap.
     pub dropped: u64,
+    /// Stored slices whose End is still to come: each holds one slot under
+    /// the cap, so a stored Begin always gets its End.
+    open: usize,
 }
 
 impl TraceState {
-    /// Records one event at the current clock, then ticks the clock by one
-    /// logical nanosecond so consecutive events carry distinct, strictly
-    /// ordered timestamps. The tick happens even for dropped events, so a
-    /// capped timeline still advances deterministically.
-    pub fn push(&mut self, phase: TracePhase, name: &str, args: &[(&str, String)]) {
-        if self.events.len() >= MAX_TRACE_EVENTS {
-            self.dropped = self.dropped.saturating_add(1);
-        } else {
+    /// Opens a slice. Its Begin is stored only when its End fits under the
+    /// cap too; returns whether it was, which [`TraceState::end`] takes back.
+    pub fn begin(&mut self, name: &str, args: &[(&str, String)]) -> bool {
+        let fits = self.events.len() + self.open + 2 <= MAX_TRACE_EVENTS;
+        self.push(fits, TracePhase::Begin, name, args);
+        self.open += usize::from(fits);
+        fits
+    }
+
+    /// Closes a slice: its End is stored exactly when its Begin was.
+    pub fn end(&mut self, name: &str, begun: bool) {
+        self.open = self.open.saturating_sub(usize::from(begun));
+        self.push(begun, TracePhase::End, name, &[]);
+    }
+
+    /// Drops a zero-width marker, unless only reserved slots are left.
+    pub fn instant(&mut self, name: &str, args: &[(&str, String)]) {
+        let fits = self.events.len() + self.open < MAX_TRACE_EVENTS;
+        self.push(fits, TracePhase::Instant, name, args);
+    }
+
+    /// Stores one event at the current clock (or counts it as dropped),
+    /// then ticks the clock by one logical nanosecond so consecutive events
+    /// carry distinct, strictly ordered timestamps. The tick happens even
+    /// for dropped events, so a capped timeline still advances
+    /// deterministically.
+    fn push(&mut self, store: bool, phase: TracePhase, name: &str, args: &[(&str, String)]) {
+        if store {
             self.events.push(TraceEvent {
                 phase,
                 name: name.to_owned(),
@@ -72,6 +95,8 @@ impl TraceState {
                     .map(|(k, v)| ((*k).to_owned(), v.clone()))
                     .collect(),
             });
+        } else {
+            self.dropped = self.dropped.saturating_add(1);
         }
         self.vnow = self.vnow.saturating_add(1);
     }
@@ -84,9 +109,9 @@ mod tests {
     #[test]
     fn push_ticks_the_clock_and_orders_events() {
         let mut t = TraceState::default();
-        t.push(TracePhase::Begin, "a", &[]);
+        let begun = t.begin("a", &[]);
         t.vnow = t.vnow.saturating_add(100);
-        t.push(TracePhase::End, "a", &[]);
+        t.end("a", begun);
         assert_eq!(t.events[0].ts_ns, 0);
         assert_eq!(t.events[1].ts_ns, 101);
         assert!(t.events[0].ts_ns < t.events[1].ts_ns);
@@ -95,11 +120,7 @@ mod tests {
     #[test]
     fn args_are_copied_in_order() {
         let mut t = TraceState::default();
-        t.push(
-            TracePhase::Instant,
-            "x",
-            &[("k", "v".to_owned()), ("n", "3".to_owned())],
-        );
+        t.instant("x", &[("k", "v".to_owned()), ("n", "3".to_owned())]);
         assert_eq!(
             t.events[0].args,
             vec![
@@ -107,5 +128,25 @@ mod tests {
                 ("n".to_owned(), "3".to_owned())
             ]
         );
+    }
+
+    /// Near the cap a Begin is stored only with room for its End, and an
+    /// open slice's End is stored even when instants have filled the rest.
+    #[test]
+    fn the_cap_keeps_stored_slices_balanced() {
+        let mut t = TraceState::default();
+        for _ in 0..MAX_TRACE_EVENTS - 3 {
+            t.instant("", &[]);
+        }
+        let outer = t.begin("outer", &[]);
+        let inner = t.begin("inner", &[]);
+        assert!(outer && !inner, "the inner slice's End would not fit");
+        t.instant("i", &[]);
+        t.end("inner", inner);
+        t.end("outer", outer);
+        assert_eq!(t.events.len(), MAX_TRACE_EVENTS);
+        assert_eq!(t.events.last().map(|e| e.phase), Some(TracePhase::End));
+        assert_eq!(t.dropped, 2);
+        assert_eq!(t.vnow, MAX_TRACE_EVENTS as u64 + 2);
     }
 }

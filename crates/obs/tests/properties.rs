@@ -93,10 +93,10 @@ proptest! {
                     paging_ns: v % 321,
                     ..SpanCost::default()
                 });
-                r.trace_begin(label, &[("v", (v % 97).to_string())]);
+                let scope = r.open(label, &[("v", v % 97)]);
                 r.trace_advance(adv);
                 r.trace_instant("epc.load", &[]);
-                r.trace_end(label);
+                drop(scope);
             }
             r
         };
@@ -110,9 +110,9 @@ proptest! {
     fn trace_timestamps_strictly_increase(advances in proptest::collection::vec(0u64..1_000_000, 1..50)) {
         let r = Recorder::with_timeline();
         for (i, &adv) in advances.iter().enumerate() {
-            r.trace_begin("span", &[("i", i.to_string())]);
+            let scope = r.open("span", &[("i", i as u64)]);
             r.trace_advance(adv);
-            r.trace_end("span");
+            drop(scope);
         }
         let events = r.trace_events();
         prop_assert_eq!(events.len(), advances.len() * 2);

@@ -16,14 +16,12 @@ use crate::loadgen::LoadTrace;
 use crate::queue::{Admission, AdmissionQueue, Pending};
 use crate::report::{LatencyStats, LoadReport, RequestOutcome};
 use hesgx_core::keydist::digest_public_keys;
-use hesgx_core::recovery::retry_with_cost;
 use hesgx_core::request::{InferRequest, Ingress, Resilience, VirtualNs};
 use hesgx_core::session::{ParamsPreset, Served, Session, SessionBuilder};
 use hesgx_core::{Error, Result};
 use hesgx_nn::quantize::QuantizedCnn;
 use hesgx_obs::Recorder;
 use hesgx_tee::enclave::Platform;
-use std::cell::Cell;
 
 /// The request broker driving a fleet of worker sessions.
 pub struct Broker {
@@ -73,7 +71,6 @@ impl Broker {
                 .params(preset)
                 .threads(he_threads)
                 .seed(seed)
-                .recovery(config.recovery)
                 .recorder(recorder.clone())
                 .build(platform.clone(), model.clone())?;
             sessions.push(session);
@@ -209,9 +206,11 @@ impl Broker {
         report
     }
 
-    /// Dispatches one packed batch to `session` at virtual time `now` under
-    /// the broker retry ladder, books the outcome into `report`, and returns
-    /// the worker's completion time.
+    /// Dispatches one packed batch to `session` at virtual time `now`, books
+    /// the outcome into `report`, and returns the worker's completion time.
+    /// The batch runs once: the worker session's recovery ladder already
+    /// retries transient faults per ECALL, re-provisions on sealed-state
+    /// faults and degrades when every member allows it.
     fn dispatch(
         &self,
         session: &Session,
@@ -247,24 +246,10 @@ impl Broker {
         self.recorder.incr("serve.batches", 1);
         self.recorder.incr("serve.images", fill as u64);
         self.recorder.observe("serve.batch.fill", fill as u64);
-        // The broker-level retry ladder is the session's recovery machinery
-        // applied one level up: transient batch failures retry under the
-        // same policy, and the exponential backoff of every retry is charged
-        // to the batch's virtual completion time.
-        let attempts = Cell::new(0u32);
-        let (result, charged) =
-            retry_with_cost(&self.config.recovery, None, &self.recorder, || {
-                attempts.set(attempts.get() + 1);
-                dispatch_batch(session, merged.clone())
-            });
-        let mut backoff: VirtualNs = 0;
-        for retry in 0..attempts.get().saturating_sub(1) {
-            backoff = backoff.saturating_add(self.config.recovery.backoff_ns(retry));
-        }
+        let (result, charged) = dispatch_batch(session, merged);
         match result {
             Ok(response) => {
-                let service_ns = modeled_service_ns(&response, &charged, &self.config.he_costs)
-                    .saturating_add(backoff);
+                let service_ns = modeled_service_ns(&response, &charged, &self.config.he_costs);
                 let completion = now.saturating_add(service_ns);
                 report.total_service_ns = report.total_service_ns.saturating_add(service_ns);
                 report.total_he_ns = report
@@ -324,9 +309,9 @@ impl Broker {
                 completion
             }
             Err(_) => {
-                // The failed attempts still occupied the worker for their
-                // charged model time plus the retry backoffs.
-                let service_ns = charged.model_ns().max(1).saturating_add(backoff);
+                // The failed batch still occupied the worker for its charged
+                // model time.
+                let service_ns = charged.model_ns().max(1);
                 let completion = now.saturating_add(service_ns);
                 for member in &batch {
                     report.failed += 1;
@@ -433,6 +418,30 @@ mod tests {
         assert!(report.makespan_ns > 0);
         let per_tenant_offered: usize = report.per_tenant.values().map(|t| t.offered).sum();
         assert_eq!(per_tenant_offered, report.offered);
+    }
+
+    /// The session's ladder is the only retry ladder: a fault-free replay
+    /// books one recovery attempt per inference ECALL, and no batch twice.
+    #[test]
+    fn a_fault_free_replay_books_each_ecall_attempt_once() {
+        let b = broker(BrokerConfig::new().workers(2).max_batch(4));
+        let rec = b.recorder();
+        rec.reset();
+        let report = b.run(&LoadTrace::generate(&small_spec(9)));
+        assert_eq!(report.batches, 5);
+        let ecalls: u64 = rec
+            .spans_with_prefix("ecall.")
+            .iter()
+            .filter(|(name, _)| name != "ecall.ecall_NoiseProbe")
+            .map(|(_, stats)| stats.entries)
+            .sum();
+        let retry = rec.span("recovery.retry").map_or(0, |s| s.entries);
+        assert_eq!(ecalls, 5);
+        assert_eq!(rec.counter(hesgx_obs::counters::RECOVERY_ATTEMPTS), ecalls);
+        assert_eq!(retry, ecalls);
+        // Each dispatch is one scope, booked once per batch.
+        let dispatches = rec.span("serve.dispatch").map_or(0, |s| s.entries);
+        assert_eq!(dispatches, report.batches as u64);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Broker configuration: fleet size, admission bounds, batching caps, the
 //! deficit-round-robin quantum, and the modeled HE evaluator cost table.
 
-use hesgx_core::RecoveryPolicy;
 use hesgx_henn::ops::OpCounter;
 
 /// Modeled nanosecond cost of each homomorphic evaluator operation at the
@@ -103,9 +102,6 @@ pub struct BrokerConfig {
     /// Platform identity every worker is provisioned on (same identity →
     /// same measurement; instances stay separate so no state is shared).
     pub platform_id: u64,
-    /// Bounded-retry policy installed into every worker session and reused
-    /// for the broker-level request retry ladder.
-    pub recovery: RecoveryPolicy,
     /// Modeled HE evaluator cost table for pricing dispatched batches.
     pub he_costs: HeCostModel,
 }
@@ -118,7 +114,6 @@ impl Default for BrokerConfig {
             max_batch: 16,
             quantum: 4,
             platform_id: 9_000,
-            recovery: RecoveryPolicy::default(),
             he_costs: HeCostModel::paper(),
         }
     }
@@ -156,14 +151,6 @@ impl BrokerConfig {
     #[must_use]
     pub fn quantum(mut self, quantum: u64) -> Self {
         self.quantum = quantum.max(1);
-        self
-    }
-
-    /// Sets the bounded-retry policy for workers and the broker retry
-    /// ladder.
-    #[must_use]
-    pub fn recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
         self
     }
 

@@ -9,19 +9,26 @@ use hesgx_core::request::{InferRequest, InferResponse, VirtualNs};
 use hesgx_core::session::Session;
 use hesgx_core::Result;
 use hesgx_tee::cost::CostBreakdown;
+use hesgx_tee::wall::WallTimer;
 
 /// Runs one packed batch on a worker session and returns the response
-/// together with the enclave cost the pipeline charged for it — the
-/// `(Result, CostBreakdown)` shape `recovery::retry_with_cost` folds over,
-/// so the broker's request-level retry ladder reuses the recovery
-/// machinery verbatim.
+/// together with the enclave cost the pipeline charged for it (zero for a
+/// failed batch). The dispatch is one `serve.dispatch` scope on the
+/// session's recorder, annotated with the batch fill and booked with its
+/// wall time only: the enclave terms already sit in the request's spans.
 pub fn dispatch_batch(
     session: &Session,
     request: InferRequest,
 ) -> (Result<InferResponse>, CostBreakdown) {
-    let _prof = hesgx_obs::prof::span("serve.dispatch");
+    let start = WallTimer::start();
+    let fill = request.images.len() as u64;
+    let scope = session.recorder().open("serve.dispatch", &[("fill", fill)]);
     match session.serve(request) {
         Ok(response) => {
+            scope.close(CostBreakdown {
+                real_ns: start.elapsed_ns(),
+                ..CostBreakdown::default()
+            });
             let cost = total_enclave_cost(&response.metrics);
             (Ok(response), cost)
         }

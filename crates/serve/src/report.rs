@@ -96,7 +96,9 @@ pub struct LoadReport {
     pub completed_exact: usize,
     /// Requests completed by the degraded fallback.
     pub completed_degraded: usize,
-    /// Requests whose batch failed after the retry ladder.
+    /// Requests that failed: malformed ones, refused alone, and the members
+    /// of a batch the worker session could not serve after its own
+    /// recovery ladder.
     pub failed: usize,
     /// Arrivals dropped because the queue was full (backpressure).
     pub dropped_queue_full: usize,
