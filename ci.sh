@@ -139,11 +139,11 @@ step_bench() {
     repro fig3 --quick > target/bench/fig3.txt
     test "$(grep -c '^  R² ' target/bench/fig3.txt)" -eq 3
 
-    # Fig. 8's deterministic face: modeled enclave cost terms + HE op counts,
-    # kept next to the NTT tables for cross-commit diffing.
-    echo "==> fig8 bench table"
-    repro fig8 --quick
-    test -s target/bench/BENCH_fig8.json
+    # Fig. 8's deterministic face: modeled enclave cost terms + HE op counts
+    # (no wall seconds), kept next to the NTT tables for cross-commit diffing
+    # and byte-identical across reruns.
+    echo "==> fig8 bench table (two runs, diffed)"
+    run_twice_diff fig8 target/bench/BENCH_fig8.json
 
     # The frozen benchmark accounts stages by position and verifies every
     # logit row against forward_ints, exiting non-zero on a mismatch; a short

@@ -118,15 +118,15 @@ fn broker(max_batch: usize, he_threads: usize, quick: bool, recorder: Recorder) 
     .expect("serve_load broker provisions on the deterministic platform")
 }
 
-/// A batching broker with ingress priced at WAN rates (80 ns/byte) — the
+/// A batching broker with ingress priced at `he_costs` — WAN rates in the
 /// bandwidth-constrained-client scenario.
-fn wan_broker(quick: bool) -> Broker {
+fn wan_broker(quick: bool, he_costs: HeCostModel) -> Broker {
     Broker::new(
         BrokerConfig::new()
             .workers(2)
             .max_batch(8)
             .queue_cap(64)
-            .he_costs(HeCostModel::wan()),
+            .he_costs(he_costs),
         sweep_model(quick),
         ParamsPreset::Small,
         SEED,
@@ -244,10 +244,14 @@ pub fn serve_load(cfg: RunConfig) -> ServeLoad {
     // saturated trace with ingress priced at WAN rates, once with FV
     // ciphertext uploads and once transciphered, and solve for the
     // per-byte price where the modes cross over.
-    let wan = HeCostModel::wan();
+    // 80 ns per byte (~100 Mbit/s): the megabyte FV upload dominates.
+    let wan = HeCostModel {
+        ingress_byte_ns: 80,
+        ..HeCostModel::paper()
+    };
     let wan_trace = LoadTrace::generate(&spec(cfg.quick, gaps[1], requests));
-    let mut wan_fv_report = wan_broker(cfg.quick).run(&wan_trace);
-    let mut wan_tc_report = wan_broker(cfg.quick).run(&transciphered(&wan_trace));
+    let mut wan_fv_report = wan_broker(cfg.quick, wan).run(&wan_trace);
+    let mut wan_tc_report = wan_broker(cfg.quick, wan).run(&transciphered(&wan_trace));
     let wan_crossover_byte_ns =
         LoadReport::ingress_crossover_byte_ns(&wan_fv_report, &wan_tc_report, wan.ingress_byte_ns);
     wan_fv_report.crossover_byte_ns = wan_crossover_byte_ns;

@@ -81,7 +81,7 @@ impl HybridInference {
                 )));
             }
             Ok(Staged::ecall(
-                EncryptedMap::ingress(layout, side, cells),
+                EncryptedMap::ingress(layout, side, slots, cells),
                 "Transciphered Ingress (SGX inside)",
                 cost,
             ))

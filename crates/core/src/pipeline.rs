@@ -10,7 +10,6 @@ use crate::keydist::{
     enclave_generate_keys, seal_secret_keys, secret_key_bytes, KeyCeremonyPublic,
 };
 use crate::planner::{plan_for, EcallBatching, EnclaveOp, InferencePlan, Placement, Stage};
-use crate::recovery::RecoveryPolicy;
 use crate::sgx_ops::InferenceEnclave;
 use hesgx_bfv::prelude::{EvaluationKeys, GaloisKeys};
 use hesgx_chaos::FaultHook;
@@ -110,7 +109,7 @@ impl Staged {
 /// Everything [`HybridInference::provision_with`] needs beyond the platform
 /// and the model. [`ProvisionConfig::default`] matches the paper's setup:
 /// `poly_degree = 1024`, real-SGX cost model, one worker per available core,
-/// sigmoid activation, default retry budget.
+/// sigmoid activation.
 #[derive(Debug, Clone)]
 pub struct ProvisionConfig {
     /// FV polynomial degree (the paper uses 1024 for the MNIST CNN).
@@ -125,9 +124,6 @@ pub struct ProvisionConfig {
     /// The activation computed exactly inside the enclave (paper §VI-C:
     /// ReLU and Tanh work just as well as Sigmoid).
     pub activation: ActivationKind,
-    /// The bounded-retry policy the enclave retries transient boundary
-    /// faults under.
-    pub recovery: RecoveryPolicy,
     /// Fault-injection hook threaded through every enclave boundary (ECALL
     /// entry/exit, EPC paging, seal/unseal, noise refresh). `None` runs
     /// fault-free with zero overhead on the hot paths.
@@ -146,7 +142,6 @@ impl Default for ProvisionConfig {
             cost_model: None,
             threads: 0,
             activation: ActivationKind::Sigmoid,
-            recovery: RecoveryPolicy::default(),
             fault_hook: None,
             recorder: Recorder::disabled(),
         }
@@ -265,9 +260,8 @@ impl HybridInference {
         let mut cost = ceremony.keygen_cost;
         cost.real_ns = provision_start.elapsed_ns();
         scope.close(cost);
-        let mut inference =
+        let inference =
             InferenceEnclave::new(enclave, keys.secret, keys.public, config.seed ^ 0x1ee7);
-        inference.set_recovery_policy(config.recovery);
         let service = HybridInference {
             plan,
             degraded_plan,

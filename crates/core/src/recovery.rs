@@ -40,15 +40,6 @@ impl Default for RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// A policy that never retries: the first failure propagates.
-    // hesgx-lint: allow(ecall-cost, reason = "constructor; performs no enclave computation")
-    pub fn none() -> Self {
-        RecoveryPolicy {
-            max_retries: 0,
-            backoff_base_ns: 0,
-        }
-    }
-
     /// Deterministic backoff before retry `attempt` (zero-based):
     /// `backoff_base_ns << attempt`, saturating. `checked_shl` keeps
     /// attempts ≥ 64 at the saturation plateau instead of overflowing the
@@ -181,8 +172,6 @@ mod tests {
             .backoff_ns(63),
             1u64 << 63
         );
-        assert_eq!(RecoveryPolicy::none().backoff_ns(5), 0);
-        assert_eq!(RecoveryPolicy::none().backoff_ns(200), 0);
     }
 
     #[test]
@@ -324,7 +313,10 @@ mod tests {
     fn zero_retry_policy_fails_fast_but_reports_exhaustion() {
         let recorder = Arc::new(FaultPlan::new(0).build());
         let (res, _) = retry_with_cost(
-            &RecoveryPolicy::none(),
+            &RecoveryPolicy {
+                max_retries: 0,
+                backoff_base_ns: 0,
+            },
             Some(recorder.as_ref()),
             &Recorder::disabled(),
             || (Err::<(), _>(transient()), unit_cost()),

@@ -8,9 +8,8 @@
 //! [`InferResponse`] that bundles the logits with how they were served,
 //! the stage metrics, and the deterministic trace ID.
 //!
-//! The session-level companion is [`crate::RecoveryPolicy`], the retry
-//! budget that both [`crate::SessionBuilder::recovery`] and the
-//! `hesgx-serve` broker accept.
+//! The session-level companion is [`crate::RecoveryPolicy`]: every session
+//! and broker worker retries transient faults under its default budget.
 
 use crate::pipeline::HybridMetrics;
 use crate::session::Served;

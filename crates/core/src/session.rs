@@ -174,15 +174,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Installs the bounded-retry policy: the enclave retries transient
-    /// boundary faults under it, and so does the attestation check at
-    /// [`SessionBuilder::build`].
-    #[must_use]
-    pub fn recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.config.recovery = recovery;
-        self
-    }
-
     /// Installs a deterministic fault-injection plan: the built session
     /// threads the plan's [`FaultInjector`] through every enclave boundary
     /// (ECALL entry/exit, EPC paging, seal/unseal, attestation verification,
@@ -238,7 +229,8 @@ impl SessionBuilder {
         attestation.set_recorder(config.recorder.clone());
         let measurement = *service.enclave().enclave().measurement();
         let hook = chaos.as_ref().map(|c| c.as_ref() as &dyn FaultHook);
-        let (verified, _cost) = retry_with_cost(&config.recovery, hook, &config.recorder, || {
+        let policy = RecoveryPolicy::default();
+        let (verified, _cost) = retry_with_cost(&policy, hook, &config.recorder, || {
             let res = verify_key_ceremony(&attestation, &ceremony, &measurement)
                 .map(|_| ())
                 .map_err(Error::Tee);
@@ -1106,15 +1098,5 @@ mod tests {
         let err = session3.serve(degrade()).unwrap_err();
         assert!(err.is_transient(), "{err}");
         assert!(!session3.fault_report().unwrap().degraded());
-    }
-
-    /// [`SessionBuilder::recovery`] installs the whole [`RecoveryPolicy`];
-    /// the last write wins.
-    #[test]
-    fn builder_policy_precedence() {
-        let b = SessionBuilder::new()
-            .recovery(RecoveryPolicy::default())
-            .recovery(RecoveryPolicy::none());
-        assert_eq!(b.config.recovery, RecoveryPolicy::none());
     }
 }

@@ -26,12 +26,13 @@
 use crate::error::{Error, Result};
 use crate::planner::{EcallBatching, EnclaveOp, InferencePlan};
 use crate::recovery::{retry_with_cost, RecoveryPolicy};
+use hesgx_bfv::error::Result as HeResult;
 use hesgx_bfv::prelude::{PublicKey, SecretKey};
 use hesgx_chaos::{FaultHook, FaultSite};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::transcipher::{self, IngressKey};
 use hesgx_henn::crt::{CrtCiphertext, CrtPlainSystem};
-use hesgx_henn::image::{fc_cell, fc_slot, patch_slot, EncryptedMap, Layout};
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::quantize::QuantizedCnn;
 use hesgx_tee::cost::CostBreakdown;
@@ -55,8 +56,6 @@ pub struct InferenceEnclave {
     /// transforms (the fork itself never advances the parent stream, so
     /// without this two calls would reuse one stream).
     calls: AtomicU64,
-    /// Bounded-retry policy for transient boundary faults.
-    recovery: RecoveryPolicy,
 }
 
 /// The boundary shape of one batched ECALL — what
@@ -151,7 +150,6 @@ impl InferenceEnclave {
             public,
             rng: Mutex::new(rng),
             calls: AtomicU64::new(0),
-            recovery: RecoveryPolicy::default(),
         }
     }
 
@@ -159,12 +157,6 @@ impl InferenceEnclave {
     // hesgx-lint: allow(ecall-cost, reason = "accessor; performs no enclave computation")
     pub fn enclave(&self) -> &Enclave {
         &self.enclave
-    }
-
-    /// Overrides the bounded-retry policy for transient boundary faults.
-    // hesgx-lint: allow(ecall-cost, reason = "setter; performs no enclave computation")
-    pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
-        self.recovery = policy;
     }
 
     /// The enclave's installed fault hook as a trait object (recovery-event
@@ -207,7 +199,7 @@ impl InferenceEnclave {
     /// per logical call, `body` running inside it over a touched EPC region
     /// of `in_bytes`.
     ///
-    /// Transient boundary faults are retried under the enclave's
+    /// Transient boundary faults are retried under the default
     /// [`RecoveryPolicy`] with every attempt's boundary cost summed into the
     /// returned breakdown (an aborted `EENTER` still crossed the boundary);
     /// `shape.pre_site` is consulted before each attempt. The values a body
@@ -240,7 +232,8 @@ impl InferenceEnclave {
         } = shape;
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
         let base = self.rng.lock().fork(&format!("{fork_prefix}-call-{call}"));
-        let (result, cost) = retry_with_cost(&self.recovery, self.hook(), self.obs(), || {
+        let policy = RecoveryPolicy::default();
+        let (result, cost) = retry_with_cost(&policy, self.hook(), self.obs(), || {
             if let Err(e) = self.consult_pre_site(pre_site) {
                 return (Err(e), CostBreakdown::default());
             }
@@ -279,14 +272,18 @@ impl InferenceEnclave {
     /// model's pooling window, every other op is cell-wise. A
     /// [`Layout::Pixel`] input is decrypted cell by cell inside the task that
     /// reads it, a [`Layout::Patches`] input whole, in one pass, into a
-    /// plaintext staging buffer the tasks gather from through [`patch_slot`].
-    /// The enclave is the repacker: it emits `emit`, the layout the next
-    /// layer reads — one cell per output ([`Layout::Pixel`]) or
-    /// [`Layout::fc_per_cell`] outputs a cell, each repeated for every class
-    /// at [`fc_slot`] ([`Layout::FcOperand`]). An [`EnclaveOp::LogitReduce`]
-    /// chain reads that layer's one output cell and emits the reduced one
-    /// whatever `emit` says. The boundary is priced from the cells that
-    /// cross: the input's in, one fresh ciphertext per emitted cell out.
+    /// plaintext staging buffer the tasks gather from through its
+    /// [`SlotMap::decode`](hesgx_henn::image::SlotMap::decode). The enclave
+    /// is the repacker: it emits `emit`, the layout the next layer reads —
+    /// one cell per output ([`Layout::Pixel`]) or [`Layout::fc_per_cell`]
+    /// outputs a cell, each repeated for every class
+    /// ([`Layout::FcOperand`]), every cell through
+    /// [`SlotMap::encode`](hesgx_henn::image::SlotMap::encode). An
+    /// [`EnclaveOp::LogitReduce`] chain decodes that layer's one output
+    /// cell, adds up each (class, image)'s partial sums and emits the
+    /// reduced cell whatever `emit` says. The boundary is priced from the
+    /// cells that cross: the input's in, one fresh ciphertext per emitted
+    /// cell out.
     ///
     /// [`EcallBatching::Batched`] is one ECALL for the whole map, per-cell
     /// work scheduled on `pool` inside the enclave body.
@@ -344,53 +341,59 @@ impl InferenceEnclave {
             .filter(|&span| span > 0);
         let area = span.and_then(|span| span.checked_mul(span));
         let (span, area) = span.zip(area).ok_or_else(refuse)?;
-        // The feature map's sides; a packed map's batch; the (classes, batch,
-        // partial sums) of the cell a reduction reads.
+        // Where the input's values sit; the feature map's sides; whether it
+        // is packed (decrypted whole, gathered through its slot map) or the
+        // one cell of partial sums a reduction reads.
+        let read = input.layout().slot_map(input.shape(), slots);
+        let read = read.map_err(|_| refuse())?;
+        let alone = chain == [EnclaveOp::LogitReduce];
         let (h, w, packed, reduce) = match input.layout() {
-            Layout::Pixel => (cells_h, cells_w, None, None),
-            Layout::Patches { batch, side }
-                if batched
-                    && batch > 0
-                    && (cells_h, cells_w) == (Layout::chunks(batch, side, slots), 1) =>
-            {
-                (side, side, Some(batch), None)
-            }
-            Layout::FcOperand {
-                classes,
-                batch,
-                inputs,
-            } if batched
-                && chain == [EnclaveOp::LogitReduce]
-                && input.fc_per_cell(slots).ok() == Some(inputs) =>
-            {
-                (1, 1, None, Some((classes, batch, inputs)))
+            Layout::Pixel => (cells_h, cells_w, None, false),
+            Layout::Patches { side, .. } if batched => (side, side, Some(&read), false),
+            Layout::FcOperand { .. } if batched && alone && input.cells().len() == 1 => {
+                (1, 1, None, true)
             }
             _ => return Err(refuse()),
         };
         let reduces = chain.contains(&EnclaveOp::LogitReduce);
-        if h % span != 0 || w % span != 0 || reduces != reduce.is_some() {
+        if h % span != 0 || w % span != 0 || reduces != reduce {
             return Err(refuse());
         }
         let (oh, ow) = (h / span, w / span);
         let outputs = c * oh * ow;
-        // Outputs per emitted cell, and the layout the cells leave in.
-        let (per, emit) = match (reduce, emit) {
-            (Some((classes, batch, _)), _) => {
-                let reduced = Layout::FcOperand {
-                    classes,
-                    batch,
-                    inputs: 1,
-                };
-                (1, reduced)
-            }
-            (None, Layout::Pixel) => (1, emit),
-            (None, Layout::FcOperand { batch, inputs, .. })
-                if batched && inputs == outputs && packed.is_none_or(|held| held == batch) =>
+        // The layout the cells leave in.
+        let emit = match (input.layout(), emit) {
+            (Layout::FcOperand { classes, batch, .. }, _) => Layout::FcOperand {
+                classes,
+                batch,
+                inputs: 1,
+            },
+            (_, Layout::Pixel) => emit,
+            (_, Layout::FcOperand { batch, inputs, .. })
+                if batched
+                    && inputs == outputs
+                    && packed.is_none_or(|read| read.extent().2 == batch) =>
             {
-                (emit.fc_per_cell(slots).ok_or_else(refuse)?, emit)
+                emit
             }
             _ => return Err(refuse()),
         };
+        // Outputs an emitted cell holds, and one emitted cell's slot map: cell
+        // `g` of an operand map places inputs `g·L ..` where the one-cell map
+        // of `L` inputs places `0 ..`.
+        let (per, cell) = match emit {
+            Layout::FcOperand { classes, batch, .. } => {
+                let inputs = emit.fc_per_cell(slots).ok_or_else(refuse)?;
+                let cell = Layout::FcOperand {
+                    classes,
+                    batch,
+                    inputs,
+                };
+                (inputs, cell)
+            }
+            _ => (1, emit),
+        };
+        let write = cell.slot_map((1, 1, 1), slots).map_err(|_| refuse())?;
         // Member `d` of the block behind output `o`: channel, position.
         let member = |o: usize, d: usize| {
             let (y, x) = ((o / ow) % oh * span + d / span, o % ow * span + d % span);
@@ -414,14 +417,6 @@ impl InferenceEnclave {
         let decrypt = |ct: &CrtCiphertext| -> Result<Vec<i64>> {
             let slots = sys.decrypt_slots(ct, &self.secret)?;
             Ok(slots.iter().map(|&v| v as i64).collect())
-        };
-        // An emitted `FcOperand` cell: `value(j_local, class, image)` at
-        // `fc_slot`, for its `live` inputs.
-        let operand = |live, value: &dyn Fn(usize, usize, usize) -> i64| match emit {
-            Layout::FcOperand { classes, batch, .. } => {
-                fc_cell(slots, (per, live), (classes, batch), value)
-            }
-            _ => Vec::new(),
         };
         let mut cells = Vec::with_capacity(outputs.div_ceil(per));
         let mut total = CostBreakdown::default();
@@ -451,28 +446,33 @@ impl InferenceEnclave {
                         let folded = (j * per..outputs.min((j + 1) * per)).map(|o| {
                             let block = (0..area).map(|d| match packed {
                                 None => decrypt(entering[o * area + d]),
-                                Some(batch) => {
+                                Some(read) => {
                                     let (ch, position) = member(o, d);
-                                    let image = |b| {
-                                        let i = patch_slot(position, b, batch);
-                                        staged[ch * cells_h + i / slots][i % slots]
-                                    };
-                                    Ok((0..batch).map(image).collect())
+                                    let mut images = Vec::with_capacity(read.extent().2);
+                                    for b in 0..read.extent().2 {
+                                        images.push(read.decode(&staged, ch, position, b)?);
+                                    }
+                                    Ok(images)
                                 }
                             });
                             Ok(fold_chain(chain, model, block.collect::<Result<_>>()?))
                         });
-                        let mut folded: Vec<Vec<i64>> = folded.collect::<Result<_>>()?;
-                        let values = match (reduce, emit) {
-                            (Some((classes, _, sums)), _) => operand(1, &|_, class, image| {
-                                let partial =
-                                    |i| folded[0][fc_slot(i, class, image, sums, classes)];
-                                (0..sums).map(partial).sum()
-                            }),
-                            (None, Layout::Pixel) => folded.swap_remove(0),
-                            _ => operand(folded.len(), &|j, _, image| folded[j][image]),
+                        let folded: Vec<Vec<i64>> = folded.collect::<Result<_>>()?;
+                        let values = if reduce {
+                            // Each (class, image)'s partial sums, added up.
+                            let (classes, sums, images) = read.extent();
+                            let partial = |k, i| read.decode(&folded, k % classes, i, k / classes);
+                            let logit = |k| (0..sums).map(|i| partial(k, i)).sum();
+                            let logits = (0..images * classes).map(logit);
+                            let logits = logits.collect::<HeResult<Vec<i64>>>()?;
+                            write.encode(images, |class, _, b| logits[b * classes + class])?
+                        } else {
+                            // Output `j·per + p` at position `p` of the cell.
+                            let images = folded[0].len().min(write.extent().2);
+                            let value = |_, p: usize, b| folded.get(p).map_or(0, |o| o[b]);
+                            write.encode(images, value)?
                         };
-                        Ok(sys.encrypt_slots(&values, &self.secret, &mut rng)?)
+                        Ok(sys.encrypt_slots(&values[0], &self.secret, &mut rng)?)
                     })
                 },
             )?;
@@ -553,7 +553,7 @@ impl InferenceEnclave {
                     )));
                 }
                 let layout = plan.ingress_layout(model, batch, slots);
-                let packed = layout.pack(&images, side, slots);
+                let packed = layout.pack(&images, side, slots)?;
                 *cpu_ns = open_timer.elapsed_ns();
                 let cells = timed_tasks(pool, packed.len(), cpu_ns, |cell| {
                     let mut rng = base.fork(&format!("cell-{cell}"));
@@ -713,7 +713,8 @@ mod tests {
     }
 
     /// The table map in `layout`: one cell per position, or each channel's
-    /// (position, image) pairs packed through [`patch_slot`] into one cell.
+    /// (position, image) pairs encoded through the layout's slot map into
+    /// one cell.
     fn table_input(
         ie: &InferenceEnclave,
         sys: &CrtPlainSystem,
@@ -728,14 +729,11 @@ mod tests {
                 .map(|img| img[ch * 16..(ch + 1) * 16].to_vec())
                 .collect();
             let mut rng = rng.fork(&format!("channel-{ch}"));
-            if let Layout::Patches { batch, .. } = layout {
-                let mut slots = vec![0; 16 * batch];
-                for (b, img) in channel.iter().enumerate() {
-                    for (position, &v) in img.iter().enumerate() {
-                        slots[patch_slot(position, b, batch)] = v;
-                    }
-                }
-                cells.push(sys.encrypt_slots(&slots, &ie.public, &mut rng).unwrap());
+            if layout != Layout::Pixel {
+                let rule = layout.slot_map((1, 1, 1), 256).unwrap();
+                let slots = rule.encode(2, |_, position, b| channel[b][position]);
+                let slots = &slots.unwrap()[0];
+                cells.push(sys.encrypt_slots(slots, &ie.public, &mut rng).unwrap());
                 continue;
             }
             let map = EncryptedMap::encrypt_images(
@@ -771,24 +769,19 @@ mod tests {
     }
 
     /// The slot vector of every cell `emit` lays `expect` (`[image][output]`)
-    /// out in — the oracle side of [`fc_slot`]. `idle` is what a `Pixel`
-    /// cell's slots beyond the batch hold.
+    /// out in, through its slot map. `idle` is what a `Pixel` cell's slots
+    /// beyond the batch hold.
     fn emitted(expect: &[Vec<i64>], idle: &[i64], emit: Layout) -> Vec<Vec<i64>> {
         let outputs = idle.len();
-        let Layout::FcOperand { classes, batch, .. } = emit else {
+        let Some(per) = emit.fc_per_cell(256) else {
             let slot = |o, s| expect.get(s).map_or(idle[o], |img: &Vec<i64>| img[o]);
             return (0..outputs)
                 .map(|o| (0..256).map(|s| slot(o, s)).collect())
                 .collect();
         };
-        let per = emit.fc_per_cell(256).unwrap();
-        let mut cells = vec![vec![0; 256]; outputs.div_ceil(per)];
-        for (o, image, class) in (0..outputs * batch * classes)
-            .map(|i| (i / (batch * classes), i / classes % batch, i % classes))
-        {
-            cells[o / per][fc_slot(o % per, class, image, per, classes)] = expect[image][o];
-        }
-        cells
+        let rule = emit.slot_map((outputs.div_ceil(per), 1, 1), 256).unwrap();
+        let cells = rule.encode(expect.len(), |_, o, image| expect[image][o]);
+        cells.unwrap()
     }
 
     /// Both layouts of the table map.
@@ -930,27 +923,34 @@ mod tests {
         }
     }
 
+    /// The five partial sums a 3-class FC layer leaves for two images.
+    const SUMS: Layout = Layout::FcOperand {
+        classes: 3,
+        batch: 2,
+        inputs: 5,
+    };
+
     /// The cell a 3-class FC layer leaves for two images at five partial
-    /// sums each: `fc_slot(j, class, image)` holds `100·class + 10·image + j
-    /// − 40`, every other slot a value the reduction must not pick up.
+    /// sums each: sum `j` of (class, image) holds `100·class + 10·image + j
+    /// − 40` where the slot map places it, every other slot a value the
+    /// reduction must not pick up.
     fn partial_sums(ie: &InferenceEnclave, sys: &CrtPlainSystem, rng: &ChaChaRng) -> EncryptedMap {
+        let rule = SUMS.slot_map((1, 1, 1), 256).unwrap();
         let mut slots = vec![7; 256];
         for (j, class, image) in (0..30).map(|i| (i % 5, i / 5 % 3, i / 15)) {
-            slots[fc_slot(j, class, image, 5, 3)] = (100 * class + 10 * image + j) as i64 - 40;
+            let (_, slot) = rule.place(class, j, image).unwrap();
+            slots[slot] = (100 * class + 10 * image + j) as i64 - 40;
         }
         let mut rng = rng.fork("partial-sums");
         let cell = sys.encrypt_slots(&slots, &ie.public, &mut rng).unwrap();
-        EncryptedMap::new(1, 1, 1, vec![cell]).with_layout(Layout::FcOperand {
-            classes: 3,
-            batch: 2,
-            inputs: 5,
-        })
+        EncryptedMap::new(1, 1, 1, vec![cell]).with_layout(SUMS)
     }
 
     /// The closing stage: one `ecall_LogitReduce` decrypts the FC layer's
     /// one cell, adds up the partial sums of every (class, image) and
-    /// re-encrypts one cell holding each logit once, at `fc_slot` with one
-    /// input per cell — every other slot zero, the bits pool-independent —
+    /// re-encrypts one cell holding each logit once, where the slot map of
+    /// one input a cell puts it — every other slot zero, the bits
+    /// pool-independent —
     /// which is what `decrypt_all` hands the client row by row. Anything
     /// else it is asked to reduce is refused before the boundary.
     #[test]
@@ -973,10 +973,12 @@ mod tests {
                 inputs: 1,
             };
             assert_eq!((out.layout(), out.shape()), (reduced, (1, 1, 1)));
+            let rule = reduced.slot_map((1, 1, 1), 256).unwrap();
             let mut want = vec![0i128; 256];
             for (class, image) in (0..6).map(|i| (i % 3, i / 3)) {
                 // Σ_j (100·class + 10·image + j − 40), j < 5.
-                want[fc_slot(0, class, image, 1, 3)] = 5 * (100 * class + 10 * image) as i128 - 190;
+                let (_, slot) = rule.place(class, 0, image).unwrap();
+                want[slot] = 5 * (100 * class + 10 * image) as i128 - 190;
             }
             assert_eq!(
                 sys.decrypt_slots(&out.cells()[0], &ie.secret).unwrap(),
@@ -1139,12 +1141,7 @@ mod tests {
                 (LAYOUTS[0], EcallBatching::PerPixel, false, &POOLS[..1]),
             ];
             if op == [EnclaveOp::LogitReduce] {
-                let sums = Layout::FcOperand {
-                    classes: 3,
-                    batch: 2,
-                    inputs: 5,
-                };
-                cases = vec![(sums, batched, false, &POOLS[..])];
+                cases = vec![(SUMS, batched, false, &POOLS[..])];
             }
             for (layout, batching, operand, pools) in cases {
                 let clean = run(None, layout, batching, operand, 1);
@@ -1230,7 +1227,7 @@ mod tests {
                 }
                 // The re-encrypted cells decrypt to exactly the slot values
                 // the client would have encrypted, the rest of a cell zero.
-                let packed = layout.pack(&images, 8, 256);
+                let packed = layout.pack(&images, 8, 256).unwrap();
                 for (i, ct) in cells.iter().enumerate() {
                     assert_eq!(ct.byte_len(), sys.fresh_ciphertext_byte_len());
                     let mut want = packed[i].clone();

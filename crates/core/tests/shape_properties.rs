@@ -218,7 +218,7 @@ proptest! {
         }
         let cells = vec![host.cell.clone(); shape.0 * shape.1 * shape.2];
         let map = EncryptedMap::new(shape.0, shape.1, shape.2, cells).with_layout(layout);
-        let _ = (map.occupancy_ppm(256), map.fc_per_cell(256));
+        let _ = (map.occupancy_ppm(256), layout.slot_map(map.shape(), 256));
         let _ = map.decrypt_all(sys, &host.keys.secret, 2, &ParExec::serial());
 
         let applied = host.enclave.apply(&chain, sys, model, &map, batching, emit, host.layers.pool());
@@ -239,7 +239,7 @@ proptest! {
             }
             let per_pixel = batching == EcallBatching::PerPixel;
             prop_assert!(!per_pixel || (layout, emit) == (Layout::Pixel, Layout::Pixel));
-            prop_assert!(out.fc_per_cell(256).is_ok() || out.layout() == Layout::Pixel);
+            prop_assert!(out.layout().slot_map(out.shape(), 256).is_ok());
         }
 
         for layer in [HeLayer::Conv, HeLayer::Square, HeLayer::SumPool, HeLayer::Fc] {

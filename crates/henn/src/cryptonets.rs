@@ -154,7 +154,7 @@ impl CryptoNets {
     ///
     /// # Errors
     ///
-    /// Propagates decryption failures.
+    /// `InvalidShape` past the images `logits` holds; propagates decryption failures.
     // hesgx-lint: allow(secret-pub-api, reason = "pure-HE baseline runs client and server in one process; the caller holds its own keys")
     pub fn decrypt_predictions(
         &self,
@@ -175,7 +175,7 @@ impl CryptoNets {
     ///
     /// # Errors
     ///
-    /// Propagates decryption failures.
+    /// `InvalidShape` past the images `logits` holds; propagates decryption failures.
     // hesgx-lint: allow(secret-pub-api, reason = "pure-HE baseline runs client and server in one process; the caller holds its own keys")
     pub fn decrypt_logits(
         &self,

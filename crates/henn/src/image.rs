@@ -7,7 +7,8 @@
 //! which makes it a rotation-free 1×1 convolution over `k²` channels;
 //! [`Layout::FcOperand`] repeats every fully connected input once per class,
 //! which makes that layer slot-wise too, and [`Layout::Orbit`] the pure-HE
-//! plan but its FC rotations; `Layout::for_*` pick the fewer (DESIGN.md §6).
+//! plan but its FC rotations; `Layout::for_*` pick the fewer (DESIGN.md §6),
+//! and one rule, [`SlotMap`], places every value for encoders and decoders.
 
 use crate::crt::{CrtCiphertext, CrtPlainSystem};
 use crate::par::ParExec;
@@ -23,7 +24,7 @@ pub enum Layout {
     Pixel,
     /// Packed around a stride-1 convolution with `side × side` outputs: a
     /// channel (kernel offset before it, output channel after) holds every
-    /// (position, image) pair, [`patch_slot`]-ordered, in `chunks × 1` cells.
+    /// (position, image) pair in `chunks × 1` cells.
     Patches {
         /// Images in the batch.
         batch: usize,
@@ -31,10 +32,10 @@ pub enum Layout {
         side: usize,
     },
     /// Packed for the fully connected layer: cell `g` holds inputs
-    /// `g·L .. g·L + L` of every image, each repeated for every class at
-    /// [`fc_slot`], `L` = [`Layout::fc_per_cell`] — `⌈inputs / L⌉` cells. The
-    /// layer's one output cell holds `L` partial sums per (class, image)
-    /// (`inputs = L`), the reduced logits one (`inputs = 1`).
+    /// `g·L .. g·L + L` of every image, each repeated for every class, `L` =
+    /// [`Layout::fc_per_cell`] — `⌈inputs / L⌉` cells. The layer's one output
+    /// cell holds `L` partial sums per (class, image) (`inputs = L`), the
+    /// reduced logits one (`inputs = 1`).
     FcOperand {
         /// Output classes of the layer.
         classes: usize,
@@ -46,8 +47,8 @@ pub enum Layout {
     /// Packed for the pure-HE plan, a stride-1 convolution whose output a
     /// `window²` sum-pool brings to `side × side`: cell `[plane][g·window +
     /// dy][dx]` holds window member `(dy, dx)` of plane `plane` (kernel
-    /// offset, then output channel) for group `g`'s images, (pooled position,
-    /// image) at [`orbit_entry`]; pooled, `[channel][g][0]`.
+    /// offset, then output channel) for group `g`'s images; pooled,
+    /// `[channel][g][0]`.
     Orbit {
         /// Images in the batch.
         batch: usize,
@@ -58,12 +59,6 @@ pub enum Layout {
     },
 }
 
-/// The one slot-index function of [`Layout::Patches`]: (`position`, `image`)
-/// is value `index` of its channel — cell `index / slots`, slot `index % slots`.
-pub fn patch_slot(position: usize, image: usize, batch: usize) -> usize {
-    position * batch + image
-}
-
 /// The images a batch-matrix row of `slots / 2` holds in [`Layout::Orbit`]:
 /// the row over the orbit, `side²` rounded up to a power of two.
 pub fn orbit_stride(side: usize, slots: usize) -> Option<usize> {
@@ -71,41 +66,114 @@ pub fn orbit_stride(side: usize, slots: usize) -> Option<usize> {
     Some(slots / 2 / orbit).filter(|&stride| stride > 0)
 }
 
-/// The one slot-index function of [`Layout::Orbit`]: the batch-matrix entry
-/// ([`matrix_index_map`]) of `position` of image `image` of its group —
-/// rotations by multiples of `stride` cycle one image's positions only.
-pub fn orbit_entry(position: usize, image: usize, stride: usize, slots: usize) -> usize {
-    image / stride * (slots / 2) + position * stride + image % stride
-}
-
-/// The one slot-index function of [`Layout::FcOperand`]: input `j_local` of
-/// its cell, as seen by `class`, of `image` — `per_cell` inputs to a cell.
-pub fn fc_slot(
-    j_local: usize,
-    class: usize,
-    image: usize,
-    per_cell: usize,
-    classes: usize,
-) -> usize {
-    (image * per_cell + j_local) * classes + class
-}
-
-/// The slots of one [`Layout::FcOperand`] cell of `per_cell` inputs:
-/// `value(j_local, class, image)` at [`fc_slot`] for the cell's first `live`
-/// inputs and `images` images, zero elsewhere.
-pub fn fc_cell(
+/// A [`Layout`]'s one placement rule over `(channels, h, w)` cells of
+/// `slots` slots: value `(channel, position = y·w + x, image)` — `(class,
+/// input, image)` in an `FcOperand` map — sits at [`SlotMap::place`]:
+///
+/// | layout | cell | slot |
+/// |---|---|---|
+/// | `Pixel` | `channel·h·w + position` | `image` |
+/// | `Patches` | `channel·chunks + i / slots` | `i % slots`, `i = position·batch + image` |
+/// | `FcOperand` | `input / L` | `(image·L + input % L)·classes + class` |
+/// | `Orbit` | `[channel][g·w + dy][dx]` | `matrix_index_map[(i / stride)·slots/2 + q·stride + i % stride]` |
+///
+/// `L` = [`Layout::fc_per_cell`]; orbit image `i` of group `g` at `(y, x)` (on a
+/// `side·w` grid, `w = 1` pooled) is pooled position `q = (y / w)·side + x / w`.
+#[derive(Debug, Clone)]
+pub struct SlotMap {
+    layout: Layout,
+    shape: (usize, usize, usize),
     slots: usize,
-    (per_cell, live): (usize, usize),
-    (classes, images): (usize, usize),
-    value: impl Fn(usize, usize, usize) -> i64,
-) -> Vec<i64> {
-    let mut cell = vec![0; slots];
-    for (image, class) in (0..images * classes).map(|i| (i / classes, i % classes)) {
-        for j in 0..live {
-            cell[fc_slot(j, class, image, per_cell, classes)] = value(j, class, image);
+    extent: (usize, usize, usize),
+    /// `L` of an operand map, an orbit's stride.
+    step: std::num::NonZeroUsize,
+    index: Option<Vec<usize>>,
+}
+
+type Pair = (usize, usize);
+
+impl SlotMap {
+    /// `(channels, positions, images)` of the addresses the map holds.
+    pub fn extent(&self) -> (usize, usize, usize) {
+        self.extent
+    }
+
+    /// `(base, step)` of `(channel, position)`: image `i` sits at `base +
+    /// step·i` of the cells laid end to end — every layout but the orbit.
+    #[inline(always)]
+    fn row(&self, channel: usize, position: usize) -> Option<Pair> {
+        let ((_, positions, _), (_, h, _), slots) = (self.extent, self.shape, self.slots);
+        match self.layout {
+            Layout::Pixel => Some(((channel * positions + position) * slots, 1)),
+            Layout::Patches { batch, .. } => Some((channel * h * slots + position * batch, 1)),
+            Layout::FcOperand { classes, .. } => {
+                let (cell, input) = (position / self.step, position % self.step);
+                let base = cell * slots + input * classes + channel;
+                Some((base, self.step.get() * classes))
+            }
+            Layout::Orbit { .. } => None,
         }
     }
-    cell
+
+    /// The `(cell, slot)` of an address; `None` outside the map.
+    #[inline(always)]
+    pub fn place(&self, channel: usize, position: usize, image: usize) -> Option<(usize, usize)> {
+        let (channels, positions, images) = self.extent;
+        if channel >= channels || position >= positions || image >= images {
+            return None;
+        }
+        self.at(self.row(channel, position), channel, position, image)
+    }
+
+    #[inline(always)]
+    fn at(&self, row: Option<Pair>, c: usize, p: usize, i: usize) -> Option<Pair> {
+        let ((_, h, w), slots, step) = (self.shape, self.slots, self.step);
+        if let Some((base, step)) = row {
+            let k = base + step * i;
+            return Some((k >> slots.trailing_zeros(), k & (slots - 1)));
+        }
+        let Layout::Orbit { side, .. } = self.layout else {
+            return None;
+        };
+        let (row, group) = (side * w, i / step / 2);
+        let (y, x) = (p / row, p % row);
+        let entry = i / step % 2 * (slots / 2) + (y / w * side + x / w) * step.get();
+        let cell = (c * h + group * w + y % w) * w + x % w;
+        Some((cell, self.index.as_ref()?[entry + i % step]))
+    }
+
+    /// Every cell's slots, `value(channel, position, image)` at its place for
+    /// the first `images` images; [`BfvError::InvalidShape`] past the map's.
+    pub fn encode(
+        &self,
+        images: usize,
+        value: impl Fn(usize, usize, usize) -> i64,
+    ) -> Result<Vec<Vec<i64>>> {
+        let ((channels, positions, held), (c, h, w)) = (self.extent, self.shape);
+        if images > held {
+            let claim = format!("{images} images as {:?}", self.layout);
+            return Err(BfvError::InvalidShape(claim));
+        }
+        let mut cells = vec![vec![0; self.slots]; c * h * w];
+        for (c, p) in (0..channels).flat_map(|c| (0..positions).map(move |p| (c, p))) {
+            let row = self.row(c, p);
+            for i in 0..images {
+                if let Some((cell, slot)) = self.at(row, c, p, i) {
+                    cells[cell][slot] = value(c, p, i);
+                }
+            }
+        }
+        Ok(cells)
+    }
+
+    /// Value `(channel, position, image)` of the decrypted `cells`; errs
+    /// ([`BfvError::InvalidShape`]) for an address the cells do not hold.
+    pub fn decode<T: Copy>(&self, cells: &[Vec<T>], c: usize, p: usize, i: usize) -> Result<T> {
+        let place = self.place(c, p, i);
+        let value = place.and_then(|(cell, slot)| cells.get(cell)?.get(slot).copied());
+        let layout = self.layout;
+        value.ok_or_else(|| BfvError::InvalidShape(format!("({c}, {p}, {i}) of {layout:?}")))
+    }
 }
 
 impl Layout {
@@ -196,78 +264,92 @@ impl Layout {
         values.div_ceil(slots)
     }
 
-    /// How many ciphertexts a batch of `in_side × in_side` images is (no
-    /// batch enters as `FcOperand`; one told to enters per pixel).
+    /// How many ciphertexts a batch of `in_side × in_side` images is.
     pub fn ingress_cells(self, in_side: usize, slots: usize) -> usize {
-        match self {
-            Layout::Pixel | Layout::FcOperand { .. } => in_side * in_side,
-            Layout::Patches { batch, side } => {
-                (in_side - side + 1).pow(2) * Layout::chunks(batch, side, slots)
-            }
+        let (_, _, (offsets, height, width)) = self.ingress_shape(in_side, slots);
+        offsets * height * width
+    }
+
+    /// The layout, kernel and shape `in_side²` images enter in (`FcOperand`: per pixel).
+    fn ingress_shape(self, in_side: usize, slots: usize) -> (Layout, usize, (usize, usize, usize)) {
+        let (out_side, height, width) = match self {
+            Layout::Patches { batch, side } => (side, Layout::chunks(batch, side, slots), 1),
             Layout::Orbit { side, window, .. } => {
                 let groups = self.orbit_geometry(slots).map_or(0, |(_, groups)| groups);
-                ((in_side + 1).saturating_sub(side * window) * window).pow(2) * groups
+                (side * window, groups * window, window)
             }
-        }
-    }
-
-    /// The slot values of every ingress cell, in map order (client and
-    /// `ecall_Transcipher`). Panics on an image shorter than `in_side²`.
-    pub fn pack(self, images: &[Vec<i64>], in_side: usize, slots: usize) -> Vec<Vec<i64>> {
-        if let (Layout::Orbit { side, window, .. }, Some(geometry)) =
-            (self, self.orbit_geometry(slots))
-        {
-            return pack_orbit(images, (in_side, side, window), slots, geometry);
-        }
-        let Layout::Patches { batch, side } = self else {
-            let cell = |pixel| images.iter().map(|img| img[pixel]).collect();
-            return (0..in_side * in_side).map(cell).collect();
+            _ => return (Layout::Pixel, 1, (1, in_side, in_side)),
         };
-        let kernel = in_side - side + 1;
-        let mut cells = Vec::new();
-        for (ky, kx) in (0..kernel * kernel).map(|offset| (offset / kernel, offset % kernel)) {
-            let mut channel = vec![0; side * side * batch];
-            for position in 0..side * side {
-                let pixel = (position / side + ky) * in_side + position % side + kx;
-                for (b, img) in images.iter().enumerate() {
-                    channel[patch_slot(position, b, batch)] = img[pixel];
-                }
-            }
-            cells.extend(channel.chunks(slots).map(<[i64]>::to_vec));
-        }
-        cells
+        let kernel = (in_side + 1).saturating_sub(out_side);
+        (self, kernel, (kernel * kernel, height, width))
     }
-}
 
-/// [`Layout::pack`] of a [`Layout::Orbit`], in map order.
-fn pack_orbit(
-    images: &[Vec<i64>],
-    (in_side, side, window): (usize, usize, usize),
-    slots: usize,
-    (stride, groups): (usize, usize),
-) -> Vec<Vec<i64>> {
-    let kernel = in_side + 1 - side * window;
-    let (map, per_group) = (matrix_index_map(slots), 2 * stride);
-    let padded = images.chunks(per_group).chain(std::iter::repeat(&[][..]));
-    let groups: Vec<&[Vec<i64>]> = padded.take(groups).collect();
-    let mut cells = Vec::new();
-    for (ky, kx) in (0..kernel * kernel).map(|offset| (offset / kernel, offset % kernel)) {
-        for group in &groups {
-            for (dy, dx) in (0..window * window).map(|m| (m / window, m % window)) {
-                let mut cell = vec![0; slots];
-                for (image, img) in group.iter().enumerate() {
-                    for position in 0..side * side {
-                        let y = position / side * window + dy + ky;
-                        let x = position % side * window + dx + kx;
-                        cell[map[orbit_entry(position, image, stride, slots)]] =
-                            img[y * in_side + x];
-                    }
-                }
-                cells.push(cell);
+    /// The placement rule of a map of `(channels, height, width)` cells; errs
+    /// for a claim they cannot hold: no image, or not `chunks × 1`, `⌈inputs /
+    /// L⌉ × 1 × 1` or `groups·w × w` (pooled `groups × 1`) cells a channel.
+    pub fn slot_map(self, shape: (usize, usize, usize), slots: usize) -> Result<SlotMap> {
+        let (c, h, w) = shape;
+        // The rule's step (`L`, an orbit's stride) and what the claim holds.
+        let (step, extent) = match self {
+            Layout::Pixel => (Some(1), (c, h.saturating_mul(w), slots)),
+            Layout::Patches { batch, side } => {
+                let held = batch > 0 && (h, w) == (Layout::chunks(batch, side, slots), 1);
+                (held.then_some(1), (c, side.saturating_mul(side), batch))
             }
-        }
+            Layout::FcOperand {
+                classes: n,
+                batch: b,
+                inputs,
+            } => {
+                let per = self.fc_per_cell(slots);
+                let held = per.filter(|&per| shape == (inputs.div_ceil(per), 1, 1));
+                (held, (n, inputs, b))
+            }
+            Layout::Orbit {
+                batch: b,
+                side,
+                window: win,
+            } => {
+                let fits = |g: usize| g > 0 && (w == 1 || w == win) && g.checked_mul(w) == Some(h);
+                let held = self.orbit_geometry(slots).filter(|&(_, g)| fits(g));
+                let row = side.saturating_mul(w);
+                let extent = (c, row.saturating_mul(row), b);
+                (held.map(|(stride, _)| stride), extent)
+            }
+        };
+        let cells = c.checked_mul(h).and_then(|n| n.checked_mul(w));
+        let held = step.filter(|_| slots.is_power_of_two() && cells.is_some());
+        let Some(step) = held.and_then(std::num::NonZeroUsize::new) else {
+            let claim = format!("{c}×{h}×{w} cells of {slots} slots as {self:?}");
+            return Err(BfvError::InvalidShape(claim));
+        };
+        let index = matches!(self, Layout::Orbit { .. }).then(|| matrix_index_map(slots));
+        Ok(SlotMap {
+            layout: self,
+            shape,
+            slots,
+            extent,
+            step,
+            index,
+        })
     }
-    cells
+
+    /// The slots of every ingress cell (client and `ecall_Transcipher`): the
+    /// im2col of the layout's convolution (`Pixel`: 1×1), encoded; errs for an
+    /// image not of `in_side²` pixels, a kernel wider than it or more images.
+    pub fn pack(self, images: &[Vec<i64>], in_side: usize, slots: usize) -> Result<Vec<Vec<i64>>> {
+        let (layout, kernel, shape) = self.ingress_shape(in_side, slots);
+        if kernel == 0 || images.iter().any(|img| img.len() != in_side * in_side) {
+            let claim = format!("{} images of {in_side}² pixels as {self:?}", images.len());
+            return Err(BfvError::InvalidShape(claim));
+        }
+        let out_side = in_side + 1 - kernel;
+        let patch = |offset, position, image: usize| {
+            let (y, x) = (position / out_side + offset / kernel, position % out_side);
+            images[image][y * in_side + x + offset % kernel]
+        };
+        layout.slot_map(shape, slots)?.encode(images.len(), patch)
+    }
 }
 
 /// An encrypted feature map: `channels × height × width` row-major cells.
@@ -297,16 +379,11 @@ impl EncryptedMap {
         }
     }
 
-    /// The map of a [`Layout::pack`]ed batch's ciphertexts (`1 × in_side ×
-    /// in_side`, `k² × chunks × 1` or `k² × groups·w × w`). Panics when the
-    /// cell count does not fit.
-    pub fn ingress(layout: Layout, in_side: usize, cells: Vec<CrtCiphertext>) -> Self {
-        let (offsets, width) = match layout {
-            Layout::Patches { side, .. } => ((in_side - side + 1).pow(2), 1),
-            Layout::Orbit { side, window, .. } => ((in_side + 1 - side * window).pow(2), window),
-            _ => return EncryptedMap::new(1, in_side, in_side, cells),
-        };
-        let height = cells.len() / (offsets * width);
+    /// The map of a [`Layout::pack`]ed batch's ciphertexts (`1 × side × side`,
+    /// `k² × chunks × 1` or `k² × groups·w × w`). Panics when the cell count
+    /// does not fit.
+    pub fn ingress(layout: Layout, side: usize, slots: usize, cells: Vec<CrtCiphertext>) -> Self {
+        let (layout, _, (offsets, height, width)) = layout.ingress_shape(side, slots);
         EncryptedMap::new(offsets, height, width, cells).with_layout(layout)
     }
 
@@ -321,41 +398,15 @@ impl EncryptedMap {
         self.layout
     }
 
-    /// Live slots per million slots of a packed map's cells; a
-    /// [`Layout::Pixel`] map does not say how many images it carries (nor,
-    /// unmeasured, does a [`Layout::Orbit`] one).
+    /// Live slots per million of a packed map's cells ([`SlotMap`]); not of a
+    /// `Pixel` map (no image count), an orbit, or a claim the cells do not hold.
     pub fn occupancy_ppm(&self, slots: usize) -> Option<u64> {
-        let live = match self.layout {
-            Layout::Pixel | Layout::Orbit { .. } => return None,
-            Layout::Patches { batch, side } => [self.channels, side, side, batch],
-            Layout::FcOperand {
-                classes,
-                batch,
-                inputs,
-            } => [inputs, classes, batch, 1],
-        };
-        // (A host-claimed shape may multiply past any integer width.)
-        let live = live
-            .iter()
-            .fold(1_000_000u128, |n, &f| n.saturating_mul(f as u128));
-        let held = (self.cells.len() as u128 * slots as u128).max(1);
-        Some(u64::try_from(live / held).unwrap_or(u64::MAX))
-    }
-
-    /// [`Layout::fc_per_cell`] of a map holding exactly the cells its
-    /// [`Layout::FcOperand`] claims; [`BfvError::InvalidShape`] otherwise.
-    pub fn fc_per_cell(&self, slots: usize) -> Result<usize> {
-        if let (Layout::FcOperand { inputs, .. }, Some(per_cell)) =
-            (self.layout, self.layout.fc_per_cell(slots))
-        {
-            if inputs.div_ceil(per_cell) == self.cells.len() {
-                return Ok(per_cell);
-            }
+        if matches!(self.layout, Layout::Pixel | Layout::Orbit { .. }) {
+            return None;
         }
-        let (held, layout) = (self.cells.len(), self.layout);
-        Err(BfvError::InvalidShape(format!(
-            "{held} cells of {slots} slots as {layout:?}"
-        )))
+        let (c, p, i) = self.layout.slot_map(self.shape(), slots).ok()?.extent();
+        let held = (self.cells.len() as u128 * slots as u128).max(1);
+        u64::try_from((c * p * i) as u128 * 1_000_000 / held).ok()
     }
 
     /// Shape as `(channels, height, width)`.
@@ -397,8 +448,8 @@ impl EncryptedMap {
     ///
     /// # Errors
     ///
-    /// [`BfvError::InvalidShape`] for an image not of `side²` pixels; fails
-    /// when a cell holds more values than slots or encryption fails.
+    /// [`BfvError::InvalidShape`] when [`Layout::pack`] refuses the batch;
+    /// fails when encryption fails.
     pub fn encrypt_images<K: EncryptionKey + Sync>(
         sys: &CrtPlainSystem,
         images: &[Vec<i64>],
@@ -408,36 +459,26 @@ impl EncryptedMap {
         rng: &ChaChaRng,
         pool: &ParExec,
     ) -> Result<EncryptedMap> {
-        if images.iter().any(|img| img.len() != side * side) {
-            return Err(BfvError::InvalidShape(format!(
-                "an image not of {side}² pixels"
-            )));
-        }
         let base = rng.fork("enc-map");
-        let packed = layout.pack(images, side, sys.slot_count());
+        let packed = layout.pack(images, side, sys.slot_count())?;
         let cells = pool.try_run(packed.len(), |cell| {
             let mut cell_rng = base.fork(&format!("enc-cell-{cell}"));
             sys.encrypt_slots(&packed[cell], keys, &mut cell_rng)
         })?;
-        Ok(EncryptedMap::ingress(layout, side, cells))
+        Ok(EncryptedMap::ingress(layout, side, sys.slot_count(), cells))
     }
 
-    /// Decrypts every cell into one row of signed values per image, for the
-    /// first `batch` images — the one decode of a finished inference's logits.
-    /// A [`Layout::Pixel`] (or, raw, a [`Layout::Patches`]) map gives slot `b`
-    /// of every cell, `[batch][channels*height*width]`; a
-    /// [`Layout::FcOperand`] map reads [`fc_slot`], `[batch][class·inputs +
-    /// input]` — `[batch][classes]` for reduced logits; a `channels × groups
-    /// × 1` [`Layout::Orbit`] map reads position 0 of the image's group,
-    /// `[batch][channels]`. One decryption task per cell on `pool` (a pool of
-    /// one runs inline); decryption draws no randomness, so the result is the
-    /// same for every pool size.
+    /// Decrypts every cell (a task each on `pool`) and decodes a row per image
+    /// for the first `batch` through the [`SlotMap`], the one decode of a
+    /// finished inference's logits: `[channels·height·width]` of a `Pixel`
+    /// map, `[class·inputs + input]` of an `FcOperand` one, `[channels]` at
+    /// position 0 of a pooled orbit (whose logits fill their orbit).
     ///
     /// # Errors
     ///
-    /// [`BfvError::InvalidShape`] for an `FcOperand` or `Orbit` map that
-    /// does not hold what it claims or fewer than `batch` images; propagates
-    /// decryption failures.
+    /// [`BfvError::InvalidShape`] for a map that does not hold its claim, an
+    /// orbit not pooled, or more rows than it holds images (a `Pixel` map:
+    /// its slots); propagates decryption failures.
     // hesgx-lint: allow(secret-pub-api, reason = "user-side decryption with the user's own key copy")
     pub fn decrypt_all(
         &self,
@@ -446,88 +487,20 @@ impl EncryptedMap {
         batch: usize,
         pool: &ParExec,
     ) -> Result<Vec<Vec<i128>>> {
-        let slots = sys.slot_count();
-        let refuse = || {
+        let rule = self.layout.slot_map(self.shape(), sys.slot_count())?;
+        let (channels, positions, held) = rule.extent();
+        let orbit = matches!(self.layout, Layout::Orbit { .. });
+        let positions = if orbit { 1 } else { positions };
+        if orbit && self.width != 1 || batch > held {
             let (cells, layout) = (self.cells.len(), self.layout);
             let claim = format!("{batch} rows of {cells} cells as {layout:?}");
-            Err(BfvError::InvalidShape(claim))
-        };
-        let read = match self.layout {
-            Layout::FcOperand {
-                classes,
-                batch: held,
-                inputs,
-            } => {
-                let per_cell = self.fc_per_cell(slots)?;
-                if batch > held {
-                    return refuse();
-                }
-                Read::Operand(classes, inputs, per_cell)
-            }
-            Layout::Orbit { batch: held, .. } => {
-                let geometry = self.layout.orbit_geometry(slots);
-                let shaped = (self.height, self.width) == (geometry.map_or(0, |(_, g)| g), 1);
-                match geometry.filter(|_| shaped && batch <= held) {
-                    Some((stride, _)) => Read::Orbit(stride, matrix_index_map(slots)),
-                    None => return refuse(),
-                }
-            }
-            _ => Read::Slot,
-        };
-        let cells = pool.try_run(self.cells.len(), |i| {
-            sys.decrypt_slots(&self.cells[i], secret)
-        })?;
-        let row = |b| match &read {
-            Read::Slot => cells.iter().map(|cell| cell[b]).collect(),
-            Read::Operand(classes, inputs, per) => (0..classes * inputs)
-                .map(|v| (v / inputs, v % inputs))
-                .map(|(class, j)| cells[j / per][fc_slot(j % per, class, b, *per, *classes)])
-                .collect(),
-            Read::Orbit(stride, map) => {
-                let (group, image) = (b / (2 * stride), b % (2 * stride));
-                let slot = map[orbit_entry(0, image, *stride, slots)];
-                let cell = |c: usize| cells[c * self.height + group][slot];
-                (0..self.channels).map(cell).collect()
-            }
-        };
-        Ok((0..batch).map(row).collect())
-    }
-}
-
-/// Where [`EncryptedMap::decrypt_all`] reads an image's values.
-enum Read {
-    Slot,
-    Operand(usize, usize, usize),
-    Orbit(usize, Vec<usize>),
-}
-
-#[cfg(test)]
-impl EncryptedMap {
-    /// Test oracle: decrypts a [`Layout::Patches`] map and unpacks it through
-    /// [`patch_slot`] into `[batch][channels × side²]`, the shape
-    /// [`EncryptedMap::decrypt_all`] gives the `Pixel` map of the same values.
-    pub(crate) fn decrypt_unpacked(
-        &self,
-        sys: &CrtPlainSystem,
-        secret: &[SecretKey],
-    ) -> Vec<Vec<i128>> {
-        let Layout::Patches { batch, side } = self.layout else {
-            panic!("not a packed map");
-        };
-        let slots = sys.slot_count();
-        let cells = self.decrypt_all(sys, secret, slots, &ParExec::serial());
-        let cells = cells.unwrap();
-        let value = |v: usize, b: usize| {
-            let i = patch_slot(v % (side * side), b, batch);
-            cells[i % slots][v / (side * side) * self.height + i / slots]
-        };
-        (0..batch)
-            .map(|b| {
-                (0..self.channels * side * side)
-                    .map(|v| value(v, b))
-                    .collect()
-            })
-            .collect()
+            return Err(BfvError::InvalidShape(claim));
+        }
+        let decrypt = |i| sys.decrypt_slots(&self.cells[i], secret);
+        let cells = pool.try_run(self.cells.len(), decrypt)?;
+        let value = |b, v| rule.decode(&cells, v / positions, v % positions, b);
+        let row = |b| (0..channels * positions).map(|v| value(b, v)).collect();
+        (0..batch).map(row).collect()
     }
 }
 
@@ -610,9 +583,9 @@ mod tests {
         assert_eq!(operand(10, 10, 1).fc_per_cell(1024), Some(1));
     }
 
-    /// An `FcOperand` map decrypts through `fc_slot` into one row per image
-    /// (`[class·inputs + input]`), says how full its cells are, and refuses
-    /// a claim its cells do not hold.
+    /// An `FcOperand` map decodes through its slot map into one row per
+    /// image (`[class·inputs + input]`), says how full its cells are, and
+    /// refuses a claim its cells do not hold.
     #[test]
     fn fc_operand_round_trips_and_reports_its_occupancy() {
         let sys = CrtPlainSystem::new(256, &[12289]).unwrap();
@@ -626,16 +599,14 @@ mod tests {
             inputs,
         };
         let value = |input: usize, image: usize| (input * 10 + image) as i64 - 30;
-        let cells: Vec<CrtCiphertext> = [(0, 6), (6, 1)]
-            .iter()
-            .map(|&(first, live)| {
-                let each = |j, _, image| value(first + j, image);
-                let slots = fc_cell(256, (6, live), (classes, batch), each);
-                sys.encrypt_slots(&slots, &keys.public, &mut rng).unwrap()
-            })
+        let rule = layout.slot_map((2, 1, 1), 256).unwrap();
+        let packed = rule.encode(batch, |_, input, image| value(input, image));
+        let cells: Vec<CrtCiphertext> = (packed.unwrap().iter())
+            .map(|slots| sys.encrypt_slots(slots, &keys.public, &mut rng).unwrap())
             .collect();
         let map = EncryptedMap::new(2, 1, 1, cells.clone()).with_layout(layout);
-        assert_eq!(map.fc_per_cell(256).unwrap(), 6);
+        assert_eq!(layout.fc_per_cell(256), Some(6));
+        assert!(layout.slot_map(map.shape(), 256).is_ok());
         assert_eq!(map.occupancy_ppm(256), Some(7 * 40 * 1_000_000 / 512));
         let rows = map
             .decrypt_all(&sys, &keys.secret, batch, &ParExec::new(2))
@@ -665,7 +636,7 @@ mod tests {
         };
         invalid(&map, 3);
         let long = EncryptedMap::new(3, 1, 1, vec![cells[0].clone(); 3]).with_layout(layout);
-        assert!(long.fc_per_cell(256).is_err());
+        assert!(layout.slot_map(long.shape(), 256).is_err());
         invalid(&long, 2);
         for claim in [(0, 2, 7), (20, 13, 7), (usize::MAX, usize::MAX, 7)] {
             let (classes, batch, inputs) = claim;
@@ -676,13 +647,8 @@ mod tests {
             };
             let map = map.clone().with_layout(claim);
             invalid(&map, 1);
-            assert!(map.occupancy_ppm(256).is_some());
+            assert_eq!(map.occupancy_ppm(256), None);
         }
-        assert!(map
-            .clone()
-            .with_layout(Layout::Pixel)
-            .fc_per_cell(256)
-            .is_err());
     }
 
     #[test]
@@ -703,7 +669,8 @@ mod tests {
                 .unwrap();
         assert_eq!((map.shape(), map.layout()), ((1, 3, 1), layout));
         assert_eq!(map.occupancy_ppm(256), Some(720 * 1_000_000 / (3 * 256)));
-        let back = map.decrypt_unpacked(&sys, &keys.secret);
+        let back = map.decrypt_all(&sys, &keys.secret, batch, &pool).unwrap();
+        assert_eq!(back.len(), batch);
         for (b, img) in images.iter().enumerate() {
             let expect: Vec<i128> = img.iter().map(|&v| v as i128).collect();
             assert_eq!(back[b], expect, "image {b}");
@@ -749,8 +716,9 @@ mod tests {
     }
 
     /// An orbit batch packs one cell per (kernel offset, window member), each
-    /// pooled position of each image at its `orbit_entry`; `decrypt_all`
-    /// reads position 0 of a `channels × groups × 1` map.
+    /// pooled position `q` of image `b` at batch-matrix entry `(b / stride)·
+    /// slots/2 + q·stride + b % stride`; `decrypt_all` reads position 0 of a
+    /// `channels × groups × 1` map.
     #[test]
     fn orbit_batch_packs_planes_of_pooled_positions() {
         let sys = CrtPlainSystem::new(256, &[12289]).unwrap();
@@ -774,7 +742,7 @@ mod tests {
             for (b, img) in images.iter().enumerate() {
                 for position in 0..4 {
                     let pixel = (position / 2 * 2 + dy) * 4 + position % 2 * 2 + dx;
-                    let slot = index[orbit_entry(position, b, 32, 256)];
+                    let slot = index[b / 32 * 128 + position * 32 + b % 32];
                     assert_eq!(
                         slots[slot], img[pixel] as i128,
                         "member {member}, image {b}"
@@ -822,6 +790,49 @@ mod tests {
             );
             assert!(matches!(enc, Err(BfvError::InvalidShape(_))), "{layout:?}");
         }
+    }
+
+    /// Three claims past what a layout holds are errors, not a panic or a
+    /// silently short map: more rows than a `Pixel` map's slots, more
+    /// images than a `Patches` batch, and 80 images into an orbit of two
+    /// (whose one group would have kept 64).
+    #[test]
+    fn claims_past_the_layout_are_refused() {
+        let sys = CrtPlainSystem::new(256, &[40961]).unwrap();
+        let mut rng = ChaChaRng::from_seed(56);
+        let keys = sys.generate_keys(&mut rng);
+        let pool = ParExec::serial();
+        fn refused<T>(result: Result<T>) -> bool {
+            matches!(result, Err(BfvError::InvalidShape(_)))
+        }
+        let encrypt = |images: &[Vec<i64>], side, layout| {
+            EncryptedMap::encrypt_images(&sys, images, side, layout, &keys.public, &rng, &pool)
+        };
+        let pixel = encrypt(&[vec![3; 16]], 4, Layout::Pixel).unwrap();
+        assert_eq!(
+            pixel
+                .decrypt_all(&sys, &keys.secret, 256, &pool)
+                .unwrap()
+                .len(),
+            256
+        );
+        assert!(refused(pixel.decrypt_all(&sys, &keys.secret, 257, &pool)));
+        let patches = Layout::Patches { batch: 1, side: 2 };
+        assert!(refused(encrypt(&vec![vec![1; 16]; 3], 4, patches)));
+        let orbit = Layout::Orbit {
+            batch: 2,
+            side: 2,
+            window: 2,
+        };
+        assert_eq!(orbit.orbit_geometry(256), Some((32, 1)));
+        assert!(refused(encrypt(&vec![vec![1; 36]; 80], 6, orbit)));
+        assert_eq!(
+            encrypt(&vec![vec![1; 36]; 2], 6, orbit)
+                .unwrap()
+                .cells()
+                .len(),
+            36
+        );
     }
 
     #[test]

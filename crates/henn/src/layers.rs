@@ -163,7 +163,10 @@ impl HeLayers {
                 ops::he_fc_orbit(sys, input, bank, galois, counter, pool)
             }
             HeLayer::Fc if layout != Layout::Pixel => {
-                let bank = self.fc_operands(input.fc_per_cell(sys.slot_count())?)?;
+                let slots = sys.slot_count();
+                layout.slot_map(input.shape(), slots)?;
+                let claim = || BfvError::InvalidShape(format!("{layout:?}"));
+                let bank = self.fc_operands(layout.fc_per_cell(slots).ok_or_else(claim)?)?;
                 ops::he_fc_operand(sys, input, &bank, counter, pool)
             }
             // Paper Table VI, layer 4: the convolution whose kernel is the map.

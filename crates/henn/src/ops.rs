@@ -190,20 +190,14 @@ pub fn he_fc_operand(
     pool: &ParExec,
 ) -> Result<EncryptedMap> {
     let _prof = hesgx_obs::prof::span("henn.fc");
-    let per_cell = input.fc_per_cell(sys.slot_count())?;
-    let batch = match input.layout() {
-        Layout::FcOperand {
-            classes,
-            batch,
-            inputs,
-        } if (classes, inputs, per_cell) == (bank.classes, bank.inputs, bank.per_cell) => batch,
-        layout => {
-            return Err(BfvError::InvalidShape(format!(
-                "{layout:?} into operands of {} inputs, {} classes, {} a cell",
-                bank.inputs, bank.classes, bank.per_cell
-            )))
-        }
-    };
+    let (layout, slots) = (input.layout(), sys.slot_count());
+    let (classes, inputs, batch) = layout.slot_map(input.shape(), slots)?.extent();
+    let per_cell = bank.per_cell;
+    if (classes, inputs, layout.fc_per_cell(slots)) != (bank.classes, bank.inputs, Some(per_cell)) {
+        let want = (bank.classes, bank.inputs, per_cell);
+        let claim = format!("{layout:?} into operands of (classes, inputs, L) = {want:?}");
+        return Err(BfvError::InvalidShape(claim));
+    }
     let (cells, n_parts) = (input.cells(), sys.part_count());
     let tasks = cells.chunks(FC_OPERAND_GROUP);
     let tasks: Vec<_> = tasks.zip(bank.weights.chunks(FC_OPERAND_GROUP)).collect();
@@ -231,7 +225,7 @@ pub fn he_fc_operand(
     counter.ct_ct_add += cells.len() as u64 - 1;
     counter.ct_pt_add += 1;
     let layout = Layout::FcOperand {
-        classes: bank.classes,
+        classes,
         batch,
         inputs: per_cell,
     };
@@ -733,7 +727,7 @@ mod tests {
                     // per output position.
                     assert_eq!(counter.ct_pt_mul as usize, 2 * chunks * k * k);
                     assert!(counter.ct_pt_mul < oracle_ops.ct_pt_mul);
-                    let dec = out.decrypt_unpacked(&sys, &keys.secret);
+                    let dec = out.decrypt_all(&sys, &keys.secret, batch, &serial).unwrap();
                     assert_eq!(dec, oracle, "batch {batch}, {threads} threads");
                     let cells = out.cells().to_vec();
                     assert_eq!(
@@ -750,11 +744,10 @@ mod tests {
     /// plaintext inputs: seven inputs of four images for twenty classes,
     /// three to a cell (`⌊256/80⌋`, the last cell holding one). Slot for
     /// slot, the accumulator holds the oracle's dot product split into the
-    /// three partial sums `fc_slot` says — the bias in the first — and zero
-    /// everywhere else; the bits do not depend on the pool size.
+    /// three partial sums its slot map places — the bias in the first — and
+    /// zero everywhere else; the bits do not depend on the pool size.
     #[test]
-    fn fc_operand_kernel_is_the_reference_fc_slot_for_slot() {
-        use crate::image::{fc_cell, fc_slot};
+    fn fc_operand_kernel_is_the_reference_slot_for_slot() {
         for (sys, keys, mut rng) in setups() {
             let (classes, batch, inputs, per) = (20usize, 4usize, 7usize, 3usize);
             let x = |image: usize, input: usize| ((input * 5 + image * 3) % 16) as i64;
@@ -786,17 +779,21 @@ mod tests {
                 inputs,
             };
             assert_eq!(layout.fc_per_cell(256), Some(per));
-            let cells: Vec<CrtCiphertext> = (0..inputs.div_ceil(per))
-                .map(|g| {
-                    let live = per.min(inputs - g * per);
-                    let each = |j, _, image| x(image, g * per + j);
-                    let slots = fc_cell(256, (per, live), (classes, batch), each);
-                    sys.encrypt_slots(&slots, &keys.public, &mut rng).unwrap()
-                })
+            let rule = layout.slot_map((inputs.div_ceil(per), 1, 1), 256).unwrap();
+            let cells: Vec<CrtCiphertext> = (rule.encode(batch, |_, j, image| x(image, j)))
+                .unwrap()
+                .iter()
+                .map(|slots| sys.encrypt_slots(slots, &keys.public, &mut rng).unwrap())
                 .collect();
             let packed = EncryptedMap::new(cells.len(), 1, 1, cells).with_layout(layout);
             let bank = FcOperandBank::prepare(&sys, &weights, &bias, per).unwrap();
             assert_eq!((bank.weights.len(), bank.bias.len()), (3, sys.part_count()));
+            let sums = Layout::FcOperand {
+                classes,
+                batch,
+                inputs: per,
+            };
+            let partial = sums.slot_map((1, 1, 1), 256).unwrap();
             let mut want = vec![0i128; 256];
             for (image, class, j) in (0..batch * classes * per)
                 .map(|i| (i / (classes * per), i / per % classes, i % per))
@@ -806,18 +803,14 @@ mod tests {
                     .map(|i| weights[class * inputs + i] * x(image, i))
                     .sum();
                 let sum = dot + if j == 0 { bias[class] } else { 0 };
-                want[fc_slot(j, class, image, per, classes)] = sum.into();
+                let (_, slot) = partial.place(class, j, image).unwrap();
+                want[slot] = sum.into();
             }
             let mut bits = None;
             for threads in POOLS {
                 let mut counter = OpCounter::default();
                 let pool = ParExec::new(threads);
                 let out = he_fc_operand(&sys, &packed, &bank, &mut counter, &pool).unwrap();
-                let sums = Layout::FcOperand {
-                    classes,
-                    batch,
-                    inputs: per,
-                };
                 assert_eq!((out.shape(), out.layout()), ((1, 1, 1), sums));
                 let slots = sys.decrypt_slots(&out.cells()[0], &keys.secret).unwrap();
                 assert_eq!(slots, want, "{threads} threads");

@@ -3,14 +3,14 @@
 //! the workload of Fig. 3 ("the encoding time has a linear relationship with
 //! the weights' number"). This module is the one place a model weight becomes
 //! a plaintext operand: a slot-wise scalar with its Shoup constants, a bias as
-//! `Δ·b` residues, or a batch-encoded cell of a packed FC layer.
+//! `Δ·b` residues, or a batch-encoded cell of a packed FC layer, laid out by
+//! the [`SlotMap`](crate::image::SlotMap) of the map it multiplies.
 
 use crate::crt::{CrtPlainSystem, CrtPreparedBias, CrtPreparedScalar};
-use crate::image::{fc_cell, orbit_entry, orbit_stride};
-use hesgx_bfv::encoding::matrix_index_map;
+use crate::image::{orbit_stride, Layout};
 use hesgx_bfv::error::{BfvError, Result};
 use hesgx_bfv::evaluator::PreparedBias;
-use hesgx_bfv::plaintext::{NttPlaintext, Plaintext};
+use hesgx_bfv::plaintext::NttPlaintext;
 
 /// All prepared operands of one linear layer (conv or FC): scalar weights
 /// with their per-limb Shoup constants and biases with their `Δ·c` residues,
@@ -48,12 +48,23 @@ impl WeightBank {
     }
 }
 
-/// The fully connected layer's operands over a
-/// [`Layout::FcOperand`](crate::image::Layout::FcOperand) map of `per_cell`
-/// inputs a cell: per cell, the weights `W[class][g·L + j_local]` at
-/// [`fc_slot`](crate::image::fc_slot), and the biases at `j_local = 0`, both
-/// written into every image block a cell has room for — so a bank depends on
-/// the model and `L` alone, never on the batch.
+/// Batch-encoded cells in evaluation form, `[cell][part]`.
+fn ntt_cells(sys: &CrtPlainSystem, cells: &[Vec<i64>]) -> Result<Vec<Vec<NttPlaintext>>> {
+    let cell = |slots| -> Result<Vec<_>> {
+        let plain = sys.encode_slots(slots)?.into_iter().enumerate();
+        plain
+            .map(|(part, p)| sys.evaluator(part).transform_plain_to_ntt(&p))
+            .collect()
+    };
+    cells.iter().map(|slots| cell(slots)).collect()
+}
+
+/// The fully connected layer's operands over a [`Layout::FcOperand`] map of
+/// `per_cell` inputs a cell: per cell, the weights `W[class][input]` where
+/// its [`SlotMap`](crate::image::SlotMap) puts `(class, input, image)`, and
+/// the biases at the cell's first input, both written into every image
+/// block a cell has room for — so a bank depends on the model and `L`
+/// alone, never on the batch.
 #[derive(Debug)]
 pub struct FcOperandBank {
     /// Output classes of the layer.
@@ -70,12 +81,12 @@ pub struct FcOperandBank {
 
 impl FcOperandBank {
     /// Encodes `weights[class][input]` and one bias per class for cells of
-    /// `per_cell` inputs.
+    /// `per_cell` inputs, `⌊slots / (classes·L)⌋` images a cell.
     ///
     /// # Errors
     ///
     /// [`BfvError::InvalidShape`] when the weights are not one row per bias
-    /// or one (class, image) block of `per_cell` inputs exceeds the slots.
+    /// or no operand map holds `per_cell` inputs a cell.
     pub fn prepare(
         sys: &CrtPlainSystem,
         weights: &[i64],
@@ -83,46 +94,42 @@ impl FcOperandBank {
         per_cell: usize,
     ) -> Result<FcOperandBank> {
         let (classes, slots) = (biases.len(), sys.slot_count());
+        let inputs = weights.len().checked_div(classes).unwrap_or(0);
         let block = per_cell.saturating_mul(classes);
-        if block == 0 || block > slots || !weights.len().is_multiple_of(classes) {
-            return Err(BfvError::InvalidShape(format!(
-                "{} weights, {classes} classes, {per_cell} inputs a cell of {slots} slots",
-                weights.len()
-            )));
-        }
-        let (inputs, images) = (weights.len() / classes, slots / block);
-        // One cell: `value(j_local, class, _)` in every image block.
-        let cell = |value: &dyn Fn(usize, usize, usize) -> i64, live| {
-            sys.encode_slots(&fc_cell(slots, (per_cell, live), (classes, images), value))
+        let batch = slots.checked_div(block).unwrap_or(0);
+        let layout = Layout::FcOperand {
+            classes,
+            batch,
+            inputs,
         };
-        let ntt =
-            |(part, plain): (usize, &Plaintext)| sys.evaluator(part).transform_plain_to_ntt(plain);
-        let weights = (0..inputs.div_ceil(per_cell))
-            .map(|g| {
-                let (first, live) = (g * per_cell, per_cell.min(inputs - g * per_cell));
-                let plain = cell(&|j, class, _| weights[class * inputs + first + j], live)?;
-                plain.iter().enumerate().map(ntt).collect()
-            })
-            .collect::<Result<_>>()?;
-        let bias = cell(&|_, class, _| biases[class], 1)?
-            .into_iter()
-            .enumerate();
+        let held = weights.len() == classes * inputs && layout.fc_per_cell(slots) == Some(per_cell);
+        let rule = layout.slot_map((inputs.div_ceil(per_cell.max(1)), 1, 1), slots);
+        let Some(rule) = rule.ok().filter(|_| held) else {
+            let count = weights.len();
+            let claim = format!("{count} weights, {classes} classes, L = {per_cell}");
+            return Err(BfvError::InvalidShape(claim));
+        };
+        let cells = rule.encode(batch, |class, input, _| weights[class * inputs + input])?;
+        // The biases at the first cell's first input.
+        let first = |class, input, _| if input == 0 { biases[class] } else { 0 };
+        let bias = sys.encode_slots(&rule.encode(batch, first)?[0])?;
+        let bias = bias.into_iter().enumerate();
         let bias = bias.map(|(part, plain)| sys.evaluator(part).prepare_plain_bias(&plain));
         Ok(FcOperandBank {
             classes,
             inputs,
             per_cell,
-            weights,
+            weights: ntt_cells(sys, &cells)?,
             bias: bias.collect::<Result<_>>()?,
         })
     }
 }
 
-/// The fully connected layer's operands over a
-/// [`Layout::Orbit`](crate::image::Layout::Orbit) map of pooled side `side`:
-/// per (class, channel), `W[class][channel·side² + position]` at every
-/// image's [`orbit_entry`] (zero at the orbit's padding positions), and the
-/// class biases — the model's and `n`'s alone, never the batch's.
+/// The fully connected layer's operands over a [`Layout::Orbit`] map of
+/// pooled side `side`: per (class, channel), `W[class][channel·side² +
+/// position]` where the pooled map's [`SlotMap`](crate::image::SlotMap)
+/// puts every image of a group (zero at the orbit's padding positions), and
+/// the class biases — the model's and `n`'s alone, never the batch's.
 #[derive(Debug)]
 pub struct OrbitFcBank {
     /// Side of the pooled map.
@@ -134,7 +141,8 @@ pub struct OrbitFcBank {
 }
 
 impl OrbitFcBank {
-    /// Encodes `weights[class][channel][position]` and one bias per class.
+    /// Encodes `weights[class][channel][position]`, one row a cell of a
+    /// pooled orbit map (`window: 1`) of one group, and one bias per class.
     ///
     /// # Errors
     ///
@@ -156,26 +164,18 @@ impl OrbitFcBank {
                 "{count} weights, side {side}"
             )));
         };
-        let map = matrix_index_map(slots);
-        let vector = |row: &[i64]| -> Result<Vec<NttPlaintext>> {
-            let mut values = vec![0; slots];
-            for (position, &w) in row.iter().enumerate() {
-                for image in 0..2 * stride {
-                    values[map[orbit_entry(position, image, stride, slots)]] = w;
-                }
-            }
-            let plain = sys.encode_slots(&values)?.into_iter().enumerate();
-            plain
-                .map(|(part, plain)| sys.evaluator(part).transform_plain_to_ntt(&plain))
-                .collect()
+        let layout = Layout::Orbit {
+            batch: 2 * stride,
+            side,
+            window: 1,
         };
+        let rule = layout.slot_map((weights.len() / positions, 1, 1), slots)?;
+        let weight = |row, position, _| weights[row * positions + position];
+        let cells = rule.encode(2 * stride, weight)?;
         let bias = biases.iter().map(|&b| sys.prepare_bias(b));
         Ok(OrbitFcBank {
             side,
-            weights: weights
-                .chunks(positions)
-                .map(vector)
-                .collect::<Result<_>>()?,
+            weights: ntt_cells(sys, &cells)?,
             bias: bias.collect::<Result<_>>()?,
         })
     }

@@ -3,7 +3,7 @@
 
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::{CrtKeys, CrtPlainSystem};
-use hesgx_henn::image::{fc_cell, fc_slot, patch_slot, EncryptedMap, Layout};
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
 use hesgx_henn::weights::{FcOperandBank, WeightBank};
@@ -66,72 +66,125 @@ proptest! {
         );
     }
 
-    /// The slot-index function is a bijection onto `[0, P·B)`, and packing
-    /// through it loses nothing: every (kernel offset, position, image)
-    /// value of the im2col patches sits where `patch_slot` says, every
-    /// packed cell but a channel's last is full, and the image is recovered
-    /// from the patches.
+    /// Every layout's slot map, at random geometry: it sends the addresses
+    /// of its map to distinct `(cell, slot)`s inside `cells × slots` and
+    /// nothing outside them anywhere; decoding what it encodes gives every
+    /// value back and more images than it holds are refused; and an ingress
+    /// layout's pack is the encode of its convolution's im2col patches (a
+    /// `Pixel` map the batch pixel by pixel), in `ingress_cells` cells.
     #[test]
-    fn patch_slot_is_a_bijection_and_packing_round_trips(
-        in_side in 2usize..9, kernel_pick in 0usize..8, batch in 1usize..7,
-        slots_pick in 0usize..4, seed in any::<u64>(),
+    fn slot_maps_are_injective_and_packing_round_trips(
+        family in 0usize..4, a in 1usize..7, window in 1usize..4, kernel in 1usize..4,
+        batch in 1usize..40, inputs in 1usize..40, pooled in any::<bool>(),
+        slots_pick in 0usize..3, seed in any::<u64>(),
     ) {
-        let slots = [4usize, 16, 64, 256][slots_pick];
-        let kernel = 1 + kernel_pick % in_side;
-        let side = in_side - kernel + 1;
-        let live = side * side * batch;
-        let mut seen: Vec<usize> = (0..side * side)
-            .flat_map(|p| (0..batch).map(move |b| patch_slot(p, b, batch)))
-            .collect();
+        let slots = [64usize, 256, 1024][slots_pick];
+        let offsets = kernel * kernel;
+        // The layout, its map's cells and, for an ingress map, the image side.
+        let (layout, shape, in_side) = match family {
+            0 => (Layout::Pixel, (1, a + kernel - 1, a + kernel - 1), Some(a + kernel - 1)),
+            1 => {
+                let layout = Layout::Patches { batch, side: a };
+                let chunks = Layout::chunks(batch, a, slots);
+                (layout, (offsets, chunks, 1), Some(a + kernel - 1))
+            }
+            2 => {
+                let layout = Layout::FcOperand { classes: a * window, batch: batch % 9 + 1, inputs };
+                let cells = layout.fc_per_cell(slots).map_or(1, |per| inputs.div_ceil(per));
+                (layout, (cells, 1, 1), None)
+            }
+            _ => {
+                let layout = Layout::Orbit { batch, side: a.min(4), window };
+                let groups = layout.orbit_geometry(slots).map_or(1, |(_, groups)| groups);
+                match pooled {
+                    true => (layout, (offsets, groups, 1), None),
+                    false => {
+                        let in_side = a.min(4) * window + kernel - 1;
+                        (layout, (offsets, groups * window, window), Some(in_side))
+                    }
+                }
+            }
+        };
+        let rule = layout.slot_map(shape, slots);
+        let held = match family {
+            2 => layout.fc_per_cell(slots).is_some(),
+            3 => layout.orbit_geometry(slots).is_some(),
+            _ => true,
+        };
+        prop_assert_eq!(rule.is_ok(), held, "{:?}", layout);
+        let Ok(rule) = rule else { return Ok(()) };
+        let (channels, positions, images) = rule.extent();
+        let cells = shape.0 * shape.1 * shape.2;
+        let mut seen = Vec::with_capacity(channels * positions * images);
+        for (c, p, i) in (0..channels * positions * images)
+            .map(|v| (v / (positions * images), v / images % positions, v % images))
+        {
+            let (cell, slot) = rule.place(c, p, i).expect("inside the map");
+            prop_assert!(cell < cells && slot < slots, "{:?} ({}, {}, {})", layout, c, p, i);
+            seen.push(cell * slots + slot);
+        }
         seen.sort_unstable();
-        prop_assert_eq!(seen, (0..live).collect::<Vec<_>>());
+        seen.dedup();
+        prop_assert_eq!(seen.len(), channels * positions * images, "{:?}", layout);
+        for outside in [(channels, 0, 0), (0, positions, 0), (0, 0, images)] {
+            prop_assert_eq!(rule.place(outside.0, outside.1, outside.2), None);
+        }
 
         let mut rng = ChaChaRng::from_seed(seed);
-        let images: Vec<Vec<i64>> = (0..batch)
+        let n = batch.min(images);
+        let values: Vec<i64> = (0..channels * positions * n)
+            .map(|_| rng.next_below(1 << 20) as i64 - (1 << 19))
+            .collect();
+        let value = |c: usize, p: usize, i: usize| values[(c * positions + p) * n + i];
+        let encoded = rule.encode(n, value).unwrap();
+        prop_assert_eq!(encoded.len(), cells);
+        prop_assert!(encoded.iter().all(|cell| cell.len() == slots));
+        for (c, p, i) in (0..channels * positions * n)
+            .map(|v| (v / (positions * n), v / n % positions, v % n))
+        {
+            prop_assert_eq!(rule.decode(&encoded, c, p, i).unwrap(), value(c, p, i));
+        }
+        prop_assert!(rule.encode(images + 1, value).is_err());
+        prop_assert!(rule.decode(&encoded, 0, 0, images).is_err());
+
+        let Some(in_side) = in_side else { return Ok(()) };
+        let pictures: Vec<Vec<i64>> = (0..n)
             .map(|_| (0..in_side * in_side).map(|_| rng.next_below(1 << 20) as i64).collect())
             .collect();
-        let layout = Layout::Patches { batch, side };
-        let chunks = live.div_ceil(slots);
-        prop_assert_eq!(layout.ingress_cells(in_side, slots), kernel * kernel * chunks);
-        let cells = layout.pack(&images, in_side, slots);
-        prop_assert_eq!(cells.len(), kernel * kernel * chunks);
-        for (cell, values) in cells.iter().enumerate() {
-            let want = if cell % chunks + 1 < chunks { slots } else { live - (chunks - 1) * slots };
-            prop_assert_eq!(values.len(), want, "cell {}", cell);
-        }
-        let mut unpacked = vec![vec![None; in_side * in_side]; batch];
-        for offset in 0..kernel * kernel {
-            for p in 0..side * side {
-                for (b, image) in unpacked.iter_mut().enumerate() {
-                    let i = patch_slot(p, b, batch);
-                    let pixel = (p / side + offset / kernel) * in_side + p % side + offset % kernel;
-                    let value = cells[offset * chunks + i / slots][i % slots];
-                    prop_assert_eq!(*image[pixel].get_or_insert(value), value);
+        // im2col: kernel offset (ky, kx) of output position (y, x) is pixel
+        // (y + ky, x + kx).
+        let out = in_side + 1 - kernel;
+        let mut patches = vec![vec![vec![0; n]; out * out]; offsets];
+        for (offset, column) in patches.iter_mut().enumerate() {
+            let (ky, kx) = (offset / kernel, offset % kernel);
+            for (position, images) in column.iter_mut().enumerate() {
+                let (y, x) = (position / out + ky, position % out + kx);
+                for (image, patch) in images.iter_mut().enumerate() {
+                    *patch = pictures[image][y * in_side + x];
                 }
             }
         }
-        let unpacked: Vec<Vec<i64>> = unpacked
-            .into_iter()
-            .map(|image| image.into_iter().map(|v| v.expect("every pixel is in a patch")).collect())
-            .collect();
-        prop_assert_eq!(&unpacked, &images);
-        // The unpacked layout is the batch, pixel by pixel.
-        let pixels = Layout::Pixel.pack(&images, in_side, slots);
-        prop_assert_eq!(pixels.len(), Layout::Pixel.ingress_cells(in_side, slots));
-        for (pixel, column) in pixels.iter().enumerate() {
-            let want: Vec<i64> = images.iter().map(|img| img[pixel]).collect();
-            prop_assert_eq!(column, &want);
+        let packed = layout.pack(&pictures, in_side, slots).unwrap();
+        prop_assert_eq!(packed.len(), layout.ingress_cells(in_side, slots));
+        let im2col = rule.encode(n, |offset, position, image| patches[offset][position][image]);
+        prop_assert_eq!(&packed, &im2col.unwrap());
+        if layout == Layout::Pixel {
+            for (pixel, cell) in packed.iter().enumerate() {
+                let want: Vec<i64> = pictures.iter().map(|img| img[pixel]).collect();
+                prop_assert_eq!(&cell[..n], &want[..]);
+            }
         }
+        prop_assert!(layout.pack(&vec![vec![0; in_side * in_side]; images + 1], in_side, slots).is_err());
     }
 
-    /// `fc_slot` sends the (input, class, image) triples of one cell to
-    /// distinct slots inside the ciphertext, for every shape the count rule
-    /// admits; and pack → multiply → reduce through it is the plaintext
-    /// fully connected layer: the inputs laid out as the enclave lays them
-    /// out, multiplied by the operand bank, decrypted and summed per
-    /// (class, image), equal `W·x + b` for every image.
+    /// The operand slot map sends the (class, input, image) triples of one
+    /// cell to distinct slots inside the ciphertext, for every shape the
+    /// count rule admits; and pack → multiply → reduce through it is the
+    /// plaintext fully connected layer: the inputs laid out as the enclave
+    /// lays them out, multiplied by the operand bank, decrypted and summed
+    /// per (class, image), equal `W·x + b` for every image.
     #[test]
-    fn fc_slot_is_injective_and_pack_multiply_reduce_round_trips(
+    fn fc_operand_pack_multiply_reduce_round_trips(
         inputs in 1usize..40, classes in 1usize..16, batch in 1usize..9, seed in any::<u64>(),
     ) {
         let (sys, keys) = system();
@@ -139,9 +192,12 @@ proptest! {
         let layout = Layout::FcOperand { classes, batch, inputs };
         let per = layout.fc_per_cell(slots).expect("15 × 8 ≤ 256");
         prop_assert_eq!(per, inputs.min(slots / (classes * batch)));
-        let mut seen: Vec<usize> = (0..per * classes * batch)
-            .map(|i| fc_slot(i % per, i / per % classes, i / (per * classes), per, classes))
+        let rule = layout.slot_map((inputs.div_ceil(per), 1, 1), slots).unwrap();
+        let places: Vec<(usize, usize)> = (0..per * classes * batch)
+            .map(|i| rule.place(i / per % classes, i % per, i / (per * classes)).unwrap())
             .collect();
+        prop_assert!(places.iter().all(|&(cell, _)| cell == 0));
+        let mut seen: Vec<usize> = places.iter().map(|&(_, slot)| slot).collect();
         seen.sort_unstable();
         seen.dedup();
         prop_assert_eq!(seen.len(), per * classes * batch);
@@ -158,13 +214,11 @@ proptest! {
         };
         let x: Vec<Vec<i64>> = (0..batch).map(|_| draw(inputs, 64)).collect();
         let (weights, bias) = (draw(classes * inputs, 16), draw(classes, 200));
-        let cells = (0..inputs.div_ceil(per)).map(|g| {
-            let each = |j, _, image: usize| x[image][g * per + j];
-            let live = per.min(inputs - g * per);
-            let values = fc_cell(slots, (per, live), (classes, batch), each);
-            sys.encrypt_slots(&values, &keys.public, &mut rng).unwrap()
-        });
-        let cells: Vec<_> = cells.collect();
+        let packed = rule.encode(batch, |_, input, image| x[image][input]).unwrap();
+        let cells: Vec<_> = packed
+            .iter()
+            .map(|values| sys.encrypt_slots(values, &keys.public, &mut rng).unwrap())
+            .collect();
         let map = EncryptedMap::new(cells.len(), 1, 1, cells).with_layout(layout);
         let bank = FcOperandBank::prepare(sys, &weights, &bias, per).unwrap();
         let mut bits = None;

@@ -16,7 +16,7 @@ use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::sha256::sha256;
 use hesgx_henn::crt::CrtKeys;
 use hesgx_henn::cryptonets::CryptoNets;
-use hesgx_henn::image::{orbit_entry, EncryptedMap, Layout};
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::OpCounter;
 use hesgx_henn::par::ParExec;
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
@@ -143,27 +143,43 @@ fn purehe_12_orbit_logits_are_pinned_and_whole() {
     let sys = engine.system();
     let budget = sys.noise_budget(&logits.cells()[0], &keys.secret).unwrap();
     assert!(budget > 0, "final noise budget {budget}");
-    // Every slot of class c's ciphertext is image b's whole logit c — the
-    // image at its (row, column mod stride); the empty image slots hold the
-    // all-zero image's.
-    let map = hesgx_bfv::encoding::matrix_index_map(1024);
-    let (stride, row) = (16, 512);
+    // Every slot of class c's ciphertext is a whole logit c: image b's
+    // wherever the orbit's slot map puts b (read as a group of 2·stride =
+    // 32 images, the empty ones holding the all-zero image's), and 32 times
+    // over in all — each image's orbit, its 7 padding positions included.
+    let group = 32;
+    let whole = Layout::Orbit {
+        batch: group,
+        side: 5,
+        window: 2,
+    };
+    let rule = whole.slot_map(logits.shape(), 1024).unwrap();
+    let (_, positions, _) = rule.extent();
     let zero = model.forward_ints(&[0; 144]);
-    for (class, ct) in logits.cells().iter().enumerate() {
-        let slots = sys.decrypt_slots(ct, &keys.secret).unwrap();
-        for entry in 0..1024 {
-            let image = entry / row * stride + entry % stride;
-            let want = images
-                .get(image)
-                .map_or(zero[class], |img| model.forward_ints(img)[class]);
-            assert_eq!(
-                slots[map[entry]],
-                want.into(),
-                "class {class}, entry {entry}"
-            );
+    let want: Vec<Vec<i64>> = (0..group)
+        .map(|b| {
+            images
+                .get(b)
+                .map_or(zero.clone(), |img| model.forward_ints(img))
+        })
+        .collect();
+    let cells: Vec<Vec<i128>> = (logits.cells().iter())
+        .map(|ct| sys.decrypt_slots(ct, &keys.secret).unwrap())
+        .collect();
+    for (class, slots) in cells.iter().enumerate() {
+        for (b, logits) in want.iter().enumerate() {
+            for position in 0..positions {
+                let got = rule.decode(&cells, class, position, b).unwrap();
+                assert_eq!(got, logits[class].into(), "class {class}, image {b}");
+            }
         }
+        let mut held = slots.clone();
+        let mut orbits: Vec<i128> = (want.iter())
+            .flat_map(|logits| [i128::from(logits[class]); 32])
+            .collect();
+        held.sort_unstable();
+        orbits.sort_unstable();
+        assert_eq!(held, orbits, "class {class}");
     }
-    // Image 17 of a group is row 1, column 1.
-    assert_eq!(orbit_entry(0, 17, stride, 1024), row + 1);
     assert_eq!(hex, ORBIT_LOGITS_SHA256);
 }

@@ -23,6 +23,10 @@ use hesgx_nn::quantize::QuantizedCnn;
 use hesgx_obs::Recorder;
 use hesgx_tee::enclave::Platform;
 
+/// Platform identity every worker is provisioned on (same identity → same
+/// measurement; instances stay separate so no state is shared).
+const PLATFORM_ID: u64 = 9_000;
+
 /// The request broker driving a fleet of worker sessions.
 pub struct Broker {
     config: BrokerConfig,
@@ -64,7 +68,7 @@ impl Broker {
         // One platform hosts the fleet: same seed → one key domain, while each
         // worker's enclave launch (and every re-provisioned successor) draws
         // its encryption randomness from a stream of its own.
-        let platform = Platform::new(config.platform_id);
+        let platform = Platform::new(PLATFORM_ID);
         let mut sessions = Vec::with_capacity(config.workers);
         for _ in 0..config.workers {
             let session = SessionBuilder::new()

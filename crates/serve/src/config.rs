@@ -48,18 +48,6 @@ impl HeCostModel {
         }
     }
 
-    /// The paper table with ingress priced at WAN rates: 80 ns per byte
-    /// (~100 Mbit/s), the bandwidth-constrained-client scenario from
-    /// ROADMAP item 2. At this price the megabyte FV ciphertext upload
-    /// dominates modeled latency and transciphered ingress crosses over —
-    /// `repro serve_load` measures exactly where.
-    pub fn wan() -> Self {
-        HeCostModel {
-            ingress_byte_ns: 80,
-            ..HeCostModel::paper()
-        }
-    }
-
     /// The modeled transfer time of `upload_bytes` of client payload.
     pub fn ingress_ns(&self, upload_bytes: u64) -> u64 {
         upload_bytes.saturating_mul(self.ingress_byte_ns)
@@ -99,9 +87,6 @@ pub struct BrokerConfig {
     /// Deficit-round-robin quantum, in images added to a tenant's deficit
     /// per scheduling round.
     pub quantum: u64,
-    /// Platform identity every worker is provisioned on (same identity →
-    /// same measurement; instances stay separate so no state is shared).
-    pub platform_id: u64,
     /// Modeled HE evaluator cost table for pricing dispatched batches.
     pub he_costs: HeCostModel,
 }
@@ -113,7 +98,6 @@ impl Default for BrokerConfig {
             queue_cap: 64,
             max_batch: 16,
             quantum: 4,
-            platform_id: 9_000,
             he_costs: HeCostModel::paper(),
         }
     }
