@@ -5,6 +5,7 @@ use hesgx_bench::experiments::figures::scale_stub;
 use hesgx_bench::{PaperEnv, PAPER_BATCH_SIZE};
 use hesgx_bfv::prelude::KeyGenerator;
 use hesgx_core::planner::{EcallBatching, EnclaveOp};
+use hesgx_henn::crt::Encoding;
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 use std::hint::black_box;
@@ -59,10 +60,21 @@ fn bench_result_decryption(c: &mut Criterion) {
     let mut rng = env.rng.fork("bench-dec");
     let ct = env
         .sys
-        .encrypt_slots(&[9; PAPER_BATCH_SIZE], &env.keys.public, &mut rng)
+        .encrypt(
+            &[9; PAPER_BATCH_SIZE],
+            Encoding::Slots,
+            &env.keys.public,
+            &mut rng,
+        )
         .unwrap();
     c.bench_function("table3/decrypt_one_result", |b| {
-        b.iter(|| black_box(env.sys.decrypt_slots(&ct, &env.keys.secret).unwrap()))
+        b.iter(|| {
+            black_box(
+                env.sys
+                    .decrypt(&ct, Encoding::Slots, &env.keys.secret)
+                    .unwrap(),
+            )
+        })
     });
 }
 
@@ -71,7 +83,12 @@ fn bench_relinearization(c: &mut Criterion) {
     let mut rng = env.rng.fork("bench-relin");
     let fresh = env
         .sys
-        .encrypt_slots(&[7; PAPER_BATCH_SIZE], &env.keys.public, &mut rng)
+        .encrypt(
+            &[7; PAPER_BATCH_SIZE],
+            Encoding::Slots,
+            &env.keys.public,
+            &mut rng,
+        )
         .unwrap();
     let size3 = env.sys.square(&fresh).unwrap();
     c.bench_function("table5/relinearize", |b| {

@@ -17,6 +17,7 @@ use crate::PaperEnv;
 use hesgx_core::planner::{EcallBatching, EnclaveOp};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::CrtPlainSystem;
+use hesgx_henn::crt::Encoding;
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::dataset;
@@ -78,15 +79,19 @@ pub fn ablate_poly_degree(cfg: RunConfig) {
         let mut rng = ChaChaRng::from_seed(n as u64);
         let keys = sys.generate_keys(&mut rng);
         let values = vec![5i64; 10];
-        let ct = sys.encrypt_slots(&values, &keys.public, &mut rng).unwrap();
+        let ct = sys
+            .encrypt(&values, Encoding::Slots, &keys.public, &mut rng)
+            .unwrap();
         let start = Instant::now();
         for _ in 0..reps {
-            let _ = sys.encrypt_slots(&values, &keys.public, &mut rng).unwrap();
+            let _ = sys
+                .encrypt(&values, Encoding::Slots, &keys.public, &mut rng)
+                .unwrap();
         }
         let enc_ms = start.elapsed().as_secs_f64() * 1e3 / reps as f64;
         let start = Instant::now();
         for _ in 0..reps {
-            let _ = sys.decrypt_slots(&ct, &keys.secret).unwrap();
+            let _ = sys.decrypt(&ct, Encoding::Slots, &keys.secret).unwrap();
         }
         let dec_ms = start.elapsed().as_secs_f64() * 1e3 / reps as f64;
         let start = Instant::now();
@@ -144,7 +149,9 @@ pub fn ablate_crt_parts(cfg: RunConfig) {
         let sys = CrtPlainSystem::new(1024, &moduli).unwrap();
         let mut rng = ChaChaRng::from_seed(7);
         let keys = sys.generate_keys(&mut rng);
-        let ct = sys.encrypt_slots(&[9; 10], &keys.public, &mut rng).unwrap();
+        let ct = sys
+            .encrypt(&[9; 10], Encoding::Slots, &keys.public, &mut rng)
+            .unwrap();
         let start = Instant::now();
         for _ in 0..reps {
             let _ = sys.mul_scalar(&ct, 13).unwrap();
@@ -152,9 +159,11 @@ pub fn ablate_crt_parts(cfg: RunConfig) {
         let mul_us = start.elapsed().as_secs_f64() * 1e6 / reps as f64;
         let start = Instant::now();
         for _ in 0..reps {
-            let slots = sys.decrypt_slots(&ct, &keys.secret).unwrap();
+            let slots = sys.decrypt(&ct, Encoding::Slots, &keys.secret).unwrap();
             let back: Vec<i64> = slots.iter().map(|&v| v as i64).collect();
-            let _ = sys.encrypt_slots(&back, &keys.public, &mut rng).unwrap();
+            let _ = sys
+                .encrypt(&back, Encoding::Slots, &keys.public, &mut rng)
+                .unwrap();
         }
         let refresh_ms = start.elapsed().as_secs_f64() * 1e3 / reps as f64;
         println!(

@@ -94,9 +94,23 @@ pub(crate) fn sweep_model(quick: bool) -> QuantizedCnn {
     }
 }
 
+/// The FV parameters a sweep model is served at: the smallest preset whose
+/// polynomial holds one of its images, so its convolution reads one
+/// coefficient-encoded ciphertext an image — n = 256 for the quick 8×8
+/// model, the paper's n = 1024 for its 28×28 CNN (at n = 256 that one would
+/// fall back to 784 per-pixel ciphertexts a request). Returns the preset and
+/// its degree.
+pub(crate) fn sweep_params(model: &QuantizedCnn) -> (ParamsPreset, usize) {
+    if model.in_side * model.in_side <= 256 {
+        (ParamsPreset::Small, 256)
+    } else {
+        (ParamsPreset::Paper, 1024)
+    }
+}
+
 fn build_session(model: &QuantizedCnn, plan: Option<FaultPlan>, obs: &Recorder) -> Session {
     let mut builder = SessionBuilder::new()
-        .params(ParamsPreset::Small)
+        .params(sweep_params(model).0)
         .threads(2)
         .seed(7)
         .recorder(obs.clone());
@@ -138,7 +152,7 @@ pub fn chaos_sweep(cfg: RunConfig) -> ChaosSweep {
         "input {}×{} | FV n = {} | rates {rates:?} | cap {CAP}/site | seeds {PLAN_SEEDS:?}",
         model.in_side,
         model.in_side,
-        256 // ParamsPreset::Small
+        sweep_params(&model).1
     );
 
     let image: Vec<i64> = (0..model.in_side * model.in_side)

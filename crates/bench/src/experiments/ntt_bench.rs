@@ -16,7 +16,11 @@
 //! ([`ops::he_conv2d`]) and the raw-weight oracle
 //! ([`ops::he_conv2d_reference`]). The two must produce byte-identical
 //! ciphertexts; the wall-time gap is the measured payoff of provision-time
-//! weight preparation and fused accumulation.
+//! weight preparation and fused accumulation. Then, in either mode at the
+//! paper's geometry (28×28, five 5×5 maps, n = 1024, the paper's batch), the
+//! coefficient-encoded kernel — one ciphertext an image, one kernel-polynomial
+//! product per map and image — must decrypt to the plaintext convolution at
+//! every valid position; its op counts join the deterministic artifact.
 //!
 //! The enclave-cell section prices what one activation/pool cell costs
 //! inside the enclave at the Fig. 8 ring degree: `decrypt_slots`, and
@@ -39,10 +43,11 @@ use hesgx_bfv::prelude::{Ciphertext, Decryptor, SecretKey};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::uint::{Reciprocal, U256};
 use hesgx_henn::crt::CrtPlainSystem;
+use hesgx_henn::crt::Encoding;
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
-use hesgx_henn::weights::WeightBank;
+use hesgx_henn::weights::{KernelBank, WeightBank};
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
 use hesgx_tee::wall::WallTimer;
 use std::fmt::Write as _;
@@ -110,19 +115,33 @@ pub struct NttBench {
     /// Per-call weight preparations of the oracle (the kernel is pinned to
     /// zero).
     pub conv_oracle_weight_prep: u64,
+    /// The coefficient-encoded convolution at the paper's geometry.
+    pub coeff_conv: CoeffConv,
     /// One enclave cell at the paper's ring degree.
     pub cell: EnclaveCell,
+}
+
+/// The coefficient-encoded convolution at the paper's geometry: its median
+/// wall time, whether it decrypted to the plaintext convolution, its ops.
+#[derive(Debug, Clone, Copy)]
+pub struct CoeffConv {
+    /// Median of one [`ops::he_conv_coeff`] over the batch's `Coeff` map.
+    pub kernel_ns: u64,
+    /// Every valid position of every map and image decrypted exactly.
+    pub matches_plain: bool,
+    /// The kernel's op counts.
+    pub ops: OpCounter,
 }
 
 /// What one cell of an enclave transform costs, and the two exactness flags
 /// that make the numbers meaningful.
 #[derive(Debug, Clone, Copy)]
 pub struct EnclaveCell {
-    /// Median of `CrtPlainSystem::decrypt_slots`.
+    /// Median of `CrtPlainSystem::decrypt` (slots).
     pub decrypt_slots_ns: u64,
-    /// Median of `CrtPlainSystem::encrypt_slots` (public key).
+    /// Median of `CrtPlainSystem::encrypt` (slots, public key).
     pub encrypt_public_ns: u64,
-    /// Median of `CrtPlainSystem::encrypt_slots` (secret key).
+    /// Median of `CrtPlainSystem::encrypt` (slots, secret key).
     pub encrypt_secret_ns: u64,
     /// `Decryptor::decrypt` equalled the `U256` reference on every probe.
     pub rns_decrypt_matches_u256: bool,
@@ -316,6 +335,60 @@ fn run_conv(model: &QuantizedCnn, poly_degree: usize, reps: usize) -> ConvLayer 
     }
 }
 
+/// Runs the coefficient-encoded convolution of the paper's model over the
+/// paper's batch at n = 1024 and holds every output against the plaintext
+/// convolution.
+fn run_coeff_conv(reps: usize) -> CoeffConv {
+    let (model, n, batch) = (
+        conv_model(false),
+        crate::PAPER_POLY_DEGREE,
+        crate::PAPER_BATCH_SIZE,
+    );
+    let (side, k) = (model.in_side, model.kernel);
+    let bits = model.range_report().expect("ntt_bench conv range fits i64");
+    let moduli = CrtPlainSystem::moduli_for(n, bits.required_plain_bits, 0);
+    let sys = CrtPlainSystem::new(n, &moduli).expect("ntt_bench conv system builds");
+    let mut rng = ChaChaRng::from_seed(SEED).fork("coeff-conv");
+    let keys = sys.generate_keys(&mut rng);
+    let images: Vec<Vec<i64>> = (0..batch)
+        .map(|b| {
+            (0..side * side)
+                .map(|p| ((p * 3 + b * 7) % 16) as i64)
+                .collect()
+        })
+        .collect();
+    let layout = Layout::for_conv(side, batch, n);
+    assert!(matches!(layout, Layout::Coeff { .. }), "{layout:?}");
+    let serial = ParExec::serial();
+    let enc =
+        EncryptedMap::encrypt_images(&sys, &images, side, layout, &keys.secret, &rng, &serial)
+            .expect("ntt_bench coeff batch encrypts");
+    let (weights, biases) = (&model.conv_weights, &model.conv_bias);
+    let bank = KernelBank::prepare(&sys, weights, biases, k, side);
+    let bank = bank.expect("ntt_bench kernel polynomials");
+    let conv = |ops: &mut OpCounter| {
+        ops::he_conv_coeff(&sys, &enc, &bank, ops, &serial).expect("ntt_bench coeff conv runs")
+    };
+    let mut ops = OpCounter::default();
+    let rows = (conv(&mut ops).decrypt_all(&sys, &keys.secret, batch, &serial))
+        .expect("ntt_bench coeff conv decrypts");
+    let out = side - k + 1;
+    let plain = |b: usize, v: usize| -> i128 {
+        let (o, y, x) = (v / (out * out), v / out % out, v % out);
+        let tap = |t: usize| weights[o * k * k + t] * images[b][(y + t / k) * side + x + t % k];
+        ((0..k * k).map(tap).sum::<i64>() + biases[o]).into()
+    };
+    let matches_plain = (rows.iter().enumerate())
+        .all(|(b, row)| row.iter().enumerate().all(|(v, &got)| got == plain(b, v)));
+    CoeffConv {
+        kernel_ns: median_of(reps, || {
+            std::hint::black_box(conv(&mut OpCounter::default()));
+        }),
+        matches_plain,
+        ops,
+    }
+}
+
 /// `⌊(t·x + ⌊q/2⌋)/q⌋ mod t` in 256-bit integers on the reconstructed phase
 /// of `ct` — the decryption formula as written, to hold
 /// `Decryptor::decrypt`'s RNS-native evaluation against.
@@ -366,13 +439,13 @@ fn run_cell(poly_degree: usize, reps: usize) -> EnclaveCell {
         .collect();
 
     let public = sys
-        .encrypt_slots(&values, &keys.public, &mut rng)
+        .encrypt(&values, Encoding::Slots, &keys.public, &mut rng)
         .expect("ntt_bench cell encrypts");
     let secret = sys
-        .encrypt_slots(&values, &keys.secret, &mut rng)
+        .encrypt(&values, Encoding::Slots, &keys.secret, &mut rng)
         .expect("ntt_bench cell encrypts");
     let decrypted = sys
-        .decrypt_slots(&secret, &keys.secret)
+        .decrypt(&secret, Encoding::Slots, &keys.secret)
         .expect("ntt_bench cell decrypts");
     let symmetric_roundtrip_exact = decrypted.iter().zip(&values).all(|(&d, &v)| d == v as i128);
 
@@ -396,13 +469,15 @@ fn run_cell(poly_degree: usize, reps: usize) -> EnclaveCell {
 
     EnclaveCell {
         decrypt_slots_ns: median_of(reps, || {
-            std::hint::black_box(sys.decrypt_slots(&public, &keys.secret)).ok();
+            std::hint::black_box(sys.decrypt(&public, Encoding::Slots, &keys.secret)).ok();
         }),
         encrypt_public_ns: median_of(reps, || {
-            std::hint::black_box(sys.encrypt_slots(&values, &keys.public, &mut rng)).ok();
+            std::hint::black_box(sys.encrypt(&values, Encoding::Slots, &keys.public, &mut rng))
+                .ok();
         }),
         encrypt_secret_ns: median_of(reps, || {
-            std::hint::black_box(sys.encrypt_slots(&values, &keys.secret, &mut rng)).ok();
+            std::hint::black_box(sys.encrypt(&values, Encoding::Slots, &keys.secret, &mut rng))
+                .ok();
         }),
         rns_decrypt_matches_u256,
         symmetric_roundtrip_exact,
@@ -487,6 +562,20 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         conv_cells_match,
         oracle_ops.weight_prep
     );
+    let coeff_conv = run_coeff_conv(conv_reps);
+    assert!(
+        coeff_conv.matches_plain,
+        "the coefficient-encoded kernel diverged from the plaintext convolution"
+    );
+    println!(
+        "coefficient-encoded conv at n={}, 28x28, batch {}: {} ns, {} products; \
+         every position == plaintext convolution: {}",
+        crate::PAPER_POLY_DEGREE,
+        crate::PAPER_BATCH_SIZE,
+        coeff_conv.kernel_ns,
+        coeff_conv.ops.ct_pt_mul,
+        coeff_conv.matches_plain
+    );
 
     let cell_degree = crate::PAPER_POLY_DEGREE;
     let cell = run_cell(cell_degree, reps);
@@ -538,13 +627,15 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         json,
         "],\"conv_layer\":{{\"poly_degree\":{poly_degree},\"batch\":{},\"cached_ns\":{},\
          \"uncached_ns\":{},\"cells_match\":{conv_cells_match},\
-         \"uncached_weight_prep\":{}}},\"enclave_cell\":{{\"poly_degree\":{cell_degree},\
+         \"uncached_weight_prep\":{}}},\"coeff_conv_ns\":{},\
+         \"enclave_cell\":{{\"poly_degree\":{cell_degree},\
          \"decrypt_slots_ns\":{},\"encrypt_slots_public_ns\":{},\
          \"encrypt_slots_secret_ns\":{}}}}}",
         crate::PAPER_BATCH_SIZE,
         conv.optimized_ns,
         conv.reference_ns,
         oracle_ops.weight_prep,
+        coeff_conv.kernel_ns,
         cell.decrypt_slots_ns,
         cell.encrypt_public_ns,
         cell.encrypt_secret_ns
@@ -573,6 +664,8 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
          \"batch\":{},\"cells_match\":{conv_cells_match},\
          \"cached_weight_prep\":{},\"uncached_weight_prep\":{},\
          \"ct_pt_mul\":{},\"ct_pt_add\":{},\"ct_ct_add\":{}}},\
+         \"coeff_conv\":{{\"poly_degree\":{},\"batch\":{},\"matches_plain\":{},\
+         \"ct_pt_mul\":{},\"ct_pt_add\":{},\"ct_ct_add\":{}}},\
          \"enclave_cell\":{{\"poly_degree\":{cell_degree},\
          \"rns_decrypt_matches_u256\":{},\"symmetric_roundtrip_exact\":{}}}}}",
         crate::PAPER_BATCH_SIZE,
@@ -581,6 +674,12 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         ops.ct_pt_mul,
         ops.ct_pt_add,
         ops.ct_ct_add,
+        crate::PAPER_POLY_DEGREE,
+        crate::PAPER_BATCH_SIZE,
+        coeff_conv.matches_plain,
+        coeff_conv.ops.ct_pt_mul,
+        coeff_conv.ops.ct_pt_add,
+        coeff_conv.ops.ct_ct_add,
         cell.rns_decrypt_matches_u256,
         cell.symmetric_roundtrip_exact
     );
@@ -594,6 +693,7 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         conv,
         conv_cells_match,
         conv_oracle_weight_prep: oracle_ops.weight_prep,
+        coeff_conv,
         cell,
     }
 }

@@ -13,7 +13,8 @@
 //!
 //! The snapshot is written to `target/obs/obs_report.json` for CI to archive.
 
-use super::{chaos_sweep::sweep_model, header, RunConfig};
+use super::chaos_sweep::{sweep_model, sweep_params};
+use super::{header, RunConfig};
 use hesgx_core::pipeline::total_enclave_cost;
 use hesgx_core::prelude::*;
 use hesgx_obs::{counters, Recorder, SpanCost};
@@ -63,7 +64,7 @@ pub fn obs_report(cfg: RunConfig) -> ObsReport {
     for threads in [1usize, 2, 4] {
         let rec = Recorder::enabled();
         let session = SessionBuilder::new()
-            .params(ParamsPreset::Small)
+            .params(sweep_params(&model).0)
             .threads(threads)
             .seed(7)
             .recorder(rec.clone())
@@ -92,8 +93,10 @@ pub fn obs_report(cfg: RunConfig) -> ObsReport {
     let delta_ns = u128::from(folded.total_ns()).abs_diff(u128::from(total.total_ns()));
 
     println!(
-        "input {}×{} | FV n = 256 | pools 1/2/4 | seed 7",
-        model.in_side, model.in_side
+        "input {}×{} | FV n = {} | pools 1/2/4 | seed 7",
+        model.in_side,
+        model.in_side,
+        sweep_params(&model).1
     );
     println!();
     println!("span                          entries   transition(ns)    copy(ns)   paging(ns)     total(ns)");

@@ -19,9 +19,9 @@
 //! snapshot and Prometheus export of the high-rate batched run) and
 //! `target/bench/BENCH_serve.json` (the sweep table, integers only).
 
-use super::{chaos_sweep::sweep_model, header, RunConfig};
+use super::chaos_sweep::{sweep_model, sweep_params};
+use super::{header, RunConfig};
 use hesgx_core::request::Ingress;
-use hesgx_core::session::ParamsPreset;
 use hesgx_obs::Recorder;
 use hesgx_serve::{Broker, BrokerConfig, HeCostModel, LoadReport, LoadSpec, LoadTrace};
 use std::fmt::Write as _;
@@ -110,7 +110,7 @@ fn broker(max_batch: usize, he_threads: usize, quick: bool, recorder: Recorder) 
             .max_batch(max_batch)
             .queue_cap(64),
         sweep_model(quick),
-        ParamsPreset::Small,
+        sweep_params(&sweep_model(quick)).0,
         SEED,
         he_threads,
         recorder,
@@ -128,7 +128,7 @@ fn wan_broker(quick: bool, he_costs: HeCostModel) -> Broker {
             .queue_cap(64)
             .he_costs(he_costs),
         sweep_model(quick),
-        ParamsPreset::Small,
+        sweep_params(&sweep_model(quick)).0,
         SEED,
         2,
         Recorder::disabled(),

@@ -6,6 +6,7 @@ use crate::stats::{time_reps_ms, Stats};
 use crate::{PaperEnv, PAPER_BATCH_SIZE};
 use hesgx_bfv::prelude::KeyGenerator;
 use hesgx_core::planner::{EcallBatching, EnclaveOp};
+use hesgx_henn::crt::Encoding;
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 
@@ -124,7 +125,12 @@ pub fn table3_result_decryption(env: &mut PaperEnv, cfg: RunConfig) -> Table3 {
     let cts: Vec<_> = (0..100)
         .map(|i| {
             env.sys
-                .encrypt_slots(&[i as i64; PAPER_BATCH_SIZE], &env.keys.public, &mut rng)
+                .encrypt(
+                    &[i as i64; PAPER_BATCH_SIZE],
+                    Encoding::Slots,
+                    &env.keys.public,
+                    &mut rng,
+                )
                 .unwrap()
         })
         .collect();
@@ -132,7 +138,7 @@ pub fn table3_result_decryption(env: &mut PaperEnv, cfg: RunConfig) -> Table3 {
     let secret = &env.keys.secret;
     let samples = time_reps_ms(reps, || {
         for ct in &cts {
-            let _ = sys.decrypt_slots(ct, secret).unwrap();
+            let _ = sys.decrypt(ct, Encoding::Slots, secret).unwrap();
         }
     });
     let batch = Stats::from_samples_trimmed(&samples);
@@ -172,16 +178,20 @@ pub fn table4_enc_dec_costs(env: &mut PaperEnv, cfg: RunConfig) -> Table4 {
     let sys = &env.sys;
     let keys = &env.keys;
     let values = [5i64; PAPER_BATCH_SIZE];
-    let sample = sys.encrypt_slots(&values, &keys.public, &mut rng).unwrap();
+    let sample = sys
+        .encrypt(&values, Encoding::Slots, &keys.public, &mut rng)
+        .unwrap();
     let bytes = sample.byte_len();
 
     // Outside (real time).
     let mut rng2 = env.rng.fork("table4-out");
     let enc_out = Stats::from_samples_trimmed(&time_reps_ms(reps, || {
-        let _ = sys.encrypt_slots(&values, &keys.public, &mut rng2).unwrap();
+        let _ = sys
+            .encrypt(&values, Encoding::Slots, &keys.public, &mut rng2)
+            .unwrap();
     }));
     let dec_out = Stats::from_samples_trimmed(&time_reps_ms(reps, || {
-        let _ = sys.decrypt_slots(&sample, &keys.secret).unwrap();
+        let _ = sys.decrypt(&sample, Encoding::Slots, &keys.secret).unwrap();
     }));
 
     // Inside (virtual time).
@@ -189,15 +199,17 @@ pub fn table4_enc_dec_costs(env: &mut PaperEnv, cfg: RunConfig) -> Table4 {
     let mut enc_in = Vec::with_capacity(reps);
     let mut dec_in = Vec::with_capacity(reps);
     let _ = enclave.ecall("warmup", 64, bytes, |_| {
-        sys.encrypt_slots(&values, &keys.public, &mut rng3).unwrap()
+        sys.encrypt(&values, Encoding::Slots, &keys.public, &mut rng3)
+            .unwrap()
     });
     for _ in 0..reps {
         let (_, cost) = enclave.ecall("ecall_encrypt", 64, bytes, |_| {
-            sys.encrypt_slots(&values, &keys.public, &mut rng3).unwrap()
+            sys.encrypt(&values, Encoding::Slots, &keys.public, &mut rng3)
+                .unwrap()
         });
         enc_in.push(cost.total_ns() as f64 / 1e6);
         let (_, cost) = enclave.ecall("ecall_decrypt", bytes, 64, |_| {
-            sys.decrypt_slots(&sample, &keys.secret).unwrap()
+            sys.decrypt(&sample, Encoding::Slots, &keys.secret).unwrap()
         });
         dec_in.push(cost.total_ns() as f64 / 1e6);
     }
@@ -247,7 +259,12 @@ pub fn table5_relinearization(env: &mut PaperEnv, cfg: RunConfig) -> Table5 {
     let sys = &env.sys;
     let keys = &env.keys;
     let fresh = sys
-        .encrypt_slots(&[7; PAPER_BATCH_SIZE], &keys.public, &mut rng)
+        .encrypt(
+            &[7; PAPER_BATCH_SIZE],
+            Encoding::Slots,
+            &keys.public,
+            &mut rng,
+        )
         .unwrap();
     let size3 = sys.square(&fresh).unwrap();
 

@@ -1,6 +1,6 @@
 //! FV ciphertexts.
 
-use crate::poly::RnsPoly;
+use crate::poly::{PolyForm, RnsPoly};
 use serde::{Deserialize, Serialize};
 
 /// An FV ciphertext: a vector of polynomials in `R_q`.
@@ -24,6 +24,17 @@ impl Ciphertext {
     /// The context identifier this ciphertext is bound to.
     pub fn context_id(&self) -> &[u8; 32] {
         &self.context_id
+    }
+
+    /// The form every component is in, or `None` when they disagree — which
+    /// no encryption produces: a fresh ciphertext is in coefficient form
+    /// under a public key and in evaluation form under the secret key.
+    pub fn form(&self) -> Option<PolyForm> {
+        let first = self.polys.first()?.form();
+        self.polys
+            .iter()
+            .all(|p| p.form() == first)
+            .then_some(first)
     }
 
     /// Approximate serialized size in bytes (for the paging / transfer model

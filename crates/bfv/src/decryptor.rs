@@ -7,6 +7,7 @@ use crate::error::{BfvError, Result};
 use crate::keys::SecretKey;
 use crate::plaintext::Plaintext;
 use crate::poly::{PolyForm, RnsPoly};
+use hesgx_obs::prof;
 use std::borrow::Borrow;
 use std::sync::Arc;
 
@@ -68,6 +69,7 @@ impl<K: Borrow<SecretKey>> Decryptor<K> {
     ///
     /// Fails when the ciphertext is bound to another context or malformed.
     pub fn decrypt(&self, ct: &Ciphertext) -> Result<Plaintext> {
+        let _prof = prof::span("bfv.decrypt");
         self.check(ct)?;
         let phase = self.dot_with_secret(ct);
         Ok(Plaintext::from_coeffs(self.ctx.scale_and_round(&phase)))

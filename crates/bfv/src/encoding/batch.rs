@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn roundtrip_signed() {
         // Signed slot values travel as their residues mod t, the way
-        // `CrtPlainSystem::encode_slots` reduces them; a centered lift of the
+        // `CrtPlainSystem::encode` reduces them; a centered lift of the
         // decoded residues gives them back.
         let e = encoder();
         let t = e.plain_modulus() as i64;

@@ -9,6 +9,7 @@ use crate::plaintext::Plaintext;
 use crate::poly::{PolyForm, RnsPoly};
 use crate::sampler;
 use hesgx_crypto::rng::ChaChaRng;
+use hesgx_obs::prof;
 use std::borrow::Borrow;
 use std::sync::Arc;
 
@@ -65,6 +66,7 @@ impl<K: Borrow<PublicKey>> Encryptor<K> {
     /// Fails when the plaintext is longer than the ring degree or not reduced
     /// modulo `t`.
     pub fn encrypt(&self, plain: &Plaintext, rng: &mut ChaChaRng) -> Result<Ciphertext> {
+        let _prof = prof::span("bfv.encrypt");
         plain.check(&self.ctx)?;
         let ctx = &self.ctx;
         let pk = self.key.borrow();
@@ -109,6 +111,7 @@ impl<K: Borrow<SecretKey>> Encryptor<K> {
     /// Fails when the plaintext is longer than the ring degree or not reduced
     /// modulo `t`.
     pub fn encrypt_symmetric(&self, plain: &Plaintext, rng: &mut ChaChaRng) -> Result<Ciphertext> {
+        let _prof = prof::span("bfv.encrypt");
         plain.check(&self.ctx)?;
         let ctx = &self.ctx;
         let a = sampler::uniform_poly(ctx, rng, PolyForm::Ntt);

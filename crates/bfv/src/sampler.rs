@@ -5,11 +5,13 @@ use crate::context::BfvContext;
 use crate::params::NOISE_TRUNCATION_SIGMAS;
 use crate::poly::{PolyForm, RnsPoly};
 use hesgx_crypto::rng::ChaChaRng;
+use hesgx_obs::prof;
 
 /// Samples a uniformly random element of `R_q` as per-limb uniform residues
 /// in representation `form` — a uniform polynomial is uniform in either
 /// basis, so nothing is transformed.
 pub fn uniform_poly(ctx: &BfvContext, rng: &mut ChaChaRng, form: PolyForm) -> RnsPoly {
+    let _prof = prof::span("bfv.sample.uniform");
     let mut poly = RnsPoly::zero(ctx, form);
     for (limb, &qi) in poly.limbs.iter_mut().zip(ctx.params().coeff_moduli()) {
         rng.fill_below(qi, limb);
@@ -92,6 +94,7 @@ pub fn ternary_poly(ctx: &BfvContext, rng: &mut ChaChaRng, form: PolyForm) -> Rn
 /// Samples an error polynomial directly as an [`RnsPoly`] using the
 /// context's precomputed table sampler.
 pub fn gaussian_poly(ctx: &BfvContext, rng: &mut ChaChaRng, form: PolyForm) -> RnsPoly {
+    let _prof = prof::span("bfv.sample.error");
     let coeffs = ctx.noise_sampler().sample_vec(ctx.poly_degree(), rng);
     RnsPoly::from_signed(ctx, &coeffs, form)
 }

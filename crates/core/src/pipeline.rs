@@ -937,12 +937,12 @@ mod tests {
     /// therefore each other — and the metrics must show one stage per plan
     /// stage, ECALL where planned. Every list runs from every ingress layout
     /// × every egress layout the rules pick: a per-pixel map of two images
-    /// (out per pixel), the same images patch-packed (out packed for a wide
-    /// FC layer wherever a batched crossing feeds it directly — one logits
-    /// ciphertext, the closing reduction run), and five images patch-packed,
-    /// one past the egress rule (`⌊256/(32·5)⌋ = 1` input a cell: out per
-    /// pixel, the closing stage skipped). A patch-packed input gives the same
-    /// rows from fewer conv accumulations wherever a batched crossing follows
+    /// (out per pixel), the same images one cell an image (out packed for a
+    /// wide FC layer wherever a batched crossing feeds it directly — one
+    /// logits ciphertext, the closing reduction run), and five images one
+    /// cell an image, one past the egress rule (`⌊256/(32·5)⌋ = 1` input a
+    /// cell: out per pixel, the closing stage skipped). A `Coeff` input gives
+    /// the same rows from fewer conv products wherever a batched crossing follows
     /// the convolution, and is refused — an error, not a panic — where a
     /// per-pixel one does.
     ///
@@ -1017,11 +1017,11 @@ mod tests {
                 )
                 .unwrap()
             };
-            // 9 kernel offsets × one cell of 36 positions × 2 or 5 images.
+            // One cell an image, 2 or 5 images.
             let packed = encrypt(&images, service.ingress_layout(2));
-            assert_eq!(packed.shape(), (9, 1, 1));
+            assert_eq!(packed.shape(), (1, 2, 1));
             let wide = encrypt(&past_the_rule, service.ingress_layout(5));
-            assert_eq!(wide.shape(), (9, 1, 1));
+            assert_eq!(wide.shape(), (1, 5, 1));
             let enc = [encrypt(&images, Layout::Pixel), packed, wide];
             (service, enc, recorder)
         };
@@ -1128,15 +1128,15 @@ mod tests {
                                 );
                                 // Conv and FC accumulate; of the pooling
                                 // splits only SgxDiv adds ciphertexts (the
-                                // window sums). A packed conv accumulates
-                                // once per output chunk, not per position; a
-                                // packed FC once per operand cell.
-                                let conv_cells = match input.shape() {
-                                    _ if pixel => model.conv_out * model.conv_side().pow(2),
-                                    (_, chunks, _) => model.conv_out * chunks,
+                                // window sums). A `Coeff` conv is one product
+                                // per map and image, with nothing to add; a
+                                // packed FC accumulates once per operand cell.
+                                let conv_adds = match pixel {
+                                    true => model.conv_out * model.conv_side().pow(2),
+                                    false => 0,
                                 };
                                 let pool_cells = model.conv_out * model.pool_side().pow(2);
-                                let mut adds = conv_cells * (model.kernel.pow(2) - 1);
+                                let mut adds = conv_adds * (model.kernel.pow(2) - 1);
                                 adds += match operand {
                                     true => model.fc_in().div_ceil(4) - 1,
                                     false => model.classes * (model.fc_in() - 1),

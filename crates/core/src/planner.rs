@@ -131,7 +131,7 @@ impl InferencePlan {
     /// The layout a `batch`-image request enters this plan in, for the FV
     /// client path and `ecall_Transcipher` alike. The pure-HE plan reads
     /// [`Layout::Orbit`] where [`CryptoNets`] encrypts in it
-    /// ([`Layout::for_orbit`]). [`Layout::Patches`] needs a repacker behind
+    /// ([`Layout::for_orbit`]). [`Layout::Coeff`] needs a repacker behind
     /// the convolution — a batched enclave stage, which decrypts the whole
     /// map anyway; there the count decides ([`Layout::for_conv`]). Every
     /// other plan reads [`Layout::Pixel`].
@@ -143,7 +143,7 @@ impl InferencePlan {
         let [Stage::He(HeLayer::Conv), Stage::Enclave(_, Batched), ..] = &self.stages[..] else {
             return Layout::Pixel;
         };
-        Layout::for_conv(model.in_side, model.kernel, batch, slots)
+        Layout::for_conv(model.in_side, batch, slots)
     }
 
     /// The layout enclave stage `layer` emits for an input in `input`
@@ -162,7 +162,7 @@ impl InferencePlan {
         let closing = Stage::enclave(EnclaveOp::LogitReduce);
         match (input, self.stages.get(layer..).unwrap_or_default()) {
             (
-                Layout::Patches { batch, .. },
+                Layout::Coeff { batch, .. },
                 [Stage::Enclave(_, Batched), Stage::He(HeLayer::Fc), last],
             ) if *last == closing => Layout::for_fc(model.fc_in(), model.classes, batch, slots),
             _ => Layout::Pixel,
@@ -256,7 +256,11 @@ mod tests {
         // about, the batch off that stage's input, and then the count: ten
         // classes at n = 1024 leave packed up to 51 images (`⌊1024/520⌋ = 1`
         // input a cell is no fewer cells), whatever the 864 inputs here.
-        let patches = |batch| Layout::Patches { batch, side: 24 };
+        let coeff = |batch| Layout::Coeff {
+            batch,
+            side: 24,
+            pitch: 28,
+        };
         let egress =
             |plan: &InferencePlan, layer, input| plan.egress_layout(layer, &model, input, 1024);
         let operand = |batch| Layout::FcOperand {
@@ -264,21 +268,21 @@ mod tests {
             batch,
             inputs: 864,
         };
-        assert_eq!(egress(&default, 1, patches(10)), operand(10));
-        assert_eq!(egress(&default, 1, patches(51)), operand(51));
-        assert_eq!(egress(&default, 1, patches(52)), Layout::Pixel);
+        assert_eq!(egress(&default, 1, coeff(10)), operand(10));
+        assert_eq!(egress(&default, 1, coeff(51)), operand(51));
+        assert_eq!(egress(&default, 1, coeff(52)), Layout::Pixel);
         // A per-pixel map does not say how many images it carries; no other
         // stage feeds the FC layer; a hand-built plan may leave the closing
         // stage out, end it differently, put a refresh stage between the
         // crossing and the FC layer, or cross per pixel.
         assert_eq!(egress(&default, 1, Layout::Pixel), Layout::Pixel);
         for layer in [0, 2, 3, 4, usize::MAX] {
-            assert_eq!(egress(&default, layer, patches(10)), Layout::Pixel);
+            assert_eq!(egress(&default, layer, coeff(10)), Layout::Pixel);
         }
         let edit = |edit: &dyn Fn(&mut Vec<Stage>)| {
             let mut by_hand = default.clone();
             edit(&mut by_hand.stages);
-            egress(&by_hand, 1, patches(10))
+            egress(&by_hand, 1, coeff(10))
         };
         let refresh = Stage::enclave(EnclaveOp::Refresh);
         assert_eq!(edit(&|_| ()), operand(10));

@@ -492,9 +492,10 @@ impl Session {
                                 &[("reason", reason.to_string())],
                             );
                         }
-                        // That plan reads a per-pixel map as it is; a patch-packed
-                        // one re-enters once, in the layout the plan asks for.
-                        let reingested = matches!(enc.layout(), Layout::Patches { .. })
+                        // That plan reads a per-pixel map as it is; a
+                        // coefficient-encoded one re-enters once, in the
+                        // layout the plan asks for.
+                        let reingested = matches!(enc.layout(), Layout::Coeff { .. })
                             .then(|| self.encrypt_batch(&request.images, Placement::PureHe))
                             .transpose()?;
                         *upload_bytes += reingested.as_ref().map_or(0, |map| map.byte_len() as u64);
@@ -993,7 +994,7 @@ mod tests {
             let operand = Layout::FcOperand {
                 classes: 3,
                 batch: 1,
-                inputs: 81,
+                inputs: 16,
             };
             for (chain, from_last, emit) in [
                 (vec![EnclaveOp::Refresh], false, Layout::Pixel),
@@ -1063,12 +1064,12 @@ mod tests {
         };
         assert_eq!(response.logits, vec![pure_he.forward_ints(&image)]);
         assert!(session.fault_report().unwrap().degraded());
-        // The request came in packed (9 kernel offsets × one chunk); the
-        // pure-HE plan cannot read that, so the rung re-ingested it in the
-        // orbit layout (9 offsets × 4 window members) and the response owns
-        // up to both uploads.
+        // The request came in one coefficient-encoded cell; the pure-HE
+        // plan cannot read that, so the rung re-ingested it in the orbit
+        // layout (9 offsets × 4 window members) and the response owns up to
+        // both uploads.
         let fresh = session.service().system().fresh_ciphertext_byte_len() as u64;
-        assert_eq!(response.upload_bytes, (9 + 36) * fresh);
+        assert_eq!(response.upload_bytes, (1 + 36) * fresh);
         {
             let enc = session
                 .encrypt_batch(std::slice::from_ref(&image), Placement::PureHe)

@@ -7,7 +7,7 @@
 //! [`InferenceEnclave::apply`], and *what* it computes is data (a chain of
 //! [`EnclaveOp`]s). The enclave holds `s`, so it
 //! re-encrypts under the secret key, in evaluation form
-//! ([`CrtPlainSystem::encrypt_slots`] given `&self.secret`, DESIGN.md §19) —
+//! ([`CrtPlainSystem::encrypt`] given `&self.secret`, DESIGN.md §19) —
 //! the public keys it keeps are only what it hands out. The re-encryption also resets
 //! the invariant noise, which is why the hybrid pipeline never needs
 //! relinearization keys (§IV-E).
@@ -271,8 +271,9 @@ impl InferenceEnclave {
     /// every [`EnclaveOp::MeanPool`] of the chain multiplies `span` by the
     /// model's pooling window, every other op is cell-wise. A
     /// [`Layout::Pixel`] input is decrypted cell by cell inside the task that
-    /// reads it, a [`Layout::Patches`] input whole, in one pass, into a
-    /// plaintext staging buffer the tasks gather from through its
+    /// reads it, a [`Layout::Coeff`] input whole (its coefficients, no batch
+    /// decode), in one pass, into a plaintext staging buffer the tasks gather
+    /// from through its
     /// [`SlotMap::decode`](hesgx_henn::image::SlotMap::decode). The enclave
     /// is the repacker: it emits `emit`, the layout the next layer reads —
     /// one cell per output ([`Layout::Pixel`]) or [`Layout::fc_per_cell`]
@@ -349,7 +350,7 @@ impl InferenceEnclave {
         let alone = chain == [EnclaveOp::LogitReduce];
         let (h, w, packed, reduce) = match input.layout() {
             Layout::Pixel => (cells_h, cells_w, None, false),
-            Layout::Patches { side, .. } if batched => (side, side, Some(&read), false),
+            Layout::Coeff { side, .. } if batched => (side, side, Some(&read), false),
             Layout::FcOperand { .. } if batched && alone && input.cells().len() == 1 => {
                 (1, 1, None, true)
             }
@@ -414,8 +415,9 @@ impl InferenceEnclave {
             EcallBatching::Batched => (outputs.div_ceil(per), pool),
             EcallBatching::PerPixel => (1, &inline),
         };
+        let encoding = input.layout().encoding();
         let decrypt = |ct: &CrtCiphertext| -> Result<Vec<i64>> {
-            let slots = sys.decrypt_slots(ct, &self.secret)?;
+            let slots = sys.decrypt(ct, encoding, &self.secret)?;
             Ok(slots.iter().map(|&v| v as i64).collect())
         };
         let mut cells = Vec::with_capacity(outputs.div_ceil(per));
@@ -472,7 +474,7 @@ impl InferenceEnclave {
                             let value = |_, p: usize, b| folded.get(p).map_or(0, |o| o[b]);
                             write.encode(images, value)?
                         };
-                        Ok(sys.encrypt_slots(&values[0], &self.secret, &mut rng)?)
+                        Ok(sys.encrypt(&values[0], emit.encoding(), &self.secret, &mut rng)?)
                     })
                 },
             )?;
@@ -557,7 +559,7 @@ impl InferenceEnclave {
                 *cpu_ns = open_timer.elapsed_ns();
                 let cells = timed_tasks(pool, packed.len(), cpu_ns, |cell| {
                     let mut rng = base.fork(&format!("cell-{cell}"));
-                    Ok(sys.encrypt_slots(&packed[cell], &self.secret, &mut rng)?)
+                    Ok(sys.encrypt(&packed[cell], layout.encoding(), &self.secret, &mut rng)?)
                 })?;
                 Ok((cells, batch))
             },
@@ -606,6 +608,7 @@ mod tests {
     use super::*;
     use crate::keydist::enclave_generate_keys;
     use hesgx_chaos::{FaultInjector, FaultKind, FaultPlan};
+    use hesgx_henn::crt::Encoding;
     use hesgx_nn::layers::ActivationKind;
     use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
     use hesgx_obs::{counters, Recorder};
@@ -712,9 +715,8 @@ mod tests {
             .collect()
     }
 
-    /// The table map in `layout`: one cell per position, or each channel's
-    /// (position, image) pairs encoded through the layout's slot map into
-    /// one cell.
+    /// The table map in `layout`: one cell per position, or one cell per
+    /// (channel, image) encoded through the layout's slot map.
     fn table_input(
         ie: &InferenceEnclave,
         sys: &CrtPlainSystem,
@@ -722,20 +724,25 @@ mod tests {
         layout: Layout,
     ) -> EncryptedMap {
         let images = table_images();
+        if layout != Layout::Pixel {
+            let rule = layout.slot_map((SHAPE.0, 2, 1), 256).unwrap();
+            let values = rule.encode(2, |ch, position, b| images[b][ch * 16 + position]);
+            let cells = (values.unwrap().iter().enumerate())
+                .map(|(i, values)| {
+                    let mut rng = rng.fork(&format!("cell-{i}"));
+                    let encoding = layout.encoding();
+                    sys.encrypt(values, encoding, &ie.public, &mut rng).unwrap()
+                })
+                .collect();
+            return EncryptedMap::new(SHAPE.0, 2, 1, cells).with_layout(layout);
+        }
         let mut cells = Vec::new();
         for ch in 0..2 {
             let channel: Vec<Vec<i64>> = images
                 .iter()
                 .map(|img| img[ch * 16..(ch + 1) * 16].to_vec())
                 .collect();
-            let mut rng = rng.fork(&format!("channel-{ch}"));
-            if layout != Layout::Pixel {
-                let rule = layout.slot_map((1, 1, 1), 256).unwrap();
-                let slots = rule.encode(2, |_, position, b| channel[b][position]);
-                let slots = &slots.unwrap()[0];
-                cells.push(sys.encrypt_slots(slots, &ie.public, &mut rng).unwrap());
-                continue;
-            }
+            let rng = rng.fork(&format!("channel-{ch}"));
             let map = EncryptedMap::encrypt_images(
                 sys,
                 &channel,
@@ -748,10 +755,7 @@ mod tests {
             .unwrap();
             cells.extend(map.into_cells());
         }
-        match layout {
-            Layout::Pixel => EncryptedMap::new(SHAPE.0, SHAPE.1, SHAPE.2, cells),
-            _ => EncryptedMap::new(SHAPE.0, 1, 1, cells).with_layout(layout),
-        }
+        EncryptedMap::new(SHAPE.0, SHAPE.1, SHAPE.2, cells)
     }
 
     /// What a chain's `outputs` values per image leave the enclave as: one
@@ -785,7 +789,14 @@ mod tests {
     }
 
     /// Both layouts of the table map.
-    const LAYOUTS: [Layout; 2] = [Layout::Pixel, Layout::Patches { batch: 2, side: 4 }];
+    const LAYOUTS: [Layout; 2] = [
+        Layout::Pixel,
+        Layout::Coeff {
+            batch: 2,
+            side: 4,
+            pitch: 4,
+        },
+    ];
 
     /// The plaintext function `chain` computes over one image of the table
     /// map, one whole-map pass per op — the oracle every `apply` call is
@@ -885,7 +896,7 @@ mod tests {
                         assert_eq!(out.layout(), emit, "{what}");
                         assert_eq!(out.cells().len(), want.len(), "{what}");
                         for (o, ct) in out.cells().iter().enumerate() {
-                            let slots = sys.decrypt_slots(ct, &ie.secret).unwrap();
+                            let slots = sys.decrypt(ct, Encoding::Slots, &ie.secret).unwrap();
                             let want: Vec<i128> = want[o].iter().map(|&v| v.into()).collect();
                             assert_eq!(slots, want, "{what}: cell {o}");
                         }
@@ -942,7 +953,9 @@ mod tests {
             slots[slot] = (100 * class + 10 * image + j) as i64 - 40;
         }
         let mut rng = rng.fork("partial-sums");
-        let cell = sys.encrypt_slots(&slots, &ie.public, &mut rng).unwrap();
+        let cell = sys
+            .encrypt(&slots, Encoding::Slots, &ie.public, &mut rng)
+            .unwrap();
         EncryptedMap::new(1, 1, 1, vec![cell]).with_layout(SUMS)
     }
 
@@ -981,7 +994,8 @@ mod tests {
                 want[slot] = 5 * (100 * class + 10 * image) as i128 - 190;
             }
             assert_eq!(
-                sys.decrypt_slots(&out.cells()[0], &ie.secret).unwrap(),
+                sys.decrypt(&out.cells()[0], Encoding::Slots, &ie.secret)
+                    .unwrap(),
                 want
             );
             let rows = out.decrypt_all(&sys, &ie.secret, 2, &pool).unwrap();
@@ -1076,7 +1090,7 @@ mod tests {
         let (ie, sys, mut rng) = setup();
         let keys_secret = &ie.secret;
         let ct = sys
-            .encrypt_slots(&[1234, -99], &ie.public, &mut rng)
+            .encrypt(&[1234, -99], Encoding::Slots, &ie.public, &mut rng)
             .unwrap();
         // Square to consume budget and grow the ciphertext.
         let sq = sys.square(&ct).unwrap();
@@ -1100,7 +1114,7 @@ mod tests {
             after > before,
             "refresh must reset noise: {before} -> {after}"
         );
-        let dec = sys.decrypt_slots(fresh, keys_secret).unwrap();
+        let dec = sys.decrypt(fresh, Encoding::Slots, keys_secret).unwrap();
         assert_eq!(dec[0], 1234 * 1234);
         assert_eq!(dec[1], 99 * 99);
     }
@@ -1172,17 +1186,20 @@ mod tests {
     }
 
     /// The plans of `small_model` that read each packed ingress layout, and
-    /// its cells for two images: the hybrid plan's patches (9 kernel offsets
-    /// × one chunk of 72 values), the pure-HE plan's orbit (9 offsets × 4
-    /// window members).
+    /// its cells for two images: the hybrid plan's one cell an image, the
+    /// pure-HE plan's orbit (9 offsets × 4 window members).
     fn ingress_plans() -> [(InferencePlan, Layout, usize); 2] {
         let compile = |placement| crate::planner::plan_for(ActivationKind::Sigmoid, placement);
         let (batch, side, window) = (2, 3, 2);
         [
             (
                 compile(crate::planner::Placement::Hybrid),
-                Layout::Patches { batch, side: 6 },
-                9,
+                Layout::Coeff {
+                    batch,
+                    side: 8,
+                    pitch: 8,
+                },
+                2,
             ),
             (
                 compile(crate::planner::Placement::PureHe),
@@ -1232,7 +1249,7 @@ mod tests {
                     assert_eq!(ct.byte_len(), sys.fresh_ciphertext_byte_len());
                     let mut want = packed[i].clone();
                     want.resize(256, 0);
-                    let slots = sys.decrypt_slots(ct, &ie.secret).unwrap();
+                    let slots = sys.decrypt(ct, layout.encoding(), &ie.secret).unwrap();
                     let want: Vec<i128> = want.iter().map(|&v| v.into()).collect();
                     assert_eq!(slots, want, "{layout:?} cell {i}");
                 }
@@ -1299,7 +1316,10 @@ mod tests {
         );
         let (ie, sys, mut rng) = setup_with(Some(injector.clone()), rec.clone());
         let cts: Vec<_> = (0..4)
-            .map(|i| sys.encrypt_slots(&[i * 3], &ie.public, &mut rng).unwrap())
+            .map(|i| {
+                sys.encrypt(&[i * 3], Encoding::Slots, &ie.public, &mut rng)
+                    .unwrap()
+            })
             .collect();
         let (fresh, cost) = ie
             .apply(

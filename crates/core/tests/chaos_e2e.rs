@@ -48,9 +48,12 @@ fn every_fault_site_fires_once_and_inference_stays_exact() {
         .script(FaultSite::NoiseRefresh, 0, FaultKind::Transient)
         .script(FaultSite::Transcipher, 0, FaultKind::Transient);
 
+    // The paper's parameters: a 28×28 image fits one polynomial there, so
+    // the request enters one cell and leaves packed (at n = 256 it would be
+    // served per pixel both ways).
     let model = testutil::hybrid_paper_model(1);
     let session = SessionBuilder::new()
-        .params(ParamsPreset::Small)
+        .params(ParamsPreset::Paper)
         .threads(2)
         .seed(13)
         .chaos(plan)
@@ -83,7 +86,7 @@ fn every_fault_site_fires_once_and_inference_stays_exact() {
 
     // The noise-refresh site: the service's plan by hand, a refresh stage
     // after pooling (per pixel: the egress rule packs only a crossing that
-    // feeds the FC layer), over the same image patch-packed by the client.
+    // feeds the FC layer), over the same image one cell by the client.
     let service = session.service();
     let mut refreshed = service.plan().clone();
     refreshed
@@ -178,7 +181,7 @@ fn exhaust_the_retry_budget(first: u64) -> FaultPlan {
 ///
 /// The rung serves `CryptoNets`' orbit plan whichever way the request came
 /// in and on any pool: the FC rotates, the square runs once a conv cell
-/// (2 channels × 4 window members), and the patch-packed request is
+/// (2 channels × 4 window members), and the coefficient-encoded request is
 /// re-encrypted once in the orbit layout, so the response owns its first
 /// upload plus one fresh ciphertext an orbit cell.
 #[test]

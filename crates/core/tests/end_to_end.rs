@@ -10,6 +10,7 @@ use hesgx_core::planner::{EcallBatching, EnclaveOp, Stage};
 use hesgx_core::request::{InferRequest, Ingress};
 use hesgx_core::session::{ParamsPreset, SessionBuilder};
 use hesgx_crypto::rng::ChaChaRng;
+use hesgx_henn::crt::Encoding;
 use hesgx_henn::cryptonets::CryptoNets;
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::OpCounter;
@@ -377,7 +378,9 @@ fn noise_refresh_extends_computation_indefinitely() {
     let ie =
         hesgx_core::InferenceEnclave::new(enclave, keys.secret.clone(), keys.public.clone(), 16);
     // 3^2 = 9, 9^2 = 81, 81^2 = 6561, 6561^2 mod 40961 wraps — stop at depth 3.
-    let mut ct = sys.encrypt_slots(&[3], &keys.public, &mut rng).unwrap();
+    let mut ct = sys
+        .encrypt(&[3], Encoding::Slots, &keys.public, &mut rng)
+        .unwrap();
     let mut expected = 3i128;
     for depth in 0..3 {
         let sq = sys.square(&ct).unwrap();
@@ -400,7 +403,7 @@ fn noise_refresh_extends_computation_indefinitely() {
             "refresh must restore budget at depth {depth}: {budget}"
         );
         assert_eq!(
-            sys.decrypt_slots(&fresh, &keys.secret).unwrap()[0],
+            sys.decrypt(&fresh, Encoding::Slots, &keys.secret).unwrap()[0],
             expected
         );
         ct = fresh;
@@ -410,16 +413,15 @@ fn noise_refresh_extends_computation_indefinitely() {
 /// The differential test of the layouts, ingress and egress. The same images
 /// are served through `Session::serve` in both `Ingress` modes — which pick
 /// both layouts by their count rules — and, on the same service, run by hand
-/// from an explicit `Pixel` map and an explicit `Patches` map: every row of
+/// from an explicit `Pixel` map and an explicit `Coeff` map: every row of
 /// every path equals `forward_ints`, and the logit ciphertexts of the
 /// hand-run paths are bit-identical across HE pool sizes (the packed FC sums
 /// its cells in pool-sized groups; sums mod q are exact under any grouping).
 /// The model is the 8×8 one with sixteen classes (`J = 18` FC inputs, so
-/// `C·J = 288 ≥ 256`: wide enough to pack), at n = 256. Ingress edges: inside
-/// one chunk (1, 2, 5), the largest batch the rule still packs
-/// (`9·⌈36·49/256⌉ = 63 < 64`) and one beyond it (50, served in `Pixel`), and
-/// — forced by hand — 64, whose 36·64 values fill nine chunks exactly, and
-/// 65, which spills a tenth. Egress edges, `L = min(18, ⌊256/(16·B)⌋)`: a
+/// `C·J = 288 ≥ 256`: wide enough to pack), at n = 256. Ingress edges: small
+/// batches (1, 2, 5), the largest batch the rule still packs (63 cells
+/// against 64 pixels) and one beyond it (64, served in `Pixel`), and —
+/// forced by hand — 64 and 65 in `Coeff`, more images than pixels. Egress edges, `L = min(18, ⌊256/(16·B)⌋)`: a
 /// batch of one (`L = 16`, `J % L ≠ 0`: 16 + 2), `L = 8` (2: 8 + 8 + 2), `L =
 /// 3` (5: six full cells), `L = 2` (8: nine cells), `L = 1` where one cell
 /// per input is no fewer (9: back to `Pixel`), and `C·B` just below, at and
@@ -428,12 +430,16 @@ fn noise_refresh_extends_computation_indefinitely() {
 #[test]
 fn both_layouts_serve_identical_logits_at_every_batch_edge() {
     let model = wide_hybrid_model();
-    for batch in [1usize, 2, 5, 8, 9, 15, 16, 17, 49, 50, 64, 65] {
+    for batch in [1usize, 2, 5, 8, 9, 15, 16, 17, 63, 64, 65] {
         let images: Vec<Vec<i64>> = (0..batch)
             .map(|b| (0..64).map(|p| ((p * 5 + b * 11) % 16) as i64).collect())
             .collect();
         let reference: Vec<Vec<i64>> = images.iter().map(|img| model.forward_ints(img)).collect();
-        let patches = Layout::Patches { batch, side: 6 };
+        let coeff = Layout::Coeff {
+            batch,
+            side: 8,
+            pitch: 8,
+        };
         // What leaves the enclave for the FC layer when the batch came packed.
         let operand = Layout::for_fc(18, 16, batch, 256);
         assert_eq!(operand != Layout::Pixel, batch <= 8, "batch {batch}");
@@ -454,7 +460,7 @@ fn both_layouts_serve_identical_logits_at_every_batch_edge() {
             let ruled = service.ingress_layout(batch);
             assert_eq!(
                 ruled,
-                if batch <= 49 { patches } else { Layout::Pixel },
+                if batch <= 63 { coeff } else { Layout::Pixel },
                 "{what}"
             );
             for ingress in [Ingress::FvCiphertext, Ingress::Transciphered] {
@@ -472,7 +478,7 @@ fn both_layouts_serve_identical_logits_at_every_batch_edge() {
                     assert_eq!(response.upload_bytes, (cells * fresh) as u64, "{what}");
                 }
             }
-            let by_hand = [Layout::Pixel, patches].map(|layout| {
+            let by_hand = [Layout::Pixel, coeff].map(|layout| {
                 let enc = EncryptedMap::encrypt_images(
                     sys,
                     &images,
@@ -486,7 +492,7 @@ fn both_layouts_serve_identical_logits_at_every_batch_edge() {
                 let (logits, _) = service.run(service.plan(), &enc).unwrap();
                 // A per-pixel map does not say how many images it carries:
                 // it leaves per pixel too.
-                let packed = layout == patches && operand != Layout::Pixel;
+                let packed = layout == coeff && operand != Layout::Pixel;
                 let cells = if packed { 1 } else { model.classes };
                 assert_eq!(logits.cells().len(), cells, "{what} {layout:?}");
                 let rows = logits
@@ -561,9 +567,10 @@ fn stage_ecalls(rec: &Recorder) -> Vec<String> {
 }
 
 /// The benchmark's `fig8_fv` request — the paper's geometry at n = 1024 with
-/// `batchSize = 10` — served packed both ways: 150 ingress ciphertexts (25
-/// kernel offsets × 6 chunks of the 5760 (position, image) pairs) instead of
-/// 784, 30 conv-output cells instead of 2880; then 72 FC operand cells
+/// `batchSize = 10` — served packed both ways: 10 ingress ciphertexts (one an
+/// image, its pixels the coefficients) instead of 784, 50 conv-output cells
+/// (one kernel-polynomial product per map and image) instead of 2880; then
+/// 72 FC operand cells
 /// (`L = ⌊1024/100⌋ = 10` of the 720 inputs each) instead of 720, 72
 /// slot-wise multiplies instead of 7200, and one logits ciphertext out of
 /// the closing reduction instead of ten.
@@ -579,9 +586,9 @@ fn packed_paper_request_pins_its_op_counts() {
     assert_eq!(
         response.metrics.ops,
         OpCounter {
-            ct_pt_mul: 30 * 25 + 72,
-            ct_ct_add: 30 * 24 + 71,
-            ct_pt_add: 30 + 1,
+            ct_pt_mul: 50 + 72,
+            ct_ct_add: 71,
+            ct_pt_add: 50 + 1,
             ..OpCounter::default()
         }
     );
@@ -591,30 +598,31 @@ fn packed_paper_request_pins_its_op_counts() {
             response.metrics.ops.ct_ct_add,
             response.metrics.ops.ct_pt_add
         ),
-        (822, 791, 31)
+        (122, 71, 51)
     );
     let fresh = session.service().system().fresh_ciphertext_byte_len() as u64;
-    assert_eq!(response.upload_bytes, 150 * fresh);
-    // Two crossings: 30 conv cells in and 72 operand cells out, then the
+    assert_eq!(response.upload_bytes, 10 * fresh);
+    // Two crossings: 50 conv cells in and 72 operand cells out, then the
     // FC's one cell in and the one logits ciphertext out.
     assert_eq!(
         stage_ecalls(&rec),
         ["ecall_LogitReduce x1", "ecall_activation_pool x1"]
     );
-    // (The recorder's four noise probes read the same 104 cells once more
+    // (The recorder's four noise probes read the same 124 cells once more
     // and hand back four bytes each.)
-    let crossed = (30 + 72 + 1 + 1) * fresh;
+    let crossed = (50 + 72 + 1 + 1) * fresh;
     assert_eq!(
         rec.counter(counters::BYTES_MARSHALLED) - marshalled,
         crossed + (crossed + 4 * 4)
     );
     assert_eq!(response.metrics.stages.len(), 4);
-    // 5760 live slots of 6 × 1024 at ingress and into the enclave; 72 000 of
-    // 72 × 1024 out of it, so 1000 of 1024 partial sums into the reduction.
-    assert_eq!(rec.gauge_series(counters::SLOT_OCCUPANCY_PPM), [937_500]);
+    // 784 live coefficients of 1024 at ingress, 576 into the enclave;
+    // 72 000 of 72 × 1024 slots out of it, so 1000 of 1024 partial sums
+    // into the reduction.
+    assert_eq!(rec.gauge_series(counters::SLOT_OCCUPANCY_PPM), [765_625]);
     assert_eq!(
         rec.gauge_series("infer.layer[1].slot_occupancy_ppm"),
-        [937_500]
+        [562_500]
     );
     assert_eq!(
         rec.gauge_series("infer.layer[3].slot_occupancy_ppm"),
@@ -623,7 +631,7 @@ fn packed_paper_request_pins_its_op_counts() {
 }
 
 /// One image past the egress rule (`L = ⌊1024/520⌋ = 1`: one cell per input
-/// is no fewer than today's) the request still enters packed (`B ≤ 55`) but
+/// is no fewer than today's) the request still enters packed (`B ≤ 783`) but
 /// runs exactly the parent's stages and crossings: one fused ECALL, two
 /// transitions, 720 `Pixel` cells into the scalar FC, ten logit ciphertexts,
 /// and no closing ECALL — not even an empty one.
@@ -650,8 +658,8 @@ fn request_past_the_egress_rule_books_the_per_pixel_crossings() {
     let paid = hesgx_core::pipeline::total_enclave_cost(&response.metrics);
     assert_eq!(paid.transition_ns, crossing.transition_ns);
     assert_eq!(response.metrics.stages.len(), 3);
-    // 5 maps × ⌈576·52/1024⌉ = 30 chunks × 25 taps, then 10 × 720.
-    assert_eq!(response.metrics.ops.ct_pt_mul, 150 * 25 + 7200);
+    // One product per map and image, then 10 × 720.
+    assert_eq!(response.metrics.ops.ct_pt_mul, 5 * 52 + 7200);
 }
 
 /// The packed FC's accumulator — 72 (paper model, `ParamsPreset::Paper`) or

@@ -5,11 +5,11 @@
 //! logit-ciphertext bytes must be byte-identical to the pre-optimization
 //! pipeline at every HE pool size. This test pins both against
 //! `tests/golden/pipeline_bits.json` for three runs: the `Pixel` ingress and
-//! the `Patches` ingress of the 8×8 model, whose logits leave one ciphertext
+//! the `Coeff` ingress of the 8×8 model, whose logits leave one ciphertext
 //! per class — through the compiled plan (its FC layer is too narrow to pack,
 //! so the closing reduction is skipped) and through the hand-built
 //! three-stage list without that stage, bit for bit the same: the proof that
-//! `Pixel` egress is the three-stage pipeline's — and the `Patches` ingress
+//! `Pixel` egress is the three-stage pipeline's — and the `Coeff` ingress
 //! of the same model with a sixteen-class FC layer, wide enough that the
 //! compiled plan packs the egress and its logits leave in one ciphertext.
 //! Regenerate (only when an
@@ -105,28 +105,29 @@ fn digest(cells: &[CrtCiphertext]) -> String {
 }
 
 /// The three pinned runs at `threads` workers: the 8×8 model from `Pixel`
-/// and then from the `Patches` ingress `Session::serve` picks (one logit
+/// and then from the `Coeff` ingress `Session::serve` picks (one logit
 /// ciphertext per class either way, rows asserted equal, and both asserted
 /// bit-identical to the plan without its closing stage), then the
-/// sixteen-class model from `Patches` through its compiled plan (packed
+/// sixteen-class model from `Coeff` through its compiled plan (packed
 /// egress: one logits ciphertext; rows asserted equal to the plan without
 /// the closing stage). Returns each model's rows and the three digests.
 fn run_pool(threads: usize) -> ([Vec<Vec<i128>>; 2], [String; 3]) {
-    let packed = Layout::Patches { batch: 2, side: 6 };
+    let packed = Layout::Coeff {
+        batch: 2,
+        side: 8,
+        pitch: 8,
+    };
     let narrow = small_hybrid_model();
     let compiled = run(&narrow, threads, &[Layout::Pixel, packed], false);
     assert_eq!(
         compiled,
         run(&narrow, threads, &[Layout::Pixel, packed], true)
     );
-    let [(rows, pixel), (packed_rows, patches)] = &compiled[..] else {
+    let [(rows, pixel), (packed_rows, coeff)] = &compiled[..] else {
         panic!("two layouts, two runs");
     };
     assert_eq!(rows, packed_rows);
-    assert_eq!(
-        (pixel.len(), patches.len()),
-        (narrow.classes, narrow.classes)
-    );
+    assert_eq!((pixel.len(), coeff.len()), (narrow.classes, narrow.classes));
 
     let wide = wide_hybrid_model();
     let (wide_rows, one) = run(&wide, threads, &[packed], false).remove(0);
@@ -136,7 +137,7 @@ fn run_pool(threads: usize) -> ([Vec<Vec<i128>>; 2], [String; 3]) {
     assert_eq!(wide_rows, per_class_rows);
     (
         [rows.clone(), wide_rows],
-        [digest(pixel), digest(patches), digest(&one)],
+        [digest(pixel), digest(coeff), digest(&one)],
     )
 }
 

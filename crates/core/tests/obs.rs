@@ -124,8 +124,9 @@ fn session_counters_track_serving_and_boundary_traffic() {
 }
 
 /// One boundary crossing per non-linear block, and the closing reduction: a
-/// request to the default plan of the paper's model enters the enclave twice
-/// — four transitions — and three times when its ingress is transciphered.
+/// request to the default plan of the paper's model at the paper's
+/// parameters enters the enclave twice — four transitions — and three times
+/// when its ingress is transciphered.
 /// (The recorder-gated noise probes are telemetry with ECALLs of their own;
 /// they are counted out.)
 #[test]
@@ -133,7 +134,7 @@ fn default_paper_request_crosses_the_boundary_twice() {
     for (ingress, want) in [(Ingress::FvCiphertext, 4), (Ingress::Transciphered, 6)] {
         let rec = Recorder::enabled();
         let session = SessionBuilder::new()
-            .params(ParamsPreset::Small)
+            .params(ParamsPreset::Paper)
             .threads(2)
             .seed(8)
             .recorder(rec.clone())
@@ -148,19 +149,18 @@ fn default_paper_request_crosses_the_boundary_twice() {
             .unwrap();
         assert_eq!(response.logits, vec![session.model().forward_ints(&image)]);
         assert_eq!(stage_transitions() - before, want, "{ingress:?}");
-        // The request came in patch-packed: 25 kernel offsets × 3 cells
-        // holding 576 output positions of one image, 576 of every 768 slots
-        // live (one image per pixel cell would be 1 of 256) — and the conv
-        // output that crosses into the enclave is packed the same way.
+        // The request came in one cell, its 784 pixels in 1024 coefficients
+        // (one image per pixel cell would be 1 of 1024 slots) — and each map
+        // of the conv output that crosses into the enclave holds 576.
         let occupancy = rec.gauge_series(counters::SLOT_OCCUPANCY_PPM);
-        assert_eq!(occupancy, [750_000], "{ingress:?}");
+        assert_eq!(occupancy, [765_625], "{ingress:?}");
         let crossing = rec.gauge_series("infer.layer[1].slot_occupancy_ppm");
-        assert_eq!(crossing, [750_000], "{ingress:?}");
-        // It leaves packed for the ten-class FC layer, `⌊256/10⌋ = 25` of the
-        // 864 pooled values to a cell, so 250 of the accumulator's 256 slots
-        // hold partial sums on the way into the reduction.
+        assert_eq!(crossing, [562_500], "{ingress:?}");
+        // It leaves packed for the ten-class FC layer, `⌊1024/10⌋ = 102` of
+        // the 864 pooled values to a cell, so 1020 of the accumulator's 1024
+        // slots hold partial sums on the way into the reduction.
         let reduction = rec.gauge_series("infer.layer[3].slot_occupancy_ppm");
-        assert_eq!(reduction, [976_562], "{ingress:?}");
+        assert_eq!(reduction, [996_093], "{ingress:?}");
         let reduce = rec.span("ecall.ecall_LogitReduce").expect("closing stage");
         assert_eq!(reduce.entries, 1, "{ingress:?}");
     }
@@ -209,4 +209,41 @@ fn a_request_is_one_scope_on_every_face() {
     assert_eq!(joined.calls, 1);
     assert_eq!(joined.modeled_ns, span.cost.total_ns());
     assert!(drift.entries.iter().any(|e| e.stage == "session.provision"));
+}
+
+/// The wall profiler names the frames a `fig8`-shaped request spends its
+/// client and enclave time in — the paper's model at the paper's
+/// parameters, a batch of ten — instead of leaving them in a worker's self
+/// time: the encryptions (the client's and the enclave's re-encryption),
+/// the decryptions, and the two samplers an encryption draws from.
+#[test]
+fn a_traced_paper_request_names_its_encryptions_and_samplers() {
+    let profiler = Profiler::enabled();
+    let _installed = profiler.install();
+    let session = SessionBuilder::new()
+        .params(ParamsPreset::Paper)
+        .threads(2)
+        .seed(9)
+        .recorder(Recorder::enabled())
+        .build(Platform::new(903), testutil::hybrid_paper_model(3))
+        .unwrap();
+    let images: Vec<Vec<i64>> = (0..10)
+        .map(|b| (0..28 * 28).map(|p| ((p + b) % 16) as i64).collect())
+        .collect();
+    let response = session.serve(InferRequest::batch(images.clone())).unwrap();
+    for (image, row) in images.iter().zip(&response.logits) {
+        assert_eq!(row, &session.model().forward_ints(image));
+    }
+    let collapsed = profiler.export_collapsed();
+    for frame in [
+        "bfv.encrypt",
+        "bfv.decrypt",
+        "bfv.sample.uniform",
+        "bfv.sample.error",
+    ] {
+        let named = collapsed
+            .lines()
+            .any(|line| line.split([';', ' ']).any(|segment| segment == frame));
+        assert!(named, "no {frame} frame in\n{collapsed}");
+    }
 }

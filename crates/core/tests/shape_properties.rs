@@ -21,6 +21,7 @@ use hesgx_core::planner::{plan_for, EcallBatching, EnclaveOp, Placement};
 use hesgx_core::InferenceEnclave;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::transcipher::{seal_images, IngressKey};
+use hesgx_henn::crt::Encoding;
 use hesgx_henn::crt::{CrtCiphertext, CrtKeys, CrtPlainSystem};
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::layers::{HeLayer, HeLayers};
@@ -51,7 +52,12 @@ fn host() -> &'static Host {
         let mut rng = ChaChaRng::from_seed(41);
         let keys = sys().generate_keys(&mut rng);
         let cell = sys()
-            .encrypt_slots(&[3, -1, 4, 1, -5, 9], &keys.public, &mut rng)
+            .encrypt(
+                &[3, -1, 4, 1, -5, 9],
+                Encoding::Slots,
+                &keys.public,
+                &mut rng,
+            )
             .unwrap();
         let enclave = EnclaveBuilder::new("claims")
             .add_code(b"c")
@@ -134,7 +140,7 @@ fn relabelled<K: EncryptionKey>(keys: &[K], part: usize, component: usize) -> Cr
         .collect();
     let mut rng = ChaChaRng::from_seed(43);
     let sys = host().layers.system();
-    sys.encrypt_slots(&[3, -1, 4, 1, -5, 9], &keys, &mut rng)
+    sys.encrypt(&[3, -1, 4, 1, -5, 9], Encoding::Slots, &keys, &mut rng)
         .unwrap()
 }
 
@@ -143,9 +149,10 @@ fn claim(layout: Layout, field: usize, value: usize) -> Layout {
     let pick = |i, old| if field == i { value } else { old };
     match layout {
         Layout::Pixel => Layout::Pixel,
-        Layout::Patches { batch, side } => Layout::Patches {
+        Layout::Coeff { batch, side, pitch } => Layout::Coeff {
             batch: pick(0, batch),
             side: pick(1, side),
+            pitch: pick(2, pitch),
         },
         Layout::FcOperand {
             classes,
@@ -171,12 +178,13 @@ fn claim(layout: Layout, field: usize, value: usize) -> Layout {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// A crossing the pipeline could have built — a per-pixel, patch-packed
-    /// or partial-sum map, an activation with or without pooling or the
-    /// closing reduction, out per pixel or packed for the FC layer — is
-    /// served; the same crossing with one claim replaced (a layout number,
-    /// the emitted layout's, a missing row of cells, another chain) is
-    /// served or refused, and so is each HE layer over the same map.
+    /// A crossing the pipeline could have built — a per-pixel,
+    /// coefficient-encoded or partial-sum map, an activation with or without
+    /// pooling or the closing reduction, out per pixel or packed for the FC
+    /// layer — is served; the same crossing with one claim replaced (a
+    /// layout number, the emitted layout's, a missing row of cells, another
+    /// chain) is served or refused, and so is each HE layer over the same
+    /// map.
     #[test]
     fn claimed_shapes_are_refused_or_served_never_trusted(
         family in 0usize..3, channels in 1usize..3, side_pick in 0usize..3,
@@ -193,7 +201,7 @@ proptest! {
         let outputs = channels * (side / if pools { 2 } else { 1 }).pow(2);
         let (mut layout, mut shape) = match family {
             0 => (Layout::Pixel, (channels, side, side)),
-            1 => (Layout::Patches { batch, side }, (channels, Layout::chunks(batch, side, 256), 1)),
+            1 => (Layout::Coeff { batch, side, pitch: side }, (channels, batch, 1)),
             _ => {
                 chain = vec![EnclaveOp::LogitReduce];
                 (Layout::FcOperand { classes, batch, inputs: side }, (1, 1, 1))
@@ -248,7 +256,7 @@ proptest! {
             let reads = matches!(
                 (layer, layout),
                 (_, Layout::Pixel)
-                    | (HeLayer::Conv, Layout::Patches { .. })
+                    | (HeLayer::Conv, Layout::Coeff { .. })
                     | (HeLayer::Fc, Layout::FcOperand { .. })
             );
             prop_assert!(reads || out.is_err(), "{:?} read {:?}", layer, layout);
@@ -288,11 +296,13 @@ proptest! {
 
     /// The wire format encodes each polynomial's form, so a host can
     /// relabel one component of one cell of a map the pipeline could have
-    /// built: the model's input per pixel or patch-packed, its pooled map per
-    /// pixel or packed for the FC layer. Decryption and the enclave serve it
-    /// (to a wrong value, which only its sender reads); a convolution refuses
-    /// to accumulate it into a correctly labelled cell; the operand FC
-    /// transforms whatever it is handed. Nothing panics.
+    /// built: the model's input per pixel or one image a cell, its pooled map
+    /// per pixel or packed for the FC layer. Decryption and the enclave serve
+    /// it (to a wrong value, which only its sender reads); a convolution
+    /// refuses it — the scalar one to accumulate it into a correctly
+    /// labelled cell, the polynomial one to read a cell no encryption
+    /// produced; the operand FC transforms whatever it is handed. Nothing
+    /// panics.
     #[test]
     fn a_relabelled_form_is_refused_or_served_never_trusted(
         family in 0usize..4, secret_base in any::<bool>(), part in 0usize..2,
@@ -303,7 +313,7 @@ proptest! {
         let sigmoid = EnclaveOp::Activation(ActivationKind::Sigmoid);
         let (layer, chain, layout, shape) = match family {
             0 => (HeLayer::Conv, vec![sigmoid, EnclaveOp::MeanPool], Layout::Pixel, (1, 8, 8)),
-            1 => (HeLayer::Conv, vec![sigmoid], Layout::Patches { batch: 2, side: 6 }, (9, 1, 1)),
+            1 => (HeLayer::Conv, vec![sigmoid], Layout::Coeff { batch: 2, side: 8, pitch: 8 }, (1, 2, 1)),
             2 => (HeLayer::Fc, vec![sigmoid], Layout::Pixel, (2, 3, 3)),
             _ => (
                 HeLayer::Fc,

@@ -210,25 +210,53 @@ pub fn seal_images(
     Ok(payload)
 }
 
-/// Reads the clear shape fields `(images, pixels_per_image)` from a
-/// payload's header without authenticating it. Framing lengths are public;
-/// callers use this only to size marshalling regions up front. The shape is
-/// cross-checked against the actual payload length here, and re-read after
-/// the tag verifies in [`open_images`], so a lying header can neither
-/// inflate a size estimate nor desynchronize unpacking.
-pub fn peek_shape(payload: &[u8]) -> Result<(usize, usize), TranscipherError> {
+/// Refuses a payload too short for a header and a tag, or of another
+/// version.
+fn check_version(payload: &[u8]) -> Result<(), TranscipherError> {
     if payload.len() < HEADER_LEN + TAG_LEN {
         return Err(TranscipherError::Truncated);
     }
-    if payload[0] != VERSION {
-        return Err(TranscipherError::VersionMismatch(payload[0]));
+    match payload[0] {
+        VERSION => Ok(()),
+        other => Err(TranscipherError::VersionMismatch(other)),
     }
-    let images = u32::from_le_bytes([payload[13], payload[14], payload[15], payload[16]]) as usize;
-    let pixels = u32::from_le_bytes([payload[17], payload[18], payload[19], payload[20]]) as usize;
-    let body_len = images
-        .checked_mul(pixels)
-        .and_then(|cells| cells.checked_mul(PIXEL_LEN))
-        .ok_or(TranscipherError::Truncated)?;
+}
+
+/// Reads the clear shape fields `(images, pixels_per_image)` from a
+/// payload's header without authenticating it. Framing lengths are public;
+/// callers use this only to size marshalling regions up front. It refuses
+/// everything [`open_images`]' framing refuses — a zero dimension, a body
+/// past [`MAX_BODY_LEN`], a length that disagrees with the shape — and
+/// [`open_images`] re-reads the shape through it after the tag verifies, so
+/// a lying header can neither inflate a size estimate nor desynchronize
+/// unpacking.
+///
+/// # Errors
+///
+/// Fails on truncation, version mismatch, an empty or oversized claimed
+/// body, or a payload length other than the claimed shape's.
+pub fn peek_shape(payload: &[u8]) -> Result<(usize, usize), TranscipherError> {
+    check_version(payload)?;
+    let field = |at: usize| {
+        let word = [
+            payload[at],
+            payload[at + 1],
+            payload[at + 2],
+            payload[at + 3],
+        ];
+        u32::from_le_bytes(word) as usize
+    };
+    let (images, pixels) = (field(1 + NONCE_LEN), field(5 + NONCE_LEN));
+    if images == 0 || pixels == 0 {
+        return Err(TranscipherError::EmptyBatch);
+    }
+    let body_len = images.saturating_mul(pixels).saturating_mul(PIXEL_LEN);
+    if body_len > MAX_BODY_LEN {
+        return Err(TranscipherError::PayloadTooLarge {
+            len: body_len,
+            max: MAX_BODY_LEN,
+        });
+    }
     if payload.len() != HEADER_LEN + body_len + TAG_LEN {
         return Err(TranscipherError::Truncated);
     }
@@ -241,41 +269,19 @@ pub fn peek_shape(payload: &[u8]) -> Result<(usize, usize), TranscipherError> {
 /// # Errors
 ///
 /// Fails on truncation, version mismatch, an invalid tag (verified in
-/// constant time before any decryption), or an oversized body.
+/// constant time before any decryption), or a framing [`peek_shape`]
+/// refuses.
 pub fn open_images(key: &IngressKey, payload: &[u8]) -> Result<Vec<Vec<i64>>, TranscipherError> {
-    if payload.len() < HEADER_LEN + TAG_LEN {
-        return Err(TranscipherError::Truncated);
-    }
-    if payload[0] != VERSION {
-        return Err(TranscipherError::VersionMismatch(payload[0]));
-    }
+    check_version(payload)?;
     let (framed, auth) = payload.split_at(payload.len() - TAG_LEN);
     let expected = hmac_sha256(&key.mac, framed);
     if !ct_eq(&expected, auth) {
         return Err(TranscipherError::AuthFailed);
     }
+    let (images, pixels) = peek_shape(payload)?;
 
     let mut nonce = [0u8; NONCE_LEN];
     nonce.copy_from_slice(&framed[1..1 + NONCE_LEN]);
-    let images = u32::from_le_bytes([framed[13], framed[14], framed[15], framed[16]]) as usize;
-    let pixels = u32::from_le_bytes([framed[17], framed[18], framed[19], framed[20]]) as usize;
-    if images == 0 || pixels == 0 {
-        return Err(TranscipherError::EmptyBatch);
-    }
-    let body_len = images
-        .checked_mul(pixels)
-        .and_then(|cells| cells.checked_mul(PIXEL_LEN))
-        .ok_or(TranscipherError::Truncated)?;
-    if body_len > MAX_BODY_LEN {
-        return Err(TranscipherError::PayloadTooLarge {
-            len: body_len,
-            max: MAX_BODY_LEN,
-        });
-    }
-    if framed.len() != HEADER_LEN + body_len {
-        return Err(TranscipherError::Truncated);
-    }
-
     let mut body = framed[HEADER_LEN..].to_vec();
     chacha20::xor_stream(&key.enc, STREAM_COUNTER, &nonce, &mut body);
     let mut batch = Vec::with_capacity(images);
@@ -379,6 +385,92 @@ mod tests {
             seal_images(&key(), &nonce, std::slice::from_ref(&image)),
             Err(TranscipherError::PayloadTooLarge { .. })
         ));
+    }
+
+    /// A header of no image of no pixel — or of `u32::MAX` images of none,
+    /// the claim that would price `4·10⁹` ciphertexts of out-marshalling — or
+    /// of a body past the cap is refused unauthenticated, as the opening
+    /// refuses it.
+    #[test]
+    fn peek_shape_refuses_the_headers_open_images_refuses() {
+        let header = |images: u32, pixels: u32, body: usize| {
+            let mut payload = vec![VERSION];
+            payload.extend_from_slice(&[0u8; NONCE_LEN]);
+            payload.extend_from_slice(&images.to_le_bytes());
+            payload.extend_from_slice(&pixels.to_le_bytes());
+            payload.resize(HEADER_LEN + body + TAG_LEN, 0);
+            payload
+        };
+        let empty = header(u32::MAX, 0, 0);
+        assert_eq!(empty.len(), 53);
+        assert_eq!(peek_shape(&empty), Err(TranscipherError::EmptyBatch));
+        assert_eq!(
+            peek_shape(&header(0, 5, 0)),
+            Err(TranscipherError::EmptyBatch)
+        );
+        let past = (MAX_BODY_LEN / PIXEL_LEN + 1) as u32;
+        assert!(matches!(
+            peek_shape(&header(1, past, 0)),
+            Err(TranscipherError::PayloadTooLarge { .. })
+        ));
+        assert!(matches!(
+            peek_shape(&header(u32::MAX, u32::MAX, 0)),
+            Err(TranscipherError::PayloadTooLarge { .. })
+        ));
+        assert_eq!(peek_shape(&header(2, 3, 24)), Ok((2, 3)));
+        assert_eq!(
+            peek_shape(&header(2, 3, 23)),
+            Err(TranscipherError::Truncated)
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes and mutated valid payloads, half of them re-tagged
+        /// under the key so that framing is all that can refuse them:
+        /// neither function panics, a payload `peek_shape` accepts passes
+        /// every framing check of `open_images` (it fails, if at all, on its
+        /// tag), and `open_images` opens nothing `peek_shape` refuses.
+        #[test]
+        fn peek_shape_accepts_exactly_what_open_images_frames(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+            images in 1usize..4, pixels in 1usize..6, arbitrary in proptest::prelude::any::<bool>(),
+            at in proptest::prelude::any::<usize>(), value in proptest::prelude::any::<u8>(),
+            cut in 0usize..3, retag in proptest::prelude::any::<bool>(),
+        ) {
+            let key = key();
+            let mut payload = match arbitrary {
+                true => bytes,
+                false => {
+                    let batch = vec![vec![3i64; pixels]; images];
+                    seal_images(&key, &[7u8; NONCE_LEN], &batch).unwrap()
+                }
+            };
+            if !payload.is_empty() {
+                let at = at % payload.len();
+                payload[at] = value;
+                payload.truncate(payload.len() - cut.min(at));
+            }
+            if retag && payload.len() >= TAG_LEN {
+                let framed = payload.len() - TAG_LEN;
+                let tag = hmac_sha256(&key.mac, &payload[..framed]);
+                payload[framed..].copy_from_slice(&tag);
+            }
+            let peeked = peek_shape(&payload);
+            let opened = open_images(&key, &payload);
+            match (peeked, opened) {
+                (Ok(shape), Ok(batch)) => {
+                    proptest::prop_assert_eq!(shape, (batch.len(), batch[0].len()));
+                }
+                (Ok(_), Err(err)) => {
+                    proptest::prop_assert_eq!(err, TranscipherError::AuthFailed);
+                    proptest::prop_assert!(!retag);
+                }
+                (Err(err), Ok(_)) => proptest::prop_assert!(false, "opened what peek refused: {}", err),
+                (Err(_), Err(_)) => {}
+            }
+        }
     }
 
     #[test]

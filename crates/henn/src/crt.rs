@@ -87,6 +87,18 @@ impl CrtPreparedBias {
     }
 }
 
+/// How a cell's values sit in its plaintext polynomial — the one argument
+/// that tells [`CrtPlainSystem::encode`], [`CrtPlainSystem::encrypt`] and
+/// [`CrtPlainSystem::decrypt`] apart for the two kinds of map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Encoding {
+    /// One value per SIMD slot ([`BatchEncoder`]): products are slot-wise.
+    Slots,
+    /// One value per polynomial coefficient: a product with a plaintext
+    /// polynomial is a negacyclic convolution (`Layout::Coeff`).
+    Coeffs,
+}
+
 /// Key material for every CRT part.
 #[derive(Debug, Clone)]
 pub struct CrtKeys {
@@ -110,7 +122,7 @@ pub struct CrtPlainSystem {
     evaluators: Vec<Evaluator>,
     product: u128,
     /// Per part `(T/t_i, [(T/t_i)^{-1}]_{t_i})`, the CRT-combine constants
-    /// of [`CrtPlainSystem::decrypt_slots`]; empty for a single-part system,
+    /// of [`CrtPlainSystem::decrypt`]; empty for a single-part system,
     /// whose slots are already the residues.
     combine: Vec<(u128, u64)>,
     /// What [`CrtPlainSystem::generate_keys`] makes Galois keys for.
@@ -240,33 +252,44 @@ impl CrtPlainSystem {
         }
     }
 
-    /// Batch-encodes one signed value per SIMD slot modulo each part's
-    /// modulus: the part plaintexts of an encryption or a slot-wise operand.
+    /// Encodes one signed value per SIMD slot ([`Encoding::Slots`]) or per
+    /// polynomial coefficient ([`Encoding::Coeffs`]) modulo each part's
+    /// modulus: the part plaintexts of an encryption or an operand.
     ///
     /// # Errors
     ///
-    /// Fails when more values than slots are supplied.
-    pub fn encode_slots(&self, values: &[i64]) -> hesgx_bfv::error::Result<Vec<Plaintext>> {
+    /// Fails when more values than slots are supplied (for coefficients,
+    /// when the plaintext is used).
+    pub fn encode(
+        &self,
+        values: &[i64],
+        encoding: Encoding,
+    ) -> hesgx_bfv::error::Result<Vec<Plaintext>> {
         let residues = |t: u64| values.iter().map(move |&v| v.rem_euclid(t as i64) as u64);
         (self.moduli.iter().zip(&self.encoders))
-            .map(|(&t, encoder)| encoder.encode(&residues(t).collect::<Vec<_>>()))
+            .map(|(&t, encoder)| match encoding {
+                Encoding::Slots => encoder.encode(&residues(t).collect::<Vec<_>>()),
+                Encoding::Coeffs => Ok(Plaintext::from_coeffs(residues(t).collect())),
+            })
             .collect()
     }
 
-    /// Encrypts one signed value per SIMD slot under one key per part; the
-    /// key type picks the encryption ([`EncryptionKey`]): the public keys,
-    /// or the secret keys — in evaluation form — for a party that holds `s`.
+    /// Encrypts one signed value per slot or coefficient (`encoding`) under
+    /// one key per part; the key type picks the encryption
+    /// ([`EncryptionKey`]): the public keys, or the secret keys — in
+    /// evaluation form — for a party that holds `s`.
     ///
     /// # Errors
     ///
     /// Fails when more values than slots are supplied.
-    pub fn encrypt_slots<K: EncryptionKey>(
+    pub fn encrypt<K: EncryptionKey>(
         &self,
         values: &[i64],
+        encoding: Encoding,
         keys: &[K],
         rng: &mut ChaChaRng,
     ) -> hesgx_bfv::error::Result<CrtCiphertext> {
-        let plain = self.encode_slots(values)?;
+        let plain = self.encode(values, encoding)?;
         let parts = plain.iter().enumerate();
         let parts = parts.map(|(i, pt)| keys[i].encrypt(&self.contexts[i], pt, rng));
         Ok(CrtCiphertext {
@@ -283,22 +306,31 @@ impl CrtPlainSystem {
             .sum()
     }
 
-    /// Decrypts to one signed value per slot (CRT combination, centered lift).
+    /// Decrypts to one signed value per slot or coefficient (`encoding`;
+    /// CRT combination, centered lift).
     ///
     /// # Errors
     ///
     /// Propagates decryption failures (context mismatch etc.).
-    pub fn decrypt_slots(
+    pub fn decrypt(
         &self,
         ct: &CrtCiphertext,
+        encoding: Encoding,
         secret: &[SecretKey],
     ) -> hesgx_bfv::error::Result<Vec<i128>> {
-        let t_big = self.product;
+        let (t_big, n) = (self.product, self.slot_count());
         // Σ_i [r_i · (T/t_i)^{-1}]_{t_i} · T/t_i, each term below T.
-        let mut acc = vec![0u128; self.slot_count()];
+        let mut acc = vec![0u128; n];
         for (i, ctx) in self.contexts.iter().enumerate() {
             let pt = Decryptor::new(ctx.clone(), &secret[i]).decrypt(&ct.parts[i])?;
-            let residues = self.encoders[i].decode(&pt);
+            let residues = match encoding {
+                Encoding::Slots => self.encoders[i].decode(&pt),
+                Encoding::Coeffs => {
+                    let mut coeffs = pt.coeffs().to_vec();
+                    coeffs.resize(n, 0);
+                    coeffs
+                }
+            };
             match self.combine.get(i) {
                 None => acc = residues.into_iter().map(u128::from).collect(),
                 Some(&(hat, inv)) => {
@@ -582,26 +614,31 @@ mod tests {
 
     #[test]
     fn encrypt_decrypt_signed_values() {
-        // Two parts (CRT-combined) and one (the residues are the slots),
-        // under the public key and under the secret key.
+        // Two parts (CRT-combined) and one (the residues are the values),
+        // under the public key and under the secret key, as slots and as
+        // coefficients.
         let values = vec![-1_000_000i64, -5, 0, 5, 1_000_000, 80_000_000];
         for moduli in [&[12289u64, 13313][..], &[268_432_897]] {
             let sys = CrtPlainSystem::new(256, moduli).unwrap();
             let mut rng = ChaChaRng::from_seed(41);
             let keys = sys.generate_keys(&mut rng);
-            let cts = [
-                sys.encrypt_slots(&values, &keys.public, &mut rng).unwrap(),
-                sys.encrypt_slots(&values, &keys.secret, &mut rng).unwrap(),
-            ];
-            for ct in &cts {
-                assert_eq!(ct.byte_len(), sys.fresh_ciphertext_byte_len());
-                let back = sys.decrypt_slots(ct, &keys.secret).unwrap();
-                for (i, &v) in values.iter().enumerate() {
-                    assert_eq!(back[i], v as i128, "slot {i} of {moduli:?}");
+            for encoding in [Encoding::Slots, Encoding::Coeffs] {
+                let cts = [
+                    sys.encrypt(&values, encoding, &keys.public, &mut rng)
+                        .unwrap(),
+                    sys.encrypt(&values, encoding, &keys.secret, &mut rng)
+                        .unwrap(),
+                ];
+                for ct in &cts {
+                    assert_eq!(ct.byte_len(), sys.fresh_ciphertext_byte_len());
+                    let back = sys.decrypt(ct, encoding, &keys.secret).unwrap();
+                    for (i, &v) in values.iter().enumerate() {
+                        assert_eq!(back[i], v as i128, "{encoding:?} {i} of {moduli:?}");
+                    }
+                    assert!(back[values.len()..].iter().all(|&v| v == 0));
                 }
-                assert!(back[values.len()..].iter().all(|&v| v == 0));
+                assert_ne!(cts[0], cts[1]);
             }
-            assert_ne!(cts[0], cts[1]);
         }
     }
 
@@ -614,13 +651,15 @@ mod tests {
     fn linear_homomorphism() {
         let (sys, keys, mut rng) = system();
         let a = sys
-            .encrypt_slots(&[10, -20], &keys.public, &mut rng)
+            .encrypt(&[10, -20], Encoding::Slots, &keys.public, &mut rng)
             .unwrap();
-        let b = sys.encrypt_slots(&[3, 7], &keys.public, &mut rng).unwrap();
+        let b = sys
+            .encrypt(&[3, 7], Encoding::Slots, &keys.public, &mut rng)
+            .unwrap();
         let mut acc = sys.mul_scalar(&a, -4).unwrap();
         sys.add_inplace(&mut acc, &b).unwrap();
         let acc = sys.add_scalar(&acc, 100).unwrap();
-        let back = sys.decrypt_slots(&acc, &keys.secret).unwrap();
+        let back = sys.decrypt(&acc, Encoding::Slots, &keys.secret).unwrap();
         assert_eq!(back[0], 10 * -4 + 3 + 100);
         assert_eq!(back[1], -20 * -4 + 7 + 100);
     }
@@ -631,11 +670,11 @@ mod tests {
         // range of the product (12289 * 13313 / 2 ≈ 8.18e7).
         let (sys, keys, mut rng) = system();
         let a = sys
-            .encrypt_slots(&[9_000, -300], &keys.public, &mut rng)
+            .encrypt(&[9_000, -300], Encoding::Slots, &keys.public, &mut rng)
             .unwrap();
         let sq = sys.square(&a).unwrap();
         assert_eq!(sq.size(), 3);
-        let back = sys.decrypt_slots(&sq, &keys.secret).unwrap();
+        let back = sys.decrypt(&sq, Encoding::Slots, &keys.secret).unwrap();
         assert_eq!(back[0], 81_000_000);
         assert_eq!(back[1], 90_000);
     }
@@ -644,12 +683,12 @@ mod tests {
     fn relinearize_preserves_slots() {
         let (sys, keys, mut rng) = system();
         let a = sys
-            .encrypt_slots(&[111, -42], &keys.public, &mut rng)
+            .encrypt(&[111, -42], Encoding::Slots, &keys.public, &mut rng)
             .unwrap();
         let sq = sys.square(&a).unwrap();
         let relin = sys.relinearize(&sq, &keys.evaluation).unwrap();
         assert_eq!(relin.size(), 2);
-        let back = sys.decrypt_slots(&relin, &keys.secret).unwrap();
+        let back = sys.decrypt(&relin, Encoding::Slots, &keys.secret).unwrap();
         assert_eq!(back[0], 111 * 111);
         assert_eq!(back[1], 42 * 42);
     }
@@ -666,7 +705,7 @@ mod tests {
             let mut rng = ChaChaRng::from_seed(41);
             let keys = sys.generate_keys(&mut rng);
             let a = sys
-                .encrypt_slots(&[10, -20, 7], &keys.public, &mut rng)
+                .encrypt(&[10, -20, 7], Encoding::Slots, &keys.public, &mut rng)
                 .unwrap();
             for v in [-9_000i64, -1, 0, 1, 4, 11_000] {
                 let prepared = sys.prepare_scalar(v).unwrap();
@@ -675,7 +714,7 @@ mod tests {
                 let mut sum = a.clone();
                 sys.add_inplace(&mut sum, &term).unwrap();
                 let biased = sys.add_scalar(&a, v).unwrap();
-                let slots = sys.decrypt_slots(&term, &keys.secret).unwrap();
+                let slots = sys.decrypt(&term, Encoding::Slots, &keys.secret).unwrap();
                 assert_eq!(slots[..3], [10 * v as i128, -20 * v as i128, 7 * v as i128]);
                 for part in 0..sys.part_count() {
                     let (eval, x) = (sys.evaluator(part), a.part(part));
@@ -702,7 +741,9 @@ mod tests {
     #[test]
     fn noise_budget_positive_and_decreasing() {
         let (sys, keys, mut rng) = system();
-        let a = sys.encrypt_slots(&[1], &keys.public, &mut rng).unwrap();
+        let a = sys
+            .encrypt(&[1], Encoding::Slots, &keys.public, &mut rng)
+            .unwrap();
         let fresh = sys.noise_budget(&a, &keys.secret).unwrap();
         let sq = sys.square(&a).unwrap();
         let after = sys.noise_budget(&sq, &keys.secret).unwrap();

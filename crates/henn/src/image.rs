@@ -3,14 +3,15 @@
 //! [`Layout::Pixel`] is the paper's (§V-B / §VIII, `batchSize = 10`): one
 //! [`CrtCiphertext`] per pixel position, the batch across the SIMD slots —
 //! `B` 28×28 images are 784 encryptions with `B` live slots each.
-//! [`Layout::Patches`] fills the slots with the convolution's im2col patches,
-//! which makes it a rotation-free 1×1 convolution over `k²` channels;
+//! [`Layout::Coeff`] is one ciphertext per image, its pixels the plaintext
+//! polynomial's coefficients, so a convolution is one product with a kernel
+//! polynomial per (channel, image), with no rotation;
 //! [`Layout::FcOperand`] repeats every fully connected input once per class,
 //! which makes that layer slot-wise too, and [`Layout::Orbit`] the pure-HE
 //! plan but its FC rotations; `Layout::for_*` pick the fewer (DESIGN.md §6),
 //! and one rule, [`SlotMap`], places every value for encoders and decoders.
 
-use crate::crt::{CrtCiphertext, CrtPlainSystem};
+use crate::crt::{CrtCiphertext, CrtPlainSystem, Encoding};
 use crate::par::ParExec;
 use hesgx_bfv::encoding::matrix_index_map;
 use hesgx_bfv::error::{BfvError, Result};
@@ -22,14 +23,18 @@ use hesgx_crypto::rng::ChaChaRng;
 pub enum Layout {
     /// One cell per `[channel][y][x]` position; slot `b` is image `b`.
     Pixel,
-    /// Packed around a stride-1 convolution with `side × side` outputs: a
-    /// channel (kernel offset before it, output channel after) holds every
-    /// (position, image) pair in `chunks × 1` cells.
-    Patches {
+    /// One cell per (channel, image), `channels × batch × 1`: pixel `(y, x)`
+    /// of a `side × side` map is coefficient `y·pitch + x` of the plaintext
+    /// polynomial ([`Encoding::Coeffs`]). A stride-1 convolution keeps the
+    /// pitch and shrinks the side; nothing wraps while `(side − 1)·pitch +
+    /// side ≤ n`.
+    Coeff {
         /// Images in the batch.
         batch: usize,
-        /// Side of the convolution's output.
+        /// Side of the map.
         side: usize,
+        /// Coefficients from one row of the map to the next.
+        pitch: usize,
     },
     /// Packed for the fully connected layer: cell `g` holds inputs
     /// `g·L .. g·L + L` of every image, each repeated for every class, `L` =
@@ -73,7 +78,7 @@ pub fn orbit_stride(side: usize, slots: usize) -> Option<usize> {
 /// | layout | cell | slot |
 /// |---|---|---|
 /// | `Pixel` | `channel·h·w + position` | `image` |
-/// | `Patches` | `channel·chunks + i / slots` | `i % slots`, `i = position·batch + image` |
+/// | `Coeff` | `channel·batch + image` | `(position / side)·pitch + position % side` |
 /// | `FcOperand` | `input / L` | `(image·L + input % L)·classes + class` |
 /// | `Orbit` | `[channel][g·w + dy][dx]` | `matrix_index_map[(i / stride)·slots/2 + q·stride + i % stride]` |
 ///
@@ -102,10 +107,13 @@ impl SlotMap {
     /// step·i` of the cells laid end to end — every layout but the orbit.
     #[inline(always)]
     fn row(&self, channel: usize, position: usize) -> Option<Pair> {
-        let ((_, positions, _), (_, h, _), slots) = (self.extent, self.shape, self.slots);
+        let ((_, positions, _), slots) = (self.extent, self.slots);
         match self.layout {
             Layout::Pixel => Some(((channel * positions + position) * slots, 1)),
-            Layout::Patches { batch, .. } => Some((channel * h * slots + position * batch, 1)),
+            Layout::Coeff { batch, side, pitch } => {
+                let coefficient = position / side * pitch + position % side;
+                Some((channel * batch * slots + coefficient, slots))
+            }
             Layout::FcOperand { classes, .. } => {
                 let (cell, input) = (position / self.step, position % self.step);
                 let base = cell * slots + input * classes + channel;
@@ -177,16 +185,29 @@ impl SlotMap {
 }
 
 impl Layout {
-    /// The layout bringing `batch` `in_side²` images to a stride-1 `kernel²`
-    /// convolution (`1 ≤ kernel ≤ in_side`) in fewer ciphertexts: patches iff
-    /// `k²·⌈P·B / slots⌉ < in_side²` (the paper's model, n = 1024: `B ≤ 55`).
-    pub fn for_conv(in_side: usize, kernel: usize, batch: usize, slots: usize) -> Layout {
-        let side = in_side - kernel + 1;
-        let patches = Layout::Patches { batch, side };
-        if patches.ingress_cells(in_side, slots) < in_side * in_side {
-            return patches;
+    /// The layout bringing `batch` `in_side²` images to a stride-1
+    /// convolution in fewer ciphertexts: one an image ([`Layout::Coeff`],
+    /// pitch `in_side`) iff an image fits a polynomial, `in_side² ≤ slots`,
+    /// and `batch < in_side²` (the paper's model, n = 1024: `B ≤ 783`).
+    pub fn for_conv(in_side: usize, batch: usize, slots: usize) -> Layout {
+        let pixels = in_side.saturating_mul(in_side);
+        match pixels <= slots && batch < pixels {
+            true => Layout::Coeff {
+                batch,
+                side: in_side,
+                pitch: in_side,
+            },
+            false => Layout::Pixel,
         }
-        Layout::Pixel
+    }
+
+    /// How the layout's cells hold their values: [`Encoding::Coeffs`] for
+    /// [`Layout::Coeff`], SIMD slots for every other layout.
+    pub fn encoding(self) -> Encoding {
+        match self {
+            Layout::Coeff { .. } => Encoding::Coeffs,
+            _ => Encoding::Slots,
+        }
     }
 
     /// The layout bringing `batch` `in_side²` images to the pure-HE plan
@@ -257,23 +278,19 @@ impl Layout {
         Some(inputs.min(slots / block)).filter(|&per_cell| per_cell > 0)
     }
 
-    /// Cells per channel of a `Patches { batch, side }` map (a claim past
-    /// `usize` saturates: more cells than any map holds).
-    pub fn chunks(batch: usize, side: usize, slots: usize) -> usize {
-        let values = side.saturating_mul(side).saturating_mul(batch);
-        values.div_ceil(slots)
-    }
-
     /// How many ciphertexts a batch of `in_side × in_side` images is.
     pub fn ingress_cells(self, in_side: usize, slots: usize) -> usize {
         let (_, _, (offsets, height, width)) = self.ingress_shape(in_side, slots);
         offsets * height * width
     }
 
-    /// The layout, kernel and shape `in_side²` images enter in (`FcOperand`: per pixel).
+    /// The layout, kernel and shape `in_side²` images enter in (`FcOperand`:
+    /// per pixel); kernel 0 for a `Coeff` claim of another side.
     fn ingress_shape(self, in_side: usize, slots: usize) -> (Layout, usize, (usize, usize, usize)) {
         let (out_side, height, width) = match self {
-            Layout::Patches { batch, side } => (side, Layout::chunks(batch, side, slots), 1),
+            Layout::Coeff { batch, side, .. } => {
+                return (self, usize::from(side == in_side), (1, batch, 1))
+            }
             Layout::Orbit { side, window, .. } => {
                 let groups = self.orbit_geometry(slots).map_or(0, |(_, groups)| groups);
                 (side * window, groups * window, window)
@@ -285,15 +302,21 @@ impl Layout {
     }
 
     /// The placement rule of a map of `(channels, height, width)` cells; errs
-    /// for a claim they cannot hold: no image, or not `chunks × 1`, `⌈inputs /
-    /// L⌉ × 1 × 1` or `groups·w × w` (pooled `groups × 1`) cells a channel.
+    /// for a claim they cannot hold: no image, or not `batch × 1`, `⌈inputs /
+    /// L⌉ × 1 × 1` or `groups·w × w` (pooled `groups × 1`) cells a channel,
+    /// or a `Coeff` map whose rows overlap (`side > pitch`) or wrap
+    /// (`(side − 1)·pitch + side > slots`).
     pub fn slot_map(self, shape: (usize, usize, usize), slots: usize) -> Result<SlotMap> {
         let (c, h, w) = shape;
         // The rule's step (`L`, an orbit's stride) and what the claim holds.
         let (step, extent) = match self {
             Layout::Pixel => (Some(1), (c, h.saturating_mul(w), slots)),
-            Layout::Patches { batch, side } => {
-                let held = batch > 0 && (h, w) == (Layout::chunks(batch, side, slots), 1);
+            Layout::Coeff { batch, side, pitch } => {
+                let last = (side.checked_sub(1)).and_then(|rows| rows.checked_mul(pitch));
+                let fits = last
+                    .and_then(|last| last.checked_add(side))
+                    .is_some_and(|end| end <= slots);
+                let held = batch > 0 && side <= pitch && fits && (h, w) == (batch, 1);
                 (held.then_some(1), (c, side.saturating_mul(side), batch))
             }
             Layout::FcOperand {
@@ -334,9 +357,11 @@ impl Layout {
         })
     }
 
-    /// The slots of every ingress cell (client and `ecall_Transcipher`): the
-    /// im2col of the layout's convolution (`Pixel`: 1×1), encoded; errs for an
-    /// image not of `in_side²` pixels, a kernel wider than it or more images.
+    /// The slots (coefficients) of every ingress cell (client and
+    /// `ecall_Transcipher`): the pixels where the layout places them, the
+    /// orbit's im2col of its convolution; errs for an image not of `in_side²`
+    /// pixels, a kernel wider than it, a `Coeff` map of another side or more
+    /// images.
     pub fn pack(self, images: &[Vec<i64>], in_side: usize, slots: usize) -> Result<Vec<Vec<i64>>> {
         let (layout, kernel, shape) = self.ingress_shape(in_side, slots);
         if kernel == 0 || images.iter().any(|img| img.len() != in_side * in_side) {
@@ -380,7 +405,7 @@ impl EncryptedMap {
     }
 
     /// The map of a [`Layout::pack`]ed batch's ciphertexts (`1 × side × side`,
-    /// `k² × chunks × 1` or `k² × groups·w × w`). Panics when the cell count
+    /// `1 × batch × 1` or `k² × groups·w × w`). Panics when the cell count
     /// does not fit.
     pub fn ingress(layout: Layout, side: usize, slots: usize, cells: Vec<CrtCiphertext>) -> Self {
         let (layout, _, (offsets, height, width)) = layout.ingress_shape(side, slots);
@@ -436,7 +461,7 @@ impl EncryptedMap {
     }
 
     /// Encrypts a batch of quantized images (each `side*side` pixels) in
-    /// `layout` under `keys` ([`CrtPlainSystem::encrypt_slots`]: the user's
+    /// `layout` under `keys` ([`CrtPlainSystem::encrypt`]: the user's
     /// copy of the secret keys, or the public keys): one task per ingress
     /// cell on `pool` (one runs inline).
     ///
@@ -463,7 +488,7 @@ impl EncryptedMap {
         let packed = layout.pack(images, side, sys.slot_count())?;
         let cells = pool.try_run(packed.len(), |cell| {
             let mut cell_rng = base.fork(&format!("enc-cell-{cell}"));
-            sys.encrypt_slots(&packed[cell], keys, &mut cell_rng)
+            sys.encrypt(&packed[cell], layout.encoding(), keys, &mut cell_rng)
         })?;
         Ok(EncryptedMap::ingress(layout, side, sys.slot_count(), cells))
     }
@@ -496,7 +521,7 @@ impl EncryptedMap {
             let claim = format!("{batch} rows of {cells} cells as {layout:?}");
             return Err(BfvError::InvalidShape(claim));
         }
-        let decrypt = |i| sys.decrypt_slots(&self.cells[i], secret);
+        let decrypt = |i| sys.decrypt(&self.cells[i], self.layout.encoding(), secret);
         let cells = pool.try_run(self.cells.len(), decrypt)?;
         let value = |b, v| rule.decode(&cells, v / positions, v % positions, b);
         let row = |b| (0..channels * positions).map(|v| value(b, v)).collect();
@@ -510,25 +535,31 @@ mod tests {
     use crate::crt::CrtPlainSystem;
 
     /// The count rule at the geometries the repository serves: the paper's
-    /// 28×28 / 5×5 model at n = 1024 packs up to 55 images (150 ciphertexts
-    /// at the paper's batch of 10, not 784), the 12×12 / 3×3 broker model at
-    /// n = 256 every batch its `max_batch` of 8 allows, and a kernel as wide
-    /// as its input (one output position, nothing to pack) never.
+    /// 28×28 model at n = 1024 enters one ciphertext an image (10 at the
+    /// paper's batch of 10, not 784) up to 783 images, the 12×12 broker model
+    /// at n = 256 every batch its `max_batch` of 8 allows, and an image past
+    /// the ring degree (28×28 at n = 256) never.
     #[test]
     fn count_rule_crossovers() {
-        let packed = |batch| Layout::Patches { batch, side: 24 };
-        assert_eq!(Layout::for_conv(28, 5, 10, 1024), packed(10));
-        assert_eq!(packed(10).ingress_cells(28, 1024), 150);
-        assert_eq!(Layout::for_conv(28, 5, 55, 1024), packed(55));
-        assert_eq!(packed(55).ingress_cells(28, 1024), 775);
-        assert_eq!(Layout::for_conv(28, 5, 56, 1024), Layout::Pixel);
-        assert_eq!(Layout::Pixel.ingress_cells(28, 1024), 784);
-        for (batch, cells) in [(1, 9), (2, 9), (3, 18), (8, 36)] {
-            let layout = Layout::for_conv(12, 3, batch, 256);
-            assert_eq!(layout, Layout::Patches { batch, side: 10 });
-            assert_eq!(layout.ingress_cells(12, 256), cells);
+        let coeff = |batch, side| Layout::Coeff {
+            batch,
+            side,
+            pitch: side,
+        };
+        for batch in [1, 10, 783] {
+            assert_eq!(Layout::for_conv(28, batch, 1024), coeff(batch, 28));
+            assert_eq!(coeff(batch, 28).ingress_cells(28, 1024), batch);
         }
-        assert_eq!(Layout::for_conv(4, 4, 1, 256), Layout::Pixel);
+        assert_eq!(Layout::for_conv(28, 784, 1024), Layout::Pixel);
+        assert_eq!(Layout::Pixel.ingress_cells(28, 1024), 784);
+        for batch in [1, 2, 3, 8] {
+            assert_eq!(Layout::for_conv(12, batch, 256), coeff(batch, 12));
+        }
+        // `in_side² = n` still fits, one pixel more does not.
+        assert_eq!(Layout::for_conv(16, 1, 256), coeff(1, 16));
+        assert_eq!(Layout::for_conv(17, 1, 256), Layout::Pixel);
+        assert_eq!(Layout::for_conv(28, 1, 256), Layout::Pixel);
+        assert_eq!(Layout::for_conv(usize::MAX, 1, 256), Layout::Pixel);
         // The egress rule: the paper's 720 pooled values for ten classes at
         // n = 1024 leave ten to a cell at the paper's batch (72 ciphertexts,
         // not 720) and packed up to 51 images — 52 would be one input a cell
@@ -566,7 +597,7 @@ mod tests {
             operand(3, 2, 0),
             operand(usize::MAX, 2, 18),
             Layout::Pixel,
-            Layout::Patches { batch: 2, side: 6 },
+            Layout::for_conv(6, 2, 256),
         ] {
             assert_eq!(claim.fc_per_cell(256), None, "{claim:?}");
         }
@@ -602,7 +633,10 @@ mod tests {
         let rule = layout.slot_map((2, 1, 1), 256).unwrap();
         let packed = rule.encode(batch, |_, input, image| value(input, image));
         let cells: Vec<CrtCiphertext> = (packed.unwrap().iter())
-            .map(|slots| sys.encrypt_slots(slots, &keys.public, &mut rng).unwrap())
+            .map(|slots| {
+                sys.encrypt(slots, Encoding::Slots, &keys.public, &mut rng)
+                    .unwrap()
+            })
             .collect();
         let map = EncryptedMap::new(2, 1, 1, cells.clone()).with_layout(layout);
         assert_eq!(layout.fc_per_cell(256), Some(6));
@@ -651,6 +685,9 @@ mod tests {
         }
     }
 
+    /// A `Coeff` batch is one cell an image holding pixel `(y, x)` at
+    /// coefficient `y·pitch + x` (a pitch wider than the side leaves gaps),
+    /// decodes into one row per image and says how full its cells are.
     #[test]
     fn packed_batch_round_trips_and_reports_its_occupancy() {
         let sys = CrtPlainSystem::new(256, &[12289]).unwrap();
@@ -660,15 +697,26 @@ mod tests {
         let images: Vec<Vec<i64>> = (0..batch)
             .map(|b| (0..side * side).map(|p| (b * 36 + p) as i64 % 97).collect())
             .collect();
-        // A 1×1 kernel: the patches are the pixels, 36·20 = 720 values in
-        // three cells.
-        let layout = Layout::Patches { batch, side };
+        let layout = Layout::for_conv(side, batch, 256);
         let pool = ParExec::new(2);
         let map =
             EncryptedMap::encrypt_images(&sys, &images, side, layout, &keys.public, &rng, &pool)
                 .unwrap();
-        assert_eq!((map.shape(), map.layout()), ((1, 3, 1), layout));
-        assert_eq!(map.occupancy_ppm(256), Some(720 * 1_000_000 / (3 * 256)));
+        assert_eq!((map.shape(), map.layout()), ((1, batch, 1), layout));
+        assert_eq!(map.occupancy_ppm(256), Some(36 * 1_000_000 / 256));
+        for (cell, img) in map.cells().iter().zip(&images) {
+            let coeffs = sys.decrypt(cell, Encoding::Coeffs, &keys.secret).unwrap();
+            let want: Vec<i128> = img.iter().map(|&v| v.into()).collect();
+            assert_eq!(coeffs[..36], want[..]);
+            assert!(coeffs[36..].iter().all(|&c| c == 0));
+        }
+        let wide = Layout::Coeff {
+            batch: 2,
+            side: 2,
+            pitch: 7,
+        };
+        let rule = wide.slot_map((1, 2, 1), 256).unwrap();
+        assert_eq!(rule.place(0, 3, 1), Some((1, 8)));
         let back = map.decrypt_all(&sys, &keys.secret, batch, &pool).unwrap();
         assert_eq!(back.len(), batch);
         for (b, img) in images.iter().enumerate() {
@@ -737,7 +785,7 @@ mod tests {
         assert_eq!(map.occupancy_ppm(256), None);
         let index = matrix_index_map(256);
         for (member, cell) in map.cells().iter().enumerate() {
-            let slots = sys.decrypt_slots(cell, &keys.secret).unwrap();
+            let slots = sys.decrypt(cell, Encoding::Slots, &keys.secret).unwrap();
             let (dy, dx) = (member / 2, member % 2);
             for (b, img) in images.iter().enumerate() {
                 for position in 0..4 {
@@ -792,10 +840,11 @@ mod tests {
         }
     }
 
-    /// Three claims past what a layout holds are errors, not a panic or a
-    /// silently short map: more rows than a `Pixel` map's slots, more
-    /// images than a `Patches` batch, and 80 images into an orbit of two
-    /// (whose one group would have kept 64).
+    /// Claims past what a layout holds are errors, not a panic or a silently
+    /// short map: more rows than a `Pixel` map's slots; a `Coeff` image past
+    /// the ring degree, more images than its batch, a side other than the
+    /// images', rows that overlap, and cells not `channels × batch × 1`; and
+    /// 80 images into an orbit of two (whose one group would have kept 64).
     #[test]
     fn claims_past_the_layout_are_refused() {
         let sys = CrtPlainSystem::new(256, &[40961]).unwrap();
@@ -817,8 +866,33 @@ mod tests {
             256
         );
         assert!(refused(pixel.decrypt_all(&sys, &keys.secret, 257, &pool)));
-        let patches = Layout::Patches { batch: 1, side: 2 };
-        assert!(refused(encrypt(&vec![vec![1; 16]; 3], 4, patches)));
+        let coeff = |batch, side, pitch| Layout::Coeff { batch, side, pitch };
+        assert!(refused(encrypt(
+            &vec![vec![1; 17 * 17]; 1],
+            17,
+            coeff(1, 17, 17)
+        )));
+        assert!(refused(encrypt(&vec![vec![1; 16]; 3], 4, coeff(2, 4, 4))));
+        assert!(refused(encrypt(&vec![vec![1; 16]; 1], 4, coeff(1, 2, 4))));
+        assert!(refused(encrypt(&vec![vec![1; 16]; 1], 4, coeff(1, 4, 3))));
+        assert!(refused(encrypt(&vec![vec![1; 16]; 1], 4, coeff(0, 4, 4))));
+        let two = encrypt(&vec![vec![1; 16]; 2], 4, coeff(2, 4, 4)).unwrap();
+        assert_eq!(two.shape(), (1, 2, 1));
+        for (shape, claim) in [
+            ((1, 1, 2), coeff(2, 4, 4)),
+            ((1, 2, 2), coeff(2, 4, 4)),
+            ((1, 2, 1), coeff(3, 4, 4)),
+            ((1, 2, 1), coeff(2, 16, 17)),
+            ((usize::MAX, 2, 1), coeff(2, 4, 4)),
+            ((1, 2, 1), coeff(2, usize::MAX, usize::MAX)),
+        ] {
+            assert!(refused(claim.slot_map(shape, 256)), "{shape:?} {claim:?}");
+            if shape == two.shape() {
+                let map = two.clone().with_layout(claim);
+                assert!(refused(map.decrypt_all(&sys, &keys.secret, 1, &pool)));
+            }
+        }
+        assert!(coeff(2, 16, 16).slot_map((1, 2, 1), 256).is_ok());
         let orbit = Layout::Orbit {
             batch: 2,
             side: 2,

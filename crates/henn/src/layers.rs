@@ -11,7 +11,7 @@ use crate::crt::CrtPlainSystem;
 use crate::image::{EncryptedMap, Layout};
 use crate::ops::{self, OpCounter};
 use crate::par::ParExec;
-use crate::weights::{FcOperandBank, OrbitFcBank, WeightBank};
+use crate::weights::{FcOperandBank, KernelBank, OrbitFcBank, WeightBank};
 use hesgx_bfv::error::{BfvError, Result};
 use hesgx_bfv::prelude::{EvaluationKeys, GaloisKeys};
 use hesgx_nn::quantize::QuantizedCnn;
@@ -21,7 +21,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// One layer of the CNN as it is computed under HE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum HeLayer {
-    /// Convolution with plaintext weights ([`ops::he_conv2d`]).
+    /// Convolution with plaintext weights ([`ops::he_conv2d`]; over a
+    /// [`Layout::Coeff`] map, [`ops::he_conv_coeff`]).
     Conv,
     /// The CryptoNets square activation: ciphertext × ciphertext multiply
     /// plus relinearization ([`ops::he_square_activation`]).
@@ -45,6 +46,9 @@ pub struct HeLayers {
     /// Conv weights/biases prepared once at construction — no request
     /// re-derives Shoup constants or `Δ·c` residues.
     conv_bank: WeightBank,
+    /// The conv layer as kernel polynomials over [`Layout::Coeff`] maps,
+    /// built on the first such map (never, for an engine that reads none).
+    kernel_bank: Mutex<Option<Arc<KernelBank>>>,
     /// FC weights/biases prepared once at construction.
     fc_bank: WeightBank,
     /// The FC operands over [`Layout::FcOperand`] maps, built on first use:
@@ -74,6 +78,7 @@ impl HeLayers {
             sys,
             model,
             conv_bank,
+            kernel_bank: Mutex::default(),
             fc_bank,
             fc_operands: Mutex::default(),
             orbit_fc,
@@ -94,6 +99,22 @@ impl HeLayers {
     /// The HE worker pool.
     pub fn pool(&self) -> &ParExec {
         &self.pool
+    }
+
+    /// The conv kernel polynomials over `Coeff` maps of the model's images
+    /// (pitch `in_side`).
+    fn kernel_bank(&self) -> Result<Arc<KernelBank>> {
+        let mut bank = (self.kernel_bank.lock()).unwrap_or_else(PoisonError::into_inner);
+        if let Some(bank) = bank.as_ref() {
+            return Ok(bank.clone());
+        }
+        let m = &self.model;
+        let (weights, biases) = (&m.conv_weights, &m.conv_bias);
+        let built = Arc::new(KernelBank::prepare(
+            &self.sys, weights, biases, m.kernel, m.in_side,
+        )?);
+        *bank = Some(built.clone());
+        Ok(built)
     }
 
     /// The FC operand bank for cells of `per_cell` inputs.
@@ -122,7 +143,7 @@ impl HeLayers {
     /// # Errors
     ///
     /// [`BfvError::InvalidShape`] for a packed input to a layer that does
-    /// not read its layout ([`Layout::Patches`]: the convolution,
+    /// not read its layout ([`Layout::Coeff`]: the convolution,
     /// [`Layout::FcOperand`]: the fully connected layer); propagates
     /// homomorphic-operation failures.
     pub fn apply(
@@ -138,7 +159,7 @@ impl HeLayers {
         let readable = matches!(
             (layer, layout),
             (_, Layout::Pixel | Layout::Orbit { .. })
-                | (HeLayer::Conv, Layout::Patches { .. })
+                | (HeLayer::Conv, Layout::Coeff { .. })
                 | (HeLayer::Fc, Layout::FcOperand { .. })
         );
         if !readable {
@@ -147,14 +168,20 @@ impl HeLayers {
             )));
         }
         match layer {
-            // Over a packed map of `k²` channels it is a 1×1 convolution, same
-            // bank: `[out][1][ky][kx]` and `[out][k²][1][1]` flatten identically.
-            HeLayer::Conv => {
-                let k = if layout == Layout::Pixel { m.kernel } else { 1 };
-                let bank = &self.conv_bank;
-                let out = ops::he_conv2d(sys, input, bank, m.conv_out, (k, k), counter, pool)?;
-                Ok(out.with_layout(layout))
-            }
+            HeLayer::Conv => match layout {
+                Layout::Coeff { .. } => {
+                    ops::he_conv_coeff(sys, input, &*self.kernel_bank()?, counter, pool)
+                }
+                // Over an orbit map of `k²` channels it is a 1×1 convolution,
+                // same bank: `[out][1][ky][kx]` and `[out][k²][1][1]` flatten
+                // identically.
+                _ => {
+                    let k = if layout == Layout::Pixel { m.kernel } else { 1 };
+                    let bank = &self.conv_bank;
+                    let out = ops::he_conv2d(sys, input, bank, m.conv_out, (k, k), counter, pool)?;
+                    Ok(out.with_layout(layout))
+                }
+            },
             HeLayer::Square => ops::he_square_activation(sys, input, evk, counter, pool),
             HeLayer::SumPool => ops::he_scaled_mean_pool(sys, input, m.window, counter, pool),
             HeLayer::Fc if matches!(layout, Layout::Orbit { .. }) => {

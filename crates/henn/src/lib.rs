@@ -7,8 +7,8 @@
 //! Data layout: an encrypted feature map ([`image::EncryptedMap`]) holds
 //! **one ciphertext per pixel position** with the image batch riding in the
 //! SIMD slots, so all per-image costs amortize over `batchSize` exactly as in
-//! the paper's experiments (§V-B) — or, as [`image::Layout::Patches`], the
-//! convolution's im2col patches packed into full ciphertexts, which the
+//! the paper's experiments (§V-B) — or, as [`image::Layout::Coeff`], one
+//! ciphertext per image with its pixels as polynomial coefficients, which the
 //! hybrid pipeline serves small batches in. Values larger than one plaintext
 //! modulus are handled by plaintext-CRT ([`crt::CrtPlainSystem`]), the
 //! CryptoNets technique.

@@ -3,7 +3,7 @@
 //! mean-pool, and the square activation — with operation counting for the
 //! paper's Fig. 4 analysis.
 //!
-//! There is one kernel per operation. Each schedules output cells × CRT
+//! One kernel per operation and input layout. Each schedules output cells × CRT
 //! limbs as independent tasks on a [`ParExec`]; the ops draw no randomness
 //! and every limb sees the same operation order, so the output is
 //! bit-identical for any pool size (a pool of one runs the tasks inline on
@@ -14,7 +14,7 @@
 use crate::crt::{CrtCiphertext, CrtPlainSystem};
 use crate::image::{EncryptedMap, Layout};
 use crate::par::ParExec;
-use crate::weights::{FcOperandBank, OrbitFcBank, WeightBank};
+use crate::weights::{FcOperandBank, KernelBank, OrbitFcBank, WeightBank};
 use hesgx_bfv::error::{BfvError, Result};
 use hesgx_bfv::prelude::{Ciphertext, EvaluationKeys, GaloisKeys};
 
@@ -114,10 +114,11 @@ fn conv_cell_part(
 /// # Errors
 ///
 /// [`BfvError::InvalidShape`] for an empty tap set, a [`Layout::FcOperand`]
-/// map (that one is [`he_fc_operand`]'s), a map smaller than the kernel or a
-/// bank that does not hold `out_channels · in_channels · rows · cols` scalars
-/// and `out_channels` biases; propagates homomorphic-operation failures
-/// (lowest task index first).
+/// or [`Layout::Coeff`] map (those are [`he_fc_operand`]'s and
+/// [`he_conv_coeff`]'s), a map smaller than the kernel or a bank that does
+/// not hold `out_channels · in_channels · rows · cols` scalars and
+/// `out_channels` biases; propagates homomorphic-operation failures (lowest
+/// task index first).
 // hesgx-lint: hot
 pub fn he_conv2d(
     sys: &CrtPlainSystem,
@@ -135,7 +136,10 @@ pub fn he_conv2d(
         .iter()
         .try_fold(out_channels, |n, &f| n.checked_mul(f));
     if taps == Some(0)
-        || matches!(input.layout(), Layout::FcOperand { .. })
+        || matches!(
+            input.layout(),
+            Layout::FcOperand { .. } | Layout::Coeff { .. }
+        )
         || h < rows
         || w < cols
         || taps != Some(bank.scalars.len())
@@ -165,6 +169,79 @@ pub fn he_conv2d(
         ow,
         assemble_cells(parts, n_cells, n_parts),
     ))
+}
+
+/// Homomorphic convolution of a [`Layout::Coeff`] map with the kernel
+/// polynomials of `bank` (stride 1, valid padding): output channel `o` of
+/// image `b` is `Σᵢ xᵢ,b · K_o,i + bias_o`, one `C×P` a (channel pair,
+/// image) summed in evaluation form, a task per (output channel, image, CRT
+/// part). The output is `Coeff` again, `out_channels × batch × 1` with the
+/// side shrunk by `bank.side − 1` and the pitch kept.
+///
+/// A `Coeff` map is ingress — what the client or the enclave encrypted — so
+/// every cell must be fresh: two components in one form. A host-relabelled
+/// component is refused here rather than transformed into a wrong product.
+///
+/// # Errors
+///
+/// [`BfvError::InvalidShape`] for a map that is not `Coeff` or not
+/// `in_channels × batch × 1` of its batch, a bank of another pitch, of
+/// kernels wider than the image or of a channel count the map does not
+/// hold, and a cell that is not fresh; propagates homomorphic-operation
+/// failures (lowest task index first).
+// hesgx-lint: hot
+pub fn he_conv_coeff(
+    sys: &CrtPlainSystem,
+    input: &EncryptedMap,
+    bank: &KernelBank,
+    counter: &mut OpCounter,
+    pool: &ParExec,
+) -> Result<EncryptedMap> {
+    let _prof = hesgx_obs::prof::span("henn.conv2d");
+    let (layout, (in_channels, _, _)) = (input.layout(), input.shape());
+    layout.slot_map(input.shape(), sys.slot_count())?;
+    let out_channels = bank.biases.len();
+    let fresh = |ct: &CrtCiphertext| ct.parts.iter().all(|p| p.size() == 2 && p.form().is_some());
+    let geometry = match layout {
+        Layout::Coeff { batch, side, pitch }
+            if (bank.pitch, Some(bank.kernels.len()))
+                == (pitch, out_channels.checked_mul(in_channels))
+                && in_channels > 0
+                && (1..=side).contains(&bank.side)
+                && input.cells().iter().all(fresh) =>
+        {
+            Some((batch, side, pitch))
+        }
+        _ => None,
+    };
+    let Some((batch, side, pitch)) = geometry else {
+        let (k, cells) = (bank.side, input.cells().len());
+        let claim = format!(
+            "{k}×{k} polynomial conv to {out_channels} channels of {cells} cells as {layout:?}"
+        );
+        return Err(BfvError::InvalidShape(claim));
+    };
+    let n_parts = sys.part_count();
+    let n_cells = out_channels * batch;
+    let parts = pool.try_run(n_cells * n_parts, |t| -> Result<Ciphertext> {
+        let (cell, part) = (t / n_parts, t % n_parts);
+        let (o, b) = (cell / batch, cell % batch);
+        let eval = sys.evaluator(part);
+        let terms = (0..in_channels).map(|i| {
+            let x = &input.cells()[i * batch + b].parts[part];
+            (x, &bank.kernels[o * in_channels + i][part])
+        });
+        let mut acc = eval.dot_plain_ntt(terms)?;
+        eval.add_plain_bias_inplace(&mut acc, &bank.biases[o][part])?;
+        Ok(acc)
+    })?;
+    counter.ct_pt_mul += (n_cells * in_channels) as u64;
+    counter.ct_ct_add += (n_cells * (in_channels - 1)) as u64;
+    counter.ct_pt_add += n_cells as u64;
+    let cells = assemble_cells(parts, n_cells, n_parts);
+    let side = side - bank.side + 1;
+    let out = EncryptedMap::new(out_channels, batch, 1, cells);
+    Ok(out.with_layout(Layout::Coeff { batch, side, pitch }))
 }
 
 /// Cells one task of [`he_fc_operand`] accumulates: fixed, so the transform
@@ -427,7 +504,8 @@ pub fn he_conv2d_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crt::CrtPlainSystem;
+    use crate::crt::{CrtPlainSystem, Encoding};
+    use crate::weights::KernelBank;
     use hesgx_crypto::rng::ChaChaRng;
 
     /// Every kernel is swept over these pool sizes; 1 is the inline path.
@@ -622,7 +700,7 @@ mod tests {
                 let logits: Vec<i128> = out
                     .cells()
                     .iter()
-                    .map(|ct| sys.decrypt_slots(ct, &keys.secret).unwrap()[0])
+                    .map(|ct| sys.decrypt(ct, Encoding::Slots, &keys.secret).unwrap()[0])
                     .collect();
                 assert_eq!(logits, vec![(1 - 2 + 6) + 10, 4 - 10], "{threads} threads");
             }
@@ -646,7 +724,8 @@ mod tests {
                 let cells = (0..c * h * w)
                     .map(|p| {
                         let slots = [(p * 7 % 16) as i64, (p * 5 % 16) as i64];
-                        sys.encrypt_slots(&slots, &keys.public, &mut rng).unwrap()
+                        sys.encrypt(&slots, Encoding::Slots, &keys.public, &mut rng)
+                            .unwrap()
                     })
                     .collect();
                 let enc = EncryptedMap::new(c, h, w, cells);
@@ -682,20 +761,20 @@ mod tests {
         }
     }
 
-    /// A patch-packed input is a `k² × chunks × 1` map and the convolution
-    /// over it the same kernel called as a 1×1 convolution with the same
-    /// bank: decrypted and unpacked, its output equals the raw-weight
-    /// oracle's on the `Pixel` map of the same images, cell for cell — at a
-    /// batch inside one chunk, one filling its chunk exactly (16 positions ×
-    /// 16 images = 256 slots) and one spilling a single image over.
+    /// A `Coeff` input is one cell an image, and the convolution over it one
+    /// kernel-polynomial product per (output channel, image) from the same
+    /// weights: decrypted, its output equals the raw-weight oracle's on the
+    /// `Pixel` map of the same images, cell for cell, at every batch and pool
+    /// size — and it refuses a bank without kernels of its pitch.
     #[test]
     fn packed_conv_is_the_pixel_conv_cell_for_cell() {
         for (sys, keys, rng) in setups() {
-            let (side, k, slots) = (6, 3, sys.slot_count());
+            let (side, k) = (6, 3);
             let (_, weights, bias) = conv_case();
-            let bank = WeightBank::prepare(&sys, &weights, &bias).unwrap();
+            let scalars = WeightBank::prepare(&sys, &weights, &bias).unwrap();
+            let bank = KernelBank::prepare(&sys, &weights, &bias, k, side).unwrap();
             let serial = ParExec::serial();
-            for (batch, chunks) in [(2, 1), (16, 1), (17, 2)] {
+            for batch in [1, 2, 17] {
                 let images: Vec<Vec<i64>> = (0..batch)
                     .map(|b| (0..36).map(|p| ((p * 7 + b * 3) % 16) as i64).collect())
                     .collect();
@@ -711,22 +790,27 @@ mod tests {
                         .unwrap()
                         .decrypt_all(&sys, &keys.secret, batch, &serial)
                         .unwrap();
-                let layout = Layout::Patches { batch, side: 4 };
+                let layout = Layout::for_conv(side, batch, sys.slot_count());
                 let packed = encrypt(layout);
-                assert_eq!(packed.shape(), (k * k, chunks, 1), "batch {batch}");
-                assert_eq!(layout.ingress_cells(side, slots), k * k * chunks);
+                assert_eq!(packed.shape(), (1, batch, 1), "batch {batch}");
                 let mut bits = None;
                 for threads in POOLS {
                     let mut counter = OpCounter::default();
                     let pool = ParExec::new(threads);
-                    let out = he_conv2d(&sys, &packed, &bank, 2, (1, 1), &mut counter, &pool)
-                        .unwrap()
-                        .with_layout(layout);
-                    assert_eq!(out.shape(), (2, chunks, 1));
-                    // One multiply-accumulate chain per output *chunk*, not
-                    // per output position.
-                    assert_eq!(counter.ct_pt_mul as usize, 2 * chunks * k * k);
-                    assert!(counter.ct_pt_mul < oracle_ops.ct_pt_mul);
+                    let out = he_conv_coeff(&sys, &packed, &bank, &mut counter, &pool).unwrap();
+                    let shrunk = Layout::Coeff {
+                        batch,
+                        side: 4,
+                        pitch: 6,
+                    };
+                    assert_eq!((out.shape(), out.layout()), ((2, batch, 1), shrunk));
+                    // One product per (output channel, image), not per tap.
+                    let ops = OpCounter {
+                        ct_pt_mul: 2 * batch as u64,
+                        ct_pt_add: 2 * batch as u64,
+                        ..OpCounter::default()
+                    };
+                    assert_eq!(counter, ops);
                     let dec = out.decrypt_all(&sys, &keys.secret, batch, &serial).unwrap();
                     assert_eq!(dec, oracle, "batch {batch}, {threads} threads");
                     let cells = out.cells().to_vec();
@@ -736,6 +820,45 @@ mod tests {
                         "{threads} threads"
                     );
                 }
+                let mut counter = OpCounter::default();
+                let refused =
+                    |out: Result<EncryptedMap>| matches!(out, Err(BfvError::InvalidShape(_)));
+                assert!(refused(he_conv2d(
+                    &sys,
+                    &packed,
+                    &scalars,
+                    2,
+                    (k, k),
+                    &mut counter,
+                    &serial
+                )));
+                let other = KernelBank::prepare(&sys, &weights, &bias, k, 7).unwrap();
+                assert!(refused(he_conv_coeff(
+                    &sys,
+                    &packed,
+                    &other,
+                    &mut counter,
+                    &serial
+                )));
+                assert!(refused(he_conv_coeff(
+                    &sys,
+                    &pixel,
+                    &bank,
+                    &mut counter,
+                    &serial
+                )));
+                // A cell that is not fresh ingress — here squared — is refused.
+                let mut cells = packed.cells().to_vec();
+                cells[batch - 1] = sys.square(&cells[batch - 1]).unwrap();
+                let grown = EncryptedMap::new(1, batch, 1, cells).with_layout(layout);
+                assert!(refused(he_conv_coeff(
+                    &sys,
+                    &grown,
+                    &bank,
+                    &mut counter,
+                    &serial
+                )));
+                assert_eq!(counter, OpCounter::default());
             }
         }
     }
@@ -761,7 +884,8 @@ mod tests {
             let pixel: Vec<CrtCiphertext> = (0..inputs)
                 .map(|j| {
                     let column: Vec<i64> = images.iter().map(|img| img[j]).collect();
-                    sys.encrypt_slots(&column, &keys.public, &mut rng).unwrap()
+                    sys.encrypt(&column, Encoding::Slots, &keys.public, &mut rng)
+                        .unwrap()
                 })
                 .collect();
             let pixel = EncryptedMap::new(inputs, 1, 1, pixel);
@@ -783,7 +907,10 @@ mod tests {
             let cells: Vec<CrtCiphertext> = (rule.encode(batch, |_, j, image| x(image, j)))
                 .unwrap()
                 .iter()
-                .map(|slots| sys.encrypt_slots(slots, &keys.public, &mut rng).unwrap())
+                .map(|slots| {
+                    sys.encrypt(slots, Encoding::Slots, &keys.public, &mut rng)
+                        .unwrap()
+                })
                 .collect();
             let packed = EncryptedMap::new(cells.len(), 1, 1, cells).with_layout(layout);
             let bank = FcOperandBank::prepare(&sys, &weights, &bias, per).unwrap();
@@ -812,7 +939,9 @@ mod tests {
                 let pool = ParExec::new(threads);
                 let out = he_fc_operand(&sys, &packed, &bank, &mut counter, &pool).unwrap();
                 assert_eq!((out.shape(), out.layout()), ((1, 1, 1), sums));
-                let slots = sys.decrypt_slots(&out.cells()[0], &keys.secret).unwrap();
+                let slots = sys
+                    .decrypt(&out.cells()[0], Encoding::Slots, &keys.secret)
+                    .unwrap();
                 assert_eq!(slots, want, "{threads} threads");
                 // Summed per (class, image), the partial sums are the logits.
                 let rows = out.decrypt_all(&sys, &keys.secret, batch, &serial).unwrap();

@@ -3,10 +3,11 @@
 //! the workload of Fig. 3 ("the encoding time has a linear relationship with
 //! the weights' number"). This module is the one place a model weight becomes
 //! a plaintext operand: a slot-wise scalar with its Shoup constants, a bias as
-//! `Δ·b` residues, or a batch-encoded cell of a packed FC layer, laid out by
-//! the [`SlotMap`](crate::image::SlotMap) of the map it multiplies.
+//! `Δ·b` residues, a kernel polynomial of a coefficient-encoded convolution,
+//! or a batch-encoded cell of a packed FC layer, laid out by the
+//! [`SlotMap`](crate::image::SlotMap) of the map it multiplies.
 
-use crate::crt::{CrtPlainSystem, CrtPreparedBias, CrtPreparedScalar};
+use crate::crt::{CrtPlainSystem, CrtPreparedBias, CrtPreparedScalar, Encoding};
 use crate::image::{orbit_stride, Layout};
 use hesgx_bfv::error::{BfvError, Result};
 use hesgx_bfv::evaluator::PreparedBias;
@@ -48,15 +49,94 @@ impl WeightBank {
     }
 }
 
-/// Batch-encoded cells in evaluation form, `[cell][part]`.
-fn ntt_cells(sys: &CrtPlainSystem, cells: &[Vec<i64>]) -> Result<Vec<Vec<NttPlaintext>>> {
-    let cell = |slots| -> Result<Vec<_>> {
-        let plain = sys.encode_slots(slots)?.into_iter().enumerate();
+/// A stride-1 `side × side` convolution's operands over [`Layout::Coeff`]
+/// maps of row pitch `pitch`: per (output, input) channel the kernel
+/// polynomial `K(X) = Σ w[dy][dx]·X^-(dy·pitch + dx)` mod `Xⁿ + 1`, so that
+/// coefficient `y·pitch + x` of `x·K` is the window sum at `(y, x)`, and per
+/// output channel its bias at every coefficient — both in evaluation form.
+#[derive(Debug, Clone)]
+pub struct KernelBank {
+    /// Row pitch of the maps the kernels convolve.
+    pub pitch: usize,
+    /// Side of the square kernel.
+    pub side: usize,
+    /// `[out·inputs + input][part]` kernel polynomials.
+    pub kernels: Vec<Vec<NttPlaintext>>,
+    /// `[out][part]` bias addends.
+    pub biases: Vec<Vec<PreparedBias>>,
+}
+
+impl KernelBank {
+    /// Encodes `weights[out][in][side][side]` and one bias per output
+    /// channel.
+    ///
+    /// # Errors
+    ///
+    /// [`BfvError::InvalidShape`] when the weights are not whole kernels per
+    /// bias or a kernel's taps would wrap (`(side − 1)·(pitch + 1) ≥ n`);
+    /// fails when a weight exceeds a plaintext modulus.
+    pub fn prepare(
+        sys: &CrtPlainSystem,
+        weights: &[i64],
+        biases: &[i64],
+        side: usize,
+        pitch: usize,
+    ) -> Result<KernelBank> {
+        let n = sys.slot_count();
+        let taps = biases.len().saturating_mul(side).saturating_mul(side);
+        let reach = (side.saturating_sub(1)).saturating_mul(pitch.saturating_add(1));
+        if taps == 0 || !weights.len().is_multiple_of(taps) || reach >= n || side > pitch {
+            let count = weights.len();
+            let claim = format!("{count} weights as {side}×{side} kernels of pitch {pitch}");
+            return Err(BfvError::InvalidShape(claim));
+        }
+        let kernel = |taps: &[i64]| {
+            let mut coeffs = vec![0i64; n];
+            for (tap, &w) in taps.iter().enumerate() {
+                // X^-m = −X^(n−m) for 0 < m < n.
+                match (tap / side) * pitch + tap % side {
+                    0 => coeffs[0] = w,
+                    m => coeffs[n - m] = -w,
+                }
+            }
+            coeffs
+        };
+        let kernels: Vec<Vec<i64>> = weights.chunks(side * side).map(kernel).collect();
+        let bias = |&b: &i64| bias_parts(sys, &vec![b; n], Encoding::Coeffs);
+        Ok(KernelBank {
+            pitch,
+            side,
+            kernels: ntt_cells(sys, &kernels, Encoding::Coeffs)?,
+            biases: biases.iter().map(bias).collect::<Result<_>>()?,
+        })
+    }
+}
+
+/// Cells encoded as `encoding` says, in evaluation form, `[cell][part]`.
+fn ntt_cells(
+    sys: &CrtPlainSystem,
+    cells: &[Vec<i64>],
+    encoding: Encoding,
+) -> Result<Vec<Vec<NttPlaintext>>> {
+    let cell = |values| -> Result<Vec<_>> {
+        let plain = sys.encode(values, encoding)?.into_iter().enumerate();
         plain
             .map(|(part, p)| sys.evaluator(part).transform_plain_to_ntt(&p))
             .collect()
     };
-    cells.iter().map(|slots| cell(slots)).collect()
+    cells.iter().map(|values| cell(values)).collect()
+}
+
+/// `values` encoded as `encoding` says and prepared as an addend, `[part]`.
+fn bias_parts(
+    sys: &CrtPlainSystem,
+    values: &[i64],
+    encoding: Encoding,
+) -> Result<Vec<PreparedBias>> {
+    let plain = sys.encode(values, encoding)?.into_iter().enumerate();
+    plain
+        .map(|(part, p)| sys.evaluator(part).prepare_plain_bias(&p))
+        .collect()
 }
 
 /// The fully connected layer's operands over a [`Layout::FcOperand`] map of
@@ -112,15 +192,12 @@ impl FcOperandBank {
         let cells = rule.encode(batch, |class, input, _| weights[class * inputs + input])?;
         // The biases at the first cell's first input.
         let first = |class, input, _| if input == 0 { biases[class] } else { 0 };
-        let bias = sys.encode_slots(&rule.encode(batch, first)?[0])?;
-        let bias = bias.into_iter().enumerate();
-        let bias = bias.map(|(part, plain)| sys.evaluator(part).prepare_plain_bias(&plain));
         Ok(FcOperandBank {
             classes,
             inputs,
             per_cell,
-            weights: ntt_cells(sys, &cells)?,
-            bias: bias.collect::<Result<_>>()?,
+            weights: ntt_cells(sys, &cells, Encoding::Slots)?,
+            bias: bias_parts(sys, &rule.encode(batch, first)?[0], Encoding::Slots)?,
         })
     }
 }
@@ -175,7 +252,7 @@ impl OrbitFcBank {
         let bias = biases.iter().map(|&b| sys.prepare_bias(b));
         Ok(OrbitFcBank {
             side,
-            weights: ntt_cells(sys, &cells)?,
+            weights: ntt_cells(sys, &cells, Encoding::Slots)?,
             bias: bias.collect::<Result<_>>()?,
         })
     }
@@ -234,7 +311,9 @@ mod tests {
         let mut rng = ChaChaRng::from_seed(28);
         let keys = sys.generate_keys(&mut rng);
         let x = [3i64, -2, 0, 1, -7];
-        let ct = sys.encrypt_slots(&x, &keys.secret, &mut rng).unwrap();
+        let ct = sys
+            .encrypt(&x, Encoding::Slots, &keys.secret, &mut rng)
+            .unwrap();
         for (i, (&t, ctx)) in moduli.iter().zip(sys.contexts()).enumerate() {
             let (eval, encoder) = (sys.evaluator(i), BatchEncoder::new(ctx.params()).unwrap());
             let decryptor = Decryptor::new(ctx.clone(), &keys.secret[i]);

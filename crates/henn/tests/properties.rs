@@ -2,11 +2,12 @@
 //! operation must agree with its plaintext counterpart on random inputs.
 
 use hesgx_crypto::rng::ChaChaRng;
+use hesgx_henn::crt::Encoding;
 use hesgx_henn::crt::{CrtKeys, CrtPlainSystem};
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
-use hesgx_henn::weights::{FcOperandBank, WeightBank};
+use hesgx_henn::weights::{FcOperandBank, KernelBank, WeightBank};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -30,8 +31,8 @@ proptest! {
     fn crt_encrypt_decrypt_roundtrip(values in proptest::collection::vec(-40_000_000i64..40_000_000, 1..8), seed in any::<u64>()) {
         let (sys, keys) = system();
         let mut rng = ChaChaRng::from_seed(seed);
-        let ct = sys.encrypt_slots(&values, &keys.public, &mut rng).unwrap();
-        let back = sys.decrypt_slots(&ct, &keys.secret).unwrap();
+        let ct = sys.encrypt(&values, Encoding::Slots, &keys.public, &mut rng).unwrap();
+        let back = sys.decrypt(&ct, Encoding::Slots, &keys.secret).unwrap();
         for (i, &v) in values.iter().enumerate() {
             prop_assert_eq!(back[i], v as i128);
         }
@@ -42,14 +43,14 @@ proptest! {
                                         w in -50i64..50, c in -500i64..500, seed in any::<u64>()) {
         let (sys, keys) = system();
         let mut rng = ChaChaRng::from_seed(seed);
-        let ca = sys.encrypt_slots(&[a], &keys.public, &mut rng).unwrap();
-        let cb = sys.encrypt_slots(&[b], &keys.public, &mut rng).unwrap();
+        let ca = sys.encrypt(&[a], Encoding::Slots, &keys.public, &mut rng).unwrap();
+        let cb = sys.encrypt(&[b], Encoding::Slots, &keys.public, &mut rng).unwrap();
         // w*a + b + c
         let mut acc = sys.mul_scalar(&ca, w).unwrap();
         sys.add_inplace(&mut acc, &cb).unwrap();
         let acc = sys.add_scalar(&acc, c).unwrap();
         prop_assert_eq!(
-            sys.decrypt_slots(&acc, &keys.secret).unwrap()[0],
+            sys.decrypt(&acc, Encoding::Slots, &keys.secret).unwrap()[0],
             (w * a + b + c) as i128
         );
     }
@@ -58,10 +59,10 @@ proptest! {
     fn square_matches_plain(v in -8000i64..8000, seed in any::<u64>()) {
         let (sys, keys) = system();
         let mut rng = ChaChaRng::from_seed(seed);
-        let ct = sys.encrypt_slots(&[v], &keys.public, &mut rng).unwrap();
+        let ct = sys.encrypt(&[v], Encoding::Slots, &keys.public, &mut rng).unwrap();
         let sq = sys.relinearize(&sys.square(&ct).unwrap(), &keys.evaluation).unwrap();
         prop_assert_eq!(
-            sys.decrypt_slots(&sq, &keys.secret).unwrap()[0],
+            sys.decrypt(&sq, Encoding::Slots, &keys.secret).unwrap()[0],
             (v as i128) * (v as i128)
         );
     }
@@ -71,7 +72,10 @@ proptest! {
     /// nothing outside them anywhere; decoding what it encodes gives every
     /// value back and more images than it holds are refused; and an ingress
     /// layout's pack is the encode of its convolution's im2col patches (a
-    /// `Pixel` map the batch pixel by pixel), in `ingress_cells` cells.
+    /// `Pixel` map the batch pixel by pixel, a `Coeff` map one image a cell),
+    /// in `ingress_cells` cells. A `Coeff` map holds its claim exactly when
+    /// no row wraps, `(side − 1)·pitch + side ≤ n`, up to the edge
+    /// `side² = n`.
     #[test]
     fn slot_maps_are_injective_and_packing_round_trips(
         family in 0usize..4, a in 1usize..7, window in 1usize..4, kernel in 1usize..4,
@@ -79,14 +83,19 @@ proptest! {
         slots_pick in 0usize..3, seed in any::<u64>(),
     ) {
         let slots = [64usize, 256, 1024][slots_pick];
+        // The orbit's convolution kernel; the other ingress maps are pixels.
+        let kernel = if family == 3 { kernel } else { 1 };
         let offsets = kernel * kernel;
         // The layout, its map's cells and, for an ingress map, the image side.
         let (layout, shape, in_side) = match family {
-            0 => (Layout::Pixel, (1, a + kernel - 1, a + kernel - 1), Some(a + kernel - 1)),
+            0 => (Layout::Pixel, (1, a, a), Some(a)),
             1 => {
-                let layout = Layout::Patches { batch, side: a };
-                let chunks = Layout::chunks(batch, a, slots);
-                (layout, (offsets, chunks, 1), Some(a + kernel - 1))
+                // At the edge `side² = n` (pitch = side) or a random side.
+                let side = if pooled { slots.isqrt() } else { a * window };
+                let pitch = side + inputs % 3;
+                let layout = Layout::Coeff { batch, side, pitch };
+                // Two channels, or the one an ingress map has.
+                (layout, (a % 2 + 1, batch, 1), (a % 2 == 0).then_some(side))
             }
             2 => {
                 let layout = Layout::FcOperand { classes: a * window, batch: batch % 9 + 1, inputs };
@@ -106,10 +115,11 @@ proptest! {
             }
         };
         let rule = layout.slot_map(shape, slots);
-        let held = match family {
-            2 => layout.fc_per_cell(slots).is_some(),
-            3 => layout.orbit_geometry(slots).is_some(),
-            _ => true,
+        let held = match layout {
+            Layout::Coeff { side, pitch, .. } => (side - 1) * pitch + side <= slots,
+            Layout::FcOperand { .. } => layout.fc_per_cell(slots).is_some(),
+            Layout::Orbit { .. } => layout.orbit_geometry(slots).is_some(),
+            Layout::Pixel => true,
         };
         prop_assert_eq!(rule.is_ok(), held, "{:?}", layout);
         let Ok(rule) = rule else { return Ok(()) };
@@ -217,7 +227,7 @@ proptest! {
         let packed = rule.encode(batch, |_, input, image| x[image][input]).unwrap();
         let cells: Vec<_> = packed
             .iter()
-            .map(|values| sys.encrypt_slots(values, &keys.public, &mut rng).unwrap())
+            .map(|values| sys.encrypt(values, Encoding::Slots, &keys.public, &mut rng).unwrap())
             .collect();
         let map = EncryptedMap::new(cells.len(), 1, 1, cells).with_layout(layout);
         let bank = FcOperandBank::prepare(sys, &weights, &bias, per).unwrap();
@@ -237,6 +247,72 @@ proptest! {
             }
             let cells = sums.into_cells();
             prop_assert_eq!(bits.get_or_insert(cells.clone()), &cells, "{} threads", threads);
+        }
+    }
+
+    /// The convolution over a `Coeff` map — one kernel-polynomial product
+    /// per (input channel, output channel, image) — decrypts to the
+    /// plaintext convolution at every valid position, for one or two input
+    /// channels, any kernel up to the image and random weights, and equals
+    /// the raw-weight oracle over the same batch in `Pixel`.
+    #[test]
+    fn coeff_conv_is_the_plain_conv_at_every_position(
+        side in 1usize..13, kernel_pick in 0usize..12, channels in 1usize..3,
+        outs in 1usize..3, batch in 1usize..4, seed in any::<u64>(),
+    ) {
+        let (sys, keys) = system();
+        let (slots, kernel) = (sys.slot_count(), kernel_pick % side + 1);
+        let mut rng = ChaChaRng::from_seed(seed);
+        let mut draw = |n: usize, low: i64, below: u64| -> Vec<i64> {
+            (0..n).map(|_| rng.next_below(below) as i64 + low).collect()
+        };
+        let positions = side * side;
+        let x = draw(channels * positions * batch, 0, 16);
+        let weights = draw(outs * channels * kernel * kernel, -7, 15);
+        let bias = draw(outs, -20, 40);
+        let value = |c: usize, p: usize, b: usize| x[(c * positions + p) * batch + b];
+        let encrypt = |layout: Layout, shape| {
+            let cells = layout.slot_map(shape, slots).unwrap().encode(batch, value).unwrap();
+            let mut rng = ChaChaRng::from_seed(seed ^ 1);
+            let cells = cells
+                .iter()
+                .map(|cell| sys.encrypt(cell, layout.encoding(), &keys.secret, &mut rng).unwrap())
+                .collect();
+            EncryptedMap::new(shape.0, shape.1, shape.2, cells).with_layout(layout)
+        };
+        let layout = Layout::Coeff { batch, side, pitch: side };
+        let coeff = encrypt(layout, (channels, batch, 1));
+        let pixel = encrypt(Layout::Pixel, (channels, side, side));
+        let bank = KernelBank::prepare(sys, &weights, &bias, kernel, side).unwrap();
+        let k = (kernel, kernel);
+        let out_side = side - kernel + 1;
+        let mut oracle_ops = OpCounter::default();
+        let oracle = ops::he_conv2d_reference(sys, &pixel, &weights, &bias, outs, k, &mut oracle_ops)
+            .unwrap()
+            .decrypt_all(sys, &keys.secret, batch, &ParExec::serial())
+            .unwrap();
+        for threads in [1, 2] {
+            let mut counter = OpCounter::default();
+            let out = ops::he_conv_coeff(sys, &coeff, &bank, &mut counter, &ParExec::new(threads)).unwrap();
+            let shrunk = Layout::Coeff { batch, side: out_side, pitch: side };
+            prop_assert_eq!((out.shape(), out.layout()), ((outs, batch, 1), shrunk));
+            prop_assert_eq!(counter.ct_pt_mul as usize, outs * batch * channels);
+            let rows = out.decrypt_all(sys, &keys.secret, batch, &ParExec::serial()).unwrap();
+            for (b, row) in rows.iter().enumerate() {
+                for (o, oy, ox) in (0..outs * out_side * out_side)
+                    .map(|v| (v / (out_side * out_side), v / out_side % out_side, v % out_side))
+                {
+                    let taps = (0..channels * kernel * kernel).map(|t| {
+                        let (c, dy, dx) = (t / (kernel * kernel), t / kernel % kernel, t % kernel);
+                        let w = weights[(o * channels + c) * kernel * kernel + dy * kernel + dx];
+                        w * value(c, (oy + dy) * side + ox + dx, b)
+                    });
+                    let want = taps.sum::<i64>() + bias[o];
+                    let at = (o * out_side + oy) * out_side + ox;
+                    prop_assert_eq!(row[at], want.into(), "({}, {}, {}) of image {}", o, oy, ox, b);
+                }
+            }
+            prop_assert_eq!(&rows, &oracle, "{} threads", threads);
         }
     }
 
@@ -383,7 +459,7 @@ proptest! {
         let rng = ChaChaRng::from_seed(seed);
         let enc = EncryptedMap::encrypt_images(sys, &imgs, 2, Layout::Pixel, &keys.public, &rng, &ParExec::serial()).unwrap();
         let scaled = sys.mul_scalar(enc.cell(0, 0, 0), w).unwrap();
-        let slots = sys.decrypt_slots(&scaled, &keys.secret).unwrap();
+        let slots = sys.decrypt(&scaled, Encoding::Slots, &keys.secret).unwrap();
         for (b, img) in imgs.iter().enumerate() {
             prop_assert_eq!(slots[b], (img[0] * w) as i128, "batch {}", b);
         }

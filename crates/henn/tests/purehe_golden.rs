@@ -15,6 +15,7 @@ use hesgx_bfv::serialization::ciphertext_to_bytes;
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::sha256::sha256;
 use hesgx_henn::crt::CrtKeys;
+use hesgx_henn::crt::Encoding;
 use hesgx_henn::cryptonets::CryptoNets;
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::OpCounter;
@@ -164,7 +165,7 @@ fn purehe_12_orbit_logits_are_pinned_and_whole() {
         })
         .collect();
     let cells: Vec<Vec<i128>> = (logits.cells().iter())
-        .map(|ct| sys.decrypt_slots(ct, &keys.secret).unwrap())
+        .map(|ct| sys.decrypt(ct, Encoding::Slots, &keys.secret).unwrap())
         .collect();
     for (class, slots) in cells.iter().enumerate() {
         for (b, logits) in want.iter().enumerate() {

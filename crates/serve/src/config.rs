@@ -9,10 +9,17 @@ use hesgx_henn::ops::OpCounter;
 /// virtual clock, deliberately independent of wall time and thread count so
 /// load replays are byte-identical.
 ///
-/// The key property the serving experiments lean on: SIMD batching keeps
-/// every one of these counts constant as the batch fills (all images ride
-/// the slots of the same ciphertexts), so the evaluator cost of a batch is
-/// flat and the *per-request* share falls as `1/fill`.
+/// The counts it folds are not constant in the batch `B`. For a model of
+/// `C` conv maps, `J` FC inputs and `K` classes at `n` slots, a request that
+/// enters one ciphertext an image (`Layout::Coeff`) pays `C·B` conv
+/// products, one per map and image, so that part of a batch's cost grows
+/// with its fill. Its FC reads operand cells (`Layout::FcOperand`) where
+/// that is fewer: `⌈J/L⌉` multiplies with `L = min(J, ⌊n/(K·B)⌋)` inputs a
+/// cell, which grows with `B` too until one input a cell is no fewer and the
+/// layer goes back to `K·J` per-pixel multiplies. A per-pixel request (`Layout::Pixel`)
+/// is the one case whose counts stay flat as the batch fills: all images
+/// ride the slots of the same ciphertexts, and the per-request share falls
+/// as `1/fill`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeCostModel {
     /// Ciphertext × plaintext multiplication.
@@ -28,7 +35,10 @@ pub struct HeCostModel {
     /// Per-byte ingress transfer cost — what the broker charges for moving
     /// a request's upload (FV ciphertexts or a transciphered stream payload)
     /// into the service. This is where transciphered ingress pays off on the
-    /// virtual clock: kilobyte payloads instead of megabyte ciphertexts.
+    /// virtual clock — bytes a pixel instead of one ciphertext an image —
+    /// once the bytes it saves outprice the re-encryption ECALL it adds: at
+    /// n = 256 that takes a link slower than this calibration's 2 ns a byte
+    /// (DESIGN.md §17, *Serving*).
     pub ingress_byte_ns: u64,
 }
 
