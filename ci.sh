@@ -122,6 +122,13 @@ step_bench() {
     echo "==> ntt bench (two runs, deterministic sections diffed)"
     run_twice_diff ntt_bench target/bench/BENCH_ntt.deterministic.json
     test -s target/bench/BENCH_ntt.json
+    # The dense-operand FC at the paper's geometry (the run asserts its sums
+    # equal the plaintext FC): each of the 720 pooled values once, 8 operand
+    # cells, 8 products a class, one partial-sum cell a class. A return to
+    # one copy of every value per class (72 cells, one product each) or any
+    # other count must fail here.
+    grep -q '"dense_fc":{[^}]*"matches_plain":true,"operand_cells":8,"ct_pt_mul":80,"sum_cells":10,' \
+        target/bench/BENCH_ntt.deterministic.json
 
     # The same batch served through both ingress modes at HE pool sizes
     # 1/2/4. Deterministic face: upload bytes both ways, the reduction ratio,
@@ -158,13 +165,15 @@ step_bench() {
         echo "==> benchmark smoke: $workload"
         "${benchmark[@]}" --workload "$workload" --seed 1 --seconds 2 --trace 1 \
             > target/bench/smoke.txt
-        # A fig8_fv request (batch of 10) is served packed both ways: 822
-        # ct x pt multiplies, against 7950 with one FC input per ciphertext
-        # out of the enclave and 79200 with one pixel per ciphertext into it.
-        # A silent fall back to either unpacked layout must fail here, not
-        # show up later as a slow benchmark.
+        # A fig8_fv request (batch of 10) is served packed both ways: 130
+        # ct x pt multiplies (50 conv products, one per map and image, and 80
+        # FC products, 8 operand cells a class), against 7250 with one FC
+        # input per ciphertext out of the enclave (50 + 7200) and 79200 with
+        # one pixel per ciphertext into it. A silent fall back to either
+        # unpacked layout must fail here, not show up later as a slow
+        # benchmark.
         if [ "$workload" = fig8_fv ]; then
-            awk '$1 == "henn.ops.ct_pt_mul" { seen = 1; if ($2 + 0 >= 7950) unpacked = 1 }
+            awk '$1 == "henn.ops.ct_pt_mul" { seen = 1; if ($2 + 0 >= 7250) unpacked = 1 }
                  END { exit (unpacked || !seen) }' target/bench/smoke.txt
         fi
         # A purehe_12 request (batch of 10) runs in the orbit layout: per CRT
@@ -181,17 +190,20 @@ step_bench() {
                  $1 == "prof.bfv_ntt_calls" { seen = 1; if ($2 + 0 > 1738) transformed = 1 }
                  END { exit (unpacked || transformed || !seen || !squares) }' target/bench/smoke.txt
         fi
-        # A fig8 request is 765 transforms because whoever holds s encrypts
-        # in evaluation form (3 a ciphertext: the batch encode and one
-        # forward per limb) and the map stays there through the FC: 150·3
-        # client (fig8_tc: in-enclave ingress) encryptions + 30·3 enclave
-        # decryptions + 72·3 re-encryptions + 0 in the FC + 3·3 for the
-        # logit reduction and the user's decryption. It was 1899 with a
-        # public-key client, coefficient-form re-encryptions and an FC that
-        # transformed its operands (150·7 + 30·5 + 72·5 + 288 + 36 + 3·5).
-        # A silent return to any of them must fail here.
+        # A fig8 request is 180 transforms because whoever holds s encrypts
+        # in evaluation form and the map stays there through the conv and
+        # the FC (one forward per limb, two limbs; a slot-encoded cell adds
+        # its batch encode or decode): 10·2 coefficient-encoded ingress
+        # encryptions (client, or fig8_tc's enclave) + 50·2 conv-output
+        # decryptions + 8·3 operand re-encryptions + 0 in the conv and the
+        # FC + 10·3 partial-sum decryptions + 3 for the reduced logits' one
+        # re-encryption + 3 for the user's decryption. It was 345 with every
+        # pooled value repeated once per class (72·3 re-encryptions, one
+        # partial-sum cell) and 1899 with a public-key client,
+        # coefficient-form re-encryptions and an FC that transformed its
+        # operands. A silent return to any of them must fail here.
         if [ "$workload" = fig8_fv ] || [ "$workload" = fig8_tc ]; then
-            awk '$1 == "prof.bfv_ntt_calls" { seen = 1; if ($2 + 0 > 765) transformed = 1 }
+            awk '$1 == "prof.bfv_ntt_calls" { seen = 1; if ($2 + 0 > 180) transformed = 1 }
                  END { exit (transformed || !seen) }' target/bench/smoke.txt
         fi
     done

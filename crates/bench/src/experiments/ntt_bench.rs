@@ -20,7 +20,12 @@
 //! paper's geometry (28×28, five 5×5 maps, n = 1024, the paper's batch), the
 //! coefficient-encoded kernel — one ciphertext an image, one kernel-polynomial
 //! product per map and image — must decrypt to the plaintext convolution at
-//! every valid position; its op counts join the deterministic artifact.
+//! every valid position; its op counts join the deterministic artifact. So
+//! does the dense-operand FC at the same geometry: the 720 pooled values of
+//! each image once, `⌊1024/10⌋ = 102` slots an image, in 8 cells, one
+//! product chain a class ([`ops::he_fc_operand`]: 80 products) into 10
+//! partial-sum cells, whose sums must equal the plaintext FC for every
+//! (class, image).
 //!
 //! The enclave-cell section prices what one activation/pool cell costs
 //! inside the enclave at the Fig. 8 ring degree: `decrypt_slots`, and
@@ -47,7 +52,7 @@ use hesgx_henn::crt::Encoding;
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
-use hesgx_henn::weights::{KernelBank, WeightBank};
+use hesgx_henn::weights::{FcOperandBank, KernelBank, WeightBank};
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
 use hesgx_tee::wall::WallTimer;
 use std::fmt::Write as _;
@@ -117,6 +122,8 @@ pub struct NttBench {
     pub conv_oracle_weight_prep: u64,
     /// The coefficient-encoded convolution at the paper's geometry.
     pub coeff_conv: CoeffConv,
+    /// The dense-operand FC at the paper's geometry.
+    pub dense_fc: DenseFc,
     /// One enclave cell at the paper's ring degree.
     pub cell: EnclaveCell,
 }
@@ -129,6 +136,23 @@ pub struct CoeffConv {
     pub kernel_ns: u64,
     /// Every valid position of every map and image decrypted exactly.
     pub matches_plain: bool,
+    /// The kernel's op counts.
+    pub ops: OpCounter,
+}
+
+/// The fully connected layer over the dense operand layout at the paper's
+/// geometry: its median wall time, whether its partial sums added up to the
+/// plaintext FC, and its cell and op counts.
+#[derive(Debug, Clone, Copy)]
+pub struct DenseFc {
+    /// Median of one [`ops::he_fc_operand`] over the batch's operand map.
+    pub kernel_ns: u64,
+    /// Every (class, image)'s partial sums added up to `W·x + b`.
+    pub matches_plain: bool,
+    /// Operand cells in.
+    pub operand_cells: usize,
+    /// Partial-sum cells out (one a class).
+    pub sum_cells: usize,
     /// The kernel's op counts.
     pub ops: OpCounter,
 }
@@ -389,6 +413,63 @@ fn run_coeff_conv(reps: usize) -> CoeffConv {
     }
 }
 
+/// Runs the paper model's FC layer over the paper's batch of pooled maps in
+/// the dense operand layout at n = 1024 and holds every (class, image)'s
+/// summed partial sums against the plaintext FC.
+fn run_dense_fc(reps: usize) -> DenseFc {
+    let (model, n, batch) = (
+        conv_model(false),
+        crate::PAPER_POLY_DEGREE,
+        crate::PAPER_BATCH_SIZE,
+    );
+    let (inputs, classes) = (model.fc_in(), model.classes);
+    let bits = model.range_report().expect("ntt_bench FC range fits i64");
+    let moduli = CrtPlainSystem::moduli_for(n, bits.required_plain_bits, 0);
+    let sys = CrtPlainSystem::new(n, &moduli).expect("ntt_bench FC system builds");
+    let mut rng = ChaChaRng::from_seed(SEED).fork("dense-fc");
+    let keys = sys.generate_keys(&mut rng);
+    let x = |b: usize, j: usize| ((j * 5 + b * 3) % 16) as i64;
+    let layout = Layout::for_fc(inputs, classes, batch, n);
+    let (per, cells) = layout.fc_geometry(n).expect("the paper's FC packs");
+    let rule = layout.slot_map((cells, 1, 1), n).expect("the operand map");
+    let packed = rule
+        .encode(batch, |_, j, b| x(b, j))
+        .expect("the batch fits");
+    let cts = (packed.iter())
+        .map(|values| sys.encrypt(values, Encoding::Slots, &keys.secret, &mut rng))
+        .collect::<Result<_, _>>()
+        .expect("ntt_bench operand encrypts");
+    let map = EncryptedMap::new(cells, 1, 1, cts).with_layout(layout);
+    let (weights, biases) = (&model.fc_weights, &model.fc_bias);
+    let bank = FcOperandBank::prepare(&sys, weights, biases, per).expect("ntt_bench FC bank");
+    let serial = ParExec::serial();
+    let fc = |ops: &mut OpCounter| {
+        ops::he_fc_operand(&sys, &map, &bank, ops, &serial).expect("ntt_bench dense FC runs")
+    };
+    let mut ops = OpCounter::default();
+    let sums = fc(&mut ops);
+    let sum_cells = sums.cells().len();
+    let rows = (sums.decrypt_all(&sys, &keys.secret, batch, &serial))
+        .expect("ntt_bench dense FC decrypts");
+    let plain = |b: usize, c: usize| -> i128 {
+        let dot = (0..inputs).map(|j| weights[c * inputs + j] * x(b, j));
+        (dot.sum::<i64>() + biases[c]).into()
+    };
+    let matches_plain = (rows.iter().enumerate()).all(|(b, row)| {
+        let logits = row.chunks(per).map(|sums| sums.iter().sum::<i128>());
+        logits.enumerate().all(|(c, logit)| logit == plain(b, c))
+    });
+    DenseFc {
+        kernel_ns: median_of(reps, || {
+            std::hint::black_box(fc(&mut OpCounter::default()));
+        }),
+        matches_plain,
+        operand_cells: cells,
+        sum_cells,
+        ops,
+    }
+}
+
 /// `⌊(t·x + ⌊q/2⌋)/q⌋ mod t` in 256-bit integers on the reconstructed phase
 /// of `ct` — the decryption formula as written, to hold
 /// `Decryptor::decrypt`'s RNS-native evaluation against.
@@ -576,6 +657,22 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         coeff_conv.ops.ct_pt_mul,
         coeff_conv.matches_plain
     );
+    let dense_fc = run_dense_fc(conv_reps);
+    assert!(
+        dense_fc.matches_plain,
+        "the dense-operand FC diverged from the plaintext FC"
+    );
+    println!(
+        "dense-operand FC at n={}, 720 inputs, 10 classes, batch {}: {} ns, {} operand \
+         cells, {} products, {} partial-sum cells; every logit == plaintext FC: {}",
+        crate::PAPER_POLY_DEGREE,
+        crate::PAPER_BATCH_SIZE,
+        dense_fc.kernel_ns,
+        dense_fc.operand_cells,
+        dense_fc.ops.ct_pt_mul,
+        dense_fc.sum_cells,
+        dense_fc.matches_plain
+    );
 
     let cell_degree = crate::PAPER_POLY_DEGREE;
     let cell = run_cell(cell_degree, reps);
@@ -627,7 +724,7 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         json,
         "],\"conv_layer\":{{\"poly_degree\":{poly_degree},\"batch\":{},\"cached_ns\":{},\
          \"uncached_ns\":{},\"cells_match\":{conv_cells_match},\
-         \"uncached_weight_prep\":{}}},\"coeff_conv_ns\":{},\
+         \"uncached_weight_prep\":{}}},\"coeff_conv_ns\":{},\"dense_fc_ns\":{},\
          \"enclave_cell\":{{\"poly_degree\":{cell_degree},\
          \"decrypt_slots_ns\":{},\"encrypt_slots_public_ns\":{},\
          \"encrypt_slots_secret_ns\":{}}}}}",
@@ -636,6 +733,7 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         conv.reference_ns,
         oracle_ops.weight_prep,
         coeff_conv.kernel_ns,
+        dense_fc.kernel_ns,
         cell.decrypt_slots_ns,
         cell.encrypt_public_ns,
         cell.encrypt_secret_ns
@@ -666,6 +764,9 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
          \"ct_pt_mul\":{},\"ct_pt_add\":{},\"ct_ct_add\":{}}},\
          \"coeff_conv\":{{\"poly_degree\":{},\"batch\":{},\"matches_plain\":{},\
          \"ct_pt_mul\":{},\"ct_pt_add\":{},\"ct_ct_add\":{}}},\
+         \"dense_fc\":{{\"poly_degree\":{},\"batch\":{},\"matches_plain\":{},\
+         \"operand_cells\":{},\"ct_pt_mul\":{},\"sum_cells\":{},\
+         \"ct_pt_add\":{},\"ct_ct_add\":{}}},\
          \"enclave_cell\":{{\"poly_degree\":{cell_degree},\
          \"rns_decrypt_matches_u256\":{},\"symmetric_roundtrip_exact\":{}}}}}",
         crate::PAPER_BATCH_SIZE,
@@ -680,6 +781,14 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         coeff_conv.ops.ct_pt_mul,
         coeff_conv.ops.ct_pt_add,
         coeff_conv.ops.ct_ct_add,
+        crate::PAPER_POLY_DEGREE,
+        crate::PAPER_BATCH_SIZE,
+        dense_fc.matches_plain,
+        dense_fc.operand_cells,
+        dense_fc.ops.ct_pt_mul,
+        dense_fc.sum_cells,
+        dense_fc.ops.ct_pt_add,
+        dense_fc.ops.ct_ct_add,
         cell.rns_decrypt_matches_u256,
         cell.symmetric_roundtrip_exact
     );
@@ -694,6 +803,7 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         conv_cells_match,
         conv_oracle_weight_prep: oracle_ops.weight_prep,
         coeff_conv,
+        dense_fc,
         cell,
     }
 }

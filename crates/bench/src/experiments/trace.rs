@@ -10,12 +10,24 @@
 //!    every timestamp comes from the modeled virtual trace clock and the
 //!    ECALL path is selected by the plan, never by thread count.
 //! 2. **Every crossing refreshes** — the enclave re-encrypts what it
-//!    decrypted, so each crossing leaves with at least the budget it came in
-//!    with: `noise.budget.layer[i].post ≥ noise.budget.layer[i].pre`, both
-//!    measured inside the enclave (only the bit-counts leave it).
+//!    decrypted, so each crossing leaves with at least the budget of a fresh
+//!    encryption in the encoding it emits, and — where it reads that
+//!    encoding too — with at least the budget it came in with:
+//!    `noise.budget.layer[i].post ≥ noise.budget.layer[i].pre`, both
+//!    measured inside the enclave (only the bit-counts leave it). Budgets of
+//!    two encodings are not comparable: the invariant noise carries a
+//!    `(q mod t)·m` term, so a slot-encoded message (coefficients across
+//!    `[−t/2, t/2]`) reads fewer bits fresh than a coefficient-encoded
+//!    image of small pixels after a convolution.
 //! 3. **Zero-cost-when-off** — logits from the traced run are bit-identical
 //!    to an untraced run of the same seed: telemetry probes never touch the
 //!    ciphertext path.
+//!
+//! `--quick` serves an 8×8 model at n = 256: the request enters
+//! coefficient-encoded and leaves per pixel (three classes are no
+//! ciphertext's worth of FC layer). The full mode serves the paper's model
+//! at `ParamsPreset::Paper` (n = 1024), where it also leaves packed for the
+//! FC layer and the closing reduction crosses.
 //!
 //! Artifacts land in `target/obs/`: `trace-<seed>.json` loads directly in
 //! Perfetto / `chrome://tracing`, `trace-<seed>.prom` is Prometheus text
@@ -23,6 +35,7 @@
 
 use super::{chaos_sweep::sweep_model, header, RunConfig};
 use hesgx_core::prelude::*;
+use hesgx_crypto::rng::ChaChaRng;
 use hesgx_obs::Recorder;
 
 /// Seed every session in this experiment uses (also in the artifact names).
@@ -37,6 +50,11 @@ pub struct CrossingBudget {
     pub pre_bits: u64,
     /// Minimum budget of the cells the enclave re-encrypted.
     pub post_bits: u64,
+    /// Budget of a fresh encryption in the encoding the crossing emits.
+    pub fresh_bits: u64,
+    /// Whether the crossing reads the encoding it emits (`pre` and `post`
+    /// are then comparable).
+    pub same_encoding: bool,
 }
 
 /// Machine-checkable summary of the trace experiment.
@@ -48,7 +66,8 @@ pub struct TraceReport {
     pub prometheus_identical: bool,
     /// Traced logits equal the untraced run's logits (zero-cost-when-off).
     pub logits_match_untraced: bool,
-    /// Every crossing left with at least the budget it came in with.
+    /// Every crossing left with at least a fresh encryption's budget, and
+    /// with at least the budget it came in with where the encodings match.
     pub crossings_refresh: bool,
     /// The pool-1 run's crossings, in stage order.
     pub budgets: Vec<CrossingBudget>,
@@ -64,12 +83,13 @@ pub struct TraceReport {
 /// Prometheus text, event count).
 fn traced_run(
     threads: usize,
+    preset: ParamsPreset,
     model: &hesgx_nn::quantize::QuantizedCnn,
     image: &[i64],
 ) -> (Vec<Vec<i64>>, Vec<CrossingBudget>, String, String, usize) {
     let rec = Recorder::with_timeline();
     let session = SessionBuilder::new()
-        .params(ParamsPreset::Small)
+        .params(preset)
         .threads(threads)
         .seed(TRACE_SEED)
         .recorder(rec.clone())
@@ -79,23 +99,45 @@ fn traced_run(
         .serve(InferRequest::single(image.to_vec()))
         .expect("fault-free inference")
         .logits;
-    let gauge = |layer, side| rec.gauge_series(&format!("noise.budget.layer[{layer}].{side}"));
-    let stages = session.service().plan().stages.len();
-    let budgets = (0..stages)
-        .filter_map(
-            |layer| match (&gauge(layer, "pre")[..], &gauge(layer, "post")[..]) {
-                (&[pre_bits], &[post_bits]) => Some(CrossingBudget {
-                    layer,
-                    pre_bits,
-                    post_bits,
-                }),
-                _ => None,
-            },
-        )
-        .collect();
     let chrome = rec.export_chrome_trace();
     let prom = rec.export_prometheus();
     let events = rec.trace_events().len();
+    let gauge = |layer, side| rec.gauge_series(&format!("noise.budget.layer[{layer}].{side}"));
+    let service = session.service();
+    let (sys, plan, slots) = (
+        service.system(),
+        service.plan(),
+        service.system().slot_count(),
+    );
+    // The baseline: a fresh encryption of random values in `encoding`,
+    // under the user's copy of the secret key — in evaluation form, as the
+    // enclave re-encrypts — and measured with it.
+    let mut rng = ChaChaRng::from_seed(TRACE_SEED).fork("fresh-baseline");
+    let user = &session.ceremony().user_secret;
+    let mut fresh = |encoding| {
+        let values: Vec<i64> = (0..slots).map(|_| rng.next_below(1 << 62) as i64).collect();
+        let ct = sys.encrypt(&values, encoding, user, &mut rng);
+        let bits = ct.and_then(|ct| sys.noise_budget(&ct, user));
+        u64::from(bits.expect("fresh baseline"))
+    };
+    // What each crossing reads and emits: an HE layer keeps its input's
+    // encoding, a crossing emits the layout the plan's egress rule names.
+    let mut layout = service.ingress_layout(1);
+    let mut budgets = Vec::new();
+    for (layer, stage) in plan.stages.iter().enumerate() {
+        let Stage::Enclave(..) = stage else { continue };
+        let emitted = plan.egress_layout(layer, service.model(), layout, slots);
+        if let (&[pre_bits], &[post_bits]) = (&gauge(layer, "pre")[..], &gauge(layer, "post")[..]) {
+            budgets.push(CrossingBudget {
+                layer,
+                pre_bits,
+                post_bits,
+                fresh_bits: fresh(emitted.encoding()),
+                same_encoding: layout.encoding() == emitted.encoding(),
+            });
+        }
+        layout = emitted;
+    }
     (logits, budgets, chrome, prom, events)
 }
 
@@ -103,13 +145,17 @@ fn traced_run(
 pub fn trace(cfg: RunConfig) -> TraceReport {
     header("TRACE: deterministic timelines + noise-budget telemetry (not in the paper)");
     let model = sweep_model(cfg.quick);
+    let preset = match cfg.quick {
+        true => ParamsPreset::Small,
+        false => ParamsPreset::Paper,
+    };
     let image: Vec<i64> = (0..model.in_side * model.in_side)
         .map(|p| ((p * 3) % 16) as i64)
         .collect();
 
     // Reference run with the no-op recorder: tracing must not change bits.
     let untraced = SessionBuilder::new()
-        .params(ParamsPreset::Small)
+        .params(preset)
         .threads(1)
         .seed(TRACE_SEED)
         .build(Platform::new(703), model.clone())
@@ -121,24 +167,31 @@ pub fn trace(cfg: RunConfig) -> TraceReport {
 
     let runs: Vec<_> = [1usize, 2, 4]
         .iter()
-        .map(|&threads| traced_run(threads, &model, &image))
+        .map(|&threads| traced_run(threads, preset, &model, &image))
         .collect();
     let chrome_identical = runs.windows(2).all(|w| w[0].2 == w[1].2);
     let prometheus_identical = runs.windows(2).all(|w| w[0].3 == w[1].3);
     let (logits, budgets, chrome, prom, events) = runs.into_iter().next().expect("pool 1 ran");
     let logits_match_untraced = logits == untraced_logits;
-    let crossings_refresh =
-        !budgets.is_empty() && budgets.iter().all(|b| b.post_bits >= b.pre_bits);
+    let crossings_refresh = !budgets.is_empty()
+        && budgets.iter().all(|b| {
+            b.post_bits >= b.fresh_bits && (!b.same_encoding || b.post_bits >= b.pre_bits)
+        });
 
+    let n = untraced.service().system().slot_count();
     println!(
-        "input {}×{} | FV n = 256 | pools 1/2/4 | seed {TRACE_SEED}",
+        "input {}×{} | FV n = {n} | pools 1/2/4 | seed {TRACE_SEED}",
         model.in_side, model.in_side
     );
     println!();
-    println!("noise budget per crossing (bits measured inside the enclave):");
-    println!("layer   pre   post");
+    println!("noise budget per crossing (bits measured inside the enclave;");
+    println!("fresh: a fresh encryption in the encoding the crossing emits):");
+    println!("layer   pre   post  fresh  same encoding");
     for b in &budgets {
-        println!("{:>5} {:>5} {:>6}", b.layer, b.pre_bits, b.post_bits);
+        println!(
+            "{:>5} {:>5} {:>6} {:>6}  {}",
+            b.layer, b.pre_bits, b.post_bits, b.fresh_bits, b.same_encoding
+        );
     }
     println!();
     println!("trace events (pool 1): {events}");
@@ -172,7 +225,8 @@ pub fn trace(cfg: RunConfig) -> TraceReport {
     );
     assert!(
         crossings_refresh,
-        "a crossing left with less budget than it came in with: {budgets:?}"
+        "a crossing left with less budget than a fresh encryption, or than it came in with \
+         in the same encoding: {budgets:?}"
     );
 
     TraceReport {

@@ -939,9 +939,10 @@ mod tests {
     /// × every egress layout the rules pick: a per-pixel map of two images
     /// (out per pixel), the same images one cell an image (out packed for a
     /// wide FC layer wherever a batched crossing feeds it directly — one
-    /// logits ciphertext, the closing reduction run), and five images one
-    /// cell an image, one past the egress rule (`⌊256/(32·5)⌋ = 1` input a
-    /// cell: out per pixel, the closing stage skipped). A `Coeff` input gives
+    /// logits ciphertext, the closing reduction run), and 129 images one
+    /// cell an image (forced by hand: the ingress rule packs up to 63), one
+    /// past the egress rule (`⌊256/129⌋ = 1` slot an image: out per pixel,
+    /// the closing stage skipped). A `Coeff` input gives
     /// the same rows from fewer conv products wherever a batched crossing follows
     /// the convolution, and is refused — an error, not a panic — where a
     /// per-pixel one does.
@@ -990,7 +991,7 @@ mod tests {
                 .map(|b| (0..64).map(|p| ((p * 3 + b * 5) % 16) as i64).collect())
                 .collect()
         };
-        let (images, past_the_rule) = (batch_of(2), batch_of(5));
+        let (images, past_the_rule) = (batch_of(2), batch_of(129));
         let provision = |model: &QuantizedCnn, threads| {
             let recorder = Recorder::enabled();
             let (service, _) = HybridInference::provision_with(
@@ -1017,11 +1018,16 @@ mod tests {
                 )
                 .unwrap()
             };
-            // One cell an image, 2 or 5 images.
+            // One cell an image, 2 or 129 images.
             let packed = encrypt(&images, service.ingress_layout(2));
             assert_eq!(packed.shape(), (1, 2, 1));
-            let wide = encrypt(&past_the_rule, service.ingress_layout(5));
-            assert_eq!(wide.shape(), (1, 5, 1));
+            let coeff = Layout::Coeff {
+                batch: 129,
+                side: 8,
+                pitch: 8,
+            };
+            let wide = encrypt(&past_the_rule, coeff);
+            assert_eq!(wide.shape(), (1, 129, 1));
             let enc = [encrypt(&images, Layout::Pixel), packed, wide];
             (service, enc, recorder)
         };
@@ -1130,7 +1136,8 @@ mod tests {
                                 // splits only SgxDiv adds ciphertexts (the
                                 // window sums). A `Coeff` conv is one product
                                 // per map and image, with nothing to add; a
-                                // packed FC accumulates once per operand cell.
+                                // packed FC accumulates its operand cells
+                                // once a class.
                                 let conv_adds = match pixel {
                                     true => model.conv_out * model.conv_side().pow(2),
                                     false => 0,
@@ -1138,7 +1145,7 @@ mod tests {
                                 let pool_cells = model.conv_out * model.pool_side().pow(2);
                                 let mut adds = conv_adds * (model.kernel.pow(2) - 1);
                                 adds += match operand {
-                                    true => model.fc_in().div_ceil(4) - 1,
+                                    true => model.classes * (model.fc_in().div_ceil(128) - 1),
                                     false => model.classes * (model.fc_in() - 1),
                                 };
                                 if div {

@@ -66,9 +66,10 @@ pub enum EnclaveOp {
     /// plan already re-encrypts fresh.
     Refresh,
     /// The closing stage behind a fully connected layer that read
-    /// [`Layout::FcOperand`]: its one output cell is decrypted, the partial
-    /// sums of every (class, image) are added up, and the logits leave in
-    /// one ciphertext. A chain of its own; the run skips it when the
+    /// [`Layout::FcOperand`]: its output cells, one a class, are decrypted,
+    /// the partial sums of every (class, image) are added up, and the
+    /// logits leave in `⌈C / ⌊n/B⌋⌉` ciphertexts (one for the paper's model
+    /// up to 102 images). A chain of its own; the run skips it when the
     /// request's egress was [`Layout::Pixel`].
     LogitReduce,
 }
@@ -253,9 +254,9 @@ mod tests {
             )]
         );
         // The egress rule reads the plan's shape from the stage it is asked
-        // about, the batch off that stage's input, and then the count: ten
-        // classes at n = 1024 leave packed up to 51 images (`⌊1024/520⌋ = 1`
-        // input a cell is no fewer cells), whatever the 864 inputs here.
+        // about, the batch off that stage's input, and then the count: the
+        // 864 inputs here leave packed, each once, up to 512 images at n =
+        // 1024 (`⌊1024/513⌋ = 1` slot an image is no fewer cells).
         let coeff = |batch| Layout::Coeff {
             batch,
             side: 24,
@@ -264,13 +265,13 @@ mod tests {
         let egress =
             |plan: &InferencePlan, layer, input| plan.egress_layout(layer, &model, input, 1024);
         let operand = |batch| Layout::FcOperand {
-            classes: 10,
+            classes: 1,
             batch,
             inputs: 864,
         };
         assert_eq!(egress(&default, 1, coeff(10)), operand(10));
-        assert_eq!(egress(&default, 1, coeff(51)), operand(51));
-        assert_eq!(egress(&default, 1, coeff(52)), Layout::Pixel);
+        assert_eq!(egress(&default, 1, coeff(512)), operand(512));
+        assert_eq!(egress(&default, 1, coeff(513)), Layout::Pixel);
         // A per-pixel map does not say how many images it carries; no other
         // stage feeds the FC layer; a hand-built plan may leave the closing
         // stage out, end it differently, put a refresh stage between the

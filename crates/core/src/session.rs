@@ -984,15 +984,15 @@ mod tests {
         // What the transcipher-ingress ECALL emits.
         let transciphered = |session: &Session| c1(&session.transcipher_batch(&images).unwrap().0);
         // What the host sees leave a service's first four ECALLs: two
-        // refreshes, then the cell a packed egress emits (the 9 × 3 × 3
-        // pooled values of the ingress map, for three classes) and the
-        // reduced cell of the closing stage.
+        // refreshes, then the cell a packed egress emits (the 16 pooled
+        // values of the ingress map, each once) and the reduced cell of the
+        // closing stage.
         let first_ecalls = |session: &Session| -> Vec<Vec<u8>> {
             let service = session.service();
             let mut seen = Vec::new();
             let mut map = enc0.clone();
             let operand = Layout::FcOperand {
-                classes: 3,
+                classes: 1,
                 batch: 1,
                 inputs: 16,
             };

@@ -26,13 +26,12 @@
 use crate::error::{Error, Result};
 use crate::planner::{EcallBatching, EnclaveOp, InferencePlan};
 use crate::recovery::{retry_with_cost, RecoveryPolicy};
-use hesgx_bfv::error::Result as HeResult;
 use hesgx_bfv::prelude::{PublicKey, SecretKey};
 use hesgx_chaos::{FaultHook, FaultSite};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::transcipher::{self, IngressKey};
 use hesgx_henn::crt::{CrtCiphertext, CrtPlainSystem};
-use hesgx_henn::image::{EncryptedMap, Layout};
+use hesgx_henn::image::{EncryptedMap, Layout, SlotMap};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::quantize::QuantizedCnn;
 use hesgx_tee::cost::CostBreakdown;
@@ -102,12 +101,17 @@ fn timed_tasks<T: Send + Sync>(
     Ok(outs)
 }
 
-/// Folds `chain` over the square block of decrypted cells (row-major, one
-/// slot vector each) behind one output cell: [`EnclaveOp::MeanPool`] first
-/// sums the block's `k × k` windows, then every op maps the slots in place.
+/// Folds `chain` over the block of decrypted cells (row-major, one slot
+/// vector each) behind one output cell: [`EnclaveOp::MeanPool`] first sums
+/// the square block's `k × k` windows, [`EnclaveOp::LogitReduce`] the whole
+/// block, then every op maps the slots in place.
 fn fold_chain(chain: &[EnclaveOp], model: &QuantizedCnn, mut block: Vec<Vec<i64>>) -> Vec<i64> {
     let k = model.window;
     for &op in chain {
+        if op == EnclaveOp::LogitReduce {
+            let sum = |s| block.iter().map(|member| member[s]).sum();
+            block = vec![(0..block[0].len()).map(sum).collect()];
+        }
         if op == EnclaveOp::MeanPool {
             let wide = block.len().isqrt();
             let side = wide / k;
@@ -128,6 +132,46 @@ fn fold_chain(chain: &[EnclaveOp], model: &QuantizedCnn, mut block: Vec<Vec<i64>
         });
     }
     block.swap_remove(0)
+}
+
+/// The slots of a packed map's decrypted cells that hold a value of its slot
+/// map, one bitmap a cell: the enclave keeps a cell's values in slot order
+/// and finds one by its slot's rank.
+struct Kept(Vec<Vec<u64>>);
+
+impl Kept {
+    /// What `read` places in `cells` cells of `slots`; `None` when it places
+    /// a value past them.
+    fn new(read: &SlotMap, cells: usize, slots: usize) -> Option<Kept> {
+        let (channels, positions, images) = read.extent();
+        let mut bits = vec![vec![0u64; slots.div_ceil(64)]; cells];
+        for v in 0..channels * positions * images {
+            let (c, p) = (v / images / positions, v / images % positions);
+            let (cell, slot) = read.place(c, p, v % images)?;
+            *bits.get_mut(cell)?.get_mut(slot / 64)? |= 1 << (slot % 64);
+        }
+        Some(Kept(bits))
+    }
+
+    /// What staging holds: every kept value, and the bitmaps.
+    fn bytes(&self) -> usize {
+        let words = self.0.iter().flatten();
+        words.map(|word| 8 * (1 + word.count_ones() as usize)).sum()
+    }
+
+    /// The kept values of cell `cell`, decrypted to `values`.
+    fn keep(&self, cell: usize, values: &[i64]) -> Vec<i64> {
+        let held = |s: usize| self.0[cell][s / 64] >> (s % 64) & 1 == 1;
+        let kept = values.iter().enumerate().filter(|&(s, _)| held(s));
+        kept.map(|(_, &v)| v).collect()
+    }
+
+    /// Where slot `slot` of cell `cell` sits among the cell's kept values.
+    fn rank(&self, cell: usize, slot: usize) -> usize {
+        let (words, below) = (&self.0[cell], (1u64 << (slot % 64)) - 1);
+        let before: u32 = words[..slot / 64].iter().map(|w| w.count_ones()).sum();
+        (before + (words[slot / 64] & below).count_ones()) as usize
+    }
 }
 
 impl InferenceEnclave {
@@ -269,22 +313,20 @@ impl InferenceEnclave {
     /// Output `o` is a function of the `span × span` block of input
     /// positions at its position, folded inside the task that emits it:
     /// every [`EnclaveOp::MeanPool`] of the chain multiplies `span` by the
-    /// model's pooling window, every other op is cell-wise. A
-    /// [`Layout::Pixel`] input is decrypted cell by cell inside the task that
-    /// reads it, a [`Layout::Coeff`] input whole (its coefficients, no batch
-    /// decode), in one pass, into a plaintext staging buffer the tasks gather
-    /// from through its
-    /// [`SlotMap::decode`](hesgx_henn::image::SlotMap::decode). The enclave
-    /// is the repacker: it emits `emit`, the layout the next layer reads —
-    /// one cell per output ([`Layout::Pixel`]) or [`Layout::fc_per_cell`]
-    /// outputs a cell, each repeated for every class
-    /// ([`Layout::FcOperand`]), every cell through
-    /// [`SlotMap::encode`](hesgx_henn::image::SlotMap::encode). An
-    /// [`EnclaveOp::LogitReduce`] chain decodes that layer's one output
-    /// cell, adds up each (class, image)'s partial sums and emits the
-    /// reduced cell whatever `emit` says. The boundary is priced from the
-    /// cells that cross: the input's in, one fresh ciphertext per emitted
-    /// cell out.
+    /// model's pooling window, every other op is cell-wise; an
+    /// [`EnclaveOp::LogitReduce`], alone over a [`Layout::FcOperand`] map,
+    /// adds up each class's row of partial sums. A [`Layout::Pixel`] input
+    /// is decrypted cell by cell inside the task that reads it, a packed
+    /// input (`Coeff`, `FcOperand`) whole, in one pass on the pool, each
+    /// cell keeping in the staging buffer only the values its [`SlotMap`]
+    /// places — what the tasks gather. The enclave is the repacker: it emits
+    /// `emit`, the layout the next layer reads — one cell per output
+    /// ([`Layout::Pixel`]) or `P = ⌊slots / batch⌋` outputs a cell, each
+    /// once ([`Layout::FcOperand`] of one class), every cell through
+    /// [`SlotMap::encode`]; a reduction emits its logits that way whatever
+    /// `emit` says. The boundary is priced from the cells that cross: the
+    /// input's in, one fresh ciphertext per emitted cell out, and the kept
+    /// values staged.
     ///
     /// [`EcallBatching::Batched`] is one ECALL for the whole map, per-cell
     /// work scheduled on `pool` inside the enclave body.
@@ -298,7 +340,8 @@ impl InferenceEnclave {
     /// claims, a packed layout either side of a per-pixel crossing (its
     /// cells do not split by output), sides the chain's pooling does not
     /// tile, an `emit` that does not hold the outputs, and a `LogitReduce`
-    /// not alone over a one-cell `FcOperand` map; propagates HE/TEE failures.
+    /// not alone over an `FcOperand` map — all before any decryption;
+    /// propagates HE/TEE failures.
     #[allow(clippy::too_many_arguments)]
     pub fn apply(
         &self,
@@ -339,54 +382,54 @@ impl InferenceEnclave {
         let span = u32::try_from(pools.count())
             .ok()
             .and_then(|pools| model.window.checked_pow(pools))
-            .filter(|&span| span > 0);
-        let area = span.and_then(|span| span.checked_mul(span));
-        let (span, area) = span.zip(area).ok_or_else(refuse)?;
+            .filter(|&span| span > 0)
+            .ok_or_else(refuse)?;
         // Where the input's values sit; the feature map's sides; whether it
-        // is packed (decrypted whole, gathered through its slot map) or the
-        // one cell of partial sums a reduction reads.
+        // is packed (decrypted whole, gathered through its slot map). A
+        // reduction reads each class's partial sums as one row to add up.
         let read = input.layout().slot_map(input.shape(), slots);
         let read = read.map_err(|_| refuse())?;
-        let alone = chain == [EnclaveOp::LogitReduce];
-        let (h, w, packed, reduce) = match input.layout() {
-            Layout::Pixel => (cells_h, cells_w, None, false),
-            Layout::Coeff { side, .. } if batched => (side, side, Some(&read), false),
-            Layout::FcOperand { .. } if batched && alone && input.cells().len() == 1 => {
-                (1, 1, None, true)
+        let (channels, _, images) = read.extent();
+        let reduce = chain.contains(&EnclaveOp::LogitReduce);
+        let (h, w, packed) = match input.layout() {
+            Layout::Pixel if !reduce => (cells_h, cells_w, false),
+            Layout::Coeff { side, .. } if batched && !reduce => (side, side, true),
+            Layout::FcOperand { inputs, .. } if batched && chain.len() == 1 && reduce => {
+                (1, inputs, true)
             }
             _ => return Err(refuse()),
         };
-        let reduces = chain.contains(&EnclaveOp::LogitReduce);
-        if h % span != 0 || w % span != 0 || reduces != reduce {
+        // The block of input positions behind one output.
+        let (sy, sx) = if reduce { (1, w) } else { (span, span) };
+        if h % sy != 0 || w % sx != 0 {
             return Err(refuse());
         }
-        let (oh, ow) = (h / span, w / span);
-        let outputs = c * oh * ow;
+        let area = sy.checked_mul(sx).ok_or_else(refuse)?;
+        let (oh, ow) = (h / sy, w / sx);
+        let outputs = channels * oh * ow;
         // The layout the cells leave in.
-        let emit = match (input.layout(), emit) {
-            (Layout::FcOperand { classes, batch, .. }, _) => Layout::FcOperand {
-                classes,
-                batch,
+        let emit = match emit {
+            _ if reduce => Layout::FcOperand {
+                classes: channels,
+                batch: images,
                 inputs: 1,
             },
-            (_, Layout::Pixel) => emit,
-            (_, Layout::FcOperand { batch, inputs, .. })
-                if batched
-                    && inputs == outputs
-                    && packed.is_none_or(|read| read.extent().2 == batch) =>
-            {
-                emit
-            }
+            Layout::Pixel => emit,
+            Layout::FcOperand {
+                classes: 1,
+                batch,
+                inputs,
+            } if batched && inputs == outputs && (!packed || images == batch) => emit,
             _ => return Err(refuse()),
         };
         // Outputs an emitted cell holds, and one emitted cell's slot map: cell
-        // `g` of an operand map places inputs `g·L ..` where the one-cell map
-        // of `L` inputs places `0 ..`.
+        // `g` of an operand map holds values `g·P ..` where the one-cell map
+        // of `P` inputs places `0 ..`.
         let (per, cell) = match emit {
-            Layout::FcOperand { classes, batch, .. } => {
-                let inputs = emit.fc_per_cell(slots).ok_or_else(refuse)?;
+            Layout::FcOperand { batch, .. } => {
+                let (inputs, _) = emit.fc_geometry(slots).ok_or_else(refuse)?;
                 let cell = Layout::FcOperand {
-                    classes,
+                    classes: 1,
                     batch,
                     inputs,
                 };
@@ -397,13 +440,18 @@ impl InferenceEnclave {
         let write = cell.slot_map((1, 1, 1), slots).map_err(|_| refuse())?;
         // Member `d` of the block behind output `o`: channel, position.
         let member = |o: usize, d: usize| {
-            let (y, x) = ((o / ow) % oh * span + d / span, o % ow * span + d % span);
+            let (y, x) = ((o / ow) % oh * sy + d / sx, o % ow * sx + d % sx);
             (o / (oh * ow), y * w + x)
         };
-        // The crossing cells: a packed map whole, else block by block.
+        // The crossing cells: a packed map whole, with what is kept of each
+        // once decrypted (enclave work, charged to the ECALL that reads it);
+        // else block by block.
+        let timer = WallTimer::start();
+        let kept = packed.then(|| Kept::new(&read, input.cells().len(), slots).ok_or_else(refuse));
+        let (kept, kept_ns) = (kept.transpose()?, timer.elapsed_ns());
         let crossing: Vec<&CrtCiphertext> = match packed {
-            Some(_) => input.cells().iter().collect(),
-            None => (0..outputs * area)
+            true => input.cells().iter().collect(),
+            false => (0..outputs * area)
                 .map(|i| {
                     let (ch, position) = member(i / area, i % area);
                     input.cell(ch, position / w, position % w)
@@ -422,23 +470,30 @@ impl InferenceEnclave {
         };
         let mut cells = Vec::with_capacity(outputs.div_ceil(per));
         let mut total = CostBreakdown::default();
-        let per_entry = packed.map_or(per_call * per * area, |_| crossing.len());
+        let per_entry = if packed {
+            crossing.len()
+        } else {
+            per_call * per * area
+        };
         for entering in crossing.chunks(per_entry.max(1)) {
             let (out, cost) = self.batched_ecall(
                 EcallShape {
                     name: &name,
                     in_bytes: entering.iter().map(|c| c.byte_len()).sum(),
-                    staging_bytes: packed.map_or(0, |_| entering.len() * slots * 8),
+                    staging_bytes: kept.as_ref().map_or(0, Kept::bytes),
                     out_bytes: per_call * sys.fresh_ciphertext_byte_len(),
                     fork_prefix: "par",
                     pre_site: refreshes.then_some(FaultSite::NoiseRefresh),
                     retouch_header: span == 1,
                 },
                 |base, cpu_ns| {
-                    let staged = match packed {
-                        Some(_) => {
-                            timed_tasks(pool, entering.len(), cpu_ns, |i| decrypt(entering[i]))?
-                        }
+                    *cpu_ns = kept_ns;
+                    // A packed map's cells, decrypted on the pool, keep only
+                    // the values the gather reads.
+                    let staged = match &kept {
+                        Some(kept) => timed_tasks(pool, entering.len(), cpu_ns, |i| {
+                            Ok(kept.keep(i, &decrypt(entering[i])?))
+                        })?,
                         None => Vec::new(),
                     };
                     timed_tasks(pool, per_call, cpu_ns, |j| {
@@ -446,34 +501,23 @@ impl InferenceEnclave {
                         // The outputs behind cell `j`, one image-indexed
                         // slot vector each.
                         let folded = (j * per..outputs.min((j + 1) * per)).map(|o| {
-                            let block = (0..area).map(|d| match packed {
+                            let block = (0..area).map(|d| match &kept {
                                 None => decrypt(entering[o * area + d]),
-                                Some(read) => {
+                                Some(kept) => {
                                     let (ch, position) = member(o, d);
-                                    let mut images = Vec::with_capacity(read.extent().2);
-                                    for b in 0..read.extent().2 {
-                                        images.push(read.decode(&staged, ch, position, b)?);
-                                    }
-                                    Ok(images)
+                                    let place = |b| read.place(ch, position, b);
+                                    let value = |(cell, slot)| staged[cell][kept.rank(cell, slot)];
+                                    let images = (0..images).map(|b| place(b).map(value));
+                                    images.collect::<Option<_>>().ok_or_else(refuse)
                                 }
                             });
                             Ok(fold_chain(chain, model, block.collect::<Result<_>>()?))
                         });
                         let folded: Vec<Vec<i64>> = folded.collect::<Result<_>>()?;
-                        let values = if reduce {
-                            // Each (class, image)'s partial sums, added up.
-                            let (classes, sums, images) = read.extent();
-                            let partial = |k, i| read.decode(&folded, k % classes, i, k / classes);
-                            let logit = |k| (0..sums).map(|i| partial(k, i)).sum();
-                            let logits = (0..images * classes).map(logit);
-                            let logits = logits.collect::<HeResult<Vec<i64>>>()?;
-                            write.encode(images, |class, _, b| logits[b * classes + class])?
-                        } else {
-                            // Output `j·per + p` at position `p` of the cell.
-                            let images = folded[0].len().min(write.extent().2);
-                            let value = |_, p: usize, b| folded.get(p).map_or(0, |o| o[b]);
-                            write.encode(images, value)?
-                        };
+                        // Output `j·per + p` at position `p` of the cell.
+                        let images = folded[0].len().min(write.extent().2);
+                        let value = |_, p: usize, b| folded.get(p).map_or(0, |o| o[b]);
+                        let values = write.encode(images, value)?;
                         Ok(sys.encrypt(&values[0], emit.encoding(), &self.secret, &mut rng)?)
                     })
                 },
@@ -759,13 +803,15 @@ mod tests {
     }
 
     /// What a chain's `outputs` values per image leave the enclave as: one
-    /// cell each, or packed for a 25-class FC layer — five to a cell at two
-    /// images (`⌊256/50⌋`), so the table's 32, 8 and 2 outputs fill seven
-    /// cells (the last one short), two (the last one short) and one.
-    fn emits(outputs: usize) -> [Layout; 2] {
-        let (classes, batch) = (25, 2);
+    /// cell each, or packed for the FC layer, each once — a `Pixel` map
+    /// (which does not say how many images it carries) for fifty images,
+    /// five slots each (`⌊256/50⌋`), so the table's 32, 8 and 2 outputs
+    /// fill seven cells (the last one short), two (the last one short) and
+    /// one; a `Coeff` map for its two images, 128 slots each, one cell.
+    fn emits(outputs: usize, input: Layout) -> [Layout; 2] {
+        let batch = if input == Layout::Pixel { 50 } else { 2 };
         let operand = Layout::FcOperand {
-            classes,
+            classes: 1,
             batch,
             inputs: outputs,
         };
@@ -773,18 +819,18 @@ mod tests {
     }
 
     /// The slot vector of every cell `emit` lays `expect` (`[image][output]`)
-    /// out in, through its slot map. `idle` is what a `Pixel` cell's slots
-    /// beyond the batch hold.
+    /// out in, through its slot map. `idle` is what the images past the
+    /// table's two hold (a `Pixel` input's other slots).
     fn emitted(expect: &[Vec<i64>], idle: &[i64], emit: Layout) -> Vec<Vec<i64>> {
         let outputs = idle.len();
-        let Some(per) = emit.fc_per_cell(256) else {
-            let slot = |o, s| expect.get(s).map_or(idle[o], |img: &Vec<i64>| img[o]);
+        let value = |o: usize, image: usize| expect.get(image).map_or(idle[o], |img| img[o]);
+        let Some((_, cells)) = emit.fc_geometry(256) else {
             return (0..outputs)
-                .map(|o| (0..256).map(|s| slot(o, s)).collect())
+                .map(|o| (0..256).map(|s| value(o, s)).collect())
                 .collect();
         };
-        let rule = emit.slot_map((outputs.div_ceil(per), 1, 1), 256).unwrap();
-        let cells = rule.encode(expect.len(), |_, o, image| expect[image][o]);
+        let rule = emit.slot_map((cells, 1, 1), 256).unwrap();
+        let cells = rule.encode(rule.extent().2, |_, o, image| value(o, image));
         cells.unwrap()
     }
 
@@ -861,7 +907,7 @@ mod tests {
                 _ => vec![0; expect[0].len()],
             };
             let outputs = expect[0].len();
-            for emit in emits(outputs) {
+            for emit in emits(outputs, layout) {
                 let want = emitted(&expect, &idle, emit);
                 let mut batched_bits = None;
                 for batching in [EcallBatching::Batched, EcallBatching::PerPixel] {
@@ -934,42 +980,48 @@ mod tests {
         }
     }
 
-    /// The five partial sums a 3-class FC layer leaves for two images.
+    /// The partial sums a 3-class FC layer leaves for three images: one cell
+    /// a class, 85 sums an image (`⌊256/3⌋`).
     const SUMS: Layout = Layout::FcOperand {
         classes: 3,
-        batch: 2,
-        inputs: 5,
+        batch: 3,
+        inputs: 85,
     };
 
-    /// The cell a 3-class FC layer leaves for two images at five partial
-    /// sums each: sum `j` of (class, image) holds `100·class + 10·image + j
-    /// − 40` where the slot map places it, every other slot a value the
-    /// reduction must not pick up.
+    /// Partial sum `j` of (class, image).
+    fn partial(class: usize, image: usize, j: usize) -> i64 {
+        ((7 * class + 3 * image + j) % 11) as i64 - 5
+    }
+
+    /// The three cells of [`SUMS`]: every partial sum where the slot map
+    /// places it, and in the one slot past `3·85` a value the reduction
+    /// must not pick up.
     fn partial_sums(ie: &InferenceEnclave, sys: &CrtPlainSystem, rng: &ChaChaRng) -> EncryptedMap {
-        let rule = SUMS.slot_map((1, 1, 1), 256).unwrap();
-        let mut slots = vec![7; 256];
-        for (j, class, image) in (0..30).map(|i| (i % 5, i / 5 % 3, i / 15)) {
-            let (_, slot) = rule.place(class, j, image).unwrap();
-            slots[slot] = (100 * class + 10 * image + j) as i64 - 40;
-        }
-        let mut rng = rng.fork("partial-sums");
-        let cell = sys
-            .encrypt(&slots, Encoding::Slots, &ie.public, &mut rng)
-            .unwrap();
-        EncryptedMap::new(1, 1, 1, vec![cell]).with_layout(SUMS)
+        let rule = SUMS.slot_map((3, 1, 1), 256).unwrap();
+        let mut cells = rule.encode(3, |class, j, image| partial(class, image, j));
+        let cells = (cells.as_mut().unwrap().iter_mut().enumerate())
+            .map(|(k, slots)| {
+                slots[255] = 7;
+                let mut rng = rng.fork(&format!("partial-sums-{k}"));
+                sys.encrypt(slots, Encoding::Slots, &ie.public, &mut rng)
+                    .unwrap()
+            })
+            .collect();
+        EncryptedMap::new(3, 1, 1, cells).with_layout(SUMS)
     }
 
     /// The closing stage: one `ecall_LogitReduce` decrypts the FC layer's
-    /// one cell, adds up the partial sums of every (class, image) and
-    /// re-encrypts one cell holding each logit once, where the slot map of
-    /// one input a cell puts it — every other slot zero, the bits
-    /// pool-independent —
-    /// which is what `decrypt_all` hands the client row by row. Anything
-    /// else it is asked to reduce is refused before the boundary.
+    /// cells, one a class, adds up the partial sums of every (class, image)
+    /// and re-encrypts one cell holding each logit once, where the slot map
+    /// of one input a class puts it — every other slot zero, the bits
+    /// pool-independent — which is what `decrypt_all` hands the client row
+    /// by row: the plaintext logits. Anything else it is asked to reduce is
+    /// refused before the boundary.
     #[test]
     fn logit_reduce_sums_the_partials_into_one_ciphertext() {
         let model = small_model();
         let reduce = [EnclaveOp::LogitReduce];
+        let logit = |class, image| (0..85).map(|j| partial(class, image, j)).sum::<i64>();
         let mut bits = None;
         for threads in POOLS {
             let rec = Recorder::enabled();
@@ -982,24 +1034,27 @@ mod tests {
                 .unwrap();
             let reduced = Layout::FcOperand {
                 classes: 3,
-                batch: 2,
+                batch: 3,
                 inputs: 1,
             };
             assert_eq!((out.layout(), out.shape()), (reduced, (1, 1, 1)));
             let rule = reduced.slot_map((1, 1, 1), 256).unwrap();
             let mut want = vec![0i128; 256];
-            for (class, image) in (0..6).map(|i| (i % 3, i / 3)) {
-                // Σ_j (100·class + 10·image + j − 40), j < 5.
+            for (class, image) in (0..9).map(|i| (i % 3, i / 3)) {
                 let (_, slot) = rule.place(class, 0, image).unwrap();
-                want[slot] = 5 * (100 * class + 10 * image) as i128 - 190;
+                assert_eq!(slot, image * 85 + class);
+                want[slot] = logit(class, image).into();
             }
             assert_eq!(
                 sys.decrypt(&out.cells()[0], Encoding::Slots, &ie.secret)
                     .unwrap(),
                 want
             );
-            let rows = out.decrypt_all(&sys, &ie.secret, 2, &pool).unwrap();
-            assert_eq!(rows, [[-190, 310, 810], [-140, 360, 860]]);
+            let rows = out.decrypt_all(&sys, &ie.secret, 3, &pool).unwrap();
+            let plain: Vec<Vec<i128>> = (0..3)
+                .map(|image| (0..3).map(|class| logit(class, image).into()).collect())
+                .collect();
+            assert_eq!(rows, plain);
             assert_eq!(rec.span("ecall.ecall_LogitReduce").unwrap().entries, 1);
             let cells = out.into_cells();
             assert_eq!(
@@ -1027,33 +1082,48 @@ mod tests {
             for layout in LAYOUTS {
                 refused(&reduce, &table_input(&ie, &sys, &rng, layout), batched);
             }
-            // Two cells, and one cell claiming more sums than it holds.
-            let wide = emits(8)[1];
-            let (two, _) = ie
-                .apply(
-                    &[EnclaveOp::MeanPool],
-                    &sys,
-                    &model,
-                    &table_input(&ie, &sys, &rng, LAYOUTS[0]),
-                    batched,
-                    wide,
-                    &pool,
-                )
-                .unwrap();
-            assert_eq!(two.cells().len(), 2);
-            refused(&reduce, &two, batched);
-            let claim = Layout::FcOperand {
-                classes: 3,
-                batch: 2,
-                inputs: 43,
-            };
-            refused(&reduce, &input.clone().with_layout(claim), batched);
             assert_eq!(
                 rec.counter(counters::ECALLS),
-                ecalls + 1,
+                ecalls,
                 "refused before crossing"
             );
         }
+    }
+
+    /// A partial-sum map a cell short or a cell over, or claiming more sums
+    /// than its cells hold, is refused before the boundary — no ECALL, so
+    /// no cell is decrypted.
+    #[test]
+    fn a_partial_sum_map_with_a_missing_or_extra_cell_is_refused() {
+        let rec = Recorder::enabled();
+        let (ie, sys, rng) = setup_with(None, rec.clone());
+        let input = partial_sums(&ie, &sys, &rng);
+        let cells = input.cells();
+        let short = EncryptedMap::new(2, 1, 1, cells[..2].to_vec());
+        let over = EncryptedMap::new(4, 1, 1, [cells, &cells[..1]].concat());
+        let wider = Layout::FcOperand {
+            classes: 3,
+            batch: 3,
+            inputs: 86,
+        };
+        let ecalls = rec.counter(counters::ECALLS);
+        for map in [
+            short.with_layout(SUMS),
+            over.with_layout(SUMS),
+            input.clone().with_layout(wider),
+        ] {
+            let applied = ie.apply(
+                &[EnclaveOp::LogitReduce],
+                &sys,
+                &small_model(),
+                &map,
+                EcallBatching::Batched,
+                Layout::Pixel,
+                &ParExec::new(2),
+            );
+            assert!(matches!(applied, Err(Error::Config(_))), "{map:?}");
+        }
+        assert_eq!(rec.counter(counters::ECALLS), ecalls);
     }
 
     /// §VI-E: per-pixel crossings pay the boundary once per output cell, a
@@ -1138,7 +1208,7 @@ mod tests {
                     _ => table_input(&ie, &sys, &rng, layout),
                 };
                 let outputs = reference(&op, &model, &[0; 32]).len();
-                let emit = emits(outputs)[usize::from(operand)];
+                let emit = emits(outputs, layout)[usize::from(operand)];
                 let pool = ParExec::new(threads);
                 let (out, _) = ie
                     .apply(&op, &sys, &model, &input, batching, emit, &pool)

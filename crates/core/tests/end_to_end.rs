@@ -415,22 +415,22 @@ fn noise_refresh_extends_computation_indefinitely() {
 /// both layouts by their count rules — and, on the same service, run by hand
 /// from an explicit `Pixel` map and an explicit `Coeff` map: every row of
 /// every path equals `forward_ints`, and the logit ciphertexts of the
-/// hand-run paths are bit-identical across HE pool sizes (the packed FC sums
-/// its cells in pool-sized groups; sums mod q are exact under any grouping).
-/// The model is the 8×8 one with sixteen classes (`J = 18` FC inputs, so
-/// `C·J = 288 ≥ 256`: wide enough to pack), at n = 256. Ingress edges: small
-/// batches (1, 2, 5), the largest batch the rule still packs (63 cells
-/// against 64 pixels) and one beyond it (64, served in `Pixel`), and —
-/// forced by hand — 64 and 65 in `Coeff`, more images than pixels. Egress edges, `L = min(18, ⌊256/(16·B)⌋)`: a
-/// batch of one (`L = 16`, `J % L ≠ 0`: 16 + 2), `L = 8` (2: 8 + 8 + 2), `L =
-/// 3` (5: six full cells), `L = 2` (8: nine cells), `L = 1` where one cell
-/// per input is no fewer (9: back to `Pixel`), and `C·B` just below, at and
-/// just above the slots (15, 16, 17 — `Pixel`). (`L = J` cannot occur: a
-/// layer that narrow does not pack at all.)
+/// hand-run paths are bit-identical across HE pool sizes (the packed FC is
+/// one product chain per class and CRT part, whatever the pool). The model
+/// is the 8×8 one with sixteen classes (`J = 18` FC inputs, so `C·J = 288 ≥
+/// 256`: wide enough to pack), at n = 256. Ingress edges: small batches (1,
+/// 2, 5), the largest batch the rule still packs (63 cells against 64
+/// pixels) and one beyond it (64, served in `Pixel`), and — forced by hand —
+/// 64, 65, 128 and 129 in `Coeff`, more images than pixels. Egress edges, `P
+/// = ⌊256/B⌋` slots an image, `⌈18/P⌉` operand cells and `⌈16/P⌉` logit
+/// cells: a batch of one (`P = 256`, one cell), `P = 17` (15: 17 + 1, the
+/// last cell short), `P = 16` (16: 16 + 2), `P = 15` (17), `P = 4` (63, 64:
+/// five cells, four of logits), `P = 2` (128: nine cells, eight of logits),
+/// and `P = 1` where one cell per input is no fewer (129: back to `Pixel`).
 #[test]
 fn both_layouts_serve_identical_logits_at_every_batch_edge() {
     let model = wide_hybrid_model();
-    for batch in [1usize, 2, 5, 8, 9, 15, 16, 17, 63, 64, 65] {
+    for batch in [1usize, 2, 5, 8, 9, 15, 16, 17, 63, 64, 65, 128, 129] {
         let images: Vec<Vec<i64>> = (0..batch)
             .map(|b| (0..64).map(|p| ((p * 5 + b * 11) % 16) as i64).collect())
             .collect();
@@ -442,7 +442,7 @@ fn both_layouts_serve_identical_logits_at_every_batch_edge() {
         };
         // What leaves the enclave for the FC layer when the batch came packed.
         let operand = Layout::for_fc(18, 16, batch, 256);
-        assert_eq!(operand != Layout::Pixel, batch <= 8, "batch {batch}");
+        assert_eq!(operand != Layout::Pixel, batch <= 128, "batch {batch}");
         let mut bits = None;
         for threads in [1usize, 2, 4] {
             let what = format!("batch {batch}, {threads} threads");
@@ -471,7 +471,7 @@ fn both_layouts_serve_identical_logits_at_every_batch_edge() {
                 // Conv, one crossing, FC; the closing reduction only behind
                 // a packed egress; the ingress ECALL when transciphered.
                 let stages =
-                    3 + usize::from(batch <= 8) + usize::from(ingress == Ingress::Transciphered);
+                    3 + usize::from(batch <= 63) + usize::from(ingress == Ingress::Transciphered);
                 assert_eq!(response.metrics.stages.len(), stages, "{what} {ingress:?}");
                 if ingress == Ingress::FvCiphertext {
                     let cells = ruled.ingress_cells(8, 256);
@@ -493,7 +493,10 @@ fn both_layouts_serve_identical_logits_at_every_batch_edge() {
                 // A per-pixel map does not say how many images it carries:
                 // it leaves per pixel too.
                 let packed = layout == coeff && operand != Layout::Pixel;
-                let cells = if packed { 1 } else { model.classes };
+                let cells = match packed {
+                    true => model.classes.div_ceil(256 / batch),
+                    false => model.classes,
+                };
                 assert_eq!(logits.cells().len(), cells, "{what} {layout:?}");
                 let rows = logits
                     .decrypt_all(
@@ -542,18 +545,7 @@ fn formula_model(in_side: usize, conv_out: usize, kernel: usize, classes: usize)
 /// A paper-geometry session (28×28 in, five 5×5 maps, 2×2 pooling, ten
 /// classes, n = 1024) with an enabled recorder, and `batch` images for it.
 fn paper_session(batch: usize) -> (hesgx_core::session::Session, Recorder, Vec<Vec<i64>>) {
-    let rec = Recorder::enabled();
-    let session = SessionBuilder::new()
-        .params(ParamsPreset::Paper)
-        .threads(2)
-        .seed(2021)
-        .recorder(rec.clone())
-        .build(Platform::new(921), formula_model(28, 5, 5, 10))
-        .unwrap();
-    let images = (0..batch)
-        .map(|b| (0..784).map(|p| ((p * 3 + b * 7) % 16) as i64).collect())
-        .collect();
-    (session, rec, images)
+    session_of(formula_model(28, 5, 5, 10), ParamsPreset::Paper, batch)
 }
 
 /// The ECALLs a session's pipeline stages booked, by name with their entry
@@ -570,10 +562,10 @@ fn stage_ecalls(rec: &Recorder) -> Vec<String> {
 /// `batchSize = 10` — served packed both ways: 10 ingress ciphertexts (one an
 /// image, its pixels the coefficients) instead of 784, 50 conv-output cells
 /// (one kernel-polynomial product per map and image) instead of 2880; then
-/// 72 FC operand cells
-/// (`L = ⌊1024/100⌋ = 10` of the 720 inputs each) instead of 720, 72
-/// slot-wise multiplies instead of 7200, and one logits ciphertext out of
-/// the closing reduction instead of ten.
+/// 8 FC operand cells (each of the 720 pooled values once, `P = ⌊1024/10⌋ =
+/// 102` slots an image) instead of 720, 80 slot-wise multiplies (8 a class)
+/// instead of 7200, 10 partial-sum cells (one a class) into the closing
+/// reduction and one logits ciphertext out of it instead of ten.
 #[test]
 fn packed_paper_request_pins_its_op_counts() {
     let (session, rec, images) = paper_session(10);
@@ -586,9 +578,9 @@ fn packed_paper_request_pins_its_op_counts() {
     assert_eq!(
         response.metrics.ops,
         OpCounter {
-            ct_pt_mul: 50 + 72,
-            ct_ct_add: 71,
-            ct_pt_add: 50 + 1,
+            ct_pt_mul: 50 + 80,
+            ct_ct_add: 70,
+            ct_pt_add: 50 + 10,
             ..OpCounter::default()
         }
     );
@@ -598,26 +590,34 @@ fn packed_paper_request_pins_its_op_counts() {
             response.metrics.ops.ct_ct_add,
             response.metrics.ops.ct_pt_add
         ),
-        (122, 71, 51)
+        (130, 70, 60)
     );
     let fresh = session.service().system().fresh_ciphertext_byte_len() as u64;
     assert_eq!(response.upload_bytes, 10 * fresh);
-    // Two crossings: 50 conv cells in and 72 operand cells out, then the
-    // FC's one cell in and the one logits ciphertext out.
+    // Two crossings: 50 conv cells in and 8 operand cells out, then the
+    // FC's 10 cells in and the one logits ciphertext out.
     assert_eq!(
         stage_ecalls(&rec),
         ["ecall_LogitReduce x1", "ecall_activation_pool x1"]
     );
-    // (The recorder's four noise probes read the same 124 cells once more
+    // (The recorder's four noise probes read the same 69 cells once more
     // and hand back four bytes each.)
-    let crossed = (50 + 72 + 1 + 1) * fresh;
+    let crossed = (50 + 8 + 10 + 1) * fresh;
     assert_eq!(
         rec.counter(counters::BYTES_MARSHALLED) - marshalled,
         crossed + (crossed + 4 * 4)
     );
     assert_eq!(response.metrics.stages.len(), 4);
-    // 784 live coefficients of 1024 at ingress, 576 into the enclave;
-    // 72 000 of 72 × 1024 slots out of it, so 1000 of 1024 partial sums
+    // Each crossing stages only the values its gather reads, with a 128-byte
+    // bitmap a cell: the 28 800 conv outputs and the 10 200 partial sums, on
+    // top of the 50 and 10 cells that cross in — 458 and 101 cold EPC pages,
+    // where whole decrypted cells (400 and 80 KiB) would touch 500 and 100.
+    let swap = hesgx_tee::cost::CostModel::default().page_swap_ns;
+    let pages = |name: &str| rec.span(name).unwrap().cost.paging_ns / swap;
+    let crossings = ["ecall.ecall_activation_pool", "ecall.ecall_LogitReduce"];
+    assert_eq!(crossings.map(pages), [458, 101]);
+    // 784 live coefficients of 1024 at ingress, 576 into the enclave; 7200
+    // of 8 × 1024 slots out of it, and 1020 of 1024 partial sums a cell
     // into the reduction.
     assert_eq!(rec.gauge_series(counters::SLOT_OCCUPANCY_PPM), [765_625]);
     assert_eq!(
@@ -626,30 +626,63 @@ fn packed_paper_request_pins_its_op_counts() {
     );
     assert_eq!(
         rec.gauge_series("infer.layer[3].slot_occupancy_ppm"),
-        [976_562]
+        [996_093]
     );
 }
 
-/// One image past the egress rule (`L = ⌊1024/520⌋ = 1`: one cell per input
-/// is no fewer than today's) the request still enters packed (`B ≤ 783`) but
-/// runs exactly the parent's stages and crossings: one fused ECALL, two
-/// transitions, 720 `Pixel` cells into the scalar FC, ten logit ciphertexts,
-/// and no closing ECALL — not even an empty one.
+/// A session at `preset` with an enabled recorder serving `model`, and
+/// `batch` images for it.
+fn session_of(
+    model: QuantizedCnn,
+    preset: ParamsPreset,
+    batch: usize,
+) -> (hesgx_core::session::Session, Recorder, Vec<Vec<i64>>) {
+    let rec = Recorder::enabled();
+    let pixels = model.in_side * model.in_side;
+    let session = SessionBuilder::new()
+        .params(preset)
+        .threads(2)
+        .seed(2021)
+        .recorder(rec.clone())
+        .build(Platform::new(921), model)
+        .unwrap();
+    let images = (0..batch)
+        .map(|b| (0..pixels).map(|p| ((p * 3 + b * 7) % 16) as i64).collect())
+        .collect();
+    (session, rec, images)
+}
+
+/// One image past the egress rule (`P = ⌊n/B⌋ = 1`: one cell per input is
+/// no fewer than per pixel) the request still enters packed but runs
+/// exactly the per-pixel egress's stages and crossings: one fused ECALL, two
+/// transitions, the pooled values per pixel into the scalar FC, one logit
+/// ciphertext a class, and no closing ECALL — not even an empty one. The
+/// paper's model crosses at 513 images (`B ≤ 512` packs); the same rule is
+/// served here on the broker's 12×12 geometry with sixteen classes at n =
+/// 256, whose ingress packs up to 143 images and whose 50 pooled values
+/// leave packed up to 128: a 129-image request.
 #[test]
 fn request_past_the_egress_rule_books_the_per_pixel_crossings() {
-    let (session, rec, images) = paper_session(52);
-    assert_eq!(
-        Layout::for_fc(720, 10, 51, 1024),
-        Layout::FcOperand {
-            classes: 10,
-            batch: 51,
-            inputs: 720
-        }
-    );
-    assert_eq!(Layout::for_fc(720, 10, 52, 1024), Layout::Pixel);
+    let operand = |batch, inputs| Layout::FcOperand {
+        classes: 1,
+        batch,
+        inputs,
+    };
+    assert_eq!(Layout::for_fc(720, 10, 512, 1024), operand(512, 720));
+    assert_eq!(Layout::for_fc(720, 10, 513, 1024), Layout::Pixel);
+    assert_eq!(Layout::for_fc(50, 16, 128, 256), operand(128, 50));
+    assert_eq!(Layout::for_fc(50, 16, 129, 256), Layout::Pixel);
+    let model = formula_model(12, 2, 3, 16);
+    let (session, rec, images) = session_of(model.clone(), ParamsPreset::Small, 129);
+    let coeff = Layout::Coeff {
+        batch: 129,
+        side: 12,
+        pitch: 12,
+    };
+    assert_eq!(session.service().ingress_layout(129), coeff);
     let response = session.serve(InferRequest::batch(images.clone())).unwrap();
     for (image, row) in images.iter().zip(&response.logits) {
-        assert_eq!(row, &session.model().forward_ints(image));
+        assert_eq!(row, &model.forward_ints(image));
     }
     assert_eq!(stage_ecalls(&rec), ["ecall_activation_pool x1"]);
     // One enter and one exit: what the request paid in transitions is what
@@ -658,14 +691,15 @@ fn request_past_the_egress_rule_books_the_per_pixel_crossings() {
     let paid = hesgx_core::pipeline::total_enclave_cost(&response.metrics);
     assert_eq!(paid.transition_ns, crossing.transition_ns);
     assert_eq!(response.metrics.stages.len(), 3);
-    // One product per map and image, then 10 × 720.
-    assert_eq!(response.metrics.ops.ct_pt_mul, 5 * 52 + 7200);
+    // One product per map and image, then 16 × 50.
+    assert_eq!(response.metrics.ops.ct_pt_mul, 2 * 129 + 16 * 50);
 }
 
-/// The packed FC's accumulator — 72 (paper model, `ParamsPreset::Paper`) or
-/// 25 (the broker's 12×12 geometry with sixteen classes, wide enough to
-/// pack, at `ParamsPreset::Small` and the broker's `max_batch` of 8)
-/// multiplies by batch-encoded plaintexts summed into one ciphertext —
+/// The packed FC's accumulators — per class 8 (paper model,
+/// `ParamsPreset::Paper`) or 2 (the broker's 12×12 geometry with sixteen
+/// classes, wide enough to pack, at `ParamsPreset::Small` and the broker's
+/// `max_batch` of 8) multiplies by batch-encoded plaintexts summed into one
+/// ciphertext —
 /// reaches the closing reduction with at least 30 bits of noise budget:
 /// the recorder's pre-crossing probe measures it inside the enclave.
 #[test]

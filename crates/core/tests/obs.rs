@@ -156,11 +156,12 @@ fn default_paper_request_crosses_the_boundary_twice() {
         assert_eq!(occupancy, [765_625], "{ingress:?}");
         let crossing = rec.gauge_series("infer.layer[1].slot_occupancy_ppm");
         assert_eq!(crossing, [562_500], "{ingress:?}");
-        // It leaves packed for the ten-class FC layer, `⌊1024/10⌋ = 102` of
-        // the 864 pooled values to a cell, so 1020 of the accumulator's 1024
-        // slots hold partial sums on the way into the reduction.
+        // It leaves packed for the ten-class FC layer, its 864 pooled
+        // values in one cell (`P = 1024` slots the image), and every slot of
+        // the layer's ten cells, one a class, holds a partial sum on the way
+        // into the reduction.
         let reduction = rec.gauge_series("infer.layer[3].slot_occupancy_ppm");
-        assert_eq!(reduction, [996_093], "{ingress:?}");
+        assert_eq!(reduction, [1_000_000], "{ingress:?}");
         let reduce = rec.span("ecall.ecall_LogitReduce").expect("closing stage");
         assert_eq!(reduce.entries, 1, "{ingress:?}");
     }

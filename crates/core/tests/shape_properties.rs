@@ -203,12 +203,13 @@ proptest! {
             0 => (Layout::Pixel, (channels, side, side)),
             1 => (Layout::Coeff { batch, side, pitch: side }, (channels, batch, 1)),
             _ => {
+                // The FC layer's partial sums: one cell a class.
                 chain = vec![EnclaveOp::LogitReduce];
-                (Layout::FcOperand { classes, batch, inputs: side }, (1, 1, 1))
+                (Layout::FcOperand { classes, batch, inputs: 256 / batch }, (classes, 1, 1))
             }
         };
         let mut emit = match operand && family < 2 {
-            true => Layout::FcOperand { classes, batch, inputs: outputs },
+            true => Layout::FcOperand { classes: 1, batch, inputs: outputs },
             false => Layout::Pixel,
         };
         let batching = if per_pixel == 0 { EcallBatching::PerPixel } else { EcallBatching::Batched };
@@ -238,10 +239,13 @@ proptest! {
             // Every emitted cell was filled from cells that crossed.
             prop_assert!(out.cells().len() <= map.cells().len() * 256, "{:?}", out.shape());
             if chain.contains(&EnclaveOp::LogitReduce) {
+                // One logit a (class, image), in no more cells than held the sums.
                 prop_assert_eq!(&chain[..], &[EnclaveOp::LogitReduce][..]);
-                prop_assert_eq!((map.cells().len(), out.cells().len()), (1, 1));
-                let reduced = matches!(out.layout(), Layout::FcOperand { inputs: 1, .. });
-                prop_assert!(reduced);
+                let Layout::FcOperand { classes, batch, .. } = map.layout() else {
+                    return Err(TestCaseError::fail(format!("reduced {:?}", map.layout())));
+                };
+                prop_assert_eq!(out.layout(), Layout::FcOperand { classes, batch, inputs: 1 });
+                prop_assert!(out.cells().len() <= map.cells().len());
             } else {
                 prop_assert_eq!(out.layout(), emit);
             }
@@ -318,7 +322,7 @@ proptest! {
             _ => (
                 HeLayer::Fc,
                 vec![EnclaveOp::LogitReduce],
-                Layout::FcOperand { classes: 3, batch: 2, inputs: 18 },
+                Layout::FcOperand { classes: 1, batch: 2, inputs: 18 },
                 (1, 1, 1),
             ),
         };

@@ -34,8 +34,9 @@ pub fn small_hybrid_model() -> QuantizedCnn {
 }
 
 /// [`small_hybrid_model`] with sixteen classes: its FC layer (16 × 18 values
-/// an image) is wider than a degree-256 ciphertext, so small batches leave
-/// the enclave packed for it (`Layout::for_fc`: up to 8 images at n = 256).
+/// an image) is wider than a degree-256 ciphertext, so batches leave the
+/// enclave packed for it (`Layout::for_fc`: up to 128 images at n = 256,
+/// every batch its ingress packs).
 pub fn wide_hybrid_model() -> QuantizedCnn {
     QuantizedCnn {
         classes: 16,

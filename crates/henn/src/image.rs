@@ -6,10 +6,11 @@
 //! [`Layout::Coeff`] is one ciphertext per image, its pixels the plaintext
 //! polynomial's coefficients, so a convolution is one product with a kernel
 //! polynomial per (channel, image), with no rotation;
-//! [`Layout::FcOperand`] repeats every fully connected input once per class,
-//! which makes that layer slot-wise too, and [`Layout::Orbit`] the pure-HE
-//! plan but its FC rotations; `Layout::for_*` pick the fewer (DESIGN.md §6),
-//! and one rule, [`SlotMap`], places every value for encoders and decoders.
+//! [`Layout::FcOperand`] packs the fully connected inputs `⌊n/B⌋` slots an
+//! image, so that layer is one product per (class, cell) with no rotation,
+//! and [`Layout::Orbit`] the pure-HE plan but its FC rotations;
+//! `Layout::for_*` pick the fewer (DESIGN.md §6), and one rule, [`SlotMap`],
+//! places every value for encoders and decoders.
 
 use crate::crt::{CrtCiphertext, CrtPlainSystem, Encoding};
 use crate::par::ParExec;
@@ -36,11 +37,13 @@ pub enum Layout {
         /// Coefficients from one row of the map to the next.
         pitch: usize,
     },
-    /// Packed for the fully connected layer: cell `g` holds inputs
-    /// `g·L .. g·L + L` of every image, each repeated for every class, `L` =
-    /// [`Layout::fc_per_cell`] — `⌈inputs / L⌉` cells. The layer's one output
-    /// cell holds `L` partial sums per (class, image) (`inputs = L`), the
-    /// reduced logits one (`inputs = 1`).
+    /// Packed for the fully connected layer, `P = ⌊slots / batch⌋` slots an
+    /// image: value `v = class·inputs + input` sits in cell `v / P` at slot
+    /// `image·P + v % P` — `⌈classes·inputs / P⌉` cells
+    /// ([`Layout::fc_geometry`]). The layer's operand is one class of its
+    /// inputs, each value once; its output one cell a class of `P` partial
+    /// sums an image (`inputs = P`), the reduced logits one value a class
+    /// (`inputs = 1`).
     FcOperand {
         /// Output classes of the layer.
         classes: usize,
@@ -79,18 +82,19 @@ pub fn orbit_stride(side: usize, slots: usize) -> Option<usize> {
 /// |---|---|---|
 /// | `Pixel` | `channel·h·w + position` | `image` |
 /// | `Coeff` | `channel·batch + image` | `(position / side)·pitch + position % side` |
-/// | `FcOperand` | `input / L` | `(image·L + input % L)·classes + class` |
+/// | `FcOperand` | `v / P` | `image·P + v % P` |
 /// | `Orbit` | `[channel][g·w + dy][dx]` | `matrix_index_map[(i / stride)·slots/2 + q·stride + i % stride]` |
 ///
-/// `L` = [`Layout::fc_per_cell`]; orbit image `i` of group `g` at `(y, x)` (on a
-/// `side·w` grid, `w = 1` pooled) is pooled position `q = (y / w)·side + x / w`.
+/// `v = class·inputs + input` and `P = ⌊slots / batch⌋`; orbit image `i` of
+/// group `g` at `(y, x)` (on a `side·w` grid, `w = 1` pooled) is pooled
+/// position `q = (y / w)·side + x / w`.
 #[derive(Debug, Clone)]
 pub struct SlotMap {
     layout: Layout,
     shape: (usize, usize, usize),
     slots: usize,
     extent: (usize, usize, usize),
-    /// `L` of an operand map, an orbit's stride.
+    /// `P` of an operand map, an orbit's stride.
     step: std::num::NonZeroUsize,
     index: Option<Vec<usize>>,
 }
@@ -114,10 +118,9 @@ impl SlotMap {
                 let coefficient = position / side * pitch + position % side;
                 Some((channel * batch * slots + coefficient, slots))
             }
-            Layout::FcOperand { classes, .. } => {
-                let (cell, input) = (position / self.step, position % self.step);
-                let base = cell * slots + input * classes + channel;
-                Some((base, self.step.get() * classes))
+            Layout::FcOperand { inputs, .. } => {
+                let (value, per) = (channel * inputs + position, self.step.get());
+                Some((value / per * slots + value % per, per))
             }
             Layout::Orbit { .. } => None,
         }
@@ -243,29 +246,30 @@ impl Layout {
     }
 
     /// The layout an enclave hands `batch` images' `inputs` values to a
-    /// `classes`-way fully connected layer in. The operand layout iff it is
-    /// fewer ciphertexts — `C·B ≤ slots` and `⌈J/L⌉ < J` (the paper's model,
-    /// n = 1024: `B ≤ 51`) — and the layer is wider than a ciphertext,
-    /// `C·J ≥ slots`: a narrower one would fit a small batch into one cell
-    /// (`L = J`), leaving the HE layer a single multiply and the whole dot
-    /// product to whoever adds up the partial sums (DESIGN.md §6).
+    /// `classes`-way fully connected layer in. The one-class operand layout,
+    /// each value once, iff it is fewer ciphertexts — `⌈J/P⌉ < J`, so `P =
+    /// ⌊slots/B⌋ ≥ 2` (the paper's model, n = 1024: `B ≤ 512`) — and the
+    /// layer is wider than a ciphertext, `C·J ≥ slots`: a narrower one would
+    /// leave the HE layer one product a class and the whole dot product to
+    /// whoever adds up the partial sums (DESIGN.md §6).
     pub fn for_fc(inputs: usize, classes: usize, batch: usize, slots: usize) -> Layout {
         let operand = Layout::FcOperand {
-            classes,
+            classes: 1,
             batch,
             inputs,
         };
         let wide = classes.checked_mul(inputs).is_some_and(|all| all >= slots);
-        match operand.fc_per_cell(slots) {
-            Some(per_cell) if wide && inputs.div_ceil(per_cell) < inputs => operand,
+        match operand.fc_geometry(slots) {
+            Some((_, cells)) if wide && cells < inputs => operand,
             _ => Layout::Pixel,
         }
     }
 
-    /// `L = min(inputs, ⌊slots / (C·B)⌋)`, the inputs one cell of an
-    /// `FcOperand` map holds. `None` for another layout and for a claim no
-    /// cell can hold: no input, class or image, or `C·B` past `slots`.
-    pub fn fc_per_cell(self, slots: usize) -> Option<usize> {
+    /// `(P, cells)` of an `FcOperand` map: `P = ⌊slots / batch⌋` slots an
+    /// image, `⌈classes·inputs / P⌉` cells. `None` for another layout and
+    /// for a claim no cell can hold: no class, input or image, more images
+    /// than slots, or more values than `usize`.
+    pub fn fc_geometry(self, slots: usize) -> Option<(usize, usize)> {
         let Layout::FcOperand {
             classes,
             batch,
@@ -274,8 +278,9 @@ impl Layout {
         else {
             return None;
         };
-        let block = classes.checked_mul(batch).filter(|&block| block > 0)?;
-        Some(inputs.min(slots / block)).filter(|&per_cell| per_cell > 0)
+        let per = slots.checked_div(batch).filter(|&per| per > 0)?;
+        let values = classes.checked_mul(inputs).filter(|&values| values > 0)?;
+        Some((per, values.div_ceil(per)))
     }
 
     /// How many ciphertexts a batch of `in_side × in_side` images is.
@@ -302,13 +307,13 @@ impl Layout {
     }
 
     /// The placement rule of a map of `(channels, height, width)` cells; errs
-    /// for a claim they cannot hold: no image, or not `batch × 1`, `⌈inputs /
-    /// L⌉ × 1 × 1` or `groups·w × w` (pooled `groups × 1`) cells a channel,
-    /// or a `Coeff` map whose rows overlap (`side > pitch`) or wrap
-    /// (`(side − 1)·pitch + side > slots`).
+    /// for a claim they cannot hold: no image, or not `batch × 1` or
+    /// `groups·w × w` (pooled `groups × 1`) cells a channel or an operand's
+    /// `⌈classes·inputs / P⌉ × 1 × 1`, or a `Coeff` map whose rows overlap
+    /// (`side > pitch`) or wrap (`(side − 1)·pitch + side > slots`).
     pub fn slot_map(self, shape: (usize, usize, usize), slots: usize) -> Result<SlotMap> {
         let (c, h, w) = shape;
-        // The rule's step (`L`, an orbit's stride) and what the claim holds.
+        // The rule's step (`P`, an orbit's stride) and what the claim holds.
         let (step, extent) = match self {
             Layout::Pixel => (Some(1), (c, h.saturating_mul(w), slots)),
             Layout::Coeff { batch, side, pitch } => {
@@ -324,9 +329,8 @@ impl Layout {
                 batch: b,
                 inputs,
             } => {
-                let per = self.fc_per_cell(slots);
-                let held = per.filter(|&per| shape == (inputs.div_ceil(per), 1, 1));
-                (held, (n, inputs, b))
+                let held = self.fc_geometry(slots).filter(|&(_, g)| shape == (g, 1, 1));
+                (held.map(|(per, _)| per), (n, inputs, b))
             }
             Layout::Orbit {
                 batch: b,
@@ -561,37 +565,40 @@ mod tests {
         assert_eq!(Layout::for_conv(28, 1, 256), Layout::Pixel);
         assert_eq!(Layout::for_conv(usize::MAX, 1, 256), Layout::Pixel);
         // The egress rule: the paper's 720 pooled values for ten classes at
-        // n = 1024 leave ten to a cell at the paper's batch (72 ciphertexts,
-        // not 720) and packed up to 51 images — 52 would be one input a cell
-        // again. The broker's 50 values for three classes at n = 256 never
-        // do: 150 values are not a ciphertext's worth, one image's would all
-        // sit in one cell.
+        // n = 1024 leave each once, `P = ⌊1024/B⌋` to an image, 8 ciphertexts
+        // at the paper's batch (not 720), packed up to 512 images — 513 would
+        // be one value a cell again. The broker's 50 values for three classes
+        // at n = 256 never do: 150 values are not a ciphertext's worth.
         let operand = |classes, batch, inputs| Layout::FcOperand {
             classes,
             batch,
             inputs,
         };
-        for (batch, per_cell, cells) in [(1, 102, 8), (10, 10, 72), (34, 3, 240), (51, 2, 360)] {
+        for (batch, per, cells) in [(1, 1024, 1), (10, 102, 8), (100, 10, 72), (512, 2, 360)] {
             let layout = Layout::for_fc(720, 10, batch, 1024);
-            assert_eq!(layout, operand(10, batch, 720));
-            assert_eq!(layout.fc_per_cell(1024), Some(per_cell), "batch {batch}");
-            assert_eq!(720usize.div_ceil(per_cell), cells, "batch {batch}");
+            assert_eq!(layout, operand(1, batch, 720));
+            assert_eq!(
+                layout.fc_geometry(1024),
+                Some((per, cells)),
+                "batch {batch}"
+            );
         }
-        assert_eq!(Layout::for_fc(720, 10, 52, 1024), Layout::Pixel);
-        assert_eq!(operand(10, 52, 720).fc_per_cell(1024), Some(1));
-        for (batch, per_cell) in [(1, 50), (2, 42), (8, 10)] {
+        assert_eq!(Layout::for_fc(720, 10, 513, 1024), Layout::Pixel);
+        assert_eq!(operand(1, 513, 720).fc_geometry(1024), Some((1, 720)));
+        for (batch, per, cells) in [(1, 256, 1), (2, 128, 1), (8, 32, 2)] {
             assert_eq!(Layout::for_fc(50, 3, batch, 256), Layout::Pixel);
-            assert_eq!(operand(3, batch, 50).fc_per_cell(256), Some(per_cell));
+            assert_eq!(operand(1, batch, 50).fc_geometry(256), Some((per, cells)));
         }
         // `C·J` at the slots is wide enough, one value short is not.
-        assert_eq!(Layout::for_fc(64, 4, 2, 256), operand(4, 2, 64));
+        assert_eq!(Layout::for_fc(64, 4, 2, 256), operand(1, 2, 64));
         assert_eq!(Layout::for_fc(85, 3, 2, 256), Layout::Pixel);
         assert_eq!(Layout::for_fc(usize::MAX, 3, 2, 256), Layout::Pixel);
-        // `C·B` at the slots still holds one input a cell; past them, and for
-        // a claim of nothing or of more than `usize`, no cell holds any.
-        assert_eq!(operand(4, 64, 18).fc_per_cell(256), Some(1));
+        // As many images as slots still hold one value a cell; past them,
+        // and for a claim of nothing or of more than `usize`, no cell holds
+        // any.
+        assert_eq!(operand(4, 256, 18).fc_geometry(256), Some((1, 72)));
         for claim in [
-            operand(4, 65, 18),
+            operand(4, 257, 18),
             operand(0, 2, 18),
             operand(3, 0, 18),
             operand(3, 2, 0),
@@ -599,19 +606,22 @@ mod tests {
             Layout::Pixel,
             Layout::for_conv(6, 2, 256),
         ] {
-            assert_eq!(claim.fc_per_cell(256), None, "{claim:?}");
+            assert_eq!(claim.fc_geometry(256), None, "{claim:?}");
         }
+        assert_eq!(Layout::for_fc(72, 4, 128, 256), operand(1, 128, 72));
         for (inputs, classes, batch) in [
-            (72, 4, 64),
-            (72, 4, 65),
+            (72, 4, 129),
+            (72, 4, 257),
             (1, 256, 1),
             (18, 0, 2),
             (72, 4, 0),
         ] {
             assert_eq!(Layout::for_fc(inputs, classes, batch, 256), Layout::Pixel);
         }
-        // The reduced logits hold one value per (class, image).
-        assert_eq!(operand(10, 10, 1).fc_per_cell(1024), Some(1));
+        // The layer leaves a cell a class of `P` partial sums an image, the
+        // reduction one cell of every logit.
+        assert_eq!(operand(10, 10, 102).fc_geometry(1024), Some((102, 10)));
+        assert_eq!(operand(10, 10, 1).fc_geometry(1024), Some((102, 1)));
     }
 
     /// An `FcOperand` map decodes through its slot map into one row per
@@ -622,16 +632,21 @@ mod tests {
         let sys = CrtPlainSystem::new(256, &[12289]).unwrap();
         let mut rng = ChaChaRng::from_seed(53);
         let keys = sys.generate_keys(&mut rng);
-        // Seven inputs of two images for twenty classes: ⌊256/40⌋ = 6 a cell.
-        let (classes, batch, inputs) = (20, 2, 7);
+        // Seven inputs of three images for twenty classes: 140 values, 85
+        // slots an image (the 256th slot idle), in two cells (the last one
+        // short: 55 values an image).
+        let (classes, batch, inputs) = (20, 3, 7);
         let layout = Layout::FcOperand {
             classes,
             batch,
             inputs,
         };
-        let value = |input: usize, image: usize| (input * 10 + image) as i64 - 30;
+        let value = |v: usize, image: usize| ((v * 3 + image) % 97) as i64 - 48;
         let rule = layout.slot_map((2, 1, 1), 256).unwrap();
-        let packed = rule.encode(batch, |_, input, image| value(input, image));
+        assert_eq!(rule.place(19, 6, 1), Some((1, 85 + 139 % 85)));
+        let packed = rule.encode(batch, |class, input, image| {
+            value(class * inputs + input, image)
+        });
         let cells: Vec<CrtCiphertext> = (packed.unwrap().iter())
             .map(|slots| {
                 sys.encrypt(slots, Encoding::Slots, &keys.public, &mut rng)
@@ -639,40 +654,42 @@ mod tests {
             })
             .collect();
         let map = EncryptedMap::new(2, 1, 1, cells.clone()).with_layout(layout);
-        assert_eq!(layout.fc_per_cell(256), Some(6));
+        assert_eq!(layout.fc_geometry(256), Some((85, 2)));
         assert!(layout.slot_map(map.shape(), 256).is_ok());
-        assert_eq!(map.occupancy_ppm(256), Some(7 * 40 * 1_000_000 / 512));
+        assert_eq!(map.occupancy_ppm(256), Some(140 * 3 * 1_000_000 / 512));
         let rows = map
             .decrypt_all(&sys, &keys.secret, batch, &ParExec::new(2))
             .unwrap();
         for (image, row) in rows.iter().enumerate() {
             let want: Vec<i128> = (0..classes * inputs)
-                .map(|v| value(v % inputs, image).into())
+                .map(|v| value(v, image).into())
                 .collect();
             assert_eq!(row, &want, "image {image}");
         }
-        // The paper request's operand map and its one logits ciphertext.
-        let paper = |inputs, count| {
+        // The paper request's operand map, the FC's partial sums and the
+        // one logits ciphertext.
+        let paper = |classes, inputs, count| {
             let layout = Layout::FcOperand {
-                classes: 10,
+                classes,
                 batch: 10,
                 inputs,
             };
             let map = EncryptedMap::new(count, 1, 1, vec![cells[0].clone(); count]);
             map.with_layout(layout).occupancy_ppm(1024)
         };
-        assert_eq!(paper(720, 72), Some(976_562));
-        assert_eq!(paper(1, 1), Some(97_656));
+        assert_eq!(paper(1, 720, 8), Some(878_906));
+        assert_eq!(paper(10, 102, 10), Some(996_093));
+        assert_eq!(paper(10, 1, 1), Some(97_656));
         // More rows than images, a cell too many, a claim no cell holds.
         let invalid = |map: &EncryptedMap, batch| {
             let rows = map.decrypt_all(&sys, &keys.secret, batch, &ParExec::serial());
             assert!(matches!(rows, Err(BfvError::InvalidShape(_))), "{map:?}");
         };
-        invalid(&map, 3);
+        invalid(&map, 4);
         let long = EncryptedMap::new(3, 1, 1, vec![cells[0].clone(); 3]).with_layout(layout);
         assert!(layout.slot_map(long.shape(), 256).is_err());
-        invalid(&long, 2);
-        for claim in [(0, 2, 7), (20, 13, 7), (usize::MAX, usize::MAX, 7)] {
+        invalid(&long, 3);
+        for claim in [(0, 2, 7), (20, 257, 7), (usize::MAX, usize::MAX, 7)] {
             let (classes, batch, inputs) = claim;
             let claim = Layout::FcOperand {
                 classes,

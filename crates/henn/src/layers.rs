@@ -52,7 +52,7 @@ pub struct HeLayers {
     /// FC weights/biases prepared once at construction.
     fc_bank: WeightBank,
     /// The FC operands over [`Layout::FcOperand`] maps, built on first use:
-    /// at most one bank per distinct `per_cell`.
+    /// at most one bank per distinct `P` (slots an image).
     fc_operands: Mutex<Vec<Arc<FcOperandBank>>>,
     /// The FC operands over [`Layout::Orbit`] maps, when the system rotates.
     orbit_fc: Option<OrbitFcBank>,
@@ -117,13 +117,13 @@ impl HeLayers {
         Ok(built)
     }
 
-    /// The FC operand bank for cells of `per_cell` inputs.
-    fn fc_operands(&self, per_cell: usize) -> Result<Arc<FcOperandBank>> {
+    /// The FC operand bank for cells of `per_image` slots an image.
+    fn fc_operands(&self, per_image: usize) -> Result<Arc<FcOperandBank>> {
         let mut banks = self
             .fc_operands
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        if let Some(bank) = banks.iter().find(|bank| bank.per_cell == per_cell) {
+        if let Some(bank) = banks.iter().find(|bank| bank.per_image == per_image) {
             return Ok(bank.clone());
         }
         let m = &self.model;
@@ -131,7 +131,7 @@ impl HeLayers {
             &self.sys,
             &m.fc_weights,
             &m.fc_bias,
-            per_cell,
+            per_image,
         )?);
         banks.push(bank.clone());
         Ok(bank)
@@ -193,7 +193,8 @@ impl HeLayers {
                 let slots = sys.slot_count();
                 layout.slot_map(input.shape(), slots)?;
                 let claim = || BfvError::InvalidShape(format!("{layout:?}"));
-                let bank = self.fc_operands(layout.fc_per_cell(slots).ok_or_else(claim)?)?;
+                let (per_image, _) = layout.fc_geometry(slots).ok_or_else(claim)?;
+                let bank = self.fc_operands(per_image)?;
                 ops::he_fc_operand(sys, input, &bank, counter, pool)
             }
             // Paper Table VI, layer 4: the convolution whose kernel is the map.

@@ -244,16 +244,12 @@ pub fn he_conv_coeff(
     Ok(out.with_layout(Layout::Coeff { batch, side, pitch }))
 }
 
-/// Cells one task of [`he_fc_operand`] accumulates: fixed, so the transform
-/// count does not depend on the pool size.
-const FC_OPERAND_GROUP: usize = 8;
-
-/// The fully connected layer over a [`Layout::FcOperand`] map: one slot-wise
-/// `C×P` per cell against `bank`'s weight plaintexts, summed into one
-/// ciphertext (in evaluation form, `FC_OPERAND_GROUP` cells a task) plus
-/// the bias — no transform when the map arrives in evaluation form, as
-/// the enclave emits it. Its slots hold `per_cell` partial sums per
-/// (class, image): the output map is `FcOperand` with `inputs = per_cell`.
+/// The fully connected layer over a one-class [`Layout::FcOperand`] map of
+/// `G` cells: per (class, CRT part) one `dot_plain_ntt` of the cells against
+/// the class's `G` weight plaintexts, plus its bias — no transform when the
+/// map arrives in evaluation form, as the enclave emits it. Cell `k` of the
+/// output holds class `k`'s `P` partial sums of every image: the map is
+/// `FcOperand { classes, batch, inputs: P }`, one cell a class.
 ///
 /// # Errors
 ///
@@ -269,44 +265,32 @@ pub fn he_fc_operand(
     let _prof = hesgx_obs::prof::span("henn.fc");
     let (layout, slots) = (input.layout(), sys.slot_count());
     let (classes, inputs, batch) = layout.slot_map(input.shape(), slots)?.extent();
-    let per_cell = bank.per_cell;
-    if (classes, inputs, layout.fc_per_cell(slots)) != (bank.classes, bank.inputs, Some(per_cell)) {
-        let want = (bank.classes, bank.inputs, per_cell);
-        let claim = format!("{layout:?} into operands of (classes, inputs, L) = {want:?}");
+    let per_image = layout.fc_geometry(slots).map(|(per, _)| per);
+    if (classes, inputs, per_image) != (1, bank.inputs, Some(bank.per_image)) {
+        let want = (1, bank.inputs, bank.per_image);
+        let claim = format!("{layout:?} into operands of (classes, inputs, P) = {want:?}");
         return Err(BfvError::InvalidShape(claim));
     }
-    let (cells, n_parts) = (input.cells(), sys.part_count());
-    let tasks = cells.chunks(FC_OPERAND_GROUP);
-    let tasks: Vec<_> = tasks.zip(bank.weights.chunks(FC_OPERAND_GROUP)).collect();
-    let groups = tasks.len();
-    let partial = pool.try_run(groups * n_parts, |t| {
-        let (part, (cells, weights)) = (t / groups, tasks[t % groups]);
-        let terms = cells.iter().zip(weights);
-        sys.evaluator(part)
-            .dot_plain_ntt(terms.map(|(cell, weight)| (&cell.parts[part], &weight[part])))
-    })?;
-    let mut partial = partial.into_iter();
-    let parts = (0..n_parts).map(|part| {
+    let (cells, n_parts, classes) = (input.cells(), sys.part_count(), bank.weights.len());
+    let parts = pool.try_run(classes * n_parts, |t| {
+        let (class, part) = (t / n_parts, t % n_parts);
         let eval = sys.evaluator(part);
-        let mut acc = partial.next().ok_or(BfvError::InvalidCiphertextSize(0))?;
-        for term in partial.by_ref().take(groups - 1) {
-            eval.add_inplace(&mut acc, &term)?;
-        }
-        eval.add_plain_bias_inplace(&mut acc, &bank.bias[part])?;
-        Ok(acc)
-    });
-    let logits = CrtCiphertext {
-        parts: parts.collect::<Result<_>>()?,
-    };
-    counter.ct_pt_mul += cells.len() as u64;
-    counter.ct_ct_add += cells.len() as u64 - 1;
-    counter.ct_pt_add += 1;
+        let terms = cells.iter().zip(&bank.weights[class]);
+        let mut acc = eval.dot_plain_ntt(terms.map(|(x, w)| (&x.parts[part], &w[part])))?;
+        eval.add_plain_bias_inplace(&mut acc, &bank.bias[class][part])?;
+        Ok::<_, BfvError>(acc)
+    })?;
+    let (products, sums) = ((classes * cells.len()) as u64, classes as u64);
+    counter.ct_pt_mul += products;
+    counter.ct_ct_add += products - sums;
+    counter.ct_pt_add += sums;
     let layout = Layout::FcOperand {
         classes,
         batch,
-        inputs: per_cell,
+        inputs: bank.per_image,
     };
-    Ok(EncryptedMap::new(1, 1, 1, vec![logits]).with_layout(layout))
+    let logits = assemble_cells(parts, classes, n_parts);
+    Ok(EncryptedMap::new(classes, 1, 1, logits).with_layout(layout))
 }
 
 /// The fully connected layer over a `channels × groups × 1` [`Layout::Orbit`]
@@ -864,15 +848,16 @@ mod tests {
     }
 
     /// The operand-layout FC against the raw-weight oracle on the same
-    /// plaintext inputs: seven inputs of four images for twenty classes,
-    /// three to a cell (`⌊256/80⌋`, the last cell holding one). Slot for
-    /// slot, the accumulator holds the oracle's dot product split into the
-    /// three partial sums its slot map places — the bias in the first — and
-    /// zero everywhere else; the bits do not depend on the pool size.
+    /// plaintext inputs: seven inputs of 37 images for twenty classes, six
+    /// slots an image (`⌊256/37⌋`), so two operand cells, the second holding
+    /// one input. Slot for slot, class `k`'s output cell holds the oracle's
+    /// dot product split into the six partial sums its slot map places —
+    /// the bias in the first of every image block — and zero everywhere
+    /// else; the bits do not depend on the pool size.
     #[test]
     fn fc_operand_kernel_is_the_reference_slot_for_slot() {
         for (sys, keys, mut rng) in setups() {
-            let (classes, batch, inputs, per) = (20usize, 4usize, 7usize, 3usize);
+            let (classes, batch, inputs, per) = (20usize, 37usize, 7usize, 6usize);
             let x = |image: usize, input: usize| ((input * 5 + image * 3) % 16) as i64;
             let weights: Vec<i64> = (0..classes * inputs).map(|i| (i % 5) as i64 - 2).collect();
             let bias: Vec<i64> = (0..classes).map(|c| (c % 9) as i64 - 4).collect();
@@ -896,14 +881,14 @@ mod tests {
                     .unwrap()
                     .decrypt_all(&sys, &keys.secret, batch, &serial)
                     .unwrap();
-            // The same inputs in the operand layout.
+            // The same inputs in the operand layout, each once.
             let layout = Layout::FcOperand {
-                classes,
+                classes: 1,
                 batch,
                 inputs,
             };
-            assert_eq!(layout.fc_per_cell(256), Some(per));
-            let rule = layout.slot_map((inputs.div_ceil(per), 1, 1), 256).unwrap();
+            assert_eq!(layout.fc_geometry(256), Some((per, 2)));
+            let rule = layout.slot_map((2, 1, 1), 256).unwrap();
             let cells: Vec<CrtCiphertext> = (rule.encode(batch, |_, j, image| x(image, j)))
                 .unwrap()
                 .iter()
@@ -914,35 +899,44 @@ mod tests {
                 .collect();
             let packed = EncryptedMap::new(cells.len(), 1, 1, cells).with_layout(layout);
             let bank = FcOperandBank::prepare(&sys, &weights, &bias, per).unwrap();
-            assert_eq!((bank.weights.len(), bank.bias.len()), (3, sys.part_count()));
+            assert_eq!(bank.weights.len(), classes);
+            assert!(bank.weights.iter().all(|row| row.len() == 2));
             let sums = Layout::FcOperand {
                 classes,
                 batch,
                 inputs: per,
             };
-            let partial = sums.slot_map((1, 1, 1), 256).unwrap();
-            let mut want = vec![0i128; 256];
-            for (image, class, j) in (0..batch * classes * per)
-                .map(|i| (i / (classes * per), i / per % classes, i % per))
-            {
-                let taps = (j..inputs).step_by(per);
-                let dot: i64 = taps
-                    .map(|i| weights[class * inputs + i] * x(image, i))
-                    .sum();
-                let sum = dot + if j == 0 { bias[class] } else { 0 };
-                let (_, slot) = partial.place(class, j, image).unwrap();
-                want[slot] = sum.into();
+            let partial = sums.slot_map((classes, 1, 1), 256).unwrap();
+            // The bank writes the bias into every block a cell has: 42 of six.
+            let blocks = 256 / per * per;
+            let first = |b: i64, s: usize| match s.is_multiple_of(per) && s < blocks {
+                true => b.into(),
+                false => 0,
+            };
+            let row = |&b: &i64| (0..256).map(|s| first(b, s)).collect();
+            let mut want: Vec<Vec<i128>> = bias.iter().map(row).collect();
+            for (class, j) in (0..classes * per).map(|i| (i / per, i % per)) {
+                for image in 0..batch {
+                    let taps = (j..inputs).step_by(per);
+                    let dot: i64 = taps
+                        .map(|i| weights[class * inputs + i] * x(image, i))
+                        .sum();
+                    let sum = dot + if j == 0 { bias[class] } else { 0 };
+                    let (cell, slot) = partial.place(class, j, image).unwrap();
+                    assert_eq!((cell, slot), (class, image * per + j));
+                    want[cell][slot] = sum.into();
+                }
             }
             let mut bits = None;
             for threads in POOLS {
                 let mut counter = OpCounter::default();
                 let pool = ParExec::new(threads);
                 let out = he_fc_operand(&sys, &packed, &bank, &mut counter, &pool).unwrap();
-                assert_eq!((out.shape(), out.layout()), ((1, 1, 1), sums));
-                let slots = sys
-                    .decrypt(&out.cells()[0], Encoding::Slots, &keys.secret)
-                    .unwrap();
-                assert_eq!(slots, want, "{threads} threads");
+                assert_eq!((out.shape(), out.layout()), ((classes, 1, 1), sums));
+                for (class, cell) in out.cells().iter().enumerate() {
+                    let slots = sys.decrypt(cell, Encoding::Slots, &keys.secret).unwrap();
+                    assert_eq!(slots, want[class], "{threads} threads, class {class}");
+                }
                 // Summed per (class, image), the partial sums are the logits.
                 let rows = out.decrypt_all(&sys, &keys.secret, batch, &serial).unwrap();
                 for (row, logits) in rows.iter().zip(&oracle) {
@@ -950,11 +944,11 @@ mod tests {
                         row.chunks(per).map(|sums| sums.iter().sum()).collect();
                     assert_eq!(&reduced, logits, "{threads} threads");
                 }
-                // Three multiplies, not 140.
+                // Two products a class, not seven.
                 let ops = OpCounter {
-                    ct_pt_mul: 3,
-                    ct_ct_add: 2,
-                    ct_pt_add: 1,
+                    ct_pt_mul: 40,
+                    ct_ct_add: 20,
+                    ct_pt_add: 20,
                     ..OpCounter::default()
                 };
                 assert_eq!(counter, ops);
@@ -971,10 +965,19 @@ mod tests {
             let refused = |result: Result<EncryptedMap>| {
                 assert!(matches!(result, Err(BfvError::InvalidShape(_))));
             };
+            let sums = he_fc_operand(&sys, &packed, &bank, &mut OpCounter::default(), &serial);
             let mut counter = OpCounter::default();
             refused(he_fc_operand(&sys, &pixel, &bank, &mut counter, &serial));
             let other = FcOperandBank::prepare(&sys, &weights, &bias, 2).unwrap();
             refused(he_fc_operand(&sys, &packed, &other, &mut counter, &serial));
+            // The layer's own partial sums are no operand.
+            refused(he_fc_operand(
+                &sys,
+                &sums.unwrap(),
+                &bank,
+                &mut counter,
+                &serial,
+            ));
             let scalar = WeightBank::prepare(&sys, &weights[..classes * 3], &bias).unwrap();
             let empty = EncryptedMap::new(0, 1, 1, Vec::new());
             // An operand map, no taps, 3 of 7 weight columns.
@@ -990,8 +993,14 @@ mod tests {
                 ));
             }
             assert_eq!(counter, OpCounter::default());
-            // No block of inputs for every class fits a cell; ragged rows.
-            for (weights, per) in [(&weights[..], 13), (&weights[..], 0), (&weights[1..], 3)] {
+            // No batch leaves 100 slots an image (`⌊256/⌊256/100⌋⌋ = 128`),
+            // none or more than the slots; ragged rows.
+            for (weights, per) in [
+                (&weights[..], 100),
+                (&weights[..], 0),
+                (&weights[..], 257),
+                (&weights[1..], 3),
+            ] {
                 let bank = FcOperandBank::prepare(&sys, weights, &bias, per);
                 assert!(
                     matches!(bank, Err(BfvError::InvalidShape(_))),

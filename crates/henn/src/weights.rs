@@ -139,65 +139,69 @@ fn bias_parts(
         .collect()
 }
 
-/// The fully connected layer's operands over a [`Layout::FcOperand`] map of
-/// `per_cell` inputs a cell: per cell, the weights `W[class][input]` where
-/// its [`SlotMap`](crate::image::SlotMap) puts `(class, input, image)`, and
-/// the biases at the cell's first input, both written into every image
-/// block a cell has room for — so a bank depends on the model and `L`
-/// alone, never on the batch.
+/// The fully connected layer's operands over a one-class
+/// [`Layout::FcOperand`] map of `P` slots an image: per (class, cell), the
+/// weights `W[class][input]` where its [`SlotMap`](crate::image::SlotMap)
+/// puts `(0, input, image)`, and per class the bias at partial sum 0, both
+/// written into every `P`-slot block a cell has — so a bank depends on the
+/// model and `P` alone, never on the batch.
 #[derive(Debug)]
 pub struct FcOperandBank {
-    /// Output classes of the layer.
-    pub classes: usize,
     /// Inputs of the layer.
     pub inputs: usize,
-    /// Inputs a cell holds (`L`).
-    pub per_cell: usize,
-    /// `[cell][part]` weight plaintexts, in evaluation form.
-    pub weights: Vec<Vec<NttPlaintext>>,
-    /// `[part]` bias addends, in evaluation form.
-    pub bias: Vec<PreparedBias>,
+    /// Slots an image (`P`).
+    pub per_image: usize,
+    /// `[class][cell][part]` weight plaintexts, in evaluation form.
+    pub weights: Vec<Vec<Vec<NttPlaintext>>>,
+    /// `[class][part]` bias addends, in evaluation form.
+    pub bias: Vec<Vec<PreparedBias>>,
 }
 
 impl FcOperandBank {
-    /// Encodes `weights[class][input]` and one bias per class for cells of
-    /// `per_cell` inputs, `⌊slots / (classes·L)⌋` images a cell.
+    /// Encodes `weights[class][input]` and one bias per class for operand
+    /// cells of `per_image` slots an image (`P`), `⌊slots / P⌋` images a cell.
     ///
     /// # Errors
     ///
     /// [`BfvError::InvalidShape`] when the weights are not one row per bias
-    /// or no operand map holds `per_cell` inputs a cell.
+    /// or no batch leaves `per_image` slots an image.
     pub fn prepare(
         sys: &CrtPlainSystem,
         weights: &[i64],
         biases: &[i64],
-        per_cell: usize,
+        per_image: usize,
     ) -> Result<FcOperandBank> {
         let (classes, slots) = (biases.len(), sys.slot_count());
         let inputs = weights.len().checked_div(classes).unwrap_or(0);
-        let block = per_cell.saturating_mul(classes);
-        let batch = slots.checked_div(block).unwrap_or(0);
-        let layout = Layout::FcOperand {
-            classes,
+        let batch = slots.checked_div(per_image).unwrap_or(0);
+        let operand = Layout::FcOperand {
+            classes: 1,
             batch,
             inputs,
         };
-        let held = weights.len() == classes * inputs && layout.fc_per_cell(slots) == Some(per_cell);
-        let rule = layout.slot_map((inputs.div_ceil(per_cell.max(1)), 1, 1), slots);
-        let Some(rule) = rule.ok().filter(|_| held) else {
+        let geometry = operand
+            .fc_geometry(slots)
+            .filter(|&(per, _)| per == per_image);
+        let rule = geometry.map(|(_, cells)| operand.slot_map((cells, 1, 1), slots));
+        let Some(Ok(rule)) = rule.filter(|_| weights.len() == classes * inputs) else {
             let count = weights.len();
-            let claim = format!("{count} weights, {classes} classes, L = {per_cell}");
+            let claim = format!("{count} weights, {classes} classes, P = {per_image}");
             return Err(BfvError::InvalidShape(claim));
         };
-        let cells = rule.encode(batch, |class, input, _| weights[class * inputs + input])?;
-        // The biases at the first cell's first input.
-        let first = |class, input, _| if input == 0 { biases[class] } else { 0 };
+        let row = |class: usize| -> Result<_> {
+            let cells = rule.encode(batch, |_, input, _| weights[class * inputs + input])?;
+            ntt_cells(sys, &cells, Encoding::Slots)
+        };
+        // A class's bias where the first cell holds input 0, partial sum 0.
+        let bias = |&b: &i64| {
+            let first = rule.encode(batch, |_, input, _| if input == 0 { b } else { 0 })?;
+            bias_parts(sys, &first[0], Encoding::Slots)
+        };
         Ok(FcOperandBank {
-            classes,
             inputs,
-            per_cell,
-            weights: ntt_cells(sys, &cells, Encoding::Slots)?,
-            bias: bias_parts(sys, &rule.encode(batch, first)?[0], Encoding::Slots)?,
+            per_image,
+            weights: (0..classes).map(row).collect::<Result<_>>()?,
+            bias: biases.iter().map(bias).collect::<Result<_>>()?,
         })
     }
 }

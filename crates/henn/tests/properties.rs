@@ -99,7 +99,7 @@ proptest! {
             }
             2 => {
                 let layout = Layout::FcOperand { classes: a * window, batch: batch % 9 + 1, inputs };
-                let cells = layout.fc_per_cell(slots).map_or(1, |per| inputs.div_ceil(per));
+                let cells = layout.fc_geometry(slots).map_or(1, |(_, cells)| cells);
                 (layout, (cells, 1, 1), None)
             }
             _ => {
@@ -117,7 +117,7 @@ proptest! {
         let rule = layout.slot_map(shape, slots);
         let held = match layout {
             Layout::Coeff { side, pitch, .. } => (side - 1) * pitch + side <= slots,
-            Layout::FcOperand { .. } => layout.fc_per_cell(slots).is_some(),
+            Layout::FcOperand { .. } => layout.fc_geometry(slots).is_some(),
             Layout::Orbit { .. } => layout.orbit_geometry(slots).is_some(),
             Layout::Pixel => true,
         };
@@ -187,37 +187,73 @@ proptest! {
         prop_assert!(layout.pack(&vec![vec![0; in_side * in_side]; images + 1], in_side, slots).is_err());
     }
 
-    /// The operand slot map sends the (class, input, image) triples of one
-    /// cell to distinct slots inside the ciphertext, for every shape the
-    /// count rule admits; and pack → multiply → reduce through it is the
-    /// plaintext fully connected layer: the inputs laid out as the enclave
-    /// lays them out, multiplied by the operand bank, decrypted and summed
-    /// per (class, image), equal `W·x + b` for every image.
+    /// The `FcOperand` rule at random `(classes, inputs, batch, slots)`:
+    /// `P = ⌊slots / B⌋` slots an image, value `v = class·inputs + input`
+    /// in cell `v / P` at slot `image·P + v % P`, in `⌈C·J / P⌉` cells —
+    /// injective, inside the cells, round-tripping through encode and
+    /// decode, the last cell short when `P ∤ C·J` and the slots past `P·B`
+    /// idle — and a batch past the slots holds nothing.
+    #[test]
+    fn fc_operand_rule_is_injective_and_round_trips(
+        classes in 1usize..12, inputs in 1usize..200, batch in 1usize..80,
+        slots_pick in 0usize..3, seed in any::<u64>(),
+    ) {
+        let slots = [64usize, 256, 1024][slots_pick];
+        let layout = Layout::FcOperand { classes, batch, inputs };
+        let Some((per, cells)) = layout.fc_geometry(slots) else {
+            prop_assert!(batch > slots);
+            prop_assert!(layout.slot_map((1, 1, 1), slots).is_err());
+            return Ok(());
+        };
+        let values = classes * inputs;
+        prop_assert_eq!((per, cells), (slots / batch, values.div_ceil(per)));
+        prop_assert!(layout.slot_map((cells + 1, 1, 1), slots).is_err());
+        let rule = layout.slot_map((cells, 1, 1), slots).unwrap();
+        prop_assert_eq!(rule.extent(), (classes, inputs, batch));
+        let mut seen = vec![false; cells * slots];
+        for (v, image) in (0..values * batch).map(|k| (k / batch, k % batch)) {
+            let place = rule.place(v / inputs, v % inputs, image);
+            prop_assert_eq!(place, Some((v / per, image * per + v % per)));
+            let (cell, slot) = place.unwrap();
+            prop_assert!(!std::mem::replace(&mut seen[cell * slots + slot], true));
+        }
+        // The last cell holds `C·J − (G − 1)·P` values an image; the slots
+        // past `P·B` hold none.
+        let last = values - (cells - 1) * per;
+        let held = seen[(cells - 1) * slots..].iter().filter(|&&s| s).count();
+        prop_assert_eq!(held, last * batch);
+        prop_assert!(seen.chunks(slots).all(|cell| cell[per * batch..].iter().all(|&s| !s)));
+
+        let mut rng = ChaChaRng::from_seed(seed);
+        let drawn: Vec<i64> = (0..values * batch).map(|_| rng.next_below(1 << 20) as i64).collect();
+        let value = |c: usize, p: usize, i: usize| drawn[(c * inputs + p) * batch + i];
+        let encoded = rule.encode(batch, value).unwrap();
+        prop_assert_eq!(encoded.len(), cells);
+        for (c, p, i) in (0..values * batch).map(|k| (k / batch / inputs, k / batch % inputs, k % batch)) {
+            prop_assert_eq!(rule.decode(&encoded, c, p, i).unwrap(), value(c, p, i));
+        }
+        prop_assert!(rule.encode(batch + 1, value).is_err());
+    }
+
+    /// Pack → multiply → reduce is the plaintext fully connected layer: the
+    /// inputs laid out once, as the enclave lays them out, multiplied by the
+    /// operand bank (one product per class and cell), decrypted and summed
+    /// per (class, image), equal `W·x + b` for every class and image, with
+    /// the same bits at every pool size; and the count rule picks the
+    /// layout exactly when it saves a ciphertext for a layer wider than one.
     #[test]
     fn fc_operand_pack_multiply_reduce_round_trips(
-        inputs in 1usize..40, classes in 1usize..16, batch in 1usize..9, seed in any::<u64>(),
+        inputs in 1usize..120, classes in 1usize..12, batch in 1usize..24, seed in any::<u64>(),
     ) {
         let (sys, keys) = system();
         let slots = sys.slot_count();
-        let layout = Layout::FcOperand { classes, batch, inputs };
-        let per = layout.fc_per_cell(slots).expect("15 × 8 ≤ 256");
-        prop_assert_eq!(per, inputs.min(slots / (classes * batch)));
-        let rule = layout.slot_map((inputs.div_ceil(per), 1, 1), slots).unwrap();
-        let places: Vec<(usize, usize)> = (0..per * classes * batch)
-            .map(|i| rule.place(i / per % classes, i % per, i / (per * classes)).unwrap())
-            .collect();
-        prop_assert!(places.iter().all(|&(cell, _)| cell == 0));
-        let mut seen: Vec<usize> = places.iter().map(|&(_, slot)| slot).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        prop_assert_eq!(seen.len(), per * classes * batch);
-        prop_assert!(seen.last().is_some_and(|&last| last < slots));
-        // The rule picks the layout exactly when it saves a ciphertext for a
-        // layer wider than one.
+        let layout = Layout::FcOperand { classes: 1, batch, inputs };
+        let (per, cells) = layout.fc_geometry(slots).expect("24 ≤ 256");
         let ruled = Layout::for_fc(inputs, classes, batch, slots);
-        let picked = inputs.div_ceil(per) < inputs && classes * inputs >= slots;
+        let picked = cells < inputs && classes * inputs >= slots;
         prop_assert_eq!(ruled == layout, picked);
 
+        let rule = layout.slot_map((cells, 1, 1), slots).unwrap();
         let mut rng = ChaChaRng::from_seed(seed);
         let mut draw = |n: usize, below: u64| -> Vec<i64> {
             (0..n).map(|_| rng.next_below(below) as i64 - below as i64 / 2).collect()
@@ -225,18 +261,19 @@ proptest! {
         let x: Vec<Vec<i64>> = (0..batch).map(|_| draw(inputs, 64)).collect();
         let (weights, bias) = (draw(classes * inputs, 16), draw(classes, 200));
         let packed = rule.encode(batch, |_, input, image| x[image][input]).unwrap();
-        let cells: Vec<_> = packed
+        let cts: Vec<_> = packed
             .iter()
-            .map(|values| sys.encrypt(values, Encoding::Slots, &keys.public, &mut rng).unwrap())
+            .map(|values| sys.encrypt(values, Encoding::Slots, &keys.secret, &mut rng).unwrap())
             .collect();
-        let map = EncryptedMap::new(cells.len(), 1, 1, cells).with_layout(layout);
+        let map = EncryptedMap::new(cells, 1, 1, cts).with_layout(layout);
         let bank = FcOperandBank::prepare(sys, &weights, &bias, per).unwrap();
         let mut bits = None;
         for threads in POOLS {
             let mut counter = OpCounter::default();
             let pool = ParExec::new(threads);
             let sums = ops::he_fc_operand(sys, &map, &bank, &mut counter, &pool).unwrap();
-            prop_assert_eq!(counter.ct_pt_mul as usize, inputs.div_ceil(per));
+            prop_assert_eq!(sums.cells().len(), classes);
+            prop_assert_eq!(counter.ct_pt_mul as usize, classes * cells);
             let rows = sums.decrypt_all(sys, &keys.secret, batch, &pool).unwrap();
             for (image, row) in rows.iter().enumerate() {
                 for (class, partial) in row.chunks(per).enumerate() {

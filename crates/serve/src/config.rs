@@ -13,13 +13,13 @@ use hesgx_henn::ops::OpCounter;
 /// `C` conv maps, `J` FC inputs and `K` classes at `n` slots, a request that
 /// enters one ciphertext an image (`Layout::Coeff`) pays `C·B` conv
 /// products, one per map and image, so that part of a batch's cost grows
-/// with its fill. Its FC reads operand cells (`Layout::FcOperand`) where
-/// that is fewer: `⌈J/L⌉` multiplies with `L = min(J, ⌊n/(K·B)⌋)` inputs a
-/// cell, which grows with `B` too until one input a cell is no fewer and the
-/// layer goes back to `K·J` per-pixel multiplies. A per-pixel request (`Layout::Pixel`)
-/// is the one case whose counts stay flat as the batch fills: all images
-/// ride the slots of the same ciphertexts, and the per-request share falls
-/// as `1/fill`.
+/// with its fill. Its FC reads operand cells (`Layout::FcOperand`), each
+/// value once, where that is fewer: `K·⌈J/⌊n/B⌋⌉` multiplies, `⌊n/B⌋`
+/// slots an image, which grows with `B` too until one slot an image is no
+/// fewer and the layer goes back to `K·J` per-pixel multiplies. A per-pixel
+/// request (`Layout::Pixel`) is the one case whose counts stay flat as the
+/// batch fills: all images ride the slots of the same ciphertexts, and the
+/// per-request share falls as `1/fill`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeCostModel {
     /// Ciphertext × plaintext multiplication.
