@@ -26,7 +26,7 @@
 //!   byte-stable across runs and thread counts.
 //!
 //! Determinism contract: every consultation site in the simulator sits on a
-//! serial code path (ECALL dispatch, region touches before fan-out, sealing,
+//! serial code path (ECALL dispatch, heap touches before fan-out, sealing,
 //! attestation), so the consultation *sequence* — and therefore the report —
 //! is independent of worker-pool size. The report carries only logical data
 //! (sites, occurrence indices, attempt counts, deterministic backoff values);

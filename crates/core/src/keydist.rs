@@ -96,9 +96,8 @@ pub fn enclave_generate_keys(
     // Key generation runs inside the enclave; the returned CrtKeys stays with
     // the trusted wrapper (simulation stand-in for enclave-resident state).
     let (keys, keygen_cost) = enclave.ecall("ecall_generate_key", 0, 4096, |ctx| {
-        // Key material occupies enclave heap pages.
-        let region = ctx.alloc(64 * 1024).map_err(Error::Tee)?;
-        ctx.touch(region).map_err(Error::Tee)?;
+        // Key material occupies the enclave heap's base pages.
+        ctx.touch(64 * 1024).map_err(Error::Tee)?;
         Ok::<_, Error>(sys.generate_keys(rng))
     });
     let keys = keys?;

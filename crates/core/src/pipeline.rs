@@ -232,9 +232,11 @@ impl HybridInference {
         let degraded_plan = carried.then(|| compile(Placement::PureHe));
         let pool = ParExec::new(config.threads).with_recorder(config.recorder.clone());
         let he = HeLayers::new(sys, model, pool).map_err(Error::He)?;
-        // The enclave heap must hold a full encrypted feature map; the EPC
-        // stays at its hardware size, so oversized working sets page (and are
-        // charged) exactly as the paper's §III-B describes.
+        // The enclave heap, one arena resident until evicted, must hold a
+        // full encrypted feature map and its staging; the EPC stays at its
+        // hardware size, so a working set past it pages on every request (and
+        // is charged) as the paper's §III-B describes, one inside it only on
+        // its first touch.
         let mut builder = EnclaveBuilder::new("hesgx-inference")
             .add_code(b"hesgx-hybrid-inference-v1")
             .heap_bytes(512 * 1024 * 1024)
@@ -960,18 +962,21 @@ mod tests {
     /// and refuses a packed input the same way.
     #[test]
     fn every_compiled_plan_is_exact() {
-        // An FC layer wide enough to pack (`32·J ≥ 256` for both windows).
+        // An FC layer wide enough to pack, and packed crossing the enclave
+        // in fewer ciphertexts, for both windows: eight maps and eight
+        // classes (`8·J ≥ 256`, `1 + 8 + 1 < J` for `J` = 72 and 32).
         let wide_fc = |window: usize| {
             let model = QuantizedCnn {
                 window,
-                classes: 32,
+                conv_out: 8,
+                classes: 8,
+                conv_weights: (0..72).map(|i| (i % 7) as i64 - 3).collect(),
+                conv_bias: (0..8).map(|i| i % 5 - 2).collect(),
                 ..small_hybrid_model()
             };
             QuantizedCnn {
-                fc_weights: (0..32 * model.fc_in())
-                    .map(|i| (i % 5) as i64 - 2)
-                    .collect(),
-                fc_bias: (0..32).map(|i| i % 9 - 4).collect(),
+                fc_weights: (0..8 * model.fc_in()).map(|i| (i % 5) as i64 - 2).collect(),
+                fc_bias: (0..8).map(|i| i % 9 - 4).collect(),
                 ..model
             }
         };

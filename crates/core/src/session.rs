@@ -710,35 +710,49 @@ mod tests {
         // no ciphertext's worth, so they leave per pixel — nothing to reduce.
         assert_eq!(response.metrics.stages.len(), 3);
         assert_eq!(response.metrics.threads, 2);
-        // The same model with an FC layer wide enough to pack (16 × 18 values
-        // a image): four stages, the closing reduction last.
-        let wide = QuantizedCnn {
+        // With sixteen classes the FC layer is wider than a ciphertext (16 ×
+        // 18 values an image), but packed it would cross the enclave in 1 +
+        // 16 + 1 ciphertexts, per pixel in 18: it still leaves per pixel.
+        let sixteen = QuantizedCnn {
             classes: 16,
             fc_weights: (0..16 * 18).map(|i| (i % 5) as i64 - 2).collect(),
             fc_bias: (0..16).map(|i| i % 9 - 4).collect(),
             ..small_model()
         };
-        let session = SessionBuilder::new()
-            .params(ParamsPreset::Small)
-            .threads(2)
-            .seed(5)
-            .build(Platform::new(48), wide)
-            .unwrap();
-        let response = session.serve(InferRequest::batch(images.clone())).unwrap();
-        for (img, row) in images.iter().zip(&response.logits) {
-            assert_eq!(row, &session.model().forward_ints(img));
+        // Four maps and eight classes (8 × 36 values an image, 1 + 8 + 1
+        // crossings packed against 36): four stages, the closing reduction
+        // last.
+        let wide = QuantizedCnn {
+            conv_out: 4,
+            classes: 8,
+            conv_weights: (0..36).map(|i| (i % 7) as i64 - 3).collect(),
+            conv_bias: vec![5, -9, 3, -1],
+            fc_weights: (0..8 * 36).map(|i| (i % 5) as i64 - 2).collect(),
+            fc_bias: (0..8).map(|i| i % 9 - 4).collect(),
+            ..small_model()
+        };
+        for (model, closing) in [
+            (sixteen, None),
+            (wide, Some("Logit Reduction (SGX inside)")),
+        ] {
+            let session = SessionBuilder::new()
+                .params(ParamsPreset::Small)
+                .threads(2)
+                .seed(5)
+                .build(Platform::new(48), model)
+                .unwrap();
+            let response = session.serve(InferRequest::batch(images.clone())).unwrap();
+            for (img, row) in images.iter().zip(&response.logits) {
+                assert_eq!(row, &session.model().forward_ints(img));
+            }
+            let names: Vec<&str> = response.metrics.stages[2..]
+                .iter()
+                .map(|stage| stage.name.as_str())
+                .collect();
+            let mut want = vec!["Fully Connected Layer (HE outside)"];
+            want.extend(closing);
+            assert_eq!(names, want);
         }
-        let names: Vec<&str> = response.metrics.stages[2..]
-            .iter()
-            .map(|stage| stage.name.as_str())
-            .collect();
-        assert_eq!(
-            names,
-            [
-                "Fully Connected Layer (HE outside)",
-                "Logit Reduction (SGX inside)"
-            ]
-        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ use hesgx_chaos::{FaultHook, FaultSite};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::transcipher::{self, IngressKey};
 use hesgx_henn::crt::{CrtCiphertext, CrtPlainSystem};
-use hesgx_henn::image::{EncryptedMap, Layout, SlotMap};
+use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::quantize::QuantizedCnn;
 use hesgx_tee::cost::CostBreakdown;
@@ -62,9 +62,10 @@ pub struct InferenceEnclave {
 struct EcallShape<'a> {
     /// ECALL name (`ecall.<name>` on the books).
     name: &'a str,
-    /// Marshalled input size; also sizes the touched EPC region.
+    /// Marshalled input size; the body touches that much of the enclave
+    /// heap.
     in_bytes: usize,
-    /// Plaintext the body stages on the enclave heap: EPC-touched like the input.
+    /// Plaintext the body stages on the enclave heap, behind the input.
     staging_bytes: usize,
     /// Marshalled output size.
     out_bytes: usize,
@@ -73,9 +74,6 @@ struct EcallShape<'a> {
     /// An extra fault site consulted before each attempt: the request can be
     /// dropped before it ever reaches the enclave.
     pre_site: Option<FaultSite>,
-    /// Whether the compute pass re-reads the header page, now resident — the
-    /// spot where injected EPC load pressure strikes.
-    retouch_header: bool,
 }
 
 /// Runs `n` tasks on `pool` inside an ECALL body, each under its own wall
@@ -132,46 +130,6 @@ fn fold_chain(chain: &[EnclaveOp], model: &QuantizedCnn, mut block: Vec<Vec<i64>
         });
     }
     block.swap_remove(0)
-}
-
-/// The slots of a packed map's decrypted cells that hold a value of its slot
-/// map, one bitmap a cell: the enclave keeps a cell's values in slot order
-/// and finds one by its slot's rank.
-struct Kept(Vec<Vec<u64>>);
-
-impl Kept {
-    /// What `read` places in `cells` cells of `slots`; `None` when it places
-    /// a value past them.
-    fn new(read: &SlotMap, cells: usize, slots: usize) -> Option<Kept> {
-        let (channels, positions, images) = read.extent();
-        let mut bits = vec![vec![0u64; slots.div_ceil(64)]; cells];
-        for v in 0..channels * positions * images {
-            let (c, p) = (v / images / positions, v / images % positions);
-            let (cell, slot) = read.place(c, p, v % images)?;
-            *bits.get_mut(cell)?.get_mut(slot / 64)? |= 1 << (slot % 64);
-        }
-        Some(Kept(bits))
-    }
-
-    /// What staging holds: every kept value, and the bitmaps.
-    fn bytes(&self) -> usize {
-        let words = self.0.iter().flatten();
-        words.map(|word| 8 * (1 + word.count_ones() as usize)).sum()
-    }
-
-    /// The kept values of cell `cell`, decrypted to `values`.
-    fn keep(&self, cell: usize, values: &[i64]) -> Vec<i64> {
-        let held = |s: usize| self.0[cell][s / 64] >> (s % 64) & 1 == 1;
-        let kept = values.iter().enumerate().filter(|&(s, _)| held(s));
-        kept.map(|(_, &v)| v).collect()
-    }
-
-    /// Where slot `slot` of cell `cell` sits among the cell's kept values.
-    fn rank(&self, cell: usize, slot: usize) -> usize {
-        let (words, below) = (&self.0[cell], (1u64 << (slot % 64)) - 1);
-        let before: u32 = words[..slot / 64].iter().map(|w| w.count_ones()).sum();
-        (before + (words[slot / 64] & below).count_ones()) as usize
-    }
 }
 
 impl InferenceEnclave {
@@ -240,8 +198,8 @@ impl InferenceEnclave {
     }
 
     /// The skeleton of every batched in-enclave operator: ONE fallible ECALL
-    /// per logical call, `body` running inside it over a touched EPC region
-    /// of `in_bytes`.
+    /// per logical call, `body` running inside it over the first `in_bytes +
+    /// staging_bytes` of the enclave heap, touched on entry.
     ///
     /// Transient boundary faults are retried under the default
     /// [`RecoveryPolicy`] with every attempt's boundary cost summed into the
@@ -272,7 +230,6 @@ impl InferenceEnclave {
             out_bytes,
             fork_prefix,
             pre_site,
-            retouch_header,
         } = shape;
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
         let base = self.rng.lock().fork(&format!("{fork_prefix}-call-{call}"));
@@ -284,17 +241,13 @@ impl InferenceEnclave {
             let (res, cost) = self
                 .enclave
                 .ecall_fallible(name, in_bytes, out_bytes, |ctx| {
-                    let resident = (in_bytes + staging_bytes).max(4096);
-                    let region = ctx.alloc(resident).map_err(Error::Tee)?;
-                    // First pass marshals the input in (cold faults).
-                    ctx.touch(region).map_err(Error::Tee)?;
-                    if retouch_header {
-                        ctx.touch_bytes(region, 1).map_err(Error::Tee)?;
-                    }
+                    // The input is marshalled in and the staging laid out
+                    // behind it at the heap's base: pages fault only when
+                    // not resident.
+                    ctx.touch(in_bytes + staging_bytes).map_err(Error::Tee)?;
                     let mut cpu_ns = 0u64;
                     let out = body(&base, &mut cpu_ns)?;
                     ctx.record_cpu_ns(cpu_ns);
-                    ctx.free(region).map_err(Error::Tee)?;
                     Ok::<_, Error>(out)
                 });
             match res {
@@ -317,16 +270,15 @@ impl InferenceEnclave {
     /// [`EnclaveOp::LogitReduce`], alone over a [`Layout::FcOperand`] map,
     /// adds up each class's row of partial sums. A [`Layout::Pixel`] input
     /// is decrypted cell by cell inside the task that reads it, a packed
-    /// input (`Coeff`, `FcOperand`) whole, in one pass on the pool, each
-    /// cell keeping in the staging buffer only the values its [`SlotMap`]
-    /// places — what the tasks gather. The enclave is the repacker: it emits
-    /// `emit`, the layout the next layer reads — one cell per output
-    /// ([`Layout::Pixel`]) or `P = ⌊slots / batch⌋` outputs a cell, each
-    /// once ([`Layout::FcOperand`] of one class), every cell through
-    /// [`SlotMap::encode`]; a reduction emits its logits that way whatever
-    /// `emit` says. The boundary is priced from the cells that cross: the
-    /// input's in, one fresh ciphertext per emitted cell out, and the kept
-    /// values staged.
+    /// input (`Coeff`, `FcOperand`) whole, in one pass on the pool, into a
+    /// staging buffer of whole cells the tasks gather from through its
+    /// [`SlotMap`]. The enclave is the repacker: it emits `emit`, the layout
+    /// the next layer reads — one cell per output ([`Layout::Pixel`]) or `P
+    /// = ⌊slots / batch⌋` outputs a cell, each once ([`Layout::FcOperand`]
+    /// of one class), every cell through [`SlotMap::encode`]; a reduction
+    /// emits its logits that way whatever `emit` says. The boundary is
+    /// priced from the cells that cross: the input's in, one fresh
+    /// ciphertext per emitted cell out, and the decrypted cells staged.
     ///
     /// [`EcallBatching::Batched`] is one ECALL for the whole map, per-cell
     /// work scheduled on `pool` inside the enclave body.
@@ -342,6 +294,9 @@ impl InferenceEnclave {
     /// tile, an `emit` that does not hold the outputs, and a `LogitReduce`
     /// not alone over an `FcOperand` map — all before any decryption;
     /// propagates HE/TEE failures.
+    ///
+    /// [`SlotMap`]: hesgx_henn::image::SlotMap
+    /// [`SlotMap::encode`]: hesgx_henn::image::SlotMap::encode
     #[allow(clippy::too_many_arguments)]
     pub fn apply(
         &self,
@@ -443,12 +398,7 @@ impl InferenceEnclave {
             let (y, x) = ((o / ow) % oh * sy + d / sx, o % ow * sx + d % sx);
             (o / (oh * ow), y * w + x)
         };
-        // The crossing cells: a packed map whole, with what is kept of each
-        // once decrypted (enclave work, charged to the ECALL that reads it);
-        // else block by block.
-        let timer = WallTimer::start();
-        let kept = packed.then(|| Kept::new(&read, input.cells().len(), slots).ok_or_else(refuse));
-        let (kept, kept_ns) = (kept.transpose()?, timer.elapsed_ns());
+        // The crossing cells: a packed map whole, else block by block.
         let crossing: Vec<&CrtCiphertext> = match packed {
             true => input.cells().iter().collect(),
             false => (0..outputs * area)
@@ -480,35 +430,30 @@ impl InferenceEnclave {
                 EcallShape {
                     name: &name,
                     in_bytes: entering.iter().map(|c| c.byte_len()).sum(),
-                    staging_bytes: kept.as_ref().map_or(0, Kept::bytes),
+                    staging_bytes: usize::from(packed) * entering.len() * slots * 8,
                     out_bytes: per_call * sys.fresh_ciphertext_byte_len(),
                     fork_prefix: "par",
                     pre_site: refreshes.then_some(FaultSite::NoiseRefresh),
-                    retouch_header: span == 1,
                 },
                 |base, cpu_ns| {
-                    *cpu_ns = kept_ns;
-                    // A packed map's cells, decrypted on the pool, keep only
-                    // the values the gather reads.
-                    let staged = match &kept {
-                        Some(kept) => timed_tasks(pool, entering.len(), cpu_ns, |i| {
-                            Ok(kept.keep(i, &decrypt(entering[i])?))
-                        })?,
-                        None => Vec::new(),
+                    // A packed map's cells, decrypted whole on the pool.
+                    let staged = match packed {
+                        true => {
+                            timed_tasks(pool, entering.len(), cpu_ns, |i| decrypt(entering[i]))?
+                        }
+                        false => Vec::new(),
                     };
                     timed_tasks(pool, per_call, cpu_ns, |j| {
                         let mut rng = base.fork(&format!("cell-{j}"));
                         // The outputs behind cell `j`, one image-indexed
                         // slot vector each.
                         let folded = (j * per..outputs.min((j + 1) * per)).map(|o| {
-                            let block = (0..area).map(|d| match &kept {
-                                None => decrypt(entering[o * area + d]),
-                                Some(kept) => {
+                            let block = (0..area).map(|d| match packed {
+                                false => decrypt(entering[o * area + d]),
+                                true => {
                                     let (ch, position) = member(o, d);
-                                    let place = |b| read.place(ch, position, b);
-                                    let value = |(cell, slot)| staged[cell][kept.rank(cell, slot)];
-                                    let images = (0..images).map(|b| place(b).map(value));
-                                    images.collect::<Option<_>>().ok_or_else(refuse)
+                                    let value = |b| Ok(read.decode(&staged, ch, position, b)?);
+                                    (0..images).map(value).collect()
                                 }
                             });
                             Ok(fold_chain(chain, model, block.collect::<Result<_>>()?))
@@ -584,7 +529,6 @@ impl InferenceEnclave {
                     .saturating_mul(priced.ingress_cells(side, slots)),
                 fork_prefix: "transcipher",
                 pre_site: Some(FaultSite::Transcipher),
-                retouch_header: true,
             },
             |base, cpu_ns| {
                 let open_timer = WallTimer::start();

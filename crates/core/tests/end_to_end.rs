@@ -417,16 +417,18 @@ fn noise_refresh_extends_computation_indefinitely() {
 /// every path equals `forward_ints`, and the logit ciphertexts of the
 /// hand-run paths are bit-identical across HE pool sizes (the packed FC is
 /// one product chain per class and CRT part, whatever the pool). The model
-/// is the 8×8 one with sixteen classes (`J = 18` FC inputs, so `C·J = 288 ≥
-/// 256`: wide enough to pack), at n = 256. Ingress edges: small batches (1,
-/// 2, 5), the largest batch the rule still packs (63 cells against 64
-/// pixels) and one beyond it (64, served in `Pixel`), and — forced by hand —
-/// 64, 65, 128 and 129 in `Coeff`, more images than pixels. Egress edges, `P
-/// = ⌊256/B⌋` slots an image, `⌈18/P⌉` operand cells and `⌈16/P⌉` logit
-/// cells: a batch of one (`P = 256`, one cell), `P = 17` (15: 17 + 1, the
-/// last cell short), `P = 16` (16: 16 + 2), `P = 15` (17), `P = 4` (63, 64:
-/// five cells, four of logits), `P = 2` (128: nine cells, eight of logits),
-/// and `P = 1` where one cell per input is no fewer (129: back to `Pixel`).
+/// is the 8×8 one with four maps and eight classes (`J = 36` FC inputs, so
+/// `C·J = 288 ≥ 256`: wide enough to pack), at n = 256. Ingress edges: small
+/// batches (1, 2, 5), the largest batch the rule still packs (63 cells
+/// against 64 pixels) and one beyond it (64, served in `Pixel`), and —
+/// forced by hand — 64, 65, 128 and 129 in `Coeff`, more images than
+/// pixels. Egress edges, `P = ⌊256/B⌋` slots an image, `⌈36/P⌉` operand
+/// cells and `⌈8/P⌉` logit cells: a batch of one (`P = 256`, one cell), `P =
+/// 32` (8: two cells, 32 + 4), `P = 28` (9), `P = 17` (15: 17 + 17 + 2, the
+/// last cell short), `P = 16` (16), `P = 15` (17), `P = 4` (63, 64: nine
+/// cells, two of logits), `P = 2` (128: eighteen cells, four of logits —
+/// 18 + 8 + 4 crossings against 36), and `P = 1` where packing crosses more
+/// (129: back to `Pixel`).
 #[test]
 fn both_layouts_serve_identical_logits_at_every_batch_edge() {
     let model = wide_hybrid_model();
@@ -441,7 +443,7 @@ fn both_layouts_serve_identical_logits_at_every_batch_edge() {
             pitch: 8,
         };
         // What leaves the enclave for the FC layer when the batch came packed.
-        let operand = Layout::for_fc(18, 16, batch, 256);
+        let operand = Layout::for_fc(36, 8, batch, 256);
         assert_eq!(operand != Layout::Pixel, batch <= 128, "batch {batch}");
         let mut bits = None;
         for threads in [1usize, 2, 4] {
@@ -608,14 +610,15 @@ fn packed_paper_request_pins_its_op_counts() {
         crossed + (crossed + 4 * 4)
     );
     assert_eq!(response.metrics.stages.len(), 4);
-    // Each crossing stages only the values its gather reads, with a 128-byte
-    // bitmap a cell: the 28 800 conv outputs and the 10 200 partial sums, on
-    // top of the 50 and 10 cells that cross in — 458 and 101 cold EPC pages,
-    // where whole decrypted cells (400 and 80 KiB) would touch 500 and 100.
+    // Each crossing touches the heap's first pages: the 50 and 10 cells
+    // that cross in, then their decrypted cells staged whole (400 and
+    // 80 KiB) — 500 and 100 pages. The key ceremony made the first 16
+    // resident, the first crossing faults the other 484, and the second
+    // crossing's 100 are all resident by then.
     let swap = hesgx_tee::cost::CostModel::default().page_swap_ns;
     let pages = |name: &str| rec.span(name).unwrap().cost.paging_ns / swap;
     let crossings = ["ecall.ecall_activation_pool", "ecall.ecall_LogitReduce"];
-    assert_eq!(crossings.map(pages), [458, 101]);
+    assert_eq!(crossings.map(pages), [484, 0]);
     // 784 live coefficients of 1024 at ingress, 576 into the enclave; 7200
     // of 8 × 1024 slots out of it, and 1020 of 1024 partial sums a cell
     // into the reduction.
@@ -628,6 +631,31 @@ fn packed_paper_request_pins_its_op_counts() {
         rec.gauge_series("infer.layer[3].slot_occupancy_ppm"),
         [996_093]
     );
+}
+
+/// The enclave heap stays resident between requests (SGX1 commits it at
+/// `EINIT`; the EPC never has to evict a working set this small): the first
+/// request on a paper-parameter session faults its pages in, the second
+/// books no page fault and no paging time on any stage.
+#[test]
+fn a_warm_session_pages_nothing() {
+    let (session, rec, images) = paper_session(1);
+    let model = session.model().clone();
+    let mut faults = Vec::new();
+    for _ in 0..2 {
+        let before = rec.counter(counters::EPC_PAGE_FAULTS);
+        let response = session.serve(InferRequest::batch(images.clone())).unwrap();
+        assert_eq!(response.logits, [model.forward_ints(&images[0])]);
+        let stages = response.metrics.stages.iter();
+        let paging = stages.filter_map(|stage| stage.enclave.as_ref());
+        let paging: u64 = paging.map(|cost| cost.paging_ns).sum();
+        faults.push((rec.counter(counters::EPC_PAGE_FAULTS) - before, paging));
+    }
+    let [(cold, cold_ns), warm] = faults[..] else {
+        panic!("two requests");
+    };
+    assert!(cold > 0 && cold_ns > 0, "{faults:?}");
+    assert_eq!(warm, (0, 0));
 }
 
 /// A session at `preset` with an enabled recorder serving `model`, and

@@ -10,10 +10,10 @@
 //! so the closing reduction is skipped) and through the hand-built
 //! three-stage list without that stage, bit for bit the same: the proof that
 //! `Pixel` egress is the three-stage pipeline's — and the `Coeff` ingress
-//! of the same model with a sixteen-class FC layer, wide enough that the
-//! compiled plan packs the egress and its logits leave in one ciphertext.
-//! Regenerate (only when an
-//! intentional protocol change lands) with
+//! of the same model with four maps and an eight-class FC layer, wide
+//! enough that the compiled plan packs the egress and its logits leave in
+//! one ciphertext. Regenerate (only when an intentional protocol change
+//! lands) with
 //! `HESGX_UPDATE_GOLDEN=1 cargo test -p hesgx-core --test golden_pipeline`.
 
 mod testutil;
@@ -108,7 +108,7 @@ fn digest(cells: &[CrtCiphertext]) -> String {
 /// and then from the `Coeff` ingress `Session::serve` picks (one logit
 /// ciphertext per class either way, rows asserted equal, and both asserted
 /// bit-identical to the plan without its closing stage), then the
-/// sixteen-class model from `Coeff` through its compiled plan (packed
+/// wide model from `Coeff` through its compiled plan (packed
 /// egress: one logits ciphertext; rows asserted equal to the plan without
 /// the closing stage). Returns each model's rows and the three digests.
 fn run_pool(threads: usize) -> ([Vec<Vec<i128>>; 2], [String; 3]) {
@@ -132,8 +132,8 @@ fn run_pool(threads: usize) -> ([Vec<Vec<i128>>; 2], [String; 3]) {
     let wide = wide_hybrid_model();
     let (wide_rows, one) = run(&wide, threads, &[packed], false).remove(0);
     assert_eq!(one.len(), 1, "packed egress");
-    let (per_class_rows, sixteen) = run(&wide, threads, &[packed], true).remove(0);
-    assert_eq!(sixteen.len(), wide.classes);
+    let (per_class_rows, per_class) = run(&wide, threads, &[packed], true).remove(0);
+    assert_eq!(per_class.len(), wide.classes);
     assert_eq!(wide_rows, per_class_rows);
     (
         [rows.clone(), wide_rows],

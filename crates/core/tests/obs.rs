@@ -5,7 +5,7 @@
 //!   `Recorder::snapshot_json` across runs *and* across worker-pool sizes;
 //!   the bytes are pinned by `tests/golden/obs_snapshot.json`, one line per
 //!   plan shape: the 8×8 model (one logit ciphertext per class, one
-//!   crossing) and its sixteen-class variant (packed egress, the closing
+//!   crossing) and its wide variant (packed egress, the closing
 //!   `ecall_LogitReduce`). Regenerate with
 //!   `HESGX_UPDATE_GOLDEN=1 cargo test -p hesgx-core --test obs` after an
 //!   intentional change to what the pipeline records.
@@ -25,7 +25,7 @@ use hesgx_obs::{counters, Profiler, Recorder, SpanCost, TracePhase};
 use hesgx_tee::enclave::Platform;
 use std::path::Path;
 
-/// Builds a fixed-seed session of the sixteen-class model (packed egress: two
+/// Builds a fixed-seed session of the wide model (packed egress: two
 /// crossings) with an enabled recorder and runs one inference, returning its
 /// metrics too.
 fn run_session(threads: usize) -> (Session, Recorder, HybridMetrics) {

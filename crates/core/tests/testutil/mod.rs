@@ -33,15 +33,19 @@ pub fn small_hybrid_model() -> QuantizedCnn {
     }
 }
 
-/// [`small_hybrid_model`] with sixteen classes: its FC layer (16 × 18 values
-/// an image) is wider than a degree-256 ciphertext, so batches leave the
-/// enclave packed for it (`Layout::for_fc`: up to 128 images at n = 256,
+/// [`small_hybrid_model`] with four feature maps and eight classes: its FC
+/// layer (8 × 36 values an image) is wider than a degree-256 ciphertext and
+/// crosses the enclave boundary in fewer ciphertexts packed, so batches leave
+/// the enclave packed for it (`Layout::for_fc`: up to 128 images at n = 256,
 /// every batch its ingress packs).
 pub fn wide_hybrid_model() -> QuantizedCnn {
     QuantizedCnn {
-        classes: 16,
-        fc_weights: (0..16 * 18).map(|i| (i % 5) as i64 - 2).collect(),
-        fc_bias: (0..16).map(|i| i % 9 - 4).collect(),
+        conv_out: 4,
+        classes: 8,
+        conv_weights: (0..36).map(|i| (i % 7) as i64 - 3).collect(),
+        conv_bias: vec![5, -9, 3, -1],
+        fc_weights: (0..8 * 36).map(|i| (i % 5) as i64 - 2).collect(),
+        fc_bias: (0..8).map(|i| i % 9 - 4).collect(),
         ..small_hybrid_model()
     }
 }

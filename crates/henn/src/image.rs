@@ -247,11 +247,14 @@ impl Layout {
 
     /// The layout an enclave hands `batch` images' `inputs` values to a
     /// `classes`-way fully connected layer in. The one-class operand layout,
-    /// each value once, iff it is fewer ciphertexts — `⌈J/P⌉ < J`, so `P =
-    /// ⌊slots/B⌋ ≥ 2` (the paper's model, n = 1024: `B ≤ 512`) — and the
-    /// layer is wider than a ciphertext, `C·J ≥ slots`: a narrower one would
-    /// leave the HE layer one product a class and the whole dot product to
-    /// whoever adds up the partial sums (DESIGN.md §6).
+    /// each value once, iff it crosses the enclave boundary in fewer
+    /// ciphertexts — its `⌈J/P⌉` cells out, the `C` partial-sum cells back
+    /// in and the `⌈C/P⌉` logit cells out of the closing reduction against
+    /// `J` cells out per pixel, `⌈J/P⌉ + C + ⌈C/P⌉ < J` (the paper's model,
+    /// n = 1024: `B ≤ 512`) — and the layer is wider than a ciphertext,
+    /// `C·J ≥ slots`: a narrower one would leave the HE layer one product a
+    /// class and the whole dot product to whoever adds up the partial sums
+    /// (DESIGN.md §6).
     pub fn for_fc(inputs: usize, classes: usize, batch: usize, slots: usize) -> Layout {
         let operand = Layout::FcOperand {
             classes: 1,
@@ -259,8 +262,12 @@ impl Layout {
             inputs,
         };
         let wide = classes.checked_mul(inputs).is_some_and(|all| all >= slots);
-        match operand.fc_geometry(slots) {
-            Some((_, cells)) if wide && cells < inputs => operand,
+        let crossings = |(per, cells): (usize, usize)| {
+            let logits = classes.div_ceil(per);
+            cells.saturating_add(classes).saturating_add(logits)
+        };
+        match operand.fc_geometry(slots).map(crossings) {
+            Some(crossings) if wide && crossings < inputs => operand,
             _ => Layout::Pixel,
         }
     }
@@ -622,6 +629,32 @@ mod tests {
         // reduction one cell of every logit.
         assert_eq!(operand(10, 10, 102).fc_geometry(1024), Some((102, 10)));
         assert_eq!(operand(10, 10, 1).fc_geometry(1024), Some((102, 1)));
+    }
+
+    /// The egress rule counts every ciphertext that crosses the enclave
+    /// boundary: the operand cells out, the partial sums back in and the
+    /// reduced logits out, against one cell an input out per pixel.
+    #[test]
+    fn fc_operand_counts_every_crossing() {
+        let operand = |batch, inputs| Layout::FcOperand {
+            classes: 1,
+            batch,
+            inputs,
+        };
+        // Sixteen classes of 18 inputs at n = 256: 1 + 16 + 1 crossings
+        // packed are no fewer than 18 per pixel, at every batch.
+        for batch in [1, 2, 14, 128] {
+            assert_eq!(Layout::for_fc(18, 16, batch, 256), Layout::Pixel);
+        }
+        // Fifteen classes: 1 + 15 + 1 < 18 while an image's 18 inputs fit
+        // one cell (`P ≥ 18`, 14 images); at 15 they take two.
+        assert_eq!(Layout::for_fc(18, 15, 14, 256), operand(14, 18));
+        assert_eq!(Layout::for_fc(18, 15, 15, 256), Layout::Pixel);
+        // The paper's model at n = 1024 and B = 10: 8 + 10 + 1 = 19 against
+        // 720.
+        assert_eq!(Layout::for_fc(720, 10, 10, 1024), operand(10, 720));
+        // No crossing count overflows.
+        assert_eq!(Layout::for_fc(1, usize::MAX, 1, 256), Layout::Pixel);
     }
 
     /// An `FcOperand` map decodes through its slot map into one row per

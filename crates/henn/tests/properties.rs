@@ -240,7 +240,8 @@ proptest! {
     /// operand bank (one product per class and cell), decrypted and summed
     /// per (class, image), equal `W·x + b` for every class and image, with
     /// the same bits at every pool size; and the count rule picks the
-    /// layout exactly when it saves a ciphertext for a layer wider than one.
+    /// layout exactly when it crosses the enclave boundary in fewer
+    /// ciphertexts, for a layer wider than one.
     #[test]
     fn fc_operand_pack_multiply_reduce_round_trips(
         inputs in 1usize..120, classes in 1usize..12, batch in 1usize..24, seed in any::<u64>(),
@@ -250,7 +251,8 @@ proptest! {
         let layout = Layout::FcOperand { classes: 1, batch, inputs };
         let (per, cells) = layout.fc_geometry(slots).expect("24 ≤ 256");
         let ruled = Layout::for_fc(inputs, classes, batch, slots);
-        let picked = cells < inputs && classes * inputs >= slots;
+        let crossings = cells + classes + classes.div_ceil(per);
+        let picked = crossings < inputs && classes * inputs >= slots;
         prop_assert_eq!(ruled == layout, picked);
 
         let rule = layout.slot_map((cells, 1, 1), slots).unwrap();

@@ -11,7 +11,7 @@
 
 use crate::attestation::{QuotingEnclave, Report};
 use crate::cost::{CostBreakdown, CostModel, VirtualClock};
-use crate::epc::{Epc, RegionId, DEFAULT_EPC_BYTES};
+use crate::epc::{Epc, DEFAULT_EPC_BYTES};
 use crate::error::{Result, TeeError};
 use crate::sealing::{self, SealedBlob};
 use crate::wall::WallTimer;
@@ -208,41 +208,14 @@ pub struct EnclaveCtx<'a> {
 }
 
 impl EnclaveCtx<'_> {
-    /// Allocates an enclave-heap region.
+    /// Touches the first `bytes` of the enclave heap, recording any page
+    /// faults: a page faults only when it is not resident.
     ///
     /// # Errors
     ///
-    /// Fails when the heap is exhausted.
-    pub fn alloc(&mut self, bytes: usize) -> Result<RegionId> {
-        self.epc.lock().alloc(bytes)
-    }
-
-    /// Frees a region.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the region is unknown.
-    pub fn free(&mut self, region: RegionId) -> Result<()> {
-        self.epc.lock().free(region)
-    }
-
-    /// Touches a whole region (full scan), recording any page faults.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the region is unknown.
-    pub fn touch(&mut self, region: RegionId) -> Result<()> {
-        self.faults += self.epc.lock().touch_region(region)?;
-        Ok(())
-    }
-
-    /// Touches the first `bytes` of a region.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the region is unknown.
-    pub fn touch_bytes(&mut self, region: RegionId, bytes: usize) -> Result<()> {
-        self.faults += self.epc.lock().touch_bytes(region, bytes)?;
+    /// Fails, touching nothing, when `bytes` runs past the heap.
+    pub fn touch(&mut self, bytes: usize) -> Result<()> {
+        self.faults += self.epc.lock().touch(bytes)?;
         Ok(())
     }
 
@@ -501,7 +474,8 @@ mod tests {
 
     #[test]
     fn paging_pressure_visible() {
-        // Enclave with tiny EPC: scanning a large region twice faults a lot.
+        // Enclave with tiny EPC: touching a heap prefix twice the EPC's
+        // size, twice, faults a lot.
         let rec = Recorder::enabled();
         let e = EnclaveBuilder::new("e")
             .epc_bytes(8 * crate::epc::PAGE_SIZE)
@@ -509,9 +483,8 @@ mod tests {
             .recorder(rec.clone())
             .build(platform());
         let ((), cost) = e.ecall("scan", 0, 0, |ctx| {
-            let big = ctx.alloc(16 * crate::epc::PAGE_SIZE).unwrap();
-            ctx.touch(big).unwrap();
-            ctx.touch(big).unwrap();
+            ctx.touch(16 * crate::epc::PAGE_SIZE).unwrap();
+            ctx.touch(16 * crate::epc::PAGE_SIZE).unwrap();
         });
         assert!(cost.paging_ns > 0);
         assert!(rec.counter(counters::EPC_EVICTIONS) > 0);

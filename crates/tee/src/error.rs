@@ -25,13 +25,11 @@ pub enum TeeError {
         /// Actual MRENCLAVE value from the quote.
         actual: [u8; 32],
     },
-    /// An EPC region id was not found.
-    UnknownRegion(u64),
-    /// The requested allocation exceeds the enclave's configured heap.
+    /// A touch runs past the enclave's configured heap.
     HeapExhausted {
         /// Bytes requested.
         requested: usize,
-        /// Bytes remaining.
+        /// Bytes the heap holds.
         available: usize,
     },
 }
@@ -52,7 +50,6 @@ impl TeeError {
             | TeeError::QuoteSignatureInvalid
             | TeeError::UnknownPlatform
             | TeeError::MeasurementMismatch { .. }
-            | TeeError::UnknownRegion(_)
             | TeeError::HeapExhausted { .. } => false,
         }
     }
@@ -79,7 +76,6 @@ impl std::fmt::Display for TeeError {
                 write!(f, "platform not registered with attestation service")
             }
             TeeError::MeasurementMismatch { .. } => write!(f, "enclave measurement mismatch"),
-            TeeError::UnknownRegion(id) => write!(f, "unknown enclave memory region {id}"),
             TeeError::HeapExhausted {
                 requested,
                 available,
@@ -113,7 +109,6 @@ mod tests {
                 expected: [0; 32],
                 actual: [1; 32],
             },
-            TeeError::UnknownRegion(7),
             TeeError::HeapExhausted {
                 requested: 10,
                 available: 5,

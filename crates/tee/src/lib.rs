@@ -17,7 +17,8 @@
 //!   paper's Tables I/IV/V; [`cost::CostModel::fake_sgx`] is the paper's
 //!   `FakeSGX` control (same code, no enclave).
 //! * **Limited memory** — [`epc::Epc`] models the ~93 MiB protected page
-//!   cache with LRU eviction; working sets larger than the EPC thrash, which
+//!   cache with LRU eviction behind one enclave heap whose pages stay
+//!   resident until evicted; working sets larger than the EPC thrash, which
 //!   is both a cost term and a side-channel signal (paper §III-B).
 //! * **Remote attestation** — [`attestation`] implements the DCAP-style
 //!   report → quote → service chain, including the *user data* field the
@@ -70,7 +71,7 @@ pub mod prelude {
     };
     pub use crate::cost::{CostBreakdown, CostModel, VirtualClock};
     pub use crate::enclave::{Enclave, EnclaveBuilder, EnclaveCtx, Platform};
-    pub use crate::epc::{Epc, RegionId, PAGE_SIZE};
+    pub use crate::epc::{Epc, PAGE_SIZE};
     pub use crate::error::TeeError;
     pub use crate::sealing::SealedBlob;
     pub use crate::wall::WallTimer;

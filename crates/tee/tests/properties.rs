@@ -58,19 +58,38 @@ proptest! {
 
     #[test]
     fn epc_resident_never_exceeds_capacity(capacity_pages in 1usize..32,
-                                           regions in proptest::collection::vec(1usize..8, 1..6),
-                                           touches in proptest::collection::vec(0usize..6, 0..30)) {
-        let total: usize = regions.iter().sum();
-        let mut epc = Epc::new(capacity_pages * PAGE_SIZE, (total + 1) * PAGE_SIZE);
+                                           heap_pages in 1usize..48,
+                                           touches in proptest::collection::vec(0usize..64 * PAGE_SIZE, 0..30)) {
+        let mut epc = Epc::new(capacity_pages * PAGE_SIZE, heap_pages * PAGE_SIZE);
         let rec = Recorder::enabled();
         epc.set_recorder(rec.clone());
-        let ids: Vec<_> = regions.iter().map(|&p| epc.alloc(p * PAGE_SIZE).unwrap()).collect();
-        for &t in &touches {
-            let _ = epc.touch_region(ids[t % ids.len()]);
+        for &bytes in &touches {
+            let before = rec.counter(counters::EPC_PAGE_FAULTS) + rec.counter(counters::EPC_HITS);
+            let touched = epc.touch(bytes);
+            let after = rec.counter(counters::EPC_PAGE_FAULTS) + rec.counter(counters::EPC_HITS);
+            // A prefix past the heap is refused before any page is touched.
+            let pages = bytes.div_ceil(PAGE_SIZE);
+            prop_assert_eq!(touched.is_ok(), pages <= heap_pages);
+            prop_assert_eq!(after - before, if touched.is_ok() { pages as u64 } else { 0 });
+            prop_assert!(epc.resident_pages() <= capacity_pages);
         }
-        prop_assert!(epc.resident_pages() <= capacity_pages);
-        // Conservation: faults = hits' complement; evictions <= faults.
+        // Conservation: evictions <= faults.
         prop_assert!(rec.counter(counters::EPC_EVICTIONS) <= rec.counter(counters::EPC_PAGE_FAULTS));
+    }
+
+    #[test]
+    fn a_fitting_prefix_retouches_without_faults(capacity_pages in 1usize..32,
+                                                 earlier in proptest::collection::vec(0usize..64 * PAGE_SIZE, 0..8),
+                                                 pages in 0usize..32) {
+        // Whatever was touched before, a prefix the EPC holds faults at most
+        // once: with no fault hook installed, its second touch is all hits.
+        let pages = pages.min(capacity_pages);
+        let mut epc = Epc::new(capacity_pages * PAGE_SIZE, 64 * PAGE_SIZE);
+        for &bytes in &earlier {
+            epc.touch(bytes).unwrap();
+        }
+        prop_assert!(epc.touch(pages * PAGE_SIZE).unwrap() <= pages as u64);
+        prop_assert_eq!(epc.touch(pages * PAGE_SIZE).unwrap(), 0);
     }
 
     #[test]
