@@ -23,7 +23,7 @@
 //! every valid position; its op counts join the deterministic artifact. So
 //! does the dense-operand FC at the same geometry: the 720 pooled values of
 //! each image once, `⌊1024/10⌋ = 102` slots an image, in 8 cells, one
-//! product chain a class ([`ops::he_fc_operand`]: 80 products) into 10
+//! product chain a class ([`ops::he_linear`]: 80 products) into 10
 //! partial-sum cells, whose sums must equal the plaintext FC for every
 //! (class, image).
 //!
@@ -52,7 +52,7 @@ use hesgx_henn::crt::Encoding;
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
-use hesgx_henn::weights::{FcOperandBank, KernelBank, WeightBank};
+use hesgx_henn::weights::{NttBank, WeightBank};
 use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
 use hesgx_tee::wall::WallTimer;
 use std::fmt::Write as _;
@@ -132,7 +132,7 @@ pub struct NttBench {
 /// wall time, whether it decrypted to the plaintext convolution, its ops.
 #[derive(Debug, Clone, Copy)]
 pub struct CoeffConv {
-    /// Median of one [`ops::he_conv_coeff`] over the batch's `Coeff` map.
+    /// Median of one [`ops::he_linear`] over the batch's `Coeff` map.
     pub kernel_ns: u64,
     /// Every valid position of every map and image decrypted exactly.
     pub matches_plain: bool,
@@ -145,7 +145,7 @@ pub struct CoeffConv {
 /// plaintext FC, and its cell and op counts.
 #[derive(Debug, Clone, Copy)]
 pub struct DenseFc {
-    /// Median of one [`ops::he_fc_operand`] over the batch's operand map.
+    /// Median of one [`ops::he_linear`] over the batch's operand map.
     pub kernel_ns: u64,
     /// Every (class, image)'s partial sums added up to `W·x + b`.
     pub matches_plain: bool,
@@ -388,10 +388,10 @@ fn run_coeff_conv(reps: usize) -> CoeffConv {
         EncryptedMap::encrypt_images(&sys, &images, side, layout, &keys.secret, &rng, &serial)
             .expect("ntt_bench coeff batch encrypts");
     let (weights, biases) = (&model.conv_weights, &model.conv_bias);
-    let bank = KernelBank::prepare(&sys, weights, biases, k, side);
+    let bank = NttBank::conv(&sys, weights, biases, k, side);
     let bank = bank.expect("ntt_bench kernel polynomials");
     let conv = |ops: &mut OpCounter| {
-        ops::he_conv_coeff(&sys, &enc, &bank, ops, &serial).expect("ntt_bench coeff conv runs")
+        ops::he_linear(&sys, &enc, &bank, &[], ops, &serial).expect("ntt_bench coeff conv runs")
     };
     let mut ops = OpCounter::default();
     let rows = (conv(&mut ops).decrypt_all(&sys, &keys.secret, batch, &serial))
@@ -441,10 +441,10 @@ fn run_dense_fc(reps: usize) -> DenseFc {
         .expect("ntt_bench operand encrypts");
     let map = EncryptedMap::new(cells, 1, 1, cts).with_layout(layout);
     let (weights, biases) = (&model.fc_weights, &model.fc_bias);
-    let bank = FcOperandBank::prepare(&sys, weights, biases, per).expect("ntt_bench FC bank");
+    let bank = NttBank::fc_operand(&sys, weights, biases, per).expect("ntt_bench FC bank");
     let serial = ParExec::serial();
     let fc = |ops: &mut OpCounter| {
-        ops::he_fc_operand(&sys, &map, &bank, ops, &serial).expect("ntt_bench dense FC runs")
+        ops::he_linear(&sys, &map, &bank, &[], ops, &serial).expect("ntt_bench dense FC runs")
     };
     let mut ops = OpCounter::default();
     let sums = fc(&mut ops);

@@ -99,6 +99,12 @@ pub enum Encoding {
     Coeffs,
 }
 
+/// Part `i`'s key of a per-part key slice: [`BfvError::ContextMismatch`]
+/// for keys of a system with fewer parts.
+pub(crate) fn part_key<K>(keys: &[K], i: usize) -> hesgx_bfv::error::Result<&K> {
+    keys.get(i).ok_or(BfvError::ContextMismatch)
+}
+
 /// Key material for every CRT part.
 #[derive(Debug, Clone)]
 pub struct CrtKeys {
@@ -281,7 +287,7 @@ impl CrtPlainSystem {
     ///
     /// # Errors
     ///
-    /// Fails when more values than slots are supplied.
+    /// Fails when more values than slots are supplied or fewer keys than parts.
     pub fn encrypt<K: EncryptionKey>(
         &self,
         values: &[i64],
@@ -291,7 +297,7 @@ impl CrtPlainSystem {
     ) -> hesgx_bfv::error::Result<CrtCiphertext> {
         let plain = self.encode(values, encoding)?;
         let parts = plain.iter().enumerate();
-        let parts = parts.map(|(i, pt)| keys[i].encrypt(&self.contexts[i], pt, rng));
+        let parts = parts.map(|(i, pt)| part_key(keys, i)?.encrypt(&self.contexts[i], pt, rng));
         Ok(CrtCiphertext {
             parts: parts.collect::<hesgx_bfv::error::Result<_>>()?,
         })
@@ -311,7 +317,8 @@ impl CrtPlainSystem {
     ///
     /// # Errors
     ///
-    /// Propagates decryption failures (context mismatch etc.).
+    /// Propagates decryption failures (context mismatch etc.; fewer keys
+    /// than parts is one).
     pub fn decrypt(
         &self,
         ct: &CrtCiphertext,
@@ -322,7 +329,7 @@ impl CrtPlainSystem {
         // Σ_i [r_i · (T/t_i)^{-1}]_{t_i} · T/t_i, each term below T.
         let mut acc = vec![0u128; n];
         for (i, ctx) in self.contexts.iter().enumerate() {
-            let pt = Decryptor::new(ctx.clone(), &secret[i]).decrypt(&ct.parts[i])?;
+            let pt = Decryptor::new(ctx.clone(), part_key(secret, i)?).decrypt(&ct.parts[i])?;
             let residues = match encoding {
                 Encoding::Slots => self.encoders[i].decode(&pt),
                 Encoding::Coeffs => {
@@ -496,20 +503,22 @@ impl CrtPlainSystem {
     ///
     /// # Errors
     ///
-    /// Propagates component failures.
+    /// Propagates component failures; `ContextMismatch` for too few keys.
     pub fn relinearize(
         &self,
         a: &CrtCiphertext,
         keys: &[EvaluationKeys],
     ) -> hesgx_bfv::error::Result<CrtCiphertext> {
-        self.map_parts(a, |i, eval, part| eval.relinearize(part, &keys[i]))
+        self.map_parts(a, |i, eval, part| {
+            eval.relinearize(part, part_key(keys, i)?)
+        })
     }
 
     /// Minimum invariant-noise budget over the parts.
     ///
     /// # Errors
     ///
-    /// Propagates component failures.
+    /// Propagates component failures; `ContextMismatch` for too few keys.
     pub fn noise_budget(
         &self,
         ct: &CrtCiphertext,
@@ -517,7 +526,7 @@ impl CrtPlainSystem {
     ) -> hesgx_bfv::error::Result<u32> {
         let mut min = u32::MAX;
         for (i, ctx) in self.contexts.iter().enumerate() {
-            let dec = Decryptor::new(ctx.clone(), &secret[i]);
+            let dec = Decryptor::new(ctx.clone(), part_key(secret, i)?);
             min = min.min(dec.invariant_noise_budget(&ct.parts[i])?);
         }
         Ok(min)

@@ -190,6 +190,7 @@ impl CryptoNets {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crt::Encoding;
 
     /// A scaled-down CryptoNets model (8×8 input) whose encrypted inference
     /// must match the exact-integer reference bit for bit.
@@ -351,6 +352,40 @@ mod tests {
                 "{batch:?}"
             );
         }
+    }
+
+    /// A key set of fewer parts than the system's is an error, never a
+    /// panic: in the square layer (a task per part) and in encryption,
+    /// decryption, relinearization and the noise budget.
+    #[test]
+    fn a_short_key_set_is_refused() {
+        let engine = CryptoNets::new(small_model(), 256).unwrap();
+        let sys = engine.system();
+        assert_eq!(sys.part_count(), 2);
+        let mut rng = ChaChaRng::from_seed(75);
+        let keys = sys.generate_keys(&mut rng);
+        let enc = engine
+            .encrypt_batch(&images(1, 8), &keys, &mut rng)
+            .unwrap();
+        let short = CrtKeys {
+            public: keys.public[..1].to_vec(),
+            secret: keys.secret[..1].to_vec(),
+            evaluation: keys.evaluation[..1].to_vec(),
+            galois: keys.galois[..1].to_vec(),
+        };
+        let mismatch = Err(BfvError::ContextMismatch);
+        assert_eq!(engine.infer(&enc, &short).map(|_| ()), mismatch);
+        let cell = &enc.cells()[0];
+        let encrypted = sys.encrypt(&[1], Encoding::Slots, &short.public, &mut rng);
+        assert_eq!(encrypted.map(|_| ()), mismatch);
+        let decrypted = sys.decrypt(cell, Encoding::Slots, &short.secret);
+        assert_eq!(decrypted.map(|_| ()), mismatch);
+        let squared = sys.square(cell).unwrap();
+        assert_eq!(
+            sys.relinearize(&squared, &short.evaluation).map(|_| ()),
+            mismatch
+        );
+        assert_eq!(sys.noise_budget(cell, &short.secret).map(|_| ()), mismatch);
     }
 
     #[test]

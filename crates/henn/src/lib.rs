@@ -14,9 +14,10 @@
 //! CryptoNets technique.
 //!
 //! Layers ([`ops`]): homomorphic convolution and fully connected layers
-//! (ciphertext × plaintext-scalar weights), scaled mean-pooling (window sums —
-//! HE cannot divide, paper §III-A), and the square activation (ciphertext ×
-//! ciphertext multiply + relinearization). Every operation is counted in the
+//! (ciphertext × plaintext-scalar weights over a per-pixel map; over a packed
+//! map, ciphertext × plaintext polynomials in evaluation form), scaled
+//! mean-pooling (window sums — HE cannot divide, paper §III-A), and the
+//! square activation (ciphertext × ciphertext multiply + relinearization). Every operation is counted in the
 //! paper's `C×P` / `C+C` terminology for the Fig. 4 analysis.
 //!
 //! Correctness contract: encrypted inference must reproduce

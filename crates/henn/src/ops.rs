@@ -3,18 +3,21 @@
 //! mean-pool, and the square activation — with operation counting for the
 //! paper's Fig. 4 analysis.
 //!
-//! One kernel per operation and input layout. Each schedules output cells × CRT
-//! limbs as independent tasks on a [`ParExec`]; the ops draw no randomness
-//! and every limb sees the same operation order, so the output is
-//! bit-identical for any pool size (a pool of one runs the tasks inline on
-//! the calling thread). The scalar-weight layers consume a provisioned
-//! [`WeightBank`]; the raw-weight [`he_conv2d_reference`] is the test and
-//! bench oracle the kernel is pinned against.
+//! Two linear kernels, by the form of their weights: [`he_conv2d`] multiplies
+//! by plaintext scalars from a provisioned [`WeightBank`] (the per-pixel
+//! layout and the orbit's conv), [`he_linear`] by evaluation-form plaintext
+//! polynomials from an [`NttBank`] (the coefficient-encoded conv, the packed
+//! FC layers). Each kernel schedules output cells × CRT limbs as independent
+//! tasks on a [`ParExec`]; the ops draw no randomness and every limb sees
+//! the same operation order, so the output is bit-identical for any pool
+//! size (a pool of one runs the tasks inline on the calling thread). The
+//! raw-weight [`he_conv2d_reference`] is the test and bench oracle the
+//! scalar kernel is pinned against.
 
-use crate::crt::{CrtCiphertext, CrtPlainSystem};
+use crate::crt::{part_key, CrtCiphertext, CrtPlainSystem};
 use crate::image::{EncryptedMap, Layout};
 use crate::par::ParExec;
-use crate::weights::{FcOperandBank, KernelBank, OrbitFcBank, WeightBank};
+use crate::weights::{NttBank, NttGeometry, WeightBank};
 use hesgx_bfv::error::{BfvError, Result};
 use hesgx_bfv::prelude::{Ciphertext, EvaluationKeys, GaloisKeys};
 
@@ -114,11 +117,10 @@ fn conv_cell_part(
 /// # Errors
 ///
 /// [`BfvError::InvalidShape`] for an empty tap set, a [`Layout::FcOperand`]
-/// or [`Layout::Coeff`] map (those are [`he_fc_operand`]'s and
-/// [`he_conv_coeff`]'s), a map smaller than the kernel or a bank that does
-/// not hold `out_channels · in_channels · rows · cols` scalars and
-/// `out_channels` biases; propagates homomorphic-operation failures (lowest
-/// task index first).
+/// or [`Layout::Coeff`] map (those are [`he_linear`]'s), a map smaller than
+/// the kernel or a bank that does not hold `out_channels · in_channels ·
+/// rows · cols` scalars and `out_channels` biases; propagates
+/// homomorphic-operation failures (lowest task index first).
 // hesgx-lint: hot
 pub fn he_conv2d(
     sys: &CrtPlainSystem,
@@ -171,176 +173,57 @@ pub fn he_conv2d(
     ))
 }
 
-/// Homomorphic convolution of a [`Layout::Coeff`] map with the kernel
-/// polynomials of `bank` (stride 1, valid padding): output channel `o` of
-/// image `b` is `Σᵢ xᵢ,b · K_o,i + bias_o`, one `C×P` a (channel pair,
-/// image) summed in evaluation form, a task per (output channel, image, CRT
-/// part). The output is `Coeff` again, `out_channels × batch × 1` with the
-/// side shrunk by `bank.side − 1` and the pitch kept.
-///
-/// A `Coeff` map is ingress — what the client or the enclave encrypted — so
-/// every cell must be fresh: two components in one form. A host-relabelled
-/// component is refused here rather than transformed into a wrong product.
+/// The linear layer of an [`NttBank`]: the convolution over a
+/// [`Layout::Coeff`] map, the FC layer over a [`Layout::FcOperand`] or a
+/// pooled [`Layout::Orbit`] map. Output `(r, col)` is one `dot_plain_ntt` of
+/// the cells `x[i·cols + col]` against row `r`'s plaintexts, folded by
+/// `rotate_and_sum` if the bank folds, plus row `r`'s bias: a task per (row,
+/// column, CRT part), `rows × cols × 1` out, with `cols`, the fold and the
+/// output layout [`NttBank::reads`]'.
 ///
 /// # Errors
 ///
-/// [`BfvError::InvalidShape`] for a map that is not `Coeff` or not
-/// `in_channels × batch × 1` of its batch, a bank of another pitch, of
-/// kernels wider than the image or of a channel count the map does not
-/// hold, and a cell that is not fresh; propagates homomorphic-operation
-/// failures (lowest task index first).
+/// [`BfvError::InvalidShape`] for a map the bank does not read,
+/// [`BfvError::MissingGaloisKey`] for a fold without keys; propagates
+/// homomorphic-operation failures, lowest task index first.
 // hesgx-lint: hot
-pub fn he_conv_coeff(
+pub fn he_linear(
     sys: &CrtPlainSystem,
     input: &EncryptedMap,
-    bank: &KernelBank,
-    counter: &mut OpCounter,
-    pool: &ParExec,
-) -> Result<EncryptedMap> {
-    let _prof = hesgx_obs::prof::span("henn.conv2d");
-    let (layout, (in_channels, _, _)) = (input.layout(), input.shape());
-    layout.slot_map(input.shape(), sys.slot_count())?;
-    let out_channels = bank.biases.len();
-    let fresh = |ct: &CrtCiphertext| ct.parts.iter().all(|p| p.size() == 2 && p.form().is_some());
-    let geometry = match layout {
-        Layout::Coeff { batch, side, pitch }
-            if (bank.pitch, Some(bank.kernels.len()))
-                == (pitch, out_channels.checked_mul(in_channels))
-                && in_channels > 0
-                && (1..=side).contains(&bank.side)
-                && input.cells().iter().all(fresh) =>
-        {
-            Some((batch, side, pitch))
-        }
-        _ => None,
-    };
-    let Some((batch, side, pitch)) = geometry else {
-        let (k, cells) = (bank.side, input.cells().len());
-        let claim = format!(
-            "{k}×{k} polynomial conv to {out_channels} channels of {cells} cells as {layout:?}"
-        );
-        return Err(BfvError::InvalidShape(claim));
-    };
-    let n_parts = sys.part_count();
-    let n_cells = out_channels * batch;
-    let parts = pool.try_run(n_cells * n_parts, |t| -> Result<Ciphertext> {
-        let (cell, part) = (t / n_parts, t % n_parts);
-        let (o, b) = (cell / batch, cell % batch);
-        let eval = sys.evaluator(part);
-        let terms = (0..in_channels).map(|i| {
-            let x = &input.cells()[i * batch + b].parts[part];
-            (x, &bank.kernels[o * in_channels + i][part])
-        });
-        let mut acc = eval.dot_plain_ntt(terms)?;
-        eval.add_plain_bias_inplace(&mut acc, &bank.biases[o][part])?;
-        Ok(acc)
-    })?;
-    counter.ct_pt_mul += (n_cells * in_channels) as u64;
-    counter.ct_ct_add += (n_cells * (in_channels - 1)) as u64;
-    counter.ct_pt_add += n_cells as u64;
-    let cells = assemble_cells(parts, n_cells, n_parts);
-    let side = side - bank.side + 1;
-    let out = EncryptedMap::new(out_channels, batch, 1, cells);
-    Ok(out.with_layout(Layout::Coeff { batch, side, pitch }))
-}
-
-/// The fully connected layer over a one-class [`Layout::FcOperand`] map of
-/// `G` cells: per (class, CRT part) one `dot_plain_ntt` of the cells against
-/// the class's `G` weight plaintexts, plus its bias — no transform when the
-/// map arrives in evaluation form, as the enclave emits it. Cell `k` of the
-/// output holds class `k`'s `P` partial sums of every image: the map is
-/// `FcOperand { classes, batch, inputs: P }`, one cell a class.
-///
-/// # Errors
-///
-/// [`BfvError::InvalidShape`] when the map is not the operand layout `bank`
-/// was prepared for; propagates homomorphic-operation failures.
-pub fn he_fc_operand(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    bank: &FcOperandBank,
-    counter: &mut OpCounter,
-    pool: &ParExec,
-) -> Result<EncryptedMap> {
-    let _prof = hesgx_obs::prof::span("henn.fc");
-    let (layout, slots) = (input.layout(), sys.slot_count());
-    let (classes, inputs, batch) = layout.slot_map(input.shape(), slots)?.extent();
-    let per_image = layout.fc_geometry(slots).map(|(per, _)| per);
-    if (classes, inputs, per_image) != (1, bank.inputs, Some(bank.per_image)) {
-        let want = (1, bank.inputs, bank.per_image);
-        let claim = format!("{layout:?} into operands of (classes, inputs, P) = {want:?}");
-        return Err(BfvError::InvalidShape(claim));
-    }
-    let (cells, n_parts, classes) = (input.cells(), sys.part_count(), bank.weights.len());
-    let parts = pool.try_run(classes * n_parts, |t| {
-        let (class, part) = (t / n_parts, t % n_parts);
-        let eval = sys.evaluator(part);
-        let terms = cells.iter().zip(&bank.weights[class]);
-        let mut acc = eval.dot_plain_ntt(terms.map(|(x, w)| (&x.parts[part], &w[part])))?;
-        eval.add_plain_bias_inplace(&mut acc, &bank.bias[class][part])?;
-        Ok::<_, BfvError>(acc)
-    })?;
-    let (products, sums) = ((classes * cells.len()) as u64, classes as u64);
-    counter.ct_pt_mul += products;
-    counter.ct_ct_add += products - sums;
-    counter.ct_pt_add += sums;
-    let layout = Layout::FcOperand {
-        classes,
-        batch,
-        inputs: bank.per_image,
-    };
-    let logits = assemble_cells(parts, classes, n_parts);
-    Ok(EncryptedMap::new(classes, 1, 1, logits).with_layout(layout))
-}
-
-/// The fully connected layer over a `channels × groups × 1` [`Layout::Orbit`]
-/// map: per (class, group), one slot-wise `C×P` a channel, a `rotate_and_sum`
-/// over the **full** orbit and the bias, so every slot of a logit cell holds
-/// a whole logit, never a partial sum of `W·x`. Output `classes × groups × 1`.
-///
-/// # Errors
-///
-/// [`BfvError::InvalidShape`] for a map `bank` was not prepared for;
-/// propagates homomorphic-operation failures, lowest task index first.
-pub fn he_fc_orbit(
-    sys: &CrtPlainSystem,
-    input: &EncryptedMap,
-    bank: &OrbitFcBank,
+    bank: &NttBank,
     galois: &[GaloisKeys],
     counter: &mut OpCounter,
     pool: &ParExec,
 ) -> Result<EncryptedMap> {
-    let _prof = hesgx_obs::prof::span("henn.fc");
-    let (slots, (channels, groups, width)) = (sys.slot_count(), input.shape());
-    let classes = bank.bias.len();
-    let fits = matches!(input.layout(), Layout::Orbit { side, .. } if side == bank.side)
-        && (width, bank.weights.len()) == (1, classes * channels);
-    let geometry = input.layout().orbit_geometry(slots);
-    let Some((stride, _)) = geometry.filter(|&(_, held)| fits && held == groups) else {
-        let claim = format!("{channels}×{groups}×{width} {:?}", input.layout());
-        return Err(BfvError::InvalidShape(claim));
-    };
-    let n_parts = sys.part_count();
-    let parts = pool.try_run(classes * groups * n_parts, |t| -> Result<Ciphertext> {
+    let _prof = hesgx_obs::prof::span(match bank.geometry {
+        NttGeometry::Coeff { .. } => "henn.conv2d",
+        _ => "henn.fc",
+    });
+    let slots = sys.slot_count();
+    let (cols, layout, fold) = bank.reads(input, slots)?;
+    let (rows, terms, n_parts) = (bank.rows.len(), input.shape().0, sys.part_count());
+    let parts = pool.try_run(rows * cols * n_parts, |t| -> Result<Ciphertext> {
         let (cell, part) = (t / n_parts, t % n_parts);
-        let (class, group) = (cell / groups, cell % groups);
+        let (row, col) = (cell / cols, cell % cols);
         let eval = sys.evaluator(part);
-        let w = &bank.weights[class * channels..];
-        let terms = (0..channels).map(|o| (&input.cell(o, group, 0).parts[part], &w[o][part]));
-        let dot = eval.dot_plain_ntt(terms)?;
-        let key = galois.get(part).ok_or(BfvError::MissingGaloisKey(0))?;
-        let mut logit = eval.rotate_and_sum(&dot, stride, key)?;
-        eval.add_plain_bias_inplace(&mut logit, bank.bias[class].part(part))?;
-        Ok(logit)
+        let x = |i: usize| &input.cells()[i * cols + col].parts[part];
+        let terms = bank.rows[row].iter().enumerate();
+        let mut acc = eval.dot_plain_ntt(terms.map(|(i, w)| (x(i), &w[part])))?;
+        if let Some(stride) = fold {
+            let key = galois.get(part).ok_or(BfvError::MissingGaloisKey(0))?;
+            acc = eval.rotate_and_sum(&acc, stride, key)?;
+        }
+        eval.add_plain_bias_inplace(&mut acc, &bank.bias[row][part])?;
+        Ok(acc)
     })?;
-    let cells = (classes * groups) as u64;
-    let rotations = (slots / 2 / stride).trailing_zeros() as u64;
-    counter.ct_pt_mul += cells * channels as u64;
-    counter.ct_ct_add += cells * (channels as u64 - 1 + rotations);
+    let rotations = fold.map_or(0, |stride| (slots / 2 / stride).trailing_zeros() as u64);
+    let (cells, terms) = ((rows * cols) as u64, terms as u64);
+    counter.ct_pt_mul += cells * terms;
+    counter.ct_ct_add += cells * (terms - 1 + rotations);
     counter.ct_pt_add += cells;
     counter.rotations += cells * rotations;
-    let logits = assemble_cells(parts, classes * groups, n_parts);
-    Ok(EncryptedMap::new(classes, groups, 1, logits).with_layout(input.layout()))
+    let out = assemble_cells(parts, rows * cols, n_parts);
+    Ok(EncryptedMap::new(rows, cols, 1, out).with_layout(layout))
 }
 
 /// Scaled mean-pooling: the window **sum** (no division — HE cannot divide;
@@ -400,7 +283,8 @@ pub fn he_scaled_mean_pool(
 ///
 /// # Errors
 ///
-/// Propagates homomorphic-operation failures (lowest task index first).
+/// [`BfvError::ContextMismatch`] for fewer evaluation keys than CRT parts;
+/// propagates homomorphic-operation failures (lowest task index first).
 // hesgx-lint: hot
 pub fn he_square_activation(
     sys: &CrtPlainSystem,
@@ -416,7 +300,8 @@ pub fn he_square_activation(
     let parts = pool.try_run(n_cells * n_parts, |t| {
         let (ci, part) = (t / n_parts, t % n_parts);
         let eval = sys.evaluator(part);
-        eval.relinearize(&eval.square(&input.cells()[ci].parts[part])?, &evk[part])
+        let key = part_key(evk, part)?;
+        eval.relinearize(&eval.square(&input.cells()[ci].parts[part])?, key)
     })?;
     counter.ct_ct_mul += n_cells as u64;
     counter.relin += n_cells as u64;
@@ -489,8 +374,8 @@ pub fn he_conv2d_reference(
 mod tests {
     use super::*;
     use crate::crt::{CrtPlainSystem, Encoding};
-    use crate::weights::KernelBank;
     use hesgx_crypto::rng::ChaChaRng;
+    use hesgx_obs::Recorder;
 
     /// Every kernel is swept over these pool sizes; 1 is the inline path.
     const POOLS: [usize; 3] = [1, 2, 4];
@@ -749,14 +634,14 @@ mod tests {
     /// kernel-polynomial product per (output channel, image) from the same
     /// weights: decrypted, its output equals the raw-weight oracle's on the
     /// `Pixel` map of the same images, cell for cell, at every batch and pool
-    /// size — and it refuses a bank without kernels of its pitch.
+    /// size — and the scalar kernel refuses it.
     #[test]
     fn packed_conv_is_the_pixel_conv_cell_for_cell() {
         for (sys, keys, rng) in setups() {
             let (side, k) = (6, 3);
             let (_, weights, bias) = conv_case();
             let scalars = WeightBank::prepare(&sys, &weights, &bias).unwrap();
-            let bank = KernelBank::prepare(&sys, &weights, &bias, k, side).unwrap();
+            let bank = NttBank::conv(&sys, &weights, &bias, k, side).unwrap();
             let serial = ParExec::serial();
             for batch in [1, 2, 17] {
                 let images: Vec<Vec<i64>> = (0..batch)
@@ -781,7 +666,7 @@ mod tests {
                 for threads in POOLS {
                     let mut counter = OpCounter::default();
                     let pool = ParExec::new(threads);
-                    let out = he_conv_coeff(&sys, &packed, &bank, &mut counter, &pool).unwrap();
+                    let out = he_linear(&sys, &packed, &bank, &[], &mut counter, &pool).unwrap();
                     let shrunk = Layout::Coeff {
                         batch,
                         side: 4,
@@ -805,44 +690,91 @@ mod tests {
                     );
                 }
                 let mut counter = OpCounter::default();
-                let refused =
-                    |out: Result<EncryptedMap>| matches!(out, Err(BfvError::InvalidShape(_)));
-                assert!(refused(he_conv2d(
-                    &sys,
-                    &packed,
-                    &scalars,
-                    2,
-                    (k, k),
-                    &mut counter,
-                    &serial
-                )));
-                let other = KernelBank::prepare(&sys, &weights, &bias, k, 7).unwrap();
-                assert!(refused(he_conv_coeff(
-                    &sys,
-                    &packed,
-                    &other,
-                    &mut counter,
-                    &serial
-                )));
-                assert!(refused(he_conv_coeff(
-                    &sys,
-                    &pixel,
-                    &bank,
-                    &mut counter,
-                    &serial
-                )));
-                // A cell that is not fresh ingress — here squared — is refused.
-                let mut cells = packed.cells().to_vec();
-                cells[batch - 1] = sys.square(&cells[batch - 1]).unwrap();
-                let grown = EncryptedMap::new(1, batch, 1, cells).with_layout(layout);
-                assert!(refused(he_conv_coeff(
-                    &sys,
-                    &grown,
-                    &bank,
-                    &mut counter,
-                    &serial
-                )));
+                let refused = he_conv2d(&sys, &packed, &scalars, 2, (k, k), &mut counter, &serial);
+                assert!(matches!(refused, Err(BfvError::InvalidShape(_))));
                 assert_eq!(counter, OpCounter::default());
+            }
+        }
+    }
+
+    /// One refusal table for [`he_linear`]: each bank paired with every map
+    /// of the table reads exactly the maps of its own geometry, and
+    /// refuses the rest — another layout or `Pixel`; a `Coeff` map of
+    /// another pitch, narrower than the kernel or with a squared cell; an
+    /// operand map of another `P` or input count, or the layer's own
+    /// partial sums; an orbit of another side or not pooled — with
+    /// [`BfvError::InvalidShape`], before a task is scheduled or an op
+    /// counted.
+    #[test]
+    fn every_bank_refuses_the_maps_it_does_not_read() {
+        for (sys, keys, mut rng) in setups() {
+            let slots = sys.slot_count();
+            let cell = sys.encrypt(&[3, -1, 4], Encoding::Slots, &keys.secret, &mut rng);
+            let cell = cell.unwrap();
+            let map = |layout: Layout, (c, h, w): (usize, usize, usize)| {
+                EncryptedMap::new(c, h, w, vec![cell.clone(); c * h * w]).with_layout(layout)
+            };
+            let coeff = |side, pitch| Layout::Coeff {
+                batch: 2,
+                side,
+                pitch,
+            };
+            let operand = |classes, batch, inputs| Layout::FcOperand {
+                classes,
+                batch,
+                inputs,
+            };
+            let orbit = |side, window| Layout::Orbit {
+                batch: 3,
+                side,
+                window,
+            };
+            let mut squared = map(coeff(6, 6), (1, 2, 1)).into_cells();
+            squared[1] = sys.square(&squared[1]).unwrap();
+            let maps = [
+                map(Layout::Pixel, (1, 6, 6)),
+                map(coeff(6, 6), (1, 2, 1)),
+                map(coeff(6, 7), (1, 2, 1)),
+                map(coeff(2, 6), (1, 2, 1)),
+                EncryptedMap::new(1, 2, 1, squared).with_layout(coeff(6, 6)),
+                map(operand(1, 37, 7), (2, 1, 1)),
+                map(operand(1, 100, 7), (4, 1, 1)),
+                map(operand(1, 37, 8), (2, 1, 1)),
+                map(operand(20, 37, 6), (20, 1, 1)),
+                map(orbit(3, 1), (2, 1, 1)),
+                map(orbit(2, 1), (2, 1, 1)),
+                map(orbit(3, 2), (2, 2, 2)),
+            ];
+            let weights = |n: usize| -> Vec<i64> { (0..n).map(|i| (i % 5) as i64 - 2).collect() };
+            let bias = |n: usize| -> Vec<i64> { (0..n).map(|i| i as i64 - 1).collect() };
+            // Each bank and the one map of the table it reads.
+            let banks = [
+                (NttBank::conv(&sys, &weights(18), &bias(2), 3, 6), 1),
+                (NttBank::fc_operand(&sys, &weights(140), &bias(20), 6), 5),
+                (NttBank::fc_orbit(&sys, &weights(54), &bias(3), 3), 9),
+            ];
+            let recorder = Recorder::enabled();
+            let pool = ParExec::serial().with_recorder(recorder.clone());
+            let tasks = || recorder.counter(hesgx_obs::counters::PAR_TASKS);
+            for (bank, own) in banks {
+                let bank = bank.unwrap();
+                for (i, map) in maps.iter().enumerate() {
+                    let geometry = bank.geometry;
+                    assert_eq!(
+                        bank.reads(map, slots).is_ok(),
+                        i == own,
+                        "{geometry:?}, map {i}"
+                    );
+                    let (before, mut counter) = (tasks(), OpCounter::default());
+                    let out = he_linear(&sys, map, &bank, &keys.galois, &mut counter, &pool);
+                    if i == own {
+                        // Scheduled (the orbit's fold then finds no Galois keys).
+                        assert!(tasks() > before, "{geometry:?}");
+                        continue;
+                    }
+                    assert!(matches!(out, Err(BfvError::InvalidShape(_))), "map {i}");
+                    assert_eq!((counter, tasks()), (OpCounter::default(), before));
+                }
             }
         }
     }
@@ -898,9 +830,9 @@ mod tests {
                 })
                 .collect();
             let packed = EncryptedMap::new(cells.len(), 1, 1, cells).with_layout(layout);
-            let bank = FcOperandBank::prepare(&sys, &weights, &bias, per).unwrap();
-            assert_eq!(bank.weights.len(), classes);
-            assert!(bank.weights.iter().all(|row| row.len() == 2));
+            let bank = NttBank::fc_operand(&sys, &weights, &bias, per).unwrap();
+            assert_eq!(bank.rows.len(), classes);
+            assert!(bank.rows.iter().all(|row| row.len() == 2));
             let sums = Layout::FcOperand {
                 classes,
                 batch,
@@ -931,7 +863,7 @@ mod tests {
             for threads in POOLS {
                 let mut counter = OpCounter::default();
                 let pool = ParExec::new(threads);
-                let out = he_fc_operand(&sys, &packed, &bank, &mut counter, &pool).unwrap();
+                let out = he_linear(&sys, &packed, &bank, &[], &mut counter, &pool).unwrap();
                 assert_eq!((out.shape(), out.layout()), ((classes, 1, 1), sums));
                 for (class, cell) in out.cells().iter().enumerate() {
                     let slots = sys.decrypt(cell, Encoding::Slots, &keys.secret).unwrap();
@@ -960,27 +892,14 @@ mod tests {
                     "{threads} threads"
                 );
             }
-            // The kernel is chosen by the map's layout; each refuses the
-            // other's map, and a bank prepared for other cells.
+            // The scalar kernel refuses an operand map, no taps, and 3 of 7
+            // weight columns.
             let refused = |result: Result<EncryptedMap>| {
                 assert!(matches!(result, Err(BfvError::InvalidShape(_))));
             };
-            let sums = he_fc_operand(&sys, &packed, &bank, &mut OpCounter::default(), &serial);
             let mut counter = OpCounter::default();
-            refused(he_fc_operand(&sys, &pixel, &bank, &mut counter, &serial));
-            let other = FcOperandBank::prepare(&sys, &weights, &bias, 2).unwrap();
-            refused(he_fc_operand(&sys, &packed, &other, &mut counter, &serial));
-            // The layer's own partial sums are no operand.
-            refused(he_fc_operand(
-                &sys,
-                &sums.unwrap(),
-                &bank,
-                &mut counter,
-                &serial,
-            ));
             let scalar = WeightBank::prepare(&sys, &weights[..classes * 3], &bias).unwrap();
             let empty = EncryptedMap::new(0, 1, 1, Vec::new());
-            // An operand map, no taps, 3 of 7 weight columns.
             for map in [&packed, &empty, &pixel] {
                 refused(he_conv2d(
                     &sys,
@@ -1001,7 +920,7 @@ mod tests {
                 (&weights[..], 257),
                 (&weights[1..], 3),
             ] {
-                let bank = FcOperandBank::prepare(&sys, weights, &bias, per);
+                let bank = NttBank::fc_operand(&sys, weights, &bias, per);
                 assert!(
                     matches!(bank, Err(BfvError::InvalidShape(_))),
                     "{per} a cell"

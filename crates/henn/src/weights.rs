@@ -2,13 +2,15 @@
 //! preliminary step the edge server performs once per model (paper §IV-B) and
 //! the workload of Fig. 3 ("the encoding time has a linear relationship with
 //! the weights' number"). This module is the one place a model weight becomes
-//! a plaintext operand: a slot-wise scalar with its Shoup constants, a bias as
-//! `Δ·b` residues, a kernel polynomial of a coefficient-encoded convolution,
-//! or a batch-encoded cell of a packed FC layer, laid out by the
-//! [`SlotMap`](crate::image::SlotMap) of the map it multiplies.
+//! a plaintext operand. A [`WeightBank`] holds slot-wise scalars with their
+//! Shoup constants and biases as `Δ·b` residues; an [`NttBank`] holds
+//! evaluation-form plaintexts — the kernel polynomials of a
+//! coefficient-encoded convolution or the batch-encoded cells of a packed FC
+//! layer, laid out by the [`SlotMap`](crate::image::SlotMap) of the map they
+//! multiply — and decides which maps it reads ([`NttBank::reads`]).
 
-use crate::crt::{CrtPlainSystem, CrtPreparedBias, CrtPreparedScalar, Encoding};
-use crate::image::{orbit_stride, Layout};
+use crate::crt::{CrtCiphertext, CrtPlainSystem, CrtPreparedBias, CrtPreparedScalar, Encoding};
+use crate::image::{orbit_stride, EncryptedMap, Layout};
 use hesgx_bfv::error::{BfvError, Result};
 use hesgx_bfv::evaluator::PreparedBias;
 use hesgx_bfv::plaintext::NttPlaintext;
@@ -49,43 +51,69 @@ impl WeightBank {
     }
 }
 
-/// A stride-1 `side × side` convolution's operands over [`Layout::Coeff`]
-/// maps of row pitch `pitch`: per (output, input) channel the kernel
-/// polynomial `K(X) = Σ w[dy][dx]·X^-(dy·pitch + dx)` mod `Xⁿ + 1`, so that
-/// coefficient `y·pitch + x` of `x·K` is the window sum at `(y, x)`, and per
-/// output channel its bias at every coefficient — both in evaluation form.
-#[derive(Debug, Clone)]
-pub struct KernelBank {
-    /// Row pitch of the maps the kernels convolve.
-    pub pitch: usize,
-    /// Side of the square kernel.
-    pub side: usize,
-    /// `[out·inputs + input][part]` kernel polynomials.
-    pub kernels: Vec<Vec<NttPlaintext>>,
-    /// `[out][part]` bias addends.
-    pub biases: Vec<Vec<PreparedBias>>,
+/// What an [`NttBank`]'s plaintexts were encoded for: the kind of map it
+/// reads and that map's geometry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NttGeometry {
+    /// A stride-1 convolution over [`Layout::Coeff`] maps.
+    Coeff {
+        /// Side of the square kernel.
+        side: usize,
+        /// Row pitch of the maps the kernels convolve.
+        pitch: usize,
+    },
+    /// The FC layer over one-class [`Layout::FcOperand`] maps.
+    FcOperand {
+        /// Inputs of the layer.
+        inputs: usize,
+        /// Slots an image (`P`).
+        per_image: usize,
+    },
+    /// The FC layer over pooled [`Layout::Orbit`] maps.
+    Orbit {
+        /// Side of the pooled map.
+        side: usize,
+    },
 }
 
-impl KernelBank {
-    /// Encodes `weights[out][in][side][side]` and one bias per output
-    /// channel.
+/// The operands of a linear layer whose weights are plaintext polynomials in
+/// evaluation form: output row `r` at column `col` is
+/// `Σᵢ x[i·cols + col] · rows[r][i] + bias[r]` ([`crate::ops::he_linear`]),
+/// `cols` and the output layout being the map's ([`NttBank::reads`]).
+#[derive(Debug)]
+pub struct NttBank {
+    /// What the plaintexts were encoded for.
+    pub(crate) geometry: NttGeometry,
+    /// `[row][term][part]` weight plaintexts, as many terms every row.
+    pub(crate) rows: Vec<Vec<Vec<NttPlaintext>>>,
+    /// `[row][part]` bias addends.
+    pub(crate) bias: Vec<Vec<PreparedBias>>,
+}
+
+impl NttBank {
+    /// The convolution `weights[out][in][side][side]` over `Coeff` maps of
+    /// pitch `pitch`: per (output, input) channel the kernel polynomial
+    /// `K(X) = Σ w[dy][dx]·X^-(dy·pitch + dx)` mod `Xⁿ + 1`, so that
+    /// coefficient `y·pitch + x` of `x·K` is the window sum at `(y, x)`, and
+    /// per output channel its bias at every coefficient.
     ///
     /// # Errors
     ///
     /// [`BfvError::InvalidShape`] when the weights are not whole kernels per
     /// bias or a kernel's taps would wrap (`(side − 1)·(pitch + 1) ≥ n`);
     /// fails when a weight exceeds a plaintext modulus.
-    pub fn prepare(
+    pub fn conv(
         sys: &CrtPlainSystem,
         weights: &[i64],
         biases: &[i64],
         side: usize,
         pitch: usize,
-    ) -> Result<KernelBank> {
+    ) -> Result<NttBank> {
         let n = sys.slot_count();
         let taps = biases.len().saturating_mul(side).saturating_mul(side);
         let reach = (side.saturating_sub(1)).saturating_mul(pitch.saturating_add(1));
-        if taps == 0 || !weights.len().is_multiple_of(taps) || reach >= n || side > pitch {
+        let whole = taps > 0 && weights.len() >= taps && weights.len().is_multiple_of(taps);
+        if !whole || reach >= n || side > pitch {
             let count = weights.len();
             let claim = format!("{count} weights as {side}×{side} kernels of pitch {pitch}");
             return Err(BfvError::InvalidShape(claim));
@@ -103,74 +131,31 @@ impl KernelBank {
         };
         let kernels: Vec<Vec<i64>> = weights.chunks(side * side).map(kernel).collect();
         let bias = |&b: &i64| bias_parts(sys, &vec![b; n], Encoding::Coeffs);
-        Ok(KernelBank {
-            pitch,
-            side,
-            kernels: ntt_cells(sys, &kernels, Encoding::Coeffs)?,
-            biases: biases.iter().map(bias).collect::<Result<_>>()?,
+        Ok(NttBank {
+            geometry: NttGeometry::Coeff { side, pitch },
+            rows: ntt_rows(sys, &kernels, weights.len() / taps, Encoding::Coeffs)?,
+            bias: biases.iter().map(bias).collect::<Result<_>>()?,
         })
     }
-}
 
-/// Cells encoded as `encoding` says, in evaluation form, `[cell][part]`.
-fn ntt_cells(
-    sys: &CrtPlainSystem,
-    cells: &[Vec<i64>],
-    encoding: Encoding,
-) -> Result<Vec<Vec<NttPlaintext>>> {
-    let cell = |values| -> Result<Vec<_>> {
-        let plain = sys.encode(values, encoding)?.into_iter().enumerate();
-        plain
-            .map(|(part, p)| sys.evaluator(part).transform_plain_to_ntt(&p))
-            .collect()
-    };
-    cells.iter().map(|values| cell(values)).collect()
-}
-
-/// `values` encoded as `encoding` says and prepared as an addend, `[part]`.
-fn bias_parts(
-    sys: &CrtPlainSystem,
-    values: &[i64],
-    encoding: Encoding,
-) -> Result<Vec<PreparedBias>> {
-    let plain = sys.encode(values, encoding)?.into_iter().enumerate();
-    plain
-        .map(|(part, p)| sys.evaluator(part).prepare_plain_bias(&p))
-        .collect()
-}
-
-/// The fully connected layer's operands over a one-class
-/// [`Layout::FcOperand`] map of `P` slots an image: per (class, cell), the
-/// weights `W[class][input]` where its [`SlotMap`](crate::image::SlotMap)
-/// puts `(0, input, image)`, and per class the bias at partial sum 0, both
-/// written into every `P`-slot block a cell has — so a bank depends on the
-/// model and `P` alone, never on the batch.
-#[derive(Debug)]
-pub struct FcOperandBank {
-    /// Inputs of the layer.
-    pub inputs: usize,
-    /// Slots an image (`P`).
-    pub per_image: usize,
-    /// `[class][cell][part]` weight plaintexts, in evaluation form.
-    pub weights: Vec<Vec<Vec<NttPlaintext>>>,
-    /// `[class][part]` bias addends, in evaluation form.
-    pub bias: Vec<Vec<PreparedBias>>,
-}
-
-impl FcOperandBank {
-    /// Encodes `weights[class][input]` and one bias per class for operand
-    /// cells of `per_image` slots an image (`P`), `⌊slots / P⌋` images a cell.
+    /// The fully connected layer `weights[class][input]` over one-class
+    /// operand cells of `per_image` slots an image (`P`), `⌊slots / P⌋`
+    /// images a cell: per (class, cell), the weights where the
+    /// [`SlotMap`](crate::image::SlotMap) puts `(0, input, image)`, and per
+    /// class the bias at partial sum 0, both written into every `P`-slot
+    /// block a cell has — so a bank depends on the model and `P` alone,
+    /// never on the batch.
     ///
     /// # Errors
     ///
     /// [`BfvError::InvalidShape`] when the weights are not one row per bias
     /// or no batch leaves `per_image` slots an image.
-    pub fn prepare(
+    pub fn fc_operand(
         sys: &CrtPlainSystem,
         weights: &[i64],
         biases: &[i64],
         per_image: usize,
-    ) -> Result<FcOperandBank> {
+    ) -> Result<NttBank> {
         let (classes, slots) = (biases.len(), sys.slot_count());
         let inputs = weights.len().checked_div(classes).unwrap_or(0);
         let batch = slots.checked_div(per_image).unwrap_or(0);
@@ -188,62 +173,44 @@ impl FcOperandBank {
             let claim = format!("{count} weights, {classes} classes, P = {per_image}");
             return Err(BfvError::InvalidShape(claim));
         };
-        let row = |class: usize| -> Result<_> {
-            let cells = rule.encode(batch, |_, input, _| weights[class * inputs + input])?;
-            ntt_cells(sys, &cells, Encoding::Slots)
-        };
+        let row = |class: usize| rule.encode(batch, |_, input, _| weights[class * inputs + input]);
+        let cells = (0..classes).map(row).collect::<Result<Vec<_>>>()?.concat();
         // A class's bias where the first cell holds input 0, partial sum 0.
         let bias = |&b: &i64| {
             let first = rule.encode(batch, |_, input, _| if input == 0 { b } else { 0 })?;
             bias_parts(sys, &first[0], Encoding::Slots)
         };
-        Ok(FcOperandBank {
-            inputs,
-            per_image,
-            weights: (0..classes).map(row).collect::<Result<_>>()?,
+        Ok(NttBank {
+            geometry: NttGeometry::FcOperand { inputs, per_image },
+            rows: ntt_rows(sys, &cells, cells.len() / classes, Encoding::Slots)?,
             bias: biases.iter().map(bias).collect::<Result<_>>()?,
         })
     }
-}
 
-/// The fully connected layer's operands over a [`Layout::Orbit`] map of
-/// pooled side `side`: per (class, channel), `W[class][channel·side² +
-/// position]` where the pooled map's [`SlotMap`](crate::image::SlotMap)
-/// puts every image of a group (zero at the orbit's padding positions), and
-/// the class biases — the model's and `n`'s alone, never the batch's.
-#[derive(Debug)]
-pub struct OrbitFcBank {
-    /// Side of the pooled map.
-    pub side: usize,
-    /// `[class·channels + channel][part]` weight vectors, in evaluation form.
-    pub weights: Vec<Vec<NttPlaintext>>,
-    /// One constant bias per class.
-    pub bias: Vec<CrtPreparedBias>,
-}
-
-impl OrbitFcBank {
-    /// Encodes `weights[class][channel][position]`, one row a cell of a
-    /// pooled orbit map (`window: 1`) of one group, and one bias per class.
+    /// The fully connected layer `weights[class][channel][position]` over a
+    /// pooled [`Layout::Orbit`] map of side `side` (`window: 1`): per (class,
+    /// channel), the weights where the map's
+    /// [`SlotMap`](crate::image::SlotMap) puts every image of a group (zero
+    /// at the orbit's padding positions), and per class a constant bias — the
+    /// model's and `n`'s alone, never the batch's.
     ///
     /// # Errors
     ///
     /// [`BfvError::InvalidShape`] when the weights are not whole
     /// `channels × side²` rows per bias or the orbit has no stride; fails
     /// when a weight exceeds a plaintext modulus.
-    pub fn prepare(
+    pub fn fc_orbit(
         sys: &CrtPlainSystem,
         weights: &[i64],
         biases: &[i64],
         side: usize,
-    ) -> Result<OrbitFcBank> {
+    ) -> Result<NttBank> {
         let (slots, positions) = (sys.slot_count(), side * side);
         let row = biases.len().saturating_mul(positions);
-        let fits = row > 0 && weights.len().is_multiple_of(row);
+        let fits = row > 0 && weights.len() >= row && weights.len().is_multiple_of(row);
         let Some(stride) = orbit_stride(side, slots).filter(|_| fits) else {
-            let count = weights.len();
-            return Err(BfvError::InvalidShape(format!(
-                "{count} weights, side {side}"
-            )));
+            let claim = format!("{} weights, side {side}", weights.len());
+            return Err(BfvError::InvalidShape(claim));
         };
         let layout = Layout::Orbit {
             batch: 2 * stride,
@@ -253,13 +220,100 @@ impl OrbitFcBank {
         let rule = layout.slot_map((weights.len() / positions, 1, 1), slots)?;
         let weight = |row, position, _| weights[row * positions + position];
         let cells = rule.encode(2 * stride, weight)?;
-        let bias = biases.iter().map(|&b| sys.prepare_bias(b));
-        Ok(OrbitFcBank {
-            side,
-            weights: ntt_cells(sys, &cells, Encoding::Slots)?,
-            bias: bias.collect::<Result<_>>()?,
+        let bias = |&b: &i64| sys.prepare_bias(b).map(|bias| bias.parts);
+        Ok(NttBank {
+            geometry: NttGeometry::Orbit { side },
+            rows: ntt_rows(sys, &cells, weights.len() / row, Encoding::Slots)?,
+            bias: biases.iter().map(bias).collect::<Result<_>>()?,
         })
     }
+
+    /// How the bank reads `input`, the one place that decides whether it
+    /// does: `(cols, layout, fold)` — the map's cells are `x[term·cols +
+    /// col]`, the output is `rows × cols × 1` in `layout`, and each output
+    /// cell is folded over the orbit of stride `fold` if there is one. A
+    /// `Coeff` map is ingress, so every cell must be fresh (two components
+    /// in one form): a host-relabelled one is refused, not transformed into
+    /// a wrong product.
+    ///
+    /// # Errors
+    ///
+    /// [`BfvError::InvalidShape`] for a map of another kind or geometry than
+    /// the bank's, or one whose cells its layout does not hold.
+    pub fn reads(
+        &self,
+        input: &EncryptedMap,
+        slots: usize,
+    ) -> Result<(usize, Layout, Option<usize>)> {
+        let (layout, shape @ (terms, height, width)) = (input.layout(), input.shape());
+        let (classes, values, _) = layout.slot_map(shape, slots)?.extent();
+        let fresh =
+            |ct: &CrtCiphertext| ct.parts.iter().all(|p| p.size() == 2 && p.form().is_some());
+        let per = layout.fc_geometry(slots).map(|(per, _)| per);
+        let read = match (self.geometry, layout) {
+            (NttGeometry::Coeff { side: k, pitch }, Layout::Coeff { batch, side, .. })
+                if layout == Layout::Coeff { batch, side, pitch }
+                    && k <= side
+                    && input.cells().iter().all(fresh) =>
+            {
+                let side = side + 1 - k;
+                Some((batch, Layout::Coeff { batch, side, pitch }))
+            }
+            (NttGeometry::FcOperand { inputs, per_image }, Layout::FcOperand { batch, .. })
+                if (classes, values, per) == (1, inputs, Some(per_image)) =>
+            {
+                let (classes, inputs) = (self.rows.len(), per_image);
+                let sums = Layout::FcOperand {
+                    classes,
+                    batch,
+                    inputs,
+                };
+                Some((1, sums))
+            }
+            (NttGeometry::Orbit { side }, Layout::Orbit { side: s, .. }) => {
+                ((s, width) == (side, 1)).then_some((height, layout))
+            }
+            _ => None,
+        };
+        let fold = layout.orbit_geometry(slots).map(|(stride, _)| stride);
+        match read.filter(|_| self.rows.first().map(Vec::len) == Some(terms)) {
+            Some((cols, out)) => Ok((cols, out, fold)),
+            None => Err(BfvError::InvalidShape(format!(
+                "{terms}×{height}×{width} {layout:?} into {:?}",
+                self.geometry
+            ))),
+        }
+    }
+}
+
+/// `cells` encoded as `encoding` says, in evaluation form, `terms` a row:
+/// `[row][term][part]`.
+fn ntt_rows(
+    sys: &CrtPlainSystem,
+    cells: &[Vec<i64>],
+    terms: usize,
+    encoding: Encoding,
+) -> Result<Vec<Vec<Vec<NttPlaintext>>>> {
+    let cell = |values: &Vec<i64>| -> Result<Vec<_>> {
+        let plain = sys.encode(values, encoding)?.into_iter().enumerate();
+        plain
+            .map(|(part, p)| sys.evaluator(part).transform_plain_to_ntt(&p))
+            .collect()
+    };
+    let row = |row: &[Vec<i64>]| row.iter().map(cell).collect();
+    cells.chunks(terms).map(row).collect()
+}
+
+/// `values` encoded as `encoding` says and prepared as an addend, `[part]`.
+fn bias_parts(
+    sys: &CrtPlainSystem,
+    values: &[i64],
+    encoding: Encoding,
+) -> Result<Vec<PreparedBias>> {
+    let plain = sys.encode(values, encoding)?.into_iter().enumerate();
+    plain
+        .map(|(part, p)| sys.evaluator(part).prepare_plain_bias(&p))
+        .collect()
 }
 
 /// Counts the weights of a conv layer configuration: `kernels` kernels of

@@ -7,7 +7,7 @@ use hesgx_henn::crt::{CrtKeys, CrtPlainSystem};
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
-use hesgx_henn::weights::{FcOperandBank, KernelBank, WeightBank};
+use hesgx_henn::weights::{NttBank, WeightBank};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -268,12 +268,12 @@ proptest! {
             .map(|values| sys.encrypt(values, Encoding::Slots, &keys.secret, &mut rng).unwrap())
             .collect();
         let map = EncryptedMap::new(cells, 1, 1, cts).with_layout(layout);
-        let bank = FcOperandBank::prepare(sys, &weights, &bias, per).unwrap();
+        let bank = NttBank::fc_operand(sys, &weights, &bias, per).unwrap();
         let mut bits = None;
         for threads in POOLS {
             let mut counter = OpCounter::default();
             let pool = ParExec::new(threads);
-            let sums = ops::he_fc_operand(sys, &map, &bank, &mut counter, &pool).unwrap();
+            let sums = ops::he_linear(sys, &map, &bank, &[], &mut counter, &pool).unwrap();
             prop_assert_eq!(sums.cells().len(), classes);
             prop_assert_eq!(counter.ct_pt_mul as usize, classes * cells);
             let rows = sums.decrypt_all(sys, &keys.secret, batch, &pool).unwrap();
@@ -322,7 +322,7 @@ proptest! {
         let layout = Layout::Coeff { batch, side, pitch: side };
         let coeff = encrypt(layout, (channels, batch, 1));
         let pixel = encrypt(Layout::Pixel, (channels, side, side));
-        let bank = KernelBank::prepare(sys, &weights, &bias, kernel, side).unwrap();
+        let bank = NttBank::conv(sys, &weights, &bias, kernel, side).unwrap();
         let k = (kernel, kernel);
         let out_side = side - kernel + 1;
         let mut oracle_ops = OpCounter::default();
@@ -332,7 +332,7 @@ proptest! {
             .unwrap();
         for threads in [1, 2] {
             let mut counter = OpCounter::default();
-            let out = ops::he_conv_coeff(sys, &coeff, &bank, &mut counter, &ParExec::new(threads)).unwrap();
+            let out = ops::he_linear(sys, &coeff, &bank, &[], &mut counter, &ParExec::new(threads)).unwrap();
             let shrunk = Layout::Coeff { batch, side: out_side, pitch: side };
             prop_assert_eq!((out.shape(), out.layout()), ((outs, batch, 1), shrunk));
             prop_assert_eq!(counter.ct_pt_mul as usize, outs * batch * channels);
