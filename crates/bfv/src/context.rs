@@ -176,17 +176,27 @@ impl BfvContext {
         x
     }
 
-    /// Decryption's `⌊(t·x + ⌊q/2⌋)/q⌋ mod t` for every coefficient `x` of
-    /// `phase`, straight from its residues `x_i` in 64/128-bit words and
+    /// [`BfvContext::scale_and_round_at`] every coefficient of `phase`.
+    pub(crate) fn scale_and_round(&self, phase: &RnsPoly) -> Vec<u64> {
+        self.scale_and_round_at(phase, 0..self.poly_degree())
+    }
+
+    /// Decryption's `⌊(t·x + ⌊q/2⌋)/q⌋ mod t` for coefficient `x` of `phase`
+    /// at each index of `at` (each below the degree), in that order,
+    /// straight from its residues `x_i` in 64/128-bit words and
     /// bit-identical to the `U256` evaluation (derivation: DESIGN.md §19).
     /// With `y_i = [x_i·(q/q_i)⁻¹]_{q_i}` and `t·y_i = w_i·q_i + r_i` the
     /// value is `Σ w_i + ⌊(Σ r_i·q/q_i + ⌊q/2⌋)/q⌋`; each `r_i·q/q_i < q <
     /// 2^120`, so the remainder sum fits `u128` and carries at most the limb
     /// count into the quotient.
-    pub(crate) fn scale_and_round(&self, phase: &RnsPoly) -> Vec<u64> {
+    pub(crate) fn scale_and_round_at(
+        &self,
+        phase: &RnsPoly,
+        at: impl IntoIterator<Item = usize>,
+    ) -> Vec<u64> {
         let t = self.params.plain_modulus();
         let q = self.q;
-        (0..self.poly_degree())
+        at.into_iter()
             .map(|j| {
                 let mut quot = 0u64;
                 let mut rem = q / 2;
@@ -283,6 +293,41 @@ mod tests {
                 let (quot, rem) = rec_q.div_rem(tx.checked_add(U256::from_u128(q / 2)).unwrap());
                 assert_eq!(rem.to_u128().unwrap(), (targets[j] + q / 2) % q);
                 assert_eq!(got[j], quot.to_u64().unwrap() % t, "coefficient {j}");
+            }
+        }
+    }
+
+    /// Rounding at chosen coefficients is the full rounding read there: a
+    /// phase whose first six coefficients sit on both sides of a rounding
+    /// boundary (the targets of the test above) and whose others are
+    /// random, read at random subsets in random orders, repeats included.
+    #[test]
+    fn scale_and_round_at_chosen_coefficients_is_the_full_one_there() {
+        let mut rng = hesgx_crypto::rng::ChaChaRng::from_seed(39);
+        for params in [presets::paper_n1024(), presets::test_n256()] {
+            let ctx = BfvContext::new(params).unwrap();
+            let (t, q, n) = (ctx.params().plain_modulus(), ctx.q, ctx.poly_degree());
+            let targets = [q - 2, q - 1, 0, 1, q / 2, q / 2 + 1].map(|c| (c + q - q / 2) % q);
+            let mut phase = RnsPoly::zero(&ctx, PolyForm::Coeff);
+            for (limb, &qi) in phase.limbs.iter_mut().zip(ctx.params().coeff_moduli()) {
+                let t_inv = inv_mod(t % qi, qi).unwrap();
+                rng.fill_below(qi, limb);
+                for (v, target) in limb.iter_mut().zip(targets) {
+                    *v = mul_mod((target % qi as u128) as u64, t_inv, qi);
+                }
+            }
+            let full = ctx.scale_and_round(&phase);
+            assert_eq!(full.len(), n);
+            let mut every: Vec<usize> = (0..n).collect();
+            for round in 0..8 {
+                rng.shuffle(&mut every);
+                let len = [0, 1, 6, n / 3, n][round % 5];
+                let mut at = every[..len].to_vec();
+                at.extend(every.iter().take(round));
+                at.extend(0..6);
+                let got = ctx.scale_and_round_at(&phase, at.iter().copied());
+                let want: Vec<u64> = at.iter().map(|&j| full[j]).collect();
+                assert_eq!(got, want, "{len} coefficients, round {round}");
             }
         }
     }

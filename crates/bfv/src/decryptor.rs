@@ -39,17 +39,14 @@ impl<K: Borrow<SecretKey>> Decryptor<K> {
     fn dot_with_secret(&self, ct: &Ciphertext) -> RnsPoly {
         let ctx = &self.ctx;
         let s = &self.sk.borrow().s;
-        let mut acc = RnsPoly::zero(ctx, PolyForm::Ntt);
-        let mut s_power = RnsPoly::zero(ctx, PolyForm::Ntt);
-        for (idx, poly) in ct.polys.iter().enumerate().skip(1) {
-            let p = poly.in_form(PolyForm::Ntt, ctx);
-            if idx == 1 {
-                acc.mul_acc(&p, s, ctx);
-            } else {
-                let base = if idx == 2 { s } else { &s_power };
-                s_power = base.mul_pointwise(s, ctx);
-                acc.mul_acc(&p, &s_power, ctx);
-            }
+        let mut acc = ct.polys[1]
+            .in_form(PolyForm::Ntt, ctx)
+            .mul_pointwise(s, ctx);
+        let mut s_power = None;
+        for poly in &ct.polys[2..] {
+            let base = s_power.as_ref().unwrap_or(s);
+            let power = s_power.insert(base.mul_pointwise(s, ctx));
+            acc.mul_acc(&poly.in_form(PolyForm::Ntt, ctx), power, ctx);
         }
         let c0 = &ct.polys[0];
         if c0.form() == PolyForm::Ntt {
@@ -73,6 +70,32 @@ impl<K: Borrow<SecretKey>> Decryptor<K> {
         self.check(ct)?;
         let phase = self.dot_with_secret(ct);
         Ok(Plaintext::from_coeffs(self.ctx.scale_and_round(&phase)))
+    }
+
+    /// The plaintext coefficients at the indices of `at`, in that order: the
+    /// whole `c(s)`, then scaled and rounded only where asked — what a
+    /// reader of a few coefficients of a cell pays instead of
+    /// [`Decryptor::decrypt`]'s every one.
+    ///
+    /// # Errors
+    ///
+    /// As [`Decryptor::decrypt`]; [`BfvError::InvalidShape`] for an index
+    /// at or past the degree.
+    pub fn decrypt_at(
+        &self,
+        ct: &Ciphertext,
+        at: impl Iterator<Item = usize> + Clone,
+    ) -> Result<Vec<u64>> {
+        let _prof = prof::span("bfv.decrypt");
+        self.check(ct)?;
+        let n = self.ctx.poly_degree();
+        if let Some(j) = at.clone().find(|&j| j >= n) {
+            return Err(BfvError::InvalidShape(format!(
+                "coefficient {j} of a degree-{n} plaintext"
+            )));
+        }
+        let phase = self.dot_with_secret(ct);
+        Ok(self.ctx.scale_and_round_at(&phase, at))
     }
 
     /// Measures the invariant-noise budget in bits.

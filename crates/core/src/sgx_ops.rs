@@ -31,9 +31,10 @@ use hesgx_chaos::{FaultHook, FaultSite};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::transcipher::{self, IngressKey};
 use hesgx_henn::crt::{CrtCiphertext, CrtPlainSystem};
-use hesgx_henn::image::{EncryptedMap, Layout};
+use hesgx_henn::image::{EncryptedMap, Layout, SlotMap};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::quantize::QuantizedCnn;
+use hesgx_obs::prof;
 use hesgx_tee::cost::CostBreakdown;
 use hesgx_tee::enclave::Enclave;
 use hesgx_tee::error::TeeError;
@@ -99,37 +100,108 @@ fn timed_tasks<T: Send + Sync>(
     Ok(outs)
 }
 
-/// Folds `chain` over the block of decrypted cells (row-major, one slot
-/// vector each) behind one output cell: [`EnclaveOp::MeanPool`] first sums
-/// the square block's `k × k` windows, [`EnclaveOp::LogitReduce`] the whole
-/// block, then every op maps the slots in place.
-fn fold_chain(chain: &[EnclaveOp], model: &QuantizedCnn, mut block: Vec<Vec<i64>>) -> Vec<i64> {
+/// Folds `chain` over one image's block of input values behind one output
+/// (row-major `span × span`, or a row of partial sums), in place, and
+/// returns the output: [`EnclaveOp::MeanPool`] sums the block's `k × k`
+/// windows into its head, [`EnclaveOp::LogitReduce`] the whole block, then
+/// every op maps the values still live.
+// hesgx-lint: hot
+fn fold(chain: &[EnclaveOp], model: &QuantizedCnn, block: &mut [i64]) -> i64 {
     let k = model.window;
+    let mut live = block.len();
     for &op in chain {
         if op == EnclaveOp::LogitReduce {
-            let sum = |s| block.iter().map(|member| member[s]).sum();
-            block = vec![(0..block[0].len()).map(sum).collect()];
+            block[0] = block[..live].iter().sum();
+            live = 1;
         }
         if op == EnclaveOp::MeanPool {
-            let wide = block.len().isqrt();
+            let wide = live.isqrt();
             let side = wide / k;
-            // Cell `d` of the window behind pooled cell `i`.
-            let cell = |i: usize, d: usize| {
-                &block[((i / side) * k + d / k) * wide + (i % side) * k + d % k]
-            };
-            let sum = |i, s| (0..k * k).map(|d| cell(i, d)[s]).sum();
-            let pooled = |i| (0..block[0].len()).map(|s| sum(i, s)).collect();
-            block = (0..side * side).map(pooled).collect();
+            // Window `i` starts at or past value `i`: its sum overwrites
+            // only values no later window reads.
+            for i in 0..side * side {
+                let corner = i / side * k * wide + i % side * k;
+                let sum = (0..k * k)
+                    .map(|d| block[corner + d / k * wide + d % k])
+                    .sum();
+                block[i] = sum;
+            }
+            live = side * side;
         }
-        block.iter_mut().flatten().for_each(|v| {
+        for v in &mut block[..live] {
             *v = match op {
                 EnclaveOp::Activation(kind) => model.enclave_activation(*v, kind),
                 EnclaveOp::MeanPool | EnclaveOp::Divide => model.enclave_mean(*v),
                 EnclaveOp::Refresh | EnclaveOp::LogitReduce => *v,
             }
-        });
+        }
     }
-    block.swap_remove(0)
+    block[0]
+}
+
+/// The gather index of a packed crossing, built once from its slot map:
+/// where every block's members sit, and which blocks lie in each input
+/// cell — all a cell's task needs to decrypt only what its blocks read.
+#[derive(Default)]
+struct Gather {
+    /// Members a block.
+    area: usize,
+    /// Slot (coefficient) of member `d` of the block behind output `o` for
+    /// image `b`, at `(o·images + b)·area + d`.
+    slots: Vec<usize>,
+    /// For each input cell, the blocks `o·images + b` that lie in it.
+    blocks: Vec<Vec<usize>>,
+}
+
+impl Gather {
+    /// The index of `outputs` blocks over the `cells` cells `read` places:
+    /// block `o` is `corner(o) = (channel, position)` and the members
+    /// `step[d]` positions on, in [`fold`] order. `None` for a member
+    /// outside the map or a block across two cells.
+    fn new(
+        read: &SlotMap,
+        cells: usize,
+        outputs: usize,
+        step: &[usize],
+        corner: impl Fn(usize) -> (usize, usize),
+    ) -> Option<Gather> {
+        let (area, images) = (step.len(), read.extent().2);
+        let mut slots = vec![0; outputs * images * area];
+        let mut blocks = vec![Vec::new(); cells];
+        let mut home = vec![0; images];
+        for o in 0..outputs {
+            let (ch, first) = corner(o);
+            for (d, &step) in step.iter().enumerate() {
+                let mut placed = 0;
+                for (b, (cell, slot)) in read.places(ch, first + step).enumerate() {
+                    if d == 0 {
+                        home[b] = cell;
+                    } else if home[b] != cell {
+                        return None;
+                    }
+                    slots[(o * images + b) * area + d] = slot;
+                    placed += 1;
+                }
+                if placed != images {
+                    return None;
+                }
+            }
+            for (b, &cell) in home.iter().enumerate() {
+                blocks.get_mut(cell)?.push(o * images + b);
+            }
+        }
+        Some(Gather {
+            area,
+            slots,
+            blocks,
+        })
+    }
+
+    /// What cell `k`'s task reads: its blocks' slots, block by block.
+    fn at(&self, k: usize) -> impl Iterator<Item = usize> + Clone + '_ {
+        let block = move |&g: &usize| &self.slots[g * self.area..(g + 1) * self.area];
+        self.blocks[k].iter().flat_map(block).copied()
+    }
 }
 
 impl InferenceEnclave {
@@ -269,16 +341,20 @@ impl InferenceEnclave {
     /// model's pooling window, every other op is cell-wise; an
     /// [`EnclaveOp::LogitReduce`], alone over a [`Layout::FcOperand`] map,
     /// adds up each class's row of partial sums. A [`Layout::Pixel`] input
-    /// is decrypted cell by cell inside the task that reads it, a packed
-    /// input (`Coeff`, `FcOperand`) whole, in one pass on the pool, into a
-    /// staging buffer of whole cells the tasks gather from through its
-    /// [`SlotMap`]. The enclave is the repacker: it emits `emit`, the layout
-    /// the next layer reads — one cell per output ([`Layout::Pixel`]) or `P
-    /// = ⌊slots / batch⌋` outputs a cell, each once ([`Layout::FcOperand`]
-    /// of one class), every cell through [`SlotMap::encode`]; a reduction
-    /// emits its logits that way whatever `emit` says. The boundary is
-    /// priced from the cells that cross: the input's in, one fresh
-    /// ciphertext per emitted cell out, and the decrypted cells staged.
+    /// is decrypted cell by cell inside the task that emits the outputs it
+    /// feeds. A packed input (`Coeff`, `FcOperand`) makes one pass per
+    /// cell: one task decrypts it — scaling and rounding only the
+    /// coefficients a gather index, built once per crossing from its
+    /// [`SlotMap`], says its blocks read — folds every block that lies in
+    /// it, image by image, and leaves the outputs in an `outputs × images`
+    /// buffer the emitting tasks scatter from. The enclave is the
+    /// repacker: it emits `emit`, the layout the next layer reads — one
+    /// cell per output ([`Layout::Pixel`]) or `P = ⌊slots / batch⌋` outputs
+    /// a cell, each once ([`Layout::FcOperand`] of one class), every cell
+    /// through [`SlotMap::encode`]; a reduction emits its logits that way
+    /// whatever `emit` says. The boundary is priced from the cells that
+    /// cross: the input's in, one fresh ciphertext per emitted cell out,
+    /// and a packed crossing's folded values staged.
     ///
     /// [`EcallBatching::Batched`] is one ECALL for the whole map, per-cell
     /// work scheduled on `pool` inside the enclave body.
@@ -289,13 +365,13 @@ impl InferenceEnclave {
     /// # Errors
     ///
     /// [`Error::Config`] for a map whose cells do not hold what its layout
-    /// claims, a packed layout either side of a per-pixel crossing (its
-    /// cells do not split by output), sides the chain's pooling does not
-    /// tile, an `emit` that does not hold the outputs, and a `LogitReduce`
-    /// not alone over an `FcOperand` map — all before any decryption;
-    /// propagates HE/TEE failures.
+    /// claims (a cell of another CRT part count among them), a packed
+    /// layout either side of a per-pixel crossing (its cells do not split
+    /// by output), sides the chain's pooling does not tile, a packed block
+    /// across two cells, an `emit` that does not hold the outputs, and a
+    /// `LogitReduce` not alone over an `FcOperand` map — all before the
+    /// boundary; propagates HE/TEE failures.
     ///
-    /// [`SlotMap`]: hesgx_henn::image::SlotMap
     /// [`SlotMap::encode`]: hesgx_henn::image::SlotMap::encode
     #[allow(clippy::too_many_arguments)]
     pub fn apply(
@@ -393,17 +469,25 @@ impl InferenceEnclave {
             _ => (1, emit),
         };
         let write = cell.slot_map((1, 1, 1), slots).map_err(|_| refuse())?;
-        // Member `d` of the block behind output `o`: channel, position.
-        let member = |o: usize, d: usize| {
-            let (y, x) = ((o / ow) % oh * sy + d / sx, o % ow * sx + d % sx);
-            (o / (oh * ow), y * w + x)
+        // The block behind output `o`: its channel and first position, and
+        // member `d` `step[d]` positions on.
+        let corner = |o: usize| (o / (oh * ow), o / ow % oh * sy * w + o % ow * sx);
+        let step: Vec<usize> = (0..area).map(|d| d / sx * w + d % sx).collect();
+        sys.check_parts(input.cells()).map_err(|_| refuse())?;
+        let started = WallTimer::start();
+        let gather = match packed {
+            true => Gather::new(&read, input.cells().len(), outputs, &step, corner),
+            false => Some(Gather::default()),
         };
+        let gather = gather.ok_or_else(refuse)?;
+        let index_ns = started.elapsed_ns();
         // The crossing cells: a packed map whole, else block by block.
         let crossing: Vec<&CrtCiphertext> = match packed {
             true => input.cells().iter().collect(),
             false => (0..outputs * area)
                 .map(|i| {
-                    let (ch, position) = member(i / area, i % area);
+                    let (ch, first) = corner(i / area);
+                    let position = first + step[i % area];
                     input.cell(ch, position / w, position % w)
                 })
                 .collect(),
@@ -414,9 +498,15 @@ impl InferenceEnclave {
             EcallBatching::PerPixel => (1, &inline),
         };
         let encoding = input.layout().encoding();
-        let decrypt = |ct: &CrtCiphertext| -> Result<Vec<i64>> {
-            let slots = sys.decrypt(ct, encoding, &self.secret)?;
-            Ok(slots.iter().map(|&v| v as i64).collect())
+        // Emitted cell `j` of the outputs from `folded[0]` on (`[output][image]`,
+        // `images` a row): the scatter through its slot map and the
+        // encryption from its own fork.
+        let emit_cell = |base: &ChaChaRng, j: usize, folded: &[i64]| -> Result<CrtCiphertext> {
+            let _prof = prof::span("ecall.emit");
+            let mut rng = base.fork(&format!("cell-{j}"));
+            let value = |_, p: usize, b| folded.get(p * images + b).copied().unwrap_or(0);
+            let values = write.encode(images.min(write.extent().2), value)?;
+            Ok(sys.encrypt(&values[0], emit.encoding(), &self.secret, &mut rng)?)
         };
         let mut cells = Vec::with_capacity(outputs.div_ceil(per));
         let mut total = CostBreakdown::default();
@@ -430,40 +520,60 @@ impl InferenceEnclave {
                 EcallShape {
                     name: &name,
                     in_bytes: entering.iter().map(|c| c.byte_len()).sum(),
-                    staging_bytes: usize::from(packed) * entering.len() * slots * 8,
+                    staging_bytes: usize::from(packed) * outputs * images * 8,
                     out_bytes: per_call * sys.fresh_ciphertext_byte_len(),
                     fork_prefix: "par",
                     pre_site: refreshes.then_some(FaultSite::NoiseRefresh),
                 },
                 |base, cpu_ns| {
-                    // A packed map's cells, decrypted whole on the pool.
-                    let staged = match packed {
-                        true => {
-                            timed_tasks(pool, entering.len(), cpu_ns, |i| decrypt(entering[i]))?
-                        }
-                        false => Vec::new(),
-                    };
-                    timed_tasks(pool, per_call, cpu_ns, |j| {
-                        let mut rng = base.fork(&format!("cell-{j}"));
-                        // The outputs behind cell `j`, one image-indexed
-                        // slot vector each.
-                        let folded = (j * per..outputs.min((j + 1) * per)).map(|o| {
-                            let block = (0..area).map(|d| match packed {
-                                false => decrypt(entering[o * area + d]),
-                                true => {
-                                    let (ch, position) = member(o, d);
-                                    let value = |b| Ok(read.decode(&staged, ch, position, b)?);
-                                    (0..images).map(value).collect()
+                    if !packed {
+                        // Each task decrypts the blocks behind its outputs,
+                        // folds them image by image, and emits.
+                        return timed_tasks(pool, per_call, cpu_ns, |j| {
+                            let first = j * per;
+                            let folded = {
+                                let _prof = prof::span("ecall.fold");
+                                let mut folded = Vec::with_capacity(per * images);
+                                let mut block = vec![0; area];
+                                for o in first..outputs.min(first + per) {
+                                    let members = &entering[o * area..(o + 1) * area];
+                                    let slots = members
+                                        .iter()
+                                        .map(|ct| Ok(sys.decrypt(ct, encoding, &self.secret)?))
+                                        .collect::<Result<Vec<_>>>()?;
+                                    folded.extend((0..images).map(|b| {
+                                        for (v, slots) in block.iter_mut().zip(&slots) {
+                                            *v = slots[b] as i64;
+                                        }
+                                        fold(chain, model, &mut block)
+                                    }));
                                 }
-                            });
-                            Ok(fold_chain(chain, model, block.collect::<Result<_>>()?))
+                                folded
+                            };
+                            emit_cell(base, j, &folded)
                         });
-                        let folded: Vec<Vec<i64>> = folded.collect::<Result<_>>()?;
-                        // Output `j·per + p` at position `p` of the cell.
-                        let images = folded[0].len().min(write.extent().2);
-                        let value = |_, p: usize, b| folded.get(p).map_or(0, |o| o[b]);
-                        let values = write.encode(images, value)?;
-                        Ok(sys.encrypt(&values[0], emit.encoding(), &self.secret, &mut rng)?)
+                    }
+                    // One task a crossing cell: decrypt it where its blocks
+                    // read, and fold each block.
+                    *cpu_ns += index_ns;
+                    let blocks = timed_tasks(pool, entering.len(), cpu_ns, |k| {
+                        let _prof = prof::span("ecall.fold");
+                        let at = gather.at(k);
+                        let values = sys.decrypt_at(entering[k], encoding, at, &self.secret)?;
+                        let mut values: Vec<i64> = values.into_iter().map(|v| v as i64).collect();
+                        let blocks = values.chunks_exact_mut(area);
+                        Ok(blocks
+                            .map(|block| fold(chain, model, block))
+                            .collect::<Vec<_>>())
+                    })?;
+                    let mut folded = vec![0; outputs * images];
+                    for (cell, outs) in gather.blocks.iter().zip(blocks) {
+                        for (&g, v) in cell.iter().zip(outs) {
+                            folded[g] = v;
+                        }
+                    }
+                    timed_tasks(pool, per_call, cpu_ns, |j| {
+                        emit_cell(base, j, &folded[j * per * images..])
                     })
                 },
             )?;
@@ -704,7 +814,9 @@ mod tests {
     }
 
     /// The table map in `layout`: one cell per position, or one cell per
-    /// (channel, image) encoded through the layout's slot map.
+    /// (channel, image) encoded through the layout's slot map, with nonzero
+    /// garbage in every coefficient the slot map does not place — what a
+    /// packed crossing must never read.
     fn table_input(
         ie: &InferenceEnclave,
         sys: &CrtPlainSystem,
@@ -715,7 +827,19 @@ mod tests {
         if layout != Layout::Pixel {
             let rule = layout.slot_map((SHAPE.0, 2, 1), 256).unwrap();
             let values = rule.encode(2, |ch, position, b| images[b][ch * 16 + position]);
-            let cells = (values.unwrap().iter().enumerate())
+            let mut values = values.unwrap();
+            let mut placed = vec![[false; 256]; values.len()];
+            for (ch, position) in (0..SHAPE.0).flat_map(|ch| (0..16).map(move |p| (ch, p))) {
+                for (cell, slot) in rule.places(ch, position) {
+                    placed[cell][slot] = true;
+                }
+            }
+            for (cell, slot) in (0..values.len()).flat_map(|c| (0..256).map(move |s| (c, s))) {
+                if !placed[cell][slot] {
+                    values[cell][slot] = 1000 + (cell * 7919 + slot * 104_729) as i64 % 5000;
+                }
+            }
+            let cells = (values.iter().enumerate())
                 .map(|(i, values)| {
                     let mut rng = rng.fork(&format!("cell-{i}"));
                     let encoding = layout.encoding();
@@ -778,13 +902,20 @@ mod tests {
         cells.unwrap()
     }
 
-    /// Both layouts of the table map.
-    const LAYOUTS: [Layout; 2] = [
+    /// The layouts of the table map: per pixel, and one cell an image with
+    /// rows back to back or seven coefficients apart (three garbage
+    /// coefficients after each row).
+    const LAYOUTS: [Layout; 3] = [
         Layout::Pixel,
         Layout::Coeff {
             batch: 2,
             side: 4,
             pitch: 4,
+        },
+        Layout::Coeff {
+            batch: 2,
+            side: 4,
+            pitch: 7,
         },
     ];
 
@@ -827,7 +958,8 @@ mod tests {
     /// PerPixel} × pools`: every slot of every output cell decrypts to the
     /// plaintext function, laid out as the emitted layout says (a packed
     /// input leaves the slots beyond its batch zero, a packed output every
-    /// slot outside its (input, class, image) triples), the batched
+    /// slot outside its (input, class, image) triples) — whatever garbage
+    /// a packed input holds between and after its rows — the batched
     /// ciphertext bits do not depend on the pool size, a per-pixel run pays
     /// two transitions per *final* output cell into the same `ecall.<name>`
     /// books Fig. 8's `EncryptSGX (single)` group reads, and a packed map —
@@ -1066,6 +1198,57 @@ mod tests {
                 &ParExec::new(2),
             );
             assert!(matches!(applied, Err(Error::Config(_))), "{map:?}");
+        }
+        assert_eq!(rec.counter(counters::ECALLS), ecalls);
+    }
+
+    /// A map one of whose cells has fewer CRT parts than the system — as
+    /// the untrusted host could hand over — is refused before the boundary,
+    /// packed or per pixel, chain or reduction: no ECALL, so no cell is
+    /// decrypted.
+    #[test]
+    fn a_cell_of_another_part_count_is_refused_before_the_boundary() {
+        let rec = Recorder::enabled();
+        let (ie, sys, rng) = setup_with(None, rec.clone());
+        let one = CrtPlainSystem::new(256, &sys.moduli()[..1]).unwrap();
+        let with_short = |map: EncryptedMap| {
+            let (layout, (c, h, w)) = (map.layout(), map.shape());
+            let mut short = rng.fork("short");
+            let short = one.encrypt(&[1, 2], layout.encoding(), &ie.public[..1], &mut short);
+            let mut cells = map.into_cells();
+            *cells.last_mut().unwrap() = short.unwrap();
+            EncryptedMap::new(c, h, w, cells).with_layout(layout)
+        };
+        let chain = [
+            EnclaveOp::Activation(ActivationKind::Sigmoid),
+            EnclaveOp::MeanPool,
+        ];
+        let mut cases: Vec<_> = LAYOUTS
+            .map(|layout| (&chain[..], with_short(table_input(&ie, &sys, &rng, layout))))
+            .into();
+        cases.push((
+            &[EnclaveOp::LogitReduce],
+            with_short(partial_sums(&ie, &sys, &rng)),
+        ));
+        let ecalls = rec.counter(counters::ECALLS);
+        for (chain, map) in cases {
+            for batching in [EcallBatching::Batched, EcallBatching::PerPixel] {
+                let pool = ParExec::new(2);
+                let applied = ie.apply(
+                    chain,
+                    &sys,
+                    &small_model(),
+                    &map,
+                    batching,
+                    Layout::Pixel,
+                    &pool,
+                );
+                assert!(
+                    matches!(applied, Err(Error::Config(_))),
+                    "{:?}",
+                    map.layout()
+                );
+            }
         }
         assert_eq!(rec.counter(counters::ECALLS), ecalls);
     }

@@ -611,14 +611,15 @@ fn packed_paper_request_pins_its_op_counts() {
     );
     assert_eq!(response.metrics.stages.len(), 4);
     // Each crossing touches the heap's first pages: the 50 and 10 cells
-    // that cross in, then their decrypted cells staged whole (400 and
-    // 80 KiB) — 500 and 100 pages. The key ceremony made the first 16
-    // resident, the first crossing faults the other 484, and the second
-    // crossing's 100 are all resident by then.
+    // that cross in, then the values they fold to staged as `i64` (720 and
+    // 10 outputs of 10 images: 57 600 and 800 bytes) — 415 and 81 pages.
+    // The key ceremony made the first 16 resident, the first crossing
+    // faults the other 399, and the second crossing's 81 are all resident
+    // by then.
     let swap = hesgx_tee::cost::CostModel::default().page_swap_ns;
     let pages = |name: &str| rec.span(name).unwrap().cost.paging_ns / swap;
     let crossings = ["ecall.ecall_activation_pool", "ecall.ecall_LogitReduce"];
-    assert_eq!(crossings.map(pages), [484, 0]);
+    assert_eq!(crossings.map(pages), [399, 0]);
     // 784 live coefficients of 1024 at ingress, 576 into the enclave; 7200
     // of 8 × 1024 slots out of it, and 1020 of 1024 partial sums a cell
     // into the reduction.

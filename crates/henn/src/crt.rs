@@ -312,31 +312,80 @@ impl CrtPlainSystem {
             .sum()
     }
 
-    /// Decrypts to one signed value per slot or coefficient (`encoding`;
-    /// CRT combination, centered lift).
+    /// [`BfvError::ContextMismatch`] unless every cell carries one part per
+    /// plaintext modulus — the one part-count check ahead of every read of a
+    /// cell's parts by index, so a cell of another system (deserialized, or
+    /// handed over by the untrusted host) is refused instead of indexed past
+    /// its end.
     ///
     /// # Errors
     ///
-    /// Propagates decryption failures (context mismatch etc.; fewer keys
-    /// than parts is one).
+    /// [`BfvError::ContextMismatch`] for the first cell of another part
+    /// count.
+    pub fn check_parts<'a>(
+        &self,
+        cells: impl IntoIterator<Item = &'a CrtCiphertext>,
+    ) -> hesgx_bfv::error::Result<()> {
+        match cells
+            .into_iter()
+            .all(|ct| ct.parts.len() == self.moduli.len())
+        {
+            true => Ok(()),
+            false => Err(BfvError::ContextMismatch),
+        }
+    }
+
+    /// Decrypts to one signed value per slot or coefficient (`encoding`;
+    /// CRT combination, centered lift): [`CrtPlainSystem::decrypt_at`] every
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// As [`CrtPlainSystem::decrypt_at`].
     pub fn decrypt(
         &self,
         ct: &CrtCiphertext,
         encoding: Encoding,
         secret: &[SecretKey],
     ) -> hesgx_bfv::error::Result<Vec<i128>> {
+        self.decrypt_at(ct, encoding, 0..self.slot_count(), secret)
+    }
+
+    /// The signed values at the slots or coefficients (`encoding`) of `at`,
+    /// in that order. A coefficient cell is scaled and rounded only there
+    /// ([`Decryptor::decrypt_at`]); a slot cell decodes whole first, its
+    /// slots being an NTT of every coefficient.
+    ///
+    /// # Errors
+    ///
+    /// [`BfvError::ContextMismatch`] for a cell of another part count
+    /// ([`CrtPlainSystem::check_parts`]) and [`BfvError::InvalidShape`] for
+    /// an index at or past the slot count, both before anything is
+    /// decrypted; `ContextMismatch` for fewer keys than parts; propagates
+    /// decryption failures.
+    pub fn decrypt_at(
+        &self,
+        ct: &CrtCiphertext,
+        encoding: Encoding,
+        at: impl Iterator<Item = usize> + Clone,
+        secret: &[SecretKey],
+    ) -> hesgx_bfv::error::Result<Vec<i128>> {
+        self.check_parts([ct])?;
         let (t_big, n) = (self.product, self.slot_count());
+        if let Some(j) = at.clone().find(|&j| j >= n) {
+            return Err(BfvError::InvalidShape(format!("value {j} of {n} slots")));
+        }
         // Σ_i [r_i · (T/t_i)^{-1}]_{t_i} · T/t_i, each term below T.
-        let mut acc = vec![0u128; n];
+        let mut acc = vec![0u128; at.clone().count()];
         for (i, ctx) in self.contexts.iter().enumerate() {
-            let pt = Decryptor::new(ctx.clone(), part_key(secret, i)?).decrypt(&ct.parts[i])?;
+            let decryptor = Decryptor::new(ctx.clone(), part_key(secret, i)?);
+            let part = &ct.parts[i];
             let residues = match encoding {
-                Encoding::Slots => self.encoders[i].decode(&pt),
-                Encoding::Coeffs => {
-                    let mut coeffs = pt.coeffs().to_vec();
-                    coeffs.resize(n, 0);
-                    coeffs
+                Encoding::Slots => {
+                    let slots = self.encoders[i].decode(&decryptor.decrypt(part)?);
+                    at.clone().map(|s| slots[s]).collect()
                 }
+                Encoding::Coeffs => decryptor.decrypt_at(part, at.clone())?,
             };
             match self.combine.get(i) {
                 None => acc = residues.into_iter().map(u128::from).collect(),
@@ -394,6 +443,7 @@ impl CrtPlainSystem {
         a: &CrtCiphertext,
         mut op: impl FnMut(usize, &Evaluator, &Ciphertext) -> hesgx_bfv::error::Result<Ciphertext>,
     ) -> hesgx_bfv::error::Result<CrtCiphertext> {
+        self.check_parts([a])?;
         let parts = self
             .evaluators
             .iter()
@@ -407,12 +457,14 @@ impl CrtPlainSystem {
     ///
     /// # Errors
     ///
-    /// Propagates component failures.
+    /// Propagates component failures; `ContextMismatch` for a cell of
+    /// another part count.
     pub fn add_inplace(
         &self,
         a: &mut CrtCiphertext,
         b: &CrtCiphertext,
     ) -> hesgx_bfv::error::Result<()> {
+        self.check_parts([&*a, b])?;
         for (i, eval) in self.evaluators.iter().enumerate() {
             eval.add_inplace(&mut a.parts[i], &b.parts[i])?;
         }
@@ -425,7 +477,8 @@ impl CrtPlainSystem {
     ///
     /// # Errors
     ///
-    /// Propagates component failures.
+    /// Propagates component failures; `ContextMismatch` for a cell of
+    /// another part count.
     pub fn mul_scalar(
         &self,
         a: &CrtCiphertext,
@@ -458,7 +511,8 @@ impl CrtPlainSystem {
     ///
     /// # Errors
     ///
-    /// Propagates component failures.
+    /// Propagates component failures; `ContextMismatch` for a cell of
+    /// another part count.
     pub fn add_scalar(
         &self,
         a: &CrtCiphertext,
@@ -494,7 +548,8 @@ impl CrtPlainSystem {
     ///
     /// # Errors
     ///
-    /// Propagates component failures.
+    /// Propagates component failures; `ContextMismatch` for a cell of
+    /// another part count.
     pub fn square(&self, a: &CrtCiphertext) -> hesgx_bfv::error::Result<CrtCiphertext> {
         self.map_parts(a, |_, eval, part| eval.square(part))
     }
@@ -503,7 +558,8 @@ impl CrtPlainSystem {
     ///
     /// # Errors
     ///
-    /// Propagates component failures; `ContextMismatch` for too few keys.
+    /// Propagates component failures; `ContextMismatch` for too few keys or
+    /// a cell of another part count.
     pub fn relinearize(
         &self,
         a: &CrtCiphertext,
@@ -518,12 +574,14 @@ impl CrtPlainSystem {
     ///
     /// # Errors
     ///
-    /// Propagates component failures; `ContextMismatch` for too few keys.
+    /// Propagates component failures; `ContextMismatch` for too few keys or
+    /// a cell of another part count.
     pub fn noise_budget(
         &self,
         ct: &CrtCiphertext,
         secret: &[SecretKey],
     ) -> hesgx_bfv::error::Result<u32> {
+        self.check_parts([ct])?;
         let mut min = u32::MAX;
         for (i, ctx) in self.contexts.iter().enumerate() {
             let dec = Decryptor::new(ctx.clone(), part_key(secret, i)?);
@@ -649,6 +707,72 @@ mod tests {
                 assert_ne!(cts[0], cts[1]);
             }
         }
+    }
+
+    /// Decrypting at chosen slots or coefficients is the whole decryption
+    /// read there, in any order and with repeats, on one part and on two;
+    /// an index past the slots is refused.
+    #[test]
+    fn decrypt_at_is_the_whole_decryption_read_at_the_chosen_places() {
+        let values: Vec<i64> = (0..256).map(|i| (i * 7919 % 2001) - 1000).collect();
+        for moduli in [&[12289u64, 13313][..], &[268_432_897]] {
+            let sys = CrtPlainSystem::new(256, moduli).unwrap();
+            let mut rng = ChaChaRng::from_seed(43);
+            let keys = sys.generate_keys(&mut rng);
+            for encoding in [Encoding::Slots, Encoding::Coeffs] {
+                let ct = sys
+                    .encrypt(&values, encoding, &keys.secret, &mut rng)
+                    .unwrap();
+                let whole = sys.decrypt(&ct, encoding, &keys.secret).unwrap();
+                let mut at: Vec<usize> = (0..256).collect();
+                for round in 0..4 {
+                    rng.shuffle(&mut at);
+                    let chosen = &at[..[0, 1, 100, 256][round]];
+                    let picks = chosen.iter().chain(&at[..round]).copied();
+                    let got = sys.decrypt_at(&ct, encoding, picks.clone(), &keys.secret);
+                    let want: Vec<i128> = picks.map(|j| whole[j]).collect();
+                    assert_eq!(got.unwrap(), want, "{encoding:?} of {moduli:?}");
+                }
+                let past = sys.decrypt_at(&ct, encoding, [3, 256].into_iter(), &keys.secret);
+                assert!(matches!(past, Err(BfvError::InvalidShape(_))));
+            }
+        }
+    }
+
+    /// A cell of fewer (or more) parts than the system — deserializable, or
+    /// handed over by an untrusted host — is `ContextMismatch` from every
+    /// call that reads parts by index, not a panic.
+    #[test]
+    fn a_cell_of_another_part_count_is_refused() {
+        let (sys, keys, mut rng) = system();
+        let one = CrtPlainSystem::new(256, &[12289]).unwrap();
+        let short = one
+            .encrypt(&[3, -4], Encoding::Slots, &keys.secret[..1], &mut rng)
+            .unwrap();
+        let fine = sys
+            .encrypt(&[3, -4], Encoding::Slots, &keys.secret, &mut rng)
+            .unwrap();
+        let mut long = fine.clone();
+        long.parts.push(fine.parts[0].clone());
+        for cell in [&short, &long] {
+            let refused = |r: hesgx_bfv::error::Result<()>| {
+                assert!(matches!(r, Err(BfvError::ContextMismatch)), "{r:?}");
+            };
+            refused(sys.check_parts([&fine, cell]));
+            for encoding in [Encoding::Slots, Encoding::Coeffs] {
+                refused(sys.decrypt(cell, encoding, &keys.secret).map(drop));
+                let at = [0usize].into_iter();
+                refused(sys.decrypt_at(cell, encoding, at, &keys.secret).map(drop));
+            }
+            refused(sys.noise_budget(cell, &keys.secret).map(drop));
+            refused(sys.add_inplace(&mut fine.clone(), cell));
+            refused(sys.add_inplace(&mut cell.clone(), &fine));
+            refused(sys.mul_scalar(cell, 3).map(drop));
+            refused(sys.add_scalar(cell, 3).map(drop));
+            refused(sys.square(cell).map(drop));
+            refused(sys.relinearize(cell, &keys.evaluation).map(drop));
+        }
+        assert_eq!(sys.check_parts([&fine, &fine]), Ok(()));
     }
 
     #[test]

@@ -136,6 +136,16 @@ impl SlotMap {
         self.at(self.row(channel, position), channel, position, image)
     }
 
+    /// The `(cell, slot)` of `(channel, position)` for every image the map
+    /// holds, in image order — [`SlotMap::place`] of each, the row resolved
+    /// once; nothing outside the map.
+    pub fn places(&self, channel: usize, position: usize) -> impl Iterator<Item = Pair> + '_ {
+        let (channels, positions, images) = self.extent;
+        let held = channel < channels && position < positions;
+        let row = held.then(|| self.row(channel, position)).flatten();
+        (0..images * usize::from(held)).map_while(move |i| self.at(row, channel, position, i))
+    }
+
     #[inline(always)]
     fn at(&self, row: Option<Pair>, c: usize, p: usize, i: usize) -> Option<Pair> {
         let ((_, h, w), slots, step) = (self.shape, self.slots, self.step);
@@ -167,11 +177,8 @@ impl SlotMap {
         }
         let mut cells = vec![vec![0; self.slots]; c * h * w];
         for (c, p) in (0..channels).flat_map(|c| (0..positions).map(move |p| (c, p))) {
-            let row = self.row(c, p);
-            for i in 0..images {
-                if let Some((cell, slot)) = self.at(row, c, p, i) {
-                    cells[cell][slot] = value(c, p, i);
-                }
+            for (i, (cell, slot)) in self.places(c, p).take(images).enumerate() {
+                cells[cell][slot] = value(c, p, i);
             }
         }
         Ok(cells)

@@ -119,7 +119,8 @@ fn conv_cell_part(
 /// [`BfvError::InvalidShape`] for an empty tap set, a [`Layout::FcOperand`]
 /// or [`Layout::Coeff`] map (those are [`he_linear`]'s), a map smaller than
 /// the kernel or a bank that does not hold `out_channels · in_channels ·
-/// rows · cols` scalars and `out_channels` biases; propagates
+/// rows · cols` scalars and `out_channels` biases,
+/// [`BfvError::ContextMismatch`] for a cell of another part count; propagates
 /// homomorphic-operation failures (lowest task index first).
 // hesgx-lint: hot
 pub fn he_conv2d(
@@ -132,6 +133,7 @@ pub fn he_conv2d(
     pool: &ParExec,
 ) -> Result<EncryptedMap> {
     let _prof = hesgx_obs::prof::span("henn.conv2d");
+    sys.check_parts(input.cells())?;
     let (in_channels, h, w) = input.shape();
     let (rows, cols) = kernel;
     let taps = [in_channels, rows, cols]
@@ -184,6 +186,7 @@ pub fn he_conv2d(
 /// # Errors
 ///
 /// [`BfvError::InvalidShape`] for a map the bank does not read,
+/// [`BfvError::ContextMismatch`] for a cell of another part count,
 /// [`BfvError::MissingGaloisKey`] for a fold without keys; propagates
 /// homomorphic-operation failures, lowest task index first.
 // hesgx-lint: hot
@@ -199,6 +202,7 @@ pub fn he_linear(
         NttGeometry::Coeff { .. } => "henn.conv2d",
         _ => "henn.fc",
     });
+    sys.check_parts(input.cells())?;
     let slots = sys.slot_count();
     let (cols, layout, fold) = bank.reads(input, slots)?;
     let (rows, terms, n_parts) = (bank.rows.len(), input.shape().0, sys.part_count());
@@ -234,7 +238,8 @@ pub fn he_linear(
 ///
 /// # Errors
 ///
-/// [`BfvError::InvalidShape`] when `window` does not divide the map sides;
+/// [`BfvError::InvalidShape`] when `window` does not divide the map sides,
+/// [`BfvError::ContextMismatch`] for a cell of another part count;
 /// propagates homomorphic-operation failures (lowest task index first).
 // hesgx-lint: hot
 pub fn he_scaled_mean_pool(
@@ -245,6 +250,7 @@ pub fn he_scaled_mean_pool(
     pool: &ParExec,
 ) -> Result<EncryptedMap> {
     let _prof = hesgx_obs::prof::span("henn.pool");
+    sys.check_parts(input.cells())?;
     let (c, h, w) = input.shape();
     if window == 0 || h % window != 0 || w % window != 0 {
         return Err(BfvError::InvalidShape(format!(
@@ -283,8 +289,8 @@ pub fn he_scaled_mean_pool(
 ///
 /// # Errors
 ///
-/// [`BfvError::ContextMismatch`] for fewer evaluation keys than CRT parts;
-/// propagates homomorphic-operation failures (lowest task index first).
+/// [`BfvError::ContextMismatch`] for fewer evaluation keys than CRT parts
+/// or a cell of another part count; propagates homomorphic-operation failures (lowest task index first).
 // hesgx-lint: hot
 pub fn he_square_activation(
     sys: &CrtPlainSystem,
@@ -294,6 +300,7 @@ pub fn he_square_activation(
     pool: &ParExec,
 ) -> Result<EncryptedMap> {
     let _prof = hesgx_obs::prof::span("henn.square");
+    sys.check_parts(input.cells())?;
     let (c, h, w) = input.shape();
     let n_cells = input.cells().len();
     let n_parts = sys.part_count();
@@ -776,6 +783,57 @@ mod tests {
                     assert_eq!((counter, tasks()), (OpCounter::default(), before));
                 }
             }
+        }
+    }
+
+    /// A map holding one cell of fewer CRT parts than the system — a
+    /// one-part encryption among two-part cells — is `ContextMismatch`
+    /// from every layer kernel, before an op is counted, at every pool size.
+    #[test]
+    fn every_kernel_refuses_a_cell_of_another_part_count() {
+        let (sys, keys, mut rng) = setups().swap_remove(0);
+        let one = CrtPlainSystem::new(256, &sys.moduli()[..1]).unwrap();
+        let short = one.encrypt(&[5, -2], Encoding::Coeffs, &keys.secret[..1], &mut rng);
+        let short = short.unwrap();
+        let cell = sys.encrypt(&[5, -2], Encoding::Coeffs, &keys.secret, &mut rng);
+        let cell = cell.unwrap();
+        let map = |layout: Layout, (c, h, w): (usize, usize, usize)| {
+            let mut cells = vec![cell.clone(); c * h * w];
+            cells[c * h * w - 1] = short.clone();
+            EncryptedMap::new(c, h, w, cells).with_layout(layout)
+        };
+        let coeff = Layout::Coeff {
+            batch: 2,
+            side: 6,
+            pitch: 6,
+        };
+        let (_, weights, bias) = conv_case();
+        let scalars = WeightBank::prepare(&sys, &weights, &bias).unwrap();
+        let bank = NttBank::conv(&sys, &weights, &bias, 3, 6).unwrap();
+        for threads in POOLS {
+            let pool = ParExec::new(threads);
+            let mut counter = OpCounter::default();
+            let pixel = map(Layout::Pixel, (1, 6, 6));
+            let runs = [
+                he_conv2d(&sys, &pixel, &scalars, 2, (3, 3), &mut counter, &pool),
+                he_linear(
+                    &sys,
+                    &map(coeff, (1, 2, 1)),
+                    &bank,
+                    &[],
+                    &mut counter,
+                    &pool,
+                ),
+                he_scaled_mean_pool(&sys, &pixel, 2, &mut counter, &pool),
+                he_square_activation(&sys, &pixel, &keys.evaluation, &mut counter, &pool),
+            ];
+            for (kernel, run) in runs.into_iter().enumerate() {
+                assert!(
+                    matches!(run, Err(BfvError::ContextMismatch)),
+                    "kernel {kernel}"
+                );
+            }
+            assert_eq!(counter, OpCounter::default());
         }
     }
 
