@@ -177,17 +177,20 @@ step_bench() {
                  END { exit (unpacked || !seen) }' target/bench/smoke.txt
         fi
         # A purehe_12 request (batch of 10) runs in the orbit layout: per CRT
-        # part, 36 public-key encryptions (7 transforms each), 8 squares (25:
-        # every component lifted once) and relinearisations (18), 6 FC
-        # products over coefficient-form pooled cells (4), 15 rotations (16:
-        # two inverse for c1, 14 digit forwards) and 3 logit decryptions (3)
-        # — 869 a part, 1738 for the two. One pixel per ciphertext it is 200
-        # squares a part and 19246 transforms. A silent fall back to the
-        # per-pixel plan (ct x ct multiplies at 200 or more) or any extra
-        # transform must fail here.
+        # part, 36 secret-key encryptions (3 transforms each: the batch
+        # encode and one forward a limb), 8 squares (25: every component
+        # lifted once) and relinearisations (18), 6 FC products over
+        # coefficient-form pooled cells (4), 15 rotations (16: two inverse
+        # for c1, 14 digit forwards) and 3 logit decryptions (3) — 725 a
+        # part, 1450 for the two (869 and 1738 with public-key encryptions
+        # at 7 transforms each). One pixel per ciphertext it is 200 squares
+        # a part (19246 transforms with public-key encryptions). A silent
+        # fall back to the per-pixel plan (ct x ct multiplies at 200 or
+        # more), to public-key encryption, or any extra transform must fail
+        # here.
         if [ "$workload" = purehe_12 ]; then
             awk '$1 == "henn.ops.ct_ct_mul" { squares = 1; if ($2 + 0 >= 200) unpacked = 1 }
-                 $1 == "prof.bfv_ntt_calls" { seen = 1; if ($2 + 0 > 1738) transformed = 1 }
+                 $1 == "prof.bfv_ntt_calls" { seen = 1; if ($2 + 0 > 1450) transformed = 1 }
                  END { exit (unpacked || transformed || !seen || !squares) }' target/bench/smoke.txt
         fi
         # A fig8 request is 180 transforms because whoever holds s encrypts

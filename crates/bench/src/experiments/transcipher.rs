@@ -3,8 +3,8 @@
 //! cannot afford to skip at WAN link speeds).
 //!
 //! The same image batch is served twice per HE pool size: once uploaded the
-//! classic way (FV ciphertexts, one coefficient-encoded ciphertext an image
-//! — hundreds of kilobytes at the paper's geometry), once as a
+//! classic way (FV ciphertexts, one coefficient-encoded ciphertext an image,
+//! each `c0` and a 32-byte seed — 160 KiB at the paper's geometry), once as a
 //! ChaCha20-sealed stream payload that the enclave re-encrypts under FV
 //! behind `ecall_Transcipher` (4 bytes per quantized pixel plus framing —
 //! kilobytes). Three claims are asserted and written to the artifacts:
@@ -13,10 +13,11 @@
 //!    logits at every HE pool size (1/2/4); the in-enclave re-encryption
 //!    decrypts to exactly the pixels the client packed.
 //! 2. **Upload reduction** — the transciphered payload is smaller than the
-//!    FV upload: 14× at the quick geometry and 10× at the paper's against one
-//!    ciphertext an image (50× and 156× against the im2col upload it
-//!    replaced, 203× and 817× against one ciphertext per pixel — the payload
-//!    did not grow, the FV upload shrank).
+//!    FV upload: 7× at the quick geometry and 5× at the paper's against one
+//!    seeded ciphertext an image (14× and 10× with `a` shipped whole, 50×
+//!    and 156× against the im2col upload, 203× and 817× against one
+//!    ciphertext per pixel — the payload did not grow, the FV upload
+//!    shrank).
 //! 3. **Cost reconciliation** — the new ECALL's modeled cost lands in the
 //!    session's books ns-for-ns: folding the recorder's `infer.*.ecall`
 //!    spans (now including `infer.ingress.ecall`) reproduces

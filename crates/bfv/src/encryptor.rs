@@ -1,7 +1,7 @@
 //! Encryption — the paper's `Encrypt(pk, m)` (§II-B), and its secret-key
 //! form for the parties that hold `s` (the user and the inference enclave).
 
-use crate::ciphertext::Ciphertext;
+use crate::ciphertext::{Ciphertext, SeededCiphertext};
 use crate::context::BfvContext;
 use crate::error::Result;
 use crate::keys::{PublicKey, SecretKey};
@@ -113,14 +113,46 @@ impl<K: Borrow<SecretKey>> Encryptor<K> {
     pub fn encrypt_symmetric(&self, plain: &Plaintext, rng: &mut ChaChaRng) -> Result<Ciphertext> {
         let _prof = prof::span("bfv.encrypt");
         plain.check(&self.ctx)?;
-        let ctx = &self.ctx;
-        let a = sampler::uniform_poly(ctx, rng, PolyForm::Ntt);
-        let mut mask = a.mul_pointwise(&self.key.borrow().s, ctx);
-        mask.negate(ctx);
+        let a = sampler::uniform_poly(&self.ctx, rng, PolyForm::Ntt);
         Ok(Ciphertext {
-            polys: vec![self.mask_message(mask, plain, rng), a],
-            context_id: *ctx.id(),
+            polys: vec![self.symmetric_c0(&a, plain, rng), a],
+            context_id: *self.ctx.id(),
         })
+    }
+
+    /// [`Encryptor::encrypt_symmetric`] for the wire: a 32-byte seed drawn
+    /// from `rng` keys the stream `a` is drawn from
+    /// ([`sampler::seeded_uniform_poly`]), and only `c0` and the seed are
+    /// kept — the receiver regenerates `a`
+    /// ([`SeededCiphertext::expand`]). A seed must never repeat under one
+    /// key: two `c0` under one `a` subtract to `Δ·(m − m′) + e − e′`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Encryptor::encrypt_symmetric`].
+    pub fn encrypt_seeded(
+        &self,
+        plain: &Plaintext,
+        rng: &mut ChaChaRng,
+    ) -> Result<SeededCiphertext> {
+        let _prof = prof::span("bfv.encrypt");
+        plain.check(&self.ctx)?;
+        let mut seed = [0u8; 32];
+        rng.fill_bytes(&mut seed);
+        let a = sampler::seeded_uniform_poly(&self.ctx, &seed);
+        Ok(SeededCiphertext {
+            c0: self.symmetric_c0(&a, plain, rng),
+            seed,
+            context_id: *self.ctx.id(),
+        })
+    }
+
+    /// The one body of both secret-key forms: `c0 = −a·s + e + Δ·m` for a
+    /// given evaluation-form `a`, the error drawn from `rng`.
+    fn symmetric_c0(&self, a: &RnsPoly, plain: &Plaintext, rng: &mut ChaChaRng) -> RnsPoly {
+        let mut mask = a.mul_pointwise(&self.key.borrow().s, &self.ctx);
+        mask.negate(&self.ctx);
+        self.mask_message(mask, plain, rng)
     }
 }
 
@@ -230,6 +262,72 @@ mod tests {
             let budget = |ct| dec.invariant_noise_budget(ct).unwrap();
             assert!(budget(&sym) >= budget(&pk), "n = {}", ctx.poly_degree());
         }
+    }
+
+    /// The seeded form is the symmetric one with `a` drawn from the seed's
+    /// stream: the receiver's expansion is bit for bit the `(c0, a)` the
+    /// sender formed, and decrypts exactly; the wire form is `c0` and 32
+    /// bytes; a context of another parameter set is refused.
+    #[test]
+    fn a_seeded_ciphertext_expands_to_the_ciphertext_its_sender_formed() {
+        use crate::{decryptor::Decryptor, encoding::BatchEncoder};
+        let ctx = BfvContext::new(presets::paper_n1024()).unwrap();
+        let mut rng = ChaChaRng::from_seed(19);
+        let keygen = KeyGenerator::new(ctx.clone(), &mut rng);
+        let enc = Encryptor::symmetric(ctx.clone(), keygen.secret_key());
+        let encoder = BatchEncoder::new(ctx.params()).unwrap();
+        let mut slots = vec![0u64; ctx.poly_degree()];
+        rng.fill_below(ctx.params().plain_modulus(), &mut slots);
+        let m = encoder.encode(&slots).unwrap();
+        let (mut sender, mut receiver) = (rng.fork("sender"), rng.fork("sender"));
+        let seeded = enc.encrypt_seeded(&m, &mut receiver).unwrap();
+        let mut seed = [0u8; 32];
+        sender.fill_bytes(&mut seed);
+        let a = sampler::seeded_uniform_poly(&ctx, &seed);
+        let formed = Ciphertext {
+            polys: vec![enc.symmetric_c0(&a, &m, &mut sender), a],
+            context_id: *ctx.id(),
+        };
+        assert_eq!(seeded.seed(), &seed);
+        let expanded = seeded.expand(&ctx).unwrap();
+        assert_eq!(expanded, formed);
+        let dec = Decryptor::new(ctx.clone(), keygen.secret_key());
+        assert_eq!(encoder.decode(&dec.decrypt(&expanded).unwrap()), slots);
+        assert_eq!(seeded.byte_len(), formed.byte_len() / 2 + 32);
+        let other = BfvContext::new(presets::test_n256()).unwrap();
+        assert_eq!(seeded.expand(&other), Err(BfvError::ContextMismatch));
+        let fresh = enc.encrypt_seeded(&m, &mut receiver).unwrap();
+        assert_ne!(fresh.seed(), seeded.seed());
+    }
+
+    /// The negative control of the seed rule: two ciphertexts forced under
+    /// one `a` subtract to `Δ·(m − m′) + e − e′`, and `(c0 − c0′, 0)` then
+    /// decrypts to `m − m′` under any key at all — no `s` needed.
+    #[test]
+    fn a_reused_seed_leaks_the_difference_of_the_messages() {
+        let ctx = BfvContext::new(presets::test_n256()).unwrap();
+        let mut rng = ChaChaRng::from_seed(23);
+        let keygen = KeyGenerator::new(ctx.clone(), &mut rng);
+        let enc = Encryptor::symmetric(ctx.clone(), keygen.secret_key());
+        let t = ctx.params().plain_modulus();
+        let (m, m2): (Vec<u64>, Vec<u64>) = (0..ctx.poly_degree() as u64)
+            .map(|j| ((j * 37 + 5) % t, (j * j + 11) % t))
+            .unzip();
+        let a = sampler::uniform_poly(&ctx, &mut rng, PolyForm::Ntt);
+        let c0 = enc.symmetric_c0(&a, &Plaintext::from_coeffs(m.clone()), &mut rng);
+        let c0b = enc.symmetric_c0(&a, &Plaintext::from_coeffs(m2.clone()), &mut rng);
+        let mut diff = c0b;
+        diff.negate(&ctx);
+        diff.add_assign(&c0, &ctx);
+        let leaked = Ciphertext {
+            polys: vec![diff, RnsPoly::zero(&ctx, PolyForm::Ntt)],
+            context_id: *ctx.id(),
+        };
+        let stranger = KeyGenerator::new(ctx.clone(), &mut ChaChaRng::from_seed(99));
+        let dec = crate::decryptor::Decryptor::new(ctx.clone(), stranger.secret_key());
+        let got = dec.decrypt(&leaked).unwrap();
+        let want: Vec<u64> = m.iter().zip(&m2).map(|(&x, &y)| (x + t - y) % t).collect();
+        assert_eq!(got.coeffs()[..want.len()], want[..]);
     }
 
     #[test]

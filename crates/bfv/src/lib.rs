@@ -76,7 +76,7 @@ mod tensor;
 
 /// Convenient glob-import of the main types.
 pub mod prelude {
-    pub use crate::ciphertext::Ciphertext;
+    pub use crate::ciphertext::{Ciphertext, SeededCiphertext};
     pub use crate::context::BfvContext;
     pub use crate::decryptor::Decryptor;
     pub use crate::encoding::BatchEncoder;

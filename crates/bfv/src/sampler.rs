@@ -19,6 +19,14 @@ pub fn uniform_poly(ctx: &BfvContext, rng: &mut ChaChaRng, form: PolyForm) -> Rn
     poly
 }
 
+/// The uniform `a` of a seeded ciphertext: [`uniform_poly`] in evaluation
+/// form from the ChaCha20 stream keyed by `seed` — the one expansion rule of
+/// the sender ([`crate::encryptor::Encryptor::encrypt_seeded`]) and the
+/// receiver ([`crate::ciphertext::SeededCiphertext::expand`]).
+pub fn seeded_uniform_poly(ctx: &BfvContext, seed: &[u8; 32]) -> RnsPoly {
+    uniform_poly(ctx, &mut ChaChaRng::from_key(*seed), PolyForm::Ntt)
+}
+
 /// Samples a ternary polynomial with coefficients in `{-1, 0, 1}` — the FV
 /// secret-key distribution. Consumes 2 keystream bits per accepted trit
 /// (rejecting the `0b11` pattern) instead of a full word.

@@ -8,7 +8,7 @@
 //! kind, structural sanity (limb counts, degrees), and — through the context
 //! id — that the artifact belongs to the parameter set it is used with.
 
-use crate::ciphertext::Ciphertext;
+use crate::ciphertext::{Ciphertext, SeededCiphertext};
 use crate::context::BfvContext;
 use crate::error::{BfvError, Result};
 use crate::keys::{PublicKey, SecretKey};
@@ -26,6 +26,7 @@ enum Kind {
     PublicKey = 2,
     SecretKey = 3,
     Plaintext = 4,
+    SeededCiphertext = 5,
 }
 
 impl Kind {
@@ -35,6 +36,7 @@ impl Kind {
             2 => Some(Kind::PublicKey),
             3 => Some(Kind::SecretKey),
             4 => Some(Kind::Plaintext),
+            5 => Some(Kind::SeededCiphertext),
             _ => None,
         }
     }
@@ -156,6 +158,14 @@ impl<'a> Reader<'a> {
         Ok(RnsPoly { limbs, form })
     }
 
+    fn bytes32(&mut self) -> Result<[u8; 32]> {
+        let end = self.pos + 32;
+        let bytes = self.data.get(self.pos..end);
+        let bytes = bytes.ok_or(BfvError::InvalidCiphertextSize(self.pos))?;
+        self.pos = end;
+        Ok(bytes.try_into().expect("32 bytes"))
+    }
+
     fn done(&self) -> Result<()> {
         if self.pos == self.data.len() {
             Ok(())
@@ -196,6 +206,38 @@ pub fn ciphertext_from_bytes(ctx: &BfvContext, data: &[u8]) -> Result<Ciphertext
     r.done()?;
     Ok(Ciphertext {
         polys,
+        context_id: id,
+    })
+}
+
+/// Serializes a seeded ciphertext: `c0`, then the 32-byte seed.
+pub fn seeded_ciphertext_to_bytes(ct: &SeededCiphertext) -> Vec<u8> {
+    let mut w = Writer::new(Kind::SeededCiphertext, ct.context_id());
+    w.poly(&ct.c0);
+    w.buf.extend_from_slice(ct.seed());
+    w.finish()
+}
+
+/// Deserializes a seeded ciphertext bound to `ctx`.
+///
+/// # Errors
+///
+/// Fails on malformed input, unreduced residues, a `c0` not in evaluation
+/// form, or a context mismatch.
+pub fn seeded_ciphertext_from_bytes(ctx: &BfvContext, data: &[u8]) -> Result<SeededCiphertext> {
+    let (mut r, id) = Reader::new(data, Kind::SeededCiphertext)?;
+    if &id != ctx.id() {
+        return Err(BfvError::ContextMismatch);
+    }
+    let c0 = r.poly(ctx)?;
+    if c0.form() != PolyForm::Ntt {
+        return Err(BfvError::InvalidCiphertextSize(0));
+    }
+    let seed = r.bytes32()?;
+    r.done()?;
+    Ok(SeededCiphertext {
+        c0,
+        seed,
         context_id: id,
     })
 }
@@ -306,6 +348,27 @@ mod tests {
         let restored = ciphertext_from_bytes(&ctx, &bytes).unwrap();
         assert_eq!(restored, ct);
         assert_eq!(dec.decrypt(&restored).unwrap().coeffs()[0], 321);
+    }
+
+    #[test]
+    fn seeded_ciphertext_roundtrip_expands_and_decrypts() {
+        let (ctx, _, dec, _, _, sk) = setup();
+        let mut rng = ChaChaRng::from_seed(57);
+        let enc = Encryptor::symmetric(ctx.clone(), sk);
+        let seeded = enc
+            .encrypt_seeded(&Plaintext::constant(99), &mut rng)
+            .unwrap();
+        let bytes = seeded_ciphertext_to_bytes(&seeded);
+        assert_eq!(
+            bytes.len(),
+            37 + 1 + 8 + ctx.limb_count() * (8 + 8 * 256) + 32
+        );
+        let restored = seeded_ciphertext_from_bytes(&ctx, &bytes).unwrap();
+        assert_eq!(restored, seeded);
+        let ct = restored.expand(&ctx).unwrap();
+        assert_eq!(dec.decrypt(&ct).unwrap().coeffs()[0], 99);
+        assert!(ciphertext_from_bytes(&ctx, &bytes).is_err());
+        assert!(seeded_ciphertext_from_bytes(&ctx, &ciphertext_to_bytes(&ct)).is_err());
     }
 
     #[test]

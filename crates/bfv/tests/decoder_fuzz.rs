@@ -19,8 +19,9 @@ const HEADER: usize = 37;
 
 struct Fixture {
     ctx: Arc<BfvContext>,
-    /// Valid encodings: ciphertext, public key, secret key, plaintext.
-    valid: [Vec<u8>; 4],
+    /// Valid encodings: ciphertext, public key, secret key, plaintext,
+    /// seeded ciphertext.
+    valid: [Vec<u8>; 5],
     /// A valid ciphertext of mixed form: `c0` in evaluation form, `c1` in
     /// coefficient form (see [`mixed_form`]).
     mixed: Vec<u8>,
@@ -38,15 +39,16 @@ fn fixture() -> &'static Fixture {
         let ct = Encryptor::new(ctx.clone(), keygen.public_key())
             .encrypt(&plain, &mut rng)
             .unwrap();
-        let sym = Encryptor::symmetric(ctx.clone(), keygen.secret_key())
-            .encrypt_symmetric(&plain, &mut rng)
-            .unwrap();
+        let symmetric = Encryptor::symmetric(ctx.clone(), keygen.secret_key());
+        let sym = symmetric.encrypt_symmetric(&plain, &mut rng).unwrap();
+        let seeded = symmetric.encrypt_seeded(&plain, &mut rng).unwrap();
         Fixture {
             valid: [
                 ciphertext_to_bytes(&ct),
                 public_key_to_bytes(&keygen.public_key()),
                 secret_key_to_bytes(&keygen.secret_key()),
                 plaintext_to_bytes(&plain),
+                seeded_ciphertext_to_bytes(&seeded),
             ],
             mixed: mixed_form(&ctx, ciphertext_to_bytes(&sym)),
             plain,
@@ -106,6 +108,12 @@ fn decode(kind: usize, data: &[u8]) -> Result<(), BfvError> {
         0 => ciphertext_to_bytes(&ciphertext_from_bytes(ctx, data)?),
         1 => public_key_to_bytes(&public_key_from_bytes(ctx, data)?),
         2 => secret_key_to_bytes(&secret_key_from_bytes(ctx, data)?),
+        4 => {
+            let seeded = seeded_ciphertext_from_bytes(ctx, data)?;
+            // What the decoder accepts, the receiver can expand.
+            assert!(seeded.expand(ctx).is_ok());
+            seeded_ciphertext_to_bytes(&seeded)
+        }
         _ => {
             let pt = plaintext_from_bytes(ctx, data)?;
             let t = ctx.params().plain_modulus();
@@ -131,7 +139,7 @@ fn residue_at_or_above_its_limb_modulus_is_rejected() {
     let f = fixture();
     let n = f.ctx.poly_degree();
     // (decoder, bytes before the first polynomial, polynomial count)
-    for (kind, prefix, polys) in [(0, 8, 2), (1, 0, 2), (2, 0, 1)] {
+    for (kind, prefix, polys) in [(0, 8, 2), (1, 0, 2), (2, 0, 1), (4, 0, 1)] {
         for poly in 0..polys {
             for (limb, &qi) in f.ctx.params().coeff_moduli().iter().enumerate() {
                 for j in [0, n / 2, n - 1] {
@@ -153,18 +161,50 @@ fn residue_at_or_above_its_limb_modulus_is_rejected() {
     }
 }
 
+/// The seeded ciphertext's own refusals: a `c0` relabelled to coefficient
+/// form, a context id or limb count of another parameter set, a seed cut
+/// short — each an `Err`, and another kind's bytes are not a seeded one.
+#[test]
+fn a_seeded_ciphertext_of_another_form_context_or_length_is_refused() {
+    let f = fixture();
+    let valid = &f.valid[4];
+    let mut coeff = valid.clone();
+    assert_eq!(coeff[HEADER], 1, "c0 in evaluation form");
+    coeff[HEADER] = 0;
+    assert!(decode(4, &coeff).is_err());
+    let mut foreign = valid.clone();
+    foreign[5] ^= 1;
+    assert_eq!(decode(4, &foreign), Err(BfvError::ContextMismatch));
+    let other = BfvContext::new(presets::paper_n1024()).unwrap();
+    assert_eq!(
+        seeded_ciphertext_from_bytes(&other, valid),
+        Err(BfvError::ContextMismatch)
+    );
+    let mut limbs = valid.clone();
+    limbs[HEADER + 1..HEADER + 9].copy_from_slice(&3u64.to_le_bytes());
+    assert_eq!(decode(4, &limbs), Err(BfvError::ContextMismatch));
+    for cut in [1, 31, 32] {
+        assert!(decode(4, &valid[..valid.len() - cut]).is_err(), "cut {cut}");
+    }
+    for kind in 0..4 {
+        assert!(decode(4, &f.valid[kind]).is_err(), "kind {kind}");
+        assert!(decode(kind, valid).is_err(), "kind {kind}");
+    }
+}
+
 #[test]
 fn oversized_length_prefixes_fail_before_any_allocation() {
     // Every length field set to values whose allocation would abort the
     // process if it were attempted before the bound check.
     let f = fixture();
     let huge = [u64::MAX, 1 << 60, 1 << 40, f.ctx.poly_degree() as u64 + 1];
-    for kind in 0..4 {
-        // Ciphertext: size, then (form, limb count, limb length); keys: limb
-        // count at +1, limb length at +9; plaintext: coefficient count.
+    for kind in 0..5 {
+        // Ciphertext: size, then (form, limb count, limb length); keys and
+        // the seeded ciphertext: limb count at +1, limb length at +9;
+        // plaintext: coefficient count.
         let fields: &[usize] = match kind {
             0 => &[0, 9, 17],
-            1 | 2 => &[1, 9],
+            1 | 2 | 4 => &[1, 9],
             _ => &[0],
         };
         for &field in fields {
@@ -191,7 +231,7 @@ proptest! {
         body in proptest::collection::vec(any::<u8>(), 0..4096usize),
         with_header in any::<bool>(),
     ) {
-        for kind in 0..4 {
+        for kind in 0..5 {
             // Half the cases get a valid magic/kind/context-id so the body
             // reaches the structural checks instead of dying at the magic.
             let mut data = Vec::new();

@@ -66,7 +66,7 @@ use crate::request::{InferRequest, InferResponse, Ingress, Resilience};
 use hesgx_chaos::{FaultHook, FaultInjector, FaultPlan, FaultReport, RecoveryEvent};
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_crypto::transcipher::IngressKey;
-use hesgx_henn::image::{EncryptedMap, Layout};
+use hesgx_henn::image::{EncryptedMap, Layout, SeededMap};
 use hesgx_henn::par::ParExec;
 use hesgx_nn::layers::ActivationKind;
 use hesgx_nn::quantize::{QuantizedCnn, MAX_PIXEL};
@@ -381,9 +381,9 @@ impl Session {
             let batch = request.images.len();
             let (enc, bytes, stage) = match request.ingress {
                 Ingress::FvCiphertext => {
-                    let enc = self.encrypt_batch(&request.images, Placement::Hybrid)?;
-                    let bytes = enc.byte_len() as u64;
-                    (enc, bytes, None)
+                    let upload = self.encrypt_batch(&request.images, Placement::Hybrid)?;
+                    let bytes = upload.byte_len() as u64;
+                    (self.expand(upload)?, bytes, None)
                 }
                 Ingress::Transciphered => self.transcipher_batch(&request.images)?,
             };
@@ -495,10 +495,15 @@ impl Session {
                         // That plan reads a per-pixel map as it is; a
                         // coefficient-encoded one re-enters once, in the
                         // layout the plan asks for.
-                        let reingested = matches!(enc.layout(), Layout::Coeff { .. })
-                            .then(|| self.encrypt_batch(&request.images, Placement::PureHe))
-                            .transpose()?;
-                        *upload_bytes += reingested.as_ref().map_or(0, |map| map.byte_len() as u64);
+                        let reingested = match enc.layout() {
+                            Layout::Coeff { .. } => {
+                                let upload =
+                                    self.encrypt_batch(&request.images, Placement::PureHe)?;
+                                *upload_bytes += upload.byte_len() as u64;
+                                Some(self.expand(upload)?)
+                            }
+                            _ => None,
+                        };
                         let enc = reingested.as_ref().unwrap_or(enc);
                         let (rows, metrics) = self.run_plan(Placement::PureHe, enc, batch)?;
                         self.recorder().incr(counters::SERVED_DEGRADED, 1);
@@ -546,8 +551,9 @@ impl Session {
     /// The client role of FV-ciphertext ingress: encrypts a batch
     /// [`Session::check_batch`] has validated in the ingress layout of the
     /// service's plan for `placement`, under the user's copy of the secret
-    /// keys (evaluation form, DESIGN.md §19), booking the upload.
-    fn encrypt_batch(&self, images: &[Vec<i64>], placement: Placement) -> Result<EncryptedMap> {
+    /// keys, seeded (`c0` and a 32-byte seed a cell part, DESIGN.md §19),
+    /// booking the upload.
+    fn encrypt_batch(&self, images: &[Vec<i64>], placement: Placement) -> Result<SeededMap> {
         self.scoped("session.encrypt", || {
             let service = self.service.read();
             let (sys, model) = (service.system(), service.model());
@@ -556,7 +562,7 @@ impl Session {
             // A fresh base per batch (batches never share randomness); the
             // cells fork it, so their streams stay scheduling-independent.
             let batch_rng = self.rng.lock().fork_next("batch");
-            let enc = EncryptedMap::encrypt_images(
+            let upload = SeededMap::encrypt_images(
                 sys,
                 images,
                 model.in_side,
@@ -566,9 +572,17 @@ impl Session {
                 service.pool(),
             )?;
             self.recorder()
-                .incr(counters::INGRESS_UPLOAD_BYTES, enc.byte_len() as u64);
-            Ok(enc)
+                .incr(counters::INGRESS_UPLOAD_BYTES, upload.byte_len() as u64);
+            Ok(upload)
         })
+    }
+
+    /// The host role of FV-ciphertext ingress: the uploaded batch, every
+    /// part's `a` regenerated from its seed on the service's pool — the one
+    /// map the pipeline reads. The upload is gone once the map exists.
+    fn expand(&self, upload: SeededMap) -> Result<EncryptedMap> {
+        let service = self.service.read();
+        Ok(upload.expand(service.system(), service.pool())?)
     }
 
     /// Decrypts the logits map into one row per batched image.
@@ -682,8 +696,13 @@ mod tests {
     }
 
     /// The client role of FV-ciphertext ingress, in the layout `serve` picks.
-    fn client_batch(session: &Session, images: &[Vec<i64>]) -> EncryptedMap {
+    fn client_upload(session: &Session, images: &[Vec<i64>]) -> SeededMap {
         session.encrypt_batch(images, Placement::Hybrid).unwrap()
+    }
+
+    /// The map the host expands a client's upload into.
+    fn client_batch(session: &Session, images: &[Vec<i64>]) -> EncryptedMap {
+        session.expand(client_upload(session, images)).unwrap()
     }
 
     fn build(threads: usize, seed: u64) -> Session {
@@ -989,10 +1008,20 @@ mod tests {
                 .map(|bytes| bytes[bytes.len() - 8 * 256..].to_vec())
                 .collect()
         };
+        // Every seed a client upload carries, one a cell part.
+        let seeds = |upload: &SeededMap| -> Vec<[u8; 32]> {
+            let cells = upload.cells().iter();
+            cells
+                .flat_map(|ct| (0..ct.part_count()).map(|p| *ct.part(p).seed()))
+                .collect()
+        };
         // The client role: each worker's first batch and first payload, and
-        // worker 0's second batch.
-        let (enc0, enc1) = (client_batch(&w0, &images), client_batch(&w1, &images));
-        let mut seen = [c1(&enc0), c1(&enc1), c1(&client_batch(&w0, &images))].concat();
+        // worker 0's second batch — its seeds, and the `a` the host expands.
+        let (up0, up1) = (client_upload(&w0, &images), client_upload(&w1, &images));
+        let up2 = client_upload(&w0, &images);
+        let mut sent = [seeds(&up0), seeds(&up1), seeds(&up2)].concat();
+        let (enc0, enc1) = (w0.expand(up0).unwrap(), w1.expand(up1).unwrap());
+        let mut seen = [c1(&enc0), c1(&enc1), c1(&w0.expand(up2).unwrap())].concat();
         seen.push(w0.seal_batch(&images).unwrap());
         seen.push(w1.seal_batch(&images).unwrap());
         // What the transcipher-ingress ECALL emits.
@@ -1039,6 +1068,63 @@ mod tests {
         seen.sort();
         seen.dedup();
         assert_eq!(seen.len(), total, "a mask or nonce was used twice");
+        // The re-provisioned successor's client keeps drawing fresh seeds.
+        sent.extend(seeds(&client_upload(&w0, &images)));
+        let total = sent.len();
+        sent.sort_unstable();
+        sent.dedup();
+        assert_eq!(sent.len(), total, "a seed was sent twice");
+    }
+
+    /// The host's half of FV ingress: a client upload — the `Coeff` batch
+    /// of the exact plan, and the orbit batch the degraded rung re-sends —
+    /// expands to one map at pools 1, 2 and 4, each part the `c0` that
+    /// travelled and the `a` its seed gives, and that map runs exact.
+    #[test]
+    fn an_upload_expands_bit_identically_on_every_pool() {
+        let deep = QuantizedCnn {
+            act_scale: 1 << 23,
+            ..small_model()
+        };
+        let session = SessionBuilder::new()
+            .params(ParamsPreset::Small)
+            .threads(1)
+            .seed(18)
+            .build(Platform::new(48), deep.clone())
+            .unwrap();
+        let image: Vec<i64> = (0..64).map(|p| ((p * 7) % 16) as i64).collect();
+        for placement in [Placement::Hybrid, Placement::PureHe] {
+            let upload = session
+                .encrypt_batch(std::slice::from_ref(&image), placement)
+                .unwrap();
+            let service = session.service();
+            let sys = service.system();
+            let map = upload.clone().expand(sys, &ParExec::serial()).unwrap();
+            for threads in [2, 4] {
+                let pool = ParExec::new(threads);
+                assert_eq!(upload.clone().expand(sys, &pool).unwrap(), map);
+            }
+            for (seeded, cell) in upload.cells().iter().zip(map.cells()) {
+                for (part, ctx) in sys.contexts().iter().enumerate() {
+                    assert_eq!(&seeded.part(part).expand(ctx).unwrap(), cell.part(part));
+                }
+            }
+            let plan = match placement {
+                Placement::Hybrid => service.plan(),
+                Placement::PureHe => service.degraded_plan().expect("the deep model has one"),
+            };
+            let (logits, _) = service.run(plan, &map).unwrap();
+            drop(service);
+            let want = match placement {
+                Placement::Hybrid => deep.forward_ints(&image),
+                Placement::PureHe => QuantizedCnn {
+                    pipeline: QuantPipeline::CryptoNets,
+                    ..deep.clone()
+                }
+                .forward_ints(&image),
+            };
+            assert_eq!(session.decrypt_logits(&logits, 1).unwrap(), vec![want]);
+        }
     }
 
     #[test]
@@ -1082,12 +1168,13 @@ mod tests {
         // plan cannot read that, so the rung re-ingested it in the orbit
         // layout (9 offsets × 4 window members) and the response owns up to
         // both uploads.
-        let fresh = session.service().system().fresh_ciphertext_byte_len() as u64;
-        assert_eq!(response.upload_bytes, (1 + 36) * fresh);
+        let seeded = session.service().system().seeded_ciphertext_byte_len() as u64;
+        assert_eq!(response.upload_bytes, (1 + 36) * seeded);
         {
-            let enc = session
+            let upload = session
                 .encrypt_batch(std::slice::from_ref(&image), Placement::PureHe)
                 .unwrap();
+            let enc = session.expand(upload).unwrap();
             assert_eq!(enc.cells().len(), 36);
             let service = session.service();
             let plan = service.degraded_plan().expect("the deep model has one");

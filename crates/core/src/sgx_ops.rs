@@ -41,6 +41,7 @@ use hesgx_tee::error::TeeError;
 use hesgx_tee::wall::WallTimer;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The inference enclave: a TEE instance holding the FV secret keys, able to
 /// decrypt → compute → re-encrypt.
@@ -56,7 +57,16 @@ pub struct InferenceEnclave {
     /// transforms (the fork itself never advances the parent stream, so
     /// without this two calls would reuse one stream).
     calls: AtomicU64,
+    /// The packed crossings' gather indices by [`GatherKey`], most recently
+    /// used first; past `slots²` slot entries (the values of the largest
+    /// packed map, `n` cells of `n` slots) the least recently used go.
+    gathers: Mutex<Vec<(GatherKey, Arc<Gather>)>>,
 }
+
+/// What a packed crossing's [`Gather`] is a function of: the input's layout
+/// and cell shape, the slot count, and the `sy × sx` block of input
+/// positions behind one output (the chain's pooling and reduction).
+type GatherKey = (Layout, (usize, usize, usize), usize, (usize, usize));
 
 /// The boundary shape of one batched ECALL — what
 /// [`InferenceEnclave::batched_ecall`] needs besides the body.
@@ -139,10 +149,11 @@ fn fold(chain: &[EnclaveOp], model: &QuantizedCnn, block: &mut [i64]) -> i64 {
     block[0]
 }
 
-/// The gather index of a packed crossing, built once from its slot map:
-/// where every block's members sit, and which blocks lie in each input
-/// cell — all a cell's task needs to decrypt only what its blocks read.
-#[derive(Default)]
+/// The gather index of a packed crossing, built from its slot map once per
+/// [`GatherKey`] the enclave serves: where every block's members sit, and
+/// which blocks lie in each input cell — all a cell's task needs to decrypt
+/// only what its blocks read.
+#[derive(Debug, Default)]
 struct Gather {
     /// Members a block.
     area: usize,
@@ -224,7 +235,32 @@ impl InferenceEnclave {
             public,
             rng: Mutex::new(rng),
             calls: AtomicU64::new(0),
+            gathers: Mutex::default(),
         }
+    }
+
+    /// The cached gather index of `key`, else `build`'s, cached — `None`
+    /// (and nothing cached) when `build` refuses.
+    fn gather(
+        &self,
+        key: GatherKey,
+        build: impl FnOnce() -> Option<Gather>,
+    ) -> Option<Arc<Gather>> {
+        let mut gathers = self.gathers.lock();
+        let gather = match gathers.iter().position(|(cached, _)| *cached == key) {
+            Some(at) => gathers.remove(at).1,
+            None => {
+                let _prof = prof::span("ecall.gather");
+                Arc::new(build()?)
+            }
+        };
+        gathers.insert(0, (key, gather.clone()));
+        let (budget, mut held) = (key.2 * key.2, 0);
+        gathers.retain(|(_, gather)| {
+            held += gather.slots.len();
+            held <= budget
+        });
+        Some(gather)
     }
 
     /// The underlying simulated enclave.
@@ -344,8 +380,8 @@ impl InferenceEnclave {
     /// is decrypted cell by cell inside the task that emits the outputs it
     /// feeds. A packed input (`Coeff`, `FcOperand`) makes one pass per
     /// cell: one task decrypts it — scaling and rounding only the
-    /// coefficients a gather index, built once per crossing from its
-    /// [`SlotMap`], says its blocks read — folds every block that lies in
+    /// coefficients a gather index, built from its [`SlotMap`] on the first
+    /// crossing of its geometry and kept, says its blocks read — folds every block that lies in
     /// it, image by image, and leaves the outputs in an `outputs × images`
     /// buffer the emitting tasks scatter from. The enclave is the
     /// repacker: it emits `emit`, the layout the next layer reads — one
@@ -474,10 +510,14 @@ impl InferenceEnclave {
         let corner = |o: usize| (o / (oh * ow), o / ow % oh * sy * w + o % ow * sx);
         let step: Vec<usize> = (0..area).map(|d| d / sx * w + d % sx).collect();
         sys.check_parts(input.cells()).map_err(|_| refuse())?;
+        // The gather index: built on a crossing's first request, its build
+        // charged to that request alone.
         let started = WallTimer::start();
         let gather = match packed {
-            true => Gather::new(&read, input.cells().len(), outputs, &step, corner),
-            false => Some(Gather::default()),
+            true => self.gather((input.layout(), input.shape(), slots, (sy, sx)), || {
+                Gather::new(&read, input.cells().len(), outputs, &step, corner)
+            }),
+            false => Some(Arc::default()),
         };
         let gather = gather.ok_or_else(refuse)?;
         let index_ns = started.elapsed_ns();
@@ -1063,6 +1103,43 @@ mod tests {
         batch: 3,
         inputs: 85,
     };
+
+    /// A packed crossing's gather index is built on the first request of its
+    /// geometry only: a second identical request finds it cached — nothing
+    /// rebuilt — and emits the bits a cold build emits at that call; a map
+    /// of another geometry gets an index of its own beside it.
+    #[test]
+    fn a_second_identical_crossing_reuses_its_gather_index() {
+        let model = small_model();
+        let chain = [
+            EnclaveOp::Activation(ActivationKind::Sigmoid),
+            EnclaveOp::MeanPool,
+        ];
+        let run = |ie: &InferenceEnclave, sys: &CrtPlainSystem, input: &EncryptedMap| {
+            let (batched, pool) = (EcallBatching::Batched, ParExec::new(2));
+            let out = ie.apply(&chain, sys, &model, input, batched, Layout::Pixel, &pool);
+            out.unwrap().0
+        };
+        let (warm, sys, rng) = setup();
+        let input = table_input(&warm, &sys, &rng, LAYOUTS[1]);
+        run(&warm, &sys, &input);
+        let built = warm.gathers.lock()[0].1.clone();
+        let second = run(&warm, &sys, &input);
+        {
+            let gathers = warm.gathers.lock();
+            assert_eq!(gathers.len(), 1);
+            assert!(Arc::ptr_eq(&gathers[0].1, &built), "the index was rebuilt");
+        }
+        let (cold, sys, rng) = setup();
+        let input = table_input(&cold, &sys, &rng, LAYOUTS[1]);
+        run(&cold, &sys, &input);
+        cold.gathers.lock().clear();
+        assert_eq!(run(&cold, &sys, &input), second);
+        run(&warm, &sys, &table_input(&warm, &sys, &rng, LAYOUTS[2]));
+        let gathers = warm.gathers.lock();
+        assert_eq!(gathers.len(), 2);
+        assert!(Arc::ptr_eq(&gathers[1].1, &built));
+    }
 
     /// Partial sum `j` of (class, image).
     fn partial(class: usize, image: usize, j: usize) -> i64 {

@@ -238,10 +238,11 @@ fn exhausted_budget_degrades_instead_of_failing() {
             let layout = plan.ingress_layout(&model, 1, 256);
             let cells = layout.ingress_cells(model.in_side, 256) as u64;
             assert_eq!(cells, 36, "{layout:?}");
-            let fresh = service.system().fresh_ciphertext_byte_len() as u64;
+            // The rung re-sends the batch as seeded cells: c0 and a seed.
+            let seeded = service.system().seeded_ciphertext_byte_len() as u64;
             assert_eq!(
                 response.upload_bytes,
-                exact.upload_bytes + cells * fresh,
+                exact.upload_bytes + cells * seeded,
                 "{what}"
             );
             // The same plan over a hand-encrypted orbit map: its logit

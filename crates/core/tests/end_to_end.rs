@@ -455,9 +455,9 @@ fn both_layouts_serve_identical_logits_at_every_batch_edge() {
                 .build(Platform::new(920), model.clone())
                 .unwrap();
             let service = session.service();
-            let (sys, fresh) = (
+            let (sys, seeded) = (
                 service.system(),
-                service.system().fresh_ciphertext_byte_len(),
+                service.system().seeded_ciphertext_byte_len(),
             );
             let ruled = service.ingress_layout(batch);
             assert_eq!(
@@ -477,7 +477,7 @@ fn both_layouts_serve_identical_logits_at_every_batch_edge() {
                 assert_eq!(response.metrics.stages.len(), stages, "{what} {ingress:?}");
                 if ingress == Ingress::FvCiphertext {
                     let cells = ruled.ingress_cells(8, 256);
-                    assert_eq!(response.upload_bytes, (cells * fresh) as u64, "{what}");
+                    assert_eq!(response.upload_bytes, (cells * seeded) as u64, "{what}");
                 }
             }
             let by_hand = [Layout::Pixel, coeff].map(|layout| {
@@ -594,8 +594,11 @@ fn packed_paper_request_pins_its_op_counts() {
         ),
         (130, 70, 60)
     );
+    // Ten coefficient-encoded cells uploaded seeded (c0 and a 32-byte seed
+    // a cell); the crossings below marshal whole ciphertexts.
+    let seeded = session.service().system().seeded_ciphertext_byte_len() as u64;
+    assert_eq!(response.upload_bytes, 10 * seeded);
     let fresh = session.service().system().fresh_ciphertext_byte_len() as u64;
-    assert_eq!(response.upload_bytes, 10 * fresh);
     // Two crossings: 50 conv cells in and 8 operand cells out, then the
     // FC's 10 cells in and the one logits ciphertext out.
     assert_eq!(

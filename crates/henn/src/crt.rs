@@ -48,6 +48,34 @@ impl CrtCiphertext {
     }
 }
 
+/// A logical ciphertext on the wire: one [`SeededCiphertext`] per plaintext
+/// modulus, each with a seed of its own ([`CrtPlainSystem::encrypt_seeded`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CrtSeededCiphertext {
+    pub(crate) parts: Vec<SeededCiphertext>,
+}
+
+impl CrtSeededCiphertext {
+    /// Number of CRT parts.
+    pub fn part_count(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// Borrows one component (for serialization / auditing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.part_count()`.
+    pub fn part(&self, i: usize) -> &SeededCiphertext {
+        &self.parts[i]
+    }
+
+    /// Bytes on the wire: `c0` and 32 bytes of seed a part.
+    pub fn byte_len(&self) -> usize {
+        self.parts.iter().map(|c| c.byte_len()).sum()
+    }
+}
+
 /// A scalar weight prepared for every CRT part: the per-part `rem_euclid`
 /// centering plus the per-limb Shoup precomputation that
 /// [`CrtPlainSystem::mul_scalar`] redoes on every call, hoisted to
@@ -295,12 +323,46 @@ impl CrtPlainSystem {
         keys: &[K],
         rng: &mut ChaChaRng,
     ) -> hesgx_bfv::error::Result<CrtCiphertext> {
+        let parts = self.encrypt_parts(values, encoding, |i, pt| {
+            part_key(keys, i)?.encrypt(&self.contexts[i], pt, rng)
+        })?;
+        Ok(CrtCiphertext { parts })
+    }
+
+    /// [`CrtPlainSystem::encrypt`] under the secret keys for the wire: a
+    /// seeded ciphertext a part ([`Encryptor::encrypt_seeded`]), each part's
+    /// seed drawn from `rng` in turn.
+    ///
+    /// # Errors
+    ///
+    /// As [`CrtPlainSystem::encrypt`].
+    pub fn encrypt_seeded(
+        &self,
+        values: &[i64],
+        encoding: Encoding,
+        secret: &[SecretKey],
+        rng: &mut ChaChaRng,
+    ) -> hesgx_bfv::error::Result<CrtSeededCiphertext> {
+        let parts = self.encrypt_parts(values, encoding, |i, pt| {
+            Encryptor::symmetric(self.contexts[i].clone(), part_key(secret, i)?)
+                .encrypt_seeded(pt, rng)
+        })?;
+        Ok(CrtSeededCiphertext { parts })
+    }
+
+    /// `values` encoded for every part and encrypted part by part.
+    fn encrypt_parts<T>(
+        &self,
+        values: &[i64],
+        encoding: Encoding,
+        mut encrypt: impl FnMut(usize, &Plaintext) -> hesgx_bfv::error::Result<T>,
+    ) -> hesgx_bfv::error::Result<Vec<T>> {
         let plain = self.encode(values, encoding)?;
-        let parts = plain.iter().enumerate();
-        let parts = parts.map(|(i, pt)| part_key(keys, i)?.encrypt(&self.contexts[i], pt, rng));
-        Ok(CrtCiphertext {
-            parts: parts.collect::<hesgx_bfv::error::Result<_>>()?,
-        })
+        plain
+            .iter()
+            .enumerate()
+            .map(|(i, pt)| encrypt(i, pt))
+            .collect()
     }
 
     /// [`CrtCiphertext::byte_len`] of a fresh (size-2) ciphertext: a
@@ -310,6 +372,12 @@ impl CrtPlainSystem {
             .iter()
             .map(|ctx| 2 * ctx.limb_count() * ctx.poly_degree() * 8)
             .sum()
+    }
+
+    /// [`CrtSeededCiphertext::byte_len`]: half a fresh ciphertext and 32
+    /// bytes of seed a part.
+    pub fn seeded_ciphertext_byte_len(&self) -> usize {
+        self.fresh_ciphertext_byte_len() / 2 + 32 * self.part_count()
     }
 
     /// [`BfvError::ContextMismatch`] unless every cell carries one part per

@@ -99,7 +99,10 @@ impl CryptoNets {
         self.he.model()
     }
 
-    /// Encrypts a batch of quantized images in [`Layout::for_orbit`]'s layout.
+    /// Encrypts a batch of quantized images in [`Layout::for_orbit`]'s layout
+    /// under the secret keys — the caller holds `s`, so the cells are
+    /// evaluation-form symmetric ciphertexts (three transforms a cell part
+    /// instead of seven).
     ///
     /// # Errors
     ///
@@ -126,7 +129,7 @@ impl CryptoNets {
             images,
             m.in_side,
             layout,
-            &keys.public,
+            &keys.secret,
             &batch_rng,
             self.he.pool(),
         )

@@ -12,7 +12,7 @@
 //! `Layout::for_*` pick the fewer (DESIGN.md §6), and one rule, [`SlotMap`],
 //! places every value for encoders and decoders.
 
-use crate::crt::{CrtCiphertext, CrtPlainSystem, Encoding};
+use crate::crt::{CrtCiphertext, CrtPlainSystem, CrtSeededCiphertext, Encoding};
 use crate::par::ParExec;
 use hesgx_bfv::encoding::matrix_index_map;
 use hesgx_bfv::error::{BfvError, Result};
@@ -502,11 +502,8 @@ impl EncryptedMap {
         rng: &ChaChaRng,
         pool: &ParExec,
     ) -> Result<EncryptedMap> {
-        let base = rng.fork("enc-map");
-        let packed = layout.pack(images, side, sys.slot_count())?;
-        let cells = pool.try_run(packed.len(), |cell| {
-            let mut cell_rng = base.fork(&format!("enc-cell-{cell}"));
-            sys.encrypt(&packed[cell], layout.encoding(), keys, &mut cell_rng)
+        let cells = encrypt_cells(sys, images, side, layout, rng, pool, |values, rng| {
+            sys.encrypt(values, layout.encoding(), keys, rng)
         })?;
         Ok(EncryptedMap::ingress(layout, side, sys.slot_count(), cells))
     }
@@ -544,6 +541,113 @@ impl EncryptedMap {
         let value = |b, v| rule.decode(&cells, v / positions, v % positions, b);
         let row = |b| (0..channels * positions).map(|v| value(b, v)).collect();
         (0..batch).map(row).collect()
+    }
+}
+
+/// The ingress cells of a batch: [`Layout::pack`], then `encrypt` over each
+/// cell's values from the cell's own `enc-cell-{i}` fork of `rng`'s
+/// `enc-map` fork — one task a cell on `pool`.
+fn encrypt_cells<T: Send + Sync>(
+    sys: &CrtPlainSystem,
+    images: &[Vec<i64>],
+    side: usize,
+    layout: Layout,
+    rng: &ChaChaRng,
+    pool: &ParExec,
+    encrypt: impl Fn(&[i64], &mut ChaChaRng) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let base = rng.fork("enc-map");
+    let packed = layout.pack(images, side, sys.slot_count())?;
+    pool.try_run(packed.len(), |cell| {
+        let mut cell_rng = base.fork(&format!("enc-cell-{cell}"));
+        encrypt(&packed[cell], &mut cell_rng)
+    })
+}
+
+/// A client's FV upload: a batch packed as [`EncryptedMap::encrypt_images`]
+/// packs it, each cell a [`CrtSeededCiphertext`] — `c0` and a 32-byte seed a
+/// part instead of `(c0, a)`, half the bytes. The host turns it into the map
+/// the pipeline reads with [`SeededMap::expand`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SeededMap {
+    layout: Layout,
+    side: usize,
+    cells: Vec<CrtSeededCiphertext>,
+}
+
+impl SeededMap {
+    /// Encrypts a batch of quantized images (each `side*side` pixels) in
+    /// `layout` under the user's copy of the secret keys, seeded
+    /// ([`CrtPlainSystem::encrypt_seeded`]): the packing, the per-cell
+    /// `enc-cell-{i}` forks and the task per cell of
+    /// [`EncryptedMap::encrypt_images`].
+    ///
+    /// # Errors
+    ///
+    /// As [`EncryptedMap::encrypt_images`].
+    // hesgx-lint: allow(secret-pub-api, reason = "client-side encryption with the user's own key copy")
+    pub fn encrypt_images(
+        sys: &CrtPlainSystem,
+        images: &[Vec<i64>],
+        side: usize,
+        layout: Layout,
+        secret: &[SecretKey],
+        rng: &ChaChaRng,
+        pool: &ParExec,
+    ) -> Result<SeededMap> {
+        let cells = encrypt_cells(sys, images, side, layout, rng, pool, |values, rng| {
+            sys.encrypt_seeded(values, layout.encoding(), secret, rng)
+        })?;
+        Ok(SeededMap {
+            layout,
+            side,
+            cells,
+        })
+    }
+
+    /// The seeded cells, in [`EncryptedMap::ingress`] order.
+    pub fn cells(&self) -> &[CrtSeededCiphertext] {
+        &self.cells
+    }
+
+    /// Bytes on the wire: `c0` and 32 bytes of seed a cell part.
+    pub fn byte_len(&self) -> usize {
+        self.cells.iter().map(CrtSeededCiphertext::byte_len).sum()
+    }
+
+    /// The host's half of the upload: every part's `a` regenerated from its
+    /// seed ([`hesgx_bfv::ciphertext::SeededCiphertext::expand`]), one task
+    /// per (cell, part) on `pool`, into the [`EncryptedMap::ingress`] map
+    /// the client would have sent whole. Consumes the upload, so it is gone
+    /// once the map exists.
+    ///
+    /// # Errors
+    ///
+    /// [`BfvError::InvalidShape`] for a cell count the layout does not hold,
+    /// [`BfvError::ContextMismatch`] for a cell of another part count or a
+    /// part of another context; propagates expansion failures.
+    pub fn expand(self, sys: &CrtPlainSystem, pool: &ParExec) -> Result<EncryptedMap> {
+        let _prof = hesgx_obs::prof::span("henn.expand");
+        let (slots, parts) = (sys.slot_count(), sys.part_count());
+        let cells = self.layout.ingress_cells(self.side, slots);
+        if self.cells.len() != cells {
+            let claim = format!("{} cells as {:?}", self.cells.len(), self.layout);
+            return Err(BfvError::InvalidShape(claim));
+        }
+        if self.cells.iter().any(|ct| ct.part_count() != parts) {
+            return Err(BfvError::ContextMismatch);
+        }
+        let mut expanded = pool
+            .try_run(cells * parts, |k| {
+                let (cell, part) = (k / parts, k % parts);
+                self.cells[cell].parts[part].expand(&sys.contexts()[part])
+            })?
+            .into_iter();
+        let cells = (0..cells).map(|_| CrtCiphertext {
+            parts: expanded.by_ref().take(parts).collect(),
+        });
+        let cells = cells.collect();
+        Ok(EncryptedMap::ingress(self.layout, self.side, slots, cells))
     }
 }
 
@@ -739,6 +843,79 @@ mod tests {
             let map = map.clone().with_layout(claim);
             invalid(&map, 1);
             assert_eq!(map.occupancy_ppm(256), None);
+        }
+    }
+
+    /// The seeded upload, in the three ingress layouts a session sends
+    /// (`Coeff`, `Pixel`, and `Orbit` for the degraded rung) on two CRT
+    /// parts: the host's expansion is bit-identical at pools 1, 2 and 4 and
+    /// to each part's own [`SeededCiphertext::expand`], keeps the `c0` that
+    /// travelled, decodes to the batch, and halves the bytes; every seed is
+    /// its own; a map that does not hold its layout's cells, or a cell of
+    /// another part count, is refused.
+    ///
+    /// [`SeededCiphertext::expand`]: hesgx_bfv::ciphertext::SeededCiphertext::expand
+    #[test]
+    fn a_seeded_upload_expands_to_the_same_map_on_every_pool() {
+        let sys = CrtPlainSystem::new(256, &[12289, 13313]).unwrap();
+        let mut rng = ChaChaRng::from_seed(53);
+        let keys = sys.generate_keys(&mut rng);
+        let side = 8;
+        let images: Vec<Vec<i64>> = (0..2)
+            .map(|b| {
+                (0..side * side)
+                    .map(|p| (b * 7 + p * 3) as i64 % 16)
+                    .collect()
+            })
+            .collect();
+        let orbit = Layout::for_orbit(side, 3, 2, images.len(), 256);
+        assert!(matches!(orbit, Layout::Orbit { .. }), "{orbit:?}");
+        for layout in [Layout::for_conv(side, 2, 256), Layout::Pixel, orbit] {
+            let upload = |threads| {
+                let pool = ParExec::new(threads);
+                SeededMap::encrypt_images(&sys, &images, side, layout, &keys.secret, &rng, &pool)
+                    .unwrap()
+            };
+            let sent = upload(1);
+            let cells = layout.ingress_cells(side, 256);
+            assert_eq!(sent.cells().len(), cells);
+            assert_eq!(sent.byte_len(), cells * sys.seeded_ciphertext_byte_len());
+            let one = sent.clone().expand(&sys, &ParExec::serial()).unwrap();
+            assert_eq!(one.byte_len(), cells * sys.fresh_ciphertext_byte_len());
+            for threads in [2, 4] {
+                let pool = ParExec::new(threads);
+                assert_eq!(upload(threads), sent, "{layout:?} encrypted at {threads}");
+                let map = sent.clone().expand(&sys, &pool).unwrap();
+                assert_eq!(map, one, "{layout:?} expanded at {threads}");
+            }
+            let mut seeds = Vec::new();
+            for (seeded, cell) in sent.cells().iter().zip(one.cells()) {
+                for part in 0..2 {
+                    let ctx = &sys.contexts()[part];
+                    let (seeded, ct) = (seeded.part(part), cell.part(part));
+                    assert_eq!(&seeded.expand(ctx).unwrap(), ct);
+                    seeds.push(*seeded.seed());
+                }
+            }
+            let total = seeds.len();
+            seeds.sort_unstable();
+            seeds.dedup();
+            assert_eq!(seeds.len(), total, "{layout:?}: a seed repeats");
+            if layout != orbit {
+                let rows = one.decrypt_all(&sys, &keys.secret, 2, &ParExec::serial());
+                let want: Vec<Vec<i128>> = (images.iter())
+                    .map(|img| img.iter().map(|&v| v.into()).collect())
+                    .collect();
+                assert_eq!(rows.unwrap(), want, "{layout:?}");
+            }
+            let mut short = sent.clone();
+            short.cells.pop();
+            let refused = short.expand(&sys, &ParExec::serial());
+            assert!(matches!(refused, Err(BfvError::InvalidShape(_))));
+            let mut narrow = sent.clone();
+            narrow.cells[0].parts.pop();
+            let refused = narrow.expand(&sys, &ParExec::serial());
+            assert!(matches!(refused, Err(BfvError::ContextMismatch)));
         }
     }
 

@@ -35,8 +35,8 @@ pub mod ops;
 pub mod par;
 pub mod weights;
 
-pub use crt::{CrtCiphertext, CrtKeys, CrtPlainSystem};
+pub use crt::{CrtCiphertext, CrtKeys, CrtPlainSystem, CrtSeededCiphertext};
 pub use cryptonets::CryptoNets;
-pub use image::{EncryptedMap, Layout};
+pub use image::{EncryptedMap, Layout, SeededMap};
 pub use ops::OpCounter;
 pub use par::ParExec;

@@ -7,9 +7,9 @@
 //!   wide-integer (`U256`) tensor product; a kernel change that moves one
 //!   bit of one limb moves it.
 //! - the orbit layout `CryptoNets::encrypt_batch` picks (8 squares, 15
-//!   rotations): exact op counts, and every slot of every logit ciphertext
-//!   holds its image's whole logit — no partial sum of the FC reaches the
-//!   user.
+//!   rotations), its cells encrypted under the secret keys: exact op
+//!   counts, and every slot of every logit ciphertext holds its image's
+//!   whole logit — no partial sum of the FC reaches the user.
 
 use hesgx_bfv::serialization::ciphertext_to_bytes;
 use hesgx_crypto::rng::ChaChaRng;
@@ -25,7 +25,7 @@ use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
 const PIXEL_LOGITS_SHA256: &str =
     "abab664837223e1157e3ab904689de641cd05217c1787c8dc7b214139bf439a6";
 const ORBIT_LOGITS_SHA256: &str =
-    "d1228da100769ada03ce7d07ad222571995287c5cab8042a5daf4b93de228ad8";
+    "7817653a28da857accb1ba608cde788fdcb4854a94e6e87fc7310bdb4c4c9477";
 const BATCH: usize = 10;
 
 /// The benchmark's formula model: 12×12 in, 2 maps 3×3, 2×2 pool, 3 classes.
