@@ -17,7 +17,7 @@ use std::time::Instant;
 
 /// A model stub supplying the quantization scales the enclave operators need
 /// (the figure sweeps exercise single operators, not a trained model).
-pub fn scale_stub(window: usize) -> QuantizedCnn {
+pub(crate) fn scale_stub(window: usize) -> QuantizedCnn {
     QuantizedCnn {
         pipeline: QuantPipeline::Hybrid,
         in_side: 28,
@@ -51,37 +51,15 @@ fn enclave_ms(
     cost.total_ns() as f64 / 1e6
 }
 
-/// One Fig. 3 measurement point.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig3Point {
-    /// Number of operands prepared: `kernels·k²` weights plus `kernels`
-    /// biases ([`conv_weight_count`]).
-    pub weights: usize,
-    /// Preparation time in ms.
-    pub ms: f64,
-}
-
-/// Fig. 3 result: the two fixed-kernel sweeps and the joint sweep, plus the
-/// linearity of each (R² of a least-squares line).
-#[derive(Debug, Clone)]
-pub struct Fig3 {
-    /// Fixed 11 kernels, kernel size sweep.
-    pub kernels_11: Vec<Fig3Point>,
-    /// Fixed 26 kernels, kernel size sweep.
-    pub kernels_26: Vec<Fig3Point>,
-    /// Joint sweep (kernel count and size grow together).
-    pub joint: Vec<Fig3Point>,
-    /// R² values for the three sweeps.
-    pub r2: (f64, f64, f64),
-}
-
 /// Fig. 3 — "The time of weights coding against its number". The paper
 /// timed SEAL 2.1's encoder; this times [`WeightBank::prepare`], the
 /// once-per-model operand preparation every served convolution consumes.
-pub fn fig3_weight_encoding(env: &mut PaperEnv, cfg: RunConfig) -> Fig3 {
+pub fn fig3_weight_encoding(env: &mut PaperEnv, cfg: RunConfig) {
     header("FIG 3: weight-encoding time vs number of weights");
     let reps = cfg.reps(40);
-    let run_sweep = |label: &str, configs: &[(usize, usize)]| -> Vec<Fig3Point> {
+    // Each point: operands prepared (`kernels·k²` weights plus `kernels`
+    // biases, `conv_weight_count`) and the median preparation ms.
+    let run_sweep = |label: &str, configs: &[(usize, usize)]| -> Vec<(f64, f64)> {
         let mut points = Vec::new();
         for &(kernels, side) in configs {
             let operand = |i: usize| (i as i64 % 63) - 31;
@@ -105,12 +83,11 @@ pub fn fig3_weight_encoding(env: &mut PaperEnv, cfg: RunConfig) -> Fig3 {
             drop(bank);
             samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
             let ms = samples[samples.len() / 2];
-            let weights = conv_weight_count(kernels, side);
-            points.push(Fig3Point { weights, ms });
+            points.push((conv_weight_count(kernels, side) as f64, ms));
         }
         println!("{label}:");
-        for p in &points {
-            println!("  {:6} weights -> {:8.3} ms", p.weights, p.ms);
+        for (weights, ms) in &points {
+            println!("  {weights:6} weights -> {ms:8.3} ms");
         }
         points
     };
@@ -132,42 +109,16 @@ pub fn fig3_weight_encoding(env: &mut PaperEnv, cfg: RunConfig) -> Fig3 {
     let kernels_26 = run_sweep("(a) 26 kernels, kernel size sweep", &cfg26);
     let joint = run_sweep("(b) joint kernel count + size sweep", &joint);
 
-    let fit = |pts: &[Fig3Point]| {
-        linear_fit(
-            &pts.iter()
-                .map(|p| (p.weights as f64, p.ms))
-                .collect::<Vec<_>>(),
-        )
-        .2
-    };
-    let r2 = (fit(&kernels_11), fit(&kernels_26), fit(&joint));
     println!("linearity (paper: encoding time linear in weight count):");
-    println!("  R² (a) 11 kernels = {:.4}", r2.0);
-    println!("  R² (a) 26 kernels = {:.4}", r2.1);
-    println!("  R² (b) joint      = {:.4}", r2.2);
-    Fig3 {
-        kernels_11,
-        kernels_26,
-        joint,
-        r2,
-    }
-}
-
-/// One Fig. 4 measurement point.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig4Point {
-    /// Kernel side length.
-    pub kernel: usize,
-    /// `C×P` (= `C+C`+outputs) operation count.
-    pub ops: u64,
-    /// Convolution time in ms.
-    pub ms: f64,
+    println!("  R² (a) 11 kernels = {:.4}", linear_fit(&kernels_11).2);
+    println!("  R² (a) 26 kernels = {:.4}", linear_fit(&kernels_26).2);
+    println!("  R² (b) joint      = {:.4}", linear_fit(&joint).2);
 }
 
 /// Fig. 4 — homomorphic convolution time and operation count vs kernel size
 /// on a 28×28 feature map. Times the raw-weight reference oracle: the paper's
 /// textbook loop, weight preparation included.
-pub fn fig4_conv_kernel(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig4Point> {
+pub fn fig4_conv_kernel(env: &mut PaperEnv, cfg: RunConfig) {
     header("FIG 4: homomorphic convolution time vs kernel size (28x28 map, stride 1)");
     let kernels: Vec<usize> = if cfg.quick {
         vec![1, 2, 4, 8, 14, 15, 20, 24, 28]
@@ -186,7 +137,8 @@ pub fn fig4_conv_kernel(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig4Point> {
         &ParExec::serial(),
     )
     .unwrap();
-    let mut points = Vec::new();
+    // `(ops, ms)` at k = 1 and k = 28, which share an op count.
+    let mut ends = Vec::new();
     println!("kernel   C×P / C+C ops    time (ms)");
     for &k in &kernels {
         let weights: Vec<i64> = (0..k * k).map(|i| (i as i64 % 5) - 2).collect();
@@ -198,39 +150,21 @@ pub fn fig4_conv_kernel(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig4Point> {
         let theoretical = OpCounter::conv_theoretical(28, k);
         assert_eq!(counter.ct_pt_mul, theoretical, "op count mismatch");
         println!("{k:6}   {theoretical:13}    {ms:9.3}");
-        points.push(Fig4Point {
-            kernel: k,
-            ops: theoretical,
-            ms,
-        });
+        if k == 1 || k == 28 {
+            ends.push((theoretical, ms));
+        }
     }
-    // Shape checks from the paper.
-    let p1 = points.iter().find(|p| p.kernel == 1).unwrap();
-    let p28 = points.iter().find(|p| p.kernel == 28);
-    if let Some(p28) = p28 {
+    // Shape check from the paper.
+    if let [(ops, ms1), (_, ms28)] = ends[..] {
         println!(
-            "k=1 vs k=28 (same op count {}): {:.3} ms vs {:.3} ms — small kernel pays {:.2}x loop overhead (paper: 16.66x of the k=28 time)",
-            p1.ops, p1.ms, p28.ms, p1.ms / p28.ms
+            "k=1 vs k=28 (same op count {ops}): {ms1:.3} ms vs {ms28:.3} ms — small kernel pays {:.2}x loop overhead (paper: 16.66x of the k=28 time)",
+            ms1 / ms28
         );
     }
-    points
-}
-
-/// One Fig. 5 measurement point.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig5Point {
-    /// Feature-map side length (calculations = side²).
-    pub side: usize,
-    /// Square+relinearize under HE (`EncryptSigmoid`), ms.
-    pub encrypt_ms: f64,
-    /// Exact sigmoid inside SGX (virtual time), ms.
-    pub sgx_ms: f64,
-    /// Same code outside (`FakeSGXSigmoid`), ms.
-    pub fake_ms: f64,
 }
 
 /// Fig. 5 — "Sigmoid computing time with/without SGX".
-pub fn fig5_sigmoid(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig5Point> {
+pub fn fig5_sigmoid(env: &mut PaperEnv, cfg: RunConfig) {
     header("FIG 5: sigmoid computing time with/without SGX");
     let sides: Vec<usize> = if cfg.quick {
         vec![8, 16, 24]
@@ -242,7 +176,7 @@ pub fn fig5_sigmoid(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig5Point> {
     let fake = env.inference_enclave(true);
     let serial = ParExec::serial();
     let rng = env.rng.fork("fig5");
-    let mut points = Vec::new();
+    let mut ordered = true;
     println!("map side   cells   EncryptSigmoid(ms)   SGXSigmoid(ms)   FakeSGXSigmoid(ms)");
     for &side in &sides {
         let images = vec![(0..side * side)
@@ -282,48 +216,34 @@ pub fn fig5_sigmoid(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig5Point> {
             "{side:8}   {:5}   {encrypt_ms:18.3}   {sgx_ms:14.3}   {fake_ms:18.3}",
             side * side
         );
-        points.push(Fig5Point {
-            side,
-            encrypt_ms,
-            sgx_ms,
-            fake_ms,
-        });
+        ordered &= encrypt_ms > sgx_ms && sgx_ms > fake_ms;
     }
-    let ordered = points
-        .iter()
-        .all(|p| p.encrypt_ms > p.sgx_ms && p.sgx_ms > p.fake_ms);
     println!(
         "shape check — EncryptSigmoid > SGXSigmoid > FakeSGXSigmoid at every size: {ordered} (paper: same ordering)"
     );
-    points
 }
 
-/// One Fig. 6 measurement point.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig6Point {
-    /// Pooling window side.
-    pub window: usize,
-    /// HE window-sum time (`EncryptedSum`), ms.
-    pub encrypted_sum_ms: f64,
-    /// In-enclave division on the reduced map (`SGXDivide`), virtual ms.
-    pub sgx_divide_ms: f64,
-    /// Same division outside (`FakeSGXDivide`), ms.
-    pub fake_divide_ms: f64,
-    /// Whole map pooled inside (`SGXPool`), virtual ms.
-    pub sgx_pool_ms: f64,
-    /// Same pooling outside (`FakeSGXPool`), ms.
-    pub fake_pool_ms: f64,
+/// One Fig. 6 measurement point, ms (the enclave ones virtual).
+struct Fig6Point {
+    /// HE window-sum time (`EncryptedSum`).
+    encrypted_sum_ms: f64,
+    /// In-enclave division on the reduced map (`SGXDivide`).
+    sgx_divide_ms: f64,
+    /// Same division outside (`FakeSGXDivide`).
+    fake_divide_ms: f64,
+    /// Whole map pooled inside (`SGXPool`).
+    sgx_pool_ms: f64,
 }
 
 impl Fig6Point {
     /// Total `SGXDiv` strategy time (sum outside + divide inside).
-    pub fn sgx_div_total(&self) -> f64 {
+    fn sgx_div_total(&self) -> f64 {
         self.encrypted_sum_ms + self.sgx_divide_ms
     }
 }
 
 /// Fig. 6 — "Pool computing time with/without SGX" on a 24×24 feature map.
-pub fn fig6_pooling(env: &mut PaperEnv, _cfg: RunConfig) -> Vec<Fig6Point> {
+pub fn fig6_pooling(env: &mut PaperEnv, _cfg: RunConfig) {
     header("FIG 6: pooling time with/without SGX (24x24 input feature map)");
     let windows = [2usize, 3, 4, 6, 8, 12];
     let real = env.inference_enclave(false);
@@ -357,12 +277,10 @@ pub fn fig6_pooling(env: &mut PaperEnv, _cfg: RunConfig) -> Vec<Fig6Point> {
         let fake_pool_ms = enclave_ms(&fake, &env.sys, &model, EnclaveOp::MeanPool, &input);
 
         let p = Fig6Point {
-            window: w,
             encrypted_sum_ms,
             sgx_divide_ms,
             fake_divide_ms,
             sgx_pool_ms,
-            fake_pool_ms,
         };
         println!(
             "{:6}   {:9.3}  {:9.3}  {:13.3}  {:13.3}  {:7.3}  {:11.3}",
@@ -372,7 +290,7 @@ pub fn fig6_pooling(env: &mut PaperEnv, _cfg: RunConfig) -> Vec<Fig6Point> {
             p.fake_divide_ms,
             p.sgx_div_total(),
             p.sgx_pool_ms,
-            p.fake_pool_ms
+            fake_pool_ms
         );
         points.push(p);
     }
@@ -389,5 +307,4 @@ pub fn fig6_pooling(env: &mut PaperEnv, _cfg: RunConfig) -> Vec<Fig6Point> {
         first.sgx_divide_ms - first.fake_divide_ms,
         last.sgx_divide_ms - last.fake_divide_ms
     );
-    points
 }

@@ -53,7 +53,7 @@ use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::ops::{self, OpCounter};
 use hesgx_henn::par::ParExec;
 use hesgx_henn::weights::{NttBank, WeightBank};
-use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
+use hesgx_nn::quantize::QuantizedCnn;
 use hesgx_tee::wall::WallTimer;
 use std::fmt::Write as _;
 
@@ -72,105 +72,77 @@ const TIERS: &[(usize, u64)] = &[
 ];
 
 /// Median wall times of one kernel, optimized and reference, nanoseconds.
-#[derive(Debug, Clone, Copy)]
-pub struct KernelTimes {
+struct KernelTimes {
     /// Median of the lazy-reduction implementation.
-    pub optimized_ns: u64,
+    optimized_ns: u64,
     /// Median of the eager reference implementation.
-    pub reference_ns: u64,
+    reference_ns: u64,
 }
 
 impl KernelTimes {
     /// Reference/optimized wall-time ratio (≥ 1.0 means the lazy path wins).
-    pub fn speedup(&self) -> f64 {
+    fn speedup(&self) -> f64 {
         self.reference_ns as f64 / (self.optimized_ns.max(1)) as f64
     }
 }
 
 /// One `(n, p)` tier's results.
-#[derive(Debug, Clone, Copy)]
-pub struct TierResult {
+struct TierResult {
     /// Transform length.
-    pub n: usize,
+    n: usize,
     /// NTT-friendly prime modulus.
-    pub p: u64,
+    p: u64,
     /// Forward transform medians.
-    pub forward: KernelTimes,
+    forward: KernelTimes,
     /// Inverse transform medians.
-    pub inverse: KernelTimes,
+    inverse: KernelTimes,
     /// Symmetric negacyclic multiply medians.
-    pub negacyclic: KernelTimes,
+    negacyclic: KernelTimes,
     /// Wrapping sum of the negacyclic product's coefficients — a
     /// deterministic witness that optimized and reference agreed exactly.
-    pub product_checksum: u64,
-}
-
-/// The experiment summary the integration tests assert on.
-#[derive(Debug, Clone)]
-pub struct NttBench {
-    /// Per-tier kernel tables.
-    pub tiers: Vec<TierResult>,
-    /// Lazy and eager paths agreed bit-for-bit on every tier.
-    pub lazy_matches_reference: bool,
-    /// Fig8-scale conv-layer medians: weight-bank kernel (optimized) versus
-    /// the raw-weight oracle (reference).
-    pub conv: KernelTimes,
-    /// Kernel and oracle produced byte-identical ciphertexts.
-    pub conv_cells_match: bool,
-    /// Per-call weight preparations of the oracle (the kernel is pinned to
-    /// zero).
-    pub conv_oracle_weight_prep: u64,
-    /// The coefficient-encoded convolution at the paper's geometry.
-    pub coeff_conv: CoeffConv,
-    /// The dense-operand FC at the paper's geometry.
-    pub dense_fc: DenseFc,
-    /// One enclave cell at the paper's ring degree.
-    pub cell: EnclaveCell,
+    product_checksum: u64,
 }
 
 /// The coefficient-encoded convolution at the paper's geometry: its median
 /// wall time, whether it decrypted to the plaintext convolution, its ops.
-#[derive(Debug, Clone, Copy)]
-pub struct CoeffConv {
+struct CoeffConv {
     /// Median of one [`ops::he_linear`] over the batch's `Coeff` map.
-    pub kernel_ns: u64,
+    kernel_ns: u64,
     /// Every valid position of every map and image decrypted exactly.
-    pub matches_plain: bool,
+    matches_plain: bool,
     /// The kernel's op counts.
-    pub ops: OpCounter,
+    ops: OpCounter,
 }
 
 /// The fully connected layer over the dense operand layout at the paper's
 /// geometry: its median wall time, whether its partial sums added up to the
 /// plaintext FC, and its cell and op counts.
-#[derive(Debug, Clone, Copy)]
-pub struct DenseFc {
+struct DenseFc {
     /// Median of one [`ops::he_linear`] over the batch's operand map.
-    pub kernel_ns: u64,
+    kernel_ns: u64,
     /// Every (class, image)'s partial sums added up to `W·x + b`.
-    pub matches_plain: bool,
+    matches_plain: bool,
     /// Operand cells in.
-    pub operand_cells: usize,
+    operand_cells: usize,
     /// Partial-sum cells out (one a class).
-    pub sum_cells: usize,
+    sum_cells: usize,
     /// The kernel's op counts.
-    pub ops: OpCounter,
+    ops: OpCounter,
 }
 
 /// What one cell of an enclave transform costs, and the two exactness flags
 /// that make the numbers meaningful.
-#[derive(Debug, Clone, Copy)]
-pub struct EnclaveCell {
+struct EnclaveCell {
     /// Median of `CrtPlainSystem::decrypt` (slots).
-    pub decrypt_slots_ns: u64,
+    decrypt_slots_ns: u64,
     /// Median of `CrtPlainSystem::encrypt` (slots, public key).
-    pub encrypt_public_ns: u64,
+    encrypt_public_ns: u64,
     /// Median of `CrtPlainSystem::encrypt` (slots, secret key).
-    pub encrypt_secret_ns: u64,
+    encrypt_secret_ns: u64,
     /// `Decryptor::decrypt` equalled the `U256` reference on every probe.
-    pub rns_decrypt_matches_u256: bool,
+    rns_decrypt_matches_u256: bool,
     /// A secret-key encryption decrypted back to every slot value.
-    pub symmetric_roundtrip_exact: bool,
+    symmetric_roundtrip_exact: bool,
 }
 
 fn median(mut samples: Vec<u64>) -> u64 {
@@ -255,37 +227,6 @@ fn bench_tier(n: usize, p: u64, reps: usize) -> TierResult {
     }
 }
 
-/// The conv-layer model: fig8 dimensions in full mode (the paper CNN's
-/// 28×28 input, 5 feature maps, 5×5 kernel, 10 classes), a scaled-down
-/// stand-in in quick mode. Weights follow deterministic formulas — the
-/// A/B comparison needs identical weights, not trained ones.
-fn conv_model(quick: bool) -> QuantizedCnn {
-    let (in_side, conv_out, kernel, window, classes) = if quick {
-        (12, 2, 3, 2, 3)
-    } else {
-        (28, 5, 5, 2, 10)
-    };
-    let out_side = in_side - kernel + 1;
-    let flat = conv_out * (out_side / window) * (out_side / window);
-    QuantizedCnn {
-        pipeline: QuantPipeline::Hybrid,
-        in_side,
-        conv_out,
-        kernel,
-        window,
-        classes,
-        conv_weights: (0..conv_out * kernel * kernel)
-            .map(|i| (i % 7) as i64 - 3)
-            .collect(),
-        conv_bias: (0..conv_out).map(|i| (i as i64 % 5) - 2).collect(),
-        fc_weights: (0..classes * flat).map(|i| (i % 5) as i64 - 2).collect(),
-        fc_bias: (0..classes).map(|i| (i as i64 % 9) - 4).collect(),
-        weight_scale: 8,
-        fc_scale: 8,
-        act_scale: 16,
-    }
-}
-
 /// The conv-layer A/B: medians, whether kernel and oracle ciphertexts
 /// matched byte for byte, and each side's op counts.
 struct ConvLayer {
@@ -364,7 +305,7 @@ fn run_conv(model: &QuantizedCnn, poly_degree: usize, reps: usize) -> ConvLayer 
 /// convolution.
 fn run_coeff_conv(reps: usize) -> CoeffConv {
     let (model, n, batch) = (
-        conv_model(false),
+        crate::formula_model(false),
         crate::PAPER_POLY_DEGREE,
         crate::PAPER_BATCH_SIZE,
     );
@@ -418,7 +359,7 @@ fn run_coeff_conv(reps: usize) -> CoeffConv {
 /// summed partial sums against the plaintext FC.
 fn run_dense_fc(reps: usize) -> DenseFc {
     let (model, n, batch) = (
-        conv_model(false),
+        crate::formula_model(false),
         crate::PAPER_POLY_DEGREE,
         crate::PAPER_BATCH_SIZE,
     );
@@ -506,7 +447,7 @@ fn decrypt_u256(
 /// Times one enclave cell — decrypt, and re-encrypt under either key — on
 /// the fig8 system at `poly_degree`, and evaluates the two exactness flags.
 fn run_cell(poly_degree: usize, reps: usize) -> EnclaveCell {
-    let report = conv_model(false).range_report();
+    let report = crate::formula_model(false).range_report();
     let bits = report
         .expect("ntt_bench cell range fits i64")
         .required_plain_bits;
@@ -566,7 +507,7 @@ fn run_cell(poly_degree: usize, reps: usize) -> EnclaveCell {
 }
 
 /// Runs the NTT + conv-layer benchmark and writes both artifacts.
-pub fn ntt_bench(cfg: RunConfig) -> NttBench {
+pub fn ntt_bench(cfg: RunConfig) {
     header("NTT BENCH: lazy-reduction kernels vs eager reference (not in the paper)");
     let reps = cfg.reps(30);
     let conv_reps = if cfg.quick { 3 } else { 5 };
@@ -607,7 +548,7 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
         })
         .collect();
 
-    let model = conv_model(cfg.quick);
+    let model = crate::formula_model(cfg.quick);
     let poly_degree = if cfg.quick {
         256
     } else {
@@ -794,16 +735,5 @@ pub fn ntt_bench(cfg: RunConfig) -> NttBench {
     );
     if let Some(path) = crate::write_bench_file("BENCH_ntt.deterministic.json", &det) {
         println!("deterministic table written to {}", path.display());
-    }
-
-    NttBench {
-        tiers,
-        lazy_matches_reference: true,
-        conv,
-        conv_cells_match,
-        conv_oracle_weight_prep: oracle_ops.weight_prep,
-        coeff_conv,
-        dense_fc,
-        cell,
     }
 }

@@ -19,40 +19,8 @@ use hesgx_core::pipeline::total_enclave_cost;
 use hesgx_core::prelude::*;
 use hesgx_obs::{counters, Recorder, SpanCost};
 
-/// One row of the per-layer cost table.
-#[derive(Debug, Clone)]
-pub struct LayerCost {
-    /// Span path (`infer.layer[i].he` / `infer.layer[i].ecall`).
-    pub span: String,
-    /// Recorded entries (one per inference for pipeline spans).
-    pub entries: u64,
-    /// Modeled boundary-transition nanoseconds.
-    pub transition_ns: u64,
-    /// Modeled marshalling-copy nanoseconds.
-    pub copy_ns: u64,
-    /// Modeled EPC-paging nanoseconds.
-    pub paging_ns: u64,
-    /// Full six-term virtual-clock total (in-memory only).
-    pub total_ns: u64,
-}
-
-/// Machine-checkable summary of the report.
-#[derive(Debug, Clone)]
-pub struct ObsReport {
-    /// Snapshot bytes identical across pool sizes 1/2/4.
-    pub snapshots_identical: bool,
-    /// Obs `.ecall` fold equals `total_enclave_cost` exactly.
-    pub reconciled: bool,
-    /// Absolute reconciliation gap in nanoseconds (zero when `reconciled`).
-    pub delta_ns: u128,
-    /// Per-layer rows, span-name order.
-    pub per_layer: Vec<LayerCost>,
-    /// Where the snapshot landed (unset when the write failed).
-    pub snapshot_path: Option<String>,
-}
-
 /// Runs the report, prints the table, writes `target/obs/obs_report.json`.
-pub fn obs_report(cfg: RunConfig) -> ObsReport {
+pub fn obs_report(cfg: RunConfig) {
     header("OBS REPORT: deterministic per-layer cost accounting (not in the paper)");
     let model = sweep_model(cfg.quick);
     let image: Vec<i64> = (0..model.in_side * model.in_side)
@@ -100,21 +68,15 @@ pub fn obs_report(cfg: RunConfig) -> ObsReport {
     );
     println!();
     println!("span                          entries   transition(ns)    copy(ns)   paging(ns)     total(ns)");
-    let per_layer: Vec<LayerCost> = spans
-        .iter()
-        .map(|(name, s)| LayerCost {
-            span: name.clone(),
-            entries: s.entries,
-            transition_ns: s.cost.transition_ns,
-            copy_ns: s.cost.copy_ns,
-            paging_ns: s.cost.paging_ns,
-            total_ns: s.cost.total_ns(),
-        })
-        .collect();
-    for row in &per_layer {
+    for (span, s) in &spans {
+        let c = &s.cost;
         println!(
-            "{:<28} {:>8} {:>16} {:>11} {:>12} {:>13}",
-            row.span, row.entries, row.transition_ns, row.copy_ns, row.paging_ns, row.total_ns
+            "{span:<28} {:>8} {:>16} {:>11} {:>12} {:>13}",
+            s.entries,
+            c.transition_ns,
+            c.copy_ns,
+            c.paging_ns,
+            c.total_ns()
         );
     }
     println!();
@@ -135,10 +97,8 @@ pub fn obs_report(cfg: RunConfig) -> ObsReport {
         rec.counter(counters::PAR_TASKS),
     );
 
-    let snapshot_path =
-        crate::write_obs_snapshot("obs_report", &rec).map(|p| p.display().to_string());
-    if let Some(path) = &snapshot_path {
-        println!("obs snapshot written to {path}");
+    if let Some(path) = crate::write_obs_snapshot("obs_report", &rec) {
+        println!("obs snapshot written to {}", path.display());
     }
 
     // CI gates on this experiment: a broken contract must fail the run, not
@@ -151,12 +111,4 @@ pub fn obs_report(cfg: RunConfig) -> ObsReport {
         reconciled,
         "obs .ecall fold diverged from total_enclave_cost by {delta_ns} ns"
     );
-
-    ObsReport {
-        snapshots_identical,
-        reconciled,
-        delta_ns,
-        per_layer,
-        snapshot_path,
-    }
 }

@@ -30,7 +30,7 @@
 use super::{header, RunConfig};
 use hesgx_core::request::InferRequest;
 use hesgx_core::session::{ParamsPreset, Session, SessionBuilder};
-use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
+use hesgx_nn::quantize::QuantizedCnn;
 use hesgx_obs::{Profiler, Recorder};
 use hesgx_tee::enclave::Platform;
 use hesgx_tee::wall::WallTimer;
@@ -50,53 +50,6 @@ const POOLS: [usize; 3] = [1, 2, 4];
 /// a stage silently becoming 100x slower than modeled, or the model
 /// charging time for work that no longer happens.
 const DRIFT_BAND_PERMILLE: (u64, u64) = (1, 20_000);
-
-/// The experiment summary the integration tests assert on.
-#[derive(Debug, Clone)]
-pub struct ProfileBench {
-    /// Top hotspot call paths (hottest self-time first, full stacks).
-    pub top_paths: Vec<String>,
-    /// `deterministic_json()` byte-identical across HE pools 1/2/4.
-    pub pool_identical: bool,
-    /// Profiled logits byte-identical to the unprofiled serve.
-    pub logits_match: bool,
-    /// Stages joined by the drift report (recorder ∩ profiler, by name).
-    pub stages_joined: usize,
-    /// Headline measured/modeled ratio in permille.
-    pub drift_top_ratio_permille: u64,
-    /// The headline ratio landed inside `DRIFT_BAND_PERMILLE`.
-    pub drift_within_band: bool,
-}
-
-/// The served model: the paper CNN's dimensions in full mode, a scaled-down
-/// stand-in in quick mode. Deterministic formula weights — the profiled /
-/// unprofiled comparison needs identical models, not trained ones.
-fn model(quick: bool) -> QuantizedCnn {
-    let (in_side, conv_out, kernel, window, classes) = if quick {
-        (12, 2, 3, 2, 3)
-    } else {
-        (28, 5, 5, 2, 10)
-    };
-    let out_side = in_side - kernel + 1;
-    let flat = conv_out * (out_side / window) * (out_side / window);
-    QuantizedCnn {
-        pipeline: QuantPipeline::Hybrid,
-        in_side,
-        conv_out,
-        kernel,
-        window,
-        classes,
-        conv_weights: (0..conv_out * kernel * kernel)
-            .map(|i| (i % 7) as i64 - 3)
-            .collect(),
-        conv_bias: (0..conv_out).map(|i| (i as i64 % 5) - 2).collect(),
-        fc_weights: (0..classes * flat).map(|i| (i % 5) as i64 - 2).collect(),
-        fc_bias: (0..classes).map(|i| (i as i64 % 9) - 4).collect(),
-        weight_scale: 8,
-        fc_scale: 8,
-        act_scale: 16,
-    }
-}
 
 fn build_session(
     preset: ParamsPreset,
@@ -134,15 +87,16 @@ fn serve_once(
     (response.logits, rec, timer.elapsed_ns())
 }
 
-/// Runs the profiling experiment and writes all four artifacts.
-pub fn profile(cfg: RunConfig) -> ProfileBench {
+/// Runs the profiling experiment, writes all four artifacts, and asserts
+/// the four claims.
+pub fn profile(cfg: RunConfig) {
     header("PROFILE: wall-clock hotspots, flamegraph export, drift gating (DESIGN.md §18)");
     let (preset, degree) = if cfg.quick {
         (ParamsPreset::Small, 256)
     } else {
         (ParamsPreset::Paper, crate::PAPER_POLY_DEGREE)
     };
-    let m = model(cfg.quick);
+    let m = crate::formula_model(cfg.quick);
     let pixels = m.in_side * m.in_side;
     let images: Vec<Vec<i64>> = (0..crate::PAPER_BATCH_SIZE)
         .map(|b| {
@@ -228,22 +182,15 @@ pub fn profile(cfg: RunConfig) -> ProfileBench {
         if within { "ok" } else { "EXCEEDED" }
     );
 
-    let summary = ProfileBench {
-        top_paths,
-        pool_identical,
-        logits_match,
-        stages_joined: drift.entries.len(),
-        drift_top_ratio_permille: ratio,
-        drift_within_band: within,
-    };
+    let stages_joined = drift.entries.len();
     println!(
         "deterministic face across pools {POOLS:?}: {}; logits vs unprofiled: {}",
-        if summary.pool_identical {
+        if pool_identical {
             "byte-identical"
         } else {
             "DIVERGED"
         },
-        if summary.logits_match {
+        if logits_match {
             "identical"
         } else {
             "DIVERGED"
@@ -275,14 +222,10 @@ pub fn profile(cfg: RunConfig) -> ProfileBench {
     // identity flags — a pure function of the seeds. CI runs the experiment
     // twice and byte-diffs this file.
     let det = format!(
-        "{{\"experiment\":\"profile\",\"batch\":{},\"pixels\":{},\
-         \"pool_identical\":{},\"logits_match\":{},\"stages_joined\":{},\
-         \"tree\":{}}}",
+        "{{\"experiment\":\"profile\",\"batch\":{},\"pixels\":{pixels},\
+         \"pool_identical\":{pool_identical},\"logits_match\":{logits_match},\
+         \"stages_joined\":{stages_joined},\"tree\":{}}}",
         images.len(),
-        pixels,
-        summary.pool_identical,
-        summary.logits_match,
-        summary.stages_joined,
         prof.deterministic_json()
     );
     if let Some(path) = crate::write_bench_file("BENCH_profile.deterministic.json", &det) {
@@ -298,20 +241,19 @@ pub fn profile(cfg: RunConfig) -> ProfileBench {
     // Hard gates (after the artifacts, so a failure leaves them on disk
     // for debugging): the acceptance contract of DESIGN.md §18.
     assert!(
-        summary.pool_identical,
+        pool_identical,
         "profiler deterministic face diverged across HE pools {POOLS:?}"
     );
     assert!(
-        summary.logits_match,
+        logits_match,
         "profiled logits diverged from the unprofiled serve"
     );
     assert!(
-        summary.top_paths.len() >= 3,
-        "expected at least 3 hotspot stacks, got {:?}",
-        summary.top_paths
+        top_paths.len() >= 3,
+        "expected at least 3 hotspot stacks, got {top_paths:?}"
     );
     assert!(
-        summary.stages_joined > 0,
+        stages_joined > 0,
         "drift report joined no stages — profiler/recorder names diverged"
     );
     // A request and the key ceremony are one scope each: a frame and a
@@ -323,9 +265,7 @@ pub fn profile(cfg: RunConfig) -> ProfileBench {
         );
     }
     assert!(
-        summary.drift_within_band,
+        within,
         "drift budget exceeded: {ratio} permille outside [{lo}, {hi}]"
     );
-
-    summary
 }

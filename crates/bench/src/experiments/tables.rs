@@ -10,17 +10,8 @@ use hesgx_henn::crt::Encoding;
 use hesgx_henn::image::{EncryptedMap, Layout};
 use hesgx_henn::par::ParExec;
 
-/// Table I result: key-generation time inside vs outside SGX (ms).
-#[derive(Debug, Clone)]
-pub struct Table1 {
-    /// Statistics measured inside the enclave (virtual time).
-    pub inside: Stats,
-    /// Statistics measured outside.
-    pub outside: Stats,
-}
-
 /// Table I — "A pair of public/private keys generation time".
-pub fn table1_keygen(env: &mut PaperEnv, cfg: RunConfig) -> Table1 {
+pub fn table1_keygen(env: &mut PaperEnv, cfg: RunConfig) {
     header("TABLE I: public/private key generation time (ms), inside vs outside SGX");
     let reps = cfg.reps(200);
     let ctx = env.sys.contexts()[0].clone();
@@ -59,20 +50,10 @@ pub fn table1_keygen(env: &mut PaperEnv, cfg: RunConfig) -> Table1 {
         "ratio inside/outside = {:.2}x   (paper: 49.593 / 20.201 = 2.45x)",
         inside.mean / outside.mean
     );
-    Table1 { inside, outside }
-}
-
-/// Table II result: batch image encoding+encryption time (ms).
-#[derive(Debug, Clone)]
-pub struct Table2 {
-    /// Statistics for the whole batch (ms).
-    pub batch: Stats,
-    /// Batch size used.
-    pub batch_size: usize,
 }
 
 /// Table II — "Image encoding and encryption time" (batchSize images).
-pub fn table2_image_encryption(env: &mut PaperEnv, cfg: RunConfig) -> Table2 {
+pub fn table2_image_encryption(env: &mut PaperEnv, cfg: RunConfig) {
     header("TABLE II: image encoding + encryption time for a batch of 10 images");
     let reps = cfg.reps(20);
     let images: Vec<Vec<i64>> = (0..PAPER_BATCH_SIZE)
@@ -103,22 +84,11 @@ pub fn table2_image_encryption(env: &mut PaperEnv, cfg: RunConfig) -> Table2 {
         "per image: {:.3} ms    (paper: 157.013 s per batch, 15.7 s per image on SEAL 2.1 / 2017 Xeon)",
         batch.mean / PAPER_BATCH_SIZE as f64
     );
-    Table2 {
-        batch,
-        batch_size: PAPER_BATCH_SIZE,
-    }
-}
-
-/// Table III result: decryption+decoding of inference results (ms).
-#[derive(Debug, Clone)]
-pub struct Table3 {
-    /// Statistics for decrypting 100 result ciphertexts (ms).
-    pub batch: Stats,
 }
 
 /// Table III — "Decryption and decoding of batchSize image inference
 /// results" (10 images × 10 logits = 100 ciphertexts).
-pub fn table3_result_decryption(env: &mut PaperEnv, cfg: RunConfig) -> Table3 {
+pub fn table3_result_decryption(env: &mut PaperEnv, cfg: RunConfig) {
     header("TABLE III: decryption + decoding of 10 image inference results (100 ciphertexts)");
     let reps = cfg.reps(20);
     let mut rng = env.rng.fork("table3");
@@ -151,26 +121,11 @@ pub fn table3_result_decryption(env: &mut PaperEnv, cfg: RunConfig) -> Table3 {
         "per image: {:.3} ms    (paper: 62.391 ms per batch, 6.239 ms per image)",
         batch.mean / PAPER_BATCH_SIZE as f64
     );
-    Table3 { batch }
-}
-
-/// Table IV result: single encode+encrypt / decode+decrypt, inside vs
-/// outside SGX (ms).
-#[derive(Debug, Clone)]
-pub struct Table4 {
-    /// Encode+encrypt inside the enclave.
-    pub enc_inside: f64,
-    /// Encode+encrypt outside.
-    pub enc_outside: f64,
-    /// Decode+decrypt inside the enclave.
-    pub dec_inside: f64,
-    /// Decode+decrypt outside.
-    pub dec_outside: f64,
 }
 
 /// Table IV — one Encoding+Encryption vs one Decoding+Decryption, inside and
 /// outside SGX.
-pub fn table4_enc_dec_costs(env: &mut PaperEnv, cfg: RunConfig) -> Table4 {
+pub fn table4_enc_dec_costs(env: &mut PaperEnv, cfg: RunConfig) {
     header("TABLE IV: one encode+encrypt vs one decode+decrypt, inside vs outside SGX (ms)");
     let reps = cfg.reps(100);
     let mut rng = env.rng.fork("table4");
@@ -231,28 +186,11 @@ pub fn table4_enc_dec_costs(env: &mut PaperEnv, cfg: RunConfig) -> Table4 {
         enc_in.mean - enc_out.mean,
         dec_in.mean - dec_out.mean
     );
-    Table4 {
-        enc_inside: enc_in.mean,
-        enc_outside: enc_out.mean,
-        dec_inside: dec_in.mean,
-        dec_outside: dec_out.mean,
-    }
-}
-
-/// Table V result: relinearization vs SGX noise reduction (ms).
-#[derive(Debug, Clone)]
-pub struct Table5 {
-    /// Relinearization time.
-    pub relin: Stats,
-    /// Single-ciphertext SGX noise reduction (virtual).
-    pub sgx_single: Stats,
-    /// Amortized per-ciphertext time of a batched SGX noise reduction.
-    pub sgx_batched_per_ct: f64,
 }
 
 /// Table V — relinearization vs `ecall_DecreaseNoise`, plus the batched
 /// amortization of §VI-E.
-pub fn table5_relinearization(env: &mut PaperEnv, cfg: RunConfig) -> Table5 {
+pub fn table5_relinearization(env: &mut PaperEnv, cfg: RunConfig) {
     header("TABLE V: relinearization vs SGX noise reduction (ms)");
     let reps = cfg.reps(50);
     let mut rng = env.rng.fork("table5");
@@ -325,9 +263,4 @@ expensive analogue here — only the {}-ns transition amortizes)",
         batched.mean / sgx_single.mean,
         hesgx_tee::cost::CostModel::default().transition_ns * 2
     );
-    Table5 {
-        relin,
-        sgx_single,
-        sgx_batched_per_ct: batched.mean,
-    }
 }

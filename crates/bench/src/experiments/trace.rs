@@ -42,41 +42,19 @@ use hesgx_obs::Recorder;
 pub const TRACE_SEED: u64 = 7;
 
 /// The noise budget (bits) of one boundary crossing, either side of it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrossingBudget {
+#[derive(Debug)]
+struct CrossingBudget {
     /// Pipeline layer index of the enclave stage.
-    pub layer: usize,
+    layer: usize,
     /// Minimum budget of the cells that crossed in.
-    pub pre_bits: u64,
+    pre_bits: u64,
     /// Minimum budget of the cells the enclave re-encrypted.
-    pub post_bits: u64,
+    post_bits: u64,
     /// Budget of a fresh encryption in the encoding the crossing emits.
-    pub fresh_bits: u64,
+    fresh_bits: u64,
     /// Whether the crossing reads the encoding it emits (`pre` and `post`
     /// are then comparable).
-    pub same_encoding: bool,
-}
-
-/// Machine-checkable summary of the trace experiment.
-#[derive(Debug, Clone)]
-pub struct TraceReport {
-    /// Chrome trace-event JSON identical across pool sizes 1/2/4.
-    pub chrome_identical: bool,
-    /// Prometheus exposition identical across pool sizes 1/2/4.
-    pub prometheus_identical: bool,
-    /// Traced logits equal the untraced run's logits (zero-cost-when-off).
-    pub logits_match_untraced: bool,
-    /// Every crossing left with at least a fresh encryption's budget, and
-    /// with at least the budget it came in with where the encodings match.
-    pub crossings_refresh: bool,
-    /// The pool-1 run's crossings, in stage order.
-    pub budgets: Vec<CrossingBudget>,
-    /// Trace events in the pool-1 timeline.
-    pub events: usize,
-    /// Where the Perfetto trace landed (unset when the write failed).
-    pub trace_path: Option<String>,
-    /// Where the Prometheus snapshot landed (unset when the write failed).
-    pub prom_path: Option<String>,
+    same_encoding: bool,
 }
 
 /// One traced run: returns (logits, crossing budgets, chrome JSON,
@@ -142,7 +120,7 @@ fn traced_run(
 }
 
 /// Runs the report, prints the budget table, writes `target/obs/trace-7.*`.
-pub fn trace(cfg: RunConfig) -> TraceReport {
+pub fn trace(cfg: RunConfig) {
     header("TRACE: deterministic timelines + noise-budget telemetry (not in the paper)");
     let model = sweep_model(cfg.quick);
     let preset = match cfg.quick {
@@ -199,15 +177,12 @@ pub fn trace(cfg: RunConfig) -> TraceReport {
     println!("prometheus text byte-identical across pools 1/2/4: {prometheus_identical}");
     println!("logits bit-identical to untraced run: {logits_match_untraced}");
 
-    let trace_path = crate::write_obs_file(&format!("trace-{TRACE_SEED}.json"), &chrome)
-        .map(|p| p.display().to_string());
-    let prom_path = crate::write_obs_file(&format!("trace-{TRACE_SEED}.prom"), &prom)
-        .map(|p| p.display().to_string());
-    if let Some(path) = &trace_path {
+    if let Some(path) = crate::write_obs_file(&format!("trace-{TRACE_SEED}.json"), &chrome) {
+        let path = path.display();
         println!("perfetto trace written to {path} (open in ui.perfetto.dev)");
     }
-    if let Some(path) = &prom_path {
-        println!("prometheus snapshot written to {path}");
+    if let Some(path) = crate::write_obs_file(&format!("trace-{TRACE_SEED}.prom"), &prom) {
+        println!("prometheus snapshot written to {}", path.display());
     }
 
     // CI gates on this experiment: a broken contract must fail the run.
@@ -228,15 +203,4 @@ pub fn trace(cfg: RunConfig) -> TraceReport {
         "a crossing left with less budget than a fresh encryption, or than it came in with \
          in the same encoding: {budgets:?}"
     );
-
-    TraceReport {
-        chrome_identical,
-        prometheus_identical,
-        logits_match_untraced,
-        crossings_refresh,
-        budgets,
-        events,
-        trace_path,
-        prom_path,
-    }
 }

@@ -1,13 +1,10 @@
 //! # hesgx-bench
 //!
-//! Benchmark harness and paper-reproduction driver.
-//!
-//! * Criterion benches (`benches/paper_tables.rs`, `benches/paper_figures.rs`)
-//!   micro-benchmark every operation the paper's Tables I–V and Figures 3–6
-//!   time.
-//! * The `repro` binary regenerates each table and figure end to end and
-//!   checks the paper's *shape claims* (who wins, ratios, crossovers) —
-//!   see `EXPERIMENTS.md` for paper-vs-measured results.
+//! The paper-reproduction driver. The `repro` binary regenerates each table
+//! and figure of the paper's evaluation end to end: every run asserts its
+//! correctness claims (exactness, byte identity, reconciliation) and prints
+//! the paper's *shape claims* (who wins, ratios, crossovers) next to the
+//! measured numbers — see `EXPERIMENTS.md` for paper-vs-measured results.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -17,6 +14,7 @@ pub mod stats;
 
 use hesgx_crypto::rng::ChaChaRng;
 use hesgx_henn::crt::{CrtKeys, CrtPlainSystem};
+use hesgx_nn::quantize::{QuantPipeline, QuantizedCnn};
 use hesgx_obs::Recorder;
 use hesgx_tee::cost::CostModel;
 use hesgx_tee::enclave::{Enclave, EnclaveBuilder, Platform};
@@ -28,6 +26,37 @@ pub const PAPER_POLY_DEGREE: usize = 1024;
 
 /// Batch size used throughout (the paper's batchSize = 10, §V-B).
 pub const PAPER_BATCH_SIZE: usize = 10;
+
+/// The served model of the experiments that compare two runs of one model
+/// (`ntt_bench`, `transcipher`, `profile`): the paper CNN's dimensions in
+/// full mode, a scaled-down stand-in in quick mode. Deterministic formula
+/// weights — an A/B comparison needs identical models, not trained ones.
+pub(crate) fn formula_model(quick: bool) -> QuantizedCnn {
+    let (in_side, conv_out, kernel, window, classes) = if quick {
+        (12, 2, 3, 2, 3)
+    } else {
+        (28, 5, 5, 2, 10)
+    };
+    let out_side = in_side - kernel + 1;
+    let flat = conv_out * (out_side / window) * (out_side / window);
+    QuantizedCnn {
+        pipeline: QuantPipeline::Hybrid,
+        in_side,
+        conv_out,
+        kernel,
+        window,
+        classes,
+        conv_weights: (0..conv_out * kernel * kernel)
+            .map(|i| (i % 7) as i64 - 3)
+            .collect(),
+        conv_bias: (0..conv_out).map(|i| (i as i64 % 5) - 2).collect(),
+        fc_weights: (0..classes * flat).map(|i| (i % 5) as i64 - 2).collect(),
+        fc_bias: (0..classes).map(|i| (i as i64 % 9) - 4).collect(),
+        weight_scale: 8,
+        fc_scale: 8,
+        act_scale: 16,
+    }
+}
 
 /// A ready-made environment shared by the experiments: one platform, a
 /// single-modulus FV system at the paper's degree, and keys. Enclaves are

@@ -3,12 +3,21 @@
 use hesgx_crypto::chacha20;
 use hesgx_crypto::hmac::{hmac_sha256, verify_tag};
 use hesgx_crypto::rng::ChaChaRng;
+use hesgx_crypto::schnorr::{SchnorrGroup, Signature, SigningKey, VerifyingKey};
 use hesgx_crypto::sha256::{sha256, Sha256};
 use hesgx_crypto::uint::{div_rem_u512, Reciprocal, U256, U512};
 use proptest::prelude::*;
 
 fn arb_u256() -> impl Strategy<Value = U256> {
     any::<[u64; 4]>().prop_map(U256)
+}
+
+/// A verifying key of the default group (the one the quoting enclaves sign
+/// with) and a signature it accepts over `b"quote"`.
+fn quote_key() -> (VerifyingKey, Signature) {
+    let sk = SigningKey::generate(SchnorrGroup::default_group(), &mut ChaChaRng::from_seed(11));
+    let sig = sk.sign(b"quote");
+    (sk.verifying_key(), sig)
 }
 
 proptest! {
@@ -109,5 +118,29 @@ proptest! {
         for _ in 0..16 {
             prop_assert!(rng.next_below(bound) < bound);
         }
+    }
+}
+
+// A malformed signature on a quote must be rejected, never accepted and
+// never a panic: arbitrary wire bytes (mostly `e` or `s` at or above `q`,
+// refused before any arithmetic), and `(e, s)` drawn below `q`, which reach
+// the exponentiations.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn arbitrary_signature_bytes_never_verify(bytes in any::<[u8; 64]>(), message in proptest::collection::vec(any::<u8>(), 0..64)) {
+        let (vk, _) = quote_key();
+        prop_assert!(!vk.verify(&message, &Signature::from_bytes(&bytes)));
+        prop_assert!(!vk.verify(b"quote", &Signature::from_bytes(&bytes)));
+    }
+
+    #[test]
+    fn in_range_signature_never_verifies(e in arb_u256(), s in arb_u256()) {
+        let (vk, valid) = quote_key();
+        let q = Reciprocal::new(SchnorrGroup::default_group().q());
+        let forged = Signature { e: q.reduce(e), s: q.reduce(s) };
+        prop_assume!(forged != valid);
+        prop_assert!(!vk.verify(b"quote", &forged));
     }
 }

@@ -76,45 +76,6 @@ impl CrtSeededCiphertext {
     }
 }
 
-/// A scalar weight prepared for every CRT part: the per-part `rem_euclid`
-/// centering plus the per-limb Shoup precomputation that
-/// [`CrtPlainSystem::mul_scalar`] redoes on every call, hoisted to
-/// provisioning time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrtPreparedScalar {
-    pub(crate) parts: Vec<PlainScalar>,
-}
-
-impl CrtPreparedScalar {
-    /// Borrows the prepared form for CRT part `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn part(&self, i: usize) -> &PlainScalar {
-        &self.parts[i]
-    }
-}
-
-/// A bias constant prepared for every CRT part: the per-limb `Δ·c mod qi`
-/// values that [`CrtPlainSystem::add_scalar`] recomputes (plus a full
-/// polynomial allocation) on every call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrtPreparedBias {
-    pub(crate) parts: Vec<PreparedBias>,
-}
-
-impl CrtPreparedBias {
-    /// Borrows the prepared form for CRT part `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn part(&self, i: usize) -> &PreparedBias {
-        &self.parts[i]
-    }
-}
-
 /// How a cell's values sit in its plaintext polynomial — the one argument
 /// that tells [`CrtPlainSystem::encode`], [`CrtPlainSystem::encrypt`] and
 /// [`CrtPlainSystem::decrypt`] apart for the two kinds of map.
@@ -557,21 +518,18 @@ impl CrtPlainSystem {
         })
     }
 
-    /// Prepares a signed scalar weight once for repeated multiplication —
-    /// [`CrtPlainSystem::mul_scalar`] with the centering and Shoup
-    /// precomputation hoisted out of the per-request path.
+    /// Prepares a signed scalar weight once for repeated multiplication,
+    /// one operand a part — [`CrtPlainSystem::mul_scalar`] with the
+    /// centering and Shoup precomputation hoisted out of the per-request
+    /// path.
     ///
     /// # Errors
     ///
     /// Propagates component failures.
-    pub fn prepare_scalar(&self, value: i64) -> hesgx_bfv::error::Result<CrtPreparedScalar> {
-        let parts = self
-            .evaluators
-            .iter()
-            .enumerate()
+    pub fn prepare_scalar(&self, value: i64) -> hesgx_bfv::error::Result<Vec<PlainScalar>> {
+        (self.evaluators.iter().enumerate())
             .map(|(i, eval)| eval.prepare_plain_scalar(self.centered(value, i)))
-            .collect::<hesgx_bfv::error::Result<_>>()?;
-        Ok(CrtPreparedScalar { parts })
+            .collect()
     }
 
     /// Adds a signed integer constant (to all slots), embedding `Δ·c` on
@@ -592,23 +550,23 @@ impl CrtPlainSystem {
         })
     }
 
-    /// Prepares a bias constant once for repeated in-place addition —
-    /// [`CrtPlainSystem::add_scalar`] without the per-call polynomial
-    /// allocation.
+    /// Prepares `values`, encoded as `encoding` says, once for repeated
+    /// in-place addition, one addend a part — [`CrtPlainSystem::add_scalar`]
+    /// without the per-call polynomial allocation for a constant
+    /// (`&[c]` as [`Encoding::Coeffs`], `c` in every slot too).
     ///
     /// # Errors
     ///
-    /// Propagates component failures.
-    pub fn prepare_bias(&self, value: i64) -> hesgx_bfv::error::Result<CrtPreparedBias> {
-        let parts = self
-            .evaluators
-            .iter()
-            .zip(&self.moduli)
-            .map(|(eval, &t)| {
-                eval.prepare_plain_bias(&Plaintext::constant(value.rem_euclid(t as i64) as u64))
-            })
-            .collect::<hesgx_bfv::error::Result<_>>()?;
-        Ok(CrtPreparedBias { parts })
+    /// Fails when more values than slots are supplied.
+    pub fn prepare_bias(
+        &self,
+        values: &[i64],
+        encoding: Encoding,
+    ) -> hesgx_bfv::error::Result<Vec<PreparedBias>> {
+        let plain = self.encode(values, encoding)?.into_iter();
+        (plain.zip(&self.evaluators))
+            .map(|(p, eval)| eval.prepare_plain_bias(&p))
+            .collect()
     }
 
     /// Slot-wise square (`C × C` multiply). Output parts have size 3 until
@@ -910,7 +868,7 @@ mod tests {
                 .unwrap();
             for v in [-9_000i64, -1, 0, 1, 4, 11_000] {
                 let prepared = sys.prepare_scalar(v).unwrap();
-                let bias = sys.prepare_bias(v).unwrap();
+                let bias = sys.prepare_bias(&[v], Encoding::Coeffs).unwrap();
                 let term = sys.mul_scalar(&a, v).unwrap();
                 let mut sum = a.clone();
                 sys.add_inplace(&mut sum, &term).unwrap();
@@ -920,19 +878,18 @@ mod tests {
                 for part in 0..sys.part_count() {
                     let (eval, x) = (sys.evaluator(part), a.part(part));
                     assert_eq!(
-                        eval.mul_plain_scalar(x, prepared.part(part)).unwrap(),
+                        eval.mul_plain_scalar(x, &prepared[part]).unwrap(),
                         term.parts[part],
                         "prepared multiply diverged for {v}"
                     );
                     // Fused accumulate vs multiply-then-add.
                     let mut fused = x.clone();
-                    eval.mul_plain_scalar_acc(&mut fused, x, prepared.part(part))
+                    eval.mul_plain_scalar_acc(&mut fused, x, &prepared[part])
                         .unwrap();
                     assert_eq!(fused, sum.parts[part], "fused accumulate diverged for {v}");
 
                     let mut got = x.clone();
-                    eval.add_plain_bias_inplace(&mut got, bias.part(part))
-                        .unwrap();
+                    eval.add_plain_bias_inplace(&mut got, &bias[part]).unwrap();
                     assert_eq!(got, biased.parts[part], "prepared bias diverged for {v}");
                 }
             }

@@ -86,7 +86,7 @@ fn conv_cell_part(
     for i in 0..in_channels {
         for ky in 0..rows {
             for kx in 0..cols {
-                let wgt = bank.scalars[((o * in_channels + i) * rows + ky) * cols + kx].part(part);
+                let wgt = &bank.scalars[((o * in_channels + i) * rows + ky) * cols + kx][part];
                 let x = &input.cell(i, oy + ky, ox + kx).parts[part];
                 match acc.as_mut() {
                     None => acc = Some(eval.mul_plain_scalar(x, wgt)?),
@@ -96,7 +96,7 @@ fn conv_cell_part(
         }
     }
     let mut acc = acc.ok_or_else(|| BfvError::InvalidShape("empty tap set".into()))?;
-    eval.add_plain_bias_inplace(&mut acc, bank.biases[o].part(part))?;
+    eval.add_plain_bias_inplace(&mut acc, &bank.biases[o][part])?;
     Ok(acc)
 }
 

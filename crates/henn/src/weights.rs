@@ -9,10 +9,10 @@
 //! layer, laid out by the [`SlotMap`](crate::image::SlotMap) of the map they
 //! multiply — and decides which maps it reads ([`NttBank::reads`]).
 
-use crate::crt::{CrtCiphertext, CrtPlainSystem, CrtPreparedBias, CrtPreparedScalar, Encoding};
+use crate::crt::{CrtCiphertext, CrtPlainSystem, Encoding};
 use crate::image::{orbit_stride, EncryptedMap, Layout};
 use hesgx_bfv::error::{BfvError, Result};
-use hesgx_bfv::evaluator::PreparedBias;
+use hesgx_bfv::evaluator::{PlainScalar, PreparedBias};
 use hesgx_bfv::plaintext::NttPlaintext;
 
 /// All prepared operands of one linear layer (conv or FC): scalar weights
@@ -22,10 +22,12 @@ use hesgx_bfv::plaintext::NttPlaintext;
 /// weight form.
 #[derive(Debug, Clone)]
 pub struct WeightBank {
-    /// Prepared multiply operands, in the layer's flattened weight order.
-    pub scalars: Vec<CrtPreparedScalar>,
-    /// Prepared bias operands, one per output channel / neuron.
-    pub biases: Vec<CrtPreparedBias>,
+    /// `[weight][part]` prepared multiply operands, in the layer's
+    /// flattened weight order.
+    pub scalars: Vec<Vec<PlainScalar>>,
+    /// `[bias][part]` prepared bias operands, one per output channel /
+    /// neuron.
+    pub biases: Vec<Vec<PreparedBias>>,
 }
 
 impl WeightBank {
@@ -45,7 +47,7 @@ impl WeightBank {
                 .collect::<Result<_>>()?,
             biases: biases
                 .iter()
-                .map(|&b| sys.prepare_bias(b))
+                .map(|&b| sys.prepare_bias(&[b], Encoding::Coeffs))
                 .collect::<Result<_>>()?,
         })
     }
@@ -130,7 +132,7 @@ impl NttBank {
             coeffs
         };
         let kernels: Vec<Vec<i64>> = weights.chunks(side * side).map(kernel).collect();
-        let bias = |&b: &i64| bias_parts(sys, &vec![b; n], Encoding::Coeffs);
+        let bias = |&b: &i64| sys.prepare_bias(&vec![b; n], Encoding::Coeffs);
         Ok(NttBank {
             geometry: NttGeometry::Coeff { side, pitch },
             rows: ntt_rows(sys, &kernels, weights.len() / taps, Encoding::Coeffs)?,
@@ -178,7 +180,7 @@ impl NttBank {
         // A class's bias where the first cell holds input 0, partial sum 0.
         let bias = |&b: &i64| {
             let first = rule.encode(batch, |_, input, _| if input == 0 { b } else { 0 })?;
-            bias_parts(sys, &first[0], Encoding::Slots)
+            sys.prepare_bias(&first[0], Encoding::Slots)
         };
         Ok(NttBank {
             geometry: NttGeometry::FcOperand { inputs, per_image },
@@ -220,7 +222,7 @@ impl NttBank {
         let rule = layout.slot_map((weights.len() / positions, 1, 1), slots)?;
         let weight = |row, position, _| weights[row * positions + position];
         let cells = rule.encode(2 * stride, weight)?;
-        let bias = |&b: &i64| sys.prepare_bias(b).map(|bias| bias.parts);
+        let bias = |&b: &i64| sys.prepare_bias(&[b], Encoding::Coeffs);
         Ok(NttBank {
             geometry: NttGeometry::Orbit { side },
             rows: ntt_rows(sys, &cells, weights.len() / row, Encoding::Slots)?,
@@ -304,18 +306,6 @@ fn ntt_rows(
     cells.chunks(terms).map(row).collect()
 }
 
-/// `values` encoded as `encoding` says and prepared as an addend, `[part]`.
-fn bias_parts(
-    sys: &CrtPlainSystem,
-    values: &[i64],
-    encoding: Encoding,
-) -> Result<Vec<PreparedBias>> {
-    let plain = sys.encode(values, encoding)?.into_iter().enumerate();
-    plain
-        .map(|(part, p)| sys.evaluator(part).prepare_plain_bias(&p))
-        .collect()
-}
-
 /// Counts the weights of a conv layer configuration: `kernels` kernels of
 /// `k × k` values plus one bias each (the paper's Fig. 3 workload generator:
 /// "The weights are divided into the value of kernels and bias").
@@ -337,8 +327,8 @@ mod tests {
         let weights: Vec<i64> = (-10..10).collect();
         let bank = WeightBank::prepare(&sys, &weights, &[1, -1]).unwrap();
         assert_eq!(bank.scalars.len(), 20);
-        assert!(bank.scalars.iter().all(|s| s.parts.len() == 2));
-        assert!(bank.biases.iter().all(|b| b.parts.len() == 2));
+        assert!(bank.scalars.iter().all(|s| s.len() == 2));
+        assert!(bank.biases.iter().all(|b| b.len() == 2));
     }
 
     #[test]
@@ -383,13 +373,13 @@ mod tests {
                 x.map(|xv| f(xv).rem_euclid(t as i64) as u64).collect()
             };
             for (&w, s) in weights.iter().zip(&bank.scalars) {
-                let prod = eval.mul_plain_scalar(ct.part(i), s.part(i)).unwrap();
+                let prod = eval.mul_plain_scalar(ct.part(i), &s[i]).unwrap();
                 let want = expect(&|xv| w * xv);
                 assert_eq!(slots(&prod), want, "weight {w}, t = {t}");
             }
             for (&b, p) in biases.iter().zip(&bank.biases) {
                 let mut sum = ct.part(i).clone();
-                eval.add_plain_bias_inplace(&mut sum, p.part(i)).unwrap();
+                eval.add_plain_bias_inplace(&mut sum, &p[i]).unwrap();
                 let want = expect(&|xv| xv + b);
                 assert_eq!(slots(&sum), want, "bias {b}, t = {t}");
             }

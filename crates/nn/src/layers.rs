@@ -668,170 +668,3 @@ mod tests {
         }
     }
 }
-
-/// Batch normalization over channels (inference-style, fixed statistics).
-///
-/// The paper's related work (Chabanne et al. \[10\]) adds a normalization layer
-/// before each activation so a low-degree polynomial approximation stays in
-/// its accurate range. Provided here as the extension that technique needs;
-/// statistics are set from data with [`BatchNorm::fit`] and then frozen
-/// (affine transform per channel: `y = gamma·(x-mean)/sqrt(var+eps) + beta`),
-/// which makes the layer linear — i.e. HE-computable outside the enclave.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchNorm {
-    /// Per-channel means.
-    pub mean: Vec<f64>,
-    /// Per-channel variances.
-    pub var: Vec<f64>,
-    /// Per-channel scale.
-    pub gamma: Vec<f64>,
-    /// Per-channel shift.
-    pub beta: Vec<f64>,
-    /// Numerical-stability epsilon.
-    pub eps: f64,
-}
-
-impl BatchNorm {
-    /// Identity-initialized batch norm for `channels` channels.
-    pub fn new(channels: usize) -> Self {
-        BatchNorm {
-            mean: vec![0.0; channels],
-            var: vec![1.0; channels],
-            gamma: vec![1.0; channels],
-            beta: vec![0.0; channels],
-            eps: 1e-5,
-        }
-    }
-
-    /// Sets the statistics from a sample of feature maps.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a map's channel count differs from the layer's.
-    pub fn fit(&mut self, maps: &[Tensor]) {
-        let channels = self.mean.len();
-        let mut count = vec![0usize; channels];
-        let mut sum = vec![0.0f64; channels];
-        let mut sum_sq = vec![0.0f64; channels];
-        for map in maps {
-            assert_eq!(map.shape()[0], channels, "channel mismatch in fit");
-            let (h, w) = (map.shape()[1], map.shape()[2]);
-            for c in 0..channels {
-                for y in 0..h {
-                    for x in 0..w {
-                        let v = map.at3(c, y, x);
-                        count[c] += 1;
-                        sum[c] += v;
-                        sum_sq[c] += v * v;
-                    }
-                }
-            }
-        }
-        for c in 0..channels {
-            if count[c] > 0 {
-                let n = count[c] as f64;
-                self.mean[c] = sum[c] / n;
-                self.var[c] = (sum_sq[c] / n - self.mean[c] * self.mean[c]).max(0.0);
-            }
-        }
-    }
-
-    /// Forward pass (frozen statistics — a per-channel affine map).
-    pub fn forward(&self, input: &Tensor) -> (Tensor, LayerCache) {
-        let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        assert_eq!(c, self.mean.len(), "channel mismatch");
-        let mut out = input.clone();
-        for ch in 0..c {
-            let scale = self.gamma[ch] / (self.var[ch] + self.eps).sqrt();
-            let shift = self.beta[ch] - self.mean[ch] * scale;
-            for y in 0..h {
-                for x in 0..w {
-                    *out.at3_mut(ch, y, x) = input.at3(ch, y, x) * scale + shift;
-                }
-            }
-        }
-        (out, LayerCache::None)
-    }
-
-    /// Backward pass (statistics frozen, gamma/beta treated as constants —
-    /// the gradient is the per-channel scale).
-    pub fn backward(&self, grad_out: &Tensor) -> Tensor {
-        let (c, h, w) = (
-            grad_out.shape()[0],
-            grad_out.shape()[1],
-            grad_out.shape()[2],
-        );
-        let mut grad_in = grad_out.clone();
-        for ch in 0..c {
-            let scale = self.gamma[ch] / (self.var[ch] + self.eps).sqrt();
-            for y in 0..h {
-                for x in 0..w {
-                    *grad_in.at3_mut(ch, y, x) = grad_out.at3(ch, y, x) * scale;
-                }
-            }
-        }
-        grad_in
-    }
-}
-
-#[cfg(test)]
-mod batchnorm_tests {
-    use super::*;
-    use hesgx_crypto::rng::ChaChaRng;
-
-    #[test]
-    fn identity_when_uninitialized() {
-        let bn = BatchNorm::new(2);
-        let input = Tensor::from_fn(&[2, 2, 2], |i| i as f64);
-        let (out, _) = bn.forward(&input);
-        for (a, b) in out.data().iter().zip(input.data()) {
-            assert!((a - b).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn fit_normalizes_to_zero_mean_unit_var() {
-        let mut rng = ChaChaRng::from_seed(1);
-        let maps: Vec<Tensor> = (0..8)
-            .map(|_| Tensor::from_fn(&[1, 4, 4], |_| rng.next_gaussian() * 3.0 + 7.0))
-            .collect();
-        let mut bn = BatchNorm::new(1);
-        bn.fit(&maps);
-        assert!((bn.mean[0] - 7.0).abs() < 0.5);
-        assert!((bn.var[0].sqrt() - 3.0).abs() < 0.5);
-        // Normalized outputs have ~zero mean.
-        let (out, _) = bn.forward(&maps[0]);
-        let m: f64 = out.data().iter().sum::<f64>() / out.len() as f64;
-        assert!(m.abs() < 1.0);
-    }
-
-    #[test]
-    fn backward_scales_gradient() {
-        let mut bn = BatchNorm::new(1);
-        bn.var = vec![3.0];
-        bn.gamma = vec![2.0];
-        let grad_out = Tensor::from_vec(&[1, 1, 2], vec![1.0, -1.0]);
-        let grad_in = bn.backward(&grad_out);
-        let scale = 2.0 / (3.0f64 + 1e-5).sqrt();
-        assert!((grad_in.data()[0] - scale).abs() < 1e-9);
-        assert!((grad_in.data()[1] + scale).abs() < 1e-9);
-    }
-
-    #[test]
-    fn frozen_batchnorm_is_affine_hence_he_friendly() {
-        // y(a·x1 + b·x2) relation: affine maps commute with linear
-        // combinations up to the shift — verify y(x) - shift is linear.
-        let mut bn = BatchNorm::new(1);
-        bn.mean = vec![2.0];
-        bn.var = vec![4.0];
-        bn.gamma = vec![3.0];
-        bn.beta = vec![1.0];
-        let x1 = Tensor::from_vec(&[1, 1, 1], vec![5.0]);
-        let x2 = Tensor::from_vec(&[1, 1, 1], vec![-3.0]);
-        let y = |t: &Tensor| bn.forward(t).0.data()[0];
-        let shift = y(&Tensor::from_vec(&[1, 1, 1], vec![0.0]));
-        let lin = |v: f64| y(&Tensor::from_vec(&[1, 1, 1], vec![v])) - shift;
-        assert!((lin(5.0 + -3.0) - (lin(5.0) + lin(-3.0))).abs() < 1e-9);
-        let _ = (x1, x2);
-    }
-}

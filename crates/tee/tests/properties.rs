@@ -129,3 +129,38 @@ proptest! {
         prop_assert_ne!(ea.measurement(), eb.measurement());
     }
 }
+
+// A valid quote with one attested field changed must be refused with an
+// error, never accepted: the measurement or the user data (the signature no
+// longer covers them), or the platform id (an unknown platform, or the other
+// registered one, whose key did not sign it).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn quote_with_a_changed_field_never_verifies(user_data in proptest::collection::vec(any::<u8>(), 0..64),
+                                                 field in 0u8..3,
+                                                 pos in any::<usize>(),
+                                                 flip in 1u8..255,
+                                                 other_platform in any::<bool>()) {
+        let (platform, other) = (Platform::new(5), Platform::new(6));
+        let enclave = EnclaveBuilder::new("p").add_code(b"c").build(platform.clone());
+        let mut service = AttestationService::new();
+        service.register_platform(platform.quoting_enclave());
+        service.register_platform(other.quoting_enclave());
+        let report = enclave.create_report(user_data);
+        let mut quote = platform.quoting_enclave().quote(&report).unwrap();
+        prop_assert!(service.verify(&quote).is_ok());
+        match field {
+            0 => quote.measurement[pos % 32] ^= flip,
+            1 if quote.user_data.is_empty() => quote.user_data.push(flip),
+            1 => {
+                let at = pos % quote.user_data.len();
+                quote.user_data[at] ^= flip;
+            }
+            _ if other_platform => quote.platform_id = other.quoting_enclave().platform_id(),
+            _ => quote.platform_id[pos % 32] ^= flip,
+        }
+        prop_assert!(service.verify(&quote).is_err());
+    }
+}
