@@ -40,20 +40,11 @@ step_lint() {
     RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
         cargo doc --workspace --no-deps --offline -q
 
-    # Lint gate: the baseline grandfathers nothing today (header-only file),
-    # so any finding is a new finding and fails; --json must be byte-identical
-    # across two runs (the lint's own output is held to the replay contract),
-    # and the SARIF export is produced as a CI artifact.
-    echo "==> hesgx-lint --workspace (baseline gate + json determinism + sarif)"
-    local lint=(cargo run -q -p hesgx-lint --offline -- --workspace --baseline lint-baseline.txt)
-    "${lint[@]}"
-    mkdir -p target/lint
-    "${lint[@]}" --json > target/lint/lint.first.json
-    "${lint[@]}" --json > target/lint/lint.json
-    diff target/lint/lint.first.json target/lint/lint.json
-    rm -f target/lint/lint.first.json
-    "${lint[@]}" --sarif > target/lint/lint.sarif
-    test -s target/lint/lint.sarif
+    # Lint gate: the workspace lints clean, so any finding fails. A finding
+    # is silenced only by an inline `hesgx-lint: allow(rule, reason = "...")`
+    # marker, and a marker that silences nothing is itself a finding.
+    echo "==> hesgx-lint --workspace"
+    cargo run -q -p hesgx-lint --offline -- --workspace
 }
 
 step_test() {
@@ -79,13 +70,13 @@ step_test() {
 
 # Fixed fault-plan seeds (see crates/bench chaos_sweep::PLAN_SEEDS): the same
 # seeds on every run, so the per-seed FaultReport artifact
-# target/chaos-report.json is diffable across commits. The run asserts that
+# target/chaos-report.json holds no wall time and must be byte-identical
+# across two runs (and so diffable across commits). Each run asserts that
 # every point's logits equal the fault-free baseline and that every point's
 # report is byte-stable across two runs of its seed.
 step_chaos() {
-    echo "==> chaos sweep"
-    repro chaos_sweep --quick
-    test -s target/chaos-report.json
+    echo "==> chaos sweep (two runs, diffed)"
+    run_twice_diff chaos_sweep target/chaos-report.json
 }
 
 step_obs() {

@@ -3,7 +3,7 @@
 
 use crate::arith::{self, inv_mod, shoup_precompute};
 use crate::ntt::NttTable;
-use crate::params::{EncryptionParameters, ParameterError};
+use crate::params::{EncryptionParameters, ParameterError, DEFAULT_NOISE_STD_DEV};
 use crate::poly::RnsPoly;
 use crate::tensor::TensorBasis;
 use hesgx_crypto::sha256::sha256;
@@ -107,7 +107,6 @@ impl BfvContext {
             decomp_pow.push(row);
         }
 
-        let params_noise = params.noise_std_dev();
         // Context id: hash of the parameter encoding.
         let mut material = Vec::new();
         material.extend_from_slice(&(n as u64).to_le_bytes());
@@ -126,7 +125,7 @@ impl BfvContext {
             crt,
             delta_mod,
             tensor,
-            noise: crate::sampler::DiscreteGaussian::new(params_noise),
+            noise: crate::sampler::DiscreteGaussian::new(DEFAULT_NOISE_STD_DEV),
             decomp_count,
             decomp_pow,
         }))

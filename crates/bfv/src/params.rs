@@ -8,7 +8,8 @@
 use crate::arith::{self, is_prime_u64, MAX_LIMB_BITS};
 use serde::{Deserialize, Serialize};
 
-/// Standard deviation of the error distribution (SEAL default).
+/// Standard deviation σ of the error distribution (SEAL's default); every
+/// context samples its error at this width.
 pub const DEFAULT_NOISE_STD_DEV: f64 = 3.2;
 
 /// Truncation bound of the error distribution, in standard deviations.
@@ -102,13 +103,13 @@ pub struct EncryptionParameters {
     poly_degree: usize,
     coeff_moduli: Vec<u64>,
     plain_modulus: u64,
-    noise_std_dev: f64,
     decomposition_bit_count: u32,
 }
 
 impl EncryptionParameters {
     /// Starts a parameter builder with SEAL-like defaults
-    /// (n = 1024, automatic coefficient modulus, t = 65537, σ = 3.2).
+    /// (n = 1024, automatic coefficient modulus, t = 65537); the error width
+    /// is always [`DEFAULT_NOISE_STD_DEV`].
     pub fn builder() -> EncryptionParametersBuilder {
         EncryptionParametersBuilder::default()
     }
@@ -134,11 +135,6 @@ impl EncryptionParameters {
     /// The plaintext modulus `t`.
     pub fn plain_modulus(&self) -> u64 {
         self.plain_modulus
-    }
-
-    /// Standard deviation of the discrete Gaussian error.
-    pub fn noise_std_dev(&self) -> f64 {
-        self.noise_std_dev
     }
 
     /// Relinearization decomposition bit count (base `w = 2^dbc`).
@@ -243,7 +239,6 @@ pub struct EncryptionParametersBuilder {
     poly_degree: usize,
     coeff_moduli: Option<Vec<u64>>,
     plain_modulus: u64,
-    noise_std_dev: f64,
     decomposition_bit_count: u32,
 }
 
@@ -253,7 +248,6 @@ impl Default for EncryptionParametersBuilder {
             poly_degree: 1024,
             coeff_moduli: None,
             plain_modulus: 65537,
-            noise_std_dev: DEFAULT_NOISE_STD_DEV,
             decomposition_bit_count: DEFAULT_DECOMPOSITION_BIT_COUNT,
         }
     }
@@ -278,12 +272,6 @@ impl EncryptionParametersBuilder {
         self
     }
 
-    /// Sets the error standard deviation σ.
-    pub fn noise_std_dev(mut self, sigma: f64) -> Self {
-        self.noise_std_dev = sigma;
-        self
-    }
-
     /// Sets the relinearization decomposition bit count.
     pub fn decomposition_bit_count(mut self, dbc: u32) -> Self {
         self.decomposition_bit_count = dbc;
@@ -303,7 +291,6 @@ impl EncryptionParametersBuilder {
             poly_degree: self.poly_degree,
             coeff_moduli,
             plain_modulus: self.plain_modulus,
-            noise_std_dev: self.noise_std_dev,
             decomposition_bit_count: self.decomposition_bit_count,
         };
         params.validate()?;

@@ -5,10 +5,11 @@
 //! stream-encrypted under the per-session [`IngressKey`] both ends derive
 //! from the key-ceremony transcript (see [`crate::keydist::derive_ingress_key`]).
 //! The service side is [`HybridInference::transcipher_ingress`], which sends
-//! the payload through the enclave wrapper and shapes the re-encrypted cells
-//! into the [`EncryptedMap`] the plan's conv layer reads, as an
-//! `infer.ingress.ecall` stage of the pipeline's stage runner so the obs fold
-//! still reconciles ns-for-ns with [`crate::pipeline::total_enclave_cost`].
+//! the payload through the enclave wrapper, whose ECALL packs and
+//! re-encrypts the pixels into the [`EncryptedMap`] the plan's conv layer
+//! reads, as an `infer.ingress.ecall` stage of the pipeline's stage runner
+//! so the obs fold still reconciles ns-for-ns with
+//! [`crate::pipeline::total_enclave_cost`].
 //!
 //! This file sits on the audited ECALL surface (`hesgx-lint`'s `ecall-cost`
 //! scope): every `pub fn` here either threads the enclave
@@ -46,8 +47,8 @@ pub fn seal_ingress_payload(
 impl HybridInference {
     /// Transciphered ingress at the pipeline level: opens the client's
     /// sealed payload inside the enclave (`ecall_Transcipher`), re-encrypts
-    /// the pixels under FV, and shapes the cells into the [`EncryptedMap`]
-    /// of [`HybridInference::ingress_layout`] — the map the client's
+    /// the pixels under FV into the [`EncryptedMap`] of
+    /// [`HybridInference::ingress_layout`] — the map the client's
     /// `EncryptedMap::encrypt_images` produces on the FV-ciphertext path, so
     /// the rest of the pipeline is identical.
     ///
@@ -67,21 +68,16 @@ impl HybridInference {
     ) -> Result<(EncryptedMap, StageMetrics)> {
         let mut metrics = HybridMetrics::default();
         let map = self.run_stage(&mut metrics, "infer.ingress.ecall", |_| {
-            let (sys, model, plan) = (self.system(), self.model(), self.plan());
-            let (cells, batch, cost) = self
-                .enclave()
-                .transcipher_ingress(sys, model, plan, key, payload, self.pool())?;
-            let (side, slots) = (model.in_side, sys.slot_count());
-            let layout = self.ingress_layout(batch);
-            let want = layout.ingress_cells(side, slots);
-            if cells.len() != want {
-                return Err(Error::Config(format!(
-                    "transcipher ingress returned {} cells, {layout:?} of a {side}×{side} image has {want}",
-                    cells.len()
-                )));
-            }
+            let (map, cost) = self.enclave().transcipher_ingress(
+                self.system(),
+                self.model(),
+                self.plan(),
+                key,
+                payload,
+                self.pool(),
+            )?;
             Ok(Staged::ecall(
-                EncryptedMap::ingress(layout, side, slots, cells),
+                map,
                 "Transciphered Ingress (SGX inside)",
                 cost,
             ))

@@ -85,7 +85,6 @@ pub mod sgx_ops;
 pub use error::{Error, FaultClass, Result};
 pub use pipeline::{HybridInference, HybridMetrics, ProvisionConfig};
 pub use planner::{EcallBatching, EnclaveOp, InferencePlan, Placement, Stage};
-pub use recovery::RecoveryPolicy;
 pub use request::{InferRequest, InferResponse, Ingress, Resilience, TenantId, VirtualNs};
 pub use session::{ParamsPreset, Served, Session, SessionBuilder};
 pub use sgx_ops::InferenceEnclave;
@@ -95,7 +94,6 @@ pub mod prelude {
     pub use crate::error::{Error, FaultClass, Result};
     pub use crate::pipeline::{HybridInference, HybridMetrics, ProvisionConfig};
     pub use crate::planner::{EcallBatching, EnclaveOp, InferencePlan, Placement, Stage};
-    pub use crate::recovery::RecoveryPolicy;
     pub use crate::request::{
         InferRequest, InferResponse, Ingress, Resilience, TenantId, VirtualNs,
     };

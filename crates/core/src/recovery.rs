@@ -2,12 +2,12 @@
 //!
 //! The recovery ladder (DESIGN.md §11) starts here: a transient failure —
 //! an interrupted ECALL, a dropped noise-refresh request, an attestation
-//! timeout — is retried up to [`RecoveryPolicy::max_retries`] times with a
-//! deterministic exponential backoff. Every attempt's enclave cost is summed
-//! into the returned [`CostBreakdown`], so retried transitions stay on the
-//! books (the `ecall-cost` lint audits this file). Retry decisions are
-//! reported to the installed [`FaultHook`] so a chaos run's `FaultReport`
-//! records exactly what the recovery layer did.
+//! timeout — is retried up to [`MAX_RETRIES`] times with a deterministic
+//! exponential backoff from [`BACKOFF_BASE_NS`]. Every attempt's enclave
+//! cost is summed into the returned [`CostBreakdown`], so retried
+//! transitions stay on the books (the `ecall-cost` lint audits this file).
+//! Retry decisions are reported to the installed [`FaultHook`] so a chaos
+//! run's `FaultReport` records exactly what the recovery layer did.
 //!
 //! The backoff is *logical*: it is recorded in the report and charged
 //! nowhere, because sleeping in a simulator proves nothing and would couple
@@ -19,40 +19,24 @@ use hesgx_chaos::{FaultHook, FaultSite, RecoveryEvent};
 use hesgx_obs::{counters, Recorder};
 use hesgx_tee::cost::CostBreakdown;
 
-/// How transient faults are retried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Maximum retries after the first failed attempt (so an operation runs
-    /// at most `max_retries + 1` times). Zero disables retry.
-    pub max_retries: u32,
-    /// Base of the exponential backoff: retry `n` (zero-based) backs off
-    /// `backoff_base_ns << n` nanoseconds.
-    pub backoff_base_ns: u64,
+/// Maximum retries after the first failed attempt, so an operation runs at
+/// most `MAX_RETRIES + 1` times.
+pub const MAX_RETRIES: u32 = 3;
+
+/// Base of the exponential backoff: retry `n` (zero-based) backs off
+/// `BACKOFF_BASE_NS << n` nanoseconds.
+pub const BACKOFF_BASE_NS: u64 = 1_000_000;
+
+/// Deterministic backoff before retry `attempt` (zero-based):
+/// `BACKOFF_BASE_NS << attempt`, saturating. `checked_shl` keeps attempts
+/// ≥ 64 at the saturation plateau instead of overflowing the shift (a debug
+/// panic / release wrap that would collapse the backoff back to tiny values).
+fn backoff_ns(attempt: u32) -> u64 {
+    let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
+    BACKOFF_BASE_NS.saturating_mul(factor)
 }
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_retries: 3,
-            backoff_base_ns: 1_000_000,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// Deterministic backoff before retry `attempt` (zero-based):
-    /// `backoff_base_ns << attempt`, saturating. `checked_shl` keeps
-    /// attempts ≥ 64 at the saturation plateau instead of overflowing the
-    /// shift (a debug panic / release wrap that would collapse the backoff
-    /// back to tiny values).
-    // hesgx-lint: allow(ecall-cost, reason = "pure arithmetic; performs no enclave computation")
-    pub fn backoff_ns(&self, attempt: u32) -> u64 {
-        let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
-        self.backoff_base_ns.saturating_mul(factor)
-    }
-}
-
-/// Runs `op` under `policy`, retrying transient failures and summing the
+/// Runs `op`, retrying transient failures and summing the
 /// enclave cost of every attempt (failed attempts included — an aborted
 /// `EENTER` still crossed the boundary).
 ///
@@ -65,7 +49,6 @@ impl RecoveryPolicy {
 /// a `FaultReport` always reconcile with recorded cost entries even when the
 /// cost books legitimately show zero for a dropped request.
 pub fn retry_with_cost<T>(
-    policy: &RecoveryPolicy,
     hook: Option<&dyn FaultHook>,
     recorder: &Recorder,
     mut op: impl FnMut() -> (Result<T>, CostBreakdown),
@@ -95,14 +78,14 @@ pub fn retry_with_cost<T>(
                 let site = err.fault_site().unwrap_or(FaultSite::EcallEnter);
                 last_site = Some(site);
                 let retry_index = attempts - 1;
-                if retry_index < policy.max_retries {
+                if retry_index < MAX_RETRIES {
                     recorder.incr(counters::RECOVERY_RETRIES, 1);
                     if recorder.trace_enabled() {
                         recorder.trace_instant(
                             "recovery.retry",
                             &[
                                 ("attempt", retry_index.to_string()),
-                                ("backoff_ns", policy.backoff_ns(retry_index).to_string()),
+                                ("backoff_ns", backoff_ns(retry_index).to_string()),
                                 ("site", format!("{site:?}")),
                             ],
                         );
@@ -111,7 +94,7 @@ pub fn retry_with_cost<T>(
                         h.on_recovery(RecoveryEvent::Retry {
                             site,
                             attempt: retry_index,
-                            backoff_ns: policy.backoff_ns(retry_index),
+                            backoff_ns: backoff_ns(retry_index),
                         });
                     }
                     continue;
@@ -151,38 +134,25 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_saturates() {
-        let p = RecoveryPolicy {
-            max_retries: 3,
-            backoff_base_ns: 1000,
-        };
-        assert_eq!(p.backoff_ns(0), 1000);
-        assert_eq!(p.backoff_ns(1), 2000);
-        assert_eq!(p.backoff_ns(2), 4000);
-        assert_eq!(p.backoff_ns(63), u64::MAX); // 1000 << 63 saturates
-                                                // At 64 and beyond the shift itself overflows; checked_shl pins the
-                                                // factor (and therefore the product) to the saturation plateau
-                                                // rather than wrapping back to small values.
-        assert_eq!(p.backoff_ns(64), u64::MAX);
-        assert_eq!(p.backoff_ns(200), u64::MAX);
-        assert_eq!(
-            RecoveryPolicy {
-                max_retries: 3,
-                backoff_base_ns: 1,
-            }
-            .backoff_ns(63),
-            1u64 << 63
-        );
+        assert_eq!(backoff_ns(0), 1_000_000);
+        assert_eq!(backoff_ns(1), 2_000_000);
+        assert_eq!(backoff_ns(2), 4_000_000);
+        // 10^6 · 2^44 still fits a u64; one doubling more saturates.
+        assert_eq!(backoff_ns(44), 1_000_000 << 44);
+        assert_eq!(backoff_ns(45), u64::MAX);
+        // At 64 and beyond the shift itself overflows; checked_shl pins the
+        // factor (and therefore the product) to the saturation plateau
+        // rather than wrapping back to small values.
+        assert_eq!(backoff_ns(64), u64::MAX);
+        assert_eq!(backoff_ns(200), u64::MAX);
     }
 
     #[test]
     fn first_try_success_sums_one_cost_and_reports_nothing() {
         let recorder = Arc::new(FaultPlan::new(0).build());
-        let (res, cost) = retry_with_cost(
-            &RecoveryPolicy::default(),
-            Some(recorder.as_ref()),
-            &Recorder::disabled(),
-            || (Ok(42), unit_cost()),
-        );
+        let (res, cost) = retry_with_cost(Some(recorder.as_ref()), &Recorder::disabled(), || {
+            (Ok(42), unit_cost())
+        });
         assert_eq!(res.ok(), Some(42));
         assert_eq!(cost.transition_ns, 10);
         assert!(recorder.report().events.is_empty());
@@ -192,19 +162,14 @@ mod tests {
     fn transient_failures_retry_then_recover() {
         let recorder = Arc::new(FaultPlan::new(0).build());
         let mut calls = 0;
-        let (res, cost) = retry_with_cost(
-            &RecoveryPolicy::default(),
-            Some(recorder.as_ref()),
-            &Recorder::disabled(),
-            || {
-                calls += 1;
-                if calls < 3 {
-                    (Err(transient()), unit_cost())
-                } else {
-                    (Ok("done"), unit_cost())
-                }
-            },
-        );
+        let (res, cost) = retry_with_cost(Some(recorder.as_ref()), &Recorder::disabled(), || {
+            calls += 1;
+            if calls < 3 {
+                (Err(transient()), unit_cost())
+            } else {
+                (Ok("done"), unit_cost())
+            }
+        });
         assert_eq!(res.ok(), Some("done"));
         // Every attempt's boundary cost stays on the books.
         assert_eq!(cost.transition_ns, 30);
@@ -232,28 +197,20 @@ mod tests {
     #[test]
     fn exhaustion_propagates_the_error() {
         let recorder = Arc::new(FaultPlan::new(0).build());
-        let policy = RecoveryPolicy {
-            max_retries: 2,
-            backoff_base_ns: 1,
-        };
         let mut calls = 0;
-        let (res, cost) = retry_with_cost(
-            &policy,
-            Some(recorder.as_ref()),
-            &Recorder::disabled(),
-            || {
-                calls += 1;
-                (Err::<(), _>(transient()), unit_cost())
-            },
-        );
+        let (res, cost) = retry_with_cost(Some(recorder.as_ref()), &Recorder::disabled(), || {
+            calls += 1;
+            (Err::<(), _>(transient()), unit_cost())
+        });
         assert!(res.is_err());
-        assert_eq!(calls, 3); // 1 attempt + 2 retries
-        assert_eq!(cost.transition_ns, 30);
+        assert_eq!(calls, 4); // 1 attempt + MAX_RETRIES retries
+        assert_eq!(cost.transition_ns, 40);
         let report = recorder.report();
+        assert_eq!(report.retries(), 3);
         assert!(matches!(
             report.events.last(),
             Some(ChaosEvent::Recovery(RecoveryEvent::RetriesExhausted {
-                attempts: 3,
+                attempts: 4,
                 ..
             }))
         ));
@@ -266,20 +223,15 @@ mod tests {
         let hook = Arc::new(FaultPlan::new(0).build());
         let obs = Recorder::enabled();
         let mut calls = 0;
-        let (res, cost) = retry_with_cost(
-            &RecoveryPolicy::default(),
-            Some(hook.as_ref()),
-            &obs,
-            || {
-                calls += 1;
-                if calls < 3 {
-                    // Dropped before the boundary: zero cost.
-                    (Err(transient()), CostBreakdown::default())
-                } else {
-                    (Ok(()), unit_cost())
-                }
-            },
-        );
+        let (res, cost) = retry_with_cost(Some(hook.as_ref()), &obs, || {
+            calls += 1;
+            if calls < 3 {
+                // Dropped before the boundary: zero cost.
+                (Err(transient()), CostBreakdown::default())
+            } else {
+                (Ok(()), unit_cost())
+            }
+        });
         assert!(res.is_ok());
         assert_eq!(cost.transition_ns, 10, "only the real crossing charged");
         let span = obs.span("recovery.retry").expect("attempts recorded");
@@ -295,39 +247,12 @@ mod tests {
     fn fatal_errors_never_retry() {
         let recorder = Arc::new(FaultPlan::new(0).build());
         let mut calls = 0;
-        let (res, _) = retry_with_cost(
-            &RecoveryPolicy::default(),
-            Some(recorder.as_ref()),
-            &Recorder::disabled(),
-            || {
-                calls += 1;
-                (Err::<(), _>(Error::Internal("broken")), unit_cost())
-            },
-        );
+        let (res, _) = retry_with_cost(Some(recorder.as_ref()), &Recorder::disabled(), || {
+            calls += 1;
+            (Err::<(), _>(Error::Internal("broken")), unit_cost())
+        });
         assert!(res.is_err());
         assert_eq!(calls, 1);
         assert!(recorder.report().events.is_empty());
-    }
-
-    #[test]
-    fn zero_retry_policy_fails_fast_but_reports_exhaustion() {
-        let recorder = Arc::new(FaultPlan::new(0).build());
-        let (res, _) = retry_with_cost(
-            &RecoveryPolicy {
-                max_retries: 0,
-                backoff_base_ns: 0,
-            },
-            Some(recorder.as_ref()),
-            &Recorder::disabled(),
-            || (Err::<(), _>(transient()), unit_cost()),
-        );
-        assert!(res.is_err());
-        assert!(matches!(
-            recorder.report().events.last(),
-            Some(ChaosEvent::Recovery(RecoveryEvent::RetriesExhausted {
-                attempts: 1,
-                ..
-            }))
-        ));
     }
 }

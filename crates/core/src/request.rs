@@ -8,8 +8,9 @@
 //! [`InferResponse`] that bundles the logits with how they were served,
 //! the stage metrics, and the deterministic trace ID.
 //!
-//! The session-level companion is [`crate::RecoveryPolicy`]: every session
-//! and broker worker retries transient faults under its default budget.
+//! The session-level companion is [`crate::recovery::retry_with_cost`]:
+//! every session and broker worker retries a transient fault up to
+//! [`MAX_RETRIES`](crate::recovery::MAX_RETRIES) times.
 
 use crate::pipeline::HybridMetrics;
 use crate::session::Served;

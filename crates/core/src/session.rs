@@ -15,12 +15,13 @@
 //! deterministic trace ID.
 //!
 //! The session is also where the recovery ladder (DESIGN.md §11) lives:
-//! transient enclave faults retry inside the pipeline under the
-//! [`RecoveryPolicy`], sealed-state corruption triggers a bounded
-//! re-provision (same seed → identical keys, so the user's material stays
-//! valid), and a request sent with [`Resilience::Degrade`] falls back to the
-//! service's pure-HE plan — marked [`Served::Degraded`] — when retries are
-//! exhausted, provided the service compiled one
+//! transient enclave faults retry inside the pipeline up to
+//! [`MAX_RETRIES`](crate::recovery::MAX_RETRIES) times, sealed-state
+//! corruption triggers a bounded re-provision (same seed → identical keys,
+//! so the user's material stays valid), and a request sent with
+//! [`Resilience::Degrade`] falls back to the service's pure-HE plan —
+//! marked [`Served::Degraded`] — when retries are exhausted, provided the
+//! service compiled one
 //! ([`HybridInference::degraded_plan`]). Install a [`FaultPlan`] with
 //! [`SessionBuilder::chaos`] to drive every one of those paths
 //! deterministically and read the resulting [`FaultReport`] back via
@@ -61,7 +62,7 @@ use crate::pipeline::{
     total_enclave_cost, HybridInference, HybridMetrics, ProvisionConfig, StageMetrics,
 };
 use crate::planner::{InferencePlan, Placement};
-use crate::recovery::{retry_with_cost, RecoveryPolicy};
+use crate::recovery::retry_with_cost;
 use crate::request::{InferRequest, InferResponse, Ingress, Resilience};
 use hesgx_chaos::{FaultHook, FaultInjector, FaultPlan, FaultReport, RecoveryEvent};
 use hesgx_crypto::rng::ChaChaRng;
@@ -199,7 +200,8 @@ impl SessionBuilder {
 
     /// Provisions the service on `platform`, runs the key ceremony,
     /// verifies the attested quote (retrying transient attestation faults
-    /// under the recovery policy), and returns the ready session.
+    /// up to [`MAX_RETRIES`](crate::recovery::MAX_RETRIES) times), and
+    /// returns the ready session.
     ///
     /// # Errors
     ///
@@ -229,8 +231,7 @@ impl SessionBuilder {
         attestation.set_recorder(config.recorder.clone());
         let measurement = *service.enclave().enclave().measurement();
         let hook = chaos.as_ref().map(|c| c.as_ref() as &dyn FaultHook);
-        let policy = RecoveryPolicy::default();
-        let (verified, _cost) = retry_with_cost(&policy, hook, &config.recorder, || {
+        let (verified, _cost) = retry_with_cost(hook, &config.recorder, || {
             let res = verify_key_ceremony(&attestation, &ceremony, &measurement)
                 .map(|_| ())
                 .map_err(Error::Tee);
@@ -291,13 +292,13 @@ impl Session {
     /// (amortizing every per-ciphertext cost as in the paper's §V-B) and
     /// the response carries one logit row per image, in request order.
     ///
-    /// Transient faults retry inside the pipeline under the recovery
-    /// policy; sealed-state corruption triggers a bounded re-provision and
-    /// the batch runs again. Once retries are exhausted the request's
-    /// [`Resilience`] decides: [`Resilience::FailFast`] propagates the
-    /// error, [`Resilience::Degrade`] answers from the pure-HE
-    /// square-activation fallback and marks the response
-    /// [`Served::Degraded`].
+    /// Transient faults retry inside the pipeline up to
+    /// [`MAX_RETRIES`](crate::recovery::MAX_RETRIES) times; sealed-state
+    /// corruption triggers a bounded re-provision and the batch runs again.
+    /// Once retries are exhausted the request's [`Resilience`] decides:
+    /// [`Resilience::FailFast`] propagates the error,
+    /// [`Resilience::Degrade`] answers from the pure-HE square-activation
+    /// fallback and marks the response [`Served::Degraded`].
     ///
     /// The request's `deadline` is carried for the serving broker
     /// (`hesgx-serve`), which drops requests whose deadline passes while

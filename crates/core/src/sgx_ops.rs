@@ -19,13 +19,13 @@
 //! `EncryptSGX (single)`.
 //!
 //! Every ECALL runs on one skeleton, `InferenceEnclave::batched_ecall`: one
-//! fallible ECALL per logical call under the retry policy, per-cell work
+//! fallible ECALL per logical call under the retry budget, per-cell work
 //! scheduled on the caller's [`ParExec`] inside the enclave body (a pool of
 //! one runs it inline) with its CPU time reported to the cost model.
 
 use crate::error::{Error, Result};
 use crate::planner::{EcallBatching, EnclaveOp, InferencePlan};
-use crate::recovery::{retry_with_cost, RecoveryPolicy};
+use crate::recovery::retry_with_cost;
 use hesgx_bfv::prelude::{PublicKey, SecretKey};
 use hesgx_chaos::{FaultHook, FaultSite};
 use hesgx_crypto::rng::ChaChaRng;
@@ -309,9 +309,10 @@ impl InferenceEnclave {
     /// per logical call, `body` running inside it over the first `in_bytes +
     /// staging_bytes` of the enclave heap, touched on entry.
     ///
-    /// Transient boundary faults are retried under the default
-    /// [`RecoveryPolicy`] with every attempt's boundary cost summed into the
-    /// returned breakdown (an aborted `EENTER` still crossed the boundary);
+    /// Transient boundary faults are retried up to
+    /// [`MAX_RETRIES`](crate::recovery::MAX_RETRIES) times with every
+    /// attempt's boundary cost summed into the returned breakdown (an aborted
+    /// `EENTER` still crossed the boundary);
     /// `shape.pre_site` is consulted before each attempt. The values a body
     /// computes are exact on any successful attempt, so retries never change
     /// inference output.
@@ -341,8 +342,7 @@ impl InferenceEnclave {
         } = shape;
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
         let base = self.rng.lock().fork(&format!("{fork_prefix}-call-{call}"));
-        let policy = RecoveryPolicy::default();
-        let (result, cost) = retry_with_cost(&policy, self.hook(), self.obs(), || {
+        let (result, cost) = retry_with_cost(self.hook(), self.obs(), || {
             if let Err(e) = self.consult_pre_site(pre_site) {
                 return (Err(e), CostBreakdown::default());
             }
@@ -644,7 +644,8 @@ impl InferenceEnclave {
     /// upload can be dropped in transit). The skeleton forks the RNG base
     /// once per logical call and every cell encrypts from its own `cell-{i}`
     /// fork, so retries are bit-invisible and the bits pool-size independent.
-    /// Returns the ingress cells, the payload's batch size, the boundary cost.
+    /// Returns the [`EncryptedMap::ingress`] map of the packed cells, in the
+    /// layout of the authenticated batch, and the boundary cost.
     ///
     /// # Errors
     ///
@@ -660,7 +661,7 @@ impl InferenceEnclave {
         key: &IngressKey,
         payload: &[u8],
         pool: &ParExec,
-    ) -> Result<(Vec<CrtCiphertext>, usize, CostBreakdown)> {
+    ) -> Result<(EncryptedMap, CostBreakdown)> {
         let (side, slots, in_bytes) = (model.in_side, sys.slot_count(), payload.len());
         // The clear framing header sizes the out-marshalling before the tag
         // is checked; a lying header can only mis-price a request that then
@@ -669,7 +670,7 @@ impl InferenceEnclave {
         let (images, _) = transcipher::peek_shape(payload)
             .map_err(|e| Error::Config(format!("transcipher ingress: {e}")))?;
         let priced = plan.ingress_layout(model, images, slots);
-        let ((cells, batch), cost) = self.batched_ecall(
+        let (map, cost) = self.batched_ecall(
             EcallShape {
                 name: "ecall_Transcipher",
                 in_bytes,
@@ -699,13 +700,13 @@ impl InferenceEnclave {
                     let mut rng = base.fork(&format!("cell-{cell}"));
                     Ok(sys.encrypt(&packed[cell], layout.encoding(), &self.secret, &mut rng)?)
                 })?;
-                Ok((cells, batch))
+                Ok(EncryptedMap::ingress(layout, side, slots, cells))
             },
         )?;
         self.obs().incr(hesgx_obs::counters::TRANSCIPHERS, 1);
         self.obs()
             .incr(hesgx_obs::counters::INGRESS_UPLOAD_BYTES, in_bytes as u64);
-        Ok((cells, batch, cost))
+        Ok((map, cost))
     }
 
     /// Measures the minimum invariant-noise budget (bits) across `cts`
@@ -1501,11 +1502,11 @@ mod tests {
                 let (ie, sys, _) = setup_with(hook.clone(), rec.clone());
                 let pool = ParExec::new(threads);
                 let marshalled = rec.counter(counters::BYTES_MARSHALLED);
-                let (cells, batch, cost) = ie
+                let (map, cost) = ie
                     .transcipher_ingress(&sys, &model, &plan, &key, &payload, &pool)
                     .unwrap();
-                assert_eq!(batch, 2);
-                assert_eq!(plan.ingress_layout(&model, batch, 256), layout);
+                assert_eq!(map.layout(), layout);
+                let cells = map.cells().to_vec();
                 assert_eq!(cells.len(), want, "{layout:?}");
                 assert!(cost.total_ns() > 0);
                 // The out-marshalling was priced for exactly these cells.

@@ -370,12 +370,13 @@ proptest! {
         let tampered = forge_at < 8 && std::mem::replace(&mut payload[13 + forge_at], forged) != forged;
         let plan = plan_for(ActivationKind::Sigmoid, Placement::Hybrid);
         let pool = ParExec::serial();
-        let cells = host.enclave.transcipher_ingress(sys, model, &plan, &key, &payload, &pool);
-        match cells {
-            Ok((cells, served, _)) => {
-                prop_assert!(!tampered && pixels == 64 && served == images);
+        let served = host.enclave.transcipher_ingress(sys, model, &plan, &key, &payload, &pool);
+        match served {
+            Ok((map, _)) => {
+                prop_assert!(!tampered && pixels == 64);
                 let layout = plan.ingress_layout(model, images, 256);
-                prop_assert_eq!(cells.len(), layout.ingress_cells(8, 256));
+                prop_assert_eq!(map.layout(), layout);
+                prop_assert_eq!(map.cells().len(), layout.ingress_cells(8, 256));
             }
             Err(err) => prop_assert!(tampered || pixels != 64 || images == 0, "{}", err),
         }

@@ -181,64 +181,6 @@ pub const RULE_IDS: &[&str] = &[
     "hot-path-alloc",
 ];
 
-/// One-line rule descriptions, for the SARIF rules table. Kept in the
-/// same order as [`RULE_IDS`], plus the meta `suppression` rule.
-pub const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
-    (
-        "secret-debug",
-        "registry types must not derive Debug or impl Display",
-    ),
-    (
-        "secret-pub-api",
-        "registry types stay out of foreign pub signatures",
-    ),
-    (
-        "secret-log",
-        "no format/log macro touches secret-bearing values or their aliases",
-    ),
-    ("enclave-panic", "no unwrap/expect/panic! in enclave code"),
-    (
-        "const-time",
-        "no == over secret-derived bytes in hesgx-crypto",
-    ),
-    (
-        "unsafe-safety",
-        "every unsafe block carries a SAFETY: comment",
-    ),
-    (
-        "forbid-unsafe",
-        "unsafe-free crates declare #![forbid(unsafe_code)]",
-    ),
-    (
-        "ecall-cost",
-        "every pub fn on the ECALL surface returns a cost",
-    ),
-    (
-        "obs-secret-label",
-        "obs span/counter labels never name secret material",
-    ),
-    (
-        "wall-clock",
-        "Instant::now/SystemTime::now only in the audited wall module",
-    ),
-    (
-        "unordered-iter",
-        "no HashMap/HashSet iteration feeding serialized bytes",
-    ),
-    (
-        "rng-fork",
-        "no ChaCha draws on outside-bound generators inside retry bodies",
-    ),
-    (
-        "hot-path-alloc",
-        "no per-iteration allocation in loops of `hot`-marked functions",
-    ),
-    (
-        "suppression",
-        "allow markers must be well-formed, justified, and in use",
-    ),
-];
-
 /// Paths where raw wall-clock reads are legitimate (`wall-clock` rule):
 /// the single audited accessor module, the wall-only bench crate, and the
 /// profiler (`hesgx_obs::prof` sits below `hesgx-tee`, so it cannot route

@@ -1,4 +1,4 @@
-//! Diagnostics and report rendering (human-readable and `--json`).
+//! Diagnostics and the human-readable report.
 
 /// A single finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,20 +15,6 @@ pub struct Diagnostic {
     pub hint: String,
 }
 
-/// One stale `allow` marker, itemized for the `--json` audit view (the
-/// marker also produces a regular `suppression` finding; this list exists
-/// so tooling can count and locate suppression rot without parsing
-/// messages).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaleSuppression {
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-based line of the marker.
-    pub line: usize,
-    /// The rule the stale marker names.
-    pub rule: String,
-}
-
 /// The outcome of a lint run.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -38,10 +24,6 @@ pub struct Report {
     pub suppressed: usize,
     /// Number of files scanned.
     pub files: usize,
-    /// Stale markers (suppressing nothing), itemized.
-    pub stale: Vec<StaleSuppression>,
-    /// Findings forgiven by a `--baseline` file.
-    pub grandfathered: usize,
 }
 
 impl Report {
@@ -50,12 +32,10 @@ impl Report {
         self.findings.is_empty()
     }
 
-    /// Sorts findings and stale markers for stable output.
+    /// Sorts findings for stable output.
     pub fn sort(&mut self) {
         self.findings
             .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-        self.stale
-            .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     }
 
     /// Renders the human-readable report.
@@ -68,81 +48,13 @@ impl Report {
             ));
         }
         out.push_str(&format!(
-            "hesgx-lint: {} finding(s), {} suppressed, {} file(s) scanned, \
-             {} stale marker(s), {} grandfathered\n",
+            "hesgx-lint: {} finding(s), {} suppressed, {} file(s) scanned\n",
             self.findings.len(),
             self.suppressed,
-            self.files,
-            self.stale.len(),
-            self.grandfathered
-        ));
-        out
-    }
-
-    /// Renders the report as a JSON object (hand-rolled; no dependencies).
-    /// Key order and finding order are fixed, so two runs over the same
-    /// tree are byte-identical.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"findings\": [");
-        for (i, d) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \"hint\": {}}}",
-                json_str(&d.file),
-                d.line,
-                json_str(d.rule),
-                json_str(&d.message),
-                json_str(&d.hint)
-            ));
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"stale_suppressions\": [");
-        for (i, s) in self.stale.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}}}",
-                json_str(&s.file),
-                s.line,
-                json_str(&s.rule)
-            ));
-        }
-        if !self.stale.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str(&format!(
-            "],\n  \"stale_count\": {},\n  \"suppressed\": {},\n  \"grandfathered\": {},\n  \"files\": {}\n}}\n",
-            self.stale.len(),
-            self.suppressed,
-            self.grandfathered,
             self.files
         ));
         out
     }
-}
-
-/// Escapes `s` as a JSON string literal.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -160,12 +72,6 @@ mod tests {
             }],
             suppressed: 2,
             files: 10,
-            stale: vec![StaleSuppression {
-                file: "crates/x/src/lib.rs".into(),
-                line: 9,
-                rule: "const-time".into(),
-            }],
-            grandfathered: 1,
         }
     }
 
@@ -175,49 +81,5 @@ mod tests {
         assert!(text.contains("crates/x/src/lib.rs:3: [enclave-panic]"));
         assert!(text.contains("hint: return hesgx_core::Error"));
         assert!(text.contains("1 finding(s), 2 suppressed, 10 file(s)"));
-        assert!(text.contains("1 stale marker(s), 1 grandfathered"));
-    }
-
-    #[test]
-    fn json_output_is_escaped() {
-        let text = sample().render_json();
-        assert!(text.contains("\"rule\": \"enclave-panic\""));
-        assert!(text.contains("\\\"quoted\\\""));
-        assert!(text.contains("\"suppressed\": 2"));
-    }
-
-    #[test]
-    fn json_itemizes_stale_suppressions() {
-        let text = sample().render_json();
-        assert!(text.contains("\"stale_suppressions\": ["));
-        assert!(text.contains("\"line\": 9, \"rule\": \"const-time\""));
-        assert!(text.contains("\"stale_count\": 1"));
-        assert!(text.contains("\"grandfathered\": 1"));
-    }
-
-    #[test]
-    fn json_empty_report() {
-        let r = Report::default();
-        let text = r.render_json();
-        assert!(text.contains("\"findings\": []"));
-        assert!(text.contains("\"stale_suppressions\": []"));
-        assert!(text.contains("\"stale_count\": 0"));
-    }
-
-    #[test]
-    fn sort_orders_stale_entries() {
-        let mut r = Report::default();
-        r.stale.push(StaleSuppression {
-            file: "b.rs".into(),
-            line: 1,
-            rule: "x".into(),
-        });
-        r.stale.push(StaleSuppression {
-            file: "a.rs".into(),
-            line: 5,
-            rule: "y".into(),
-        });
-        r.sort();
-        assert_eq!(r.stale[0].file, "a.rs");
     }
 }

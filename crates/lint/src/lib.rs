@@ -35,26 +35,24 @@
 //! `secret-log`/`obs-secret-label` — consume that [`analysis::Analysis`]
 //! bundle rather than raw lines.
 //!
-//! Findings are suppressed inline — with a mandatory reason — via
-//! `// hesgx-lint: allow(<rule>, reason = "...")`; pre-existing findings
-//! can be grandfathered through a checked-in [`baseline`] file so CI fails
-//! only on new ones.
+//! A finding is suppressed inline, with a mandatory reason, via
+//! `// hesgx-lint: allow(<rule>, reason = "...")`; a marker that suppresses
+//! nothing is itself a `suppression` finding, so a stale marker fails the
+//! run.
 
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod baseline;
 pub mod config;
 pub mod dataflow;
 pub mod diag;
 pub mod lexer;
 pub mod rules;
-pub mod sarif;
 pub mod scope;
 pub mod suppress;
 pub mod tokens;
 
-use diag::{Report, StaleSuppression};
+use diag::Report;
 use lexer::SourceFile;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -101,15 +99,7 @@ pub fn lint_sources(files: &[SourceFile]) -> Report {
                 None => report.findings.push(d),
             }
         }
-        // A marker that silenced nothing is both a finding (the run fails)
-        // and an itemized `stale_suppressions` entry in the JSON audit view.
-        for s in sups.iter().filter(|s| !s.used) {
-            report.stale.push(StaleSuppression {
-                file: file.path.clone(),
-                line: s.marker_line,
-                rule: s.rule.clone(),
-            });
-        }
+        // A marker that silenced nothing is a finding: the run fails.
         report.findings.extend(suppress::unused_diags(file, &sups));
         report.findings.extend(meta_diags);
     }
@@ -224,13 +214,10 @@ mod tests {
         let src = "fn f() {\n    // hesgx-lint: allow(enclave-panic, reason = \"nothing here\")\n    let x = 1;\n}\n";
         let file = SourceFile::scan("crates/tee/src/x.rs", src);
         let report = lint_sources(&[file]);
-        assert!(report
-            .findings
-            .iter()
-            .any(|d| d.rule == "suppression" && d.message.contains("suppresses nothing")));
-        assert_eq!(report.stale.len(), 1);
-        assert_eq!(report.stale[0].rule, "enclave-panic");
-        assert_eq!(report.stale[0].line, 2);
+        assert!(report.findings.iter().any(|d| d.rule == "suppression"
+            && d.line == 2
+            && d.message
+                .contains("allow(enclave-panic) suppresses nothing")));
     }
 
     #[test]

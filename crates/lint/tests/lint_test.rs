@@ -206,18 +206,9 @@ fn live_workspace_lints_clean() {
 }
 
 #[test]
-fn json_report_round_trips_key_fields() {
-    let report = lint_fixture("const-time", "bad.rs");
-    let json = report.render_json();
-    assert!(json.contains("\"rule\": \"const-time\""));
-    assert!(json.contains("\"suppressed\": 0"));
-    assert!(json.contains("bad.rs"));
-}
-
-#[test]
-fn workspace_json_and_sarif_are_byte_deterministic() {
-    // Two fully independent passes over the live tree must serialize to
-    // identical bytes — the property `ci.sh` gates with a binary-level diff.
+fn workspace_human_report_is_byte_deterministic() {
+    // Two fully independent passes over the live tree must render
+    // identical bytes: the lint's one report is held to the replay contract.
     let root = workspace_root();
     let render = || {
         let paths = hesgx_lint::collect_workspace_files(&root).expect("walk workspace");
@@ -225,27 +216,13 @@ fn workspace_json_and_sarif_are_byte_deterministic() {
             .iter()
             .map(|p| hesgx_lint::load_file(&root, p).expect("readable source"))
             .collect();
-        let report = lint_sources(&files);
-        (
-            report.render_json(),
-            hesgx_lint::sarif::render_sarif(&report),
-        )
+        lint_sources(&files).render_human()
     };
-    let (json_a, sarif_a) = render();
-    let (json_b, sarif_b) = render();
-    assert_eq!(json_a, json_b, "--json must be byte-stable across runs");
-    assert_eq!(sarif_a, sarif_b, "--sarif must be byte-stable across runs");
-}
-
-#[test]
-fn stale_suppressions_are_itemized_in_json() {
-    let src = "fn f() {\n    // hesgx-lint: allow(enclave-panic, reason = \"nothing here\")\n    let x = 1;\n}\n";
-    let report = lint_sources(&[SourceFile::scan("crates/tee/src/x.rs", src)]);
-    assert_eq!(report.stale.len(), 1);
-    let json = report.render_json();
-    assert!(json.contains("\"stale_suppressions\": ["));
-    assert!(json.contains("\"rule\": \"enclave-panic\""));
-    assert!(json.contains("\"stale_count\": 1"));
+    assert_eq!(
+        render(),
+        render(),
+        "the report must be byte-stable across runs"
+    );
 }
 
 #[test]
@@ -281,22 +258,4 @@ fn wall_clock_exemption_is_scoped_to_the_profiler_file() {
         "bad fixture must fire outside prof.rs; got: {:?}",
         report.findings
     );
-}
-
-#[test]
-fn baseline_roundtrip_grandfathers_current_findings() {
-    // Render the bad fixture's findings as a baseline, re-lint with it
-    // applied: everything is grandfathered and the report turns clean.
-    let mut report = lint_fixture("wall-clock", "bad.rs");
-    let n = report.findings.len();
-    assert!(n > 0);
-    let text = hesgx_lint::baseline::render(&report);
-    let entries = hesgx_lint::baseline::parse(&text).expect("well-formed baseline");
-    hesgx_lint::baseline::apply(&mut report, &entries);
-    assert!(report.is_clean(), "{:?}", report.findings);
-    assert_eq!(report.grandfathered, n);
-    // A *new* finding (not in the baseline) still fails.
-    let mut fresh = lint_fixture("rng-fork", "bad.rs");
-    hesgx_lint::baseline::apply(&mut fresh, &entries);
-    assert!(!fresh.is_clean());
 }

@@ -139,4 +139,39 @@ mod tests {
         let b = seal(&SECRET, &MR_A, 2, b"same data");
         assert_ne!(a.ciphertext, b.ciphertext);
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// One damage to a sealed blob — a flipped bit of its nonce,
+        /// ciphertext or tag, a truncated ciphertext, or an appended byte —
+        /// and `unseal` refuses it; the untouched blob opens to the payload.
+        #[test]
+        fn tampered_blob_never_unseals(
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..200),
+            damage in 0u8..5, at in proptest::prelude::any::<usize>(), bit in 0u8..8,
+            extra in proptest::prelude::any::<u8>(),
+        ) {
+            let blob = seal(&SECRET, &MR_A, 7, &payload);
+            proptest::prop_assert_eq!(unseal(&SECRET, &MR_A, &blob), Ok(payload));
+            let mut tampered = blob;
+            match damage {
+                0 => tampered.nonce[at % 12] ^= 1 << bit,
+                1 => {
+                    let len = tampered.ciphertext.len();
+                    tampered.ciphertext[at % len] ^= 1 << bit;
+                }
+                2 => tampered.tag[at % 32] ^= 1 << bit,
+                3 => {
+                    let len = tampered.ciphertext.len();
+                    tampered.ciphertext.truncate(at % len);
+                }
+                _ => tampered.ciphertext.push(extra),
+            }
+            proptest::prop_assert_eq!(
+                unseal(&SECRET, &MR_A, &tampered),
+                Err(TeeError::SealedBlobCorrupted)
+            );
+        }
+    }
 }

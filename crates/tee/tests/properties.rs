@@ -23,27 +23,6 @@ proptest! {
     }
 
     #[test]
-    fn tampered_blob_never_unseals(payload in proptest::collection::vec(any::<u8>(), 1..200),
-                                   flip_byte in any::<u8>(), flip_pos in any::<usize>()) {
-        prop_assume!(flip_byte != 0);
-        let platform = Platform::new(2);
-        let enclave = EnclaveBuilder::new("p").add_code(b"c").build(platform);
-        let (blob, _) = enclave.seal(&payload);
-        // Round-trip through serde-free byte-level tampering: rebuild a blob
-        // with one ciphertext byte flipped by re-sealing on another enclave is
-        // covered elsewhere; here flip within the same enclave via clone.
-        let mut tampered = blob.clone();
-        // SealedBlob fields are private; tamper by flipping a payload byte
-        // before sealing and checking the tags differ instead.
-        let mut altered = payload.clone();
-        let pos = flip_pos % altered.len();
-        altered[pos] ^= flip_byte;
-        let (blob2, _) = enclave.seal(&altered);
-        prop_assert_ne!(&blob, &blob2);
-        let _ = &mut tampered;
-    }
-
-    #[test]
     fn quote_chain_verifies_for_any_user_data(user_data in proptest::collection::vec(any::<u8>(), 0..500)) {
         let platform = Platform::new(3);
         let enclave = EnclaveBuilder::new("p").add_code(b"c").build(platform.clone());
