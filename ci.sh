@@ -79,17 +79,12 @@ step_chaos() {
     run_twice_diff chaos_sweep target/chaos-report.json
 }
 
+# The virtual-clock contract (DESIGN.md §13) as an executable check: the
+# Perfetto trace and the Prometheus exposition must be byte-identical across
+# runs (each run already asserts identity across pool sizes). The snapshot's
+# identity across pool sizes and its ns-for-ns reconciliation with the
+# pipeline metrics are tier-1 tests (crates/core/tests/obs.rs).
 step_obs() {
-    # Deterministic per-layer cost accounting at pool sizes 1/2/4; reconciles
-    # the obs spans against the pipeline metrics ns-for-ns and writes the
-    # snapshot artifact to target/obs/obs_report.json.
-    echo "==> obs report"
-    repro obs_report --quick
-    test -s target/obs/obs_report.json
-
-    # The virtual-clock contract (DESIGN.md §13) as an executable check: the
-    # Perfetto trace and the Prometheus exposition must be byte-identical
-    # across runs (each run already asserts identity across pool sizes).
     echo "==> trace determinism (two runs, diffed)"
     run_twice_diff trace target/obs/trace-7.json target/obs/trace-7.prom
 }
@@ -108,32 +103,11 @@ step_serve() {
         target/bench/BENCH_serve.json target/obs/serve-load.json target/obs/serve-load.prom
 }
 
+# Kernel speed is a row of the benchmark (bfv.ntt_*_ns, bfv.encrypt_us, ...)
+# and kernel exactness a tier-1 test (crates/bfv/tests/ntt_diff.rs,
+# decrypt_rns.rs, the henn ops tests); this step runs the paper's tables and
+# figures and smoke-runs every benchmark workload.
 step_bench() {
-    # Wall times live in BENCH_ntt.json (informative, never diffed); the
-    # replay-stable face — tier checksums, ciphertext-identity flags, HE op
-    # counts — is BENCH_ntt.deterministic.json. Each run also asserts
-    # in-process that the lazy kernels are bit-identical to the eager
-    # reference and that the weight-bank conv kernel matches its raw-weight
-    # oracle bit for bit with zero per-call weight preparations.
-    echo "==> ntt bench (two runs, deterministic sections diffed)"
-    run_twice_diff ntt_bench target/bench/BENCH_ntt.deterministic.json
-    test -s target/bench/BENCH_ntt.json
-    # The dense-operand FC at the paper's geometry (the run asserts its sums
-    # equal the plaintext FC): each of the 720 pooled values once, 8 operand
-    # cells, 8 products a class, one partial-sum cell a class. A return to
-    # one copy of every value per class (72 cells, one product each) or any
-    # other count must fail here.
-    grep -q '"dense_fc":{[^}]*"matches_plain":true,"operand_cells":8,"ct_pt_mul":80,"sum_cells":10,' \
-        target/bench/BENCH_ntt.deterministic.json
-
-    # The same batch served through both ingress modes at HE pool sizes
-    # 1/2/4. Deterministic face: upload bytes both ways, the reduction ratio,
-    # logit-identity and cost-reconciliation flags, the modeled ECALL cost;
-    # the run asserts both flags.
-    echo "==> transcipher bench (two runs, deterministic sections diffed)"
-    run_twice_diff transcipher target/bench/BENCH_transcipher.deterministic.json
-    test -s target/bench/BENCH_transcipher.json
-
     # Fig. 3 times WeightBank::prepare, the once-per-model operand
     # preparation the served convolution consumes; its wall times are
     # orientation only, so the gate is that the sweep runs and reports one
@@ -150,8 +124,8 @@ step_bench() {
     test -s target/bench/paper.txt
 
     # Fig. 8's deterministic face: modeled enclave cost terms + HE op counts
-    # (no wall seconds), kept next to the NTT tables for cross-commit diffing
-    # and byte-identical across reruns. Each run asserts that every hybrid
+    # (no wall seconds), for cross-commit diffing and byte-identical across
+    # reruns. Each run asserts that every hybrid
     # and pure-HE prediction equals the plaintext quantized reference.
     echo "==> fig8 bench table (two runs, diffed)"
     run_twice_diff fig8 target/bench/BENCH_fig8.json

@@ -7,8 +7,7 @@
 //! ```
 
 use hesgx_bench::experiments::{
-    ablation, chaos_sweep, e2e, figures, ntt_bench, obs_report, profile, serve_load, tables, trace,
-    transcipher, RunConfig,
+    ablation, chaos_sweep, e2e, figures, profile, serve_load, tables, trace, RunConfig,
 };
 use hesgx_bench::PaperEnv;
 
@@ -26,11 +25,8 @@ const EXPERIMENTS: &[&str] = &[
     "fig8",
     "ablation",
     "chaos_sweep",
-    "obs_report",
     "trace",
     "serve_load",
-    "ntt_bench",
-    "transcipher",
     "profile",
 ];
 
@@ -131,20 +127,11 @@ fn main() {
     if wanted("chaos_sweep") {
         chaos_sweep::chaos_sweep(cfg);
     }
-    if wanted("obs_report") {
-        obs_report::obs_report(cfg);
-    }
     if wanted("trace") {
         trace::trace(cfg);
     }
     if wanted("serve_load") {
         serve_load::serve_load(cfg);
-    }
-    if wanted("ntt_bench") {
-        ntt_bench::ntt_bench(cfg);
-    }
-    if wanted("transcipher") {
-        transcipher::transcipher(cfg);
     }
     if wanted("profile") {
         profile::profile(cfg);

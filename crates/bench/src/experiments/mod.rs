@@ -11,13 +11,10 @@ pub mod ablation;
 pub mod chaos_sweep;
 pub mod e2e;
 pub mod figures;
-pub mod ntt_bench;
-pub mod obs_report;
 pub mod profile;
 pub mod serve_load;
 pub mod tables;
 pub mod trace;
-pub mod transcipher;
 
 /// Repetition policy: `quick` trades statistical depth for runtime.
 #[derive(Debug, Clone, Copy)]

@@ -27,10 +27,10 @@ pub const PAPER_POLY_DEGREE: usize = 1024;
 /// Batch size used throughout (the paper's batchSize = 10, §V-B).
 pub const PAPER_BATCH_SIZE: usize = 10;
 
-/// The served model of the experiments that compare two runs of one model
-/// (`ntt_bench`, `transcipher`, `profile`): the paper CNN's dimensions in
-/// full mode, a scaled-down stand-in in quick mode. Deterministic formula
-/// weights — an A/B comparison needs identical models, not trained ones.
+/// The served model of `profile`, which compares profiled and unprofiled
+/// serves of one model: the paper CNN's dimensions in full mode, a
+/// scaled-down stand-in in quick mode. Deterministic formula weights — an
+/// A/B comparison needs identical models, not trained ones.
 pub(crate) fn formula_model(quick: bool) -> QuantizedCnn {
     let (in_side, conv_out, kernel, window, classes) = if quick {
         (12, 2, 3, 2, 3)

@@ -14,12 +14,23 @@ use hesgx_crypto::rng::ChaChaRng;
 
 /// Transform lengths used across the stack: 8–256 by the unit corpus,
 /// 256/1024 by the pipeline (`moduli_for` / paper parameters), 4096 as the
-/// largest `ntt_bench` tier.
+/// largest degree the plaintext primes below are checked at.
 const DEGREES: &[usize] = &[8, 64, 256, 1024, 4096];
 
 /// Modulus bit-sizes per tier: small batching primes up to the widest
 /// supported limb.
 const PRIME_BITS: &[u32] = &[24, 30, 45, MAX_LIMB_BITS];
+
+/// The 14–17-bit plaintext primes the batch encoder transforms under:
+/// 12289 (the test systems), 40961 (the first of `moduli_for`'s ~16-bit
+/// primes) and 65537 (`paper_n1024`), each `≡ 1 (mod 2n)` at its degree.
+const PLAIN_TIERS: &[(usize, u64)] = &[
+    (256, 12289),
+    (1024, 12289),
+    (1024, 65537),
+    (4096, 40961),
+    (4096, 65537),
+];
 
 fn tiers() -> Vec<(usize, u64)> {
     let mut out = Vec::new();
@@ -28,6 +39,7 @@ fn tiers() -> Vec<(usize, u64)> {
             out.push((n, largest_prime_congruent_one(bits, 2 * n as u64)));
         }
     }
+    out.extend_from_slice(PLAIN_TIERS);
     out
 }
 

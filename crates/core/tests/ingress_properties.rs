@@ -13,6 +13,10 @@
 //!    recovery ladder, and the re-encrypted cells carry exactly the same
 //!    ciphertext bytes as a fault-free run (the RNG base is forked once per
 //!    logical call, outside the retry loop).
+//!
+//! A third property pins admission, where both modes meet: an arbitrary
+//! request is either refused with [`Error::Config`] before any ECALL, or
+//! served exactly.
 
 mod testutil;
 
@@ -20,7 +24,11 @@ use hesgx_core::keydist::derive_ingress_key;
 use hesgx_core::prelude::*;
 use hesgx_crypto::transcipher::seal_images;
 use hesgx_henn::crt::CrtCiphertext;
+use hesgx_nn::quantize::MAX_PIXEL;
+use hesgx_obs::{counters, Recorder};
+use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::test_runner::{TestRng, TestRunner};
 
 const POOLS: [usize; 3] = [1, 2, 4];
 
@@ -119,4 +127,98 @@ proptest! {
         );
         prop_assert_eq!(clean, faulted, "retry changed ciphertext bits");
     }
+}
+
+/// One request at the edges of admission: 0 images, 1–4, or one more than
+/// the ciphertext has slots; each image one pixel short, exact or one pixel
+/// long; one image in four with a pixel at or past ±`MAX_PIXEL` (or at
+/// `i64::MIN`/`i64::MAX`); either ingress mode.
+fn admission_case(rng: &mut TestRng, pixels: usize, slots: usize) -> InferRequest {
+    let count = match (0..6usize).generate(rng) {
+        0 => 0,
+        5 => slots + 1,
+        k => k,
+    };
+    let images = (0..count)
+        .map(|_| {
+            let len = match (0..6usize).generate(rng) {
+                0 => pixels - 1,
+                1 => pixels + 1,
+                _ => pixels,
+            };
+            let mut image = vec(-MAX_PIXEL..MAX_PIXEL + 1, len).generate(rng);
+            if (0..4).generate(rng) == 0 {
+                let edges = [
+                    i64::MIN,
+                    -MAX_PIXEL - 1,
+                    -MAX_PIXEL,
+                    MAX_PIXEL,
+                    MAX_PIXEL + 1,
+                    i64::MAX,
+                    any::<i64>().generate(rng),
+                ];
+                image[(0..len).generate(rng)] = edges[(0..edges.len()).generate(rng)];
+            }
+            image
+        })
+        .collect();
+    let ingress = if any::<bool>().generate(rng) {
+        Ingress::Transciphered
+    } else {
+        Ingress::FvCiphertext
+    };
+    InferRequest::batch(images).ingress(ingress)
+}
+
+#[test]
+fn admission_refuses_before_any_ecall_or_serves_exactly() {
+    let rec = Recorder::enabled();
+    let session = SessionBuilder::new()
+        .params(ParamsPreset::Small)
+        .threads(2)
+        .seed(57)
+        .recorder(rec.clone())
+        .build(Platform::new(912), testutil::small_hybrid_model())
+        .unwrap();
+    let model = session.model().clone();
+    let pixels = model.in_side * model.in_side;
+    let slots = session.service().system().slot_count();
+    let admissible = |images: &[Vec<i64>]| {
+        (1..=slots).contains(&images.len())
+            && images.iter().all(|image| {
+                image.len() == pixels && image.iter().all(|p| (-MAX_PIXEL..=MAX_PIXEL).contains(p))
+            })
+    };
+
+    let mut runner = TestRunner::new(
+        ProptestConfig::with_cases(32),
+        "admission_refuses_before_any_ecall_or_serves_exactly",
+    );
+    runner.run(|rng| {
+        let request = admission_case(rng, pixels, slots);
+        let images = request.images.clone();
+        let ecalls = rec.counter(counters::ECALLS);
+        match session.serve(request) {
+            Ok(response) => {
+                prop_assert!(admissible(&images), "served a malformed batch");
+                let exact: Vec<Vec<i64>> = images.iter().map(|i| model.forward_ints(i)).collect();
+                prop_assert_eq!(response.logits, exact);
+            }
+            Err(err) => {
+                prop_assert!(!admissible(&images), "refused a valid batch: {err}");
+                prop_assert!(matches!(err, Error::Config(_)), "{err:?}");
+                prop_assert_eq!(
+                    rec.counter(counters::ECALLS),
+                    ecalls,
+                    "refused after an ECALL"
+                );
+            }
+        }
+        Ok(())
+    });
+
+    // Nothing the refusals touched outlives them.
+    let image: Vec<i64> = (0..pixels as i64).map(|p| p % 31 - 15).collect();
+    let response = session.serve(InferRequest::single(image.clone())).unwrap();
+    assert_eq!(response.logits, vec![model.forward_ints(&image)]);
 }

@@ -9,9 +9,10 @@
 //!   `ecall_LogitReduce`). Regenerate with
 //!   `HESGX_UPDATE_GOLDEN=1 cargo test -p hesgx-core --test obs` after an
 //!   intentional change to what the pipeline records.
-//! - **Reconciliation**: summing the recorder's `infer.layer[i].ecall` spans
+//! - **Reconciliation**: summing the recorder's `infer.*.ecall` spans
 //!   reproduces `total_enclave_cost(&metrics)` exactly — every term, every
-//!   nanosecond — because both sides are fed the same `CostBreakdown`.
+//!   nanosecond — because both sides are fed the same `CostBreakdown`; a
+//!   transciphered request's `infer.ingress.ecall` enters the fold too.
 //! - **One scope per request**: a request is one `session.request` slice,
 //!   span and profiler frame, and its span rolls up the same enclave cost.
 
@@ -29,12 +30,20 @@ use std::path::Path;
 /// crossings) with an enabled recorder and runs one inference, returning its
 /// metrics too.
 fn run_session(threads: usize) -> (Session, Recorder, HybridMetrics) {
-    run_model(threads, testutil::wide_hybrid_model())
+    run_model(
+        threads,
+        testutil::wide_hybrid_model(),
+        Ingress::FvCiphertext,
+    )
 }
 
 /// One inference of `model` on a fixed-seed session; everything except
-/// `threads` and the model is held constant.
-fn run_model(threads: usize, model: QuantizedCnn) -> (Session, Recorder, HybridMetrics) {
+/// `threads`, the model and the ingress mode is held constant.
+fn run_model(
+    threads: usize,
+    model: QuantizedCnn,
+    ingress: Ingress,
+) -> (Session, Recorder, HybridMetrics) {
     let rec = Recorder::enabled();
     let session = SessionBuilder::new()
         .params(ParamsPreset::Small)
@@ -44,14 +53,18 @@ fn run_model(threads: usize, model: QuantizedCnn) -> (Session, Recorder, HybridM
         .build(Platform::new(900), model)
         .unwrap();
     let image: Vec<i64> = (0..64).map(|p| (p % 16) as i64).collect();
-    let response = session.serve(InferRequest::single(image.clone())).unwrap();
+    let request = InferRequest::single(image.clone()).ingress(ingress);
+    let response = session.serve(request).unwrap();
     assert_eq!(response.logits, vec![session.model().forward_ints(&image)]);
     (session, rec, response.metrics)
 }
 
 #[test]
 fn snapshot_is_byte_identical_across_pool_sizes_and_matches_golden() {
-    let snapshot = |model, threads| run_model(threads, model).0.obs_snapshot_json();
+    let snapshot = |model, threads| {
+        let (session, _, _) = run_model(threads, model, Ingress::FvCiphertext);
+        session.obs_snapshot_json()
+    };
     let snaps: Vec<String> = [1usize, 2, 4]
         .iter()
         .map(|&threads| {
@@ -80,30 +93,38 @@ fn snapshot_is_byte_identical_across_pool_sizes_and_matches_golden() {
 
 #[test]
 fn per_layer_obs_totals_reconcile_with_pipeline_metrics() {
-    let (_, rec, metrics) = run_session(2);
-    let total = total_enclave_cost(&metrics);
+    // Activation + pooling in one crossing, and the closing reduction; a
+    // transciphered request crosses once more first, to re-encrypt its upload.
+    for (ingress, crossings) in [(Ingress::FvCiphertext, 2), (Ingress::Transciphered, 3)] {
+        let (_, rec, metrics) = run_model(2, testutil::wide_hybrid_model(), ingress);
+        let total = total_enclave_cost(&metrics);
 
-    // Fold exactly the `.ecall` pipeline spans — the `.he` spans carry wall
-    // time only and never enter the enclave's books.
-    let ecall_spans: Vec<_> = rec
-        .spans_with_prefix("infer.")
-        .into_iter()
-        .filter(|(name, _)| name.ends_with(".ecall"))
-        .collect();
-    // Activation + pooling in one crossing, and the closing reduction.
-    assert_eq!(ecall_spans.len(), 2, "{ecall_spans:?}");
-    for (_, stats) in &ecall_spans {
-        assert_eq!(stats.entries, 1, "one inference, one entry per stage");
+        // Fold exactly the `.ecall` pipeline spans — the `.he` spans carry
+        // wall time only and never enter the enclave's books.
+        let ecall_spans: Vec<_> = rec
+            .spans_with_prefix("infer.")
+            .into_iter()
+            .filter(|(name, _)| name.ends_with(".ecall"))
+            .collect();
+        assert_eq!(ecall_spans.len(), crossings, "{ingress:?}: {ecall_spans:?}");
+        let ingress_span = ecall_spans
+            .iter()
+            .any(|(name, _)| name == "infer.ingress.ecall");
+        let transciphered = ingress == Ingress::Transciphered;
+        assert_eq!(ingress_span, transciphered, "{ingress:?}: {ecall_spans:?}");
+        for (_, stats) in &ecall_spans {
+            assert_eq!(stats.entries, 1, "one inference, one entry per stage");
+        }
+        let folded = ecall_spans.iter().fold(SpanCost::default(), |acc, (_, s)| {
+            acc.saturating_add(s.cost)
+        });
+        assert_eq!(
+            folded, total,
+            "{ingress:?}: obs per-layer totals must reconcile ns-for-ns with total_enclave_cost"
+        );
+        // total_ns agrees too (same fields, same saturating arithmetic).
+        assert_eq!(folded.total_ns(), total.total_ns());
     }
-    let folded = ecall_spans.iter().fold(SpanCost::default(), |acc, (_, s)| {
-        acc.saturating_add(s.cost)
-    });
-    assert_eq!(
-        folded, total,
-        "obs per-layer totals must reconcile ns-for-ns with total_enclave_cost"
-    );
-    // total_ns agrees too (same fields, same saturating arithmetic).
-    assert_eq!(folded.total_ns(), total.total_ns());
 }
 
 #[test]

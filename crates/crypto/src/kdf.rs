@@ -20,8 +20,12 @@ pub fn expand(prk: &[u8; 32], info: &[u8], len: usize) -> Vec<u8> {
     assert!(len <= 255 * 32, "hkdf expand length limit exceeded");
     let mut okm = Vec::with_capacity(len);
     let mut previous: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    while okm.len() < len {
+    // Block `i` (1-based) carries the counter byte `i`; the limit above
+    // bounds the loop at block 255.
+    for counter in 1..=255u8 {
+        if okm.len() >= len {
+            break;
+        }
         let mut data = Vec::with_capacity(previous.len() + info.len() + 1);
         data.extend_from_slice(&previous);
         data.extend_from_slice(info);
@@ -30,7 +34,6 @@ pub fn expand(prk: &[u8; 32], info: &[u8], len: usize) -> Vec<u8> {
         let take = (len - okm.len()).min(32);
         okm.extend_from_slice(&block[..take]);
         previous = block.to_vec();
-        counter = counter.checked_add(1).expect("hkdf counter overflow");
     }
     okm
 }
@@ -83,5 +86,13 @@ mod tests {
         let short = expand(&prk, b"ctx", 32);
         assert_eq!(&long[..32], &short[..]);
         assert_eq!(long.len(), 100);
+    }
+
+    #[test]
+    fn expand_reaches_the_rfc_limit() {
+        let prk = extract(b"s", b"k");
+        let full = expand(&prk, b"ctx", 255 * 32);
+        assert_eq!(full.len(), 8160);
+        assert_eq!(&full[..64], &expand(&prk, b"ctx", 64)[..]);
     }
 }

@@ -135,20 +135,21 @@ impl AdmissionQueue {
                 }
                 let deficit = self.deficits.entry(tenant).or_insert(0);
                 *deficit = deficit.saturating_add(self.quantum);
-                while let Some(head) = lane.front() {
+                while let Some(head) = lane.pop_front() {
                     if head.request.deadline.is_some_and(|deadline| deadline < now) {
-                        expired.push(lane.pop_front().expect("head exists"));
+                        expired.push(head);
                         self.len -= 1;
                         progressed = true;
                         continue;
                     }
                     let need = head.request.images.len();
                     if images + need > max_images || (need as u64) > *deficit {
+                        lane.push_front(head);
                         break;
                     }
                     *deficit -= need as u64;
                     images += need;
-                    batch.push(lane.pop_front().expect("head exists"));
+                    batch.push(head);
                     self.len -= 1;
                     progressed = true;
                 }
